@@ -22,7 +22,8 @@ bench:
 
 smoke:
 	$(GO) test -run XXX -benchmem -benchtime=1x \
-		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkSweepCached|BenchmarkDSETier1$$' .
+		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkResNet50Cold|BenchmarkSweepCached|BenchmarkDSETier1$$' .
+	$(GO) test -run 'TestSystemSetupAllocation' -count=1 ./internal/memory
 
 # Compare a quick benchmark run against the newest results/BENCH_*.json;
 # fails on >25% ns/op regressions. Single-iteration numbers are noisy, so

@@ -15,6 +15,7 @@ import (
 	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
+	"scalesim/internal/core"
 	"scalesim/internal/dataflow"
 	"scalesim/internal/dram"
 	"scalesim/internal/experiments"
@@ -568,6 +569,29 @@ func BenchmarkEngineParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkResNet50Cold is the cold path: one sink-free, cache-free,
+// single-worker pass of ResNet50 through core. With nothing observing the
+// SRAM streams the buffers skip every operand block they can prove resident,
+// and with no DRAM consumer they count misses instead of recording them, so
+// allocation is down to the per-layer residency tables.
+func BenchmarkResNet50Cold(b *testing.B) {
+	b.ReportAllocs()
+	sim, err := core.New(config.New(), core.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo := topology.ResNet50()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Simulate(topo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalCycles != 5274776 {
+			b.Fatalf("ResNet50 cycles = %d", res.TotalCycles)
+		}
 	}
 }
 

@@ -1,0 +1,323 @@
+package memory
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"scalesim/internal/config"
+	"scalesim/internal/dataflow"
+	"scalesim/internal/obsv"
+	"scalesim/internal/systolic"
+	"scalesim/internal/topology"
+	"scalesim/internal/trace"
+)
+
+// unbracketed passes both trace paths through and hides the buffer's
+// trace.BlockConsumer, so the producer streams every block in full: the
+// reference the block residency memo must be indistinguishable from.
+type unbracketed struct {
+	c interface {
+		trace.Consumer
+		trace.RunConsumer
+	}
+}
+
+func (u unbracketed) Consume(cycle int64, addrs []int64)        { u.c.Consume(cycle, addrs) }
+func (u unbracketed) ConsumeRuns(cycle int64, runs []trace.Run) { u.c.ConsumeRuns(cycle, runs) }
+
+// blockOutcome is everything a memory system lets the outside observe.
+type blockOutcome struct {
+	report            Report
+	read, write       []byte
+	profiles          [3][]trace.ProfilePoint
+	evictions         [2]int64
+	fallbacks         int64
+	skipped, skipWord int64
+}
+
+// runBlocks simulates l into a fresh system, with or without the block
+// bracket, recording the DRAM traces as CSV bytes.
+func runBlocks(t *testing.T, l topology.Layer, cfg config.Config, opt Options, win systolic.Window,
+	bracket bool, regions func(*System)) blockOutcome {
+	t.Helper()
+	var rd, wr bytes.Buffer
+	rw, ww := trace.NewCSVWriter(&rd), trace.NewCSVWriter(&wr)
+	reg := &obsv.Registry{}
+	opt.DRAMRead, opt.DRAMWrite, opt.Metrics = rw, ww, reg
+	sys, err := NewSystem(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions(sys)
+	sinks := systolic.Sinks{IfmapRead: sys.Ifmap, FilterRead: sys.Filter, OfmapWrite: sys.Ofmap}
+	if !bracket {
+		sinks = systolic.Sinks{IfmapRead: unbracketed{sys.Ifmap},
+			FilterRead: unbracketed{sys.Filter}, OfmapWrite: unbracketed{sys.Ofmap}}
+	}
+	comp, err := systolic.RunWindow(l, cfg, win, sinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Ofmap.Flush(comp.Cycles)
+	for _, w := range []*trace.CSVWriter{rw, ww} {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blockOutcome{
+		report:    sys.Report(comp.Cycles),
+		read:      rd.Bytes(),
+		write:     wr.Bytes(),
+		profiles:  [3][]trace.ProfilePoint{sys.IfmapBW.Profile(), sys.FilterBW.Profile(), sys.OfmapBW.Profile()},
+		evictions: [2]int64{sys.Ifmap.Evictions, sys.Filter.Evictions},
+		fallbacks: sys.RegionFallbacks(),
+		skipped:   reg.Counter("memory.blocks_skipped").Value(),
+		skipWord:  reg.Counter("memory.words_skipped").Value(),
+	}
+}
+
+func layerRegions(l topology.Layer, cfg config.Config) func(*System) {
+	return func(s *System) {
+		s.SetRegions(cfg.IfmapOffset, l.IfmapWords(), cfg.FilterOffset, l.FilterWords(),
+			cfg.OfmapOffset, l.OfmapWords())
+	}
+}
+
+// requireSameOutcome fails unless the bracketed and the full stream are
+// indistinguishable from outside the buffers.
+func requireSameOutcome(t *testing.T, got, want blockOutcome) {
+	t.Helper()
+	if !reflect.DeepEqual(got.report, want.report) {
+		t.Errorf("reports differ:\nbracketed: %+v\nfull:      %+v", got.report, want.report)
+	}
+	if !bytes.Equal(got.read, want.read) {
+		t.Errorf("DRAM read traces differ (%d vs %d bytes)", len(got.read), len(want.read))
+	}
+	if !bytes.Equal(got.write, want.write) {
+		t.Errorf("DRAM write traces differ (%d vs %d bytes)", len(got.write), len(want.write))
+	}
+	if !reflect.DeepEqual(got.profiles, want.profiles) {
+		t.Error("bandwidth profiles differ")
+	}
+	if got.evictions != want.evictions {
+		t.Errorf("evictions differ: %v vs %v", got.evictions, want.evictions)
+	}
+	if got.fallbacks != want.fallbacks {
+		t.Errorf("region fallbacks differ: %d vs %d", got.fallbacks, want.fallbacks)
+	}
+	if want.skipped != 0 {
+		t.Errorf("the unbracketed reference skipped %d blocks", want.skipped)
+	}
+}
+
+func resnetLayer(t *testing.T, name string) topology.Layer {
+	t.Helper()
+	l, ok := topology.ResNet50().Layer(name)
+	if !ok {
+		t.Fatalf("no ResNet50 layer %q", name)
+	}
+	return l
+}
+
+// TestBlockMemoMatchesFullStream is the tentpole's exactness harness over
+// the three residency regimes, pinned on real layers at the default
+// configuration: the tensor fits (every repeat is skipped), a block fits
+// but the tensor thrashes (CB4a_2's 590 K filter words against 262 K of
+// capacity), and the block itself overflows the buffer (CB2b_1's IFMAP).
+func TestBlockMemoMatchesFullStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full ResNet50 layers")
+	}
+	for _, name := range []string{"CB2a_1", "CB2b_1", "CB4a_2", "CB5a_2"} {
+		l := resnetLayer(t, name)
+		for _, df := range config.Dataflows {
+			t.Run(name+"/"+df.String(), func(t *testing.T) {
+				cfg := config.New().WithDataflow(df)
+				got := runBlocks(t, l, cfg, Options{}, systolic.Window{}, true, layerRegions(l, cfg))
+				want := runBlocks(t, l, cfg, Options{}, systolic.Window{}, false, layerRegions(l, cfg))
+				requireSameOutcome(t, got, want)
+				if got.fallbacks != 0 {
+					t.Errorf("%d region fallbacks on a correct declaration", got.fallbacks)
+				}
+			})
+		}
+	}
+}
+
+// TestBlockMemoRandomGrid sweeps randomised layer shapes, dataflows, array
+// shapes, SRAM sizes, buffering modes, edge trimming and partition windows,
+// with SRAMs small enough that all three regimes occur, and requires that
+// the sweep really visited them.
+func TestBlockMemoRandomGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var skippedAll, skippedSome, skippedNone, windows int
+	for i := 0; i < 120; i++ {
+		fh := 1 + rng.Intn(3)
+		l := topology.Layer{
+			Name:   fmt.Sprintf("rand%d", i),
+			IfmapH: fh + rng.Intn(12), IfmapW: fh + rng.Intn(12),
+			FilterH: fh, FilterW: fh,
+			Channels: 1 + rng.Intn(12), NumFilters: 1 + rng.Intn(40),
+			Stride: 1 + rng.Intn(2),
+		}
+		if i%10 == 0 {
+			l = topology.FromGEMM(l.Name, 1+rng.Intn(60), 1+rng.Intn(60), 1+rng.Intn(60))
+		}
+		cfg := config.New().
+			WithArray(1+rng.Intn(9), 1+rng.Intn(9)).
+			WithDataflow(config.Dataflows[rng.Intn(len(config.Dataflows))]).
+			WithSRAM(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(2))
+		cfg.EdgeTrim = rng.Intn(2) == 0
+		opt := Options{SingleBuffered: rng.Intn(2) == 0, BandwidthWindow: int64(1 + rng.Intn(100))}
+		var win systolic.Window
+		if m := dataflow.Map(l, cfg.Dataflow); rng.Intn(3) == 0 && m.Sr > 1 && m.Sc > 1 {
+			// A partition's slice of the mapping.
+			win.SrOff, win.ScOff = rng.Int63n(m.Sr-1), rng.Int63n(m.Sc-1)
+			win.SrLen, win.ScLen = 1+rng.Int63n(m.Sr-win.SrOff), 1+rng.Int63n(m.Sc-win.ScOff)
+			windows++
+		}
+		t.Run(fmt.Sprintf("%d_%s_%dx%d", i, cfg.Dataflow, cfg.ArrayHeight, cfg.ArrayWidth), func(t *testing.T) {
+			got := runBlocks(t, l, cfg, opt, win, true, layerRegions(l, cfg))
+			want := runBlocks(t, l, cfg, opt, win, false, layerRegions(l, cfg))
+			requireSameOutcome(t, got, want)
+			sram := got.report.IfmapSRAMReads + got.report.FilterSRAMReads + got.report.OfmapSRAMWrites
+			switch {
+			case got.skipped == 0:
+				skippedNone++
+			case got.evictions == [2]int64{} && got.skipWord*2 > sram:
+				skippedAll++
+			default:
+				skippedSome++
+			}
+		})
+	}
+	if skippedAll == 0 || skippedSome == 0 || skippedNone == 0 || windows == 0 {
+		t.Errorf("grid missed a regime: mostly skipped %d, partly %d, never %d, windowed %d",
+			skippedAll, skippedSome, skippedNone, windows)
+	}
+}
+
+// TestRegionFallbackWithLazyMap: a region declared too small sends the
+// stream past it. The residency map no longer exists up front, so the
+// fallback has to build it; the run must count the fallbacks and otherwise
+// be indistinguishable from one with no region declared — bracketed or not.
+func TestRegionFallbackWithLazyMap(t *testing.T) {
+	l := topology.Layer{Name: "fb", IfmapH: 9, IfmapW: 9, FilterH: 3, FilterW: 3,
+		Channels: 4, NumFilters: 20, Stride: 1}
+	for _, df := range config.Dataflows {
+		for _, bracket := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/bracket=%t", df, bracket), func(t *testing.T) {
+				cfg := config.New().WithArray(4, 4).WithDataflow(df).WithSRAM(1, 1, 1)
+				tooSmall := func(s *System) {
+					s.SetRegions(cfg.IfmapOffset, l.IfmapWords()/3, cfg.FilterOffset, l.FilterWords()/3,
+						cfg.OfmapOffset, l.OfmapWords()/3)
+				}
+				got := runBlocks(t, l, cfg, Options{}, systolic.Window{}, bracket, tooSmall)
+				if got.fallbacks != 3 {
+					t.Errorf("RegionFallbacks = %d, want one per buffer", got.fallbacks)
+				}
+				want := runBlocks(t, l, cfg, Options{}, systolic.Window{}, false, func(*System) {})
+				got.fallbacks = 0
+				requireSameOutcome(t, got, want)
+			})
+		}
+	}
+}
+
+// TestBlockMemoInvalidation drives the bracket by hand: a block is proven
+// only by a complete eviction-free stream, and any later eviction (or, for
+// the write buffer, drain) revokes the proof.
+func TestBlockMemoInvalidation(t *testing.T) {
+	rec := &trace.Recorder{}
+	b, err := NewReadBuffer("r", 4, false, rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(base int64) (skipped bool) {
+		if b.BeginBlock(base, 2, 4) {
+			return true
+		}
+		b.ConsumeRuns(0, []trace.Run{{Base: base, Stride: 1, Count: 2}, {Base: base, Stride: 1, Count: 2}})
+		b.EndBlock()
+		return false
+	}
+	if block(10) {
+		t.Fatal("first stream skipped")
+	}
+	if !block(10) {
+		t.Fatal("eviction-free block not proven")
+	}
+	if block(20) || !block(20) {
+		t.Fatal("second block: want stream then skip")
+	}
+	if b.SRAMReads != 16 || b.DRAMReads != 4 {
+		t.Errorf("SRAMReads %d DRAMReads %d, want 16 and 4", b.SRAMReads, b.DRAMReads)
+	}
+	if block(30) { // evicts 10, 11: every proof is void
+		t.Fatal("new block skipped")
+	}
+	if block(30) || block(20) || block(10) {
+		t.Fatal("block skipped although evictions have happened since its proof")
+	}
+	if got := rec.Addresses(); !reflect.DeepEqual(got, []int64{10, 11, 20, 21, 30, 31, 10, 11}) {
+		t.Errorf("miss stream %v", got)
+	}
+
+	w, err := NewWriteBuffer("w", 8, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wblock := func() bool {
+		if w.BeginBlock(0, 3, 3) {
+			return true
+		}
+		w.ConsumeRuns(0, []trace.Run{{Base: 0, Stride: 1, Count: 3}})
+		w.EndBlock()
+		return false
+	}
+	if wblock() || !wblock() {
+		t.Fatal("write block: want stream then skip")
+	}
+	if w.Flush(1) != 3 || wblock() {
+		t.Fatal("write block skipped after Flush emptied the buffer")
+	}
+	if w.SRAMWrites != 9 || w.Pending() != 3 {
+		t.Errorf("SRAMWrites %d Pending %d, want 9 and 3", w.SRAMWrites, w.Pending())
+	}
+}
+
+// TestSystemSetupAllocation guards the cold path's fixed cost: building a
+// memory system for CB5a_2 (2.4 M filter words) allocates one table byte per
+// region word, one ring slot per word that can be resident at once, and
+// nothing else to speak of — 5 MB where the eager maps and full-capacity
+// rings took 31 MB — and no residency map at all.
+func TestSystemSetupAllocation(t *testing.T) {
+	l := resnetLayer(t, "CB5a_2")
+	cfg := config.New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := NewSystem(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layerRegions(l, cfg)(sys)
+	runtime.ReadMemStats(&after)
+
+	want := uint64(64 << 10) // structs, meters, size-class rounding
+	for _, b := range []struct {
+		set   *fifoSet
+		words int64
+	}{{sys.Ifmap.set, l.IfmapWords()}, {sys.Filter.set, l.FilterWords()}, {sys.Ofmap.set, l.OfmapWords()}} {
+		want += uint64(b.words + 8*min(b.set.capacity, b.words))
+		if b.set.resident != nil || !b.set.dense {
+			t.Errorf("buffer built a residency map (dense=%t)", b.set.dense)
+		}
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > want || got > 6<<20 {
+		t.Errorf("NewSystem+SetRegions allocated %d bytes, want at most %d", got, want)
+	}
+}

@@ -24,6 +24,7 @@ package memory
 import (
 	"fmt"
 
+	"scalesim/internal/obsv"
 	"scalesim/internal/trace"
 )
 
@@ -42,7 +43,8 @@ const denseLimitWords = 1 << 22
 //     region via setRegion (one array access per test);
 //   - an open-addressing probe table when the declared region is large
 //     (footprint proportional to capacity, not region);
-//   - a Go map as the general fallback when no region is declared.
+//   - a Go map as the general fallback when no region is declared, built on
+//     first insertion: the region paths never touch it.
 type fifoSet struct {
 	capacity int64
 	resident map[int64]struct{}
@@ -63,13 +65,7 @@ type fifoSet struct {
 	onFallback func()
 }
 
-func newFIFOSet(capacity int64) *fifoSet {
-	return &fifoSet{
-		capacity: capacity,
-		resident: make(map[int64]struct{}, min(capacity, 1<<20)),
-		ring:     make([]int64, 0, min(capacity, 1<<20)),
-	}
-}
+func newFIFOSet(capacity int64) *fifoSet { return &fifoSet{capacity: capacity} }
 
 // setRegion switches to a region-aware residency structure for addresses in
 // [base, base+words). Must be called before any insertion.
@@ -77,15 +73,15 @@ func (f *fifoSet) setRegion(base, words int64) {
 	if words < 1 || len(f.ring) > 0 {
 		return
 	}
+	// At most one slot per distinct address is ever occupied.
+	f.ring = make([]int64, 0, min(f.capacity, words, 1<<20))
 	if words <= denseLimitWords {
 		f.dense = true
 		f.base = base
 		f.marks = make([]byte, words)
-		f.resident = nil
 		return
 	}
 	f.probe = newProbeSet(f.capacity)
-	f.resident = nil
 }
 
 // leaveDense abandons the direct-mapped table after an access outside the
@@ -144,11 +140,14 @@ func (f *fifoSet) mark(addr int64, present bool) {
 		}
 		return
 	}
-	if present {
-		f.resident[addr] = struct{}{}
-	} else {
+	if !present {
 		delete(f.resident, addr)
+		return
 	}
+	if f.resident == nil {
+		f.resident = make(map[int64]struct{})
+	}
+	f.resident[addr] = struct{}{}
 }
 
 // denseBounds reports whether the whole progression lies inside the dense
@@ -163,12 +162,13 @@ func (f *fifoSet) denseBounds(r trace.Run) bool {
 }
 
 // scanRunDense walks one in-region progression against the dense table,
-// inserting every miss and re-compressing the missed addresses onto the
-// misses run list (the read path's demand stream). It is contains()+insert()
+// inserting every miss and, when record is set, re-compressing the missed
+// addresses onto the misses run list (the read path's demand stream); with
+// no DRAM consumer the misses are only counted. It is contains()+insert()
 // unrolled across a run: membership is one byte load per address and the
 // FIFO ring is manipulated directly, which keeps the memory model cheap on
 // the hot path.
-func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run) (m []trace.Run, missWords, evictions int64) {
+func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run, record bool) (m []trace.Run, missWords, evictions int64) {
 	marks, base := f.marks, f.base
 	a := r.Base
 	for i := int64(0); i < r.Count; i++ {
@@ -186,7 +186,9 @@ func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run) (m []trace.Run, 
 				evictions++
 			}
 			marks[idx] = 1
-			misses = trace.AppendAddr(misses, a)
+			if record {
+				misses = trace.AppendAddr(misses, a)
+			}
 			missWords++
 		}
 		a += r.Stride
@@ -196,8 +198,8 @@ func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run) (m []trace.Run, 
 
 // scanRunDenseEvict is scanRunDense for the write-back path: misses are
 // absorbed silently and the evicted addresses are re-compressed onto the
-// drained run list instead.
-func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run) (d []trace.Run, drainWords int64) {
+// drained run list instead (or only counted, as above).
+func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record bool) (d []trace.Run, drainWords int64) {
 	marks, base := f.marks, f.base
 	a := r.Base
 	for i := int64(0); i < r.Count; i++ {
@@ -212,7 +214,9 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run) (d []trace
 				if f.head == len(f.ring) {
 					f.head = 0
 				}
-				drained = trace.AppendAddr(drained, old)
+				if record {
+					drained = trace.AppendAddr(drained, old)
+				}
 				drainWords++
 			}
 			marks[idx] = 1
@@ -241,19 +245,68 @@ func (f *fifoSet) insert(addr int64) (evicted int64, didEvict bool) {
 	return old, true
 }
 
-// drain empties the set, invoking fn for each resident address in FIFO order.
-func (f *fifoSet) drain(fn func(addr int64)) {
-	n := len(f.ring)
-	for i := 0; i < n; i++ {
-		addr := f.ring[(f.head+i)%n]
-		fn(addr)
-		f.mark(addr, false)
+// drain empties the set, appending the resident addresses onto dst in FIFO
+// order: the ring from head to its end, then the wrapped part.
+func (f *fifoSet) drain(dst []int64) []int64 {
+	n := len(dst)
+	dst = append(append(dst, f.ring[f.head:]...), f.ring[:f.head]...)
+	if f.dense {
+		clear(f.marks) // dense ⇒ every resident address is in-region
+	} else {
+		for _, addr := range dst[n:] {
+			f.mark(addr, false)
+		}
 	}
 	f.ring = f.ring[:0]
 	f.head = 0
+	return dst
 }
 
 func (f *fifoSet) len() int { return len(f.ring) }
+
+// blockMemo is the buffers' trace.BlockConsumer state: for each operand
+// block, the value the buffer's eviction counter had when a complete stream
+// of the block last ended without moving it.
+//
+// A FIFO buffer changes state only on a miss and loses an address only by
+// eviction. A stream that caused no eviction therefore leaves every address
+// it touched resident — hit or freshly inserted alike — and they all stay
+// resident for as long as the counter keeps that value. A later stream of the
+// same block under an equal counter is all hits: no state change, no DRAM
+// event, no meter update; only the SRAM access count moves.
+type blockMemo struct {
+	proven map[blockKey]int64
+	cur    blockKey
+	start  int64 // counter at BeginBlock
+
+	// blocks and words count what was skipped (nil-safe obsv counters).
+	blocks, words *obsv.Counter
+}
+
+type blockKey struct{ off, n, words int64 }
+
+// begin opens a block and reports whether it is proven resident under the
+// current eviction counter.
+func (m *blockMemo) begin(k blockKey, counter int64) bool {
+	if at, ok := m.proven[k]; ok && at == counter {
+		m.blocks.Inc()
+		m.words.Add(k.words)
+		return true
+	}
+	m.cur, m.start = k, counter
+	return false
+}
+
+// end closes the open block, recording it when the counter did not move.
+func (m *blockMemo) end(counter int64) {
+	if counter != m.start {
+		return
+	}
+	if m.proven == nil {
+		m.proven = make(map[blockKey]int64)
+	}
+	m.proven[m.cur] = counter
+}
 
 // ReadBuffer is one operand SRAM on the read path (IFMAP or filter).
 // It implements trace.Consumer over the SRAM read trace and forwards demand
@@ -274,6 +327,7 @@ type ReadBuffer struct {
 	meter    *trace.BandwidthMeter
 	buf      []int64
 	runBuf   []trace.Run
+	memo     blockMemo
 }
 
 // NewReadBuffer creates a read-path SRAM.
@@ -298,8 +352,13 @@ func NewReadBuffer(name string, capacityWords int64, doubleBuffered bool, dram t
 func (b *ReadBuffer) Name() string { return b.name }
 
 // SetRegion declares the address region this buffer will service, enabling
-// the fast direct-mapped residency table. Call before the first access.
-func (b *ReadBuffer) SetRegion(base, words int64) { b.set.setRegion(base, words) }
+// the fast direct-mapped residency table. Call before the first access. A
+// new declaration also opens a new block namespace: proven blocks are
+// forgotten.
+func (b *ReadBuffer) SetRegion(base, words int64) {
+	b.set.setRegion(base, words)
+	b.memo.proven = nil
+}
 
 // EffectiveWords returns the resident capacity in words.
 func (b *ReadBuffer) EffectiveWords() int64 { return b.set.capacity }
@@ -342,10 +401,11 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	b.SRAMReads += words
 	misses := b.runBuf[:0]
 	var missWords int64
+	record := b.dram != trace.Null // nobody reads the miss runs: only count them
 	for _, r := range runs {
 		if b.set.dense && b.set.denseBounds(r) {
 			var mw, ev int64
-			misses, mw, ev = b.set.scanRunDense(r, misses)
+			misses, mw, ev = b.set.scanRunDense(r, misses, record)
 			missWords += mw
 			b.Evictions += ev
 			continue
@@ -372,6 +432,18 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 		b.meter.Add(cycle, missWords)
 	}
 }
+
+// BeginBlock implements trace.BlockConsumer with Evictions as the counter.
+func (b *ReadBuffer) BeginBlock(off, n, words int64) bool {
+	if !b.memo.begin(blockKey{off, n, words}, b.Evictions) {
+		return false
+	}
+	b.SRAMReads += words
+	return true
+}
+
+// EndBlock implements trace.BlockConsumer.
+func (b *ReadBuffer) EndBlock() { b.memo.end(b.Evictions) }
 
 // RegionFallbacks counts accesses outside the declared region that forced
 // the residency structure off the dense fast path (zero on a healthy
@@ -402,6 +474,7 @@ type WriteBuffer struct {
 	meter    *trace.BandwidthMeter
 	buf      []int64
 	runBuf   []trace.Run
+	memo     blockMemo
 }
 
 // NewWriteBuffer creates the write-path SRAM; parameters mirror
@@ -421,9 +494,12 @@ func NewWriteBuffer(name string, capacityWords int64, doubleBuffered bool, dram 
 // Name returns the buffer's label.
 func (b *WriteBuffer) Name() string { return b.name }
 
-// SetRegion declares the address region this buffer will service, enabling
-// the fast direct-mapped residency table. Call before the first access.
-func (b *WriteBuffer) SetRegion(base, words int64) { b.set.setRegion(base, words) }
+// SetRegion declares the address region this buffer will service; see
+// ReadBuffer.SetRegion.
+func (b *WriteBuffer) SetRegion(base, words int64) {
+	b.set.setRegion(base, words)
+	b.memo.proven = nil
+}
 
 // EffectiveWords returns the resident capacity in words.
 func (b *WriteBuffer) EffectiveWords() int64 { return b.set.capacity }
@@ -465,10 +541,11 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	b.SRAMWrites += words
 	drained := b.runBuf[:0]
 	var drainWords int64
+	record := b.dram != trace.Null
 	for _, r := range runs {
 		if b.set.dense && b.set.denseBounds(r) {
 			var dw int64
-			drained, dw = b.set.scanRunDenseEvict(r, drained)
+			drained, dw = b.set.scanRunDenseEvict(r, drained, record)
 			drainWords += dw
 			continue
 		}
@@ -494,6 +571,19 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 }
 
+// BeginBlock implements trace.BlockConsumer. Every eviction drains one word
+// and Flush drains the rest, so DRAMWrites serves as the eviction counter.
+func (b *WriteBuffer) BeginBlock(off, n, words int64) bool {
+	if !b.memo.begin(blockKey{off, n, words}, b.DRAMWrites) {
+		return false
+	}
+	b.SRAMWrites += words
+	return true
+}
+
+// EndBlock implements trace.BlockConsumer.
+func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites) }
+
 // RegionFallbacks counts accesses outside the declared region that forced
 // the residency structure off the dense fast path.
 func (b *WriteBuffer) RegionFallbacks() int64 { return b.set.fallbacks }
@@ -501,8 +591,7 @@ func (b *WriteBuffer) RegionFallbacks() int64 { return b.set.fallbacks }
 // Flush drains every resident output to DRAM at the given cycle (the end of
 // the layer). It returns the number of words written back.
 func (b *WriteBuffer) Flush(cycle int64) int64 {
-	drained := b.buf[:0]
-	b.set.drain(func(addr int64) { drained = append(drained, addr) })
+	drained := b.set.drain(b.buf[:0])
 	b.buf = drained
 	if len(drained) == 0 {
 		return 0

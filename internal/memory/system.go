@@ -27,9 +27,11 @@ type Options struct {
 	// DRAMRead/DRAMWrite consumers (e.g. per-operand timeline counters).
 	// Nil taps leave the merged consumers untouched and cost nothing.
 	DRAMIfmapTap, DRAMFilterTap, DRAMOfmapTap trace.Consumer
-	// Metrics, when non-nil, receives the system's health counters
-	// (currently "memory.region_fallbacks": accesses outside a declared
-	// region that demoted a buffer off its dense residency table).
+	// Metrics, when non-nil, receives the system's health counters:
+	// "memory.region_fallbacks" (accesses outside a declared region that
+	// demoted a buffer off its dense residency table) and
+	// "memory.blocks_skipped" / "memory.words_skipped" (operand blocks, and
+	// the SRAM words in them, proven resident rather than scanned).
 	Metrics *obsv.Registry
 }
 
@@ -82,6 +84,10 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 		s.Ifmap.set.onFallback = fb.Inc
 		s.Filter.set.onFallback = fb.Inc
 		s.Ofmap.set.onFallback = fb.Inc
+	}
+	blocks, words := opt.Metrics.Counter("memory.blocks_skipped"), opt.Metrics.Counter("memory.words_skipped")
+	for _, m := range []*blockMemo{&s.Ifmap.memo, &s.Filter.memo, &s.Ofmap.memo} {
+		m.blocks, m.words = blocks, words
 	}
 	return s, nil
 }

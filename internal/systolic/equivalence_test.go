@@ -227,6 +227,140 @@ func TestRunPathMatchesElementPath(t *testing.T) {
 					t.Errorf("adapter (legacy-consumer) path diverges from element reference (%d vs %d bytes)",
 						len(adapted), len(want))
 				}
+
+				// A live SRAM-side observer behind a Tee must get the full
+				// stream even next to the greediest BlockConsumer: the Tee
+				// hides the capability, so no block is ever offered.
+				var greedy []*blockSkipper
+				teed := renderAll(t, func(w *trace.CSVWriter, stream string) Sinks {
+					g := &blockSkipper{}
+					greedy = append(greedy, g)
+					return streamSinks(trace.Tee(g, w), stream)
+				}, func(sinks Sinks) error {
+					_, err := RunWindow(tc.l, cfg, tc.win, sinks)
+					return err
+				})
+				if !bytes.Equal(teed, want) {
+					t.Errorf("Tee'd sink lost part of the stream (%d vs %d bytes)", len(teed), len(want))
+				}
+				for _, g := range greedy {
+					if g.begins != 0 {
+						t.Errorf("a BlockConsumer behind a Tee was offered %d blocks", g.begins)
+					}
+				}
+			})
+		}
+	}
+}
+
+// blockSkipper is the greediest trace.BlockConsumer a chain could hold: it
+// claims every block it has been offered before. It also checks the
+// producer's side of the contract on the blocks it does receive.
+type blockSkipper struct {
+	seen                 map[[3]int64]bool
+	begins, skips        int
+	streamed, skipped    int64
+	open                 bool
+	openWords, openLimit int64
+	violations           []string
+}
+
+func (b *blockSkipper) Consume(_ int64, addrs []int64) { b.add(int64(len(addrs))) }
+
+func (b *blockSkipper) ConsumeRuns(_ int64, runs []trace.Run) { b.add(trace.RunWords(runs)) }
+
+func (b *blockSkipper) add(words int64) {
+	b.streamed += words
+	if b.open {
+		b.openWords += words
+	}
+}
+
+func (b *blockSkipper) BeginBlock(off, n, words int64) bool {
+	if b.open {
+		b.violations = append(b.violations, "BeginBlock inside an open block")
+	}
+	b.begins++
+	k := [3]int64{off, n, words}
+	if b.seen[k] {
+		b.skips++
+		b.skipped += words
+		return true
+	}
+	if b.seen == nil {
+		b.seen = map[[3]int64]bool{}
+	}
+	b.seen[k] = true
+	b.open, b.openWords, b.openLimit = true, 0, words
+	return false
+}
+
+func (b *blockSkipper) EndBlock() {
+	if !b.open {
+		b.violations = append(b.violations, "EndBlock without an open block")
+	}
+	if b.openWords != b.openLimit {
+		b.violations = append(b.violations,
+			fmt.Sprintf("block declared %d words, streamed %d", b.openLimit, b.openWords))
+	}
+	b.open = false
+}
+
+// TestFoldBlockBracketing pins the producer's side of trace.BlockConsumer:
+// blocks are never nested, each carries exactly the words it declares, a
+// skipped block generates nothing, and streamed plus skipped words add up to
+// the closed-form access counts. It also pins which streams repeat: under OS
+// the IFMAP block recurs per column fold and the filter block per row fold;
+// under WS/IS the streaming operand recurs per column fold and the output
+// block per row fold, while the stationary fill is never bracketed.
+func TestFoldBlockBracketing(t *testing.T) {
+	for _, tc := range equivalenceCases() {
+		for _, df := range config.Dataflows {
+			cfg := tc.cfg.WithDataflow(df)
+			t.Run(fmt.Sprintf("%s/%s", tc.name, df), func(t *testing.T) {
+				var ifm, flt, ofm blockSkipper
+				res, err := RunWindow(tc.l, cfg, tc.win, Sinks{IfmapRead: &ifm, FilterRead: &flt, OfmapWrite: &ofm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A block recurring per column fold is skipped FoldsC-1 times
+				// in every row fold, and vice versa; none is never offered.
+				type expect struct{ begins, skips int }
+				folds := int(res.FoldsR * res.FoldsC)
+				perColFold := expect{folds, int(res.FoldsR * (res.FoldsC - 1))}
+				perRowFold := expect{folds, int((res.FoldsR - 1) * res.FoldsC)}
+				var none, ifmWant, fltWant, ofmWant expect
+				switch df {
+				case config.OutputStationary:
+					ifmWant, fltWant, ofmWant = perColFold, perRowFold, none
+				case config.WeightStationary:
+					ifmWant, fltWant, ofmWant = perColFold, none, perRowFold
+				case config.InputStationary:
+					ifmWant, fltWant, ofmWant = none, perColFold, perRowFold
+				}
+				for _, s := range []struct {
+					name  string
+					b     *blockSkipper
+					total int64
+					want  expect
+				}{
+					{"ifmap", &ifm, res.IfmapReads, ifmWant},
+					{"filter", &flt, res.FilterReads, fltWant},
+					{"ofmap", &ofm, res.OfmapWrites, ofmWant},
+				} {
+					if got := s.b.streamed + s.b.skipped; got != s.total {
+						t.Errorf("%s: streamed %d + skipped %d != %d accesses", s.name, s.b.streamed, s.b.skipped, s.total)
+					}
+					if got := (expect{s.b.begins, s.b.skips}); got != s.want {
+						t.Errorf("%s: blocks offered and skipped %+v, want %+v", s.name, got, s.want)
+					}
+					if s.b.open {
+						t.Errorf("%s: block left open", s.name)
+					}
+					for _, v := range s.b.violations {
+						t.Errorf("%s: %s", s.name, v)
+					}
+				}
 			})
 		}
 	}

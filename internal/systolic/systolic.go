@@ -77,6 +77,21 @@ func (s Sinks) runs() runSinks {
 	}
 }
 
+// stream plays one fold's operand block — n rows or columns from off, T
+// temporal steps each — into c. The block is bracketed for consumers that
+// can prove it a no-op (trace.BlockConsumer): when they do, emit never runs
+// and no run is generated.
+func stream(c trace.RunConsumer, off, n, T int64, emit func()) {
+	b, ok := c.(trace.BlockConsumer)
+	if ok && b.BeginBlock(off, n, n*T) {
+		return
+	}
+	emit()
+	if ok {
+		b.EndBlock()
+	}
+}
+
 // Result aggregates one layer's simulation.
 type Result struct {
 	// Layer is the simulated layer.
@@ -260,20 +275,25 @@ type fold struct {
 // rather than one Mapper call per element; the runs expand to exactly the
 // per-element batches of the legacy schedule (pinned by equivalence tests).
 func (s *sim) foldOS(f fold) {
-	// Left edge: ifmap. Wavefront over u = i + t.
-	for u := int64(0); u <= f.rows-1+f.T-1; u++ {
-		lo := max(0, u-f.T+1)
-		hi := min(f.rows-1, u)
-		s.runs = s.mp.RowStreamRuns(f.rowOff+lo, u-lo, hi-lo+1, s.runs[:0])
-		s.sinks.ifmapRead.ConsumeRuns(f.base+u, s.runs)
-	}
-	// Top edge: filter.
-	for u := int64(0); u <= f.cols-1+f.T-1; u++ {
-		lo := max(0, u-f.T+1)
-		hi := min(f.cols-1, u)
-		s.runs = s.mp.ColStreamRuns(f.colOff+lo, u-lo, hi-lo+1, s.runs[:0])
-		s.sinks.filterRead.ConsumeRuns(f.base+u, s.runs)
-	}
+	// Left edge: ifmap. Wavefront over u = i + t. The block repeats for
+	// every column fold of this row fold.
+	stream(s.sinks.ifmapRead, f.rowOff, f.rows, f.T, func() {
+		for u := int64(0); u <= f.rows-1+f.T-1; u++ {
+			lo := max(0, u-f.T+1)
+			hi := min(f.rows-1, u)
+			s.runs = s.mp.RowStreamRuns(f.rowOff+lo, u-lo, hi-lo+1, s.runs[:0])
+			s.sinks.ifmapRead.ConsumeRuns(f.base+u, s.runs)
+		}
+	})
+	// Top edge: filter; the block repeats for every row fold.
+	stream(s.sinks.filterRead, f.colOff, f.cols, f.T, func() {
+		for u := int64(0); u <= f.cols-1+f.T-1; u++ {
+			lo := max(0, u-f.T+1)
+			hi := min(f.cols-1, u)
+			s.runs = s.mp.ColStreamRuns(f.colOff+lo, u-lo, hi-lo+1, s.runs[:0])
+			s.sinks.filterRead.ConsumeRuns(f.base+u, s.runs)
+		}
+	})
 	// Drain: after the bottom-right mapped PE finishes.
 	finish := f.base + f.rows + f.cols + f.T - 3
 	for k := int64(1); k <= f.rows; k++ {
@@ -311,20 +331,26 @@ func (s *sim) foldIS(f fold) {
 // the moving operand streams through the rows while results reduce down the
 // columns and exit from the bottom edge.
 func (s *sim) streamAndDrain(f fold, streamSink trace.RunConsumer) {
-	// Stream phase: wavefront over u = i + t, offset by the fill.
-	for u := int64(0); u <= f.rows-1+f.T-1; u++ {
-		lo := max(0, u-f.T+1)
-		hi := min(f.rows-1, u)
-		s.runs = s.mp.RowStreamRuns(f.rowOff+lo, u-lo, hi-lo+1, s.runs[:0])
-		streamSink.ConsumeRuns(f.base+f.rows+u, s.runs)
-	}
-	// Outputs: wavefront over v = t + j.
-	for v := int64(0); v <= f.T-1+f.cols-1; v++ {
-		lo := max(0, v-f.T+1)
-		hi := min(f.cols-1, v)
-		s.runs = s.mp.OutputRuns(v-lo, -1, f.colOff+lo, 1, hi-lo+1, s.runs[:0])
-		s.sinks.ofmapWrite.ConsumeRuns(f.base+2*f.rows+v-1, s.runs)
-	}
+	// Stream phase: wavefront over u = i + t, offset by the fill. The block
+	// repeats for every column fold of this row fold.
+	stream(streamSink, f.rowOff, f.rows, f.T, func() {
+		for u := int64(0); u <= f.rows-1+f.T-1; u++ {
+			lo := max(0, u-f.T+1)
+			hi := min(f.rows-1, u)
+			s.runs = s.mp.RowStreamRuns(f.rowOff+lo, u-lo, hi-lo+1, s.runs[:0])
+			streamSink.ConsumeRuns(f.base+f.rows+u, s.runs)
+		}
+	})
+	// Outputs: wavefront over v = t + j. Every row fold accumulates into
+	// the same T x cols output block.
+	stream(s.sinks.ofmapWrite, f.colOff, f.cols, f.T, func() {
+		for v := int64(0); v <= f.T-1+f.cols-1; v++ {
+			lo := max(0, v-f.T+1)
+			hi := min(f.cols-1, v)
+			s.runs = s.mp.OutputRuns(v-lo, -1, f.colOff+lo, 1, hi-lo+1, s.runs[:0])
+			s.sinks.ofmapWrite.ConsumeRuns(f.base+2*f.rows+v-1, s.runs)
+		}
+	})
 }
 
 // accessCounts returns the closed-form SRAM access totals for an Sr x Sc x T

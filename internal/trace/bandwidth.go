@@ -13,10 +13,13 @@ type BandwidthMeter struct {
 	WordBytes int64
 
 	windows map[int64]int64 // window index -> words
-	total   int64
-	last    int64
-	first   int64
-	seen    bool
+	// cur and curWords hold the window being filled; settle folds them
+	// into windows when the window changes or a reader needs the map.
+	cur, curWords int64
+	total         int64
+	last          int64
+	first         int64
+	seen          bool
 }
 
 // NewBandwidthMeter creates a meter with the given window size in cycles
@@ -55,7 +58,11 @@ func (b *BandwidthMeter) Add(cycle, words int64) {
 	if words <= 0 {
 		return
 	}
-	b.windows[cycle/b.WindowCycles] += words
+	if w := cycle / b.WindowCycles; w != b.cur {
+		b.settle()
+		b.cur = w
+	}
+	b.curWords += words
 	b.total += words
 	if !b.seen || cycle < b.first {
 		b.first = cycle
@@ -64,6 +71,14 @@ func (b *BandwidthMeter) Add(cycle, words int64) {
 		b.last = cycle
 	}
 	b.seen = true
+}
+
+// settle folds the open window into the map.
+func (b *BandwidthMeter) settle() {
+	if b.curWords > 0 {
+		b.windows[b.cur] += b.curWords
+		b.curWords = 0
+	}
 }
 
 // TotalWords returns the total accessed word count.
@@ -92,6 +107,7 @@ func (b *BandwidthMeter) AvgBytesPerCycle() float64 {
 // PeakBytesPerCycle returns the highest per-window demand, normalized to
 // bytes per cycle.
 func (b *BandwidthMeter) PeakBytesPerCycle() float64 {
+	b.settle()
 	var peak int64
 	for _, w := range b.windows {
 		if w > peak {
@@ -102,7 +118,10 @@ func (b *BandwidthMeter) PeakBytesPerCycle() float64 {
 }
 
 // Windows returns the number of active windows.
-func (b *BandwidthMeter) Windows() int { return len(b.windows) }
+func (b *BandwidthMeter) Windows() int {
+	b.settle()
+	return len(b.windows)
+}
 
 // ProfilePoint is one window of a bandwidth profile.
 type ProfilePoint struct {
@@ -115,6 +134,7 @@ type ProfilePoint struct {
 // Profile returns the active windows as (start cycle, words) points in
 // cycle order — the meter's contents as a plottable series.
 func (b *BandwidthMeter) Profile() []ProfilePoint {
+	b.settle()
 	out := make([]ProfilePoint, 0, len(b.windows))
 	for w, words := range b.windows {
 		out = append(out, ProfilePoint{StartCycle: w * b.WindowCycles, Words: words})

@@ -97,6 +97,27 @@ type RunConsumer interface {
 	ConsumeRuns(cycle int64, runs []Run)
 }
 
+// BlockConsumer is an optional capability beside RunConsumer: a producer
+// that replays the same operand block many times (a fold's IFMAP rows, its
+// filter columns) brackets each replay, and a consumer whose state can prove
+// the whole block a no-op says so before a single run is generated.
+//
+// (off, n, words) names the block: the same triple must always denote the
+// same address multiset, words addresses in total. When BeginBlock returns
+// true the consumer has accounted for the block and the producer sends
+// nothing — no ConsumeRuns, no EndBlock. Otherwise the producer streams the
+// block and calls EndBlock after its last batch.
+//
+// Only consumers for which an all-hit block is unobservable implement this
+// (the SRAM buffers). Tee, the recorders and the CSV writer deliberately do
+// not: any live observer in the chain hides the capability, so it receives
+// the full stream. Producers discover it by type assertion on the resolved
+// RunConsumer.
+type BlockConsumer interface {
+	BeginBlock(off, n, words int64) (skip bool)
+	EndBlock()
+}
+
 // runExpander adapts a legacy Consumer to RunConsumer by materializing runs
 // into a reusable buffer — the shared fallback for consumers without a
 // native run path. Not safe for concurrent use (per-stream consumers never

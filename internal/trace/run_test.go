@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -224,4 +225,37 @@ func TestNullIsRunAware(t *testing.T) {
 	}
 	rc.ConsumeRuns(0, []Run{{1, 1, 1}})
 	Null.Consume(0, []int64{1})
+}
+
+// blockAware is a minimal run consumer with the BlockConsumer capability.
+type blockAware struct {
+	Stats
+	begins int
+}
+
+func (b *blockAware) BeginBlock(int64, int64, int64) bool { b.begins++; return true }
+func (b *blockAware) EndBlock()                           {}
+
+// TestBlockConsumerHiddenByChain: the bracket reaches a consumer only when
+// it is the whole chain. A Tee, the element-path adapter and nil all resolve
+// to run consumers without the capability, so whatever else is in the chain
+// sees every run.
+func TestBlockConsumerHiddenByChain(t *testing.T) {
+	bare := &blockAware{}
+	if b, ok := Runs(bare).(BlockConsumer); !ok || !b.BeginBlock(0, 1, 1) || bare.begins != 1 {
+		t.Error("a bare BlockConsumer was not offered the block")
+	}
+	if got := Tee(nil, bare, nil); got != Consumer(bare) {
+		t.Error("Tee with one survivor must return it unchanged")
+	}
+	for name, c := range map[string]Consumer{
+		"tee":     Tee(&blockAware{}, &Recorder{}),
+		"tee-csv": Tee(NewCSVWriter(io.Discard), &blockAware{}),
+		"adapter": ConsumerFunc((&blockAware{}).Consume),
+		"nil":     nil,
+	} {
+		if _, ok := Runs(c).(BlockConsumer); ok {
+			t.Errorf("%s: chain exposes BlockConsumer", name)
+		}
+	}
 }

@@ -215,6 +215,31 @@ func TestBandwidthMeter(t *testing.T) {
 	}
 }
 
+// TestBandwidthMeterOutOfOrder: the meter keeps the window being filled
+// outside its map, so cycles that jump back and forth between windows — and
+// reads in the middle of a window — must still land every word in its own
+// window.
+func TestBandwidthMeterOutOfOrder(t *testing.T) {
+	b := NewBandwidthMeter(10, 1)
+	b.Add(25, 3) // window 2
+	b.Add(5, 1)  // back to window 0
+	b.Add(27, 4) // window 2 again
+	if got := b.PeakBytesPerCycle(); got != 0.7 {
+		t.Errorf("mid-stream peak = %v, want 0.7", got)
+	}
+	b.Add(29, 1) // still window 2, after a read settled it
+	b.Add(-3, 2) // negative cycles truncate toward window 0
+	b.Add(11, 6) // window 1
+	want := []ProfilePoint{{0, 3}, {10, 6}, {20, 8}}
+	if got := b.Profile(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Profile = %v, want %v", got, want)
+	}
+	if b.Windows() != 3 || b.PeakBytesPerCycle() != 0.8 || b.TotalWords() != 17 || b.Span() != 33 {
+		t.Errorf("windows %d peak %v total %d span %d",
+			b.Windows(), b.PeakBytesPerCycle(), b.TotalWords(), b.Span())
+	}
+}
+
 func TestBandwidthMeterDefaults(t *testing.T) {
 	b := NewBandwidthMeter(0, 0)
 	if b.WindowCycles != 1 || b.WordBytes != 1 {

@@ -22,7 +22,7 @@ bench:
 
 smoke:
 	$(GO) test -run XXX -benchmem -benchtime=1x \
-		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkResNet50Cold|BenchmarkSweepCached|BenchmarkDSETier1$$' .
+		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkResNet50Cold|BenchmarkBERTBaseDRAMCold|BenchmarkDRAMModel|BenchmarkSweepCached|BenchmarkDSETier1$$' .
 	$(GO) test -run 'TestSystemSetupAllocation' -count=1 ./internal/memory
 
 # Compare a quick benchmark run against the newest results/BENCH_*.json;

@@ -9,6 +9,7 @@ package scalesim_test
 import (
 	"io"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"scalesim"
@@ -443,20 +444,44 @@ func BenchmarkMemorySystemRuns(b *testing.B) {
 	}
 }
 
-// BenchmarkDRAMModel replays a sequential read stream through the timing
-// substrate.
+// BenchmarkDRAMModel replays read streams through the timing substrate: a
+// sequential per-word Request stream, and the run path fed 32-word runs (one
+// array edge per cycle) at stride 1 and at stride 768, a BERT row.
 func BenchmarkDRAMModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m, err := dram.New(dram.DDR3())
-		if err != nil {
-			b.Fatal(err)
+	const words = 100_000
+	b.Run("request", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m, err := dram.New(dram.DDR3())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for a := int64(0); a < words; a++ {
+				m.Request(a, a)
+			}
+			if m.Stats().RowHitRate() < 0.99 {
+				b.Fatal("unexpected hit rate")
+			}
 		}
-		for a := int64(0); a < 100_000; a++ {
-			m.Request(a, a)
-		}
-		if m.Stats().RowHitRate() < 0.99 {
-			b.Fatal("unexpected hit rate")
-		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+	})
+	for _, stride := range []int64{1, 768} {
+		b.Run("runs/stride="+strconv.FormatInt(stride, 10), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m, err := dram.New(dram.DDR3())
+				if err != nil {
+					b.Fatal(err)
+				}
+				run := []trace.Run{{Stride: stride, Count: 32}}
+				for c := int64(0); c < words/32; c++ {
+					run[0].Base = c * 32 * stride
+					m.ConsumeRuns(c, run)
+				}
+				if m.Stats().Requests != words {
+					b.Fatalf("requests = %d", m.Stats().Requests)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+		})
 	}
 }
 
@@ -591,6 +616,41 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		}
 		if res.TotalCycles != 5274776 {
 			b.Fatalf("ResNet50 cycles = %d", res.TotalCycles)
+		}
+	}
+}
+
+// BenchmarkBERTBaseDRAMCold is the cold path with the DRAM side attached:
+// one cache-free, single-worker pass of the BERTBase operator graph with the
+// DDR3 timing model and a 4 words/cycle link on both DRAM streams. Every
+// demand miss and write-back reaches the model and the stall analyzer as
+// runs.
+func BenchmarkBERTBaseDRAMCold(b *testing.B) {
+	b.ReportAllocs()
+	ddr := dram.DDR3()
+	sim, err := core.New(config.New(), core.Options{Workers: 1, DRAM: &ddr, DRAMBandwidth: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := topology.BuiltInGraph("BERTBase")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := sim.SimulateGraph(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var cycles, requests, stall int64
+		for _, l := range res.Layers {
+			if l.Vector == nil {
+				cycles += l.Compute.Cycles
+			}
+			requests += l.DRAMStats.Requests
+			stall += l.StallCycles
+		}
+		if cycles != 1017600 || requests != 33033216 || stall != 7185378 {
+			b.Fatalf("BERTBase: compute cycles %d, DRAM requests %d, stall cycles %d", cycles, requests, stall)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package dram
 
 import (
 	"fmt"
-	"sort"
 
 	"scalesim/internal/trace"
 )
@@ -211,61 +210,149 @@ func New(cfg Config) (*Model, error) {
 // Request services one word at the given arrival cycle and returns its
 // completion cycle. Requests must arrive in non-decreasing cycle order.
 func (m *Model) Request(arrival, addr int64) int64 {
-	cfg := m.cfg
-	chIdx := int((addr / cfg.InterleaveWords) % int64(cfg.Channels))
-	ch := &m.channels[chIdx]
+	return m.serve(arrival, addr, 0, 1)
+}
 
-	// Apply any refresh windows due before this request.
-	if cfg.TREFI > 0 {
-		for arrival >= ch.nextRefresh {
-			hold := ch.nextRefresh + cfg.TRFC
-			if hold > ch.refreshHold {
-				ch.refreshHold = hold
+// serve services the n words addr, addr+stride, ... that all arrive at the
+// given cycle, in order, and returns the last word's completion cycle. It is
+// the model's only state machine: Request is its one-word case.
+//
+// Only the first word is decoded by division. stride is split once into
+// whole rows and a remainder in [0, RowWords); every later word adds the
+// remainder to the row offset and carries into the row and the bank (and,
+// with several channels, does the same at interleave granularity for the
+// channel), which lands on exactly the (channel, row, bank) a division of
+// the address would — for non-negative addresses, where truncated and
+// floored division agree. A run that reaches below zero is therefore decoded
+// word by word.
+//
+// The run is cut into stretches of consecutive words on one channel. Within
+// a stretch the arrival cycle is fixed, so refresh catch-up and the
+// max(arrival, refreshHold) floor are settled once, and every completion
+// goes through the channel's bus, which only moves forward: the stretch's
+// last word has both its largest latency and its latest completion.
+func (m *Model) serve(arrival, addr, stride, n int64) int64 {
+	if n > 1 && (addr < 0 || addr+(n-1)*stride < 0) {
+		var done int64
+		for ; n > 0; n-- {
+			done = m.serve(arrival, addr, 0, 1)
+			addr += stride
+		}
+		return done
+	}
+	cfg := &m.cfg
+	rowWords, banks := cfg.RowWords, int64(cfg.Banks)
+	ilWords, channels := cfg.InterleaveWords, int64(cfg.Channels)
+	tRCD, tCAS, tRP, busWord := cfg.TRCD, cfg.TCAS, cfg.TRP, cfg.BusCyclesPerWord
+
+	row := addr / rowWords
+	rowOff := addr - row*rowWords
+	bank := row % banks
+	var chIdx, ilOff int64
+	if channels > 1 {
+		blk := addr / ilWords
+		ilOff = addr - blk*ilWords
+		chIdx = blk % channels
+	}
+	// Per-word steps: offsets in [0, granule), whole granules reduced
+	// modulo the bank and channel counts.
+	var dRow, dRowOff, dBank, dIlOff, dCh int64
+	if n > 1 {
+		dRow, dRowOff = floorDivMod(stride, rowWords)
+		_, dBank = floorDivMod(dRow, banks)
+		if channels > 1 {
+			var dBlk int64
+			dBlk, dIlOff = floorDivMod(stride, ilWords)
+			_, dCh = floorDivMod(dBlk, channels)
+		}
+	}
+
+	var hits, sumDone, done int64
+	for left := n; left > 0; {
+		ch := &m.channels[chIdx]
+		if cfg.TREFI > 0 {
+			// Apply any refresh windows due before this arrival.
+			for arrival >= ch.nextRefresh {
+				ch.refreshHold = max(ch.refreshHold, ch.nextRefresh+cfg.TRFC)
+				ch.nextRefresh += cfg.TREFI
+				m.stats.Refreshes++
 			}
-			ch.nextRefresh += cfg.TREFI
-			m.stats.Refreshes++
 		}
-	}
+		floor, bus := max(arrival, ch.refreshHold), ch.bus
+		for {
+			b := &ch.banks[bank]
+			start := max(floor, b.cmdFree)
+			var ready int64
+			if b.openRow == row {
+				// CAS commands pipeline: the bank takes a new column command
+				// every bus slot while the CAS latency overlaps with earlier
+				// transfers.
+				hits++
+				ready = start + tCAS
+				b.cmdFree = start + busWord
+			} else {
+				activate := start + tRCD
+				if b.openRow >= 0 {
+					activate += tRP
+				}
+				ready = activate + tCAS
+				b.openRow = row
+				b.cmdFree = activate + busWord
+			}
+			// The data transfer occupies the channel's bus.
+			bus = max(ready, bus) + busWord
+			sumDone += bus
+			left--
+			if left == 0 {
+				break
+			}
 
-	row := addr / cfg.RowWords
-	b := &ch.banks[int(row%int64(cfg.Banks))]
-
-	start := max(arrival, b.cmdFree)
-	start = max(start, ch.refreshHold)
-	var ready int64
-	if b.openRow == row {
-		// CAS commands pipeline: the bank takes a new column command every
-		// bus slot while the CAS latency overlaps with earlier transfers.
-		m.stats.RowHits++
-		ready = start + cfg.TCAS
-		b.cmdFree = start + cfg.BusCyclesPerWord
-	} else {
-		m.stats.RowMisses++
-		activate := start + cfg.TRCD
-		if b.openRow >= 0 {
-			activate += cfg.TRP
+			rowOff += dRowOff
+			row += dRow
+			bank += dBank
+			if rowOff >= rowWords {
+				rowOff -= rowWords
+				row++
+				bank++
+			}
+			if bank >= banks {
+				bank -= banks
+			}
+			if channels > 1 {
+				next := chIdx + dCh
+				if ilOff += dIlOff; ilOff >= ilWords {
+					ilOff -= ilWords
+					next++
+				}
+				if next >= channels {
+					next -= channels
+				}
+				if next != chIdx {
+					chIdx = next
+					break
+				}
+			}
 		}
-		ready = activate + cfg.TCAS
-		b.openRow = row
-		b.cmdFree = activate + cfg.BusCyclesPerWord
+		ch.bus, done = bus, bus
+		m.stats.MaxLatency = max(m.stats.MaxLatency, done-arrival)
+		m.stats.LastCompletion = max(m.stats.LastCompletion, done)
 	}
-
-	// The data transfer occupies the channel's bus.
-	xferStart := max(ready, ch.bus)
-	done := xferStart + cfg.BusCyclesPerWord
-	ch.bus = done
-	m.stats.BusBusy += cfg.BusCyclesPerWord
-
-	m.stats.Requests++
-	lat := done - arrival
-	m.stats.TotalLatency += lat
-	if lat > m.stats.MaxLatency {
-		m.stats.MaxLatency = lat
-	}
-	if done > m.stats.LastCompletion {
-		m.stats.LastCompletion = done
-	}
+	m.stats.Requests += n
+	m.stats.RowHits += hits
+	m.stats.RowMisses += n - hits
+	m.stats.TotalLatency += sumDone - n*arrival
+	m.stats.BusBusy += n * busWord
 	return done
+}
+
+// floorDivMod returns the floored quotient and the remainder in [0, d) of
+// a by d > 0.
+func floorDivMod(a, d int64) (q, r int64) {
+	q = a / d
+	if r = a - q*d; r < 0 {
+		q, r = q-1, r+d
+	}
+	return q, r
 }
 
 // Consume implements trace.Consumer: each address in the batch is a word
@@ -273,37 +360,50 @@ func (m *Model) Request(arrival, addr int64) int64 {
 // so open-row hits go first.
 func (m *Model) Consume(cycle int64, addrs []int64) {
 	if m.cfg.Policy == FRFCFS && len(addrs) > 1 {
-		m.batch = append(m.batch[:0], addrs...)
-		sort.SliceStable(m.batch, func(i, j int) bool {
-			return m.isOpenRow(m.batch[i]) && !m.isOpenRow(m.batch[j])
-		})
+		m.batch = m.hitsFirst(m.batch[:0], addrs)
 		addrs = m.batch
 	}
 	for _, a := range addrs {
-		m.Request(cycle, a)
+		m.serve(cycle, a, 0, 1)
 	}
 }
 
-// isOpenRow reports whether the address currently hits an open row.
-// ConsumeRuns implements trace.RunConsumer. FCFS batches are replayed
-// straight off the progressions; FRFCFS needs the whole batch for its
-// open-row reordering, so runs are expanded into the reorder buffer first.
+// ConsumeRuns implements trace.RunConsumer. FCFS batches are serviced
+// straight off the progressions, a run per call; FRFCFS needs the whole
+// batch for its open-row reordering, so runs are expanded into the reorder
+// buffer first and the reordered batch is appended behind them.
 func (m *Model) ConsumeRuns(cycle int64, runs []trace.Run) {
 	if m.cfg.Policy == FRFCFS && trace.RunWords(runs) > 1 {
-		m.Consume(cycle, trace.ExpandRuns(runs, m.batch[:0]))
+		m.batch = trace.ExpandRuns(runs, m.batch[:0])
+		n := len(m.batch)
+		m.batch = m.hitsFirst(m.batch, m.batch[:n])
+		for _, a := range m.batch[n:] {
+			m.serve(cycle, a, 0, 1)
+		}
 		return
 	}
 	for _, r := range runs {
-		a := r.Base
-		for i := int64(0); i < r.Count; i++ {
-			m.Request(cycle, a)
-			a += r.Stride
-		}
+		m.serve(cycle, r.Base, r.Stride, r.Count)
 	}
 }
 
+// hitsFirst appends src onto dst as a stable partition: the addresses that
+// hit an open row right now in arrival order, then the rest in arrival
+// order. dst may be src's own backing array past its end.
+func (m *Model) hitsFirst(dst, src []int64) []int64 {
+	for _, hit := range [2]bool{true, false} {
+		for _, a := range src {
+			if m.isOpenRow(a) == hit {
+				dst = append(dst, a)
+			}
+		}
+	}
+	return dst
+}
+
+// isOpenRow reports whether the address currently hits an open row.
 func (m *Model) isOpenRow(addr int64) bool {
-	cfg := m.cfg
+	cfg := &m.cfg
 	ch := &m.channels[int((addr/cfg.InterleaveWords)%int64(cfg.Channels))]
 	row := addr / cfg.RowWords
 	return ch.banks[int(row%int64(cfg.Banks))].openRow == row

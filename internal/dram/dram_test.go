@@ -2,6 +2,8 @@ package dram
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"scalesim/internal/trace"
@@ -301,6 +303,245 @@ func TestConsumeRunsMatchesConsume(t *testing.T) {
 		if viaRuns.Stats() != viaElems.Stats() {
 			t.Errorf("policy %v: run path %+v != element path %+v",
 				policy, viaRuns.Stats(), viaElems.Stats())
+		}
+	}
+}
+
+// refRequest is the per-word model the run loop must reproduce: Request's
+// body from before the model serviced a run per call, one full address
+// decode and one stats update per word.
+func refRequest(m *Model, arrival, addr int64) int64 {
+	cfg := m.cfg
+	chIdx := int((addr / cfg.InterleaveWords) % int64(cfg.Channels))
+	ch := &m.channels[chIdx]
+
+	// Apply any refresh windows due before this request.
+	if cfg.TREFI > 0 {
+		for arrival >= ch.nextRefresh {
+			hold := ch.nextRefresh + cfg.TRFC
+			if hold > ch.refreshHold {
+				ch.refreshHold = hold
+			}
+			ch.nextRefresh += cfg.TREFI
+			m.stats.Refreshes++
+		}
+	}
+
+	row := addr / cfg.RowWords
+	b := &ch.banks[int(row%int64(cfg.Banks))]
+
+	start := max(arrival, b.cmdFree)
+	start = max(start, ch.refreshHold)
+	var ready int64
+	if b.openRow == row {
+		m.stats.RowHits++
+		ready = start + cfg.TCAS
+		b.cmdFree = start + cfg.BusCyclesPerWord
+	} else {
+		m.stats.RowMisses++
+		activate := start + cfg.TRCD
+		if b.openRow >= 0 {
+			activate += cfg.TRP
+		}
+		ready = activate + cfg.TCAS
+		b.openRow = row
+		b.cmdFree = activate + cfg.BusCyclesPerWord
+	}
+
+	// The data transfer occupies the channel's bus.
+	xferStart := max(ready, ch.bus)
+	done := xferStart + cfg.BusCyclesPerWord
+	ch.bus = done
+	m.stats.BusBusy += cfg.BusCyclesPerWord
+
+	m.stats.Requests++
+	lat := done - arrival
+	m.stats.TotalLatency += lat
+	if lat > m.stats.MaxLatency {
+		m.stats.MaxLatency = lat
+	}
+	if done > m.stats.LastCompletion {
+		m.stats.LastCompletion = done
+	}
+	return done
+}
+
+// refReorder is the FR-FCFS batch order as it was first written: a stable
+// sort that puts open-row hits before everything else.
+func refReorder(m *Model, addrs []int64) []int64 {
+	batch := append([]int64(nil), addrs...)
+	sort.SliceStable(batch, func(i, j int) bool {
+		return m.isOpenRow(batch[i]) && !m.isOpenRow(batch[j])
+	})
+	return batch
+}
+
+// refConsume is the element path over refRequest.
+func refConsume(m *Model, cycle int64, addrs []int64) {
+	if m.cfg.Policy == FRFCFS && len(addrs) > 1 {
+		addrs = refReorder(m, addrs)
+	}
+	for _, a := range addrs {
+		refRequest(m, cycle, a)
+	}
+}
+
+// randomGeometry draws a configuration that no power-of-two shortcut
+// survives: odd page, interleave and bank counts, up to five channels.
+func randomGeometry(rng *rand.Rand) Config {
+	cfg := Config{
+		Channels:         1 + rng.Intn(5),
+		InterleaveWords:  int64(1 + 2*rng.Intn(40)),
+		Banks:            1 + 2*rng.Intn(5),
+		RowWords:         int64(1 + 2*rng.Intn(60)),
+		TRCD:             rng.Int63n(15),
+		TCAS:             rng.Int63n(15),
+		TRP:              rng.Int63n(15),
+		BusCyclesPerWord: 1 + rng.Int63n(3),
+	}
+	if rng.Intn(3) > 0 {
+		cfg.TRFC = rng.Int63n(40)
+		cfg.TREFI = cfg.TRFC + 1 + rng.Int63n(400)
+	}
+	return cfg
+}
+
+// randomRuns draws one cycle's batch: unit, 768-word (a BERT row), large,
+// zero and negative strides, every address non-negative.
+func randomRuns(rng *rand.Rand) []trace.Run {
+	runs := make([]trace.Run, 1+rng.Intn(4))
+	for i := range runs {
+		r := trace.Run{Count: 1 + rng.Int63n(70)}
+		switch rng.Intn(6) {
+		case 0:
+			r.Stride = 1
+		case 1:
+			r.Stride = 768
+		case 2:
+			r.Stride = 1 + rng.Int63n(1<<20)
+		case 3:
+			r.Stride = 0
+		case 4:
+			r.Stride = -1 - rng.Int63n(5000)
+		default:
+			r.Stride = 1 + rng.Int63n(40)
+		}
+		r.Base = rng.Int63n(1 << 22)
+		if r.Stride < 0 {
+			r.Base -= (r.Count - 1) * r.Stride
+		}
+		runs[i] = r
+	}
+	return runs
+}
+
+// TestRunLoopMatchesPerWordReference replays random run lists through the
+// production entry points and, expanded, through the per-word reference, and
+// requires the same statistics and the same bank and channel state at the
+// end.
+func TestRunLoopMatchesPerWordReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1303))
+	noRefresh := DDR3()
+	noRefresh.TREFI, noRefresh.TRFC = 0, 0
+	cfgs := []Config{DDR3(), HBM2(), noRefresh}
+	for i := 0; i < 40; i++ {
+		cfgs = append(cfgs, randomGeometry(rng))
+	}
+	for ci, cfg := range cfgs {
+		for _, policy := range []Policy{FCFS, FRFCFS} {
+			cfg.Policy = policy
+			got, err := New(cfg)
+			if err != nil {
+				t.Fatalf("config %d %+v: %v", ci, cfg, err)
+			}
+			want, _ := New(cfg)
+			var cycle int64
+			for step := 0; step < 300; step++ {
+				switch rng.Intn(8) {
+				case 0: // same cycle: a second batch behind the first
+				case 1: // idle gap spanning several refresh intervals
+					cycle += rng.Int63n(30_000)
+				default:
+					cycle += rng.Int63n(50)
+				}
+				runs := randomRuns(rng)
+				addrs := trace.ExpandRuns(runs, nil)
+				if rng.Intn(4) == 0 {
+					got.Consume(cycle, addrs)
+				} else {
+					got.ConsumeRuns(cycle, runs)
+				}
+				refConsume(want, cycle, addrs)
+			}
+			if got.Stats() != want.Stats() {
+				t.Errorf("config %d %+v:\nrun loop  %+v\nreference %+v", ci, cfg, got.Stats(), want.Stats())
+			}
+			if !reflect.DeepEqual(got.channels, want.channels) {
+				t.Errorf("config %d %+v: final bank/channel state differs from the reference", ci, cfg)
+			}
+		}
+	}
+}
+
+// TestRequestIsTheOneWordRun: Request and the reference agree word for word,
+// completion cycles included.
+func TestRequestIsTheOneWordRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, cfg := range []Config{DDR3(), HBM2(), randomGeometry(rng)} {
+		got, _ := New(cfg)
+		want, _ := New(cfg)
+		var cycle int64
+		for i := 0; i < 5000; i++ {
+			cycle += rng.Int63n(4)
+			a := rng.Int63n(1 << 20)
+			if g, w := got.Request(cycle, a), refRequest(want, cycle, a); g != w {
+				t.Fatalf("%+v: word %d completes at %d, reference %d", cfg, i, g, w)
+			}
+		}
+		if got.Stats() != want.Stats() {
+			t.Errorf("%+v: stats %+v, reference %+v", cfg, got.Stats(), want.Stats())
+		}
+	}
+}
+
+// TestRunBelowZeroDecodesPerWord: truncated division cannot be stepped
+// across zero, so a run that reaches negative addresses must fall back to a
+// full decode per word. One bank on one channel is the geometry where the
+// reference accepts such addresses at all.
+func TestRunBelowZeroDecodesPerWord(t *testing.T) {
+	cfg := Config{Banks: 1, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4, BusCyclesPerWord: 1}
+	runs := []trace.Run{{Base: 40, Stride: -7, Count: 12}, {Base: -90, Stride: 9, Count: 20}}
+	got, _ := New(cfg)
+	want, _ := New(cfg)
+	got.ConsumeRuns(5, runs)
+	refConsume(want, 5, trace.ExpandRuns(runs, nil))
+	if got.Stats() != want.Stats() || !reflect.DeepEqual(got.channels, want.channels) {
+		t.Errorf("run loop %+v, reference %+v", got.Stats(), want.Stats())
+	}
+}
+
+// TestHitsFirstMatchesStableSort: the two-pass partition orders every batch
+// exactly as the stable sort it replaced.
+func TestHitsFirstMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 200; i++ {
+		cfg := randomGeometry(rng)
+		m, _ := New(cfg)
+		for j := 0; j < 50; j++ { // open some rows
+			m.Request(int64(j), rng.Int63n(4000))
+		}
+		batch := make([]int64, 1+rng.Intn(60))
+		for j := range batch {
+			batch[j] = rng.Int63n(4000)
+		}
+		want := refReorder(m, batch)
+		if got := m.hitsFirst(nil, batch); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: batch %v\npartition %v\nsort      %v", cfg, batch, got, want)
+		}
+		// In place behind the source, as ConsumeRuns uses it.
+		src := append(make([]int64, 0, len(batch)), batch...)
+		if got := m.hitsFirst(src, src)[len(batch):]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: in-place partition %v, sort %v", cfg, got, want)
 		}
 	}
 }

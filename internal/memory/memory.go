@@ -168,11 +168,25 @@ func (f *fifoSet) denseBounds(r trace.Run) bool {
 // unrolled across a run: membership is one byte load per address and the
 // FIFO ring is manipulated directly, which keeps the memory model cheap on
 // the hot path.
+//
+// Misses are emitted by streak — each maximal stretch of consecutive misses
+// is one sub-progression of r, appended as a single run — so a run that
+// misses end to end reaches the DRAM side as the run it arrived as. The
+// streaks are disjoint, in order and cover exactly the missed words, so the
+// list expands to the same address sequence as appending them one by one.
 func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run, record bool) (m []trace.Run, missWords, evictions int64) {
 	marks, base := f.marks, f.base
-	a := r.Base
-	for i := int64(0); i < r.Count; i++ {
-		if idx := a - base; marks[idx] == 0 {
+	a, left := r.Base, r.Count
+	for left > 0 {
+		if marks[a-base] != 0 {
+			a += r.Stride
+			left--
+			continue
+		}
+		// A streak of misses starts at a; it ends at the next hit or with
+		// the run. The hit scan above pays nothing for it.
+		first, before := a, left
+		for {
 			if int64(len(f.ring)) < f.capacity {
 				f.ring = append(f.ring, a)
 			} else {
@@ -185,13 +199,17 @@ func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run, record bool) (m 
 				}
 				evictions++
 			}
-			marks[idx] = 1
-			if record {
-				misses = trace.AppendAddr(misses, a)
+			marks[a-base] = 1
+			a += r.Stride
+			left--
+			if left == 0 || marks[a-base] != 0 {
+				break
 			}
-			missWords++
 		}
-		a += r.Stride
+		if record {
+			misses = trace.AppendRun(misses, first, r.Stride, before-left)
+		}
+		missWords += before - left
 	}
 	return misses, missWords, evictions
 }
@@ -245,16 +263,22 @@ func (f *fifoSet) insert(addr int64) (evicted int64, didEvict bool) {
 	return old, true
 }
 
-// drain empties the set, appending the resident addresses onto dst in FIFO
-// order: the ring from head to its end, then the wrapped part.
-func (f *fifoSet) drain(dst []int64) []int64 {
-	n := len(dst)
-	dst = append(append(dst, f.ring[f.head:]...), f.ring[:f.head]...)
+// drain empties the set and, when record is set, re-compresses the resident
+// addresses onto dst in FIFO order: the ring from head to its end, then the
+// wrapped part.
+func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
+	if record {
+		for _, seg := range [2][]int64{f.ring[f.head:], f.ring[:f.head]} {
+			for _, a := range seg {
+				dst = trace.AppendAddr(dst, a)
+			}
+		}
+	}
 	if f.dense {
 		clear(f.marks) // dense ⇒ every resident address is in-region
 	} else {
-		for _, addr := range dst[n:] {
-			f.mark(addr, false)
+		for _, a := range f.ring {
+			f.mark(a, false)
 		}
 	}
 	f.ring = f.ring[:0]
@@ -589,19 +613,20 @@ func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites) }
 func (b *WriteBuffer) RegionFallbacks() int64 { return b.set.fallbacks }
 
 // Flush drains every resident output to DRAM at the given cycle (the end of
-// the layer). It returns the number of words written back.
+// the layer), as runs like every other write-back. It returns the number of
+// words written back.
 func (b *WriteBuffer) Flush(cycle int64) int64 {
-	drained := b.set.drain(b.buf[:0])
-	b.buf = drained
-	if len(drained) == 0 {
+	words := int64(b.set.len())
+	if words == 0 {
 		return 0
 	}
-	b.DRAMWrites += int64(len(drained))
-	b.dram.Consume(cycle, drained)
+	b.runBuf = b.set.drain(b.runBuf[:0], b.dram != trace.Null)
+	b.DRAMWrites += words
+	b.dramRuns.ConsumeRuns(cycle, b.runBuf)
 	if b.meter != nil {
-		b.meter.Add(cycle, int64(len(drained)))
+		b.meter.Add(cycle, words)
 	}
-	return int64(len(drained))
+	return words
 }
 
 // Pending returns the resident word count awaiting write-back.

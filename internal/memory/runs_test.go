@@ -2,6 +2,7 @@ package memory
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -87,6 +88,120 @@ func TestSystemRunPathMatchesElementPath(t *testing.T) {
 					df, region, native.Ifmap.Evictions, legacy.Ifmap.Evictions)
 			}
 		}
+	}
+}
+
+// TestStreakPathMatchesElementPath extends the equivalence above to runs
+// that interleave hits and misses. The dense scan hands each streak of
+// consecutive misses to the DRAM side as one run; the address sequence per
+// cycle, the Report and the eviction count must equal the element path's,
+// which appends one address at a time.
+func TestStreakPathMatchesElementPath(t *testing.T) {
+	type batch struct {
+		cycle int64
+		runs  []trace.Run
+	}
+	scripted := []batch{
+		// All misses: the only streak ends with the run.
+		{1, []trace.Run{{Base: 100, Stride: 1, Count: 8}}},
+		// Hits, then a run whose tail misses up to its boundary, then two
+		// all-miss runs of which the second continues the first.
+		{2, []trace.Run{{Base: 100, Stride: 1, Count: 4}, {Base: 104, Stride: 2, Count: 8},
+			{Base: 200, Stride: 1, Count: 8}, {Base: 208, Stride: 1, Count: 8}}},
+		// Every other word resident: one-word streaks that re-coalesce.
+		{3, []trace.Run{{Base: 300, Stride: 2, Count: 16}}},
+		{4, []trace.Run{{Base: 300, Stride: 1, Count: 32}}},
+		// A streak in the middle, a repeated address, a descending run that
+		// starts on a hit, and a miss that coalesces with the run before it.
+		{5, []trace.Run{{Base: 96, Stride: 1, Count: 16}, {Base: 400, Stride: 0, Count: 5},
+			{Base: 120, Stride: -3, Count: 10}, {Base: 90, Stride: 0, Count: 1}}},
+	}
+	// Then random batches over a footprint larger than the buffer, so
+	// streaks also form across evictions.
+	rng := rand.New(rand.NewSource(13))
+	batches := scripted
+	for c := int64(10); c < 600; c++ {
+		b := batch{cycle: c}
+		for i := rng.Intn(4); i >= 0; i-- {
+			r := trace.Run{Count: 1 + rng.Int63n(40), Stride: []int64{1, 1, 3, 32, 0, -1, -7}[rng.Intn(7)]}
+			r.Base = 1300 + rng.Int63n(600) // the whole run stays inside [0, 4096)
+			b.runs = append(b.runs, r)
+		}
+		batches = append(batches, b)
+	}
+
+	build := func() (*System, *trace.Recorder) {
+		rec := &trace.Recorder{}
+		cfg := config.New()
+		cfg.IfmapSRAMKB = 1 // 1024 resident words, single-buffered
+		sys, err := NewSystem(cfg, Options{DRAMRead: rec, SingleBuffered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetRegions(0, 4096, 8192, 16, 16384, 16)
+		return sys, rec
+	}
+	streak, sRec := build()
+	elems, eRec := build()
+	for _, b := range batches {
+		streak.Ifmap.ConsumeRuns(b.cycle, b.runs)
+		elems.Ifmap.Consume(b.cycle, trace.ExpandRuns(b.runs, nil))
+	}
+	if !streak.Ifmap.set.dense {
+		t.Fatal("buffer left the dense table")
+	}
+	if !reflect.DeepEqual(sRec.Entries, eRec.Entries) {
+		t.Error("DRAM-side address sequence differs from the element path")
+	}
+	if sr, er := streak.Report(1000), elems.Report(1000); !reflect.DeepEqual(sr, er) {
+		t.Errorf("reports differ:\nstreak: %+v\nelems:  %+v", sr, er)
+	}
+	if streak.Ifmap.Evictions != elems.Ifmap.Evictions || streak.Ifmap.Evictions == 0 {
+		t.Errorf("evictions %d, element path %d, want equal and nonzero", streak.Ifmap.Evictions, elems.Ifmap.Evictions)
+	}
+}
+
+// runCapture keeps the run lists it is handed, uncompressed by expansion.
+type runCapture struct{ lists [][]trace.Run }
+
+func (c *runCapture) Consume(int64, []int64) { panic("element path") }
+func (c *runCapture) ConsumeRuns(_ int64, runs []trace.Run) {
+	c.lists = append(c.lists, append([]trace.Run(nil), runs...))
+}
+
+// TestMissStreaksArriveAsRuns pins the shape the DRAM side is handed, which
+// the expanded-sequence tests cannot see: a run that misses end to end
+// arrives as that run, adjacent streaks coalesce, and a flush is one list.
+func TestMissStreaksArriveAsRuns(t *testing.T) {
+	rd := &runCapture{}
+	b, err := NewReadBuffer("r", 1024, false, rd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetRegion(0, 4096)
+	b.ConsumeRuns(1, []trace.Run{{Base: 0, Stride: 768, Count: 4}})
+	b.ConsumeRuns(2, []trace.Run{{Base: 0, Stride: 768, Count: 2}, {Base: 100, Stride: 1, Count: 8},
+		{Base: 104, Stride: 1, Count: 8}, {Base: 112, Stride: 1, Count: 8}})
+	want := [][]trace.Run{
+		{{Base: 0, Stride: 768, Count: 4}},
+		{{Base: 100, Stride: 1, Count: 20}},
+	}
+	if !reflect.DeepEqual(rd.lists, want) {
+		t.Errorf("read misses arrived as %v, want %v", rd.lists, want)
+	}
+
+	wr := &runCapture{}
+	w, err := NewWriteBuffer("w", 1024, false, wr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetRegion(0, 4096)
+	w.ConsumeRuns(1, []trace.Run{{Base: 10, Stride: 1, Count: 32}, {Base: 500, Stride: 2, Count: 3}})
+	if n := w.Flush(2); n != 35 {
+		t.Errorf("Flush = %d words, want 35", n)
+	}
+	if want := [][]trace.Run{{{Base: 10, Stride: 1, Count: 32}, {Base: 500, Stride: 2, Count: 3}}}; !reflect.DeepEqual(wr.lists, want) {
+		t.Errorf("flush arrived as %v, want %v", wr.lists, want)
 	}
 }
 

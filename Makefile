@@ -16,13 +16,16 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=3 -run 'TestPlan' ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
 smoke:
 	$(GO) test -run XXX -benchmem -benchtime=1x \
-		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkResNet50Cold|BenchmarkBERTBaseDRAMCold|BenchmarkDRAMModel|BenchmarkSweepCached|BenchmarkDSETier1$$' .
+		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkDRAMModel|BenchmarkSweepCached|BenchmarkDSETier1$$' .
+	$(GO) test -run XXX -benchmem -benchtime=1x -cpu 1,2 \
+		-bench='BenchmarkResNet50Cold|BenchmarkBERTBaseDRAMCold' .
 	$(GO) test -run 'TestSystemSetupAllocation' -count=1 ./internal/memory
 
 # Compare a quick benchmark run against the newest results/BENCH_*.json;

@@ -601,7 +601,10 @@ func BenchmarkEngineParallel(b *testing.B) {
 // single-worker pass of ResNet50 through core. With nothing observing the
 // SRAM streams the buffers skip every operand block they can prove resident,
 // and with no DRAM consumer they count misses instead of recording them, so
-// allocation is down to the per-layer residency tables.
+// allocation is down to the residency tables — which the run plan simulates
+// for 21 of the 54 layers and recycles from one to the next. A pass that
+// allocates more than 32 MB (19 MB while the tables grow, 5 MB after; 224 MB
+// with a table set per layer) has lost the recycling and fails.
 func BenchmarkResNet50Cold(b *testing.B) {
 	b.ReportAllocs()
 	sim, err := core.New(config.New(), core.Options{Workers: 1})
@@ -609,6 +612,8 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		b.Fatal(err)
 	}
 	topo := topology.ResNet50()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Simulate(topo)
 		if err != nil {
@@ -617,6 +622,11 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		if res.TotalCycles != 5274776 {
 			b.Fatalf("ResNet50 cycles = %d", res.TotalCycles)
 		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+			b.Fatalf("pass %d allocated %d bytes, want at most 32 MB", i, got)
+		}
+		before = after
 	}
 }
 

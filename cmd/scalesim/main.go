@@ -14,8 +14,8 @@
 // overrides the config's topology path and -net selects a built-in
 // workload — a flat network or a native operator graph such as BERTTiny.
 // -graph loads an operator-graph JSON file (scalesim.graph/v1); graph
-// workloads run through the dependency-aware scheduler and additionally
-// emit an operators report. -metrics writes a machine-readable run
+// workloads run in the graph's topological order and additionally emit an
+// operators report. -metrics writes a machine-readable run
 // manifest (per-layer cycles and wall timings, engine span aggregates,
 // runtime stats), -progress reports per-layer completion to stderr, and
 // -pprof serves net/http/pprof for the duration of the run.

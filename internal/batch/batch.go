@@ -130,8 +130,7 @@ type Spec struct {
 	Dataflows []config.Dataflow
 	SRAMs     [][3]int
 	// Topologies and Graphs together form the workload axis (at least one
-	// workload required); graphs run through the dependency-aware
-	// operator-graph path.
+	// workload required); graphs run through core.SimulateGraph.
 	Topologies []topology.Topology
 	Graphs     []topology.Graph
 	// PointList, when non-empty, replaces the cartesian expansion with an
@@ -150,8 +149,9 @@ type Spec struct {
 	Parallel int
 	// Cache, when non-nil, memoizes per-layer compute results across the
 	// whole grid: points that share a (config, layer-shape) pair — every
-	// SRAM/array point re-running the same nets, or repeated shapes inside
-	// one net — replay instead of re-simulating. Safe to share across
+	// SRAM/array point re-running the same nets — replay instead of
+	// re-simulating (repeated shapes inside one net are shared by core's
+	// run plan, cache or no cache). Safe to share across
 	// concurrent points; ignored for points with live sinks (Timeline).
 	Cache *simcache.Cache
 	// Obs, when non-nil, records the sweep: grid-level engine spans, the

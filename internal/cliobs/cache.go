@@ -19,7 +19,7 @@ type CacheFlags struct {
 func RegisterCache(fs *flag.FlagSet) *CacheFlags {
 	f := &CacheFlags{}
 	fs.BoolVar(&f.use, "cache", false,
-		"memoize per-layer compute results in memory (repeated shapes replay)")
+		"memoize per-layer compute results in memory across this process's runs (repeats inside one run are shared regardless)")
 	fs.StringVar(&f.dir, "cache-dir", "",
 		"persist the result cache in this directory (implies -cache)")
 	fs.Int64Var(&f.maxMB, "cache-max-mb", 0,

@@ -41,33 +41,53 @@ func resultJSON(t *testing.T, res RunResult) []byte {
 
 // TestCacheEquivalenceResNet50 runs ResNet50 cache-off, cache-on (cold),
 // and cache-on again (warm, same cache) and requires byte-identical
-// results each time. ResNet50 repeats conv shapes across blocks, so even
-// the cold cached run exercises hits.
+// results each time, at workers 1, 2 and 4. ResNet50 repeats conv shapes
+// across blocks; the run plan shares those inside the run, so the cache
+// sees each distinct key once per run whatever the worker count.
 func TestCacheEquivalenceResNet50(t *testing.T) {
 	cfg := config.New().WithArray(16, 16)
 	topo := topology.ResNet50()
-
 	base := resultJSON(t, runWith(t, cfg, Options{}, topo))
+	for _, workers := range []int{1, 2, 4} {
+		requireCacheContract(t, cfg, workers, topo, base)
+	}
+}
 
+// TestPlanCacheAccounting: a run looks each distinct key up once and
+// stores each key it computed once, whatever the worker count.
+func TestPlanCacheAccounting(t *testing.T) {
+	topo := miniResNet50()
+	cfg := config.New().WithArray(8, 8).WithSRAM(1, 1, 1)
+	base := resultJSON(t, runWith(t, cfg, Options{}, topo))
+	for _, workers := range []int{1, 2, 4} {
+		requireCacheContract(t, cfg, workers, topo, base)
+	}
+}
+
+// requireCacheContract runs topo cold and warm against one fresh cache.
+// Cold: lookups = misses = entries = distinct keys, no hits. Warm: every
+// distinct key hits once. Both equal the uncached run byte for byte.
+func requireCacheContract(t *testing.T, cfg config.Config, workers int, topo topology.Topology, base []byte) {
+	t.Helper()
+	distinct := map[string]bool{}
+	for _, l := range topo.Layers {
+		distinct[l.Key()] = true
+	}
+	n := int64(len(distinct))
 	cache := simcache.New()
-	cold := runWith(t, cfg, Options{Cache: cache}, topo)
-	if got := resultJSON(t, cold); !bytes.Equal(base, got) {
-		t.Fatal("cold cached run differs from uncached run")
+	opt := Options{Cache: cache, Workers: workers}
+	if got := resultJSON(t, runWith(t, cfg, opt, topo)); !bytes.Equal(base, got) {
+		t.Fatalf("workers=%d: cold cached run differs from uncached run", workers)
 	}
-	if cache.Hits() == 0 {
-		t.Fatal("ResNet50 exposes repeated shapes, want intra-run hits")
+	if cache.Hits() != 0 || cache.Misses() != n || int64(cache.Len()) != n {
+		t.Fatalf("workers=%d cold: hits=%d misses=%d entries=%d, want 0, %d, %d",
+			workers, cache.Hits(), cache.Misses(), cache.Len(), n, n)
 	}
-	if int(cache.Hits()+cache.Misses()) != len(topo.Layers) {
-		t.Fatalf("lookups=%d want %d", cache.Hits()+cache.Misses(), len(topo.Layers))
+	if got := resultJSON(t, runWith(t, cfg, opt, topo)); !bytes.Equal(base, got) {
+		t.Fatalf("workers=%d: warm cached run differs from uncached run", workers)
 	}
-
-	hits := cache.Hits()
-	warm := runWith(t, cfg, Options{Cache: cache}, topo)
-	if got := resultJSON(t, warm); !bytes.Equal(base, got) {
-		t.Fatal("warm cached run differs from uncached run")
-	}
-	if got := cache.Hits() - hits; got != int64(len(topo.Layers)) {
-		t.Fatalf("warm run hits=%d, want all %d layers", got, len(topo.Layers))
+	if cache.Hits() != n || cache.Misses() != n {
+		t.Fatalf("workers=%d warm: hits=%d misses=%d, want %d and %d", workers, cache.Hits(), cache.Misses(), n, n)
 	}
 }
 

@@ -6,18 +6,19 @@
 //
 // Layers model hardware that executes them serially (the original tool's
 // behaviour: one CSV row at a time, in file order), but their simulations
-// are independent, so Simulate fans them out over engine.Run's bounded
-// worker pool and joins the results — including the serialized cycle
-// offsets — in layer order. Output is bit-identical for every worker
-// count. Per-layer consumers (trace files, the DRAM timing model, the
-// stall analyzer, caller-supplied sinks) are wired through an
-// engine.Registry of sink factories, so every layer gets fresh consumers
-// and nothing is shared across worker goroutines.
+// are independent, so Simulate and SimulateGraph fan them out over
+// engine.Run's bounded worker pool (runNodes) and join the results —
+// including the serialized cycle offsets — in layer order. Output is
+// bit-identical for every worker count. Per-layer consumers (trace files,
+// the DRAM timing model, the stall analyzer, caller-supplied sinks) are
+// wired through an engine.Registry of sink factories, so every layer gets
+// fresh consumers and nothing is shared across worker goroutines.
 package core
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"scalesim/internal/config"
@@ -56,12 +57,14 @@ type Options struct {
 	DRAMBandwidth float64
 	// Cache, when non-nil, memoizes the pure compute stage of each layer
 	// under its canonical key (config hash x layer shape x memory and DRAM
-	// bounds): repeated shapes replay their recorded cycles, traffic and
-	// stall results instead of re-simulating, with byte-identical reports.
-	// The cache is consulted only when no option demands a live per-layer
-	// consumer — trace files, timelines, caller sinks, or shared DRAM
-	// consumers/taps disable it for the run. One cache may be shared by
-	// many simulators and goroutines.
+	// bounds) across runs: known shapes replay their recorded cycles,
+	// traffic and stall results instead of re-simulating, with
+	// byte-identical reports. Repeats inside one run are shared with or
+	// without it (see plan.go), so a run looks each distinct key up once
+	// and stores each one it computed once. The cache is consulted only
+	// when no option demands a live per-layer consumer — trace files,
+	// timelines, caller sinks, or shared DRAM consumers/taps disable it for
+	// the run. One cache may be shared by many simulators and goroutines.
 	Cache *simcache.Cache
 	// Workers bounds how many layers Simulate executes concurrently. Zero
 	// picks GOMAXPROCS — unless Memory.DRAMRead or Memory.DRAMWrite is set,
@@ -191,9 +194,17 @@ type Simulator struct {
 	em  energy.Model
 	reg engine.Registry
 	tl  timelineState
-	// cache marks that Options permit replaying compute results from
-	// opt.Cache; decided once at New (see cacheable in pipeline.go).
-	cache bool
+	// planned marks that the run is observable through its results alone
+	// (see resultsOnly in pipeline.go), so a node's recorded entry may
+	// stand in for simulating it: runs are planned (plan.go) and, when
+	// cache is set as well, opt.Cache is consulted. Decided once at New,
+	// as is the node-independent part of every compute key.
+	planned, cache       bool
+	keyPrefix, keySuffix string
+	// tables recycles memory.Tables from one layer's memory system to the
+	// next, so that simulating layers side by side does not hold (and zero)
+	// a fresh set of residency tables per layer.
+	tables sync.Pool
 }
 
 // SinkSet value keys the built-in factories deposit their per-layer probes
@@ -235,7 +246,9 @@ func New(cfg config.Config, opt Options) (*Simulator, error) {
 		reg = append(reg, stallSink(opt.DRAMBandwidth))
 	}
 	reg = append(reg, opt.Sinks...)
-	s := &Simulator{cfg: cfg, opt: opt, em: em, reg: reg, cache: cacheable(opt)}
+	s := &Simulator{cfg: cfg, opt: opt, em: em, reg: reg, planned: resultsOnly(opt)}
+	s.cache = s.planned && opt.Cache != nil
+	s.keyPrefix, s.keySuffix = keyAffixes(cfg, opt)
 	if opt.Timeline != nil {
 		s.reg = append(s.reg, s.timelineSink())
 	}
@@ -277,49 +290,45 @@ func stallSink(wordsPerCycle float64) engine.Factory {
 // consumers, the systolic and memory simulation, DRAM timing, stall and
 // energy accounting.
 func (s *Simulator) SimulateLayer(l topology.Layer) (LayerResult, error) {
-	return s.simulateLayer(0, l)
+	return s.SimulateNode(topology.NodeOf(l))
 }
 
 // SimulateNode runs one operator-graph node through the same pipeline;
 // vector-shaped nodes take the vector-unit compute path.
 func (s *Simulator) SimulateNode(n topology.Node) (LayerResult, error) {
-	return s.simulateNode(0, n)
+	ctx := newLayerContext(0, n)
+	err := s.runNode(ctx)
+	return ctx.Result, err
 }
 
-func (s *Simulator) simulateLayer(index int, l topology.Layer) (LayerResult, error) {
-	return s.simulateNode(index, topology.NodeOf(l))
-}
-
-func (s *Simulator) simulateNode(index int, n topology.Node) (LayerResult, error) {
-	if ctx := s.opt.Context; ctx != nil {
+// runNode threads one prepared context through the pipeline stages.
+func (s *Simulator) runNode(ctx *LayerContext) error {
+	if c := s.opt.Context; c != nil {
 		select {
-		case <-ctx.Done():
-			return LayerResult{}, ctx.Err()
+		case <-c.Done():
+			return c.Err()
 		default:
 		}
 	}
-	l := n.Layer
-	l.Name = n.Name
-	ctx := &LayerContext{Index: index, Node: n, Layer: l}
 	defer ctx.close()
 	for _, st := range pipeline {
-		if st.liveOnly && ctx.CacheHit {
+		if st.liveOnly && !ctx.live() {
 			continue
 		}
-		stop := s.opt.Obs.Time("core.layer." + st.name + "_seconds")
+		stop := s.opt.Obs.Time(st.timer)
 		err := st.fn(s, ctx)
 		stop()
 		if err != nil {
 			log.Default().Error("core", "stage failed",
-				"layer", l.Name, "index", index, "stage", st.name, "error", err)
-			return LayerResult{}, err
+				"layer", ctx.Layer.Name, "index", ctx.Index, "stage", st.name, "error", err)
+			return err
 		}
 		if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-			lg.Debug("core", "stage done",
-				"layer", l.Name, "index", index, "stage", st.name, "cache_hit", ctx.CacheHit)
+			lg.Debug("core", "stage done", "layer", ctx.Layer.Name, "index", ctx.Index,
+				"stage", st.name, "cache_hit", ctx.CacheHit, "replayed", ctx.Replayed)
 		}
 	}
-	return ctx.Result, nil
+	return nil
 }
 
 // workers resolves the effective layer-level parallelism; see
@@ -344,7 +353,29 @@ func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	s.opt.Progress.Start(len(topo.Layers))
+	nodes := make([]topology.Node, len(topo.Layers))
+	for i, l := range topo.Layers {
+		nodes[i] = topology.NodeOf(l)
+	}
+	return s.runNodes(RunResult{Config: s.cfg, Topology: topo}, nodes)
+}
+
+// runNodes is the orchestration body behind Simulate and SimulateGraph:
+// it executes nodes — the run's execution order, which run.Topology
+// already names — and fills in run's results and totals.
+//
+// The nodes the plan selects (all of them, in order, unless the run is
+// planned; see plan.go) fan out over the engine as independent jobs: the
+// modeled hardware runs one node at a time whatever the graph's edges say,
+// and no node's result depends on another's, so nothing is gained by
+// making the host wait on them. The remaining nodes replay their leader's
+// entry after the join.
+func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, error) {
+	noun := "layer"
+	if run.Graph != nil {
+		noun = "node"
+	}
+	s.opt.Progress.Start(len(nodes))
 	obs := s.opt.Obs
 	spanSink := obs.SpanSink()
 	var tlSpans *obsv.SpanRecorder
@@ -352,44 +383,71 @@ func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
 		tlSpans = &obsv.SpanRecorder{}
 		spanSink = obsv.TeeSpans(spanSink, tlSpans)
 	}
-	stop = obs.Phase("core.simulate")
-	layers, err := engine.RunObserved(s.workers(), len(topo.Layers), spanSink,
-		func(i int) (lr LayerResult, err error) {
-			// A panicking layer fails the run with its index and name; the
-			// engine's own recovery would only know the index.
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("core: layer %d %q panicked: %v", i, topo.Layers[i].Name, r)
-				}
-			}()
-			var t0 time.Time
-			if obs.Enabled() {
-				t0 = time.Now()
+	// exec runs one node with the per-node bookkeeping: wall time,
+	// progress, and errors that carry the node's name. A panicking node
+	// fails the run with its index and name; the engine's own recovery
+	// would only know the job index.
+	exec := func(ctx *LayerContext) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("core: %s %d %q panicked: %v", noun, ctx.Index, ctx.Layer.Name, r)
 			}
-			lr, err = s.simulateLayer(i, topo.Layers[i])
-			if err != nil {
-				return LayerResult{}, fmt.Errorf("core: layer %q: %w", topo.Layers[i].Name, err)
-			}
-			obs.ObserveLayer(i, topo.Layers[i].Name, time.Since(t0))
-			s.opt.Progress.Step(topo.Layers[i].Name)
-			return lr, nil
+		}()
+		var t0 time.Time
+		if obs.Enabled() {
+			t0 = time.Now()
+		}
+		if err := s.runNode(ctx); err != nil {
+			return fmt.Errorf("core: %s %q: %w", noun, ctx.Layer.Name, err)
+		}
+		if obs.Enabled() {
+			obs.ObserveLayer(ctx.Index, ctx.Layer.Name, time.Since(t0))
+		}
+		s.opt.Progress.Step(ctx.Layer.Name)
+		return nil
+	}
+
+	stop := obs.Phase("core.simulate")
+	p := s.plan(nodes)
+	done := make([]*LayerContext, len(nodes))
+	_, err := engine.RunObserved(s.workers(), len(p.order), spanSink,
+		func(j int) (struct{}, error) {
+			i := p.order[j]
+			done[i] = newLayerContext(i, nodes[i])
+			return struct{}{}, exec(done[i])
 		})
+	for i := 0; i < len(nodes) && err == nil; i++ {
+		if p.lead[i] != i {
+			done[i] = newLayerContext(i, nodes[i])
+			done[i].Replayed = true
+			done[i].adopt(done[p.lead[i]].Entry)
+			err = exec(done[i])
+		}
+	}
 	stop()
 	if err != nil {
 		return RunResult{}, err
 	}
+
 	defer obs.Phase("core.aggregate")()
-	run := RunResult{Config: s.cfg, Topology: topo, Layers: layers}
 	// The modeled hardware executes layers serially: cumulative cycle
 	// offsets and totals are computed after the parallel join, in layer
 	// order, so they match a sequential run exactly.
-	for i := range run.Layers {
+	run.Layers = make([]LayerResult, len(nodes))
+	var simulated int64
+	for i, ctx := range done {
+		if ctx.live() {
+			simulated++
+		}
 		lr := &run.Layers[i]
+		*lr = ctx.Result
 		lr.StartCycle = run.TotalCycles
 		run.TotalCycles += lr.Compute.Cycles
 		run.TotalMACs += lr.Compute.MACs
 		run.TotalEnergy = run.TotalEnergy.Add(lr.Energy)
 	}
+	obs.Metrics().Counter("core.nodes_simulated").Add(simulated)
+	obs.Metrics().Counter("core.nodes_replayed").Add(int64(len(nodes) - len(p.order)))
 	if s.opt.Timeline != nil {
 		s.emitTimeline(run, tlSpans.Spans())
 	}

@@ -1,27 +1,17 @@
 package core
 
-import (
-	"fmt"
-	"time"
-
-	"scalesim/internal/engine"
-	"scalesim/internal/obsv"
-	"scalesim/internal/topology"
-)
+import "scalesim/internal/topology"
 
 // SimulateGraph runs an operator-graph workload: nodes are resolved into
-// the graph's deterministic topological order, fanned out over the
-// engine's dependency-aware scheduler — a node becomes ready only when
-// every producer it consumes has completed — and joined in execution
-// order. Matmul-shaped nodes take the systolic path, vector-shaped nodes
-// the vector unit; both flow through the same caching, tracing, stall,
-// energy and timeline machinery as flat runs.
+// the graph's deterministic topological order and executed like the layers
+// of a flat topology (runNodes). Matmul-shaped nodes take the systolic
+// path, vector-shaped nodes the vector unit; both flow through the same
+// caching, tracing, stall, energy and timeline machinery as flat runs.
 //
-// The modeled hardware still executes one node at a time (cycle offsets
-// accumulate over the serialized execution order, exactly as Simulate's),
-// so results, traces and reports are byte-identical for every worker
-// count. The dependency edges bound host-side scheduling today and are
-// the hook the roadmap's inter-layer pipelining will attach to.
+// The modeled hardware executes one node at a time: Graph.Schedule fixes
+// the reported order and cycle offsets accumulate over it, exactly as
+// Simulate's, so results, traces and reports are byte-identical for every
+// worker count.
 func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
 	stop := s.opt.Obs.Phase("core.validate")
 	err := g.Validate()
@@ -29,45 +19,10 @@ func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	nodes, preds, err := g.Schedule()
+	nodes, _, err := g.Schedule()
 	if err != nil {
 		return RunResult{}, err
 	}
-	s.opt.Progress.Start(len(nodes))
-	obs := s.opt.Obs
-	spanSink := obs.SpanSink()
-	var tlSpans *obsv.SpanRecorder
-	if s.opt.Timeline != nil {
-		tlSpans = &obsv.SpanRecorder{}
-		spanSink = obsv.TeeSpans(spanSink, tlSpans)
-	}
-	stop = obs.Phase("core.simulate")
-	layers, err := engine.RunDAGObserved(s.workers(), len(nodes),
-		func(i int) []int { return preds[i] },
-		spanSink,
-		func(i int) (lr LayerResult, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("core: node %d %q panicked: %v", i, nodes[i].Name, r)
-				}
-			}()
-			var t0 time.Time
-			if obs.Enabled() {
-				t0 = time.Now()
-			}
-			lr, err = s.simulateNode(i, nodes[i])
-			if err != nil {
-				return LayerResult{}, fmt.Errorf("core: node %q: %w", nodes[i].Name, err)
-			}
-			obs.ObserveLayer(i, nodes[i].Name, time.Since(t0))
-			s.opt.Progress.Step(nodes[i].Name)
-			return lr, nil
-		})
-	stop()
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer obs.Phase("core.aggregate")()
 	// Synthesize the execution-order topology so reports and manifests
 	// render graph runs with the same machinery as flat runs.
 	topo := topology.Topology{Name: g.Name, Layers: make([]topology.Layer, len(nodes))}
@@ -76,16 +31,5 @@ func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
 		l.Name = n.Name
 		topo.Layers[i] = l
 	}
-	run := RunResult{Config: s.cfg, Topology: topo, Graph: &g, Layers: layers}
-	for i := range run.Layers {
-		lr := &run.Layers[i]
-		lr.StartCycle = run.TotalCycles
-		run.TotalCycles += lr.Compute.Cycles
-		run.TotalMACs += lr.Compute.MACs
-		run.TotalEnergy = run.TotalEnergy.Add(lr.Energy)
-	}
-	if s.opt.Timeline != nil {
-		s.emitTimeline(run, tlSpans.Spans())
-	}
-	return run, nil
+	return s.runNodes(RunResult{Config: s.cfg, Topology: topo, Graph: &g}, nodes)
 }

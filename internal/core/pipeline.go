@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"scalesim/internal/config"
 	"scalesim/internal/dram"
 	"scalesim/internal/engine"
 	"scalesim/internal/memory"
@@ -27,16 +28,17 @@ import (
 // derives the final LayerResult (energy is computed here, outside the
 // cached portion, so changing the energy model never invalidates entries).
 //
-// The compute stage is a pure function of the canonical key assembled in
-// stageMap: the configuration's canonical parameters, the layer's shape
-// key, the memory-system options and the DRAM bound/model. Everything it
-// produces lands in LayerContext.Entry — exactly the simcache.Entry
-// payload — so a cache hit skips the sinks and compute stages wholesale
-// and replays the entry. Stages that exist only to feed live consumers
-// are marked liveOnly and never run on a hit; conversely, any option that
-// demands a live consumer (trace files, timelines, caller sinks, shared
-// DRAM consumers or taps) disables caching for the whole run at New time,
-// so a hit can never starve a sink.
+// The compute stage is a pure function of the canonical key (nodeKey): the
+// configuration's canonical parameters, the layer's shape key, the
+// memory-system options and the DRAM bound/model. Everything it produces
+// lands in LayerContext.Entry — exactly the simcache.Entry payload — so a
+// node whose entry is already known, from the cache or from an identical
+// node of the same run (see plan.go), skips the sinks and compute stages
+// wholesale and replays the entry. Stages that exist only to feed live
+// consumers are marked liveOnly and never run on a replay; conversely, any
+// option that demands a live consumer (trace files, timelines, caller
+// sinks, shared DRAM consumers or taps) disables both kinds of replay for
+// the whole run at New time, so a replay can never starve a sink.
 
 // LayerContext is the state one layer threads through the pipeline
 // stages. Exported fields are the stage contract; unexported fields carry
@@ -51,21 +53,38 @@ type LayerContext struct {
 	// Layer is Node.Layer, relabeled with the node's name — the shape the
 	// systolic path simulates and reports print.
 	Layer topology.Layer
-	// Key is the canonical compute key, empty when the run is uncacheable
-	// (then every layer runs live).
+	// Key is the canonical compute key, empty when the run is uncacheable.
 	Key string
-	// CacheHit reports that Entry was replayed from the cache and the
-	// liveOnly stages were skipped.
-	CacheHit bool
+	// CacheHit reports that Entry was replayed from the cache, Replayed
+	// that it came from an identical node simulated earlier in the same
+	// run; either way the liveOnly stages are skipped.
+	CacheHit, Replayed bool
 	// Entry is the pure compute-stage outcome: filled by the compute and
-	// analyze stages on a live run, by the cache on a hit.
+	// analyze stages on a live run, adopted on a replay.
 	Entry simcache.Entry
 	// Result is the layer's final outcome, assembled by the analyze stage.
 	Result LayerResult
 
 	set *engine.SinkSet
-	sys *memory.System
 	rec *timeline.LayerRecorder
+}
+
+func newLayerContext(index int, n topology.Node) *LayerContext {
+	l := n.Layer
+	l.Name = n.Name
+	return &LayerContext{Index: index, Node: n, Layer: l}
+}
+
+// live reports that the node is simulated rather than replayed.
+func (ctx *LayerContext) live() bool { return !ctx.CacheHit && !ctx.Replayed }
+
+// adopt takes over a recorded entry with its Layer relabeled to this node:
+// equal keys guarantee the simulated shape and operator are identical, but
+// the entry carries whichever node name filled it first, and reports print
+// names.
+func (ctx *LayerContext) adopt(e simcache.Entry) {
+	e.Compute.Layer = ctx.Layer
+	ctx.Entry = e
 }
 
 // close releases the context's live resources; safe to call at any stage.
@@ -78,31 +97,30 @@ func (ctx *LayerContext) close() {
 
 // stage is one step of the per-layer pipeline.
 type stage struct {
-	// name labels the stage's wall-clock histogram
-	// ("core.layer.<name>_seconds").
-	name string
+	// name labels the stage; timer is its wall-clock histogram.
+	name, timer string
 	// liveOnly marks stages that only feed live consumers; skipped when
-	// the map stage satisfies the layer from the cache.
+	// the node's entry is replayed.
 	liveOnly bool
 	fn       func(*Simulator, *LayerContext) error
 }
 
 // pipeline is the per-layer stage order.
 var pipeline = []stage{
-	{name: "map", fn: (*Simulator).stageMap},
-	{name: "sinks", liveOnly: true, fn: (*Simulator).stageSinks},
-	{name: "compute", liveOnly: true, fn: (*Simulator).stageCompute},
-	{name: "analyze", fn: (*Simulator).stageAnalyze},
+	{name: "map", timer: "core.layer.map_seconds", fn: (*Simulator).stageMap},
+	{name: "sinks", timer: "core.layer.sinks_seconds", liveOnly: true, fn: (*Simulator).stageSinks},
+	{name: "compute", timer: "core.layer.compute_seconds", liveOnly: true, fn: (*Simulator).stageCompute},
+	{name: "analyze", timer: "core.layer.analyze_seconds", fn: (*Simulator).stageAnalyze},
 }
 
-// cacheable reports whether the run's compute stage is observable only
+// resultsOnly reports whether the run's compute stage is observable only
 // through its results — no option demands a live per-layer consumer — so
-// entries may be replayed from a cache. Metrics and observability are
-// allowed: they are additive and never alter simulation output.
-func cacheable(opt Options) bool {
+// entries may be replayed, from a cache or within the run. Metrics and
+// observability are allowed: they are additive and never alter simulation
+// output.
+func resultsOnly(opt Options) bool {
 	m := opt.Memory
-	return opt.Cache != nil &&
-		opt.TraceDir == "" &&
+	return opt.TraceDir == "" &&
 		opt.Timeline == nil &&
 		len(opt.Sinks) == 0 &&
 		m.DRAMRead == nil && m.DRAMWrite == nil &&
@@ -115,35 +133,35 @@ func cacheable(opt Options) bool {
 // GEMM and a same-shaped attention-score matmul — or a softmax and a
 // layernorm over one tensor shape — never share an entry. The "core|"
 // namespace keeps whole-layer entries apart from partition windows
-// sharing one cache directory.
+// sharing one cache directory. Everything but the node's own key is fixed
+// per Simulator and assembled once, in keyAffixes.
 func (s *Simulator) nodeKey(n topology.Node) string {
-	key := "core|" + s.cfg.CanonicalKey() + "|" + n.Key() +
-		fmt.Sprintf("|sb=%t;win=%d", s.opt.Memory.SingleBuffered, s.opt.Memory.BandwidthWindow)
-	if s.opt.DRAMBandwidth > 0 {
-		key += fmt.Sprintf(";bw=%g", s.opt.DRAMBandwidth)
+	return s.keyPrefix + n.Key() + s.keySuffix
+}
+
+func keyAffixes(cfg config.Config, opt Options) (prefix, suffix string) {
+	suffix = fmt.Sprintf("|sb=%t;win=%d", opt.Memory.SingleBuffered, opt.Memory.BandwidthWindow)
+	if opt.DRAMBandwidth > 0 {
+		suffix += fmt.Sprintf(";bw=%g", opt.DRAMBandwidth)
 	}
-	if s.opt.DRAM != nil {
-		key += fmt.Sprintf(";dram=%+v", *s.opt.DRAM)
+	if opt.DRAM != nil {
+		suffix += fmt.Sprintf(";dram=%+v", *opt.DRAM)
 	}
-	return key
+	return "core|" + cfg.CanonicalKey() + "|", suffix
 }
 
 // stageMap resolves the node's identity: validation, canonical key, and
-// the cache consultation. On a hit the cached entry is adopted with its
-// Layer relabeled to this layer — node keys guarantee the simulated
-// shape and operator are identical, but the entry carries whichever node
-// name filled it first, and reports print names.
+// the cache consultation, unless the run plan already supplied the entry.
 func (s *Simulator) stageMap(ctx *LayerContext) error {
 	if err := ctx.Node.Validate(); err != nil {
 		return err
 	}
-	if !s.cache {
+	if ctx.Replayed || !s.cache {
 		return nil
 	}
 	ctx.Key = s.nodeKey(ctx.Node)
 	if e, ok := s.opt.Cache.Get(ctx.Key); ok {
-		e.Compute.Layer = ctx.Layer
-		ctx.Entry = e
+		ctx.adopt(e)
 		ctx.CacheHit = true
 		s.opt.Obs.Metrics().Counter("core.simcache.hits").Inc()
 		return nil
@@ -188,7 +206,11 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	if err != nil {
 		return err
 	}
-	ctx.sys = sys
+	// The residency tables of the last layer this worker finished, if any:
+	// storage only, see memory.Tables.
+	if t, ok := s.tables.Get().(*memory.Tables); ok {
+		sys.Adopt(t)
+	}
 	sys.SetRegions(
 		s.cfg.IfmapOffset, l.IfmapWords(),
 		s.cfg.FilterOffset, l.FilterWords(),
@@ -235,6 +257,7 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	ctx.Entry.Compute = comp
 	ctx.Entry.Memory = sys.Report(comp.Cycles)
 	ctx.Entry.Ledger = led
+	s.tables.Put(sys.Release())
 	return nil
 }
 
@@ -247,12 +270,7 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 func (s *Simulator) computeVector(ctx *LayerContext) error {
 	n := ctx.Node
 	memOpt := s.opt.Memory
-	params := vector.Params{
-		Kind: n.Kind,
-		Rows: n.Rows(), Cols: n.Cols(),
-		Operands: n.OperandCount(),
-		Lanes:    s.cfg.Lanes(),
-	}
+	params := s.vectorParams(n)
 	lay := vector.Layout{
 		IfmapBase: s.cfg.IfmapOffset,
 		ParamBase: s.cfg.FilterOffset,
@@ -313,6 +331,15 @@ func (s *Simulator) computeVector(ctx *LayerContext) error {
 	return nil
 }
 
+func (s *Simulator) vectorParams(n topology.Node) vector.Params {
+	return vector.Params{
+		Kind: n.Kind,
+		Rows: n.Rows(), Cols: n.Cols(),
+		Operands: n.OperandCount(),
+		Lanes:    s.cfg.Lanes(),
+	}
+}
+
 // vectorMemoryReport derives the memory.Report of a vector execution from
 // its closed-form traffic totals. Averages are normalized over the full
 // runtime like memory.System.Report; peaks are the steady streaming rates
@@ -348,11 +375,11 @@ func vectorMemoryReport(p vector.Params, res vector.Result, wordBytes int64) mem
 
 // stageAnalyze finishes the layer: on a live run it collects the DRAM
 // timing and stall probe results into the entry, stores the entry under
-// the canonical key and finalizes the sinks; on both paths it derives the
+// the canonical key and finalizes the sinks; on every path it derives the
 // energy breakdown — a function of the entry, not part of it — and
 // assembles the LayerResult.
 func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
-	if !ctx.CacheHit {
+	if ctx.live() {
 		if m, ok := ctx.set.Value(dramProbeKey).(*dram.Model); ok {
 			stats := m.Stats()
 			ctx.Entry.DRAMStats = &stats
@@ -370,7 +397,7 @@ func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
 				return fmt.Errorf("core: layer %q: %w", ctx.Layer.Name, err)
 			}
 		}
-		if ctx.Key != "" {
+		if s.cache {
 			s.opt.Cache.Put(ctx.Key, ctx.Entry)
 		}
 		if err := ctx.set.Finish(); err != nil {

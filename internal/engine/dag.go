@@ -38,7 +38,10 @@ func (h *minHeap) Pop() any {
 }
 
 // RunDAG executes n jobs over a bounded worker pool, honoring dependency
-// edges: job i may only start once every job in deps(i) has completed
+// edges. The simulator itself no longer calls it — a node's result never
+// depended on its producers', so core dispatches graph nodes through Run —
+// and it stays only for the benchmark's pass B. Job i may only start once
+// every job in deps(i) has completed
 // successfully. deps(i) must contain indices strictly below i — callers
 // schedule in a topological order (see topology.Graph.Schedule), which
 // guarantees exactly that — and RunDAG rejects any other shape. Results

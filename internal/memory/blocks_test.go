@@ -91,8 +91,18 @@ func layerRegions(l topology.Layer, cfg config.Config) func(*System) {
 // indistinguishable from outside the buffers.
 func requireSameOutcome(t *testing.T, got, want blockOutcome) {
 	t.Helper()
+	requireSameObservables(t, got, want)
+	if want.skipped != 0 {
+		t.Errorf("the unbracketed reference skipped %d blocks", want.skipped)
+	}
+}
+
+// requireSameObservables compares everything two memory systems let the
+// outside observe, except what they skipped.
+func requireSameObservables(t *testing.T, got, want blockOutcome) {
+	t.Helper()
 	if !reflect.DeepEqual(got.report, want.report) {
-		t.Errorf("reports differ:\nbracketed: %+v\nfull:      %+v", got.report, want.report)
+		t.Errorf("reports differ:\ngot:  %+v\nwant: %+v", got.report, want.report)
 	}
 	if !bytes.Equal(got.read, want.read) {
 		t.Errorf("DRAM read traces differ (%d vs %d bytes)", len(got.read), len(want.read))
@@ -108,9 +118,6 @@ func requireSameOutcome(t *testing.T, got, want blockOutcome) {
 	}
 	if got.fallbacks != want.fallbacks {
 		t.Errorf("region fallbacks differ: %d vs %d", got.fallbacks, want.fallbacks)
-	}
-	if want.skipped != 0 {
-		t.Errorf("the unbracketed reference skipped %d blocks", want.skipped)
 	}
 }
 
@@ -148,41 +155,61 @@ func TestBlockMemoMatchesFullStream(t *testing.T) {
 	}
 }
 
-// TestBlockMemoRandomGrid sweeps randomised layer shapes, dataflows, array
-// shapes, SRAM sizes, buffering modes, edge trimming and partition windows,
-// with SRAMs small enough that all three regimes occur, and requires that
-// the sweep really visited them.
+// blockCase is one point of the randomised grid: layer shape, dataflow, array
+// shape, SRAM sizes, buffering mode, edge trimming and partition window,
+// with SRAMs small enough that all three residency regimes occur.
+type blockCase struct {
+	l        topology.Layer
+	cfg      config.Config
+	opt      Options
+	win      systolic.Window
+	windowed bool
+}
+
+func (c blockCase) name(i int) string {
+	return fmt.Sprintf("%d_%s_%dx%d", i, c.cfg.Dataflow, c.cfg.ArrayHeight, c.cfg.ArrayWidth)
+}
+
+func randomBlockCase(rng *rand.Rand, i int) blockCase {
+	fh := 1 + rng.Intn(3)
+	c := blockCase{l: topology.Layer{
+		Name:   fmt.Sprintf("rand%d", i),
+		IfmapH: fh + rng.Intn(12), IfmapW: fh + rng.Intn(12),
+		FilterH: fh, FilterW: fh,
+		Channels: 1 + rng.Intn(12), NumFilters: 1 + rng.Intn(40),
+		Stride: 1 + rng.Intn(2),
+	}}
+	if i%10 == 0 {
+		c.l = topology.FromGEMM(c.l.Name, 1+rng.Intn(60), 1+rng.Intn(60), 1+rng.Intn(60))
+	}
+	c.cfg = config.New().
+		WithArray(1+rng.Intn(9), 1+rng.Intn(9)).
+		WithDataflow(config.Dataflows[rng.Intn(len(config.Dataflows))]).
+		WithSRAM(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(2))
+	c.cfg.EdgeTrim = rng.Intn(2) == 0
+	c.opt = Options{SingleBuffered: rng.Intn(2) == 0, BandwidthWindow: int64(1 + rng.Intn(100))}
+	if m := dataflow.Map(c.l, c.cfg.Dataflow); rng.Intn(3) == 0 && m.Sr > 1 && m.Sc > 1 {
+		// A partition's slice of the mapping.
+		c.win.SrOff, c.win.ScOff = rng.Int63n(m.Sr-1), rng.Int63n(m.Sc-1)
+		c.win.SrLen, c.win.ScLen = 1+rng.Int63n(m.Sr-c.win.SrOff), 1+rng.Int63n(m.Sc-c.win.ScOff)
+		c.windowed = true
+	}
+	return c
+}
+
+// TestBlockMemoRandomGrid sweeps the randomised grid and requires that the
+// sweep really visited all three regimes.
 func TestBlockMemoRandomGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var skippedAll, skippedSome, skippedNone, windows int
 	for i := 0; i < 120; i++ {
-		fh := 1 + rng.Intn(3)
-		l := topology.Layer{
-			Name:   fmt.Sprintf("rand%d", i),
-			IfmapH: fh + rng.Intn(12), IfmapW: fh + rng.Intn(12),
-			FilterH: fh, FilterW: fh,
-			Channels: 1 + rng.Intn(12), NumFilters: 1 + rng.Intn(40),
-			Stride: 1 + rng.Intn(2),
-		}
-		if i%10 == 0 {
-			l = topology.FromGEMM(l.Name, 1+rng.Intn(60), 1+rng.Intn(60), 1+rng.Intn(60))
-		}
-		cfg := config.New().
-			WithArray(1+rng.Intn(9), 1+rng.Intn(9)).
-			WithDataflow(config.Dataflows[rng.Intn(len(config.Dataflows))]).
-			WithSRAM(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(2))
-		cfg.EdgeTrim = rng.Intn(2) == 0
-		opt := Options{SingleBuffered: rng.Intn(2) == 0, BandwidthWindow: int64(1 + rng.Intn(100))}
-		var win systolic.Window
-		if m := dataflow.Map(l, cfg.Dataflow); rng.Intn(3) == 0 && m.Sr > 1 && m.Sc > 1 {
-			// A partition's slice of the mapping.
-			win.SrOff, win.ScOff = rng.Int63n(m.Sr-1), rng.Int63n(m.Sc-1)
-			win.SrLen, win.ScLen = 1+rng.Int63n(m.Sr-win.SrOff), 1+rng.Int63n(m.Sc-win.ScOff)
+		c := randomBlockCase(rng, i)
+		if c.windowed {
 			windows++
 		}
-		t.Run(fmt.Sprintf("%d_%s_%dx%d", i, cfg.Dataflow, cfg.ArrayHeight, cfg.ArrayWidth), func(t *testing.T) {
-			got := runBlocks(t, l, cfg, opt, win, true, layerRegions(l, cfg))
-			want := runBlocks(t, l, cfg, opt, win, false, layerRegions(l, cfg))
+		t.Run(c.name(i), func(t *testing.T) {
+			got := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, layerRegions(c.l, c.cfg))
+			want := runBlocks(t, c.l, c.cfg, c.opt, c.win, false, layerRegions(c.l, c.cfg))
 			requireSameOutcome(t, got, want)
 			sram := got.report.IfmapSRAMReads + got.report.FilterSRAMReads + got.report.OfmapSRAMWrites
 			switch {
@@ -198,6 +225,71 @@ func TestBlockMemoRandomGrid(t *testing.T) {
 	if skippedAll == 0 || skippedSome == 0 || skippedNone == 0 || windows == 0 {
 		t.Errorf("grid missed a regime: mostly skipped %d, partly %d, never %d, windowed %d",
 			skippedAll, skippedSome, skippedNone, windows)
+	}
+}
+
+// poisonedTables is what a careless previous owner could leave behind: every
+// mark set, every ring slot full of junk, and capacities that bear no
+// relation to the next layer's — scale 0 drops a table, below 1 leaves it
+// too small for the words it has to cover, above 1 too large.
+func poisonedTables(words [3]int64, scale [3]float64) *Tables {
+	t := &Tables{}
+	for i := range t.sets {
+		n := int64(float64(words[i]) * scale[i])
+		t.sets[i].marks = bytes.Repeat([]byte{1}, int(n))
+		t.sets[i].ring = make([]int64, n)
+		for j := range t.sets[i].ring {
+			t.sets[i].ring[j] = -1 - int64(j)
+		}
+	}
+	return t
+}
+
+// TestAdoptedTablesAreInvisible: over the same grid, a System that adopts
+// poisoned tables before declaring its regions reports exactly what a fresh
+// System reports — traces, profiles, evictions and skips included — and the
+// tables it releases can be adopted again.
+func TestAdoptedTablesAreInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	scales := []float64{0, 0.5, 1, 3}
+	var reused, regrown int
+	for i := 0; i < 120; i++ {
+		c := randomBlockCase(rng, i)
+		words := [3]int64{c.l.IfmapWords(), c.l.FilterWords(), c.l.OfmapWords()}
+		scale := [3]float64{scales[rng.Intn(4)], scales[rng.Intn(4)], scales[rng.Intn(4)]}
+		t.Run(c.name(i), func(t *testing.T) {
+			want := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, layerRegions(c.l, c.cfg))
+			var sys *System
+			adopt := func(tables *Tables) func(*System) {
+				return func(s *System) {
+					sys = s
+					s.Adopt(tables)
+					layerRegions(c.l, c.cfg)(s)
+				}
+			}
+			got := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, adopt(poisonedTables(words, scale)))
+			requireSameObservables(t, got, want)
+			if got.skipped != want.skipped || got.skipWord != want.skipWord {
+				t.Errorf("skips differ: %d blocks %d words vs %d and %d", got.skipped, got.skipWord, want.skipped, want.skipWord)
+			}
+			released := sys.Release()
+			for k, set := range released.sets {
+				switch {
+				case scale[k] >= 1 && int64(cap(set.marks)) == int64(float64(words[k])*scale[k]):
+					reused++
+				case scale[k] < 1 && int64(cap(set.marks)) >= words[k]:
+					regrown++
+				default:
+					t.Errorf("buffer %d: released %d mark bytes for %d words adopted at scale %v",
+						k, cap(set.marks), words[k], scale[k])
+				}
+			}
+			again := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, adopt(released))
+			requireSameObservables(t, again, want)
+		})
+	}
+	if reused == 0 || regrown == 0 {
+		t.Errorf("grid missed a case: %d tables reused, %d reallocated", reused, regrown)
 	}
 }
 

@@ -68,17 +68,27 @@ type fifoSet struct {
 func newFIFOSet(capacity int64) *fifoSet { return &fifoSet{capacity: capacity} }
 
 // setRegion switches to a region-aware residency structure for addresses in
-// [base, base+words). Must be called before any insertion.
+// [base, base+words). Must be called before any insertion. Storage adopted
+// beforehand (see System.Adopt) is reused when it is large enough: the ring
+// arrives empty and the marks are cleared over the region here, so whatever
+// the previous owner left in either is never read.
 func (f *fifoSet) setRegion(base, words int64) {
 	if words < 1 || len(f.ring) > 0 {
 		return
 	}
 	// At most one slot per distinct address is ever occupied.
-	f.ring = make([]int64, 0, min(f.capacity, words, 1<<20))
+	if need := min(f.capacity, words, 1<<20); int64(cap(f.ring)) < need {
+		f.ring = make([]int64, 0, need)
+	}
 	if words <= denseLimitWords {
 		f.dense = true
 		f.base = base
-		f.marks = make([]byte, words)
+		if int64(cap(f.marks)) < words {
+			f.marks = make([]byte, words)
+		} else {
+			f.marks = f.marks[:words]
+			clear(f.marks)
+		}
 		return
 	}
 	f.probe = newProbeSet(f.capacity)

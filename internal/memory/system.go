@@ -81,9 +81,9 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 		return nil, err
 	}
 	if fb := opt.Metrics.Counter("memory.region_fallbacks"); fb != nil {
-		s.Ifmap.set.onFallback = fb.Inc
-		s.Filter.set.onFallback = fb.Inc
-		s.Ofmap.set.onFallback = fb.Inc
+		for _, f := range s.sets() {
+			f.onFallback = fb.Inc
+		}
 	}
 	blocks, words := opt.Metrics.Counter("memory.blocks_skipped"), opt.Metrics.Counter("memory.words_skipped")
 	for _, m := range []*blockMemo{&s.Ifmap.memo, &s.Filter.memo, &s.Ofmap.memo} {
@@ -100,6 +100,45 @@ func (s *System) SetRegions(ifBase, ifWords, flBase, flWords, ofBase, ofWords in
 	s.Ifmap.SetRegion(ifBase, ifWords)
 	s.Filter.SetRegion(flBase, flWords)
 	s.Ofmap.SetRegion(ofBase, ofWords)
+}
+
+// Tables is the residency storage of one System — each buffer's FIFO ring
+// and direct-mapped marks table — detached so that a caller simulating
+// many layers can hand one layer's storage to the next instead of
+// allocating (and zeroing) megabytes per layer. Only capacity travels: a
+// System reads nothing a previous owner wrote, so results cannot depend
+// on which Tables it adopted, or on whether it adopted any.
+type Tables struct {
+	sets [3]struct {
+		ring  []int64
+		marks []byte
+	}
+}
+
+func (s *System) sets() [3]*fifoSet {
+	return [3]*fifoSet{s.Ifmap.set, s.Filter.set, s.Ofmap.set}
+}
+
+// Adopt hands t's storage to the buffers, each operand role keeping its
+// own (roles differ in size, so tables stop growing sooner). Call before
+// SetRegions; tables too small for the declared regions are reallocated
+// there. t must not be used again.
+func (s *System) Adopt(t *Tables) {
+	for i, f := range s.sets() {
+		f.ring, f.marks = t.sets[i].ring[:0], t.sets[i].marks[:0]
+	}
+}
+
+// Release detaches the buffers' storage for a later Adopt. Call after
+// Report, as the last use of the System: its buffers are left without
+// residency state.
+func (s *System) Release() *Tables {
+	t := &Tables{}
+	for i, f := range s.sets() {
+		t.sets[i].ring, t.sets[i].marks = f.ring, f.marks
+		f.ring, f.marks, f.dense, f.head = nil, nil, false, 0
+	}
+	return t
 }
 
 // RegionFallbacks returns the total accesses outside the declared regions

@@ -30,9 +30,10 @@ func (c BERTConfig) Validate() error {
 // softmax → AV), the output projection with residual add and layernorm,
 // then the two-GEMM feed-forward network with GELU, residual add and the
 // closing layernorm. Projections are GEMMs over the full model dimension;
-// per-head matmuls use the head dimension d_k = Model/Heads. The graph's
-// width — three independent projections, Heads independent attention
-// branches — is what dependency-aware scheduling exploits.
+// per-head matmuls use the head dimension d_k = Model/Heads. The graph is
+// wide — three independent projections, Heads independent attention
+// branches — and repeats itself: the branches, and the four model-sized
+// projections, are each one shape.
 func BERTEncoder(name string, c BERTConfig) (Graph, error) {
 	if err := c.Validate(); err != nil {
 		return Graph{}, err

@@ -200,9 +200,8 @@ func (n Node) String() string {
 // Graph is an operator-graph workload: nodes with explicit dependency
 // edges. Unlike the flat Topology — which serializes layers in file order
 // and treats them as independent — a Graph carries the true producer →
-// consumer structure of the network, which is what dependency-aware
-// scheduling, non-GEMM operator modeling and (eventually) inter-layer
-// pipelining need. The modeled hardware still executes one node at a
+// consumer structure of the network, which is what non-GEMM operator
+// modeling and (eventually) inter-layer pipelining need. The modeled hardware still executes one node at a
 // time; see ExecutionOrder for the serialized order.
 type Graph struct {
 	// Name tags the workload.
@@ -363,8 +362,9 @@ func (g Graph) TopoOrder() ([]int, error) {
 
 // Schedule resolves the graph into its deterministic execution form: the
 // nodes in topological order and, for each position, the positions of its
-// predecessors (all strictly smaller). This is the contract the engine's
-// dependency-aware scheduler consumes.
+// predecessors (all strictly smaller). The order is what the simulator
+// executes and reports; the predecessor lists are the contract of
+// engine.RunDAG.
 func (g Graph) Schedule() (nodes []Node, preds [][]int, err error) {
 	order, err := g.TopoOrder()
 	if err != nil {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench smoke benchdiff profile prof-cycles fuzz figures examples clean
+.PHONY: all build vet test race bench smoke benchdiff profile prof-cycles fuzz figures figures-check examples clean
 
 all: build vet test
 
@@ -55,6 +55,16 @@ fuzz:
 	$(GO) test ./internal/config/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzParseCSV -fuzztime 30s
 
+# The five scale-out CSVs into directory $(1), by the commands
+# results/README.md lists for them.
+define scaleout_figures
+	$(GO) run ./cmd/scalestudy fig11 -macs 16384 -parts 1,4,16,64 -o $(1)/fig11_2e14.csv
+	$(GO) run ./cmd/scalestudy fig11 -macs 65536 -parts 1,4,16,64 -o $(1)/fig11_2e16.csv
+	$(GO) run ./cmd/scalestudy fig11 -macs 262144 -parts 1,4,16,64,256 -o $(1)/fig11_2e18.csv
+	$(GO) run ./cmd/scalestudy fig12 -layer CB2a_3 -macs 1024,4096,16384,65536,262144 -parts 1,4,16,64,256 -o $(1)/fig12_cb2a3.csv
+	$(GO) run ./cmd/scalestudy fig12 -layer TF0 -macs 16384,65536 -parts 1,4,16,64 -o $(1)/fig12_tf0.csv
+endef
+
 # Regenerate every figure's data into results/.
 figures:
 	$(GO) run ./cmd/scalestudy fig4 -sizes 4,8,16,32,64,128 -o results/fig4.csv
@@ -62,10 +72,18 @@ figures:
 	$(GO) run ./cmd/scalestudy fig9bc -o results/fig9bc.csv
 	$(GO) run ./cmd/scalestudy fig10a -o results/fig10a.csv
 	$(GO) run ./cmd/scalestudy fig10b -o results/fig10b.csv
-	$(GO) run ./cmd/scalestudy fig11 -macs 16384 -parts 1,4,16,64 -o results/fig11_2e14.csv
-	$(GO) run ./cmd/scalestudy fig12 -layer CB2a_3 -macs 1024,4096,16384,65536 -parts 1,4,16,64 -o results/fig12_cb2a3.csv
+	$(call scaleout_figures,results)
 	$(GO) run ./cmd/scalestudy fig13 -o results/fig13.csv
 	$(GO) run ./cmd/scalestudy fig14 -o results/fig14.csv
+
+# Byte-identity harness for the scale-out path: regenerate the Fig. 11/12
+# CSVs into a scratch directory and compare each with the checked-in file.
+FIGCHECK := $(or $(TMPDIR),/tmp)/scalesim-figures-check
+figures-check:
+	rm -rf $(FIGCHECK) && mkdir -p $(FIGCHECK)
+	$(call scaleout_figures,$(FIGCHECK))
+	for f in $(FIGCHECK)/*.csv; do cmp $$f results/$$(basename $$f) || exit 1; done
+	rm -rf $(FIGCHECK)
 
 examples:
 	$(GO) run ./examples/quickstart

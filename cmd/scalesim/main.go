@@ -150,6 +150,28 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 
+	// Scale-out runs layers on a partitioned system, outside the job
+	// runner; what that path does not implement is refused, not ignored.
+	var pr, pc int
+	if *partsArg != "" {
+		if graph != nil {
+			return fmt.Errorf("-parts runs layers on a partitioned system and does not support operator graphs")
+		}
+		if pr, pc, err = parseArray(*partsArg); err != nil {
+			return fmt.Errorf("invalid -parts %q (want PrxPc)", *partsArg)
+		}
+		var unsupported string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "dram", "dram-bw", "traces", "outdir", "json":
+				unsupported = f.Name
+			}
+		})
+		if unsupported != "" {
+			return fmt.Errorf("-parts does not support -%s", unsupported)
+		}
+	}
+
 	cache, err := cacheFlags.Open()
 	if err != nil {
 		return err
@@ -173,13 +195,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 
 	if *partsArg != "" {
-		if graph != nil {
-			return fmt.Errorf("-parts runs layers on a partitioned system and does not support operator graphs")
-		}
-		pr, pc, err := parseArray(*partsArg)
-		if err != nil {
-			return fmt.Errorf("invalid -parts %q (want PrxPc)", *partsArg)
-		}
 		return runScaleOut(stdout, cfg, topo, pr, pc, rec, prog, *metrics, tlw, cache, obs, cyc)
 	}
 
@@ -290,31 +305,26 @@ func runScaleOut(stdout io.Writer, cfg scalesim.Config, topo scalesim.Topology, 
 				WallSeconds: rec.LayerSeconds(i),
 			})
 		}
-		if res.Ledger != nil && nodes != nil {
-			node := *res.Ledger
-			node.Index = i
-			nodes = append(nodes, node)
-			roofline = append(roofline, scalesim.NewRooflineRow(
-				l.Name, string(scalesim.OpConv), res.MACs,
-				(res.DRAMReads+res.DRAMWrites)*int64(cfg.WordBytes),
-				res.Cycles, float64(spec.MACs()), 0, int64(cfg.WordBytes)))
-		} else {
-			nodes = nil // a ledgerless layer makes the account partial
-		}
+		node := *res.Ledger
+		node.Index = i
+		nodes = append(nodes, node)
+		roofline = append(roofline, scalesim.NewRooflineRow(
+			l.Name, string(scalesim.OpConv), res.MACs,
+			(res.DRAMReads+res.DRAMWrites)*int64(cfg.WordBytes),
+			res.Cycles, float64(spec.MACs()), 0, int64(cfg.WordBytes)))
 		fmt.Fprintf(stdout, "%s,%d,%.4f,%.4f,%d,%d,%.0f\n",
 			l.Name, res.Cycles, res.AvgDRAMBW(), res.PeakDRAMBW,
 			res.DRAMReads, res.DRAMWrites, res.Energy.Total())
 	}
 	fmt.Fprintf(stdout, "TOTAL,%d,,,,,\n", total)
 	prog.Finish()
-	var ca *scalesim.CycleReport
-	if len(nodes) > 0 {
-		var err error
-		if ca, err = scalesim.NewCycleReport(nodes); err != nil {
-			return err
-		}
-		ca.Roofline = roofline
+	// The same checked roll-up core.CycleReport publishes: books that do
+	// not close fail the run.
+	ca, err := scalesim.NewCycleReport(nodes)
+	if err != nil {
+		return err
 	}
+	ca.Roofline = roofline
 	if metricsPath != "" || obs.RunDir() != "" {
 		m := rec.Manifest()
 		m.Tool = "scalesim"

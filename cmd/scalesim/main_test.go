@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -95,6 +96,26 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) succeeded", args)
 		}
+	}
+
+	// The scale-out path implements none of these; each is refused by
+	// name, before anything is simulated or written.
+	outDir := filepath.Join(t.TempDir(), "out")
+	for _, extra := range [][]string{
+		{"-dram"}, {"-dram-bw", "0.5"}, {"-traces", "-outdir", outDir}, {"-outdir", outDir}, {"-json"},
+	} {
+		buf.Reset()
+		args := append([]string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", "1x2"}, extra...)
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), extra[0]) {
+			t.Errorf("run(%v) = %v, want an error naming %s", args, err, extra[0])
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%v) printed a report before refusing:\n%s", args, buf.String())
+		}
+	}
+	if _, err := os.Stat(outDir); err == nil {
+		t.Error("a refused run created its -outdir")
 	}
 }
 
@@ -237,6 +258,58 @@ func TestRunDiskCache(t *testing.T) {
 	}
 }
 
+// TestScaleOutCycleAccounting: a -parts run carries the cycle account
+// like any other — one node per layer with a closed ledger per partition —
+// into the manifest, the pprof profile and the roofline CSV.
+func TestScaleOutCycleAccounting(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "run.json")
+	prof := filepath.Join(dir, "cycles.pb.gz")
+	roofline := filepath.Join(dir, "roofline.csv")
+	var buf bytes.Buffer
+	err := run([]string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", "1x2",
+		"-cycleprof", prof, "-roofline", roofline, "-metrics", manifest}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obsv.ParseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := m.CycleAccounting
+	if ca == nil {
+		t.Fatal("scale-out manifest carries no cycle_accounting")
+	}
+	if err := ca.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ca.Nodes) != 3 || len(ca.Roofline) != 3 {
+		t.Fatalf("nodes = %d, roofline rows = %d, want 3 and 3", len(ca.Nodes), len(ca.Roofline))
+	}
+	for i, n := range ca.Nodes {
+		if n.Index != i || len(n.Partitions) != 2 {
+			t.Errorf("node %d: index %d, %d partitions, want 2", i, n.Index, len(n.Partitions))
+		}
+	}
+	if ca.Categories["mac_active"] == 0 {
+		t.Errorf("categories = %v", ca.Categories)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Errorf("cycle profile: %v", err)
+	}
+	rows, err := os.ReadFile(roofline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(rows), "\n"); n != 4 {
+		t.Errorf("roofline CSV has %d lines, want a header and 3 rows:\n%s", n, rows)
+	}
+}
+
 func TestScaleOutMode(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", "1x2"}, &buf)
@@ -252,5 +325,114 @@ func TestScaleOutMode(t *testing.T) {
 	}
 	if err := run([]string{"-net", "TinyNet", "-parts", "bad"}, &buf); err == nil {
 		t.Error("bad -parts accepted")
+	}
+}
+
+// TestScaleOutTimeline pins the structure of a -parts timeline: one
+// simulated-machine process per layer carrying one thread per active
+// partition (its span, fold schedule and "p<i>."-prefixed counter tracks),
+// each followed by a host-engine process whose job spans are named after
+// the partitions they ran.
+func TestScaleOutTimeline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tl.json")
+	var buf bytes.Buffer
+	err := run([]string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2",
+		"-parts", "2x2", "-timeline", path}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string
+		Ph   string
+		PID  int64
+		TID  int64
+		Args struct{ Name string }
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("timeline is not a JSON event array: %v", err)
+	}
+
+	type process struct {
+		name            string
+		threads         map[int64]string
+		spans, counters map[string]int
+	}
+	procs := map[int64]*process{}
+	var order []int64
+	proc := func(pid int64) *process {
+		p, ok := procs[pid]
+		if !ok {
+			p = &process{threads: map[int64]string{}, spans: map[string]int{}, counters: map[string]int{}}
+			procs[pid] = p
+			order = append(order, pid)
+		}
+		return p
+	}
+	for _, e := range events {
+		p := proc(e.PID)
+		switch {
+		case e.Ph == "M" && e.Name == "process_name":
+			p.name = e.Args.Name
+		case e.Ph == "M" && e.Name == "thread_name":
+			p.threads[e.TID] = e.Args.Name
+		case e.Ph == "X":
+			p.spans[e.Name]++
+		case e.Ph == "C":
+			p.counters[e.Name]++
+		}
+	}
+
+	// TinyNet's fc1 maps to a single spatial row, so a 2x2 grid leaves its
+	// second partition row idle: 4, 4 and 2 active partitions.
+	layers := []string{"conv1", "conv2", "fc1"}
+	active := []int{4, 4, 2}
+	if len(order) != 2*len(layers) {
+		t.Fatalf("%d processes, want a machine and a host process per layer", len(order))
+	}
+	for li, layer := range layers {
+		machine, host := procs[order[2*li]], procs[order[2*li+1]]
+		if want := "simulated machine: " + layer + " on 2x2 partitions of 8x8"; machine.name != want {
+			t.Errorf("layer %d: machine process %q, want %q", li, machine.name, want)
+		}
+		if host.name != "host engine" {
+			t.Errorf("layer %d: host process %q", li, host.name)
+		}
+		if len(machine.threads) != active[li] {
+			t.Errorf("%s: %d partition threads, want %d", layer, len(machine.threads), active[li])
+		}
+		folds := 0
+		for name, n := range machine.spans {
+			if strings.HasPrefix(name, "fold ") {
+				folds += n
+			}
+		}
+		if folds < active[li] {
+			t.Errorf("%s: %d fold spans for %d partitions", layer, folds, active[li])
+		}
+		for tid, name := range machine.threads {
+			if !strings.HasPrefix(name, "partition ") {
+				t.Errorf("%s: thread %d named %q", layer, tid, name)
+			}
+			if machine.spans[name] != 1 {
+				t.Errorf("%s: %d machine spans named %q, want 1", layer, machine.spans[name], name)
+			}
+			if host.spans[name] != 1 {
+				t.Errorf("%s: %d host-engine spans named %q, want 1", layer, host.spans[name], name)
+			}
+			for _, track := range []string{"sram.ifmap_read", "sram.filter_read", "sram.ofmap_write", "dram.read", "dram.write"} {
+				if full := "p" + strconv.FormatInt(tid, 10) + "." + track; machine.counters[full] == 0 {
+					t.Errorf("%s: no samples on counter track %q", layer, full)
+				}
+			}
+		}
+		for track := range machine.counters {
+			if !strings.HasPrefix(track, "p") || !strings.Contains(track, ".") {
+				t.Errorf("%s: counter track %q lacks its partition prefix", layer, track)
+			}
+		}
 	}
 }

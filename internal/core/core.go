@@ -13,6 +13,11 @@
 // the DRAM timing model, the stall analyzer, caller-supplied sinks) are
 // wired through an engine.Registry of sink factories, so every layer gets
 // fresh consumers and nothing is shared across worker goroutines.
+//
+// There is one way to execute a layer. A scale-out partition is a spatial
+// window of a layer and runs through the same pipeline on the same fan-out
+// (SimulateWindows); package partition only enumerates the windows and
+// joins their results.
 package core
 
 import (
@@ -331,6 +336,66 @@ func (s *Simulator) runNode(ctx *LayerContext) error {
 	return nil
 }
 
+// spanSink is where a fan-out's engine spans go: the recorder's sink,
+// teed into a collector the timeline's host-engine process is drawn from
+// when a timeline is attached (nil otherwise).
+func (s *Simulator) spanSink() (obsv.SpanSink, *obsv.SpanRecorder) {
+	sink := s.opt.Obs.SpanSink()
+	if s.opt.Timeline == nil {
+		return sink, nil
+	}
+	tl := &obsv.SpanRecorder{}
+	return obsv.TeeSpans(sink, tl), tl
+}
+
+// WindowRun is what SimulateWindows joins.
+type WindowRun struct {
+	// Windows holds one result per window, in input order: the window's
+	// own cycles, traffic and closed ledger, knowing nothing of its
+	// siblings.
+	Windows []LayerResult
+	// Recorders (by window index) and Spans carry the run's timeline
+	// events when Options.Timeline is set; only the caller knows where its
+	// windows go in time (partitions run side by side, layers do not).
+	Recorders map[int]*timeline.LayerRecorder
+	Spans     []obsv.Span
+}
+
+// SimulateWindows runs spatial slices of one layer — the partitions of a
+// scale-out system, Eq. 5 — each through the pipeline a whole layer takes
+// (a window is a LayerContext with Window set), fanned out over the engine
+// like the layers of a topology. Windows are not layers: they report no
+// per-layer observation or progress step, and nothing is serialized or
+// summed across them; the join (Eq. 6) belongs to the caller.
+//
+// Per-window consumers are labeled with the layer's name alone, so trace
+// files of sibling windows would overwrite one another: TraceDir is
+// rejected.
+func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (WindowRun, error) {
+	if s.opt.TraceDir != "" {
+		return WindowRun{}, fmt.Errorf("core: layer %q: per-window trace files are not supported", l.Name)
+	}
+	spanSink, tlSpans := s.spanSink()
+	n := topology.NodeOf(l)
+	results, err := engine.RunObserved(s.workers(), len(wins), spanSink,
+		func(i int) (LayerResult, error) {
+			ctx := newLayerContext(i, n)
+			ctx.Window = wins[i]
+			if err := s.runNode(ctx); err != nil {
+				return LayerResult{}, fmt.Errorf("core: layer %q window %+v: %w", l.Name, wins[i], err)
+			}
+			return ctx.Result, nil
+		})
+	if err != nil {
+		return WindowRun{}, err
+	}
+	run := WindowRun{Windows: results}
+	if s.opt.Timeline != nil {
+		run.Recorders, run.Spans = s.tl.take(), tlSpans.Spans()
+	}
+	return run, nil
+}
+
 // workers resolves the effective layer-level parallelism; see
 // Options.Workers.
 func (s *Simulator) workers() int {
@@ -377,12 +442,7 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	}
 	s.opt.Progress.Start(len(nodes))
 	obs := s.opt.Obs
-	spanSink := obs.SpanSink()
-	var tlSpans *obsv.SpanRecorder
-	if s.opt.Timeline != nil {
-		tlSpans = &obsv.SpanRecorder{}
-		spanSink = obsv.TeeSpans(spanSink, tlSpans)
-	}
+	spanSink, tlSpans := s.spanSink()
 	// exec runs one node with the per-node bookkeeping: wall time,
 	// progress, and errors that carry the node's name. A panicking node
 	// fails the run with its index and name; the engine's own recovery

@@ -29,7 +29,8 @@ import (
 // cached portion, so changing the energy model never invalidates entries).
 //
 // The compute stage is a pure function of the canonical key (nodeKey): the
-// configuration's canonical parameters, the layer's shape key, the
+// configuration's canonical parameters, the layer's shape key, the spatial
+// window when the context is one partition's slice of the layer, the
 // memory-system options and the DRAM bound/model. Everything it produces
 // lands in LayerContext.Entry — exactly the simcache.Entry payload — so a
 // node whose entry is already known, from the cache or from an identical
@@ -53,6 +54,10 @@ type LayerContext struct {
 	// Layer is Node.Layer, relabeled with the node's name — the shape the
 	// systolic path simulates and reports print.
 	Layer topology.Layer
+	// Window is the slice of the layer's spatial space this context
+	// simulates: one partition of a scale-out system (SimulateWindows). The
+	// zero value is the whole layer.
+	Window systolic.Window
 	// Key is the canonical compute key, empty when the run is uncacheable.
 	Key string
 	// CacheHit reports that Entry was replayed from the cache, Replayed
@@ -131,12 +136,18 @@ func resultsOnly(opt Options) bool {
 // stage's outcome depends on, and nothing it does not (run names, energy
 // model, observability). The node key includes the operator kind, so a
 // GEMM and a same-shaped attention-score matmul — or a softmax and a
-// layernorm over one tensor shape — never share an entry. The "core|"
-// namespace keeps whole-layer entries apart from partition windows
-// sharing one cache directory. Everything but the node's own key is fixed
-// per Simulator and assembled once, in keyAffixes.
-func (s *Simulator) nodeKey(n topology.Node) string {
-	return s.keyPrefix + n.Key() + s.keySuffix
+// layernorm over one tensor shape — never share an entry. A window joins
+// the key with its offsets, not only its extents: a slice's fold schedule
+// and addresses depend on where it sits in the spatial space. The whole
+// layer (zero Window) adds nothing, so its key is what it was before
+// windows existed. Everything but the node's own key and the window is
+// fixed per Simulator and assembled once, in keyAffixes.
+func (s *Simulator) nodeKey(n topology.Node, win systolic.Window) string {
+	key := s.keyPrefix + n.Key()
+	if win != (systolic.Window{}) {
+		key += fmt.Sprintf("|w%d,%d,%d,%d", win.SrOff, win.ScOff, win.SrLen, win.ScLen)
+	}
+	return key + s.keySuffix
 }
 
 func keyAffixes(cfg config.Config, opt Options) (prefix, suffix string) {
@@ -159,7 +170,7 @@ func (s *Simulator) stageMap(ctx *LayerContext) error {
 	if ctx.Replayed || !s.cache {
 		return nil
 	}
-	ctx.Key = s.nodeKey(ctx.Node)
+	ctx.Key = s.nodeKey(ctx.Node, ctx.Window)
 	if e, ok := s.opt.Cache.Get(ctx.Key); ok {
 		ctx.adopt(e)
 		ctx.CacheHit = true
@@ -240,7 +251,7 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 		}
 	})
 
-	comp, err := systolic.Run(l, s.cfg, systolic.Sinks{
+	comp, err := systolic.RunWindow(l, s.cfg, ctx.Window, systolic.Sinks{
 		IfmapRead:  ctx.set.Tap(engine.SRAMReadIfmap, sys.Ifmap),
 		FilterRead: ctx.set.Tap(engine.SRAMReadFilter, sys.Filter),
 		OfmapWrite: ctx.set.Tap(engine.SRAMWriteOfmap, sys.Ofmap),

@@ -38,7 +38,7 @@ func (s *Simulator) plan(nodes []topology.Node) runPlan {
 	for i, n := range nodes {
 		p.lead[i] = i
 		if s.planned {
-			key := s.nodeKey(n)
+			key := s.nodeKey(n, systolic.Window{})
 			if j, ok := first[key]; ok {
 				p.lead[i] = j
 				continue

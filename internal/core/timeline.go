@@ -13,9 +13,10 @@ import (
 // each layer's recorder under.
 const timelineProbeKey = "core.timeline"
 
-// timelineState collects the per-layer recorders built by the timeline
-// sink factory so Simulate can emit them — with the serialized cycle
-// offsets — after the engine's deterministic join.
+// timelineState collects the per-job recorders built by the timeline
+// sink factory until the engine's deterministic join: runNodes then emits
+// them at the layers' serialized cycle offsets, SimulateWindows hands them
+// to its caller, who knows where partitions go.
 type timelineState struct {
 	mu   sync.Mutex
 	recs map[int]*timeline.LayerRecorder
@@ -40,8 +41,8 @@ func (t *timelineState) take() map[int]*timeline.LayerRecorder {
 
 // timelineSink builds a fresh LayerRecorder per layer: windowed counter
 // samplers on all eight trace streams, plus a stall profiler on the DRAM
-// streams when the link is bounded. The recorder is deposited for
-// simulateLayer to wire the fold observer and record the drain.
+// streams when the link is bounded. The recorder is deposited for the
+// compute stage to wire the fold observer and record the drain.
 func (s *Simulator) timelineSink() engine.Factory {
 	window := s.opt.Timeline.Window()
 	bw := s.opt.DRAMBandwidth

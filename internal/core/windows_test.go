@@ -1,0 +1,110 @@
+package core
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"scalesim/internal/config"
+	"scalesim/internal/dram"
+	"scalesim/internal/obsv"
+	"scalesim/internal/simcache"
+	"scalesim/internal/systolic"
+	"scalesim/internal/topology"
+)
+
+// TestWholeLayerKeyUnchanged pins the whole-layer compute key byte for
+// byte to what it was before contexts carried a window, so result caches
+// written to disk by earlier builds stay warm; a window extends it with
+// offsets and extents.
+func TestWholeLayerKeyUnchanged(t *testing.T) {
+	ddr := dram.DDR3()
+	gemm := topology.FromGEMM("g", 70, 90, 50)
+	bounded, err := New(config.New().WithArray(8, 12).WithSRAM(4, 4, 2), Options{DRAMBandwidth: 4, DRAM: &ddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(config.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sim  *Simulator
+		node topology.Node
+		win  systolic.Window
+		want string
+	}{
+		{bounded, topology.NodeOf(gemm), systolic.Window{},
+			"core|a8x12;s4/4/2;o0/10000000/20000000;df=os;wb1;et=false;vl12|op=conv|i70x1x90/f1x1x50/s1|sb=false;win=0;bw=4;dram={Channels:0 InterleaveWords:0 Banks:8 RowWords:2048 TRCD:11 TCAS:11 TRP:11 TREFI:7800 TRFC:139 BusCyclesPerWord:1 Policy:0}"},
+		{plain, topology.Node{Name: "sm", Kind: topology.OpSoftmax, Layer: gemm}, systolic.Window{},
+			"core|a32x32;s512/512/256;o0/10000000/20000000;df=os;wb1;et=false;vl32|op=softmax|i70x1x90/f1x1x50/s1|sb=false;win=0"},
+		{plain, topology.NodeOf(gemm), systolic.Window{SrOff: 35, ScOff: 0, SrLen: 35, ScLen: 25},
+			"core|a32x32;s512/512/256;o0/10000000/20000000;df=os;wb1;et=false;vl32|op=conv|i70x1x90/f1x1x50/s1|w35,0,35,25|sb=false;win=0"},
+	} {
+		if got := c.sim.nodeKey(c.node, c.win); got != c.want {
+			t.Errorf("nodeKey(%s, %+v):\n got %q\nwant %q", c.node.Name, c.win, got, c.want)
+		}
+	}
+}
+
+// TestSimulateWindows: a window goes down the path a layer goes down. The
+// zero window is the layer — same result, same cache entry — windows are
+// not observed as layers, and what the path cannot label per window it
+// refuses.
+func TestSimulateWindows(t *testing.T) {
+	l := topology.Layer{Name: "conv", IfmapH: 14, IfmapW: 14, FilterH: 3, FilterW: 3,
+		Channels: 8, NumFilters: 24, Stride: 1}
+	cfg := config.New().WithArray(8, 8).WithSRAM(4, 4, 2)
+	cache := simcache.New()
+	rec := obsv.NewRecorder()
+	sim, err := New(cfg, Options{Cache: cache, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := sim.SimulateLayer(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves := []systolic.Window{{}, {SrLen: 72}, {SrOff: 72}}
+	run, err := sim.SimulateWindows(l, halves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(run.Windows[0], whole) {
+		t.Errorf("zero window differs from the layer:\nwindow %+v\nlayer  %+v", run.Windows[0], whole)
+	}
+	if cache.Hits() != 1 || cache.Misses() != 3 {
+		t.Errorf("hits=%d misses=%d: want the zero window to replay the layer's entry and each half to miss",
+			cache.Hits(), cache.Misses())
+	}
+	a, b := run.Windows[1], run.Windows[2]
+	if a.Compute.MACs+b.Compute.MACs != whole.Compute.MACs {
+		t.Errorf("halves perform %d + %d MACs, the layer %d", a.Compute.MACs, b.Compute.MACs, whole.Compute.MACs)
+	}
+	for i, w := range run.Windows {
+		if err := w.Ledger.Check(); err != nil || w.Ledger.Total != w.Compute.Cycles {
+			t.Errorf("window %d: ledger total %d, cycles %d, check: %v", i, w.Ledger.Total, w.Compute.Cycles, err)
+		}
+	}
+	if got := len(rec.LayerTimings()); got != 0 {
+		t.Errorf("%d layers observed: windows are not layers", got)
+	}
+	if got := len(rec.Spans()); got != len(halves) {
+		t.Errorf("%d engine spans, want one per window (%d)", got, len(halves))
+	}
+	if run.Recorders != nil || run.Spans != nil {
+		t.Error("timeline hand-back without a timeline")
+	}
+
+	if _, err := sim.SimulateWindows(l, []systolic.Window{{SrOff: 200}}); err == nil ||
+		!strings.Contains(err.Error(), `"conv"`) {
+		t.Errorf("window outside the mapping: %v", err)
+	}
+	traced, err := New(cfg, Options{TraceDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traced.SimulateWindows(l, halves); err == nil {
+		t.Error("per-window trace files accepted")
+	}
+}

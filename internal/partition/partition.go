@@ -7,6 +7,16 @@
 // sum of all partitions' traffic — including the replicated fetches that
 // partitioning introduces, which is exactly the bandwidth cost the paper
 // quantifies.
+//
+// A partition is not a second simulator: it is a spatial window of the
+// layer, and a window is a core.LayerContext run through core's
+// map/sinks/compute/analyze pipeline (core.Simulator.SimulateWindows) —
+// the same memory system, result cache, cycle ledger, timeline recorders
+// and engine fan-out a whole layer gets, P=1 being the whole layer. What
+// lives here is only what is scale-out's own: the per-partition
+// configuration, the window enumeration (Eq. 5), and the join — summed
+// traffic, the slowest partition's runtime (Eq. 6), each partition's skew
+// wait on it, energy and the NoC.
 package partition
 
 import (
@@ -14,20 +24,18 @@ import (
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
+	"scalesim/internal/core"
 	"scalesim/internal/dataflow"
 	"scalesim/internal/energy"
-	"scalesim/internal/engine"
 	"scalesim/internal/mathutil"
 	"scalesim/internal/memory"
 	"scalesim/internal/noc"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
-	"scalesim/internal/obsv/log"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/simcache"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
-	"scalesim/internal/trace"
 )
 
 // Spec describes a scale-out system: the partition grid and the per-array
@@ -108,14 +116,16 @@ type Options struct {
 	// deterministic regardless of the value.
 	Parallel int
 	// Cache, when non-nil, memoizes per-partition compute results under
-	// their canonical key (per-partition config x layer shape x spatial
-	// window): a partition sweep revisits the same windows across grid
-	// candidates, and Fig. 11/12 sweeps revisit whole grids. Ignored
-	// whenever an option demands a live consumer (Timeline, shared DRAM
-	// consumers or taps), so cached runs stay byte-identical to live ones.
+	// core's canonical key (per-partition config x layer shape x spatial
+	// window, offsets included): a partition sweep revisits the same
+	// windows across grid candidates, and Fig. 11/12 sweeps revisit whole
+	// grids. Ignored whenever an option demands a live consumer (Timeline,
+	// shared DRAM consumers or taps), so cached runs stay byte-identical to
+	// live ones. Entries are position-pure: skew wait is never stored.
 	Cache *simcache.Cache
 	// Obs, when non-nil, records the partition fan-out: engine spans for
-	// every partition task and the "partition.run" phase. Results are
+	// every partition task, core's stage timers and cache counters
+	// (core.simcache.*), and the "partition.run" phase. Results are
 	// unaffected.
 	Obs *obsv.Recorder
 	// Timeline, when non-nil, receives the scale-out run as a Chrome Trace
@@ -125,6 +135,9 @@ type Options struct {
 	// additive; results are unaffected.
 	Timeline *timeline.Writer
 }
+
+// gridPos locates a partition in the Pr x Pc grid.
+type gridPos struct{ pi, pj int64 }
 
 // Run executes the layer on the scale-out system described by spec. The
 // base configuration supplies the dataflow, the total SRAM budget (divided
@@ -141,17 +154,20 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	if em == (energy.Model{}) {
 		em = energy.Eyeriss()
 	}
-	if err := em.Validate(); err != nil {
-		return Result{}, err
-	}
 
-	// Per-partition configuration: array shape and SRAM share.
+	// Per-partition configuration: array shape and SRAM share. Every
+	// partition is the same single-array simulator; core.New validates the
+	// configuration and the energy model.
 	cfg := base.WithArray(int(spec.Shape.R), int(spec.Shape.C))
 	p := spec.Parts.Count()
 	cfg.IfmapSRAMKB = sramShare(base.IfmapSRAMKB, p)
 	cfg.FilterSRAMKB = sramShare(base.FilterSRAMKB, p)
 	cfg.OfmapSRAMKB = sramShare(base.OfmapSRAMKB, p)
-	if err := cfg.Validate(); err != nil {
+	sim, err := core.New(cfg, core.Options{
+		Memory: opt.Memory, Energy: em, Cache: opt.Cache,
+		Workers: opt.Parallel, Obs: opt.Obs, Timeline: opt.Timeline,
+	})
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -159,12 +175,10 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	srPer := mathutil.CeilDiv(m.Sr, spec.Parts.Pr)
 	scPer := mathutil.CeilDiv(m.Sc, spec.Parts.Pc)
 
-	// Enumerate the partitions that receive work.
-	type task struct {
-		pi, pj int64
-		win    systolic.Window
-	}
-	var tasks []task
+	// Enumerate the partitions that receive work (Eq. 5): grid position
+	// and spatial window, index-aligned.
+	var at []gridPos
+	var wins []systolic.Window
 	for pi := int64(0); pi < spec.Parts.Pr; pi++ {
 		srOff := pi * srPer
 		if srOff >= m.Sr {
@@ -175,151 +189,47 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 			if scOff >= m.Sc {
 				continue
 			}
-			tasks = append(tasks, task{pi: pi, pj: pj, win: systolic.Window{
+			at = append(at, gridPos{pi, pj})
+			wins = append(wins, systolic.Window{
 				SrOff: srOff, ScOff: scOff,
 				SrLen: min(srPer, m.Sr-srOff),
 				ScLen: min(scPer, m.Sc-scOff),
-			}})
+			})
 		}
 	}
-	if len(tasks) == 0 {
+	if len(wins) == 0 {
 		return Result{}, fmt.Errorf("partition: no partition received work for %s", spec)
 	}
 
-	// Simulate partitions independently on the shared engine's pool. Each
-	// task builds its own memory system, so nothing is shared across
-	// workers and results are deterministic for any opt.Parallel.
-	type outcome struct {
-		comp systolic.Result
-		mem  memory.Report
-		// led is the window's position-pure cycle account (no skew —
-		// that depends on the other partitions and is added at
-		// aggregation), so it caches under the window key.
-		led cycleacct.Ledger
-	}
-	recs := make([]*timeline.LayerRecorder, len(tasks))
-	spanSink := opt.Obs.SpanSink()
-	var tlSpans *obsv.SpanRecorder
-	if opt.Timeline != nil {
-		tlSpans = &obsv.SpanRecorder{}
-		spanSink = obsv.TeeSpans(spanSink, tlSpans)
-	}
-	// The per-partition simulation is pure whenever nothing taps its
-	// traces live, so each window's outcome can replay from the cache;
-	// the window offsets are part of the key because a slice's fold
-	// schedule depends on where it sits in the spatial space.
-	m2 := opt.Memory
-	cacheOK := opt.Cache != nil && opt.Timeline == nil &&
-		m2.DRAMRead == nil && m2.DRAMWrite == nil &&
-		m2.DRAMIfmapTap == nil && m2.DRAMFilterTap == nil && m2.DRAMOfmapTap == nil
-	if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-		lg.Debug("partition", "run start",
-			"layer", l.Name, "grid", spec.Parts.String(), "tasks", len(tasks))
-	}
+	// Each window is one context through core's pipeline: its own memory
+	// system, its own position-pure cache entry (no skew — that depends on
+	// the sibling windows and is added below, after the join).
 	stop := opt.Obs.Phase("partition.run")
-	outcomes, err := engine.RunObserved(opt.Parallel, len(tasks), spanSink, func(i int) (outcome, error) {
-		t := tasks[i]
-		var key string
-		if cacheOK {
-			key = windowKey(cfg, l, t.win, opt.Memory)
-			if e, ok := opt.Cache.Get(key); ok && e.Ledger != nil {
-				e.Compute.Layer = l
-				opt.Obs.Metrics().Counter("partition.simcache.hits").Inc()
-				return outcome{comp: e.Compute, mem: e.Memory, led: e.Ledger.Clone()}, nil
-			}
-			opt.Obs.Metrics().Counter("partition.simcache.misses").Inc()
-		}
-		memOpt := opt.Memory
-		sinks := systolic.Sinks{}
-		var rec *timeline.LayerRecorder
-		if opt.Timeline != nil {
-			rec = timeline.NewLayerRecorder(
-				fmt.Sprintf("partition %d,%d", t.pi, t.pj), i, opt.Timeline.Window())
-			recs[i] = rec
-			memOpt.DRAMRead = trace.Tee(memOpt.DRAMRead, rec.Sampler(timeline.TrackDRAMRead))
-			memOpt.DRAMWrite = trace.Tee(memOpt.DRAMWrite, rec.Sampler(timeline.TrackDRAMWrite))
-			memOpt.DRAMIfmapTap = rec.Sampler(timeline.TrackDRAMIfmapRead)
-			memOpt.DRAMFilterTap = rec.Sampler(timeline.TrackDRAMFilterRead)
-			memOpt.DRAMOfmapTap = rec.Sampler(timeline.TrackDRAMOfmapWrite)
-		}
-		// The fold observer always runs: it fills the window's cycle
-		// ledger (ramp/MAC-active/drain exactly partition each fold's
-		// duration) and tees the timeline recorder when one exists.
-		var led cycleacct.Ledger
-		R := int64(cfg.ArrayHeight)
-		edgeTrim := cfg.EdgeTrim
-		sinks.Folds = systolic.FoldObserverFunc(func(f systolic.FoldInfo) {
-			ramp := 2*R - 2
-			if edgeTrim {
-				ramp = 2*f.Rows - 2
-			}
-			led.Add(cycleacct.PhaseArray, cycleacct.MACActive, f.T)
-			led.Add(cycleacct.PhaseArray, cycleacct.FoldRamp, ramp)
-			led.Add(cycleacct.PhaseArray, cycleacct.FoldDrain, f.Cycles-f.T-ramp)
-			if rec != nil {
-				rec.AddFold(f.FR, f.FC, f.Rows, f.Cols, f.Start, f.Cycles)
-			}
-		})
-		sys, err := memory.NewSystem(cfg, memOpt)
-		if err != nil {
-			return outcome{}, err
-		}
-		sys.SetRegions(
-			cfg.IfmapOffset, l.IfmapWords(),
-			cfg.FilterOffset, l.FilterWords(),
-			cfg.OfmapOffset, l.OfmapWords(),
-		)
-		sinks.IfmapRead = sys.Ifmap
-		sinks.FilterRead = sys.Filter
-		sinks.OfmapWrite = sys.Ofmap
-		if rec != nil {
-			sinks.IfmapRead = trace.Tee(sinks.IfmapRead, rec.Sampler(timeline.TrackSRAMIfmapRead))
-			sinks.FilterRead = trace.Tee(sinks.FilterRead, rec.Sampler(timeline.TrackSRAMFilterRead))
-			sinks.OfmapWrite = trace.Tee(sinks.OfmapWrite, rec.Sampler(timeline.TrackSRAMOfmapWrite))
-		}
-		comp, err := systolic.RunWindow(l, cfg, t.win, sinks)
-		if err != nil {
-			return outcome{}, err
-		}
-		drained := sys.Ofmap.Flush(comp.Cycles)
-		if rec != nil {
-			rec.Finish(comp.Cycles, drained)
-		}
-		mrep := sys.Report(comp.Cycles)
-		led.Total = comp.Cycles
-		if err := led.Check(); err != nil {
-			return outcome{}, fmt.Errorf("partition (%d,%d): %w", t.pi, t.pj, err)
-		}
-		if key != "" {
-			cached := led.Clone()
-			opt.Cache.Put(key, simcache.Entry{Compute: comp, Memory: mrep, Ledger: &cached})
-		}
-		return outcome{comp: comp, mem: mrep, led: led}, nil
-	})
+	run, err := sim.SimulateWindows(l, wins)
 	stop()
 	if err != nil {
 		return Result{}, err
 	}
 	if opt.Timeline != nil {
-		emitTimeline(opt.Timeline, l, spec, recs, tlSpans.Spans())
+		emitTimeline(opt.Timeline, l, spec, at, run)
 	}
 
 	res := Result{Layer: l, Spec: spec}
-	traffic := make([]noc.Traffic, 0, len(tasks))
-	for i, o := range outcomes {
+	traffic := make([]noc.Traffic, 0, len(wins))
+	for i, w := range run.Windows {
 		res.ActivePartitions++
-		res.MACs += o.comp.MACs
-		if o.comp.Cycles > res.Cycles {
-			res.Cycles = o.comp.Cycles
+		res.MACs += w.Compute.MACs
+		if w.Compute.Cycles > res.Cycles {
+			res.Cycles = w.Compute.Cycles
 		}
-		res.SRAMReads += o.mem.IfmapSRAMReads + o.mem.FilterSRAMReads
-		res.SRAMWrites += o.mem.OfmapSRAMWrites
-		res.DRAMReads += o.mem.DRAMReads()
-		res.DRAMWrites += o.mem.OfmapDRAMWrites
-		res.PeakDRAMBW += o.mem.PeakIfmapBW + o.mem.PeakFilterBW + o.mem.PeakOfmapBW
+		res.SRAMReads += w.Memory.IfmapSRAMReads + w.Memory.FilterSRAMReads
+		res.SRAMWrites += w.Memory.OfmapSRAMWrites
+		res.DRAMReads += w.Memory.DRAMReads()
+		res.DRAMWrites += w.Memory.OfmapDRAMWrites
+		res.PeakDRAMBW += w.Memory.PeakIfmapBW + w.Memory.PeakFilterBW + w.Memory.PeakOfmapBW
 		traffic = append(traffic, noc.Traffic{
-			Pi: tasks[i].pi, Pj: tasks[i].pj,
-			Words: o.mem.DRAMAccesses(),
+			Pi: at[i].pi, Pj: at[i].pj,
+			Words: w.Memory.DRAMAccesses(),
 		})
 	}
 
@@ -327,11 +237,9 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	// layer's runtime with a skew-wait bin (Eq. 6 — the layer finishes
 	// with its slowest partition), and the node ledger aggregates them.
 	node := &cycleacct.NodeLedger{Name: l.Name, Op: string(topology.OpConv)}
-	for i, o := range outcomes {
-		pl := cycleacct.PartitionLedger{
-			Pi: tasks[i].pi, Pj: tasks[i].pj, Ledger: o.led.Clone(),
-		}
-		pl.Add(cycleacct.PhaseGrid, cycleacct.PartitionSkew, res.Cycles-o.comp.Cycles)
+	for i, w := range run.Windows {
+		pl := cycleacct.PartitionLedger{Pi: at[i].pi, Pj: at[i].pj, Ledger: w.Ledger.Clone()}
+		pl.Add(cycleacct.PhaseGrid, cycleacct.PartitionSkew, res.Cycles-w.Compute.Cycles)
 		pl.Total = res.Cycles
 		node.Partitions = append(node.Partitions, pl)
 		node.Total += pl.Total
@@ -417,18 +325,6 @@ func BestSpec(m dataflow.Mapping, totalMACs, parts, minDim int64) (Spec, bool) {
 		}
 	}
 	return best, true
-}
-
-// windowKey is the canonical identity of one partition's compute task:
-// the per-partition configuration, the layer shape, the spatial window
-// slice (offsets included — a slice's folds depend on its position) and
-// the memory-system options. Namespaced "part|" so whole-layer entries
-// from core ("core|") never alias window entries in a shared cache.
-func windowKey(cfg config.Config, l topology.Layer, win systolic.Window, m memory.Options) string {
-	return fmt.Sprintf("part|%s|%s|w%d,%d,%d,%d|sb=%t;win=%d",
-		cfg.CanonicalKey(), l.Key(),
-		win.SrOff, win.ScOff, win.SrLen, win.ScLen,
-		m.SingleBuffered, m.BandwidthWindow)
 }
 
 // sramShare divides a KiB budget among p partitions, at least 1 KiB each.

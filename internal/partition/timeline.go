@@ -3,36 +3,31 @@ package partition
 import (
 	"fmt"
 
-	"scalesim/internal/obsv"
+	"scalesim/internal/core"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/topology"
 )
 
-// emitTimeline writes a scale-out run into the timeline writer: the
-// simulated-machine process carries one thread per partition (its span
-// plus fold schedule, with per-partition counter tracks), and the
-// host-engine process carries the scheduler spans. Runs after the
-// deterministic join, so the export never perturbs results.
-func emitTimeline(w *timeline.Writer, l topology.Layer, spec Spec,
-	recs []*timeline.LayerRecorder, spans []obsv.Span) {
+// emitTimeline places a scale-out run on the timeline: the recorders and
+// engine spans are core's, one per window; what is scale-out's own is
+// where they go. Partitions run side by side, so the simulated-machine
+// process carries one thread per partition (its span plus fold schedule,
+// counter tracks prefixed "p<i>."), all starting at cycle zero, and the
+// host-engine spans are named after the partitions they simulated. Runs
+// after the deterministic join, so the export never perturbs results.
+func emitTimeline(w *timeline.Writer, l topology.Layer, spec Spec, at []gridPos, run core.WindowRun) {
 	pid := w.Process(fmt.Sprintf("simulated machine: %s on %s", l.Name, spec))
-	for i, rec := range recs {
-		if rec == nil {
-			continue
-		}
+	name := func(i int) string { return fmt.Sprintf("partition %d,%d", at[i].pi, at[i].pj) }
+	for i := range at {
+		rec := run.Recorders[i]
+		rec.Name = name(i)
 		w.Thread(pid, int64(i), rec.Name)
 		rec.Emit(w, pid, timeline.Placement{
 			Array: int64(i), DRAM: -1, Stall: -1,
 			TrackPrefix: fmt.Sprintf("p%d.", i),
 		})
 	}
-	if len(spans) > 0 {
-		host := w.Process("host engine")
-		timeline.EmitEngineSpans(w, host, spans, func(i int) string {
-			if i >= 0 && i < len(recs) && recs[i] != nil {
-				return recs[i].Name
-			}
-			return fmt.Sprintf("task %d", i)
-		})
+	if len(run.Spans) > 0 {
+		timeline.EmitEngineSpans(w, w.Process("host engine"), run.Spans, name)
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench smoke benchdiff profile prof-cycles fuzz figures figures-check examples clean
+.PHONY: all build vet test race bench smoke bench-check profile prof-cycles fuzz figures figures-check examples clean
 
 all: build vet test
 
@@ -28,13 +28,12 @@ smoke:
 		-bench='BenchmarkResNet50Cold|BenchmarkBERTBaseDRAMCold' .
 	$(GO) test -run 'TestSystemSetupAllocation' -count=1 ./internal/memory
 
-# Compare a quick benchmark run against the newest results/BENCH_*.json;
-# fails on >25% ns/op regressions. Single-iteration numbers are noisy, so
-# treat a failure as a prompt to rerun with -benchtime=3x, not a verdict.
-benchdiff:
-	$(GO) test -run XXX -benchmem -benchtime=1x \
-		-bench='BenchmarkTableIV$$|BenchmarkFoldTrace|BenchmarkMemorySystemRuns|BenchmarkTimelineOverhead|BenchmarkCSVTraceWrite|BenchmarkSimulateTinyNet|BenchmarkSweepCached|BenchmarkDSETier1$$|BenchmarkDSESweep' . \
-		| $(GO) run ./results/benchdiff.go
+# Byte-identity harness for the two gated workloads: go run ./bench exits
+# 1 on a golden-digest mismatch, a failed operation or a non-zero
+# ref_rel_err_max. No timing is compared (that is `go run ./bench compare`).
+bench-check:
+	$(GO) run ./bench -workload resnet50_cold -seconds 5
+	$(GO) run ./bench -workload bertbase_dram_cold -seconds 5
 
 # CPU-profile the Table IV benchmark; inspect with
 # `go tool pprof results/profile.pb.gz`.
@@ -47,8 +46,8 @@ profile:
 # inspect with `go tool pprof -http=: results/cycles.pb.gz`.
 prof-cycles:
 	mkdir -p results
-	$(GO) run ./cmd/scaleprof run -net BERTTiny -dram-bw 4 \
-		-o results/cycles.pb.gz -roofline results/roofline.csv
+	$(GO) run ./cmd/scalesim -net BERTTiny -dram-bw 4 \
+		-cycleprof results/cycles.pb.gz -roofline results/roofline.csv
 	$(GO) tool pprof -top results/cycles.pb.gz
 
 fuzz:

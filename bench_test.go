@@ -80,8 +80,8 @@ func tableIVBenchLayers(b *testing.B) []topology.Layer {
 
 // BenchmarkTableIV runs the (clamped) Table IV workloads through the full
 // systolic→trace→memory hot path — SRAM model plus a CSV trace sink — the
-// loop the strided-run representation is built to accelerate. Before/after
-// numbers for this benchmark live in results/BENCH_PR3.json.
+// loop the strided-run representation is built to accelerate. The gated
+// end-to-end counterpart is `go run ./bench -workload tableiv_traced`.
 func BenchmarkTableIV(b *testing.B) {
 	b.ReportAllocs()
 	layers := tableIVBenchLayers(b)

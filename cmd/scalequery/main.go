@@ -1,24 +1,29 @@
 // Command scalequery queries a run registry written by the simulation
 // CLIs' -run-dir flag: the durable record of past runs that the paper's
-// comparative methodology works from. Four verbs:
+// comparative methodology works from. Five verbs:
 //
-//	list — every stored run, newest first (-ids for bare IDs)
-//	show — one run's manifest (ID or unique ID prefix)
-//	diff — per-layer cycle/stall/utilization deltas between two runs,
-//	       flagging layers that regressed beyond -threshold; exits
-//	       non-zero when the runs differ materially, zero when a replay
-//	       is identical
-//	top  — layers ranked by stall fraction across every stored run;
-//	       -by <category> ranks nodes by a cycle-accounting bin
-//	       (dram_bw_stall, fold_drain, partition_skew_wait, ...) instead
+//	list   — every stored run, newest first (-ids for bare IDs)
+//	show   — one run's manifest (ID or unique ID prefix)
+//	diff   — per-layer cycle/stall/utilization deltas between two runs,
+//	         flagging layers that regressed beyond -threshold; exits
+//	         non-zero when the runs differ materially, zero when a replay
+//	         is identical
+//	top    — layers ranked by stall fraction across every stored run;
+//	         -by <category> ranks nodes by a cycle-accounting bin
+//	         (dram_bw_stall, fold_drain, partition_skew_wait, ...) instead
+//	cycles — one run's cycle accounting: the node ledger table, category
+//	         shares and roofline table; -cycleprof/-roofline write the
+//	         same pprof profile and CSV the simulating CLIs write
+//
+// Flags may stand before or after the verb and its arguments.
 //
 // Usage:
 //
 //	scalequery -dir runs list
 //	scalequery -dir runs show 20260808T
 //	scalequery -dir runs diff <idA> <idB> [-threshold 0.05]
-//	scalequery -dir runs top [-n 10]
-//	scalequery -dir runs -by dram_bw_stall top
+//	scalequery -dir runs top [-n 10] [-by dram_bw_stall]
+//	scalequery -dir runs cycles 20260808T [-cycleprof prof.pb.gz] [-roofline roof.csv]
 package main
 
 import (
@@ -28,6 +33,8 @@ import (
 	"math"
 	"os"
 
+	"scalesim/internal/cliobs"
+	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/runstore"
 )
 
@@ -56,13 +63,23 @@ func run(args []string, stdout io.Writer) error {
 		topBy     = fs.String("by", "", "top: rank by a cycle-accounting category (e.g. dram_bw_stall, fold_drain) instead of stall fraction")
 		rebuild   = fs.Bool("rebuild", false, "regenerate the index from manifest files before querying")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	cyc := cliobs.RegisterCycleProf(fs, true)
+	// flag.Parse stops at the first positional; parse again behind each
+	// one so flags are accepted on either side of the verb and its IDs.
+	var pos []string
+	for rest := args; ; rest = fs.Args()[1:] {
+		if err := fs.Parse(rest); err != nil {
+			return err
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		pos = append(pos, fs.Arg(0))
 	}
-	verb := fs.Arg(0)
-	if verb == "" {
-		return fmt.Errorf("pass a verb: list, show, diff or top")
+	if len(pos) == 0 {
+		return fmt.Errorf("pass a verb: list, show, diff, top or cycles")
 	}
+	verb := pos[0]
 	s, err := runstore.Open(*dir)
 	if err != nil {
 		return err
@@ -76,22 +93,27 @@ func run(args []string, stdout io.Writer) error {
 	case "list":
 		return list(s, stdout, *ids)
 	case "show":
-		if fs.NArg() != 2 {
+		if len(pos) != 2 {
 			return fmt.Errorf("usage: show <run-id>")
 		}
-		return show(s, stdout, fs.Arg(1))
+		return show(s, stdout, pos[1])
 	case "diff":
-		if fs.NArg() != 3 {
+		if len(pos) != 3 {
 			return fmt.Errorf("usage: diff <run-id-a> <run-id-b>")
 		}
-		return diff(s, stdout, fs.Arg(1), fs.Arg(2), *threshold)
+		return diff(s, stdout, pos[1], pos[2], *threshold)
 	case "top":
 		if *topBy != "" {
 			return topByCategory(s, stdout, *topBy, *topN)
 		}
 		return top(s, stdout, *topN)
+	case "cycles":
+		if len(pos) != 2 {
+			return fmt.Errorf("usage: cycles <run-id>")
+		}
+		return cycles(s, stdout, pos[1], cyc)
 	}
-	return fmt.Errorf("unknown verb %q (want list, show, diff or top)", verb)
+	return fmt.Errorf("unknown verb %q (want list, show, diff, top or cycles)", verb)
 }
 
 func list(s *runstore.Store, stdout io.Writer, idsOnly bool) error {
@@ -257,6 +279,38 @@ func topByCategory(s *runstore.Store, stdout io.Writer, category string, n int) 
 			100*r.Fraction, r.Name, runName, r.Cycles, r.Total, r.RunID)
 	}
 	return nil
+}
+
+// cycles renders a stored run's cycle_accounting block as text and writes
+// whichever of -cycleprof/-roofline were requested.
+func cycles(s *runstore.Store, stdout io.Writer, id string, cyc *cliobs.CycleProfFlags) error {
+	e, m, err := s.Get(id)
+	if err != nil {
+		return err
+	}
+	ca := m.CycleAccounting
+	if ca == nil {
+		return fmt.Errorf("run %s carries no cycle accounting", e.ID)
+	}
+	network := m.Run
+	if m.Topology != nil && m.Topology.Name != "" {
+		network = m.Topology.Name
+	}
+	fmt.Fprintf(stdout, "cycle accounting: %s, %d cycles attributed\n\n", network, ca.TotalCycles)
+	if err := ca.WriteLedgers(stdout); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout)
+	for _, share := range ca.CategoryFractions() {
+		fmt.Fprintf(stdout, "%6.1f%%  %s (%d cycles)\n", 100*share.Fraction, share.Category, share.Cycles)
+	}
+	if len(ca.Roofline) > 0 {
+		fmt.Fprintln(stdout)
+		if err := cycleacct.WriteRooflineTable(stdout, ca.Roofline); err != nil {
+			return err
+		}
+	}
+	return cyc.Write(ca, network)
 }
 
 // pct formats a fractional delta as a signed percentage.

@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"scalesim/internal/config"
+	"scalesim/internal/core"
 	"scalesim/internal/obsv"
 	"scalesim/internal/runstore"
+	"scalesim/internal/topology"
 )
 
 // seedStore populates a registry with two runs of one config (identical
@@ -162,5 +168,161 @@ func TestRebuildFlag(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "scalesim"); got != 3 {
 		t.Errorf("rebuilt list shows %d runs, want 3:\n%s", got, out.String())
+	}
+}
+
+// seedSimulated registers a real TinyNet run under a 1 word/cycle DRAM
+// link (so dram_bw_stall is populated) and returns its ID and manifest.
+func seedSimulated(t *testing.T, dir string) (string, *obsv.Manifest) {
+	t.Helper()
+	sim, err := core.New(config.New(), core.Options{DRAMBandwidth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Simulate(topology.TinyNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.Manifest(res)
+	e, err := s.Add(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.ID, m
+}
+
+// TestFlagsOnEitherSideOfTheVerb: the package doc writes flags after the
+// verb and its IDs; they must mean the same there as in front.
+func TestFlagsOnEitherSideOfTheVerb(t *testing.T) {
+	dir := t.TempDir()
+	base, _, regressed := seedStore(t, dir)
+	sim, _ := seedSimulated(t, dir)
+	prof := filepath.Join(t.TempDir(), "p.pb.gz")
+
+	for _, c := range []struct {
+		name  string
+		flags []string // written once before and once after the positionals
+		pos   []string
+		check func(t *testing.T, out string, err error)
+	}{
+		{"top -n", []string{"-n", "2"}, []string{"top"}, func(t *testing.T, out string, err error) {
+			if lines := strings.Count(out, "\n"); err != nil || lines != 3 {
+				t.Errorf("want header + 2 rows, got %d lines (err %v):\n%s", lines, err, out)
+			}
+		}},
+		{"top -by", []string{"-by", "dram_bw_stall"}, []string{"top"}, func(t *testing.T, out string, err error) {
+			if err != nil || !strings.HasPrefix(out, "SHARE%") || !strings.Contains(out, "dram_bw_stall") {
+				t.Errorf("not ranked by category (err %v):\n%s", err, out)
+			}
+		}},
+		{"diff -threshold", []string{"-threshold", "3.5"}, []string{"diff", base, regressed}, func(t *testing.T, out string, err error) {
+			// conv1's stalls grow 300%: a regression at the default 5%, not at 350%.
+			if err != errDiffers || !strings.Contains(out, "0 regression(s) beyond 350%") {
+				t.Errorf("threshold not applied (err %v):\n%s", err, out)
+			}
+		}},
+		{"cycles -cycleprof", []string{"-cycleprof", prof}, []string{"cycles", sim}, func(t *testing.T, out string, err error) {
+			st, serr := os.Stat(prof)
+			if err != nil || serr != nil || st.Size() == 0 {
+				t.Errorf("profile not written (err %v, stat %v)", err, serr)
+			}
+			os.Remove(prof)
+		}},
+	} {
+		lead := append(append([]string{"-dir", dir}, c.flags...), c.pos...)
+		trail := append(append([]string{"-dir", dir}, c.pos...), c.flags...)
+		for where, args := range map[string][]string{"leading": lead, "trailing": trail} {
+			t.Run(c.name+"/"+where, func(t *testing.T) {
+				var out bytes.Buffer
+				err := run(args, &out)
+				c.check(t, out.String(), err)
+			})
+		}
+	}
+}
+
+// TestCyclesRendersStoredAccount: the node table closes on the manifest's
+// total, shares and roofline follow, and the two file outputs are the
+// pprof profile and roofline CSV the simulating CLIs write.
+func TestCyclesRendersStoredAccount(t *testing.T) {
+	dir := t.TempDir()
+	id, m := seedSimulated(t, dir)
+	tmp := t.TempDir()
+	prof, roof := filepath.Join(tmp, "p.pb.gz"), filepath.Join(tmp, "roof.csv")
+
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "cycles", id, "-cycleprof", prof, "-roofline", roof}, &out); err != nil {
+		t.Fatal(err)
+	}
+	total := m.CycleAccounting.TotalCycles
+	var layers int64
+	for _, l := range m.Layers {
+		layers += l.Cycles + l.StallCycles
+	}
+	if total <= 0 || total != layers {
+		t.Fatalf("fixture: cycle_accounting.total_cycles = %d, layers sum to %d", total, layers)
+	}
+	var totalRow []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "TOTAL") {
+			totalRow = strings.Fields(line)
+		}
+	}
+	if len(totalRow) < 2 || totalRow[1] != fmt.Sprint(total) {
+		t.Errorf("TOTAL row %v, want total %d:\n%s", totalRow, total, out.String())
+	}
+	for _, want := range []string{
+		fmt.Sprintf("cycle accounting: TinyNet, %d cycles attributed", total),
+		"conv1", "conv2", "fc1", // node table
+		fmt.Sprintf("dram_bw_stall (%d cycles)", m.CycleAccounting.Categories["dram_bw_stall"]), // shares
+		"ops/byte", "memory", // roofline table
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("cycles output missing %q:\n%s", want, out.String())
+		}
+	}
+
+	f, err := os.Open(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("-cycleprof output is not gzip: %v", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pprof string table is plain bytes inside the protobuf.
+	for _, want := range []string{"TinyNet", "mac_active", "dram_bw_stall", "cycles"} {
+		if !bytes.Contains(raw, []byte(want)) {
+			t.Errorf("profile string table lacks %q", want)
+		}
+	}
+	csv, err := os.ReadFile(roof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(csv), "name,op,ops,dram_bytes,intensity") || strings.Count(string(csv), "\n") != 4 {
+		t.Errorf("-roofline output:\n%s", csv)
+	}
+}
+
+func TestCyclesWithoutAccountNamesTheRun(t *testing.T) {
+	dir := t.TempDir()
+	base, _, _ := seedStore(t, dir) // hand-built manifests: no cycle_accounting
+	var out bytes.Buffer
+	err := run([]string{"-dir", dir, "cycles", base[:20]}, &out)
+	if err == nil || !strings.Contains(err.Error(), base) {
+		t.Errorf("err = %v, want one naming run %s", err, base)
+	}
+	if err := run([]string{"-dir", dir, "cycles"}, &out); err == nil {
+		t.Error("cycles without a run ID accepted")
 	}
 }

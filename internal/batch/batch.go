@@ -11,7 +11,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"time"
 
 	"scalesim/internal/config"
@@ -44,30 +43,11 @@ func (p Point) Net() string {
 	return p.Topology.Name
 }
 
-// ShapeKey is the canonical identity of the point's workload: the
-// concatenated shape keys of its layers (or kind-qualified node keys for
-// graphs), with user-facing names excluded. Together with the derived
-// configuration's hash it identifies the point content-addressably — the
-// basis of deterministic shard assignment and cross-shard deduplication.
-func (p Point) ShapeKey() string {
-	var b strings.Builder
-	if p.Graph != nil {
-		for i := range p.Graph.Nodes {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			b.WriteString(p.Graph.Nodes[i].Key())
-		}
-		return b.String()
-	}
-	for i, l := range p.Topology.Layers {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(l.Key())
-	}
-	return b.String()
-}
+// ShapeKey is the workload's canonical identity, names excluded.
+// Together with the derived configuration's hash it identifies the point
+// content-addressably — the basis of deterministic shard assignment and
+// cross-shard deduplication.
+func (p Point) ShapeKey() string { return topology.ShapeKey(p.Topology, p.Graph) }
 
 // Config derives the point's full hardware configuration from the base.
 func (p Point) Config(base config.Config) config.Config {

@@ -129,3 +129,28 @@ func TestRowLabelMatchesPointLabel(t *testing.T) {
 		t.Errorf("label = %q, want %q", rows[0].Label(), want)
 	}
 }
+
+// TestPointHashLiterals pins PointHash and ShardOf byte for byte: merged
+// sharded sweeps deduplicate by the hash and every shard process derives
+// its assignment from it, so neither may move.
+func TestPointHashLiterals(t *testing.T) {
+	base := config.New()
+	g, _ := topology.BuiltInGraph("BERTTiny")
+	for _, c := range []struct {
+		p                Point
+		hash             string
+		shard7, shard1e3 int
+	}{
+		{Point{Array: [2]int{8, 8}, Dataflow: config.OutputStationary, SRAM: [3]int{2, 2, 1}, Topology: topology.TinyNet()},
+			"sha256:a7b2992a5a25beb615ee617a9116acc9757499b9b5c74d1cda1e733d67536a08:918bf38b9ae572a3", 2, 90},
+		{Point{Array: [2]int{16, 32}, Dataflow: config.WeightStationary, SRAM: [3]int{64, 64, 32}, Graph: &g},
+			"sha256:1be138739f3f2dddee482977b4b35c8873b7bc807b13848dc71e0df8bd4c31cd:891d14e90d660bb3", 6, 373},
+	} {
+		if got := PointHash(base, c.p); got != c.hash {
+			t.Errorf("%s: PointHash = %q, want %q", PointLabel(c.p), got, c.hash)
+		}
+		if a, b := ShardOf(base, c.p, 7), ShardOf(base, c.p, 1000); a != c.shard7 || b != c.shard1e3 {
+			t.Errorf("%s: ShardOf(7)=%d ShardOf(1000)=%d, want %d %d", PointLabel(c.p), a, b, c.shard7, c.shard1e3)
+		}
+	}
+}

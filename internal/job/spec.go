@@ -80,28 +80,9 @@ func (s Spec) Layers() int {
 	return len(s.Topology.Layers)
 }
 
-// ShapeKey is the canonical identity of the workload: concatenated
-// kind-qualified node keys (graphs) or layer shape keys (flat), with
-// user-facing names excluded — the same identity batch points use.
-func (s Spec) ShapeKey() string {
-	var b strings.Builder
-	if s.Graph != nil {
-		for i := range s.Graph.Nodes {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			b.WriteString(s.Graph.Nodes[i].Key())
-		}
-		return b.String()
-	}
-	for i, l := range s.Topology.Layers {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(l.Key())
-	}
-	return b.String()
-}
+// ShapeKey is the workload's canonical identity, names excluded — the
+// same identity batch points use.
+func (s Spec) ShapeKey() string { return topology.ShapeKey(s.Topology, s.Graph) }
 
 // Key is the job's content address: the configuration's canonical hash
 // crossed with the workload shape key and the run bounds. Equal keys mean

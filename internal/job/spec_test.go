@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scalesim/internal/config"
+	"scalesim/internal/dram"
 	"scalesim/internal/topology"
 )
 
@@ -102,5 +103,39 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 	}
 	if d.Net() != "BERTTiny" || d.Layers() != len(g.Nodes) {
 		t.Fatalf("graph identity: net=%q layers=%d", d.Net(), d.Layers())
+	}
+}
+
+// TestSpecKeyLiterals pins Key() byte for byte: it addresses the daemon's
+// result cache and Spec.Key()-addressed run-registry entries, so a
+// refactor of the workload identity must not move it.
+func TestSpecKeyLiterals(t *testing.T) {
+	const (
+		flatKey  = "sha256:8a7dd5a9f539bd1f7b0030700bc536e00317f3f822638cf8cc1b4a3d0ce4f50e:918bf38b9ae572a3"
+		graphKey = "sha256:615771227592776b5598541bfea04bec4a7baac823d3ae9b4aa165208354678b:891d14e90d660bb3"
+	)
+	g, _ := topology.BuiltInGraph("BERTTiny")
+	ddr3 := dram.DDR3()
+	flat := tinySpec()
+	graph := Spec{Config: config.New(), Graph: &g}
+	bounded := flat
+	bounded.DRAMBandwidth = 4
+	timed := graph
+	timed.DRAMBandwidth = 0.5
+	timed.DRAM = &ddr3
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"flat TinyNet", flat, flatKey},
+		{"BERTTiny graph", graph, graphKey},
+		{"flat with bw", bounded, flatKey + ";bw=4"},
+		{"graph with bw and dram", timed, graphKey + ";bw=0.5;dram={Channels:0 InterleaveWords:0 Banks:8 RowWords:2048 " +
+			"TRCD:11 TCAS:11 TRP:11 TREFI:7800 TRFC:139 BusCyclesPerWord:1 Policy:0}"},
+	} {
+		if got := c.spec.Key(); got != c.want {
+			t.Errorf("%s: Key() = %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package cycleacct is the simulator's cycle-accounting ledger: every
 // simulated cycle of a run is binned into an exhaustive category taxonomy
-// (MAC-active streaming, fold ramp/drain, SRAM and DRAM-bandwidth stalls,
+// (MAC-active streaming, fold ramp/drain, DRAM-bandwidth stalls,
 // vector-unit passes, partition skew wait) under the hard invariant
 //
 //	sum(bins) == TotalCycles
@@ -25,9 +25,9 @@
 // mapped extents replace R and C. Vector nodes decompose into their
 // passes, each ceil(elems/lanes) cycles. A bounded DRAM link appends its
 // stall cycles; a scale-out grid appends each partition's wait on the
-// slowest partition. The per-stream SRAM stall categories are structural:
-// the modeled SRAMs are double-buffered and stall-free (Sec. II-C), so
-// those bins are zero unless a future memory model populates them.
+// slowest partition. There is no SRAM stall category: the modeled SRAMs
+// are double-buffered and stall-free (Sec. II-C); a banked-SRAM conflict
+// model would add real bins with the cycles it computes.
 package cycleacct
 
 import (
@@ -48,12 +48,6 @@ const (
 	// FoldDrain is the output shift-out at the end of a fold (C cycles,
 	// or the mapped columns under edge trimming).
 	FoldDrain = "fold_drain"
-	// SRAMIfmapStall, SRAMFilterStall and SRAMOfmapStall are per-stream
-	// SRAM backpressure. The modeled double-buffered SRAMs never stall,
-	// so these bins are structurally present but zero.
-	SRAMIfmapStall  = "sram_ifmap_stall"
-	SRAMFilterStall = "sram_filter_stall"
-	SRAMOfmapStall  = "sram_ofmap_stall"
 	// DRAMBwStall is the extra runtime a bounded DRAM link inflicts
 	// (trace.StallAnalyzer over both DRAM streams).
 	DRAMBwStall = "dram_bw_stall"
@@ -80,7 +74,6 @@ const (
 func Categories() []string {
 	return []string{
 		MACActive, FoldRamp, FoldDrain,
-		SRAMIfmapStall, SRAMFilterStall, SRAMOfmapStall,
 		DRAMBwStall, VectorPass, PartitionSkew,
 	}
 }

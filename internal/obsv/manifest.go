@@ -12,17 +12,11 @@ import (
 	"scalesim/internal/obsv/cycleacct"
 )
 
-// Schema identifies the manifest document format. v2 added the optional
-// timeline summary; v3 added run provenance (command line, build info,
-// hostname); v4 added the cycle_accounting block (per-node ledgers,
-// category rollup, roofline rows). Older documents are still accepted by
-// Validate.
-const (
-	Schema   = "scalesim.manifest/v4"
-	SchemaV3 = "scalesim.manifest/v3"
-	SchemaV2 = "scalesim.manifest/v2"
-	SchemaV1 = "scalesim.manifest/v1"
-)
+// Schema identifies the manifest document format, the only one Validate
+// accepts: v4 is v1 plus the optional timeline summary (v2), run
+// provenance (v3) and the cycle_accounting block (per-node ledgers,
+// category rollup, roofline rows).
+const Schema = "scalesim.manifest/v4"
 
 // TopologyInfo identifies the workload a manifest describes. Nodes and
 // Edges are set for operator-graph runs: the node count (equal to Layers,
@@ -300,7 +294,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 // Validate checks the fields every manifest must carry.
 func (m *Manifest) Validate() error {
 	switch {
-	case m.Schema != Schema && m.Schema != SchemaV3 && m.Schema != SchemaV2 && m.Schema != SchemaV1:
+	case m.Schema != Schema:
 		return fmt.Errorf("obsv: manifest schema %q, want %q", m.Schema, Schema)
 	case m.Created == "":
 		return fmt.Errorf("obsv: manifest missing created timestamp")

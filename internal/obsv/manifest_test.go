@@ -81,17 +81,15 @@ func TestManifestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestManifestSchemaVersions pins the compatibility contract: the current
-// schema, v3, v2 and v1 all validate, anything else is rejected.
+// TestManifestSchemaVersions pins the one-live-schema contract: the
+// current schema validates, every earlier or unknown one is rejected.
 func TestManifestSchemaVersions(t *testing.T) {
-	for _, schema := range []string{Schema, SchemaV3, SchemaV2, SchemaV1} {
-		m := (*Recorder)(nil).Manifest()
-		m.Schema = schema
-		if err := m.Validate(); err != nil {
-			t.Errorf("schema %q rejected: %v", schema, err)
-		}
+	m := (*Recorder)(nil).Manifest()
+	if err := m.Validate(); err != nil || m.Schema != "scalesim.manifest/v4" {
+		t.Errorf("schema %q rejected: %v", m.Schema, err)
 	}
-	for _, schema := range []string{"", "scalesim.manifest/v0", "scalesim.manifest/v5", "other/v2"} {
+	for _, schema := range []string{"", "scalesim.manifest/v0", "scalesim.manifest/v1", "scalesim.manifest/v2",
+		"scalesim.manifest/v3", "scalesim.manifest/v5", "other/v2"} {
 		m := (*Recorder)(nil).Manifest()
 		m.Schema = schema
 		if err := m.Validate(); err == nil {
@@ -120,8 +118,8 @@ func TestManifestProvenance(t *testing.T) {
 	if host, err := os.Hostname(); err == nil && p.Hostname != host {
 		t.Errorf("hostname = %q, want %q", p.Hostname, host)
 	}
-	// Provenance must survive the JSON round trip with v1/v2 compatibility
-	// intact: a document without the field still parses.
+	// Provenance must survive the JSON round trip and stay optional: a
+	// document without the field still parses.
 	m := NewRecorder().Manifest()
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
@@ -134,10 +132,10 @@ func TestManifestProvenance(t *testing.T) {
 	if back.Provenance == nil || len(back.Provenance.CommandLine) == 0 {
 		t.Errorf("provenance lost in round trip: %+v", back.Provenance)
 	}
-	old := []byte(`{"schema":"scalesim.manifest/v2","created":"2026-01-01T00:00:00Z",
+	bare := []byte(`{"schema":"scalesim.manifest/v4","created":"2026-01-01T00:00:00Z",
 		"runtime":{"go_version":"go1.22","num_cpu":1,"gomaxprocs":1}}`)
-	if _, err := ParseManifest(old); err != nil {
-		t.Errorf("v2 manifest without provenance rejected: %v", err)
+	if _, err := ParseManifest(bare); err != nil {
+		t.Errorf("manifest without provenance rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package timeline
 
-import "fmt"
+import (
+	"fmt"
+
+	"scalesim/internal/trace"
+)
 
 // Counter track names of the per-layer bandwidth series: the three SRAM
 // streams, the merged DRAM read/write interface, and the three
@@ -69,7 +73,7 @@ type LayerRecorder struct {
 
 	window     int64
 	samplers   map[string]*Sampler
-	stall      *StallProfiler
+	stall      *trace.StallAnalyzer
 	folds      []FoldSpan
 	passes     []PassSpan
 	op         string
@@ -101,10 +105,12 @@ func (r *LayerRecorder) Sampler(track string) *Sampler {
 	return s
 }
 
-// Stall installs a stall profiler for a bounded DRAM link; attach the
-// returned consumer to both DRAM streams.
-func (r *LayerRecorder) Stall(wordsPerCycle float64) *StallProfiler {
-	r.stall = NewStallProfiler(wordsPerCycle, r.window)
+// Stall installs an interval-recording stall analyzer for a bounded DRAM
+// link (wordsPerCycle must be positive); attach the returned consumer to
+// both DRAM streams.
+func (r *LayerRecorder) Stall(wordsPerCycle float64) *trace.StallAnalyzer {
+	r.stall = trace.NewStallAnalyzer(wordsPerCycle)
+	r.stall.RecordIntervals(r.window)
 	return r.stall
 }
 
@@ -191,7 +197,7 @@ func (r *LayerRecorder) Emit(w *Writer, pid int64, pl Placement) {
 		if r.drainWords > 0 {
 			dur := int64(1)
 			if r.stall != nil {
-				dur = int64(float64(r.drainWords)/r.stall.WordsPerCycle()) + 1
+				dur = int64(float64(r.drainWords)/r.stall.WordsPerCycle) + 1
 			}
 			w.Span(pid, pl.DRAM, r.Name+" ofmap drain", pl.Offset+r.cycles, dur,
 				map[string]any{"words": r.drainWords})

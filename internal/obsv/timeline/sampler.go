@@ -113,49 +113,3 @@ func (s *Sampler) Emit(w *Writer, pid int64, track string, offset int64) {
 		w.Counter(pid, track, offset+(s.base+int64(len(s.counts)))*s.window, 0)
 	}
 }
-
-// Interval is one stall span on the simulated-cycle axis.
-type Interval = trace.StallInterval
-
-// StallProfiler localizes the stalls a bounded DRAM link inflicts. It is
-// a thin wrapper over trace.StallAnalyzer with interval recording
-// enabled — the lag model, stall total, and interval placement all come
-// from the single implementation in the trace package, so the timeline's
-// stall tracks agree with the analyzer's stall totals by construction.
-type StallProfiler struct {
-	a *trace.StallAnalyzer
-}
-
-// NewStallProfiler builds a profiler for the given link bandwidth in
-// words per cycle (must be positive) and merge window in cycles.
-func NewStallProfiler(wordsPerCycle float64, window int64) *StallProfiler {
-	if wordsPerCycle <= 0 {
-		panic("timeline: stall profiler needs positive bandwidth")
-	}
-	a := trace.NewStallAnalyzer(wordsPerCycle)
-	a.RecordIntervals(window)
-	return &StallProfiler{a: a}
-}
-
-// WordsPerCycle returns the link bandwidth the profiler models.
-func (p *StallProfiler) WordsPerCycle() float64 { return p.a.WordsPerCycle }
-
-// Consume implements trace.Consumer.
-func (p *StallProfiler) Consume(cycle int64, addrs []int64) {
-	p.a.Consume(cycle, addrs)
-}
-
-// ConsumeRuns implements trace.RunConsumer without expanding the runs.
-func (p *StallProfiler) ConsumeRuns(cycle int64, runs []trace.Run) {
-	p.a.ConsumeRuns(cycle, runs)
-}
-
-// Add records words of DRAM demand at the given cycle.
-func (p *StallProfiler) Add(cycle, words int64) { p.a.Add(cycle, words) }
-
-// Intervals returns the stall intervals recorded so far.
-func (p *StallProfiler) Intervals() []Interval { return p.a.Intervals() }
-
-// StallCycles returns the total stall — identical to
-// trace.StallAnalyzer.StallCycles on the same feed.
-func (p *StallProfiler) StallCycles() int64 { return p.a.StallCycles() }

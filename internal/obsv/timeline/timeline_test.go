@@ -3,7 +3,6 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -161,33 +160,25 @@ func TestSamplerOutOfOrderFrontGrowth(t *testing.T) {
 	}
 }
 
-func TestStallProfilerMatchesAnalyzer(t *testing.T) {
+// TestRecorderStallIntervals: the analyzer a recorder installs localizes
+// its stalls — interval recording is on, every interval is positive and
+// together they account for the stall total.
+func TestRecorderStallIntervals(t *testing.T) {
+	rec := NewLayerRecorder("L", 0, 64)
+	p := rec.Stall(2.5)
 	// A bursty demand schedule: heavy prefetch, idle gap, steady tail.
-	feed := func(add func(cycle, words int64)) {
-		for c := int64(0); c < 50; c++ {
-			add(c, 9)
-		}
-		for c := int64(200); c < 400; c += 2 {
-			add(c, 3)
-		}
-		add(1000, 100)
+	for c := int64(0); c < 50; c++ {
+		p.Add(c, 9)
 	}
-	ref := trace.NewStallAnalyzer(2.5)
-	ref.RecordIntervals(64)
-	p := NewStallProfiler(2.5, 64)
-	feed(ref.Add)
-	feed(p.Add)
-	if got, want := p.StallCycles(), ref.StallCycles(); got != want {
-		t.Fatalf("StallCycles = %d, analyzer says %d", got, want)
+	for c := int64(200); c < 400; c += 2 {
+		p.Add(c, 3)
 	}
-	if got, want := p.Intervals(), ref.Intervals(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("intervals diverge from analyzer: %v vs %v", got, want)
-	}
+	p.Add(1000, 100)
 	if len(p.Intervals()) == 0 {
 		t.Fatal("bursty feed produced no intervals")
 	}
-	if got := p.WordsPerCycle(); got != 2.5 {
-		t.Fatalf("WordsPerCycle = %v, want 2.5", got)
+	if got, want := rec.StallCycles(), p.StallCycles(); got != want || want == 0 {
+		t.Fatalf("recorder StallCycles = %d, analyzer says %d", got, want)
 	}
 	var total int64
 	for _, iv := range p.Intervals() {

@@ -59,7 +59,7 @@ type Entry struct {
 	TotalCycles int64  `json:"total_cycles"`
 	StallCycles int64  `json:"stall_cycles,omitempty"`
 	// LedgerCycles and CycleBins summarize the manifest's cycle-accounting
-	// block (v4 manifests): total attributed cycles and the per-category
+	// block: total attributed cycles and the per-category
 	// rollup, so category queries can rank runs without reloading every
 	// manifest body.
 	LedgerCycles int64            `json:"ledger_cycles,omitempty"`
@@ -489,9 +489,9 @@ type TopCategoryRow struct {
 
 // TopBy ranks every stored node by the fraction of its cycles attributed
 // to the given cycle-accounting category and returns the worst n (n <= 0
-// returns all). Only v4 manifests carry ledgers; older runs are silently
-// skipped. An unknown category is an error, not an empty result, so a
-// typo never reads as "nothing stalls".
+// returns all). Runs without a ledger are silently skipped. An unknown
+// category is an error, not an empty result, so a typo never reads as
+// "nothing stalls".
 func (s *Store) TopBy(category string, n int) ([]TopCategoryRow, error) {
 	if !cycleacct.KnownCategory(category) {
 		return nil, fmt.Errorf("runstore: unknown cycle category %q (known: %s)",

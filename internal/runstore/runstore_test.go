@@ -167,6 +167,46 @@ func TestStoreRebuild(t *testing.T) {
 	}
 }
 
+// TestRebuildSkipsOldSchema: one manifest schema is live. A v3 document
+// left in a store is named by Get and dropped from the index by Rebuild.
+func TestRebuildSkipsOldSchema(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := s.Add(manifest(t, "a", "sha256:aaaa", "net", layer(0, "l", 10, 0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.Add(manifest(t, "b", "sha256:bbbb", "net", layer(0, "l", 20, 0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), filepath.FromSlash(old.Path))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v3 = "scalesim.manifest/v3"
+	data = []byte(strings.Replace(string(data), obsv.Schema, v3, 1))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get(old.ID); err == nil || !strings.Contains(err.Error(), v3) {
+		t.Errorf("Get on a v3 manifest: err = %v, want the schema named", err)
+	}
+	rebuilt, err := s.Rebuild()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rebuilt) != 1 || rebuilt[0].ID != cur.ID {
+		t.Errorf("Rebuild indexed %+v, want only %s", rebuilt, cur.ID)
+	}
+	if _, _, err := s.Get(cur.ID); err != nil {
+		t.Errorf("Get on the v4 run after rebuild: %v", err)
+	}
+}
+
 func TestDiffIdenticalRuns(t *testing.T) {
 	a := manifest(t, "a", "sha256:same", "net",
 		layer(0, "conv1", 100, 10, 0.8), layer(1, "fc", 50, 0, 0.9))

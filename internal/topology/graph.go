@@ -180,6 +180,24 @@ func (n Node) Key() string {
 	return key + "|" + n.Layer.Key()
 }
 
+// ShapeKey is the canonical identity of a workload — graph g when
+// non-nil, else the flat topology t: the node keys (graph) or layer shape
+// keys (flat) joined by ';', user-facing names excluded. Job keys, batch
+// point hashes and shard assignment are all derived from it.
+func ShapeKey(t Topology, g *Graph) string {
+	var keys []string
+	if g != nil {
+		for i := range g.Nodes {
+			keys = append(keys, g.Nodes[i].Key())
+		}
+	} else {
+		for _, l := range t.Layers {
+			keys = append(keys, l.Key())
+		}
+	}
+	return strings.Join(keys, ";")
+}
+
 // Work returns the node's useful work: MAC operations for matmul kinds,
 // tensor elements for vector kinds.
 func (n Node) Work() int64 {

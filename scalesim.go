@@ -41,7 +41,6 @@ import (
 	"scalesim/internal/dram"
 	"scalesim/internal/energy"
 	"scalesim/internal/engine"
-	"scalesim/internal/job"
 	"scalesim/internal/memory"
 	"scalesim/internal/noc"
 	"scalesim/internal/obsv"
@@ -288,9 +287,6 @@ type (
 	RooflineRow = cycleacct.RooflineRow
 )
 
-// CycleCategories lists the cycle-accounting taxonomy in canonical order.
-func CycleCategories() []string { return cycleacct.Categories() }
-
 // NewCycleReport assembles and validates a run's cycle report from node
 // ledgers — the path for callers that aggregate their own nodes (the
 // scale-out CLI); Simulator.CycleReport covers ordinary runs.
@@ -304,11 +300,6 @@ func NewRooflineRow(name, op string, ops, dramBytes, cycles int64,
 	peakOpsPerCycle, linkWordsPerCycle float64, wordBytes int64) RooflineRow {
 	return cycleacct.NewRooflineRow(name, op, ops, dramBytes, cycles,
 		peakOpsPerCycle, linkWordsPerCycle, wordBytes)
-}
-
-// WriteRooflineCSV writes roofline rows as CSV.
-func WriteRooflineCSV(w io.Writer, rows []RooflineRow) error {
-	return cycleacct.WriteRooflineCSV(w, rows)
 }
 
 // Timeline types: attach a TimelineWriter through Options.Timeline (or
@@ -366,58 +357,6 @@ func NewDiskCache(dir string) (*Cache, error) { return simcache.NewDisk(dir) }
 func NewDiskLRUCache(dir string, maxBytes int64) (*Cache, error) {
 	return simcache.NewDiskLRU(dir, maxBytes)
 }
-
-// Job-orchestration types: the submit/status/cancel layer shared by the
-// scalesim and scalesweep CLIs and the scalesimd daemon. A JobSpec is a
-// pure value — config plus workload plus bounds, canonically keyed — so
-// it travels over the wire (JobRequest is its JSON form); a JobRunner
-// executes specs on a persistent bounded worker pool behind an admission
-// queue, sharing one result cache across all jobs.
-type (
-	// Job is one tracked execution of a spec (or sweep) on a runner.
-	Job = job.Job
-	// JobSpec fully describes a simulation job (config, workload, bounds).
-	JobSpec = job.Spec
-	// JobRequest is the wire (JSON) form of a job submission.
-	JobRequest = job.Request
-	// JobResult is a completed job's output: run + manifest, or sweep rows.
-	JobResult = job.Result
-	// JobRunner executes jobs on a shared pool behind an admission queue.
-	JobRunner = job.Runner
-	// JobOptions configures a runner (workers, queue depth, cache, store).
-	JobOptions = job.Options
-	// JobLive carries per-submission live consumers (progress, timeline,
-	// traces, sinks) that a wire spec deliberately excludes.
-	JobLive = job.Live
-	// JobInfo is a JSON-friendly snapshot of a job's state.
-	JobInfo = job.Info
-	// JobStatus is a job's lifecycle state.
-	JobStatus = job.Status
-)
-
-// Job lifecycle states.
-const (
-	JobQueued    = job.StatusQueued
-	JobRunning   = job.StatusRunning
-	JobDone      = job.StatusDone
-	JobFailed    = job.StatusFailed
-	JobCancelled = job.StatusCancelled
-)
-
-// Job-orchestration errors.
-var (
-	// ErrJobQueueFull is returned by JobRunner.Submit when the admission
-	// queue is at capacity (the daemon's HTTP 429).
-	ErrJobQueueFull = job.ErrQueueFull
-	// ErrJobRunnerClosed is returned by submissions during shutdown.
-	ErrJobRunnerClosed = job.ErrClosed
-	// ErrJobNotFound is returned for unknown job IDs.
-	ErrJobNotFound = job.ErrNotFound
-)
-
-// NewJobRunner starts a job runner with its worker pool. Close it to
-// drain.
-func NewJobRunner(opt JobOptions) *JobRunner { return job.NewRunner(opt) }
 
 // DDR3 returns the default DRAM timing parameters.
 func DDR3() DRAMConfig { return dram.DDR3() }

@@ -17,6 +17,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'TestPlan' ./internal/core
+	$(GO) test -race -count=3 -run 'ScaleOut|Parts' ./internal/job ./cmd/scalesimd
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -9,13 +9,17 @@
 //	scalesim -net Resnet50 -metrics run.json -progress -pprof localhost:6060
 //	scalesim -net Resnet50 -cache-dir .simcache -metrics run.json
 //	scalesim -net Resnet50 -run-dir runs -log run.log -metrics-addr localhost:9911
+//	scalesim -net AlexNet -array 16x16 -parts 2x4 [-outdir out] [-metrics run.json]
 //
 // Either -config or the individual flags describe the hardware; -topology
 // overrides the config's topology path and -net selects a built-in
 // workload — a flat network or a native operator graph such as BERTTiny.
 // -graph loads an operator-graph JSON file (scalesim.graph/v1); graph
 // workloads run in the graph's topological order and additionally emit an
-// operators report. -metrics writes a machine-readable run
+// operators report. -parts runs every layer of a flat topology scale-out
+// on a grid of -array-shaped partitions and prints the scaleout report;
+// it does not combine with graphs, -dram, -dram-bw, -traces or -json.
+// -metrics writes a machine-readable run
 // manifest (per-layer cycles and wall timings, engine span aggregates,
 // runtime stats), -progress reports per-layer completion to stderr, and
 // -pprof serves net/http/pprof for the duration of the run.
@@ -36,13 +40,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"scalesim"
 	"scalesim/internal/cliobs"
 	"scalesim/internal/job"
 	"scalesim/internal/obsv"
-	"scalesim/internal/report"
 )
 
 func main() {
@@ -67,7 +69,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		useDRAM  = fs.Bool("dram", false, "replay DRAM traces through the DDR3 timing model")
 		asJSON   = fs.Bool("json", false, "emit the full result as JSON instead of the summary")
 		partsArg = fs.String("parts", "", "run scale-out: partition grid as PrxPc (e.g. 2x4); -array sets the per-partition shape")
-		workers  = fs.Int("workers", 0, "layers simulated concurrently (0 = number of CPUs, 1 = sequential)")
+		workers  = fs.Int("workers", 0, "layers (under -parts: partitions of a layer) simulated concurrently (0 = number of CPUs, 1 = sequential)")
 		metrics  = fs.String("metrics", "", "write a machine-readable run manifest (JSON) to this path")
 		progress = fs.Bool("progress", false, "report per-layer progress to stderr")
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
@@ -114,62 +116,37 @@ func run(args []string, stdout io.Writer) (retErr error) {
 
 	cfg := scalesim.NewConfig()
 	if *cfgPath != "" {
-		var err error
 		if cfg, err = scalesim.LoadConfig(*cfgPath); err != nil {
 			return err
 		}
 	}
-	if *array != "" {
-		r, c, err := parseArray(*array)
-		if err != nil {
-			return err
-		}
-		cfg = cfg.WithArray(r, c)
+	cfg, err = job.Override(cfg, *array, *df, *sram, *vlanes)
+	if err != nil {
+		return err
 	}
-	if *df != "" {
-		d, err := scalesim.ParseDataflow(*df)
-		if err != nil {
-			return err
-		}
-		cfg = cfg.WithDataflow(d)
-	}
-	if *sram != "" {
-		var i, f, o int
-		if _, err := fmt.Sscanf(*sram, "%d,%d,%d", &i, &f, &o); err != nil {
-			return fmt.Errorf("invalid -sram %q: %w", *sram, err)
-		}
-		cfg = cfg.WithSRAM(i, f, o)
-	}
-
-	if *vlanes != 0 {
-		cfg.VectorLanes = *vlanes
-	}
-
 	topo, graph, err := pickWorkload(cfg, *topoPath, *netName, *grPath)
 	if err != nil {
 		return err
 	}
 
-	// Scale-out runs layers on a partitioned system, outside the job
-	// runner; what that path does not implement is refused, not ignored.
-	var pr, pc int
+	// Every mode is one job.Spec; what a mode does not support is refused
+	// by Validate, before anything is opened, printed or written.
+	spec := job.Spec{Config: cfg, Topology: topo, Graph: graph,
+		DRAMBandwidth: *dramBW, Workers: *workers}
+	if *useDRAM {
+		ddr := scalesim.DDR3()
+		spec.DRAM = &ddr
+	}
 	if *partsArg != "" {
-		if graph != nil {
-			return fmt.Errorf("-parts runs layers on a partitioned system and does not support operator graphs")
+		if spec.Parts, err = job.ParseParts(*partsArg); err != nil {
+			return err
 		}
-		if pr, pc, err = parseArray(*partsArg); err != nil {
-			return fmt.Errorf("invalid -parts %q (want PrxPc)", *partsArg)
+		if *asJSON {
+			return fmt.Errorf("-parts does not support -json: a scale-out result is not a RunResult")
 		}
-		var unsupported string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dram", "dram-bw", "traces", "outdir", "json":
-				unsupported = f.Name
-			}
-		})
-		if unsupported != "" {
-			return fmt.Errorf("-parts does not support -%s", unsupported)
-		}
+	}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 
 	cache, err := cacheFlags.Open()
@@ -194,17 +171,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}()
 	}
 
-	if *partsArg != "" {
-		return runScaleOut(stdout, cfg, topo, pr, pc, rec, prog, *metrics, tlw, cache, obs, cyc)
-	}
-
 	// The CLI runs through the same job.Runner the scalesimd daemon
 	// executes on — one orchestration path, sized here for a single
 	// in-process job so the output stays byte-identical to a direct run.
 	runner := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
 	defer func() { _ = runner.Close(context.Background()) }()
-	spec := job.Spec{Config: cfg, Topology: topo, Graph: graph,
-		DRAMBandwidth: *dramBW, Workers: *workers}
 	live := job.Live{Obs: rec, Progress: prog, Timeline: tlw}
 	if *traces {
 		if *outDir == "" {
@@ -212,146 +183,53 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}
 		live.TraceDir = *outDir
 	}
-	if *useDRAM {
-		ddr := scalesim.DDR3()
-		spec.DRAM = &ddr
-	}
 
 	result, err := runner.Run(spec, live)
 	if err != nil {
 		return err
 	}
-	res := result.Run
 
-	if *metrics != "" || obs.RunDir() != "" {
-		m := result.Manifest
-		if *metrics != "" {
-			if err := m.WriteFile(*metrics); err != nil {
-				return err
-			}
-		}
-		if err := obs.StoreRun(m); err != nil {
+	if *metrics != "" {
+		if err := result.Manifest.WriteFile(*metrics); err != nil {
 			return err
 		}
 	}
-	if cyc.Active() {
-		net := topo.Name
-		if graph != nil {
-			net = graph.Name
-		}
-		if err := cyc.Write(result.Manifest.CycleAccounting, net); err != nil {
-			return err
-		}
+	if err := obs.StoreRun(result.Manifest); err != nil {
+		return err
+	}
+	if err := cyc.Write(result.Manifest.CycleAccounting, spec.Net()); err != nil {
+		return err
 	}
 	if *outDir != "" {
-		if err := writeReports(*outDir, cfg.RunName, res); err != nil {
+		if err := writeReports(*outDir, cfg.RunName, result); err != nil {
 			return err
 		}
 	}
-	if *asJSON {
+	switch {
+	case *asJSON:
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	if graph != nil {
+		return enc.Encode(result.Run)
+	case result.ScaleOut != nil:
+		fmt.Fprintf(stdout, "scale-out: %s partitions of %dx%d, %d MACs total | topology %s\n", spec.Parts,
+			cfg.ArrayHeight, cfg.ArrayWidth, spec.Parts.Count()*int64(cfg.MACs()), topo.Name)
+		return result.WriteReport(stdout, "scaleout")
+	case graph != nil:
 		fmt.Fprintf(stdout, "run: %s | graph: %s (%d nodes, %d edges) | array %dx%d %s | %d lanes\n",
 			cfg.RunName, graph.Name, len(graph.Nodes), graph.Edges(),
 			cfg.ArrayHeight, cfg.ArrayWidth, cfg.Dataflow, cfg.Lanes())
-		if err := report.WriteOperators(stdout, res); err != nil {
+		if err := result.WriteReport(stdout, "operators"); err != nil {
 			return err
 		}
-	} else {
+	default:
 		fmt.Fprintf(stdout, "run: %s | topology: %s (%d layers) | array %dx%d %s\n",
 			cfg.RunName, topo.Name, len(topo.Layers), cfg.ArrayHeight, cfg.ArrayWidth, cfg.Dataflow)
 	}
-	return report.WriteSummary(stdout, res)
-}
-
-// runScaleOut executes every layer on a Pr x Pc grid of arrays shaped like
-// the base config's array, dividing the SRAM budget among partitions, and
-// prints a per-layer scale-out report. With rec attached it also emits a
-// run manifest (one entry per layer, partition-level engine spans).
-func runScaleOut(stdout io.Writer, cfg scalesim.Config, topo scalesim.Topology, pr, pc int,
-	rec *obsv.Recorder, prog *obsv.Progress, metricsPath string, tlw *scalesim.TimelineWriter,
-	cache *scalesim.Cache, obs *cliobs.Flags, cyc *cliobs.CycleProfFlags) error {
-	spec := scalesim.ScaleOutSpec{
-		Parts: scalesim.Partitioning{Pr: int64(pr), Pc: int64(pc)},
-		Shape: scalesim.Shape{R: int64(cfg.ArrayHeight), C: int64(cfg.ArrayWidth)},
-	}
-	fmt.Fprintf(stdout, "scale-out: %s, %d MACs total | topology %s\n",
-		spec, spec.MACs(), topo.Name)
-	fmt.Fprintln(stdout, "Layer,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites,EnergyTotal")
-	prog.Start(len(topo.Layers))
-	var total int64
-	var layers []obsv.LayerMetrics
-	var nodes []scalesim.CycleNodeLedger
-	var roofline []scalesim.RooflineRow
-	for i, l := range topo.Layers {
-		var t0 time.Time
-		if rec.Enabled() {
-			t0 = time.Now()
-		}
-		res, err := scalesim.RunScaleOut(l, cfg, spec, scalesim.ScaleOutOptions{Obs: rec, Timeline: tlw, Cache: cache})
-		if err != nil {
-			return fmt.Errorf("layer %s: %w", l.Name, err)
-		}
-		rec.ObserveLayer(i, l.Name, time.Since(t0))
-		prog.Step(l.Name)
-		total += res.Cycles
-		if rec.Enabled() {
-			layers = append(layers, obsv.LayerMetrics{
-				Index: i, Name: l.Name, Cycles: res.Cycles, MACs: res.MACs,
-				DRAMReads: res.DRAMReads, DRAMWrites: res.DRAMWrites,
-				WallSeconds: rec.LayerSeconds(i),
-			})
-		}
-		node := *res.Ledger
-		node.Index = i
-		nodes = append(nodes, node)
-		roofline = append(roofline, scalesim.NewRooflineRow(
-			l.Name, string(scalesim.OpConv), res.MACs,
-			(res.DRAMReads+res.DRAMWrites)*int64(cfg.WordBytes),
-			res.Cycles, float64(spec.MACs()), 0, int64(cfg.WordBytes)))
-		fmt.Fprintf(stdout, "%s,%d,%.4f,%.4f,%d,%d,%.0f\n",
-			l.Name, res.Cycles, res.AvgDRAMBW(), res.PeakDRAMBW,
-			res.DRAMReads, res.DRAMWrites, res.Energy.Total())
-	}
-	fmt.Fprintf(stdout, "TOTAL,%d,,,,,\n", total)
-	prog.Finish()
-	// The same checked roll-up core.CycleReport publishes: books that do
-	// not close fail the run.
-	ca, err := scalesim.NewCycleReport(nodes)
-	if err != nil {
-		return err
-	}
-	ca.Roofline = roofline
-	if metricsPath != "" || obs.RunDir() != "" {
-		m := rec.Manifest()
-		m.Tool = "scalesim"
-		m.Run = cfg.RunName
-		m.ConfigHash = cfg.Hash()
-		m.Topology = &obsv.TopologyInfo{Name: topo.Name, Layers: len(topo.Layers)}
-		m.Layers = layers
-		m.CycleAccounting = ca
-		if cache != nil {
-			st := cache.Stats()
-			m.Cache = &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-		}
-		if metricsPath != "" {
-			if err := m.WriteFile(metricsPath); err != nil {
-				return err
-			}
-		}
-		if err := obs.StoreRun(m); err != nil {
-			return err
-		}
-	}
-	return cyc.Write(ca, topo.Name)
+	return result.WriteReport(stdout, "summary")
 }
 
 // pickWorkload resolves the flags to either a flat topology or an
-// operator graph (graph non-nil). -net names resolve to flat built-ins
-// first, then to native operator graphs (BERTTiny, BERTBase).
+// operator graph (graph non-nil).
 func pickWorkload(cfg scalesim.Config, topoPath, netName, graphPath string) (scalesim.Topology, *scalesim.Graph, error) {
 	switch {
 	case graphPath != "":
@@ -361,16 +239,7 @@ func pickWorkload(cfg scalesim.Config, topoPath, netName, graphPath string) (sca
 		}
 		return scalesim.Topology{}, &g, nil
 	case netName != "":
-		if topo, ok := scalesim.BuiltInTopology(netName); ok {
-			return topo, nil, nil
-		}
-		g, err := scalesim.BuiltInGraph(netName)
-		if err != nil {
-			return scalesim.Topology{}, nil, fmt.Errorf("unknown built-in %q (have %s)",
-				netName, strings.Join(append(scalesim.BuiltInTopologyNames(),
-					scalesim.BuiltInGraphNames()...), ", "))
-		}
-		return scalesim.Topology{}, &g, nil
+		return job.BuiltIn(netName)
 	case topoPath != "":
 		t, err := scalesim.LoadTopology(topoPath)
 		return t, nil, err
@@ -381,32 +250,18 @@ func pickWorkload(cfg scalesim.Config, topoPath, netName, graphPath string) (sca
 	return scalesim.Topology{}, nil, fmt.Errorf("no workload: pass -topology, -graph, -net, or a config with a Topology entry")
 }
 
-func parseArray(s string) (r, c int, err error) {
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &r, &c); err != nil {
-		return 0, 0, fmt.Errorf("invalid -array %q (want RxC)", s)
-	}
-	return r, c, nil
-}
-
-func writeReports(dir, runName string, res scalesim.RunResult) error {
+// writeReports writes every report the result offers to
+// <dir>/<run>_<name>.csv — the bytes the daemon serves under ?report=.
+func writeReports(dir, runName string, result *job.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	reports := map[string]func(*os.File) error{
-		"cycles":    func(f *os.File) error { return report.WriteCycles(f, res) },
-		"bandwidth": func(f *os.File) error { return report.WriteBandwidth(f, res) },
-		"detail":    func(f *os.File) error { return report.WriteDetail(f, res) },
-		"summary":   func(f *os.File) error { return report.WriteSummary(f, res) },
-	}
-	if res.Graph != nil {
-		reports["operators"] = func(f *os.File) error { return report.WriteOperators(f, res) }
-	}
-	for name, write := range reports {
+	for _, name := range result.Reports() {
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s_%s.csv", runName, name)))
 		if err != nil {
 			return err
 		}
-		werr := write(f)
+		werr := result.WriteReport(f, name)
 		cerr := f.Close()
 		if werr != nil {
 			return werr

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalesim"
 	"scalesim/internal/obsv"
 )
 
@@ -98,31 +99,171 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 
-	// The scale-out path implements none of these; each is refused by
-	// name, before anything is simulated or written.
-	outDir := filepath.Join(t.TempDir(), "out")
-	for _, extra := range [][]string{
-		{"-dram"}, {"-dram-bw", "0.5"}, {"-traces", "-outdir", outDir}, {"-outdir", outDir}, {"-json"},
-	} {
+	// A grid that is not a grid is refused before the report header is
+	// printed, not inside the first layer.
+	for _, grid := range []string{"0x2", "2x0", "-1x2"} {
 		buf.Reset()
-		args := append([]string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", "1x2"}, extra...)
+		args := []string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", grid}
 		err := run(args, &buf)
-		if err == nil || !strings.Contains(err.Error(), extra[0]) {
-			t.Errorf("run(%v) = %v, want an error naming %s", args, err, extra[0])
+		if err == nil || !strings.Contains(err.Error(), "parts") {
+			t.Errorf("run(%v) = %v, want an error naming parts", args, err)
 		}
 		if buf.Len() != 0 {
 			t.Errorf("run(%v) printed a report before refusing:\n%s", args, buf.String())
 		}
 	}
-	if _, err := os.Stat(outDir); err == nil {
-		t.Error("a refused run created its -outdir")
+}
+
+// TestPartsFlagMatrix pairs -parts with every flag that could interact
+// with it: each pair either produces its artefact beside an unchanged
+// stdout table, or is refused naming the flag or the Spec field, with
+// nothing printed and nothing created.
+func TestPartsFlagMatrix(t *testing.T) {
+	base := []string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", "1x2"}
+	var want bytes.Buffer
+	if err := run(base, &want); err != nil {
+		t.Fatal(err)
+	}
+	graphPath := filepath.Join(t.TempDir(), "bert.json")
+	gf, err := os.Create(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := scalesim.BuiltInGraph("BERTTiny")
+	if err := scalesim.WriteGraph(gf, g); err != nil {
+		t.Fatal(err)
+	}
+	gf.Close()
+
+	for _, tc := range []struct {
+		flags    []string // "@" is replaced by the case's scratch directory
+		refused  string   // the error must name this
+		artefact string   // this path under the scratch directory must be non-empty
+	}{
+		{flags: []string{"-dram"}, refused: "DRAM"},
+		{flags: []string{"-dram-bw", "0.5"}, refused: "DRAMBandwidth"},
+		{flags: []string{"-traces", "-outdir", "@/out"}, refused: "TraceDir"},
+		{flags: []string{"-json"}, refused: "-json"},
+		{flags: []string{"-graph", graphPath}, refused: "Graph"},
+		{flags: []string{"-net", "BERTTiny"}, refused: "Graph"},
+		{flags: []string{"-outdir", "@/out"}, artefact: "out/scale_sim_scaleout.csv"},
+		{flags: []string{"-cache"}},
+		{flags: []string{"-cache-dir", "@/cache"}, artefact: "cache"},
+		{flags: []string{"-metrics", "@/m.json"}, artefact: "m.json"},
+		{flags: []string{"-timeline", "@/tl.json"}, artefact: "tl.json"},
+		{flags: []string{"-cycleprof", "@/c.pb.gz"}, artefact: "c.pb.gz"},
+		{flags: []string{"-roofline", "@/r.csv"}, artefact: "r.csv"},
+		{flags: []string{"-progress"}},
+		{flags: []string{"-workers", "1"}},
+		{flags: []string{"-run-dir", "@/runs"}, artefact: "runs"},
+	} {
+		dir := t.TempDir()
+		args := append([]string(nil), base...)
+		for _, f := range tc.flags {
+			args = append(args, strings.Replace(f, "@", dir, 1))
+		}
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		left, _ := os.ReadDir(dir)
+		if tc.refused != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.refused) {
+				t.Errorf("run(%v) = %v, want an error naming %s", tc.flags, err, tc.refused)
+			}
+			if buf.Len() != 0 || len(left) != 0 {
+				t.Errorf("run(%v) refused after printing %d bytes and creating %d entries", tc.flags, buf.Len(), len(left))
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("run(%v): %v", tc.flags, err)
+			continue
+		}
+		if buf.String() != want.String() {
+			t.Errorf("run(%v) changed the stdout table:\n%s", tc.flags, buf.String())
+		}
+		if tc.artefact == "" {
+			continue
+		}
+		path := filepath.Join(dir, tc.artefact)
+		if st, err := os.Stat(path); err != nil {
+			t.Errorf("run(%v): %v", tc.flags, err)
+		} else if st.IsDir() {
+			if ents, _ := os.ReadDir(path); len(ents) == 0 {
+				t.Errorf("run(%v) left %s empty", tc.flags, tc.artefact)
+			}
+		} else if st.Size() == 0 {
+			t.Errorf("run(%v) left %s empty", tc.flags, tc.artefact)
+		}
+	}
+
+	// -outdir writes exactly one report: the stdout table below its header.
+	dir := filepath.Join(t.TempDir(), "out")
+	if err := run(append(base, "-outdir", dir), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	ents, _ := os.ReadDir(dir)
+	if len(ents) != 1 || ents[0].Name() != "scale_sim_scaleout.csv" {
+		t.Fatalf("-outdir holds %v, want exactly scale_sim_scaleout.csv", ents)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, table, _ := strings.Cut(want.String(), "\n"); string(csv) != table {
+		t.Errorf("scaleout.csv differs from the stdout table:\n%s\n--\n%s", csv, table)
 	}
 }
 
+// TestScaleOutWorkers: -workers bounds the partition fan-out of a -parts
+// run and is recorded in its manifest, and like every other run its
+// outputs do not depend on the value.
+func TestScaleOutWorkers(t *testing.T) {
+	dir := t.TempDir()
+	outputs := func(workers string) (stdout string, roofline []byte, m *obsv.Manifest) {
+		t.Helper()
+		manifest := filepath.Join(dir, "m"+workers+".json")
+		csv := filepath.Join(dir, "r"+workers+".csv")
+		var buf bytes.Buffer
+		err := run([]string{"-net", "TinyNet", "-array", "8x8", "-sram", "4,4,2", "-parts", "2x2",
+			"-workers", workers, "-metrics", manifest, "-roofline", csv}, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err = obsv.ParseManifest(data); err != nil {
+			t.Fatal(err)
+		}
+		if roofline, err = os.ReadFile(csv); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), roofline, m
+	}
+	out1, roof1, m1 := outputs("1")
+	out4, roof4, m4 := outputs("4")
+	if m1.Workers != 1 || m4.Workers != 4 {
+		t.Errorf("manifest workers = %d and %d, want 1 and 4", m1.Workers, m4.Workers)
+	}
+	if out1 != out4 || !bytes.Equal(roof1, roof4) {
+		t.Errorf("-workers 1 and 4 disagree:\n%s\n--\n%s", out1, out4)
+	}
+	ca1, _ := json.Marshal(m1.CycleAccounting)
+	ca4, _ := json.Marshal(m4.CycleAccounting)
+	if !bytes.Equal(ca1, ca4) {
+		t.Errorf("cycle_accounting differs between -workers 1 and 4")
+	}
+}
+
+// TestParseArray: -array and -parts take RxC in either case.
 func TestParseArray(t *testing.T) {
-	r, c, err := parseArray("128X64")
-	if err != nil || r != 128 || c != 64 {
-		t.Errorf("parseArray = %d,%d,%v", r, c, err)
+	var buf bytes.Buffer
+	if err := run([]string{"-net", "TinyNet", "-array", "8X4", "-sram", "4,4,2", "-parts", "1X2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "scale-out: 1x2 partitions of 8x4") {
+		t.Errorf("header:\n%s", buf.String())
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"scalesim/internal/core"
 	"scalesim/internal/engine"
 	"scalesim/internal/job"
+	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/report"
 	"scalesim/internal/runstore"
 	"scalesim/internal/simcache"
@@ -195,6 +196,112 @@ func TestSubmitPollResultAndWarmReplay(t *testing.T) {
 		t.Fatalf("bad report name = %d/%d, want 400", resp.StatusCode, code)
 	}
 	resp.Body.Close()
+}
+
+// TestScaleOutJobMatchesCLI: a "parts" request is served by the same
+// Runner body the scalesim CLI runs for -parts — same scaleout report
+// bytes, same cycle account — under the daemon's tool name, and a warm
+// resubmission replays every partition window from the shared cache.
+func TestScaleOutJobMatchesCLI(t *testing.T) {
+	runner := job.NewRunner(job.Options{Workers: 1, Cache: simcache.New(), Tool: "scalesimd"})
+	defer runner.Close(context.Background())
+	ts := httptest.NewServer(newServer(runner))
+	defer ts.Close()
+
+	// What `scalesim -net TinyNet -array 4x4 -sram 4,4,2 -parts 3x2` runs.
+	const body = `{"net":"TinyNet","array":"4x4","sram":"4,4,2","parts":"3x2","workers":1}`
+	spec, err := job.Request{Net: "TinyNet", Array: "4x4", SRAM: "4,4,2", Parts: "3x2", Workers: 1}.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1})
+	defer cli.Close(context.Background())
+	direct, err := cli.Run(spec, job.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := direct.WriteReport(&want, "scaleout"); err != nil {
+		t.Fatal(err)
+	}
+	wantCA, _ := json.Marshal(direct.Manifest.CycleAccounting)
+
+	type resultDoc struct {
+		Reports  []string `json:"reports"`
+		Manifest struct {
+			Tool            string            `json:"tool"`
+			CycleAccounting *cycleacct.Report `json:"cycle_accounting"`
+			Cache           struct{ Hits int64 }
+		} `json:"manifest"`
+	}
+	fetch := func(id string) (report []byte, doc resultDoc) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/jobs/" + id + "/result?report=scaleout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp, err = http.Get(ts.URL + "/jobs/" + id + "/result"); err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return report, doc
+	}
+
+	in, resp := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", resp.StatusCode)
+	}
+	if done := pollDone(t, ts, in.ID); done.Status != job.StatusDone {
+		t.Fatalf("status = %s (%s)", done.Status, done.Error)
+	}
+	cold, doc := fetch(in.ID)
+	if !bytes.Equal(cold, want.Bytes()) {
+		t.Errorf("daemon scaleout report differs from the CLI table:\n%s\n--\n%s", cold, want.String())
+	}
+	if len(doc.Reports) != 1 || doc.Reports[0] != "scaleout" || doc.Manifest.Tool != "scalesimd" {
+		t.Errorf("reports %v, tool %q", doc.Reports, doc.Manifest.Tool)
+	}
+	if ca, _ := json.Marshal(doc.Manifest.CycleAccounting); !bytes.Equal(ca, wantCA) {
+		t.Errorf("daemon cycle_accounting differs from the CLI manifest")
+	}
+
+	in2, _ := postJob(t, ts, body)
+	pollDone(t, ts, in2.ID)
+	warm, doc2 := fetch(in2.ID)
+	if hits := doc2.Manifest.Cache.Hits; hits == 0 || !bytes.Equal(warm, cold) {
+		t.Errorf("warm resubmission: %d cache hits, report equal %v", hits, bytes.Equal(warm, cold))
+	}
+
+	// A scale-out result has no per-layer RunResult reports.
+	resp, err = http.Get(ts.URL + "/jobs/" + in.ID + "/result?report=cycles")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, msg := decodeErrorEnvelope(t, resp); resp.StatusCode != 400 || !strings.Contains(msg, "cycles") {
+		t.Errorf("report=cycles = %d %q, want 400 naming it", resp.StatusCode, msg)
+	}
+	resp.Body.Close()
+
+	// Refused by name at submission, nothing queued.
+	for bad, name := range map[string]string{
+		`{"net":"BERTTiny","parts":"1x2"}`:              "Graph",
+		`{"net":"TinyNet","parts":"0x2"}`:               "parts",
+		`{"net":"TinyNet","parts":"1x2","dram":true}`:   "DRAM",
+		`{"net":"TinyNet","parts":"1x2","dram_bw":0.5}`: "DRAMBandwidth",
+	} {
+		_, resp := postJob(t, ts, bad)
+		if _, msg := decodeErrorEnvelope(t, resp); resp.StatusCode != 400 || !strings.Contains(msg, name) {
+			t.Errorf("submit %s = %d %q, want 400 naming %s", bad, resp.StatusCode, msg, name)
+		}
+	}
+	if n := len(runner.Jobs()); n != 2 {
+		t.Errorf("%d jobs registered, want the two that ran", n)
+	}
 }
 
 func TestQueueOverflowReturns429(t *testing.T) {

@@ -4,18 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/core"
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
+	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/obsv/timeline"
+	"scalesim/internal/partition"
 	"scalesim/internal/runstore"
 	"scalesim/internal/simcache"
+	"scalesim/internal/topology"
 )
 
 // ErrQueueFull is returned by Submit when the admission queue is at
@@ -35,7 +40,9 @@ var ErrNotFound = errors.New("job: no such job")
 //
 // Note that trace, timeline and sink consumers disable the shared
 // simcache for that job (cached replay cannot re-emit live streams) —
-// the same rule the core applies everywhere.
+// the same rule the core applies everywhere. A scale-out job (Spec.Parts)
+// takes no TraceDir and no Sinks: sibling partitions of a layer would
+// share trace file names.
 type Live struct {
 	// Progress receives per-layer completion lines (e.g. stderr).
 	Progress *obsv.Progress
@@ -181,6 +188,9 @@ func (r *Runner) dispatch(j *Job) func() {
 			r.completed.Inc()
 			r.wall.Observe(time.Since(j.started).Seconds())
 			r.syncCacheMetrics()
+			if r.opt.Tool != "" {
+				res.Manifest.Tool = r.opt.Tool
+			}
 			if st := r.opt.Store; st != nil && res != nil && res.Manifest != nil {
 				if _, serr := st.Add(res.Manifest); serr != nil {
 					log.Default().Error("job", "run registry", "job", j.id, "error", serr)
@@ -263,6 +273,9 @@ func (r *Runner) enqueueSpec(spec Spec, live Live, try bool) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if spec.scaleOut() && (live.TraceDir != "" || len(live.Sinks) > 0) {
+		return nil, fmt.Errorf("job: Parts does not support Live.TraceDir or Live.Sinks: sibling partitions would share trace files")
+	}
 	j, err := r.newJob("sim", spec.Key(), spec.Config.RunName, spec.Net(), spec.Layers(), live)
 	if err != nil {
 		return nil, err
@@ -286,8 +299,12 @@ func (r *Runner) Run(spec Spec, live Live) (*Result, error) {
 
 // execSpec builds the job body for a simulation spec: construct a core
 // simulator wired to the runner's shared cache and the job's context,
-// simulate, and assemble the manifest.
+// simulate, and assemble the manifest. A Parts spec gets the scale-out
+// body instead.
 func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error) {
+	if spec.scaleOut() {
+		return r.execScaleOut(spec)
+	}
 	return func(ctx context.Context, j *Job) (*Result, error) {
 		rec := j.live.Obs
 		opt := core.Options{
@@ -317,11 +334,77 @@ func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error
 			return nil, err
 		}
 		j.progress.Finish()
-		m := sim.Manifest(run)
-		if r.opt.Tool != "" {
-			m.Tool = r.opt.Tool
+		return &Result{Run: run, Manifest: sim.Manifest(run)}, nil
+	}
+}
+
+// execScaleOut builds the job body for a Parts spec: every layer runs on
+// the partition grid through partition.Run, the job's context checked
+// between layers, and the manifest and the checked cycle report of the
+// run are assembled here, once.
+func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, error) {
+	return func(ctx context.Context, j *Job) (*Result, error) {
+		rec := j.live.Obs
+		cfg, topo := spec.Config, spec.Topology
+		system := partition.Spec{Parts: spec.Parts,
+			Shape: analytical.Shape{R: int64(cfg.ArrayHeight), C: int64(cfg.ArrayWidth)}}
+		opt := partition.Options{Parallel: spec.Workers, Cache: r.opt.Cache, Obs: rec, Timeline: j.live.Timeline}
+		wordBytes := int64(cfg.WordBytes)
+		results := make([]partition.Result, 0, len(topo.Layers))
+		layers := make([]obsv.LayerMetrics, 0, len(topo.Layers))
+		nodes := make([]cycleacct.NodeLedger, 0, len(topo.Layers))
+		roofline := make([]cycleacct.RooflineRow, 0, len(topo.Layers))
+		j.progress.Start(len(topo.Layers))
+		for i, l := range topo.Layers {
+			if err := ctx.Err(); err != nil {
+				j.progress.Abort(err.Error())
+				return nil, err
+			}
+			t0 := time.Now()
+			res, err := partition.Run(l, cfg, system, opt)
+			if err != nil {
+				err = fmt.Errorf("layer %s: %w", l.Name, err)
+				j.progress.Abort(err.Error())
+				return nil, err
+			}
+			rec.ObserveLayer(i, l.Name, time.Since(t0))
+			j.progress.Step(l.Name)
+			results = append(results, res)
+			layers = append(layers, obsv.LayerMetrics{
+				Index: i, Name: l.Name, Cycles: res.Cycles, MACs: res.MACs,
+				DRAMReads: res.DRAMReads, DRAMWrites: res.DRAMWrites,
+				WallSeconds: rec.LayerSeconds(i),
+			})
+			nodes = append(nodes, *res.Ledger)
+			nodes[i].Index = i
+			roofline = append(roofline, cycleacct.NewRooflineRow(
+				l.Name, string(topology.OpConv), res.MACs,
+				(res.DRAMReads+res.DRAMWrites)*wordBytes,
+				res.Cycles, float64(system.MACs()), 0, wordBytes))
 		}
-		return &Result{Run: run, Manifest: m}, nil
+		j.progress.Finish()
+		// The same checked roll-up core.CycleReport publishes: books that do
+		// not close fail the job.
+		ca, err := cycleacct.NewReport(nodes)
+		if err != nil {
+			return nil, err
+		}
+		ca.Roofline = roofline
+		m := rec.Manifest()
+		m.Tool = "scalesim"
+		m.Run = cfg.RunName
+		m.ConfigHash = cfg.Hash()
+		if m.Workers = spec.Workers; m.Workers <= 0 {
+			m.Workers = runtime.GOMAXPROCS(0) // the engine's default resolution
+		}
+		m.Topology = &obsv.TopologyInfo{Name: topo.Name, Layers: len(topo.Layers)}
+		m.Layers = layers
+		m.CycleAccounting = ca
+		if c := r.opt.Cache; c != nil {
+			st := c.Stats()
+			m.Cache = &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
+		}
+		return &Result{ScaleOut: results, Manifest: m}, nil
 	}
 }
 
@@ -384,9 +467,6 @@ func (r *Runner) execSweep(spec batch.Spec) func(context.Context, *Job) (*Result
 		spec.Progress.Finish()
 		m := batch.NewManifest(spec, rows, spec.Obs)
 		m.Run = j.run
-		if r.opt.Tool != "" {
-			m.Tool = r.opt.Tool
-		}
 		return &Result{Rows: rows, Manifest: m}, nil
 	}
 }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/core"
 	"scalesim/internal/engine"
+	"scalesim/internal/obsv"
+	"scalesim/internal/partition"
 	"scalesim/internal/report"
 	"scalesim/internal/runstore"
 	"scalesim/internal/simcache"
@@ -273,6 +277,135 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if got := r.Metrics().Counter("jobs.cancelled").Value(); got != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", got)
+	}
+	if err := r.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scaleOutSpec is TinyNet on a 1x2 grid of 8x8 arrays sharing 4/4/2 KiB.
+func scaleOutSpec() Spec {
+	s := tinySpec()
+	s.Config = s.Config.WithSRAM(4, 4, 2)
+	s.Parts = analytical.Partitioning{Pr: 1, Pc: 2}
+	return s
+}
+
+// TestScaleOutMatchesPartitionRun: a Parts job is partition.Run per layer,
+// nothing more — same joined results, and the scaleout report is the
+// table the scalesim CLI prints for -parts.
+func TestScaleOutMatchesPartitionRun(t *testing.T) {
+	spec := scaleOutSpec()
+	r := NewRunner(Options{Workers: 1})
+	defer r.Close(context.Background())
+	res, err := r.Run(spec, Live{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.ScaleOut) != len(spec.Topology.Layers) {
+		t.Fatalf("%d scale-out results for %d layers", len(res.ScaleOut), len(spec.Topology.Layers))
+	}
+	system := partition.Spec{Parts: spec.Parts, Shape: analytical.Shape{R: 8, C: 8}}
+	for i, l := range spec.Topology.Layers {
+		want, err := partition.Run(l, spec.Config, system, partition.Options{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.ScaleOut[i]
+		if got.Cycles != want.Cycles || got.MACs != want.MACs ||
+			got.DRAMReads != want.DRAMReads || got.DRAMWrites != want.DRAMWrites ||
+			got.SRAMReads != want.SRAMReads || got.SRAMWrites != want.SRAMWrites ||
+			got.Energy != want.Energy || !reflect.DeepEqual(got.Ledger, want.Ledger) {
+			t.Errorf("layer %s: runner\n%+v\ndirect\n%+v", l.Name, got, want)
+		}
+	}
+
+	if got := res.Reports(); len(got) != 1 || got[0] != "scaleout" {
+		t.Fatalf("Reports() = %v, want [scaleout]", got)
+	}
+	const table = "Layer,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites,EnergyTotal\n" +
+		"conv1,245,3.6245,10.5000,600,288,228832\n" +
+		"conv2,188,10.5532,24.6562,1728,256,450048\n" +
+		"fc1,278,11.0863,12.1562,3072,10,670476\n" +
+		"TOTAL,711,,,,,\n"
+	var got bytes.Buffer
+	if err := res.WriteReport(&got, "scaleout"); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != table {
+		t.Errorf("scaleout report:\n%s\nwant:\n%s", got.String(), table)
+	}
+	if err := res.WriteReport(&got, "cycles"); err == nil || !strings.Contains(err.Error(), `"cycles"`) {
+		t.Errorf("WriteReport(cycles) on a scale-out result = %v, want an error naming it", err)
+	}
+
+	m := res.Manifest
+	if m == nil || m.Workers != 1 || len(m.Layers) != 3 || m.CycleAccounting == nil {
+		t.Fatalf("scale-out manifest incomplete: %+v", m)
+	}
+	if err := m.CycleAccounting.Check(); err != nil {
+		t.Error(err)
+	}
+
+	// Sibling partitions would share trace file names, so the consumers
+	// that write per-layer files are refused before the job is queued.
+	for _, live := range []Live{{TraceDir: t.TempDir()}, {Sinks: engine.Registry{engine.CSVTrace(t.TempDir())}}} {
+		if _, err := r.Submit(spec, live); err == nil || !strings.Contains(err.Error(), "Live.TraceDir") {
+			t.Errorf("Submit(%+v) = %v, want a refusal naming Live.TraceDir", live, err)
+		}
+	}
+	if n := len(r.Jobs()); n != 1 {
+		t.Errorf("%d jobs registered, want only the one that ran", n)
+	}
+}
+
+// gateWriter parks the first write that reaches it until release closes —
+// as a scale-out job's progress writer, that is the end of its first layer.
+type gateWriter struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.started) })
+	<-g.release
+	return len(p), nil
+}
+
+// TestCancelScaleOutJob: cancellation covers a Parts job like any other —
+// a running one stops at the next layer boundary, a queued one never
+// starts.
+func TestCancelScaleOutJob(t *testing.T) {
+	gate := &gateWriter{started: make(chan struct{}), release: make(chan struct{})}
+	r := NewRunner(Options{Workers: 1, QueueDepth: 2})
+	running, err := r.Submit(scaleOutSpec(), Live{Progress: obsv.NewProgress(gate, "so")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started // layer 0 is done and reporting
+	queued, err := r.Submit(scaleOutSpec(), Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{queued, running} {
+		if err := r.Cancel(j.ID()); err != nil {
+			t.Fatalf("Cancel %s: %v", j.ID(), err)
+		}
+	}
+	close(gate.release) // the loop reaches layer 1 and sees the dead context
+	for _, j := range []*Job{queued, running} {
+		if err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Wait = %v, want context.Canceled", j.ID(), err)
+		}
+		if j.Status() != StatusCancelled || j.Result() != nil {
+			t.Fatalf("%s: status %v, result %v", j.ID(), j.Status(), j.Result())
+		}
+	}
+	if lines := queued.Info().Progress; len(lines) != 0 {
+		t.Errorf("a job cancelled while queued reported progress: %v", lines)
+	}
+	if got := r.Metrics().Counter("jobs.cancelled").Value(); got != 2 {
+		t.Errorf("cancelled counter = %d, want 2", got)
 	}
 	if err := r.Close(context.Background()); err != nil {
 		t.Fatal(err)

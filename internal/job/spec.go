@@ -1,15 +1,17 @@
 // Package job extracts the run-orchestration layer the CLIs used to
 // duplicate into a reusable Job/Result core: a Job is one simulation
-// request (hardware configuration + workload + bounds), canonically
-// identified by the same content addresses the rest of the system uses
-// (config.Hash crossed with the workload's shape keys), and a Result is
-// everything a completed job produced — the run result, its reports and
-// its manifest. A Runner executes jobs on a persistent engine.Pool behind
-// a bounded admission queue, shares one simcache across every job so
-// repeated configurations replay near-free, and registers manifests into
-// a runstore. The scalesim and scalesweep CLIs and the scalesimd daemon
-// all run through the same Runner, so a job submitted over HTTP is
-// byte-identical to the same job run from the command line.
+// request (hardware configuration + workload + bounds + partition grid),
+// canonically identified by the same content addresses the rest of the
+// system uses (config.Hash crossed with the workload's shape keys), and a
+// Result is everything a completed job produced — the run result or the
+// per-layer scale-out results, its reports and its manifest. A Runner
+// executes jobs on a persistent engine.Pool behind a bounded admission
+// queue, shares one simcache across every job so repeated configurations
+// replay near-free, and registers manifests into a runstore. Every mode of
+// the scalesim CLI, the scalesweep CLI and the scalesimd daemon run through
+// the same Runner, and the CLI resolves its flags with the parsers
+// Request.Spec uses (Override, BuiltIn, ParseParts), so a job submitted
+// over HTTP is byte-identical to the same job run from the command line.
 package job
 
 import (
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
 	"scalesim/internal/topology"
@@ -40,19 +43,41 @@ type Spec struct {
 	DRAM *dram.Config
 	// DRAMBandwidth bounds the memory link in words/cycle (0 = unbounded).
 	DRAMBandwidth float64
-	// Workers bounds the job's internal layer-level parallelism (core
-	// semantics: 0 = GOMAXPROCS, 1 = sequential). A service running many
-	// concurrent jobs typically wants 1 here and parallelism across jobs.
+	// Workers bounds the job's internal parallelism — layers, or a layer's
+	// partition windows under Parts (core semantics: 0 = GOMAXPROCS, 1 =
+	// sequential). A service running many concurrent jobs typically wants
+	// 1 here and parallelism across jobs.
 	Workers int
+	// Parts, when set, runs every layer scale-out on a Pr x Pc grid of
+	// arrays shaped like Config's, dividing its SRAM (Result.ScaleOut).
+	// The zero value is one array. Validate refuses Parts with a Graph,
+	// DRAM or DRAMBandwidth: a shared memory link is not modelled.
+	Parts analytical.Partitioning
 }
 
-// Validate reports the first structural problem with the spec.
+// scaleOut reports whether the spec names a partition grid.
+func (s Spec) scaleOut() bool { return s.Parts != (analytical.Partitioning{}) }
+
+// Validate reports the first structural problem with the spec — for the
+// CLI and the wire alike, before anything is queued, printed or written.
 func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
 	if s.DRAMBandwidth < 0 {
 		return fmt.Errorf("job: negative DRAM bandwidth %v", s.DRAMBandwidth)
+	}
+	if s.scaleOut() {
+		switch {
+		case s.Parts.Pr < 1 || s.Parts.Pc < 1:
+			return fmt.Errorf("job: invalid Parts %s (want PrxPc, both at least 1)", s.Parts)
+		case s.Graph != nil:
+			return fmt.Errorf("job: Parts runs layers on a partitioned system and does not support a Graph workload")
+		case s.DRAM != nil:
+			return fmt.Errorf("job: Parts does not support DRAM: a memory shared by the partitions is not modelled")
+		case s.DRAMBandwidth != 0:
+			return fmt.Errorf("job: Parts does not support DRAMBandwidth: a link shared by the partitions is not modelled")
+		}
 	}
 	if s.Graph != nil {
 		return s.Graph.Validate()
@@ -97,6 +122,9 @@ func (s Spec) Key() string {
 	if s.DRAM != nil {
 		key += fmt.Sprintf(";dram=%+v", *s.DRAM)
 	}
+	if s.scaleOut() {
+		key += ";parts=" + s.Parts.String()
+	}
 	return key
 }
 
@@ -128,8 +156,10 @@ type Request struct {
 	DRAM bool `json:"dram,omitempty"`
 	// DRAMBandwidth bounds the link in words/cycle (0 = unbounded).
 	DRAMBandwidth float64 `json:"dram_bw,omitempty"`
-	// Workers bounds the job's internal layer parallelism.
+	// Workers bounds the job's internal layer (or partition) parallelism.
 	Workers int `json:"workers,omitempty"`
+	// Parts ("PrxPc") runs the job scale-out, like the CLI's -parts.
+	Parts string `json:"parts,omitempty"`
 }
 
 // ParseArray parses an "RxC" array shape (case-insensitive).
@@ -138,6 +168,59 @@ func ParseArray(s string) (r, c int, err error) {
 		return 0, 0, fmt.Errorf("job: invalid array %q (want RxC)", s)
 	}
 	return r, c, nil
+}
+
+// ParseParts parses a "PrxPc" partition grid, both at least 1.
+func ParseParts(s string) (analytical.Partitioning, error) {
+	pr, pc, err := ParseArray(s)
+	if err != nil || pr < 1 || pc < 1 {
+		return analytical.Partitioning{}, fmt.Errorf("job: invalid parts %q (want PrxPc, both at least 1)", s)
+	}
+	return analytical.Partitioning{Pr: int64(pr), Pc: int64(pc)}, nil
+}
+
+// Override applies the flag-shaped hardware overrides — array "RxC",
+// dataflow "os"/"ws"/"is", SRAM "i,f,o" KiB, vector lanes — to a base
+// configuration; empty and zero values keep the base.
+func Override(cfg config.Config, array, dataflow, sram string, lanes int) (config.Config, error) {
+	if array != "" {
+		h, w, err := ParseArray(array)
+		if err != nil {
+			return cfg, err
+		}
+		cfg = cfg.WithArray(h, w)
+	}
+	if dataflow != "" {
+		df, err := config.ParseDataflow(dataflow)
+		if err != nil {
+			return cfg, err
+		}
+		cfg = cfg.WithDataflow(df)
+	}
+	if sram != "" {
+		var i, f, o int
+		if _, err := fmt.Sscanf(sram, "%d,%d,%d", &i, &f, &o); err != nil {
+			return cfg, fmt.Errorf("job: invalid sram %q (want i,f,o KiB): %w", sram, err)
+		}
+		cfg = cfg.WithSRAM(i, f, o)
+	}
+	if lanes != 0 {
+		cfg.VectorLanes = lanes
+	}
+	return cfg, nil
+}
+
+// BuiltIn resolves a built-in workload name: flat topologies first, then
+// the native operator graphs (graph non-nil).
+func BuiltIn(name string) (topology.Topology, *topology.Graph, error) {
+	if topo, ok := topology.BuiltIn(name); ok {
+		return topo, nil, nil
+	}
+	if g, err := topology.BuiltInGraph(name); err == nil {
+		return topology.Topology{}, &g, nil
+	}
+	return topology.Topology{}, nil, fmt.Errorf("job: unknown built-in workload %q (have %s)", name,
+		strings.Join(append(topology.BuiltInNames(), topology.BuiltInGraphNames()...), ", "))
 }
 
 // Spec resolves the request into an executable Spec.
@@ -149,29 +232,9 @@ func (r Request) Spec() (Spec, error) {
 			return Spec{}, err
 		}
 	}
-	if r.Array != "" {
-		h, w, err := ParseArray(r.Array)
-		if err != nil {
-			return Spec{}, err
-		}
-		cfg = cfg.WithArray(h, w)
-	}
-	if r.Dataflow != "" {
-		df, err := config.ParseDataflow(r.Dataflow)
-		if err != nil {
-			return Spec{}, err
-		}
-		cfg = cfg.WithDataflow(df)
-	}
-	if r.SRAM != "" {
-		var i, f, o int
-		if _, err := fmt.Sscanf(r.SRAM, "%d,%d,%d", &i, &f, &o); err != nil {
-			return Spec{}, fmt.Errorf("job: invalid sram %q (want i,f,o KiB): %w", r.SRAM, err)
-		}
-		cfg = cfg.WithSRAM(i, f, o)
-	}
-	if r.VectorLanes != 0 {
-		cfg.VectorLanes = r.VectorLanes
+	cfg, err := Override(cfg, r.Array, r.Dataflow, r.SRAM, r.VectorLanes)
+	if err != nil {
+		return Spec{}, err
 	}
 	if r.Run != "" {
 		cfg.RunName = r.Run
@@ -182,26 +245,25 @@ func (r Request) Spec() (Spec, error) {
 		ddr := dram.DDR3()
 		spec.DRAM = &ddr
 	}
+	if r.Parts != "" {
+		if spec.Parts, err = ParseParts(r.Parts); err != nil {
+			return Spec{}, err
+		}
+	}
 
-	workloads := 0
+	workloads, inline := 0, r.Run
+	if inline == "" {
+		inline = "inline"
+	}
 	if r.Net != "" {
 		workloads++
-		if topo, ok := topology.BuiltIn(r.Net); ok {
-			spec.Topology = topo
-		} else if g, err := topology.BuiltInGraph(r.Net); err == nil {
-			spec.Graph = &g
-		} else {
-			return Spec{}, fmt.Errorf("job: unknown built-in workload %q (have %s)", r.Net,
-				strings.Join(append(topology.BuiltInNames(), topology.BuiltInGraphNames()...), ", "))
+		if spec.Topology, spec.Graph, err = BuiltIn(r.Net); err != nil {
+			return Spec{}, err
 		}
 	}
 	if r.TopologyCSV != "" {
 		workloads++
-		name := r.Run
-		if name == "" {
-			name = "inline"
-		}
-		topo, err := topology.ParseCSV(name, strings.NewReader(r.TopologyCSV))
+		topo, err := topology.ParseCSV(inline, strings.NewReader(r.TopologyCSV))
 		if err != nil {
 			return Spec{}, err
 		}
@@ -209,11 +271,7 @@ func (r Request) Spec() (Spec, error) {
 	}
 	if len(r.Graph) > 0 {
 		workloads++
-		name := r.Run
-		if name == "" {
-			name = "inline"
-		}
-		g, err := topology.ParseGraph(name, strings.NewReader(string(r.Graph)))
+		g, err := topology.ParseGraph(inline, strings.NewReader(string(r.Graph)))
 		if err != nil {
 			return Spec{}, err
 		}

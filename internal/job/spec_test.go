@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
 	"scalesim/internal/topology"
@@ -27,6 +28,16 @@ func TestRequestResolvesBuiltins(t *testing.T) {
 	}
 	if c.RunName != "t" {
 		t.Fatalf("run name = %q", c.RunName)
+	}
+	if spec.scaleOut() {
+		t.Fatalf("a request without parts resolved to grid %s", spec.Parts)
+	}
+	so, err := Request{Net: "TinyNet", Array: "8x4", Parts: "2X4"}.Spec()
+	if err != nil {
+		t.Fatalf("parts: %v", err)
+	}
+	if so.Parts != (analytical.Partitioning{Pr: 2, Pc: 4}) {
+		t.Fatalf("parts resolved to %s", so.Parts)
 	}
 
 	gspec, err := Request{Net: "BERTTiny"}.Spec()
@@ -79,6 +90,29 @@ func TestRequestErrors(t *testing.T) {
 	if _, err := (Request{Net: "TinyNet", DRAMBandwidth: -1}).Spec(); err == nil {
 		t.Fatal("negative bandwidth must fail")
 	}
+	// What a scale-out job does not support is refused here, by name,
+	// for the wire exactly as for the CLI.
+	for _, c := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Net: "TinyNet", Parts: "0x2"}, "parts"},
+		{Request{Net: "TinyNet", Parts: "2x0"}, "parts"},
+		{Request{Net: "TinyNet", Parts: "-1x2"}, "parts"},
+		{Request{Net: "TinyNet", Parts: "two"}, "parts"},
+		{Request{Net: "BERTTiny", Parts: "1x2"}, "Graph"},
+		{Request{Net: "TinyNet", Parts: "1x2", DRAM: true}, "DRAM"},
+		{Request{Net: "TinyNet", Parts: "1x2", DRAMBandwidth: 4}, "DRAMBandwidth"},
+	} {
+		if _, err := c.req.Spec(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Spec() = %v, want an error naming %s", c.req, err, c.want)
+		}
+	}
+	half := tinySpec()
+	half.Parts = analytical.Partitioning{Pc: 2}
+	if err := half.Validate(); err == nil || !strings.Contains(err.Error(), "Parts") {
+		t.Errorf("Validate(Parts 0x2) = %v, want an error naming Parts", err)
+	}
 }
 
 func TestSpecKeyDiscriminates(t *testing.T) {
@@ -123,6 +157,8 @@ func TestSpecKeyLiterals(t *testing.T) {
 	timed := graph
 	timed.DRAMBandwidth = 0.5
 	timed.DRAM = &ddr3
+	grid := flat
+	grid.Parts = analytical.Partitioning{Pr: 2, Pc: 4}
 	for _, c := range []struct {
 		name string
 		spec Spec
@@ -131,6 +167,7 @@ func TestSpecKeyLiterals(t *testing.T) {
 		{"flat TinyNet", flat, flatKey},
 		{"BERTTiny graph", graph, graphKey},
 		{"flat with bw", bounded, flatKey + ";bw=4"},
+		{"flat on a 2x4 grid", grid, flatKey + ";parts=2x4"},
 		{"graph with bw and dram", timed, graphKey + ";bw=0.5;dram={Channels:0 InterleaveWords:0 Banks:8 RowWords:2048 " +
 			"TRCD:11 TCAS:11 TRP:11 TREFI:7800 TRFC:139 BusCyclesPerWord:1 Policy:0}"},
 	} {

@@ -18,9 +18,10 @@
 //     through Options.Sinks factories.
 //   - The analytical entry points (Runtime, BestScaleUp, BestScaleOut,
 //     ParetoSearch) implement Eqs. 1-6 for fast design-space exploration.
-//   - RunScaleOut executes a partitioned (multi-array) system
+//   - RunScaleOut executes one layer on a partitioned (multi-array) system
 //     cycle-accurately, reproducing the paper's runtime/bandwidth/energy
-//     trade-off study.
+//     trade-off study; a whole network on a grid is a job (scalesim -parts,
+//     the daemon's "parts") whose manifest internal/job assembles.
 //
 // A minimal session:
 //
@@ -277,30 +278,9 @@ type (
 	CycleLedger = cycleacct.Ledger
 	// CycleBin is one (phase, category) cell of a ledger.
 	CycleBin = cycleacct.Bin
-	// CycleNodeLedger is one layer/node's account, with per-partition
-	// detail for scale-out runs.
-	CycleNodeLedger = cycleacct.NodeLedger
 	// CycleReport is a whole run's account plus its roofline rows.
 	CycleReport = cycleacct.Report
-	// RooflineRow locates one layer on the roofline: operational
-	// intensity versus achieved and attainable throughput.
-	RooflineRow = cycleacct.RooflineRow
 )
-
-// NewCycleReport assembles and validates a run's cycle report from node
-// ledgers — the path for callers that aggregate their own nodes (the
-// scale-out CLI); Simulator.CycleReport covers ordinary runs.
-func NewCycleReport(nodes []CycleNodeLedger) (*CycleReport, error) {
-	return cycleacct.NewReport(nodes)
-}
-
-// NewRooflineRow characterizes one unit on the roofline. cycles is the
-// stalled runtime; linkWordsPerCycle zero means an unbounded link.
-func NewRooflineRow(name, op string, ops, dramBytes, cycles int64,
-	peakOpsPerCycle, linkWordsPerCycle float64, wordBytes int64) RooflineRow {
-	return cycleacct.NewRooflineRow(name, op, ops, dramBytes, cycles,
-		peakOpsPerCycle, linkWordsPerCycle, wordBytes)
-}
 
 // Timeline types: attach a TimelineWriter through Options.Timeline (or
 // the ScaleOutOptions / sweep-spec equivalents) to export the run as

@@ -5,12 +5,14 @@
 package scalesim_test
 
 import (
+	"context"
 	"testing"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/dse"
+	"scalesim/internal/job"
 	"scalesim/internal/topology"
 )
 
@@ -22,6 +24,13 @@ func dseShapes(budgets ...int64) []analytical.Shape {
 		shapes = analytical.AppendShapes(shapes, macs, 1)
 	}
 	return shapes
+}
+
+// dseRunner is the one-worker Runner scaledse hands dse.Explore.
+func dseRunner(b *testing.B) *job.Runner {
+	r := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1})
+	b.Cleanup(func() { _ = r.Close(context.Background()) })
+	return r
 }
 
 // BenchmarkDSETier1 measures analytical pre-filter throughput: every
@@ -41,11 +50,12 @@ func BenchmarkDSETier1(b *testing.B) {
 		Workloads: []topology.Topology{topology.TinyNet(), topology.AlexNet()},
 		Epsilon:   0.1,
 	}
+	runner := dseRunner(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var scored, nspop int64
 	for i := 0; i < b.N; i++ {
-		res, err := dse.Explore(space, dse.Options{Tier1Only: true})
+		res, err := dse.Explore(space, dse.Options{Tier1Only: true}, runner, job.Live{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,10 +106,11 @@ func BenchmarkDSESweep(b *testing.B) {
 			Workloads: nets,
 			Epsilon:   0.1,
 		}
+		runner := dseRunner(b)
 		b.ReportAllocs()
 		var refined, gridN int64
 		for i := 0; i < b.N; i++ {
-			res, err := dse.Explore(space, dse.Options{})
+			res, err := dse.Explore(space, dse.Options{}, runner, job.Live{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,7 +12,11 @@
 //	scaledse merge -o merged.csv -cache-dir merged -caches c0,c1 p0.jsonl p1.jsonl
 //
 // `run` explores; with -shard i/n it refines only a deterministic slice
-// of the band and -part records the slice in a mergeable part file.
+// of the band (possibly an empty one) and -part records the slice in a
+// mergeable part file. Tier 2 runs as one sweep job on the job.Runner
+// every simulating CLI shares, so -cache/-cache-dir/-cache-max-mb are the
+// shared result-cache flags and a -run-dir registered search answers
+// `scalequery cycles` and `top -by`, one node per refined point.
 // `merge` folds part files (and optionally the shards' cache
 // directories) back into one CSV + manifest, byte-identical to an
 // unsharded run. -tier1-only stops after the band cut and reports the
@@ -20,17 +24,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"scalesim"
 	"scalesim/internal/analytical"
+	"scalesim/internal/batch"
 	"scalesim/internal/cliobs"
 	"scalesim/internal/config"
 	"scalesim/internal/dse"
+	"scalesim/internal/job"
 	"scalesim/internal/obsv"
 	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
@@ -79,11 +85,8 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 		partPath  = fs.String("part", "", "write this shard's rows as a mergeable part file (JSONL)")
 		tier1Only = fs.Bool("tier1-only", false, "stop after the band cut; report statistics, simulate nothing")
 		parallel  = fs.Int("parallel", 0, "concurrent workers for both tiers (default GOMAXPROCS)")
-		metrics   = fs.String("metrics", "", "write a machine-readable search manifest (JSON) to this path")
-		progress  = fs.Bool("progress", false, "report tier-2 per-point progress to stderr")
-		useCache  = fs.Bool("cache", false, "share a per-layer result cache across the band")
-		cacheDir  = fs.String("cache-dir", "", "persist the result cache in this directory (implies -cache)")
 	)
+	cacheFlags := cliobs.RegisterCache(fs)
 	obs := cliobs.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,13 +99,18 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 			return err
 		}
 	}
-	space := dse.Space{Base: base, Epsilon: *eps}
-	for _, part := range splitList(*arrays) {
-		var r, c int64
-		if _, err := fmt.Sscanf(strings.ToLower(part), "%dx%d", &r, &c); err != nil {
-			return fmt.Errorf("invalid array %q", part)
-		}
-		space.Arrays = append(space.Arrays, analytical.Shape{R: r, C: c})
+	grid, err := batch.Axes{Arrays: *arrays, Dataflows: *dataflows, SRAMs: *srams, Nets: *nets}.Spec(base)
+	if err != nil {
+		return err
+	}
+	if len(grid.Graphs) > 0 {
+		return fmt.Errorf("workload %q is an operator graph; tier 1 scores flat nets only (flat built-ins: %s)",
+			grid.Graphs[0].Name, strings.Join(topology.BuiltInNames(), ", "))
+	}
+	space := dse.Space{Base: base, Epsilon: *eps,
+		Dataflows: grid.Dataflows, SRAMs: grid.SRAMs, Workloads: grid.Topologies}
+	for _, a := range grid.Arrays {
+		space.Arrays = append(space.Arrays, analytical.Shape{R: int64(a[0]), C: int64(a[1])})
 	}
 	for _, part := range splitList(*enumMACs) {
 		var macs int64
@@ -111,28 +119,6 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 		}
 		space.Arrays = analytical.AppendShapes(space.Arrays, macs, *minDim)
 	}
-	for _, part := range splitList(*dataflows) {
-		df, err := config.ParseDataflow(part)
-		if err != nil {
-			return err
-		}
-		space.Dataflows = append(space.Dataflows, df)
-	}
-	for _, part := range splitList(*srams) {
-		var i, f, o int
-		if _, err := fmt.Sscanf(part, "%d/%d/%d", &i, &f, &o); err != nil {
-			return fmt.Errorf("invalid sram triple %q", part)
-		}
-		space.SRAMs = append(space.SRAMs, [3]int{i, f, o})
-	}
-	for _, part := range splitList(*nets) {
-		topo, ok := topology.BuiltIn(part)
-		if !ok {
-			return fmt.Errorf("unknown workload %q (flat built-ins: %s)",
-				part, strings.Join(topology.BuiltInNames(), ", "))
-		}
-		space.Workloads = append(space.Workloads, topo)
-	}
 
 	opt := dse.Options{Parallel: *parallel, Tier1Only: *tier1Only}
 	if *shardSpec != "" {
@@ -140,57 +126,33 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 			return fmt.Errorf("invalid -shard %q (want i/n)", *shardSpec)
 		}
 	}
-	var cache *scalesim.Cache
-	switch {
-	case *cacheDir != "":
-		var err error
-		if cache, err = scalesim.NewDiskCache(*cacheDir); err != nil {
-			return err
-		}
-	case *useCache:
-		cache = scalesim.NewCache()
-	}
-	opt.Cache = cache
-	var rec *obsv.Recorder
-	if *metrics != "" || obs.Active() {
-		rec = obsv.NewRecorder()
-		opt.Obs = rec
-	}
-	stopObs, err := obs.Start("scaledse", rec)
+	cache, err := cacheFlags.Open()
 	if err != nil {
 		return err
 	}
-	defer stopObs()
-	if *progress {
-		opt.Progress = obsv.NewProgress(os.Stderr, "scaledse")
+	rec, prog, endObs, err := obs.Begin("scaledse", "scaledse")
+	if err != nil {
+		return err
 	}
-	defer func() {
-		if retErr != nil {
-			opt.Progress.Abort(retErr.Error())
-		}
-	}()
+	defer endObs(&retErr)
 
-	res, err := dse.Explore(space, opt)
+	// Tier 2 is one sweep job on the Runner scalesim, scalesweep and the
+	// scalesimd daemon execute on; per-point parallelism stays inside the
+	// job, so a single runner worker is enough.
+	runner := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
+	defer func() { _ = runner.Close(context.Background()) }()
+	res, err := dse.Explore(space, opt, runner, job.Live{Obs: rec, Progress: prog})
 	if err != nil {
 		return err
 	}
-	opt.Progress.Finish()
 	reportStats(os.Stderr, res.Stats)
 	if *partPath != "" {
 		if err := dse.WritePart(*partPath, res); err != nil {
 			return err
 		}
 	}
-	if *metrics != "" || obs.RunDir() != "" {
-		m := dse.NewManifest(res, cache, rec)
-		if *metrics != "" {
-			if err := m.WriteFile(*metrics); err != nil {
-				return err
-			}
-		}
-		if err := obs.StoreRun(m); err != nil {
-			return err
-		}
+	if err := obs.Publish(res.Manifest); err != nil {
+		return err
 	}
 	if *tier1Only {
 		return nil
@@ -238,7 +200,7 @@ func runMerge(args []string, stdout io.Writer) error {
 	}
 	reportStats(os.Stderr, res.Stats)
 	if *metrics != "" {
-		if err := dse.NewManifest(res, nil, nil).WriteFile(*metrics); err != nil {
+		if err := res.Manifest.WriteFile(*metrics); err != nil {
 			return err
 		}
 	}

@@ -3,13 +3,31 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"scalesim/internal/obsv"
+	"scalesim/internal/runstore"
 )
+
+// readManifest parses the manifest a -metrics flag wrote.
+func readManifest(t *testing.T, path string) *obsv.Manifest {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obsv.ParseManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestRunEmitsCSV(t *testing.T) {
 	var buf bytes.Buffer
@@ -70,7 +88,8 @@ func TestShardMergeCLI(t *testing.T) {
 		"-dataflows", "os,ws", "-srams", "2/2/1,4/4/2", "-eps", "0.25"}
 
 	var whole bytes.Buffer
-	if err := run(append([]string{"run"}, grid...), &whole); err != nil {
+	wpath := filepath.Join(dir, "whole.json")
+	if err := run(append([]string{"run", "-metrics", wpath}, grid...), &whole); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,19 +119,118 @@ func TestShardMergeCLI(t *testing.T) {
 		t.Errorf("merged CSV differs from unsharded:\nmerged:\n%s\nunsharded:\n%s",
 			merged.String(), whole.String())
 	}
-	raw, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m obsv.Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
+	m := readManifest(t, mpath)
 	if m.Search == nil || m.Search.RefinedPoints == 0 || m.Search.Shards != 1 {
 		t.Errorf("merged manifest search stats: %+v", m.Search)
 	}
 	if m.Search.MaxRelErr != 0 {
 		t.Errorf("stall-free grid measured rel err %g, want 0", m.Search.MaxRelErr)
+	}
+	// Sharded ≡ unsharded extends to the cycle account.
+	w := readManifest(t, wpath)
+	if m.Run != "dse" || w.Run != "dse" || m.CycleAccounting == nil ||
+		!reflect.DeepEqual(m.CycleAccounting, w.CycleAccounting) {
+		t.Errorf("merged manifest run %q cycle account %+v\nunsharded run %q cycle account %+v",
+			m.Run, m.CycleAccounting, w.Run, w.CycleAccounting)
+	}
+}
+
+// TestEmptyShardCLI: with more shards than band points some shard owns
+// nothing; it must still exit 0 and write a part that merges.
+func TestEmptyShardCLI(t *testing.T) {
+	dir := t.TempDir()
+	grid := []string{"run", "-nets", "TinyNet", "-arrays", "8x8"}
+	var whole bytes.Buffer
+	if err := run(grid, &whole); err != nil {
+		t.Fatal(err)
+	}
+	var parts []string
+	for _, shard := range []string{"0/2", "1/2"} {
+		part := filepath.Join(dir, "p"+shard[:1]+".jsonl")
+		parts = append(parts, part)
+		if err := run(append(grid, "-shard", shard, "-part", part), &bytes.Buffer{}); err != nil {
+			t.Fatalf("shard %s: %v", shard, err)
+		}
+	}
+	var merged bytes.Buffer
+	if err := run(append([]string{"merge"}, parts...), &merged); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merged.Bytes(), whole.Bytes()) {
+		t.Errorf("merged CSV:\n%s\nunsharded:\n%s", merged.String(), whole.String())
+	}
+}
+
+// TestRegisteredSearch: a -run-dir registered search is a run like any
+// other — named, with a cycle account that closes over the CSV and one
+// ledger node per refined point for scalequery cycles / top -by to read.
+func TestRegisteredSearch(t *testing.T) {
+	dir := t.TempDir()
+	mpath, runDir := filepath.Join(dir, "m.json"), filepath.Join(dir, "runs")
+	var csv bytes.Buffer
+	err := run([]string{"run", "-nets", "TinyNet", "-arrays", "4x4,8x8,16x16", "-dataflows", "os,ws",
+		"-eps", "0.25", "-metrics", mpath, "-run-dir", runDir}, &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	rows := strings.Split(strings.TrimSpace(csv.String()), "\n")[1:]
+	for _, row := range rows {
+		cycles, err := strconv.ParseInt(strings.Split(row, ",")[5], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += cycles
+	}
+	m := readManifest(t, mpath)
+	if m.Run != "dse" || m.CycleAccounting == nil || m.CycleAccounting.TotalCycles != total {
+		t.Fatalf("manifest run %q cycle account %+v, want dse totalling %d", m.Run, m.CycleAccounting, total)
+	}
+	store, err := runstore.Open(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.List()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("registry lists %d runs (%v), want 1", len(entries), err)
+	}
+	_, stored, err := store.Get(entries[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries[0].Run != "dse" || stored.CycleAccounting == nil || len(stored.CycleAccounting.Nodes) != len(rows) {
+		t.Errorf("registered run %q carries cycle account %+v, want %d nodes",
+			entries[0].Run, stored.CycleAccounting, len(rows))
+	}
+}
+
+// TestTier1OnlySaysNothing: a search that simulated nothing reports no
+// progress — no "done, 0 units" line on stderr.
+func TestTier1OnlySaysNothing(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{"run", "-nets", "TinyNet", "-arrays", "8x8,16x16", "-tier1-only", "-progress"}, &bytes.Buffer{})
+	os.Stderr = stderr
+	w.Close()
+	out, err := io.ReadAll(r)
+	if runErr != nil || err != nil {
+		t.Fatal(runErr, err)
+	}
+	if !strings.Contains(string(out), "band kept") || strings.Contains(string(out), "units") {
+		t.Errorf("stderr of a tier-1-only search:\n%s", out)
+	}
+}
+
+// TestRefusesGraphNet: tier 1 scores flat nets only; an operator graph is
+// refused by name, with the flat built-ins it could have been.
+func TestRefusesGraphNet(t *testing.T) {
+	err := run([]string{"run", "-nets", "TinyNet,BERTTiny", "-arrays", "8x8"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), `"BERTTiny" is an operator graph`) || !strings.Contains(err.Error(), "AlexNet") {
+		t.Errorf("graph net: %v", err)
 	}
 }
 

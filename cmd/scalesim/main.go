@@ -70,8 +70,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		asJSON   = fs.Bool("json", false, "emit the full result as JSON instead of the summary")
 		partsArg = fs.String("parts", "", "run scale-out: partition grid as PrxPc (e.g. 2x4); -array sets the per-partition shape")
 		workers  = fs.Int("workers", 0, "layers (under -parts: partitions of a layer) simulated concurrently (0 = number of CPUs, 1 = sequential)")
-		metrics  = fs.String("metrics", "", "write a machine-readable run manifest (JSON) to this path")
-		progress = fs.Bool("progress", false, "report per-layer progress to stderr")
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
 		tlPath   = fs.String("timeline", "", "write a Chrome Trace Event timeline (Perfetto/chrome://tracing) to this path")
 		tlWindow = fs.Int64("timeline-window", 0, "timeline counter sampling window in cycles (default 64)")
@@ -93,26 +91,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		defer func() { _ = stopPprof() }()
 		fmt.Fprintf(os.Stderr, "scalesim: pprof at http://%s/debug/pprof/\n", addr)
 	}
-	var rec *obsv.Recorder
-	if *metrics != "" || obs.Active() {
-		rec = obsv.NewRecorder()
-	}
-	stopObs, err := obs.Start("scalesim", rec)
+	rec, prog, endObs, err := obs.Begin("scalesim", "scalesim")
 	if err != nil {
 		return err
 	}
-	defer stopObs()
-	var prog *obsv.Progress
-	if *progress {
-		prog = obsv.NewProgress(os.Stderr, "scalesim")
-	}
-	// An error on any path below terminates the progress stream; after a
-	// successful Finish the deferred Abort is a no-op.
-	defer func() {
-		if retErr != nil {
-			prog.Abort(retErr.Error())
-		}
-	}()
+	defer endObs(&retErr)
 
 	cfg := scalesim.NewConfig()
 	if *cfgPath != "" {
@@ -189,12 +172,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 
-	if *metrics != "" {
-		if err := result.Manifest.WriteFile(*metrics); err != nil {
-			return err
-		}
-	}
-	if err := obs.StoreRun(result.Manifest); err != nil {
+	if err := obs.Publish(result.Manifest); err != nil {
 		return err
 	}
 	if err := cyc.Write(result.Manifest.CycleAccounting, spec.Net()); err != nil {

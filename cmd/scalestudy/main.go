@@ -69,8 +69,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		bwBudget = fs.Float64("bw", 64, "sweetspot: DRAM bandwidth budget in bytes/cycle")
 		net      = fs.String("net", "Resnet50", "dataflow: built-in topology")
 		plot     = fs.Bool("plot", false, "fig11/bwcurve: render ASCII charts instead of CSV")
-		metrics  = fs.String("metrics", "", "write a machine-readable study manifest (JSON) to this path")
-		progress = fs.Bool("progress", false, "report per-series progress to stderr")
 		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address during the study")
 	)
 	obsFlags := cliobs.Register(fs)
@@ -86,47 +84,32 @@ func run(args []string, stdout io.Writer) (err error) {
 		defer func() { _ = stopPprof() }()
 		fmt.Fprintf(os.Stderr, "scalestudy: pprof at http://%s/debug/pprof/\n", addr)
 	}
-	var obs experiments.Obs
-	if *metrics != "" || obsFlags.Active() {
-		obs.Rec = obsv.NewRecorder()
-	}
-	stopObs, err := obsFlags.Start("scalestudy", obs.Rec)
+	rec, prog, endObs, err := obsFlags.Begin("scalestudy", "scalestudy "+cmd)
 	if err != nil {
 		return err
 	}
-	defer stopObs()
-	if *progress {
-		obs.Progress = obsv.NewProgress(os.Stderr, "scalestudy "+cmd)
-	}
-	// The whole subcommand runs under one phase; the manifest is written on
-	// the way out so every return path below is covered — and a failed
-	// study terminates its progress stream instead of finishing it.
-	stopPhase := obs.Rec.Phase("scalestudy." + cmd)
+	defer endObs(&err)
+	obs := experiments.Obs{Rec: rec, Progress: prog}
+	// The whole subcommand runs under one phase; the manifest is published
+	// on the way out so every return path below is covered — and a failed
+	// study leaves its progress stream to endObs to abort.
+	stopPhase := rec.Phase("scalestudy." + cmd)
 	defer func() {
 		stopPhase()
 		if err != nil {
-			obs.Progress.Abort(err.Error())
 			return
 		}
-		obs.Progress.Finish()
-		if *metrics == "" && obsFlags.RunDir() == "" {
-			return
-		}
-		m := obs.Rec.Manifest()
+		prog.Finish()
+		m := rec.Manifest()
 		m.Tool = "scalestudy"
 		m.Run = cmd
 		m.ConfigHash = obsv.Hash(args)
-		for _, lt := range obs.Rec.LayerTimings() {
+		for _, lt := range rec.LayerTimings() {
 			m.Layers = append(m.Layers, obsv.LayerMetrics{
 				Index: lt.Index, Name: lt.Name, WallSeconds: lt.Seconds,
 			})
 		}
-		if *metrics != "" {
-			if err = m.WriteFile(*metrics); err != nil {
-				return
-			}
-		}
-		err = obsFlags.StoreRun(m)
+		err = obsFlags.Publish(m)
 	}()
 
 	w := stdout

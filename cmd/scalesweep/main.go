@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"scalesim"
 	"scalesim/internal/batch"
@@ -61,8 +60,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		srams     = fs.String("srams", "", "inline axis: comma-separated i/f/o KiB triples")
 		nets      = fs.String("nets", "", "inline axis: comma-separated built-in workloads (flat nets or operator graphs)")
 		parallel  = fs.Int("parallel", 0, "concurrent runs (default GOMAXPROCS)")
-		metrics   = fs.String("metrics", "", "write a machine-readable sweep manifest (JSON) to this path")
-		progress  = fs.Bool("progress", false, "report per-point progress to stderr")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address during the sweep")
 		tlPath    = fs.String("timeline", "", "write a Chrome Trace Event timeline (one process per grid point) to this path")
 		tlWindow  = fs.Int64("timeline-window", 0, "timeline counter sampling window in cycles (default 64)")
@@ -92,8 +89,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 
 	var spec batch.Spec
-	switch {
-	case *specPath != "":
+	if *specPath != "" {
 		f, err := os.Open(*specPath)
 		if err != nil {
 			return err
@@ -102,20 +98,10 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		if spec, err = batch.ParseSpec(f, base); err != nil {
 			return err
 		}
-	default:
-		// Build an equivalent spec document from the inline flags so both
-		// paths share one parser.
-		var b strings.Builder
-		b.WriteString("[sweep]\n")
-		for key, val := range map[string]string{
-			"arrays": *arrays, "dataflows": *dataflows, "srams": *srams, "nets": *nets,
-		} {
-			if val != "" {
-				fmt.Fprintf(&b, "%s = %s\n", key, val)
-			}
-		}
+	} else {
 		var err error
-		if spec, err = batch.ParseSpec(strings.NewReader(b.String()), base); err != nil {
+		axes := batch.Axes{Arrays: *arrays, Dataflows: *dataflows, SRAMs: *srams, Nets: *nets}
+		if spec, err = axes.Spec(base); err != nil {
 			return err
 		}
 	}
@@ -126,26 +112,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	var rec *obsv.Recorder
-	if *metrics != "" || obs.Active() {
-		rec = obsv.NewRecorder()
-	}
-	stopObs, err := obs.Start("scalesweep", rec)
+	rec, prog, endObs, err := obs.Begin("scalesweep", "scalesweep")
 	if err != nil {
 		return err
 	}
-	defer stopObs()
-	var prog *obsv.Progress
-	if *progress {
-		prog = obsv.NewProgress(os.Stderr, "scalesweep")
-	}
-	// Terminate the progress stream on every error path; a no-op after the
-	// runner's successful Finish.
-	defer func() {
-		if retErr != nil {
-			prog.Abort(retErr.Error())
-		}
-	}()
+	defer endObs(&retErr)
 	var tlw *scalesim.TimelineWriter
 	if *tlPath != "" {
 		f, err := os.Create(*tlPath)
@@ -172,17 +143,8 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	rows := result.Rows
-	if *metrics != "" || obs.RunDir() != "" {
-		m := result.Manifest
-		if *metrics != "" {
-			if err := m.WriteFile(*metrics); err != nil {
-				return err
-			}
-		}
-		if err := obs.StoreRun(m); err != nil {
-			return err
-		}
+	if err := obs.Publish(result.Manifest); err != nil {
+		return err
 	}
 	if cyc.Active() {
 		if err := cyc.Write(result.Manifest.CycleAccounting, "sweep"); err != nil {
@@ -198,5 +160,5 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		defer f.Close()
 		w = f
 	}
-	return batch.WriteCSV(w, rows)
+	return batch.WriteCSV(w, result.Rows)
 }

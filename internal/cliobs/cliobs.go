@@ -1,16 +1,19 @@
-// Package cliobs wires the cross-run observability surface into the
-// command-line tools: one flag set shared by every CLI, so -log,
+// Package cliobs wires the observability surface into the command-line
+// tools: one flag set shared by every CLI, so -metrics, -progress, -log,
 // -log-level, -metrics-addr, -metrics-jsonl and -run-dir mean the same
-// thing in scalesim, scalesweep and scalestudy, and the workload tools
-// (topogen, traceanalyze) share the logging subset.
+// thing in scalesim, scalesweep, scaledse and scalestudy, and the
+// workload tools (topogen, traceanalyze) share the logging subset.
 //
+//	-metrics              write the run's manifest (JSON)
+//	-progress             report per-unit completion on stderr
 //	-log / -log-level     install the process-wide structured logger
 //	-metrics-addr         serve /metrics (Prometheus text) + pprof live
 //	-metrics-jsonl        append periodic metric snapshots for headless runs
 //	-run-dir              register the run's manifest in a runstore
 //
-// Usage: Register the flags, then Start after parsing (deferred stop),
-// and StoreRun with the run's manifest on the way out.
+// Usage: Register the flags, then Begin after parsing (deferring its
+// end), and Publish the run's manifest on the way out. Tools that only
+// log use RegisterLog and Start.
 package cliobs
 
 import (
@@ -27,6 +30,8 @@ import (
 
 // Flags holds the observability flag values for one CLI invocation.
 type Flags struct {
+	metrics      string
+	progress     bool
 	metricsAddr  string
 	metricsJSONL string
 	interval     time.Duration
@@ -38,6 +43,10 @@ type Flags struct {
 // Register adds the full observability flag set to fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := RegisterLog(fs)
+	fs.StringVar(&f.metrics, "metrics", "",
+		"write a machine-readable run manifest (JSON) to this path")
+	fs.BoolVar(&f.progress, "progress", false,
+		"report per-unit progress to stderr")
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "",
 		"serve live /metrics (Prometheus text format) and pprof on this address during the run")
 	fs.StringVar(&f.metricsJSONL, "metrics-jsonl", "",
@@ -60,15 +69,31 @@ func RegisterLog(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Active reports whether any flag needs a metrics recorder attached to
-// the run: a live endpoint, a snapshot stream and a registered manifest
-// all want real numbers, not an empty registry.
-func (f *Flags) Active() bool {
-	return f.metricsAddr != "" || f.metricsJSONL != "" || f.runDir != ""
+// Begin starts the run's observability once the flags are parsed: a
+// recorder when a manifest, a live endpoint, a snapshot stream or a
+// registered run wants real numbers (nil otherwise), everything Start
+// brings up, and the -progress writer on stderr under label (nil without
+// the flag). Defer end with the address of the run's error: a failed run
+// terminates its progress stream (a no-op after the run's own Finish or
+// Abort), then everything stops.
+func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progress, end func(*error), err error) {
+	if f.metrics != "" || f.metricsAddr != "" || f.metricsJSONL != "" || f.runDir != "" {
+		rec = obsv.NewRecorder()
+	}
+	stop, err := f.Start(tool, rec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if f.progress {
+		prog = obsv.NewProgress(os.Stderr, label)
+	}
+	return rec, prog, func(errp *error) {
+		if *errp != nil {
+			prog.Abort((*errp).Error())
+		}
+		stop()
+	}, nil
 }
-
-// RunDir returns the -run-dir value.
-func (f *Flags) RunDir() string { return f.runDir }
 
 // Start applies the parsed flags: installs the process logger, brings up
 // the /metrics endpoint and starts the snapshot writer, all reading from
@@ -123,10 +148,15 @@ func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func(), err error) 
 	return stop, nil
 }
 
-// StoreRun registers the manifest in the -run-dir registry; a no-op
-// without the flag. The stored entry is what scalequery list/diff/top
-// read back later.
-func (f *Flags) StoreRun(m *obsv.Manifest) error {
+// Publish writes the run's manifest to the -metrics path and registers
+// it in the -run-dir registry; each a no-op without its flag. The stored
+// entry is what scalequery list/diff/top read back later.
+func (f *Flags) Publish(m *obsv.Manifest) error {
+	if f.metrics != "" {
+		if err := m.WriteFile(f.metrics); err != nil {
+			return err
+		}
+	}
 	if f.runDir == "" {
 		return nil
 	}

@@ -8,18 +8,21 @@
 // precomputed per-workload mappings, parallelized over the shared engine
 // worker pool, allocation-flat per point — and keeps only the ε-band:
 // every configuration within a factor (1+ε) of each workload's pareto
-// front on (runtime, MACs). Tier 2 refines the surviving band through the
-// existing cycle-accurate batch path (sharing its per-layer result cache)
-// and measures the analytical model's actual relative runtime error over
-// the band, so the ε cut is validated rather than assumed — the model is
-// provably exact only for stall-free runs.
+// front on (runtime, MACs). Tier 2 refines the surviving band as one
+// sweep job on the job.Runner the caller supplies — the same
+// orchestration path scalesim, scalesweep and scalesimd run on, so the
+// refinement shares the Runner's result cache, admission queue and
+// cancellation, and its manifest is the sweep job's — and measures the
+// analytical model's actual relative runtime error over the band, so the
+// ε cut is validated rather than assumed — the model is provably exact
+// only for stall-free runs.
 //
 // The refinement stage shards across processes or machines with zero
 // coordination: a deterministic content-keyed split (batch.ShardOf)
 // assigns every band point to exactly one of n shards, each shard writes
 // a mergeable part file and its own content-addressed cache directory,
 // and Merge folds part files back into a result byte-identical to an
-// unsharded run.
+// unsharded run. A shard that owns no band point is a valid, empty shard.
 package dse
 
 import (
@@ -36,9 +39,9 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/dataflow"
 	"scalesim/internal/engine"
+	"scalesim/internal/job"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/log"
-	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
 
@@ -130,7 +133,8 @@ func (s Space) Fingerprint() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Options tunes one exploration run.
+// Options tunes one exploration run. The result cache is the Runner's;
+// recorder and progress writer arrive in the job.Live handed to Explore.
 type Options struct {
 	// Parallel bounds worker-pool concurrency for both tiers (default
 	// GOMAXPROCS).
@@ -141,13 +145,6 @@ type Options struct {
 	// Shard/Shards select which deterministic slice of the band this run
 	// refines; zero values mean the whole band.
 	Shard, Shards int
-	// Cache memoizes tier-2 per-layer compute results (see simcache);
-	// sharded runs give each shard its own directory and merge afterwards.
-	Cache *simcache.Cache
-	// Obs records tier phases, engine spans and per-point timings.
-	Obs *obsv.Recorder
-	// Progress reports tier-2 per-point completion.
-	Progress *obsv.Progress
 }
 
 // Row is one refined design point: the cycle-accurate batch row joined
@@ -181,6 +178,9 @@ type Result struct {
 	// Stats summarizes the cut, the tier-1 throughput and the measured
 	// model error.
 	Stats obsv.SearchStats
+	// Manifest is the refinement's sweep manifest under the search's
+	// identity (see identify).
+	Manifest *obsv.Manifest
 }
 
 // tier1Job is one chunk of candidate scoring: workload w, dataflow di,
@@ -200,8 +200,14 @@ type mapEntry struct {
 // pool while small ones stay single-job.
 const tier1ChunkSize = 8192
 
-// Explore runs the two-tier search over the space.
-func Explore(space Space, opt Options) (*Result, error) {
+// Explore runs the two-tier search over the space. Tier 1 and the band
+// cut run inline, recorded on live.Obs; tier 2 is one sweep job ("dse")
+// on r, so the Runner's cache memoizes it, live.Progress follows it,
+// Runner.Cancel stops it (context.Canceled) and a closed Runner refuses
+// it (job.ErrClosed). A tier-1-only search, and a shard that owns no
+// band point, submit nothing.
+func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, error) {
+	rec := live.Obs
 	space, err := space.normalized()
 	if err != nil {
 		return nil, err
@@ -227,7 +233,7 @@ func Explore(space Space, opt Options) (*Result, error) {
 	// Tier 1: analytical scoring of every (shape, dataflow) candidate per
 	// workload. Mappings are precomputed and collapsed by layer shape key,
 	// so the inner loop is pure arithmetic into a preallocated slice.
-	endTier1 := opt.Obs.Phase("dse.tier1")
+	endTier1 := rec.Phase("dse.tier1")
 	t0 := time.Now()
 	mappings := make([][]mapEntry, W*D)
 	for w, topo := range space.Workloads {
@@ -244,7 +250,7 @@ func Explore(space Space, opt Options) (*Result, error) {
 			}
 		}
 	}
-	if _, err := engine.RunObserved(opt.Parallel, len(jobs), opt.Obs.SpanSink(), func(i int) (struct{}, error) {
+	if _, err := engine.RunObserved(opt.Parallel, len(jobs), rec.SpanSink(), func(i int) (struct{}, error) {
 		j := jobs[i]
 		dst := scores[(j.w*D+j.di)*A+j.lo : (j.w*D+j.di)*A+j.hi]
 		shapes := space.Arrays[j.lo:j.hi]
@@ -263,7 +269,7 @@ func Explore(space Space, opt Options) (*Result, error) {
 	endTier1()
 
 	// Band cut: union of the per-workload ε-bands over candidates.
-	endBand := opt.Obs.Phase("dse.band")
+	endBand := rec.Phase("dse.band")
 	kept := make([]bool, A*D)
 	pts := make([]analytical.BandPoint, A*D)
 	var mask []bool
@@ -316,53 +322,48 @@ func Explore(space Space, opt Options) (*Result, error) {
 		"band", res.Stats.BandCandidates, "cut", res.Stats.CutCandidates,
 		"tier1_points_per_sec", res.Stats.Tier1PointsPerSec)
 
-	if opt.Tier1Only {
+	// Shard filter: deterministic content-keyed split of the band.
+	var mine []int
+	if !opt.Tier1Only {
+		for i, p := range res.Band {
+			if opt.Shards < 2 || batch.ShardOf(space.Base, p, opt.Shards) == opt.Shard {
+				mine = append(mine, i)
+			}
+		}
+	}
+	if len(mine) == 0 {
+		res.Manifest = res.identify(rec.Manifest())
 		return res, nil
 	}
 
-	// Shard filter: deterministic content-keyed split of the band.
-	mine := make([]int, 0, len(res.Band))
-	for i, p := range res.Band {
-		if opt.Shards < 2 || batch.ShardOf(space.Base, p, opt.Shards) == opt.Shard {
-			mine = append(mine, i)
-		}
-	}
-
-	// Tier 2: cycle-accurate refinement of this shard's band slice.
-	endTier2 := opt.Obs.Phase("dse.tier2")
-	defer endTier2()
+	// Tier 2: cycle-accurate refinement of this shard's band slice, as
+	// one sweep job (its "batch.run" phase is the tier's wall time).
 	points := make([]batch.Point, len(mine))
 	for i, idx := range mine {
 		points[i] = res.Band[idx]
 	}
-	rows, err := batch.Run(batch.Spec{
-		Base:      space.Base,
-		PointList: points,
-		Parallel:  opt.Parallel,
-		Cache:     opt.Cache,
-		Obs:       opt.Obs,
-		Progress:  opt.Progress,
-	})
+	sweep, err := r.RunSweep("dse", batch.Spec{Base: space.Base, PointList: points, Parallel: opt.Parallel}, live)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = make([]Row, len(rows))
-	for i, r := range rows {
+	res.Rows = make([]Row, len(sweep.Rows))
+	for i, measured := range sweep.Rows {
 		idx := mine[i]
 		a := analyticalCycles[idx]
 		row := Row{
 			Index:            idx,
 			Hash:             batch.PointHash(space.Base, res.Band[idx]),
 			AnalyticalCycles: a,
-			Batch:            r,
+			Batch:            measured,
 		}
-		if r.TotalCycles > 0 {
-			row.RelErr = math.Abs(float64(a)-float64(r.TotalCycles)) / float64(r.TotalCycles)
+		if measured.TotalCycles > 0 {
+			row.RelErr = math.Abs(float64(a)-float64(measured.TotalCycles)) / float64(measured.TotalCycles)
 		}
 		res.Rows[i] = row
 	}
 	res.Stats.RefinedPoints = int64(len(res.Rows))
 	res.Stats.MaxRelErr, res.Stats.MeanRelErr = relErrBounds(res.Rows)
+	res.Manifest = res.identify(sweep.Manifest)
 	log.Default().Info("dse", "refine done",
 		"refined", res.Stats.RefinedPoints, "band", res.Stats.BandPoints,
 		"shard", res.Stats.Shard, "shards", res.Stats.Shards,
@@ -428,30 +429,21 @@ func betterRow(a, b Row) bool {
 	return a.Index < b.Index
 }
 
-// NewManifest assembles the run's manifest: search statistics, one entry
-// per refined point, cache effectiveness, and the recorder's phases,
-// spans and runtime stats.
-func NewManifest(res *Result, cache *simcache.Cache, rec *obsv.Recorder) *obsv.Manifest {
-	m := rec.Manifest()
+// identify dresses a sweep manifest over res.Rows — the tier-2 job's, or
+// batch.NewManifest of merged rows — in the search's identity: tool, run,
+// base-configuration hash, search statistics, and every entry and cycle
+// node renumbered from its position in the sweep to its band index.
+func (res *Result) identify(m *obsv.Manifest) *obsv.Manifest {
 	m.Tool = "scaledse"
+	m.Run = "dse"
 	m.ConfigHash = res.BaseHash
 	stats := res.Stats
 	m.Search = &stats
-	if cache != nil {
-		st := cache.Stats()
-		m.Cache = &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-	}
-	m.Layers = make([]obsv.LayerMetrics, 0, len(res.Rows))
 	for i, r := range res.Rows {
-		m.Layers = append(m.Layers, obsv.LayerMetrics{
-			Index:       r.Index,
-			Name:        r.Batch.Label(),
-			Cycles:      r.Batch.TotalCycles,
-			Utilization: r.Batch.ComputeUtil,
-			DRAMReads:   r.Batch.DRAMReads,
-			DRAMWrites:  r.Batch.DRAMWrites,
-			WallSeconds: rec.LayerSeconds(i),
-		})
+		m.Layers[i].Index = r.Index
+		if m.CycleAccounting != nil {
+			m.CycleAccounting.Nodes[i].Index = r.Index
+		}
 	}
 	return m
 }

@@ -2,14 +2,30 @@ package dse
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
+	"scalesim/internal/job"
+	"scalesim/internal/obsv"
+	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
+
+// testRunner is the one-worker Runner a CLI would hand Explore, closed
+// with the test.
+func testRunner(t *testing.T, cache *simcache.Cache) *job.Runner {
+	t.Helper()
+	r := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
+	t.Cleanup(func() { _ = r.Close(context.Background()) })
+	return r
+}
 
 // tinySpace is a grid small enough to exhaust cycle-accurately, rich
 // enough to exercise every axis.
@@ -51,7 +67,7 @@ func exhaustive(t *testing.T, s Space) []batch.Row {
 // never the winner.
 func TestTieredMatchesExhaustive(t *testing.T) {
 	s := tinySpace()
-	res, err := Explore(s, Options{})
+	res, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +101,7 @@ func TestTieredMatchesExhaustive(t *testing.T) {
 // unconstrained DRAM) the simulator is stall-free, so the analytical
 // model is exact and the measured band error must be zero.
 func TestRelErrZeroStallFree(t *testing.T) {
-	res, err := Explore(tinySpace(), Options{})
+	res, err := Explore(tinySpace(), Options{}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +123,7 @@ func TestEpsilonWidensBand(t *testing.T) {
 	var prev int64 = -1
 	for _, eps := range []float64{0, 0.1, 1e9} {
 		s.Epsilon = eps
-		res, err := Explore(s, Options{Tier1Only: true})
+		res, err := Explore(s, Options{Tier1Only: true}, testRunner(t, nil), job.Live{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +144,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	s := tinySpace()
 	dir := t.TempDir()
 
-	whole, err := Explore(s, Options{})
+	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +155,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 
 	paths := make([]string, 2)
 	for shard := 0; shard < 2; shard++ {
-		res, err := Explore(s, Options{Shard: shard, Shards: 2})
+		res, err := Explore(s, Options{Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +189,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 func TestMergeRejects(t *testing.T) {
 	s := tinySpace()
 	dir := t.TempDir()
-	shard0, err := Explore(s, Options{Shard: 0, Shards: 2})
+	shard0, err := Explore(s, Options{Shard: 0, Shards: 2}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +206,7 @@ func TestMergeRejects(t *testing.T) {
 	// Foreign: a different search's part must be refused.
 	other := s
 	other.Epsilon = 0.5
-	o, err := Explore(other, Options{Shard: 1, Shards: 2})
+	o, err := Explore(other, Options{Shard: 1, Shards: 2}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +222,7 @@ func TestMergeRejects(t *testing.T) {
 // TestPartRoundTrip: WritePart/ReadPart preserve header and rows.
 func TestPartRoundTrip(t *testing.T) {
 	s := tinySpace()
-	res, err := Explore(s, Options{})
+	res, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +251,207 @@ func TestPartRoundTrip(t *testing.T) {
 
 // TestSpaceValidation: empty axes and bad shards are rejected.
 func TestSpaceValidation(t *testing.T) {
-	if _, err := Explore(Space{Base: config.New()}, Options{}); err == nil {
+	if _, err := Explore(Space{Base: config.New()}, Options{}, testRunner(t, nil), job.Live{}); err == nil {
 		t.Error("empty space accepted")
 	}
 	s := tinySpace()
-	if _, err := Explore(s, Options{Shard: 3, Shards: 2}); err == nil {
+	if _, err := Explore(s, Options{Shard: 3, Shards: 2}, testRunner(t, nil), job.Live{}); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
 	s.Workloads = nil
-	if _, err := Explore(s, Options{}); err == nil {
+	if _, err := Explore(s, Options{}, testRunner(t, nil), job.Live{}); err == nil {
 		t.Error("workload-less space accepted")
+	}
+}
+
+// TestEmptyShard: a shard that owns no band point is a valid shard. On a
+// one-point band one of two shards is necessarily empty; both must
+// succeed, round-trip their part files and merge into the unsharded
+// result.
+func TestEmptyShard(t *testing.T) {
+	s := Space{Base: config.New(), Arrays: []analytical.Shape{{R: 8, C: 8}},
+		Workloads: []topology.Topology{topology.TinyNet()}}
+	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.Band) != 1 {
+		t.Fatalf("band = %d points, want 1", len(whole.Band))
+	}
+	dir := t.TempDir()
+	var paths []string
+	var refined int64
+	for shard := 0; shard < 2; shard++ {
+		res, err := Explore(s, Options{Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
+		if err != nil {
+			t.Fatalf("shard %d/2: %v", shard, err)
+		}
+		if len(res.Band) != 1 || res.Stats.BandCandidates != whole.Stats.BandCandidates ||
+			res.Stats.CutCandidates != whole.Stats.CutCandidates {
+			t.Errorf("shard %d/2: band %d, stats %+v", shard, len(res.Band), res.Stats)
+		}
+		if int64(len(res.Rows)) != res.Stats.RefinedPoints {
+			t.Errorf("shard %d/2: %d rows, RefinedPoints %d", shard, len(res.Rows), res.Stats.RefinedPoints)
+		}
+		refined += res.Stats.RefinedPoints
+		path := filepath.Join(dir, "part-"+string(rune('0'+shard))+".jsonl")
+		if err := WritePart(path, res); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ReadPart(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Rows) != len(res.Rows) || p.Header.Fingerprint != whole.Fingerprint || p.Header.BandPoints != 1 {
+			t.Errorf("shard %d/2: part round trip: %d rows, header %+v", shard, len(p.Rows), p.Header)
+		}
+		paths = append(paths, path)
+	}
+	if refined != 1 {
+		t.Errorf("shards refined %d points in total, want 1", refined)
+	}
+	merged, err := MergeFiles(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(merged.Rows, whole.Rows) {
+		t.Errorf("merged rows %+v\nunsharded   %+v", merged.Rows, whole.Rows)
+	}
+}
+
+// TestSearchManifest: the search's manifest is the sweep job's under the
+// search's identity — run "dse", entries and cycle nodes numbered by band
+// index, a cycle account that closes over the rows — and the merged
+// manifest's cycle account equals the unsharded run's.
+func TestSearchManifest(t *testing.T) {
+	s := tinySpace()
+	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{Obs: obsv.NewRecorder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []*Part
+	for shard := 0; shard < 2; shard++ {
+		res, err := Explore(s, Options{Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, &Part{Header: partHeader{Fingerprint: res.Fingerprint,
+			BandPoints: res.Stats.BandPoints, Search: res.Stats}, Rows: res.Rows})
+		checkManifest(t, res)
+	}
+	merged, err := Merge(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkManifest(t, whole)
+	checkManifest(t, merged)
+	if !reflect.DeepEqual(merged.Manifest.CycleAccounting, whole.Manifest.CycleAccounting) {
+		t.Errorf("merged cycle account differs from the unsharded run's")
+	}
+	if err := whole.Manifest.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+func checkManifest(t *testing.T, res *Result) {
+	t.Helper()
+	m := res.Manifest
+	if m.Tool != "scaledse" || m.Run != "dse" || m.ConfigHash != res.BaseHash ||
+		m.Search == nil || m.Search.RefinedPoints != int64(len(res.Rows)) {
+		t.Fatalf("identity: tool %q run %q hash %q search %+v", m.Tool, m.Run, m.ConfigHash, m.Search)
+	}
+	ca := m.CycleAccounting
+	if ca == nil || len(ca.Nodes) != len(res.Rows) || len(m.Layers) != len(res.Rows) {
+		t.Fatalf("manifest carries %d entries, cycle account %+v, want %d of each", len(m.Layers), ca, len(res.Rows))
+	}
+	var total int64
+	for i, r := range res.Rows {
+		total += r.Batch.TotalCycles
+		if m.Layers[i].Index != r.Index || ca.Nodes[i].Index != r.Index || m.Layers[i].Name != r.Batch.Label() {
+			t.Errorf("entry %d: index %d/%d name %q, want band index %d of %s",
+				i, m.Layers[i].Index, ca.Nodes[i].Index, m.Layers[i].Name, r.Index, r.Batch.Label())
+		}
+	}
+	if ca.TotalCycles != total {
+		t.Errorf("cycle account totals %d, rows sum to %d", ca.TotalCycles, total)
+	}
+}
+
+// TestSharedCache: two identical searches on one Runner share its cache —
+// the second replays (cache.hits > 0 in its manifest) into identical rows.
+func TestSharedCache(t *testing.T) {
+	r := testRunner(t, simcache.New())
+	cold, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := warm.Manifest.Cache; c == nil || c.Hits == 0 {
+		t.Errorf("second search cache stats = %+v, want hits > 0", c)
+	}
+	if !reflect.DeepEqual(warm.Rows, cold.Rows) {
+		t.Error("replayed rows differ from simulated rows")
+	}
+}
+
+// TestClosedRunner: a search whose Runner refuses the refinement returns
+// the Runner's error, not a partial result.
+func TestClosedRunner(t *testing.T) {
+	r := testRunner(t, nil)
+	if err := r.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	if !errors.Is(err, job.ErrClosed) || res != nil {
+		t.Errorf("Explore on a closed runner = %v, %v; want nil, job.ErrClosed", res, err)
+	}
+}
+
+// holdFirstWrite signals its first Write and blocks it until released:
+// a progress writer that parks the sweep job after its first point.
+type holdFirstWrite struct {
+	once             sync.Once
+	written, release chan struct{}
+}
+
+func (w *holdFirstWrite) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.written)
+		<-w.release
+	})
+	return len(p), nil
+}
+
+// TestCancelRefinement: tier 2 is a job like any other — Runner.Cancel on
+// the id Jobs() lists stops the search with context.Canceled.
+func TestCancelRefinement(t *testing.T) {
+	r := testRunner(t, nil)
+	w := &holdFirstWrite{written: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Explore(tinySpace(), Options{Parallel: 1}, r,
+			job.Live{Progress: obsv.NewProgress(w, "test")})
+		done <- err
+	}()
+	select {
+	case <-w.written: // the first point is done, the rest of the band is not
+	case err := <-done:
+		t.Fatalf("search ended before its first point: %v", err)
+	}
+	jobs := r.Jobs()
+	if len(jobs) != 1 || jobs[0].Status() != job.StatusRunning {
+		t.Errorf("runner lists %d jobs, want the one running sweep", len(jobs))
+	}
+	for _, j := range jobs {
+		if err := r.Cancel(j.ID()); err != nil {
+			t.Error(err)
+		}
+	}
+	close(w.release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search returned %v, want context.Canceled", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"scalesim/internal/batch"
 	"scalesim/internal/obsv"
 )
 
@@ -111,7 +112,8 @@ func ReadPart(path string) (*Part, error) {
 // run: fingerprints must agree, duplicate indices must carry identical
 // hashes, and every band index [0, BandPoints) must be covered exactly.
 // Rows come out ascending by Index, so the CSV written from a merged
-// result is byte-identical to the unsharded run's.
+// result is byte-identical to the unsharded run's, and its manifest's
+// cycle account equals the unsharded run's.
 func Merge(parts []*Part) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("dse: merge: no parts")
@@ -171,6 +173,11 @@ func Merge(parts []*Part) (*Result, error) {
 		}
 	}
 	res.Stats.MaxRelErr, res.Stats.MeanRelErr = relErrBounds(res.Rows)
+	measured := make([]batch.Row, len(res.Rows))
+	for i, r := range res.Rows {
+		measured[i] = r.Batch
+	}
+	res.Manifest = res.identify(batch.NewManifest(batch.Spec{}, measured, nil))
 	return res, nil
 }
 

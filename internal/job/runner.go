@@ -82,7 +82,7 @@ type Options struct {
 
 // Runner executes jobs on a persistent bounded worker pool behind an
 // admission queue. It is the one orchestration path shared by the
-// scalesim and scalesweep CLIs and the scalesimd daemon.
+// scalesim, scalesweep and scaledse CLIs and the scalesimd daemon.
 type Runner struct {
 	opt  Options
 	pool *engine.Pool
@@ -416,7 +416,8 @@ func (r *Runner) SubmitSweep(label string, spec batch.Spec, live Live) (*Job, er
 	return r.enqueueSweep(label, spec, live, true)
 }
 
-// EnqueueSweep is SubmitSweep without shedding — the scalesweep path.
+// EnqueueSweep is SubmitSweep without shedding — the scalesweep and
+// scaledse path.
 func (r *Runner) EnqueueSweep(label string, spec batch.Spec, live Live) (*Job, error) {
 	return r.enqueueSweep(label, spec, live, false)
 }

@@ -8,8 +8,8 @@
 // executes jobs on a persistent engine.Pool behind a bounded admission
 // queue, shares one simcache across every job so repeated configurations
 // replay near-free, and registers manifests into a runstore. Every mode of
-// the scalesim CLI, the scalesweep CLI and the scalesimd daemon run through
-// the same Runner, and the CLI resolves its flags with the parsers
+// scalesim, scalesweep, scaledse's refinement and the scalesimd daemon run
+// through the same Runner, and the CLI resolves its flags with the parsers
 // Request.Spec uses (Override, BuiltIn, ParseParts), so a job submitted
 // over HTTP is byte-identical to the same job run from the command line.
 package job

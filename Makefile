@@ -18,6 +18,7 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'TestPlan' ./internal/core
 	$(GO) test -race -count=3 -run 'ScaleOut|Parts' ./internal/job ./cmd/scalesimd
+	$(GO) test -race -count=3 -run 'Sweep' ./internal/job
 	$(GO) test -race -count=3 ./internal/dse ./cmd/scaledse
 
 bench:

@@ -13,6 +13,7 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/dse"
 	"scalesim/internal/job"
+	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
 
@@ -26,9 +27,10 @@ func dseShapes(budgets ...int64) []analytical.Shape {
 	return shapes
 }
 
-// dseRunner is the one-worker Runner scaledse hands dse.Explore.
-func dseRunner(b *testing.B) *job.Runner {
-	r := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1})
+// benchRunner is the one-worker Runner a CLI builds — what scaledse hands
+// dse.Explore and scalesweep runs its grid on — over cache (nil = uncached).
+func benchRunner(b *testing.B, cache *simcache.Cache) *job.Runner {
+	r := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
 	b.Cleanup(func() { _ = r.Close(context.Background()) })
 	return r
 }
@@ -50,7 +52,7 @@ func BenchmarkDSETier1(b *testing.B) {
 		Workloads: []topology.Topology{topology.TinyNet(), topology.AlexNet()},
 		Epsilon:   0.1,
 	}
-	runner := dseRunner(b)
+	runner := benchRunner(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var scored, nspop int64
@@ -82,19 +84,20 @@ func BenchmarkDSESweep(b *testing.B) {
 	nets := []topology.Topology{topology.TinyNet()}
 
 	b.Run("full", func(b *testing.B) {
+		runner := benchRunner(b, nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := batch.Run(batch.Spec{
+			res, err := runner.RunSweep("sweep", batch.Spec{
 				Base:       config.New(),
 				Arrays:     grid,
 				Dataflows:  dfs,
 				Topologies: nets,
-			})
+			}, job.Live{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(rows) != len(grid)*len(dfs) {
-				b.Fatalf("rows = %d", len(rows))
+			if len(res.Rows) != len(grid)*len(dfs) {
+				b.Fatalf("rows = %d", len(res.Rows))
 			}
 		}
 	})
@@ -106,7 +109,7 @@ func BenchmarkDSESweep(b *testing.B) {
 			Workloads: nets,
 			Epsilon:   0.1,
 		}
-		runner := dseRunner(b)
+		runner := benchRunner(b, nil)
 		b.ReportAllocs()
 		var refined, gridN int64
 		for i := 0; i < b.N; i++ {

@@ -20,6 +20,7 @@ import (
 	"scalesim/internal/dataflow"
 	"scalesim/internal/dram"
 	"scalesim/internal/experiments"
+	"scalesim/internal/job"
 	"scalesim/internal/memory"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/rtlref"
@@ -547,25 +548,26 @@ func BenchmarkSweepCached(b *testing.B) {
 		Parallel:   1,
 	}
 	b.Run("off", func(b *testing.B) {
+		runner := benchRunner(b, nil)
 		for i := 0; i < b.N; i++ {
-			if _, err := batch.Run(spec); err != nil {
+			if _, err := runner.RunSweep("sweep", spec, job.Live{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("on", func(b *testing.B) {
-		cached := spec
-		cached.Cache = simcache.New()
-		if _, err := batch.Run(cached); err != nil { // warm outside the timer
+		cache := simcache.New()
+		runner := benchRunner(b, cache)
+		if _, err := runner.RunSweep("sweep", spec, job.Live{}); err != nil { // warm outside the timer
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := batch.Run(cached); err != nil {
+			if _, err := runner.RunSweep("sweep", spec, job.Live{}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(cached.Cache.Len()), "entries")
+		b.ReportMetric(float64(cache.Len()), "entries")
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
+	"scalesim/internal/job"
 	"scalesim/internal/noc"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
@@ -42,12 +43,13 @@ func BenchmarkBatchSweep(b *testing.B) {
 		SRAMs:      [][3]int{{8, 8, 4}},
 		Topologies: []topology.Topology{topology.TinyNet()},
 	}
+	runner := benchRunner(b, nil)
 	for i := 0; i < b.N; i++ {
-		rows, err := batch.Run(spec)
+		res, err := runner.RunSweep("sweep", spec, job.Live{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 4 {
+		if len(res.Rows) != 4 {
 			b.Fatal("grid size")
 		}
 	}

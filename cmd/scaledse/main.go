@@ -112,7 +112,7 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 	for _, a := range grid.Arrays {
 		space.Arrays = append(space.Arrays, analytical.Shape{R: int64(a[0]), C: int64(a[1])})
 	}
-	for _, part := range splitList(*enumMACs) {
+	for _, part := range batch.SplitList(*enumMACs) {
 		var macs int64
 		if _, err := fmt.Sscanf(part, "%d", &macs); err != nil || macs < 1 {
 			return fmt.Errorf("invalid MAC budget %q", part)
@@ -182,7 +182,7 @@ func runMerge(args []string, stdout io.Writer) error {
 	}
 	defer stopObs()
 
-	if srcs := splitList(*caches); len(srcs) > 0 {
+	if srcs := batch.SplitList(*caches); len(srcs) > 0 {
 		if *cacheDst == "" {
 			return fmt.Errorf("merge: -caches requires -cache-dir")
 		}
@@ -228,15 +228,4 @@ func writeCSV(stdout io.Writer, path string, rows []dse.Row) error {
 		w = f
 	}
 	return dse.WriteCSV(w, rows)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

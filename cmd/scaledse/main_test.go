@@ -240,6 +240,8 @@ func TestRejectsBadInput(t *testing.T) {
 		{"frobnicate"},
 		{"run", "-nets", "NoSuchNet", "-arrays", "8x8"},
 		{"run", "-nets", "TinyNet", "-arrays", "8x"},
+		{"run", "-nets", "TinyNet", "-arrays", "8x8x2"},
+		{"run", "-nets", "TinyNet", "-arrays", "8x8", "-srams", "2/2/1/7"},
 		{"run", "-nets", "TinyNet", "-arrays", "8x8", "-shard", "2"},
 		{"merge"},
 		{"merge", "-caches", "a,b"},

@@ -45,6 +45,7 @@ import (
 	"scalesim/internal/cliobs"
 	"scalesim/internal/job"
 	"scalesim/internal/obsv"
+	"scalesim/internal/topology"
 )
 
 func main() {
@@ -217,7 +218,7 @@ func pickWorkload(cfg scalesim.Config, topoPath, netName, graphPath string) (sca
 		}
 		return scalesim.Topology{}, &g, nil
 	case netName != "":
-		return job.BuiltIn(netName)
+		return topology.Workload(netName)
 	case topoPath != "":
 		t, err := scalesim.LoadTopology(topoPath)
 		return t, nil, err

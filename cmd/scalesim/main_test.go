@@ -265,6 +265,20 @@ func TestParseArray(t *testing.T) {
 	if !strings.Contains(buf.String(), "scale-out: 1x2 partitions of 8x4") {
 		t.Errorf("header:\n%s", buf.String())
 	}
+	// A shape is exactly its integers: a trailing field is refused, not
+	// dropped, before anything is printed.
+	for _, args := range [][]string{
+		{"-array", "8x8x3"},
+		{"-array", "8x8,"},
+		{"-parts", "2x2x5"},
+		{"-sram", "4,4,2,9"},
+		{"-sram", "4,4"},
+	} {
+		buf.Reset()
+		if err := run(append([]string{"-net", "TinyNet"}, args...), &buf); err == nil || buf.Len() != 0 {
+			t.Errorf("%v: err = %v, stdout %q; want a refusal and empty stdout", args, err, buf.String())
+		}
+	}
 }
 
 func TestJSONOutput(t *testing.T) {

@@ -160,10 +160,16 @@ func TestSweepErrors(t *testing.T) {
 		{"-spec", "/nonexistent"}, // missing spec
 		{"-config", "/nonexistent", "-nets", "TinyNet"},
 		{"-badflag"},
+		{"-nets", "TinyNet", "-arrays", "8x8x9"},   // trailing field
+		{"-nets", "TinyNet", "-srams", "2/2/1/7"},  // trailing field
+		{"-nets", "TinyNet", "-arrays", "8x8,0x4"}, // one invalid point refuses the grid
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) succeeded", args)
 		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a refused sweep wrote to stdout:\n%s", buf.String())
 	}
 }

@@ -1,32 +1,26 @@
-// Package batch runs declarative grids of simulations: the cartesian
-// product of array shapes, dataflows, SRAM provisions and workloads, each
-// point a full cycle-accurate run, executed on the shared engine's worker
-// pool. This is the "quickly iterate over and validate upcoming designs"
-// workflow the paper positions SCALE-Sim for, packaged as one command.
+// Package batch declares grids of simulations: the cartesian product of
+// array shapes, dataflows, SRAM provisions and workloads, each point a full
+// cycle-accurate run — the "quickly iterate over and validate upcoming
+// designs" workflow the paper positions SCALE-Sim for. It is declarative
+// (expansion, content address, shard, Row, CSV, manifest) and runs nothing:
+// a grid is one sweep job on the job.Runner, every point a job.Spec.
 package batch
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/core"
-	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/obsv/log"
-	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
 
 // Point is one grid coordinate. Exactly one of Topology and Graph is the
-// workload: flat points run core.Simulate, graph points run
-// core.SimulateGraph.
+// workload, as in the job.Spec the point runs as.
 type Point struct {
 	Array    [2]int
 	Dataflow config.Dataflow
@@ -43,12 +37,6 @@ func (p Point) Net() string {
 	return p.Topology.Name
 }
 
-// ShapeKey is the workload's canonical identity, names excluded.
-// Together with the derived configuration's hash it identifies the point
-// content-addressably — the basis of deterministic shard assignment and
-// cross-shard deduplication.
-func (p Point) ShapeKey() string { return topology.ShapeKey(p.Topology, p.Graph) }
-
 // Config derives the point's full hardware configuration from the base.
 func (p Point) Config(base config.Config) config.Config {
 	return base.
@@ -57,13 +45,12 @@ func (p Point) Config(base config.Config) config.Config {
 		WithSRAM(p.SRAM[0], p.SRAM[1], p.SRAM[2])
 }
 
-// PointHash is the point's content address: the SHA-256-backed hash of its
-// derived configuration crossed with its workload shape key. Equal hashes
-// mean equal simulation outcomes, so merged sharded sweeps deduplicate
-// rows by it.
+// PointHash is the point's content address: the hash of its derived
+// configuration crossed with its workload shape key — the Key of the
+// job.Spec the point runs as. Equal hashes mean equal simulation outcomes,
+// so merged sharded sweeps deduplicate rows by it.
 func PointHash(base config.Config, p Point) string {
-	sum := sha256.Sum256([]byte(p.ShapeKey()))
-	return p.Config(base).Hash() + ":" + hex.EncodeToString(sum[:8])
+	return topology.ContentKey(p.Config(base).Hash(), p.Topology, p.Graph)
 }
 
 // ShardOf deterministically assigns the point to one of shards buckets,
@@ -95,11 +82,13 @@ type Row struct {
 	// DRAMReads/DRAMWrites are interface words.
 	DRAMReads, DRAMWrites int64
 	// Ledger merges the point's per-layer cycle ledgers; its Total equals
-	// TotalCycles (sweeps model no DRAM bound, so no stall bins appear).
+	// TotalCycles (a point carries no DRAM bound yet; the body it runs on
+	// does — so no stall bins appear).
 	Ledger *cycleacct.Ledger
 }
 
-// Spec is the declarative grid.
+// Spec is the declarative grid; cache, recorder, timeline, progress and
+// cancellation belong to the job.Runner and job.Live it is submitted with.
 type Spec struct {
 	// Base supplies offsets, word size and anything the grid axes do not
 	// override.
@@ -110,7 +99,7 @@ type Spec struct {
 	Dataflows []config.Dataflow
 	SRAMs     [][3]int
 	// Topologies and Graphs together form the workload axis (at least one
-	// workload required); graphs run through core.SimulateGraph.
+	// workload required).
 	Topologies []topology.Topology
 	Graphs     []topology.Graph
 	// PointList, when non-empty, replaces the cartesian expansion with an
@@ -121,45 +110,18 @@ type Spec struct {
 	PointList []Point
 	// Parallel bounds concurrent runs (default GOMAXPROCS).
 	Parallel int
-	// Cache, when non-nil, memoizes per-layer compute results across the
-	// whole grid: points that share a (config, layer-shape) pair — every
-	// SRAM/array point re-running the same nets — replay instead of
-	// re-simulating (repeated shapes inside one net are shared by core's
-	// run plan, cache or no cache). Safe to share across
-	// concurrent points; ignored for points with live sinks (Timeline).
-	Cache *simcache.Cache
-	// Obs, when non-nil, records the sweep: grid-level engine spans, the
-	// "batch.run" phase and per-point wall timings. Rows are unaffected.
-	Obs *obsv.Recorder
-	// Timeline, when non-nil, receives every grid point's simulated-machine
-	// timeline (one Perfetto process per point). Concurrent points
-	// interleave their events, which the trace format permits; rows are
-	// unaffected.
-	Timeline *timeline.Writer
-	// Progress, when non-nil, receives one step per completed grid point.
-	Progress *obsv.Progress
-	// Context, when non-nil, cancels the sweep at layer granularity: it is
-	// threaded into every point's core.Options.Context, so a cancelled
-	// sweep aborts with the context's error instead of running the grid to
-	// completion. This is how a job runner stops a running sweep.
-	Context context.Context
 }
 
-// label formats the canonical point/row name shared by progress lines,
-// debug logs and manifests.
-func label(net string, array [2]int, df config.Dataflow, sram [3]int) string {
-	return fmt.Sprintf("%s/%dx%d/%s/%d-%d-%d", net,
-		array[0], array[1], df, sram[0], sram[1], sram[2])
-}
-
-// PointLabel names one grid point for progress lines and manifests.
+// PointLabel names one grid point for progress lines, debug logs and
+// manifests: the Label of the row it completes as.
 func PointLabel(p Point) string {
-	return label(p.Net(), p.Array, p.Dataflow, p.SRAM)
+	return Row{Net: p.Net(), Array: p.Array, Dataflow: p.Dataflow, SRAM: p.SRAM}.Label()
 }
 
-// Label names the completed row identically to its point's PointLabel.
+// Label is the canonical point/row name.
 func (r Row) Label() string {
-	return label(r.Net, r.Array, r.Dataflow, r.SRAM)
+	return fmt.Sprintf("%s/%dx%d/%s/%d-%d-%d", r.Net,
+		r.Array[0], r.Array[1], r.Dataflow, r.SRAM[0], r.SRAM[1], r.SRAM[2])
 }
 
 // Points expands the grid, or adopts the explicit PointList.
@@ -198,59 +160,16 @@ func (s Spec) Points() []Point {
 	return pts
 }
 
-// Run executes every grid point on the shared engine's worker pool and
-// returns rows in grid order.
-func Run(spec Spec) ([]Row, error) {
-	if len(spec.Topologies) == 0 && len(spec.Graphs) == 0 && len(spec.PointList) == 0 {
-		return nil, fmt.Errorf("batch: no topologies")
-	}
-	points := spec.Points()
-	spec.Progress.Start(len(points))
-	defer spec.Obs.Phase("batch.run")()
-	log.Default().Info("batch", "sweep start",
-		"points", len(points), "nets", len(spec.Topologies)+len(spec.Graphs))
-	// Labels are fmt-built per point; skip construction entirely when no
-	// consumer (recorder, progress line, debug log) will read them.
-	wantLabel := spec.Obs.Enabled() || spec.Progress != nil || log.Default().Enabled(log.LevelDebug)
-	rows, err := engine.RunObserved(spec.Parallel, len(points), spec.Obs.SpanSink(), func(i int) (Row, error) {
-		p := points[i]
-		var t0 time.Time
-		if spec.Obs.Enabled() {
-			t0 = time.Now()
-		}
-		row, err := runPoint(spec.Context, spec.Base, p, spec.Timeline, spec.Cache)
-		if err != nil {
-			return Row{}, fmt.Errorf("batch: %s on %dx%d %v: %w",
-				p.Net(), p.Array[0], p.Array[1], p.Dataflow, err)
-		}
-		if wantLabel {
-			name := PointLabel(p)
-			spec.Obs.ObserveLayer(i, name, time.Since(t0))
-			spec.Progress.Step(name)
-			if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-				lg.Debug("batch", "point done", "point", name, "cycles", row.TotalCycles)
-			}
-		}
-		return row, nil
-	})
-	if err != nil {
-		log.Default().Error("batch", "sweep failed", "points", len(points), "error", err)
-	}
-	return rows, err
-}
-
 // NewManifest assembles a sweep manifest: one manifest entry per grid
 // point (total cycles, utilization, DRAM traffic, wall time) on top of
-// the recorder's phases, spans and runtime stats. rows must be the grid
-// Run returned under the same recorder.
-func NewManifest(spec Spec, rows []Row, rec *obsv.Recorder) *obsv.Manifest {
+// the recorder's phases, spans and runtime stats, under the base
+// configuration's hash and the cache's counters (nil = no block). rows
+// must be the grid the recorder observed.
+func NewManifest(baseHash string, rows []Row, rec *obsv.Recorder, cache *simcache.Cache) *obsv.Manifest {
 	m := rec.Manifest()
 	m.Tool = "scalesweep"
-	m.ConfigHash = spec.Base.Hash()
-	if spec.Cache != nil {
-		st := spec.Cache.Stats()
-		m.Cache = &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-	}
+	m.ConfigHash = baseHash
+	m.Cache = cache.ManifestStats()
 	m.Layers = make([]obsv.LayerMetrics, 0, len(rows))
 	for i, r := range rows {
 		m.Layers = append(m.Layers, obsv.LayerMetrics{
@@ -289,23 +208,8 @@ func CycleReport(rows []Row) (*cycleacct.Report, error) {
 	return cycleacct.NewReport(nodes)
 }
 
-func runPoint(ctx context.Context, base config.Config, p Point, tl *timeline.Writer, cache *simcache.Cache) (Row, error) {
-	cfg := p.Config(base)
-	// Grid points already saturate the worker pool; keep each point's
-	// layer execution sequential rather than multiplying the two levels.
-	sim, err := core.New(cfg, core.Options{Workers: 1, Timeline: tl, Cache: cache, Context: ctx})
-	if err != nil {
-		return Row{}, err
-	}
-	var res core.RunResult
-	if p.Graph != nil {
-		res, err = sim.SimulateGraph(*p.Graph)
-	} else {
-		res, err = sim.Simulate(p.Topology)
-	}
-	if err != nil {
-		return Row{}, err
-	}
+// RowOf condenses a completed run of point p into its Row.
+func RowOf(p Point, res core.RunResult) Row {
 	row := Row{
 		Net:         p.Net(),
 		Array:       p.Array,
@@ -318,7 +222,7 @@ func runPoint(ctx context.Context, base config.Config, p Point, tl *timeline.Wri
 		DRAMWrites:  res.DRAMWrites(),
 	}
 	if res.TotalCycles > 0 {
-		row.ComputeUtil = float64(res.TotalMACs) / (float64(cfg.MACs()) * float64(res.TotalCycles))
+		row.ComputeUtil = float64(res.TotalMACs) / (float64(res.Config.MACs()) * float64(res.TotalCycles))
 	}
 	led := &cycleacct.Ledger{}
 	for _, lr := range res.Layers {
@@ -329,5 +233,5 @@ func runPoint(ctx context.Context, base config.Config, p Point, tl *timeline.Wri
 		led.Merge(*lr.Ledger)
 	}
 	row.Ledger = led
-	return row, nil
+	return row
 }

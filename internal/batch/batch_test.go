@@ -1,15 +1,33 @@
-package batch
+package batch_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	. "scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/core"
+	"scalesim/internal/job"
+	"scalesim/internal/obsv"
+	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
+
+// run executes the grid the way scalesweep does — one sweep job on a
+// one-worker job.Runner over cache (nil = uncached), recorded by rec (nil
+// = unrecorded) — and returns its rows.
+func run(spec Spec, cache *simcache.Cache, rec *obsv.Recorder) ([]Row, error) {
+	r := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
+	defer func() { _ = r.Close(context.Background()) }()
+	res, err := r.RunSweep("sweep", spec, job.Live{Obs: rec})
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
 
 func tinySpec() Spec {
 	return Spec{
@@ -39,7 +57,7 @@ func TestPointsExpansion(t *testing.T) {
 }
 
 func TestRunGrid(t *testing.T) {
-	rows, err := Run(tinySpec())
+	rows, err := run(tinySpec(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +88,7 @@ func TestRunGrid(t *testing.T) {
 	// Parallel execution returns identical rows.
 	spec := tinySpec()
 	spec.Parallel = 4
-	parallel, err := Run(spec)
+	parallel, err := run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +100,12 @@ func TestRunGrid(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Spec{Base: config.New()}); err == nil {
+	if _, err := run(Spec{Base: config.New()}, nil, nil); err == nil {
 		t.Error("empty spec accepted")
 	}
 	bad := tinySpec()
 	bad.Arrays = [][2]int{{0, 8}}
-	if _, err := Run(bad); err == nil {
+	if _, err := run(bad, nil, nil); err == nil {
 		t.Error("invalid array accepted")
 	}
 }
@@ -170,7 +188,7 @@ func TestParseSpecGraphNets(t *testing.T) {
 	if nets["TinyNet"] != 2 || nets["BERTTiny"] != 2 {
 		t.Fatalf("net expansion: %v", nets)
 	}
-	rows, err := Run(spec)
+	rows, err := run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +206,11 @@ func TestParseSpecErrors(t *testing.T) {
 		{Arrays: "8by8", Nets: "TinyNet"},
 		{Dataflows: "zz", Nets: "TinyNet"},
 		{SRAMs: "1-2-3", Nets: "TinyNet"},
+		// A shape is exactly its integers: no trailing field is dropped.
+		{Arrays: "8x8x9", Nets: "TinyNet"},
+		{Arrays: "8x8,16x", Nets: "TinyNet"},
+		{SRAMs: "2/2/1/7", Nets: "TinyNet"},
+		{SRAMs: "2/2", Nets: "TinyNet"},
 		{Arrays: "8x8"}, // no nets
 	} {
 		_, _, err, derr := axesCase{axes: axes}.both()
@@ -207,7 +230,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	rows, err := Run(tinySpec())
+	rows, err := run(tinySpec(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
-package batch
+package batch_test
 
 import (
 	"encoding/json"
 	"testing"
 
+	. "scalesim/internal/batch"
 	"scalesim/internal/obsv"
 	"scalesim/internal/simcache"
 )
@@ -22,21 +23,20 @@ func TestGridCacheEquivalence(t *testing.T) {
 	spec := tinySpec()
 	spec.Parallel = 2
 
-	ref, err := Run(spec)
+	ref, err := run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cached := spec
-	cached.Cache = simcache.New()
-	cold, err := Run(cached)
+	cache := simcache.New()
+	cold, err := run(spec, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if marshal(cold) != marshal(ref) {
 		t.Fatal("cold cached grid differs from uncached grid")
 	}
-	warm, err := Run(cached)
+	warm, err := run(spec, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGridCacheEquivalence(t *testing.T) {
 	for _, p := range spec.Points() {
 		nLayers += int64(len(p.Topology.Layers))
 	}
-	if got := cached.Cache.Hits(); got < nLayers {
+	if got := cache.Hits(); got < nLayers {
 		t.Fatalf("warm grid hits=%d, want at least %d (every layer of every point)", got, nLayers)
 	}
 }
@@ -56,17 +56,16 @@ func TestGridCacheEquivalence(t *testing.T) {
 // shared cache's counters and the canonical config hash.
 func TestManifestCarriesCacheStats(t *testing.T) {
 	spec := tinySpec()
-	spec.Cache = simcache.New()
+	cache := simcache.New()
 	rec := obsv.NewRecorder()
-	spec.Obs = rec
-	rows, err := Run(spec)
+	rows, err := run(spec, cache, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(spec); err != nil {
+	if _, err := run(spec, cache, rec); err != nil {
 		t.Fatal(err)
 	}
-	m := NewManifest(spec, rows, rec)
+	m := NewManifest(spec.Base.Hash(), rows, rec, cache)
 	if m.ConfigHash != spec.Base.Hash() {
 		t.Fatalf("manifest config hash %q", m.ConfigHash)
 	}
@@ -78,7 +77,7 @@ func TestManifestCarriesCacheStats(t *testing.T) {
 	}
 	// An uncached sweep's manifest must omit the section entirely.
 	plain := tinySpec()
-	if m2 := NewManifest(plain, rows, nil); m2.Cache != nil {
+	if m2 := NewManifest(plain.Base.Hash(), rows, nil, nil); m2.Cache != nil {
 		t.Fatal("uncached manifest grew a cache section")
 	}
 }

@@ -1,8 +1,9 @@
-package batch
+package batch_test
 
 import (
 	"testing"
 
+	. "scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/topology"
 )
@@ -87,7 +88,7 @@ func TestPointList(t *testing.T) {
 			t.Errorf("point %d = %s, want %s", i, PointLabel(got[i]), PointLabel(expanded[i]))
 		}
 	}
-	rows, err := Run(list)
+	rows, err := run(list, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestPointList(t *testing.T) {
 
 func TestRowLabelMatchesPointLabel(t *testing.T) {
 	spec := tinySpec()
-	rows, err := Run(spec)
+	rows, err := run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

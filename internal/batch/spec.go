@@ -21,40 +21,37 @@ type Axes struct {
 // behind ParseSpec, scalesweep's inline flags and scaledse's.
 func (a Axes) Spec(base config.Config) (Spec, error) {
 	spec := Spec{Base: base}
-	for _, part := range splitList(a.Arrays) {
-		var r, c int
-		if _, err := fmt.Sscanf(strings.ToLower(part), "%dx%d", &r, &c); err != nil {
-			return Spec{}, fmt.Errorf("batch: invalid array %q", part)
+	for _, part := range SplitList(a.Arrays) {
+		v, err := config.ParseInts(part, "x", 2)
+		if err != nil {
+			return Spec{}, err
 		}
-		spec.Arrays = append(spec.Arrays, [2]int{r, c})
+		spec.Arrays = append(spec.Arrays, [2]int(v))
 	}
-	for _, part := range splitList(a.Dataflows) {
+	for _, part := range SplitList(a.Dataflows) {
 		df, err := config.ParseDataflow(part)
 		if err != nil {
 			return Spec{}, err
 		}
 		spec.Dataflows = append(spec.Dataflows, df)
 	}
-	for _, part := range splitList(a.SRAMs) {
-		var i, f, o int
-		if _, err := fmt.Sscanf(part, "%d/%d/%d", &i, &f, &o); err != nil {
-			return Spec{}, fmt.Errorf("batch: invalid sram triple %q", part)
-		}
-		spec.SRAMs = append(spec.SRAMs, [3]int{i, f, o})
-	}
-	for _, part := range splitList(a.Nets) {
-		if topo, found := topology.BuiltIn(part); found {
-			spec.Topologies = append(spec.Topologies, topo)
-			continue
-		}
-		// Native operator graphs (BERT encoder blocks) by name.
-		g, err := topology.BuiltInGraph(part)
+	for _, part := range SplitList(a.SRAMs) {
+		v, err := config.ParseInts(part, "/", 3)
 		if err != nil {
-			return Spec{}, fmt.Errorf("batch: unknown workload %q (built-ins: %s)",
-				part, strings.Join(append(topology.BuiltInNames(),
-					topology.BuiltInGraphNames()...), ", "))
+			return Spec{}, err
 		}
-		spec.Graphs = append(spec.Graphs, g)
+		spec.SRAMs = append(spec.SRAMs, [3]int(v))
+	}
+	for _, part := range SplitList(a.Nets) {
+		topo, g, err := topology.Workload(part)
+		switch {
+		case err != nil:
+			return Spec{}, err
+		case g != nil:
+			spec.Graphs = append(spec.Graphs, *g)
+		default:
+			spec.Topologies = append(spec.Topologies, topo)
+		}
 	}
 	if len(spec.Topologies) == 0 && len(spec.Graphs) == 0 {
 		return Spec{}, fmt.Errorf("batch: spec has no nets")
@@ -93,7 +90,9 @@ func ParseSpec(r io.Reader, base config.Config) (Spec, error) {
 	return spec, nil
 }
 
-func splitList(s string) []string {
+// SplitList splits a comma-separated axis, trimming blanks and dropping
+// empty items.
+func SplitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -40,6 +41,26 @@ func ParseDataflow(s string) (Dataflow, error) {
 		return InputStationary, nil
 	}
 	return 0, fmt.Errorf("config: unknown dataflow %q (legal values: os, ws, is)", s)
+}
+
+// ParseInts parses s as exactly n integers separated by sep: the one
+// parser behind "RxC" shapes (arrays and partition grids, either case) and
+// SRAM triples ("i,f,o" on the CLI and the wire, "i/f/o" on a sweep axis).
+// A missing, extra or non-numeric field fails — "8x8x3" is not 8x8.
+func ParseInts(s, sep string, n int) ([]int, error) {
+	fields := strings.Split(strings.ToLower(s), sep)
+	out := make([]int, 0, n)
+	for _, f := range fields {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			break
+		}
+		out = append(out, v)
+	}
+	if len(fields) != n || len(out) != n {
+		return nil, fmt.Errorf("config: invalid shape %q (want %d integers separated by %q)", s, n, sep)
+	}
+	return out, nil
 }
 
 // String returns the config-file spelling of the dataflow.

@@ -302,3 +302,36 @@ func TestINIDuplicateSectionMerges(t *testing.T) {
 		t.Errorf("merged section lost key: z=%q", v)
 	}
 }
+
+// TestParseInts: the one shape parser takes exactly its integers — a
+// missing, extra or non-numeric field is an error, never dropped.
+func TestParseInts(t *testing.T) {
+	for _, c := range []struct {
+		s, sep string
+		n      int
+		want   []int // nil = error
+	}{
+		{"8x8", "x", 2, []int{8, 8}},
+		{"16X4", "x", 2, []int{16, 4}},
+		{" 8 x 8 ", "x", 2, []int{8, 8}},
+		{"-1x2", "x", 2, []int{-1, 2}}, // range is the caller's check
+		{"4,4,2", ",", 3, []int{4, 4, 2}},
+		{"2/2/1", "/", 3, []int{2, 2, 1}},
+		{"8x8x3", "x", 2, nil},
+		{"8x8 3", "x", 2, nil},
+		{"8x", "x", 2, nil},
+		{"x8", "x", 2, nil},
+		{"8", "x", 2, nil},
+		{"", "x", 2, nil},
+		{"banana", "x", 2, nil},
+		{"4,4,2,9", ",", 3, nil},
+		{"4,4", ",", 3, nil},
+		{"2/2/1/7", "/", 3, nil},
+		{"2/2/1.5", "/", 3, nil},
+	} {
+		got, err := ParseInts(c.s, c.sep, c.n)
+		if (err != nil) != (c.want == nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseInts(%q, %q, %d) = %v, %v; want %v", c.s, c.sep, c.n, got, err, c.want)
+		}
+	}
+}

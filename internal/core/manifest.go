@@ -50,10 +50,7 @@ func (s *Simulator) Manifest(res RunResult) *obsv.Manifest {
 		}
 		m.Layers = append(m.Layers, lm)
 	}
-	if c := s.opt.Cache; c != nil {
-		st := c.Stats()
-		m.Cache = &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-	}
+	m.Cache = s.opt.Cache.ManifestStats()
 	// Every pipeline run carries ledgers (live and cached alike); a
 	// failure here means an invariant break and is logged, never hidden
 	// inside a partially-filled manifest.

@@ -42,24 +42,24 @@ func tinySpace() Space {
 	}
 }
 
-// exhaustive simulates the full grid through the plain batch path.
+// exhaustive simulates the full grid as a plain sweep job.
 func exhaustive(t *testing.T, s Space) []batch.Row {
 	t.Helper()
 	arrays := make([][2]int, len(s.Arrays))
 	for i, a := range s.Arrays {
 		arrays[i] = [2]int{int(a.R), int(a.C)}
 	}
-	rows, err := batch.Run(batch.Spec{
+	res, err := testRunner(t, nil).RunSweep("sweep", batch.Spec{
 		Base:       s.Base,
 		Arrays:     arrays,
 		Dataflows:  s.Dataflows,
 		SRAMs:      s.SRAMs,
 		Topologies: s.Workloads,
-	})
+	}, job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return res.Rows
 }
 
 // TestTieredMatchesExhaustive: the refined band must contain every

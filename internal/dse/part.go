@@ -177,7 +177,7 @@ func Merge(parts []*Part) (*Result, error) {
 	for i, r := range res.Rows {
 		measured[i] = r.Batch
 	}
-	res.Manifest = res.identify(batch.NewManifest(batch.Spec{}, measured, nil))
+	res.Manifest = res.identify(batch.NewManifest(res.BaseHash, measured, nil, nil))
 	return res, nil
 }
 

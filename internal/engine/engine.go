@@ -8,8 +8,8 @@
 // all the same shape of work: an ordered list of jobs fanned out over a
 // bounded worker pool and joined back in order. Run is that primitive;
 // core (flat topologies, operator graphs and the partition windows of a
-// scale-out layer alike) and batch.Run delegate to it instead of
-// hand-rolling their own pools.
+// scale-out layer alike) and the job.Runner's sweep body delegate to it
+// instead of hand-rolling their own pools.
 //
 // Determinism is the load-bearing guarantee: for any worker count the
 // results slice, every trace byte and the returned error are identical to a

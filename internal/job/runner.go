@@ -287,48 +287,55 @@ func (r *Runner) enqueueSpec(spec Spec, live Live, try bool) (*Job, error) {
 // exactly what the scalesim CLI needs. The returned error is the bare
 // simulation error, unwrapped by any job framing.
 func (r *Runner) Run(spec Spec, live Live) (*Result, error) {
-	j, err := r.Enqueue(spec, live)
-	if err != nil {
-		return nil, err
+	return await(r.Enqueue(spec, live))
+}
+
+// await waits out an enqueued job and returns its result.
+func await(j *Job, err error) (*Result, error) {
+	if err == nil {
+		err = j.Wait(context.Background())
 	}
-	if err := j.Wait(context.Background()); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return j.Result(), nil
 }
 
-// execSpec builds the job body for a simulation spec: construct a core
-// simulator wired to the runner's shared cache and the job's context,
-// simulate, and assemble the manifest. A Parts spec gets the scale-out
-// body instead.
+// simulate is the one body that runs a Spec's workload — a simulation job's
+// and every sweep point's. opt carries what the caller owns: cache, live
+// consumers, context.
+func simulate(spec Spec, opt core.Options) (*core.Simulator, core.RunResult, error) {
+	opt.Workers, opt.DRAM, opt.DRAMBandwidth = spec.Workers, spec.DRAM, spec.DRAMBandwidth
+	sim, err := core.New(spec.Config, opt)
+	if err != nil {
+		return nil, core.RunResult{}, err
+	}
+	var run core.RunResult
+	if spec.Graph != nil {
+		run, err = sim.SimulateGraph(*spec.Graph)
+	} else {
+		run, err = sim.Simulate(spec.Topology)
+	}
+	return sim, run, err
+}
+
+// execSpec builds the job body for a simulation spec: simulate it wired
+// to the runner's shared cache, the job's live consumers and its context,
+// and assemble the manifest. A Parts spec gets the scale-out body instead.
 func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error) {
 	if spec.scaleOut() {
 		return r.execScaleOut(spec)
 	}
 	return func(ctx context.Context, j *Job) (*Result, error) {
-		rec := j.live.Obs
-		opt := core.Options{
-			Workers:       spec.Workers,
-			DRAM:          spec.DRAM,
-			DRAMBandwidth: spec.DRAMBandwidth,
-			Cache:         r.opt.Cache,
-			TraceDir:      j.live.TraceDir,
-			Timeline:      j.live.Timeline,
-			Sinks:         j.live.Sinks,
-			Obs:           rec,
-			Progress:      j.progress,
-			Context:       ctx,
-		}
-		sim, err := core.New(spec.Config, opt)
-		if err != nil {
-			return nil, err
-		}
-		var run core.RunResult
-		if spec.Graph != nil {
-			run, err = sim.SimulateGraph(*spec.Graph)
-		} else {
-			run, err = sim.Simulate(spec.Topology)
-		}
+		sim, run, err := simulate(spec, core.Options{
+			Cache:    r.opt.Cache,
+			TraceDir: j.live.TraceDir,
+			Timeline: j.live.Timeline,
+			Sinks:    j.live.Sinks,
+			Obs:      j.live.Obs,
+			Progress: j.progress,
+			Context:  ctx,
+		})
 		if err != nil {
 			j.progress.Abort(err.Error())
 			return nil, err
@@ -400,73 +407,78 @@ func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, e
 		m.Topology = &obsv.TopologyInfo{Name: topo.Name, Layers: len(topo.Layers)}
 		m.Layers = layers
 		m.CycleAccounting = ca
-		if c := r.opt.Cache; c != nil {
-			st := c.Stats()
-			m.Cache = &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-		}
+		m.Cache = r.opt.Cache.ManifestStats()
 		return &Result{ScaleOut: results, Manifest: m}, nil
 	}
 }
 
-// SubmitSweep enqueues a whole sweep grid as one tracked job (shedding
-// when the queue is full). The runner's cache is adopted when the spec
-// carries none, and the job's context is threaded into every point so
-// Cancel stops a running sweep at layer granularity.
-func (r *Runner) SubmitSweep(label string, spec batch.Spec, live Live) (*Job, error) {
-	return r.enqueueSweep(label, spec, live, true)
-}
-
-// EnqueueSweep is SubmitSweep without shedding — the scalesweep and
-// scaledse path.
-func (r *Runner) EnqueueSweep(label string, spec batch.Spec, live Live) (*Job, error) {
-	return r.enqueueSweep(label, spec, live, false)
-}
-
-func (r *Runner) enqueueSweep(label string, spec batch.Spec, live Live, try bool) (*Job, error) {
-	points := spec.Points()
+// EnqueueSweep enqueues a whole sweep grid as one tracked job, waiting
+// for queue space — the scalesweep and scaledse path. Every grid point is
+// a Spec, validated as Enqueue validates one: a grid with an invalid point
+// (or none) is refused before a job exists.
+func (r *Runner) EnqueueSweep(label string, grid batch.Spec, live Live) (*Job, error) {
+	points := grid.Points()
+	if len(points) == 0 {
+		return nil, fmt.Errorf("batch: no topologies")
+	}
+	specs := make([]Spec, len(points))
+	for i, p := range points {
+		// Grid points already saturate the worker pool; keep each point's
+		// layer execution sequential rather than multiplying the two levels.
+		specs[i] = Spec{Config: p.Config(grid.Base), Topology: p.Topology, Graph: p.Graph, Workers: 1}
+		if err := specs[i].Validate(); err != nil {
+			return nil, pointError(p, err)
+		}
+	}
 	j, err := r.newJob("sweep", "sweep:"+label, label, label, len(points), live)
 	if err != nil {
 		return nil, err
 	}
-	return r.submit(j, r.execSweep(spec), try)
+	return r.submit(j, r.execSweep(grid, points, specs), false)
 }
 
 // RunSweep executes a sweep synchronously, returning rows and the sweep
 // manifest.
-func (r *Runner) RunSweep(label string, spec batch.Spec, live Live) (*Result, error) {
-	j, err := r.EnqueueSweep(label, spec, live)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.Wait(context.Background()); err != nil {
-		return nil, err
-	}
-	return j.Result(), nil
+func (r *Runner) RunSweep(label string, grid batch.Spec, live Live) (*Result, error) {
+	return await(r.EnqueueSweep(label, grid, live))
 }
 
-func (r *Runner) execSweep(spec batch.Spec) func(context.Context, *Job) (*Result, error) {
+// pointError names the grid point an error belongs to.
+func pointError(p batch.Point, err error) error {
+	return fmt.Errorf("batch: %s on %dx%d %v: %w", p.Net(), p.Array[0], p.Array[1], p.Dataflow, err)
+}
+
+// execSweep builds the sweep job body, the grid loop itself: the points'
+// specs run through simulate, grid.Parallel at a time, under the job's
+// context (Cancel stops a running sweep at layer granularity), and the
+// sweep's manifest is assembled here, once.
+func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) func(context.Context, *Job) (*Result, error) {
 	return func(ctx context.Context, j *Job) (*Result, error) {
-		if spec.Cache == nil {
-			spec.Cache = r.opt.Cache
-		}
-		if spec.Timeline == nil {
-			spec.Timeline = j.live.Timeline
-		}
 		rec := j.live.Obs
-		if spec.Obs == nil {
-			spec.Obs = rec
-		}
-		if spec.Progress == nil {
-			spec.Progress = j.progress
-		}
-		spec.Context = ctx
-		rows, err := batch.Run(spec)
+		j.progress.Start(len(points))
+		endPhase := rec.Phase("batch.run")
+		log.Default().Info("batch", "sweep start",
+			"points", len(points), "nets", len(grid.Topologies)+len(grid.Graphs))
+		rows, err := engine.RunObserved(grid.Parallel, len(points), rec.SpanSink(), func(i int) (batch.Row, error) {
+			t0 := time.Now()
+			_, run, err := simulate(specs[i], core.Options{Cache: r.opt.Cache, Timeline: j.live.Timeline, Context: ctx})
+			if err != nil {
+				return batch.Row{}, pointError(points[i], err)
+			}
+			name := batch.PointLabel(points[i])
+			rec.ObserveLayer(i, name, time.Since(t0))
+			j.progress.Step(name)
+			log.Default().Debug("batch", "point done", "point", name, "cycles", run.TotalCycles)
+			return batch.RowOf(points[i], run), nil
+		})
+		endPhase()
 		if err != nil {
-			spec.Progress.Abort(err.Error())
+			log.Default().Error("batch", "sweep failed", "points", len(points), "error", err)
+			j.progress.Abort(err.Error())
 			return nil, err
 		}
-		spec.Progress.Finish()
-		m := batch.NewManifest(spec, rows, spec.Obs)
+		j.progress.Finish()
+		m := batch.NewManifest(grid.Base.Hash(), rows, rec, r.opt.Cache)
 		m.Run = j.run
 		return &Result{Rows: rows, Manifest: m}, nil
 	}

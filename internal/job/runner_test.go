@@ -487,7 +487,7 @@ func TestCancelQueuedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	js, err := r.SubmitSweep("grid", spec, Live{})
+	js, err := r.EnqueueSweep("grid", spec, Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,6 +503,93 @@ func TestCancelQueuedSweep(t *testing.T) {
 	}
 	if err := r.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepPointIsASpecJob is the seam the sweep body stands on: a grid
+// point is a Spec. For every point of a mixed flat+graph grid the sweep's
+// Row is batch.RowOf of Runner.Run of that point's Spec, the point's
+// content address is that Spec's Key, and a cached sweep returns the same
+// rows as an uncached one.
+func TestSweepPointIsASpecJob(t *testing.T) {
+	g, err := topology.BuiltInGraph("BERTTiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := batch.Spec{
+		Base:       config.New(),
+		Arrays:     [][2]int{{8, 8}, {16, 4}},
+		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		SRAMs:      [][3]int{{2, 2, 1}, {8, 8, 4}},
+		Topologies: []topology.Topology{topology.TinyNet()},
+		Graphs:     []topology.Graph{g},
+		Parallel:   2,
+	}
+	plain := NewRunner(Options{Workers: 1})
+	defer plain.Close(context.Background())
+	cached := NewRunner(Options{Workers: 1, Cache: simcache.New()})
+	defer cached.Close(context.Background())
+	sweep, err := plain.RunSweep("grid", grid, Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := grid.Points()
+	if len(sweep.Rows) != len(points) || len(points) != 16 {
+		t.Fatalf("rows = %d, points = %d, want 16 each", len(sweep.Rows), len(points))
+	}
+	for i, p := range points {
+		spec := Spec{Config: p.Config(grid.Base), Topology: p.Topology, Graph: p.Graph, Workers: 1}
+		if got, want := batch.PointHash(grid.Base, p), spec.Key(); got != want {
+			t.Errorf("%s: PointHash %q != Spec.Key %q", batch.PointLabel(p), got, want)
+		}
+		res, err := plain.Run(spec, Live{})
+		if err != nil {
+			t.Fatalf("%s: %v", batch.PointLabel(p), err)
+		}
+		if want := batch.RowOf(p, res.Run); !reflect.DeepEqual(sweep.Rows[i], want) {
+			t.Errorf("%s: sweep row %+v != RowOf(Run(spec)) %+v", batch.PointLabel(p), sweep.Rows[i], want)
+		}
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		got, err := cached.RunSweep("grid", grid, Live{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, sweep.Rows) {
+			t.Errorf("%s cached sweep rows differ from the uncached sweep's", pass)
+		}
+	}
+	if cached.Cache().Hits() == 0 {
+		t.Error("the warm sweep replayed nothing from the runner's cache")
+	}
+}
+
+// TestSweepRefusesInvalidPoint: every point is validated as a Spec before
+// a job exists, so one bad point (or an empty grid) refuses the whole
+// sweep — naming the point, with no progress line and nothing queued —
+// instead of simulating the valid points first.
+func TestSweepRefusesInvalidPoint(t *testing.T) {
+	r := NewRunner(Options{Workers: 1})
+	defer r.Close(context.Background())
+	var progress bytes.Buffer
+	live := Live{Progress: obsv.NewProgress(&progress, "sweep")}
+	grid := sweepSpec()
+	grid.Arrays = [][2]int{{8, 8}, {0, 4}}
+	_, err := r.EnqueueSweep("grid", grid, live)
+	if err == nil || !strings.Contains(err.Error(), "batch: TinyNet on 0x4 os: ") {
+		t.Errorf("EnqueueSweep(8x8,0x4) = %v, want a refusal naming TinyNet on 0x4 os", err)
+	}
+	if _, err := r.EnqueueSweep("grid", batch.Spec{Base: config.New()}, live); err == nil || err.Error() != "batch: no topologies" {
+		t.Errorf("EnqueueSweep(empty grid) = %v, want batch: no topologies", err)
+	}
+	if n := len(r.Jobs()); n != 0 {
+		t.Errorf("%d jobs exist after refused sweeps, want 0", n)
+	}
+	if got := r.Metrics().Counter("jobs.submitted").Value(); got != 0 {
+		t.Errorf("jobs.submitted = %d after refused sweeps, want 0", got)
+	}
+	if progress.Len() != 0 {
+		t.Errorf("a refused sweep reported progress:\n%s", progress.String())
 	}
 }
 

@@ -1,22 +1,21 @@
-// Package job extracts the run-orchestration layer the CLIs used to
-// duplicate into a reusable Job/Result core: a Job is one simulation
-// request (hardware configuration + workload + bounds + partition grid),
-// canonically identified by the same content addresses the rest of the
-// system uses (config.Hash crossed with the workload's shape keys), and a
-// Result is everything a completed job produced — the run result or the
-// per-layer scale-out results, its reports and its manifest. A Runner
-// executes jobs on a persistent engine.Pool behind a bounded admission
-// queue, shares one simcache across every job so repeated configurations
-// replay near-free, and registers manifests into a runstore. Every mode of
-// scalesim, scalesweep, scaledse's refinement and the scalesimd daemon run
-// through the same Runner, and the CLI resolves its flags with the parsers
-// Request.Spec uses (Override, BuiltIn, ParseParts), so a job submitted
-// over HTTP is byte-identical to the same job run from the command line.
+// Package job is the run-orchestration layer every front end shares: a
+// Spec is one simulation request (hardware configuration + workload +
+// bounds + partition grid), canonically identified by the content address
+// the rest of the system uses (topology.ContentKey: config.Hash crossed
+// with the workload's shape keys), and a Result is everything a completed
+// job produced — the run result, the per-layer scale-out results or a
+// sweep's rows, its reports and its manifest. A Runner executes jobs on a
+// persistent engine.Pool behind a bounded admission queue, shares one
+// simcache across every job so repeated configurations replay near-free,
+// and registers manifests into a runstore. Every mode of scalesim, the
+// scalesimd daemon, and scalesweep and scaledse's refinement (a sweep job
+// whose grid points are Specs) run through the same Runner, and the CLI
+// resolves its flags with the parsers Request.Spec uses (Override,
+// ParseParts, topology.Workload), so a job submitted over HTTP is
+// byte-identical to the same job run from the command line.
 package job
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -105,17 +104,13 @@ func (s Spec) Layers() int {
 	return len(s.Topology.Layers)
 }
 
-// ShapeKey is the workload's canonical identity, names excluded — the
-// same identity batch points use.
-func (s Spec) ShapeKey() string { return topology.ShapeKey(s.Topology, s.Graph) }
-
 // Key is the job's content address: the configuration's canonical hash
-// crossed with the workload shape key and the run bounds. Equal keys mean
-// equal simulation outcomes — the identity under which repeated
-// submissions replay from the shared cache.
+// crossed with the workload shape key (topology.ContentKey, the identity
+// batch points use) and the run bounds. Equal keys mean equal simulation
+// outcomes — the identity under which repeated submissions replay from the
+// shared cache.
 func (s Spec) Key() string {
-	sum := sha256.Sum256([]byte(s.ShapeKey()))
-	key := s.Config.Hash() + ":" + hex.EncodeToString(sum[:8])
+	key := topology.ContentKey(s.Config.Hash(), s.Topology, s.Graph)
 	if s.DRAMBandwidth > 0 {
 		key += fmt.Sprintf(";bw=%g", s.DRAMBandwidth)
 	}
@@ -162,21 +157,13 @@ type Request struct {
 	Parts string `json:"parts,omitempty"`
 }
 
-// ParseArray parses an "RxC" array shape (case-insensitive).
-func ParseArray(s string) (r, c int, err error) {
-	if _, err := fmt.Sscanf(strings.ToLower(s), "%dx%d", &r, &c); err != nil {
-		return 0, 0, fmt.Errorf("job: invalid array %q (want RxC)", s)
-	}
-	return r, c, nil
-}
-
 // ParseParts parses a "PrxPc" partition grid, both at least 1.
 func ParseParts(s string) (analytical.Partitioning, error) {
-	pr, pc, err := ParseArray(s)
-	if err != nil || pr < 1 || pc < 1 {
+	v, err := config.ParseInts(s, "x", 2)
+	if err != nil || v[0] < 1 || v[1] < 1 {
 		return analytical.Partitioning{}, fmt.Errorf("job: invalid parts %q (want PrxPc, both at least 1)", s)
 	}
-	return analytical.Partitioning{Pr: int64(pr), Pc: int64(pc)}, nil
+	return analytical.Partitioning{Pr: int64(v[0]), Pc: int64(v[1])}, nil
 }
 
 // Override applies the flag-shaped hardware overrides — array "RxC",
@@ -184,11 +171,11 @@ func ParseParts(s string) (analytical.Partitioning, error) {
 // configuration; empty and zero values keep the base.
 func Override(cfg config.Config, array, dataflow, sram string, lanes int) (config.Config, error) {
 	if array != "" {
-		h, w, err := ParseArray(array)
+		v, err := config.ParseInts(array, "x", 2)
 		if err != nil {
 			return cfg, err
 		}
-		cfg = cfg.WithArray(h, w)
+		cfg = cfg.WithArray(v[0], v[1])
 	}
 	if dataflow != "" {
 		df, err := config.ParseDataflow(dataflow)
@@ -198,29 +185,16 @@ func Override(cfg config.Config, array, dataflow, sram string, lanes int) (confi
 		cfg = cfg.WithDataflow(df)
 	}
 	if sram != "" {
-		var i, f, o int
-		if _, err := fmt.Sscanf(sram, "%d,%d,%d", &i, &f, &o); err != nil {
-			return cfg, fmt.Errorf("job: invalid sram %q (want i,f,o KiB): %w", sram, err)
+		v, err := config.ParseInts(sram, ",", 3)
+		if err != nil {
+			return cfg, err
 		}
-		cfg = cfg.WithSRAM(i, f, o)
+		cfg = cfg.WithSRAM(v[0], v[1], v[2])
 	}
 	if lanes != 0 {
 		cfg.VectorLanes = lanes
 	}
 	return cfg, nil
-}
-
-// BuiltIn resolves a built-in workload name: flat topologies first, then
-// the native operator graphs (graph non-nil).
-func BuiltIn(name string) (topology.Topology, *topology.Graph, error) {
-	if topo, ok := topology.BuiltIn(name); ok {
-		return topo, nil, nil
-	}
-	if g, err := topology.BuiltInGraph(name); err == nil {
-		return topology.Topology{}, &g, nil
-	}
-	return topology.Topology{}, nil, fmt.Errorf("job: unknown built-in workload %q (have %s)", name,
-		strings.Join(append(topology.BuiltInNames(), topology.BuiltInGraphNames()...), ", "))
 }
 
 // Spec resolves the request into an executable Spec.
@@ -257,7 +231,7 @@ func (r Request) Spec() (Spec, error) {
 	}
 	if r.Net != "" {
 		workloads++
-		if spec.Topology, spec.Graph, err = BuiltIn(r.Net); err != nil {
+		if spec.Topology, spec.Graph, err = topology.Workload(r.Net); err != nil {
 			return Spec{}, err
 		}
 	}

@@ -100,6 +100,12 @@ func TestRequestErrors(t *testing.T) {
 		{Request{Net: "TinyNet", Parts: "2x0"}, "parts"},
 		{Request{Net: "TinyNet", Parts: "-1x2"}, "parts"},
 		{Request{Net: "TinyNet", Parts: "two"}, "parts"},
+		// A shape is exactly its integers: no trailing field is dropped.
+		{Request{Net: "TinyNet", Parts: "2x2x5"}, "parts"},
+		{Request{Net: "TinyNet", Array: "8x8x3"}, `"8x8x3"`},
+		{Request{Net: "TinyNet", Array: "8x8 3"}, `"8x8 3"`},
+		{Request{Net: "TinyNet", SRAM: "4,4,2,9"}, `"4,4,2,9"`},
+		{Request{Net: "TinyNet", SRAM: "4,4"}, `"4,4"`},
 		{Request{Net: "BERTTiny", Parts: "1x2"}, "Graph"},
 		{Request{Net: "TinyNet", Parts: "1x2", DRAM: true}, "DRAM"},
 		{Request{Net: "TinyNet", Parts: "1x2", DRAMBandwidth: 4}, "DRAMBandwidth"},
@@ -132,7 +138,7 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 	}
 	g, _ := topology.BuiltInGraph("BERTTiny")
 	d := Spec{Config: config.New(), Graph: &g}
-	if d.ShapeKey() == a.ShapeKey() {
+	if topology.ShapeKey(d.Topology, d.Graph) == topology.ShapeKey(a.Topology, a.Graph) {
 		t.Fatal("graph and flat workloads must shape-key differently")
 	}
 	if d.Net() != "BERTTiny" || d.Layers() != len(g.Nodes) {

@@ -42,6 +42,7 @@ import (
 
 	"scalesim/internal/dram"
 	"scalesim/internal/memory"
+	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/systolic"
@@ -218,6 +219,16 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: int64(c.Len())}
+}
+
+// ManifestStats is Stats as a manifest's cache block; nil (no block) on a
+// nil cache.
+func (c *Cache) ManifestStats() *obsv.CacheStats {
+	if c == nil {
+		return nil
+	}
+	st := c.Stats()
+	return &obsv.CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
 }
 
 // document is the on-disk spill format. The full key is stored and

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // BERTConfig sizes a BERT-style transformer encoder block.
 type BERTConfig struct {
@@ -116,4 +119,18 @@ func BuiltInGraph(name string) (Graph, error) {
 		return Graph{}, fmt.Errorf("topology: no built-in graph or network %q", name)
 	}
 	return ChainGraph(t), nil
+}
+
+// Workload resolves a built-in workload name the way every front end
+// does: flat topologies first, then the native operator graphs (graph
+// non-nil).
+func Workload(name string) (Topology, *Graph, error) {
+	if t, ok := BuiltIn(name); ok {
+		return t, nil, nil
+	}
+	if g, err := BuiltInGraph(name); err == nil {
+		return Topology{}, &g, nil
+	}
+	return Topology{}, nil, fmt.Errorf("topology: unknown built-in workload %q (have %s)", name,
+		strings.Join(append(BuiltInNames(), BuiltInGraphNames()...), ", "))
 }

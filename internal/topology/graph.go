@@ -2,6 +2,8 @@ package topology
 
 import (
 	"container/heap"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -196,6 +198,15 @@ func ShapeKey(t Topology, g *Graph) string {
 		}
 	}
 	return strings.Join(keys, ";")
+}
+
+// ContentKey is the content address of a workload on a configuration:
+// the configuration's canonical hash crossed with the SHA-256 of the
+// workload's ShapeKey. Equal keys mean equal simulation outcomes; job keys
+// and batch point hashes are both this string.
+func ContentKey(configHash string, t Topology, g *Graph) string {
+	sum := sha256.Sum256([]byte(ShapeKey(t, g)))
+	return configHash + ":" + hex.EncodeToString(sum[:8])
 }
 
 // Work returns the node's useful work: MAC operations for matmul kinds,

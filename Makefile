@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench smoke bench-check profile prof-cycles fuzz figures figures-check examples clean
+.PHONY: all build vet test race bench smoke bench-check profile prof-cycles fuzz figures figures-check examples lint-structure clean
 
 all: build vet test
 
@@ -87,11 +87,27 @@ figures-check:
 	for f in $(FIGCHECK)/*.csv; do cmp $$f results/$$(basename $$f) || exit 1; done
 	rm -rf $(FIGCHECK)
 
+# Structural invariants of the two policies that live behind one module
+# each (DESIGN.md "How bytes reach disk", "The CLI shell"), over non-test
+# Go outside bench/. cmd/traceanalyze keeps its own offline -timeline flag
+# (trace files in, no run to bracket); it has no -timeline-window.
+SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
+lint-structure:
+	@test "$$(grep -lE 'os\.(CreateTemp|Rename)\(' $(SRC))" = internal/disk/disk.go
+	@test "$$(grep -l 'pprof\.Index' $(SRC))" = internal/obsv/export/export.go
+	@test "$$(grep -c 'pprof\.Index' internal/obsv/export/export.go)" = 1
+	@test "$$(grep -lE '"(pprof|timeline-window)"' $(SRC))" = internal/cliobs/cliobs.go
+	@test "$$(grep -lE '\("timeline",|, "timeline",' $(SRC) | tr '\n' ' ')" = "cmd/traceanalyze/main.go internal/cliobs/cliobs.go "
+	@! grep -nE 'Sscanf|RunDAGObserved|writeAtomic|writeFileAtomic|writeFileWith|func parseInts|func ServePprof' $(SRC)
+	@! grep -nE '^\s+Memory\s+memory\.Options' internal/core/core.go internal/partition/partition.go
+	@echo "lint-structure: ok"
+
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/offload
 	$(GO) run ./examples/provisioning
 	$(GO) run ./examples/inception
+	$(GO) run ./examples/resnet50
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -219,7 +219,7 @@ func BenchmarkFig10b(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var bwRise float64
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig11(1<<14, []int64{1, 4, 16})
+		series, err := experiments.Fig11Obs(1<<14, []int64{1, 4, 16}, experiments.Obs{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,6 +35,7 @@ import (
 	"scalesim/internal/batch"
 	"scalesim/internal/cliobs"
 	"scalesim/internal/config"
+	"scalesim/internal/disk"
 	"scalesim/internal/dse"
 	"scalesim/internal/job"
 	"scalesim/internal/obsv"
@@ -42,12 +43,7 @@ import (
 	"scalesim/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scaledse:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliobs.Main("scaledse", run) }
 
 func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
@@ -112,19 +108,26 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 	for _, a := range grid.Arrays {
 		space.Arrays = append(space.Arrays, analytical.Shape{R: int64(a[0]), C: int64(a[1])})
 	}
-	for _, part := range batch.SplitList(*enumMACs) {
-		var macs int64
-		if _, err := fmt.Sscanf(part, "%d", &macs); err != nil || macs < 1 {
-			return fmt.Errorf("invalid MAC budget %q", part)
+	if *enumMACs != "" {
+		budgets, err := config.ParseIntList(*enumMACs)
+		if err != nil {
+			return fmt.Errorf("-enum-macs: %w", err)
 		}
-		space.Arrays = analytical.AppendShapes(space.Arrays, macs, *minDim)
+		for _, macs := range budgets {
+			if macs < 1 {
+				return fmt.Errorf("-enum-macs: invalid MAC budget %d", macs)
+			}
+			space.Arrays = analytical.AppendShapes(space.Arrays, macs, *minDim)
+		}
 	}
 
 	opt := dse.Options{Parallel: *parallel, Tier1Only: *tier1Only}
 	if *shardSpec != "" {
-		if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &opt.Shard, &opt.Shards); err != nil {
+		shard, err := config.ParseInts(*shardSpec, "/", 2)
+		if err != nil {
 			return fmt.Errorf("invalid -shard %q (want i/n)", *shardSpec)
 		}
+		opt.Shard, opt.Shards = shard[0], shard[1]
 	}
 	cache, err := cacheFlags.Open()
 	if err != nil {
@@ -157,7 +160,7 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 	if *tier1Only {
 		return nil
 	}
-	return writeCSV(stdout, *out, res.Rows)
+	return cliobs.Output(stdout, *out, func(w io.Writer) error { return dse.WriteCSV(w, res.Rows) })
 }
 
 func runMerge(args []string, stdout io.Writer) error {
@@ -182,7 +185,7 @@ func runMerge(args []string, stdout io.Writer) error {
 	}
 	defer stopObs()
 
-	if srcs := batch.SplitList(*caches); len(srcs) > 0 {
+	if srcs := config.SplitList(*caches); len(srcs) > 0 {
 		if *cacheDst == "" {
 			return fmt.Errorf("merge: -caches requires -cache-dir")
 		}
@@ -200,11 +203,11 @@ func runMerge(args []string, stdout io.Writer) error {
 	}
 	reportStats(os.Stderr, res.Stats)
 	if *metrics != "" {
-		if err := res.Manifest.WriteFile(*metrics); err != nil {
+		if err := disk.Create(*metrics, res.Manifest.WriteJSON); err != nil {
 			return err
 		}
 	}
-	return writeCSV(stdout, *out, res.Rows)
+	return cliobs.Output(stdout, *out, func(w io.Writer) error { return dse.WriteCSV(w, res.Rows) })
 }
 
 // reportStats prints the band-cut and error summary to w.
@@ -215,17 +218,4 @@ func reportStats(w io.Writer, s obsv.SearchStats) {
 		fmt.Fprintf(w, "scaledse: tier 2 refined %d/%d band points (shard %d/%d); rel err max %.4f%% mean %.4f%%\n",
 			s.RefinedPoints, s.BandPoints, s.Shard, s.Shards, 100*s.MaxRelErr, 100*s.MeanRelErr)
 	}
-}
-
-func writeCSV(stdout io.Writer, path string, rows []dse.Row) error {
-	w := stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return dse.WriteCSV(w, rows)
 }

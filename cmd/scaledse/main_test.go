@@ -234,6 +234,73 @@ func TestRefusesGraphNet(t *testing.T) {
 	}
 }
 
+// TestRefusesTrailingJunk: a number is exactly its digits. Each of these
+// used to be read with the tail dropped; each is refused naming the flag,
+// before anything is scored, printed or written.
+func TestRefusesTrailingJunk(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.csv")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-enum-macs", "64x"}, "-enum-macs"},
+		{[]string{"-enum-macs", "64,256x"}, "-enum-macs"},
+		{[]string{"-enum-macs", "0"}, "-enum-macs"},
+		{[]string{"-arrays", "8x8", "-shard", "0/2/9"}, "-shard"},
+		{[]string{"-arrays", "8x8", "-shard", "0/2junk"}, "-shard"},
+	} {
+		var stdout bytes.Buffer
+		err := run(append([]string{"run", "-nets", "TinyNet", "-o", out}, c.args...), &stdout)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.want)
+		}
+		if _, serr := os.Stat(out); stdout.Len() != 0 || !os.IsNotExist(serr) {
+			t.Errorf("%v: a refused search wrote output", c.args)
+		}
+	}
+}
+
+// TestOutputFile: -o receives exactly the bytes stdout would have, for
+// run and merge, and a file that cannot be created or fully written fails
+// the command.
+func TestOutputFile(t *testing.T) {
+	dir := t.TempDir()
+	part := filepath.Join(dir, "p.jsonl")
+	grid := []string{"-nets", "TinyNet", "-arrays", "8x8,16x16"}
+	for _, verb := range [][]string{
+		append([]string{"run", "-part", part}, grid...),
+		{"merge", part},
+	} {
+		path := filepath.Join(dir, verb[0]+".csv")
+		var stdout, none bytes.Buffer
+		if err := run(verb, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append([]string{verb[0], "-o", path}, verb[1:]...), &none); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, stdout.Bytes()) || len(data) == 0 || none.Len() != 0 {
+			t.Errorf("%s -o file:\n%s\nstdout:\n%s", verb[0], data, stdout.Bytes())
+		}
+		missing := filepath.Join(dir, "missing", "x.csv")
+		if err := run(append([]string{verb[0], "-o", missing}, verb[1:]...), &none); err == nil {
+			t.Errorf("%s -o under a missing directory succeeded", verb[0])
+		}
+		if _, err := os.Stat(filepath.Dir(missing)); !os.IsNotExist(err) {
+			t.Errorf("%s -o under a missing directory created it", verb[0])
+		}
+		if _, err := os.Stat("/dev/full"); err == nil {
+			if err := run(append([]string{verb[0], "-o", "/dev/full"}, verb[1:]...), &none); err == nil {
+				t.Errorf("%s -o onto a full device succeeded", verb[0])
+			}
+		}
+	}
+}
+
 func TestRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{},

@@ -22,22 +22,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"scalesim/internal/cliobs"
+	"scalesim/internal/disk"
 	"scalesim/internal/job"
 	"scalesim/internal/obsv"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scaleload:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliobs.Main("scaleload", run) }
 
 // Report is the machine-readable load-test outcome.
 type Report struct {
@@ -90,7 +86,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
+		if err := disk.Create(*outPath, disk.Bytes(append(data, '\n'))); err != nil {
 			return err
 		}
 	}

@@ -43,17 +43,12 @@ import (
 
 	"scalesim"
 	"scalesim/internal/cliobs"
+	"scalesim/internal/disk"
 	"scalesim/internal/job"
-	"scalesim/internal/obsv"
 	"scalesim/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scalesim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliobs.Main("scalesim", run) }
 
 func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("scalesim", flag.ContinueOnError)
@@ -71,27 +66,18 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		asJSON   = fs.Bool("json", false, "emit the full result as JSON instead of the summary")
 		partsArg = fs.String("parts", "", "run scale-out: partition grid as PrxPc (e.g. 2x4); -array sets the per-partition shape")
 		workers  = fs.Int("workers", 0, "layers (under -parts: partitions of a layer) simulated concurrently (0 = number of CPUs, 1 = sequential)")
-		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
-		tlPath   = fs.String("timeline", "", "write a Chrome Trace Event timeline (Perfetto/chrome://tracing) to this path")
-		tlWindow = fs.Int64("timeline-window", 0, "timeline counter sampling window in cycles (default 64)")
 		dramBW   = fs.Float64("dram-bw", 0, "bound the DRAM link in words/cycle and compute stall cycles (0 = unbounded)")
 		vlanes   = fs.Int("vector-lanes", 0, "vector-unit lanes for softmax/layernorm/eltwise nodes (0 = array width)")
 	)
 	cacheFlags := cliobs.RegisterCache(fs)
 	obs := cliobs.Register(fs)
+	obs.RegisterPprof(fs, "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
+	obs.RegisterTimeline(fs, "write a Chrome Trace Event timeline (Perfetto/chrome://tracing) to this path")
 	cyc := cliobs.RegisterCycleProf(fs, true)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *pprof != "" {
-		addr, stopPprof, err := obsv.ServePprof(*pprof)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stopPprof() }()
-		fmt.Fprintf(os.Stderr, "scalesim: pprof at http://%s/debug/pprof/\n", addr)
-	}
 	rec, prog, endObs, err := obs.Begin("scalesim", "scalesim")
 	if err != nil {
 		return err
@@ -138,21 +124,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 
-	var tlw *scalesim.TimelineWriter
-	if *tlPath != "" {
-		f, err := os.Create(*tlPath)
-		if err != nil {
-			return err
-		}
-		tlw = scalesim.NewTimeline(f, scalesim.TimelineOptions{Window: *tlWindow})
-		defer func() {
-			if cerr := tlw.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-			if cerr := f.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-		}()
+	tlw, err := obs.OpenTimeline()
+	if err != nil {
+		return err
 	}
 
 	// The CLI runs through the same job.Runner the scalesimd daemon
@@ -236,17 +210,10 @@ func writeReports(dir, runName string, result *job.Result) error {
 		return err
 	}
 	for _, name := range result.Reports() {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s_%s.csv", runName, name)))
+		err := disk.Create(filepath.Join(dir, fmt.Sprintf("%s_%s.csv", runName, name)),
+			func(w io.Writer) error { return result.WriteReport(w, name) })
 		if err != nil {
 			return err
-		}
-		werr := result.WriteReport(f, name)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
 		}
 	}
 	return nil

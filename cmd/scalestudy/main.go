@@ -30,10 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"scalesim/internal/cliobs"
 	"scalesim/internal/config"
@@ -45,11 +42,20 @@ import (
 	"scalesim/internal/viz"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scalestudy:", err)
-		os.Exit(1)
-	}
+func main() { cliobs.Main("scalestudy", run) }
+
+// defaultMACs is each budget-taking subcommand's -macs default.
+var defaultMACs = map[string]string{
+	"fig9a":     "1024,4096,16384,65536,262144",
+	"fig9bc":    "16384,65536",
+	"fig10a":    "1024,4096,16384,65536",
+	"fig10b":    "1024,4096,16384,65536",
+	"fig11":     "16384",
+	"fig12":     "1024,16384,65536",
+	"sweetspot": "16384",
+	"cells":     "4096,16384,65536,262144",
+	"fig13":     "256,1024,4096,16384,65536",
+	"fig14":     "256,1024,4096,16384,65536",
 }
 
 func run(args []string, stdout io.Writer) (err error) {
@@ -69,21 +75,13 @@ func run(args []string, stdout io.Writer) (err error) {
 		bwBudget = fs.Float64("bw", 64, "sweetspot: DRAM bandwidth budget in bytes/cycle")
 		net      = fs.String("net", "Resnet50", "dataflow: built-in topology")
 		plot     = fs.Bool("plot", false, "fig11/bwcurve: render ASCII charts instead of CSV")
-		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address during the study")
 	)
 	obsFlags := cliobs.Register(fs)
+	obsFlags.RegisterPprof(fs, "serve net/http/pprof on this address during the study")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
 
-	if *pprof != "" {
-		addr, stopPprof, err := obsv.ServePprof(*pprof)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stopPprof() }()
-		fmt.Fprintf(os.Stderr, "scalestudy: pprof at http://%s/debug/pprof/\n", addr)
-	}
 	rec, prog, endObs, err := obsFlags.Begin("scalestudy", "scalestudy "+cmd)
 	if err != nil {
 		return err
@@ -112,261 +110,223 @@ func run(args []string, stdout io.Writer) (err error) {
 		err = obsFlags.Publish(m)
 	}()
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	// The list flags are parsed once, strictly, by the subcommands that
+	// read them: -macs against the subcommand's own default.
+	var budgets, pc []int64
+	if def, ok := defaultMACs[cmd]; ok {
+		if budgets, err = config.ParseIntList(defaultStr(*macs, def)); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+	}
+	if cmd == "fig11" || cmd == "fig12" || cmd == "sweetspot" {
+		if pc, err = config.ParseIntList(*parts); err != nil {
+			return err
+		}
 	}
 
-	switch cmd {
-	case "fig4":
-		sz, err := parseInts(*sizes)
-		if err != nil {
-			return err
-		}
-		ints := make([]int, len(sz))
-		for i, v := range sz {
-			ints[i] = int(v)
-		}
-		rows, err := experiments.Fig4(ints)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "ArraySize,RTLCycles,SimCycles")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%d,%d,%d\n", r.ArraySize, r.RTLCycles, r.SimCycles)
-		}
-		return nil
-
-	case "fig9a":
-		budgets, err := parseInts(defaultStr(*macs, "1024,4096,16384,65536,262144"))
-		if err != nil {
-			return err
-		}
-		points, err := experiments.Fig9a(budgets, *minDim)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "MACs,Partitions,PartGrid,ArrayShape,Cycles,Normalized")
-		for _, p := range points {
-			fmt.Fprintf(w, "%d,%d,%s,%s,%d,%.6f\n",
-				p.MACs, p.Config.Parts.Count(), p.Config.Parts, p.Config.Shape,
-				p.Cycles, p.Normalized)
-		}
-		return nil
-
-	case "fig9bc":
-		budgets, err := parseInts(defaultStr(*macs, "16384,65536"))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "MACs,ArrayShape,Cycles,MappingUtil")
-		for _, b := range budgets {
-			rows, err := experiments.Fig9bc(b)
+	return cliobs.Output(stdout, *out, func(w io.Writer) error {
+		switch cmd {
+		case "fig4":
+			sz, err := config.ParseIntList(*sizes)
 			if err != nil {
 				return err
 			}
+			ints := make([]int, len(sz))
+			for i, v := range sz {
+				ints[i] = int(v)
+			}
+			rows, err := experiments.Fig4(ints)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "ArraySize,RTLCycles,SimCycles")
 			for _, r := range rows {
-				fmt.Fprintf(w, "%d,%s,%d,%.4f\n", b, r.Shape, r.Cycles, r.MappingUtilization)
+				fmt.Fprintf(w, "%d,%d,%d\n", r.ArraySize, r.RTLCycles, r.SimCycles)
 			}
-		}
-		return nil
+			return nil
 
-	case "fig10a", "fig10b":
-		budgets, err := parseInts(defaultStr(*macs, "1024,4096,16384,65536"))
-		if err != nil {
-			return err
-		}
-		layers := experiments.Fig10aLayers()
-		if cmd == "fig10b" {
-			layers = experiments.Fig10bLayers()
-		}
-		rows, err := experiments.Fig10(layers, budgets, *minDim)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Layer,MACs,ScaleUpCycles,ScaleOutCycles,Ratio")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s,%d,%d,%d,%.3f\n",
-				r.Layer, r.MACs, r.ScaleUpCycles, r.ScaleOutCycles, r.Ratio)
-		}
-		return nil
-
-	case "fig11":
-		budgets, err := parseInts(defaultStr(*macs, "16384"))
-		if err != nil {
-			return err
-		}
-		pc, err := parseInts(*parts)
-		if err != nil {
-			return err
-		}
-		if *plot {
-			return plotFig11(w, budgets, pc, obs)
-		}
-		fmt.Fprintln(w, "Layer,MACs,Partitions,Spec,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites")
-		for _, b := range budgets {
-			series, err := experiments.Fig11Obs(b, pc, obs)
+		case "fig9a":
+			points, err := experiments.Fig9a(budgets, *minDim)
 			if err != nil {
 				return err
 			}
-			names := make([]string, 0, len(series))
-			for name := range series {
-				names = append(names, name)
+			fmt.Fprintln(w, "MACs,Partitions,PartGrid,ArrayShape,Cycles,Normalized")
+			for _, p := range points {
+				fmt.Fprintf(w, "%d,%d,%s,%s,%d,%.6f\n",
+					p.MACs, p.Config.Parts.Count(), p.Config.Parts, p.Config.Shape,
+					p.Cycles, p.Normalized)
 			}
-			sort.Strings(names)
-			for _, name := range names {
-				for _, r := range series[name] {
-					fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
-						r.Layer, r.MACs, r.Partitions, r.Spec, r.Cycles,
-						r.AvgBW, r.PeakBW, r.DRAMReads, r.DRAMWrites)
+			return nil
+
+		case "fig9bc":
+			fmt.Fprintln(w, "MACs,ArrayShape,Cycles,MappingUtil")
+			for _, b := range budgets {
+				rows, err := experiments.Fig9bc(b)
+				if err != nil {
+					return err
+				}
+				for _, r := range rows {
+					fmt.Fprintf(w, "%d,%s,%d,%.4f\n", b, r.Shape, r.Cycles, r.MappingUtilization)
 				}
 			}
-		}
-		return nil
+			return nil
 
-	case "fig12":
-		budgets, err := parseInts(defaultStr(*macs, "1024,16384,65536"))
-		if err != nil {
-			return err
-		}
-		pc, err := parseInts(*parts)
-		if err != nil {
-			return err
-		}
-		l, err := pickLayer(*layer)
-		if err != nil {
-			return err
-		}
-		series, err := experiments.Fig12Obs(l, budgets, pc, obs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Layer,MACs,Partitions,EnergyArray,EnergySRAM,EnergyDRAM,EnergyTotal")
-		for _, b := range budgets {
-			for _, r := range series[b] {
-				fmt.Fprintf(w, "%s,%d,%d,%.0f,%.0f,%.0f,%.0f\n",
-					r.Layer, r.MACs, r.Partitions,
-					r.Energy.Array, r.Energy.SRAM, r.Energy.DRAM, r.Energy.Total())
+		case "fig10a", "fig10b":
+			layers := experiments.Fig10aLayers()
+			if cmd == "fig10b" {
+				layers = experiments.Fig10bLayers()
 			}
-		}
-		return nil
-
-	case "sweetspot":
-		budgets, err := parseInts(defaultStr(*macs, "16384"))
-		if err != nil {
-			return err
-		}
-		pc, err := parseInts(*parts)
-		if err != nil {
-			return err
-		}
-		l, err := pickLayer(*layer)
-		if err != nil {
-			return err
-		}
-		base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
-		fmt.Fprintln(w, "Layer,MACs,BWBudget,Spec,Cycles,AvgBW")
-		for _, b := range budgets {
-			pick, _, err := partition.SweetSpot(l, base, b, pc, 8, *bwBudget, partition.Options{Obs: obs.Rec})
+			rows, err := experiments.Fig10(layers, budgets, *minDim)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%s,%d,%.1f,%s,%d,%.4f\n",
-				l.Name, b, *bwBudget, pick.Spec, pick.Cycles, pick.AvgDRAMBW())
-		}
-		return nil
+			fmt.Fprintln(w, "Layer,MACs,ScaleUpCycles,ScaleOutCycles,Ratio")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s,%d,%d,%d,%.3f\n",
+					r.Layer, r.MACs, r.ScaleUpCycles, r.ScaleOutCycles, r.Ratio)
+			}
+			return nil
 
-	case "bwcurve":
-		l, err := pickLayer(*layer)
-		if err != nil {
-			return err
-		}
-		cfg := config.New().WithArray(32, 32).WithSRAM(512, 512, 256)
-		bws := []float64{0.5, 1, 2, 4, 8, 16, 32, 64, 128}
-		points, err := experiments.BandwidthCurve(l, cfg, bws)
-		if err != nil {
-			return err
-		}
-		if *plot {
-			return plotBWCurve(w, l.Name, points)
-		}
-		fmt.Fprintln(w, "Layer,BandwidthWordsPerCycle,StallFreeCycles,StallCycles,Slowdown")
-		for _, p := range points {
-			fmt.Fprintf(w, "%s,%.2f,%d,%d,%.4f\n",
-				l.Name, p.BandwidthWordsPerCycle, p.StallFreeCycles, p.StallCycles, p.Slowdown)
-		}
-		return nil
+		case "fig11":
+			if *plot {
+				return plotFig11(w, budgets, pc, obs)
+			}
+			fmt.Fprintln(w, "Layer,MACs,Partitions,Spec,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites")
+			for _, b := range budgets {
+				series, err := experiments.Fig11Obs(b, pc, obs)
+				if err != nil {
+					return err
+				}
+				names := make([]string, 0, len(series))
+				for name := range series {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				for _, name := range names {
+					for _, r := range series[name] {
+						fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
+							r.Layer, r.MACs, r.Partitions, r.Spec, r.Cycles,
+							r.AvgBW, r.PeakBW, r.DRAMReads, r.DRAMWrites)
+					}
+				}
+			}
+			return nil
 
-	case "dataflow":
-		topoName := defaultStr(*net, "Resnet50")
-		topo, ok := topology.BuiltIn(topoName)
-		if !ok {
-			return fmt.Errorf("unknown built-in topology %q", topoName)
-		}
-		res, err := experiments.DataflowStudy(topo, config.New().WithArray(32, 32))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Layer,BestDataflow,OSCycles,WSCycles,ISCycles")
-		for _, c := range res.Choices {
-			fmt.Fprintf(w, "%s,%s,%d,%d,%d\n", c.Layer, c.Best,
-				c.Cycles[config.OutputStationary],
-				c.Cycles[config.WeightStationary],
-				c.Cycles[config.InputStationary])
-		}
-		fmt.Fprintf(w, "TOTAL(best fixed %s),%s,%d,%d,%d\n",
-			res.BestFixed, "adaptive="+fmt.Sprint(res.AdaptiveCycles),
-			res.FixedCycles[config.OutputStationary],
-			res.FixedCycles[config.WeightStationary],
-			res.FixedCycles[config.InputStationary])
-		return nil
-
-	case "cells":
-		budgets, err := parseInts(defaultStr(*macs, "4096,16384,65536,262144"))
-		if err != nil {
-			return err
-		}
-		net, err := pipeline.FromTopology(topology.GoogLeNet(), topology.GoogLeNetCellBranches())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "MACs,SerialCycles,CellParallelCycles,Speedup")
-		for _, b := range budgets {
-			res, err := pipeline.Evaluate(net, b, config.OutputStationary, *minDim)
+		case "fig12":
+			l, err := pickLayer(*layer)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%d,%d,%d,%.3f\n", b, res.SerialCycles, res.ParallelCycles, res.Speedup())
-		}
-		return nil
-
-	case "fig13", "fig14":
-		budgets, err := parseInts(defaultStr(*macs, "256,1024,4096,16384,65536"))
-		if err != nil {
-			return err
-		}
-		f := experiments.Fig13
-		if cmd == "fig14" {
-			f = experiments.Fig14
-		}
-		rows, err := f(budgets)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "MACs,CandidateRank,Loss,BestConfig")
-		for _, r := range rows {
-			for i, loss := range r.Loss {
-				fmt.Fprintf(w, "%d,%d,%.4f,%s\n", r.MACs, i+1, loss, r.Best)
+			series, err := experiments.Fig12Obs(l, budgets, pc, obs)
+			if err != nil {
+				return err
 			}
+			fmt.Fprintln(w, "Layer,MACs,Partitions,EnergyArray,EnergySRAM,EnergyDRAM,EnergyTotal")
+			for _, b := range budgets {
+				for _, r := range series[b] {
+					fmt.Fprintf(w, "%s,%d,%d,%.0f,%.0f,%.0f,%.0f\n",
+						r.Layer, r.MACs, r.Partitions,
+						r.Energy.Array, r.Energy.SRAM, r.Energy.DRAM, r.Energy.Total())
+				}
+			}
+			return nil
+
+		case "sweetspot":
+			l, err := pickLayer(*layer)
+			if err != nil {
+				return err
+			}
+			base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
+			fmt.Fprintln(w, "Layer,MACs,BWBudget,Spec,Cycles,AvgBW")
+			for _, b := range budgets {
+				pick, _, err := partition.SweetSpot(l, base, b, pc, 8, *bwBudget, partition.Options{Obs: obs.Rec})
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(w, "%s,%d,%.1f,%s,%d,%.4f\n",
+					l.Name, b, *bwBudget, pick.Spec, pick.Cycles, pick.AvgDRAMBW())
+			}
+			return nil
+
+		case "bwcurve":
+			l, err := pickLayer(*layer)
+			if err != nil {
+				return err
+			}
+			cfg := config.New().WithArray(32, 32).WithSRAM(512, 512, 256)
+			bws := []float64{0.5, 1, 2, 4, 8, 16, 32, 64, 128}
+			points, err := experiments.BandwidthCurve(l, cfg, bws)
+			if err != nil {
+				return err
+			}
+			if *plot {
+				return plotBWCurve(w, l.Name, points)
+			}
+			fmt.Fprintln(w, "Layer,BandwidthWordsPerCycle,StallFreeCycles,StallCycles,Slowdown")
+			for _, p := range points {
+				fmt.Fprintf(w, "%s,%.2f,%d,%d,%.4f\n",
+					l.Name, p.BandwidthWordsPerCycle, p.StallFreeCycles, p.StallCycles, p.Slowdown)
+			}
+			return nil
+
+		case "dataflow":
+			topoName := defaultStr(*net, "Resnet50")
+			topo, ok := topology.BuiltIn(topoName)
+			if !ok {
+				return fmt.Errorf("unknown built-in topology %q", topoName)
+			}
+			res, err := experiments.DataflowStudy(topo, config.New().WithArray(32, 32))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "Layer,BestDataflow,OSCycles,WSCycles,ISCycles")
+			for _, c := range res.Choices {
+				fmt.Fprintf(w, "%s,%s,%d,%d,%d\n", c.Layer, c.Best,
+					c.Cycles[config.OutputStationary],
+					c.Cycles[config.WeightStationary],
+					c.Cycles[config.InputStationary])
+			}
+			fmt.Fprintf(w, "TOTAL(best fixed %s),%s,%d,%d,%d\n",
+				res.BestFixed, "adaptive="+fmt.Sprint(res.AdaptiveCycles),
+				res.FixedCycles[config.OutputStationary],
+				res.FixedCycles[config.WeightStationary],
+				res.FixedCycles[config.InputStationary])
+			return nil
+
+		case "cells":
+			net, err := pipeline.FromTopology(topology.GoogLeNet(), topology.GoogLeNetCellBranches())
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "MACs,SerialCycles,CellParallelCycles,Speedup")
+			for _, b := range budgets {
+				res, err := pipeline.Evaluate(net, b, config.OutputStationary, *minDim)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(w, "%d,%d,%d,%.3f\n", b, res.SerialCycles, res.ParallelCycles, res.Speedup())
+			}
+			return nil
+
+		case "fig13", "fig14":
+			f := experiments.Fig13
+			if cmd == "fig14" {
+				f = experiments.Fig14
+			}
+			rows, err := f(budgets)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "MACs,CandidateRank,Loss,BestConfig")
+			for _, r := range rows {
+				for i, loss := range r.Loss {
+					fmt.Fprintf(w, "%d,%d,%.4f,%s\n", r.MACs, i+1, loss, r.Best)
+				}
+			}
+			return nil
 		}
-		return nil
-	}
-	return fmt.Errorf("unknown subcommand %q", cmd)
+		return fmt.Errorf("unknown subcommand %q", cmd)
+	})
 }
 
 // plotFig11 renders the runtime and bandwidth curves of the partition
@@ -448,23 +408,4 @@ func defaultStr(s, def string) string {
 		return def
 	}
 	return s
-}
-
-func parseInts(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("invalid number %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty number list %q", s)
-	}
-	return out, nil
 }

@@ -148,17 +148,36 @@ func TestFig13Fig14Commands(t *testing.T) {
 	}
 }
 
+// TestOutputFile: -o receives exactly the bytes stdout would have, and a
+// file that cannot be created or fully written fails the study.
 func TestOutputFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fig4.csv")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fig4.csv")
 	if err := run([]string{"fig4", "-sizes", "4", "-o", path}, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := run([]string{"fig4", "-sizes", "4"}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "ArraySize") {
-		t.Error("file missing content")
+	if !bytes.Equal(data, stdout.Bytes()) || !strings.Contains(string(data), "ArraySize") {
+		t.Errorf("-o file:\n%s\nstdout:\n%s", data, stdout.Bytes())
+	}
+
+	if err := run([]string{"fig4", "-sizes", "4", "-o", filepath.Join(dir, "missing", "fig4.csv")}, &stdout); err == nil {
+		t.Error("-o under a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Error("-o under a missing directory created it")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := run([]string{"fig4", "-sizes", "4", "-o", "/dev/full"}, &stdout); err == nil {
+			t.Error("-o onto a full device succeeded")
+		}
 	}
 }
 

@@ -30,24 +30,16 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 
-	"scalesim"
 	"scalesim/internal/batch"
 	"scalesim/internal/cliobs"
 	"scalesim/internal/config"
 	"scalesim/internal/job"
-	"scalesim/internal/obsv"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scalesweep:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliobs.Main("scalesweep", run) }
 
 func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("scalesweep", flag.ContinueOnError)
@@ -60,24 +52,14 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		srams     = fs.String("srams", "", "inline axis: comma-separated i/f/o KiB triples")
 		nets      = fs.String("nets", "", "inline axis: comma-separated built-in workloads (flat nets or operator graphs)")
 		parallel  = fs.Int("parallel", 0, "concurrent runs (default GOMAXPROCS)")
-		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address during the sweep")
-		tlPath    = fs.String("timeline", "", "write a Chrome Trace Event timeline (one process per grid point) to this path")
-		tlWindow  = fs.Int64("timeline-window", 0, "timeline counter sampling window in cycles (default 64)")
 	)
 	cacheFlags := cliobs.RegisterCache(fs)
 	obs := cliobs.Register(fs)
+	obs.RegisterPprof(fs, "serve net/http/pprof on this address during the sweep")
+	obs.RegisterTimeline(fs, "write a Chrome Trace Event timeline (one process per grid point) to this path")
 	cyc := cliobs.RegisterCycleProf(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *pprofAddr != "" {
-		addr, stopPprof, err := obsv.ServePprof(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = stopPprof() }()
-		fmt.Fprintf(os.Stderr, "scalesweep: pprof at http://%s/debug/pprof/\n", addr)
 	}
 
 	base := config.New()
@@ -117,21 +99,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 	defer endObs(&retErr)
-	var tlw *scalesim.TimelineWriter
-	if *tlPath != "" {
-		f, err := os.Create(*tlPath)
-		if err != nil {
-			return err
-		}
-		tlw = scalesim.NewTimeline(f, scalesim.TimelineOptions{Window: *tlWindow})
-		defer func() {
-			if cerr := tlw.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-			if cerr := f.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
-			}
-		}()
+	tlw, err := obs.OpenTimeline()
+	if err != nil {
+		return err
 	}
 
 	// The whole grid runs as one sweep job on the same job.Runner the
@@ -146,19 +116,8 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if err := obs.Publish(result.Manifest); err != nil {
 		return err
 	}
-	if cyc.Active() {
-		if err := cyc.Write(result.Manifest.CycleAccounting, "sweep"); err != nil {
-			return err
-		}
+	if err := cyc.Write(result.Manifest.CycleAccounting, "sweep"); err != nil {
+		return err
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return batch.WriteCSV(w, result.Rows)
+	return cliobs.Output(stdout, *out, func(w io.Writer) error { return batch.WriteCSV(w, result.Rows) })
 }

@@ -152,8 +152,46 @@ func TestSweepDiskCache(t *testing.T) {
 	}
 }
 
+// TestOutputFile: -o receives exactly the bytes stdout would have, and a
+// file that cannot be created or fully written fails the sweep.
+func TestOutputFile(t *testing.T) {
+	dir := t.TempDir()
+	grid := []string{"-nets", "TinyNet", "-arrays", "8x8,16x16"}
+	path := filepath.Join(dir, "sweep.csv")
+	var stdout, none bytes.Buffer
+	if err := run(grid, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(grid, "-o", path), &none); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, stdout.Bytes()) || len(data) == 0 || none.Len() != 0 {
+		t.Errorf("-o file:\n%s\nstdout:\n%s", data, stdout.Bytes())
+	}
+
+	if err := run(append(grid, "-o", filepath.Join(dir, "missing", "sweep.csv")), &none); err == nil {
+		t.Error("-o under a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Error("-o under a missing directory created it")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := run(append(grid, "-o", "/dev/full"), &none); err == nil {
+			t.Error("-o onto a full device succeeded")
+		}
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	var buf bytes.Buffer
+	badParallel := filepath.Join(t.TempDir(), "bad.spec")
+	if err := os.WriteFile(badParallel, []byte("[sweep]\nnets = TinyNet\nparallel = 2x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
 		{},                        // no nets anywhere
 		{"-nets", "NoSuchNet"},    // unknown net
@@ -163,6 +201,7 @@ func TestSweepErrors(t *testing.T) {
 		{"-nets", "TinyNet", "-arrays", "8x8x9"},   // trailing field
 		{"-nets", "TinyNet", "-srams", "2/2/1/7"},  // trailing field
 		{"-nets", "TinyNet", "-arrays", "8x8,0x4"}, // one invalid point refuses the grid
+		{"-spec", badParallel},                     // [sweep] parallel = 2x
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {

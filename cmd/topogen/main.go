@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"scalesim"
@@ -32,12 +31,7 @@ import (
 	"scalesim/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "topogen:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliobs.Main("topogen", run) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
@@ -83,42 +77,34 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -format %q (want csv or graph)", *format)
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
-	// Flat built-ins keep their CSV form unless -format graph lifts them
-	// into a linear-chain operator graph; native graphs emit graph JSON and
-	// reject -format csv (a DAG has no flat CSV equivalent).
-	if topo, ok := scalesim.BuiltInTopology(*net); ok {
-		if *stats {
-			if *format == "graph" {
-				return writeGraphStats(w, scalesim.ChainGraph(topo))
+	return cliobs.Output(stdout, *out, func(w io.Writer) error {
+		// Flat built-ins keep their CSV form unless -format graph lifts them
+		// into a linear-chain operator graph; native graphs emit graph JSON and
+		// reject -format csv (a DAG has no flat CSV equivalent).
+		if topo, ok := scalesim.BuiltInTopology(*net); ok {
+			if *stats {
+				if *format == "graph" {
+					return writeGraphStats(w, scalesim.ChainGraph(topo))
+				}
+				return writeKeyStats(w, topo)
 			}
-			return writeKeyStats(w, topo)
+			if *format == "graph" {
+				return scalesim.WriteGraph(w, scalesim.ChainGraph(topo))
+			}
+			return topology.WriteCSV(w, topo)
 		}
-		if *format == "graph" {
-			return scalesim.WriteGraph(w, scalesim.ChainGraph(topo))
+		g, err := scalesim.BuiltInGraph(*net)
+		if err != nil {
+			return fmt.Errorf("unknown workload %q (have %s)", *net, strings.Join(allNames, ", "))
 		}
-		return topology.WriteCSV(w, topo)
-	}
-	g, err := scalesim.BuiltInGraph(*net)
-	if err != nil {
-		return fmt.Errorf("unknown workload %q (have %s)", *net, strings.Join(allNames, ", "))
-	}
-	if *format == "csv" {
-		return fmt.Errorf("workload %q is an operator graph; -format csv applies to flat topologies only", *net)
-	}
-	if *stats {
-		return writeGraphStats(w, g)
-	}
-	return scalesim.WriteGraph(w, g)
+		if *format == "csv" {
+			return fmt.Errorf("workload %q is an operator graph; -format csv applies to flat topologies only", *net)
+		}
+		if *stats {
+			return writeGraphStats(w, g)
+		}
+		return scalesim.WriteGraph(w, g)
+	})
 }
 
 // writeKeyStats prints one row per distinct canonical shape key with its

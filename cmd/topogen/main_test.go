@@ -37,17 +37,46 @@ func TestEmitToStdout(t *testing.T) {
 	}
 }
 
+// TestEmitToFile: -o receives exactly the bytes stdout would have, flat
+// and graph alike, and a file that cannot be created or fully written
+// fails the command.
 func TestEmitToFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "alex.csv")
-	if err := run([]string{"-net", "AlexNet", "-o", path}, os.Stdout); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, net := range []string{"AlexNet", "BERTTiny"} {
+		path := filepath.Join(dir, net)
+		if err := run([]string{"-net", net, "-o", path}, os.Stdout); err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		if err := run([]string{"-net", net}, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, stdout.Bytes()) || len(data) == 0 {
+			t.Errorf("%s: -o file and stdout differ (%d vs %d bytes)", net, len(data), stdout.Len())
+		}
 	}
-	topo, err := topology.LoadCSV(path)
+	topo, err := topology.LoadCSV(filepath.Join(dir, "AlexNet"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(topo.Layers) != 8 {
 		t.Errorf("layers = %d", len(topo.Layers))
+	}
+
+	if err := run([]string{"-net", "AlexNet", "-o", filepath.Join(dir, "missing", "alex.csv")}, os.Stdout); err == nil {
+		t.Error("-o under a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Error("-o under a missing directory created it")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := run([]string{"-net", "AlexNet", "-o", "/dev/full"}, os.Stdout); err == nil {
+			t.Error("-o onto a full device succeeded")
+		}
 	}
 }
 

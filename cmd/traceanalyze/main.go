@@ -19,22 +19,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"scalesim/internal/cliobs"
+	"scalesim/internal/config"
+	"scalesim/internal/disk"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/trace"
 	"scalesim/internal/tracetools"
 	"scalesim/internal/viz"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "traceanalyze:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliobs.Main("traceanalyze", run) }
 
 // stringList collects a repeatable flag.
 type stringList []string
@@ -68,9 +64,14 @@ func run(args []string, stdout io.Writer) error {
 	if len(tracePaths) == 0 {
 		return fmt.Errorf("pass -trace <file.csv> (repeatable)")
 	}
-	capacities, err := parseInts(*caps)
+	capacities, err := config.ParseIntList(*caps)
 	if err != nil {
-		return err
+		return fmt.Errorf("-capacities: %w", err)
+	}
+	for _, v := range capacities {
+		if v < 1 {
+			return fmt.Errorf("capacity %d must be positive", v)
+		}
 	}
 
 	// Scan every trace once; each gets its own stats, meter and reuse
@@ -173,51 +174,22 @@ type scanned struct {
 // writeTimeline reconstructs a counter timeline from the scanned traces:
 // one counter track per trace inside a single "trace bandwidth" process,
 // sampled at the profiling window.
-func writeTimeline(path string, window int64, scans []scanned) (retErr error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
+func writeTimeline(path string, window int64, scans []scanned) error {
+	return disk.Create(path, func(f io.Writer) error {
+		w := timeline.New(f, timeline.Options{Window: window})
+		pid := w.Process("trace bandwidth")
+		for _, sc := range scans {
+			s := timeline.NewSampler(window)
+			for _, p := range sc.meter.Profile() {
+				s.Add(p.StartCycle, p.Words)
+			}
+			s.Emit(w, pid, trackName(sc.path), 0)
 		}
-	}()
-	w := timeline.New(f, timeline.Options{Window: window})
-	pid := w.Process("trace bandwidth")
-	for _, sc := range scans {
-		s := timeline.NewSampler(window)
-		for _, p := range sc.meter.Profile() {
-			s.Add(p.StartCycle, p.Words)
-		}
-		s.Emit(w, pid, trackName(sc.path), 0)
-	}
-	return w.Close()
+		return w.Close()
+	})
 }
 
 // trackName labels a trace in charts and timelines by its file base name.
 func trackName(path string) string {
 	return strings.TrimSuffix(filepath.Base(path), ".csv")
-}
-
-func parseInts(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("invalid number %q: %w", part, err)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("capacity %d must be positive", v)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty capacity list %q", s)
-	}
-	return out, nil
 }

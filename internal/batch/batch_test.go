@@ -221,7 +221,8 @@ func TestParseSpecErrors(t *testing.T) {
 	// What only a document can get wrong.
 	for _, in := range []string{
 		"[sweep]\nparallel = many\nnets = TinyNet\n",
-		"nets = TinyNet\n", // key before section
+		"[sweep]\nparallel = 2x\nnets = TinyNet\n", // a number is exactly its digits
+		"nets = TinyNet\n",                         // key before section
 	} {
 		if _, err := ParseSpec(strings.NewReader(in), config.New()); err == nil {
 			t.Errorf("accepted %q", in)

@@ -3,7 +3,7 @@ package batch
 import (
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"scalesim/internal/config"
 	"scalesim/internal/topology"
@@ -21,28 +21,28 @@ type Axes struct {
 // behind ParseSpec, scalesweep's inline flags and scaledse's.
 func (a Axes) Spec(base config.Config) (Spec, error) {
 	spec := Spec{Base: base}
-	for _, part := range SplitList(a.Arrays) {
+	for _, part := range config.SplitList(a.Arrays) {
 		v, err := config.ParseInts(part, "x", 2)
 		if err != nil {
 			return Spec{}, err
 		}
 		spec.Arrays = append(spec.Arrays, [2]int(v))
 	}
-	for _, part := range SplitList(a.Dataflows) {
+	for _, part := range config.SplitList(a.Dataflows) {
 		df, err := config.ParseDataflow(part)
 		if err != nil {
 			return Spec{}, err
 		}
 		spec.Dataflows = append(spec.Dataflows, df)
 	}
-	for _, part := range SplitList(a.SRAMs) {
+	for _, part := range config.SplitList(a.SRAMs) {
 		v, err := config.ParseInts(part, "/", 3)
 		if err != nil {
 			return Spec{}, err
 		}
 		spec.SRAMs = append(spec.SRAMs, [3]int(v))
 	}
-	for _, part := range SplitList(a.Nets) {
+	for _, part := range config.SplitList(a.Nets) {
 		topo, g, err := topology.Workload(part)
 		switch {
 		case err != nil:
@@ -83,24 +83,11 @@ func ParseSpec(r io.Reader, base config.Config) (Spec, error) {
 		return Spec{}, err
 	}
 	if v, ok := ini.Get("sweep", "parallel"); ok {
-		if _, err := fmt.Sscanf(v, "%d", &spec.Parallel); err != nil {
+		if spec.Parallel, err = strconv.Atoi(v); err != nil {
 			return Spec{}, fmt.Errorf("batch: invalid parallel %q", v)
 		}
 	}
 	return spec, nil
-}
-
-// SplitList splits a comma-separated axis, trimming blanks and dropping
-// empty items.
-func SplitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // WriteCSV renders rows as one CSV table.

@@ -1,8 +1,10 @@
-// Package cliobs wires the observability surface into the command-line
-// tools: one flag set shared by every CLI, so -metrics, -progress, -log,
-// -log-level, -metrics-addr, -metrics-jsonl and -run-dir mean the same
-// thing in scalesim, scalesweep, scaledse and scalestudy, and the
-// workload tools (topogen, traceanalyze) share the logging subset.
+// Package cliobs is the shell every command-line tool runs in: the flags
+// that bracket a run, what each brings up before the run and tears down
+// after it, and how the run's documents reach the files the user named.
+// -metrics, -progress, -log, -log-level, -metrics-addr, -metrics-jsonl and
+// -run-dir mean the same thing in scalesim, scalesweep, scaledse and
+// scalestudy; the workload tools (topogen, traceanalyze) share the logging
+// subset; the tools that have them share one -pprof and one -timeline.
 //
 //	-metrics              write the run's manifest (JSON)
 //	-progress             report per-unit completion on stderr
@@ -10,23 +12,44 @@
 //	-metrics-addr         serve /metrics (Prometheus text) + pprof live
 //	-metrics-jsonl        append periodic metric snapshots for headless runs
 //	-run-dir              register the run's manifest in a runstore
+//	-pprof                serve net/http/pprof for the run (RegisterPprof)
+//	-timeline[-window]    write a Chrome Trace Event timeline (RegisterTimeline)
+//	-cache[-dir|-max-mb]  the result cache (RegisterCache)
+//	-cycleprof, -roofline cycle-accounting exports (RegisterCycleProf)
+//	-o                    the tool's own output, or stdout (Output)
 //
 // Usage: Register the flags, then Begin after parsing (deferring its
-// end), and Publish the run's manifest on the way out. Tools that only
-// log use RegisterLog and Start.
+// end), OpenTimeline once the run is known to be valid, and Publish the
+// run's manifest on the way out. Tools that only log use RegisterLog and
+// Start. Every file a flag names is written through package disk, so a
+// failed write or close is the run's error.
 package cliobs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"scalesim/internal/disk"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/export"
 	"scalesim/internal/obsv/log"
+	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/runstore"
 )
+
+// Main is a tool's main function: run gets the process arguments and
+// stdout, and an error it returns goes to stderr under the tool's name and
+// exits 1.
+func Main(tool string, run func(args []string, stdout io.Writer) error) {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, tool+":", err)
+		os.Exit(1)
+	}
+}
 
 // Flags holds the observability flag values for one CLI invocation.
 type Flags struct {
@@ -38,6 +61,11 @@ type Flags struct {
 	logPath      string
 	logLevel     string
 	runDir       string
+	pprofAddr    string
+	tlPath       string
+	tlWindow     int64
+	// closeTimeline flushes and closes what OpenTimeline opened.
+	closeTimeline func() error
 }
 
 // Register adds the full observability flag set to fs.
@@ -58,6 +86,37 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// RegisterPprof adds -pprof under the tool's own help text; Start serves
+// it for the run.
+func (f *Flags) RegisterPprof(fs *flag.FlagSet, usage string) {
+	fs.StringVar(&f.pprofAddr, "pprof", "", usage)
+}
+
+// RegisterTimeline adds -timeline (under the tool's own help text) and
+// -timeline-window; OpenTimeline resolves them.
+func (f *Flags) RegisterTimeline(fs *flag.FlagSet, usage string) {
+	fs.StringVar(&f.tlPath, "timeline", "", usage)
+	fs.Int64Var(&f.tlWindow, "timeline-window", 0,
+		"timeline counter sampling window in cycles (default 64)")
+}
+
+// OpenTimeline creates the -timeline file and returns its writer (nil
+// without the flag). Call it after Begin, once nothing can refuse the run
+// any more: Begin's end closes it, and a failed flush or close becomes the
+// run's error.
+func (f *Flags) OpenTimeline() (*timeline.Writer, error) {
+	if f.tlPath == "" {
+		return nil, nil
+	}
+	file, err := os.Create(f.tlPath)
+	if err != nil {
+		return nil, err
+	}
+	w := timeline.New(file, timeline.Options{Window: f.tlWindow})
+	f.closeTimeline = func() error { return errors.Join(w.Close(), file.Close()) }
+	return w, nil
+}
+
 // RegisterLog adds only the structured-logging flags — enough for tools
 // that simulate nothing (topogen, traceanalyze).
 func RegisterLog(fs *flag.FlagSet) *Flags {
@@ -73,7 +132,8 @@ func RegisterLog(fs *flag.FlagSet) *Flags {
 // recorder when a manifest, a live endpoint, a snapshot stream or a
 // registered run wants real numbers (nil otherwise), everything Start
 // brings up, and the -progress writer on stderr under label (nil without
-// the flag). Defer end with the address of the run's error: a failed run
+// the flag). Defer end with the address of the run's error: the timeline
+// closes first and a failure there becomes the run's error, a failed run
 // terminates its progress stream (a no-op after the run's own Finish or
 // Abort), then everything stops.
 func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progress, end func(*error), err error) {
@@ -88,6 +148,11 @@ func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progre
 		prog = obsv.NewProgress(os.Stderr, label)
 	}
 	return rec, prog, func(errp *error) {
+		if f.closeTimeline != nil {
+			if err := f.closeTimeline(); err != nil && *errp == nil {
+				*errp = err
+			}
+		}
 		if *errp != nil {
 			prog.Abort((*errp).Error())
 		}
@@ -95,9 +160,10 @@ func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progre
 	}, nil
 }
 
-// Start applies the parsed flags: installs the process logger, brings up
-// the /metrics endpoint and starts the snapshot writer, all reading from
-// rec's registry (nil-safe — an empty registry exports empty families).
+// Start applies the parsed flags: serves pprof, installs the process
+// logger, brings up the /metrics endpoint and starts the snapshot writer,
+// the last two reading from rec's registry (nil-safe — an empty registry
+// exports empty families).
 // The returned stop function flushes and shuts everything down; always
 // defer it. tool labels log lines and stderr notices.
 func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func(), err error) {
@@ -112,6 +178,14 @@ func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func(), err error) 
 		return func() {}, err
 	}
 
+	if f.pprofAddr != "" {
+		addr, stopPprof, err := export.Serve(f.pprofAddr, nil)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "%s: pprof at http://%s/debug/pprof/\n", tool, addr)
+		stops = append(stops, func() { _ = stopPprof() })
+	}
 	if f.logPath != "" {
 		closeLog, err := log.Setup(f.logPath, f.logLevel)
 		if err != nil {
@@ -153,7 +227,7 @@ func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func(), err error) 
 // entry is what scalequery list/diff/top read back later.
 func (f *Flags) Publish(m *obsv.Manifest) error {
 	if f.metrics != "" {
-		if err := m.WriteFile(f.metrics); err != nil {
+		if err := disk.Create(f.metrics, m.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -171,4 +245,14 @@ func (f *Flags) Publish(m *obsv.Manifest) error {
 	log.Default().Info("runstore", "run registered", "id", e.ID, "key", e.Key, "dir", f.runDir)
 	fmt.Fprintf(os.Stderr, "run registered: %s (%s)\n", e.ID, f.runDir)
 	return nil
+}
+
+// Output runs write against the file the tool's -o flag names, or against
+// stdout without one. The file is a disk.Create: a failed write or close
+// is the run's error.
+func Output(stdout io.Writer, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(stdout)
+	}
+	return disk.Create(path, write)
 }

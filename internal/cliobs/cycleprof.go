@@ -4,8 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"scalesim/internal/disk"
 	"scalesim/internal/obsv/cycleacct"
 )
 
@@ -48,7 +48,7 @@ func (f *CycleProfFlags) Write(r *cycleacct.Report, network string) error {
 		return fmt.Errorf("cliobs: run produced no cycle accounting")
 	}
 	if f.profPath != "" {
-		err := writeFileWith(f.profPath, func(w io.Writer) error {
+		err := disk.Create(f.profPath, func(w io.Writer) error {
 			return r.WritePprof(w, network)
 		})
 		if err != nil {
@@ -56,7 +56,7 @@ func (f *CycleProfFlags) Write(r *cycleacct.Report, network string) error {
 		}
 	}
 	if f.rooflinePath != "" {
-		err := writeFileWith(f.rooflinePath, func(w io.Writer) error {
+		err := disk.Create(f.rooflinePath, func(w io.Writer) error {
 			return cycleacct.WriteRooflineCSV(w, r.Roofline)
 		})
 		if err != nil {
@@ -64,19 +64,4 @@ func (f *CycleProfFlags) Write(r *cycleacct.Report, network string) error {
 		}
 	}
 	return nil
-}
-
-// writeFileWith creates path, runs write against it and closes, keeping
-// the first error.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := write(file)
-	cerr := file.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
 }

@@ -63,6 +63,38 @@ func ParseInts(s, sep string, n int) ([]int, error) {
 	return out, nil
 }
 
+// SplitList splits a comma-separated list, trimming blanks and dropping
+// empty items.
+func SplitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
+}
+
+// ParseIntList parses s as a comma-separated list of at least one integer
+// — MAC budgets, partition counts, array sizes, buffer capacities: the one
+// parser behind every list-valued flag. Blanks around and between items
+// are skipped; any other item that is not exactly an integer fails —
+// "64x" is not 64.
+func ParseIntList(s string) ([]int64, error) {
+	var out []int64
+	for _, part := range SplitList(s) {
+		v, err := strconv.ParseInt(part, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("config: invalid number %q in list %q", part, s)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("config: empty number list %q", s)
+	}
+	return out, nil
+}
+
 // String returns the config-file spelling of the dataflow.
 func (d Dataflow) String() string {
 	switch d {

@@ -335,3 +335,28 @@ func TestParseInts(t *testing.T) {
 		}
 	}
 }
+
+// TestParseIntList: a list is exactly its integers — blanks are skipped,
+// a trailing field that is not a number is refused, never dropped.
+func TestParseIntList(t *testing.T) {
+	for _, c := range []struct {
+		s    string
+		want []int64 // nil = error
+	}{
+		{"64", []int64{64}},
+		{"1,4,16", []int64{1, 4, 16}},
+		{" 1, 4 ,,16 ", []int64{1, 4, 16}},
+		{"-3,0", []int64{-3, 0}}, // range is the caller's check
+		{"64x", nil},
+		{"16,64x", nil},
+		{"1.5", nil},
+		{"2 3", nil},
+		{"", nil},
+		{" , ", nil},
+	} {
+		got, err := ParseIntList(c.s)
+		if (err != nil) != (c.want == nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseIntList(%q) = %v, %v; want %v", c.s, got, err, c.want)
+		}
+	}
+}

@@ -44,9 +44,6 @@ import (
 
 // Options tunes a Simulator beyond the architecture configuration.
 type Options struct {
-	// Memory forwards to the per-layer memory system. The DRAMRead and
-	// DRAMWrite consumers, when set, are shared across layers; see Workers.
-	Memory memory.Options
 	// Energy is the energy model; the zero value selects energy.Eyeriss().
 	Energy energy.Model
 	// TraceDir, when non-empty, receives per-layer SRAM and DRAM trace CSVs
@@ -68,15 +65,12 @@ type Options struct {
 	// without it (see plan.go), so a run looks each distinct key up once
 	// and stores each one it computed once. The cache is consulted only
 	// when no option demands a live per-layer consumer — trace files,
-	// timelines, caller sinks, or shared DRAM consumers/taps disable it for
-	// the run. One cache may be shared by many simulators and goroutines.
+	// timelines or caller sinks disable it for the run. One cache may be
+	// shared by many simulators and goroutines.
 	Cache *simcache.Cache
 	// Workers bounds how many layers Simulate executes concurrently. Zero
-	// picks GOMAXPROCS — unless Memory.DRAMRead or Memory.DRAMWrite is set,
-	// in which case layers serialize so the shared consumer never observes
-	// two layers at once. Results are identical for every value; set 1 to
-	// force the fully sequential original behaviour, or an explicit N > 1
-	// together with shared consumers that are safe for concurrent use.
+	// picks GOMAXPROCS. Results are identical for every value; set 1 to
+	// force the fully sequential original behaviour.
 	Workers int
 	// Sinks appends caller-supplied per-layer sink factories to the
 	// built-in ones (trace files, DRAM timing, stall analysis). Each
@@ -377,7 +371,7 @@ func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (W
 	}
 	spanSink, tlSpans := s.spanSink()
 	n := topology.NodeOf(l)
-	results, err := engine.RunObserved(s.workers(), len(wins), spanSink,
+	results, err := engine.RunObserved(s.opt.Workers, len(wins), spanSink,
 		func(i int) (LayerResult, error) {
 			ctx := newLayerContext(i, n)
 			ctx.Window = wins[i]
@@ -394,18 +388,6 @@ func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (W
 		run.Recorders, run.Spans = s.tl.take(), tlSpans.Spans()
 	}
 	return run, nil
-}
-
-// workers resolves the effective layer-level parallelism; see
-// Options.Workers.
-func (s *Simulator) workers() int {
-	if s.opt.Workers != 0 {
-		return s.opt.Workers
-	}
-	if s.opt.Memory.DRAMRead != nil || s.opt.Memory.DRAMWrite != nil {
-		return 1
-	}
-	return 0
 }
 
 // Simulate runs every layer of the topology — concurrently up to
@@ -470,7 +452,7 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	stop := obs.Phase("core.simulate")
 	p := s.plan(nodes)
 	done := make([]*LayerContext, len(nodes))
-	_, err := engine.RunObserved(s.workers(), len(p.order), spanSink,
+	_, err := engine.RunObserved(s.opt.Workers, len(p.order), spanSink,
 		func(j int) (struct{}, error) {
 			i := p.order[j]
 			done[i] = newLayerContext(i, nodes[i])

@@ -11,7 +11,6 @@ import (
 	"scalesim/internal/dram"
 	"scalesim/internal/energy"
 	"scalesim/internal/engine"
-	"scalesim/internal/memory"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 	"scalesim/internal/trace"
@@ -216,32 +215,6 @@ func TestSimulateWorkersEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: RunResult differs from sequential run", workers)
 		}
-	}
-}
-
-// TestSharedConsumerSerializes: a caller-supplied shared DRAM consumer
-// forces sequential execution unless Workers is set explicitly.
-func TestSharedConsumerSerializes(t *testing.T) {
-	rec := &trace.Recorder{}
-	opt := Options{Memory: memory.Options{DRAMRead: rec}}
-	s := newSim(t, config.New().WithArray(4, 4).WithSRAM(1, 1, 1), opt)
-	if got := s.workers(); got != 1 {
-		t.Errorf("workers() = %d with a shared consumer, want 1", got)
-	}
-	opt.Workers = 4
-	if got := newSim(t, s.cfg, opt).workers(); got != 4 {
-		t.Error("explicit Workers not honoured")
-	}
-	if got := newSim(t, s.cfg, Options{}).workers(); got != 0 {
-		t.Errorf("workers() = %d without shared consumers, want 0 (GOMAXPROCS)", got)
-	}
-	// The shared consumer still receives the layer's DRAM reads.
-	lr, err := s.SimulateLayer(topology.TinyNet().Layers[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Accesses() != lr.Memory.DRAMReads() {
-		t.Errorf("shared consumer saw %d reads, report says %d", rec.Accesses(), lr.Memory.DRAMReads())
 	}
 }
 

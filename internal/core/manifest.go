@@ -19,7 +19,7 @@ func (s *Simulator) Manifest(res RunResult) *obsv.Manifest {
 	m.Tool = "scalesim"
 	m.Run = res.Config.RunName
 	m.ConfigHash = res.Config.Hash()
-	if m.Workers = s.workers(); m.Workers <= 0 {
+	if m.Workers = s.opt.Workers; m.Workers <= 0 {
 		m.Workers = runtime.GOMAXPROCS(0) // the engine's default resolution
 	}
 	m.Topology = &obsv.TopologyInfo{Name: res.Topology.Name, Layers: len(res.Topology.Layers)}

@@ -124,12 +124,7 @@ var pipeline = []stage{
 // observability are allowed: they are additive and never alter simulation
 // output.
 func resultsOnly(opt Options) bool {
-	m := opt.Memory
-	return opt.TraceDir == "" &&
-		opt.Timeline == nil &&
-		len(opt.Sinks) == 0 &&
-		m.DRAMRead == nil && m.DRAMWrite == nil &&
-		m.DRAMIfmapTap == nil && m.DRAMFilterTap == nil && m.DRAMOfmapTap == nil
+	return opt.TraceDir == "" && opt.Timeline == nil && len(opt.Sinks) == 0
 }
 
 // nodeKey assembles the canonical compute key: everything the compute
@@ -151,7 +146,10 @@ func (s *Simulator) nodeKey(n topology.Node, win systolic.Window) string {
 }
 
 func keyAffixes(cfg config.Config, opt Options) (prefix, suffix string) {
-	suffix = fmt.Sprintf("|sb=%t;win=%d", opt.Memory.SingleBuffered, opt.Memory.BandwidthWindow)
+	// The memory system runs at its defaults (double-buffered, default
+	// bandwidth window); the literal keeps keys equal to every cache
+	// directory written while those were options.
+	suffix = "|sb=false;win=0"
 	if opt.DRAMBandwidth > 0 {
 		suffix += fmt.Sprintf(";bw=%g", opt.DRAMBandwidth)
 	}
@@ -203,17 +201,14 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 		return s.computeVector(ctx)
 	}
 	l := ctx.Layer
-	memOpt := s.opt.Memory
-	memOpt.DRAMRead = ctx.set.Tap(engine.DRAMRead, memOpt.DRAMRead)
-	memOpt.DRAMWrite = ctx.set.Tap(engine.DRAMWrite, memOpt.DRAMWrite)
-	memOpt.DRAMIfmapTap = ctx.set.Tap(engine.DRAMReadIfmap, memOpt.DRAMIfmapTap)
-	memOpt.DRAMFilterTap = ctx.set.Tap(engine.DRAMReadFilter, memOpt.DRAMFilterTap)
-	memOpt.DRAMOfmapTap = ctx.set.Tap(engine.DRAMWriteOfmap, memOpt.DRAMOfmapTap)
-	if memOpt.Metrics == nil {
-		memOpt.Metrics = s.opt.Obs.Metrics()
-	}
-
-	sys, err := memory.NewSystem(s.cfg, memOpt)
+	sys, err := memory.NewSystem(s.cfg, memory.Options{
+		DRAMRead:      ctx.set.Consumer(engine.DRAMRead),
+		DRAMWrite:     ctx.set.Consumer(engine.DRAMWrite),
+		DRAMIfmapTap:  ctx.set.Consumer(engine.DRAMReadIfmap),
+		DRAMFilterTap: ctx.set.Consumer(engine.DRAMReadFilter),
+		DRAMOfmapTap:  ctx.set.Consumer(engine.DRAMWriteOfmap),
+		Metrics:       s.opt.Obs.Metrics(),
+	})
 	if err != nil {
 		return err
 	}
@@ -280,7 +275,6 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 // idle), and a memory report with the closed-form traffic totals.
 func (s *Simulator) computeVector(ctx *LayerContext) error {
 	n := ctx.Node
-	memOpt := s.opt.Memory
 	params := s.vectorParams(n)
 	lay := vector.Layout{
 		IfmapBase: s.cfg.IfmapOffset,
@@ -302,16 +296,10 @@ func (s *Simulator) computeVector(ctx *LayerContext) error {
 		IfmapRead:  ctx.set.Consumer(engine.SRAMReadIfmap),
 		FilterRead: ctx.set.Consumer(engine.SRAMReadFilter),
 		OfmapWrite: ctx.set.Consumer(engine.SRAMWriteOfmap),
-		IfmapDRAM: trace.Tee(
-			ctx.set.Tap(engine.DRAMRead, memOpt.DRAMRead),
-			ctx.set.Tap(engine.DRAMReadIfmap, memOpt.DRAMIfmapTap)),
-		FilterDRAM: trace.Tee(
-			ctx.set.Tap(engine.DRAMRead, memOpt.DRAMRead),
-			ctx.set.Tap(engine.DRAMReadFilter, memOpt.DRAMFilterTap)),
-		OfmapDRAM: trace.Tee(
-			ctx.set.Tap(engine.DRAMWrite, memOpt.DRAMWrite),
-			ctx.set.Tap(engine.DRAMWriteOfmap, memOpt.DRAMOfmapTap)),
-		Passes: passes,
+		IfmapDRAM:  trace.Tee(ctx.set.Consumer(engine.DRAMRead), ctx.set.Consumer(engine.DRAMReadIfmap)),
+		FilterDRAM: trace.Tee(ctx.set.Consumer(engine.DRAMRead), ctx.set.Consumer(engine.DRAMReadFilter)),
+		OfmapDRAM:  trace.Tee(ctx.set.Consumer(engine.DRAMWrite), ctx.set.Consumer(engine.DRAMWriteOfmap)),
+		Passes:     passes,
 	})
 	if err != nil {
 		return err

@@ -13,7 +13,7 @@ import (
 
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
-	"scalesim/internal/memory"
+	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/topology"
@@ -213,12 +213,19 @@ func TestPlanIdentityWithLiveConsumers(t *testing.T) {
 		t.Error("traced run differs from the planned run")
 	}
 
+	// attach wires one recorder to every layer's DRAM reads.
+	attach := func(rec *trace.Recorder) engine.Registry {
+		return engine.Registry{func(_ engine.Job, set *engine.SinkSet) error {
+			set.Attach(engine.DRAMRead, rec)
+			return nil
+		}}
+	}
 	shared := &trace.Recorder{}
-	runWith(t, cfg, Options{Memory: memory.Options{DRAMRead: shared}}, topo)
+	runWith(t, cfg, Options{Sinks: attach(shared), Workers: 1}, topo)
 	var want []int64
 	for _, l := range topo.Layers {
 		one := &trace.Recorder{}
-		if _, err := newSim(t, cfg, Options{Memory: memory.Options{DRAMRead: one}}).SimulateLayer(l); err != nil {
+		if _, err := newSim(t, cfg, Options{Sinks: attach(one)}).SimulateLayer(l); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, one.Addresses()...)

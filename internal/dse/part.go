@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"scalesim/internal/batch"
+	"scalesim/internal/disk"
 	"scalesim/internal/obsv"
 )
 
@@ -30,18 +31,11 @@ type partHeader struct {
 }
 
 // WritePart writes one shard's refined rows as a JSONL part file
-// (header line, then one Row per line), atomically via temp+rename.
+// (header line, then one Row per line), atomically (disk.Replace).
 func WritePart(path string, res *Result) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("dse: part dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".part-*.tmp")
-	if err != nil {
-		return fmt.Errorf("dse: part temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
 	hdr := partHeader{
 		Schema:      PartSchema,
 		Fingerprint: res.Fingerprint,
@@ -52,25 +46,20 @@ func WritePart(path string, res *Result) error {
 		BandPoints:  res.Stats.BandPoints,
 		Search:      res.Stats,
 	}
-	if err := enc.Encode(hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("dse: part header: %w", err)
-	}
-	for i := range res.Rows {
-		if err := enc.Encode(&res.Rows[i]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("dse: part row: %w", err)
+	err := disk.Replace(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(hdr); err != nil {
+			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("dse: part flush: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("dse: part close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("dse: part rename: %w", err)
+		for i := range res.Rows {
+			if err := enc.Encode(&res.Rows[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("dse: part: %w", err)
 	}
 	return nil
 }

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/log"
 )
 
 // logSkipped warns when a failure leaves DAG nodes unexecuted: the
 // failed job's dependents and everything dispatch never reached. Nothing
-// else reports these nodes — they produce no spans and no results.
+// else reports these nodes — they produce no results.
 func logSkipped(skipped int) {
 	if skipped > 0 {
 		log.Default().Warn("engine", "dag nodes skipped after failure", "skipped", skipped)
@@ -55,15 +53,6 @@ func (h *minHeap) Pop() any {
 // a sequential DAG run below a higher-index failure may fail differently
 // when several jobs would fail — dependents of a failed job never run.)
 func RunDAG[T any](workers, n int, deps func(i int) []int, job func(i int) (T, error)) ([]T, error) {
-	return RunDAGObserved(workers, n, deps, nil, job)
-}
-
-// RunDAGObserved is RunDAG with a span sink, mirroring RunObserved: one
-// obsv.Span per executed job, stamped while running, emitted after the
-// final join in index order. A job's queue wait measures ready-to-start —
-// the time between its last dependency completing (or dispatch start for
-// root jobs) and a worker picking it up.
-func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.SpanSink, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil
@@ -92,18 +81,10 @@ func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.Spa
 		// Index order is a topological order (deps point strictly down), so
 		// the sequential path is a plain loop, identical to Run's.
 		for i := 0; i < n; i++ {
-			var start time.Time
-			if sink != nil {
-				start = time.Now()
-			}
 			logJobStart(i, 0)
 			var err error
 			results[i], err = runJob(i, job)
 			logJobDone(i, 0, err)
-			if sink != nil {
-				sink.Emit(obsv.Span{Index: i, Exec: time.Since(start), Err: err != nil,
-					Enqueued: start})
-			}
 			if err != nil {
 				logSkipped(n - 1 - i)
 				return results, err
@@ -113,14 +94,6 @@ func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.Spa
 	}
 
 	errs := make([]error, n)
-	var enq, ends []time.Time
-	var spans []obsv.Span
-	if sink != nil {
-		enq = make([]time.Time, n)
-		ends = make([]time.Time, n)
-		spans = make([]obsv.Span, n)
-	}
-
 	type completion struct {
 		index  int
 		failed bool
@@ -133,28 +106,12 @@ func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.Spa
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				var start time.Time
-				if sink != nil {
-					start = time.Now()
-				}
 				logJobStart(i, w)
 				var err error
 				if results[i], err = runJob(i, job); err != nil {
 					errs[i] = err
 				}
 				logJobDone(i, w, err)
-				if sink != nil {
-					end := time.Now()
-					spans[i] = obsv.Span{
-						Index:     i,
-						Worker:    w,
-						QueueWait: start.Sub(enq[i]),
-						Exec:      end.Sub(start),
-						Err:       err != nil,
-						Enqueued:  enq[i],
-					}
-					ends[i] = end
-				}
 				done <- completion{index: i, failed: err != nil}
 			}
 		}()
@@ -169,12 +126,6 @@ func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.Spa
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			heap.Push(ready, i)
-		}
-	}
-	if sink != nil {
-		now := time.Now()
-		for _, i := range *ready {
-			enq[i] = now
 		}
 	}
 	inflight := 0
@@ -204,16 +155,9 @@ func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.Spa
 			if failed {
 				continue
 			}
-			now := time.Time{}
-			if sink != nil {
-				now = time.Now()
-			}
 			for _, s := range succs[c.index] {
 				if indeg[s]--; indeg[s] == 0 {
 					heap.Push(ready, s)
-					if sink != nil {
-						enq[s] = now
-					}
 				}
 			}
 		}
@@ -222,17 +166,6 @@ func RunDAGObserved[T any](workers, n int, deps func(i int) []int, sink obsv.Spa
 	wg.Wait()
 	if failed {
 		logSkipped(n - dispatched)
-	}
-
-	if sink != nil {
-		join := time.Now()
-		for i := range spans {
-			if ends[i].IsZero() {
-				continue // never dispatched
-			}
-			spans[i].Join = join.Sub(ends[i])
-			sink.Emit(spans[i])
-		}
 	}
 	for _, err := range errs {
 		if err != nil {

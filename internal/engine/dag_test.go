@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"scalesim/internal/obsv"
 )
 
 // depsOf adapts a literal dependency table to RunDAG's callback.
@@ -126,31 +124,6 @@ func TestRunDAGWideFanOut(t *testing.T) {
 	for i, r := range results {
 		if r != i*i {
 			t.Fatalf("results[%d] = %d", i, r)
-		}
-	}
-}
-
-// TestRunDAGObservedSpans: every executed job emits exactly one span,
-// indices complete, enqueue stamps never zero for dispatched jobs.
-func TestRunDAGObservedSpans(t *testing.T) {
-	deps := [][]int{nil, {0}, {0}, {1, 2}}
-	for _, workers := range []int{1, 4} {
-		var sink obsv.SpanRecorder
-		_, err := RunDAGObserved(workers, 4, depsOf(deps), &sink, func(i int) (int, error) { return i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		spans := sink.Spans()
-		if len(spans) != 4 {
-			t.Fatalf("workers=%d: %d spans, want 4", workers, len(spans))
-		}
-		for i, s := range spans {
-			if s.Index != i {
-				t.Errorf("workers=%d: span %d has index %d (want index order)", workers, i, s.Index)
-			}
-			if s.Err {
-				t.Errorf("workers=%d: span %d marked failed", workers, i)
-			}
 		}
 	}
 }

@@ -54,11 +54,7 @@ type SweepRow struct {
 // IFMAP, 512 KiB filter, 256 KiB OFMAP, divided among partitions) and the
 // OS dataflow. Partition counts that do not divide the budget or violate
 // the 8x8 minimum array are skipped.
-func PartitionSweep(l topology.Layer, totalMACs int64, partCounts []int64) ([]SweepRow, error) {
-	return partitionSweep(l, totalMACs, partCounts, partition.Options{})
-}
-
-func partitionSweep(l topology.Layer, totalMACs int64, partCounts []int64, opt partition.Options) ([]SweepRow, error) {
+func PartitionSweep(l topology.Layer, totalMACs int64, partCounts []int64, opt partition.Options) ([]SweepRow, error) {
 	base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
 	results, err := partition.Sweep(l, base, totalMACs, partCounts, 8, opt)
 	if err != nil {
@@ -82,15 +78,11 @@ func partitionSweep(l topology.Layer, totalMACs int64, partCounts []int64, opt p
 	return rows, nil
 }
 
-// Fig11 sweeps runtime and DRAM bandwidth versus partition count for the
-// two layers the figure shows (CB2a_3 and TF0) at the given MAC budget.
-func Fig11(totalMACs int64, partCounts []int64) (map[string][]SweepRow, error) {
-	return Fig11Obs(totalMACs, partCounts, Obs{})
-}
-
-// Fig11Obs is Fig11 with observability: sweep-level engine spans and
-// per-series wall timings land in obs.Rec, completed series step
-// obs.Progress. Rows are identical to Fig11's.
+// Fig11Obs sweeps runtime and DRAM bandwidth versus partition count for
+// the two layers the figure shows (CB2a_3 and TF0) at the given MAC budget.
+// Sweep-level engine spans and per-series wall timings land in obs.Rec,
+// completed series step obs.Progress; rows are identical for every obs,
+// the zero one included.
 func Fig11Obs(totalMACs int64, partCounts []int64, obs Obs) (map[string][]SweepRow, error) {
 	// The figure's layers run concurrently on the shared engine's pool, so
 	// each layer's partitions stay sequential rather than multiplying the
@@ -100,7 +92,7 @@ func Fig11Obs(totalMACs int64, partCounts []int64, obs Obs) (map[string][]SweepR
 	defer obs.Rec.Phase("experiments.fig11")()
 	series, err := engine.RunObserved(0, len(layers), obs.Rec.SpanSink(), func(i int) ([]SweepRow, error) {
 		rows, err := sweepSeries(obs, i, layers[i].Name, func() ([]SweepRow, error) {
-			return partitionSweep(layers[i], totalMACs, partCounts, partition.Options{Parallel: 1, Cache: obs.Cache})
+			return PartitionSweep(layers[i], totalMACs, partCounts, partition.Options{Parallel: 1, Cache: obs.Cache})
 		})
 		return rows, err
 	})
@@ -122,13 +114,13 @@ func Fig12(l topology.Layer, macBudgets []int64, partCounts []int64) (map[int64]
 
 // Fig12Obs is Fig12 with observability, mirroring Fig11Obs.
 func Fig12Obs(l topology.Layer, macBudgets []int64, partCounts []int64, obs Obs) (map[int64][]SweepRow, error) {
-	// One series per MAC budget, simulated concurrently like Fig11.
+	// One series per MAC budget, simulated concurrently like Fig11Obs.
 	obs.Progress.Start(len(macBudgets))
 	defer obs.Rec.Phase("experiments.fig12")()
 	series, err := engine.RunObserved(0, len(macBudgets), obs.Rec.SpanSink(), func(i int) ([]SweepRow, error) {
 		name := fmt.Sprintf("%s@%dMACs", l.Name, macBudgets[i])
 		return sweepSeries(obs, i, name, func() ([]SweepRow, error) {
-			return partitionSweep(l, macBudgets[i], partCounts, partition.Options{Parallel: 1, Cache: obs.Cache})
+			return PartitionSweep(l, macBudgets[i], partCounts, partition.Options{Parallel: 1, Cache: obs.Cache})
 		})
 	})
 	if err != nil {

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"testing"
+
+	"scalesim/internal/partition"
 )
 
 func TestPartitionSweepFigure11Shape(t *testing.T) {
 	// CB2a_3 at 2^12 MACs across 1..16 partitions: runtime falls, DRAM
 	// bandwidth demand rises (Fig. 11's two curves).
-	rows, err := PartitionSweep(CB2a3(), 1<<12, []int64{1, 4, 16})
+	rows, err := PartitionSweep(CB2a3(), 1<<12, []int64{1, 4, 16}, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestFig11BothLayers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-accurate TF0 sweep in -short mode")
 	}
-	out, err := Fig11(1<<12, []int64{1, 4})
+	out, err := Fig11Obs(1<<12, []int64{1, 4}, Obs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestFig13SlowCandidatesExist(t *testing.T) {
 }
 
 func TestPartitionSweepErrors(t *testing.T) {
-	if _, err := PartitionSweep(CB2a3(), 64, []int64{4}); err == nil {
+	if _, err := PartitionSweep(CB2a3(), 64, []int64{4}, partition.Options{}); err == nil {
 		t.Error("accepted infeasible sweep")
 	}
 }

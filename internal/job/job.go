@@ -209,12 +209,7 @@ type lineBuffer struct {
 	total int
 }
 
-func newLineBuffer(max int) *lineBuffer {
-	if max <= 0 {
-		max = 64
-	}
-	return &lineBuffer{max: max}
-}
+func newLineBuffer(max int) *lineBuffer { return &lineBuffer{max: max} }
 
 func (b *lineBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()

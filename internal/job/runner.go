@@ -75,10 +75,11 @@ type Options struct {
 	// Tool overrides the manifest's Tool field ("scalesimd" for the
 	// daemon); empty keeps the producer's default.
 	Tool string
-	// ProgressTail bounds the buffered progress lines kept per job when
-	// no live Progress writer is supplied (0 = 64).
-	ProgressTail int
 }
+
+// progressTail bounds the buffered progress lines kept per job when no
+// live Progress writer is supplied.
+const progressTail = 64
 
 // Runner executes jobs on a persistent bounded worker pool behind an
 // admission queue. It is the one orchestration path shared by the
@@ -160,7 +161,7 @@ func (r *Runner) newJob(kind, key, run, net string, units int, live Live) (*Job,
 	if live.Progress != nil {
 		j.progress = live.Progress
 	} else {
-		j.buf = newLineBuffer(r.opt.ProgressTail)
+		j.buf = newLineBuffer(progressTail)
 		j.progress = obsv.NewProgress(j.buf, j.id)
 	}
 	r.jobs[j.id] = j

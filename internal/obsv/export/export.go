@@ -178,22 +178,31 @@ func Handler(src func() obsv.MetricsSnapshot) http.Handler {
 	})
 }
 
-// Serve exposes /metrics (live Prometheus exposition of src) and the
-// net/http/pprof handlers on addr for the lifetime of a run, mirroring
-// obsv.ServePprof: it returns the bound address — useful when addr asked
-// for port 0 — and a stop function. Handlers live on a private mux;
-// http.DefaultServeMux is never touched.
-func Serve(addr string, src func() obsv.MetricsSnapshot) (string, func() error, error) {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(src))
+// MountPprof registers the net/http/pprof handlers on mux — the one list
+// of them, shared by Serve and the scalesimd daemon's mux.
+func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// Serve exposes the net/http/pprof handlers and, when src is non-nil,
+// /metrics (live Prometheus exposition of src) on addr for the lifetime of
+// a run: -metrics-addr passes the run's registry, -pprof passes nil. It
+// returns the bound address — useful when addr asked for port 0 — and a
+// stop function. Handlers live on a private mux; http.DefaultServeMux is
+// never touched.
+func Serve(addr string, src func() obsv.MetricsSnapshot) (string, func() error, error) {
+	mux := http.NewServeMux()
+	if src != nil {
+		mux.Handle("/metrics", Handler(src))
+	}
+	MountPprof(mux)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", nil, fmt.Errorf("export: metrics listen %s: %w", addr, err)
+		return "", nil, fmt.Errorf("export: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()

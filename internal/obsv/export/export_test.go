@@ -333,6 +333,29 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServePprof: with no metrics source (the -pprof flag) the server
+// carries the pprof handlers and nothing else.
+func TestServePprof(t *testing.T) {
+	addr, stop, err := Serve("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = stop() }()
+	for path, want := range map[string]int{
+		"/debug/pprof/cmdline": http.StatusOK,
+		"/metrics":             http.StatusNotFound,
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
 func TestSnapshotterWritesJSONL(t *testing.T) {
 	var reg obsv.Registry
 	reg.Counter("snap.count").Add(3)

@@ -262,23 +262,6 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// WriteFile writes the manifest as indented JSON to path.
-func (m *Manifest) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obsv: %w", err)
-	}
-	werr := m.WriteJSON(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	if cerr != nil {
-		return fmt.Errorf("obsv: %w", cerr)
-	}
-	return nil
-}
-
 // ParseManifest decodes and validates a manifest document.
 func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest

@@ -80,14 +80,3 @@ func TestProgressAbortTerminates(t *testing.T) {
 	np.Abort("x")
 	np.Finish()
 }
-
-func TestServePprof(t *testing.T) {
-	addr, stop, err := ServePprof("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = stop() }()
-	if !strings.Contains(addr, ":") {
-		t.Errorf("addr = %q", addr)
-	}
-}

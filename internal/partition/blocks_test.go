@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"scalesim/internal/config"
-	"scalesim/internal/memory"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/topology"
@@ -19,14 +18,14 @@ import (
 // must equal — across grids, dataflows and SRAM shares small enough to
 // thrash.
 func TestBlockMemoInvisibleScaleOut(t *testing.T) {
-	var reg obsv.Registry
+	rec := obsv.NewRecorder()
 	layers := []topology.Layer{testLayer(), topology.FromGEMM("gemm", 70, 90, 50)}
 	for _, l := range layers {
 		for _, df := range config.Dataflows {
 			for _, sram := range [][3]int{{64, 64, 32}, {4, 4, 2}} {
 				base := config.New().WithDataflow(df).WithSRAM(sram[0], sram[1], sram[2])
 				for _, sp := range []Spec{spec(1, 1, 8, 8), spec(2, 2, 4, 8), spec(1, 4, 8, 4), spec(3, 1, 5, 7)} {
-					skipping, err := Run(l, base, sp, Options{Memory: memory.Options{Metrics: &reg}})
+					skipping, err := Run(l, base, sp, Options{Obs: rec})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -46,7 +45,7 @@ func TestBlockMemoInvisibleScaleOut(t *testing.T) {
 			}
 		}
 	}
-	if reg.Counter("memory.words_skipped").Value() == 0 {
+	if rec.Metrics().Counter("memory.words_skipped").Value() == 0 {
 		t.Error("no partition window skipped a block: the test compared the full path with itself")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"scalesim/internal/dataflow"
 	"scalesim/internal/energy"
 	"scalesim/internal/mathutil"
-	"scalesim/internal/memory"
 	"scalesim/internal/noc"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
@@ -101,8 +100,6 @@ func (r Result) AvgDRAMBW() float64 { return r.AvgDRAMReadBW + r.AvgDRAMWriteBW 
 
 // Options tunes a scale-out run.
 type Options struct {
-	// Memory forwards to the per-partition memory systems.
-	Memory memory.Options
 	// Energy is the energy model (zero value: energy.Eyeriss()).
 	Energy energy.Model
 	// NoC, when non-nil, routes every partition's DRAM traffic over a mesh
@@ -119,9 +116,9 @@ type Options struct {
 	// core's canonical key (per-partition config x layer shape x spatial
 	// window, offsets included): a partition sweep revisits the same
 	// windows across grid candidates, and Fig. 11/12 sweeps revisit whole
-	// grids. Ignored whenever an option demands a live consumer (Timeline,
-	// shared DRAM consumers or taps), so cached runs stay byte-identical to
-	// live ones. Entries are position-pure: skew wait is never stored.
+	// grids. Ignored whenever an option demands a live consumer (Timeline),
+	// so cached runs stay byte-identical to live ones. Entries are
+	// position-pure: skew wait is never stored.
 	Cache *simcache.Cache
 	// Obs, when non-nil, records the partition fan-out: engine spans for
 	// every partition task, core's stage timers and cache counters
@@ -164,7 +161,7 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	cfg.FilterSRAMKB = sramShare(base.FilterSRAMKB, p)
 	cfg.OfmapSRAMKB = sramShare(base.OfmapSRAMKB, p)
 	sim, err := core.New(cfg, core.Options{
-		Memory: opt.Memory, Energy: em, Cache: opt.Cache,
+		Energy: em, Cache: opt.Cache,
 		Workers: opt.Parallel, Obs: opt.Obs, Timeline: opt.Timeline,
 	})
 	if err != nil {

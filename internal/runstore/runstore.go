@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"scalesim/internal/disk"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
 )
@@ -128,8 +129,8 @@ func (s *Store) Add(m *obsv.Manifest) (Entry, error) {
 		return Entry{}, fmt.Errorf("runstore: %w", err)
 	}
 	path := filepath.Join(bucket, id+".json")
-	if err := writeAtomic(path, append(data, '\n')); err != nil {
-		return Entry{}, err
+	if err := disk.Replace(path, disk.Bytes(append(data, '\n'))); err != nil {
+		return Entry{}, fmt.Errorf("runstore: %w", err)
 	}
 
 	e := entryOf(m, key, id, filepath.ToSlash(filepath.Join("runs", key, id+".json")))
@@ -294,27 +295,7 @@ func (s *Store) writeIndex(idx *index) error {
 	if err != nil {
 		return fmt.Errorf("runstore: encoding index: %w", err)
 	}
-	return writeAtomic(s.indexPath(), append(data, '\n'))
-}
-
-// writeAtomic writes data to path via a temp-file rename in the target
-// directory, so readers never observe partial documents.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("runstore: %w", werr)
-		}
-		return fmt.Errorf("runstore: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
+	if err := disk.Replace(s.indexPath(), disk.Bytes(append(data, '\n'))); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"scalesim/internal/disk"
 	"scalesim/internal/obsv/log"
 )
 
@@ -20,7 +21,7 @@ import (
 // the cap delete the coldest spill files (and their in-memory entries),
 // and an evicted key reads as an ordinary miss and re-simulates. Recency
 // is tracked across processes through a small index file, maintained
-// with the same temp-file-plus-rename discipline as the spill files; a
+// with the same disk.Replace discipline as the spill files; a
 // missing or corrupt index is rebuilt from the directory, never trusted.
 
 // lruIndexName is the on-disk recency index. Deliberately not *.json:
@@ -243,7 +244,7 @@ func (c *Cache) writeLRUIndex() {
 		c.diskErrs.Add(1)
 		return
 	}
-	if err := writeFileAtomic(c.dir, filepath.Join(c.dir, lruIndexName), data); err != nil {
+	if err := disk.Replace(filepath.Join(c.dir, lruIndexName), disk.Bytes(data)); err != nil {
 		c.diskErrs.Add(1)
 	}
 }
@@ -330,8 +331,8 @@ func scanSpills(dir string, skip map[string]*lruFile) ([]lruFile, error) {
 		if _, ok := skip[name]; ok {
 			continue
 		}
-		doc, ok := readDocument(filepath.Join(dir, name))
-		if !ok || !nameMatchesKey(name, doc.Key) {
+		doc, _, err := readDocument(filepath.Join(dir, name))
+		if err != nil || !nameMatchesKey(name, doc.Key) {
 			continue
 		}
 		info, err := de.Info()

@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"scalesim/internal/disk"
 	"scalesim/internal/dram"
 	"scalesim/internal/memory"
 	"scalesim/internal/obsv"
@@ -246,24 +248,19 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".json")
 }
 
-// load reads a spill file; any failure is a miss.
+// load reads key's spill file; any failure is a miss.
 func (c *Cache) load(key string) (Entry, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.diskErrs.Add(1)
-		}
+	doc, _, err := readDocument(c.path(key))
+	if os.IsNotExist(err) {
 		return Entry{}, false
 	}
-	var doc document
-	if err := json.Unmarshal(data, &doc); err != nil || doc.Schema != diskSchema || doc.Key != key {
+	if err == nil && doc.Key != key {
+		err = errMismatch
+	}
+	if err != nil {
 		c.diskErrs.Add(1)
-		reason := "schema or key mismatch"
-		if err != nil {
-			reason = err.Error()
-		}
 		log.Default().Warn("simcache", "corrupt cache entry",
-			"path", c.path(key), "key_sha", keyDigest(key), "reason", reason)
+			"path", c.path(key), "key_sha", keyDigest(key), "reason", err.Error())
 		return Entry{}, false
 	}
 	return doc.Entry, true
@@ -292,8 +289,8 @@ func ScanDir(dir string) (keys []string, invalid int, err error) {
 		if de.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		doc, ok := readDocument(filepath.Join(dir, name))
-		if !ok || !nameMatchesKey(name, doc.Key) {
+		doc, _, err := readDocument(filepath.Join(dir, name))
+		if err != nil || !nameMatchesKey(name, doc.Key) {
 			invalid++
 			continue
 		}
@@ -325,14 +322,8 @@ func MergeDirs(dst string, srcs ...string) (MergeStats, error) {
 			if de.IsDir() || !strings.HasSuffix(name, ".json") {
 				continue
 			}
-			data, err := os.ReadFile(filepath.Join(src, name))
-			if err != nil {
-				st.Invalid++
-				continue
-			}
-			var doc document
-			if err := json.Unmarshal(data, &doc); err != nil ||
-				doc.Schema != diskSchema || !nameMatchesKey(name, doc.Key) {
+			doc, data, err := readDocument(filepath.Join(src, name))
+			if err != nil || !nameMatchesKey(name, doc.Key) {
 				st.Invalid++
 				continue
 			}
@@ -341,7 +332,7 @@ func MergeDirs(dst string, srcs ...string) (MergeStats, error) {
 				st.Present++
 				continue
 			}
-			if err := writeFileAtomic(dst, target, data); err != nil {
+			if err := disk.Replace(target, disk.Bytes(data)); err != nil {
 				return st, fmt.Errorf("simcache: merging %s: %w", name, err)
 			}
 			st.Copied++
@@ -350,17 +341,21 @@ func MergeDirs(dst string, srcs ...string) (MergeStats, error) {
 	return st, nil
 }
 
-// readDocument loads and validates one spill file by path.
-func readDocument(path string) (document, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return document{}, false
+// errMismatch is a well-formed document of another schema or key.
+var errMismatch = errors.New("schema or key mismatch")
+
+// readDocument is the one decoder of a spill file: it loads path and
+// checks the schema, returning the raw bytes too so a merge copies what it
+// validated. Whether the key is the wanted one (load) or matches the file
+// name (the scanners) is the caller's check.
+func readDocument(path string) (doc document, data []byte, err error) {
+	if data, err = os.ReadFile(path); err != nil {
+		return doc, nil, err
 	}
-	var doc document
-	if err := json.Unmarshal(data, &doc); err != nil || doc.Schema != diskSchema {
-		return document{}, false
+	if err = json.Unmarshal(data, &doc); err == nil && doc.Schema != diskSchema {
+		err = errMismatch
 	}
-	return doc, true
+	return doc, data, err
 }
 
 // nameMatchesKey verifies a spill file is named by the SHA-256 of the key
@@ -371,31 +366,8 @@ func nameMatchesKey(name, key string) bool {
 	return name == hex.EncodeToString(sum[:])+".json"
 }
 
-// writeFileAtomic writes data to target via a temp file in dir and a
-// rename, matching store's crash-safety discipline.
-func writeFileAtomic(dir, target string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, "merge-*.tmp")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), target); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// store writes a spill file via a temp-file rename, so concurrent
-// processes sharing a directory never observe partial documents. Failures
+// store spills the entry by disk.Replace, so concurrent processes sharing
+// a directory never observe partial documents. Failures
 // are counted, not raised — the in-memory entry already serves this
 // process.
 func (c *Cache) store(key string, e Entry) {
@@ -404,16 +376,7 @@ func (c *Cache) store(key string, e Entry) {
 		c.diskErrs.Add(1)
 		return
 	}
-	path := c.path(key)
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		c.diskErrs.Add(1)
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
-		_ = os.Remove(tmp.Name())
+	if err := disk.Replace(c.path(key), disk.Bytes(data)); err != nil {
 		c.diskErrs.Add(1)
 		return
 	}

@@ -42,7 +42,6 @@ import (
 	"scalesim/internal/dram"
 	"scalesim/internal/energy"
 	"scalesim/internal/engine"
-	"scalesim/internal/memory"
 	"scalesim/internal/noc"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
@@ -97,7 +96,7 @@ const (
 type (
 	// Simulator executes topologies cycle-accurately.
 	Simulator = core.Simulator
-	// Options tunes tracing, memory, DRAM-timing and energy modeling.
+	// Options tunes tracing, DRAM-timing and energy modeling.
 	Options = core.Options
 	// LayerResult is one layer's simulation outcome.
 	LayerResult = core.LayerResult
@@ -106,8 +105,6 @@ type (
 	VectorResult = vector.Result
 	// RunResult aggregates a topology run.
 	RunResult = core.RunResult
-	// MemoryOptions tunes the SRAM/DRAM memory system.
-	MemoryOptions = memory.Options
 	// DRAMConfig parameterizes the DRAM timing substrate.
 	DRAMConfig = dram.Config
 	// EnergyModel holds per-event energy costs.
@@ -152,20 +149,11 @@ const (
 	StreamDRAMWrite      = engine.DRAMWrite
 )
 
-// TraceStreams lists every stream in canonical order.
-func TraceStreams() []TraceStream { return append([]TraceStream(nil), engine.Streams...) }
-
 // CSVTraceSink returns a factory that writes each layer's selected streams
 // (default: all) as CSV files under dir — the factory behind
 // Options.TraceDir, exposed for custom registries.
 func CSVTraceSink(dir string, streams ...TraceStream) SinkFactory {
 	return engine.CSVTrace(dir, streams...)
-}
-
-// ExpandTraceRuns appends every address of a run list onto dst in order —
-// the bridge for custom sinks that want run-form events as flat addresses.
-func ExpandTraceRuns(runs []TraceRun, dst []int64) []int64 {
-	return trace.ExpandRuns(runs, dst)
 }
 
 // Analytical-model types.
@@ -218,10 +206,6 @@ func BuiltInTopologyNames() []string { return topology.BuiltInNames() }
 
 // GEMMLayer expresses an M x K by K x N matrix multiplication as a layer.
 func GEMMLayer(name string, m, k, n int) Layer { return topology.FromGEMM(name, m, k, n) }
-
-// TensorLayer expresses a rows x cols tensor as a layer shape, for
-// vector-unit operator nodes (softmax, layernorm, element-wise).
-func TensorLayer(name string, rows, cols int) Layer { return topology.FromTensor(name, rows, cols) }
 
 // ChainGraph lifts a flat topology into a linear-chain operator graph:
 // every layer becomes a conv node depending on its predecessor.
@@ -316,7 +300,7 @@ func NewSimulator(cfg Config, opt Options) (*Simulator, error) { return core.New
 // traffic, stall and DRAM statistics, byte-identical to a live run. One
 // cache may be shared across simulators, sweeps and goroutines. Any
 // option demanding a live per-layer consumer (trace files, timelines,
-// custom sinks, shared DRAM consumers) bypasses the cache automatically.
+// custom sinks) bypasses the cache automatically.
 type Cache = simcache.Cache
 
 // CacheStats snapshots a cache's hit/miss counters.

@@ -56,6 +56,8 @@ prof-cycles:
 fuzz:
 	$(GO) test ./internal/config/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/topology/ -fuzz FuzzParseCSV -fuzztime 30s
+	$(GO) test ./internal/dse/ -fuzz FuzzReadPart -fuzztime 30s
+	$(GO) test ./internal/obsv/ -fuzz FuzzParseManifest -fuzztime 30s
 
 # The five scale-out CSVs into directory $(1), by the commands
 # results/README.md lists for them.
@@ -88,9 +90,11 @@ figures-check:
 	rm -rf $(FIGCHECK)
 
 # Structural invariants of the two policies that live behind one module
-# each (DESIGN.md "How bytes reach disk", "The CLI shell"), over non-test
-# Go outside bench/. cmd/traceanalyze keeps its own offline -timeline flag
-# (trace files in, no run to bracket); it has no -timeline-window.
+# each (DESIGN.md "How bytes reach disk", "The CLI shell") and of the
+# layer pipeline ("Layer pipeline": consumers wired by type, a layer
+# measured once, two residency structures), over non-test Go outside
+# bench/. cmd/traceanalyze keeps its own offline -timeline flag (trace
+# files in, no run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
 lint-structure:
 	@test "$$(grep -lE 'os\.(CreateTemp|Rename)\(' $(SRC))" = internal/disk/disk.go
@@ -100,6 +104,9 @@ lint-structure:
 	@test "$$(grep -lE '\("timeline",|, "timeline",' $(SRC) | tr '\n' ' ')" = "cmd/traceanalyze/main.go internal/cliobs/cliobs.go "
 	@! grep -nE 'Sscanf|RunDAGObserved|writeAtomic|writeFileAtomic|writeFileWith|func parseInts|func ServePprof' $(SRC)
 	@! grep -nE '^\s+Memory\s+memory\.Options' internal/core/core.go internal/partition/partition.go
+	@! grep -nE 'ProbeKey|timelineState|func \(s \*SinkSet\) (Put|Value)|SingleBuffered' $(SRC)
+	@test "$$(cat $$(git ls-files --cached --others --exclude-standard 'internal/core/*.go' 'internal/obsv/timeline/*.go' | grep -v '_test\.go$$') | grep -c 'NewStallAnalyzer(')" = 1
+	@! grep -nE 'resident\s+map\[int64\]struct\{\}' $$(ls internal/memory/*.go | grep -v '_test\.go$$')
 	@echo "lint-structure: ok"
 
 examples:

@@ -100,7 +100,10 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 
 	// Every mode is one job.Spec; what a mode does not support is refused
-	// by Validate, before anything is opened, printed or written.
+	// here or by Validate, before anything is opened, printed or written.
+	if *traces && *outDir == "" {
+		return fmt.Errorf("-traces requires -outdir")
+	}
 	spec := job.Spec{Config: cfg, Topology: topo, Graph: graph,
 		DRAMBandwidth: *dramBW, Workers: *workers}
 	if *useDRAM {
@@ -113,6 +116,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}
 		if *asJSON {
 			return fmt.Errorf("-parts does not support -json: a scale-out result is not a RunResult")
+		}
+		if *traces {
+			return fmt.Errorf("-parts does not support -traces: sibling partitions of a layer would share trace files")
 		}
 	}
 	if err := spec.Validate(); err != nil {
@@ -136,9 +142,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	defer func() { _ = runner.Close(context.Background()) }()
 	live := job.Live{Obs: rec, Progress: prog, Timeline: tlw}
 	if *traces {
-		if *outDir == "" {
-			return fmt.Errorf("-traces requires -outdir")
-		}
 		live.TraceDir = *outDir
 	}
 

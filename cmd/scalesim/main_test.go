@@ -142,7 +142,8 @@ func TestPartsFlagMatrix(t *testing.T) {
 	}{
 		{flags: []string{"-dram"}, refused: "DRAM"},
 		{flags: []string{"-dram-bw", "0.5"}, refused: "DRAMBandwidth"},
-		{flags: []string{"-traces", "-outdir", "@/out"}, refused: "TraceDir"},
+		{flags: []string{"-traces", "-outdir", "@/out", "-timeline", "@/tl.json"}, refused: "-parts does not support -traces"},
+		{flags: []string{"-traces", "-timeline", "@/tl.json", "-cache-dir", "@/cache"}, refused: "-traces requires -outdir"},
 		{flags: []string{"-json"}, refused: "-json"},
 		{flags: []string{"-graph", graphPath}, refused: "Graph"},
 		{flags: []string{"-net", "BERTTiny"}, refused: "Graph"},

@@ -189,28 +189,19 @@ func run(args []string, stdout io.Writer) (err error) {
 
 		case "fig11":
 			if *plot {
-				return plotFig11(w, budgets, pc, obs)
+				return fig11Series(budgets, pc, obs, func(b int64, name string, rows []experiments.SweepRow) error {
+					return plotFig11(w, b, name, rows)
+				})
 			}
 			fmt.Fprintln(w, "Layer,MACs,Partitions,Spec,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites")
-			for _, b := range budgets {
-				series, err := experiments.Fig11Obs(b, pc, obs)
-				if err != nil {
-					return err
+			return fig11Series(budgets, pc, obs, func(_ int64, _ string, rows []experiments.SweepRow) error {
+				for _, r := range rows {
+					fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
+						r.Layer, r.MACs, r.Partitions, r.Spec, r.Cycles,
+						r.AvgBW, r.PeakBW, r.DRAMReads, r.DRAMWrites)
 				}
-				names := make([]string, 0, len(series))
-				for name := range series {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for _, name := range names {
-					for _, r := range series[name] {
-						fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
-							r.Layer, r.MACs, r.Partitions, r.Spec, r.Cycles,
-							r.AvgBW, r.PeakBW, r.DRAMReads, r.DRAMWrites)
-					}
-				}
-			}
-			return nil
+				return nil
+			})
 
 		case "fig12":
 			l, err := pickLayer(*layer)
@@ -329,9 +320,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	})
 }
 
-// plotFig11 renders the runtime and bandwidth curves of the partition
-// sweep as ASCII charts.
-func plotFig11(w io.Writer, budgets, pc []int64, obs experiments.Obs) error {
+// fig11Series runs the Fig. 11 sweep per MAC budget and hands each series
+// to emit, budgets in the order given and series by name within one.
+func fig11Series(budgets, pc []int64, obs experiments.Obs, emit func(b int64, name string, rows []experiments.SweepRow) error) error {
 	for _, b := range budgets {
 		series, err := experiments.Fig11Obs(b, pc, obs)
 		if err != nil {
@@ -343,33 +334,41 @@ func plotFig11(w io.Writer, budgets, pc []int64, obs experiments.Obs) error {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			rows := series[name]
-			runtime := viz.Series{Name: "cycles"}
-			bw := viz.Series{Name: "avg BW (B/cyc)"}
-			for _, r := range rows {
-				runtime.X = append(runtime.X, float64(r.Partitions))
-				runtime.Y = append(runtime.Y, float64(r.Cycles))
-				bw.X = append(bw.X, float64(r.Partitions))
-				bw.Y = append(bw.Y, r.AvgBW)
-			}
-			chart := viz.Chart{
-				Title: fmt.Sprintf("%s @ %d MACs: runtime vs partitions", name, b),
-				LogX:  true, LogY: true, XLabel: "partitions", YLabel: "cycles",
-			}
-			out, err := chart.Render(runtime)
-			if err != nil {
+			if err := emit(b, name, series[name]); err != nil {
 				return err
 			}
-			fmt.Fprintln(w, out)
-			chart.Title = fmt.Sprintf("%s @ %d MACs: DRAM demand vs partitions", name, b)
-			chart.YLabel = "bytes/cycle"
-			out, err = chart.Render(bw)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, out)
 		}
 	}
+	return nil
+}
+
+// plotFig11 renders the runtime and bandwidth curves of one series of the
+// partition sweep as ASCII charts.
+func plotFig11(w io.Writer, b int64, name string, rows []experiments.SweepRow) error {
+	runtime := viz.Series{Name: "cycles"}
+	bw := viz.Series{Name: "avg BW (B/cyc)"}
+	for _, r := range rows {
+		runtime.X = append(runtime.X, float64(r.Partitions))
+		runtime.Y = append(runtime.Y, float64(r.Cycles))
+		bw.X = append(bw.X, float64(r.Partitions))
+		bw.Y = append(bw.Y, r.AvgBW)
+	}
+	chart := viz.Chart{
+		Title: fmt.Sprintf("%s @ %d MACs: runtime vs partitions", name, b),
+		LogX:  true, LogY: true, XLabel: "partitions", YLabel: "cycles",
+	}
+	out, err := chart.Render(runtime)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, out)
+	chart.Title = fmt.Sprintf("%s @ %d MACs: DRAM demand vs partitions", name, b)
+	chart.YLabel = "bytes/cycle"
+	out, err = chart.Render(bw)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, out)
 	return nil
 }
 

@@ -179,11 +179,7 @@ func writeTimeline(path string, window int64, scans []scanned) error {
 		w := timeline.New(f, timeline.Options{Window: window})
 		pid := w.Process("trace bandwidth")
 		for _, sc := range scans {
-			s := timeline.NewSampler(window)
-			for _, p := range sc.meter.Profile() {
-				s.Add(p.StartCycle, p.Words)
-			}
-			s.Emit(w, pid, trackName(sc.path), 0)
+			timeline.Sampler{BandwidthMeter: sc.meter}.Emit(w, pid, trackName(sc.path), 0)
 		}
 		return w.Close()
 	})

@@ -222,27 +222,13 @@ func better(a, b Eval) bool {
 	return a.Config.Parts.Count() < b.Config.Parts.Count()
 }
 
-// BestScaleUp returns the fastest monolithic configuration for the MAC
-// budget, or false if no shape satisfies minDim.
-func BestScaleUp(m dataflow.Mapping, macs, minDim int64) (Eval, bool) {
-	var best Eval
-	found := false
-	for _, s := range Shapes(macs, minDim) {
-		e := Evaluate(m, SystemConfig{Parts: Partitioning{1, 1}, Shape: s})
-		if !found || better(e, best) {
-			best, found = e, true
-		}
-	}
-	return best, found
-}
-
-// BestScaleOut returns the fastest partitioned (P > 1) configuration for
-// the MAC budget, or false if none exists under the constraints.
-func BestScaleOut(m dataflow.Mapping, macs, minDim, maxParts int64) (Eval, bool) {
+// fastest is the one search loop: the fastest configuration of the Fig. 9(a)
+// space that keep admits (nil admits all), or false if there is none.
+func fastest(m dataflow.Mapping, macs, minDim, maxParts int64, keep func(SystemConfig) bool) (Eval, bool) {
 	var best Eval
 	found := false
 	for _, c := range EnumerateConfigs(macs, minDim, maxParts) {
-		if c.Monolithic() {
+		if keep != nil && !keep(c) {
 			continue
 		}
 		e := Evaluate(m, c)
@@ -253,17 +239,21 @@ func BestScaleOut(m dataflow.Mapping, macs, minDim, maxParts int64) (Eval, bool)
 	return best, found
 }
 
+// BestScaleUp returns the fastest monolithic configuration for the MAC
+// budget, or false if no shape satisfies minDim.
+func BestScaleUp(m dataflow.Mapping, macs, minDim int64) (Eval, bool) {
+	return fastest(m, macs, minDim, 1, nil)
+}
+
+// BestScaleOut returns the fastest partitioned (P > 1) configuration for
+// the MAC budget, or false if none exists under the constraints.
+func BestScaleOut(m dataflow.Mapping, macs, minDim, maxParts int64) (Eval, bool) {
+	return fastest(m, macs, minDim, maxParts, func(c SystemConfig) bool { return !c.Monolithic() })
+}
+
 // BestOverall returns the fastest configuration, monolithic or partitioned.
 func BestOverall(m dataflow.Mapping, macs, minDim, maxParts int64) (Eval, bool) {
-	var best Eval
-	found := false
-	for _, c := range EnumerateConfigs(macs, minDim, maxParts) {
-		e := Evaluate(m, c)
-		if !found || better(e, best) {
-			best, found = e, true
-		}
-	}
-	return best, found
+	return fastest(m, macs, minDim, maxParts, nil)
 }
 
 // SortEvals orders evaluations fastest first using the model's tie-break.

@@ -9,10 +9,11 @@
 // are independent, so Simulate and SimulateGraph fan them out over
 // engine.Run's bounded worker pool (runNodes) and join the results —
 // including the serialized cycle offsets — in layer order. Output is
-// bit-identical for every worker count. Per-layer consumers (trace files,
-// the DRAM timing model, the stall analyzer, caller-supplied sinks) are
-// wired through an engine.Registry of sink factories, so every layer gets
-// fresh consumers and nothing is shared across worker goroutines.
+// bit-identical for every worker count. Every layer gets fresh consumers
+// (stageSinks): trace files and caller-supplied sinks from engine.Registry
+// factories, the DRAM timing model, the stall analyzer and the timeline
+// recorder as typed fields of its LayerContext, so nothing is shared across
+// worker goroutines and the Simulator holds nothing that belongs to one call.
 //
 // There is one way to execute a layer. A scale-out partition is a spatial
 // window of a layer and runs through the same pipeline on the same fan-out
@@ -38,7 +39,6 @@ import (
 	"scalesim/internal/simcache"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
-	"scalesim/internal/trace"
 	"scalesim/internal/vector"
 )
 
@@ -191,8 +191,9 @@ type Simulator struct {
 	cfg config.Config
 	opt Options
 	em  energy.Model
-	reg engine.Registry
-	tl  timelineState
+	// traces is the trace-file factory when Options.TraceDir is set, empty
+	// otherwise.
+	traces engine.Registry
 	// planned marks that the run is observable through its results alone
 	// (see resultsOnly in pipeline.go), so a node's recorded entry may
 	// stand in for simulating it: runs are planned (plan.go) and, when
@@ -205,13 +206,6 @@ type Simulator struct {
 	// a fresh set of residency tables per layer.
 	tables sync.Pool
 }
-
-// SinkSet value keys the built-in factories deposit their per-layer probes
-// under.
-const (
-	dramProbeKey  = "core.dram"
-	stallProbeKey = "core.stall"
-)
 
 // New validates the configuration and builds a Simulator.
 func New(cfg config.Config, opt Options) (*Simulator, error) {
@@ -234,55 +228,17 @@ func New(cfg config.Config, opt Options) (*Simulator, error) {
 		}
 	}
 
-	var reg engine.Registry
+	s := &Simulator{cfg: cfg, opt: opt, em: em, planned: resultsOnly(opt)}
 	if opt.TraceDir != "" {
-		reg = append(reg, engine.CSVTrace(opt.TraceDir))
+		s.traces = engine.Registry{engine.CSVTrace(opt.TraceDir)}
 	}
-	if opt.DRAM != nil {
-		reg = append(reg, dramSink(*opt.DRAM))
-	}
-	if opt.DRAMBandwidth > 0 {
-		reg = append(reg, stallSink(opt.DRAMBandwidth))
-	}
-	reg = append(reg, opt.Sinks...)
-	s := &Simulator{cfg: cfg, opt: opt, em: em, reg: reg, planned: resultsOnly(opt)}
 	s.cache = s.planned && opt.Cache != nil
 	s.keyPrefix, s.keySuffix = keyAffixes(cfg, opt)
-	if opt.Timeline != nil {
-		s.reg = append(s.reg, s.timelineSink())
-	}
 	return s, nil
 }
 
 // Config returns the simulator's architecture configuration.
 func (s *Simulator) Config() config.Config { return s.cfg }
-
-// dramSink builds a fresh DRAM timing model per layer, replays both DRAM
-// streams through it and deposits it for stats collection.
-func dramSink(cfg dram.Config) engine.Factory {
-	return func(job engine.Job, set *engine.SinkSet) error {
-		m, err := dram.New(cfg)
-		if err != nil {
-			return err
-		}
-		set.Attach(engine.DRAMRead, m)
-		set.Attach(engine.DRAMWrite, m)
-		set.Put(dramProbeKey, m)
-		return nil
-	}
-}
-
-// stallSink builds a fresh bounded-link stall analyzer per layer over both
-// DRAM streams.
-func stallSink(wordsPerCycle float64) engine.Factory {
-	return func(job engine.Job, set *engine.SinkSet) error {
-		a := trace.NewStallAnalyzer(wordsPerCycle)
-		set.Attach(engine.DRAMRead, a)
-		set.Attach(engine.DRAMWrite, a)
-		set.Put(stallProbeKey, a)
-		return nil
-	}
-}
 
 // SimulateLayer runs one layer through the map/sinks/compute/analyze
 // pipeline (see pipeline.go): mapping and cache lookup, live trace
@@ -342,16 +298,31 @@ func (s *Simulator) spanSink() (obsv.SpanSink, *obsv.SpanRecorder) {
 	return obsv.TeeSpans(sink, tl), tl
 }
 
+// guarded runs one pipeline job under the name its failures carry. A panic
+// in it — a caller's sink, a progress hook — fails the run under that name;
+// the engine's own recovery would only know the job index.
+func guarded(what string, job func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: %s panicked: %v", what, r)
+		}
+	}()
+	if err := job(); err != nil {
+		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	return nil
+}
+
 // WindowRun is what SimulateWindows joins.
 type WindowRun struct {
 	// Windows holds one result per window, in input order: the window's
 	// own cycles, traffic and closed ledger, knowing nothing of its
 	// siblings.
 	Windows []LayerResult
-	// Recorders (by window index) and Spans carry the run's timeline
+	// Recorders (aligned with Windows) and Spans carry the run's timeline
 	// events when Options.Timeline is set; only the caller knows where its
 	// windows go in time (partitions run side by side, layers do not).
-	Recorders map[int]*timeline.LayerRecorder
+	Recorders []*timeline.LayerRecorder
 	Spans     []obsv.Span
 }
 
@@ -371,22 +342,26 @@ func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (W
 	}
 	spanSink, tlSpans := s.spanSink()
 	n := topology.NodeOf(l)
-	results, err := engine.RunObserved(s.opt.Workers, len(wins), spanSink,
+	var run WindowRun
+	if s.opt.Timeline != nil {
+		run.Recorders = make([]*timeline.LayerRecorder, len(wins))
+	}
+	var err error
+	run.Windows, err = engine.RunObserved(s.opt.Workers, len(wins), spanSink,
 		func(i int) (LayerResult, error) {
 			ctx := newLayerContext(i, n)
 			ctx.Window = wins[i]
-			if err := s.runNode(ctx); err != nil {
-				return LayerResult{}, fmt.Errorf("core: layer %q window %+v: %w", l.Name, wins[i], err)
+			err := guarded(fmt.Sprintf("layer %q window %+v", l.Name, wins[i]),
+				func() error { return s.runNode(ctx) })
+			if run.Recorders != nil {
+				run.Recorders[i] = ctx.rec
 			}
-			return ctx.Result, nil
+			return ctx.Result, err
 		})
 	if err != nil {
 		return WindowRun{}, err
 	}
-	run := WindowRun{Windows: results}
-	if s.opt.Timeline != nil {
-		run.Recorders, run.Spans = s.tl.take(), tlSpans.Spans()
-	}
+	run.Spans = tlSpans.Spans()
 	return run, nil
 }
 
@@ -425,28 +400,23 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	s.opt.Progress.Start(len(nodes))
 	obs := s.opt.Obs
 	spanSink, tlSpans := s.spanSink()
-	// exec runs one node with the per-node bookkeeping: wall time,
-	// progress, and errors that carry the node's name. A panicking node
-	// fails the run with its index and name; the engine's own recovery
-	// would only know the job index.
-	exec := func(ctx *LayerContext) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("core: %s %d %q panicked: %v", noun, ctx.Index, ctx.Layer.Name, r)
+	// exec runs one node with the per-node bookkeeping: wall time, progress,
+	// and failures that carry the node's name.
+	exec := func(ctx *LayerContext) error {
+		return guarded(fmt.Sprintf("%s %q", noun, ctx.Layer.Name), func() error {
+			var t0 time.Time
+			if obs.Enabled() {
+				t0 = time.Now()
 			}
-		}()
-		var t0 time.Time
-		if obs.Enabled() {
-			t0 = time.Now()
-		}
-		if err := s.runNode(ctx); err != nil {
-			return fmt.Errorf("core: %s %q: %w", noun, ctx.Layer.Name, err)
-		}
-		if obs.Enabled() {
-			obs.ObserveLayer(ctx.Index, ctx.Layer.Name, time.Since(t0))
-		}
-		s.opt.Progress.Step(ctx.Layer.Name)
-		return nil
+			if err := s.runNode(ctx); err != nil {
+				return err
+			}
+			if obs.Enabled() {
+				obs.ObserveLayer(ctx.Index, ctx.Layer.Name, time.Since(t0))
+			}
+			s.opt.Progress.Step(ctx.Layer.Name)
+			return nil
+		})
 	}
 
 	stop := obs.Phase("core.simulate")
@@ -491,7 +461,7 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	obs.Metrics().Counter("core.nodes_simulated").Add(simulated)
 	obs.Metrics().Counter("core.nodes_replayed").Add(int64(len(nodes) - len(p.order)))
 	if s.opt.Timeline != nil {
-		s.emitTimeline(run, tlSpans.Spans())
+		s.emitTimeline(run, done, tlSpans.Spans())
 	}
 	return run, nil
 }

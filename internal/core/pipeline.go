@@ -38,8 +38,8 @@ import (
 // wholesale and replays the entry. Stages that exist only to feed live
 // consumers are marked liveOnly and never run on a replay; conversely, any
 // option that demands a live consumer (trace files, timelines, caller
-// sinks, shared DRAM consumers or taps) disables both kinds of replay for
-// the whole run at New time, so a replay can never starve a sink.
+// sinks) disables both kinds of replay for the whole run at New time, so a
+// replay can never starve a sink.
 
 // LayerContext is the state one layer threads through the pipeline
 // stages. Exported fields are the stage contract; unexported fields carry
@@ -70,8 +70,14 @@ type LayerContext struct {
 	// Result is the layer's final outcome, assembled by the analyze stage.
 	Result LayerResult
 
-	set *engine.SinkSet
-	rec *timeline.LayerRecorder
+	// set wires every consumer of the layer to its streams and owns the
+	// trace files' and caller sinks' hooks; dram, stall and rec are the
+	// consumers core reads back, nil unless Options.DRAM, DRAMBandwidth and
+	// Timeline ask for them. All are built fresh by stageSinks.
+	set   *engine.SinkSet
+	dram  *dram.Model
+	stall *trace.StallAnalyzer
+	rec   *timeline.LayerRecorder
 }
 
 func newLayerContext(index int, n topology.Node) *LayerContext {
@@ -179,16 +185,39 @@ func (s *Simulator) stageMap(ctx *LayerContext) error {
 	return nil
 }
 
-// stageSinks builds the layer's fresh trace consumers from the sink
-// factory registry.
+// stageSinks builds the layer's fresh trace consumers, attached in a fixed
+// order — trace files, DRAM timing model, stall analyzer, caller sinks,
+// timeline — so each stream's Tee is the same whatever else is switched on.
 func (s *Simulator) stageSinks(ctx *LayerContext) error {
-	set, err := s.reg.NewSinkSet(engine.Job{
-		Index: ctx.Index, Run: s.cfg.RunName, Layer: ctx.Layer.Name, Key: ctx.Key,
-	})
+	job := engine.Job{Index: ctx.Index, Run: s.cfg.RunName, Layer: ctx.Layer.Name}
+	set, err := s.traces.NewSinkSet(job)
 	if err != nil {
 		return err
 	}
-	ctx.set = set
+	ctx.set = set // released by runNode's deferred close from here on
+	if s.opt.DRAM != nil {
+		if ctx.dram, err = dram.New(*s.opt.DRAM); err != nil {
+			return err
+		}
+		set.Attach(engine.DRAMRead, ctx.dram)
+		set.Attach(engine.DRAMWrite, ctx.dram)
+	}
+	if s.opt.DRAMBandwidth > 0 {
+		ctx.stall = trace.NewStallAnalyzer(s.opt.DRAMBandwidth)
+		set.Attach(engine.DRAMRead, ctx.stall)
+		set.Attach(engine.DRAMWrite, ctx.stall)
+	}
+	for _, f := range s.opt.Sinks {
+		if f == nil {
+			continue
+		}
+		if err := f(job, set); err != nil {
+			return err
+		}
+	}
+	if s.opt.Timeline != nil {
+		s.recordTimeline(ctx)
+	}
 	return nil
 }
 
@@ -223,7 +252,6 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 		s.cfg.OfmapOffset, l.OfmapWords(),
 	)
 
-	ctx.rec, _ = ctx.set.Value(timelineProbeKey).(*timeline.LayerRecorder)
 	// The fold observer always runs: it feeds the cycle-accounting
 	// ledger (and tees the timeline recorder when one is attached).
 	// Observation is purely additive — trace output never changes. Each
@@ -258,7 +286,6 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	drained := sys.Ofmap.Flush(comp.Cycles)
 	if ctx.rec != nil {
 		ctx.rec.Finish(comp.Cycles, drained)
-		s.tl.put(ctx.Index, ctx.rec)
 	}
 	ctx.Entry.Compute = comp
 	ctx.Entry.Memory = sys.Report(comp.Cycles)
@@ -282,7 +309,6 @@ func (s *Simulator) computeVector(ctx *LayerContext) error {
 		OfmapBase: s.cfg.OfmapOffset,
 	}
 
-	ctx.rec, _ = ctx.set.Value(timelineProbeKey).(*timeline.LayerRecorder)
 	var passes vector.PassObserver
 	if ctx.rec != nil {
 		rec := ctx.rec
@@ -307,7 +333,6 @@ func (s *Simulator) computeVector(ctx *LayerContext) error {
 	if ctx.rec != nil {
 		// Write-back is modeled in-pass, so nothing drains after the end.
 		ctx.rec.Finish(vres.Cycles, 0)
-		s.tl.put(ctx.Index, ctx.rec)
 	}
 	ctx.Entry.Vector = &vres
 	ctx.Entry.Compute = systolic.Result{
@@ -379,12 +404,12 @@ func vectorMemoryReport(p vector.Params, res vector.Result, wordBytes int64) mem
 // assembles the LayerResult.
 func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
 	if ctx.live() {
-		if m, ok := ctx.set.Value(dramProbeKey).(*dram.Model); ok {
-			stats := m.Stats()
+		if ctx.dram != nil {
+			stats := ctx.dram.Stats()
 			ctx.Entry.DRAMStats = &stats
 		}
-		if a, ok := ctx.set.Value(stallProbeKey).(*trace.StallAnalyzer); ok {
-			ctx.Entry.StallCycles = a.StallCycles()
+		if ctx.stall != nil {
+			ctx.Entry.StallCycles = ctx.stall.StallCycles()
 		}
 		// Close the layer's books: the bounded-link stall joins the
 		// ledger, the total is the stalled runtime, and the sum

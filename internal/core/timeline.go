@@ -1,69 +1,30 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/timeline"
 )
 
-// timelineProbeKey is the SinkSet value key the timeline factory deposits
-// each layer's recorder under.
-const timelineProbeKey = "core.timeline"
-
-// timelineState collects the per-job recorders built by the timeline
-// sink factory until the engine's deterministic join: runNodes then emits
-// them at the layers' serialized cycle offsets, SimulateWindows hands them
-// to its caller, who knows where partitions go.
-type timelineState struct {
-	mu   sync.Mutex
-	recs map[int]*timeline.LayerRecorder
-}
-
-func (t *timelineState) put(index int, rec *timeline.LayerRecorder) {
-	t.mu.Lock()
-	if t.recs == nil {
-		t.recs = make(map[int]*timeline.LayerRecorder)
+// recordTimeline builds the layer's fresh LayerRecorder: windowed counter
+// samplers on all eight trace streams, and the layer's one stall analyzer
+// (when the link is bounded) switched to recording intervals. The compute
+// stage wires the fold observer to it and records the drain.
+func (s *Simulator) recordTimeline(ctx *LayerContext) {
+	rec := timeline.NewLayerRecorder(ctx.Layer.Name, ctx.Index, s.opt.Timeline.Window())
+	set := ctx.set
+	set.Attach(engine.SRAMReadIfmap, rec.Sampler(timeline.TrackSRAMIfmapRead))
+	set.Attach(engine.SRAMReadFilter, rec.Sampler(timeline.TrackSRAMFilterRead))
+	set.Attach(engine.SRAMWriteOfmap, rec.Sampler(timeline.TrackSRAMOfmapWrite))
+	set.Attach(engine.DRAMRead, rec.Sampler(timeline.TrackDRAMRead))
+	set.Attach(engine.DRAMWrite, rec.Sampler(timeline.TrackDRAMWrite))
+	set.Attach(engine.DRAMReadIfmap, rec.Sampler(timeline.TrackDRAMIfmapRead))
+	set.Attach(engine.DRAMReadFilter, rec.Sampler(timeline.TrackDRAMFilterRead))
+	set.Attach(engine.DRAMWriteOfmap, rec.Sampler(timeline.TrackDRAMOfmapWrite))
+	if ctx.stall != nil {
+		rec.Stall(ctx.stall)
 	}
-	t.recs[index] = rec
-	t.mu.Unlock()
-}
-
-func (t *timelineState) take() map[int]*timeline.LayerRecorder {
-	t.mu.Lock()
-	recs := t.recs
-	t.recs = nil
-	t.mu.Unlock()
-	return recs
-}
-
-// timelineSink builds a fresh LayerRecorder per layer: windowed counter
-// samplers on all eight trace streams, plus a stall profiler on the DRAM
-// streams when the link is bounded. The recorder is deposited for the
-// compute stage to wire the fold observer and record the drain.
-func (s *Simulator) timelineSink() engine.Factory {
-	window := s.opt.Timeline.Window()
-	bw := s.opt.DRAMBandwidth
-	return func(job engine.Job, set *engine.SinkSet) error {
-		rec := timeline.NewLayerRecorder(job.Layer, job.Index, window)
-		set.Attach(engine.SRAMReadIfmap, rec.Sampler(timeline.TrackSRAMIfmapRead))
-		set.Attach(engine.SRAMReadFilter, rec.Sampler(timeline.TrackSRAMFilterRead))
-		set.Attach(engine.SRAMWriteOfmap, rec.Sampler(timeline.TrackSRAMOfmapWrite))
-		set.Attach(engine.DRAMRead, rec.Sampler(timeline.TrackDRAMRead))
-		set.Attach(engine.DRAMWrite, rec.Sampler(timeline.TrackDRAMWrite))
-		set.Attach(engine.DRAMReadIfmap, rec.Sampler(timeline.TrackDRAMIfmapRead))
-		set.Attach(engine.DRAMReadFilter, rec.Sampler(timeline.TrackDRAMFilterRead))
-		set.Attach(engine.DRAMWriteOfmap, rec.Sampler(timeline.TrackDRAMOfmapWrite))
-		if bw > 0 {
-			p := rec.Stall(bw)
-			set.Attach(engine.DRAMRead, p)
-			set.Attach(engine.DRAMWrite, p)
-		}
-		set.Put(timelineProbeKey, rec)
-		return nil
-	}
+	ctx.rec = rec
 }
 
 // emitTimeline writes the run into the timeline writer: the
@@ -71,9 +32,8 @@ func (s *Simulator) timelineSink() engine.Factory {
 // its serialized StartCycle), then the host-engine process built from the
 // scheduler spans. Runs after aggregation, so it can never perturb
 // results.
-func (s *Simulator) emitTimeline(run RunResult, spans []obsv.Span) {
+func (s *Simulator) emitTimeline(run RunResult, done []*LayerContext, spans []obsv.Span) {
 	w := s.opt.Timeline
-	recs := s.tl.take()
 	name := "simulated machine"
 	if run.Topology.Name != "" {
 		name += ": " + run.Topology.Name
@@ -84,20 +44,9 @@ func (s *Simulator) emitTimeline(run RunResult, spans []obsv.Span) {
 	if s.opt.DRAMBandwidth > 0 {
 		w.Thread(pid, timeline.TIDStalls, "stalls")
 	}
-	for i := range run.Layers {
-		rec := recs[i]
-		if rec == nil {
-			continue
-		}
-		rec.Emit(w, pid, timeline.DefaultPlacement(run.Layers[i].StartCycle))
+	for i, ctx := range done {
+		ctx.rec.Emit(w, pid, timeline.DefaultPlacement(run.Layers[i].StartCycle))
 	}
-	if len(spans) > 0 {
-		host := w.Process("host engine")
-		timeline.EmitEngineSpans(w, host, spans, func(i int) string {
-			if i >= 0 && i < len(run.Topology.Layers) {
-				return run.Topology.Layers[i].Name
-			}
-			return fmt.Sprintf("job %d", i)
-		})
-	}
+	// A timeline run is never planned: job i is layer i.
+	timeline.EmitEngineSpans(w, spans, func(i int) string { return run.Topology.Layers[i].Name })
 }

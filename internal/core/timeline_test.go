@@ -140,3 +140,65 @@ func TestTraceDeterminismWithTimeline(t *testing.T) {
 		}
 	}
 }
+
+// TestTimelineStallsAreTheLayersOwn: a layer is measured once. With a
+// timeline and a bounded link the recorder reads the layer's one stall
+// analyzer, so the stall_cycles argument of every layer span is the layer's
+// StallCycles — which recording intervals did not move.
+func TestTimelineStallsAreTheLayersOwn(t *testing.T) {
+	topo := topology.TinyNet()
+	cfg := config.New().WithArray(8, 8)
+	plain, err := New(cfg, Options{DRAMBandwidth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Simulate(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := timeline.New(&buf, timeline.Options{})
+	timed, err := New(cfg, Options{DRAMBandwidth: 2, Timeline: w, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := timed.Simulate(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Ph   string
+		Pid  int
+		Args struct {
+			Index  *int
+			Stalls int64 `json:"stall_cycles"`
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[int]int64{}
+	for _, e := range events {
+		if e.Ph == "X" && e.Pid == 1 && e.Args.Index != nil { // pid 1: the simulated machine
+			spans[*e.Args.Index] = e.Args.Stalls
+		}
+	}
+	stalled := 0
+	for i, lr := range got.Layers {
+		if lr.StallCycles != want.Layers[i].StallCycles {
+			t.Errorf("layer %d: %d stall cycles with a timeline, %d without", i, lr.StallCycles, want.Layers[i].StallCycles)
+		}
+		if lr.StallCycles > 0 {
+			stalled++
+		}
+		if span, ok := spans[i]; !ok || span != lr.StallCycles {
+			t.Errorf("layer %d: span says %d stall cycles (present %t), result %d", i, span, ok, lr.StallCycles)
+		}
+	}
+	if stalled == 0 {
+		t.Fatal("no layer stalled: the link bound tests nothing")
+	}
+}

@@ -7,10 +7,12 @@ import (
 
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
+	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/simcache"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
+	"scalesim/internal/trace"
 )
 
 // TestWholeLayerKeyUnchanged pins the whole-layer compute key byte for
@@ -106,5 +108,31 @@ func TestSimulateWindows(t *testing.T) {
 	}
 	if _, err := traced.SimulateWindows(l, halves); err == nil {
 		t.Error("per-window trace files accepted")
+	}
+}
+
+// TestSimulateWindowsPanickingSink: a caller's sink that panics inside one
+// window fails the run naming the layer and the window — what runNodes says
+// of a layer — at every worker count, not the engine's bare job index.
+func TestSimulateWindowsPanickingSink(t *testing.T) {
+	l := topology.Layer{Name: "conv", IfmapH: 14, IfmapW: 14, FilterH: 3, FilterW: 3,
+		Channels: 8, NumFilters: 24, Stride: 1}
+	wins := []systolic.Window{{SrLen: 72}, {SrOff: 72}}
+	boom := engine.Registry{func(job engine.Job, set *engine.SinkSet) error {
+		if job.Index == 1 {
+			set.Attach(engine.SRAMWriteOfmap, trace.ConsumerFunc(func(int64, []int64) { panic("boom") }))
+		}
+		return nil
+	}}
+	for _, workers := range []int{1, 2} {
+		sim, err := New(config.New().WithArray(8, 8).WithSRAM(4, 4, 2), Options{Sinks: boom, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sim.SimulateWindows(l, wins)
+		if err == nil || !strings.Contains(err.Error(), `layer "conv" window {SrOff:72`) ||
+			!strings.Contains(err.Error(), "boom") {
+			t.Errorf("workers=%d: err = %v, want the panic under the layer's and window's name", workers, err)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // testRunner is the one-worker Runner a CLI would hand Explore, closed
 // with the test.
-func testRunner(t *testing.T, cache *simcache.Cache) *job.Runner {
+func testRunner(t testing.TB, cache *simcache.Cache) *job.Runner {
 	t.Helper()
 	r := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
 	t.Cleanup(func() { _ = r.Close(context.Background()) })

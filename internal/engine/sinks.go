@@ -36,10 +36,6 @@ const (
 	DRAMWriteOfmap Stream = "dram_write_ofmap"
 )
 
-// OperandDRAMStreams lists the per-operand DRAM streams in canonical
-// order.
-var OperandDRAMStreams = []Stream{DRAMReadIfmap, DRAMReadFilter, DRAMWriteOfmap}
-
 // Job identifies the unit of work a sink set is being built for: its
 // position in the execution order plus the run and layer names sinks may
 // use for labeling (e.g. trace file names).
@@ -50,11 +46,6 @@ type Job struct {
 	Run string
 	// Layer is the layer (or grid point) name.
 	Layer string
-	// Key is the job's canonical identity when the caller computes one
-	// (config hash x layer shape); empty otherwise. Factories may use it
-	// to address content-keyed stores, but must not use it for file names
-	// — Run and Layer stay the user-facing labels.
-	Key string
 }
 
 // SinkSet is the set of trace consumers wired to one job's streams,
@@ -63,7 +54,6 @@ type Job struct {
 // consumer is ever shared across worker goroutines.
 type SinkSet struct {
 	streams map[Stream][]trace.Consumer
-	values  map[string]any
 	finish  []func() error
 	closers []func()
 }
@@ -88,18 +78,6 @@ func (s *SinkSet) OnFinish(f func() error) { s.finish = append(s.finish, f) }
 // OnClose registers a hook run by Close regardless of outcome (e.g.
 // closing a file descriptor). Hooks run in reverse registration order.
 func (s *SinkSet) OnClose(f func() error) { s.closers = append(s.closers, func() { _ = f() }) }
-
-// Put deposits a per-job value (such as a stats probe) under a key for the
-// job runner to read back after the run.
-func (s *SinkSet) Put(key string, v any) {
-	if s.values == nil {
-		s.values = make(map[string]any)
-	}
-	s.values[key] = v
-}
-
-// Value returns the value deposited under key, or nil.
-func (s *SinkSet) Value(key string) any { return s.values[key] }
 
 // Consumer returns the stream's attached consumers as one consumer, or nil
 // when none are attached.

@@ -11,7 +11,6 @@ import (
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/partition"
-	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
 
@@ -22,11 +21,6 @@ import (
 type Obs struct {
 	Rec      *obsv.Recorder
 	Progress *obsv.Progress
-	// Cache, when non-nil, memoizes per-partition compute results across
-	// the sweep's series: Fig. 11's layers and Fig. 12's MAC budgets
-	// revisit the same (shape, window) pairs, and a repeated figure run
-	// replays entirely. Results are byte-identical with or without it.
-	Cache *simcache.Cache
 }
 
 // --- Fig. 11 / Fig. 12: cycle-accurate partition sweeps ------------------
@@ -84,24 +78,14 @@ func PartitionSweep(l topology.Layer, totalMACs int64, partCounts []int64, opt p
 // completed series step obs.Progress; rows are identical for every obs,
 // the zero one included.
 func Fig11Obs(totalMACs int64, partCounts []int64, obs Obs) (map[string][]SweepRow, error) {
-	// The figure's layers run concurrently on the shared engine's pool, so
-	// each layer's partitions stay sequential rather than multiplying the
-	// two levels; the map is assembled after the in-order join.
-	layers := []topology.Layer{CB2a3(), TF0()}
-	obs.Progress.Start(len(layers))
-	defer obs.Rec.Phase("experiments.fig11")()
-	series, err := engine.RunObserved(0, len(layers), obs.Rec.SpanSink(), func(i int) ([]SweepRow, error) {
-		rows, err := sweepSeries(obs, i, layers[i].Name, func() ([]SweepRow, error) {
-			return PartitionSweep(layers[i], totalMACs, partCounts, partition.Options{Parallel: 1, Cache: obs.Cache})
-		})
-		return rows, err
-	})
+	series := []sweepSeries{{CB2a3().Name, CB2a3(), totalMACs}, {TF0().Name, TF0(), totalMACs}}
+	rows, err := runSeries("experiments.fig11", series, partCounts, obs)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]SweepRow, len(layers))
-	for i, rows := range series {
-		out[layers[i].Name] = rows
+	out := make(map[string][]SweepRow, len(series))
+	for i, s := range series {
+		out[s.name] = rows[i]
 	}
 	return out, nil
 }
@@ -114,39 +98,51 @@ func Fig12(l topology.Layer, macBudgets []int64, partCounts []int64) (map[int64]
 
 // Fig12Obs is Fig12 with observability, mirroring Fig11Obs.
 func Fig12Obs(l topology.Layer, macBudgets []int64, partCounts []int64, obs Obs) (map[int64][]SweepRow, error) {
-	// One series per MAC budget, simulated concurrently like Fig11Obs.
-	obs.Progress.Start(len(macBudgets))
-	defer obs.Rec.Phase("experiments.fig12")()
-	series, err := engine.RunObserved(0, len(macBudgets), obs.Rec.SpanSink(), func(i int) ([]SweepRow, error) {
-		name := fmt.Sprintf("%s@%dMACs", l.Name, macBudgets[i])
-		return sweepSeries(obs, i, name, func() ([]SweepRow, error) {
-			return PartitionSweep(l, macBudgets[i], partCounts, partition.Options{Parallel: 1, Cache: obs.Cache})
-		})
-	})
+	series := make([]sweepSeries, len(macBudgets))
+	for i, b := range macBudgets {
+		series[i] = sweepSeries{fmt.Sprintf("%s@%dMACs", l.Name, b), l, b}
+	}
+	rows, err := runSeries("experiments.fig12", series, partCounts, obs)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int64][]SweepRow, len(macBudgets))
-	for i, rows := range series {
-		out[macBudgets[i]] = rows
+	out := make(map[int64][]SweepRow, len(series))
+	for i, s := range series {
+		out[s.macs] = rows[i]
 	}
 	return out, nil
 }
 
-// sweepSeries runs one sweep series under the observability hooks:
-// per-series wall time into the recorder, one progress step on success.
-func sweepSeries(obs Obs, index int, name string, run func() ([]SweepRow, error)) ([]SweepRow, error) {
-	var t0 time.Time
-	if obs.Rec.Enabled() {
-		t0 = time.Now()
-	}
-	rows, err := run()
-	if err != nil {
-		return nil, err
-	}
-	obs.Rec.ObserveLayer(index, name, time.Since(t0))
-	obs.Progress.Step(name)
-	return rows, nil
+// sweepSeries is one series of a scale-out figure: a layer swept over the
+// figure's partition counts at one MAC budget.
+type sweepSeries struct {
+	name  string
+	layer topology.Layer
+	macs  int64
+}
+
+// runSeries sweeps a figure's series under the observability hooks:
+// per-series wall time into the recorder, one progress step per finished
+// series. The series run concurrently on the shared engine's pool, so each
+// one's partitions stay sequential rather than multiplying the two levels;
+// rows come back in series order.
+func runSeries(phase string, series []sweepSeries, partCounts []int64, obs Obs) ([][]SweepRow, error) {
+	obs.Progress.Start(len(series))
+	defer obs.Rec.Phase(phase)()
+	return engine.RunObserved(0, len(series), obs.Rec.SpanSink(), func(i int) ([]SweepRow, error) {
+		s := series[i]
+		var t0 time.Time
+		if obs.Rec.Enabled() {
+			t0 = time.Now()
+		}
+		rows, err := PartitionSweep(s.layer, s.macs, partCounts, partition.Options{Parallel: 1})
+		if err != nil {
+			return nil, err
+		}
+		obs.Rec.ObserveLayer(i, s.name, time.Since(t0))
+		obs.Progress.Step(s.name)
+		return rows, nil
+	})
 }
 
 // --- Fig. 13 / Fig. 14: multi-workload pareto optimality -----------------

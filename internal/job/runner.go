@@ -36,7 +36,8 @@ var ErrNotFound = errors.New("job: no such job")
 // Live carries the per-submission live consumers a Spec deliberately
 // excludes: writers and sinks that only make sense for an in-process
 // caller (the CLIs). Network submissions leave it zero; the job then
-// buffers its own progress tail and records with a private recorder.
+// buffers its own progress tail and records nothing: with no Obs its
+// manifest carries results but no wall timings, phases or spans.
 //
 // Note that trace, timeline and sink consumers disable the shared
 // simcache for that job (cached replay cannot re-emit live streams) —
@@ -53,7 +54,7 @@ type Live struct {
 	// Sinks taps cycle-level read/write streams.
 	Sinks engine.Registry
 	// Obs, when non-nil, records the run (phases, spans, layer wall
-	// times) instead of the job's private recorder.
+	// times) into the manifest; nil records none of them.
 	Obs *obsv.Recorder
 }
 

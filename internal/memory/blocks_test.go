@@ -156,12 +156,11 @@ func TestBlockMemoMatchesFullStream(t *testing.T) {
 }
 
 // blockCase is one point of the randomised grid: layer shape, dataflow, array
-// shape, SRAM sizes, buffering mode, edge trimming and partition window,
+// shape, SRAM sizes, edge trimming and partition window,
 // with SRAMs small enough that all three residency regimes occur.
 type blockCase struct {
 	l        topology.Layer
 	cfg      config.Config
-	opt      Options
 	win      systolic.Window
 	windowed bool
 }
@@ -187,7 +186,11 @@ func randomBlockCase(rng *rand.Rand, i int) blockCase {
 		WithDataflow(config.Dataflows[rng.Intn(len(config.Dataflows))]).
 		WithSRAM(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(2))
 	c.cfg.EdgeTrim = rng.Intn(2) == 0
-	c.opt = Options{SingleBuffered: rng.Intn(2) == 0, BandwidthWindow: int64(1 + rng.Intn(100))}
+	if rng.Intn(2) == 0 {
+		// Twice the SRAM: the residency single buffering used to give.
+		c.cfg = c.cfg.WithSRAM(2*c.cfg.IfmapSRAMKB, 2*c.cfg.FilterSRAMKB, 2*c.cfg.OfmapSRAMKB)
+	}
+	rng.Intn(100) // once the bandwidth window; still drawn so the grid keeps its cases and their names
 	if m := dataflow.Map(c.l, c.cfg.Dataflow); rng.Intn(3) == 0 && m.Sr > 1 && m.Sc > 1 {
 		// A partition's slice of the mapping.
 		c.win.SrOff, c.win.ScOff = rng.Int63n(m.Sr-1), rng.Int63n(m.Sc-1)
@@ -208,8 +211,8 @@ func TestBlockMemoRandomGrid(t *testing.T) {
 			windows++
 		}
 		t.Run(c.name(i), func(t *testing.T) {
-			got := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, layerRegions(c.l, c.cfg))
-			want := runBlocks(t, c.l, c.cfg, c.opt, c.win, false, layerRegions(c.l, c.cfg))
+			got := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, layerRegions(c.l, c.cfg))
+			want := runBlocks(t, c.l, c.cfg, Options{}, c.win, false, layerRegions(c.l, c.cfg))
 			requireSameOutcome(t, got, want)
 			sram := got.report.IfmapSRAMReads + got.report.FilterSRAMReads + got.report.OfmapSRAMWrites
 			switch {
@@ -258,7 +261,7 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 		words := [3]int64{c.l.IfmapWords(), c.l.FilterWords(), c.l.OfmapWords()}
 		scale := [3]float64{scales[rng.Intn(4)], scales[rng.Intn(4)], scales[rng.Intn(4)]}
 		t.Run(c.name(i), func(t *testing.T) {
-			want := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, layerRegions(c.l, c.cfg))
+			want := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, layerRegions(c.l, c.cfg))
 			var sys *System
 			adopt := func(tables *Tables) func(*System) {
 				return func(s *System) {
@@ -267,7 +270,7 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 					layerRegions(c.l, c.cfg)(s)
 				}
 			}
-			got := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, adopt(poisonedTables(words, scale)))
+			got := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, adopt(poisonedTables(words, scale)))
 			requireSameObservables(t, got, want)
 			if got.skipped != want.skipped || got.skipWord != want.skipWord {
 				t.Errorf("skips differ: %d blocks %d words vs %d and %d", got.skipped, got.skipWord, want.skipped, want.skipWord)
@@ -284,7 +287,7 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 						k, cap(set.marks), words[k], scale[k])
 				}
 			}
-			again := runBlocks(t, c.l, c.cfg, c.opt, c.win, true, adopt(released))
+			again := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, adopt(released))
 			requireSameObservables(t, again, want)
 		})
 	}
@@ -294,8 +297,8 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 }
 
 // TestRegionFallbackWithLazyMap: a region declared too small sends the
-// stream past it. The residency map no longer exists up front, so the
-// fallback has to build it; the run must count the fallbacks and otherwise
+// stream past it. No probe table exists up front, so the fallback has to
+// build it; the run must count the fallbacks and otherwise
 // be indistinguishable from one with no region declared — bracketed or not.
 func TestRegionFallbackWithLazyMap(t *testing.T) {
 	l := topology.Layer{Name: "fb", IfmapH: 9, IfmapW: 9, FilterH: 3, FilterW: 3,
@@ -386,7 +389,7 @@ func TestBlockMemoInvalidation(t *testing.T) {
 // memory system for CB5a_2 (2.4 M filter words) allocates one table byte per
 // region word, one ring slot per word that can be resident at once, and
 // nothing else to speak of — 5 MB where the eager maps and full-capacity
-// rings took 31 MB — and no residency map at all.
+// rings took 31 MB — and no probe table at all.
 func TestSystemSetupAllocation(t *testing.T) {
 	l := resnetLayer(t, "CB5a_2")
 	cfg := config.New()
@@ -405,8 +408,8 @@ func TestSystemSetupAllocation(t *testing.T) {
 		words int64
 	}{{sys.Ifmap.set, l.IfmapWords()}, {sys.Filter.set, l.FilterWords()}, {sys.Ofmap.set, l.OfmapWords()}} {
 		want += uint64(b.words + 8*min(b.set.capacity, b.words))
-		if b.set.resident != nil || !b.set.dense {
-			t.Errorf("buffer built a residency map (dense=%t)", b.set.dense)
+		if b.set.probe != nil || !b.set.dense {
+			t.Errorf("buffer built a probe table (dense=%t)", b.set.dense)
 		}
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > want || got > 6<<20 {

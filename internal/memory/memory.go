@@ -36,18 +36,17 @@ const denseLimitWords = 1 << 22
 
 // fifoSet is a fixed-capacity set of addresses with FIFO replacement.
 //
-// Residency is tracked in one of three structures — membership tests
+// Residency is tracked in one of two structures — membership tests
 // dominate the simulator's runtime, so the choice matters:
 //
 //   - a direct-mapped byte table when the producer declares a small address
 //     region via setRegion (one array access per test);
-//   - an open-addressing probe table when the declared region is large
-//     (footprint proportional to capacity, not region);
-//   - a Go map as the general fallback when no region is declared, built on
-//     first insertion: the region paths never touch it.
+//   - an open-addressing probe table otherwise (footprint proportional to
+//     capacity, not region) — a large region, or none declared — built by
+//     the first insertion, or by leaveDense when a declared region turns
+//     out wrong.
 type fifoSet struct {
 	capacity int64
-	resident map[int64]struct{}
 	ring     []int64
 	head     int // next eviction slot when full
 
@@ -58,7 +57,7 @@ type fifoSet struct {
 	probe *probeSet
 
 	// fallbacks counts dense-table aborts: accesses outside the declared
-	// region migrate the set to the map structure instead of crashing the
+	// region migrate the set to the probe table instead of crashing the
 	// run. onFallback, when set, is invoked once per migration (e.g. to
 	// bump an obsv counter).
 	fallbacks  int64
@@ -80,30 +79,29 @@ func (f *fifoSet) setRegion(base, words int64) {
 	if need := min(f.capacity, words, 1<<20); int64(cap(f.ring)) < need {
 		f.ring = make([]int64, 0, need)
 	}
-	if words <= denseLimitWords {
-		f.dense = true
-		f.base = base
-		if int64(cap(f.marks)) < words {
-			f.marks = make([]byte, words)
-		} else {
-			f.marks = f.marks[:words]
-			clear(f.marks)
-		}
-		return
+	if words > denseLimitWords {
+		return // the probe table, built by the first insertion
 	}
-	f.probe = newProbeSet(f.capacity)
+	f.dense = true
+	f.base = base
+	if int64(cap(f.marks)) < words {
+		f.marks = make([]byte, words)
+	} else {
+		f.marks = f.marks[:words]
+		clear(f.marks)
+	}
 }
 
 // leaveDense abandons the direct-mapped table after an access outside the
 // declared region: the region declaration was wrong, so residency migrates
-// to the map structure (the ring holds exactly the resident set) and the
+// to the probe table (the ring holds exactly the resident set) and the
 // run degrades gracefully instead of crashing.
 func (f *fifoSet) leaveDense() {
 	f.dense = false
 	f.marks = nil
-	f.resident = make(map[int64]struct{}, len(f.ring))
+	f.probe = newProbeSet(f.capacity)
 	for _, a := range f.ring {
-		f.resident[a] = struct{}{}
+		f.probe.insert(a)
 	}
 	f.fallbacks++
 	if f.onFallback != nil {
@@ -120,11 +118,7 @@ func (f *fifoSet) contains(addr int64) bool {
 		}
 		f.leaveDense()
 	}
-	if f.probe != nil {
-		return f.probe.contains(addr)
-	}
-	_, ok := f.resident[addr]
-	return ok
+	return f.probe != nil && f.probe.contains(addr)
 }
 
 func (f *fifoSet) mark(addr int64, present bool) {
@@ -142,22 +136,14 @@ func (f *fifoSet) mark(addr int64, present bool) {
 		}
 		return
 	}
-	if f.probe != nil {
-		if present {
-			f.probe.insert(addr)
-		} else {
-			f.probe.remove(addr)
-		}
-		return
+	if f.probe == nil {
+		f.probe = newProbeSet(f.capacity) // no region declared
 	}
-	if !present {
-		delete(f.resident, addr)
-		return
+	if present {
+		f.probe.insert(addr)
+	} else {
+		f.probe.remove(addr)
 	}
-	if f.resident == nil {
-		f.resident = make(map[int64]struct{})
-	}
-	f.resident[addr] = struct{}{}
 }
 
 // denseBounds reports whether the whole progression lies inside the dense

@@ -242,17 +242,6 @@ func TestSystemValidatesConfig(t *testing.T) {
 	}
 }
 
-func TestSystemSingleBuffered(t *testing.T) {
-	cfg := config.New().WithSRAM(1, 1, 1)
-	sys, err := NewSystem(cfg, Options{SingleBuffered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Ifmap.EffectiveWords() != 1024 {
-		t.Errorf("single-buffered effective = %d, want 1024", sys.Ifmap.EffectiveWords())
-	}
-}
-
 func TestReportZeroCycles(t *testing.T) {
 	cfg := config.New()
 	sys, err := NewSystem(cfg, Options{})

@@ -133,8 +133,8 @@ func TestStreakPathMatchesElementPath(t *testing.T) {
 	build := func() (*System, *trace.Recorder) {
 		rec := &trace.Recorder{}
 		cfg := config.New()
-		cfg.IfmapSRAMKB = 1 // 1024 resident words, single-buffered
-		sys, err := NewSystem(cfg, Options{DRAMRead: rec, SingleBuffered: true})
+		cfg.IfmapSRAMKB = 2 // 1024 resident words
+		sys, err := NewSystem(cfg, Options{DRAMRead: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,15 +10,10 @@ import (
 // profiling.
 const DefaultBandwidthWindow = 64
 
-// Options tunes a memory System beyond what config.Config specifies.
+// Options wires a memory System's consumers; the system itself is what
+// config.Config specifies, double-buffered (the paper's configuration: half
+// of each SRAM is resident) and profiled at DefaultBandwidthWindow.
 type Options struct {
-	// DoubleBuffered halves each SRAM's effective resident capacity (the
-	// paper's configuration). NewSystem defaults it to true; set
-	// SingleBuffered to disable.
-	SingleBuffered bool
-	// BandwidthWindow is the cycle window for peak-bandwidth profiling
-	// (default DefaultBandwidthWindow).
-	BandwidthWindow int64
 	// DRAMRead and DRAMWrite optionally receive the DRAM traces (e.g. CSV
 	// writers or a DRAM timing model).
 	DRAMRead, DRAMWrite trace.Consumer
@@ -52,30 +47,25 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	window := opt.BandwidthWindow
-	if window <= 0 {
-		window = DefaultBandwidthWindow
-	}
 	wb := int64(cfg.WordBytes)
 	s := &System{
-		IfmapBW:   trace.NewBandwidthMeter(window, wb),
-		FilterBW:  trace.NewBandwidthMeter(window, wb),
-		OfmapBW:   trace.NewBandwidthMeter(window, wb),
+		IfmapBW:   trace.NewBandwidthMeter(DefaultBandwidthWindow, wb),
+		FilterBW:  trace.NewBandwidthMeter(DefaultBandwidthWindow, wb),
+		OfmapBW:   trace.NewBandwidthMeter(DefaultBandwidthWindow, wb),
 		wordBytes: wb,
 	}
-	double := !opt.SingleBuffered
 	var err error
-	s.Ifmap, err = NewReadBuffer("ifmap", cfg.IfmapSRAMWords(), double,
+	s.Ifmap, err = NewReadBuffer("ifmap", cfg.IfmapSRAMWords(), true,
 		trace.Tee(opt.DRAMRead, opt.DRAMIfmapTap), s.IfmapBW)
 	if err != nil {
 		return nil, err
 	}
-	s.Filter, err = NewReadBuffer("filter", cfg.FilterSRAMWords(), double,
+	s.Filter, err = NewReadBuffer("filter", cfg.FilterSRAMWords(), true,
 		trace.Tee(opt.DRAMRead, opt.DRAMFilterTap), s.FilterBW)
 	if err != nil {
 		return nil, err
 	}
-	s.Ofmap, err = NewWriteBuffer("ofmap", cfg.OfmapSRAMWords(), double,
+	s.Ofmap, err = NewWriteBuffer("ofmap", cfg.OfmapSRAMWords(), true,
 		trace.Tee(opt.DRAMWrite, opt.DRAMOfmapTap), s.OfmapBW)
 	if err != nil {
 		return nil, err

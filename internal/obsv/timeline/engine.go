@@ -8,14 +8,16 @@ import (
 )
 
 // EmitEngineSpans translates the engine's job spans into the host-clock
-// process: one thread per worker, one duration event per job covering its
+// process ("host engine", allocated here unless there is nothing to show):
+// one thread per worker, one duration event per job covering its
 // execution, with queue wait and join latency as arguments. Timestamps
 // are microseconds since the earliest dispatch, so the process starts at
 // zero like the machine domain. jobName labels the event for a job index.
-func EmitEngineSpans(w *Writer, pid int64, spans []obsv.Span, jobName func(index int) string) {
+func EmitEngineSpans(w *Writer, spans []obsv.Span, jobName func(index int) string) {
 	if len(spans) == 0 {
 		return
 	}
+	pid := w.Process("host engine")
 	base := spans[0].Enqueued
 	workers := make(map[int]struct{})
 	for _, s := range spans {

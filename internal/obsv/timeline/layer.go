@@ -38,23 +38,13 @@ const (
 	TIDStalls = 2
 )
 
-// FoldSpan is one fold's placement in the systolic schedule.
-type FoldSpan struct {
-	// FR and FC are the fold's coordinates in the fold grid.
-	FR, FC int64
-	// Rows and Cols are the mapped array extent.
-	Rows, Cols int64
-	// Start and Cycles place the fold on the layer-local cycle axis.
-	Start, Cycles int64
-}
-
-// PassSpan is one pass of a vector-unit operator — the vector analogue of
-// a fold span.
-type PassSpan struct {
-	// Label names the pass ("max", "exp-sum", "normalize", "map").
-	Label string
-	// Start and Cycles place the pass on the layer-local cycle axis.
-	Start, Cycles int64
+// arraySpan is one child of the layer span on the array thread, placed on
+// the layer-local cycle axis: a fold of the systolic schedule (rows x cols
+// is the mapped array extent) or a pass of a vector-unit operator (no
+// extent).
+type arraySpan struct {
+	name                      string
+	start, cycles, rows, cols int64
 }
 
 // LayerRecorder buffers one layer's (or partition's) machine-domain
@@ -74,8 +64,7 @@ type LayerRecorder struct {
 	window     int64
 	samplers   map[string]*Sampler
 	stall      *trace.StallAnalyzer
-	folds      []FoldSpan
-	passes     []PassSpan
+	spans      []arraySpan
 	op         string
 	cycles     int64
 	drainWords int64
@@ -105,24 +94,24 @@ func (r *LayerRecorder) Sampler(track string) *Sampler {
 	return s
 }
 
-// Stall installs an interval-recording stall analyzer for a bounded DRAM
-// link (wordsPerCycle must be positive); attach the returned consumer to
-// both DRAM streams.
-func (r *LayerRecorder) Stall(wordsPerCycle float64) *trace.StallAnalyzer {
-	r.stall = trace.NewStallAnalyzer(wordsPerCycle)
-	r.stall.RecordIntervals(r.window)
-	return r.stall
+// Stall adopts the layer's stall analyzer for a bounded DRAM link and
+// switches interval recording on for it (which leaves its StallCycles as
+// they were); the caller attaches it to both DRAM streams, before any
+// traffic.
+func (r *LayerRecorder) Stall(a *trace.StallAnalyzer) *trace.StallAnalyzer {
+	r.stall = a
+	a.RecordIntervals(r.window)
+	return a
 }
 
 // AddFold records one fold of the systolic schedule.
 func (r *LayerRecorder) AddFold(fr, fc, rows, cols, start, cycles int64) {
-	r.folds = append(r.folds, FoldSpan{FR: fr, FC: fc, Rows: rows, Cols: cols,
-		Start: start, Cycles: cycles})
+	r.spans = append(r.spans, arraySpan{fmt.Sprintf("fold %d,%d", fr, fc), start, cycles, rows, cols})
 }
 
 // AddPass records one pass of a vector-unit operator.
 func (r *LayerRecorder) AddPass(label string, start, cycles int64) {
-	r.passes = append(r.passes, PassSpan{Label: label, Start: start, Cycles: cycles})
+	r.spans = append(r.spans, arraySpan{name: "pass " + label, start: start, cycles: cycles})
 }
 
 // SetOp tags the recorder with the node's operator kind; it is attached
@@ -179,13 +168,12 @@ func (r *LayerRecorder) Emit(w *Writer, pid int64, pl Placement) {
 			args["stall_cycles"] = sc
 		}
 		w.Span(pid, pl.Array, r.Name, pl.Offset, r.cycles, args)
-		for _, f := range r.folds {
-			w.Span(pid, pl.Array, fmt.Sprintf("fold %d,%d", f.FR, f.FC),
-				pl.Offset+f.Start, f.Cycles,
-				map[string]any{"rows": f.Rows, "cols": f.Cols})
-		}
-		for _, p := range r.passes {
-			w.Span(pid, pl.Array, "pass "+p.Label, pl.Offset+p.Start, p.Cycles, nil)
+		for _, sp := range r.spans {
+			var extent map[string]any
+			if sp.rows > 0 {
+				extent = map[string]any{"rows": sp.rows, "cols": sp.cols}
+			}
+			w.Span(pid, pl.Array, sp.name, pl.Offset+sp.start, sp.cycles, extent)
 		}
 	}
 	if pl.DRAM >= 0 {

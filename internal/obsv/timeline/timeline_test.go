@@ -3,6 +3,8 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -165,7 +167,7 @@ func TestSamplerOutOfOrderFrontGrowth(t *testing.T) {
 // together they account for the stall total.
 func TestRecorderStallIntervals(t *testing.T) {
 	rec := NewLayerRecorder("L", 0, 64)
-	p := rec.Stall(2.5)
+	p := rec.Stall(trace.NewStallAnalyzer(2.5))
 	// A bursty demand schedule: heavy prefetch, idle gap, steady tail.
 	for c := int64(0); c < 50; c++ {
 		p.Add(c, 9)
@@ -199,7 +201,7 @@ func TestLayerRecorderEmit(t *testing.T) {
 	rec.Sampler(TrackSRAMIfmapRead).Add(0, 30)
 	rec.Sampler(TrackDRAMRead).Add(0, 25)
 	rec.Sampler(TrackDRAMRead).Add(90, 5)
-	p := rec.Stall(1)
+	p := rec.Stall(trace.NewStallAnalyzer(1))
 	p.Add(0, 25)
 	rec.AddFold(0, 0, 8, 8, 0, 60)
 	rec.AddFold(0, 1, 8, 4, 60, 40)
@@ -283,8 +285,7 @@ func TestEmitEngineSpans(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := New(&buf, Options{})
-	pid := w.Process("host engine")
-	EmitEngineSpans(w, pid, spans, func(i int) string { return "layer" })
+	EmitEngineSpans(w, spans, func(i int) string { return "layer" })
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -313,5 +314,113 @@ func TestEmitEngineSpans(t *testing.T) {
 	}
 	if threads != 2 || jobs != 2 {
 		t.Fatalf("threads=%d jobs=%d, want 2/2", threads, jobs)
+	}
+}
+
+// denseSampler is the dense-slice windowed counter Sampler used to be, kept
+// as the reference its meter-backed Emit is compared against.
+type denseSampler struct {
+	window, base       int64
+	counts             []int64
+	total, first, last int64
+	seen               bool
+}
+
+func (s *denseSampler) add(cycle, words int64) {
+	if words <= 0 {
+		return
+	}
+	w := cycle / s.window
+	if !s.seen {
+		s.seen, s.base, s.first, s.last = true, w, cycle, cycle
+	}
+	s.first, s.last = min(s.first, cycle), max(s.last, cycle)
+	idx := w - s.base
+	if idx < 0 {
+		grown := make([]int64, int64(len(s.counts))-idx)
+		copy(grown[-idx:], s.counts)
+		s.counts, s.base, idx = grown, w, 0
+	}
+	if n := idx + 1 - int64(len(s.counts)); n > 0 {
+		s.counts = append(s.counts, make([]int64, n)...)
+	}
+	s.counts[idx] += words
+	s.total += words
+}
+
+func (s *denseSampler) peak() float64 {
+	var peak int64
+	for _, c := range s.counts {
+		peak = max(peak, c)
+	}
+	return float64(peak) / float64(s.window)
+}
+
+func (s *denseSampler) emit(w *Writer, pid int64, track string, offset int64) {
+	if !s.seen {
+		return
+	}
+	prev := math.Inf(-1)
+	for i, c := range s.counts {
+		v := float64(c) / float64(s.window)
+		if v == prev {
+			continue
+		}
+		w.Counter(pid, track, offset+(s.base+int64(i))*s.window, v)
+		prev = v
+	}
+	if prev != 0 {
+		w.Counter(pid, track, offset+(s.base+int64(len(s.counts)))*s.window, 0)
+	}
+}
+
+// TestSamplerEmitAgainstDenseReference: random windows, gaps between active
+// windows, cycles arriving before the first window seen, equal neighbouring
+// windows and offsets must all reach the timeline byte for byte as the
+// dense slice put them there.
+func TestSamplerEmitAgainstDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		window := []int64{1, 7, 64, 100}[rng.Intn(4)]
+		s, ref := NewSampler(window), &denseSampler{window: window}
+		cycle := rng.Int63n(50 * window)
+		for n := rng.Intn(60); n > 0; n-- {
+			switch rng.Intn(6) {
+			case 0: // a gap of whole windows
+				cycle += window * (2 + rng.Int63n(5))
+			case 1: // out of order, possibly in front of everything so far
+				cycle = max(0, cycle-rng.Int63n(6*window))
+			default:
+				cycle += rng.Int63n(window + 1)
+			}
+			words := rng.Int63n(4) * window / 2 // zero, and equal counts in neighbouring windows
+			if rng.Intn(3) == 0 {
+				words = rng.Int63n(40)
+			}
+			s.Add(cycle, words)
+			ref.add(cycle, words)
+		}
+		if s.Active() != ref.seen || s.Total() != ref.total || s.Peak() != ref.peak() {
+			t.Fatalf("trial %d: active %t total %d peak %v, reference %t %d %v",
+				trial, s.Active(), s.Total(), s.Peak(), ref.seen, ref.total, ref.peak())
+		}
+		if first, last := s.Bounds(); first != ref.first || last != ref.last {
+			t.Fatalf("trial %d: bounds (%d, %d), reference (%d, %d)", trial, first, last, ref.first, ref.last)
+		}
+		offset := rng.Int63n(1000)
+		var got, want bytes.Buffer
+		for _, side := range []struct {
+			buf  *bytes.Buffer
+			emit func(*Writer, int64, string, int64)
+		}{{&got, s.Emit}, {&want, ref.emit}} {
+			w := New(side.buf, Options{Window: window})
+			side.emit(w, w.Process("p"), "track", offset)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d (window %d): timelines differ\n got %s\nwant %s", trial, window, got.Bytes(), want.Bytes())
+		}
 	}
 }

@@ -27,7 +27,5 @@ func emitTimeline(w *timeline.Writer, l topology.Layer, spec Spec, at []gridPos,
 			TrackPrefix: fmt.Sprintf("p%d.", i),
 		})
 	}
-	if len(run.Spans) > 0 {
-		timeline.EmitEngineSpans(w, w.Process("host engine"), run.Spans, name)
-	}
+	timeline.EmitEngineSpans(w, run.Spans, name)
 }

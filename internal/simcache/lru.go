@@ -2,11 +2,9 @@ package simcache
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -314,32 +312,20 @@ func (s *lruState) loadIndex(dir string) bool {
 // Foreign and corrupt files stay invisible to the account, matching the
 // degrade-to-miss policy everywhere else.
 func scanSpills(dir string, skip map[string]*lruFile) ([]lruFile, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("simcache: %w", err)
-	}
 	type rec struct {
 		f   lruFile
 		mod time.Time
 	}
 	var recs []rec
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
+	known := func(name string) bool { _, ok := skip[name]; return ok }
+	_, err := eachSpill(dir, known, func(de os.DirEntry, doc document, _ []byte) error {
+		if info, err := de.Info(); err == nil {
+			recs = append(recs, rec{lruFile{Name: de.Name(), Key: doc.Key, Size: info.Size()}, info.ModTime()})
 		}
-		if _, ok := skip[name]; ok {
-			continue
-		}
-		doc, _, err := readDocument(filepath.Join(dir, name))
-		if err != nil || !nameMatchesKey(name, doc.Key) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec{lruFile{Name: name, Key: doc.Key, Size: info.Size()}, info.ModTime()})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		if !recs[i].mod.Equal(recs[j].mod) {

@@ -275,26 +275,44 @@ type MergeStats struct {
 	Copied, Present, Invalid int
 }
 
-// ScanDir enumerates the valid spill files in a cache directory and
-// returns their keys. Files that fail validation are counted, not
-// returned and not fatal — the same degrade-to-miss policy Get applies.
-// Temp files from in-flight stores are ignored.
-func ScanDir(dir string) (keys []string, invalid int, err error) {
-	names, err := os.ReadDir(dir)
+// eachSpill reads the spill files of dir — its *.json entries, so temp
+// files from in-flight stores are not among them — in name order, handing
+// visit each valid one: live schema, named by the digest of the key it
+// holds. Files that fail validation are counted and otherwise invisible,
+// the degrade-to-miss policy Get applies; names skip reports are not read
+// at all.
+func eachSpill(dir string, skip func(name string) bool, visit func(de os.DirEntry, doc document, data []byte) error) (invalid int, err error) {
+	des, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("simcache: %w", err)
+		return 0, fmt.Errorf("simcache: %w", err)
 	}
-	for _, de := range names {
+	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
+		if de.IsDir() || !strings.HasSuffix(name, ".json") || (skip != nil && skip(name)) {
 			continue
 		}
-		doc, _, err := readDocument(filepath.Join(dir, name))
+		doc, data, err := readDocument(filepath.Join(dir, name))
 		if err != nil || !nameMatchesKey(name, doc.Key) {
 			invalid++
 			continue
 		}
+		if err := visit(de, doc, data); err != nil {
+			return invalid, err
+		}
+	}
+	return invalid, nil
+}
+
+// ScanDir enumerates the valid spill files in a cache directory and
+// returns their keys. Files that fail validation are counted, not
+// returned and not fatal.
+func ScanDir(dir string) (keys []string, invalid int, err error) {
+	invalid, err = eachSpill(dir, nil, func(_ os.DirEntry, doc document, _ []byte) error {
 		keys = append(keys, doc.Key)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	sort.Strings(keys)
 	return keys, invalid, nil
@@ -313,29 +331,21 @@ func MergeDirs(dst string, srcs ...string) (MergeStats, error) {
 		return st, fmt.Errorf("simcache: %w", err)
 	}
 	for _, src := range srcs {
-		names, err := os.ReadDir(src)
-		if err != nil {
-			return st, fmt.Errorf("simcache: %w", err)
-		}
-		for _, de := range names {
-			name := de.Name()
-			if de.IsDir() || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			doc, data, err := readDocument(filepath.Join(src, name))
-			if err != nil || !nameMatchesKey(name, doc.Key) {
-				st.Invalid++
-				continue
-			}
-			target := filepath.Join(dst, name)
+		invalid, err := eachSpill(src, nil, func(de os.DirEntry, _ document, data []byte) error {
+			target := filepath.Join(dst, de.Name())
 			if _, err := os.Stat(target); err == nil {
 				st.Present++
-				continue
+				return nil
 			}
 			if err := disk.Replace(target, disk.Bytes(data)); err != nil {
-				return st, fmt.Errorf("simcache: merging %s: %w", name, err)
+				return fmt.Errorf("simcache: merging %s: %w", de.Name(), err)
 			}
 			st.Copied++
+			return nil
+		})
+		st.Invalid += invalid
+		if err != nil {
+			return st, err
 		}
 	}
 	return st, nil

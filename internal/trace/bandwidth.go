@@ -87,6 +87,10 @@ func (b *BandwidthMeter) TotalWords() int64 { return b.total }
 // TotalBytes returns the total traffic in bytes.
 func (b *BandwidthMeter) TotalBytes() int64 { return b.total * b.WordBytes }
 
+// Bounds returns the first and last active cycle (zeros before any
+// traffic).
+func (b *BandwidthMeter) Bounds() (first, last int64) { return b.first, b.last }
+
 // Span returns the active cycle span.
 func (b *BandwidthMeter) Span() int64 {
 	if !b.seen {

@@ -23,9 +23,10 @@ import "math"
 // coalesce into one StallInterval. The intervals' total duration equals
 // StallCycles up to rounding; their placement is an attribution
 // heuristic, not additional model state. This is the single stall
-// implementation — the timeline's layer recorder installs one of these —
-// so the registry's stall fractions and the timeline's stall tracks can
-// never diverge.
+// implementation, and a layer has one instance of it — the timeline's
+// layer recorder is handed the analyzer the results come from — so the
+// registry's stall fractions and the timeline's stall tracks can never
+// diverge.
 type StallAnalyzer struct {
 	// WordsPerCycle is the link bandwidth.
 	WordsPerCycle float64

@@ -58,6 +58,9 @@ fuzz:
 	$(GO) test ./internal/topology/ -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/dse/ -fuzz FuzzReadPart -fuzztime 30s
 	$(GO) test ./internal/obsv/ -fuzz FuzzParseManifest -fuzztime 30s
+	$(GO) test ./internal/topology/ -fuzz FuzzParseGraph -fuzztime 30s
+	$(GO) test ./internal/job/ -fuzz FuzzRequest -fuzztime 30s
+	$(GO) test ./internal/simcache/ -fuzz FuzzSpillDocument -fuzztime 30s
 
 # The five scale-out CSVs into directory $(1), by the commands
 # results/README.md lists for them.
@@ -92,9 +95,11 @@ figures-check:
 # Structural invariants of the two policies that live behind one module
 # each (DESIGN.md "How bytes reach disk", "The CLI shell") and of the
 # layer pipeline ("Layer pipeline": consumers wired by type, a layer
-# measured once, two residency structures), over non-test Go outside
-# bench/. cmd/traceanalyze keeps its own offline -timeline flag (trace
-# files in, no run to bracket); it has no -timeline-window.
+# measured once, two residency structures) and of the two shared stores
+# (a directory is its own index: no index schema, rebuild or flush), over
+# non-test Go outside bench/. cmd/traceanalyze keeps its own offline
+# -timeline flag (trace files in, no run to bracket); it has no
+# -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
 lint-structure:
 	@test "$$(grep -lE 'os\.(CreateTemp|Rename)\(' $(SRC))" = internal/disk/disk.go
@@ -107,6 +112,7 @@ lint-structure:
 	@! grep -nE 'ProbeKey|timelineState|func \(s \*SinkSet\) (Put|Value)|SingleBuffered' $(SRC)
 	@test "$$(cat $$(git ls-files --cached --others --exclude-standard 'internal/core/*.go' 'internal/obsv/timeline/*.go' | grep -v '_test\.go$$') | grep -c 'NewStallAnalyzer(')" = 1
 	@! grep -nE 'resident\s+map\[int64\]struct\{\}' $$(ls internal/memory/*.go | grep -v '_test\.go$$')
+	@! grep -nE 'IndexSchema|lruIndexName|lruSchema|writeLRUIndex|func \(s \*Store\) Rebuild|func \(c \*Cache\) Flush' $(SRC)
 	@echo "lint-structure: ok"
 
 examples:

@@ -61,7 +61,6 @@ func run(args []string, stdout io.Writer) error {
 		threshold = fs.Float64("threshold", 0.05, "diff: fractional cycle/stall growth that counts as a regression")
 		topN      = fs.Int("n", 10, "top: number of layers to show (0 = all)")
 		topBy     = fs.String("by", "", "top: rank by a cycle-accounting category (e.g. dram_bw_stall, fold_drain) instead of stall fraction")
-		rebuild   = fs.Bool("rebuild", false, "regenerate the index from manifest files before querying")
 	)
 	cyc := cliobs.RegisterCycleProf(fs, true)
 	// flag.Parse stops at the first positional; parse again behind each
@@ -83,11 +82,6 @@ func run(args []string, stdout io.Writer) error {
 	s, err := runstore.Open(*dir)
 	if err != nil {
 		return err
-	}
-	if *rebuild {
-		if _, err := s.Rebuild(); err != nil {
-			return err
-		}
 	}
 	switch verb {
 	case "list":
@@ -219,7 +213,7 @@ func diff(s *runstore.Store, stdout io.Writer, idA, idB string, threshold float6
 				l.Index, name, l.CyclesA, l.CyclesB, pct(l.CycleDelta), flag)
 			if l.StallA != l.StallB {
 				fmt.Fprintf(stdout, "%-6s  %-20s  %12d  %12d  %9s  stalls\n",
-					"", "", l.StallA, l.StallB, pct(fracDelta(l.StallA, l.StallB)))
+					"", "", l.StallA, l.StallB, pct(runstore.Frac(l.StallA, l.StallB)))
 			}
 		}
 	}
@@ -249,12 +243,8 @@ func top(s *runstore.Store, stdout io.Writer, n int) error {
 	fmt.Fprintf(stdout, "%-8s  %-20s  %-16s  %12s  %12s  %s\n",
 		"STALL%", "LAYER", "RUN", "CYCLES", "STALLS", "RUN ID")
 	for _, l := range layers {
-		runName := l.Run
-		if l.Topology != "" {
-			runName = l.Topology
-		}
 		fmt.Fprintf(stdout, "%7.1f%%  %-20s  %-16s  %12d  %12d  %s\n",
-			100*l.StallFraction, l.Name, runName, l.Cycles, l.StallCycles, l.RunID)
+			100*l.StallFraction, l.Name, runLabel(l.Run, l.Topology), l.Cycles, l.StallCycles, l.RunID)
 	}
 	return nil
 }
@@ -271,12 +261,8 @@ func topByCategory(s *runstore.Store, stdout io.Writer, category string, n int) 
 	fmt.Fprintf(stdout, "%-8s  %-20s  %-16s  %12s  %12s  %s\n",
 		"SHARE%", "NODE", "RUN", category, "TOTAL", "RUN ID")
 	for _, r := range rows {
-		runName := r.Run
-		if r.Topology != "" {
-			runName = r.Topology
-		}
 		fmt.Fprintf(stdout, "%7.1f%%  %-20s  %-16s  %12d  %12d  %s\n",
-			100*r.Fraction, r.Name, runName, r.Cycles, r.Total, r.RunID)
+			100*r.Fraction, r.Name, runLabel(r.Run, r.Topology), r.Cycles, r.Total, r.RunID)
 	}
 	return nil
 }
@@ -292,10 +278,7 @@ func cycles(s *runstore.Store, stdout io.Writer, id string, cyc *cliobs.CyclePro
 	if ca == nil {
 		return fmt.Errorf("run %s carries no cycle accounting", e.ID)
 	}
-	network := m.Run
-	if m.Topology != nil && m.Topology.Name != "" {
-		network = m.Topology.Name
-	}
+	network := runLabel(e.Run, e.Topology)
 	fmt.Fprintf(stdout, "cycle accounting: %s, %d cycles attributed\n\n", network, ca.TotalCycles)
 	if err := ca.WriteLedgers(stdout); err != nil {
 		return err
@@ -321,12 +304,10 @@ func pct(f float64) string {
 	return fmt.Sprintf("%+.1f%%", 100*f)
 }
 
-func fracDelta(a, b int64) float64 {
-	if a == 0 {
-		if b == 0 {
-			return 0
-		}
-		return math.Inf(1)
+// runLabel names a run by its topology, or by its run name without one.
+func runLabel(run, topology string) string {
+	if topology != "" {
+		return topology
 	}
-	return float64(b-a) / float64(a)
+	return run
 }

@@ -151,26 +151,6 @@ func TestBadInvocations(t *testing.T) {
 	}
 }
 
-func TestRebuildFlag(t *testing.T) {
-	dir := t.TempDir()
-	seedStore(t, dir)
-	// Corrupt the index; -rebuild must recover it before querying.
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"-dir", dir, "list"}, &out); err == nil {
-		t.Fatal("corrupt index not surfaced")
-	}
-	out.Reset()
-	if err := run([]string{"-dir", dir, "-rebuild", "list"}, &out); err != nil {
-		t.Fatalf("-rebuild list: %v", err)
-	}
-	if got := strings.Count(out.String(), "scalesim"); got != 3 {
-		t.Errorf("rebuilt list shows %d runs, want 3:\n%s", got, out.String())
-	}
-}
-
 // seedSimulated registers a real TinyNet run under a 1 word/cycle DRAM
 // link (so dram_bw_stall is populated) and returns its ID and manifest.
 func seedSimulated(t *testing.T, dir string) (string, *obsv.Manifest) {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"scalesim"
 	"scalesim/internal/obsv"
@@ -411,6 +412,52 @@ func TestRunDiskCache(t *testing.T) {
 	}
 	if m.Cache == nil || m.Cache.Misses == 0 {
 		t.Fatalf("scale-out manifest cache = %+v, want misses > 0", m.Cache)
+	}
+}
+
+// TestCappedWarmRunAdvancesRecency: an all-hit capped run remembers what
+// it used — the mtime of every spill file it hit moves to now — so the
+// next capped process does not evict exactly what this one just used. The
+// directory holds spill files and nothing else.
+func TestCappedWarmRunAdvancesRecency(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	args := []string{"-net", "TinyNet", "-cache-dir", cacheDir, "-cache-max-mb", "64"}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	des, err := os.ReadDir(cacheDir)
+	if err != nil || len(des) == 0 {
+		t.Fatalf("cold run left %d cache files (err %v)", len(des), err)
+	}
+	past := time.Now().Add(-time.Hour)
+	for _, de := range des {
+		if !strings.HasSuffix(de.Name(), ".json") {
+			t.Errorf("cache directory holds %s, want only spill files", de.Name())
+		}
+		if err := os.Chtimes(filepath.Join(cacheDir, de.Name()), past, past); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metrics := filepath.Join(t.TempDir(), "warm.json")
+	if err := run(append(args, "-metrics", metrics), &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := obsv.ParseManifest(data); err != nil || m.Cache == nil || m.Cache.Misses != 0 {
+		t.Fatalf("warm run is not all-hit: %+v (err %v)", m, err)
+	}
+	for _, de := range des {
+		info, err := os.Stat(filepath.Join(cacheDir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.ModTime().After(past.Add(time.Minute)) {
+			t.Errorf("%s: mtime %v after a hit, want about now", de.Name(), info.ModTime())
+		}
 	}
 }
 

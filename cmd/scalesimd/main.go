@@ -122,7 +122,6 @@ func run(args []string) error {
 	if err := runner.Close(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "scalesimd: drain incomplete:", err)
 	}
-	cache.Flush() // persist batched cache-recency updates
 	return httpSrv.Shutdown(drainCtx)
 }
 

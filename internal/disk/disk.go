@@ -8,17 +8,18 @@
 //     -cycleprof): created in place; a failed write or close fails the
 //     run, so a short file never exits zero.
 //   - Replace, for a store other processes read concurrently (the result
-//     cache and its recency index, the run registry, dse part files):
+//     cache, the run registry, dse part files):
 //     written to a temp file beside the target and renamed over it, so a
 //     reader sees the old document or the new one, never a partial one,
 //     and a failure leaves the target untouched and no temp file behind.
 //
 // Both hand write a buffered writer and flush it before the close, so a
 // write error fails the call even when write ignored it (the fmt.Fprintf
-// loops of the figure harnesses do). Neither syncs: a cache entry, an
-// index or a part file lost to a power cut is re-simulated, rebuilt or
-// re-run. Temp files are named .tmp-*, which no directory scanner in the
-// tree matches (they select *.json, or exact names).
+// loops of the figure harnesses do). Neither syncs: a cache entry or a
+// part file lost to a power cut is re-simulated or re-run. Temp files are
+// named .tmp-*, which no directory scanner in the tree matches (they
+// select *.json, or exact names), so a writer killed mid-Replace leaves an
+// orphan no store reads.
 package disk
 
 import (

@@ -193,7 +193,7 @@ func (r *Runner) dispatch(j *Job) func() {
 			if r.opt.Tool != "" {
 				res.Manifest.Tool = r.opt.Tool
 			}
-			if st := r.opt.Store; st != nil && res != nil && res.Manifest != nil {
+			if st := r.opt.Store; st != nil {
 				if _, serr := st.Add(res.Manifest); serr != nil {
 					log.Default().Error("job", "run registry", "job", j.id, "error", serr)
 				}

@@ -1,4 +1,4 @@
-// Package runstore is the durable, queryable index of past runs that the
+// Package runstore is the durable, queryable record of past runs that the
 // paper's comparative methodology needs: every conclusion in Sec. IV
 // comes from contrasting configurations, so run manifests must outlive
 // the processes that produced them and stay addressable by what they ran,
@@ -9,20 +9,20 @@
 // in one bucket, different configurations never collide, and nothing
 // depends on user-chosen run names. On disk:
 //
-//	<dir>/index.json              — the query index, atomically replaced
 //	<dir>/runs/<key>/<id>.json    — one manifest per observed run
 //
 // where <key> is the hex address and <id> is a UTC timestamp plus a short
 // content hash. Manifests are appended (replays accumulate in their
-// bucket), never rewritten; the index is derived data and Rebuild can
-// regenerate it from the manifest files at any time, so a lost race
-// between two writing processes degrades to a stale index, never to lost
-// manifests.
+// bucket), never rewritten, and the directory is the store's only state:
+// List parses every manifest and Get the one whose file name matches, so
+// concurrent writers never lose each other's runs and a kill at any
+// instant leaves nothing to repair.
 //
 // Queries: List (every run, newest first), Get (ID prefix), Diff
 // (per-layer cycle/stall/utilization deltas between two runs, regression
-// flagging beyond a threshold) and Top (layers ranked by stall fraction
-// across the whole store). cmd/scalequery wraps them as a CLI.
+// flagging beyond a threshold) and Top/TopBy (layers ranked by stall
+// fraction or a cycle category across the whole store). cmd/scalequery
+// wraps them as a CLI.
 package runstore
 
 import (
@@ -30,12 +30,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"scalesim/internal/disk"
@@ -43,45 +44,22 @@ import (
 	"scalesim/internal/obsv/cycleacct"
 )
 
-// IndexSchema identifies the index document format.
-const IndexSchema = "scalesim.runstore/v1"
-
-// Entry is one run's index record: enough identity and headline results
-// to list and select runs without loading their manifests.
+// Entry is one run's listing record: its identity and headline results.
 type Entry struct {
-	ID          string `json:"id"`
-	Key         string `json:"key"`
-	Created     string `json:"created"`
-	Tool        string `json:"tool,omitempty"`
-	Run         string `json:"run,omitempty"`
-	ConfigHash  string `json:"config_hash,omitempty"`
-	Topology    string `json:"topology,omitempty"`
-	Layers      int    `json:"layers"`
-	TotalCycles int64  `json:"total_cycles"`
-	StallCycles int64  `json:"stall_cycles,omitempty"`
-	// LedgerCycles and CycleBins summarize the manifest's cycle-accounting
-	// block: total attributed cycles and the per-category
-	// rollup, so category queries can rank runs without reloading every
-	// manifest body.
-	LedgerCycles int64            `json:"ledger_cycles,omitempty"`
-	CycleBins    map[string]int64 `json:"cycle_bins,omitempty"`
-	WallSeconds  float64          `json:"wall_seconds,omitempty"`
-	Host         string           `json:"host,omitempty"`
-	// Path locates the manifest file, relative to the store root.
-	Path string `json:"path"`
+	ID          string
+	Key         string
+	Created     string
+	Tool        string
+	Run         string
+	Topology    string
+	Layers      int
+	TotalCycles int64
 }
 
-// index is the on-disk index document.
-type index struct {
-	Schema string  `json:"schema"`
-	Runs   []Entry `json:"runs"`
-}
-
-// Store is a run registry rooted at one directory. Safe for concurrent
-// use within a process; across processes, manifest files never conflict
-// (content-addressed names) and the index converges via Rebuild.
+// Store is a run registry rooted at one directory. Run files never
+// conflict (content-addressed names, written by disk.Replace), so any
+// number of goroutines and processes may share one.
 type Store struct {
-	mu  sync.Mutex
 	dir string
 }
 
@@ -109,9 +87,8 @@ func Key(m *obsv.Manifest) string {
 }
 
 // Add appends the manifest to the registry — a new run file under the
-// manifest's content address plus an index update — and returns the index
-// entry. The manifest file is written via temp-file rename, and the
-// index is replaced atomically.
+// manifest's content address, written via temp-file rename — and returns
+// its entry.
 func (s *Store) Add(m *obsv.Manifest) (Entry, error) {
 	if err := m.Validate(); err != nil {
 		return Entry{}, err
@@ -128,103 +105,39 @@ func (s *Store) Add(m *obsv.Manifest) (Entry, error) {
 	if err := os.MkdirAll(bucket, 0o755); err != nil {
 		return Entry{}, fmt.Errorf("runstore: %w", err)
 	}
-	path := filepath.Join(bucket, id+".json")
-	if err := disk.Replace(path, disk.Bytes(append(data, '\n'))); err != nil {
+	if err := disk.Replace(filepath.Join(bucket, id+".json"), disk.Bytes(append(data, '\n'))); err != nil {
 		return Entry{}, fmt.Errorf("runstore: %w", err)
 	}
-
-	e := entryOf(m, key, id, filepath.ToSlash(filepath.Join("runs", key, id+".json")))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, err := s.readIndex()
-	if err != nil {
-		return Entry{}, err
-	}
-	idx.Runs = append(idx.Runs, e)
-	if err := s.writeIndex(idx); err != nil {
-		return Entry{}, err
-	}
-	return e, nil
+	return entryOf(m, key, id), nil
 }
 
-// entryOf summarizes a manifest into its index record.
-func entryOf(m *obsv.Manifest, key, id, relPath string) Entry {
-	e := Entry{
-		ID:          id,
-		Key:         key,
-		Created:     m.Created,
-		Tool:        m.Tool,
-		Run:         m.Run,
-		ConfigHash:  m.ConfigHash,
-		Layers:      len(m.Layers),
-		WallSeconds: m.WallSeconds,
-		Path:        relPath,
-	}
+// entryOf summarizes a manifest into its listing record.
+func entryOf(m *obsv.Manifest, key, id string) Entry {
+	e := Entry{ID: id, Key: key, Created: m.Created, Tool: m.Tool, Run: m.Run, Layers: len(m.Layers)}
 	if m.Topology != nil {
 		e.Topology = m.Topology.Name
 	}
-	if m.Provenance != nil {
-		e.Host = m.Provenance.Hostname
-	}
 	for _, l := range m.Layers {
 		e.TotalCycles += l.Cycles
-		e.StallCycles += l.StallCycles
-	}
-	if ca := m.CycleAccounting; ca != nil {
-		e.LedgerCycles = ca.TotalCycles
-		if len(ca.Categories) > 0 {
-			e.CycleBins = make(map[string]int64, len(ca.Categories))
-			for k, v := range ca.Categories {
-				e.CycleBins[k] = v
-			}
-		}
 	}
 	return e
 }
 
-// List returns every indexed run, newest first (ties broken by ID so the
-// order is total).
-func (s *Store) List() ([]Entry, error) {
-	s.mu.Lock()
-	idx, err := s.readIndex()
-	s.mu.Unlock()
+// files returns the registry's run files, slash-separated and relative to
+// its root: the directory is the index. The temp file of an add in flight
+// (or killed mid-write) is named .tmp-*, never *.json.
+func (s *Store) files() ([]string, error) {
+	files, err := fs.Glob(os.DirFS(s.dir), "runs/*/*.json")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	sort.Slice(idx.Runs, func(i, j int) bool {
-		if idx.Runs[i].Created != idx.Runs[j].Created {
-			return idx.Runs[i].Created > idx.Runs[j].Created
-		}
-		return idx.Runs[i].ID > idx.Runs[j].ID
-	})
-	return idx.Runs, nil
+	return files, nil
 }
 
-// Get resolves an ID (or unique ID prefix) to its entry and manifest.
-func (s *Store) Get(idPrefix string) (Entry, *obsv.Manifest, error) {
-	runs, err := s.List()
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	var matches []Entry
-	for _, e := range runs {
-		if e.ID == idPrefix {
-			matches = []Entry{e}
-			break
-		}
-		if strings.HasPrefix(e.ID, idPrefix) {
-			matches = append(matches, e)
-		}
-	}
-	switch len(matches) {
-	case 0:
-		return Entry{}, nil, fmt.Errorf("runstore: no run matches %q", idPrefix)
-	case 1:
-	default:
-		return Entry{}, nil, fmt.Errorf("runstore: %q is ambiguous (%d matches)", idPrefix, len(matches))
-	}
-	e := matches[0]
-	data, err := os.ReadFile(filepath.Join(s.dir, filepath.FromSlash(e.Path)))
+// read parses the run file at rel into its entry and manifest. A document
+// of any schema but the live one is an error that names it.
+func (s *Store) read(rel string) (Entry, *obsv.Manifest, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, filepath.FromSlash(rel)))
 	if err != nil {
 		return Entry{}, nil, fmt.Errorf("runstore: %w", err)
 	}
@@ -232,73 +145,66 @@ func (s *Store) Get(idPrefix string) (Entry, *obsv.Manifest, error) {
 	if err != nil {
 		return Entry{}, nil, err
 	}
-	return e, m, nil
+	return entryOf(m, path.Base(path.Dir(rel)), strings.TrimSuffix(path.Base(rel), ".json")), m, nil
 }
 
-// Rebuild regenerates the index from the manifest files on disk — the
-// recovery path after a lost index race or a hand-merged store — and
-// returns the rebuilt entries.
-func (s *Store) Rebuild() ([]Entry, error) {
-	pattern := filepath.Join(s.dir, "runs", "*", "*.json")
-	files, err := filepath.Glob(pattern)
+// each parses every run file once and hands visit its entry and manifest.
+// Files that are not a live-schema manifest (foreign, corrupt, or an older
+// schema) are not runs and are skipped.
+func (s *Store) each(visit func(Entry, *obsv.Manifest)) error {
+	files, err := s.files()
 	if err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
+		return err
 	}
-	var idx index
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
+	for _, rel := range files {
+		if e, m, err := s.read(rel); err == nil {
+			visit(e, m)
 		}
-		m, err := obsv.ParseManifest(data)
-		if err != nil {
-			continue // foreign or corrupt file: not indexable
-		}
-		key := filepath.Base(filepath.Dir(path))
-		id := strings.TrimSuffix(filepath.Base(path), ".json")
-		rel, _ := filepath.Rel(s.dir, path)
-		idx.Runs = append(idx.Runs, entryOf(m, key, id, filepath.ToSlash(rel)))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writeIndex(&idx); err != nil {
-		return nil, err
-	}
-	return idx.Runs, nil
-}
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
-
-// readIndex loads the index; a missing file is an empty store.
-func (s *Store) readIndex() (*index, error) {
-	data, err := os.ReadFile(s.indexPath())
-	if os.IsNotExist(err) {
-		return &index{Schema: IndexSchema}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	var idx index
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return nil, fmt.Errorf("runstore: corrupt index %s (run rebuild): %w", s.indexPath(), err)
-	}
-	if idx.Schema != IndexSchema {
-		return nil, fmt.Errorf("runstore: index schema %q, want %q", idx.Schema, IndexSchema)
-	}
-	return &idx, nil
-}
-
-// writeIndex atomically replaces the index document.
-func (s *Store) writeIndex(idx *index) error {
-	idx.Schema = IndexSchema
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: encoding index: %w", err)
-	}
-	if err := disk.Replace(s.indexPath(), disk.Bytes(append(data, '\n'))); err != nil {
-		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil
+}
+
+// List returns every stored run, newest first (ties broken by ID so the
+// order is total).
+func (s *Store) List() ([]Entry, error) {
+	var runs []Entry
+	if err := s.each(func(e Entry, _ *obsv.Manifest) { runs = append(runs, e) }); err != nil {
+		return nil, err
+	}
+	sort.Slice(runs, func(i, j int) bool {
+		if runs[i].Created != runs[j].Created {
+			return runs[i].Created > runs[j].Created
+		}
+		return runs[i].ID > runs[j].ID
+	})
+	return runs, nil
+}
+
+// Get resolves an ID (or unique ID prefix) to its entry and manifest. IDs
+// are file names, so only the matching run file is parsed.
+func (s *Store) Get(idPrefix string) (Entry, *obsv.Manifest, error) {
+	files, err := s.files()
+	if err != nil {
+		return Entry{}, nil, err
+	}
+	var matches []string
+	for _, rel := range files {
+		id := strings.TrimSuffix(path.Base(rel), ".json")
+		if id == idPrefix {
+			matches = []string{rel}
+			break
+		}
+		if strings.HasPrefix(id, idPrefix) {
+			matches = append(matches, rel)
+		}
+	}
+	switch len(matches) {
+	case 0:
+		return Entry{}, nil, fmt.Errorf("runstore: no run matches %q", idPrefix)
+	case 1:
+		return s.read(matches[0])
+	}
+	return Entry{}, nil, fmt.Errorf("runstore: %q is ambiguous (%d matches)", idPrefix, len(matches))
 }
 
 // LayerDelta is one layer's change between two runs, matched by
@@ -367,8 +273,8 @@ func Diff(a, b *obsv.Manifest, threshold float64) DiffResult {
 		if lb.Name != la.Name {
 			ld.NameB = lb.Name
 		}
-		ld.CycleDelta = frac(la.Cycles, lb.Cycles)
-		stallDelta := frac(la.StallCycles, lb.StallCycles)
+		ld.CycleDelta = Frac(la.Cycles, lb.Cycles)
+		stallDelta := Frac(la.StallCycles, lb.StallCycles)
 		worst := math.Max(ld.CycleDelta, stallDelta)
 		best := math.Min(ld.CycleDelta, stallDelta)
 		if worst > threshold {
@@ -388,9 +294,9 @@ func Diff(a, b *obsv.Manifest, threshold float64) DiffResult {
 	return d
 }
 
-// frac returns (b-a)/a; a zero baseline with a non-zero b reads as +Inf
-// growth, and zero-to-zero is no change.
-func frac(a, b int64) float64 {
+// Frac returns the fractional change (b-a)/a; a zero baseline with a
+// non-zero b reads as +Inf growth, and zero-to-zero is no change.
+func Frac(a, b int64) float64 {
 	if a == 0 {
 		if b == 0 {
 			return 0
@@ -415,18 +321,10 @@ type TopLayer struct {
 // Top ranks every stored layer by stall fraction — stall cycles over
 // stalled runtime (compute + stall) — and returns the worst n (n <= 0
 // returns all). This is the "where is the fleet losing cycles" query:
-// it reads every manifest in the store, not one run.
+// one walk over every manifest in the store, not one run.
 func (s *Store) Top(n int) ([]TopLayer, error) {
-	runs, err := s.List()
-	if err != nil {
-		return nil, err
-	}
 	var out []TopLayer
-	for _, e := range runs {
-		_, m, err := s.Get(e.ID)
-		if err != nil {
-			continue // indexed but unreadable: skip, don't fail the query
-		}
+	err := s.each(func(e Entry, m *obsv.Manifest) {
 		for _, l := range m.Layers {
 			if l.StallCycles <= 0 {
 				continue
@@ -438,20 +336,11 @@ func (s *Store) Top(n int) ([]TopLayer, error) {
 				StallFraction: float64(l.StallCycles) / float64(l.Cycles+l.StallCycles),
 			})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StallFraction != out[j].StallFraction {
-			return out[i].StallFraction > out[j].StallFraction
-		}
-		if out[i].RunID != out[j].RunID {
-			return out[i].RunID < out[j].RunID
-		}
-		return out[i].Index < out[j].Index
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return rank(out, n, func(l TopLayer) (float64, string, int) { return l.StallFraction, l.RunID, l.Index }), nil
 }
 
 // TopCategoryRow is one node's ranking by a cycle-accounting category:
@@ -478,18 +367,10 @@ func (s *Store) TopBy(category string, n int) ([]TopCategoryRow, error) {
 		return nil, fmt.Errorf("runstore: unknown cycle category %q (known: %s)",
 			category, strings.Join(cycleacct.Categories(), ", "))
 	}
-	runs, err := s.List()
-	if err != nil {
-		return nil, err
-	}
 	var out []TopCategoryRow
-	for _, e := range runs {
-		if e.CycleBins[category] <= 0 {
-			continue // index rollup says the run has no such cycles
-		}
-		_, m, err := s.Get(e.ID)
-		if err != nil || m.CycleAccounting == nil {
-			continue // indexed but unreadable: skip, don't fail the query
+	err := s.each(func(e Entry, m *obsv.Manifest) {
+		if m.CycleAccounting == nil {
+			return
 		}
 		for i, nd := range m.CycleAccounting.Nodes {
 			c := nd.Category(category)
@@ -503,18 +384,29 @@ func (s *Store) TopBy(category string, n int) ([]TopCategoryRow, error) {
 				Fraction: float64(c) / float64(nd.Total),
 			})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fraction != out[j].Fraction {
-			return out[i].Fraction > out[j].Fraction
-		}
-		if out[i].RunID != out[j].RunID {
-			return out[i].RunID < out[j].RunID
-		}
-		return out[i].Index < out[j].Index
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return rank(out, n, func(r TopCategoryRow) (float64, string, int) { return r.Fraction, r.RunID, r.Index }), nil
+}
+
+// rank orders rows worst first — by fraction descending, then run ID and
+// index, a total order — and keeps the first n (n <= 0 keeps all).
+func rank[T any](rows []T, n int, key func(T) (float64, string, int)) []T {
+	sort.Slice(rows, func(i, j int) bool {
+		fi, ri, ii := key(rows[i])
+		fj, rj, ij := key(rows[j])
+		if fi != fj {
+			return fi > fj
+		}
+		if ri != rj {
+			return ri < rj
+		}
+		return ii < ij
+	})
+	if n > 0 && len(rows) > n {
+		rows = rows[:n]
+	}
+	return rows
 }

@@ -49,7 +49,7 @@ func TestStoreAddListGet(t *testing.T) {
 	if e1.Key == e2.Key {
 		t.Errorf("different config hashes produced one key %q", e1.Key)
 	}
-	if e1.TotalCycles != 100 || e1.StallCycles != 10 || e1.Layers != 1 {
+	if e1.TotalCycles != 100 || e1.Layers != 1 || e1.Topology != "resnet" || e1.Run != "a" {
 		t.Errorf("entry summary = %+v", e1)
 	}
 
@@ -131,44 +131,8 @@ func TestStoreConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestStoreRebuild(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Add(manifest(t, "a", "sha256:aaaa", "net", layer(0, "l", 10, 0, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Add(manifest(t, "b", "sha256:bbbb", "net", layer(0, "l", 20, 0, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(s.Dir(), "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.List(); err != nil {
-		t.Fatalf("List on missing index: %v", err)
-	}
-	rebuilt, err := s.Rebuild()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rebuilt) != 2 {
-		t.Fatalf("Rebuild recovered %d runs, want 2", len(rebuilt))
-	}
-	runs, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Errorf("post-rebuild List = %d runs", len(runs))
-	}
-	if _, _, err := s.Get(runs[0].ID); err != nil {
-		t.Errorf("Get after rebuild: %v", err)
-	}
-}
-
 // TestRebuildSkipsOldSchema: one manifest schema is live. A v3 document
-// left in a store is named by Get and dropped from the index by Rebuild.
+// left in a store is named by Get and is not a run to List.
 func TestRebuildSkipsOldSchema(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -182,7 +146,7 @@ func TestRebuildSkipsOldSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Dir(), filepath.FromSlash(old.Path))
+	path := filepath.Join(s.Dir(), "runs", old.Key, old.ID+".json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -195,15 +159,55 @@ func TestRebuildSkipsOldSchema(t *testing.T) {
 	if _, _, err := s.Get(old.ID); err == nil || !strings.Contains(err.Error(), v3) {
 		t.Errorf("Get on a v3 manifest: err = %v, want the schema named", err)
 	}
-	rebuilt, err := s.Rebuild()
+	runs, err := s.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rebuilt) != 1 || rebuilt[0].ID != cur.ID {
-		t.Errorf("Rebuild indexed %+v, want only %s", rebuilt, cur.ID)
+	if len(runs) != 1 || runs[0] != cur {
+		t.Errorf("List = %+v, want only %+v", runs, cur)
 	}
-	if _, _, err := s.Get(cur.ID); err != nil {
-		t.Errorf("Get on the v4 run after rebuild: %v", err)
+	if e, _, err := s.Get(cur.ID); err != nil || e != cur {
+		t.Errorf("Get on the v4 run = %+v, %v; want %+v", e, err, cur)
+	}
+}
+
+// TestIndexFileIsIgnored: a registry written by a binary that kept
+// index.json lists exactly its run files, whatever that index says —
+// stale, naming a run that does not exist, or corrupt.
+func TestIndexFileIsIgnored(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Add(manifest(t, "a", "sha256:aaaa", "net", layer(0, "l", 10, 5, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Add(manifest(t, "b", "sha256:bbbb", "net", layer(0, "l", 20, 5, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := filepath.Join(s.Dir(), "index.json")
+	for _, doc := range []string{
+		`{"schema":"scalesim.runstore/v1","runs":[{"id":"20990101T000000.000000000Z-deadbeef","key":"k","created":"2099","layers":1,"total_cycles":1,"path":"runs/k/20990101T000000.000000000Z-deadbeef.json"}]}`,
+		"{broken",
+	} {
+		if err := os.WriteFile(index, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runs, err := s.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 2 || runs[0] != b || runs[1] != a {
+			t.Errorf("List = %+v, want [%+v %+v]", runs, b, a)
+		}
+		if _, _, err := s.Get("2099"); err == nil {
+			t.Error("Get resolved a run only the index names")
+		}
+		if top, err := s.Top(0); err != nil || len(top) != 2 {
+			t.Errorf("Top = %+v (err %v), want both runs' layers", top, err)
+		}
 	}
 }
 
@@ -326,24 +330,5 @@ func TestTopRanksStallFraction(t *testing.T) {
 	}
 	if limited, _ := s.Top(1); len(limited) != 1 || limited[0].Name != "bad" {
 		t.Errorf("Top(1) = %+v", limited)
-	}
-}
-
-func TestCorruptIndexSurfacesRebuildHint(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.indexPath(), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.List(); err == nil || !strings.Contains(err.Error(), "rebuild") {
-		t.Errorf("corrupt index error = %v", err)
-	}
-	if _, err := s.Rebuild(); err != nil {
-		t.Fatalf("Rebuild over corrupt index: %v", err)
-	}
-	if _, err := s.List(); err != nil {
-		t.Errorf("List after rebuild: %v", err)
 	}
 }

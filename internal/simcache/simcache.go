@@ -25,7 +25,9 @@
 // miss — including by later processes. Go's JSON float encoding
 // round-trips float64 exactly, so disk hits preserve byte-identical
 // reports too. Corrupt, mismatched or foreign files degrade to misses,
-// never to errors.
+// never to errors. NewDiskLRU caps the directory's size, evicting by each
+// spill file's modification time, so the spill files are the cache's only
+// on-disk state.
 package simcache
 
 import (
@@ -276,19 +278,18 @@ type MergeStats struct {
 }
 
 // eachSpill reads the spill files of dir — its *.json entries, so temp
-// files from in-flight stores are not among them — in name order, handing
-// visit each valid one: live schema, named by the digest of the key it
-// holds. Files that fail validation are counted and otherwise invisible,
-// the degrade-to-miss policy Get applies; names skip reports are not read
-// at all.
-func eachSpill(dir string, skip func(name string) bool, visit func(de os.DirEntry, doc document, data []byte) error) (invalid int, err error) {
+// files from in-flight (or killed) stores are not among them — in name
+// order, handing visit each valid one: live schema, named by the digest of
+// the key it holds. Files that fail validation are counted and otherwise
+// invisible, the degrade-to-miss policy Get applies.
+func eachSpill(dir string, visit func(de os.DirEntry, doc document, data []byte) error) (invalid int, err error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, fmt.Errorf("simcache: %w", err)
 	}
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") || (skip != nil && skip(name)) {
+		if de.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		doc, data, err := readDocument(filepath.Join(dir, name))
@@ -307,7 +308,7 @@ func eachSpill(dir string, skip func(name string) bool, visit func(de os.DirEntr
 // returns their keys. Files that fail validation are counted, not
 // returned and not fatal.
 func ScanDir(dir string) (keys []string, invalid int, err error) {
-	invalid, err = eachSpill(dir, nil, func(_ os.DirEntry, doc document, _ []byte) error {
+	invalid, err = eachSpill(dir, func(_ os.DirEntry, doc document, _ []byte) error {
 		keys = append(keys, doc.Key)
 		return nil
 	})
@@ -331,7 +332,7 @@ func MergeDirs(dst string, srcs ...string) (MergeStats, error) {
 		return st, fmt.Errorf("simcache: %w", err)
 	}
 	for _, src := range srcs {
-		invalid, err := eachSpill(src, nil, func(de os.DirEntry, _ document, data []byte) error {
+		invalid, err := eachSpill(src, func(de os.DirEntry, _ document, data []byte) error {
 			target := filepath.Join(dst, de.Name())
 			if _, err := os.Stat(target); err == nil {
 				st.Present++

@@ -61,6 +61,8 @@ fuzz:
 	$(GO) test ./internal/topology/ -fuzz FuzzParseGraph -fuzztime 30s
 	$(GO) test ./internal/job/ -fuzz FuzzRequest -fuzztime 30s
 	$(GO) test ./internal/simcache/ -fuzz FuzzSpillDocument -fuzztime 30s
+	$(GO) test ./internal/trace/ -fuzz FuzzScanCSV -fuzztime 30s
+	$(GO) test ./internal/batch/ -fuzz FuzzParseSpec -fuzztime 30s
 
 # The five scale-out CSVs into directory $(1), by the commands
 # results/README.md lists for them.
@@ -95,11 +97,13 @@ figures-check:
 # Structural invariants of the two policies that live behind one module
 # each (DESIGN.md "How bytes reach disk", "The CLI shell") and of the
 # layer pipeline ("Layer pipeline": consumers wired by type, a layer
-# measured once, two residency structures) and of the two shared stores
-# (a directory is its own index: no index schema, rebuild or flush), over
-# non-test Go outside bench/. cmd/traceanalyze keeps its own offline
-# -timeline flag (trace files in, no run to bracket); it has no
-# -timeline-window.
+# measured once, two residency structures), of the two shared stores
+# (a directory is its own index: no index schema, rebuild or flush) and of
+# the trace consumers ("Strided trace representation": every Consume method
+# but ConsumerFunc's is the one-line trace.ConsumeAddrs shim, the only loop
+# over an element batch), over non-test Go outside bench/.
+# cmd/traceanalyze keeps its own offline -timeline flag (trace files in, no
+# run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
 lint-structure:
 	@test "$$(grep -lE 'os\.(CreateTemp|Rename)\(' $(SRC))" = internal/disk/disk.go
@@ -113,6 +117,8 @@ lint-structure:
 	@test "$$(cat $$(git ls-files --cached --others --exclude-standard 'internal/core/*.go' 'internal/obsv/timeline/*.go' | grep -v '_test\.go$$') | grep -c 'NewStallAnalyzer(')" = 1
 	@! grep -nE 'resident\s+map\[int64\]struct\{\}' $$(ls internal/memory/*.go | grep -v '_test\.go$$')
 	@! grep -nE 'IndexSchema|lruIndexName|lruSchema|writeLRUIndex|func \(s \*Store\) Rebuild|func \(c \*Cache\) Flush' $(SRC)
+	@! grep -nE '^func \([^)]*\) Consume\(' $(SRC) | grep -vE -e '\) Consume\(cycle int64, addrs \[\]int64\) \{ (trace\.)?ConsumeAddrs\([a-z]+, cycle, addrs\) \}$$' -e '^internal/trace/trace\.go:[0-9]+:func \(f ConsumerFunc\) Consume\('
+	@test "$$(grep -c 'range addrs' $(SRC) | grep -v ':0$$')" = internal/trace/run.go:1
 	@echo "lint-structure: ok"
 
 examples:

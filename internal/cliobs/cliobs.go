@@ -133,9 +133,9 @@ func RegisterLog(fs *flag.FlagSet) *Flags {
 // registered run wants real numbers (nil otherwise), everything Start
 // brings up, and the -progress writer on stderr under label (nil without
 // the flag). Defer end with the address of the run's error: the timeline
-// closes first and a failure there becomes the run's error, a failed run
-// terminates its progress stream (a no-op after the run's own Finish or
-// Abort), then everything stops.
+// closes first, a failed run terminates its progress stream (a no-op after
+// the run's own Finish or Abort), then everything stops. A failed timeline
+// or snapshot stream becomes the run's error unless it already has one.
 func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progress, end func(*error), err error) {
 	if f.metrics != "" || f.metricsAddr != "" || f.metricsJSONL != "" || f.runDir != "" {
 		rec = obsv.NewRecorder()
@@ -156,7 +156,9 @@ func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progre
 		if *errp != nil {
 			prog.Abort((*errp).Error())
 		}
-		stop()
+		if err := stop(); err != nil && *errp == nil {
+			*errp = err
+		}
 	}, nil
 }
 
@@ -164,18 +166,21 @@ func (f *Flags) Begin(tool, label string) (rec *obsv.Recorder, prog *obsv.Progre
 // logger, brings up the /metrics endpoint and starts the snapshot writer,
 // the last two reading from rec's registry (nil-safe — an empty registry
 // exports empty families).
-// The returned stop function flushes and shuts everything down; always
-// defer it. tool labels log lines and stderr notices.
-func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func(), err error) {
+// The returned stop function flushes and shuts everything down, and
+// returns the snapshot stream's write or close error; always defer it.
+// tool labels log lines and stderr notices.
+func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func() error, err error) {
 	var stops []func()
-	stop = func() {
+	var snapErr error
+	stop = func() error {
 		for i := len(stops) - 1; i >= 0; i-- {
 			stops[i]()
 		}
+		return snapErr
 	}
-	fail := func(err error) (func(), error) {
+	fail := func(err error) (func() error, error) {
 		stop()
-		return func() {}, err
+		return func() error { return nil }, err
 	}
 
 	if f.pprofAddr != "" {
@@ -214,10 +219,7 @@ func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func(), err error) 
 			return fail(err)
 		}
 		snap := export.NewSnapshotter(file, src, f.interval)
-		stops = append(stops, func() {
-			_ = snap.Stop()
-			_ = file.Close()
-		})
+		stops = append(stops, func() { snapErr = errors.Join(snap.Stop(), file.Close()) })
 	}
 	return stop, nil
 }

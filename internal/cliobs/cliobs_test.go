@@ -115,6 +115,38 @@ func TestTimelineCloseIsTheRunsError(t *testing.T) {
 	end(&runErr)
 }
 
+// TestSnapshotStreamIsTheRunsError: a -metrics-jsonl stream that cannot be
+// written fails the run at the end of the bracket; an earlier run error is
+// kept; a healthy stream holds its final snapshot once end returns.
+func TestSnapshotStreamIsTheRunsError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	_, end := begin(t, "scalesim", "-metrics-jsonl", "/dev/full")
+	var runErr error
+	end(&runErr)
+	if runErr == nil {
+		t.Error("a snapshot stream written to a full device left the run's error nil")
+	}
+
+	earlier := errors.New("the run failed first")
+	_, end = begin(t, "scalesim", "-metrics-jsonl", "/dev/full")
+	runErr = earlier
+	end(&runErr)
+	if runErr != earlier {
+		t.Errorf("run error replaced by %v", runErr)
+	}
+
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	_, end = begin(t, "scalesim", "-metrics-jsonl", path)
+	runErr = nil
+	end(&runErr)
+	data, err := os.ReadFile(path)
+	if runErr != nil || err != nil || !bytes.HasSuffix(data, []byte("}\n")) {
+		t.Errorf("healthy stream: run error %v, read error %v, document %q", runErr, err, data)
+	}
+}
+
 // TestOutput: no path means stdout; a path is a checked file.
 func TestOutput(t *testing.T) {
 	hello := func(w io.Writer) error { _, err := io.WriteString(w, "hello\n"); return err }

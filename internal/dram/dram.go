@@ -356,22 +356,14 @@ func floorDivMod(a, d int64) (q, r int64) {
 }
 
 // Consume implements trace.Consumer: each address in the batch is a word
-// request arriving at the given cycle. Under FRFCFS the batch is reordered
-// so open-row hits go first.
-func (m *Model) Consume(cycle int64, addrs []int64) {
-	if m.cfg.Policy == FRFCFS && len(addrs) > 1 {
-		m.batch = m.hitsFirst(m.batch[:0], addrs)
-		addrs = m.batch
-	}
-	for _, a := range addrs {
-		m.serve(cycle, a, 0, 1)
-	}
-}
+// request arriving at the given cycle.
+func (m *Model) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(m, cycle, addrs) }
 
-// ConsumeRuns implements trace.RunConsumer. FCFS batches are serviced
-// straight off the progressions, a run per call; FRFCFS needs the whole
-// batch for its open-row reordering, so runs are expanded into the reorder
-// buffer first and the reordered batch is appended behind them.
+// ConsumeRuns implements trace.RunConsumer: each address is a word request
+// arriving at the given cycle. FCFS batches are serviced straight off the
+// progressions, a run per call; FRFCFS reorders the batch so open-row hits
+// go first, which needs the whole batch, so runs are expanded into the
+// reorder buffer first and the reordered batch is appended behind them.
 func (m *Model) ConsumeRuns(cycle int64, runs []trace.Run) {
 	if m.cfg.Policy == FRFCFS && trace.RunWords(runs) > 1 {
 		m.batch = trace.ExpandRuns(runs, m.batch[:0])

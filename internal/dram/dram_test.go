@@ -273,8 +273,8 @@ func TestConfigValidateExtended(t *testing.T) {
 	}
 }
 
-// TestConsumeRunsMatchesConsume: the run path must produce identical stats
-// to the element path under both schedulers.
+// TestConsumeRunsMatchesConsume: the run path must produce the stats of the
+// per-word reference (refConsume) under both schedulers.
 func TestConsumeRunsMatchesConsume(t *testing.T) {
 	batches := []struct {
 		cycle int64
@@ -292,17 +292,17 @@ func TestConsumeRunsMatchesConsume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaElems, err := New(cfg)
+		ref, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range batches {
 			viaRuns.ConsumeRuns(b.cycle, b.runs)
-			viaElems.Consume(b.cycle, trace.ExpandRuns(b.runs, nil))
+			refConsume(ref, b.cycle, trace.ExpandRuns(b.runs, nil))
 		}
-		if viaRuns.Stats() != viaElems.Stats() {
-			t.Errorf("policy %v: run path %+v != element path %+v",
-				policy, viaRuns.Stats(), viaElems.Stats())
+		if viaRuns.Stats() != ref.Stats() {
+			t.Errorf("policy %v: run path %+v != per-word reference %+v",
+				policy, viaRuns.Stats(), ref.Stats())
 		}
 	}
 }

@@ -328,7 +328,7 @@ func TestRegionFallbackWithLazyMap(t *testing.T) {
 // the write buffer, drain) revokes the proof.
 func TestBlockMemoInvalidation(t *testing.T) {
 	rec := &trace.Recorder{}
-	b, err := NewReadBuffer("r", 4, false, rec, nil)
+	b, err := NewReadBuffer("r", 8, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestBlockMemoInvalidation(t *testing.T) {
 		t.Errorf("miss stream %v", got)
 	}
 
-	w, err := NewWriteBuffer("w", 8, false, nil, nil)
+	w, err := NewWriteBuffer("w", 16, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

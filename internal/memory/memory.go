@@ -16,8 +16,8 @@
 // on eviction and at the final flush, so partial sums revisited while still
 // resident cost no interface traffic.
 //
-// With double buffering enabled (the paper's configuration), half of each
-// SRAM serves the array while the other half prefetches, so the effective
+// The SRAMs are double-buffered (the paper's configuration): half of each
+// serves the array while the other half prefetches, so the effective
 // resident capacity is half the nominal size.
 package memory
 
@@ -328,12 +328,66 @@ func (m *blockMemo) end(counter int64) {
 	m.proven[m.cur] = counter
 }
 
+// buffer is the scaffolding the two operand SRAMs share: the residency set
+// and block memo, and the DRAM side their traffic is forwarded to. Each
+// buffer type adds its own ConsumeRuns, its counters and its block counter.
+type buffer struct {
+	name string
+	set  *fifoSet
+	memo blockMemo
+
+	dram trace.RunConsumer
+	// record is set when a DRAM consumer was wired: the traffic is then
+	// re-compressed into runs for it, otherwise only counted.
+	record bool
+	meter  *trace.BandwidthMeter
+	runBuf []trace.Run
+}
+
+// newBuffer validates the nominal capacity and halves it for double
+// buffering.
+func newBuffer(name string, capacityWords int64, dram trace.Consumer, meter *trace.BandwidthMeter) (buffer, error) {
+	if capacityWords < 1 {
+		return buffer{}, fmt.Errorf("memory: %s: capacity %d words must be positive", name, capacityWords)
+	}
+	return buffer{name: name, set: newFIFOSet(max(capacityWords/2, 1)),
+		dram: trace.Runs(dram), record: dram != nil, meter: meter}, nil
+}
+
+// Name returns the buffer's label.
+func (b *buffer) Name() string { return b.name }
+
+// SetRegion declares the address region this buffer will service, enabling
+// the fast direct-mapped residency table. Call before the first access. A
+// new declaration also opens a new block namespace: proven blocks are
+// forgotten.
+func (b *buffer) SetRegion(base, words int64) {
+	b.set.setRegion(base, words)
+	b.memo.proven = nil
+}
+
+// EffectiveWords returns the resident capacity in words.
+func (b *buffer) EffectiveWords() int64 { return b.set.capacity }
+
+// RegionFallbacks counts accesses outside the declared region that forced
+// the residency structure off the dense fast path (zero on a healthy
+// region declaration).
+func (b *buffer) RegionFallbacks() int64 { return b.set.fallbacks }
+
+// forward hands one cycle's DRAM traffic, runBuf with words in total, to
+// the DRAM trace and the bandwidth meter.
+func (b *buffer) forward(cycle, words int64) {
+	b.dram.ConsumeRuns(cycle, b.runBuf)
+	if b.meter != nil {
+		b.meter.Add(cycle, words)
+	}
+}
+
 // ReadBuffer is one operand SRAM on the read path (IFMAP or filter).
 // It implements trace.Consumer over the SRAM read trace and forwards demand
 // misses to the DRAM read trace.
 type ReadBuffer struct {
-	name string
-	set  *fifoSet
+	buffer
 
 	// SRAMReads counts word reads served (hits + misses).
 	SRAMReads int64
@@ -341,74 +395,24 @@ type ReadBuffer struct {
 	DRAMReads int64
 	// Evictions counts working-set replacements.
 	Evictions int64
-
-	dram     trace.Consumer
-	dramRuns trace.RunConsumer
-	meter    *trace.BandwidthMeter
-	buf      []int64
-	runBuf   []trace.Run
-	memo     blockMemo
 }
 
 // NewReadBuffer creates a read-path SRAM.
 //
-// capacityWords is the nominal SRAM size in words; with doubleBuffered the
-// effective resident capacity is half of it. dram receives the DRAM read
+// capacityWords is the nominal SRAM size in words; double buffering makes
+// the effective resident capacity half of it. dram receives the DRAM read
 // trace (may be nil) and meter, when non-nil, accumulates the DRAM demand
 // bandwidth profile.
-func NewReadBuffer(name string, capacityWords int64, doubleBuffered bool, dram trace.Consumer, meter *trace.BandwidthMeter) (*ReadBuffer, error) {
-	eff, err := effectiveCapacity(name, capacityWords, doubleBuffered)
+func NewReadBuffer(name string, capacityWords int64, dram trace.Consumer, meter *trace.BandwidthMeter) (*ReadBuffer, error) {
+	b, err := newBuffer(name, capacityWords, dram, meter)
 	if err != nil {
 		return nil, err
 	}
-	if dram == nil {
-		dram = trace.Null
-	}
-	return &ReadBuffer{name: name, set: newFIFOSet(eff), dram: dram,
-		dramRuns: trace.Runs(dram), meter: meter}, nil
+	return &ReadBuffer{buffer: b}, nil
 }
-
-// Name returns the buffer's label.
-func (b *ReadBuffer) Name() string { return b.name }
-
-// SetRegion declares the address region this buffer will service, enabling
-// the fast direct-mapped residency table. Call before the first access. A
-// new declaration also opens a new block namespace: proven blocks are
-// forgotten.
-func (b *ReadBuffer) SetRegion(base, words int64) {
-	b.set.setRegion(base, words)
-	b.memo.proven = nil
-}
-
-// EffectiveWords returns the resident capacity in words.
-func (b *ReadBuffer) EffectiveWords() int64 { return b.set.capacity }
 
 // Consume implements trace.Consumer over SRAM read events.
-func (b *ReadBuffer) Consume(cycle int64, addrs []int64) {
-	if len(addrs) == 0 {
-		return
-	}
-	b.SRAMReads += int64(len(addrs))
-	misses := b.buf[:0]
-	for _, a := range addrs {
-		if b.set.contains(a) {
-			continue
-		}
-		if _, evicted := b.set.insert(a); evicted {
-			b.Evictions++
-		}
-		misses = append(misses, a)
-	}
-	b.buf = misses
-	if len(misses) == 0 {
-		return
-	}
-	b.DRAMReads += int64(len(misses))
-	b.dram.Consume(cycle, misses)
-	if b.meter != nil {
-		b.meter.Add(cycle, int64(len(misses)))
-	}
-}
+func (b *ReadBuffer) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b, cycle, addrs) }
 
 // ConsumeRuns implements trace.RunConsumer: residency is probed by walking
 // each run's progression arithmetically — no address slice is ever built —
@@ -421,11 +425,10 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	b.SRAMReads += words
 	misses := b.runBuf[:0]
 	var missWords int64
-	record := b.dram != trace.Null // nobody reads the miss runs: only count them
 	for _, r := range runs {
 		if b.set.dense && b.set.denseBounds(r) {
 			var mw, ev int64
-			misses, mw, ev = b.set.scanRunDense(r, misses, record)
+			misses, mw, ev = b.set.scanRunDense(r, misses, b.record)
 			missWords += mw
 			b.Evictions += ev
 			continue
@@ -443,13 +446,9 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 		}
 	}
 	b.runBuf = misses
-	if missWords == 0 {
-		return
-	}
-	b.DRAMReads += missWords
-	b.dramRuns.ConsumeRuns(cycle, misses)
-	if b.meter != nil {
-		b.meter.Add(cycle, missWords)
+	if missWords > 0 {
+		b.DRAMReads += missWords
+		b.forward(cycle, missWords)
 	}
 }
 
@@ -465,11 +464,6 @@ func (b *ReadBuffer) BeginBlock(off, n, words int64) bool {
 // EndBlock implements trace.BlockConsumer.
 func (b *ReadBuffer) EndBlock() { b.memo.end(b.Evictions) }
 
-// RegionFallbacks counts accesses outside the declared region that forced
-// the residency structure off the dense fast path (zero on a healthy
-// region declaration).
-func (b *ReadBuffer) RegionFallbacks() int64 { return b.set.fallbacks }
-
 // HitRate returns the fraction of SRAM reads served without DRAM traffic.
 func (b *ReadBuffer) HitRate() float64 {
 	if b.SRAMReads == 0 {
@@ -481,74 +475,26 @@ func (b *ReadBuffer) HitRate() float64 {
 // WriteBuffer is the OFMAP SRAM: a write-back buffer that drains to DRAM on
 // eviction and at the final Flush.
 type WriteBuffer struct {
-	name string
-	set  *fifoSet
+	buffer
 
 	// SRAMWrites counts word writes accepted from the array.
 	SRAMWrites int64
 	// DRAMWrites counts words drained to DRAM.
 	DRAMWrites int64
-
-	dram     trace.Consumer
-	dramRuns trace.RunConsumer
-	meter    *trace.BandwidthMeter
-	buf      []int64
-	runBuf   []trace.Run
-	memo     blockMemo
 }
 
 // NewWriteBuffer creates the write-path SRAM; parameters mirror
 // NewReadBuffer, with dram receiving the DRAM write trace.
-func NewWriteBuffer(name string, capacityWords int64, doubleBuffered bool, dram trace.Consumer, meter *trace.BandwidthMeter) (*WriteBuffer, error) {
-	eff, err := effectiveCapacity(name, capacityWords, doubleBuffered)
+func NewWriteBuffer(name string, capacityWords int64, dram trace.Consumer, meter *trace.BandwidthMeter) (*WriteBuffer, error) {
+	b, err := newBuffer(name, capacityWords, dram, meter)
 	if err != nil {
 		return nil, err
 	}
-	if dram == nil {
-		dram = trace.Null
-	}
-	return &WriteBuffer{name: name, set: newFIFOSet(eff), dram: dram,
-		dramRuns: trace.Runs(dram), meter: meter}, nil
+	return &WriteBuffer{buffer: b}, nil
 }
-
-// Name returns the buffer's label.
-func (b *WriteBuffer) Name() string { return b.name }
-
-// SetRegion declares the address region this buffer will service; see
-// ReadBuffer.SetRegion.
-func (b *WriteBuffer) SetRegion(base, words int64) {
-	b.set.setRegion(base, words)
-	b.memo.proven = nil
-}
-
-// EffectiveWords returns the resident capacity in words.
-func (b *WriteBuffer) EffectiveWords() int64 { return b.set.capacity }
 
 // Consume implements trace.Consumer over SRAM write events.
-func (b *WriteBuffer) Consume(cycle int64, addrs []int64) {
-	if len(addrs) == 0 {
-		return
-	}
-	b.SRAMWrites += int64(len(addrs))
-	drained := b.buf[:0]
-	for _, a := range addrs {
-		if b.set.contains(a) {
-			continue // accumulate in place, no new traffic
-		}
-		if old, evicted := b.set.insert(a); evicted {
-			drained = append(drained, old)
-		}
-	}
-	b.buf = drained
-	if len(drained) == 0 {
-		return
-	}
-	b.DRAMWrites += int64(len(drained))
-	b.dram.Consume(cycle, drained)
-	if b.meter != nil {
-		b.meter.Add(cycle, int64(len(drained)))
-	}
-}
+func (b *WriteBuffer) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b, cycle, addrs) }
 
 // ConsumeRuns implements trace.RunConsumer; like ReadBuffer.ConsumeRuns it
 // walks the progressions arithmetically and forwards evicted outputs to
@@ -561,11 +507,10 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	b.SRAMWrites += words
 	drained := b.runBuf[:0]
 	var drainWords int64
-	record := b.dram != trace.Null
 	for _, r := range runs {
 		if b.set.dense && b.set.denseBounds(r) {
 			var dw int64
-			drained, dw = b.set.scanRunDenseEvict(r, drained, record)
+			drained, dw = b.set.scanRunDenseEvict(r, drained, b.record)
 			drainWords += dw
 			continue
 		}
@@ -581,13 +526,9 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 		}
 	}
 	b.runBuf = drained
-	if drainWords == 0 {
-		return
-	}
-	b.DRAMWrites += drainWords
-	b.dramRuns.ConsumeRuns(cycle, drained)
-	if b.meter != nil {
-		b.meter.Add(cycle, drainWords)
+	if drainWords > 0 {
+		b.DRAMWrites += drainWords
+		b.forward(cycle, drainWords)
 	}
 }
 
@@ -604,40 +545,19 @@ func (b *WriteBuffer) BeginBlock(off, n, words int64) bool {
 // EndBlock implements trace.BlockConsumer.
 func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites) }
 
-// RegionFallbacks counts accesses outside the declared region that forced
-// the residency structure off the dense fast path.
-func (b *WriteBuffer) RegionFallbacks() int64 { return b.set.fallbacks }
-
 // Flush drains every resident output to DRAM at the given cycle (the end of
 // the layer), as runs like every other write-back. It returns the number of
 // words written back.
 func (b *WriteBuffer) Flush(cycle int64) int64 {
-	words := int64(b.set.len())
+	words := b.Pending()
 	if words == 0 {
 		return 0
 	}
-	b.runBuf = b.set.drain(b.runBuf[:0], b.dram != trace.Null)
+	b.runBuf = b.set.drain(b.runBuf[:0], b.record)
 	b.DRAMWrites += words
-	b.dramRuns.ConsumeRuns(cycle, b.runBuf)
-	if b.meter != nil {
-		b.meter.Add(cycle, words)
-	}
+	b.forward(cycle, words)
 	return words
 }
 
 // Pending returns the resident word count awaiting write-back.
 func (b *WriteBuffer) Pending() int64 { return int64(b.set.len()) }
-
-func effectiveCapacity(name string, capacityWords int64, doubleBuffered bool) (int64, error) {
-	if capacityWords < 1 {
-		return 0, fmt.Errorf("memory: %s: capacity %d words must be positive", name, capacityWords)
-	}
-	eff := capacityWords
-	if doubleBuffered {
-		eff = capacityWords / 2
-		if eff < 1 {
-			eff = 1
-		}
-	}
-	return eff, nil
-}

@@ -8,9 +8,9 @@ import (
 	"scalesim/internal/trace"
 )
 
-func mustReadBuffer(t *testing.T, capacity int64, double bool, dram trace.Consumer) *ReadBuffer {
+func mustReadBuffer(t *testing.T, capacity int64, dram trace.Consumer) *ReadBuffer {
 	t.Helper()
-	b, err := NewReadBuffer("test", capacity, double, dram, nil)
+	b, err := NewReadBuffer("test", capacity, dram, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func mustReadBuffer(t *testing.T, capacity int64, double bool, dram trace.Consum
 
 func TestReadBufferColdAndHit(t *testing.T) {
 	rec := &trace.Recorder{}
-	b := mustReadBuffer(t, 8, false, rec)
+	b := mustReadBuffer(t, 16, rec)
 	if b.Name() != "test" || b.EffectiveWords() != 8 {
 		t.Errorf("name/capacity = %q/%d", b.Name(), b.EffectiveWords())
 	}
@@ -44,7 +44,7 @@ func TestReadBufferColdAndHit(t *testing.T) {
 }
 
 func TestReadBufferFIFOEviction(t *testing.T) {
-	b := mustReadBuffer(t, 2, false, nil)
+	b := mustReadBuffer(t, 4, nil)
 	b.Consume(0, []int64{10, 11}) // resident {10,11}
 	b.Consume(1, []int64{12})     // evicts 10 -> {11,12}
 	b.Consume(2, []int64{11})     // hit
@@ -58,11 +58,11 @@ func TestReadBufferFIFOEviction(t *testing.T) {
 }
 
 func TestReadBufferDoubleBufferedHalvesCapacity(t *testing.T) {
-	b := mustReadBuffer(t, 8, true, nil)
+	b := mustReadBuffer(t, 8, nil)
 	if b.EffectiveWords() != 4 {
 		t.Errorf("EffectiveWords = %d, want 4", b.EffectiveWords())
 	}
-	tiny := mustReadBuffer(t, 1, true, nil)
+	tiny := mustReadBuffer(t, 1, nil)
 	if tiny.EffectiveWords() != 1 {
 		t.Errorf("tiny EffectiveWords = %d, want 1 (floor)", tiny.EffectiveWords())
 	}
@@ -70,7 +70,7 @@ func TestReadBufferDoubleBufferedHalvesCapacity(t *testing.T) {
 
 func TestReadBufferLargeEnoughNeverRefetches(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	b := mustReadBuffer(t, 1000, false, nil)
+	b := mustReadBuffer(t, 2000, nil)
 	distinct := map[int64]bool{}
 	for cycle := int64(0); cycle < 200; cycle++ {
 		addrs := make([]int64, 1+rng.Intn(5))
@@ -89,16 +89,16 @@ func TestReadBufferLargeEnoughNeverRefetches(t *testing.T) {
 }
 
 func TestReadBufferInvalidCapacity(t *testing.T) {
-	if _, err := NewReadBuffer("x", 0, false, nil, nil); err == nil {
+	if _, err := NewReadBuffer("x", 0, nil, nil); err == nil {
 		t.Error("accepted zero capacity")
 	}
-	if _, err := NewWriteBuffer("x", -1, false, nil, nil); err == nil {
+	if _, err := NewWriteBuffer("x", -1, nil, nil); err == nil {
 		t.Error("accepted negative capacity")
 	}
 }
 
 func TestHitRateEmpty(t *testing.T) {
-	b := mustReadBuffer(t, 4, false, nil)
+	b := mustReadBuffer(t, 8, nil)
 	if b.HitRate() != 0 {
 		t.Error("empty buffer HitRate != 0")
 	}
@@ -106,7 +106,7 @@ func TestHitRateEmpty(t *testing.T) {
 
 func TestWriteBufferDrainOnEvictionAndFlush(t *testing.T) {
 	rec := &trace.Recorder{}
-	b, err := NewWriteBuffer("ofmap", 2, false, rec, nil)
+	b, err := NewWriteBuffer("ofmap", 4, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestWriteBufferDrainOnEvictionAndFlush(t *testing.T) {
 func TestWriteBufferConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rec := &trace.Recorder{}
-	b, err := NewWriteBuffer("ofmap", 8, false, rec, nil)
+	b, err := NewWriteBuffer("ofmap", 16, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestReportZeroCycles(t *testing.T) {
 // TestFIFOSetDrainWrapAround exercises drain after the ring head has wrapped.
 func TestFIFOSetDrainWrapAround(t *testing.T) {
 	rec := &trace.Recorder{}
-	b, err := NewWriteBuffer("w", 3, false, rec, nil)
+	b, err := NewWriteBuffer("w", 6, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

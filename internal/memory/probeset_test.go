@@ -94,13 +94,16 @@ type mapFIFO struct {
 	misses, evictions int64
 }
 
-func (m *mapFIFO) access(addr int64) {
+// access touches addr and reports whether it missed and which address, if
+// any, the miss evicted.
+func (m *mapFIFO) access(addr int64) (miss bool, evicted int64, didEvict bool) {
 	if _, ok := m.resident[addr]; ok {
-		return
+		return false, 0, false
 	}
 	m.misses++
 	if len(m.queue) == m.capacity {
-		delete(m.resident, m.queue[0])
+		evicted, didEvict = m.queue[0], true
+		delete(m.resident, evicted)
 		m.queue = m.queue[1:]
 		m.evictions++
 	}
@@ -109,6 +112,7 @@ func (m *mapFIFO) access(addr int64) {
 	}
 	m.resident[addr] = struct{}{}
 	m.queue = append(m.queue, addr)
+	return true, evicted, didEvict
 }
 
 // TestFIFOSetProbeModeAgainstMapMode runs the full fifoSet on the probe
@@ -118,7 +122,7 @@ func (m *mapFIFO) access(addr int64) {
 func TestFIFOSetProbeModeAgainstMapMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mk := func(region bool) *ReadBuffer {
-		b, err := NewReadBuffer("x", 128, false, nil, nil)
+		b, err := NewReadBuffer("x", 256, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +153,7 @@ func TestFIFOSetProbeModeAgainstMapMode(t *testing.T) {
 // TestFIFOSetDenseModeAgainstMapMode does the same for the dense mode.
 func TestFIFOSetDenseModeAgainstMapMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	mkDense, err := NewWriteBuffer("d", 64, false, nil, nil)
+	mkDense, err := NewWriteBuffer("d", 128, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package memory
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,79 +12,118 @@ import (
 	"scalesim/internal/trace"
 )
 
-// elementOnly hides a consumer's run path, forcing producers through the
-// materializing adapter and therefore into the buffer's element Consume.
-type elementOnly struct{ c trace.Consumer }
+// refBuffer is the per-address model an SRAM buffer must be
+// indistinguishable from: mapFIFO residency, one address at a time, with a
+// read buffer's misses (or a write buffer's evictions) appended to a DRAM
+// trace, one entry per cycle that has any. It is element-only, so a
+// producer reaches it through trace.Runs' expanding adapter.
+type refBuffer struct {
+	fifo       mapFIFO
+	write      bool
+	sram, dram int64
+	out        *[]trace.Entry
+	meter      *trace.BandwidthMeter
+}
 
-func (e elementOnly) Consume(cycle int64, addrs []int64) { e.c.Consume(cycle, addrs) }
+func newRefBuffer(capacity int64, write bool, out *[]trace.Entry) *refBuffer {
+	return &refBuffer{fifo: mapFIFO{capacity: int(capacity)}, write: write, out: out,
+		meter: trace.NewBandwidthMeter(DefaultBandwidthWindow, 1)}
+}
 
-// TestSystemRunPathMatchesElementPath drives two identical memory systems
-// with the same systolic run — one through ConsumeRuns, one through the
-// legacy Consume — and requires byte-identical DRAM traces and identical
-// reports. This pins the tentpole's claim that the run path changes cost,
-// not behaviour, end to end through the memory model.
+func (r *refBuffer) Consume(cycle int64, addrs []int64) {
+	var traffic []int64
+	for _, a := range addrs {
+		r.sram++
+		miss, old, evicted := r.fifo.access(a)
+		switch {
+		case r.write && evicted:
+			traffic = append(traffic, old)
+		case !r.write && miss:
+			traffic = append(traffic, a)
+		}
+	}
+	r.emit(cycle, traffic)
+}
+
+func (r *refBuffer) emit(cycle int64, traffic []int64) {
+	if len(traffic) == 0 {
+		return
+	}
+	r.dram += int64(len(traffic))
+	*r.out = append(*r.out, trace.Entry{Cycle: cycle, Addrs: traffic})
+	r.meter.Add(cycle, int64(len(traffic)))
+}
+
+// flush drains the resident set in FIFO order, as WriteBuffer.Flush does.
+func (r *refBuffer) flush(cycle int64) {
+	r.emit(cycle, r.fifo.queue)
+	r.fifo.queue, r.fifo.resident = nil, nil
+}
+
+// TestSystemRunPathMatchesElementPath drives a memory system with a
+// systolic run and requires exactly what the per-address reference makes of
+// the same run, expanded: the DRAM traces cycle by cycle, every counter and
+// the bandwidth profiles. This pins the claim that the run path changes
+// cost, not behaviour, end to end through the memory model.
 func TestSystemRunPathMatchesElementPath(t *testing.T) {
 	l := topology.TinyNet().Layers[1]
 	for _, df := range config.Dataflows {
 		for _, region := range []bool{false, true} {
-			cfg := config.New().WithArray(4, 4).WithDataflow(df)
-
-			build := func() (*System, *bytes.Buffer, *bytes.Buffer, *trace.CSVWriter, *trace.CSVWriter) {
-				var rd, wr bytes.Buffer
-				rw, ww := trace.NewCSVWriter(&rd), trace.NewCSVWriter(&wr)
-				sys, err := NewSystem(cfg, Options{DRAMRead: rw, DRAMWrite: ww})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if region {
-					sys.SetRegions(cfg.IfmapOffset, l.IfmapWords(),
-						cfg.FilterOffset, l.FilterWords(),
-						cfg.OfmapOffset, l.OfmapWords())
-				}
-				return sys, &rd, &wr, rw, ww
+			cfg := config.New().WithArray(4, 4).WithDataflow(df).WithSRAM(1, 1, 1)
+			cfg.WordBytes = 4 // 128 resident words: every operand thrashes
+			rd, wr := &trace.Recorder{}, &trace.Recorder{}
+			sys, err := NewSystem(cfg, Options{DRAMRead: rd, DRAMWrite: wr})
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			native, nRd, nWr, nRW, nWW := build()
+			if region {
+				sys.SetRegions(cfg.IfmapOffset, l.IfmapWords(),
+					cfg.FilterOffset, l.FilterWords(),
+					cfg.OfmapOffset, l.OfmapWords())
+			}
 			if _, err := systolic.Run(l, cfg, systolic.Sinks{
-				IfmapRead:  native.Ifmap,
-				FilterRead: native.Filter,
-				OfmapWrite: native.Ofmap,
+				IfmapRead:  sys.Ifmap,
+				FilterRead: sys.Filter,
+				OfmapWrite: sys.Ofmap,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			native.Ofmap.Flush(0)
+			if sys.Ifmap.Evictions == 0 || sys.Filter.Evictions == 0 || sys.Ofmap.DRAMWrites == 0 {
+				t.Fatalf("%s region=%v: an operand never evicts", df, region)
+			}
+			sys.Ofmap.Flush(0)
 
-			legacy, lRd, lWr, lRW, lWW := build()
+			var refRd, refWr []trace.Entry
+			ifRef := newRefBuffer(sys.Ifmap.EffectiveWords(), false, &refRd)
+			flRef := newRefBuffer(sys.Filter.EffectiveWords(), false, &refRd)
+			ofRef := newRefBuffer(sys.Ofmap.EffectiveWords(), true, &refWr)
 			if _, err := systolic.Run(l, cfg, systolic.Sinks{
-				IfmapRead:  elementOnly{legacy.Ifmap},
-				FilterRead: elementOnly{legacy.Filter},
-				OfmapWrite: elementOnly{legacy.Ofmap},
+				IfmapRead: ifRef, FilterRead: flRef, OfmapWrite: ofRef,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			legacy.Ofmap.Flush(0)
+			ofRef.flush(0)
 
-			for _, w := range []*trace.CSVWriter{nRW, nWW, lRW, lWW} {
-				if err := w.Flush(); err != nil {
-					t.Fatal(err)
+			if !reflect.DeepEqual(rd.Entries, refRd) {
+				t.Errorf("%s region=%v: DRAM read trace differs from the reference", df, region)
+			}
+			if !reflect.DeepEqual(wr.Entries, refWr) {
+				t.Errorf("%s region=%v: DRAM write trace differs from the reference", df, region)
+			}
+			got := [][3]int64{{sys.Ifmap.SRAMReads, sys.Ifmap.DRAMReads, sys.Ifmap.Evictions},
+				{sys.Filter.SRAMReads, sys.Filter.DRAMReads, sys.Filter.Evictions},
+				{sys.Ofmap.SRAMWrites, sys.Ofmap.DRAMWrites}}
+			want := [][3]int64{{ifRef.sram, ifRef.dram, ifRef.fifo.evictions},
+				{flRef.sram, flRef.dram, flRef.fifo.evictions},
+				{ofRef.sram, ofRef.dram}}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s region=%v: counters %v, reference %v", df, region, got, want)
+			}
+			for i, m := range [][2]*trace.BandwidthMeter{{sys.IfmapBW, ifRef.meter},
+				{sys.FilterBW, flRef.meter}, {sys.OfmapBW, ofRef.meter}} {
+				if !reflect.DeepEqual(m[0].Profile(), m[1].Profile()) {
+					t.Errorf("%s region=%v: bandwidth profile %d differs from the reference", df, region, i)
 				}
-			}
-
-			if !bytes.Equal(nRd.Bytes(), lRd.Bytes()) {
-				t.Errorf("%s region=%v: DRAM read traces differ (%d vs %d bytes)",
-					df, region, nRd.Len(), lRd.Len())
-			}
-			if !bytes.Equal(nWr.Bytes(), lWr.Bytes()) {
-				t.Errorf("%s region=%v: DRAM write traces differ (%d vs %d bytes)",
-					df, region, nWr.Len(), lWr.Len())
-			}
-			if nr, lr := native.Report(1000), legacy.Report(1000); !reflect.DeepEqual(nr, lr) {
-				t.Errorf("%s region=%v: reports differ:\nruns:  %+v\nelems: %+v",
-					df, region, nr, lr)
-			}
-			if native.Ifmap.Evictions != legacy.Ifmap.Evictions {
-				t.Errorf("%s region=%v: evictions differ: %d vs %d",
-					df, region, native.Ifmap.Evictions, legacy.Ifmap.Evictions)
 			}
 		}
 	}
@@ -94,8 +132,8 @@ func TestSystemRunPathMatchesElementPath(t *testing.T) {
 // TestStreakPathMatchesElementPath extends the equivalence above to runs
 // that interleave hits and misses. The dense scan hands each streak of
 // consecutive misses to the DRAM side as one run; the address sequence per
-// cycle, the Report and the eviction count must equal the element path's,
-// which appends one address at a time.
+// cycle, the counters and the eviction count must equal the per-address
+// reference's, which appends one address at a time.
 func TestStreakPathMatchesElementPath(t *testing.T) {
 	type batch struct {
 		cycle int64
@@ -130,34 +168,34 @@ func TestStreakPathMatchesElementPath(t *testing.T) {
 		batches = append(batches, b)
 	}
 
-	build := func() (*System, *trace.Recorder) {
-		rec := &trace.Recorder{}
-		cfg := config.New()
-		cfg.IfmapSRAMKB = 2 // 1024 resident words
-		sys, err := NewSystem(cfg, Options{DRAMRead: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.SetRegions(0, 4096, 8192, 16, 16384, 16)
-		return sys, rec
+	rec := &trace.Recorder{}
+	cfg := config.New()
+	cfg.IfmapSRAMKB = 2 // 1024 resident words
+	streak, err := NewSystem(cfg, Options{DRAMRead: rec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	streak, sRec := build()
-	elems, eRec := build()
+	streak.SetRegions(0, 4096, 8192, 16, 16384, 16)
+	var refTrace []trace.Entry
+	ref := newRefBuffer(streak.Ifmap.EffectiveWords(), false, &refTrace)
 	for _, b := range batches {
 		streak.Ifmap.ConsumeRuns(b.cycle, b.runs)
-		elems.Ifmap.Consume(b.cycle, trace.ExpandRuns(b.runs, nil))
+		ref.Consume(b.cycle, trace.ExpandRuns(b.runs, nil))
 	}
 	if !streak.Ifmap.set.dense {
 		t.Fatal("buffer left the dense table")
 	}
-	if !reflect.DeepEqual(sRec.Entries, eRec.Entries) {
-		t.Error("DRAM-side address sequence differs from the element path")
+	if !reflect.DeepEqual(rec.Entries, refTrace) {
+		t.Error("DRAM-side address sequence differs from the per-address reference")
 	}
-	if sr, er := streak.Report(1000), elems.Report(1000); !reflect.DeepEqual(sr, er) {
-		t.Errorf("reports differ:\nstreak: %+v\nelems:  %+v", sr, er)
+	if got, want := [2]int64{streak.Ifmap.SRAMReads, streak.Ifmap.DRAMReads}, [2]int64{ref.sram, ref.dram}; got != want {
+		t.Errorf("SRAM and DRAM reads %v, reference %v", got, want)
 	}
-	if streak.Ifmap.Evictions != elems.Ifmap.Evictions || streak.Ifmap.Evictions == 0 {
-		t.Errorf("evictions %d, element path %d, want equal and nonzero", streak.Ifmap.Evictions, elems.Ifmap.Evictions)
+	if !reflect.DeepEqual(streak.IfmapBW.Profile(), ref.meter.Profile()) {
+		t.Error("bandwidth profile differs from the reference")
+	}
+	if streak.Ifmap.Evictions != ref.fifo.evictions || streak.Ifmap.Evictions == 0 {
+		t.Errorf("evictions %d, reference %d, want equal and nonzero", streak.Ifmap.Evictions, ref.fifo.evictions)
 	}
 }
 
@@ -174,7 +212,7 @@ func (c *runCapture) ConsumeRuns(_ int64, runs []trace.Run) {
 // arrives as that run, adjacent streaks coalesce, and a flush is one list.
 func TestMissStreaksArriveAsRuns(t *testing.T) {
 	rd := &runCapture{}
-	b, err := NewReadBuffer("r", 1024, false, rd, nil)
+	b, err := NewReadBuffer("r", 2048, rd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +229,7 @@ func TestMissStreaksArriveAsRuns(t *testing.T) {
 	}
 
 	wr := &runCapture{}
-	w, err := NewWriteBuffer("w", 1024, false, wr, nil)
+	w, err := NewWriteBuffer("w", 2048, wr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +255,14 @@ func TestReadBufferRegionFallback(t *testing.T) {
 	}
 
 	ref := &trace.Recorder{}
-	plain, err := NewReadBuffer("ref", 16, false, ref, nil)
+	plain, err := NewReadBuffer("ref", 32, ref, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(plain)
 
 	rec := &trace.Recorder{}
-	declared, err := NewReadBuffer("declared", 16, false, rec, nil)
+	declared, err := NewReadBuffer("declared", 32, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +295,14 @@ func TestWriteBufferRegionFallback(t *testing.T) {
 	}
 
 	ref := &trace.Recorder{}
-	plain, err := NewWriteBuffer("ref", 8, false, ref, nil) // capacity 8, no double buffering
+	plain, err := NewWriteBuffer("ref", 16, ref, nil) // 8 resident words
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(plain)
 
 	rec := &trace.Recorder{}
-	declared, err := NewWriteBuffer("declared", 8, false, rec, nil)
+	declared, err := NewWriteBuffer("declared", 16, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

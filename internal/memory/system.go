@@ -55,17 +55,17 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 		wordBytes: wb,
 	}
 	var err error
-	s.Ifmap, err = NewReadBuffer("ifmap", cfg.IfmapSRAMWords(), true,
+	s.Ifmap, err = NewReadBuffer("ifmap", cfg.IfmapSRAMWords(),
 		trace.Tee(opt.DRAMRead, opt.DRAMIfmapTap), s.IfmapBW)
 	if err != nil {
 		return nil, err
 	}
-	s.Filter, err = NewReadBuffer("filter", cfg.FilterSRAMWords(), true,
+	s.Filter, err = NewReadBuffer("filter", cfg.FilterSRAMWords(),
 		trace.Tee(opt.DRAMRead, opt.DRAMFilterTap), s.FilterBW)
 	if err != nil {
 		return nil, err
 	}
-	s.Ofmap, err = NewWriteBuffer("ofmap", cfg.OfmapSRAMWords(), true,
+	s.Ofmap, err = NewWriteBuffer("ofmap", cfg.OfmapSRAMWords(),
 		trace.Tee(opt.DRAMWrite, opt.DRAMOfmapTap), s.OfmapBW)
 	if err != nil {
 		return nil, err

@@ -25,8 +25,9 @@ import (
 
 // Sinks receive the three SRAM trace streams of a run. Nil members discard
 // their stream. Each cycle's batch is delivered in run form when the
-// consumer implements trace.RunConsumer; legacy consumers receive the
-// identical expanded batch through a shared materializing adapter.
+// consumer implements trace.RunConsumer; element-only consumers (a
+// trace.ConsumerFunc) receive the identical expanded batch through
+// trace.Runs' materializing adapter.
 type Sinks struct {
 	// IfmapRead receives IFMAP SRAM read events.
 	IfmapRead trace.Consumer

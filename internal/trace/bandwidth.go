@@ -39,12 +39,7 @@ func NewBandwidthMeter(windowCycles, wordBytes int64) *BandwidthMeter {
 }
 
 // Consume implements Consumer.
-func (b *BandwidthMeter) Consume(cycle int64, addrs []int64) {
-	if len(addrs) == 0 {
-		return
-	}
-	b.Add(cycle, int64(len(addrs)))
-}
+func (b *BandwidthMeter) Consume(cycle int64, addrs []int64) { ConsumeAddrs(b, cycle, addrs) }
 
 // ConsumeRuns implements RunConsumer: only the word count matters, so runs
 // are never expanded.

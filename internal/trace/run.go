@@ -1,5 +1,7 @@
 package trace
 
+import "sync"
+
 // Run is a strided address segment: Count addresses forming the arithmetic
 // progression Base, Base+Stride, ..., Base+(Count-1)*Stride. The simulator's
 // address generators are affine (row-major layouts walked by skewed
@@ -49,7 +51,9 @@ func ExpandRuns(runs []Run, dst []int64) []int64 {
 // coalescing with the final run when the new segment continues its
 // progression — so producers can emit candidate segments freely (e.g. at
 // every potential layout wrap) and still get a minimal list. count < 1 is a
-// no-op.
+// no-op. A run is an exact progression: two addresses whose step does not
+// fit in an int64 (MaxInt64 then MinInt64) stay in separate runs rather
+// than coalescing into one that wraps.
 func AppendRun(runs []Run, base, stride, count int64) []Run {
 	if count < 1 {
 		return runs
@@ -59,23 +63,27 @@ func AppendRun(runs []Run, base, stride, count int64) []Run {
 		switch {
 		case last.Count == 1 && count == 1:
 			// Two singletons define their own stride.
-			last.Stride = base - last.Base
-			last.Count = 2
-			return runs
-		case last.Count == 1 && base == last.Base+stride:
+			if d := base - last.Base; follows(last.Base, d, base) {
+				last.Stride = d
+				last.Count = 2
+				return runs
+			}
+		case last.Count == 1 && follows(last.Base, stride, base):
 			// Singleton extended by a segment that points back at it.
 			last.Stride = stride
 			last.Count = 1 + count
 			return runs
-		case count == 1 && base == last.Base+last.Count*last.Stride:
-			last.Count++
-			return runs
-		case stride == last.Stride && base == last.Base+last.Count*last.Stride:
+		case (count == 1 || stride == last.Stride) && follows(last.Last(), last.Stride, base):
 			last.Count += count
 			return runs
 		}
 	}
 	return append(runs, Run{Base: base, Stride: stride, Count: count})
+}
+
+// follows reports whether b is a+stride without wrapping int64.
+func follows(a, stride, b int64) bool {
+	return a+stride == b && (b < a) == (stride < 0)
 }
 
 // AppendAddr appends a single address onto a run list, coalescing runs of
@@ -90,11 +98,28 @@ func AppendAddr(runs []Run, addr int64) []Run {
 // addresses as an ordered run list. The runs slice is only valid for the
 // duration of the call; implementations that retain it must copy.
 //
-// Expanding the runs in order yields exactly the byte sequence the legacy
-// element path produces, so a consumer may implement either interface (or
-// both) and observe identical traces.
+// ConsumeRuns is every product consumer's only body: its Consume is
+// ConsumeAddrs over itself, so both entry points observe the same trace.
 type RunConsumer interface {
 	ConsumeRuns(cycle int64, runs []Run)
+}
+
+// runBufs recycles ConsumeAddrs' run lists, keeping the element entry point
+// free of per-call allocation.
+var runBufs = sync.Pool{New: func() any { return new([]Run) }}
+
+// ConsumeAddrs is the one element→run shim: it compresses a batch of
+// addresses into runs and hands them to c.ConsumeRuns. A run-native
+// consumer's Consume method is exactly this call.
+func ConsumeAddrs(c RunConsumer, cycle int64, addrs []int64) {
+	buf := runBufs.Get().(*[]Run)
+	runs := (*buf)[:0]
+	for _, a := range addrs {
+		runs = AppendAddr(runs, a)
+	}
+	c.ConsumeRuns(cycle, runs)
+	*buf = runs
+	runBufs.Put(buf)
 }
 
 // BlockConsumer is an optional capability beside RunConsumer: a producer
@@ -118,10 +143,9 @@ type BlockConsumer interface {
 	EndBlock()
 }
 
-// runExpander adapts a legacy Consumer to RunConsumer by materializing runs
-// into a reusable buffer — the shared fallback for consumers without a
-// native run path. Not safe for concurrent use (per-stream consumers never
-// are).
+// runExpander adapts an element-only Consumer (a ConsumerFunc, a caller's
+// own sink) to RunConsumer by materializing runs into a reusable buffer.
+// Not safe for concurrent use (per-stream consumers never are).
 type runExpander struct {
 	c   Consumer
 	buf []int64
@@ -131,10 +155,6 @@ func (e *runExpander) ConsumeRuns(cycle int64, runs []Run) {
 	e.buf = ExpandRuns(runs, e.buf[:0])
 	e.c.Consume(cycle, e.buf)
 }
-
-// Consume forwards element batches unchanged, so the adapter remains a
-// valid Consumer for producers that mix both calls.
-func (e *runExpander) Consume(cycle int64, addrs []int64) { e.c.Consume(cycle, addrs) }
 
 // Runs returns c's native run path when it has one, or wraps it in a
 // materializing adapter (one reusable buffer, no per-cycle allocation).

@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
+	"math/big"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -148,6 +152,37 @@ func TestTeeRunPath(t *testing.T) {
 	}
 }
 
+// TestConsumeAddrsConcurrent: the shim's pooled run lists are per call, so
+// consumers fed from several goroutines at once each record exactly their
+// own batches.
+func TestConsumeAddrsConcurrent(t *testing.T) {
+	const workers, batches = 8, 500
+	recs := make([]Recorder, workers)
+	var wg sync.WaitGroup
+	for w := range recs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				recs[w].Consume(int64(i), []int64{int64(w), int64(w + i), int64(w + 2*i), 7})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range recs {
+		for i, e := range recs[w].Entries {
+			if want := []int64{int64(w), int64(w + i), int64(w + 2*i), 7}; e.Cycle != int64(i) || !reflect.DeepEqual(e.Addrs, want) {
+				t.Fatalf("worker %d batch %d recorded %+v, want %v", w, i, e, want)
+			}
+		}
+		if len(recs[w].Entries) != batches {
+			t.Errorf("worker %d recorded %d batches, want %d", w, len(recs[w].Entries), batches)
+		}
+	}
+}
+
+// TestStatsConsumeRunsMatchesConsume: the run body counts what a
+// per-address reference counts over the expanded batches.
 func TestStatsConsumeRunsMatchesConsume(t *testing.T) {
 	batches := []struct {
 		cycle int64
@@ -158,13 +193,23 @@ func TestStatsConsumeRunsMatchesConsume(t *testing.T) {
 		{7, []Run{{0, 0, 1}, {50, 2, 6}}},
 		{9, []Run{{3, -1, 2}}},
 	}
-	viaRuns, viaElems := NewStats(), NewStats()
+	got, want := NewStats(), Stats{FirstCycle: -1}
 	for _, b := range batches {
-		viaRuns.ConsumeRuns(b.cycle, b.runs)
-		viaElems.Consume(b.cycle, ExpandRuns(b.runs, nil))
+		got.ConsumeRuns(b.cycle, b.runs)
+		addrs := ExpandRuns(b.runs, nil)
+		if len(addrs) == 0 {
+			continue
+		}
+		want.Events++
+		want.Accesses += int64(len(addrs))
+		if want.FirstCycle < 0 {
+			want.FirstCycle = b.cycle
+		}
+		want.LastCycle = max(want.LastCycle, b.cycle)
+		want.MaxPerCycle = max(want.MaxPerCycle, len(addrs))
 	}
-	if !reflect.DeepEqual(viaRuns, viaElems) {
-		t.Errorf("run path %+v != element path %+v", viaRuns, viaElems)
+	if *got != want {
+		t.Errorf("run path %+v != per-address reference %+v", *got, want)
 	}
 }
 
@@ -178,6 +223,19 @@ func TestRecorderConsumeRuns(t *testing.T) {
 	}
 }
 
+// refCSVRow is the per-address serializer the run path must match: one
+// strconv.AppendInt per value, nothing for an empty batch.
+func refCSVRow(dst []byte, cycle int64, addrs []int64) []byte {
+	if len(addrs) == 0 {
+		return dst
+	}
+	dst = strconv.AppendInt(dst, cycle, 10)
+	for _, a := range addrs {
+		dst = strconv.AppendInt(append(dst, ", "...), a, 10)
+	}
+	return append(dst, '\n')
+}
+
 func TestCSVWriterRunPathByteIdentical(t *testing.T) {
 	batches := []struct {
 		cycle int64
@@ -185,36 +243,99 @@ func TestCSVWriterRunPathByteIdentical(t *testing.T) {
 	}{
 		{0, []Run{{1, 1, 5}}},
 		{1, []Run{{-4, 2, 3}, {1000000, 0, 1}}},
-		{2, nil}, // empty batches emit nothing on either path
+		{2, nil}, // empty batches emit nothing
 		{17, []Run{{9, -3, 4}}},
 		{18, []Run{{97, 1, 6}}},     // digit growth: 99 -> 100
 		{19, []Run{{995, 131, 4}}},  // multi-digit carries
 		{20, []Run{{0, 999999, 3}}}, // large stride, repeated growth
 		{21, []Run{{100, -1, 4}}},   // negative stride, digit shrink path
 		{22, []Run{{5, 0, 3}, {9, 1, 2}, {999, 1, 2}}},
+		{23, []Run{{math.MaxInt64 - 10, 5, 3}, {math.MinInt64, 1, 2}}}, // the int64 edges
+		{24, []Run{{math.MaxInt64, -math.MaxInt64, 2}}},                // MaxInt64, then 0
 	}
-	var viaRuns, viaElems bytes.Buffer
-	wr, we := NewCSVWriter(&viaRuns), NewCSVWriter(&viaElems)
+	var got bytes.Buffer
+	w := NewCSVWriter(&got)
+	var want []byte
 	for _, b := range batches {
-		wr.ConsumeRuns(b.cycle, b.runs)
-		we.Consume(b.cycle, ExpandRuns(b.runs, nil))
+		w.ConsumeRuns(b.cycle, b.runs)
+		want = refCSVRow(want, b.cycle, ExpandRuns(b.runs, nil))
 	}
-	if err := wr.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := we.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaRuns.Bytes(), viaElems.Bytes()) {
-		t.Errorf("run path:\n%s\nelement path:\n%s", viaRuns.Bytes(), viaElems.Bytes())
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("run path:\n%s\nper-address reference:\n%s", got.Bytes(), want)
 	}
 	// Round-trips through the parser as well.
-	rec, err := ParseCSV(bytes.NewReader(viaRuns.Bytes()))
+	rec, err := ParseCSV(bytes.NewReader(got.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Accesses() != 37 {
-		t.Errorf("parsed %d accesses, want 37", rec.Accesses())
+	if rec.Accesses() != 44 {
+		t.Errorf("parsed %d accesses, want 44", rec.Accesses())
+	}
+}
+
+// exact reports whether every address of r, computed without wrapping,
+// fits in an int64 and is what At returns.
+func exact(r Run) bool {
+	for i := int64(0); i < r.Count; i++ {
+		v := new(big.Int).Mul(big.NewInt(i), big.NewInt(r.Stride))
+		if v.Add(v, big.NewInt(r.Base)); !v.IsInt64() || v.Int64() != r.At(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunsNeverWrap: a step that does not fit in an int64 never coalesces,
+// so every run is an exact progression, and the CSV serializer, which adds
+// strides in decimal, writes each address as itself.
+func TestRunsNeverWrap(t *testing.T) {
+	const hi, lo = math.MaxInt64, math.MinInt64
+	for _, tc := range []struct {
+		name string
+		adds [][3]int64 // base, stride, count
+	}{
+		{"two singletons up", [][3]int64{{hi, 0, 1}, {lo, 0, 1}}},
+		{"two singletons down", [][3]int64{{lo, 0, 1}, {hi, 0, 1}}},
+		{"singleton then segment", [][3]int64{{hi, 0, 1}, {lo, 1, 3}}},
+		{"run then singleton", [][3]int64{{hi - 1, 1, 2}, {lo, 0, 1}}},
+		{"run then segment", [][3]int64{{hi - 1, 1, 2}, {lo, 1, 2}}},
+		{"descending run then singleton", [][3]int64{{lo + 1, -1, 2}, {hi, 0, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var runs []Run
+			var addrs []int64
+			for _, a := range tc.adds {
+				runs = AppendRun(runs, a[0], a[1], a[2])
+				addrs = Run{Base: a[0], Stride: a[1], Count: a[2]}.AppendTo(addrs)
+			}
+			for _, r := range runs {
+				if !exact(r) {
+					t.Errorf("run %+v wraps int64", r)
+				}
+			}
+			if got := ExpandRuns(runs, nil); !reflect.DeepEqual(got, addrs) {
+				t.Errorf("expansion %v, want %v", got, addrs)
+			}
+			var csv bytes.Buffer
+			w := NewCSVWriter(&csv)
+			w.ConsumeRuns(0, runs)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if want := refCSVRow(nil, 0, addrs); !bytes.Equal(csv.Bytes(), want) {
+				t.Errorf("CSV row %q, want %q", csv.Bytes(), want)
+			}
+		})
+	}
+	// The same pair through the element entry point.
+	var csv bytes.Buffer
+	w := NewCSVWriter(&csv)
+	w.Consume(0, []int64{hi, lo})
+	if err := w.Flush(); err != nil || csv.String() != "0, 9223372036854775807, -9223372036854775808\n" {
+		t.Errorf("Consume wrote %q (%v)", csv.String(), err)
 	}
 }
 

@@ -58,12 +58,7 @@ func NewStallAnalyzer(wordsPerCycle float64) *StallAnalyzer {
 }
 
 // Consume implements Consumer.
-func (s *StallAnalyzer) Consume(cycle int64, addrs []int64) {
-	if len(addrs) == 0 {
-		return
-	}
-	s.Add(cycle, int64(len(addrs)))
-}
+func (s *StallAnalyzer) Consume(cycle int64, addrs []int64) { ConsumeAddrs(s, cycle, addrs) }
 
 // ConsumeRuns implements RunConsumer: cumulative demand needs only the
 // word count, so runs are never expanded.

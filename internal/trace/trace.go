@@ -32,52 +32,32 @@ type ConsumerFunc func(cycle int64, addrs []int64)
 // Consume calls f.
 func (f ConsumerFunc) Consume(cycle int64, addrs []int64) { f(cycle, addrs) }
 
-// nullConsumer discards events on both the element and the run path.
+// nullConsumer discards events.
 type nullConsumer struct{}
 
-func (nullConsumer) Consume(int64, []int64)   {}
-func (nullConsumer) ConsumeRuns(int64, []Run) {}
+func (n nullConsumer) Consume(cycle int64, addrs []int64) { ConsumeAddrs(n, cycle, addrs) }
+func (nullConsumer) ConsumeRuns(int64, []Run)             {}
 
 // Null discards all events.
 var Null Consumer = nullConsumer{}
 
-// tee fans events out to several consumers. On the run path each member's
-// native RunConsumer is used when it has one; the remaining legacy members
-// share a single materialization of the runs (expanded at most once per
-// event into a reusable buffer).
-type tee struct {
-	all []Consumer
-	// runs[i] is all[i]'s native run path, nil for legacy consumers.
-	runs []RunConsumer
-	buf  []int64
-}
+// tee fans events out to several consumers, each on its run path
+// (trace.Runs), so run batches reach run-native members unexpanded and an
+// element-only member gets its own materialization.
+type tee struct{ members []RunConsumer }
 
-func (t *tee) Consume(cycle int64, addrs []int64) {
-	for _, c := range t.all {
-		c.Consume(cycle, addrs)
-	}
-}
+func (t *tee) Consume(cycle int64, addrs []int64) { ConsumeAddrs(t, cycle, addrs) }
 
 func (t *tee) ConsumeRuns(cycle int64, runs []Run) {
-	expanded := false
-	for i, c := range t.all {
-		if rc := t.runs[i]; rc != nil {
-			rc.ConsumeRuns(cycle, runs)
-			continue
-		}
-		if !expanded {
-			t.buf = ExpandRuns(runs, t.buf[:0])
-			expanded = true
-		}
-		c.Consume(cycle, t.buf)
+	for _, c := range t.members {
+		c.ConsumeRuns(cycle, runs)
 	}
 }
 
 // Tee fans events out to every non-nil consumer in order. Nil consumers
 // are dropped, the sole survivor is returned directly, and nil comes back
 // when nothing remains — so optional consumers compose without nil-adapter
-// boilerplate at the call sites. The returned consumer is run-aware: run
-// batches reach run-native members unexpanded.
+// boilerplate at the call sites.
 func Tee(consumers ...Consumer) Consumer {
 	live := make([]Consumer, 0, len(consumers))
 	for _, c := range consumers {
@@ -91,11 +71,9 @@ func Tee(consumers ...Consumer) Consumer {
 	case 1:
 		return live[0]
 	}
-	t := &tee{all: live, runs: make([]RunConsumer, len(live))}
+	t := &tee{members: make([]RunConsumer, len(live))}
 	for i, c := range live {
-		if rc, ok := c.(RunConsumer); ok {
-			t.runs[i] = rc
-		}
+		t.members[i] = Runs(c)
 	}
 	return t
 }
@@ -118,22 +96,7 @@ type Stats struct {
 func NewStats() *Stats { return &Stats{FirstCycle: -1} }
 
 // Consume implements Consumer.
-func (s *Stats) Consume(cycle int64, addrs []int64) {
-	if len(addrs) == 0 {
-		return
-	}
-	s.Events++
-	s.Accesses += int64(len(addrs))
-	if s.FirstCycle < 0 {
-		s.FirstCycle = cycle
-	}
-	if cycle > s.LastCycle {
-		s.LastCycle = cycle
-	}
-	if len(addrs) > s.MaxPerCycle {
-		s.MaxPerCycle = len(addrs)
-	}
-}
+func (s *Stats) Consume(cycle int64, addrs []int64) { ConsumeAddrs(s, cycle, addrs) }
 
 // ConsumeRuns implements RunConsumer without expanding the runs.
 func (s *Stats) ConsumeRuns(cycle int64, runs []Run) {
@@ -184,14 +147,7 @@ type Entry struct {
 }
 
 // Consume implements Consumer, copying the batch.
-func (r *Recorder) Consume(cycle int64, addrs []int64) {
-	if len(addrs) == 0 {
-		return
-	}
-	cp := make([]int64, len(addrs))
-	copy(cp, addrs)
-	r.Entries = append(r.Entries, Entry{Cycle: cycle, Addrs: cp})
-}
+func (r *Recorder) Consume(cycle int64, addrs []int64) { ConsumeAddrs(r, cycle, addrs) }
 
 // ConsumeRuns implements RunConsumer, expanding the runs into the entry.
 func (r *Recorder) ConsumeRuns(cycle int64, runs []Run) {
@@ -252,9 +208,8 @@ func (r *Recorder) SortedDistinct() []int64 {
 
 // CSVWriter streams events as SCALE-Sim style trace CSV: each row is
 // "cycle, addr, addr, ...". It buffers internally; call Flush when done.
-// Run batches are serialized directly from the runs — expanding digits into
-// a reusable line buffer — so a row costs no per-event allocation on either
-// path.
+// Rows are serialized directly from the runs — expanding digits into a
+// reusable line buffer — so a row costs no per-event allocation.
 type CSVWriter struct {
 	w   *bufio.Writer
 	buf []byte // reusable line buffer
@@ -267,19 +222,7 @@ func NewCSVWriter(w io.Writer) *CSVWriter {
 }
 
 // Consume implements Consumer.
-func (c *CSVWriter) Consume(cycle int64, addrs []int64) {
-	if c.err != nil || len(addrs) == 0 {
-		return
-	}
-	buf := strconv.AppendInt(c.buf[:0], cycle, 10)
-	for _, a := range addrs {
-		buf = append(buf, ',', ' ')
-		buf = strconv.AppendInt(buf, a, 10)
-	}
-	buf = append(buf, '\n')
-	_, c.err = c.w.Write(buf)
-	c.buf = buf
-}
+func (c *CSVWriter) Consume(cycle int64, addrs []int64) { ConsumeAddrs(c, cycle, addrs) }
 
 // ConsumeRuns implements RunConsumer, expanding runs lazily into the line
 // buffer without materializing an address slice. Non-negative progressions
@@ -364,12 +307,14 @@ func ParseCSV(r io.Reader) (*Recorder, error) {
 }
 
 // ScanCSV streams a trace CSV into a consumer row by row without
-// materializing it; the batch slice is reused between rows.
+// materializing it: each row is compressed into runs (one reused run list)
+// and handed to c's run path.
 func ScanCSV(r io.Reader, c Consumer) error {
+	rc := Runs(c)
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	line := 0
-	var addrs []int64
+	var runs []Run
 	for scanner.Scan() {
 		line++
 		text := scanner.Text()
@@ -377,7 +322,7 @@ func ScanCSV(r io.Reader, c Consumer) error {
 			continue
 		}
 		var cycle int64
-		addrs = addrs[:0]
+		runs = runs[:0]
 		first := true
 		for len(text) > 0 {
 			var field string
@@ -394,16 +339,16 @@ func ScanCSV(r io.Reader, c Consumer) error {
 				cycle = v
 				first = false
 			} else {
-				addrs = append(addrs, v)
+				runs = AppendAddr(runs, v)
 			}
 		}
-		if len(addrs) == 0 {
+		if len(runs) == 0 {
 			return fmt.Errorf("trace: line %d: no addresses", line)
 		}
-		c.Consume(cycle, addrs)
+		rc.ConsumeRuns(cycle, runs)
 	}
 	if err := scanner.Err(); err != nil {
-		return fmt.Errorf("trace: %w", err)
+		return fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return nil
 }

@@ -9,11 +9,13 @@ package tracetools
 
 import (
 	"sort"
+
+	"scalesim/internal/trace"
 )
 
 // ReuseProfiler computes LRU stack distances of a word-granular access
-// stream. It implements trace.Consumer so it can tap a live simulation, or
-// be fed a parsed trace.
+// stream. It implements trace.Consumer and trace.RunConsumer so it can tap a
+// live simulation, or be fed a scanned trace.
 type ReuseProfiler struct {
 	// slot[addr] is the compressed time index of the address's last access.
 	slot map[int64]int32
@@ -42,11 +44,18 @@ func NewReuseProfiler() *ReuseProfiler {
 	}
 }
 
-// Consume implements trace.Consumer; the cycle is irrelevant to stack
-// distances.
-func (p *ReuseProfiler) Consume(_ int64, addrs []int64) {
-	for _, a := range addrs {
-		p.Touch(a)
+// Consume implements trace.Consumer.
+func (p *ReuseProfiler) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(p, cycle, addrs) }
+
+// ConsumeRuns implements trace.RunConsumer, touching every address in
+// order; the cycle is irrelevant to stack distances.
+func (p *ReuseProfiler) ConsumeRuns(_ int64, runs []trace.Run) {
+	for _, r := range runs {
+		a := r.Base
+		for i := int64(0); i < r.Count; i++ {
+			p.Touch(a)
+			a += r.Stride
+		}
 	}
 }
 

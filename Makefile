@@ -101,7 +101,9 @@ figures-check:
 # (a directory is its own index: no index schema, rebuild or flush) and of
 # the trace consumers ("Strided trace representation": every Consume method
 # but ConsumerFunc's is the one-line trace.ConsumeAddrs shim, the only loop
-# over an element batch), over non-test Go outside bench/.
+# over an element batch) and of the run record ("Cycle accounting": one
+# roll-up builds every manifest's entries and cycle account), over non-test
+# Go outside bench/.
 # cmd/traceanalyze keeps its own offline -timeline flag (trace files in, no
 # run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
@@ -119,6 +121,8 @@ lint-structure:
 	@! grep -nE 'IndexSchema|lruIndexName|lruSchema|writeLRUIndex|func \(s \*Store\) Rebuild|func \(c \*Cache\) Flush' $(SRC)
 	@! grep -nE '^func \([^)]*\) Consume\(' $(SRC) | grep -vE -e '\) Consume\(cycle int64, addrs \[\]int64\) \{ (trace\.)?ConsumeAddrs\([a-z]+, cycle, addrs\) \}$$' -e '^internal/trace/trace\.go:[0-9]+:func \(f ConsumerFunc\) Consume\('
 	@test "$$(grep -c 'range addrs' $(SRC) | grep -v ':0$$')" = internal/trace/run.go:1
+	@test "$$(grep -l 'cycleacct\.NewReport(' $(SRC))" = internal/obsv/manifest.go
+	@! grep -nE 'func \(s \*Simulator\) CycleReport|func CycleReport' $(SRC)
 	@echo "lint-structure: ok"
 
 examples:
@@ -127,6 +131,7 @@ examples:
 	$(GO) run ./examples/provisioning
 	$(GO) run ./examples/inception
 	$(GO) run ./examples/resnet50
+	$(GO) run ./examples/scalingstudy
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -167,7 +167,10 @@ func seedSimulated(t *testing.T, dir string) (string, *obsv.Manifest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sim.Manifest(res)
+	m, err := sim.Manifest(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := s.Add(m)
 	if err != nil {
 		t.Fatal(err)

@@ -30,13 +30,18 @@ func main() {
 
 	// 2. Cycle-accurate sweep over partition counts with the paper's
 	// Fig. 11 memory budget: runtime falls, bandwidth demand rises, and
-	// energy has a sweet spot in between.
+	// energy has a sweet spot in between. SweetSpot runs the sweep once
+	// and returns it beside its pick (also when nothing fits the budget):
+	// the fastest configuration whose average bandwidth demand stays under
+	// the platform budget. TF0's huge output matrix makes its floor high,
+	// so we allow an HBM-ish 64 bytes/cycle.
 	base := scalesim.NewConfig().
 		WithSRAM(512, 512, 256).
 		WithDataflow(scalesim.OutputStationary)
-	results, err := scalesim.ScaleOutSweep(tf0, base, macs, []int64{1, 4, 16, 64}, 8,
-		scalesim.ScaleOutOptions{})
-	if err != nil {
+	const bwBudget = 64.0
+	pick, results, err := scalesim.SweetSpot(tf0, base, macs, []int64{1, 4, 16, 64}, 8,
+		bwBudget, scalesim.ScaleOutOptions{})
+	if results == nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-10s %-14s %10s %12s %12s %14s\n",
@@ -47,12 +52,7 @@ func main() {
 			r.AvgDRAMBW(), r.PeakDRAMBW, r.Energy.Total())
 	}
 
-	// 3. The sweet spot: fastest configuration whose average bandwidth
-	// demand stays under the platform budget. TF0's huge output matrix
-	// makes its floor high, so we allow an HBM-ish 64 bytes/cycle.
-	const bwBudget = 64.0
-	pick, _, err := scalesim.SweetSpot(tf0, base, macs, []int64{1, 4, 16, 64}, 8,
-		bwBudget, scalesim.ScaleOutOptions{})
+	// 3. The sweet spot.
 	if err != nil {
 		fmt.Printf("\n%v\n", err)
 		return

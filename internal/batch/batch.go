@@ -14,7 +14,6 @@ import (
 	"scalesim/internal/core"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
-	"scalesim/internal/obsv/log"
 	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
@@ -160,52 +159,33 @@ func (s Spec) Points() []Point {
 	return pts
 }
 
-// NewManifest assembles a sweep manifest: one manifest entry per grid
-// point (total cycles, utilization, DRAM traffic, wall time) on top of
-// the recorder's phases, spans and runtime stats, under the base
+// NewManifest assembles a sweep manifest: one entry per grid point (total
+// cycles, utilization, DRAM traffic, wall time) with the point's merged
+// ledger as its cycle node — sweeps model no DRAM bound or scale-out grid,
+// so only array and vector bins appear and no roofline is attached — on
+// top of the recorder's phases, spans and runtime stats, under the base
 // configuration's hash and the cache's counters (nil = no block). rows
-// must be the grid the recorder observed.
-func NewManifest(baseHash string, rows []Row, rec *obsv.Recorder, cache *simcache.Cache) *obsv.Manifest {
-	m := rec.Manifest()
-	m.Tool = "scalesweep"
-	m.ConfigHash = baseHash
-	m.Cache = cache.ManifestStats()
-	m.Layers = make([]obsv.LayerMetrics, 0, len(rows))
+// must be the grid the recorder observed; a row whose books do not close
+// is an error.
+func NewManifest(baseHash string, rows []Row, rec *obsv.Recorder, cache *simcache.Cache) (*obsv.Manifest, error) {
+	units := make([]obsv.Unit, len(rows))
 	for i, r := range rows {
-		m.Layers = append(m.Layers, obsv.LayerMetrics{
-			Index:       i,
+		units[i] = obsv.Unit{Ledger: r.Ledger, Entry: obsv.LayerMetrics{
 			Name:        r.Label(),
 			Cycles:      r.TotalCycles,
 			Utilization: r.ComputeUtil,
 			DRAMReads:   r.DRAMReads,
 			DRAMWrites:  r.DRAMWrites,
-			WallSeconds: rec.LayerSeconds(i),
-		})
+		}}
 	}
-	if ca, err := CycleReport(rows); err != nil {
-		log.Default().Error("batch", "cycle accounting", "error", err)
-	} else {
-		m.CycleAccounting = ca
+	m, err := rec.Record(units)
+	if err != nil {
+		return nil, err
 	}
-	return m
-}
-
-// CycleReport assembles the sweep's cycle account: one node per row,
-// named by the row's point label, carrying the point's merged ledger.
-// Sweeps model no DRAM bound or scale-out grid, so only array and vector
-// bins appear and no roofline is attached. A ledgerless row (an
-// incomplete account) is an error.
-func CycleReport(rows []Row) (*cycleacct.Report, error) {
-	nodes := make([]cycleacct.NodeLedger, 0, len(rows))
-	for i, r := range rows {
-		if r.Ledger == nil {
-			return nil, fmt.Errorf("batch: row %d (%s) carries no cycle ledger", i, r.Label())
-		}
-		nodes = append(nodes, cycleacct.NodeLedger{
-			Index: i, Name: r.Label(), Ledger: r.Ledger.Clone(),
-		})
-	}
-	return cycleacct.NewReport(nodes)
+	m.Tool = "scalesweep"
+	m.ConfigHash = baseHash
+	m.Cache = cache.ManifestStats()
+	return m, nil
 }
 
 // RowOf condenses a completed run of point p into its Row.

@@ -65,7 +65,10 @@ func TestManifestCarriesCacheStats(t *testing.T) {
 	if _, err := run(spec, cache, rec); err != nil {
 		t.Fatal(err)
 	}
-	m := NewManifest(spec.Base.Hash(), rows, rec, cache)
+	m, err := NewManifest(spec.Base.Hash(), rows, rec, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.ConfigHash != spec.Base.Hash() {
 		t.Fatalf("manifest config hash %q", m.ConfigHash)
 	}
@@ -77,7 +80,9 @@ func TestManifestCarriesCacheStats(t *testing.T) {
 	}
 	// An uncached sweep's manifest must omit the section entirely.
 	plain := tinySpec()
-	if m2 := NewManifest(plain.Base.Hash(), rows, nil, nil); m2.Cache != nil {
+	if m2, err := NewManifest(plain.Base.Hash(), rows, nil, nil); err != nil {
+		t.Fatal(err)
+	} else if m2.Cache != nil {
 		t.Fatal("uncached manifest grew a cache section")
 	}
 }

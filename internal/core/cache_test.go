@@ -259,7 +259,7 @@ func TestCacheStatsInManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res2
-	m := sim.Manifest(res)
+	m := mustManifest(t, sim, res)
 	if m.Cache == nil {
 		t.Fatal("manifest missing cache stats")
 	}

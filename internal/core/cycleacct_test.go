@@ -36,10 +36,7 @@ func checkRunLedgers(t *testing.T, s *Simulator, res RunResult) *cycleacct.Repor
 				i, lr.Compute.Layer.Name, got, lr.StallCycles)
 		}
 	}
-	rep, err := s.CycleReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustManifest(t, s, res).CycleAccounting
 	if err := rep.Check(); err != nil {
 		t.Fatal(err)
 	}

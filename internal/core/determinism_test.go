@@ -181,7 +181,7 @@ func TestTraceDeterminismWithMetrics(t *testing.T) {
 		}
 		runs = append(runs, run{files: files, res: res})
 		if instrument {
-			m := sim.Manifest(res)
+			m := mustManifest(t, sim, res)
 			if err := m.Validate(); err != nil {
 				t.Errorf("instrumented run manifest invalid: %v", err)
 			}

@@ -125,7 +125,7 @@ func TestGraphSchedulingDeterminism(t *testing.T) {
 				files[e.Name()] = data
 			}
 			byWorkers[workers] = outcome{res: res, files: files,
-				manifest: manifestLayersJSON(t, sim.Manifest(res))}
+				manifest: manifestLayersJSON(t, mustManifest(t, sim, res))}
 		}
 		seq, par := byWorkers[1], byWorkers[4]
 		if len(seq.files) == 0 {
@@ -273,7 +273,7 @@ func TestBERTTinyEndToEnd(t *testing.T) {
 		}
 	}
 
-	m := sim.Manifest(res)
+	m := mustManifest(t, sim, res)
 	if m.Topology == nil || m.Topology.Nodes != len(g.Nodes) || m.Topology.Edges != g.Edges() {
 		t.Fatalf("manifest topology: %+v", m.Topology)
 	}

@@ -56,7 +56,7 @@ func TestLoggingAndRegistryPreserveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sim.Manifest(res)
+		return res, mustManifest(t, sim, res)
 	}
 
 	silentDir := t.TempDir()

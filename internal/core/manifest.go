@@ -4,18 +4,50 @@ import (
 	"runtime"
 
 	"scalesim/internal/obsv"
-	"scalesim/internal/obsv/log"
+	"scalesim/internal/obsv/cycleacct"
 )
 
 // Manifest assembles the machine-readable record of a completed run: the
 // configuration hash and topology identity, one entry per layer (cycles,
-// utilization, stalls, DRAM traffic, wall time), and — when Options.Obs
-// was attached — phase timings, engine span aggregates, metric snapshots
-// and Go runtime stats. Works with a nil recorder too; the manifest then
-// carries results without wall-clock costs.
-func (s *Simulator) Manifest(res RunResult) *obsv.Manifest {
-	rec := s.opt.Obs
-	m := rec.Manifest()
+// utilization, stalls, DRAM traffic, wall time) with its checked cycle
+// ledger and roofline row — positioned against the array's compute ceiling
+// (the vector unit's lanes for vector nodes) and Options.DRAMBandwidth
+// (zero: unbounded, so compute-bound) — and, when Options.Obs was
+// attached, phase timings, engine span aggregates, metric snapshots and Go
+// runtime stats. Works with a nil recorder too; the manifest then carries
+// results without wall-clock costs. A layer whose books do not close is an
+// error.
+func (s *Simulator) Manifest(res RunResult) (*obsv.Manifest, error) {
+	peakMACs := float64(s.cfg.MACs())
+	wordBytes := int64(s.cfg.WordBytes)
+	units := make([]obsv.Unit, len(res.Layers))
+	for i, lr := range res.Layers {
+		e := obsv.LayerMetrics{
+			Name:        res.Topology.Layers[i].Name,
+			Op:          string(lr.Kind),
+			Cycles:      lr.Compute.Cycles,
+			StallCycles: lr.StallCycles,
+			StartCycle:  lr.StartCycle,
+			MACs:        lr.Compute.MACs,
+			DRAMReads:   lr.Memory.DRAMReads(),
+			DRAMWrites:  lr.Memory.OfmapDRAMWrites,
+		}
+		if lr.Compute.Cycles > 0 && peakMACs > 0 {
+			e.Utilization = float64(lr.Compute.MACs) / (peakMACs * float64(lr.Compute.Cycles))
+		}
+		ops, peak := lr.Compute.MACs, peakMACs
+		if lr.Vector != nil {
+			e.VectorOps = lr.Vector.Ops
+			ops, peak = lr.Vector.Ops, float64(s.cfg.Lanes())
+		}
+		row := cycleacct.NewRooflineRow(e.Name, e.Op, ops, lr.Memory.DRAMAccesses()*wordBytes,
+			lr.StalledCycles(), peak, s.opt.DRAMBandwidth, wordBytes)
+		units[i] = obsv.Unit{Entry: e, Ledger: lr.Ledger, Roofline: &row}
+	}
+	m, err := s.opt.Obs.Record(units)
+	if err != nil {
+		return nil, err
+	}
 	m.Tool = "scalesim"
 	m.Run = res.Config.RunName
 	m.ConfigHash = res.Config.Hash()
@@ -27,58 +59,7 @@ func (s *Simulator) Manifest(res RunResult) *obsv.Manifest {
 		m.Topology.Nodes = len(res.Graph.Nodes)
 		m.Topology.Edges = res.Graph.Edges()
 	}
-	peakMACs := float64(res.Config.MACs())
-	m.Layers = make([]obsv.LayerMetrics, 0, len(res.Layers))
-	for i, lr := range res.Layers {
-		lm := obsv.LayerMetrics{
-			Index:       i,
-			Name:        res.Topology.Layers[i].Name,
-			Op:          string(lr.Kind),
-			Cycles:      lr.Compute.Cycles,
-			StallCycles: lr.StallCycles,
-			StartCycle:  lr.StartCycle,
-			MACs:        lr.Compute.MACs,
-			DRAMReads:   lr.Memory.DRAMReads(),
-			DRAMWrites:  lr.Memory.OfmapDRAMWrites,
-			WallSeconds: rec.LayerSeconds(i),
-		}
-		if lr.Vector != nil {
-			lm.VectorOps = lr.Vector.Ops
-		}
-		if lr.Compute.Cycles > 0 && peakMACs > 0 {
-			lm.Utilization = float64(lr.Compute.MACs) / (peakMACs * float64(lr.Compute.Cycles))
-		}
-		m.Layers = append(m.Layers, lm)
-	}
 	m.Cache = s.opt.Cache.ManifestStats()
-	// Every pipeline run carries ledgers (live and cached alike); a
-	// failure here means an invariant break and is logged, never hidden
-	// inside a partially-filled manifest.
-	if ca, err := s.CycleReport(res); err != nil {
-		log.Default().Error("core", "cycle accounting", "error", err)
-	} else {
-		m.CycleAccounting = ca
-	}
-	if w := s.opt.Timeline; w != nil {
-		tl := &obsv.TimelineSummary{
-			Events:       w.Events(),
-			WindowCycles: w.Window(),
-		}
-		if peaks := w.CounterPeaks(); len(peaks) > 0 {
-			tl.PeakWordsPerCycle = peaks
-		}
-		for i, lr := range res.Layers {
-			if lr.StallCycles <= 0 {
-				continue
-			}
-			tl.LayerStalls = append(tl.LayerStalls, obsv.LayerStall{
-				Index: i,
-				Name:  res.Topology.Layers[i].Name,
-				StallFraction: float64(lr.StallCycles) /
-					float64(lr.StalledCycles()),
-			})
-		}
-		m.Timeline = tl
-	}
-	return m
+	m.Timeline = s.opt.Timeline.Summary(m.Layers)
+	return m, nil
 }

@@ -8,6 +8,16 @@ import (
 	"scalesim/internal/topology"
 )
 
+// mustManifest is sim.Manifest(res), failing the test on open books.
+func mustManifest(t testing.TB, sim *Simulator, res RunResult) *obsv.Manifest {
+	t.Helper()
+	m, err := sim.Manifest(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestSimulatorManifest(t *testing.T) {
 	topo := topology.TinyNet()
 	cfg := config.New().WithArray(8, 8)
@@ -20,7 +30,7 @@ func TestSimulatorManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sim.Manifest(res)
+	m := mustManifest(t, sim, res)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("manifest invalid: %v", err)
 	}
@@ -84,7 +94,7 @@ func BenchmarkManifestOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			if instrument {
-				if err := sim.Manifest(res).Validate(); err != nil {
+				if err := mustManifest(b, sim, res).Validate(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -118,7 +118,7 @@ func TestTraceDeterminismWithTimeline(t *testing.T) {
 	}
 
 	// The manifest summarizes the export.
-	m := sim.Manifest(timed.res)
+	m := mustManifest(t, sim, timed.res)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("manifest invalid: %v", err)
 	}

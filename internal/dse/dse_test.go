@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -216,6 +217,34 @@ func TestMergeRejects(t *testing.T) {
 	}
 	if _, err := MergeFiles([]string{p0, po}); err == nil {
 		t.Error("merge across fingerprints succeeded")
+	}
+}
+
+// TestMergeRefusesOpenBooks: a part row whose ledger is missing, or whose
+// bins fall short of its total, fails the merge by the row's name — a
+// merged manifest is never published without its cycle account.
+func TestMergeRefusesOpenBooks(t *testing.T) {
+	whole, err := Explore(tinySpace(), Options{}, testRunner(t, nil), job.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, breakIt := range map[string]func(*Row){
+		"null ledger": func(r *Row) { r.Batch.Ledger = nil },
+		"7 unbinned":  func(r *Row) { r.Batch.Ledger.Total += 7 },
+	} {
+		rows := make([]Row, len(whole.Rows))
+		for i, r := range whole.Rows {
+			led := r.Batch.Ledger.Clone()
+			r.Batch.Ledger = &led
+			rows[i] = r
+		}
+		bad := &rows[1]
+		breakIt(bad)
+		_, err := Merge([]*Part{{Header: partHeader{Fingerprint: whole.Fingerprint,
+			BandPoints: whole.Stats.BandPoints, Search: whole.Stats}, Rows: rows}})
+		if err == nil || !strings.Contains(err.Error(), bad.Batch.Label()) {
+			t.Errorf("%s: merge error %v, want one naming %s", name, err, bad.Batch.Label())
+		}
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // FuzzReadPart checks the part-file reader — and the merge that hostile
-// bytes reach through it — never panics, and that an accepted part carries
-// the live schema. Seeds are part files written here: both shards of a
+// bytes reach through it — never panics, that an accepted part carries
+// the live schema, and that an accepted merge keeps its books: one cycle
+// node per row. Seeds are part files written here: both shards of a
 // search, the header-only part an empty shard writes, and damaged copies.
 func FuzzReadPart(f *testing.F) {
 	runner, dir := testRunner(f, nil), f.TempDir()
@@ -40,6 +41,7 @@ func FuzzReadPart(f *testing.F) {
 			f.Add(data[:len(data)*2/3])
 			f.Add(bytes.Replace(data, []byte(PartSchema), []byte("scalesim.dse.part/v0"), 1))
 			f.Add(bytes.Replace(data, []byte(`"band_points":`), []byte(`"band_points":-`), 1))
+			f.Add(bytes.Replace(data, []byte(`"total_cycles":`), []byte(`"total_cycles":7`), 1))
 		}
 	}
 	if !headerOnly {
@@ -58,8 +60,19 @@ func FuzzReadPart(f *testing.F) {
 		if p.Header.Schema != PartSchema {
 			t.Fatalf("ReadPart accepted schema %q", p.Header.Schema)
 		}
-		if res, err := Merge([]*Part{p}); err == nil && int64(len(res.Rows)) != p.Header.BandPoints {
+		res, err := Merge([]*Part{p})
+		if err != nil {
+			return
+		}
+		if int64(len(res.Rows)) != p.Header.BandPoints {
 			t.Fatalf("merged %d rows of a %d-point band", len(res.Rows), p.Header.BandPoints)
+		}
+		nodes := 0
+		if ca := res.Manifest.CycleAccounting; ca != nil {
+			nodes = len(ca.Nodes)
+		}
+		if nodes != len(res.Rows) {
+			t.Fatalf("merged manifest carries %d cycle nodes for %d rows", nodes, len(res.Rows))
 		}
 	})
 }

@@ -166,7 +166,11 @@ func Merge(parts []*Part) (*Result, error) {
 	for i, r := range res.Rows {
 		measured[i] = r.Batch
 	}
-	res.Manifest = res.identify(batch.NewManifest(res.BaseHash, measured, nil, nil))
+	m, err := batch.NewManifest(res.BaseHash, measured, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("dse: merge: %w", err)
+	}
+	res.Manifest = res.identify(m)
 	return res, nil
 }
 

@@ -338,19 +338,22 @@ func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error
 			Progress: j.progress,
 			Context:  ctx,
 		})
+		var m *obsv.Manifest
+		if err == nil {
+			m, err = sim.Manifest(run)
+		}
 		if err != nil {
 			j.progress.Abort(err.Error())
 			return nil, err
 		}
 		j.progress.Finish()
-		return &Result{Run: run, Manifest: sim.Manifest(run)}, nil
+		return &Result{Run: run, Manifest: m}, nil
 	}
 }
 
 // execScaleOut builds the job body for a Parts spec: every layer runs on
 // the partition grid through partition.Run, the job's context checked
-// between layers, and the manifest and the checked cycle report of the
-// run are assembled here, once.
+// between layers, and each joined layer is stated as one manifest unit.
 func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, error) {
 	return func(ctx context.Context, j *Job) (*Result, error) {
 		rec := j.live.Obs
@@ -358,11 +361,9 @@ func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, e
 		system := partition.Spec{Parts: spec.Parts,
 			Shape: analytical.Shape{R: int64(cfg.ArrayHeight), C: int64(cfg.ArrayWidth)}}
 		opt := partition.Options{Parallel: spec.Workers, Cache: r.opt.Cache, Obs: rec, Timeline: j.live.Timeline}
-		wordBytes := int64(cfg.WordBytes)
+		peakMACs, wordBytes := system.MACs(), int64(cfg.WordBytes)
 		results := make([]partition.Result, 0, len(topo.Layers))
-		layers := make([]obsv.LayerMetrics, 0, len(topo.Layers))
-		nodes := make([]cycleacct.NodeLedger, 0, len(topo.Layers))
-		roofline := make([]cycleacct.RooflineRow, 0, len(topo.Layers))
+		units := make([]obsv.Unit, 0, len(topo.Layers))
 		j.progress.Start(len(topo.Layers))
 		for i, l := range topo.Layers {
 			if err := ctx.Err(); err != nil {
@@ -379,27 +380,22 @@ func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, e
 			rec.ObserveLayer(i, l.Name, time.Since(t0))
 			j.progress.Step(l.Name)
 			results = append(results, res)
-			layers = append(layers, obsv.LayerMetrics{
-				Index: i, Name: l.Name, Cycles: res.Cycles, MACs: res.MACs,
-				DRAMReads: res.DRAMReads, DRAMWrites: res.DRAMWrites,
-				WallSeconds: rec.LayerSeconds(i),
-			})
-			nodes = append(nodes, *res.Ledger)
-			nodes[i].Index = i
-			roofline = append(roofline, cycleacct.NewRooflineRow(
-				l.Name, string(topology.OpConv), res.MACs,
-				(res.DRAMReads+res.DRAMWrites)*wordBytes,
-				res.Cycles, float64(system.MACs()), 0, wordBytes))
+			e := obsv.LayerMetrics{Name: l.Name, Op: string(topology.OpConv), Cycles: res.Cycles,
+				MACs: res.MACs, DRAMReads: res.DRAMReads, DRAMWrites: res.DRAMWrites}
+			if res.Cycles > 0 {
+				e.Utilization = float64(res.MACs) / (float64(peakMACs) * float64(res.Cycles))
+			}
+			row := cycleacct.NewRooflineRow(e.Name, e.Op, res.MACs,
+				(res.DRAMReads+res.DRAMWrites)*wordBytes, res.Cycles, float64(peakMACs), 0, wordBytes)
+			units = append(units, obsv.Unit{Entry: e, Ledger: &res.Ledger.Ledger,
+				Partitions: res.Ledger.Partitions, Roofline: &row})
 		}
-		j.progress.Finish()
-		// The same checked roll-up core.CycleReport publishes: books that do
-		// not close fail the job.
-		ca, err := cycleacct.NewReport(nodes)
+		m, err := rec.Record(units)
 		if err != nil {
+			j.progress.Abort(err.Error())
 			return nil, err
 		}
-		ca.Roofline = roofline
-		m := rec.Manifest()
+		j.progress.Finish()
 		m.Tool = "scalesim"
 		m.Run = cfg.RunName
 		m.ConfigHash = cfg.Hash()
@@ -407,9 +403,8 @@ func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, e
 			m.Workers = runtime.GOMAXPROCS(0) // the engine's default resolution
 		}
 		m.Topology = &obsv.TopologyInfo{Name: topo.Name, Layers: len(topo.Layers)}
-		m.Layers = layers
-		m.CycleAccounting = ca
 		m.Cache = r.opt.Cache.ManifestStats()
+		m.Timeline = j.live.Timeline.Summary(m.Layers)
 		return &Result{ScaleOut: results, Manifest: m}, nil
 	}
 }
@@ -474,13 +469,16 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 			return batch.RowOf(points[i], run), nil
 		})
 		endPhase()
+		var m *obsv.Manifest
+		if err == nil {
+			m, err = batch.NewManifest(grid.Base.Hash(), rows, rec, r.opt.Cache)
+		}
 		if err != nil {
 			log.Default().Error("batch", "sweep failed", "points", len(points), "error", err)
 			j.progress.Abort(err.Error())
 			return nil, err
 		}
 		j.progress.Finish()
-		m := batch.NewManifest(grid.Base.Hash(), rows, rec, r.opt.Cache)
 		m.Run = j.run
 		return &Result{Rows: rows, Manifest: m}, nil
 	}

@@ -252,6 +252,57 @@ func (r *Recorder) Manifest() *Manifest {
 	return m
 }
 
+// Unit is what a run's producer knows about one unit of work — a layer,
+// graph node, grid point or scale-out layer — and all it states: Record
+// does the rest.
+type Unit struct {
+	// Entry is the manifest entry; Record sets its Index and WallSeconds.
+	Entry LayerMetrics
+	// Ledger is the unit's closed cycle account and Partitions its
+	// per-partition detail (scale-out only). A nil Ledger is an open book.
+	Ledger     *cycleacct.Ledger
+	Partitions []cycleacct.PartitionLedger
+	// Roofline is the unit's roofline row, when its producer has one.
+	Roofline *cycleacct.RooflineRow
+}
+
+// Record rolls a run's units into its manifest: the recorder's snapshot
+// plus one entry and one cycle node per unit, numbered in order, with each
+// node named after its entry and each entry's wall time taken from the
+// recorder (zero on a nil one). The checked cycle_accounting block carries
+// the units' roofline rows; there is none when there are no units. Books
+// that do not close — a missing ledger, bins that miss the total — are an
+// error, never a manifest without its account.
+func (r *Recorder) Record(units []Unit) (*Manifest, error) {
+	m := r.Manifest()
+	if len(units) == 0 {
+		return m, nil
+	}
+	m.Layers = make([]LayerMetrics, len(units))
+	nodes := make([]cycleacct.NodeLedger, len(units))
+	var roofline []cycleacct.RooflineRow
+	for i, u := range units {
+		e := u.Entry
+		if u.Ledger == nil {
+			return nil, fmt.Errorf("obsv: cycle accounting: unit %d %q has no ledger", i, e.Name)
+		}
+		e.Index, e.WallSeconds = i, r.LayerSeconds(i)
+		m.Layers[i] = e
+		nodes[i] = cycleacct.NodeLedger{Index: i, Name: e.Name, Op: e.Op,
+			Ledger: *u.Ledger, Partitions: u.Partitions}
+		if u.Roofline != nil {
+			roofline = append(roofline, *u.Roofline)
+		}
+	}
+	ca, err := cycleacct.NewReport(nodes)
+	if err != nil {
+		return nil, fmt.Errorf("obsv: cycle accounting: %w", err)
+	}
+	ca.Roofline = roofline
+	m.CycleAccounting = ca
+	return m, nil
+}
+
 // WriteJSON writes the manifest as indented JSON.
 func (m *Manifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scalesim/internal/obsv/cycleacct"
 )
 
 func TestRecorderManifestRoundTrip(t *testing.T) {
@@ -60,6 +62,60 @@ func TestRecorderManifestRoundTrip(t *testing.T) {
 	if back.Tool != "test" || back.Run != "unit" || len(back.Layers) != 2 ||
 		back.Spans.Jobs != 2 || back.Layers[1].Cycles != 20 {
 		t.Errorf("round trip = %+v", back)
+	}
+}
+
+// TestRecordRollsUnits pins the one roll-up every job kind publishes
+// through: units are numbered in order, entries take the recorder's wall
+// times, nodes and entries share index, name and op, roofline rows ride
+// along, no units means no account, and open books are an error naming
+// the unit.
+func TestRecordRollsUnits(t *testing.T) {
+	rec := NewRecorder()
+	rec.ObserveLayer(1, "fc", 5*time.Millisecond)
+	closed := func(cycles int64) *cycleacct.Ledger {
+		l := &cycleacct.Ledger{Total: cycles}
+		l.Add(cycleacct.PhaseArray, cycleacct.MACActive, cycles)
+		return l
+	}
+	row := cycleacct.NewRooflineRow("fc", "conv", 10, 4, 7, 16, 0, 1)
+	m, err := rec.Record([]Unit{
+		{Entry: LayerMetrics{Index: 9, Name: "softmax", Op: "softmax", Cycles: 3}, Ledger: closed(3)},
+		{Entry: LayerMetrics{Name: "fc", Op: "conv", Cycles: 7}, Ledger: closed(7), Roofline: &row},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ca := m.CycleAccounting
+	if ca == nil || len(ca.Nodes) != 2 || len(m.Layers) != 2 || ca.TotalCycles != 10 {
+		t.Fatalf("entries %+v, account %+v", m.Layers, ca)
+	}
+	for i, e := range m.Layers {
+		if n := ca.Nodes[i]; e.Index != i || n.Index != i || n.Name != e.Name || n.Op != e.Op {
+			t.Errorf("unit %d: entry %+v, node %d %q %q", i, e, n.Index, n.Name, n.Op)
+		}
+	}
+	if m.Layers[0].WallSeconds != 0 || m.Layers[1].WallSeconds <= 0 {
+		t.Errorf("wall seconds %v, %v: want the recorder's", m.Layers[0].WallSeconds, m.Layers[1].WallSeconds)
+	}
+	if len(ca.Roofline) != 1 || ca.Roofline[0].Name != "fc" {
+		t.Errorf("roofline %+v", ca.Roofline)
+	}
+
+	if m, err := (*Recorder)(nil).Record(nil); err != nil || m.CycleAccounting != nil || m.Layers != nil {
+		t.Errorf("no units: %v, account %+v", err, m)
+	}
+	open := closed(7)
+	open.Total += 7
+	for name, l := range map[string]*cycleacct.Ledger{"missing": nil, "unattributed": open} {
+		_, err := rec.Record([]Unit{{Entry: LayerMetrics{Name: "conv1"}, Ledger: closed(1)},
+			{Entry: LayerMetrics{Name: "conv2"}, Ledger: l}})
+		if err == nil || !strings.Contains(err.Error(), `1 "conv2"`) {
+			t.Errorf("%s ledger: error %v, want one naming unit 1 \"conv2\"", name, err)
+		}
 	}
 }
 

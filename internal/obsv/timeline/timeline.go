@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"scalesim/internal/obsv"
 )
 
 // DefaultWindow is the counter sampling granularity in cycles.
@@ -152,22 +154,30 @@ func (t *Writer) Counter(pid int64, track string, ts int64, value float64) {
 	}
 }
 
-// Events returns how many events have been written so far.
-func (t *Writer) Events() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events
-}
-
-// CounterPeaks returns a copy of the per-track peak counter values.
-func (t *Writer) CounterPeaks() map[string]float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]float64, len(t.peaks))
-	for k, v := range t.peaks {
-		out[k] = v
+// Summary condenses the export so far into a run manifest's timeline
+// block: the events written, the counter window, each counter track's
+// peak, and the share of stalled runtime of every entry that stalled. A
+// nil Writer (no timeline) has no summary.
+func (t *Writer) Summary(entries []obsv.LayerMetrics) *obsv.TimelineSummary {
+	if t == nil {
+		return nil
 	}
-	return out
+	t.mu.Lock()
+	s := &obsv.TimelineSummary{Events: t.events, WindowCycles: t.window}
+	if len(t.peaks) > 0 {
+		s.PeakWordsPerCycle = make(map[string]float64, len(t.peaks))
+		for k, v := range t.peaks {
+			s.PeakWordsPerCycle[k] = v
+		}
+	}
+	t.mu.Unlock()
+	for _, e := range entries {
+		if e.StallCycles > 0 {
+			s.LayerStalls = append(s.LayerStalls, obsv.LayerStall{Index: e.Index, Name: e.Name,
+				StallFraction: float64(e.StallCycles) / float64(e.Cycles+e.StallCycles)})
+		}
+	}
+	return s
 }
 
 // Close terminates the JSON array and flushes, returning the first error

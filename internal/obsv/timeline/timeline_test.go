@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -55,8 +56,18 @@ func TestWriterEmitsWellFormedTraceEvents(t *testing.T) {
 	}
 
 	events := decode(t, buf.Bytes())
-	if int64(len(events)) != w.Events() {
-		t.Fatalf("decoded %d events, Events() = %d", len(events), w.Events())
+	sum := w.Summary([]obsv.LayerMetrics{
+		{Index: 0, Name: "Conv1", Cycles: 100},
+		{Index: 1, Name: "Conv2", Cycles: 30, StallCycles: 10},
+	})
+	if int64(len(events)) != sum.Events || sum.WindowCycles != 32 {
+		t.Fatalf("decoded %d events, summary %+v", len(events), sum)
+	}
+	if want := []obsv.LayerStall{{Index: 1, Name: "Conv2", StallFraction: 0.25}}; !reflect.DeepEqual(sum.LayerStalls, want) {
+		t.Fatalf("layer stalls %+v, want %+v", sum.LayerStalls, want)
+	}
+	if (*Writer)(nil).Summary(nil) != nil {
+		t.Fatal("a nil Writer has a summary")
 	}
 	pids := map[float64]bool{}
 	var sawX, sawC, sawM bool
@@ -80,7 +91,7 @@ func TestWriterEmitsWellFormedTraceEvents(t *testing.T) {
 	if len(pids) != 2 {
 		t.Fatalf("got %d distinct pids, want 2", len(pids))
 	}
-	if peak := w.CounterPeaks()[TrackDRAMRead]; peak != 2.5 {
+	if peak := sum.PeakWordsPerCycle[TrackDRAMRead]; peak != 2.5 {
 		t.Fatalf("peak = %v, want 2.5", peak)
 	}
 }

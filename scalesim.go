@@ -21,7 +21,8 @@
 //   - RunScaleOut executes one layer on a partitioned (multi-array) system
 //     cycle-accurately, reproducing the paper's runtime/bandwidth/energy
 //     trade-off study; a whole network on a grid is a job (scalesim -parts,
-//     the daemon's "parts") whose manifest internal/job assembles.
+//     the daemon's "parts") whose manifest is rolled up by the same
+//     function as a Simulator's (Simulator.Manifest).
 //
 // A minimal session:
 //
@@ -254,8 +255,9 @@ type (
 // Cycle-accounting types: every simulated cycle of a run attributed to an
 // exhaustive taxonomy (MAC-active, fold ramp/drain, DRAM-bandwidth stall,
 // vector passes, partition skew), with sum(bins) == total enforced per
-// unit. Simulator.CycleReport assembles a run's report; the report
-// renders as ledgers, a pprof profile over simulated cycles
+// unit. A run's report is its manifest's CycleAccounting block
+// (Simulator.Manifest fails rather than publish open books); it renders
+// as ledgers, a pprof profile over simulated cycles
 // (CycleReport.WritePprof) or per-layer roofline rows.
 type (
 	// CycleLedger is one unit's cycle account (total + bins).

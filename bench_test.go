@@ -22,6 +22,7 @@ import (
 	"scalesim/internal/experiments"
 	"scalesim/internal/job"
 	"scalesim/internal/memory"
+	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/rtlref"
 	"scalesim/internal/simcache"
@@ -601,15 +602,18 @@ func BenchmarkEngineParallel(b *testing.B) {
 
 // BenchmarkResNet50Cold is the cold path: one sink-free, cache-free,
 // single-worker pass of ResNet50 through core. With nothing observing the
-// SRAM streams the buffers skip every operand block they can prove resident,
-// and with no DRAM consumer they count misses instead of recording them, so
+// SRAM streams the buffers skip every operand block they can prove resident
+// and replay, unscanned, every block they can prove misses on every word;
+// with no DRAM consumer they count misses instead of recording them, so
 // allocation is down to the residency tables — which the run plan simulates
 // for 21 of the 54 layers and recycles from one to the next. A pass that
 // allocates more than 32 MB (19 MB while the tables grow, 5 MB after; 224 MB
-// with a table set per layer) has lost the recycling and fails.
+// with a table set per layer) has lost the recycling and fails, and so does
+// one that replays no word: the all-miss proof has stopped firing.
 func BenchmarkResNet50Cold(b *testing.B) {
 	b.ReportAllocs()
-	sim, err := core.New(config.New(), core.Options{Workers: 1})
+	rec := obsv.NewRecorder()
+	sim, err := core.New(config.New(), core.Options{Workers: 1, Obs: rec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -630,17 +634,30 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		}
 		before = after
 	}
+	requireThrashed(b, rec)
+}
+
+// requireThrashed fails a cold benchmark whose buffers replayed no block
+// proven all-miss, and reports the replayed words per pass.
+func requireThrashed(b *testing.B, rec *obsv.Recorder) {
+	words := rec.Metrics().Counter("memory.words_thrashed").Value()
+	if words == 0 {
+		b.Fatal("memory.words_thrashed = 0: no block was proven all-miss")
+	}
+	b.ReportMetric(float64(words)/float64(b.N), "thrashed-words/op")
 }
 
 // BenchmarkBERTBaseDRAMCold is the cold path with the DRAM side attached:
 // one cache-free, single-worker pass of the BERTBase operator graph with the
 // DDR3 timing model and a 4 words/cycle link on both DRAM streams. Every
 // demand miss and write-back reaches the model and the stall analyzer as
-// runs.
+// runs — a replayed all-miss block's as the runs it arrived as. A pass that
+// replays no word fails, as in BenchmarkResNet50Cold.
 func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 	b.ReportAllocs()
 	ddr := dram.DDR3()
-	sim, err := core.New(config.New(), core.Options{Workers: 1, DRAM: &ddr, DRAMBandwidth: 4})
+	rec := obsv.NewRecorder()
+	sim, err := core.New(config.New(), core.Options{Workers: 1, DRAM: &ddr, DRAMBandwidth: 4, Obs: rec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -665,6 +682,7 @@ func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 			b.Fatalf("BERTBase: compute cycles %d, DRAM requests %d, stall cycles %d", cycles, requests, stall)
 		}
 	}
+	requireThrashed(b, rec)
 }
 
 // BenchmarkCSVTraceWrite measures trace serialization throughput.

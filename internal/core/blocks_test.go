@@ -14,11 +14,13 @@ import (
 
 // TestBlockMemoInvisibleEndToEnd runs the BERTTiny operator graph with the
 // DDR3 timing model and a bounded link twice: once sink-free, so the SRAM
-// buffers skip every operand block they can prove resident, and once with a
-// live observer on each SRAM stream, whose Tee hides the capability and
-// forces the full streams. Cycles, traffic, peaks, DRAM statistics, stall
-// cycles and ledgers must be equal — the DRAM-side consumers only ever see
-// misses, and a skipped block has none.
+// buffers skip every operand block they can prove resident (and, under OS,
+// replay unscanned the blocks they can prove miss on every word), and
+// once with a live observer on each SRAM stream, whose Tee hides the
+// capability and forces the full streams. Cycles, traffic, peaks, DRAM
+// statistics, stall cycles and ledgers must be equal — the DRAM-side
+// consumers only ever see misses: a skipped block has none, and a replayed
+// one hands them the runs it arrived as.
 func TestBlockMemoInvisibleEndToEnd(t *testing.T) {
 	g, err := topology.BuiltInGraph("BERTTiny")
 	if err != nil {
@@ -27,7 +29,7 @@ func TestBlockMemoInvisibleEndToEnd(t *testing.T) {
 	ddr := dram.DDR3()
 	for _, df := range config.Dataflows {
 		cfg := config.New().WithArray(16, 16).WithDataflow(df).WithSRAM(8, 8, 4)
-		run := func(observed bool) (RunResult, int64) {
+		run := func(observed bool) (RunResult, [2]int64) {
 			rec := obsv.NewRecorder()
 			opt := Options{Workers: 2, DRAM: &ddr, DRAMBandwidth: 4, Obs: rec}
 			if observed {
@@ -46,12 +48,14 @@ func TestBlockMemoInvisibleEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, rec.Metrics().Counter("memory.words_skipped").Value()
+			m := rec.Metrics()
+			return res, [2]int64{m.Counter("memory.words_skipped").Value(), m.Counter("memory.words_thrashed").Value()}
 		}
-		skipping, skipped := run(false)
+		skipping, shortcuts := run(false)
 		full, none := run(true)
-		if skipped == 0 || none != 0 {
-			t.Errorf("%s: words skipped sink-free %d (want > 0), observed %d (want 0)", df, skipped, none)
+		if shortcuts[0] == 0 || (df == config.OutputStationary) != (shortcuts[1] > 0) || none != [2]int64{} {
+			t.Errorf("%s: words skipped and replayed sink-free %v (want skips, and replays under OS only), observed %v (want none)",
+				df, shortcuts, none)
 		}
 		if !reflect.DeepEqual(skipping, full) {
 			for i := range full.Layers {

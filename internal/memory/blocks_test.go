@@ -37,6 +37,12 @@ type blockOutcome struct {
 	evictions         [2]int64
 	fallbacks         int64
 	skipped, skipWord int64
+	// thrashed counts the blocks replayed all-miss; thrashWords the words
+	// in them, per read buffer (IFMAP, filter), and unprovable whether that
+	// buffer had ruled the all-miss proof out by the end.
+	thrashed    int64
+	thrashWords [2]int64
+	unprovable  [2]bool
 }
 
 // runBlocks simulates l into a fresh system, with or without the block
@@ -53,6 +59,8 @@ func runBlocks(t *testing.T, l topology.Layer, cfg config.Config, opt Options, w
 		t.Fatal(err)
 	}
 	regions(sys)
+	var thrashWords [2]obsv.Counter
+	sys.Ifmap.memo.thrashed.words, sys.Filter.memo.thrashed.words = &thrashWords[0], &thrashWords[1]
 	sinks := systolic.Sinks{IfmapRead: sys.Ifmap, FilterRead: sys.Filter, OfmapWrite: sys.Ofmap}
 	if !bracket {
 		sinks = systolic.Sinks{IfmapRead: unbracketed{sys.Ifmap},
@@ -69,14 +77,17 @@ func runBlocks(t *testing.T, l topology.Layer, cfg config.Config, opt Options, w
 		}
 	}
 	return blockOutcome{
-		report:    sys.Report(comp.Cycles),
-		read:      rd.Bytes(),
-		write:     wr.Bytes(),
-		profiles:  [3][]trace.ProfilePoint{sys.IfmapBW.Profile(), sys.FilterBW.Profile(), sys.OfmapBW.Profile()},
-		evictions: [2]int64{sys.Ifmap.Evictions, sys.Filter.Evictions},
-		fallbacks: sys.RegionFallbacks(),
-		skipped:   reg.Counter("memory.blocks_skipped").Value(),
-		skipWord:  reg.Counter("memory.words_skipped").Value(),
+		report:      sys.Report(comp.Cycles),
+		read:        rd.Bytes(),
+		write:       wr.Bytes(),
+		profiles:    [3][]trace.ProfilePoint{sys.IfmapBW.Profile(), sys.FilterBW.Profile(), sys.OfmapBW.Profile()},
+		evictions:   [2]int64{sys.Ifmap.Evictions, sys.Filter.Evictions},
+		fallbacks:   sys.RegionFallbacks(),
+		skipped:     reg.Counter("memory.blocks_skipped").Value(),
+		skipWord:    reg.Counter("memory.words_skipped").Value(),
+		thrashed:    reg.Counter("memory.blocks_thrashed").Value(),
+		thrashWords: [2]int64{thrashWords[0].Value(), thrashWords[1].Value()},
+		unprovable:  [2]bool{sys.Ifmap.memo.unprovable, sys.Filter.memo.unprovable},
 	}
 }
 
@@ -92,8 +103,8 @@ func layerRegions(l topology.Layer, cfg config.Config) func(*System) {
 func requireSameOutcome(t *testing.T, got, want blockOutcome) {
 	t.Helper()
 	requireSameObservables(t, got, want)
-	if want.skipped != 0 {
-		t.Errorf("the unbracketed reference skipped %d blocks", want.skipped)
+	if want.skipped != 0 || want.thrashed != 0 {
+		t.Errorf("the unbracketed reference skipped %d blocks and replayed %d", want.skipped, want.thrashed)
 	}
 }
 
@@ -130,11 +141,12 @@ func resnetLayer(t *testing.T, name string) topology.Layer {
 	return l
 }
 
-// TestBlockMemoMatchesFullStream is the tentpole's exactness harness over
+// TestBlockMemoMatchesFullStream is the block memo's exactness harness over
 // the three residency regimes, pinned on real layers at the default
 // configuration: the tensor fits (every repeat is skipped), a block fits
 // but the tensor thrashes (CB4a_2's 590 K filter words against 262 K of
-// capacity), and the block itself overflows the buffer (CB2b_1's IFMAP).
+// capacity: replayed all-miss under OS), and the block itself overflows the
+// buffer (CB2b_1's IFMAP).
 func TestBlockMemoMatchesFullStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ResNet50 layers")
@@ -150,9 +162,29 @@ func TestBlockMemoMatchesFullStream(t *testing.T) {
 				if got.fallbacks != 0 {
 					t.Errorf("%d region fallbacks on a correct declaration", got.fallbacks)
 				}
+				if (name == "CB4a_2" || name == "CB5a_2") && df == config.OutputStationary && got.thrashWords[1] == 0 {
+					t.Error("no filter word replayed all-miss")
+				}
 			})
 		}
 	}
+	// A 3x3 convolution's IFMAP row folds share rows. With an IFMAP buffer
+	// smaller than the tensor, so that the region does not fit and rule the
+	// proof out by itself, the overlapping hulls must keep every IFMAP block
+	// scanned.
+	t.Run("CB4a_2/os/ifmap_64KB", func(t *testing.T) {
+		l := resnetLayer(t, "CB4a_2")
+		cfg := config.New().WithSRAM(64, config.DefaultFilterSRAMKB, config.DefaultOfmapSRAMKB)
+		if l.IfmapWords() <= cfg.IfmapSRAMWords()/2 {
+			t.Fatal("the IFMAP tensor fits the buffer")
+		}
+		got := runBlocks(t, l, cfg, Options{}, systolic.Window{}, true, layerRegions(l, cfg))
+		want := runBlocks(t, l, cfg, Options{}, systolic.Window{}, false, layerRegions(l, cfg))
+		requireSameOutcome(t, got, want)
+		if got.thrashWords[0] != 0 || !got.unprovable[0] {
+			t.Errorf("IFMAP: %d words replayed, proof ruled out %t; want 0 and true", got.thrashWords[0], got.unprovable[0])
+		}
+	})
 }
 
 // blockCase is one point of the randomised grid: layer shape, dataflow, array
@@ -201,10 +233,11 @@ func randomBlockCase(rng *rand.Rand, i int) blockCase {
 }
 
 // TestBlockMemoRandomGrid sweeps the randomised grid and requires that the
-// sweep really visited all three regimes.
+// sweep really visited all three regimes, and runs in which blocks were
+// replayed all-miss.
 func TestBlockMemoRandomGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	var skippedAll, skippedSome, skippedNone, windows int
+	var skippedAll, skippedSome, skippedNone, replayed, windows int
 	for i := 0; i < 120; i++ {
 		c := randomBlockCase(rng, i)
 		if c.windowed {
@@ -223,11 +256,14 @@ func TestBlockMemoRandomGrid(t *testing.T) {
 			default:
 				skippedSome++
 			}
+			if got.thrashed > 0 {
+				replayed++
+			}
 		})
 	}
-	if skippedAll == 0 || skippedSome == 0 || skippedNone == 0 || windows == 0 {
-		t.Errorf("grid missed a regime: mostly skipped %d, partly %d, never %d, windowed %d",
-			skippedAll, skippedSome, skippedNone, windows)
+	if skippedAll == 0 || skippedSome == 0 || skippedNone == 0 || replayed == 0 || windows == 0 {
+		t.Errorf("grid missed a regime: mostly skipped %d, partly %d, never %d, replayed all-miss %d, windowed %d",
+			skippedAll, skippedSome, skippedNone, replayed, windows)
 	}
 }
 
@@ -272,8 +308,9 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 			}
 			got := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, adopt(poisonedTables(words, scale)))
 			requireSameObservables(t, got, want)
-			if got.skipped != want.skipped || got.skipWord != want.skipWord {
-				t.Errorf("skips differ: %d blocks %d words vs %d and %d", got.skipped, got.skipWord, want.skipped, want.skipWord)
+			if got.skipped != want.skipped || got.skipWord != want.skipWord || got.thrashWords != want.thrashWords {
+				t.Errorf("skips differ: %d blocks %d words vs %d and %d; replayed words %v vs %v",
+					got.skipped, got.skipWord, want.skipped, want.skipWord, got.thrashWords, want.thrashWords)
 			}
 			released := sys.Release()
 			for k, set := range released.sets {
@@ -383,6 +420,178 @@ func TestBlockMemoInvalidation(t *testing.T) {
 	if w.SRAMWrites != 9 || w.Pending() != 3 {
 		t.Errorf("SRAMWrites %d Pending %d, want 9 and 3", w.SRAMWrites, w.Pending())
 	}
+}
+
+func seq(base, n int64) trace.Run { return trace.Run{Base: base, Stride: 1, Count: n} }
+
+// missRig drives a read buffer through bracketed blocks and, beside it, an
+// unbracketed reference fed the same runs; after every step the two must
+// agree on the miss stream and on every counter.
+type missRig struct {
+	t         *testing.T
+	b, ref    *ReadBuffer
+	got, want *trace.Recorder
+	replayed  obsv.Counter
+	cycle     int64
+}
+
+// newMissRig builds the pair with 4 resident words each.
+func newMissRig(t *testing.T) *missRig {
+	g := &missRig{t: t, got: &trace.Recorder{}, want: &trace.Recorder{}}
+	var err error
+	if g.b, err = NewReadBuffer("b", 8, g.got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if g.ref, err = NewReadBuffer("ref", 8, g.want, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.b.memo.thrashed.blocks = &g.replayed
+	return g
+}
+
+// block streams runs as one block, keyed by its first address, and reports
+// whether the buffer replayed it all-miss.
+func (g *missRig) block(runs ...trace.Run) bool {
+	g.t.Helper()
+	g.cycle++
+	before := g.replayed.Value()
+	if !g.b.BeginBlock(runs[0].Base, int64(len(runs)), trace.RunWords(runs)) {
+		g.b.ConsumeRuns(g.cycle, runs)
+		g.b.EndBlock()
+	}
+	g.ref.ConsumeRuns(g.cycle, runs)
+	g.check()
+	return g.replayed.Value() > before
+}
+
+// loose sends runs outside any block.
+func (g *missRig) loose(runs ...trace.Run) {
+	g.t.Helper()
+	g.cycle++
+	g.b.ConsumeRuns(g.cycle, runs)
+	g.ref.ConsumeRuns(g.cycle, runs)
+	g.check()
+}
+
+func (g *missRig) check() {
+	g.t.Helper()
+	if !reflect.DeepEqual(g.got.Entries, g.want.Entries) {
+		g.t.Fatalf("cycle %d: miss stream %v, reference %v", g.cycle, g.got.Addresses(), g.want.Addresses())
+	}
+	got := [3]int64{g.b.SRAMReads, g.b.DRAMReads, g.b.Evictions}
+	if want := [3]int64{g.ref.SRAMReads, g.ref.DRAMReads, g.ref.Evictions}; got != want {
+		g.t.Fatalf("cycle %d: SRAM reads, DRAM reads, evictions %v, reference %v", g.cycle, got, want)
+	}
+}
+
+// TestAllMissMemoInvalidation drives the all-miss proof by hand. Two
+// disjoint blocks that each fill the buffer replay one another's
+// evictions; each of the proof's three conditions then blocks the replay on
+// its own — in every case where the replay would have been wrong, the
+// reference comparison would catch it. A replay leaves the residency index
+// stale: the next block with real hits must still see exact residency, and
+// Release must not hand a stale index to the next System.
+func TestAllMissMemoInvalidation(t *testing.T) {
+	A, B := seq(0, 4), seq(10, 4)
+	t.Run("proven", func(t *testing.T) {
+		g := newMissRig(t)
+		if g.block(A) || g.block(B) {
+			t.Fatal("first stream replayed")
+		}
+		if !g.block(A) || !g.block(B) {
+			t.Fatal("all-miss block with capacity insertions since not replayed")
+		}
+		// Only C's 2 insertions since B's stream ended.
+		if g.block(seq(20, 2)) || g.block(B) {
+			t.Fatal("block replayed with fewer than capacity insertions since its last stream")
+		}
+		if !g.block(A) {
+			t.Fatal("all-miss block with capacity insertions since not replayed")
+		}
+	})
+	t.Run("mixed last stream", func(t *testing.T) {
+		g := newMissRig(t)
+		mixed := []trace.Run{seq(0, 3), seq(0, 1)} // the repeat of 0 hits
+		g.block(mixed...)
+		g.block(B)
+		if g.block(mixed...) {
+			t.Fatal("block replayed although its last stream hit")
+		}
+	})
+	t.Run("overlapping hull", func(t *testing.T) {
+		g := newMissRig(t)
+		g.block(A)
+		g.block(B)
+		// A block holding only 0: its hull overlaps A's, and 0 is still
+		// resident when A next streams, so A hits on it.
+		g.block(seq(0, 1))
+		if g.block(A) || g.block(B) || g.block(A) {
+			t.Fatal("block replayed after two hulls overlapped")
+		}
+	})
+	t.Run("unbracketed traffic", func(t *testing.T) {
+		g := newMissRig(t)
+		g.block(A)
+		g.block(B)
+		g.loose(seq(0, 1))
+		if g.block(A) || g.block(B) || g.block(A) {
+			t.Fatal("block replayed after traffic outside a block")
+		}
+	})
+	t.Run("exact residency after a replay", func(t *testing.T) {
+		g := newMissRig(t)
+		g.block(A)
+		g.block(B)
+		if !g.block(A) || !g.b.set.stale {
+			t.Fatal("want A replayed and the index stale")
+		}
+		// The index was last written by B's scan: read unrebuilt, 2 and 3
+		// would miss and nothing of it would be checked against the ring.
+		dram := g.b.DRAMReads
+		g.block(seq(2, 2), seq(40, 1))
+		if g.b.DRAMReads-dram != 1 || g.b.set.stale {
+			t.Errorf("block after a replay: %d misses (want 1), index stale %t", g.b.DRAMReads-dram, g.b.set.stale)
+		}
+	})
+	t.Run("release after a replay", func(t *testing.T) {
+		cfg := config.New().WithSRAM(1, 1, 1)
+		run := func(tables *Tables, steps int) (*System, []trace.Entry, [3]int64) {
+			rec, reg := &trace.Recorder{}, &obsv.Registry{}
+			sys, err := NewSystem(cfg, Options{DRAMRead: rec, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tables != nil {
+				sys.Adopt(tables)
+			}
+			c := sys.Filter.EffectiveWords()
+			sys.SetRegions(0, 1, 0, 4*c, 0, 1)
+			f := sys.Filter
+			script := [][]trace.Run{{seq(0, c)}, {seq(c, c)}, {seq(0, c)}, {seq(c/2, c)}}
+			for i, runs := range script[:steps] {
+				if !f.BeginBlock(runs[0].Base, 1, c) {
+					f.ConsumeRuns(int64(i), runs)
+					f.EndBlock()
+				}
+			}
+			if got := reg.Counter("memory.words_thrashed").Value(); got != c {
+				t.Fatalf("%d words replayed, want the third block's %d", got, c)
+			}
+			return sys, rec.Entries, [3]int64{f.SRAMReads, f.DRAMReads, f.Evictions}
+		}
+		stale, _, _ := run(nil, 3)
+		if !stale.Filter.set.stale {
+			t.Fatal("want the filter index stale at Release")
+		}
+		_, got, gotN := run(stale.Release(), 4)
+		_, want, wantN := run(nil, 4)
+		if !reflect.DeepEqual(got, want) || gotN != wantN {
+			t.Errorf("adopted after a replay: counters %v, fresh %v", gotN, wantN)
+		}
+		if c := wantN[0] / 4; wantN[1] != 3*c+c/2 {
+			t.Errorf("%d DRAM reads, want %d: the last block hits on A's second half", wantN[1], 3*c+c/2)
+		}
+	})
 }
 
 // TestSystemSetupAllocation guards the cold path's fixed cost: building a

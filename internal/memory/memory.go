@@ -22,7 +22,10 @@
 package memory
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"scalesim/internal/obsv"
 	"scalesim/internal/trace"
@@ -55,6 +58,10 @@ type fifoSet struct {
 	marks []byte
 
 	probe *probeSet
+	// stale is set while the ring holds words that overwrite put there
+	// without marking them: the index is rebuilt by reindex before it is
+	// next read.
+	stale bool
 
 	// fallbacks counts dense-table aborts: accesses outside the declared
 	// region migrate the set to the probe table instead of crashing the
@@ -146,15 +153,20 @@ func (f *fifoSet) mark(addr int64, present bool) {
 	}
 }
 
-// denseBounds reports whether the whole progression lies inside the dense
-// table's region, making the bulk scan below safe without per-address range
-// checks.
-func (f *fifoSet) denseBounds(r trace.Run) bool {
-	lo, hi := r.Base, r.Last()
+// bounds returns the lowest and highest address of a run.
+func bounds(r trace.Run) (lo, hi int64) {
+	lo, hi = r.Base, r.Last()
 	if r.Stride < 0 {
 		lo, hi = hi, lo
 	}
-	return lo >= f.base && hi < f.base+int64(len(f.marks))
+	return lo, hi
+}
+
+// denseCovers reports whether the addresses lo..hi (a run's bounds) lie
+// inside the dense table's region, making the bulk scan below safe without
+// per-address range checks.
+func (f *fifoSet) denseCovers(lo, hi int64) bool {
+	return f.dense && lo >= f.base && hi < f.base+int64(len(f.marks))
 }
 
 // scanRunDense walks one in-region progression against the dense table,
@@ -240,6 +252,52 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record boo
 	return drained, drainWords
 }
 
+// overwrite inserts a run of addresses known to miss into the full ring,
+// each over the oldest slot, and leaves the residency index stale rather
+// than marking them: the caller has proven the whole block misses, so
+// nothing reads the index until reindex rebuilds it. Only the run's last
+// len(ring) words can survive it.
+func (f *fifoSet) overwrite(r trace.Run) {
+	f.stale = true
+	n := int64(len(f.ring))
+	a, left := r.Base, r.Count
+	if left > n {
+		a += (left - n) * r.Stride
+		f.head = int((int64(f.head) + left - n) % n)
+		left = n
+	}
+	for left > 0 {
+		seg := f.ring[f.head:min(int64(f.head)+left, n)]
+		for i := range seg {
+			seg[i] = a
+			a += r.Stride
+		}
+		left -= int64(len(seg))
+		if f.head += len(seg); f.head == len(f.ring) {
+			f.head = 0
+		}
+	}
+}
+
+// reindex rebuilds a stale residency index from the ring, which holds
+// exactly the resident set: one clear, then one mark per slot. Every ring
+// address of a dense set is in-region — overwrite replays a stream the
+// dense table already accepted.
+func (f *fifoSet) reindex() {
+	f.stale = false
+	if f.dense {
+		clear(f.marks)
+		for _, a := range f.ring {
+			f.marks[a-f.base] = 1
+		}
+		return
+	}
+	clear(f.probe.slots)
+	for _, a := range f.ring {
+		f.probe.insert(a)
+	}
+}
+
 // insert adds addr, evicting the oldest entry when full. It returns the
 // evicted address and whether an eviction happened.
 func (f *fifoSet) insert(addr int64) (evicted int64, didEvict bool) {
@@ -285,47 +343,176 @@ func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
 func (f *fifoSet) len() int { return len(f.ring) }
 
 // blockMemo is the buffers' trace.BlockConsumer state: for each operand
-// block, the value the buffer's eviction counter had when a complete stream
-// of the block last ended without moving it.
+// block, what its last complete stream proved about the next one. One entry
+// holds both verdicts.
 //
-// A FIFO buffer changes state only on a miss and loses an address only by
-// eviction. A stream that caused no eviction therefore leaves every address
-// it touched resident — hit or freshly inserted alike — and they all stay
-// resident for as long as the counter keeps that value. A later stream of the
-// same block under an equal counter is all hits: no state change, no DRAM
-// event, no meter update; only the SRAM access count moves.
+// All-hit. A FIFO buffer changes state only on a miss and loses an address
+// only by eviction. A stream that caused no eviction therefore leaves every
+// address it touched resident — hit or freshly inserted alike — and they all
+// stay resident for as long as the eviction counter keeps that value. A later
+// stream of the same block under an equal counter is all hits: no state
+// change, no DRAM event, no meter update; only the SRAM access count moves.
+//
+// All-miss (read buffers). Suppose the last stream missed on every word, at
+// least capacity insertions have happened since it ended, and no other
+// traffic can have inserted one of the block's words: every bracketed block's
+// hull is disjoint from every other's, and nothing reached the buffer outside
+// a block. Under FIFO an address is evicted exactly capacity insertions after
+// its own, so none of the block's words is resident now; the block replays
+// the same address sequence, so by induction over it the new stream inserts
+// what the last one did, where the last one did, and misses on every word.
 type blockMemo struct {
-	proven map[blockKey]int64
-	cur    blockKey
-	start  int64 // counter at BeginBlock
+	blockTables
+	// key, at and prev are the open block, its entry's index (-1: none
+	// yet) and the entry as BeginBlock found it.
+	key  blockKey
+	at   int32
+	prev blockProof
+	open bool
+	// replay is set while the open block is proven all-miss.
+	replay bool
+	// startEv and startIns are the eviction and insertion counters at
+	// BeginBlock.
+	startEv, startIns int64
+	// lo and hi bound the addresses the open block has streamed so far: its
+	// hull, which a read buffer's scan widens run by run.
+	lo, hi int64
+	// unprovable is set, and hulls dropped, once two hulls overlap or
+	// traffic reaches the buffer outside a block — or from the start when
+	// the declared region fits the buffer, which then never evicts: until
+	// SetRegion no block is proven all-miss.
+	unprovable bool
 
-	// blocks and words count what was skipped (nil-safe obsv counters).
-	blocks, words *obsv.Counter
+	// skipped counts blocks proven all-hit, thrashed blocks proven all-miss
+	// (nil-safe obsv counters).
+	skipped, thrashed blockCounters
+}
+
+// blockTables is a memo's storage. Like the residency tables it travels
+// from one System to the next (see Tables), and SetRegion clears it.
+type blockTables struct {
+	// index maps a block to its entry in proofs: the map is written once
+	// per block, and a changed entry is a slice store.
+	index  map[blockKey]int32
+	proofs []blockProof
+	// hulls are the hulls of the blocks streamed since SetRegion, one per
+	// block, sorted and pairwise disjoint.
+	hulls []hull
+}
+
+// cleared empties the storage, keeping its capacity.
+func (t blockTables) cleared() blockTables {
+	clear(t.index)
+	return blockTables{t.index, t.proofs[:0], t.hulls[:0]}
 }
 
 type blockKey struct{ off, n, words int64 }
 
-// begin opens a block and reports whether it is proven resident under the
-// current eviction counter.
-func (m *blockMemo) begin(k blockKey, counter int64) bool {
-	if at, ok := m.proven[k]; ok && at == counter {
-		m.blocks.Inc()
-		m.words.Add(k.words)
-		return true
+// blockProof is one block's entry: the eviction counter at which its last
+// stream ended without evicting, and the insertion counter at which its last
+// stream ended having missed on every word — each noProof when that stream
+// did not qualify — and whether its hull is in hulls.
+type blockProof struct {
+	resident, thrashed int64
+	hulled             bool
+}
+
+const noProof = -1
+
+type hull struct{ lo, hi int64 }
+
+type blockCounters struct{ blocks, words *obsv.Counter }
+
+func (c blockCounters) add(words int64) {
+	c.blocks.Inc()
+	c.words.Add(words)
+}
+
+// reset opens a new block namespace: proofs and hulls are forgotten. fits
+// reports that the declared region fits the buffer.
+func (m *blockMemo) reset(fits bool) {
+	m.blockTables, m.unprovable = m.blockTables.cleared(), fits
+}
+
+// begin opens block k and reports whether it is proven all-hit under the
+// eviction counter.
+func (m *blockMemo) begin(k blockKey, evictions int64) bool {
+	p, at := blockProof{resident: noProof, thrashed: noProof}, int32(-1)
+	if i, ok := m.index[k]; ok {
+		if p, at = m.proofs[i], i; p.resident == evictions {
+			m.skipped.add(k.words)
+			return true
+		}
 	}
-	m.cur, m.start = k, counter
+	m.key, m.at, m.prev, m.open, m.replay = k, at, p, true, false
+	m.startEv = evictions
+	m.lo, m.hi = math.MaxInt64, math.MinInt64
 	return false
 }
 
-// end closes the open block, recording it when the counter did not move.
-func (m *blockMemo) end(counter int64) {
-	if counter != m.start {
+// beginReplay, called by a read buffer after begin declined to skip, sets
+// replay when the open block is proven all-miss: inserted is the insertion
+// counter and capacity the buffer's.
+func (m *blockMemo) beginReplay(inserted, capacity int64) {
+	m.startIns = inserted
+	m.replay = !m.unprovable && m.prev.thrashed != noProof && inserted-m.prev.thrashed >= capacity
+	if m.replay {
+		m.thrashed.add(m.key.words)
+	}
+}
+
+// stopProving rules out every all-miss proof until SetRegion.
+func (m *blockMemo) stopProving() {
+	m.unprovable, m.hulls = true, m.hulls[:0]
+}
+
+// end closes the open block and records what its stream proved, and its
+// hull the first time a read buffer took one. A write-back buffer proves no
+// all-miss blocks and passes 0 as inserted, which no stream of one word or
+// more matches.
+//
+// A resident proof the counter has passed is left in place, since the
+// counter never returns to it, and no all-miss proof is recorded once none
+// can be used: a partition window's many blocks then leave their entries
+// alone.
+func (m *blockMemo) end(evictions, inserted int64) {
+	m.open, m.replay = false, false
+	p := m.prev
+	if evictions == m.startEv {
+		p.resident = evictions
+	}
+	p.thrashed = noProof
+	if !m.unprovable {
+		if inserted-m.startIns == m.key.words {
+			p.thrashed = inserted
+		}
+		if !p.hulled && m.lo <= m.hi {
+			m.addHull(hull{m.lo, m.hi})
+			p.hulled = true
+		}
+	}
+	switch {
+	case p == m.prev:
+	case m.at >= 0:
+		m.proofs[m.at] = p
+	default:
+		if m.index == nil {
+			m.index = make(map[blockKey]int32)
+		}
+		m.index[m.key] = int32(len(m.proofs))
+		m.proofs = append(m.proofs, p)
+	}
+}
+
+// addHull inserts a block's hull into the sorted list, or rules out the
+// all-miss proofs if it overlaps another block's.
+func (m *blockMemo) addHull(h hull) {
+	i, _ := slices.BinarySearchFunc(m.hulls, h.lo, func(e hull, lo int64) int { return cmp.Compare(e.lo, lo) })
+	if (i > 0 && m.hulls[i-1].hi >= h.lo) || (i < len(m.hulls) && m.hulls[i].lo <= h.hi) {
+		m.stopProving()
 		return
 	}
-	if m.proven == nil {
-		m.proven = make(map[blockKey]int64)
-	}
-	m.proven[m.cur] = counter
+	m.hulls = slices.Insert(m.hulls, i, h)
 }
 
 // buffer is the scaffolding the two operand SRAMs share: the residency set
@@ -363,7 +550,7 @@ func (b *buffer) Name() string { return b.name }
 // forgotten.
 func (b *buffer) SetRegion(base, words int64) {
 	b.set.setRegion(base, words)
-	b.memo.proven = nil
+	b.memo.reset(words <= b.set.capacity)
 }
 
 // EffectiveWords returns the resident capacity in words.
@@ -416,17 +603,32 @@ func (b *ReadBuffer) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b,
 
 // ConsumeRuns implements trace.RunConsumer: residency is probed by walking
 // each run's progression arithmetically — no address slice is ever built —
-// and the demand misses are re-compressed into runs for the DRAM trace.
+// and the demand misses are re-compressed into runs for the DRAM trace. A
+// block proven all-miss is not probed at all (see replay); a scanned one has
+// its hull widened by the run bounds the dense check takes anyway.
 func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	words := trace.RunWords(runs)
 	if words == 0 {
 		return
 	}
 	b.SRAMReads += words
+	if b.memo.replay {
+		b.replay(cycle, runs, words)
+		return
+	}
+	if !b.memo.open {
+		b.memo.stopProving()
+	}
+	if b.set.stale {
+		b.set.reindex()
+	}
 	misses := b.runBuf[:0]
 	var missWords int64
+	lo, hi := b.memo.lo, b.memo.hi
 	for _, r := range runs {
-		if b.set.dense && b.set.denseBounds(r) {
+		rlo, rhi := bounds(r)
+		lo, hi = min(lo, rlo), max(hi, rhi)
+		if b.set.denseCovers(rlo, rhi) {
 			var mw, ev int64
 			misses, mw, ev = b.set.scanRunDense(r, misses, b.record)
 			missWords += mw
@@ -445,6 +647,7 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 			a += r.Stride
 		}
 	}
+	b.memo.lo, b.memo.hi = lo, hi
 	b.runBuf = misses
 	if missWords > 0 {
 		b.DRAMReads += missWords
@@ -452,9 +655,30 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 }
 
-// BeginBlock implements trace.BlockConsumer with Evictions as the counter.
+// replay streams a batch of a block proven all-miss: every word is a miss
+// that evicts, so the arriving runs are the demand stream — the runs the
+// streak scan would emit — the counters move by arithmetic, and the words go
+// into the ring only.
+func (b *ReadBuffer) replay(cycle int64, runs []trace.Run, words int64) {
+	misses := b.runBuf[:0]
+	for _, r := range runs {
+		b.set.overwrite(r)
+		if b.record {
+			misses = trace.AppendRun(misses, r.Base, r.Stride, r.Count)
+		}
+	}
+	b.runBuf = misses
+	b.Evictions += words
+	b.DRAMReads += words
+	b.forward(cycle, words)
+}
+
+// BeginBlock implements trace.BlockConsumer: a block is skipped when proven
+// all-hit under Evictions, and replayed when proven all-miss under DRAMReads,
+// the insertion counter.
 func (b *ReadBuffer) BeginBlock(off, n, words int64) bool {
 	if !b.memo.begin(blockKey{off, n, words}, b.Evictions) {
+		b.memo.beginReplay(b.DRAMReads, b.set.capacity)
 		return false
 	}
 	b.SRAMReads += words
@@ -462,7 +686,7 @@ func (b *ReadBuffer) BeginBlock(off, n, words int64) bool {
 }
 
 // EndBlock implements trace.BlockConsumer.
-func (b *ReadBuffer) EndBlock() { b.memo.end(b.Evictions) }
+func (b *ReadBuffer) EndBlock() { b.memo.end(b.Evictions, b.DRAMReads) }
 
 // HitRate returns the fraction of SRAM reads served without DRAM traffic.
 func (b *ReadBuffer) HitRate() float64 {
@@ -508,7 +732,7 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	drained := b.runBuf[:0]
 	var drainWords int64
 	for _, r := range runs {
-		if b.set.dense && b.set.denseBounds(r) {
+		if b.set.denseCovers(bounds(r)) {
 			var dw int64
 			drained, dw = b.set.scanRunDenseEvict(r, drained, b.record)
 			drainWords += dw
@@ -543,7 +767,7 @@ func (b *WriteBuffer) BeginBlock(off, n, words int64) bool {
 }
 
 // EndBlock implements trace.BlockConsumer.
-func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites) }
+func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites, 0) }
 
 // Flush drains every resident output to DRAM at the given cycle (the end of
 // the layer), as runs like every other write-back. It returns the number of

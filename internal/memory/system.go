@@ -26,7 +26,9 @@ type Options struct {
 	// "memory.region_fallbacks" (accesses outside a declared region that
 	// demoted a buffer off its dense residency table) and
 	// "memory.blocks_skipped" / "memory.words_skipped" (operand blocks, and
-	// the SRAM words in them, proven resident rather than scanned).
+	// the SRAM words in them, proven resident rather than scanned) and
+	// "memory.blocks_thrashed" / "memory.words_thrashed" (proven to miss on
+	// every word and replayed into the ring rather than scanned).
 	Metrics *obsv.Registry
 }
 
@@ -75,9 +77,10 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 			f.onFallback = fb.Inc
 		}
 	}
-	blocks, words := opt.Metrics.Counter("memory.blocks_skipped"), opt.Metrics.Counter("memory.words_skipped")
-	for _, m := range []*blockMemo{&s.Ifmap.memo, &s.Filter.memo, &s.Ofmap.memo} {
-		m.blocks, m.words = blocks, words
+	skipped := blockCounters{opt.Metrics.Counter("memory.blocks_skipped"), opt.Metrics.Counter("memory.words_skipped")}
+	thrashed := blockCounters{opt.Metrics.Counter("memory.blocks_thrashed"), opt.Metrics.Counter("memory.words_thrashed")}
+	for _, m := range s.memos() {
+		m.skipped, m.thrashed = skipped, thrashed
 	}
 	return s, nil
 }
@@ -92,21 +95,26 @@ func (s *System) SetRegions(ifBase, ifWords, flBase, flWords, ofBase, ofWords in
 	s.Ofmap.SetRegion(ofBase, ofWords)
 }
 
-// Tables is the residency storage of one System — each buffer's FIFO ring
-// and direct-mapped marks table — detached so that a caller simulating
-// many layers can hand one layer's storage to the next instead of
-// allocating (and zeroing) megabytes per layer. Only capacity travels: a
+// Tables is the residency storage of one System — each buffer's FIFO ring,
+// direct-mapped marks table and block memo — detached so that a caller
+// simulating many layers can hand one layer's storage to the next instead
+// of allocating (and zeroing) megabytes per layer. Only capacity travels: a
 // System reads nothing a previous owner wrote, so results cannot depend
 // on which Tables it adopted, or on whether it adopted any.
 type Tables struct {
 	sets [3]struct {
 		ring  []int64
 		marks []byte
+		memo  blockTables
 	}
 }
 
 func (s *System) sets() [3]*fifoSet {
 	return [3]*fifoSet{s.Ifmap.set, s.Filter.set, s.Ofmap.set}
+}
+
+func (s *System) memos() [3]*blockMemo {
+	return [3]*blockMemo{&s.Ifmap.memo, &s.Filter.memo, &s.Ofmap.memo}
 }
 
 // Adopt hands t's storage to the buffers, each operand role keeping its
@@ -117,6 +125,9 @@ func (s *System) Adopt(t *Tables) {
 	for i, f := range s.sets() {
 		f.ring, f.marks = t.sets[i].ring[:0], t.sets[i].marks[:0]
 	}
+	for i, m := range s.memos() {
+		m.blockTables = t.sets[i].memo.cleared()
+	}
 }
 
 // Release detaches the buffers' storage for a later Adopt. Call after
@@ -126,7 +137,10 @@ func (s *System) Release() *Tables {
 	t := &Tables{}
 	for i, f := range s.sets() {
 		t.sets[i].ring, t.sets[i].marks = f.ring, f.marks
-		f.ring, f.marks, f.dense, f.head = nil, nil, false, 0
+		f.ring, f.marks, f.dense, f.head, f.stale = nil, nil, false, 0, false
+	}
+	for i, m := range s.memos() {
+		t.sets[i].memo, m.blockTables = m.blockTables, blockTables{}
 	}
 	return t
 }

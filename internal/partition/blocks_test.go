@@ -48,4 +48,7 @@ func TestBlockMemoInvisibleScaleOut(t *testing.T) {
 	if rec.Metrics().Counter("memory.words_skipped").Value() == 0 {
 		t.Error("no partition window skipped a block: the test compared the full path with itself")
 	}
+	if rec.Metrics().Counter("memory.words_thrashed").Value() == 0 {
+		t.Error("no partition window replayed a block all-miss")
+	}
 }

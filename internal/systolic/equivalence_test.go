@@ -3,6 +3,7 @@ package systolic
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"scalesim/internal/config"
@@ -360,6 +361,70 @@ func TestFoldBlockBracketing(t *testing.T) {
 					for _, v := range s.b.violations {
 						t.Errorf("%s: %s", s.name, v)
 					}
+				}
+			})
+		}
+	}
+}
+
+// blockReplays is a trace.BlockConsumer that never skips: it records every
+// stream of every block and keeps the first one each key produced.
+type blockReplays struct {
+	first   map[[3]int64][]int64
+	key     [3]int64
+	stream  []int64
+	streams int
+	differ  [][3]int64
+}
+
+func (b *blockReplays) Consume(_ int64, addrs []int64) { b.stream = append(b.stream, addrs...) }
+
+func (b *blockReplays) ConsumeRuns(_ int64, runs []trace.Run) {
+	b.stream = trace.ExpandRuns(runs, b.stream)
+}
+
+func (b *blockReplays) BeginBlock(off, n, words int64) bool {
+	b.key, b.stream = [3]int64{off, n, words}, b.stream[:0]
+	return false
+}
+
+func (b *blockReplays) EndBlock() {
+	if b.first == nil {
+		b.first = map[[3]int64][]int64{}
+	}
+	first, ok := b.first[b.key]
+	switch {
+	case !ok:
+		b.first[b.key] = append([]int64(nil), b.stream...)
+	case !slices.Equal(first, b.stream):
+		b.differ = append(b.differ, b.key)
+	default:
+		b.streams++
+	}
+}
+
+// TestBlockReplaysSameSequence pins the sequence half of the
+// trace.BlockConsumer contract, which the SRAM buffers' all-miss proof rests
+// on: every stream of one (off, n, words) key is the same addresses in the
+// same order, at every dataflow, with edge trimming and in a window.
+func TestBlockReplaysSameSequence(t *testing.T) {
+	for _, tc := range equivalenceCases() {
+		for _, df := range config.Dataflows {
+			cfg := tc.cfg.WithDataflow(df)
+			t.Run(fmt.Sprintf("%s/%s", tc.name, df), func(t *testing.T) {
+				var ifm, flt, ofm blockReplays
+				if _, err := RunWindow(tc.l, cfg, tc.win, Sinks{IfmapRead: &ifm, FilterRead: &flt, OfmapWrite: &ofm}); err != nil {
+					t.Fatal(err)
+				}
+				var repeats int
+				for _, b := range []*blockReplays{&ifm, &flt, &ofm} {
+					for _, k := range b.differ {
+						t.Errorf("block %v streamed a different address sequence on a later stream", k)
+					}
+					repeats += b.streams
+				}
+				if repeats == 0 {
+					t.Skip("no block streamed twice")
 				}
 			})
 		}

@@ -128,16 +128,18 @@ func ConsumeAddrs(c RunConsumer, cycle int64, addrs []int64) {
 // the whole block a no-op says so before a single run is generated.
 //
 // (off, n, words) names the block: the same triple must always denote the
-// same address multiset, words addresses in total. When BeginBlock returns
-// true the consumer has accounted for the block and the producer sends
-// nothing — no ConsumeRuns, no EndBlock. Otherwise the producer streams the
-// block and calls EndBlock after its last batch.
+// same address sequence, words addresses in total, in the same order — a
+// consumer may prove the next stream from what the last one did address by
+// address (the SRAM buffers replay an all-miss block on that proof). When
+// BeginBlock returns true the consumer has accounted for the block and the
+// producer sends nothing — no ConsumeRuns, no EndBlock. Otherwise the
+// producer streams the block and calls EndBlock after its last batch.
 //
-// Only consumers for which an all-hit block is unobservable implement this
-// (the SRAM buffers). Tee, the recorders and the CSV writer deliberately do
-// not: any live observer in the chain hides the capability, so it receives
-// the full stream. Producers discover it by type assertion on the resolved
-// RunConsumer.
+// Only consumers for which an all-hit block is unobservable, and an all-miss
+// block needs no scan, implement this (the SRAM buffers). Tee, the recorders
+// and the CSV writer deliberately do not: any live observer in the chain
+// hides the capability, so it receives the full stream. Producers discover
+// it by type assertion on the resolved RunConsumer.
 type BlockConsumer interface {
 	BeginBlock(off, n, words int64) (skip bool)
 	EndBlock()

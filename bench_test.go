@@ -609,7 +609,8 @@ func BenchmarkEngineParallel(b *testing.B) {
 // for 21 of the 54 layers and recycles from one to the next. A pass that
 // allocates more than 32 MB (19 MB while the tables grow, 5 MB after; 224 MB
 // with a table set per layer) has lost the recycling and fails, and so does
-// one that replays no word: the all-miss proof has stopped firing.
+// one in which either all-miss proof, thrashing or first touch, replays no
+// word: it has stopped firing.
 func BenchmarkResNet50Cold(b *testing.B) {
 	b.ReportAllocs()
 	rec := obsv.NewRecorder()
@@ -634,25 +635,29 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		}
 		before = after
 	}
-	requireThrashed(b, rec)
+	requireReplayed(b, rec)
 }
 
-// requireThrashed fails a cold benchmark whose buffers replayed no block
-// proven all-miss, and reports the replayed words per pass.
-func requireThrashed(b *testing.B, rec *obsv.Recorder) {
-	words := rec.Metrics().Counter("memory.words_thrashed").Value()
-	if words == 0 {
-		b.Fatal("memory.words_thrashed = 0: no block was proven all-miss")
+// requireReplayed fails a cold benchmark whose buffers replayed no block
+// proven all-miss by thrashing, or none by first touch, and reports the
+// replayed words per pass.
+func requireReplayed(b *testing.B, rec *obsv.Recorder) {
+	for _, proof := range []string{"thrashed", "first_touch"} {
+		words := rec.Metrics().Counter("memory.words_" + proof).Value()
+		if words == 0 {
+			b.Fatalf("memory.words_%s = 0: that all-miss proof never fired", proof)
+		}
+		b.ReportMetric(float64(words)/float64(b.N), proof+"-words/op")
 	}
-	b.ReportMetric(float64(words)/float64(b.N), "thrashed-words/op")
 }
 
 // BenchmarkBERTBaseDRAMCold is the cold path with the DRAM side attached:
 // one cache-free, single-worker pass of the BERTBase operator graph with the
 // DDR3 timing model and a 4 words/cycle link on both DRAM streams. Every
 // demand miss and write-back reaches the model and the stall analyzer as
-// runs — a replayed all-miss block's as the runs it arrived as. A pass that
-// replays no word fails, as in BenchmarkResNet50Cold.
+// runs — a replayed all-miss block's as the runs it arrived as. A pass in
+// which either all-miss proof replays no word fails, as in
+// BenchmarkResNet50Cold.
 func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 	b.ReportAllocs()
 	ddr := dram.DDR3()
@@ -682,7 +687,7 @@ func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 			b.Fatalf("BERTBase: compute cycles %d, DRAM requests %d, stall cycles %d", cycles, requests, stall)
 		}
 	}
-	requireThrashed(b, rec)
+	requireReplayed(b, rec)
 }
 
 // BenchmarkCSVTraceWrite measures trace serialization throughput.

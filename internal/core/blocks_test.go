@@ -14,8 +14,10 @@ import (
 
 // TestBlockMemoInvisibleEndToEnd runs the BERTTiny operator graph with the
 // DDR3 timing model and a bounded link twice: once sink-free, so the SRAM
-// buffers skip every operand block they can prove resident (and, under OS,
-// replay unscanned the blocks they can prove miss on every word), and
+// buffers skip every operand block they can prove resident and replay
+// unscanned the blocks they can prove miss on every word — thrashing filter
+// blocks under OS, first touches under OS and IS (under WS the IFMAP
+// tensors fit the buffer and the filter is only filled, unbracketed) — and
 // once with a live observer on each SRAM stream, whose Tee hides the
 // capability and forces the full streams. Cycles, traffic, peaks, DRAM
 // statistics, stall cycles and ledgers must be equal — the DRAM-side
@@ -29,7 +31,7 @@ func TestBlockMemoInvisibleEndToEnd(t *testing.T) {
 	ddr := dram.DDR3()
 	for _, df := range config.Dataflows {
 		cfg := config.New().WithArray(16, 16).WithDataflow(df).WithSRAM(8, 8, 4)
-		run := func(observed bool) (RunResult, [2]int64) {
+		run := func(observed bool) (RunResult, [3]int64) {
 			rec := obsv.NewRecorder()
 			opt := Options{Workers: 2, DRAM: &ddr, DRAMBandwidth: 4, Obs: rec}
 			if observed {
@@ -49,13 +51,15 @@ func TestBlockMemoInvisibleEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := rec.Metrics()
-			return res, [2]int64{m.Counter("memory.words_skipped").Value(), m.Counter("memory.words_thrashed").Value()}
+			return res, [3]int64{m.Counter("memory.words_skipped").Value(), m.Counter("memory.words_thrashed").Value(),
+				m.Counter("memory.words_first_touch").Value()}
 		}
 		skipping, shortcuts := run(false)
 		full, none := run(true)
-		if shortcuts[0] == 0 || (df == config.OutputStationary) != (shortcuts[1] > 0) || none != [2]int64{} {
-			t.Errorf("%s: words skipped and replayed sink-free %v (want skips, and replays under OS only), observed %v (want none)",
-				df, shortcuts, none)
+		fired := [3]bool{shortcuts[0] > 0, shortcuts[1] > 0, shortcuts[2] > 0}
+		if want := [3]bool{true, df == config.OutputStationary, df != config.WeightStationary}; fired != want || none != [3]int64{} {
+			t.Errorf("%s: words skipped, thrashed and first touch sink-free %v (want skips, thrashing under OS only, "+
+				"first touch except under WS), observed %v (want none)", df, shortcuts, none)
 		}
 		if !reflect.DeepEqual(skipping, full) {
 			for i := range full.Layers {

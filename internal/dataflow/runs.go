@@ -106,6 +106,29 @@ func (mp *Mapper) ColStreamRuns(j, t, n int64, dst []trace.Run) []trace.Run {
 	return mp.addr.FilterRuns(j, 1, t, -1, n, dst)
 }
 
+// RowBlock declares the left-edge operand block of spatial rows [off,
+// off+n), each streamed for all T temporal steps. Every layout is monotone
+// in both indices, so the hull is the two corners. The filter operand never
+// repeats an address within a block; the IFMAP operand does exactly when
+// convolution windows overlap, which a kernel no larger than the stride
+// rules out (1x1 convolutions and GEMMs among them).
+func (mp *Mapper) RowBlock(off, n int64) trace.Block {
+	distinct := true
+	if mp.RowOperand() == Ifmap {
+		l := mp.addr.layer
+		distinct = l.FilterH <= l.Stride && l.FilterW <= l.Stride
+	}
+	return trace.Block{Off: off, N: n, Words: n * mp.m.T,
+		Lo: mp.RowStream(off, 0), Hi: mp.RowStream(off+n-1, mp.m.T-1), Distinct: distinct}
+}
+
+// ColBlock declares the top-edge filter block of spatial columns [off,
+// off+n), as RowBlock does. Only valid for the OS dataflow.
+func (mp *Mapper) ColBlock(off, n int64) trace.Block {
+	return trace.Block{Off: off, N: n, Words: n * mp.m.T,
+		Lo: mp.ColStream(off, 0), Hi: mp.ColStream(off+n-1, mp.m.T-1), Distinct: true}
+}
+
 // StationaryRuns appends runs covering the fill row Stationary(i, j+k) for
 // k in [0, n): one spatial row of the pre-filled operand.
 func (mp *Mapper) StationaryRuns(i, j, n int64, dst []trace.Run) []trace.Run {

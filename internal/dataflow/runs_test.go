@@ -2,6 +2,8 @@ package dataflow
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"scalesim/internal/config"
@@ -138,6 +140,99 @@ func TestRunsMatchElementGenerators(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// declarationLayer draws a random layer of one of five kinds: kernels no
+// larger than the stride, a kernel larger than the stride, 1x1 with stride
+// 2, a GEMM, and a unit-width layout (IfmapW == FilterW: one OFMAP column).
+func declarationLayer(rng *rand.Rand, kind int) topology.Layer {
+	s := 1 + rng.Intn(3)
+	l := topology.Layer{Name: fmt.Sprintf("kind%d", kind), Channels: 1 + rng.Intn(4),
+		NumFilters: 1 + rng.Intn(6), Stride: s, FilterH: 1 + rng.Intn(s), FilterW: 1 + rng.Intn(s)}
+	switch kind {
+	case 1:
+		l.Stride = 1 + rng.Intn(2)
+		l.FilterH, l.FilterW = l.Stride+1+rng.Intn(2), 1+rng.Intn(4)
+	case 2:
+		l.Stride, l.FilterH, l.FilterW = 2, 1, 1
+	case 3:
+		return topology.FromGEMM("gemm", 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12))
+	}
+	l.IfmapH, l.IfmapW = l.FilterH+rng.Intn(8), l.FilterW+rng.Intn(8)
+	if kind == 4 {
+		l.IfmapW = l.FilterW
+	}
+	return l
+}
+
+// TestBlockDeclaration pins the producer's block declaration: for random
+// layers of every kind, under every dataflow, and random blocks of rows (and
+// under OS of columns), the block expanded element by element has exactly
+// the declared words, its exact minimum and maximum are the declared hull,
+// a block declared distinct repeats no address, and every 1x1 convolution
+// and GEMM is declared distinct.
+func TestBlockDeclaration(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var distinct, overlapping int
+	for i := 0; i < 200; i++ {
+		l := declarationLayer(rng, i%5)
+		if err := l.Validate(); err != nil {
+			t.Fatalf("%+v: %v", l, err)
+		}
+		for _, df := range config.Dataflows {
+			mp := NewMapper(l, df, Offsets{Ifmap: 100, Filter: 2000, Ofmap: 30000})
+			m := mp.Mapping()
+			type edge struct {
+				name    string
+				extent  int64
+				block   func(off, n int64) trace.Block
+				address func(i, t int64) int64
+			}
+			edges := []edge{{"row", m.Sr, mp.RowBlock, mp.RowStream}}
+			if df == config.OutputStationary {
+				edges = append(edges, edge{"col", m.Sc, mp.ColBlock, mp.ColStream})
+			}
+			for _, e := range edges {
+				for k := 0; k < 4; k++ {
+					off := rng.Int63n(e.extent)
+					n := 1 + rng.Int63n(e.extent-off)
+					blk := e.block(off, n)
+					label := fmt.Sprintf("%+v %s %s block (%d, %d)", l, df, e.name, off, n)
+					seen := map[int64]bool{}
+					lo, hi, repeats := int64(math.MaxInt64), int64(math.MinInt64), false
+					for i := off; i < off+n; i++ {
+						for tt := int64(0); tt < m.T; tt++ {
+							a := e.address(i, tt)
+							lo, hi = min(lo, a), max(hi, a)
+							repeats = repeats || seen[a]
+							seen[a] = true
+						}
+					}
+					if blk.Off != off || blk.N != n || blk.Words != n*m.T {
+						t.Fatalf("%s: declared key (%d, %d, %d), want (%d, %d, %d)",
+							label, blk.Off, blk.N, blk.Words, off, n, n*m.T)
+					}
+					if blk.Lo != lo || blk.Hi != hi {
+						t.Fatalf("%s: declared hull [%d, %d], exact [%d, %d]", label, blk.Lo, blk.Hi, lo, hi)
+					}
+					if blk.Distinct && repeats {
+						t.Fatalf("%s: declared distinct but repeats an address", label)
+					}
+					if !blk.Distinct && l.FilterH == 1 && l.FilterW == 1 {
+						t.Fatalf("%s: a 1x1 or GEMM block not declared distinct", label)
+					}
+					if blk.Distinct {
+						distinct++
+					} else if repeats {
+						overlapping++
+					}
+				}
+			}
+		}
+	}
+	if distinct == 0 || overlapping == 0 {
+		t.Errorf("declared distinct %d, overlapping %d: the grid missed one", distinct, overlapping)
 	}
 }
 

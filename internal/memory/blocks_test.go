@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"scalesim/internal/config"
@@ -37,12 +38,15 @@ type blockOutcome struct {
 	evictions         [2]int64
 	fallbacks         int64
 	skipped, skipWord int64
-	// thrashed counts the blocks replayed all-miss; thrashWords the words
-	// in them, per read buffer (IFMAP, filter), and unprovable whether that
-	// buffer had ruled the all-miss proof out by the end.
-	thrashed    int64
-	thrashWords [2]int64
-	unprovable  [2]bool
+	// recent counts the blocks skipped all-hit by recency (included in
+	// skipped). thrashed and firstTouch count the blocks replayed all-miss
+	// by either proof; thrashWords and firstWords the words in them, per
+	// read buffer (IFMAP, filter), and unprovable whether that buffer had
+	// ruled the all-miss proofs out by the end.
+	recent                  int64
+	thrashed, firstTouch    int64
+	thrashWords, firstWords [2]int64
+	unprovable              [2]bool
 }
 
 // runBlocks simulates l into a fresh system, with or without the block
@@ -59,8 +63,12 @@ func runBlocks(t *testing.T, l topology.Layer, cfg config.Config, opt Options, w
 		t.Fatal(err)
 	}
 	regions(sys)
-	var thrashWords [2]obsv.Counter
-	sys.Ifmap.memo.thrashed.words, sys.Filter.memo.thrashed.words = &thrashWords[0], &thrashWords[1]
+	var thrashWords, firstWords [2]obsv.Counter
+	var recent obsv.Counter
+	for i, b := range []*ReadBuffer{sys.Ifmap, sys.Filter} {
+		b.memo.thrashed.words, b.memo.firstTouch.words = &thrashWords[i], &firstWords[i]
+		b.memo.recent.blocks = &recent
+	}
 	sinks := systolic.Sinks{IfmapRead: sys.Ifmap, FilterRead: sys.Filter, OfmapWrite: sys.Ofmap}
 	if !bracket {
 		sinks = systolic.Sinks{IfmapRead: unbracketed{sys.Ifmap},
@@ -85,8 +93,11 @@ func runBlocks(t *testing.T, l topology.Layer, cfg config.Config, opt Options, w
 		fallbacks:   sys.RegionFallbacks(),
 		skipped:     reg.Counter("memory.blocks_skipped").Value(),
 		skipWord:    reg.Counter("memory.words_skipped").Value(),
+		recent:      recent.Value(),
 		thrashed:    reg.Counter("memory.blocks_thrashed").Value(),
+		firstTouch:  reg.Counter("memory.blocks_first_touch").Value(),
 		thrashWords: [2]int64{thrashWords[0].Value(), thrashWords[1].Value()},
+		firstWords:  [2]int64{firstWords[0].Value(), firstWords[1].Value()},
 		unprovable:  [2]bool{sys.Ifmap.memo.unprovable, sys.Filter.memo.unprovable},
 	}
 }
@@ -103,8 +114,9 @@ func layerRegions(l topology.Layer, cfg config.Config) func(*System) {
 func requireSameOutcome(t *testing.T, got, want blockOutcome) {
 	t.Helper()
 	requireSameObservables(t, got, want)
-	if want.skipped != 0 || want.thrashed != 0 {
-		t.Errorf("the unbracketed reference skipped %d blocks and replayed %d", want.skipped, want.thrashed)
+	if want.skipped != 0 || want.thrashed != 0 || want.firstTouch != 0 {
+		t.Errorf("the unbracketed reference skipped %d blocks and replayed %d and %d",
+			want.skipped, want.thrashed, want.firstTouch)
 	}
 }
 
@@ -162,8 +174,10 @@ func TestBlockMemoMatchesFullStream(t *testing.T) {
 				if got.fallbacks != 0 {
 					t.Errorf("%d region fallbacks on a correct declaration", got.fallbacks)
 				}
-				if (name == "CB4a_2" || name == "CB5a_2") && df == config.OutputStationary && got.thrashWords[1] == 0 {
-					t.Error("no filter word replayed all-miss")
+				if (name == "CB4a_2" || name == "CB5a_2") && df == config.OutputStationary &&
+					(got.thrashWords[1] == 0 || got.firstWords[1] == 0) {
+					t.Errorf("filter words replayed all-miss: %d thrashed, %d first touch; want both",
+						got.thrashWords[1], got.firstWords[1])
 				}
 			})
 		}
@@ -181,8 +195,9 @@ func TestBlockMemoMatchesFullStream(t *testing.T) {
 		got := runBlocks(t, l, cfg, Options{}, systolic.Window{}, true, layerRegions(l, cfg))
 		want := runBlocks(t, l, cfg, Options{}, systolic.Window{}, false, layerRegions(l, cfg))
 		requireSameOutcome(t, got, want)
-		if got.thrashWords[0] != 0 || !got.unprovable[0] {
-			t.Errorf("IFMAP: %d words replayed, proof ruled out %t; want 0 and true", got.thrashWords[0], got.unprovable[0])
+		if got.thrashWords[0] != 0 || got.firstWords[0] != 0 || !got.unprovable[0] {
+			t.Errorf("IFMAP: %d + %d words replayed, proof ruled out %t; want 0 and true",
+				got.thrashWords[0], got.firstWords[0], got.unprovable[0])
 		}
 	})
 }
@@ -234,10 +249,10 @@ func randomBlockCase(rng *rand.Rand, i int) blockCase {
 
 // TestBlockMemoRandomGrid sweeps the randomised grid and requires that the
 // sweep really visited all three regimes, and runs in which blocks were
-// replayed all-miss.
+// replayed all-miss by thrashing and by first touch and skipped by recency.
 func TestBlockMemoRandomGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	var skippedAll, skippedSome, skippedNone, replayed, windows int
+	var skippedAll, skippedSome, skippedNone, replayed, firstTouched, recent, windows int
 	for i := 0; i < 120; i++ {
 		c := randomBlockCase(rng, i)
 		if c.windowed {
@@ -259,11 +274,19 @@ func TestBlockMemoRandomGrid(t *testing.T) {
 			if got.thrashed > 0 {
 				replayed++
 			}
+			if got.firstTouch > 0 {
+				firstTouched++
+			}
+			if got.recent > 0 {
+				recent++
+			}
 		})
 	}
-	if skippedAll == 0 || skippedSome == 0 || skippedNone == 0 || replayed == 0 || windows == 0 {
-		t.Errorf("grid missed a regime: mostly skipped %d, partly %d, never %d, replayed all-miss %d, windowed %d",
-			skippedAll, skippedSome, skippedNone, replayed, windows)
+	if skippedAll == 0 || skippedSome == 0 || skippedNone == 0 || replayed == 0 || firstTouched == 0 ||
+		recent == 0 || windows == 0 {
+		t.Errorf("grid missed a regime: mostly skipped %d, partly %d, never %d, replayed all-miss %d, "+
+			"first touch %d, skipped by recency %d, windowed %d",
+			skippedAll, skippedSome, skippedNone, replayed, firstTouched, recent, windows)
 	}
 }
 
@@ -308,9 +331,11 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 			}
 			got := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, adopt(poisonedTables(words, scale)))
 			requireSameObservables(t, got, want)
-			if got.skipped != want.skipped || got.skipWord != want.skipWord || got.thrashWords != want.thrashWords {
-				t.Errorf("skips differ: %d blocks %d words vs %d and %d; replayed words %v vs %v",
-					got.skipped, got.skipWord, want.skipped, want.skipWord, got.thrashWords, want.thrashWords)
+			if got.skipped != want.skipped || got.skipWord != want.skipWord || got.thrashWords != want.thrashWords ||
+				got.firstWords != want.firstWords {
+				t.Errorf("skips differ: %d blocks %d words vs %d and %d; replayed words %v vs %v, first touch %v vs %v",
+					got.skipped, got.skipWord, want.skipped, want.skipWord, got.thrashWords, want.thrashWords,
+					got.firstWords, want.firstWords)
 			}
 			released := sys.Release()
 			for k, set := range released.sets {
@@ -370,10 +395,11 @@ func TestBlockMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := func(base int64) (skipped bool) {
-		if b.BeginBlock(base, 2, 4) {
+		runs := []trace.Run{seq(base, 2), seq(base, 2)}
+		if b.BeginBlock(declare(runs...)) {
 			return true
 		}
-		b.ConsumeRuns(0, []trace.Run{{Base: base, Stride: 1, Count: 2}, {Base: base, Stride: 1, Count: 2}})
+		b.ConsumeRuns(0, runs)
 		b.EndBlock()
 		return false
 	}
@@ -404,10 +430,10 @@ func TestBlockMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wblock := func() bool {
-		if w.BeginBlock(0, 3, 3) {
+		if w.BeginBlock(trace.Block{N: 3, Words: 3, Hi: -1}) {
 			return true
 		}
-		w.ConsumeRuns(0, []trace.Run{{Base: 0, Stride: 1, Count: 3}})
+		w.ConsumeRuns(0, []trace.Run{seq(0, 3)})
 		w.EndBlock()
 		return false
 	}
@@ -424,6 +450,28 @@ func TestBlockMemoInvalidation(t *testing.T) {
 
 func seq(base, n int64) trace.Run { return trace.Run{Base: base, Stride: 1, Count: n} }
 
+// declare is the producer's declaration of a block streamed as runs, keyed
+// by its first address and run count: the exact hull, and whether no
+// address repeats.
+func declare(runs ...trace.Run) trace.Block {
+	addrs := trace.ExpandRuns(runs, nil)
+	sorted := slices.Clone(addrs)
+	slices.Sort(sorted)
+	return trace.Block{Off: runs[0].Base, N: int64(len(runs)), Words: int64(len(addrs)),
+		Lo: sorted[0], Hi: sorted[len(sorted)-1], Distinct: len(slices.Compact(sorted)) == len(addrs)}
+}
+
+// verdict is what a bracketed read buffer did with one block.
+type verdict string
+
+const (
+	byScan       verdict = "scanned"
+	byEvictions  verdict = "all-hit by the eviction counter"
+	byRecency    verdict = "all-hit by recency"
+	byThrash     verdict = "all-miss by thrashing"
+	byFirstTouch verdict = "all-miss by first touch"
+)
+
 // missRig drives a read buffer through bracketed blocks and, beside it, an
 // unbracketed reference fed the same runs; after every step the two must
 // agree on the miss stream and on every counter.
@@ -431,9 +479,12 @@ type missRig struct {
 	t         *testing.T
 	b, ref    *ReadBuffer
 	got, want *trace.Recorder
-	replayed  obsv.Counter
-	cycle     int64
+	// counts are the buffer's block counters, in the order of verdicts.
+	counts [4]obsv.Counter
+	cycle  int64
 }
+
+var verdicts = [4]verdict{byEvictions, byRecency, byThrash, byFirstTouch}
 
 // newMissRig builds the pair with 4 resident words each.
 func newMissRig(t *testing.T) *missRig {
@@ -445,23 +496,46 @@ func newMissRig(t *testing.T) *missRig {
 	if g.ref, err = NewReadBuffer("ref", 8, g.want, nil); err != nil {
 		t.Fatal(err)
 	}
-	g.b.memo.thrashed.blocks = &g.replayed
+	m := &g.b.memo
+	for i, c := range []*blockCounters{&m.skipped, &m.recent, &m.thrashed, &m.firstTouch} {
+		c.blocks = &g.counts[i]
+	}
 	return g
 }
 
-// block streams runs as one block, keyed by its first address, and reports
-// whether the buffer replayed it all-miss.
-func (g *missRig) block(runs ...trace.Run) bool {
+// region declares the same region to both buffers.
+func (g *missRig) region(base, words int64) {
+	g.b.SetRegion(base, words)
+	g.ref.SetRegion(base, words)
+}
+
+// block streams runs as one block under their exact declaration.
+func (g *missRig) block(runs ...trace.Run) verdict {
+	g.t.Helper()
+	return g.stream(declare(runs...), runs...)
+}
+
+// stream streams runs as the block blk declares and reports what the buffer
+// did with it.
+func (g *missRig) stream(blk trace.Block, runs ...trace.Run) verdict {
 	g.t.Helper()
 	g.cycle++
-	before := g.replayed.Value()
-	if !g.b.BeginBlock(runs[0].Base, int64(len(runs)), trace.RunWords(runs)) {
+	var before [4]int64
+	for i := range g.counts {
+		before[i] = g.counts[i].Value()
+	}
+	if !g.b.BeginBlock(blk) {
 		g.b.ConsumeRuns(g.cycle, runs)
 		g.b.EndBlock()
 	}
 	g.ref.ConsumeRuns(g.cycle, runs)
 	g.check()
-	return g.replayed.Value() > before
+	for i, v := range verdicts {
+		if g.counts[i].Value() > before[i] {
+			return v
+		}
+	}
+	return byScan
 }
 
 // loose sends runs outside any block.
@@ -482,41 +556,39 @@ func (g *missRig) check() {
 	if want := [3]int64{g.ref.SRAMReads, g.ref.DRAMReads, g.ref.Evictions}; got != want {
 		g.t.Fatalf("cycle %d: SRAM reads, DRAM reads, evictions %v, reference %v", g.cycle, got, want)
 	}
+	if g.b.set.fallbacks != g.ref.set.fallbacks {
+		g.t.Fatalf("cycle %d: %d region fallbacks, reference %d", g.cycle, g.b.set.fallbacks, g.ref.set.fallbacks)
+	}
 }
 
-// TestAllMissMemoInvalidation drives the all-miss proof by hand. Two
-// disjoint blocks that each fill the buffer replay one another's
-// evictions; each of the proof's three conditions then blocks the replay on
-// its own — in every case where the replay would have been wrong, the
-// reference comparison would catch it. A replay leaves the residency index
-// stale: the next block with real hits must still see exact residency, and
-// Release must not hand a stale index to the next System.
+// expect fails unless the verdicts are the wanted ones, in order.
+func (g *missRig) expect(got []verdict, want ...verdict) {
+	g.t.Helper()
+	if !slices.Equal(got, want) {
+		g.t.Fatalf("verdicts %q, want %q", got, want)
+	}
+}
+
+// TestAllMissMemoInvalidation drives the thrash proof by hand. Two disjoint
+// blocks that each fill the buffer are first touches, then replay one
+// another's evictions; each of the proof's three conditions then blocks the
+// replay on its own — in every case where the replay would have been wrong,
+// the reference comparison would catch it. A replay leaves the residency
+// index stale: the next block with real hits must still see exact
+// residency, and Release must not hand a stale index to the next System.
 func TestAllMissMemoInvalidation(t *testing.T) {
 	A, B := seq(0, 4), seq(10, 4)
 	t.Run("proven", func(t *testing.T) {
 		g := newMissRig(t)
-		if g.block(A) || g.block(B) {
-			t.Fatal("first stream replayed")
-		}
-		if !g.block(A) || !g.block(B) {
-			t.Fatal("all-miss block with capacity insertions since not replayed")
-		}
-		// Only C's 2 insertions since B's stream ended.
-		if g.block(seq(20, 2)) || g.block(B) {
-			t.Fatal("block replayed with fewer than capacity insertions since its last stream")
-		}
-		if !g.block(A) {
-			t.Fatal("all-miss block with capacity insertions since not replayed")
-		}
+		g.expect([]verdict{g.block(A), g.block(B), g.block(A), g.block(B)},
+			byFirstTouch, byFirstTouch, byThrash, byThrash)
+		// Only C's 2 insertions since B's stream ended: B is scanned.
+		g.expect([]verdict{g.block(seq(20, 2)), g.block(B), g.block(A)}, byFirstTouch, byScan, byThrash)
 	})
 	t.Run("mixed last stream", func(t *testing.T) {
 		g := newMissRig(t)
 		mixed := []trace.Run{seq(0, 3), seq(0, 1)} // the repeat of 0 hits
-		g.block(mixed...)
-		g.block(B)
-		if g.block(mixed...) {
-			t.Fatal("block replayed although its last stream hit")
-		}
+		g.expect([]verdict{g.block(mixed...), g.block(B), g.block(mixed...)}, byScan, byFirstTouch, byScan)
 	})
 	t.Run("overlapping hull", func(t *testing.T) {
 		g := newMissRig(t)
@@ -524,29 +596,23 @@ func TestAllMissMemoInvalidation(t *testing.T) {
 		g.block(B)
 		// A block holding only 0: its hull overlaps A's, and 0 is still
 		// resident when A next streams, so A hits on it.
-		g.block(seq(0, 1))
-		if g.block(A) || g.block(B) || g.block(A) {
-			t.Fatal("block replayed after two hulls overlapped")
-		}
+		g.expect([]verdict{g.block(seq(0, 1)), g.block(A), g.block(B), g.block(A)}, byScan, byScan, byScan, byScan)
 	})
 	t.Run("unbracketed traffic", func(t *testing.T) {
 		g := newMissRig(t)
 		g.block(A)
 		g.block(B)
 		g.loose(seq(0, 1))
-		if g.block(A) || g.block(B) || g.block(A) {
-			t.Fatal("block replayed after traffic outside a block")
-		}
+		g.expect([]verdict{g.block(A), g.block(B), g.block(A)}, byScan, byScan, byScan)
 	})
 	t.Run("exact residency after a replay", func(t *testing.T) {
 		g := newMissRig(t)
-		g.block(A)
-		g.block(B)
-		if !g.block(A) || !g.b.set.stale {
-			t.Fatal("want A replayed and the index stale")
+		g.expect([]verdict{g.block(A), g.block(B), g.block(A)}, byFirstTouch, byFirstTouch, byThrash)
+		if !g.b.set.stale {
+			t.Fatal("want the index stale")
 		}
-		// The index was last written by B's scan: read unrebuilt, 2 and 3
-		// would miss and nothing of it would be checked against the ring.
+		// No scan has written the index yet: read unrebuilt, 2 and 3 would
+		// miss and nothing of it would be checked against the ring.
 		dram := g.b.DRAMReads
 		g.block(seq(2, 2), seq(40, 1))
 		if g.b.DRAMReads-dram != 1 || g.b.set.stale {
@@ -569,13 +635,15 @@ func TestAllMissMemoInvalidation(t *testing.T) {
 			f := sys.Filter
 			script := [][]trace.Run{{seq(0, c)}, {seq(c, c)}, {seq(0, c)}, {seq(c/2, c)}}
 			for i, runs := range script[:steps] {
-				if !f.BeginBlock(runs[0].Base, 1, c) {
+				if !f.BeginBlock(declare(runs...)) {
 					f.ConsumeRuns(int64(i), runs)
 					f.EndBlock()
 				}
 			}
-			if got := reg.Counter("memory.words_thrashed").Value(); got != c {
-				t.Fatalf("%d words replayed, want the third block's %d", got, c)
+			thrashed, first := reg.Counter("memory.words_thrashed").Value(), reg.Counter("memory.words_first_touch").Value()
+			if thrashed != c || first != 2*c {
+				t.Fatalf("%d words thrashed and %d first touch, want the third block's %d and the first two's %d",
+					thrashed, first, c, 2*c)
 			}
 			return sys, rec.Entries, [3]int64{f.SRAMReads, f.DRAMReads, f.Evictions}
 		}
@@ -592,6 +660,106 @@ func TestAllMissMemoInvalidation(t *testing.T) {
 			t.Errorf("%d DRAM reads, want %d: the last block hits on A's second half", wantN[1], 3*c+c/2)
 		}
 	})
+}
+
+// TestFirstTouchMemoInvalidation drives the first-touch proof by hand: a
+// block with no entry, declared distinct, whose declared hull is disjoint
+// from every earlier block's, in a region that does not fit and has seen no
+// unbracketed traffic, misses on every word. Each condition blocks the
+// proof on its own; where a word of the block is really resident, a wrong
+// replay would also differ from the reference.
+func TestFirstTouchMemoInvalidation(t *testing.T) {
+	A := seq(0, 4)
+	t.Run("proven", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, 64)
+		g.expect([]verdict{g.block(seq(20, 2)), g.block(A)}, byFirstTouch, byFirstTouch)
+		if !g.b.set.stale {
+			t.Error("want the index stale after a replay")
+		}
+	})
+	t.Run("not distinct", func(t *testing.T) {
+		g := newMissRig(t)
+		g.expect([]verdict{g.block(seq(0, 3), seq(0, 1))}, byScan) // the repeat of 0 hits
+	})
+	t.Run("overlapping hull", func(t *testing.T) {
+		g := newMissRig(t)
+		g.expect([]verdict{g.block(A), g.block(seq(2, 1))}, byFirstTouch, byScan) // 2 is resident
+	})
+	t.Run("existing entry", func(t *testing.T) {
+		g := newMissRig(t)
+		// C evicts 0 and 1; A's second stream misses on them and hits on 2, 3.
+		g.expect([]verdict{g.block(A), g.block(seq(10, 2)), g.block(A)}, byFirstTouch, byFirstTouch, byScan)
+	})
+	t.Run("unbracketed batch", func(t *testing.T) {
+		g := newMissRig(t)
+		g.loose(seq(0, 1))
+		g.expect([]verdict{g.block(A)}, byScan)
+	})
+	t.Run("no hull declared", func(t *testing.T) {
+		g := newMissRig(t)
+		// Lo > Hi: no hull, whatever the two bounds are.
+		g.stream(trace.Block{Off: 0, N: 1, Words: 1, Lo: 50, Hi: 49}, seq(0, 1))
+		g.expect([]verdict{g.block(A)}, byScan)
+	})
+	t.Run("region fits", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, 4)
+		g.expect([]verdict{g.block(A)}, byScan)
+	})
+	t.Run("traffic before the region", func(t *testing.T) {
+		g := newMissRig(t)
+		g.loose(seq(0, 1))
+		g.region(0, 64)
+		g.expect([]verdict{g.block(A)}, byScan)
+	})
+	t.Run("hull outside the dense table", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, 8)
+		// The scan leaves the dense table exactly where the reference does.
+		g.expect([]verdict{g.block(seq(100, 4)), g.block(A)}, byScan, byFirstTouch)
+		if g.b.set.fallbacks != 1 {
+			t.Errorf("%d region fallbacks, want 1", g.b.set.fallbacks)
+		}
+	})
+	t.Run("partly full ring", func(t *testing.T) {
+		g := newMissRig(t)
+		// A fills the one free slot and evicts three: check compares the
+		// evictions with the reference's.
+		g.expect([]verdict{g.block(seq(100, 3)), g.block(A)}, byFirstTouch, byFirstTouch)
+		if g.b.Evictions != 3 {
+			t.Errorf("%d evictions, want 3", g.b.Evictions)
+		}
+	})
+	t.Run("first traffic in a probe-table region", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, denseLimitWords+1)
+		g.expect([]verdict{g.block(A)}, byFirstTouch)
+		if g.b.set.probe != nil || !g.b.set.stale {
+			t.Fatal("want no probe table yet and a stale index")
+		}
+		// A scanned block (its hull overlaps A's) must build the table from
+		// the ring: 2 and 3 hit.
+		dram := g.b.DRAMReads
+		g.expect([]verdict{g.block(seq(2, 2), seq(40, 1))}, byScan)
+		if g.b.DRAMReads-dram != 1 {
+			t.Errorf("%d misses, want 1", g.b.DRAMReads-dram)
+		}
+	})
+}
+
+// TestRecencyMemo drives the recency proof by hand: a block whose last
+// stream missed on every word stays resident for capacity-words insertions
+// after it, whatever they were, and is skipped for that long; one more
+// insertion and it is scanned again.
+func TestRecencyMemo(t *testing.T) {
+	g := newMissRig(t)
+	A := seq(0, 2)
+	// F fills the ring, so A's stream evicts and proves nothing by the
+	// eviction counter.
+	g.expect([]verdict{g.block(seq(100, 4)), g.block(A)}, byFirstTouch, byFirstTouch)
+	g.expect([]verdict{g.block(seq(10, 2)), g.block(A)}, byFirstTouch, byRecency) // 2 = capacity-words since
+	g.expect([]verdict{g.block(seq(20, 1)), g.block(A)}, byFirstTouch, byScan)    // 3: 0 is evicted
 }
 
 // TestSystemSetupAllocation guards the cold path's fixed cost: building a

@@ -24,7 +24,6 @@ package memory
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"scalesim/internal/obsv"
@@ -252,15 +251,23 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record boo
 	return drained, drainWords
 }
 
-// overwrite inserts a run of addresses known to miss into the full ring,
-// each over the oldest slot, and leaves the residency index stale rather
-// than marking them: the caller has proven the whole block misses, so
-// nothing reads the index until reindex rebuilds it. Only the run's last
-// len(ring) words can survive it.
-func (f *fifoSet) overwrite(r trace.Run) {
+// overwrite inserts a run of addresses known to miss — none resident, none
+// repeated — into the ring: free slots first, then each over the oldest
+// slot. It leaves the residency index stale rather than marking them: the
+// caller has proven the whole block misses, so nothing reads the index
+// until reindex rebuilds it. Only the run's last capacity words can survive
+// it. It returns the evictions, max(0, len+words-capacity).
+func (f *fifoSet) overwrite(r trace.Run) (evictions int64) {
 	f.stale = true
-	n := int64(len(f.ring))
 	a, left := r.Base, r.Count
+	if free := f.capacity - int64(len(f.ring)); free > 0 {
+		k, n := int(min(free, left)), len(f.ring)
+		f.ring = slices.Grow(f.ring, k)[:n+k]
+		a = fill(f.ring[n:], a, r.Stride)
+		left -= int64(k)
+	}
+	evictions = left
+	n := int64(len(f.ring))
 	if left > n {
 		a += (left - n) * r.Stride
 		f.head = int((int64(f.head) + left - n) % n)
@@ -268,21 +275,31 @@ func (f *fifoSet) overwrite(r trace.Run) {
 	}
 	for left > 0 {
 		seg := f.ring[f.head:min(int64(f.head)+left, n)]
-		for i := range seg {
-			seg[i] = a
-			a += r.Stride
-		}
+		a = fill(seg, a, r.Stride)
 		left -= int64(len(seg))
 		if f.head += len(seg); f.head == len(f.ring) {
 			f.head = 0
 		}
 	}
+	return evictions
+}
+
+// fill writes the progression a, a+stride, ... into s and returns the
+// address after it.
+func fill(s []int64, a, stride int64) int64 {
+	for i := range s {
+		s[i] = a
+		a += stride
+	}
+	return a
 }
 
 // reindex rebuilds a stale residency index from the ring, which holds
 // exactly the resident set: one clear, then one mark per slot. Every ring
-// address of a dense set is in-region — overwrite replays a stream the
-// dense table already accepted.
+// address of a dense set is in-region — overwrite replays a stream the dense
+// table already accepted, or a first touch whose declared hull it covers
+// (see ReadBuffer.BeginBlock). A probe table that no
+// insertion has built yet (overwrite was the first traffic) is built here.
 func (f *fifoSet) reindex() {
 	f.stale = false
 	if f.dense {
@@ -291,6 +308,9 @@ func (f *fifoSet) reindex() {
 			f.marks[a-f.base] = 1
 		}
 		return
+	}
+	if f.probe == nil {
+		f.probe = newProbeSet(f.capacity)
 	}
 	clear(f.probe.slots)
 	for _, a := range f.ring {
@@ -344,7 +364,7 @@ func (f *fifoSet) len() int { return len(f.ring) }
 
 // blockMemo is the buffers' trace.BlockConsumer state: for each operand
 // block, what its last complete stream proved about the next one. One entry
-// holds both verdicts.
+// holds every verdict.
 //
 // All-hit. A FIFO buffer changes state only on a miss and loses an address
 // only by eviction. A stream that caused no eviction therefore leaves every
@@ -353,14 +373,26 @@ func (f *fifoSet) len() int { return len(f.ring) }
 // stream of the same block under an equal counter is all hits: no state
 // change, no DRAM event, no meter update; only the SRAM access count moves.
 //
-// All-miss (read buffers). Suppose the last stream missed on every word, at
-// least capacity insertions have happened since it ended, and no other
-// traffic can have inserted one of the block's words: every bracketed block's
-// hull is disjoint from every other's, and nothing reached the buffer outside
-// a block. Under FIFO an address is evicted exactly capacity insertions after
-// its own, so none of the block's words is resident now; the block replays
-// the same address sequence, so by induction over it the new stream inserts
-// what the last one did, where the last one did, and misses on every word.
+// All-hit by recency (read buffers). Under FIFO the resident set is exactly
+// the last capacity insertions. If the last stream missed on every word,
+// ending at insertion count thrashed, its words are still all resident while
+// inserted-thrashed <= capacity-words, whatever was inserted since.
+//
+// All-miss by thrashing (read buffers). Suppose the last stream missed on
+// every word, at least capacity insertions have happened since it ended, and
+// no other traffic can have inserted one of the block's words: every
+// bracketed block's declared hull is disjoint from every other's, and nothing
+// reached the buffer outside a block. Under FIFO an address is evicted
+// exactly capacity insertions after its own, so none of the block's words is
+// resident now; the block replays the same address sequence, so by induction
+// over it the new stream inserts what the last one did, where the last one
+// did, and misses on every word.
+//
+// All-miss by first touch (read buffers). Under the same hull and traffic
+// conditions, a block with no entry yet whose declared hull is disjoint from
+// every earlier one has never had a word inserted: the ring was empty when
+// the memo started proving. If it is declared distinct, no word repeats
+// within the stream either, so every word misses.
 type blockMemo struct {
 	blockTables
 	// key, at and prev are the open block, its entry's index (-1: none
@@ -374,18 +406,17 @@ type blockMemo struct {
 	// startEv and startIns are the eviction and insertion counters at
 	// BeginBlock.
 	startEv, startIns int64
-	// lo and hi bound the addresses the open block has streamed so far: its
-	// hull, which a read buffer's scan widens run by run.
-	lo, hi int64
-	// unprovable is set, and hulls dropped, once two hulls overlap or
-	// traffic reaches the buffer outside a block — or from the start when
-	// the declared region fits the buffer, which then never evicts: until
-	// SetRegion no block is proven all-miss.
+	// unprovable is set, and hulls dropped, once two hulls overlap, a block
+	// declares none or traffic reaches the buffer outside a block — or from
+	// the start when the declared region fits the buffer, which then never
+	// evicts: until SetRegion no block is proven all-miss.
 	unprovable bool
 
-	// skipped counts blocks proven all-hit, thrashed blocks proven all-miss
+	// skipped and recent count blocks proven all-hit by the eviction
+	// counter and by recency (NewSystem wires both to the same counters),
+	// thrashed and firstTouch blocks proven all-miss by either proof
 	// (nil-safe obsv counters).
-	skipped, thrashed blockCounters
+	skipped, recent, thrashed, firstTouch blockCounters
 }
 
 // blockTables is a memo's storage. Like the residency tables it travels
@@ -395,8 +426,9 @@ type blockTables struct {
 	// per block, and a changed entry is a slice store.
 	index  map[blockKey]int32
 	proofs []blockProof
-	// hulls are the hulls of the blocks streamed since SetRegion, one per
-	// block, sorted and pairwise disjoint.
+	// hulls are the declared hulls of the blocks opened since SetRegion,
+	// one per block, sorted and pairwise disjoint. While the memo is proving,
+	// a block has an entry exactly when its hull is here.
 	hulls []hull
 }
 
@@ -411,11 +443,8 @@ type blockKey struct{ off, n, words int64 }
 // blockProof is one block's entry: the eviction counter at which its last
 // stream ended without evicting, and the insertion counter at which its last
 // stream ended having missed on every word — each noProof when that stream
-// did not qualify — and whether its hull is in hulls.
-type blockProof struct {
-	resident, thrashed int64
-	hulled             bool
-}
+// did not qualify.
+type blockProof struct{ resident, thrashed int64 }
 
 const noProof = -1
 
@@ -446,19 +475,36 @@ func (m *blockMemo) begin(k blockKey, evictions int64) bool {
 	}
 	m.key, m.at, m.prev, m.open, m.replay = k, at, p, true, false
 	m.startEv = evictions
-	m.lo, m.hi = math.MaxInt64, math.MinInt64
 	return false
 }
 
-// beginReplay, called by a read buffer after begin declined to skip, sets
-// replay when the open block is proven all-miss: inserted is the insertion
-// counter and capacity the buffer's.
-func (m *blockMemo) beginReplay(inserted, capacity int64) {
-	m.startIns = inserted
-	m.replay = !m.unprovable && m.prev.thrashed != noProof && inserted-m.prev.thrashed >= capacity
-	if m.replay {
-		m.thrashed.add(m.key.words)
+// beginRead, called by a read buffer after begin declined to skip, applies
+// the proofs that rest on the insertion counter inserted and the buffer's
+// capacity. It reports the block all-hit by recency, closing it again, or
+// sets replay when it is proven all-miss. A block seen for the first time
+// has its declared hull recorded.
+func (m *blockMemo) beginRead(b trace.Block, inserted, capacity int64) (skip bool) {
+	if t := m.prev.thrashed; t != noProof && inserted-t <= capacity-b.Words {
+		m.open = false
+		m.recent.add(b.Words)
+		return true
 	}
+	m.startIns = inserted
+	fresh := m.at < 0
+	if fresh && !m.unprovable {
+		m.addHull(b)
+	}
+	switch {
+	case m.unprovable:
+	case fresh:
+		if m.replay = b.Distinct; m.replay {
+			m.firstTouch.add(b.Words)
+		}
+	case m.prev.thrashed != noProof && inserted-m.prev.thrashed >= capacity:
+		m.replay = true
+		m.thrashed.add(b.Words)
+	}
+	return false
 }
 
 // stopProving rules out every all-miss proof until SetRegion.
@@ -466,15 +512,10 @@ func (m *blockMemo) stopProving() {
 	m.unprovable, m.hulls = true, m.hulls[:0]
 }
 
-// end closes the open block and records what its stream proved, and its
-// hull the first time a read buffer took one. A write-back buffer proves no
-// all-miss blocks and passes 0 as inserted, which no stream of one word or
-// more matches.
-//
-// A resident proof the counter has passed is left in place, since the
-// counter never returns to it, and no all-miss proof is recorded once none
-// can be used: a partition window's many blocks then leave their entries
-// alone.
+// end closes the open block and records what its stream proved. A
+// write-back buffer proves no all-miss blocks and passes 0 as inserted,
+// which no stream of one word or more matches. A resident proof the counter
+// has passed is left in place, since the counter never returns to it.
 func (m *blockMemo) end(evictions, inserted int64) {
 	m.open, m.replay = false, false
 	p := m.prev
@@ -482,37 +523,39 @@ func (m *blockMemo) end(evictions, inserted int64) {
 		p.resident = evictions
 	}
 	p.thrashed = noProof
-	if !m.unprovable {
-		if inserted-m.startIns == m.key.words {
-			p.thrashed = inserted
-		}
-		if !p.hulled && m.lo <= m.hi {
-			m.addHull(hull{m.lo, m.hi})
-			p.hulled = true
-		}
+	if inserted-m.startIns == m.key.words {
+		p.thrashed = inserted
 	}
-	switch {
-	case p == m.prev:
-	case m.at >= 0:
-		m.proofs[m.at] = p
-	default:
-		if m.index == nil {
-			m.index = make(map[blockKey]int32)
-		}
-		m.index[m.key] = int32(len(m.proofs))
-		m.proofs = append(m.proofs, p)
+	if p != m.prev {
+		m.put(p)
 	}
 }
 
-// addHull inserts a block's hull into the sorted list, or rules out the
-// all-miss proofs if it overlaps another block's.
-func (m *blockMemo) addHull(h hull) {
-	i, _ := slices.BinarySearchFunc(m.hulls, h.lo, func(e hull, lo int64) int { return cmp.Compare(e.lo, lo) })
-	if (i > 0 && m.hulls[i-1].hi >= h.lo) || (i < len(m.hulls) && m.hulls[i].lo <= h.hi) {
+// put stores the open block's entry, creating it if it has none.
+func (m *blockMemo) put(p blockProof) {
+	if m.at >= 0 {
+		m.proofs[m.at] = p
+		return
+	}
+	if m.index == nil {
+		m.index = make(map[blockKey]int32)
+	}
+	m.at = int32(len(m.proofs))
+	m.index[m.key] = m.at
+	m.proofs = append(m.proofs, p)
+}
+
+// addHull inserts the open block's declared hull into the sorted list and
+// creates its entry, or rules out the all-miss proofs if the hull overlaps
+// another block's or none is declared.
+func (m *blockMemo) addHull(b trace.Block) {
+	i, _ := slices.BinarySearchFunc(m.hulls, b.Lo, func(e hull, lo int64) int { return cmp.Compare(e.lo, lo) })
+	if b.Lo > b.Hi || (i > 0 && m.hulls[i-1].hi >= b.Lo) || (i < len(m.hulls) && m.hulls[i].lo <= b.Hi) {
 		m.stopProving()
 		return
 	}
-	m.hulls = slices.Insert(m.hulls, i, h)
+	m.hulls = slices.Insert(m.hulls, i, hull{b.Lo, b.Hi})
+	m.put(m.prev)
 }
 
 // buffer is the scaffolding the two operand SRAMs share: the residency set
@@ -547,10 +590,11 @@ func (b *buffer) Name() string { return b.name }
 // SetRegion declares the address region this buffer will service, enabling
 // the fast direct-mapped residency table. Call before the first access. A
 // new declaration also opens a new block namespace: proven blocks are
-// forgotten.
+// forgotten. The all-miss proofs stay off when the region fits the buffer
+// or traffic came first (the ring is not empty).
 func (b *buffer) SetRegion(base, words int64) {
 	b.set.setRegion(base, words)
-	b.memo.reset(words <= b.set.capacity)
+	b.memo.reset(words <= b.set.capacity || b.set.len() > 0)
 }
 
 // EffectiveWords returns the resident capacity in words.
@@ -604,8 +648,7 @@ func (b *ReadBuffer) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b,
 // ConsumeRuns implements trace.RunConsumer: residency is probed by walking
 // each run's progression arithmetically — no address slice is ever built —
 // and the demand misses are re-compressed into runs for the DRAM trace. A
-// block proven all-miss is not probed at all (see replay); a scanned one has
-// its hull widened by the run bounds the dense check takes anyway.
+// block proven all-miss is not probed at all (see replay).
 func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	words := trace.RunWords(runs)
 	if words == 0 {
@@ -624,11 +667,8 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 	misses := b.runBuf[:0]
 	var missWords int64
-	lo, hi := b.memo.lo, b.memo.hi
 	for _, r := range runs {
-		rlo, rhi := bounds(r)
-		lo, hi = min(lo, rlo), max(hi, rhi)
-		if b.set.denseCovers(rlo, rhi) {
+		if b.set.denseCovers(bounds(r)) {
 			var mw, ev int64
 			misses, mw, ev = b.set.scanRunDense(r, misses, b.record)
 			missWords += mw
@@ -647,7 +687,6 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 			a += r.Stride
 		}
 	}
-	b.memo.lo, b.memo.hi = lo, hi
 	b.runBuf = misses
 	if missWords > 0 {
 		b.DRAMReads += missWords
@@ -655,34 +694,38 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 }
 
-// replay streams a batch of a block proven all-miss: every word is a miss
-// that evicts, so the arriving runs are the demand stream — the runs the
-// streak scan would emit — the counters move by arithmetic, and the words go
-// into the ring only.
+// replay streams a batch of a block proven all-miss: every word is a miss,
+// so the arriving runs are the demand stream — the runs the streak scan
+// would emit — the counters move by arithmetic, and the words go into the
+// ring only.
 func (b *ReadBuffer) replay(cycle int64, runs []trace.Run, words int64) {
 	misses := b.runBuf[:0]
 	for _, r := range runs {
-		b.set.overwrite(r)
+		b.Evictions += b.set.overwrite(r)
 		if b.record {
 			misses = trace.AppendRun(misses, r.Base, r.Stride, r.Count)
 		}
 	}
 	b.runBuf = misses
-	b.Evictions += words
 	b.DRAMReads += words
 	b.forward(cycle, words)
 }
 
 // BeginBlock implements trace.BlockConsumer: a block is skipped when proven
-// all-hit under Evictions, and replayed when proven all-miss under DRAMReads,
-// the insertion counter.
-func (b *ReadBuffer) BeginBlock(off, n, words int64) bool {
-	if !b.memo.begin(blockKey{off, n, words}, b.Evictions) {
-		b.memo.beginReplay(b.DRAMReads, b.set.capacity)
-		return false
+// all-hit under Evictions or by recency, and replayed when proven all-miss
+// under DRAMReads, the insertion counter. A block whose hull leaves the
+// dense table is not taken as a first touch: its scan moves the set to the
+// probe table, exactly as the same stream unbracketed would.
+func (b *ReadBuffer) BeginBlock(blk trace.Block) bool {
+	if b.set.dense && !b.set.denseCovers(blk.Lo, blk.Hi) {
+		blk.Distinct = false
 	}
-	b.SRAMReads += words
-	return true
+	if b.memo.begin(blockKey{blk.Off, blk.N, blk.Words}, b.Evictions) ||
+		b.memo.beginRead(blk, b.DRAMReads, b.set.capacity) {
+		b.SRAMReads += blk.Words
+		return true
+	}
+	return false
 }
 
 // EndBlock implements trace.BlockConsumer.
@@ -758,11 +801,11 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 
 // BeginBlock implements trace.BlockConsumer. Every eviction drains one word
 // and Flush drains the rest, so DRAMWrites serves as the eviction counter.
-func (b *WriteBuffer) BeginBlock(off, n, words int64) bool {
-	if !b.memo.begin(blockKey{off, n, words}, b.DRAMWrites) {
+func (b *WriteBuffer) BeginBlock(blk trace.Block) bool {
+	if !b.memo.begin(blockKey{blk.Off, blk.N, blk.Words}, b.DRAMWrites) {
 		return false
 	}
-	b.SRAMWrites += words
+	b.SRAMWrites += blk.Words
 	return true
 }
 

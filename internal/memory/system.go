@@ -26,9 +26,13 @@ type Options struct {
 	// "memory.region_fallbacks" (accesses outside a declared region that
 	// demoted a buffer off its dense residency table) and
 	// "memory.blocks_skipped" / "memory.words_skipped" (operand blocks, and
-	// the SRAM words in them, proven resident rather than scanned) and
+	// the SRAM words in them, proven resident rather than scanned, by the
+	// eviction counter or by recency) and
 	// "memory.blocks_thrashed" / "memory.words_thrashed" (proven to miss on
-	// every word and replayed into the ring rather than scanned).
+	// every word because the last stream's words are evicted) and
+	// "memory.blocks_first_touch" / "memory.words_first_touch" (proven to
+	// miss on every word because none was ever inserted), both replayed into
+	// the ring rather than scanned.
 	Metrics *obsv.Registry
 }
 
@@ -79,8 +83,9 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 	}
 	skipped := blockCounters{opt.Metrics.Counter("memory.blocks_skipped"), opt.Metrics.Counter("memory.words_skipped")}
 	thrashed := blockCounters{opt.Metrics.Counter("memory.blocks_thrashed"), opt.Metrics.Counter("memory.words_thrashed")}
+	firstTouch := blockCounters{opt.Metrics.Counter("memory.blocks_first_touch"), opt.Metrics.Counter("memory.words_first_touch")}
 	for _, m := range s.memos() {
-		m.skipped, m.thrashed = skipped, thrashed
+		m.skipped, m.recent, m.thrashed, m.firstTouch = skipped, skipped, thrashed, firstTouch
 	}
 	return s, nil
 }

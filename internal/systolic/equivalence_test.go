@@ -256,43 +256,55 @@ func TestRunPathMatchesElementPath(t *testing.T) {
 
 // blockSkipper is the greediest trace.BlockConsumer a chain could hold: it
 // claims every block it has been offered before. It also checks the
-// producer's side of the contract on the blocks it does receive.
+// producer's side of the contract on the blocks it does receive: the words
+// each declares, and that every address it streams lies inside its declared
+// hull.
 type blockSkipper struct {
-	seen                 map[[3]int64]bool
-	begins, skips        int
-	streamed, skipped    int64
-	open                 bool
-	openWords, openLimit int64
-	violations           []string
+	seen              map[[3]int64]bool
+	begins, skips     int
+	streamed, skipped int64
+	open              bool
+	block             trace.Block
+	openWords         int64
+	violations        []string
 }
 
-func (b *blockSkipper) Consume(_ int64, addrs []int64) { b.add(int64(len(addrs))) }
+func (b *blockSkipper) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b, cycle, addrs) }
 
-func (b *blockSkipper) ConsumeRuns(_ int64, runs []trace.Run) { b.add(trace.RunWords(runs)) }
-
-func (b *blockSkipper) add(words int64) {
+func (b *blockSkipper) ConsumeRuns(_ int64, runs []trace.Run) {
+	words := trace.RunWords(runs)
 	b.streamed += words
-	if b.open {
-		b.openWords += words
+	if !b.open {
+		return
+	}
+	b.openWords += words
+	if b.block.Lo > b.block.Hi {
+		return
+	}
+	for _, r := range runs {
+		if lo, hi := min(r.Base, r.Last()), max(r.Base, r.Last()); lo < b.block.Lo || hi > b.block.Hi {
+			b.violations = append(b.violations,
+				fmt.Sprintf("block %+v streamed [%d, %d] outside its hull", b.block, lo, hi))
+		}
 	}
 }
 
-func (b *blockSkipper) BeginBlock(off, n, words int64) bool {
+func (b *blockSkipper) BeginBlock(blk trace.Block) bool {
 	if b.open {
 		b.violations = append(b.violations, "BeginBlock inside an open block")
 	}
 	b.begins++
-	k := [3]int64{off, n, words}
+	k := [3]int64{blk.Off, blk.N, blk.Words}
 	if b.seen[k] {
 		b.skips++
-		b.skipped += words
+		b.skipped += blk.Words
 		return true
 	}
 	if b.seen == nil {
 		b.seen = map[[3]int64]bool{}
 	}
 	b.seen[k] = true
-	b.open, b.openWords, b.openLimit = true, 0, words
+	b.open, b.openWords, b.block = true, 0, blk
 	return false
 }
 
@@ -300,16 +312,17 @@ func (b *blockSkipper) EndBlock() {
 	if !b.open {
 		b.violations = append(b.violations, "EndBlock without an open block")
 	}
-	if b.openWords != b.openLimit {
+	if b.openWords != b.block.Words {
 		b.violations = append(b.violations,
-			fmt.Sprintf("block declared %d words, streamed %d", b.openLimit, b.openWords))
+			fmt.Sprintf("block declared %d words, streamed %d", b.block.Words, b.openWords))
 	}
 	b.open = false
 }
 
 // TestFoldBlockBracketing pins the producer's side of trace.BlockConsumer:
-// blocks are never nested, each carries exactly the words it declares, a
-// skipped block generates nothing, and streamed plus skipped words add up to
+// blocks are never nested, each carries exactly the words it declares and
+// streams only addresses inside its declared hull, a skipped block
+// generates nothing, and streamed plus skipped words add up to
 // the closed-form access counts. It also pins which streams repeat: under OS
 // the IFMAP block recurs per column fold and the filter block per row fold;
 // under WS/IS the streaming operand recurs per column fold and the output
@@ -368,13 +381,16 @@ func TestFoldBlockBracketing(t *testing.T) {
 }
 
 // blockReplays is a trace.BlockConsumer that never skips: it records every
-// stream of every block and keeps the first one each key produced.
+// stream of every block and keeps the first one each key produced. It also
+// checks each declared-distinct stream for a repeated address.
 type blockReplays struct {
-	first   map[[3]int64][]int64
-	key     [3]int64
-	stream  []int64
-	streams int
-	differ  [][3]int64
+	first    map[[3]int64][]int64
+	key      [3]int64
+	distinct bool
+	stream   []int64
+	streams  int
+	differ   [][3]int64
+	repeats  [][3]int64
 }
 
 func (b *blockReplays) Consume(_ int64, addrs []int64) { b.stream = append(b.stream, addrs...) }
@@ -383,14 +399,21 @@ func (b *blockReplays) ConsumeRuns(_ int64, runs []trace.Run) {
 	b.stream = trace.ExpandRuns(runs, b.stream)
 }
 
-func (b *blockReplays) BeginBlock(off, n, words int64) bool {
-	b.key, b.stream = [3]int64{off, n, words}, b.stream[:0]
+func (b *blockReplays) BeginBlock(blk trace.Block) bool {
+	b.key, b.distinct, b.stream = [3]int64{blk.Off, blk.N, blk.Words}, blk.Distinct, b.stream[:0]
 	return false
 }
 
 func (b *blockReplays) EndBlock() {
 	if b.first == nil {
 		b.first = map[[3]int64][]int64{}
+	}
+	if b.distinct {
+		sorted := slices.Clone(b.stream)
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) != len(b.stream) {
+			b.repeats = append(b.repeats, b.key)
+		}
 	}
 	first, ok := b.first[b.key]
 	switch {
@@ -404,9 +427,10 @@ func (b *blockReplays) EndBlock() {
 }
 
 // TestBlockReplaysSameSequence pins the sequence half of the
-// trace.BlockConsumer contract, which the SRAM buffers' all-miss proof rests
+// trace.BlockConsumer contract, which the SRAM buffers' all-miss proofs rest
 // on: every stream of one (off, n, words) key is the same addresses in the
-// same order, at every dataflow, with edge trimming and in a window.
+// same order, and a block declared distinct repeats none of them, at every
+// dataflow, with edge trimming and in a window.
 func TestBlockReplaysSameSequence(t *testing.T) {
 	for _, tc := range equivalenceCases() {
 		for _, df := range config.Dataflows {
@@ -420,6 +444,9 @@ func TestBlockReplaysSameSequence(t *testing.T) {
 				for _, b := range []*blockReplays{&ifm, &flt, &ofm} {
 					for _, k := range b.differ {
 						t.Errorf("block %v streamed a different address sequence on a later stream", k)
+					}
+					for _, k := range b.repeats {
+						t.Errorf("block %v is declared distinct but repeats an address", k)
 					}
 					repeats += b.streams
 				}

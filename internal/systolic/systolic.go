@@ -79,12 +79,12 @@ func (s Sinks) runs() runSinks {
 }
 
 // stream plays one fold's operand block — n rows or columns from off, T
-// temporal steps each — into c. The block is bracketed for consumers that
-// can prove it a no-op (trace.BlockConsumer): when they do, emit never runs
-// and no run is generated.
-func stream(c trace.RunConsumer, off, n, T int64, emit func()) {
+// temporal steps each, as blk declares it — into c. The block is bracketed
+// for consumers that can prove it a no-op (trace.BlockConsumer): when they
+// do, emit never runs and no run is generated.
+func stream(c trace.RunConsumer, blk trace.Block, emit func()) {
 	b, ok := c.(trace.BlockConsumer)
-	if ok && b.BeginBlock(off, n, n*T) {
+	if ok && b.BeginBlock(blk) {
 		return
 	}
 	emit()
@@ -278,7 +278,7 @@ type fold struct {
 func (s *sim) foldOS(f fold) {
 	// Left edge: ifmap. Wavefront over u = i + t. The block repeats for
 	// every column fold of this row fold.
-	stream(s.sinks.ifmapRead, f.rowOff, f.rows, f.T, func() {
+	stream(s.sinks.ifmapRead, s.mp.RowBlock(f.rowOff, f.rows), func() {
 		for u := int64(0); u <= f.rows-1+f.T-1; u++ {
 			lo := max(0, u-f.T+1)
 			hi := min(f.rows-1, u)
@@ -287,7 +287,7 @@ func (s *sim) foldOS(f fold) {
 		}
 	})
 	// Top edge: filter; the block repeats for every row fold.
-	stream(s.sinks.filterRead, f.colOff, f.cols, f.T, func() {
+	stream(s.sinks.filterRead, s.mp.ColBlock(f.colOff, f.cols), func() {
 		for u := int64(0); u <= f.cols-1+f.T-1; u++ {
 			lo := max(0, u-f.T+1)
 			hi := min(f.cols-1, u)
@@ -334,7 +334,7 @@ func (s *sim) foldIS(f fold) {
 func (s *sim) streamAndDrain(f fold, streamSink trace.RunConsumer) {
 	// Stream phase: wavefront over u = i + t, offset by the fill. The block
 	// repeats for every column fold of this row fold.
-	stream(streamSink, f.rowOff, f.rows, f.T, func() {
+	stream(streamSink, s.mp.RowBlock(f.rowOff, f.rows), func() {
 		for u := int64(0); u <= f.rows-1+f.T-1; u++ {
 			lo := max(0, u-f.T+1)
 			hi := min(f.rows-1, u)
@@ -343,8 +343,9 @@ func (s *sim) streamAndDrain(f fold, streamSink trace.RunConsumer) {
 		}
 	})
 	// Outputs: wavefront over v = t + j. Every row fold accumulates into
-	// the same T x cols output block.
-	stream(s.sinks.ofmapWrite, f.colOff, f.cols, f.T, func() {
+	// the same T x cols output block, which declares no hull (Lo > Hi).
+	out := trace.Block{Off: f.colOff, N: f.cols, Words: f.cols * f.T, Hi: -1}
+	stream(s.sinks.ofmapWrite, out, func() {
 		for v := int64(0); v <= f.T-1+f.cols-1; v++ {
 			lo := max(0, v-f.T+1)
 			hi := min(f.cols-1, v)

@@ -122,15 +122,28 @@ func ConsumeAddrs(c RunConsumer, cycle int64, addrs []int64) {
 	runBufs.Put(buf)
 }
 
+// Block is what a producer declares about an operand block when it opens
+// one (see BlockConsumer).
+//
+// (Off, N, Words) names the block: the same triple must always denote the
+// same address sequence, Words addresses in total, in the same order — a
+// consumer may prove the next stream from what the last one did address by
+// address (the SRAM buffers replay an all-miss block on that proof).
+//
+// [Lo, Hi] is the block's hull: every address it streams lies inside it. It
+// may be wider than the exact bounds, never narrower. Distinct means no
+// address repeats within one stream of the block. Lo > Hi declares no hull
+// and !Distinct no distinctness; a consumer must then assume neither.
+type Block struct {
+	Off, N, Words int64
+	Lo, Hi        int64
+	Distinct      bool
+}
+
 // BlockConsumer is an optional capability beside RunConsumer: a producer
 // that replays the same operand block many times (a fold's IFMAP rows, its
 // filter columns) brackets each replay, and a consumer whose state can prove
-// the whole block a no-op says so before a single run is generated.
-//
-// (off, n, words) names the block: the same triple must always denote the
-// same address sequence, words addresses in total, in the same order — a
-// consumer may prove the next stream from what the last one did address by
-// address (the SRAM buffers replay an all-miss block on that proof). When
+// the whole block a no-op says so before a single run is generated. When
 // BeginBlock returns true the consumer has accounted for the block and the
 // producer sends nothing — no ConsumeRuns, no EndBlock. Otherwise the
 // producer streams the block and calls EndBlock after its last batch.
@@ -141,7 +154,7 @@ func ConsumeAddrs(c RunConsumer, cycle int64, addrs []int64) {
 // hides the capability, so it receives the full stream. Producers discover
 // it by type assertion on the resolved RunConsumer.
 type BlockConsumer interface {
-	BeginBlock(off, n, words int64) (skip bool)
+	BeginBlock(b Block) (skip bool)
 	EndBlock()
 }
 

@@ -354,8 +354,8 @@ type blockAware struct {
 	begins int
 }
 
-func (b *blockAware) BeginBlock(int64, int64, int64) bool { b.begins++; return true }
-func (b *blockAware) EndBlock()                           {}
+func (b *blockAware) BeginBlock(Block) bool { b.begins++; return true }
+func (b *blockAware) EndBlock()             {}
 
 // TestBlockConsumerHiddenByChain: the bracket reaches a consumer only when
 // it is the whole chain. A Tee, the element-path adapter and nil all resolve
@@ -363,7 +363,7 @@ func (b *blockAware) EndBlock()                           {}
 // sees every run.
 func TestBlockConsumerHiddenByChain(t *testing.T) {
 	bare := &blockAware{}
-	if b, ok := Runs(bare).(BlockConsumer); !ok || !b.BeginBlock(0, 1, 1) || bare.begins != 1 {
+	if b, ok := Runs(bare).(BlockConsumer); !ok || !b.BeginBlock(Block{N: 1, Words: 1}) || bare.begins != 1 {
 		t.Error("a bare BlockConsumer was not offered the block")
 	}
 	if got := Tee(nil, bare, nil); got != Consumer(bare) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench smoke bench-check profile prof-cycles fuzz figures figures-check examples lint-structure clean
+.PHONY: all build vet test race bench smoke bench-check profile prof-cycles fuzz figures figures-check examples lint-structure reach clean
 
 all: build vet test
 
@@ -124,6 +124,14 @@ lint-structure:
 	@test "$$(grep -l 'cycleacct\.NewReport(' $(SRC))" = internal/obsv/manifest.go
 	@! grep -nE 'func \(s \*Simulator\) CycleReport|func CycleReport' $(SRC)
 	@echo "lint-structure: ok"
+
+# Measured reach: build every cmd/* and examples/* binary with coverage,
+# run each subcommand and mode once on small inputs, and fail on a product
+# function that ran 0 % without a reach.allow line, or on a stale line.
+# REACHDIR keeps the binaries, every output, func.txt and zero.txt.
+REACHDIR := $(or $(TMPDIR),/tmp)/scalesim-reach
+reach:
+	GO=$(GO) sh scripts/reach.sh $(REACHDIR)
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -205,7 +205,7 @@ func BenchmarkExtensionDataflowStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = res.Speedup()
+		speedup = float64(res.FixedCycles[res.BestFixed]) / float64(res.AdaptiveCycles)
 	}
 	b.ReportMetric(speedup, "adaptive-speedup")
 }

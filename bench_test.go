@@ -447,7 +447,7 @@ func BenchmarkMemorySystemRuns(b *testing.B) {
 }
 
 // BenchmarkDRAMModel replays read streams through the timing substrate: a
-// sequential per-word Request stream, and the run path fed 32-word runs (one
+// sequential stream of one-word runs, one per cycle, and 32-word runs (one
 // array edge per cycle) at stride 1 and at stride 768, a BERT row.
 func BenchmarkDRAMModel(b *testing.B) {
 	const words = 100_000
@@ -457,8 +457,10 @@ func BenchmarkDRAMModel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			word := []trace.Run{{Count: 1}}
 			for a := int64(0); a < words; a++ {
-				m.Request(a, a)
+				word[0].Base = a
+				m.ConsumeRuns(a, word)
 			}
 			if m.Stats().RowHitRate() < 0.99 {
 				b.Fatal("unexpected hit rate")

@@ -11,7 +11,6 @@ package analytical
 
 import (
 	"fmt"
-	"sort"
 
 	"scalesim/internal/dataflow"
 	"scalesim/internal/mathutil"
@@ -57,9 +56,6 @@ type Shape struct {
 
 // MACs returns R*C.
 func (s Shape) MACs() int64 { return s.R * s.C }
-
-// AspectRatio returns R/C as a float.
-func (s Shape) AspectRatio() float64 { return float64(s.R) / float64(s.C) }
 
 func (s Shape) String() string { return fmt.Sprintf("%dx%d", s.R, s.C) }
 
@@ -254,9 +250,4 @@ func BestScaleOut(m dataflow.Mapping, macs, minDim, maxParts int64) (Eval, bool)
 // BestOverall returns the fastest configuration, monolithic or partitioned.
 func BestOverall(m dataflow.Mapping, macs, minDim, maxParts int64) (Eval, bool) {
 	return fastest(m, macs, minDim, maxParts, nil)
-}
-
-// SortEvals orders evaluations fastest first using the model's tie-break.
-func SortEvals(evals []Eval) {
-	sort.Slice(evals, func(i, j int) bool { return better(evals[i], evals[j]) })
 }

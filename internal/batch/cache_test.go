@@ -47,7 +47,7 @@ func TestGridCacheEquivalence(t *testing.T) {
 	for _, p := range spec.Points() {
 		nLayers += int64(len(p.Topology.Layers))
 	}
-	if got := cache.Hits(); got < nLayers {
+	if got := cache.Stats().Hits; got < nLayers {
 		t.Fatalf("warm grid hits=%d, want at least %d (every layer of every point)", got, nLayers)
 	}
 }

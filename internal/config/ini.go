@@ -16,7 +16,6 @@ import (
 // are case-insensitive.
 type INI struct {
 	sections map[string]map[string]string
-	order    []string
 }
 
 // ParseINI reads the INI dialect from r.
@@ -43,7 +42,6 @@ func ParseINI(r io.Reader) (*INI, error) {
 			}
 			if _, ok := ini.sections[section]; !ok {
 				ini.sections[section] = make(map[string]string)
-				ini.order = append(ini.order, section)
 			}
 			continue
 		}
@@ -74,13 +72,6 @@ func stripComment(line string) string {
 		}
 	}
 	return line
-}
-
-// Sections returns the section names in file order.
-func (ini *INI) Sections() []string {
-	out := make([]string, len(ini.order))
-	copy(out, ini.order)
-	return out
 }
 
 // Get returns the value for key in section, if present.

@@ -79,15 +79,15 @@ func requireCacheContract(t *testing.T, cfg config.Config, workers int, topo top
 	if got := resultJSON(t, runWith(t, cfg, opt, topo)); !bytes.Equal(base, got) {
 		t.Fatalf("workers=%d: cold cached run differs from uncached run", workers)
 	}
-	if cache.Hits() != 0 || cache.Misses() != n || int64(cache.Len()) != n {
+	if cache.Stats().Hits != 0 || cache.Stats().Misses != n || int64(cache.Len()) != n {
 		t.Fatalf("workers=%d cold: hits=%d misses=%d entries=%d, want 0, %d, %d",
-			workers, cache.Hits(), cache.Misses(), cache.Len(), n, n)
+			workers, cache.Stats().Hits, cache.Stats().Misses, cache.Len(), n, n)
 	}
 	if got := resultJSON(t, runWith(t, cfg, opt, topo)); !bytes.Equal(base, got) {
 		t.Fatalf("workers=%d: warm cached run differs from uncached run", workers)
 	}
-	if cache.Hits() != n || cache.Misses() != n {
-		t.Fatalf("workers=%d warm: hits=%d misses=%d, want %d and %d", workers, cache.Hits(), cache.Misses(), n, n)
+	if cache.Stats().Hits != n || cache.Stats().Misses != n {
+		t.Fatalf("workers=%d warm: hits=%d misses=%d, want %d and %d", workers, cache.Stats().Hits, cache.Stats().Misses, n, n)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestCacheEquivalenceBoundedDRAM(t *testing.T) {
 	copt.Cache = cache
 	cold := runWith(t, cfg, copt, topo)
 	warm := runWith(t, cfg, copt, topo)
-	if cache.Hits() == 0 {
+	if cache.Stats().Hits == 0 {
 		t.Fatal("warm run produced no hits")
 	}
 	for i := range base.Layers {
@@ -150,8 +150,8 @@ func TestCacheKeyCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 0 || cache.Misses() != 2 {
-		t.Fatalf("stride variant collided: hits=%d misses=%d", cache.Hits(), cache.Misses())
+	if cache.Stats().Hits != 0 || cache.Stats().Misses != 2 {
+		t.Fatalf("stride variant collided: hits=%d misses=%d", cache.Stats().Hits, cache.Stats().Misses)
 	}
 	if ra.Compute.Cycles == rb.Compute.Cycles {
 		t.Fatal("stride variants simulated identically; collision test is vacuous")
@@ -165,7 +165,7 @@ func TestCacheKeyCollisions(t *testing.T) {
 	if _, err := ws.SimulateLayer(base); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 0 {
+	if cache.Stats().Hits != 0 {
 		t.Fatal("dataflow variant collided")
 	}
 
@@ -178,7 +178,7 @@ func TestCacheKeyCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 0 {
+	if cache.Stats().Hits != 0 {
 		t.Fatal("bandwidth-bound variant collided")
 	}
 	if rbw.StallCycles == 0 {
@@ -189,8 +189,8 @@ func TestCacheKeyCollisions(t *testing.T) {
 	if _, err := sim.SimulateLayer(base); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 1 {
-		t.Fatalf("identical repeat missed: hits=%d", cache.Hits())
+	if cache.Stats().Hits != 1 {
+		t.Fatalf("identical repeat missed: hits=%d", cache.Stats().Hits)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestCacheHitRelabelsLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 1 {
-		t.Fatalf("twin missed: hits=%d", cache.Hits())
+	if cache.Stats().Hits != 1 {
+		t.Fatalf("twin missed: hits=%d", cache.Stats().Hits)
 	}
 	if res.Compute.Layer.Name != "second" {
 		t.Fatalf("hit kept filler's name %q", res.Compute.Layer.Name)
@@ -233,7 +233,7 @@ func TestCacheBypassedByLiveSinks(t *testing.T) {
 	}
 	for name, opt := range variants {
 		runWith(t, cfg, opt, topo)
-		if cache.Misses() != 0 || cache.Len() != 0 {
+		if cache.Stats().Misses != 0 || cache.Len() != 0 {
 			t.Fatalf("%s: cache consulted despite live sink", name)
 		}
 	}
@@ -307,7 +307,7 @@ func TestDiskCacheAcrossSimulators(t *testing.T) {
 	if got := resultJSON(t, runWith(t, cfg, Options{Cache: c2}, topo)); !bytes.Equal(base, got) {
 		t.Fatal("disk-replayed run differs")
 	}
-	if c2.Hits() == 0 || c2.Misses() != 0 {
-		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Hits(), c2.Misses())
+	if c2.Stats().Hits == 0 || c2.Stats().Misses != 0 {
+		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Stats().Hits, c2.Stats().Misses)
 	}
 }

@@ -7,7 +7,7 @@
 // Layers model hardware that executes them serially (the original tool's
 // behaviour: one CSV row at a time, in file order), but their simulations
 // are independent, so Simulate and SimulateGraph fan them out over
-// engine.Run's bounded worker pool (runNodes) and join the results —
+// engine.RunObserved's bounded worker pool (runNodes) and join the results —
 // including the serialized cycle offsets — in layer order. Output is
 // bit-identical for every worker count. Every layer gets fresh consumers
 // (stageSinks): trace files and caller-supplied sinks from engine.Registry
@@ -236,9 +236,6 @@ func New(cfg config.Config, opt Options) (*Simulator, error) {
 	s.keyPrefix, s.keySuffix = keyAffixes(cfg, opt)
 	return s, nil
 }
-
-// Config returns the simulator's architecture configuration.
-func (s *Simulator) Config() config.Config { return s.cfg }
 
 // SimulateLayer runs one layer through the map/sinks/compute/analyze
 // pipeline (see pipeline.go): mapping and cache lookup, live trace

@@ -35,9 +35,8 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(config.New(), Options{DRAM: &dram.Config{}}); err == nil {
 		t.Error("accepted invalid dram config")
 	}
-	s := newSim(t, config.New(), Options{})
-	if s.Config().ArrayHeight != config.DefaultArrayHeight {
-		t.Error("Config() lost values")
+	if s := newSim(t, config.New(), Options{}); s.cfg.ArrayHeight != config.DefaultArrayHeight {
+		t.Error("New lost the configuration")
 	}
 }
 
@@ -174,7 +173,7 @@ func TestDRAMModelIntegration(t *testing.T) {
 		t.Errorf("DRAM model saw %d requests, interface moved %d words",
 			lr.DRAMStats.Requests, lr.Memory.DRAMAccesses())
 	}
-	if lr.DRAMStats.AvgLatency() <= 0 {
+	if lr.DRAMStats.TotalLatency <= 0 {
 		t.Error("DRAM latency not positive")
 	}
 }

@@ -218,7 +218,7 @@ func TestCacheReplaysLedgers(t *testing.T) {
 	mopt.Cache = mem
 	runWith(t, cfg, mopt, topo) // cold fill
 	warm := runWith(t, cfg, mopt, topo)
-	if mem.Hits() == 0 {
+	if mem.Stats().Hits == 0 {
 		t.Fatal("warm in-memory run produced no hits")
 	}
 	check("memory", warm)
@@ -237,8 +237,8 @@ func TestCacheReplaysLedgers(t *testing.T) {
 	}
 	dopt.Cache = c2
 	disk := runWith(t, cfg, dopt, topo)
-	if c2.Hits() == 0 || c2.Misses() != 0 {
-		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Hits(), c2.Misses())
+	if c2.Stats().Hits == 0 || c2.Stats().Misses != 0 {
+		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Stats().Hits, c2.Stats().Misses)
 	}
 	check("disk", disk)
 }

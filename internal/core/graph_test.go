@@ -215,19 +215,19 @@ func TestGraphCacheKindDistinct(t *testing.T) {
 	}}
 	cache := simcache.New()
 	res, _ := graphRun(t, cfg, Options{Cache: cache, Workers: 1}, g)
-	if cache.Hits() != 0 {
-		t.Fatalf("cache hits = %d: same-shaped nodes of different kinds must not share entries", cache.Hits())
+	if cache.Stats().Hits != 0 {
+		t.Fatalf("cache hits = %d: same-shaped nodes of different kinds must not share entries", cache.Stats().Hits)
 	}
-	if cache.Misses() != 4 || cache.Len() != 4 {
-		t.Fatalf("misses=%d entries=%d, want 4 distinct entries", cache.Misses(), cache.Len())
+	if cache.Stats().Misses != 4 || cache.Len() != 4 {
+		t.Fatalf("misses=%d entries=%d, want 4 distinct entries", cache.Stats().Misses, cache.Len())
 	}
 	// A cached re-run replays all four kinds byte-identically.
 	again, _ := graphRun(t, cfg, Options{Cache: cache, Workers: 1}, g)
 	if !reflect.DeepEqual(res, again) {
 		t.Error("cached graph re-run differs")
 	}
-	if cache.Hits() != 4 {
-		t.Errorf("warm hits = %d, want 4", cache.Hits())
+	if cache.Stats().Hits != 4 {
+		t.Errorf("warm hits = %d, want 4", cache.Stats().Hits)
 	}
 }
 

@@ -160,7 +160,7 @@ func keyAffixes(cfg config.Config, opt Options) (prefix, suffix string) {
 		suffix += fmt.Sprintf(";bw=%g", opt.DRAMBandwidth)
 	}
 	if opt.DRAM != nil {
-		suffix += fmt.Sprintf(";dram=%+v", *opt.DRAM)
+		suffix += ";dram=" + opt.DRAM.Key()
 	}
 	return "core|" + cfg.CanonicalKey() + "|", suffix
 }

@@ -75,9 +75,9 @@ func TestSimulateWindows(t *testing.T) {
 	if !reflect.DeepEqual(run.Windows[0], whole) {
 		t.Errorf("zero window differs from the layer:\nwindow %+v\nlayer  %+v", run.Windows[0], whole)
 	}
-	if cache.Hits() != 1 || cache.Misses() != 3 {
+	if cache.Stats().Hits != 1 || cache.Stats().Misses != 3 {
 		t.Errorf("hits=%d misses=%d: want the zero window to replay the layer's entry and each half to miss",
-			cache.Hits(), cache.Misses())
+			cache.Stats().Hits, cache.Stats().Misses)
 	}
 	a, b := run.Windows[1], run.Windows[2]
 	if a.Compute.MACs+b.Compute.MACs != whole.Compute.MACs {

@@ -24,27 +24,7 @@ const (
 	Ifmap Operand = iota
 	// Filter is the weight operand.
 	Filter
-	// Ofmap is the output feature map operand.
-	Ofmap
-	// None marks an absent stream (e.g. the top-edge temporal stream of the
-	// weight-stationary dataflow, whose top edge is only used for the fill).
-	None
 )
-
-// String returns the lower-case operand name.
-func (o Operand) String() string {
-	switch o {
-	case Ifmap:
-		return "ifmap"
-	case Filter:
-		return "filter"
-	case Ofmap:
-		return "ofmap"
-	case None:
-		return "none"
-	}
-	return fmt.Sprintf("Operand(%d)", int(o))
-}
 
 // Mapping is the spatio-temporal shape of one layer under one dataflow
 // (Table III): the operand matrices are S_R x T and T x S_C.
@@ -75,21 +55,6 @@ func Map(l topology.Layer, df config.Dataflow) Mapping {
 		return Mapping{Dataflow: df, Sr: wConv, Sc: nFilter, T: nOfmap}
 	case config.InputStationary:
 		return Mapping{Dataflow: df, Sr: wConv, Sc: nOfmap, T: nFilter}
-	}
-	panic(fmt.Sprintf("dataflow: unknown dataflow %v", df))
-}
-
-// MapGEMM computes the mapping of a raw M x K by K x N matrix multiplication,
-// the reduction the Table IV language-model workloads are specified in
-// (Table IV lists (S_R, T, S_C) under the OS dataflow, i.e. (M, K, N)).
-func MapGEMM(m, k, n int64, df config.Dataflow) Mapping {
-	switch df {
-	case config.OutputStationary:
-		return Mapping{Dataflow: df, Sr: m, Sc: n, T: k}
-	case config.WeightStationary:
-		return Mapping{Dataflow: df, Sr: k, Sc: n, T: m}
-	case config.InputStationary:
-		return Mapping{Dataflow: df, Sr: k, Sc: m, T: n}
 	}
 	panic(fmt.Sprintf("dataflow: unknown dataflow %v", df))
 }
@@ -162,9 +127,6 @@ func NewAddressing(l topology.Layer, off Offsets) *Addressing {
 	a.eAffine = a.window == a.windowW || a.ifmapW*a.chans == a.windowW
 	return a
 }
-
-// Layer returns the layer being addressed.
-func (a *Addressing) Layer() topology.Layer { return a.layer }
 
 // IfmapElem returns the address of element elem (in [0, WindowSize)) of
 // convolution window number window (in [0, NumOfmapPx)). Windows are

@@ -43,39 +43,23 @@ func TestMapTableIII(t *testing.T) {
 	}
 }
 
+// TestMapGEMM: an M x K by K x N GEMM expressed as a layer maps to the
+// (S_R, T, S_C) triple Table IV lists, (M, K, N) under OS.
 func TestMapGEMM(t *testing.T) {
 	m, k, n := int64(128), int64(4096), int64(2048)
-	os := MapGEMM(m, k, n, config.OutputStationary)
-	if os.Sr != m || os.Sc != n || os.T != k {
-		t.Errorf("OS = %+v", os)
-	}
-	ws := MapGEMM(m, k, n, config.WeightStationary)
-	if ws.Sr != k || ws.Sc != n || ws.T != m {
-		t.Errorf("WS = %+v", ws)
-	}
-	is := MapGEMM(m, k, n, config.InputStationary)
-	if is.Sr != k || is.Sc != m || is.T != n {
-		t.Errorf("IS = %+v", is)
-	}
-	// A FromGEMM layer must map identically to the raw GEMM mapping.
 	l := topology.FromGEMM("g", int(m), int(k), int(n))
-	for _, df := range config.Dataflows {
-		got, want := Map(l, df), MapGEMM(m, k, n, df)
-		if got != want {
-			t.Errorf("%v: layer map %+v != gemm map %+v", df, got, want)
+	for _, tc := range []struct {
+		df        config.Dataflow
+		sr, sc, t int64
+	}{
+		{config.OutputStationary, m, n, k},
+		{config.WeightStationary, k, n, m},
+		{config.InputStationary, k, m, n},
+	} {
+		want := Mapping{Dataflow: tc.df, Sr: tc.sr, Sc: tc.sc, T: tc.t}
+		if got := Map(l, tc.df); got != want {
+			t.Errorf("%v = %+v, want %+v", tc.df, got, want)
 		}
-	}
-}
-
-func TestOperandString(t *testing.T) {
-	want := map[Operand]string{Ifmap: "ifmap", Filter: "filter", Ofmap: "ofmap", None: "none"}
-	for op, s := range want {
-		if op.String() != s {
-			t.Errorf("%d.String() = %q, want %q", int(op), op.String(), s)
-		}
-	}
-	if Operand(42).String() == "" {
-		t.Error("unknown operand String empty")
 	}
 }
 
@@ -83,9 +67,6 @@ func TestAddressingRangesAndUniqueness(t *testing.T) {
 	l := testLayer()
 	off := testOffsets()
 	a := NewAddressing(l, off)
-	if a.Layer().Name != l.Name {
-		t.Error("Layer() lost the layer")
-	}
 
 	// Filter addresses: unique, dense, in range.
 	seen := map[int64]bool{}
@@ -258,23 +239,17 @@ func TestDataflowEquivalenceRandom(t *testing.T) {
 func TestMapperOperands(t *testing.T) {
 	l := testLayer()
 	cases := []struct {
-		df             config.Dataflow
-		row, col, stat Operand
+		df  config.Dataflow
+		row Operand
 	}{
-		{config.OutputStationary, Ifmap, Filter, None},
-		{config.WeightStationary, Ifmap, None, Filter},
-		{config.InputStationary, Filter, None, Ifmap},
+		{config.OutputStationary, Ifmap},
+		{config.WeightStationary, Ifmap},
+		{config.InputStationary, Filter},
 	}
 	for _, tc := range cases {
 		mp := NewMapper(l, tc.df, testOffsets())
 		if mp.RowOperand() != tc.row {
 			t.Errorf("%v RowOperand = %v, want %v", tc.df, mp.RowOperand(), tc.row)
-		}
-		if mp.ColOperand() != tc.col {
-			t.Errorf("%v ColOperand = %v, want %v", tc.df, mp.ColOperand(), tc.col)
-		}
-		if mp.StationaryOperand() != tc.stat {
-			t.Errorf("%v StationaryOperand = %v, want %v", tc.df, mp.StationaryOperand(), tc.stat)
 		}
 	}
 }

@@ -33,37 +33,12 @@ func NewMapper(l topology.Layer, df config.Dataflow, off Offsets) *Mapper {
 // Mapping returns the spatio-temporal dimensions.
 func (mp *Mapper) Mapping() Mapping { return mp.m }
 
-// Addressing exposes the underlying address generator.
-func (mp *Mapper) Addressing() *Addressing { return mp.addr }
-
 // RowOperand reports which tensor streams in from the left edge.
 func (mp *Mapper) RowOperand() Operand {
 	if mp.m.Dataflow == config.InputStationary {
 		return Filter
 	}
 	return Ifmap
-}
-
-// ColOperand reports which tensor streams in from the top edge during the
-// compute phase. Only the OS dataflow streams an operand from the top while
-// computing; WS and IS use the top edge for the stationary fill only.
-func (mp *Mapper) ColOperand() Operand {
-	if mp.m.Dataflow == config.OutputStationary {
-		return Filter
-	}
-	return None
-}
-
-// StationaryOperand reports which tensor is pre-filled into the array.
-func (mp *Mapper) StationaryOperand() Operand {
-	switch mp.m.Dataflow {
-	case config.WeightStationary:
-		return Filter
-	case config.InputStationary:
-		return Ifmap
-	default:
-		return None
-	}
 }
 
 // Stationary returns the address pre-filled into the PE at global spatial
@@ -99,7 +74,8 @@ func (mp *Mapper) RowStream(i, t int64) int64 {
 }
 
 // ColStream returns the address entering global spatial column j at temporal
-// step t. Only valid for the OS dataflow (see ColOperand).
+// step t. Only the OS dataflow streams an operand from the top while
+// computing; WS and IS use the top edge for the stationary fill only.
 func (mp *Mapper) ColStream(j, t int64) int64 {
 	if mp.m.Dataflow != config.OutputStationary {
 		panic(fmt.Sprintf("dataflow: %v streams no top-edge operand", mp.m.Dataflow))

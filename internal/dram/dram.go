@@ -2,8 +2,8 @@
 // simulator's DRAM-interface traces. The paper feeds SCALE-Sim's interface
 // traces to an external simulator (DRAMSim2); this package is the in-repo
 // substitute: a channel/bank open-page model with activate/CAS/precharge
-// timings, periodic refresh, a shared per-channel data bus and an optional
-// FR-FCFS-style scheduler, enough to answer whether a trace's demand
+// timings, periodic refresh and a shared per-channel data bus, serving
+// requests in arrival order, enough to answer whether a trace's demand
 // bandwidth is achievable and at what latency.
 package dram
 
@@ -11,17 +11,6 @@ import (
 	"fmt"
 
 	"scalesim/internal/trace"
-)
-
-// Policy selects the request scheduler.
-type Policy int
-
-const (
-	// FCFS services requests strictly in arrival order.
-	FCFS Policy = iota
-	// FRFCFS reorders each same-cycle batch to service open-row hits first
-	// (a batch-local approximation of first-ready FCFS).
-	FRFCFS
 )
 
 // Config holds the timing and geometry parameters, all in accelerator
@@ -48,8 +37,6 @@ type Config struct {
 	TREFI, TRFC int64
 	// BusCyclesPerWord is the data-bus occupancy per word transferred.
 	BusCyclesPerWord int64
-	// Policy selects the scheduler (default FCFS).
-	Policy Policy
 }
 
 // DDR3 returns timings loosely modeled on DDR3-1600 expressed in a 1 GHz
@@ -65,18 +52,12 @@ func DDR3() Config {
 	}
 }
 
-// HBM2 returns timings loosely modeled on HBM2: eight pseudo-channels of
-// 16 banks with small pages. The per-channel bus still moves one word per
-// cycle, so aggregate bandwidth comes from channel parallelism — which is
-// exactly how HBM differs from DDR.
-func HBM2() Config {
-	return Config{
-		Channels: 8, InterleaveWords: 256,
-		Banks: 16, RowWords: 1024,
-		TRCD: 14, TCAS: 14, TRP: 14,
-		TREFI: 3900, TRFC: 160,
-		BusCyclesPerWord: 1,
-	}
+// Key is the configuration's identity in result-cache keys: the %+v form
+// every stored key was written with, down to the Policy:0 of a scheduler
+// field Config no longer has, so existing cache directories stay warm.
+func (c Config) Key() string {
+	return fmt.Sprintf("{Channels:%d InterleaveWords:%d Banks:%d RowWords:%d TRCD:%d TCAS:%d TRP:%d TREFI:%d TRFC:%d BusCyclesPerWord:%d Policy:0}",
+		c.Channels, c.InterleaveWords, c.Banks, c.RowWords, c.TRCD, c.TCAS, c.TRP, c.TREFI, c.TRFC, c.BusCyclesPerWord)
 }
 
 // Validate reports the first structural problem with the configuration.
@@ -96,8 +77,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: TRFC %d must be below TREFI %d", c.TRFC, c.TREFI)
 	case c.BusCyclesPerWord < 1:
 		return fmt.Errorf("dram: BusCyclesPerWord must be >= 1, got %d", c.BusCyclesPerWord)
-	case c.Policy != FCFS && c.Policy != FRFCFS:
-		return fmt.Errorf("dram: unknown policy %d", int(c.Policy))
 	}
 	return nil
 }
@@ -132,7 +111,6 @@ type Model struct {
 	cfg      Config
 	channels []channel
 	stats    Stats
-	batch    []int64 // scratch for FR-FCFS reordering
 }
 
 // Stats aggregates the model's behaviour.
@@ -153,38 +131,12 @@ type Stats struct {
 	BusBusy int64
 }
 
-// AvgLatency returns the mean per-word latency.
-func (s Stats) AvgLatency() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.TotalLatency) / float64(s.Requests)
-}
-
 // RowHitRate returns the fraction of requests that hit an open row.
 func (s Stats) RowHitRate() float64 {
 	if s.Requests == 0 {
 		return 0
 	}
 	return float64(s.RowHits) / float64(s.Requests)
-}
-
-// AchievedWordsPerCycle returns delivered bandwidth over the busy interval.
-func (s Stats) AchievedWordsPerCycle() float64 {
-	if s.LastCompletion == 0 {
-		return 0
-	}
-	return float64(s.Requests) / float64(s.LastCompletion)
-}
-
-// BusUtilization returns the average per-channel data-bus occupancy up to
-// the last completion (can exceed 1 only if multiple channels are busy;
-// it is normalized per channel by the caller's channel count if needed).
-func (s Stats) BusUtilization() float64 {
-	if s.LastCompletion == 0 {
-		return 0
-	}
-	return float64(s.BusBusy) / float64(s.LastCompletion)
 }
 
 // New builds a Model.
@@ -207,15 +159,10 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Request services one word at the given arrival cycle and returns its
-// completion cycle. Requests must arrive in non-decreasing cycle order.
-func (m *Model) Request(arrival, addr int64) int64 {
-	return m.serve(arrival, addr, 0, 1)
-}
-
 // serve services the n words addr, addr+stride, ... that all arrive at the
 // given cycle, in order, and returns the last word's completion cycle. It is
-// the model's only state machine: Request is its one-word case.
+// the model's only state machine. Calls must arrive in non-decreasing cycle
+// order.
 //
 // Only the first word is decoded by division. stride is split once into
 // whole rows and a remainder in [0, RowWords); every later word adds the
@@ -360,45 +307,12 @@ func floorDivMod(a, d int64) (q, r int64) {
 func (m *Model) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(m, cycle, addrs) }
 
 // ConsumeRuns implements trace.RunConsumer: each address is a word request
-// arriving at the given cycle. FCFS batches are serviced straight off the
-// progressions, a run per call; FRFCFS reorders the batch so open-row hits
-// go first, which needs the whole batch, so runs are expanded into the
-// reorder buffer first and the reordered batch is appended behind them.
+// arriving at the given cycle, served in arrival order straight off the
+// progressions, a run per call.
 func (m *Model) ConsumeRuns(cycle int64, runs []trace.Run) {
-	if m.cfg.Policy == FRFCFS && trace.RunWords(runs) > 1 {
-		m.batch = trace.ExpandRuns(runs, m.batch[:0])
-		n := len(m.batch)
-		m.batch = m.hitsFirst(m.batch, m.batch[:n])
-		for _, a := range m.batch[n:] {
-			m.serve(cycle, a, 0, 1)
-		}
-		return
-	}
 	for _, r := range runs {
 		m.serve(cycle, r.Base, r.Stride, r.Count)
 	}
-}
-
-// hitsFirst appends src onto dst as a stable partition: the addresses that
-// hit an open row right now in arrival order, then the rest in arrival
-// order. dst may be src's own backing array past its end.
-func (m *Model) hitsFirst(dst, src []int64) []int64 {
-	for _, hit := range [2]bool{true, false} {
-		for _, a := range src {
-			if m.isOpenRow(a) == hit {
-				dst = append(dst, a)
-			}
-		}
-	}
-	return dst
-}
-
-// isOpenRow reports whether the address currently hits an open row.
-func (m *Model) isOpenRow(addr int64) bool {
-	cfg := &m.cfg
-	ch := &m.channels[int((addr/cfg.InterleaveWords)%int64(cfg.Channels))]
-	row := addr / cfg.RowWords
-	return ch.banks[int(row%int64(cfg.Banks))].openRow == row
 }
 
 // Stats returns a copy of the accumulated statistics.

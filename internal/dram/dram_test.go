@@ -1,9 +1,10 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"strings"
 	"testing"
 
 	"scalesim/internal/trace"
@@ -12,6 +13,26 @@ import (
 func smallCfg() Config {
 	return Config{Banks: 2, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4, BusCyclesPerWord: 1}
 }
+
+// hbm2 is a geometry loosely modeled on HBM2: eight pseudo-channels of 16
+// banks with small pages. The per-channel bus still moves one word per
+// cycle, so aggregate bandwidth comes from channel parallelism.
+var hbm2 = Config{
+	Channels: 8, InterleaveWords: 256,
+	Banks: 16, RowWords: 1024,
+	TRCD: 14, TCAS: 14, TRP: 14,
+	TREFI: 3900, TRFC: 160,
+	BusCyclesPerWord: 1,
+}
+
+// avgLatency is the mean per-word latency.
+func avgLatency(s Stats) float64 { return float64(s.TotalLatency) / float64(s.Requests) }
+
+// wordsPerCycle is the delivered bandwidth over the busy interval.
+func wordsPerCycle(s Stats) float64 { return float64(s.Requests) / float64(s.LastCompletion) }
+
+// busUtilization is the data-bus occupancy up to the last completion.
+func busUtilization(s Stats) float64 { return float64(s.BusBusy) / float64(s.LastCompletion) }
 
 func TestValidate(t *testing.T) {
 	if err := DDR3().Validate(); err != nil {
@@ -39,7 +60,7 @@ func TestFirstAccessIsRowMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cold miss on a precharged bank: no tRP, just tRCD + tCAS + bus.
-	done := m.Request(0, 0)
+	done := m.serve(0, 0, 0, 1)
 	if want := int64(3 + 2 + 1); done != want {
 		t.Errorf("cold miss completion = %d, want %d", done, want)
 	}
@@ -51,10 +72,10 @@ func TestFirstAccessIsRowMiss(t *testing.T) {
 
 func TestRowHitFasterThanMiss(t *testing.T) {
 	m, _ := New(smallCfg())
-	first := m.Request(0, 0)
-	second := m.Request(first, 1) // same row: hit
+	first := m.serve(0, 0, 0, 1)
+	second := m.serve(first, 1, 0, 1) // same row: hit
 	hitLat := second - first
-	third := m.Request(second, 64) // row 4, same bank 0: conflict miss with tRP
+	third := m.serve(second, 64, 0, 1) // row 4, same bank 0: conflict miss with tRP
 	missLat := third - second
 	if hitLat >= missLat {
 		t.Errorf("row hit latency %d not faster than conflict miss %d", hitLat, missLat)
@@ -73,11 +94,11 @@ func TestBankParallelism(t *testing.T) {
 	// Two streams to different banks overlap; same bank serializes.
 	cfg := smallCfg()
 	m1, _ := New(cfg)
-	m1.Request(0, 0)        // bank 0 (row 0)
-	d1 := m1.Request(0, 16) // row 1 -> bank 1: overlapped activate
+	m1.serve(0, 0, 0, 1)        // bank 0 (row 0)
+	d1 := m1.serve(0, 16, 0, 1) // row 1 -> bank 1: overlapped activate
 	m2, _ := New(cfg)
-	m2.Request(0, 0)        // bank 0
-	d2 := m2.Request(0, 64) // row 4 -> bank 0: serialized
+	m2.serve(0, 0, 0, 1)        // bank 0
+	d2 := m2.serve(0, 64, 0, 1) // row 4 -> bank 0: serialized
 	if d1 >= d2 {
 		t.Errorf("different-bank completion %d should beat same-bank %d", d1, d2)
 	}
@@ -96,15 +117,15 @@ func TestBusSerializes(t *testing.T) {
 	if s.BusBusy != 16 {
 		t.Errorf("BusBusy = %d, want 16", s.BusBusy)
 	}
-	if s.BusUtilization() <= 0 || s.BusUtilization() > 1 {
-		t.Errorf("BusUtilization = %v", s.BusUtilization())
+	if u := busUtilization(s); u <= 0 || u > 1 {
+		t.Errorf("bus utilization = %v", u)
 	}
 }
 
 func TestSequentialStreamMostlyHits(t *testing.T) {
 	m, _ := New(DDR3())
 	for a := int64(0); a < 10_000; a++ {
-		m.Request(a, a)
+		m.serve(a, a, 0, 1)
 	}
 	s := m.Stats()
 	if s.Requests != 10_000 {
@@ -113,8 +134,8 @@ func TestSequentialStreamMostlyHits(t *testing.T) {
 	if s.RowHitRate() < 0.99 {
 		t.Errorf("sequential RowHitRate = %v, want > 0.99", s.RowHitRate())
 	}
-	if s.AchievedWordsPerCycle() < 0.9 {
-		t.Errorf("sequential bandwidth = %v words/cycle, want near 1", s.AchievedWordsPerCycle())
+	if w := wordsPerCycle(s); w < 0.9 {
+		t.Errorf("sequential bandwidth = %v words/cycle, want near 1", w)
 	}
 }
 
@@ -123,16 +144,16 @@ func TestRandomStreamWorseThanSequential(t *testing.T) {
 	seq, _ := New(DDR3())
 	rnd, _ := New(DDR3())
 	for i := int64(0); i < 5000; i++ {
-		seq.Request(i, i)
-		rnd.Request(i, rng.Int63n(1<<24))
+		seq.serve(i, i, 0, 1)
+		rnd.serve(i, rng.Int63n(1<<24), 0, 1)
 	}
 	if rnd.Stats().RowHitRate() >= seq.Stats().RowHitRate() {
 		t.Errorf("random hit rate %v >= sequential %v",
 			rnd.Stats().RowHitRate(), seq.Stats().RowHitRate())
 	}
-	if rnd.Stats().AvgLatency() <= seq.Stats().AvgLatency() {
+	if avgLatency(rnd.Stats()) <= avgLatency(seq.Stats()) {
 		t.Errorf("random latency %v <= sequential %v",
-			rnd.Stats().AvgLatency(), seq.Stats().AvgLatency())
+			avgLatency(rnd.Stats()), avgLatency(seq.Stats()))
 	}
 }
 
@@ -143,7 +164,7 @@ func TestStatsInvariants(t *testing.T) {
 	var prevDone int64
 	for i := 0; i < 2000; i++ {
 		cycle += rng.Int63n(3)
-		done := m.Request(cycle, rng.Int63n(4096))
+		done := m.serve(cycle, rng.Int63n(4096), 0, 1)
 		if done <= cycle {
 			t.Fatalf("completion %d not after arrival %d", done, cycle)
 		}
@@ -154,39 +175,39 @@ func TestStatsInvariants(t *testing.T) {
 	if s.RowHits+s.RowMisses != s.Requests {
 		t.Errorf("hits %d + misses %d != requests %d", s.RowHits, s.RowMisses, s.Requests)
 	}
-	if s.MaxLatency < int64(s.AvgLatency()) {
-		t.Errorf("MaxLatency %d below average %v", s.MaxLatency, s.AvgLatency())
+	if s.MaxLatency < int64(avgLatency(s)) {
+		t.Errorf("MaxLatency %d below average %v", s.MaxLatency, avgLatency(s))
 	}
-	if s.BusUtilization() > 1 {
-		t.Errorf("BusUtilization %v > 1", s.BusUtilization())
+	if u := busUtilization(s); u > 1 {
+		t.Errorf("bus utilization %v > 1", u)
 	}
 }
 
 func TestEmptyStats(t *testing.T) {
 	m, _ := New(smallCfg())
 	s := m.Stats()
-	if s.AvgLatency() != 0 || s.RowHitRate() != 0 || s.AchievedWordsPerCycle() != 0 || s.BusUtilization() != 0 {
+	if s != (Stats{}) || s.RowHitRate() != 0 {
 		t.Error("empty model reports nonzero stats")
 	}
 }
 
 func TestHBM2Preset(t *testing.T) {
-	if err := HBM2().Validate(); err != nil {
+	if err := hbm2.Validate(); err != nil {
 		t.Fatalf("HBM2 invalid: %v", err)
 	}
-	// Under bank-conflict-heavy random traffic, the many-banked HBM2 model
-	// must beat DDR3 on average latency.
+	// Under bank-conflict-heavy random traffic, the many-banked HBM2
+	// geometry must beat DDR3 on average latency.
 	rng := rand.New(rand.NewSource(55))
 	ddr, _ := New(DDR3())
-	hbm, _ := New(HBM2())
+	hbm, _ := New(hbm2)
 	for i := int64(0); i < 20_000; i++ {
 		a := rng.Int63n(1 << 22)
-		ddr.Request(i, a)
-		hbm.Request(i, a)
+		ddr.serve(i, a, 0, 1)
+		hbm.serve(i, a, 0, 1)
 	}
-	if hbm.Stats().AvgLatency() >= ddr.Stats().AvgLatency() {
+	if avgLatency(hbm.Stats()) >= avgLatency(ddr.Stats()) {
 		t.Errorf("HBM2 latency %v not below DDR3 %v under random traffic",
-			hbm.Stats().AvgLatency(), ddr.Stats().AvgLatency())
+			avgLatency(hbm.Stats()), avgLatency(ddr.Stats()))
 	}
 }
 
@@ -198,15 +219,15 @@ func TestRefreshApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Request(0, 0)
+	m.serve(0, 0, 0, 1)
 	// Jump past three refresh intervals: all due windows are applied.
-	m.Request(350, 0)
+	m.serve(350, 0, 0, 1)
 	if got := m.Stats().Refreshes; got != 3 {
 		t.Errorf("Refreshes = %d, want 3", got)
 	}
 	// A request landing inside the refresh hold waits it out.
 	m2, _ := New(cfg)
-	m2.Request(100, 1) // refresh at 100 holds until 120; row hit after
+	m2.serve(100, 1, 0, 1) // refresh at 100 holds until 120; row hit after
 	lat := m2.Stats().MaxLatency
 	if lat < cfg.TRFC {
 		t.Errorf("refresh-blocked latency %d < TRFC %d", lat, cfg.TRFC)
@@ -224,38 +245,12 @@ func TestChannelsParallelize(t *testing.T) {
 	// Stream rows that map to different channels under interleaving.
 	for i := int64(0); i < 8000; i++ {
 		addr := i * base.RowWords // one word per row: worst case, all misses
-		single.Request(i, addr)
-		multi.Request(i, addr)
+		single.serve(i, addr, 0, 1)
+		multi.serve(i, addr, 0, 1)
 	}
-	if multi.Stats().AchievedWordsPerCycle() <= single.Stats().AchievedWordsPerCycle() {
+	if wordsPerCycle(multi.Stats()) <= wordsPerCycle(single.Stats()) {
 		t.Errorf("4 channels (%v w/c) not faster than 1 (%v w/c)",
-			multi.Stats().AchievedWordsPerCycle(), single.Stats().AchievedWordsPerCycle())
-	}
-}
-
-func TestFRFCFSPrefersOpenRows(t *testing.T) {
-	mk := func(p Policy) *Model {
-		cfg := smallCfg()
-		cfg.TREFI = 0
-		cfg.Policy = p
-		m, _ := New(cfg)
-		return m
-	}
-	fcfs, frfcfs := mk(FCFS), mk(FRFCFS)
-	// Open row 0 on bank 0, then issue a batch that interleaves a conflict
-	// (row 4, bank 0) before more row-0 hits; FR-FCFS hoists the hits.
-	warm := []int64{0}
-	batch := []int64{64, 1, 2, 3} // row 4 conflict first, then row-0 hits
-	fcfs.Consume(0, warm)
-	frfcfs.Consume(0, warm)
-	fcfs.Consume(1, batch)
-	frfcfs.Consume(1, batch)
-	if frfcfs.Stats().TotalLatency >= fcfs.Stats().TotalLatency {
-		t.Errorf("FR-FCFS latency %d not below FCFS %d",
-			frfcfs.Stats().TotalLatency, fcfs.Stats().TotalLatency)
-	}
-	if frfcfs.Stats().RowHits < fcfs.Stats().RowHits {
-		t.Errorf("FR-FCFS hits %d below FCFS %d", frfcfs.Stats().RowHits, fcfs.Stats().RowHits)
+			wordsPerCycle(multi.Stats()), wordsPerCycle(single.Stats()))
 	}
 }
 
@@ -264,7 +259,6 @@ func TestConfigValidateExtended(t *testing.T) {
 		{Channels: -1, Banks: 1, RowWords: 1, BusCyclesPerWord: 1},
 		{InterleaveWords: -1, Banks: 1, RowWords: 1, BusCyclesPerWord: 1},
 		{Banks: 1, RowWords: 1, BusCyclesPerWord: 1, TREFI: 10, TRFC: 10},
-		{Banks: 1, RowWords: 1, BusCyclesPerWord: 1, Policy: Policy(9)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -274,7 +268,7 @@ func TestConfigValidateExtended(t *testing.T) {
 }
 
 // TestConsumeRunsMatchesConsume: the run path must produce the stats of the
-// per-word reference (refConsume) under both schedulers.
+// per-word reference (refConsume).
 func TestConsumeRunsMatchesConsume(t *testing.T) {
 	batches := []struct {
 		cycle int64
@@ -285,31 +279,23 @@ func TestConsumeRunsMatchesConsume(t *testing.T) {
 		{20, []trace.Run{{Base: 64, Stride: -1, Count: 32}}},
 		{8000, []trace.Run{{Base: 1 << 20, Stride: 2048, Count: 8}}},
 	}
-	for _, policy := range []Policy{FCFS, FRFCFS} {
-		cfg := DDR3()
-		cfg.Policy = policy
-		viaRuns, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches {
-			viaRuns.ConsumeRuns(b.cycle, b.runs)
-			refConsume(ref, b.cycle, trace.ExpandRuns(b.runs, nil))
-		}
-		if viaRuns.Stats() != ref.Stats() {
-			t.Errorf("policy %v: run path %+v != per-word reference %+v",
-				policy, viaRuns.Stats(), ref.Stats())
-		}
+	viaRuns, err := New(DDR3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := New(DDR3())
+	for _, b := range batches {
+		viaRuns.ConsumeRuns(b.cycle, b.runs)
+		refConsume(ref, b.cycle, trace.ExpandRuns(b.runs, nil))
+	}
+	if viaRuns.Stats() != ref.Stats() {
+		t.Errorf("run path %+v != per-word reference %+v", viaRuns.Stats(), ref.Stats())
 	}
 }
 
-// refRequest is the per-word model the run loop must reproduce: Request's
-// body from before the model serviced a run per call, one full address
-// decode and one stats update per word.
+// refRequest is the per-word model the run loop must reproduce: the
+// one-word request as it was written before the model serviced a run per
+// call, one full address decode and one stats update per word.
 func refRequest(m *Model, arrival, addr int64) int64 {
 	cfg := m.cfg
 	chIdx := int((addr / cfg.InterleaveWords) % int64(cfg.Channels))
@@ -366,21 +352,8 @@ func refRequest(m *Model, arrival, addr int64) int64 {
 	return done
 }
 
-// refReorder is the FR-FCFS batch order as it was first written: a stable
-// sort that puts open-row hits before everything else.
-func refReorder(m *Model, addrs []int64) []int64 {
-	batch := append([]int64(nil), addrs...)
-	sort.SliceStable(batch, func(i, j int) bool {
-		return m.isOpenRow(batch[i]) && !m.isOpenRow(batch[j])
-	})
-	return batch
-}
-
 // refConsume is the element path over refRequest.
 func refConsume(m *Model, cycle int64, addrs []int64) {
-	if m.cfg.Policy == FRFCFS && len(addrs) > 1 {
-		addrs = refReorder(m, addrs)
-	}
 	for _, a := range addrs {
 		refRequest(m, cycle, a)
 	}
@@ -443,58 +416,55 @@ func TestRunLoopMatchesPerWordReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1303))
 	noRefresh := DDR3()
 	noRefresh.TREFI, noRefresh.TRFC = 0, 0
-	cfgs := []Config{DDR3(), HBM2(), noRefresh}
-	for i := 0; i < 40; i++ {
+	cfgs := []Config{DDR3(), hbm2, noRefresh}
+	for i := 0; i < 80; i++ {
 		cfgs = append(cfgs, randomGeometry(rng))
 	}
 	for ci, cfg := range cfgs {
-		for _, policy := range []Policy{FCFS, FRFCFS} {
-			cfg.Policy = policy
-			got, err := New(cfg)
-			if err != nil {
-				t.Fatalf("config %d %+v: %v", ci, cfg, err)
+		got, err := New(cfg)
+		if err != nil {
+			t.Fatalf("config %d %+v: %v", ci, cfg, err)
+		}
+		want, _ := New(cfg)
+		var cycle int64
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(8) {
+			case 0: // same cycle: a second batch behind the first
+			case 1: // idle gap spanning several refresh intervals
+				cycle += rng.Int63n(30_000)
+			default:
+				cycle += rng.Int63n(50)
 			}
-			want, _ := New(cfg)
-			var cycle int64
-			for step := 0; step < 300; step++ {
-				switch rng.Intn(8) {
-				case 0: // same cycle: a second batch behind the first
-				case 1: // idle gap spanning several refresh intervals
-					cycle += rng.Int63n(30_000)
-				default:
-					cycle += rng.Int63n(50)
-				}
-				runs := randomRuns(rng)
-				addrs := trace.ExpandRuns(runs, nil)
-				if rng.Intn(4) == 0 {
-					got.Consume(cycle, addrs)
-				} else {
-					got.ConsumeRuns(cycle, runs)
-				}
-				refConsume(want, cycle, addrs)
+			runs := randomRuns(rng)
+			addrs := trace.ExpandRuns(runs, nil)
+			if rng.Intn(4) == 0 {
+				got.Consume(cycle, addrs)
+			} else {
+				got.ConsumeRuns(cycle, runs)
 			}
-			if got.Stats() != want.Stats() {
-				t.Errorf("config %d %+v:\nrun loop  %+v\nreference %+v", ci, cfg, got.Stats(), want.Stats())
-			}
-			if !reflect.DeepEqual(got.channels, want.channels) {
-				t.Errorf("config %d %+v: final bank/channel state differs from the reference", ci, cfg)
-			}
+			refConsume(want, cycle, addrs)
+		}
+		if got.Stats() != want.Stats() {
+			t.Errorf("config %d %+v:\nrun loop  %+v\nreference %+v", ci, cfg, got.Stats(), want.Stats())
+		}
+		if !reflect.DeepEqual(got.channels, want.channels) {
+			t.Errorf("config %d %+v: final bank/channel state differs from the reference", ci, cfg)
 		}
 	}
 }
 
-// TestRequestIsTheOneWordRun: Request and the reference agree word for word,
-// completion cycles included.
+// TestRequestIsTheOneWordRun: a one-word serve and the reference agree word
+// for word, completion cycles included.
 func TestRequestIsTheOneWordRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for _, cfg := range []Config{DDR3(), HBM2(), randomGeometry(rng)} {
+	for _, cfg := range []Config{DDR3(), hbm2, randomGeometry(rng)} {
 		got, _ := New(cfg)
 		want, _ := New(cfg)
 		var cycle int64
 		for i := 0; i < 5000; i++ {
 			cycle += rng.Int63n(4)
 			a := rng.Int63n(1 << 20)
-			if g, w := got.Request(cycle, a), refRequest(want, cycle, a); g != w {
+			if g, w := got.serve(cycle, a, 0, 1), refRequest(want, cycle, a); g != w {
 				t.Fatalf("%+v: word %d completes at %d, reference %d", cfg, i, g, w)
 			}
 		}
@@ -520,28 +490,19 @@ func TestRunBelowZeroDecodesPerWord(t *testing.T) {
 	}
 }
 
-// TestHitsFirstMatchesStableSort: the two-pass partition orders every batch
-// exactly as the stable sort it replaced.
-func TestHitsFirstMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 200; i++ {
-		cfg := randomGeometry(rng)
-		m, _ := New(cfg)
-		for j := 0; j < 50; j++ { // open some rows
-			m.Request(int64(j), rng.Int63n(4000))
+// TestKeyIsTheFormattedConfig: Key is the configuration's %+v with the
+// trailing Policy:0 every existing cache key carries, so a field added to
+// Config fails here before it can silently change a key.
+func TestKeyIsTheFormattedConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, cfg := range []Config{DDR3(), hbm2, randomGeometry(rng), randomGeometry(rng)} {
+		want := strings.TrimSuffix(fmt.Sprintf("%+v", cfg), "}") + " Policy:0}"
+		if got := cfg.Key(); got != want {
+			t.Errorf("Key() = %q, want %q", got, want)
 		}
-		batch := make([]int64, 1+rng.Intn(60))
-		for j := range batch {
-			batch[j] = rng.Int63n(4000)
-		}
-		want := refReorder(m, batch)
-		if got := m.hitsFirst(nil, batch); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: batch %v\npartition %v\nsort      %v", cfg, batch, got, want)
-		}
-		// In place behind the source, as ConsumeRuns uses it.
-		src := append(make([]int64, 0, len(batch)), batch...)
-		if got := m.hitsFirst(src, src)[len(batch):]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: in-place partition %v, sort %v", cfg, got, want)
-		}
+	}
+	const ddr3 = "{Channels:0 InterleaveWords:0 Banks:8 RowWords:2048 TRCD:11 TCAS:11 TRP:11 TREFI:7800 TRFC:139 BusCyclesPerWord:1 Policy:0}"
+	if got := DDR3().Key(); got != ddr3 {
+		t.Errorf("DDR3 key %q, want %q", got, ddr3)
 	}
 }

@@ -403,32 +403,6 @@ func relErrBounds(rows []Row) (maxErr, meanErr float64) {
 	return maxErr, sum / float64(len(rows))
 }
 
-// BestPerNet picks each workload's fastest refined configuration:
-// minimum measured cycles, ties broken toward fewer MACs and then band
-// order, so the choice is deterministic.
-func BestPerNet(rows []Row) map[string]Row {
-	best := make(map[string]Row)
-	for _, r := range rows {
-		cur, ok := best[r.Batch.Net]
-		if !ok || betterRow(r, cur) {
-			best[r.Batch.Net] = r
-		}
-	}
-	return best
-}
-
-func betterRow(a, b Row) bool {
-	if a.Batch.TotalCycles != b.Batch.TotalCycles {
-		return a.Batch.TotalCycles < b.Batch.TotalCycles
-	}
-	am := int64(a.Batch.Array[0]) * int64(a.Batch.Array[1])
-	bm := int64(b.Batch.Array[0]) * int64(b.Batch.Array[1])
-	if am != bm {
-		return am < bm
-	}
-	return a.Index < b.Index
-}
-
 // identify dresses a sweep manifest over res.Rows — the tier-2 job's, or
 // batch.NewManifest of merged rows — in the search's identity: tool, run,
 // base-configuration hash, search statistics, and every entry and cycle

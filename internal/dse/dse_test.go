@@ -78,22 +78,27 @@ func TestTieredMatchesExhaustive(t *testing.T) {
 	if res.Stats.RefinedPoints > res.Stats.GridPoints {
 		t.Fatalf("refined %d > grid %d", res.Stats.RefinedPoints, res.Stats.GridPoints)
 	}
-	best := BestPerNet(res.Rows)
-
-	byNet := make(map[string]int64)
-	for _, r := range exhaustive(t, s) {
-		if cur, ok := byNet[r.Net]; !ok || r.TotalCycles < cur {
-			byNet[r.Net] = r.TotalCycles
+	fastest := func(rows []batch.Row) map[string]int64 {
+		byNet := make(map[string]int64)
+		for _, r := range rows {
+			if cur, ok := byNet[r.Net]; !ok || r.TotalCycles < cur {
+				byNet[r.Net] = r.TotalCycles
+			}
 		}
+		return byNet
 	}
-	for net, want := range byNet {
+	refined := make([]batch.Row, len(res.Rows))
+	for i, r := range res.Rows {
+		refined[i] = r.Batch
+	}
+	best := fastest(refined)
+	for net, want := range fastest(exhaustive(t, s)) {
 		got, ok := best[net]
 		if !ok {
 			t.Fatalf("net %s missing from tiered result", net)
 		}
-		if got.Batch.TotalCycles != want {
-			t.Errorf("net %s: tiered best %d cycles, exhaustive best %d",
-				net, got.Batch.TotalCycles, want)
+		if got != want {
+			t.Errorf("net %s: tiered best %d cycles, exhaustive best %d", net, got, want)
 		}
 	}
 }

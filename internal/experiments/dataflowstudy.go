@@ -35,11 +35,6 @@ type DataflowStudyResult struct {
 	BestFixed config.Dataflow
 }
 
-// Speedup returns BestFixed's runtime divided by the adaptive runtime.
-func (r DataflowStudyResult) Speedup() float64 {
-	return float64(r.FixedCycles[r.BestFixed]) / float64(r.AdaptiveCycles)
-}
-
 // DataflowStudy evaluates every layer of the topology under all three
 // dataflows on the configured array (stall-free, Eq. 4 — the same runtime
 // the simulator produces) and reports fixed-vs-adaptive totals.

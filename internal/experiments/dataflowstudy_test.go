@@ -23,9 +23,6 @@ func TestDataflowStudyResNet(t *testing.T) {
 				res.AdaptiveCycles, df, res.FixedCycles[df])
 		}
 	}
-	if res.Speedup() < 1 {
-		t.Errorf("Speedup = %v < 1", res.Speedup())
-	}
 	// Per-layer choice sums must reproduce the adaptive total.
 	var sum int64
 	for _, c := range res.Choices {

@@ -66,9 +66,6 @@ type Job struct {
 // ID returns the job's identifier, stable for the life of the Runner.
 func (j *Job) ID() string { return j.id }
 
-// Key returns the job's content address (Spec.Key, or the sweep label).
-func (j *Job) Key() string { return j.key }
-
 // Status returns the job's current lifecycle state.
 func (j *Job) Status() Status {
 	j.mu.Lock()

@@ -132,9 +132,6 @@ func NewRunner(opt Options) *Runner {
 // the daemon's /metrics endpoint.
 func (r *Runner) Metrics() *obsv.Registry { return r.reg }
 
-// Cache returns the shared result cache (nil when caching is off).
-func (r *Runner) Cache() *simcache.Cache { return r.opt.Cache }
-
 // newJob registers a job in the runner's table and returns it.
 func (r *Runner) newJob(kind, key, run, net string, units int, live Live) (*Job, error) {
 	ctx, cancel := context.WithCancel(context.Background())

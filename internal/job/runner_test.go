@@ -527,7 +527,8 @@ func TestSweepPointIsASpecJob(t *testing.T) {
 	}
 	plain := NewRunner(Options{Workers: 1})
 	defer plain.Close(context.Background())
-	cached := NewRunner(Options{Workers: 1, Cache: simcache.New()})
+	cache := simcache.New()
+	cached := NewRunner(Options{Workers: 1, Cache: cache})
 	defer cached.Close(context.Background())
 	sweep, err := plain.RunSweep("grid", grid, Live{})
 	if err != nil {
@@ -559,7 +560,7 @@ func TestSweepPointIsASpecJob(t *testing.T) {
 			t.Errorf("%s cached sweep rows differ from the uncached sweep's", pass)
 		}
 	}
-	if cached.Cache().Hits() == 0 {
+	if cache.Stats().Hits == 0 {
 		t.Error("the warm sweep replayed nothing from the runner's cache")
 	}
 }

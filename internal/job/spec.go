@@ -115,7 +115,7 @@ func (s Spec) Key() string {
 		key += fmt.Sprintf(";bw=%g", s.DRAMBandwidth)
 	}
 	if s.DRAM != nil {
-		key += fmt.Sprintf(";dram=%+v", *s.DRAM)
+		key += ";dram=" + s.DRAM.Key()
 	}
 	if s.scaleOut() {
 		key += ";parts=" + s.Parts.String()

@@ -630,7 +630,7 @@ func TestAllMissMemoInvalidation(t *testing.T) {
 			if tables != nil {
 				sys.Adopt(tables)
 			}
-			c := sys.Filter.EffectiveWords()
+			c := sys.Filter.set.capacity
 			sys.SetRegions(0, 1, 0, 4*c, 0, 1)
 			f := sys.Filter
 			script := [][]trace.Run{{seq(0, c)}, {seq(c, c)}, {seq(0, c)}, {seq(c/2, c)}}

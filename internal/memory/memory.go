@@ -584,9 +584,6 @@ func newBuffer(name string, capacityWords int64, dram trace.Consumer, meter *tra
 		dram: trace.Runs(dram), record: dram != nil, meter: meter}, nil
 }
 
-// Name returns the buffer's label.
-func (b *buffer) Name() string { return b.name }
-
 // SetRegion declares the address region this buffer will service, enabling
 // the fast direct-mapped residency table. Call before the first access. A
 // new declaration also opens a new block namespace: proven blocks are
@@ -596,9 +593,6 @@ func (b *buffer) SetRegion(base, words int64) {
 	b.set.setRegion(base, words)
 	b.memo.reset(words <= b.set.capacity || b.set.len() > 0)
 }
-
-// EffectiveWords returns the resident capacity in words.
-func (b *buffer) EffectiveWords() int64 { return b.set.capacity }
 
 // RegionFallbacks counts accesses outside the declared region that forced
 // the residency structure off the dense fast path (zero on a healthy
@@ -730,14 +724,6 @@ func (b *ReadBuffer) BeginBlock(blk trace.Block) bool {
 
 // EndBlock implements trace.BlockConsumer.
 func (b *ReadBuffer) EndBlock() { b.memo.end(b.Evictions, b.DRAMReads) }
-
-// HitRate returns the fraction of SRAM reads served without DRAM traffic.
-func (b *ReadBuffer) HitRate() float64 {
-	if b.SRAMReads == 0 {
-		return 0
-	}
-	return 1 - float64(b.DRAMReads)/float64(b.SRAMReads)
-}
 
 // WriteBuffer is the OFMAP SRAM: a write-back buffer that drains to DRAM on
 // eviction and at the final Flush.

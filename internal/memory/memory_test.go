@@ -20,8 +20,8 @@ func mustReadBuffer(t *testing.T, capacity int64, dram trace.Consumer) *ReadBuff
 func TestReadBufferColdAndHit(t *testing.T) {
 	rec := &trace.Recorder{}
 	b := mustReadBuffer(t, 16, rec)
-	if b.Name() != "test" || b.EffectiveWords() != 8 {
-		t.Errorf("name/capacity = %q/%d", b.Name(), b.EffectiveWords())
+	if b.name != "test" || b.set.capacity != 8 {
+		t.Errorf("name/capacity = %q/%d", b.name, b.set.capacity)
 	}
 	b.Consume(0, []int64{1, 2, 3})
 	b.Consume(1, []int64{1, 2, 3}) // all hits
@@ -34,9 +34,6 @@ func TestReadBufferColdAndHit(t *testing.T) {
 	}
 	if b.Evictions != 0 {
 		t.Errorf("Evictions = %d, want 0", b.Evictions)
-	}
-	if got := b.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", got)
 	}
 	if rec.Accesses() != 3 {
 		t.Errorf("DRAM trace has %d accesses, want 3", rec.Accesses())
@@ -59,12 +56,12 @@ func TestReadBufferFIFOEviction(t *testing.T) {
 
 func TestReadBufferDoubleBufferedHalvesCapacity(t *testing.T) {
 	b := mustReadBuffer(t, 8, nil)
-	if b.EffectiveWords() != 4 {
-		t.Errorf("EffectiveWords = %d, want 4", b.EffectiveWords())
+	if b.set.capacity != 4 {
+		t.Errorf("capacity = %d, want 4", b.set.capacity)
 	}
 	tiny := mustReadBuffer(t, 1, nil)
-	if tiny.EffectiveWords() != 1 {
-		t.Errorf("tiny EffectiveWords = %d, want 1 (floor)", tiny.EffectiveWords())
+	if tiny.set.capacity != 1 {
+		t.Errorf("tiny capacity = %d, want 1 (floor)", tiny.set.capacity)
 	}
 }
 
@@ -94,13 +91,6 @@ func TestReadBufferInvalidCapacity(t *testing.T) {
 	}
 	if _, err := NewWriteBuffer("x", -1, nil, nil); err == nil {
 		t.Error("accepted negative capacity")
-	}
-}
-
-func TestHitRateEmpty(t *testing.T) {
-	b := mustReadBuffer(t, 8, nil)
-	if b.HitRate() != 0 {
-		t.Error("empty buffer HitRate != 0")
 	}
 }
 
@@ -183,8 +173,8 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Ifmap.EffectiveWords() != 512 {
-		t.Errorf("ifmap effective = %d, want 512", sys.Ifmap.EffectiveWords())
+	if sys.Ifmap.set.capacity != 512 {
+		t.Errorf("ifmap effective = %d, want 512", sys.Ifmap.set.capacity)
 	}
 
 	// Stream 2000 sequential ifmap reads: all cold misses (streaming).

@@ -94,9 +94,9 @@ func TestSystemRunPathMatchesElementPath(t *testing.T) {
 			sys.Ofmap.Flush(0)
 
 			var refRd, refWr []trace.Entry
-			ifRef := newRefBuffer(sys.Ifmap.EffectiveWords(), false, &refRd)
-			flRef := newRefBuffer(sys.Filter.EffectiveWords(), false, &refRd)
-			ofRef := newRefBuffer(sys.Ofmap.EffectiveWords(), true, &refWr)
+			ifRef := newRefBuffer(sys.Ifmap.set.capacity, false, &refRd)
+			flRef := newRefBuffer(sys.Filter.set.capacity, false, &refRd)
+			ofRef := newRefBuffer(sys.Ofmap.set.capacity, true, &refWr)
 			if _, err := systolic.Run(l, cfg, systolic.Sinks{
 				IfmapRead: ifRef, FilterRead: flRef, OfmapWrite: ofRef,
 			}); err != nil {
@@ -177,7 +177,7 @@ func TestStreakPathMatchesElementPath(t *testing.T) {
 	}
 	streak.SetRegions(0, 4096, 8192, 16, 16384, 16)
 	var refTrace []trace.Entry
-	ref := newRefBuffer(streak.Ifmap.EffectiveWords(), false, &refTrace)
+	ref := newRefBuffer(streak.Ifmap.set.capacity, false, &refTrace)
 	for _, b := range batches {
 		streak.Ifmap.ConsumeRuns(b.cycle, b.runs)
 		ref.Consume(b.cycle, trace.ExpandRuns(b.runs, nil))

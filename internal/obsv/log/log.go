@@ -6,12 +6,11 @@
 // One line is one event:
 //
 //	{"ts":"2026-08-08T12:00:00.000000001Z","level":"info","subsystem":"engine",
-//	 "msg":"job done","run":"sweep1","index":42,"seconds":0.0013}
+//	 "msg":"job done","index":42,"seconds":0.0013}
 //
-// The fixed prefix (ts, level, subsystem, msg) is followed by the
-// logger's bound fields (With) and then the event's own key/value pairs,
-// in call order — the encoder is hand-rolled so field order is stable and
-// greppable, unlike encoding/json's map serialization.
+// The fixed prefix (ts, level, subsystem, msg) is followed by the event's
+// own key/value pairs, in call order — the encoder is hand-rolled so field
+// order is stable and greppable, unlike encoding/json's map serialization.
 //
 // The package follows obsv's contract: stdlib only, every method nil-safe
 // (a nil *Logger drops events without reading the clock), and logging
@@ -79,38 +78,21 @@ func ParseLevel(s string) (Level, error) {
 	return 0, fmt.Errorf("log: unknown level %q (want debug, info, warn or error)", s)
 }
 
-// Logger writes leveled JSONL events to one writer. Derived loggers
-// (With) share the parent's writer, mutex and level, so one event is one
-// uninterleaved line no matter which derivation emitted it. All methods
-// are safe for concurrent use and nil-safe.
+// Logger writes leveled JSONL events to one writer, one uninterleaved
+// line per event. All methods are safe for concurrent use and nil-safe.
 type Logger struct {
-	mu    *sync.Mutex
+	mu    sync.Mutex
 	w     io.Writer
 	level Level
-	// bound is the pre-encoded `,"key":value` byte run of With fields.
-	bound []byte
 }
 
 // New returns a logger writing events at or above level to w.
 func New(w io.Writer, level Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level}
+	return &Logger{w: w, level: level}
 }
 
 // Enabled reports whether events at lv would be written; false on nil.
 func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.level }
-
-// With returns a logger that stamps the given key/value pairs on every
-// event, after the fixed prefix and the parent's bound fields. Run
-// identity (run name, config hash) binds here once instead of repeating
-// at every call site. Nil receivers stay nil.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || len(kv) == 0 {
-		return l
-	}
-	child := &Logger{mu: l.mu, w: l.w, level: l.level}
-	child.bound = appendFields(append([]byte(nil), l.bound...), kv)
-	return child
-}
 
 // Debug, Info, Warn and Error emit one event from the named subsystem.
 // kv is alternating keys and values; errors become their message string.
@@ -129,7 +111,7 @@ func (l *Logger) log(lv Level, subsystem, msg string, kv []any) {
 	if !l.Enabled(lv) {
 		return
 	}
-	buf := make([]byte, 0, 192+len(l.bound))
+	buf := make([]byte, 0, 192)
 	buf = append(buf, `{"ts":`...)
 	buf = strconv.AppendQuote(buf, time.Now().UTC().Format(time.RFC3339Nano))
 	buf = append(buf, `,"level":`...)
@@ -138,7 +120,6 @@ func (l *Logger) log(lv Level, subsystem, msg string, kv []any) {
 	buf = strconv.AppendQuote(buf, subsystem)
 	buf = append(buf, `,"msg":`...)
 	buf = strconv.AppendQuote(buf, msg)
-	buf = append(buf, l.bound...)
 	buf = appendFields(buf, kv)
 	buf = append(buf, '}', '\n')
 	l.mu.Lock()

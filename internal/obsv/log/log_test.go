@@ -55,11 +55,11 @@ func TestEventShape(t *testing.T) {
 
 func TestFieldOrderIsStable(t *testing.T) {
 	var buf bytes.Buffer
-	New(&buf, LevelDebug).With("run", "r1").Info("core", "layer", "zebra", 1, "alpha", 2)
+	New(&buf, LevelDebug).Info("core", "layer", "zebra", 1, "alpha", 2)
 	line := buf.String()
 	for _, seq := range [][2]string{
 		{`"ts"`, `"level"`}, {`"level"`, `"subsystem"`}, {`"subsystem"`, `"msg"`},
-		{`"msg"`, `"run"`}, {`"run"`, `"zebra"`}, {`"zebra"`, `"alpha"`},
+		{`"msg"`, `"zebra"`}, {`"zebra"`, `"alpha"`},
 	} {
 		if strings.Index(line, seq[0]) >= strings.Index(line, seq[1]) {
 			t.Errorf("field %s does not precede %s in %q", seq[0], seq[1], line)
@@ -90,25 +90,6 @@ func TestNilLoggerIsSilent(t *testing.T) {
 	lg.Error("x", "m", "k", 1)
 	if lg.Enabled(LevelError) {
 		t.Error("nil logger reports enabled")
-	}
-	if lg.With("k", "v") != nil {
-		t.Error("nil With should stay nil")
-	}
-}
-
-func TestWithBindsFields(t *testing.T) {
-	var buf bytes.Buffer
-	base := New(&buf, LevelDebug)
-	run := base.With("run", "sweep1", "config_hash", "sha256:ab")
-	run.Info("batch", "point done", "index", 7)
-	base.Info("batch", "unbound")
-
-	events := decodeLines(t, &buf)
-	if events[0]["run"] != "sweep1" || events[0]["config_hash"] != "sha256:ab" {
-		t.Errorf("bound fields missing: %v", events[0])
-	}
-	if _, ok := events[1]["run"]; ok {
-		t.Error("parent logger inherited child's bound fields")
 	}
 }
 
@@ -143,9 +124,8 @@ func TestConcurrentUseKeepsLinesIntact(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sub := lg.With("goroutine", g)
 			for i := 0; i < 50; i++ {
-				sub.Debug("engine", "job", "index", i)
+				lg.Debug("engine", "job", "goroutine", g, "index", i)
 			}
 		}(g)
 	}

@@ -38,20 +38,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Max raises the gauge to n when n is greater (a concurrent high-water
-// mark); no-op on nil.
-func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current value, zero on nil.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -24,9 +24,6 @@ func (s Sampler) Active() bool { return s.TotalWords() > 0 }
 // Total returns the recorded word count.
 func (s Sampler) Total() int64 { return s.TotalWords() }
 
-// Peak returns the highest windowed demand in words per cycle.
-func (s Sampler) Peak() float64 { return s.PeakBytesPerCycle() }
-
 // Emit writes the profile as counter samples on the given track: one
 // sample per change in windowed demand (words per cycle, step-rendered by
 // viewers) plus a closing zero, each shifted by offset cycles. A gap

@@ -122,8 +122,8 @@ func TestSamplerWindowsAndEmit(t *testing.T) {
 	if first != 3 || last != 31 {
 		t.Fatalf("Bounds = (%d, %d), want (3, 31)", first, last)
 	}
-	if got := s.Peak(); got != 2.2 {
-		t.Fatalf("Peak = %v, want 2.2", got)
+	if got := s.PeakBytesPerCycle(); got != 2.2 {
+		t.Fatalf("peak = %v, want 2.2", got)
 	}
 
 	var buf bytes.Buffer
@@ -168,8 +168,8 @@ func TestSamplerOutOfOrderFrontGrowth(t *testing.T) {
 	if first != 12 || last != 50 {
 		t.Fatalf("Bounds = (%d, %d), want (12, 50)", first, last)
 	}
-	if got := s.Peak(); got != 0.6 {
-		t.Fatalf("Peak = %v, want 0.6", got)
+	if got := s.PeakBytesPerCycle(); got != 0.6 {
+		t.Fatalf("peak = %v, want 0.6", got)
 	}
 }
 
@@ -411,9 +411,9 @@ func TestSamplerEmitAgainstDenseReference(t *testing.T) {
 			s.Add(cycle, words)
 			ref.add(cycle, words)
 		}
-		if s.Active() != ref.seen || s.Total() != ref.total || s.Peak() != ref.peak() {
+		if s.Active() != ref.seen || s.Total() != ref.total || s.PeakBytesPerCycle() != ref.peak() {
 			t.Fatalf("trial %d: active %t total %d peak %v, reference %t %d %v",
-				trial, s.Active(), s.Total(), s.Peak(), ref.seen, ref.total, ref.peak())
+				trial, s.Active(), s.Total(), s.PeakBytesPerCycle(), ref.seen, ref.total, ref.peak())
 		}
 		if first, last := s.Bounds(); first != ref.first || last != ref.last {
 			t.Fatalf("trial %d: bounds (%d, %d), reference (%d, %d)", trial, first, last, ref.first, ref.last)

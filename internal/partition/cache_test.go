@@ -40,8 +40,8 @@ func TestCacheEquivalenceScaleOut(t *testing.T) {
 	if marshal(cold) != marshal(ref) {
 		t.Fatal("cold cached scale-out run differs from uncached run")
 	}
-	if cache.Misses() != cold.ActivePartitions {
-		t.Fatalf("misses=%d want one per active partition (%d)", cache.Misses(), cold.ActivePartitions)
+	if cache.Stats().Misses != cold.ActivePartitions {
+		t.Fatalf("misses=%d want one per active partition (%d)", cache.Stats().Misses, cold.ActivePartitions)
 	}
 
 	warm, err := Run(l, base, spec, Options{Parallel: 1, Cache: cache})
@@ -51,8 +51,8 @@ func TestCacheEquivalenceScaleOut(t *testing.T) {
 	if marshal(warm) != marshal(ref) {
 		t.Fatal("warm cached scale-out run differs from uncached run")
 	}
-	if cache.Hits() != warm.ActivePartitions {
-		t.Fatalf("hits=%d want one per active partition (%d)", cache.Hits(), warm.ActivePartitions)
+	if cache.Stats().Hits != warm.ActivePartitions {
+		t.Fatalf("hits=%d want one per active partition (%d)", cache.Stats().Hits, warm.ActivePartitions)
 	}
 }
 
@@ -73,8 +73,8 @@ func TestWindowKeyIncludesOffsets(t *testing.T) {
 	if res.ActivePartitions != 2 {
 		t.Fatalf("want 2 active partitions, got %d", res.ActivePartitions)
 	}
-	if cache.Hits() != 0 {
-		t.Fatalf("equal-sized windows at different offsets collided: hits=%d", cache.Hits())
+	if cache.Stats().Hits != 0 {
+		t.Fatalf("equal-sized windows at different offsets collided: hits=%d", cache.Stats().Hits)
 	}
 	if cache.Len() != 2 {
 		t.Fatalf("want 2 distinct entries, got %d", cache.Len())
@@ -108,7 +108,7 @@ func TestPartitionSweepReuse(t *testing.T) {
 	if string(onceJSON) != string(refJSON) || string(againJSON) != string(refJSON) {
 		t.Fatal("cached sweep differs from uncached sweep")
 	}
-	if cache.Hits() == 0 {
+	if cache.Stats().Hits == 0 {
 		t.Fatal("repeated sweep produced no cache hits")
 	}
 }

@@ -78,8 +78,8 @@ func TestLedgerCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Hits() == 0 || c2.Misses() != 0 {
-		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Hits(), c2.Misses())
+	if c2.Stats().Hits == 0 || c2.Stats().Misses != 0 {
+		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Stats().Hits, c2.Stats().Misses)
 	}
 	if replay.Ledger == nil {
 		t.Fatal("cached run lost its ledger")

@@ -71,9 +71,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Key returns a run's content address: sha256 over the config hash and
 // the topology key, hex encoded. Manifests without a topology block key
 // on tool and run name instead, so sweep manifests still bucket sensibly.

@@ -88,7 +88,7 @@ func TestStoreAddListGet(t *testing.T) {
 	if e3.Key != e1.Key {
 		t.Errorf("replay key %q != original %q", e3.Key, e1.Key)
 	}
-	files, _ := filepath.Glob(filepath.Join(s.Dir(), "runs", e1.Key, "*.json"))
+	files, _ := filepath.Glob(filepath.Join(s.dir, "runs", e1.Key, "*.json"))
 	if len(files) != 2 {
 		t.Errorf("replay bucket holds %d files, want 2", len(files))
 	}
@@ -146,7 +146,7 @@ func TestRebuildSkipsOldSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Dir(), "runs", old.Key, old.ID+".json")
+	path := filepath.Join(s.dir, "runs", old.Key, old.ID+".json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestIndexFileIsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	index := filepath.Join(s.Dir(), "index.json")
+	index := filepath.Join(s.dir, "index.json")
 	for _, doc := range []string{
 		`{"schema":"scalesim.runstore/v1","runs":[{"id":"20990101T000000.000000000Z-deadbeef","key":"k","created":"2099","layers":1,"total_cycles":1,"path":"runs/k/20990101T000000.000000000Z-deadbeef.json"}]}`,
 		"{broken",

@@ -74,17 +74,6 @@ func NewDiskLRU(dir string, maxBytes int64) (*Cache, error) {
 	return c, nil
 }
 
-// Evictions returns how many spill files the cap has deleted; zero on
-// nil or uncapped caches.
-func (c *Cache) Evictions() int64 {
-	if c == nil || c.lru == nil {
-		return 0
-	}
-	c.lru.mu.Lock()
-	defer c.lru.mu.Unlock()
-	return c.lru.evictions
-}
-
 // DiskBytes returns the accounted size of the disk tier; zero on nil or
 // uncapped caches.
 func (c *Cache) DiskBytes() int64 {

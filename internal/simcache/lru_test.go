@@ -19,6 +19,17 @@ func lruEntry(cycles int64) Entry {
 }
 
 // entryBytes measures one spill document for key/entry as store writes it.
+// evictions is how many spill files the cap has deleted; zero on nil or
+// uncapped caches.
+func evictions(c *Cache) int64 {
+	if c == nil || c.lru == nil {
+		return 0
+	}
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
+	return c.lru.evictions
+}
+
 func entryBytes(t *testing.T, key string, e Entry) int64 {
 	t.Helper()
 	dir := t.TempDir()
@@ -50,7 +61,7 @@ func TestLRUEvictsColdestUnderCap(t *testing.T) {
 	}
 	c.Put("k2", lruEntry(12))
 
-	if got := c.Evictions(); got != 1 {
+	if got := evictions(c); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if got, max := c.DiskBytes(), 2*one+one/2; got > max {
@@ -76,7 +87,7 @@ func TestLRUNeverEvictsTheOnlyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put("solo", lruEntry(1))
-	if got := c.Evictions(); got != 0 {
+	if got := evictions(c); got != 0 {
 		t.Fatalf("evictions = %d, want 0 (newest entry is never evicted)", got)
 	}
 	if _, ok := c.Get("solo"); !ok {
@@ -360,7 +371,7 @@ func TestUncappedCacheHasNoLRUOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put("k", lruEntry(1))
-	if c.Evictions() != 0 || c.DiskBytes() != 0 {
+	if evictions(c) != 0 || c.DiskBytes() != 0 {
 		t.Fatal("uncapped cache must not account the disk tier")
 	}
 	// An uncapped cache never touches an mtime, on a memory or a disk hit.
@@ -382,7 +393,7 @@ func TestUncappedCacheHasNoLRUOverhead(t *testing.T) {
 		t.Errorf("cache directory holds %d files, want the one spill file", len(des))
 	}
 	var nilCache *Cache
-	if nilCache.Evictions() != 0 || nilCache.DiskBytes() != 0 {
+	if evictions(nilCache) != 0 || nilCache.DiskBytes() != 0 {
 		t.Fatal("nil cache accessors must be zero")
 	}
 }

@@ -61,11 +61,11 @@ func TestOldSchemaDiskEntriesMiss(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("v1 spill file served as a hit")
 	}
-	if c.DiskErrors() != 1 {
-		t.Fatalf("disk errors = %d, want 1", c.DiskErrors())
+	if got := c.diskErrs.Load(); got != 1 {
+		t.Fatalf("disk errors = %d, want 1", got)
 	}
-	if c.Misses() != 1 || c.Hits() != 0 {
-		t.Fatalf("hits=%d misses=%d, want 0/1", c.Hits(), c.Misses())
+	if c.Stats().Misses != 1 || c.Stats().Hits != 0 {
+		t.Fatalf("hits=%d misses=%d, want 0/1", c.Stats().Hits, c.Stats().Misses)
 	}
 	// The stale file must not block a fresh store and reload under the
 	// current schema.

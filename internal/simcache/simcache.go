@@ -192,31 +192,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Hits returns the lifetime hit count; zero on nil.
-func (c *Cache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-// Misses returns the lifetime miss count; zero on nil.
-func (c *Cache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
-}
-
-// DiskErrors returns how many spill loads or stores failed (corrupt
-// files, permission problems); such failures degrade to misses.
-func (c *Cache) DiskErrors() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.diskErrs.Load()
-}
-
 // Stats snapshots the cache's effectiveness counters; zero on nil.
 func (c *Cache) Stats() Stats {
 	if c == nil {

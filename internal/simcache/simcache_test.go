@@ -55,8 +55,8 @@ func TestGetPutMemory(t *testing.T) {
 	if got.Compute.Cycles != e.Compute.Cycles || got.StallCycles != 99 {
 		t.Fatalf("entry mismatch: %+v", got)
 	}
-	if c.Hits() != 1 || c.Misses() != 1 || c.Len() != 1 {
-		t.Fatalf("stats: hits=%d misses=%d len=%d", c.Hits(), c.Misses(), c.Len())
+	if c.Stats().Hits != 1 || c.Stats().Misses != 1 || c.Len() != 1 {
+		t.Fatalf("stats: hits=%d misses=%d len=%d", c.Stats().Hits, c.Stats().Misses, c.Len())
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
@@ -72,7 +72,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put("k", Entry{})
-	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 || c.DiskErrors() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("nil cache counted")
 	}
 	if s := c.Stats(); s != (Stats{}) {
@@ -171,7 +171,7 @@ func TestDiskCorruption(t *testing.T) {
 	if _, ok := n.Get("good"); ok {
 		t.Fatal("key-mismatched file hit")
 	}
-	if n.DiskErrors() == 0 {
+	if n.diskErrs.Load() == 0 {
 		t.Fatal("mismatch not counted as disk error")
 	}
 }

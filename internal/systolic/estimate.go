@@ -22,16 +22,6 @@ func Estimate(l topology.Layer, cfg config.Config) (Result, error) {
 	return estimateMapping(l, cfg, m), nil
 }
 
-// EstimateGEMM is Estimate for a raw M x K x N matrix multiplication.
-func EstimateGEMM(name string, mm, kk, nn int64, cfg config.Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	l := topology.FromGEMM(name, int(mm), int(kk), int(nn))
-	m := dataflow.MapGEMM(mm, kk, nn, cfg.Dataflow)
-	return estimateMapping(l, cfg, m), nil
-}
-
 // EstimateWindow is Estimate restricted to one spatial slice of the layer,
 // mirroring RunWindow.
 func EstimateWindow(l topology.Layer, cfg config.Config, win Window) (Result, error) {

@@ -243,19 +243,23 @@ func TestEstimateMatchesRun(t *testing.T) {
 	}
 }
 
+// TestEstimateGEMM: a Table IV GEMM, expressed as a layer, estimates to
+// exactly what it simulates under every dataflow.
 func TestEstimateGEMM(t *testing.T) {
-	cfg := config.New().WithArray(8, 8)
-	res, err := EstimateGEMM("g", 128, 64, 32, cfg)
-	if err != nil {
-		t.Fatalf("EstimateGEMM: %v", err)
-	}
 	l := topology.FromGEMM("g", 128, 64, 32)
-	want, err := Estimate(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != want {
-		t.Errorf("EstimateGEMM != Estimate:\n %+v\n %+v", res, want)
+	for _, df := range config.Dataflows {
+		cfg := smallCfg(df, 8, 8)
+		got, err := Run(l, cfg, Sinks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Estimate(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%v: run %+v != estimate %+v", df, got, want)
+		}
 	}
 }
 
@@ -314,9 +318,6 @@ func TestRunValidates(t *testing.T) {
 	}
 	if _, err := Estimate(badLayer, config.New()); err == nil {
 		t.Error("Estimate accepted invalid layer")
-	}
-	if _, err := EstimateGEMM("g", 1, 1, 1, bad); err == nil {
-		t.Error("EstimateGEMM accepted invalid config")
 	}
 }
 

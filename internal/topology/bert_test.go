@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,7 +44,11 @@ func TestBERTEncoderStructure(t *testing.T) {
 	}
 
 	dk := c.Model / c.Heads
-	score, ok := g.Node("h0_score")
+	byName := make(map[string]Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		byName[n.Name] = n
+	}
+	score, ok := byName["h0_score"]
 	if !ok || score.Kind != OpAttentionScore {
 		t.Fatalf("h0_score missing or wrong kind: %+v", score)
 	}
@@ -51,17 +56,17 @@ func TestBERTEncoderStructure(t *testing.T) {
 	if score.Layer.IfmapH != c.Seq || score.Layer.Channels != dk || score.Layer.NumFilters != c.Seq {
 		t.Errorf("score shape: %+v", score.Layer)
 	}
-	soft, _ := g.Node("h0_softmax")
+	soft := byName["h0_softmax"]
 	if soft.Rows() != int64(c.Seq) || soft.Cols() != int64(c.Seq) {
 		t.Errorf("softmax tensor %dx%d, want %dx%d", soft.Rows(), soft.Cols(), c.Seq, c.Seq)
 	}
-	ln, _ := g.Node("ln1")
+	ln := byName["ln1"]
 	if ln.Kind != OpLayerNorm || ln.Cols() != int64(c.Model) {
 		t.Errorf("ln1: %+v", ln)
 	}
 	// The attention residual streams two operands though only one edge is
 	// in-graph (the block input arrives from DRAM).
-	res, _ := g.Node("attn_residual")
+	res := byName["attn_residual"]
 	if res.OperandCount() != 2 || len(res.Inputs) != 1 {
 		t.Errorf("attn_residual operands=%d inputs=%d", res.OperandCount(), len(res.Inputs))
 	}
@@ -85,8 +90,8 @@ func TestBuiltInGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Linear(); !ok {
-		t.Error("TinyNet graph not a linear chain")
+	if !reflect.DeepEqual(g, ChainGraph(TinyNet())) {
+		t.Error("TinyNet graph is not its linear chain")
 	}
 	if _, err := BuiltInGraph("NoSuchNet"); err == nil {
 		t.Error("unknown name accepted")

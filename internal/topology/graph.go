@@ -218,14 +218,6 @@ func (n Node) Work() int64 {
 	return n.Elems()
 }
 
-// String returns a compact human-readable description.
-func (n Node) String() string {
-	if n.Kind.Matmul() {
-		return fmt.Sprintf("%s [%s]: %s", n.Name, n.Kind, n.Layer.String())
-	}
-	return fmt.Sprintf("%s [%s]: tensor %dx%d", n.Name, n.Kind, n.Rows(), n.Cols())
-}
-
 // Graph is an operator-graph workload: nodes with explicit dependency
 // edges. Unlike the flat Topology — which serializes layers in file order
 // and treats them as independent — a Graph carries the true producer →
@@ -254,16 +246,6 @@ func ChainGraph(t Topology) Graph {
 		g.Nodes = append(g.Nodes, Node{Name: l.Name, Kind: OpConv, Layer: l, Inputs: inputs})
 	}
 	return g
-}
-
-// Node returns the named node.
-func (g Graph) Node(name string) (Node, bool) {
-	for _, n := range g.Nodes {
-		if n.Name == name {
-			return n, true
-		}
-	}
-	return Node{}, false
 }
 
 // Edges returns the dependency-edge count.
@@ -421,32 +403,6 @@ func (g Graph) Schedule() (nodes []Node, preds [][]int, err error) {
 func (g Graph) ExecutionOrder() ([]Node, error) {
 	nodes, _, err := g.Schedule()
 	return nodes, err
-}
-
-// Linear converts a pure chain back into a flat Topology — the inverse of
-// ChainGraph. It reports false when the graph has non-conv nodes or any
-// structure beyond a single linear chain.
-func (g Graph) Linear() (Topology, bool) {
-	nodes, preds, err := g.Schedule()
-	if err != nil {
-		return Topology{}, false
-	}
-	t := Topology{Name: g.Name, Layers: make([]Layer, 0, len(nodes))}
-	for p, n := range nodes {
-		if n.Kind != OpConv {
-			return Topology{}, false
-		}
-		switch {
-		case p == 0 && len(preds[p]) == 0:
-		case p > 0 && len(preds[p]) == 1 && preds[p][0] == p-1:
-		default:
-			return Topology{}, false
-		}
-		l := n.Layer
-		l.Name = n.Name
-		t.Layers = append(t.Layers, l)
-	}
-	return t, true
 }
 
 // KindCount is one operator kind's usage within a graph.

@@ -212,7 +212,8 @@ func TestSchedulePreds(t *testing.T) {
 }
 
 // TestChainGraphRoundTrip pins the linear-chain adapter: every built-in
-// flat workload lifts into a valid graph and converts back unchanged.
+// flat workload lifts into a valid graph that schedules as the topology,
+// layer for layer, each conv node fed by its predecessor alone.
 func TestChainGraphRoundTrip(t *testing.T) {
 	for _, name := range BuiltInNames() {
 		topo, _ := BuiltIn(name)
@@ -224,20 +225,22 @@ func TestChainGraphRoundTrip(t *testing.T) {
 		if g.Edges() != len(topo.Layers)-1 {
 			t.Errorf("%s: chain has %d edges, want %d", name, g.Edges(), len(topo.Layers)-1)
 		}
-		back, ok := g.Linear()
-		if !ok {
-			t.Errorf("%s: chain graph not linear", name)
-			continue
+		nodes, preds, err := g.Schedule()
+		if err != nil || len(nodes) != len(topo.Layers) {
+			t.Fatalf("%s: schedule of %d nodes, %v", name, len(nodes), err)
 		}
-		if !reflect.DeepEqual(back, topo) {
-			t.Errorf("%s: round trip changed topology", name)
+		for p, n := range nodes {
+			chained := len(preds[p]) == 0
+			if p > 0 {
+				chained = len(preds[p]) == 1 && preds[p][0] == p-1
+			}
+			if n.Kind != OpConv || n.Name != topo.Layers[p].Name || !reflect.DeepEqual(n.Layer, topo.Layers[p]) || !chained {
+				t.Errorf("%s: scheduled node %d is not layer %d of the chain", name, p, p)
+			}
 		}
 		if g.TotalWork() != topo.TotalMACOps() {
 			t.Errorf("%s: TotalWork %d != TotalMACOps %d", name, g.TotalWork(), topo.TotalMACOps())
 		}
-	}
-	if _, ok := diamond().Linear(); ok {
-		t.Error("diamond reported linear")
 	}
 }
 

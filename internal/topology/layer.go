@@ -132,13 +132,6 @@ func (l Layer) Key() string {
 		l.FilterH, l.FilterW, l.NumFilters, l.Stride)
 }
 
-// String returns a compact human-readable description.
-func (l Layer) String() string {
-	return fmt.Sprintf("%s: ifmap %dx%dx%d, filter %dx%dx%d x%d, stride %d",
-		l.Name, l.IfmapH, l.IfmapW, l.Channels,
-		l.FilterH, l.FilterW, l.Channels, l.NumFilters, l.Stride)
-}
-
 // Topology is an ordered list of layers; SCALE-Sim serializes execution in
 // file order, including parallel "cell" branches (Sec. II-E).
 type Topology struct {

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -176,15 +175,6 @@ func TestTopologyLookupAndTotals(t *testing.T) {
 	}
 	if got := topo.TotalMACOps(); got != want {
 		t.Errorf("TotalMACOps = %d, want %d", got, want)
-	}
-}
-
-func TestLayerString(t *testing.T) {
-	s := validConv().String()
-	for _, frag := range []string{"conv", "8x8x4", "3x3x4", "stride 1"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("String() = %q missing %q", s, frag)
-		}
 	}
 }
 

@@ -116,12 +116,6 @@ func (b *BandwidthMeter) PeakBytesPerCycle() float64 {
 	return float64(peak*b.WordBytes) / float64(b.WindowCycles)
 }
 
-// Windows returns the number of active windows.
-func (b *BandwidthMeter) Windows() int {
-	b.settle()
-	return len(b.windows)
-}
-
 // ProfilePoint is one window of a bandwidth profile.
 type ProfilePoint struct {
 	// StartCycle is the window's first cycle.

@@ -13,9 +13,6 @@ type Run struct {
 	Base, Stride, Count int64
 }
 
-// At returns the i-th address of the run (0 <= i < Count).
-func (r Run) At(i int64) int64 { return r.Base + i*r.Stride }
-
 // Last returns the final address of the run.
 func (r Run) Last() int64 { return r.Base + (r.Count-1)*r.Stride }
 

@@ -114,26 +114,10 @@ func (s *StallAnalyzer) Add(cycle, words int64) {
 	s.intervals = append(s.intervals, StallInterval{Start: cycle, Dur: d})
 }
 
-// TotalWords returns the cumulative demand.
-func (s *StallAnalyzer) TotalWords() int64 { return s.cumWords }
-
 // StallCycles returns the extra cycles the bounded link inflicts.
 func (s *StallAnalyzer) StallCycles() int64 {
 	if s.maxLag <= 0 {
 		return 0
 	}
 	return int64(math.Ceil(s.maxLag))
-}
-
-// StalledRuntime returns the stall-free runtime plus the stalls.
-func (s *StallAnalyzer) StalledRuntime(stallFreeCycles int64) int64 {
-	return stallFreeCycles + s.StallCycles()
-}
-
-// Slowdown returns StalledRuntime / stall-free runtime.
-func (s *StallAnalyzer) Slowdown(stallFreeCycles int64) float64 {
-	if stallFreeCycles <= 0 {
-		return 1
-	}
-	return float64(s.StalledRuntime(stallFreeCycles)) / float64(stallFreeCycles)
 }

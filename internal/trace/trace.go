@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -126,15 +125,6 @@ func (s *Stats) Span() int64 {
 	return s.LastCycle - s.FirstCycle + 1
 }
 
-// AvgPerCycle returns the average accesses per active-span cycle.
-func (s *Stats) AvgPerCycle() float64 {
-	span := s.Span()
-	if span == 0 {
-		return 0
-	}
-	return float64(s.Accesses) / float64(span)
-}
-
 // Recorder retains every event; intended for tests and small traces.
 type Recorder struct {
 	Entries []Entry
@@ -188,22 +178,6 @@ func (r *Recorder) Distinct() int {
 		}
 	}
 	return len(seen)
-}
-
-// SortedDistinct returns the distinct recorded addresses in ascending order.
-func (r *Recorder) SortedDistinct() []int64 {
-	seen := make(map[int64]struct{})
-	for _, e := range r.Entries {
-		for _, a := range e.Addrs {
-			seen[a] = struct{}{}
-		}
-	}
-	out := make([]int64, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // CSVWriter streams events as SCALE-Sim style trace CSV: each row is

@@ -160,16 +160,6 @@ func (p *ReuseProfiler) Total() int64 { return p.total }
 // Distinct returns the number of distinct addresses (= cold misses).
 func (p *ReuseProfiler) Distinct() int64 { return p.cold }
 
-// Histogram returns a copy of the distance histogram (distance -> count;
-// cold misses excluded).
-func (p *ReuseProfiler) Histogram() map[int64]int64 {
-	out := make(map[int64]int64, len(p.hist))
-	for d, c := range p.hist {
-		out[d] = c
-	}
-	return out
-}
-
 // MissesAt returns the miss count of an LRU buffer holding `words`
 // addresses: cold misses plus every access whose stack distance exceeds
 // the capacity.

@@ -40,9 +40,8 @@ func TestKnownDistances(t *testing.T) {
 	if p.Distinct() != 3 || p.Total() != 6 {
 		t.Fatalf("distinct/total = %d/%d", p.Distinct(), p.Total())
 	}
-	hist := p.Histogram()
-	if hist[3] != 2 || hist[2] != 1 {
-		t.Errorf("histogram = %v", hist)
+	if p.hist[3] != 2 || p.hist[2] != 1 {
+		t.Errorf("histogram = %v", p.hist)
 	}
 	// LRU of 3 words: only cold misses. LRU of 2: the distance-3 accesses
 	// miss.

@@ -149,10 +149,10 @@ type Layout struct {
 	IfmapBase, ParamBase, OfmapBase int64
 }
 
-// Run executes the vector-unit model. Cycle counts and traffic are closed
-// form; traces are generated only for non-nil sinks, cycle by cycle, in
-// non-decreasing cycle order per stream — the contract every downstream
-// consumer expects.
+// RunAt executes the vector-unit model with its tensors placed by lay.
+// Cycle counts and traffic are closed form; traces are generated only for
+// non-nil sinks, cycle by cycle, in non-decreasing cycle order per stream
+// — the contract every downstream consumer expects.
 //
 // Traffic model, per pass of ceil(Elems/Lanes) cycles:
 //   - every pass reads each streamed operand from SRAM (reductions keep
@@ -163,12 +163,6 @@ type Layout struct {
 //   - layernorm's final pass additionally reads gamma and beta from the
 //     filter SRAM for every element, fetching each parameter word from
 //     DRAM on its first (row-0) use.
-func Run(p Params, sinks Sinks) (Result, error) {
-	return RunAt(p, Layout{}, sinks)
-}
-
-// RunAt is Run with an explicit address layout, for callers embedding the
-// operator in a configured address space.
 func RunAt(p Params, lay Layout, sinks Sinks) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err

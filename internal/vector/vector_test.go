@@ -48,7 +48,7 @@ func TestRunClosedForm(t *testing.T) {
 			12, 192, 3, 1.0, true},
 	}
 	for _, tc := range cases {
-		res, err := Run(tc.p, Sinks{})
+		res, err := RunAt(tc.p, Layout{}, Sinks{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -103,7 +103,7 @@ func TestTraceMatchesTraffic(t *testing.T) {
 			streams[name] = c
 			return c
 		}
-		_, err := Run(p, Sinks{
+		_, err := RunAt(p, Layout{}, Sinks{
 			IfmapRead: mk("ifread"), IfmapDRAM: mk("ifdram"),
 			FilterRead: mk("flread"), FilterDRAM: mk("fldram"),
 			OfmapWrite: mk("ofwrite"), OfmapDRAM: mk("ofdram"),
@@ -156,7 +156,7 @@ func TestRunAtLayout(t *testing.T) {
 func TestPassObserver(t *testing.T) {
 	p := Params{Kind: topology.OpSoftmax, Rows: 8, Cols: 8, Operands: 1, Lanes: 8}
 	var got []PassInfo
-	res, err := Run(p, Sinks{Passes: PassObserverFunc(func(i PassInfo) { got = append(got, i) })})
+	res, err := RunAt(p, Layout{}, Sinks{Passes: PassObserverFunc(func(i PassInfo) { got = append(got, i) })})
 	if err != nil {
 		t.Fatal(err)
 	}

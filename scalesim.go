@@ -16,13 +16,14 @@
 //     (Options.Workers) with results joined in layer order, so output is
 //     identical to a sequential run; custom per-layer trace sinks attach
 //     through Options.Sinks factories.
-//   - The analytical entry points (Runtime, BestScaleUp, BestScaleOut,
-//     ParetoSearch) implement Eqs. 1-6 for fast design-space exploration.
-//   - RunScaleOut executes one layer on a partitioned (multi-array) system
-//     cycle-accurately, reproducing the paper's runtime/bandwidth/energy
-//     trade-off study; a whole network on a grid is a job (scalesim -parts,
-//     the daemon's "parts") whose manifest is rolled up by the same
-//     function as a Simulator's (Simulator.Manifest).
+//   - The analytical entry points (Map, Runtime, BestScaleUp,
+//     BestScaleOut) implement the paper's runtime model (Table III,
+//     Eqs. 4-6) for fast design-space exploration.
+//   - SweetSpot sweeps one layer cycle-accurately across partitioned
+//     (multi-array) systems of a MAC budget, reproducing the paper's
+//     runtime/bandwidth/energy trade-off study; a whole network on a grid
+//     is a job (scalesim -parts, the daemon's "parts") whose manifest is
+//     rolled up by the same function as a Simulator's (Simulator.Manifest).
 //
 // A minimal session:
 //
@@ -169,10 +170,6 @@ type (
 	SystemConfig = analytical.SystemConfig
 	// Eval is an analytically evaluated configuration.
 	Eval = analytical.Eval
-	// Workload names a mapping for multi-workload optimization.
-	Workload = analytical.Workload
-	// ParetoResult is the Sec. IV-B selection outcome.
-	ParetoResult = analytical.ParetoResult
 	// ScaleOutSpec describes a partitioned system for cycle-accurate runs.
 	ScaleOutSpec = partition.Spec
 	// ScaleOutResult is a cycle-accurate scale-out run summary.
@@ -191,9 +188,6 @@ func NewConfig() Config { return config.New() }
 
 // LoadConfig reads a SCALE-Sim configuration file.
 func LoadConfig(path string) (Config, error) { return config.Load(path) }
-
-// ParseDataflow converts "os", "ws" or "is" to a Dataflow.
-func ParseDataflow(s string) (Dataflow, error) { return config.ParseDataflow(s) }
 
 // LoadTopology reads a topology CSV file.
 func LoadTopology(path string) (Topology, error) { return topology.LoadCSV(path) }
@@ -311,24 +305,8 @@ type CacheStats = simcache.Stats
 // NewCache returns an empty in-memory result cache.
 func NewCache() *Cache { return simcache.New() }
 
-// NewDiskCache returns a result cache persisted under dir: entries spill
-// to JSON files and later processes (or runs) reload them on miss.
-func NewDiskCache(dir string) (*Cache, error) { return simcache.NewDisk(dir) }
-
-// NewDiskLRUCache returns a disk-backed result cache whose on-disk tier
-// is capped at maxBytes: when a new entry pushes the tier over the cap,
-// the least-recently-used entries are evicted (the most recent entry is
-// never evicted). maxBytes <= 0 means uncapped, identical to
-// NewDiskCache.
-func NewDiskLRUCache(dir string, maxBytes int64) (*Cache, error) {
-	return simcache.NewDiskLRU(dir, maxBytes)
-}
-
 // DDR3 returns the default DRAM timing parameters.
 func DDR3() DRAMConfig { return dram.DDR3() }
-
-// EyerissEnergy returns the default normalized energy model (1/6/200).
-func EyerissEnergy() EnergyModel { return energy.Eyeriss() }
 
 // DefaultNoC returns the default mesh interconnect cost model (one word
 // per cycle per link, unit hop energy).
@@ -340,11 +318,6 @@ func Map(l Layer, df Dataflow) Mapping { return dataflow.Map(l, df) }
 // Runtime is Eq. 4: the stall-free runtime of a mapping on an R x C array.
 func Runtime(m Mapping, r, c int64) int64 { return analytical.Runtime(m, r, c) }
 
-// ScaleOutRuntime is Eq. 6: the runtime of a Pr x Pc grid of R x C arrays.
-func ScaleOutRuntime(m Mapping, pr, pc, r, c int64) int64 {
-	return analytical.ScaleOutRuntime(m, pr, pc, r, c)
-}
-
 // BestScaleUp finds the fastest monolithic array shape for a MAC budget.
 func BestScaleUp(m Mapping, macs, minDim int64) (Eval, bool) {
 	return analytical.BestScaleUp(m, macs, minDim)
@@ -353,23 +326,6 @@ func BestScaleUp(m Mapping, macs, minDim int64) (Eval, bool) {
 // BestScaleOut finds the fastest partitioned configuration for a MAC budget.
 func BestScaleOut(m Mapping, macs, minDim, maxParts int64) (Eval, bool) {
 	return analytical.BestScaleOut(m, macs, minDim, maxParts)
-}
-
-// ParetoSearch picks the configuration minimizing total runtime across
-// workloads (Sec. IV-B).
-func ParetoSearch(ws []Workload, macs, minDim, maxParts int64, scaleOut bool) (ParetoResult, error) {
-	return analytical.ParetoSearch(ws, macs, minDim, maxParts, scaleOut)
-}
-
-// RunScaleOut executes a layer cycle-accurately on a partitioned system.
-func RunScaleOut(l Layer, base Config, spec ScaleOutSpec, opt ScaleOutOptions) (ScaleOutResult, error) {
-	return partition.Run(l, base, spec, opt)
-}
-
-// ScaleOutSweep runs a layer across several partition counts of one MAC
-// budget, picking the best grid and array shape for each count.
-func ScaleOutSweep(l Layer, base Config, totalMACs int64, partCounts []int64, minDim int64, opt ScaleOutOptions) ([]ScaleOutResult, error) {
-	return partition.Sweep(l, base, totalMACs, partCounts, minDim, opt)
 }
 
 // SweetSpot picks the fastest partitioning of a MAC budget whose average

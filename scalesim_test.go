@@ -47,46 +47,33 @@ func TestFacadeAnalytical(t *testing.T) {
 	if out.Cycles > up.Cycles {
 		t.Error("scale-out slower than scale-up")
 	}
-	if scalesim.ScaleOutRuntime(m, 2, 2, 8, 8) <= 0 {
-		t.Error("ScaleOutRuntime <= 0")
-	}
-	res, err := scalesim.ParetoSearch([]scalesim.Workload{{Name: "g", M: m}}, 1<<10, 8, 0, false)
-	if err != nil || res.Best.TotalCycles <= 0 {
-		t.Errorf("ParetoSearch: %v %+v", err, res.Best)
-	}
 }
 
+// TestFacadeScaleOut: the façade's cycle-accurate scale-out entry point
+// sweeps one grid per partition count, each a full result.
 func TestFacadeScaleOut(t *testing.T) {
 	l := scalesim.GEMMLayer("g", 256, 64, 128)
 	base := scalesim.NewConfig().WithSRAM(8, 8, 4)
-	res, err := scalesim.RunScaleOut(l, base, scalesim.ScaleOutSpec{
-		Parts: scalesim.Partitioning{Pr: 2, Pc: 2},
-		Shape: scalesim.Shape{R: 8, C: 8},
-	}, scalesim.ScaleOutOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles <= 0 || res.Energy.Total() <= 0 {
-		t.Errorf("empty scale-out result: %+v", res)
-	}
-	sweep, err := scalesim.ScaleOutSweep(l, base, 1<<10, []int64{1, 4}, 8, scalesim.ScaleOutOptions{})
+	_, sweep, err := scalesim.SweetSpot(l, base, 1<<10, []int64{1, 4}, 8, 1e9, scalesim.ScaleOutOptions{})
 	if err != nil || len(sweep) != 2 {
 		t.Fatalf("sweep: %v, %d results", err, len(sweep))
+	}
+	for _, res := range sweep {
+		if res.Cycles <= 0 || res.Energy.Total() <= 0 {
+			t.Errorf("empty scale-out result: %+v", res)
+		}
+	}
+	if got := sweep[1].Spec.Parts.Count(); got != 4 {
+		t.Errorf("second point has %d partitions, want 4", got)
 	}
 }
 
 func TestFacadeHelpers(t *testing.T) {
-	if _, err := scalesim.ParseDataflow("ws"); err != nil {
-		t.Error(err)
-	}
 	if len(scalesim.BuiltInTopologyNames()) < 4 {
 		t.Error("missing built-ins")
 	}
 	if scalesim.DDR3().Banks < 1 {
 		t.Error("DDR3 defaults broken")
-	}
-	if scalesim.EyerissEnergy().DRAMAccess != 200 {
-		t.Error("Eyeriss defaults broken")
 	}
 }
 

@@ -659,7 +659,10 @@ func requireReplayed(b *testing.B, rec *obsv.Recorder) {
 // demand miss and write-back reaches the model and the stall analyzer as
 // runs — a replayed all-miss block's as the runs it arrived as. A pass in
 // which either all-miss proof replays no word fails, as in
-// BenchmarkResNet50Cold.
+// BenchmarkResNet50Cold, and so does one whose DRAM timing drifts from the
+// pinned aggregate (every Stats field summed over layers, MaxLatency and
+// LastCompletion as their maximum) or whose DRAM model replays less than
+// 80 % of the words it serves by its shift proof.
 func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 	b.ReportAllocs()
 	ddr := dram.DDR3()
@@ -677,19 +680,39 @@ func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var cycles, requests, stall int64
+		var cycles, stall int64
+		var agg dram.Stats
 		for _, l := range res.Layers {
 			if l.Vector == nil {
 				cycles += l.Compute.Cycles
 			}
-			requests += l.DRAMStats.Requests
 			stall += l.StallCycles
+			s := l.DRAMStats
+			agg.Requests += s.Requests
+			agg.RowHits += s.RowHits
+			agg.RowMisses += s.RowMisses
+			agg.Refreshes += s.Refreshes
+			agg.TotalLatency += s.TotalLatency
+			agg.MaxLatency = max(agg.MaxLatency, s.MaxLatency)
+			agg.LastCompletion = max(agg.LastCompletion, s.LastCompletion)
+			agg.BusBusy += s.BusBusy
 		}
-		if cycles != 1017600 || requests != 33033216 || stall != 7185378 {
-			b.Fatalf("BERTBase: compute cycles %d, DRAM requests %d, stall cycles %d", cycles, requests, stall)
+		if cycles != 1017600 || stall != 7185378 {
+			b.Fatalf("BERTBase: compute cycles %d, stall cycles %d", cycles, stall)
+		}
+		want := dram.Stats{Requests: 33033216, RowHits: 17909946, RowMisses: 15123270, Refreshes: 123,
+			TotalLatency: 207353852094890, MaxLatency: 28034886, LastCompletion: 28338822, BusBusy: 33033216}
+		if agg != want {
+			b.Fatalf("BERTBase DRAM timing %+v, want %+v", agg, want)
 		}
 	}
 	requireReplayed(b, rec)
+	replayed := rec.Metrics().Counter("dram.words_replayed").Value()
+	served := rec.Metrics().Counter("dram.words_served").Value()
+	if share := float64(replayed) / float64(served); share < 0.8 {
+		b.Fatalf("DRAM shift proof replayed %d of %d words (%.3f), want at least 80 %%", replayed, served, share)
+	}
+	b.ReportMetric(float64(replayed)/float64(b.N), "dram-replayed-words/op")
 }
 
 // BenchmarkCSVTraceWrite measures trace serialization throughput.

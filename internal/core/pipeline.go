@@ -407,6 +407,14 @@ func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
 		if ctx.dram != nil {
 			stats := ctx.dram.Stats()
 			ctx.Entry.DRAMStats = &stats
+			// How much of the layer the model served by its shift proof:
+			// host-side provenance beside the memory.* counters, never
+			// part of the entry.
+			calls, words := ctx.dram.Replayed()
+			reg := s.opt.Obs.Metrics()
+			reg.Counter("dram.calls_replayed").Add(calls)
+			reg.Counter("dram.words_replayed").Add(words)
+			reg.Counter("dram.words_served").Add(stats.Requests)
 		}
 		if ctx.stall != nil {
 			ctx.Entry.StallCycles = ctx.stall.StallCycles()

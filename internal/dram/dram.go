@@ -5,10 +5,18 @@
 // timings, periodic refresh and a shared per-channel data bus, serving
 // requests in arrival order, enough to answer whether a trace's demand
 // bandwidth is achievable and at what latency.
+//
+// A backlogged device fed a skewed stream sees the same call over and over,
+// shifted: each cycle's runs are the previous cycle's with every base one
+// word higher. ConsumeRuns proves that from two fully served calls and then
+// replays the following ones by arithmetic (see shift), touching only the
+// banks and channels the call uses, with results identical to serving every
+// word.
 package dram
 
 import (
 	"fmt"
+	"math"
 
 	"scalesim/internal/trace"
 )
@@ -111,6 +119,72 @@ type Model struct {
 	cfg      Config
 	channels []channel
 	stats    Stats
+
+	// slack holds, per bank (channel-major), the smallest bus - ready over
+	// the bank's words since ConsumeRuns last reset it: how long its
+	// transfers waited for the bus.
+	slack []int64
+	// prev and cur are the last two fully served calls, held in recs;
+	// adjacent reports that nothing was replayed since cur, so prev and cur
+	// are consecutive.
+	recs      [2]call
+	prev, cur *call
+	adjacent  bool
+	proof     shift
+	// replayedCalls and replayedWords count what the proof served.
+	replayedCalls, replayedWords int64
+}
+
+// maxRecordRuns bounds the runs a recorded call may carry, so a record's
+// storage is sized once per Model. A skewed fold sends one or two runs per
+// cycle; a call with many runs is a whole SRAM block replayed at once, and
+// it is served without a record.
+const maxRecordRuns = 64
+
+// call is what a fully served ConsumeRuns call leaves for the shift proof.
+// Per-bank slices are indexed channel-major and sized once per Model.
+type call struct {
+	// ok marks a record the proof may use: every address non-negative, at
+	// least one word, and a free floor — max(arrival, refreshHold) at or
+	// below every touched bank's cmdFree at call start, so no word's start
+	// depended on anything but its bank.
+	ok      bool
+	arrival int64
+	runs    []trace.Run
+	// head holds, per run, how far its base may move up with every word
+	// keeping its row (and, with several channels, its interleave block);
+	// filled when the record takes part in a proof.
+	head    []int64
+	n, hits int64
+	// sumDone is the sum of the words' completion cycles, last the latest.
+	sumDone, last int64
+	// cmdFree, openRow and slack per bank, bus and busEnd per channel: the
+	// state at call start (slack and busEnd: at call end).
+	cmdFree, openRow, slack []int64
+	bus, busEnd             []int64
+	// banks and chans list the banks and channels the call touched.
+	banks []touched
+	chans []int
+}
+
+// touched is a bank a call used: its channel-major index and its state.
+type touched struct {
+	i  int
+	ch *channel
+	b  *bank
+}
+
+// shift is an armed proof: every call that is a successor of cur (its runs
+// cur's with each base moved up within that run's headroom) and finds a free
+// floor completes every word exactly delta cycles after the call before it.
+type shift struct {
+	// left is how many more calls the proof covers; zero means disarmed.
+	left  int64
+	delta int64
+	// dBank is each of cur.banks' cmdFree growth per call.
+	dBank []int64
+	// sumDone and last are those of the latest call, served or replayed.
+	sumDone, last int64
 }
 
 // Stats aggregates the model's behaviour.
@@ -156,6 +230,18 @@ func New(cfg Config) (*Model, error) {
 			ch.nextRefresh = cfg.TREFI
 		}
 	}
+	banks := cfg.Channels * cfg.Banks
+	m.slack = make([]int64, banks)
+	m.prev, m.cur = &m.recs[0], &m.recs[1]
+	for _, c := range []*call{m.prev, m.cur} {
+		c.runs = make([]trace.Run, 0, maxRecordRuns)
+		c.head = make([]int64, 0, maxRecordRuns)
+		c.cmdFree = make([]int64, banks)
+		c.openRow = make([]int64, banks)
+		c.slack = make([]int64, banks)
+		c.bus = make([]int64, cfg.Channels)
+		c.busEnd = make([]int64, cfg.Channels)
+	}
 	return m, nil
 }
 
@@ -178,6 +264,10 @@ func New(cfg Config) (*Model, error) {
 // max(arrival, refreshHold) floor are settled once, and every completion
 // goes through the channel's bus, which only moves forward: the stretch's
 // last word has both its largest latency and its latest completion.
+//
+// Each word also lowers its bank's slack to bus - ready, the one piece of
+// the shift proof that needs every word; ConsumeRuns reads the rest off the
+// state before and after the call.
 func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 	if n > 1 && (addr < 0 || addr+(n-1)*stride < 0) {
 		var done int64
@@ -217,15 +307,9 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 	var hits, sumDone, done int64
 	for left := n; left > 0; {
 		ch := &m.channels[chIdx]
-		if cfg.TREFI > 0 {
-			// Apply any refresh windows due before this arrival.
-			for arrival >= ch.nextRefresh {
-				ch.refreshHold = max(ch.refreshHold, ch.nextRefresh+cfg.TRFC)
-				ch.nextRefresh += cfg.TREFI
-				m.stats.Refreshes++
-			}
-		}
+		m.refresh(ch, arrival)
 		floor, bus := max(arrival, ch.refreshHold), ch.bus
+		slack := m.slack[chIdx*banks : (chIdx+1)*banks]
 		for {
 			b := &ch.banks[bank]
 			start := max(floor, b.cmdFree)
@@ -247,6 +331,7 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 				b.cmdFree = activate + busWord
 			}
 			// The data transfer occupies the channel's bus.
+			slack[bank] = min(slack[bank], bus-ready)
 			bus = max(ready, bus) + busWord
 			sumDone += bus
 			left--
@@ -292,6 +377,18 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 	return done
 }
 
+// refresh applies the refresh windows on ch due before arrival.
+func (m *Model) refresh(ch *channel, arrival int64) {
+	if m.cfg.TREFI == 0 {
+		return
+	}
+	for arrival >= ch.nextRefresh {
+		ch.refreshHold = max(ch.refreshHold, ch.nextRefresh+m.cfg.TRFC)
+		ch.nextRefresh += m.cfg.TREFI
+		m.stats.Refreshes++
+	}
+}
+
 // floorDivMod returns the floored quotient and the remainder in [0, d) of
 // a by d > 0.
 func floorDivMod(a, d int64) (q, r int64) {
@@ -309,11 +406,238 @@ func (m *Model) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(m, cycl
 // ConsumeRuns implements trace.RunConsumer: each address is a word request
 // arriving at the given cycle, served in arrival order straight off the
 // progressions, a run per call.
+//
+// A call the armed shift proof covers is replayed instead; any other is
+// served in full and recorded, and a recorded call may arm the proof from
+// the one before it (arm). Only calls through here are recorded: serve
+// alone leaves the record behind.
 func (m *Model) ConsumeRuns(cycle int64, runs []trace.Run) {
+	if m.proof.left > 0 && m.replay(cycle, runs) {
+		return
+	}
+	m.proof.left = 0
+	m.prev, m.cur = m.cur, m.prev
+	m.prev.ok = m.prev.ok && m.adjacent
+	before := m.stats
+	m.begin(cycle, runs)
 	for _, r := range runs {
 		m.serve(cycle, r.Base, r.Stride, r.Count)
 	}
+	m.record(before)
+	m.adjacent = true
+	m.arm()
+}
+
+// begin opens cur for a call about to be served: its runs and the state at
+// call start, with every bank's slack reset. A call with more than
+// maxRecordRuns runs, or one reaching below zero, is not recorded.
+func (m *Model) begin(cycle int64, runs []trace.Run) {
+	c := m.cur
+	c.arrival, c.ok = cycle, len(runs) <= maxRecordRuns
+	for _, r := range runs {
+		if r.Base < 0 || r.Base+(r.Count-1)*r.Stride < 0 {
+			c.ok = false
+		}
+	}
+	if !c.ok {
+		return
+	}
+	c.runs = append(c.runs[:0], runs...)
+	i := 0
+	for ci := range m.channels {
+		ch := &m.channels[ci]
+		c.bus[ci] = ch.bus
+		for _, b := range ch.banks {
+			c.cmdFree[i], c.openRow[i] = b.cmdFree, b.openRow
+			m.slack[i] = math.MaxInt64
+			i++
+		}
+	}
+}
+
+// record closes cur after its call was served. A channel was touched when
+// its bus moved and a bank when its cmdFree did: every word moves both.
+func (m *Model) record(before Stats) {
+	c := m.cur
+	if !c.ok {
+		return
+	}
+	c.n = m.stats.Requests - before.Requests
+	c.hits = m.stats.RowHits - before.RowHits
+	c.sumDone = m.stats.TotalLatency - before.TotalLatency + c.n*c.arrival
+	c.banks, c.chans, c.last = c.banks[:0], c.chans[:0], 0
+	nb := m.cfg.Banks
+	for ci := range m.channels {
+		ch := &m.channels[ci]
+		if c.busEnd[ci] = ch.bus; ch.bus == c.bus[ci] {
+			continue
+		}
+		c.chans = append(c.chans, ci)
+		c.last = max(c.last, ch.bus)
+		floor := max(c.arrival, ch.refreshHold)
+		for bi := range ch.banks {
+			i := ci*nb + bi
+			if ch.banks[bi].cmdFree == c.cmdFree[i] {
+				continue
+			}
+			c.banks = append(c.banks, touched{i, ch, &ch.banks[bi]})
+			if floor > c.cmdFree[i] {
+				c.ok = false
+			}
+		}
+	}
+	c.ok = c.ok && c.n > 0
+	// The call keeps the slack serve accumulated; begin resets the other.
+	c.slack, m.slack = m.slack, c.slack
+}
+
+// arm checks the shift proof on the consecutive fully served calls prev
+// and cur and, when it holds, arms it for the calls after cur.
+//
+// cur must be a successor of prev, so both issue one (channel, bank, row,
+// hit) sequence from the same open rows, and both must have found a free
+// floor. Every completion is then a max of one bus term and bank terms,
+// fixed offsets from the channel's bus and the banks' cmdFree at call start.
+// With delta the growth of the bus end (equal on every touched channel)
+// and dBank each bank's cmdFree growth per call, the bus term of cur moved
+// at most delta, a bank with dBank <= delta moved its terms at most delta,
+// and a bank with dBank > delta has a slack in prev that absorbs the
+// excess: every completion of cur is at most delta later than prev's. The
+// sum of completions is exactly n·delta higher, so every completion is
+// exactly delta later. A later successor with a free floor sees the same
+// shifts again, except that each bank with dBank > delta loses that excess
+// of its slack per call, which bounds the proof to left calls.
+func (m *Model) arm() {
+	p, c := m.prev, m.cur
+	if !p.ok || !c.ok || p.n != c.n || p.hits != c.hits || len(p.runs) != len(c.runs) {
+		return
+	}
+	// No headroom reaches a whole row; the exact headroom is checked last.
+	for i, r := range c.runs {
+		q := p.runs[i]
+		if r.Count != q.Count || r.Stride != q.Stride || r.Base < q.Base || r.Base-q.Base >= m.cfg.RowWords {
+			return
+		}
+	}
+	for _, t := range c.banks {
+		if p.openRow[t.i] != c.openRow[t.i] {
+			return
+		}
+	}
+	delta := c.busEnd[c.chans[0]] - p.busEnd[c.chans[0]]
+	for _, ci := range c.chans {
+		if c.busEnd[ci]-p.busEnd[ci] != delta || c.bus[ci]-p.bus[ci] > delta {
+			return
+		}
+	}
+	if c.sumDone-p.sumDone != c.n*delta {
+		return
+	}
+	left := int64(math.MaxInt64)
+	dBank := m.proof.dBank[:0]
+	for _, t := range c.banks {
+		d := c.cmdFree[t.i] - p.cmdFree[t.i]
+		dBank = append(dBank, d)
+		if over := d - delta; over > 0 {
+			if p.slack[t.i] < over {
+				return
+			}
+			left = min(left, c.slack[t.i]/over)
+		}
+	}
+	if left <= 0 {
+		return
+	}
+	// cur's words sit as far above prev's as its bases moved, in the same
+	// rows and blocks, if no base moved past its run's headroom.
+	c.head = c.head[:0]
+	for i, r := range c.runs {
+		h := m.headroom(p.runs[i]) - (r.Base - p.runs[i].Base)
+		if h < 0 {
+			return
+		}
+		c.head = append(c.head, h)
+	}
+	m.proof = shift{left: left, delta: delta, dBank: dBank, sumDone: c.sumDone, last: c.last}
+}
+
+// replay serves a call by the armed proof when the proof covers it: the
+// call is a successor of cur and, once refresh has caught up on the touched
+// channels as serve would, finds a free floor. Every word completes delta
+// after the last call's, open rows stay as they are.
+func (m *Model) replay(cycle int64, runs []trace.Run) bool {
+	c, p := m.cur, &m.proof
+	if len(runs) != len(c.runs) {
+		return false
+	}
+	for i, r := range runs {
+		q := c.runs[i]
+		if d := r.Base - q.Base; r.Count != q.Count || r.Stride != q.Stride || d < 0 || d > c.head[i] {
+			return false
+		}
+	}
+	for _, ci := range c.chans {
+		m.refresh(&m.channels[ci], cycle)
+	}
+	for _, t := range c.banks {
+		if max(cycle, t.ch.refreshHold) > t.b.cmdFree {
+			return false
+		}
+	}
+	for k, t := range c.banks {
+		t.b.cmdFree += p.dBank[k]
+	}
+	for _, ci := range c.chans {
+		m.channels[ci].bus += p.delta
+	}
+	n := c.n
+	p.sumDone += n * p.delta
+	p.last += p.delta
+	p.left--
+	s := &m.stats
+	s.Requests += n
+	s.RowHits += c.hits
+	s.RowMisses += n - c.hits
+	s.TotalLatency += p.sumDone - n*cycle
+	s.MaxLatency = max(s.MaxLatency, p.last-cycle)
+	s.LastCompletion = max(s.LastCompletion, p.last)
+	s.BusBusy += n * m.cfg.BusCyclesPerWord
+	m.adjacent = false
+	m.replayedCalls++
+	m.replayedWords += n
+	return true
+}
+
+// headroom is how far r's base may move up with every word keeping its row
+// and, with several channels, its interleave block: the smallest distance
+// from any of its words to the end of either.
+func (m *Model) headroom(r trace.Run) int64 {
+	h := granuleHead(r, m.cfg.RowWords)
+	if m.cfg.Channels > 1 {
+		h = min(h, granuleHead(r, m.cfg.InterleaveWords))
+	}
+	return h
+}
+
+// granuleHead is the smallest g-1-(a mod g) over the run's addresses a,
+// stepping the offset as serve does.
+func granuleHead(r trace.Run, g int64) int64 {
+	_, off := floorDivMod(r.Base, g)
+	_, step := floorDivMod(r.Stride, g)
+	top := off
+	for i := int64(1); i < r.Count && top < g-1; i++ {
+		if off += step; off >= g {
+			off -= g
+		}
+		top = max(top, off)
+	}
+	return g - 1 - top
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Model) Stats() Stats { return m.stats }
+
+// Replayed reports how many calls, and words in them, ConsumeRuns served by
+// the shift proof rather than word by word. It is host-side provenance, not
+// a simulated quantity, so it stays out of Stats.
+func (m *Model) Replayed() (calls, words int64) { return m.replayedCalls, m.replayedWords }

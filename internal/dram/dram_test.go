@@ -168,7 +168,10 @@ func TestStatsInvariants(t *testing.T) {
 		if done <= cycle {
 			t.Fatalf("completion %d not after arrival %d", done, cycle)
 		}
-		_ = prevDone
+		// One channel, one bus: transfers complete in request order.
+		if done < prevDone {
+			t.Fatalf("request %d completes at %d, before the previous one's %d", i, done, prevDone)
+		}
 		prevDone = done
 	}
 	s := m.Stats()
@@ -505,4 +508,287 @@ func TestKeyIsTheFormattedConfig(t *testing.T) {
 	if got := DDR3().Key(); got != ddr3 {
 		t.Errorf("DDR3 key %q, want %q", got, ddr3)
 	}
+}
+
+// feedCall is one ConsumeRuns call.
+type feedCall struct {
+	cycle int64
+	runs  []trace.Run
+}
+
+// skewedFeed draws the DRAM-side calls a systolic fold sends: per cycle one
+// run of up to 32 words at stride K-1, the skew of a K-wide operand (K 768,
+// 3072 or random), its base one word higher each cycle and its count ramping
+// up and down at the fold's edges. Folds restart the run elsewhere, write
+// calls fall in between, some idle gaps outlast any backlog so the floor
+// binds, and long feeds cross refresh windows.
+func skewedFeed(rng *rand.Rand, calls int) []feedCall {
+	var feed []feedCall
+	var cycle int64
+	for len(feed) < calls {
+		k := [...]int64{768, 3072, 2 + rng.Int63n(5000)}[rng.Intn(3)]
+		words := 1 + rng.Int63n(32)
+		base := rng.Int63n(1 << 22)
+		folds := 1 + rng.Int63n(200)
+		var second int64 // a second operand row beside the first, or none
+		if rng.Intn(4) == 0 {
+			second = 1 + rng.Int63n(1<<16)
+		}
+		for i := int64(0); i < folds && len(feed) < calls; i++ {
+			n := min(words, i+1, folds-i)
+			runs := []trace.Run{{Base: base + i, Stride: k - 1, Count: n}}
+			if second > 0 {
+				runs = append(runs, trace.Run{Base: base + second + i, Stride: k - 1, Count: n})
+			}
+			feed = append(feed, feedCall{cycle, runs})
+			if rng.Intn(16) == 0 { // a write-back at the same cycle
+				wb := trace.Run{Base: 1<<23 + rng.Int63n(1<<20), Stride: 1, Count: 1 + rng.Int63n(8)}
+				feed = append(feed, feedCall{cycle, []trace.Run{wb}})
+			}
+			cycle++
+		}
+		switch rng.Intn(6) {
+		case 0: // idle long enough for the floor to bind
+			cycle += 50_000 + rng.Int63n(200_000)
+		case 1:
+			cycle += rng.Int63n(2_000)
+		default:
+			cycle += rng.Int63n(4)
+		}
+	}
+	return feed
+}
+
+// TestShiftReplayMatchesPerWordReference runs skewed feeds through
+// ConsumeRuns and, expanded, through the per-word reference, and requires
+// equal Stats after every call and equal bank and channel state at the end.
+// On DDR3 most words must have been replayed by the shift proof.
+func TestShiftReplayMatchesPerWordReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3203))
+	cfgs := []Config{DDR3(), hbm2}
+	geometries := 300
+	if testing.Short() {
+		geometries = 40
+	}
+	for i := 0; i < geometries; i++ {
+		cfgs = append(cfgs, randomGeometry(rng))
+	}
+	var addrs []int64
+	for ci, cfg := range cfgs {
+		got, err := New(cfg)
+		if err != nil {
+			t.Fatalf("config %d %+v: %v", ci, cfg, err)
+		}
+		want, _ := New(cfg)
+		for k, c := range skewedFeed(rng, 3000) {
+			got.ConsumeRuns(c.cycle, c.runs)
+			addrs = trace.ExpandRuns(c.runs, addrs[:0])
+			refConsume(want, c.cycle, addrs)
+			if got.Stats() != want.Stats() {
+				t.Fatalf("config %d %+v, call %d at cycle %d %+v:\nmodel     %+v\nreference %+v",
+					ci, cfg, k, c.cycle, c.runs, got.Stats(), want.Stats())
+			}
+		}
+		if !reflect.DeepEqual(got.channels, want.channels) {
+			t.Errorf("config %d %+v: final bank/channel state differs from the reference", ci, cfg)
+		}
+		if ci == 0 {
+			calls, words := got.Replayed()
+			if share := float64(words) / float64(got.Stats().Requests); share < 0.5 {
+				t.Errorf("DDR3: shift proof replayed %d calls, %d of %d words (%.2f), want at least half",
+					calls, words, got.Stats().Requests, share)
+			}
+		}
+	}
+}
+
+// chain is n successor calls: run r at cycle c0, then every cycle with each
+// base one word higher.
+func chain(c0 int64, n int, runs ...trace.Run) []feedCall {
+	feed := make([]feedCall, n)
+	for i := range feed {
+		shifted := make([]trace.Run, len(runs))
+		for j, r := range runs {
+			r.Base += int64(i)
+			shifted[j] = r
+		}
+		feed[i] = feedCall{c0 + int64(i), shifted}
+	}
+	return feed
+}
+
+// replayFlags feeds the calls through a model and the per-word reference,
+// both set to the given start state (nil: a fresh model), requiring equal
+// Stats after every call, and reports which calls the shift proof replayed.
+func replayFlags(t *testing.T, cfg Config, start []channel, feed []feedCall) []bool {
+	t.Helper()
+	got, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := New(cfg)
+	for ci, ch := range start {
+		for _, m := range []*Model{got, want} {
+			banks := m.channels[ci].banks
+			copy(banks, ch.banks)
+			m.channels[ci] = ch
+			m.channels[ci].banks = banks
+		}
+	}
+	flags := make([]bool, len(feed))
+	for k, c := range feed {
+		before, _ := got.Replayed()
+		got.ConsumeRuns(c.cycle, c.runs)
+		refConsume(want, c.cycle, trace.ExpandRuns(c.runs, nil))
+		if got.Stats() != want.Stats() {
+			t.Fatalf("call %d %+v:\nmodel     %+v\nreference %+v", k, c, got.Stats(), want.Stats())
+		}
+		after, _ := got.Replayed()
+		flags[k] = after > before
+	}
+	if !reflect.DeepEqual(got.channels, want.channels) {
+		t.Error("final bank/channel state differs from the reference")
+	}
+	return flags
+}
+
+// TestShiftReplayConditions: each condition of the shift proof, alone,
+// stops an armed replay or keeps it from arming, and the per-word reference
+// agrees throughout.
+func TestShiftReplayConditions(t *testing.T) {
+	ddr := DDR3()
+	// Eight words at stride 767 over three rows of three banks; the first
+	// call misses, every later one hits. Based at 0 the run has 260 words of
+	// headroom, at 255 only 5.
+	skew := func(base int64) trace.Run { return trace.Run{Base: base, Stride: 767, Count: 8} }
+	armed := chain(0, 10, skew(0))
+	// Two channels interleaved every 1024 words; stride 2048 keeps a run on
+	// one channel with 1024 - 1 - base%1024 words of interleave headroom
+	// and far more row headroom.
+	twoCh := ddr
+	twoCh.Channels, twoCh.InterleaveWords, twoCh.RowWords = 2, 1024, 4096
+	// A 2048-word burst backs the bus up on bank 0; then each call misses
+	// twice on bank 1 (rows 1 and 9), which grows its cmdFree faster than
+	// the bus until its transfers stop waiting: a finite horizon.
+	burst := feedCall{0, []trace.Run{{Base: 0, Stride: 1, Count: 2048}}}
+	pair := trace.Run{Base: 2048, Stride: 8 * 2048, Count: 2}
+
+	F, T := false, true
+	cases := []struct {
+		name string
+		cfg  Config
+		feed []feedCall
+		want []bool
+	}{
+		{"successor chain replays", ddr, armed, []bool{F, F, F, T, T, T, T, T, T, T}},
+		{"a non-successor stops it", ddr,
+			append(chain(0, 6, skew(0)), feedCall{6, []trace.Run{{Base: 6, Stride: 766, Count: 8}}}),
+			[]bool{F, F, F, T, T, T, F}},
+		{"a base moved down stops it", ddr,
+			append(chain(0, 6, skew(10)), feedCall{6, []trace.Run{skew(11)}}),
+			[]bool{F, F, F, T, T, T, F}},
+		{"a row crossing stops it", ddr, chain(0, 8, skew(255)), []bool{F, F, F, T, T, T, F, F}},
+		{"an interleave crossing stops it", twoCh,
+			chain(0, 8, trace.Run{Base: 1018, Stride: 2048, Count: 8}), []bool{F, F, F, T, T, T, F, F}},
+		{"the same chain within the block replays", twoCh,
+			chain(0, 8, trace.Run{Base: 0, Stride: 2048, Count: 8}), []bool{F, F, F, T, T, T, T, T}},
+		{"a binding floor stops it", ddr,
+			append(chain(0, 6, skew(0)), feedCall{200_000, []trace.Run{skew(6)}}),
+			[]bool{F, F, F, T, T, T, F}},
+		// The first pair call finds bank 1 precharged, the second with row 9
+		// open: the same hits, different open rows, so no proof from them.
+		{"different open rows keep it from arming", ddr,
+			append([]feedCall{burst}, chain(0, 5, pair)...), []bool{F, F, F, F, T, T}},
+		{"unequal deltas across channels keep it from arming", twoCh,
+			chain(0, 8, trace.Run{Base: 0, Stride: 1, Count: 2}, trace.Run{Base: 1024, Stride: 1, Count: 1}),
+			[]bool{F, F, F, F, F, F, F, F}},
+		{"equal deltas across channels arm it", twoCh,
+			chain(0, 8, trace.Run{Base: 0, Stride: 1, Count: 2}, trace.Run{Base: 1024, Stride: 1, Count: 2}),
+			[]bool{F, F, F, T, T, T, T, T}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := replayFlags(t, tc.cfg, nil, tc.feed); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("replayed %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	t.Run("an expired slack horizon stops it", func(t *testing.T) {
+		m, _ := New(ddr)
+		feed := append([]feedCall{burst}, chain(0, 3, pair)...)
+		for _, c := range feed {
+			m.ConsumeRuns(c.cycle, c.runs)
+		}
+		left := m.proof.left
+		if left <= 0 || left > 100 {
+			t.Fatalf("proof covers %d calls, want a horizon in (0, 100]", left)
+		}
+		feed = append(feed, chain(3, int(left)+2, trace.Run{Base: pair.Base + 3, Stride: pair.Stride, Count: 2})...)
+		flags := replayFlags(t, ddr, nil, feed)
+		for k, f := range flags[4:] {
+			if want := k < int(left); f != want {
+				t.Errorf("successor %d of %d past the proof: replayed %v, want %v", k+1, left+2, f, want)
+			}
+		}
+	})
+}
+
+// TestShiftReplayFromRandomState starts the model and the reference from the
+// same random bank and bus state and repeats one call, its bases moving up
+// by zero or one word, at cycles moving up by zero or one: the transients
+// after an arbitrary backlog are where a proof premise can fail alone.
+func TestShiftReplayFromRandomState(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	trials := 30_000
+	if testing.Short() {
+		trials = 5_000
+	}
+	for g := 0; g < trials; g++ {
+		cfg := Config{
+			Banks: 1 + rng.Intn(3), RowWords: int64(4 + rng.Intn(12)),
+			TRCD: rng.Int63n(6), TCAS: rng.Int63n(6), TRP: rng.Int63n(6), BusCyclesPerWord: 1 + rng.Int63n(2),
+		}
+		if rng.Intn(3) == 0 {
+			cfg.Channels, cfg.InterleaveWords = 2, int64(1+rng.Intn(8))
+		}
+		start := make([]channel, max(cfg.Channels, 1))
+		for ci := range start {
+			start[ci].bus = rng.Int63n(60)
+			start[ci].banks = make([]bank, cfg.Banks)
+			for bi := range start[ci].banks {
+				start[ci].banks[bi] = bank{cmdFree: rng.Int63n(60), openRow: rng.Int63n(4) - 1}
+			}
+		}
+		runs := make([]trace.Run, 1+rng.Intn(2))
+		for j := range runs {
+			runs[j] = trace.Run{Base: rng.Int63n(40), Stride: rng.Int63n(12), Count: 1 + rng.Int63n(5)}
+		}
+		feed := make([]feedCall, 12)
+		var cycle int64
+		for k := range feed {
+			feed[k] = feedCall{cycle, append([]trace.Run(nil), runs...)}
+			cycle += rng.Int63n(2)
+			for j := range runs {
+				runs[j].Base += rng.Int63n(2)
+			}
+		}
+		replayFlags(t, cfg, start, feed)
+	}
+}
+
+// TestShiftReplayBusStartBound: two successor calls whose completions moved
+// by n·delta in sum, but whose bus start moved by more than delta, prove
+// nothing — some completion moved more than delta and another less. Found by
+// TestShiftReplayFromRandomState with the bus-start bound removed.
+func TestShiftReplayBusStartBound(t *testing.T) {
+	cfg := Config{Banks: 3, RowWords: 9, TRCD: 4, TCAS: 1, TRP: 3, BusCyclesPerWord: 1}
+	start := []channel{{bus: 18, banks: []bank{{-1, 51}, {2, 34}, {0, 40}}}}
+	var feed []feedCall
+	for _, c := range []struct{ cycle, a, b int64 }{
+		{0, 29, 34}, {1, 29, 35}, {1, 30, 36}, {2, 30, 36}, {3, 31, 37}, {3, 31, 38}, {3, 32, 39}, {3, 32, 40}, {4, 32, 41},
+	} {
+		feed = append(feed, feedCall{c.cycle, []trace.Run{{Base: c.a, Stride: 9, Count: 5}, {Base: c.b, Stride: 3, Count: 3}}})
+	}
+	replayFlags(t, cfg, start, feed)
 }

@@ -128,7 +128,8 @@ lint-structure:
 # Measured reach: build every cmd/* and examples/* binary with coverage,
 # run each subcommand and mode once on small inputs, and fail on a product
 # function that ran 0 % without a reach.allow line, or on a stale line.
-# REACHDIR keeps the binaries, every output, func.txt and zero.txt.
+# REACHDIR keeps the binaries, every output, func.txt, zero.txt and
+# blocks.txt (0 % statements per file, a report that gates nothing).
 REACHDIR := $(or $(TMPDIR),/tmp)/scalesim-reach
 reach:
 	GO=$(GO) sh scripts/reach.sh $(REACHDIR)

@@ -113,6 +113,22 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("run(%v) printed a report before refusing:\n%s", args, buf.String())
 		}
 	}
+
+	// A bandwidth bound that is not a finite number is refused by name, not
+	// run as an unbounded link, with or without -parts.
+	for _, args := range [][]string{
+		{"-dram-bw", "NaN"}, {"-dram-bw", "Inf"}, {"-dram-bw", "NaN", "-parts", "1x1"},
+	} {
+		buf.Reset()
+		args = append([]string{"-net", "TinyNet"}, args...)
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "non-finite DRAM bandwidth") {
+			t.Errorf("run(%v) = %v, want an error naming a non-finite DRAM bandwidth", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%v) printed a report before refusing:\n%s", args, buf.String())
+		}
+	}
 }
 
 // TestPartsFlagMatrix pairs -parts with every flag that could interact

@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -212,8 +213,11 @@ func New(cfg config.Config, opt Options) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.DRAMBandwidth < 0 {
-		return nil, fmt.Errorf("core: negative DRAM bandwidth %v", opt.DRAMBandwidth)
+	switch bw := opt.DRAMBandwidth; {
+	case bw < 0:
+		return nil, fmt.Errorf("core: negative DRAM bandwidth %v", bw)
+	case math.IsNaN(bw) || math.IsInf(bw, 0):
+		return nil, fmt.Errorf("core: non-finite DRAM bandwidth %v", bw)
 	}
 	em := opt.Energy
 	if em == (energy.Model{}) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -339,7 +340,9 @@ func TestBoundedBandwidthStalls(t *testing.T) {
 }
 
 func TestNegativeBandwidthRejected(t *testing.T) {
-	if _, err := New(config.New(), Options{DRAMBandwidth: -1}); err == nil {
-		t.Error("negative bandwidth accepted")
+	for _, bw := range []float64{-1, math.Inf(-1), math.Inf(1), math.NaN()} {
+		if _, err := New(config.New(), Options{DRAMBandwidth: bw}); err == nil {
+			t.Errorf("bandwidth %v accepted", bw)
+		}
 	}
 }

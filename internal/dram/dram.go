@@ -1,17 +1,16 @@
 // Package dram is a behavioural DRAM timing model that consumes the
 // simulator's DRAM-interface traces. The paper feeds SCALE-Sim's interface
 // traces to an external simulator (DRAMSim2); this package is the in-repo
-// substitute: a channel/bank open-page model with activate/CAS/precharge
-// timings, periodic refresh and a shared per-channel data bus, serving
-// requests in arrival order, enough to answer whether a trace's demand
+// substitute: a DDR3-class single-channel device, open-page banks with
+// activate/CAS/precharge timings, periodic refresh and one shared data bus,
+// serving requests in arrival order, enough to answer whether a trace's demand
 // bandwidth is achievable and at what latency.
 //
 // A backlogged device fed a skewed stream sees the same call over and over,
 // shifted: each cycle's runs are the previous cycle's with every base one
 // word higher. ConsumeRuns proves that from two fully served calls and then
 // replays the following ones by arithmetic (see shift), touching only the
-// banks and channels the call uses, with results identical to serving every
-// word.
+// banks the call uses, with results identical to serving every word.
 package dram
 
 import (
@@ -24,13 +23,7 @@ import (
 // Config holds the timing and geometry parameters, all in accelerator
 // clock cycles and words.
 type Config struct {
-	// Channels is the number of independent channels (0 means 1). Requests
-	// interleave across channels at InterleaveWords granularity.
-	Channels int
-	// InterleaveWords is the channel-interleave granularity (0 means
-	// RowWords).
-	InterleaveWords int64
-	// Banks is the number of banks per channel.
+	// Banks is the number of banks.
 	Banks int
 	// RowWords is the page size: words per DRAM row.
 	RowWords int64
@@ -48,9 +41,8 @@ type Config struct {
 }
 
 // DDR3 returns timings loosely modeled on DDR3-1600 expressed in a 1 GHz
-// accelerator clock: one channel, 8 banks, 2 KiB pages, tRCD = tCAS = tRP =
-// 11, refresh every 7800 cycles for 139, and a bus that moves one word per
-// cycle.
+// accelerator clock: 8 banks, 2 KiB pages, tRCD = tCAS = tRP = 11, refresh
+// every 7800 cycles for 139, and a bus that moves one word per cycle.
 func DDR3() Config {
 	return Config{
 		Banks: 8, RowWords: 2048,
@@ -61,20 +53,17 @@ func DDR3() Config {
 }
 
 // Key is the configuration's identity in result-cache keys: the %+v form
-// every stored key was written with, down to the Policy:0 of a scheduler
-// field Config no longer has, so existing cache directories stay warm.
+// every stored key was written with, down to the zero interleave geometry
+// and the Policy:0 scheduler of fields Config no longer has, so existing
+// cache directories stay warm.
 func (c Config) Key() string {
-	return fmt.Sprintf("{Channels:%d InterleaveWords:%d Banks:%d RowWords:%d TRCD:%d TCAS:%d TRP:%d TREFI:%d TRFC:%d BusCyclesPerWord:%d Policy:0}",
-		c.Channels, c.InterleaveWords, c.Banks, c.RowWords, c.TRCD, c.TCAS, c.TRP, c.TREFI, c.TRFC, c.BusCyclesPerWord)
+	return fmt.Sprintf("{Channels:0 InterleaveWords:0 Banks:%d RowWords:%d TRCD:%d TCAS:%d TRP:%d TREFI:%d TRFC:%d BusCyclesPerWord:%d Policy:0}",
+		c.Banks, c.RowWords, c.TRCD, c.TCAS, c.TRP, c.TREFI, c.TRFC, c.BusCyclesPerWord)
 }
 
 // Validate reports the first structural problem with the configuration.
 func (c Config) Validate() error {
 	switch {
-	case c.Channels < 0:
-		return fmt.Errorf("dram: negative Channels %d", c.Channels)
-	case c.InterleaveWords < 0:
-		return fmt.Errorf("dram: negative InterleaveWords %d", c.InterleaveWords)
 	case c.Banks < 1:
 		return fmt.Errorf("dram: Banks must be >= 1, got %d", c.Banks)
 	case c.RowWords < 1:
@@ -89,40 +78,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// normalized applies the documented defaults.
-func (c Config) normalized() Config {
-	if c.Channels == 0 {
-		c.Channels = 1
-	}
-	if c.InterleaveWords == 0 {
-		c.InterleaveWords = c.RowWords
-	}
-	return c
-}
-
 // bank is one bank's state.
 type bank struct {
 	openRow int64 // -1 when precharged
 	cmdFree int64 // cycle at which the bank can accept a new command
 }
 
-// channel is one channel's state.
-type channel struct {
+// Model simulates a DRAM device.
+type Model struct {
+	cfg         Config
 	banks       []bank
 	bus         int64 // cycle at which the data bus frees
 	nextRefresh int64
-	refreshHold int64 // channel blocked until this cycle by refresh
-}
+	refreshHold int64 // device blocked until this cycle by refresh
+	stats       Stats
 
-// Model simulates a DRAM device.
-type Model struct {
-	cfg      Config
-	channels []channel
-	stats    Stats
-
-	// slack holds, per bank (channel-major), the smallest bus - ready over
-	// the bank's words since ConsumeRuns last reset it: how long its
-	// transfers waited for the bus.
+	// slack holds, per bank, the smallest bus - ready over the bank's words
+	// since ConsumeRuns last reset it: how long its transfers waited for the
+	// bus.
 	slack []int64
 	// prev and cur are the last two fully served calls, held in recs;
 	// adjacent reports that nothing was replayed since cur, so prev and cur
@@ -142,7 +115,7 @@ type Model struct {
 const maxRecordRuns = 64
 
 // call is what a fully served ConsumeRuns call leaves for the shift proof.
-// Per-bank slices are indexed channel-major and sized once per Model.
+// Per-bank slices are sized once per Model.
 type call struct {
 	// ok marks a record the proof may use: every address non-negative, at
 	// least one word, and a free floor — max(arrival, refreshHold) at or
@@ -152,26 +125,18 @@ type call struct {
 	arrival int64
 	runs    []trace.Run
 	// head holds, per run, how far its base may move up with every word
-	// keeping its row (and, with several channels, its interleave block);
-	// filled when the record takes part in a proof.
+	// keeping its row; filled when the record takes part in a proof.
 	head    []int64
 	n, hits int64
-	// sumDone is the sum of the words' completion cycles, last the latest.
-	sumDone, last int64
-	// cmdFree, openRow and slack per bank, bus and busEnd per channel: the
-	// state at call start (slack and busEnd: at call end).
+	// sumDone is the sum of the words' completion cycles.
+	sumDone int64
+	// cmdFree, openRow and slack per bank, and bus: the state at call start
+	// (slack: at call end). busEnd is the bus at call end, the last word's
+	// completion.
 	cmdFree, openRow, slack []int64
-	bus, busEnd             []int64
-	// banks and chans list the banks and channels the call touched.
-	banks []touched
-	chans []int
-}
-
-// touched is a bank a call used: its channel-major index and its state.
-type touched struct {
-	i  int
-	ch *channel
-	b  *bank
+	bus, busEnd             int64
+	// banks lists the indices of the banks the call touched.
+	banks []int
 }
 
 // shift is an armed proof: every call that is a successor of cur (its runs
@@ -183,8 +148,9 @@ type shift struct {
 	delta int64
 	// dBank is each of cur.banks' cmdFree growth per call.
 	dBank []int64
-	// sumDone and last are those of the latest call, served or replayed.
-	sumDone, last int64
+	// sumDone is that of the latest call, served or replayed; its last
+	// completion is the bus.
+	sumDone int64
 }
 
 // Stats aggregates the model's behaviour.
@@ -201,7 +167,7 @@ type Stats struct {
 	MaxLatency int64
 	// LastCompletion is the cycle the final word finished.
 	LastCompletion int64
-	// BusBusy counts data-bus cycles consumed (summed over channels).
+	// BusBusy counts data-bus cycles consumed.
 	BusBusy int64
 }
 
@@ -218,29 +184,20 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalized()
-	m := &Model{cfg: cfg, channels: make([]channel, cfg.Channels)}
-	for c := range m.channels {
-		ch := &m.channels[c]
-		ch.banks = make([]bank, cfg.Banks)
-		for i := range ch.banks {
-			ch.banks[i].openRow = -1
-		}
-		if cfg.TREFI > 0 {
-			ch.nextRefresh = cfg.TREFI
-		}
+	m := &Model{cfg: cfg, banks: make([]bank, cfg.Banks), slack: make([]int64, cfg.Banks)}
+	for i := range m.banks {
+		m.banks[i].openRow = -1
 	}
-	banks := cfg.Channels * cfg.Banks
-	m.slack = make([]int64, banks)
+	if cfg.TREFI > 0 {
+		m.nextRefresh = cfg.TREFI
+	}
 	m.prev, m.cur = &m.recs[0], &m.recs[1]
 	for _, c := range []*call{m.prev, m.cur} {
 		c.runs = make([]trace.Run, 0, maxRecordRuns)
 		c.head = make([]int64, 0, maxRecordRuns)
-		c.cmdFree = make([]int64, banks)
-		c.openRow = make([]int64, banks)
-		c.slack = make([]int64, banks)
-		c.bus = make([]int64, cfg.Channels)
-		c.busEnd = make([]int64, cfg.Channels)
+		c.cmdFree = make([]int64, cfg.Banks)
+		c.openRow = make([]int64, cfg.Banks)
+		c.slack = make([]int64, cfg.Banks)
 	}
 	return m, nil
 }
@@ -252,24 +209,24 @@ func New(cfg Config) (*Model, error) {
 //
 // Only the first word is decoded by division. stride is split once into
 // whole rows and a remainder in [0, RowWords); every later word adds the
-// remainder to the row offset and carries into the row and the bank (and,
-// with several channels, does the same at interleave granularity for the
-// channel), which lands on exactly the (channel, row, bank) a division of
-// the address would — for non-negative addresses, where truncated and
-// floored division agree. A run that reaches below zero is therefore decoded
-// word by word.
+// remainder to the row offset and carries into the row and the bank, which
+// lands on exactly the (row, bank) a division of the address would — for
+// non-negative addresses, where truncated and floored division agree. A run
+// that reaches below zero is therefore decoded word by word.
 //
-// The run is cut into stretches of consecutive words on one channel. Within
-// a stretch the arrival cycle is fixed, so refresh catch-up and the
-// max(arrival, refreshHold) floor are settled once, and every completion
-// goes through the channel's bus, which only moves forward: the stretch's
-// last word has both its largest latency and its latest completion.
+// The arrival cycle is fixed, so refresh catch-up and the max(arrival,
+// refreshHold) floor are settled once, and every completion goes through the
+// bus, which only moves forward: the last word has both the largest latency
+// and the latest completion.
 //
 // Each word also lowers its bank's slack to bus - ready, the one piece of
 // the shift proof that needs every word; ConsumeRuns reads the rest off the
 // state before and after the call.
 func (m *Model) serve(arrival, addr, stride, n int64) int64 {
-	if n > 1 && (addr < 0 || addr+(n-1)*stride < 0) {
+	switch {
+	case n <= 0:
+		return 0
+	case n > 1 && (addr < 0 || addr+(n-1)*stride < 0):
 		var done int64
 		for ; n > 0; n-- {
 			done = m.serve(arrival, addr, 0, 1)
@@ -279,112 +236,81 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 	}
 	cfg := &m.cfg
 	rowWords, banks := cfg.RowWords, int64(cfg.Banks)
-	ilWords, channels := cfg.InterleaveWords, int64(cfg.Channels)
 	tRCD, tCAS, tRP, busWord := cfg.TRCD, cfg.TCAS, cfg.TRP, cfg.BusCyclesPerWord
 
 	row := addr / rowWords
 	rowOff := addr - row*rowWords
 	bank := row % banks
-	var chIdx, ilOff int64
-	if channels > 1 {
-		blk := addr / ilWords
-		ilOff = addr - blk*ilWords
-		chIdx = blk % channels
-	}
-	// Per-word steps: offsets in [0, granule), whole granules reduced
-	// modulo the bank and channel counts.
-	var dRow, dRowOff, dBank, dIlOff, dCh int64
+	// Per-word steps: an offset in [0, RowWords), whole rows reduced modulo
+	// the bank count.
+	var dRow, dRowOff, dBank int64
 	if n > 1 {
 		dRow, dRowOff = floorDivMod(stride, rowWords)
 		_, dBank = floorDivMod(dRow, banks)
-		if channels > 1 {
-			var dBlk int64
-			dBlk, dIlOff = floorDivMod(stride, ilWords)
-			_, dCh = floorDivMod(dBlk, channels)
-		}
 	}
 
-	var hits, sumDone, done int64
-	for left := n; left > 0; {
-		ch := &m.channels[chIdx]
-		m.refresh(ch, arrival)
-		floor, bus := max(arrival, ch.refreshHold), ch.bus
-		slack := m.slack[chIdx*banks : (chIdx+1)*banks]
-		for {
-			b := &ch.banks[bank]
-			start := max(floor, b.cmdFree)
-			var ready int64
-			if b.openRow == row {
-				// CAS commands pipeline: the bank takes a new column command
-				// every bus slot while the CAS latency overlaps with earlier
-				// transfers.
-				hits++
-				ready = start + tCAS
-				b.cmdFree = start + busWord
-			} else {
-				activate := start + tRCD
-				if b.openRow >= 0 {
-					activate += tRP
-				}
-				ready = activate + tCAS
-				b.openRow = row
-				b.cmdFree = activate + busWord
+	m.refresh(arrival)
+	floor, bus := max(arrival, m.refreshHold), m.bus
+	var hits, sumDone int64
+	for left := n; ; {
+		b := &m.banks[bank]
+		start := max(floor, b.cmdFree)
+		var ready int64
+		if b.openRow == row {
+			// CAS commands pipeline: the bank takes a new column command
+			// every bus slot while the CAS latency overlaps with earlier
+			// transfers.
+			hits++
+			ready = start + tCAS
+			b.cmdFree = start + busWord
+		} else {
+			activate := start + tRCD
+			if b.openRow >= 0 {
+				activate += tRP
 			}
-			// The data transfer occupies the channel's bus.
-			slack[bank] = min(slack[bank], bus-ready)
-			bus = max(ready, bus) + busWord
-			sumDone += bus
-			left--
-			if left == 0 {
-				break
-			}
-
-			rowOff += dRowOff
-			row += dRow
-			bank += dBank
-			if rowOff >= rowWords {
-				rowOff -= rowWords
-				row++
-				bank++
-			}
-			if bank >= banks {
-				bank -= banks
-			}
-			if channels > 1 {
-				next := chIdx + dCh
-				if ilOff += dIlOff; ilOff >= ilWords {
-					ilOff -= ilWords
-					next++
-				}
-				if next >= channels {
-					next -= channels
-				}
-				if next != chIdx {
-					chIdx = next
-					break
-				}
-			}
+			ready = activate + tCAS
+			b.openRow = row
+			b.cmdFree = activate + busWord
 		}
-		ch.bus, done = bus, bus
-		m.stats.MaxLatency = max(m.stats.MaxLatency, done-arrival)
-		m.stats.LastCompletion = max(m.stats.LastCompletion, done)
+		// The data transfer occupies the bus.
+		m.slack[bank] = min(m.slack[bank], bus-ready)
+		bus = max(ready, bus) + busWord
+		sumDone += bus
+		if left--; left == 0 {
+			break
+		}
+
+		rowOff += dRowOff
+		row += dRow
+		bank += dBank
+		if rowOff >= rowWords {
+			rowOff -= rowWords
+			row++
+			bank++
+		}
+		if bank >= banks {
+			bank -= banks
+		}
 	}
+	m.bus = bus
 	m.stats.Requests += n
 	m.stats.RowHits += hits
 	m.stats.RowMisses += n - hits
 	m.stats.TotalLatency += sumDone - n*arrival
+	m.stats.MaxLatency = max(m.stats.MaxLatency, bus-arrival)
+	m.stats.LastCompletion = max(m.stats.LastCompletion, bus)
 	m.stats.BusBusy += n * busWord
-	return done
+	return bus
 }
 
-// refresh applies the refresh windows on ch due before arrival.
-func (m *Model) refresh(ch *channel, arrival int64) {
+// refresh applies the refresh windows due before arrival.
+func (m *Model) refresh(arrival int64) {
 	if m.cfg.TREFI == 0 {
 		return
 	}
-	for arrival >= ch.nextRefresh {
-		ch.refreshHold = max(ch.refreshHold, ch.nextRefresh+m.cfg.TRFC)
-		ch.nextRefresh += m.cfg.TREFI
+	for arrival >= m.nextRefresh {
+		m.refreshHold = max(m.refreshHold, m.nextRefresh+m.cfg.TRFC)
+		m.nextRefresh += m.cfg.TREFI
 		m.stats.Refreshes++
 	}
 }
@@ -443,20 +369,15 @@ func (m *Model) begin(cycle int64, runs []trace.Run) {
 		return
 	}
 	c.runs = append(c.runs[:0], runs...)
-	i := 0
-	for ci := range m.channels {
-		ch := &m.channels[ci]
-		c.bus[ci] = ch.bus
-		for _, b := range ch.banks {
-			c.cmdFree[i], c.openRow[i] = b.cmdFree, b.openRow
-			m.slack[i] = math.MaxInt64
-			i++
-		}
+	c.bus = m.bus
+	for i, b := range m.banks {
+		c.cmdFree[i], c.openRow[i] = b.cmdFree, b.openRow
+		m.slack[i] = math.MaxInt64
 	}
 }
 
-// record closes cur after its call was served. A channel was touched when
-// its bus moved and a bank when its cmdFree did: every word moves both.
+// record closes cur after its call was served. A bank was touched when its
+// cmdFree moved: every word moves it.
 func (m *Model) record(before Stats) {
 	c := m.cur
 	if !c.ok {
@@ -465,25 +386,16 @@ func (m *Model) record(before Stats) {
 	c.n = m.stats.Requests - before.Requests
 	c.hits = m.stats.RowHits - before.RowHits
 	c.sumDone = m.stats.TotalLatency - before.TotalLatency + c.n*c.arrival
-	c.banks, c.chans, c.last = c.banks[:0], c.chans[:0], 0
-	nb := m.cfg.Banks
-	for ci := range m.channels {
-		ch := &m.channels[ci]
-		if c.busEnd[ci] = ch.bus; ch.bus == c.bus[ci] {
+	c.busEnd = m.bus
+	c.banks = c.banks[:0]
+	floor := max(c.arrival, m.refreshHold)
+	for i, b := range m.banks {
+		if b.cmdFree == c.cmdFree[i] {
 			continue
 		}
-		c.chans = append(c.chans, ci)
-		c.last = max(c.last, ch.bus)
-		floor := max(c.arrival, ch.refreshHold)
-		for bi := range ch.banks {
-			i := ci*nb + bi
-			if ch.banks[bi].cmdFree == c.cmdFree[i] {
-				continue
-			}
-			c.banks = append(c.banks, touched{i, ch, &ch.banks[bi]})
-			if floor > c.cmdFree[i] {
-				c.ok = false
-			}
+		c.banks = append(c.banks, i)
+		if floor > c.cmdFree[i] {
+			c.ok = false
 		}
 	}
 	c.ok = c.ok && c.n > 0
@@ -494,19 +406,19 @@ func (m *Model) record(before Stats) {
 // arm checks the shift proof on the consecutive fully served calls prev
 // and cur and, when it holds, arms it for the calls after cur.
 //
-// cur must be a successor of prev, so both issue one (channel, bank, row,
-// hit) sequence from the same open rows, and both must have found a free
-// floor. Every completion is then a max of one bus term and bank terms,
-// fixed offsets from the channel's bus and the banks' cmdFree at call start.
-// With delta the growth of the bus end (equal on every touched channel)
-// and dBank each bank's cmdFree growth per call, the bus term of cur moved
-// at most delta, a bank with dBank <= delta moved its terms at most delta,
-// and a bank with dBank > delta has a slack in prev that absorbs the
-// excess: every completion of cur is at most delta later than prev's. The
-// sum of completions is exactly n·delta higher, so every completion is
-// exactly delta later. A later successor with a free floor sees the same
-// shifts again, except that each bank with dBank > delta loses that excess
-// of its slack per call, which bounds the proof to left calls.
+// cur must be a successor of prev, so both issue one (bank, row, hit)
+// sequence from the same open rows, and both must have found a free floor.
+// Every completion is then a max of one bus term and bank terms, fixed
+// offsets from the bus and the banks' cmdFree at call start. With delta the
+// growth of the bus end and dBank each bank's cmdFree growth per call, the
+// bus term of cur moved at most delta, a bank with dBank <= delta moved its
+// terms at most delta, and a bank with dBank > delta has a slack in prev
+// that absorbs the excess: every completion of cur is at most delta later
+// than prev's. The sum of completions is exactly n·delta higher, so every
+// completion is exactly delta later. A later successor with a free floor
+// sees the same shifts again, except that each bank with dBank > delta
+// loses that excess of its slack per call, which bounds the proof to left
+// calls.
 func (m *Model) arm() {
 	p, c := m.prev, m.cur
 	if !p.ok || !c.ok || p.n != c.n || p.hits != c.hits || len(p.runs) != len(c.runs) {
@@ -519,52 +431,47 @@ func (m *Model) arm() {
 			return
 		}
 	}
-	for _, t := range c.banks {
-		if p.openRow[t.i] != c.openRow[t.i] {
+	for _, i := range c.banks {
+		if p.openRow[i] != c.openRow[i] {
 			return
 		}
 	}
-	delta := c.busEnd[c.chans[0]] - p.busEnd[c.chans[0]]
-	for _, ci := range c.chans {
-		if c.busEnd[ci]-p.busEnd[ci] != delta || c.bus[ci]-p.bus[ci] > delta {
-			return
-		}
-	}
-	if c.sumDone-p.sumDone != c.n*delta {
+	delta := c.busEnd - p.busEnd
+	if c.bus-p.bus > delta || c.sumDone-p.sumDone != c.n*delta {
 		return
 	}
 	left := int64(math.MaxInt64)
 	dBank := m.proof.dBank[:0]
-	for _, t := range c.banks {
-		d := c.cmdFree[t.i] - p.cmdFree[t.i]
+	for _, i := range c.banks {
+		d := c.cmdFree[i] - p.cmdFree[i]
 		dBank = append(dBank, d)
 		if over := d - delta; over > 0 {
-			if p.slack[t.i] < over {
+			if p.slack[i] < over {
 				return
 			}
-			left = min(left, c.slack[t.i]/over)
+			left = min(left, c.slack[i]/over)
 		}
 	}
 	if left <= 0 {
 		return
 	}
 	// cur's words sit as far above prev's as its bases moved, in the same
-	// rows and blocks, if no base moved past its run's headroom.
+	// rows, if no base moved past its run's headroom.
 	c.head = c.head[:0]
 	for i, r := range c.runs {
-		h := m.headroom(p.runs[i]) - (r.Base - p.runs[i].Base)
+		h := m.rowHead(p.runs[i]) - (r.Base - p.runs[i].Base)
 		if h < 0 {
 			return
 		}
 		c.head = append(c.head, h)
 	}
-	m.proof = shift{left: left, delta: delta, dBank: dBank, sumDone: c.sumDone, last: c.last}
+	m.proof = shift{left: left, delta: delta, dBank: dBank, sumDone: c.sumDone}
 }
 
 // replay serves a call by the armed proof when the proof covers it: the
-// call is a successor of cur and, once refresh has caught up on the touched
-// channels as serve would, finds a free floor. Every word completes delta
-// after the last call's, open rows stay as they are.
+// call is a successor of cur and, once refresh has caught up as serve
+// would, finds a free floor. Every word completes delta after the last
+// call's, open rows stay as they are.
 func (m *Model) replay(cycle int64, runs []trace.Run) bool {
 	c, p := m.cur, &m.proof
 	if len(runs) != len(c.runs) {
@@ -576,31 +483,27 @@ func (m *Model) replay(cycle int64, runs []trace.Run) bool {
 			return false
 		}
 	}
-	for _, ci := range c.chans {
-		m.refresh(&m.channels[ci], cycle)
-	}
-	for _, t := range c.banks {
-		if max(cycle, t.ch.refreshHold) > t.b.cmdFree {
+	m.refresh(cycle)
+	floor := max(cycle, m.refreshHold)
+	for _, i := range c.banks {
+		if floor > m.banks[i].cmdFree {
 			return false
 		}
 	}
-	for k, t := range c.banks {
-		t.b.cmdFree += p.dBank[k]
+	for k, i := range c.banks {
+		m.banks[i].cmdFree += p.dBank[k]
 	}
-	for _, ci := range c.chans {
-		m.channels[ci].bus += p.delta
-	}
+	m.bus += p.delta
 	n := c.n
 	p.sumDone += n * p.delta
-	p.last += p.delta
 	p.left--
 	s := &m.stats
 	s.Requests += n
 	s.RowHits += c.hits
 	s.RowMisses += n - c.hits
 	s.TotalLatency += p.sumDone - n*cycle
-	s.MaxLatency = max(s.MaxLatency, p.last-cycle)
-	s.LastCompletion = max(s.LastCompletion, p.last)
+	s.MaxLatency = max(s.MaxLatency, m.bus-cycle)
+	s.LastCompletion = max(s.LastCompletion, m.bus)
 	s.BusBusy += n * m.cfg.BusCyclesPerWord
 	m.adjacent = false
 	m.replayedCalls++
@@ -608,20 +511,11 @@ func (m *Model) replay(cycle int64, runs []trace.Run) bool {
 	return true
 }
 
-// headroom is how far r's base may move up with every word keeping its row
-// and, with several channels, its interleave block: the smallest distance
-// from any of its words to the end of either.
-func (m *Model) headroom(r trace.Run) int64 {
-	h := granuleHead(r, m.cfg.RowWords)
-	if m.cfg.Channels > 1 {
-		h = min(h, granuleHead(r, m.cfg.InterleaveWords))
-	}
-	return h
-}
-
-// granuleHead is the smallest g-1-(a mod g) over the run's addresses a,
+// rowHead is how far r's base may move up with every word keeping its row:
+// the smallest RowWords-1-(a mod RowWords) over the run's addresses a,
 // stepping the offset as serve does.
-func granuleHead(r trace.Run, g int64) int64 {
+func (m *Model) rowHead(r trace.Run) int64 {
+	g := m.cfg.RowWords
 	_, off := floorDivMod(r.Base, g)
 	_, step := floorDivMod(r.Stride, g)
 	top := off

@@ -14,15 +14,20 @@ func smallCfg() Config {
 	return Config{Banks: 2, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4, BusCyclesPerWord: 1}
 }
 
-// hbm2 is a geometry loosely modeled on HBM2: eight pseudo-channels of 16
-// banks with small pages. The per-channel bus still moves one word per
-// cycle, so aggregate bandwidth comes from channel parallelism.
+// hbm2 is a geometry loosely modeled on one HBM2 pseudo-channel: 16 banks
+// with small pages behind a bus that moves one word per cycle.
 var hbm2 = Config{
-	Channels: 8, InterleaveWords: 256,
 	Banks: 16, RowWords: 1024,
 	TRCD: 14, TCAS: 14, TRP: 14,
 	TREFI: 3900, TRFC: 160,
 	BusCyclesPerWord: 1,
+}
+
+// sameDevice reports whether two models hold the same bank, bus and refresh
+// state.
+func sameDevice(a, b *Model) bool {
+	return reflect.DeepEqual(a.banks, b.banks) && a.bus == b.bus &&
+		a.nextRefresh == b.nextRefresh && a.refreshHold == b.refreshHold
 }
 
 // avgLatency is the mean per-word latency.
@@ -168,7 +173,7 @@ func TestStatsInvariants(t *testing.T) {
 		if done <= cycle {
 			t.Fatalf("completion %d not after arrival %d", done, cycle)
 		}
-		// One channel, one bus: transfers complete in request order.
+		// One bus: transfers complete in request order.
 		if done < prevDone {
 			t.Fatalf("request %d completes at %d, before the previous one's %d", i, done, prevDone)
 		}
@@ -237,30 +242,8 @@ func TestRefreshApplied(t *testing.T) {
 	}
 }
 
-func TestChannelsParallelize(t *testing.T) {
-	base := smallCfg()
-	base.TREFI = 0
-	single, _ := New(base)
-	multi4 := base
-	multi4.Channels = 4
-	multi4.InterleaveWords = base.RowWords
-	multi, _ := New(multi4)
-	// Stream rows that map to different channels under interleaving.
-	for i := int64(0); i < 8000; i++ {
-		addr := i * base.RowWords // one word per row: worst case, all misses
-		single.serve(i, addr, 0, 1)
-		multi.serve(i, addr, 0, 1)
-	}
-	if wordsPerCycle(multi.Stats()) <= wordsPerCycle(single.Stats()) {
-		t.Errorf("4 channels (%v w/c) not faster than 1 (%v w/c)",
-			wordsPerCycle(multi.Stats()), wordsPerCycle(single.Stats()))
-	}
-}
-
 func TestConfigValidateExtended(t *testing.T) {
 	bad := []Config{
-		{Channels: -1, Banks: 1, RowWords: 1, BusCyclesPerWord: 1},
-		{InterleaveWords: -1, Banks: 1, RowWords: 1, BusCyclesPerWord: 1},
 		{Banks: 1, RowWords: 1, BusCyclesPerWord: 1, TREFI: 10, TRFC: 10},
 	}
 	for i, cfg := range bad {
@@ -301,26 +284,24 @@ func TestConsumeRunsMatchesConsume(t *testing.T) {
 // call, one full address decode and one stats update per word.
 func refRequest(m *Model, arrival, addr int64) int64 {
 	cfg := m.cfg
-	chIdx := int((addr / cfg.InterleaveWords) % int64(cfg.Channels))
-	ch := &m.channels[chIdx]
 
 	// Apply any refresh windows due before this request.
 	if cfg.TREFI > 0 {
-		for arrival >= ch.nextRefresh {
-			hold := ch.nextRefresh + cfg.TRFC
-			if hold > ch.refreshHold {
-				ch.refreshHold = hold
+		for arrival >= m.nextRefresh {
+			hold := m.nextRefresh + cfg.TRFC
+			if hold > m.refreshHold {
+				m.refreshHold = hold
 			}
-			ch.nextRefresh += cfg.TREFI
+			m.nextRefresh += cfg.TREFI
 			m.stats.Refreshes++
 		}
 	}
 
 	row := addr / cfg.RowWords
-	b := &ch.banks[int(row%int64(cfg.Banks))]
+	b := &m.banks[int(row%int64(cfg.Banks))]
 
 	start := max(arrival, b.cmdFree)
-	start = max(start, ch.refreshHold)
+	start = max(start, m.refreshHold)
 	var ready int64
 	if b.openRow == row {
 		m.stats.RowHits++
@@ -337,10 +318,10 @@ func refRequest(m *Model, arrival, addr int64) int64 {
 		b.cmdFree = activate + cfg.BusCyclesPerWord
 	}
 
-	// The data transfer occupies the channel's bus.
-	xferStart := max(ready, ch.bus)
+	// The data transfer occupies the bus.
+	xferStart := max(ready, m.bus)
 	done := xferStart + cfg.BusCyclesPerWord
-	ch.bus = done
+	m.bus = done
 	m.stats.BusBusy += cfg.BusCyclesPerWord
 
 	m.stats.Requests++
@@ -363,11 +344,9 @@ func refConsume(m *Model, cycle int64, addrs []int64) {
 }
 
 // randomGeometry draws a configuration that no power-of-two shortcut
-// survives: odd page, interleave and bank counts, up to five channels.
+// survives: odd page and bank counts.
 func randomGeometry(rng *rand.Rand) Config {
 	cfg := Config{
-		Channels:         1 + rng.Intn(5),
-		InterleaveWords:  int64(1 + 2*rng.Intn(40)),
 		Banks:            1 + 2*rng.Intn(5),
 		RowWords:         int64(1 + 2*rng.Intn(60)),
 		TRCD:             rng.Int63n(15),
@@ -413,8 +392,7 @@ func randomRuns(rng *rand.Rand) []trace.Run {
 
 // TestRunLoopMatchesPerWordReference replays random run lists through the
 // production entry points and, expanded, through the per-word reference, and
-// requires the same statistics and the same bank and channel state at the
-// end.
+// requires the same statistics and the same device state at the end.
 func TestRunLoopMatchesPerWordReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1303))
 	noRefresh := DDR3()
@@ -450,8 +428,8 @@ func TestRunLoopMatchesPerWordReference(t *testing.T) {
 		if got.Stats() != want.Stats() {
 			t.Errorf("config %d %+v:\nrun loop  %+v\nreference %+v", ci, cfg, got.Stats(), want.Stats())
 		}
-		if !reflect.DeepEqual(got.channels, want.channels) {
-			t.Errorf("config %d %+v: final bank/channel state differs from the reference", ci, cfg)
+		if !sameDevice(got, want) {
+			t.Errorf("config %d %+v: final device state differs from the reference", ci, cfg)
 		}
 	}
 }
@@ -479,8 +457,8 @@ func TestRequestIsTheOneWordRun(t *testing.T) {
 
 // TestRunBelowZeroDecodesPerWord: truncated division cannot be stepped
 // across zero, so a run that reaches negative addresses must fall back to a
-// full decode per word. One bank on one channel is the geometry where the
-// reference accepts such addresses at all.
+// full decode per word. One bank is the geometry where the reference
+// accepts such addresses at all.
 func TestRunBelowZeroDecodesPerWord(t *testing.T) {
 	cfg := Config{Banks: 1, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4, BusCyclesPerWord: 1}
 	runs := []trace.Run{{Base: 40, Stride: -7, Count: 12}, {Base: -90, Stride: 9, Count: 20}}
@@ -488,18 +466,20 @@ func TestRunBelowZeroDecodesPerWord(t *testing.T) {
 	want, _ := New(cfg)
 	got.ConsumeRuns(5, runs)
 	refConsume(want, 5, trace.ExpandRuns(runs, nil))
-	if got.Stats() != want.Stats() || !reflect.DeepEqual(got.channels, want.channels) {
+	if got.Stats() != want.Stats() || !sameDevice(got, want) {
 		t.Errorf("run loop %+v, reference %+v", got.Stats(), want.Stats())
 	}
 }
 
-// TestKeyIsTheFormattedConfig: Key is the configuration's %+v with the
-// trailing Policy:0 every existing cache key carries, so a field added to
-// Config fails here before it can silently change a key.
+// TestKeyIsTheFormattedConfig: Key is the configuration's %+v between the
+// leading Channels:0 InterleaveWords:0 and the trailing Policy:0 every
+// existing cache key carries, so a field added to Config fails here before it
+// can silently change a key.
 func TestKeyIsTheFormattedConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, cfg := range []Config{DDR3(), hbm2, randomGeometry(rng), randomGeometry(rng)} {
-		want := strings.TrimSuffix(fmt.Sprintf("%+v", cfg), "}") + " Policy:0}"
+		fields := strings.TrimSuffix(strings.TrimPrefix(fmt.Sprintf("%+v", cfg), "{"), "}")
+		want := "{Channels:0 InterleaveWords:0 " + fields + " Policy:0}"
 		if got := cfg.Key(); got != want {
 			t.Errorf("Key() = %q, want %q", got, want)
 		}
@@ -561,7 +541,7 @@ func skewedFeed(rng *rand.Rand, calls int) []feedCall {
 
 // TestShiftReplayMatchesPerWordReference runs skewed feeds through
 // ConsumeRuns and, expanded, through the per-word reference, and requires
-// equal Stats after every call and equal bank and channel state at the end.
+// equal Stats after every call and equal device state at the end.
 // On DDR3 most words must have been replayed by the shift proof.
 func TestShiftReplayMatchesPerWordReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3203))
@@ -589,8 +569,8 @@ func TestShiftReplayMatchesPerWordReference(t *testing.T) {
 					ci, cfg, k, c.cycle, c.runs, got.Stats(), want.Stats())
 			}
 		}
-		if !reflect.DeepEqual(got.channels, want.channels) {
-			t.Errorf("config %d %+v: final bank/channel state differs from the reference", ci, cfg)
+		if !sameDevice(got, want) {
+			t.Errorf("config %d %+v: final device state differs from the reference", ci, cfg)
 		}
 		if ci == 0 {
 			calls, words := got.Replayed()
@@ -617,22 +597,26 @@ func chain(c0 int64, n int, runs ...trace.Run) []feedCall {
 	return feed
 }
 
+// startState is a bus and bank state to start a model from.
+type startState struct {
+	bus   int64
+	banks []bank
+}
+
 // replayFlags feeds the calls through a model and the per-word reference,
 // both set to the given start state (nil: a fresh model), requiring equal
 // Stats after every call, and reports which calls the shift proof replayed.
-func replayFlags(t *testing.T, cfg Config, start []channel, feed []feedCall) []bool {
+func replayFlags(t *testing.T, cfg Config, start *startState, feed []feedCall) []bool {
 	t.Helper()
 	got, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := New(cfg)
-	for ci, ch := range start {
+	if start != nil {
 		for _, m := range []*Model{got, want} {
-			banks := m.channels[ci].banks
-			copy(banks, ch.banks)
-			m.channels[ci] = ch
-			m.channels[ci].banks = banks
+			m.bus = start.bus
+			copy(m.banks, start.banks)
 		}
 	}
 	flags := make([]bool, len(feed))
@@ -646,8 +630,8 @@ func replayFlags(t *testing.T, cfg Config, start []channel, feed []feedCall) []b
 		after, _ := got.Replayed()
 		flags[k] = after > before
 	}
-	if !reflect.DeepEqual(got.channels, want.channels) {
-		t.Error("final bank/channel state differs from the reference")
+	if !sameDevice(got, want) {
+		t.Error("final device state differs from the reference")
 	}
 	return flags
 }
@@ -662,11 +646,6 @@ func TestShiftReplayConditions(t *testing.T) {
 	// headroom, at 255 only 5.
 	skew := func(base int64) trace.Run { return trace.Run{Base: base, Stride: 767, Count: 8} }
 	armed := chain(0, 10, skew(0))
-	// Two channels interleaved every 1024 words; stride 2048 keeps a run on
-	// one channel with 1024 - 1 - base%1024 words of interleave headroom
-	// and far more row headroom.
-	twoCh := ddr
-	twoCh.Channels, twoCh.InterleaveWords, twoCh.RowWords = 2, 1024, 4096
 	// A 2048-word burst backs the bus up on bank 0; then each call misses
 	// twice on bank 1 (rows 1 and 9), which grows its cmdFree faster than
 	// the bus until its transfers stop waiting: a finite horizon.
@@ -688,9 +667,8 @@ func TestShiftReplayConditions(t *testing.T) {
 			append(chain(0, 6, skew(10)), feedCall{6, []trace.Run{skew(11)}}),
 			[]bool{F, F, F, T, T, T, F}},
 		{"a row crossing stops it", ddr, chain(0, 8, skew(255)), []bool{F, F, F, T, T, T, F, F}},
-		{"an interleave crossing stops it", twoCh,
-			chain(0, 8, trace.Run{Base: 1018, Stride: 2048, Count: 8}), []bool{F, F, F, T, T, T, F, F}},
-		{"the same chain within the block replays", twoCh,
+		// Stride 2048 puts every word in its own row, at the same offset.
+		{"the same chain within the block replays", ddr,
 			chain(0, 8, trace.Run{Base: 0, Stride: 2048, Count: 8}), []bool{F, F, F, T, T, T, T, T}},
 		{"a binding floor stops it", ddr,
 			append(chain(0, 6, skew(0)), feedCall{200_000, []trace.Run{skew(6)}}),
@@ -699,10 +677,7 @@ func TestShiftReplayConditions(t *testing.T) {
 		// open: the same hits, different open rows, so no proof from them.
 		{"different open rows keep it from arming", ddr,
 			append([]feedCall{burst}, chain(0, 5, pair)...), []bool{F, F, F, F, T, T}},
-		{"unequal deltas across channels keep it from arming", twoCh,
-			chain(0, 8, trace.Run{Base: 0, Stride: 1, Count: 2}, trace.Run{Base: 1024, Stride: 1, Count: 1}),
-			[]bool{F, F, F, F, F, F, F, F}},
-		{"equal deltas across channels arm it", twoCh,
+		{"two runs on one bus arm it", ddr,
 			chain(0, 8, trace.Run{Base: 0, Stride: 1, Count: 2}, trace.Run{Base: 1024, Stride: 1, Count: 2}),
 			[]bool{F, F, F, T, T, T, T, T}},
 	}
@@ -749,16 +724,9 @@ func TestShiftReplayFromRandomState(t *testing.T) {
 			Banks: 1 + rng.Intn(3), RowWords: int64(4 + rng.Intn(12)),
 			TRCD: rng.Int63n(6), TCAS: rng.Int63n(6), TRP: rng.Int63n(6), BusCyclesPerWord: 1 + rng.Int63n(2),
 		}
-		if rng.Intn(3) == 0 {
-			cfg.Channels, cfg.InterleaveWords = 2, int64(1+rng.Intn(8))
-		}
-		start := make([]channel, max(cfg.Channels, 1))
-		for ci := range start {
-			start[ci].bus = rng.Int63n(60)
-			start[ci].banks = make([]bank, cfg.Banks)
-			for bi := range start[ci].banks {
-				start[ci].banks[bi] = bank{cmdFree: rng.Int63n(60), openRow: rng.Int63n(4) - 1}
-			}
+		start := &startState{bus: rng.Int63n(60), banks: make([]bank, cfg.Banks)}
+		for bi := range start.banks {
+			start.banks[bi] = bank{cmdFree: rng.Int63n(60), openRow: rng.Int63n(4) - 1}
 		}
 		runs := make([]trace.Run, 1+rng.Intn(2))
 		for j := range runs {
@@ -783,7 +751,7 @@ func TestShiftReplayFromRandomState(t *testing.T) {
 // TestShiftReplayFromRandomState with the bus-start bound removed.
 func TestShiftReplayBusStartBound(t *testing.T) {
 	cfg := Config{Banks: 3, RowWords: 9, TRCD: 4, TCAS: 1, TRP: 3, BusCyclesPerWord: 1}
-	start := []channel{{bus: 18, banks: []bank{{-1, 51}, {2, 34}, {0, 40}}}}
+	start := &startState{bus: 18, banks: []bank{{-1, 51}, {2, 34}, {0, 40}}}
 	var feed []feedCall
 	for _, c := range []struct{ cycle, a, b int64 }{
 		{0, 29, 34}, {1, 29, 35}, {1, 30, 36}, {2, 30, 36}, {3, 31, 37}, {3, 31, 38}, {3, 32, 39}, {3, 32, 40}, {4, 32, 41},

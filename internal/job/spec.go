@@ -18,6 +18,7 @@ package job
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"scalesim/internal/analytical"
@@ -63,8 +64,11 @@ func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
-	if s.DRAMBandwidth < 0 {
-		return fmt.Errorf("job: negative DRAM bandwidth %v", s.DRAMBandwidth)
+	switch bw := s.DRAMBandwidth; {
+	case bw < 0:
+		return fmt.Errorf("job: negative DRAM bandwidth %v", bw)
+	case math.IsNaN(bw) || math.IsInf(bw, 0):
+		return fmt.Errorf("job: non-finite DRAM bandwidth %v", bw)
 	}
 	if s.scaleOut() {
 		switch {

@@ -2,6 +2,7 @@ package job
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -109,6 +110,11 @@ func TestRequestErrors(t *testing.T) {
 		{Request{Net: "BERTTiny", Parts: "1x2"}, "Graph"},
 		{Request{Net: "TinyNet", Parts: "1x2", DRAM: true}, "DRAM"},
 		{Request{Net: "TinyNet", Parts: "1x2", DRAMBandwidth: 4}, "DRAMBandwidth"},
+		// A bound that is not a number is no bound: refused, not run as an
+		// unbounded link, and refused as itself beside Parts.
+		{Request{Net: "TinyNet", DRAMBandwidth: math.NaN()}, "non-finite DRAM bandwidth"},
+		{Request{Net: "TinyNet", DRAMBandwidth: math.Inf(1)}, "non-finite DRAM bandwidth"},
+		{Request{Net: "TinyNet", Parts: "1x1", DRAMBandwidth: math.NaN()}, "non-finite DRAM bandwidth"},
 	} {
 		if _, err := c.req.Spec(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: Spec() = %v, want an error naming %s", c.req, err, c.want)

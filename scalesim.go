@@ -107,7 +107,8 @@ type (
 	VectorResult = vector.Result
 	// RunResult aggregates a topology run.
 	RunResult = core.RunResult
-	// DRAMConfig parameterizes the DRAM timing substrate.
+	// DRAMConfig parameterizes the DRAM timing substrate, a DDR3-class
+	// single-channel device.
 	DRAMConfig = dram.Config
 	// EnergyModel holds per-event energy costs.
 	EnergyModel = energy.Model

@@ -18,7 +18,10 @@
 # Usage: scripts/reach.sh [workdir]   (default $TMPDIR/scalesim-reach)
 #
 # The workdir keeps the binaries, the coverage counters, every command's
-# output, func.txt (per-function coverage) and zero.txt (the 0 % list).
+# output, func.txt (per-function coverage), zero.txt (the 0 % list) and
+# blocks.txt, a report that gates nothing: one line per product file with
+# its count of statements that ran 0 % and the line ranges of those inside
+# functions that did run (a 0 % function is already in zero.txt).
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -244,6 +247,65 @@ awk -F'\t+' '
 			print pkg "." zero[fn]
 		}
 	}' "$work/func.txt" "$work/profile.txt" | sort -u > "$work/zero.txt"
+
+# blocks.txt: <file> <0 % statements> <line ranges in functions that ran>.
+# A block belongs to the function that starts last at or above it.
+awk -F'\t+' '
+	FILENAME == ARGV[1] {
+		if ($1 ~ /^scalesim\//) {
+			split($1, loc, ":")
+			n = ++nf[loc[1]]
+			fline[loc[1], n] = loc[2] + 0
+			fran[loc[1], n] = $NF != "0.0%"
+		}
+		next
+	}
+	FNR > 1 {
+		split($0, blk, " ")
+		split(blk[1], at, ":")
+		split(at[2], span, ",")
+		key = blk[1]
+		file[key] = at[1]
+		from[key] = int(span[1])
+		to[key] = int(span[2])
+		stmts[key] = blk[2]
+		if (blk[3] > 0) hit[key] = 1
+	}
+	END {
+		for (key in file) {
+			f = file[key]
+			if (key in hit || stmts[key] == 0) {
+				print f, 0, 0, 0, 0
+				continue
+			}
+			ran = best = 0
+			for (i = 1; i <= nf[f]; i++)
+				if (fline[f, i] <= from[key] && fline[f, i] > best) {
+					best = fline[f, i]
+					ran = fran[f, i]
+				}
+			print f, from[key], to[key], stmts[key], ran
+		}
+	}' "$work/func.txt" "$work/profile.txt" | sort -k1,1 -k2,2n | awk '
+	function flush() {
+		if (f == "") return
+		if (lo) ranges = ranges " " (lo == hi ? lo : lo "-" hi)
+		sub(/^scalesim\//, "", f)
+		print f "\t" zero "\t" substr(ranges, 2)
+	}
+	$1 != f { flush(); f = $1; zero = 0; ranges = ""; lo = hi = 0 }
+	{
+		zero += $4
+		if (!$5) next
+		if (lo && $2 <= hi + 1) {
+			if ($3 > hi) hi = $3
+			next
+		}
+		if (lo) ranges = ranges " " (lo == hi ? lo : lo "-" hi)
+		lo = $2
+		hi = $3
+	}
+	END { flush() }' > "$work/blocks.txt"
 
 grep -v -e '^#' -e '^[[:space:]]*$' "$allow" | awk '{ print $1 }' | sort > "$work/allowed.txt"
 bad=$(grep -v -e '^#' -e '^[[:space:]]*$' "$allow" |

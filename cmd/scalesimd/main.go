@@ -115,7 +115,7 @@ func run(args []string) error {
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "scalesimd: draining...")
-	log.Default().Info("scalesimd", "shutdown", "drain_timeout", drain.String())
+	log.Default().Info("shutdown", "subsystem", "scalesimd", "drain_timeout", drain.String())
 	srv.BeginDrain()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
@@ -201,7 +201,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	log.Default().Info("scalesimd", "job accepted", "id", j.ID(), "net", j.Info().Net)
+	log.Default().Info("job accepted", "subsystem", "scalesimd", "id", j.ID(), "net", j.Info().Net)
 	writeJSON(w, http.StatusAccepted, j.Info())
 }
 

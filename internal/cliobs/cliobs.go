@@ -196,9 +196,9 @@ func (f *Flags) Start(tool string, rec *obsv.Recorder) (stop func() error, err e
 		if err != nil {
 			return fail(err)
 		}
-		log.Default().Info(tool, "run start", "pid", os.Getpid())
+		log.Default().Info("run start", "subsystem", tool, "pid", os.Getpid())
 		stops = append(stops, func() {
-			log.Default().Info(tool, "run end")
+			log.Default().Info("run end", "subsystem", tool)
 			log.SetDefault(nil)
 			_ = closeLog()
 		})
@@ -244,7 +244,7 @@ func (f *Flags) Publish(m *obsv.Manifest) error {
 	if err != nil {
 		return err
 	}
-	log.Default().Info("runstore", "run registered", "id", e.ID, "key", e.Key, "dir", f.runDir)
+	log.Default().Info("run registered", "subsystem", "runstore", "id", e.ID, "key", e.Key, "dir", f.runDir)
 	fmt.Fprintf(os.Stderr, "run registered: %s (%s)\n", e.ID, f.runDir)
 	return nil
 }

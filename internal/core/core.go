@@ -275,12 +275,12 @@ func (s *Simulator) runNode(ctx *LayerContext) error {
 		err := st.fn(s, ctx)
 		stop()
 		if err != nil {
-			log.Default().Error("core", "stage failed",
+			log.Default().Error("stage failed", "subsystem", "core",
 				"layer", ctx.Layer.Name, "index", ctx.Index, "stage", st.name, "error", err)
 			return err
 		}
-		if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-			lg.Debug("core", "stage done", "layer", ctx.Layer.Name, "index", ctx.Index,
+		if lg := log.Default(); lg.Enabled(context.Background(), log.LevelDebug) {
+			lg.Debug("stage done", "subsystem", "core", "layer", ctx.Layer.Name, "index", ctx.Index,
 				"stage", st.name, "cache_hit", ctx.CacheHit, "replayed", ctx.Replayed)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"scalesim/internal/obsv/log"
@@ -54,8 +55,8 @@ func (s *Simulator) plan(nodes []topology.Node) runPlan {
 		}
 		sort.SliceStable(p.order, func(a, b int) bool { return words[p.order[a]] > words[p.order[b]] })
 	}
-	if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-		lg.Debug("core", "run plan", "nodes", len(nodes), "distinct", len(p.order), "order", p.order)
+	if lg := log.Default(); lg.Enabled(context.Background(), log.LevelDebug) {
+		lg.Debug("run plan", "subsystem", "core", "nodes", len(nodes), "distinct", len(p.order), "order", p.order)
 	}
 	return p
 }

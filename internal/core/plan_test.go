@@ -304,7 +304,7 @@ func TestPlanLogged(t *testing.T) {
 	log.SetDefault(log.New(&events, log.LevelDebug))
 	defer log.SetDefault(nil)
 	runWith(t, config.New().WithArray(8, 8).WithSRAM(1, 1, 1), Options{Workers: 2}, miniResNet50())
-	for _, want := range []string{`"msg":"run plan","nodes":54,"distinct":`, `"order":[`, `"replayed":true`} {
+	for _, want := range []string{`"msg":"run plan","subsystem":"core","nodes":54,"distinct":`, `"order":[`, `"replayed":true`} {
 		if !bytes.Contains(events.Bytes(), []byte(want)) {
 			t.Errorf("log missing %s", want)
 		}

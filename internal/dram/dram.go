@@ -411,14 +411,16 @@ func (m *Model) record(before Stats) {
 // Every completion is then a max of one bus term and bank terms, fixed
 // offsets from the bus and the banks' cmdFree at call start. With delta the
 // growth of the bus end and dBank each bank's cmdFree growth per call, the
-// bus term of cur moved at most delta, a bank with dBank <= delta moved its
-// terms at most delta, and a bank with dBank > delta has a slack in prev
-// that absorbs the excess: every completion of cur is at most delta later
-// than prev's. The sum of completions is exactly n·delta higher, so every
-// completion is exactly delta later. A later successor with a free floor
-// sees the same shifts again, except that each bank with dBank > delta
-// loses that excess of its slack per call, which bounds the proof to left
-// calls.
+// free floor moves every ready time of a bank by exactly its dBank. By
+// induction over cur's words, every completion is at most delta later than
+// prev's: the bus start moved at most delta; a word of a bank with dBank <=
+// delta has both terms moved at most delta; and left >= 1 gives a bank with
+// dBank > delta a slack in cur of at least dBank - delta > 0, so each of its
+// words waited for the bus and completed one bus slot after the word before
+// it. The sum of completions is exactly n·delta higher, so every completion
+// is exactly delta later. A later successor with a free floor sees the
+// same shifts again, except that each bank with dBank > delta loses that
+// excess of its slack per call, which bounds the proof to left calls.
 func (m *Model) arm() {
 	p, c := m.prev, m.cur
 	if !p.ok || !c.ok || p.n != c.n || p.hits != c.hits || len(p.runs) != len(c.runs) {
@@ -446,9 +448,6 @@ func (m *Model) arm() {
 		d := c.cmdFree[i] - p.cmdFree[i]
 		dBank = append(dBank, d)
 		if over := d - delta; over > 0 {
-			if p.slack[i] < over {
-				return
-			}
 			left = min(left, c.slack[i]/over)
 		}
 	}

@@ -317,7 +317,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	}
 	res.Stats.BandPoints = int64(len(res.Band))
 	endBand()
-	log.Default().Info("dse", "band cut",
+	log.Default().Info("band cut", "subsystem", "dse",
 		"grid", res.Stats.GridPoints, "candidates", res.Stats.Candidates,
 		"band", res.Stats.BandCandidates, "cut", res.Stats.CutCandidates,
 		"tier1_points_per_sec", res.Stats.Tier1PointsPerSec)
@@ -364,7 +364,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	res.Stats.RefinedPoints = int64(len(res.Rows))
 	res.Stats.MaxRelErr, res.Stats.MeanRelErr = relErrBounds(res.Rows)
 	res.Manifest = res.identify(sweep.Manifest)
-	log.Default().Info("dse", "refine done",
+	log.Default().Info("refine done", "subsystem", "dse",
 		"refined", res.Stats.RefinedPoints, "band", res.Stats.BandPoints,
 		"shard", res.Stats.Shard, "shards", res.Stats.Shards,
 		"max_rel_err", res.Stats.MaxRelErr)

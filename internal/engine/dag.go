@@ -14,7 +14,7 @@ import (
 // else reports these nodes — they produce no results.
 func logSkipped(skipped int) {
 	if skipped > 0 {
-		log.Default().Warn("engine", "dag nodes skipped after failure", "skipped", skipped)
+		log.Default().Warn("dag nodes skipped after failure", "subsystem", "engine", "skipped", skipped)
 	}
 }
 

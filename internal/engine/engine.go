@@ -27,6 +27,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -61,8 +62,8 @@ func (e *PanicError) Error() string {
 // common path pays one atomic load and a comparison. Logging observes
 // the schedule exactly like span sinks do — it never alters results.
 func logJobStart(i, worker int) {
-	if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-		lg.Debug("engine", "job start", "job", i, "worker", worker)
+	if lg := log.Default(); lg.Enabled(context.Background(), log.LevelDebug) {
+		lg.Debug("job start", "subsystem", "engine", "job", i, "worker", worker)
 	}
 }
 
@@ -71,14 +72,14 @@ func logJobDone(i, worker int, err error) {
 	if err != nil {
 		var pe *PanicError
 		if errors.As(err, &pe) {
-			lg.Error("engine", "job panicked", "job", i, "worker", worker, "panic", fmt.Sprint(pe.Value))
+			lg.Error("job panicked", "subsystem", "engine", "job", i, "worker", worker, "panic", fmt.Sprint(pe.Value))
 			return
 		}
-		lg.Error("engine", "job failed", "job", i, "worker", worker, "error", err)
+		lg.Error("job failed", "subsystem", "engine", "job", i, "worker", worker, "error", err)
 		return
 	}
-	if lg.Enabled(log.LevelDebug) {
-		lg.Debug("engine", "job done", "job", i, "worker", worker)
+	if lg.Enabled(context.Background(), log.LevelDebug) {
+		lg.Debug("job done", "subsystem", "engine", "job", i, "worker", worker)
 	}
 }
 

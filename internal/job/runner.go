@@ -192,7 +192,7 @@ func (r *Runner) dispatch(j *Job) func() {
 			}
 			if st := r.opt.Store; st != nil {
 				if _, serr := st.Add(res.Manifest); serr != nil {
-					log.Default().Error("job", "run registry", "job", j.id, "error", serr)
+					log.Default().Error("run registry", "subsystem", "job", "job", j.id, "error", serr)
 				}
 			}
 			j.finish(StatusDone, res, nil)
@@ -451,7 +451,7 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 		rec := j.live.Obs
 		j.progress.Start(len(points))
 		endPhase := rec.Phase("batch.run")
-		log.Default().Info("batch", "sweep start",
+		log.Default().Info("sweep start", "subsystem", "batch",
 			"points", len(points), "nets", len(grid.Topologies)+len(grid.Graphs))
 		rows, err := engine.RunObserved(grid.Parallel, len(points), rec.SpanSink(), func(i int) (batch.Row, error) {
 			t0 := time.Now()
@@ -462,7 +462,7 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 			name := batch.PointLabel(points[i])
 			rec.ObserveLayer(i, name, time.Since(t0))
 			j.progress.Step(name)
-			log.Default().Debug("batch", "point done", "point", name, "cycles", run.TotalCycles)
+			log.Default().Debug("point done", "subsystem", "batch", "point", name, "cycles", run.TotalCycles)
 			return batch.RowOf(points[i], run), nil
 		})
 		endPhase()
@@ -471,7 +471,7 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 			m, err = batch.NewManifest(grid.Base.Hash(), rows, rec, r.opt.Cache)
 		}
 		if err != nil {
-			log.Default().Error("batch", "sweep failed", "points", len(points), "error", err)
+			log.Default().Error("sweep failed", "subsystem", "batch", "points", len(points), "error", err)
 			j.progress.Abort(err.Error())
 			return nil, err
 		}

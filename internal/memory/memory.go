@@ -45,8 +45,8 @@ const denseLimitWords = 1 << 22
 //     region via setRegion (one array access per test);
 //   - an open-addressing probe table otherwise (footprint proportional to
 //     capacity, not region) — a large region, or none declared — built by
-//     the first insertion, or by leaveDense when a declared region turns
-//     out wrong.
+//     useProbe before the first run the dense table does not cover, or by
+//     leaveDense when a declared region turns out wrong.
 type fifoSet struct {
 	capacity int64
 	ring     []int64
@@ -86,7 +86,7 @@ func (f *fifoSet) setRegion(base, words int64) {
 		f.ring = make([]int64, 0, need)
 	}
 	if words > denseLimitWords {
-		return // the probe table, built by the first insertion
+		return // the probe table, built by useProbe
 	}
 	f.dense = true
 	f.base = base
@@ -98,7 +98,7 @@ func (f *fifoSet) setRegion(base, words int64) {
 	}
 }
 
-// leaveDense abandons the direct-mapped table after an access outside the
+// leaveDense abandons the direct-mapped table before a run that leaves the
 // declared region: the region declaration was wrong, so residency migrates
 // to the probe table (the ring holds exactly the resident set) and the
 // run degrades gracefully instead of crashing.
@@ -115,41 +115,16 @@ func (f *fifoSet) leaveDense() {
 	}
 }
 
-// contains reports residency.
-func (f *fifoSet) contains(addr int64) bool {
+// useProbe readies the probe table for a run the dense table does not
+// cover, and returns it: a dense set leaves its table (one fallback), and a
+// set with no region declared builds the table on first use.
+func (f *fifoSet) useProbe() *probeSet {
 	if f.dense {
-		idx := addr - f.base
-		if idx >= 0 && idx < int64(len(f.marks)) {
-			return f.marks[idx] != 0
-		}
 		f.leaveDense()
+	} else if f.probe == nil {
+		f.probe = newProbeSet(f.capacity)
 	}
-	return f.probe != nil && f.probe.contains(addr)
-}
-
-func (f *fifoSet) mark(addr int64, present bool) {
-	if f.dense {
-		idx := addr - f.base
-		if idx < 0 || idx >= int64(len(f.marks)) {
-			f.leaveDense()
-		}
-	}
-	if f.dense {
-		if present {
-			f.marks[addr-f.base] = 1
-		} else {
-			f.marks[addr-f.base] = 0
-		}
-		return
-	}
-	if f.probe == nil {
-		f.probe = newProbeSet(f.capacity) // no region declared
-	}
-	if present {
-		f.probe.insert(addr)
-	} else {
-		f.probe.remove(addr)
-	}
+	return f.probe
 }
 
 // bounds returns the lowest and highest address of a run.
@@ -309,27 +284,26 @@ func (f *fifoSet) reindex() {
 		}
 		return
 	}
-	if f.probe == nil {
-		f.probe = newProbeSet(f.capacity)
-	}
-	clear(f.probe.slots)
+	p := f.useProbe()
+	clear(p.slots)
 	for _, a := range f.ring {
-		f.probe.insert(a)
+		p.insert(a)
 	}
 }
 
-// insert adds addr, evicting the oldest entry when full. It returns the
-// evicted address and whether an eviction happened.
+// insert adds addr to a set indexed by the probe table (see useProbe),
+// evicting the oldest entry when full. It returns the evicted address and
+// whether an eviction happened.
 func (f *fifoSet) insert(addr int64) (evicted int64, didEvict bool) {
 	if int64(len(f.ring)) < f.capacity {
 		f.ring = append(f.ring, addr)
-		f.mark(addr, true)
+		f.probe.insert(addr)
 		return 0, false
 	}
 	old := f.ring[f.head]
-	f.mark(old, false)
+	f.probe.remove(old)
 	f.ring[f.head] = addr
-	f.mark(addr, true)
+	f.probe.insert(addr)
 	f.head++
 	if f.head == len(f.ring) {
 		f.head = 0
@@ -350,10 +324,8 @@ func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
 	}
 	if f.dense {
 		clear(f.marks) // dense ⇒ every resident address is in-region
-	} else {
-		for _, a := range f.ring {
-			f.mark(a, false)
-		}
+	} else if f.probe != nil {
+		clear(f.probe.slots)
 	}
 	f.ring = f.ring[:0]
 	f.head = 0
@@ -669,9 +641,9 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 			b.Evictions += ev
 			continue
 		}
-		a := r.Base
+		probe, a := b.set.useProbe(), r.Base
 		for i := int64(0); i < r.Count; i++ {
-			if !b.set.contains(a) {
+			if !probe.contains(a) {
 				if _, evicted := b.set.insert(a); evicted {
 					b.Evictions++
 				}
@@ -767,9 +739,9 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 			drainWords += dw
 			continue
 		}
-		a := r.Base
+		probe, a := b.set.useProbe(), r.Base
 		for i := int64(0); i < r.Count; i++ {
-			if !b.set.contains(a) {
+			if !probe.contains(a) {
 				if old, evicted := b.set.insert(a); evicted {
 					drained = trace.AppendAddr(drained, old)
 					drainWords++

@@ -250,7 +250,8 @@ func TestMissStreaksArriveAsRuns(t *testing.T) {
 func TestReadBufferRegionFallback(t *testing.T) {
 	drive := func(b *ReadBuffer) {
 		b.Consume(1, []int64{100, 101, 102, 101})
-		b.Consume(2, []int64{900, 901}) // outside [100, 150)
+		b.ConsumeRuns(2, []trace.Run{{Base: 140, Stride: 5, Count: 4}}) // straddles the edge
+		b.Consume(2, []int64{900, 901})                                 // outside [100, 150)
 		b.ConsumeRuns(3, []trace.Run{{Base: 950, Stride: 5, Count: 3}, {Base: 102, Stride: 0, Count: 1}})
 	}
 
@@ -289,6 +290,7 @@ func TestReadBufferRegionFallback(t *testing.T) {
 func TestWriteBufferRegionFallback(t *testing.T) {
 	drive := func(b *WriteBuffer) {
 		b.Consume(1, []int64{10, 11, 12, 13})
+		b.ConsumeRuns(2, []trace.Run{{Base: 18, Stride: 1, Count: 4}})  // straddles the edge
 		b.ConsumeRuns(2, []trace.Run{{Base: 500, Stride: 1, Count: 4}}) // outside [10, 20)
 		b.Consume(3, []int64{14, 15})                                   // evicts via ring
 		b.Flush(4)

@@ -2,8 +2,10 @@ package log
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +31,7 @@ func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 func TestEventShape(t *testing.T) {
 	var buf bytes.Buffer
 	lg := New(&buf, LevelDebug)
-	lg.Info("engine", "job done", "index", 3, "seconds", 0.25, "err", fmt.Errorf("boom"))
+	lg.Info("job done", "subsystem", "engine", "index", 3, "seconds", 0.25, "err", fmt.Errorf("boom"))
 
 	events := decodeLines(t, &buf)
 	if len(events) != 1 {
@@ -55,11 +57,11 @@ func TestEventShape(t *testing.T) {
 
 func TestFieldOrderIsStable(t *testing.T) {
 	var buf bytes.Buffer
-	New(&buf, LevelDebug).Info("core", "layer", "zebra", 1, "alpha", 2)
+	New(&buf, LevelDebug).Info("layer", "subsystem", "core", "zebra", 1, "alpha", 2)
 	line := buf.String()
 	for _, seq := range [][2]string{
-		{`"ts"`, `"level"`}, {`"level"`, `"subsystem"`}, {`"subsystem"`, `"msg"`},
-		{`"msg"`, `"zebra"`}, {`"zebra"`, `"alpha"`},
+		{`"ts"`, `"level"`}, {`"level"`, `"msg"`}, {`"msg"`, `"subsystem"`},
+		{`"subsystem"`, `"zebra"`}, {`"zebra"`, `"alpha"`},
 	} {
 		if strings.Index(line, seq[0]) >= strings.Index(line, seq[1]) {
 			t.Errorf("field %s does not precede %s in %q", seq[0], seq[1], line)
@@ -70,33 +72,38 @@ func TestFieldOrderIsStable(t *testing.T) {
 func TestLevelGate(t *testing.T) {
 	var buf bytes.Buffer
 	lg := New(&buf, LevelWarn)
-	lg.Debug("x", "dropped")
-	lg.Info("x", "dropped")
-	lg.Warn("x", "kept")
-	lg.Error("x", "kept")
+	lg.Debug("dropped")
+	lg.Info("dropped")
+	lg.Warn("kept")
+	lg.Error("kept")
 	if got := len(decodeLines(t, &buf)); got != 2 {
 		t.Fatalf("events = %d, want 2", got)
 	}
-	if lg.Enabled(LevelInfo) || !lg.Enabled(LevelError) {
+	if lg.Enabled(context.Background(), LevelInfo) || !lg.Enabled(context.Background(), LevelError) {
 		t.Error("Enabled gate wrong")
 	}
 }
 
-func TestNilLoggerIsSilent(t *testing.T) {
-	var lg *Logger
-	lg.Debug("x", "m")
-	lg.Info("x", "m")
-	lg.Warn("x", "m")
-	lg.Error("x", "m", "k", 1)
-	if lg.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
+func TestUninstalledDefaultDiscards(t *testing.T) {
+	lg := Default()
+	if lg == nil {
+		t.Fatal("Default returned nil with nothing installed")
+	}
+	lg.Debug("m")
+	lg.Info("m")
+	lg.Warn("m")
+	lg.Error("m", "k", 1)
+	if lg.Enabled(context.Background(), LevelError) {
+		t.Error("uninstalled default reports enabled")
 	}
 }
 
 func TestOddPairsAndBadKeysDegrade(t *testing.T) {
 	var buf bytes.Buffer
-	New(&buf, LevelDebug).Info("x", "m", "dangling")
-	New(&buf, LevelDebug).Info("x", "m", 42, "v")
+	// Through a slice: vet rejects these pairs written out in a call.
+	for _, kv := range [][]any{{"dangling"}, {42, "v"}} {
+		New(&buf, LevelDebug).Info("m", kv...)
+	}
 	for _, e := range decodeLines(t, &buf) { // both lines must stay valid JSON
 		if e["msg"] != "m" {
 			t.Errorf("msg lost: %v", e)
@@ -106,13 +113,37 @@ func TestOddPairsAndBadKeysDegrade(t *testing.T) {
 
 func TestEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	New(&buf, LevelDebug).Info("x", "quote\"new\nline", "k\"ey", "v\\al")
+	New(&buf, LevelDebug).Info("quote\"new\nline", "k\"ey", "v\\al")
 	events := decodeLines(t, &buf)
 	if events[0]["msg"] != "quote\"new\nline" {
 		t.Errorf("msg round-trip failed: %q", events[0]["msg"])
 	}
 	if events[0]["k\"ey"] != "v\\al" {
 		t.Errorf("key/value round-trip failed: %v", events[0])
+	}
+
+	// Control characters and invalid UTF-8 in a layer name still make a
+	// valid line; invalid bytes read back as U+FFFD.
+	for name, want := range map[string]string{
+		"fc\abell": "fc\abell", "vt\v": "vt\v", "ctl\x01": "ctl\x01",
+		"del\x7f": "del\x7f", "bad\xff": "bad\uFFFD",
+	} {
+		buf.Reset()
+		New(&buf, LevelDebug).Debug(name, "subsystem", "core", "layer", name)
+		e := decodeLines(t, &buf)[0]
+		if e["msg"] != want || e["layer"] != want {
+			t.Errorf("%q: msg %q, layer %q; want %q", name, e["msg"], e["layer"], want)
+		}
+	}
+
+	// Fields merely named like the envelope's own pass through untouched.
+	buf.Reset()
+	New(&buf, LevelDebug).Info("m", "time", 5, "level", "loud")
+	line := buf.String()
+	for _, want := range []string{`"level":"info"`, `"time":5`, `"level":"loud"`} {
+		if !strings.Contains(line, want) {
+			t.Errorf("line %q lacks %s", line, want)
+		}
 	}
 }
 
@@ -125,7 +156,7 @@ func TestConcurrentUseKeepsLinesIntact(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				lg.Debug("engine", "job", "goroutine", g, "index", i)
+				lg.Debug("job", "subsystem", "engine", "goroutine", g, "index", i)
 			}
 		}(g)
 	}
@@ -136,7 +167,7 @@ func TestConcurrentUseKeepsLinesIntact(t *testing.T) {
 }
 
 func TestParseLevel(t *testing.T) {
-	for name, want := range map[string]Level{
+	for name, want := range map[string]slog.Level{
 		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
 		"warning": LevelWarn, "error": LevelError,
 	} {
@@ -151,18 +182,21 @@ func TestParseLevel(t *testing.T) {
 }
 
 func TestDefaultInstallAndReset(t *testing.T) {
-	if Default() != nil {
-		t.Fatal("default logger should start nil")
+	if Default() != discard {
+		t.Fatal("default logger should start as the discarding one")
 	}
 	var buf bytes.Buffer
 	lg := New(&buf, LevelInfo)
 	SetDefault(lg)
-	defer SetDefault(nil)
 	if Default() != lg {
 		t.Fatal("SetDefault did not install")
 	}
-	Default().Info("x", "hello")
+	Default().Info("hello")
 	if len(decodeLines(t, &buf)) != 1 {
 		t.Fatal("default logger dropped the event")
+	}
+	SetDefault(nil)
+	if Default() != discard {
+		t.Fatal("SetDefault(nil) did not uninstall")
 	}
 }

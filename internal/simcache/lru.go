@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -164,8 +165,8 @@ func (c *Cache) evictOver(spare string) {
 		if err := os.Remove(filepath.Join(c.dir, oldest.Name)); err != nil && !os.IsNotExist(err) {
 			c.diskErrs.Add(1)
 		}
-		if lg := log.Default(); lg.Enabled(log.LevelDebug) {
-			lg.Debug("simcache", "evict", "file", oldest.Name,
+		if lg := log.Default(); lg.Enabled(context.Background(), log.LevelDebug) {
+			lg.Debug("evict", "subsystem", "simcache", "file", oldest.Name,
 				"bytes", oldest.Size, "key_sha", keyDigest(oldest.Key))
 		}
 	}

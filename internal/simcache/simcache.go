@@ -31,6 +31,7 @@
 package simcache
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -156,12 +157,12 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	} else {
 		c.misses.Add(1)
 	}
-	if lg := log.Default(); lg.Enabled(log.LevelDebug) {
+	if lg := log.Default(); lg.Enabled(context.Background(), log.LevelDebug) {
 		outcome := "miss"
 		if ok {
 			outcome = "hit"
 		}
-		lg.Debug("simcache", outcome, "key_sha", keyDigest(key))
+		lg.Debug(outcome, "subsystem", "simcache", "key_sha", keyDigest(key))
 	}
 	return e, ok
 }
@@ -236,7 +237,7 @@ func (c *Cache) load(key string) (Entry, bool) {
 	}
 	if err != nil {
 		c.diskErrs.Add(1)
-		log.Default().Warn("simcache", "corrupt cache entry",
+		log.Default().Warn("corrupt cache entry", "subsystem", "simcache",
 			"path", c.path(key), "key_sha", keyDigest(key), "reason", err.Error())
 		return Entry{}, false
 	}

@@ -609,10 +609,10 @@ func BenchmarkEngineParallel(b *testing.B) {
 // with no DRAM consumer they count misses instead of recording them, so
 // allocation is down to the residency tables — which the run plan simulates
 // for 21 of the 54 layers and recycles from one to the next. A pass that
-// allocates more than 32 MB (19 MB while the tables grow, 5 MB after; 224 MB
-// with a table set per layer) has lost the recycling and fails, and so does
-// one in which either all-miss proof, thrashing or first touch, replays no
-// word: it has stopped firing.
+// allocates more than 32 MB (19 MB in the first, while the tables grow;
+// 3.3 MB/op over ten passes; 224 MB with a table set per layer) has lost the
+// recycling and fails, and so does one in which either all-miss proof,
+// thrashing or first touch, replays no word: it has stopped firing.
 func BenchmarkResNet50Cold(b *testing.B) {
 	b.ReportAllocs()
 	rec := obsv.NewRecorder()
@@ -657,7 +657,8 @@ func requireReplayed(b *testing.B, rec *obsv.Recorder) {
 // one cache-free, single-worker pass of the BERTBase operator graph with the
 // DDR3 timing model and a 4 words/cycle link on both DRAM streams. Every
 // demand miss and write-back reaches the model and the stall analyzer as
-// runs — a replayed all-miss block's as the runs it arrived as. A pass in
+// runs — a replayed all-miss block's as the runs it arrived as. A pass that
+// allocates more than 32 MB (11 MB in the first, 3.4 MB/op over ten) or in
 // which either all-miss proof replays no word fails, as in
 // BenchmarkResNet50Cold, and so does one whose DRAM timing drifts from the
 // pinned aggregate (every Stats field summed over layers, MaxLatency and
@@ -675,11 +676,18 @@ func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		res, err := sim.SimulateGraph(g)
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+			b.Fatalf("pass %d allocated %d bytes, want at most 32 MB", i, got)
+		}
+		before = after
 		var cycles, stall int64
 		var agg dram.Stats
 		for _, l := range res.Layers {

@@ -291,9 +291,10 @@ func TestBlockMemoRandomGrid(t *testing.T) {
 }
 
 // poisonedTables is what a careless previous owner could leave behind: every
-// mark set, every ring slot full of junk, and capacities that bear no
-// relation to the next layer's — scale 0 drops a table, below 1 leaves it
-// too small for the words it has to cover, above 1 too large.
+// mark set, every ring slot full of junk, a replay queue of junk entries
+// still counted as queued, and capacities that bear no relation to the next
+// layer's — scale 0 drops a table, below 1 leaves it too small for the
+// words it has to cover, above 1 too large.
 func poisonedTables(words [3]int64, scale [3]float64) *Tables {
 	t := &Tables{}
 	for i := range t.sets {
@@ -302,6 +303,12 @@ func poisonedTables(words [3]int64, scale [3]float64) *Tables {
 		t.sets[i].ring = make([]int64, n)
 		for j := range t.sets[i].ring {
 			t.sets[i].ring[j] = -1 - int64(j)
+		}
+		q := &t.sets[i].queue
+		for j := range 1 + n%7 {
+			q.runs = append(q.runs, trace.Run{Base: -100 * (j + 1), Stride: 1, Count: j + 1})
+			q.batches = append(q.batches, batch{off: int(j), n: 1, words: j + 1, step: -3, times: 2})
+			q.words += 2 * (j + 1)
 		}
 	}
 	return t
@@ -712,6 +719,18 @@ func TestFirstTouchMemoInvalidation(t *testing.T) {
 		g.loose(seq(0, 1))
 		g.region(0, 64)
 		g.expect([]verdict{g.block(A)}, byScan)
+	})
+	t.Run("replay before the region", func(t *testing.T) {
+		g := newMissRig(t)
+		// The first touch is only queued, the ring still empty: the region
+		// declared after it must be ignored all the same, or the queued
+		// words would be indexed into a table that does not cover them.
+		g.expect([]verdict{g.block(seq(100, 4))}, byFirstTouch)
+		g.region(0, 64)
+		g.expect([]verdict{g.block(seq(100, 4))}, byScan)
+		if g.b.set.dense {
+			t.Error("a region declared after traffic took effect")
+		}
 	})
 	t.Run("hull outside the dense table", func(t *testing.T) {
 		g := newMissRig(t)

@@ -57,10 +57,11 @@ type fifoSet struct {
 	marks []byte
 
 	probe *probeSet
-	// stale is set while the ring holds words that overwrite put there
-	// without marking them: the index is rebuilt by reindex before it is
-	// next read.
+	// stale is set while words that overwrite inserted are unmarked: they
+	// wait in queue, behind the ring, and reindex writes them into the ring
+	// and rebuilds the index before it is next read.
 	stale bool
+	queue replayQueue
 
 	// fallbacks counts dense-table aborts: accesses outside the declared
 	// region migrate the set to the probe table instead of crashing the
@@ -78,7 +79,7 @@ func newFIFOSet(capacity int64) *fifoSet { return &fifoSet{capacity: capacity} }
 // arrives empty and the marks are cleared over the region here, so whatever
 // the previous owner left in either is never read.
 func (f *fifoSet) setRegion(base, words int64) {
-	if words < 1 || len(f.ring) > 0 {
+	if words < 1 || f.len() > 0 {
 		return
 	}
 	// At most one slot per distinct address is ever occupied.
@@ -226,14 +227,22 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record boo
 	return drained, drainWords
 }
 
-// overwrite inserts a run of addresses known to miss — none resident, none
-// repeated — into the ring: free slots first, then each over the oldest
-// slot. It leaves the residency index stale rather than marking them: the
-// caller has proven the whole block misses, so nothing reads the index
-// until reindex rebuilds it. Only the run's last capacity words can survive
-// it. It returns the evictions, max(0, len+words-capacity).
-func (f *fifoSet) overwrite(r trace.Run) (evictions int64) {
+// overwrite inserts a batch of runs, words > 0 in total, known to miss —
+// none resident, none repeated — behind the ring's words. It queues the
+// batch rather than writing it, and leaves the residency index stale: the
+// caller has proven the whole block misses, so nothing reads the ring or the
+// index until reindex writes the queue out and rebuilds the index. It
+// returns the evictions, max(0, len+words-capacity).
+func (f *fifoSet) overwrite(runs []trace.Run, words int64) (evictions int64) {
 	f.stale = true
+	evictions = max(0, int64(f.len())+words-f.capacity)
+	f.queue.push(runs, words, f.capacity)
+	return evictions
+}
+
+// write inserts a run into the ring: free slots first, then each over the
+// oldest slot. Only the run's last capacity words can survive it.
+func (f *fifoSet) write(r trace.Run) {
 	a, left := r.Base, r.Count
 	if free := f.capacity - int64(len(f.ring)); free > 0 {
 		k, n := int(min(free, left)), len(f.ring)
@@ -241,7 +250,6 @@ func (f *fifoSet) overwrite(r trace.Run) (evictions int64) {
 		a = fill(f.ring[n:], a, r.Stride)
 		left -= int64(k)
 	}
-	evictions = left
 	n := int64(len(f.ring))
 	if left > n {
 		a += (left - n) * r.Stride
@@ -256,7 +264,6 @@ func (f *fifoSet) overwrite(r trace.Run) (evictions int64) {
 			f.head = 0
 		}
 	}
-	return evictions
 }
 
 // fill writes the progression a, a+stride, ... into s and returns the
@@ -269,14 +276,35 @@ func fill(s []int64, a, stride int64) int64 {
 	return a
 }
 
-// reindex rebuilds a stale residency index from the ring, which holds
-// exactly the resident set: one clear, then one mark per slot. Every ring
-// address of a dense set is in-region — overwrite replays a stream the dense
-// table already accepted, or a first touch whose declared hull it covers
-// (see ReadBuffer.BeginBlock). A probe table that no
-// insertion has built yet (overwrite was the first traffic) is built here.
+// flushQueue writes the queued batches into the ring, oldest first. When
+// the queued words alone fill the set, everything in the ring is displaced
+// and it restarts empty.
+func (f *fifoSet) flushQueue() {
+	q := &f.queue
+	if q.words >= f.capacity {
+		f.ring, f.head = f.ring[:0], 0
+	}
+	for _, b := range q.batches[q.head:] {
+		for j := b.first; j < b.times; j++ {
+			for _, r := range q.runs[b.off : b.off+b.n] {
+				r.Base += j * b.step
+				f.write(r)
+			}
+		}
+	}
+	q.clear()
+}
+
+// reindex writes the queue into the ring and rebuilds the stale residency
+// index from it, since the ring then holds exactly the resident set: one
+// clear, then one mark per slot. Every ring address of a dense set is
+// in-region — overwrite replays a stream the dense table already accepted,
+// or a first touch whose declared hull it covers (see ReadBuffer.BeginBlock).
+// A probe table that no insertion has built yet (overwrite was the first
+// traffic) is built here.
 func (f *fifoSet) reindex() {
 	f.stale = false
+	f.flushQueue()
 	if f.dense {
 		clear(f.marks)
 		for _, a := range f.ring {
@@ -289,6 +317,97 @@ func (f *fifoSet) reindex() {
 	for _, a := range f.ring {
 		p.insert(a)
 	}
+}
+
+// replayQueue holds the batches overwrite inserted since the ring was last
+// written, oldest first, with the runs they carry. Consecutive batches that
+// repeat one another shifted share one entry, and words no later reindex can
+// see are dropped as they are displaced, so the queue costs O(batches) to
+// fill and never holds much more than the set's capacity in words.
+type replayQueue struct {
+	// batches[head:] are the live entries; runs holds their runs, and the
+	// dead entries' below the first live one's until compaction.
+	batches []batch
+	head    int
+	runs    []trace.Run
+	// words counts the live words, every live copy of every entry.
+	words int64
+}
+
+// batch is one queue entry: copy j, for first <= j < times, is the runs
+// runs[off:off+n] with every base moved by j·step, words words in all.
+type batch struct {
+	off, n       int
+	words, step  int64
+	first, times int64
+}
+
+// push appends a batch of runs, words in total, to a queue behind a set of
+// the given capacity, joining the last entry when the batch is its last
+// copy shifted by its step (by any step while it has one copy). It then
+// drops every leading copy that capacity queued words displace.
+func (q *replayQueue) push(runs []trace.Run, words, capacity int64) {
+	if q.head == len(q.batches) || !q.extend(&q.batches[len(q.batches)-1], runs) {
+		q.batches = append(q.batches, batch{off: len(q.runs), n: len(runs), words: words, times: 1})
+		q.runs = append(q.runs, runs...)
+	}
+	q.words += words
+	for q.head < len(q.batches) {
+		b := &q.batches[q.head]
+		excess := q.words - capacity // the leading words displaced
+		if excess < b.words {
+			break
+		}
+		drop := int64(1) // a push displaces one copy at a time in steady state: no division
+		if excess >= 2*b.words {
+			drop = excess / b.words
+		}
+		drop = min(drop, b.times-b.first)
+		b.first += drop
+		q.words -= drop * b.words
+		if b.first < b.times {
+			break
+		}
+		q.head++
+	}
+	// Compact once the dead runs outnumber the live ones: a copy costs
+	// O(live), paid for by the drops since the last one.
+	if dead := q.batches[q.head].off; 2*dead >= len(q.runs) {
+		q.runs = q.runs[:copy(q.runs, q.runs[dead:])]
+		q.batches = q.batches[:copy(q.batches, q.batches[q.head:])]
+		for i := range q.batches {
+			q.batches[i].off -= dead
+		}
+		q.head = 0
+	}
+}
+
+// extend adds runs to b as its next copy if they are b's last copy shifted
+// by b's step, or by any step while b has one copy.
+func (q *replayQueue) extend(b *batch, runs []trace.Run) bool {
+	if len(runs) != b.n {
+		return false
+	}
+	prev := q.runs[b.off : b.off+b.n]
+	d := runs[0].Base - prev[0].Base // copy b.times moves every base by d
+	if b.times > 1 && d != b.times*b.step {
+		return false
+	}
+	for i, r := range runs {
+		if p := prev[i]; r.Stride != p.Stride || r.Count != p.Count || r.Base-p.Base != d {
+			return false
+		}
+	}
+	if b.times == 1 {
+		b.step = d
+	}
+	b.times++
+	return true
+}
+
+// clear empties the queue, keeping its storage.
+func (q *replayQueue) clear() {
+	q.batches, q.runs, q.head, q.words = q.batches[:0], q.runs[:0], 0, 0
 }
 
 // insert adds addr to a set indexed by the probe table (see useProbe),
@@ -315,6 +434,7 @@ func (f *fifoSet) insert(addr int64) (evicted int64, didEvict bool) {
 // addresses onto dst in FIFO order: the ring from head to its end, then the
 // wrapped part.
 func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
+	f.flushQueue()
 	if record {
 		for _, seg := range [2][]int64{f.ring[f.head:], f.ring[:f.head]} {
 			for _, a := range seg {
@@ -332,7 +452,8 @@ func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
 	return dst
 }
 
-func (f *fifoSet) len() int { return len(f.ring) }
+// len returns the number of resident words, queued ones included.
+func (f *fifoSet) len() int { return int(min(f.capacity, int64(len(f.ring))+f.queue.words)) }
 
 // blockMemo is the buffers' trace.BlockConsumer state: for each operand
 // block, what its last complete stream proved about the next one. One entry
@@ -662,13 +783,13 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 
 // replay streams a batch of a block proven all-miss: every word is a miss,
 // so the arriving runs are the demand stream — the runs the streak scan
-// would emit — the counters move by arithmetic, and the words go into the
-// ring only.
+// would emit — the counters move by arithmetic, and the batch is queued
+// behind the ring (see overwrite).
 func (b *ReadBuffer) replay(cycle int64, runs []trace.Run, words int64) {
+	b.Evictions += b.set.overwrite(runs, words)
 	misses := b.runBuf[:0]
-	for _, r := range runs {
-		b.Evictions += b.set.overwrite(r)
-		if b.record {
+	if b.record {
+		for _, r := range runs {
 			misses = trace.AppendRun(misses, r.Base, r.Stride, r.Count)
 		}
 	}

@@ -31,8 +31,9 @@ type Options struct {
 	// "memory.blocks_thrashed" / "memory.words_thrashed" (proven to miss on
 	// every word because the last stream's words are evicted) and
 	// "memory.blocks_first_touch" / "memory.words_first_touch" (proven to
-	// miss on every word because none was ever inserted), both replayed into
-	// the ring rather than scanned.
+	// miss on every word because none was ever inserted), both replayed
+	// rather than scanned: queued behind the ring, which is written only
+	// when a later scan reads it.
 	Metrics *obsv.Registry
 }
 
@@ -101,7 +102,7 @@ func (s *System) SetRegions(ifBase, ifWords, flBase, flWords, ofBase, ofWords in
 }
 
 // Tables is the residency storage of one System — each buffer's FIFO ring,
-// direct-mapped marks table and block memo — detached so that a caller
+// replay queue, direct-mapped marks table and block memo — detached so that a caller
 // simulating many layers can hand one layer's storage to the next instead
 // of allocating (and zeroing) megabytes per layer. Only capacity travels: a
 // System reads nothing a previous owner wrote, so results cannot depend
@@ -110,6 +111,7 @@ type Tables struct {
 	sets [3]struct {
 		ring  []int64
 		marks []byte
+		queue replayQueue
 		memo  blockTables
 	}
 }
@@ -128,7 +130,8 @@ func (s *System) memos() [3]*blockMemo {
 // there. t must not be used again.
 func (s *System) Adopt(t *Tables) {
 	for i, f := range s.sets() {
-		f.ring, f.marks = t.sets[i].ring[:0], t.sets[i].marks[:0]
+		f.ring, f.marks, f.queue = t.sets[i].ring[:0], t.sets[i].marks[:0], t.sets[i].queue
+		f.queue.clear()
 	}
 	for i, m := range s.memos() {
 		m.blockTables = t.sets[i].memo.cleared()
@@ -141,8 +144,8 @@ func (s *System) Adopt(t *Tables) {
 func (s *System) Release() *Tables {
 	t := &Tables{}
 	for i, f := range s.sets() {
-		t.sets[i].ring, t.sets[i].marks = f.ring, f.marks
-		f.ring, f.marks, f.dense, f.head, f.stale = nil, nil, false, 0, false
+		t.sets[i].ring, t.sets[i].marks, t.sets[i].queue = f.ring, f.marks, f.queue
+		f.ring, f.marks, f.queue, f.dense, f.head, f.stale = nil, nil, replayQueue{}, false, 0, false
 	}
 	for i, m := range s.memos() {
 		t.sets[i].memo, m.blockTables = m.blockTables, blockTables{}

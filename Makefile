@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench smoke bench-check profile prof-cycles fuzz figures figures-check examples lint-structure reach clean
+.PHONY: all build vet test race bench smoke bench-check bench-paper profile prof-cycles fuzz figures figures-check examples lint-structure reach clean
 
 all: build vet test
 
@@ -37,6 +37,11 @@ smoke:
 bench-check:
 	$(GO) run ./bench -workload resnet50_cold -seconds 5
 	$(GO) run ./bench -workload bertbase_dram_cold -seconds 5
+
+# The paper-size cold path (Table IV's language models, ~7 s a pass):
+# fails on drifted cycles or memory counters, or above 128 MB a pass.
+bench-paper:
+	$(GO) test -run XXX -bench 'BenchmarkLanguageModelsCold$$' -benchtime 2x -benchmem .
 
 # CPU-profile the Table IV benchmark; inspect with
 # `go tool pprof results/profile.pb.gz`.

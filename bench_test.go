@@ -641,8 +641,9 @@ func BenchmarkResNet50Cold(b *testing.B) {
 }
 
 // requireReplayed fails a cold benchmark whose buffers replayed no block
-// proven all-miss by thrashing, or none by first touch, and reports the
-// replayed words per pass.
+// proven all-miss by thrashing, or none by first touch, or took no sweep of
+// such a block whole, and reports the replayed words and the calls taken
+// in sweeps per pass.
 func requireReplayed(b *testing.B, rec *obsv.Recorder) {
 	for _, proof := range []string{"thrashed", "first_touch"} {
 		words := rec.Metrics().Counter("memory.words_" + proof).Value()
@@ -651,6 +652,59 @@ func requireReplayed(b *testing.B, rec *obsv.Recorder) {
 		}
 		b.ReportMetric(float64(words)/float64(b.N), proof+"-words/op")
 	}
+	calls := rec.Metrics().Counter("memory.sweep_calls").Value()
+	if rec.Metrics().Counter("memory.sweeps").Value() == 0 || calls == 0 {
+		b.Fatal("memory.sweeps = 0: no sweep of a replayed block was taken whole")
+	}
+	b.ReportMetric(float64(calls)/float64(b.N), "sweep-calls/op")
+}
+
+// BenchmarkLanguageModelsCold is the paper-size cold path: one sink-free,
+// cache-free, single-worker pass of Table IV's language-model GEMMs at
+// their built-in sizes, the before/after for every change to the memory
+// system's shortcuts. Every pass must give the pinned total cycles and
+// memory counters — its skipped, thrashed and first-touch words, and no
+// region fallback — and allocate at most 128 MB (about 40 MB in a pass
+// that recycles its tables).
+func BenchmarkLanguageModelsCold(b *testing.B) {
+	b.ReportAllocs()
+	rec := obsv.NewRecorder()
+	sim, err := core.New(config.New(), core.Options{Workers: 1, Obs: rec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo := topology.LanguageModels()
+	pinned := map[string]int64{
+		"memory.words_thrashed":    2032214016,
+		"memory.words_first_touch": 132663468,
+		"memory.words_skipped":     2277581652,
+		"memory.region_fallbacks":  0,
+	}
+	last := map[string]int64{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Simulate(topo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TotalCycles != 79830774 {
+			b.Fatalf("LanguageModels cycles = %d", res.TotalCycles)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 128<<20 {
+			b.Fatalf("pass %d allocated %d bytes, want at most 128 MB", i, got)
+		}
+		before = after
+		for name, want := range pinned {
+			v := rec.Metrics().Counter(name).Value()
+			if got := v - last[name]; got != want {
+				b.Fatalf("pass %d: %s = %d, want %d", i, name, got, want)
+			}
+			last[name] = v
+		}
+	}
+	b.ReportMetric(float64(rec.Metrics().Counter("memory.sweep_calls").Value())/float64(b.N), "sweep-calls/op")
 }
 
 // BenchmarkBERTBaseDRAMCold is the cold path with the DRAM side attached:

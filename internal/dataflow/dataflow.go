@@ -97,6 +97,9 @@ type Addressing struct {
 	wAffine bool  // window axis: OfmapW == 1 or IfmapW == OfmapW
 	wSlope  int64 // global window-axis slope when wAffine
 	eAffine bool  // elem axis: single-row window or IfmapW == FilterW
+	// wWrap and eWrap are how much further an OFMAP-row and a window-row
+	// wrap jump than an in-row step of the same axis.
+	wWrap, eWrap int64
 }
 
 // NewAddressing builds an address generator for a layer.
@@ -125,6 +128,8 @@ func NewAddressing(l topology.Layer, off Offsets) *Addressing {
 	// IfmapW == FilterW the window-row wrap jump IfmapW*Channels-windowW+1
 	// equals the in-row step 1.
 	a.eAffine = a.window == a.windowW || a.ifmapW*a.chans == a.windowW
+	a.wWrap = a.strideC * (a.ifmapW - a.ofmapW)
+	a.eWrap = a.ifmapW*a.chans - a.windowW
 	return a
 }
 
@@ -132,15 +137,27 @@ func NewAddressing(l topology.Layer, off Offsets) *Addressing {
 // convolution window number window (in [0, NumOfmapPx)). Windows are
 // numbered row-major over the OFMAP; elements row-major over (r, s, c).
 func (a *Addressing) IfmapElem(window, elem int64) int64 {
-	oh := window / a.ofmapW
-	ow := window % a.ofmapW
-	r := elem / a.windowW
-	rem := elem % a.windowW
-	s := rem / a.chans
-	c := rem % a.chans
-	h := oh*int64(a.layer.Stride) + r
-	w := ow*int64(a.layer.Stride) + s
-	return (h*a.ifmapW+w)*a.chans + c + a.off.Ifmap
+	addr, _, _ := a.ifmapAt(window, elem)
+	return addr
+}
+
+// ifmapAt returns IfmapElem(window, elem), the window's column ow in its
+// OFMAP row and the element's position rem = s*Channels+c in its window
+// row. With oh and r the OFMAP row and window row, the address
+// ((oh*Stride+r)*IfmapW + ow*Stride+s)*Channels + c splits into a window
+// part and an element part; an axis the layout makes globally affine
+// needs no division, and reports position 0.
+func (a *Addressing) ifmapAt(window, elem int64) (addr, ow, rem int64) {
+	wPart, ePart := a.wSlope*window, elem
+	if !a.wAffine {
+		ow = window % a.ofmapW
+		wPart = a.strideC * (window/a.ofmapW*a.ifmapW + ow)
+	}
+	if !a.eAffine {
+		rem = elem % a.windowW
+		ePart = elem/a.windowW*a.ifmapW*a.chans + rem
+	}
+	return wPart + ePart + a.off.Ifmap, ow, rem
 }
 
 // FilterElem returns the address of element elem of filter f.

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math"
 
 	"scalesim/internal/config"
 	"scalesim/internal/trace"
@@ -33,7 +34,9 @@ import (
 // [0, n), with dw and de in {-1, 0, +1}. Axes the layout makes globally
 // affine (wAffine/eAffine) are not segmented at all, so degenerate shapes
 // like GEMM layers cost one IfmapElem call per wavefront instead of one per
-// wrap.
+// wrap. Along a segmented axis the walk keeps the in-row position and moves
+// the base by arithmetic: a segment ends where the next step wraps, and a
+// wrap adds its jump's excess over the in-row step (wWrap, eWrap).
 func (a *Addressing) IfmapRuns(w0, dw, e0, de, n int64, dst []trace.Run) []trace.Run {
 	wS := a.strideC
 	capW := dw != 0 && !a.wAffine
@@ -42,32 +45,82 @@ func (a *Addressing) IfmapRuns(w0, dw, e0, de, n int64, dst []trace.Run) []trace
 	}
 	capE := de != 0 && !a.eAffine
 	slope := dw*wS + de
+	base, ow, rem := a.ifmapAt(w0, e0) // ow, rem: positions in the rows
 	if !capW && !capE {
-		return trace.AppendRun(dst, a.IfmapElem(w0, e0), slope, n)
+		return trace.AppendRun(dst, base, slope, n)
 	}
 	for k := int64(0); k < n; {
-		w := w0 + k*dw
-		e := e0 + k*de
 		seg := n - k
 		// Next oh or r change bounds the affine segment.
 		if capW {
 			if dw > 0 {
-				seg = min(seg, a.ofmapW-w%a.ofmapW)
+				seg = min(seg, a.ofmapW-ow)
 			} else {
-				seg = min(seg, w%a.ofmapW+1)
+				seg = min(seg, ow+1)
 			}
 		}
 		if capE {
 			if de > 0 {
-				seg = min(seg, a.windowW-e%a.windowW)
+				seg = min(seg, a.windowW-rem)
 			} else {
-				seg = min(seg, e%a.windowW+1)
+				seg = min(seg, rem+1)
 			}
 		}
-		dst = trace.AppendRun(dst, a.IfmapElem(w, e), slope, seg)
+		dst = trace.AppendRun(dst, base, slope, seg)
 		k += seg
+		base += seg * slope
+		if capW {
+			if ow += seg * dw; ow == a.ofmapW || ow < 0 {
+				ow -= dw * a.ofmapW
+				base += dw * a.wWrap
+			}
+		}
+		if capE {
+			if rem += seg * de; rem == a.windowW || rem < 0 {
+				rem -= de * a.windowW
+				base += de * a.eWrap
+			}
+		}
 	}
 	return dst
+}
+
+// ifmapSweep counts the slices, from IfmapRuns(w0, dw, e0, de, n) on, that
+// are that slice with every base moved by j·step, when each next slice moves
+// every window (alongW) or every element one further. Along an axis the
+// layout makes globally affine that is every slice. Along any other, a
+// slice whose coordinates lie in one row keeps its runs, split for split,
+// until the next row wrap enters it; a slice that straddles a wrap is only
+// itself (times 1).
+func (a *Addressing) ifmapSweep(w0, dw, e0, de, n int64, alongW bool) (step, times int64) {
+	x0, dx, period, step, affine := e0, de, a.windowW, int64(1), a.eAffine
+	if alongW {
+		x0, dx, period, step, affine = w0, dw, a.ofmapW, a.strideC, a.wAffine
+		if affine {
+			step = a.wSlope
+		}
+	}
+	if affine {
+		return step, math.MaxInt64
+	}
+	lo, hi := x0, x0+(n-1)*dx
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if lo/period != hi/period {
+		return 0, 1
+	}
+	return step, period - hi%period
+}
+
+// filterSweep is ifmapSweep for FilterRuns, whose layout is globally
+// affine: moving every filter one further shifts by a window, moving every
+// element by one word.
+func (a *Addressing) filterSweep(alongF bool) (step, times int64) {
+	if alongF {
+		return a.window, math.MaxInt64
+	}
+	return 1, math.MaxInt64
 }
 
 // FilterRuns appends the single run covering FilterElem(f0+k*df, e0+k*de)
@@ -104,6 +157,46 @@ func (mp *Mapper) ColStreamRuns(j, t, n int64, dst []trace.Run) []trace.Run {
 		panic(fmt.Sprintf("dataflow: %v streams no top-edge operand", mp.m.Dataflow))
 	}
 	return mp.addr.FilterRuns(j, 1, t, -1, n, dst)
+}
+
+// RowStreamSweep returns how many wavefront slices, from RowStreamRuns(i,
+// t, n) on, keep that slice's runs shifted by j·step: slice j moves every
+// row one further (alongRows, the steady state of a block with more rows
+// than temporal steps) or every temporal step one further (the steady state
+// otherwise). The count runs to the next IFMAP window-row or OFMAP-row wrap
+// entering the slice; the filter axes never wrap.
+func (mp *Mapper) RowStreamSweep(i, t, n int64, alongRows bool) (step, times int64) {
+	switch mp.m.Dataflow {
+	case config.OutputStationary:
+		return mp.addr.ifmapSweep(i, 1, t, -1, n, alongRows)
+	case config.WeightStationary:
+		return mp.addr.ifmapSweep(t, -1, i, 1, n, !alongRows)
+	case config.InputStationary:
+		return mp.addr.filterSweep(!alongRows)
+	}
+	panic(fmt.Sprintf("dataflow: unknown dataflow %v", mp.m.Dataflow))
+}
+
+// ColStreamSweep is RowStreamSweep for ColStreamRuns, moving every column
+// (alongCols) or every temporal step one further: the filter layout is
+// globally affine. Only valid for the OS dataflow.
+func (mp *Mapper) ColStreamSweep(alongCols bool) (step, times int64) {
+	if mp.m.Dataflow != config.OutputStationary {
+		panic(fmt.Sprintf("dataflow: %v streams no top-edge operand", mp.m.Dataflow))
+	}
+	return mp.addr.filterSweep(alongCols)
+}
+
+// OutputSweep is RowStreamSweep for the output wavefront OutputRuns(t, -1,
+// j, 1, n) of the WS and IS dataflows, moving every column (alongCols) or
+// every temporal step one further: the OFMAP layout is globally affine.
+func (mp *Mapper) OutputSweep(alongCols bool) (step, times int64) {
+	// Output (a, b) is OFMAP pixel a, filter b under WS and the reverse
+	// under IS; a step along the pixel axis moves by a row of filters.
+	if alongCols == (mp.m.Dataflow == config.InputStationary) {
+		return mp.addr.filters, math.MaxInt64
+	}
+	return 1, math.MaxInt64
 }
 
 // RowBlock declares the left-edge operand block of spatial rows [off,

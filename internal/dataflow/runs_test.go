@@ -259,3 +259,78 @@ func TestRunsCompression(t *testing.T) {
 		t.Errorf("conv wavefront: %d runs for %d elements, want <= %d", len(runs), n, bound)
 	}
 }
+
+// layoutIfmapElem is IfmapElem from the layout's coordinates: the IFMAP
+// (h, w, c) the element of the window touches, row-major.
+func layoutIfmapElem(a *Addressing, w, e int64) int64 {
+	l := a.layer
+	ofmapW, windowW, c := int64(l.OfmapW()), int64(l.FilterW)*int64(l.Channels), int64(l.Channels)
+	h := (w/ofmapW)*int64(l.Stride) + e/windowW
+	x := (w%ofmapW)*int64(l.Stride) + (e%windowW)/c
+	return (h*int64(l.IfmapW)+x)*c + e%c + a.off.Ifmap
+}
+
+// segmentedIfmapRuns is IfmapRuns as a per-segment reference: every segment
+// ends at the next OFMAP-row or window-row change on a segmented axis, and
+// its base is the address of its first element, computed from the layout's
+// coordinates with no carried state.
+func segmentedIfmapRuns(a *Addressing, w0, dw, e0, de, n int64) []trace.Run {
+	ofmapW, windowW := int64(a.layer.OfmapW()), int64(a.layer.FilterW)*int64(a.layer.Channels)
+	elem := func(w, e int64) int64 { return layoutIfmapElem(a, w, e) }
+	var runs []trace.Run
+	for k := int64(0); k < n; {
+		w, e := w0+k*dw, e0+k*de
+		seg := int64(1)
+		for k+seg < n {
+			w1, e1 := w+seg*dw, e+seg*de
+			if (!a.wAffine && w1/ofmapW != w/ofmapW) || (!a.eAffine && e1/windowW != e/windowW) {
+				break
+			}
+			seg++
+		}
+		slope := elem(w+dw, e+de) - elem(w, e)
+		if seg == 1 {
+			slope = dw*a.strideC + de
+			if a.wAffine && dw != 0 {
+				slope = dw*a.wSlope + de
+			}
+		}
+		runs = trace.AppendRun(runs, elem(w, e), slope, seg)
+		k += seg
+	}
+	return runs
+}
+
+// TestIfmapRunsMatchSegments pins IfmapRuns' carried arithmetic run for run
+// — same split, counts and strides, not only the same addresses — against
+// the per-segment reference, over random slices of random layers in every
+// direction a wavefront walks; and IfmapElem against the layout.
+func TestIfmapRunsMatchSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 300; i++ {
+		l := declarationLayer(rng, i%5)
+		a := NewAddressing(l, Offsets{Ifmap: 100})
+		windows, elems := l.NumOfmapPx(), l.WindowSize()
+		for k := 0; k < 20; k++ {
+			dw, de := rng.Int63n(3)-1, rng.Int63n(3)-1
+			w0, e0 := rng.Int63n(windows), rng.Int63n(elems)
+			if got, want := a.IfmapElem(w0, e0), layoutIfmapElem(a, w0, e0); got != want {
+				t.Fatalf("%+v: IfmapElem(%d, %d) = %d, layout %d", l, w0, e0, got, want)
+			}
+			n := 1 + rng.Int63n(40)
+			for _, lim := range []struct{ d, x, size int64 }{{dw, w0, windows}, {de, e0, elems}} {
+				switch lim.d {
+				case 1:
+					n = min(n, lim.size-lim.x)
+				case -1:
+					n = min(n, lim.x+1)
+				}
+			}
+			got := a.IfmapRuns(w0, dw, e0, de, n, nil)
+			want := segmentedIfmapRuns(a, w0, dw, e0, de, n)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%+v: IfmapRuns(%d, %d, %d, %d, %d) = %v, segments %v", l, w0, dw, e0, de, n, got, want)
+			}
+		}
+	}
+}

@@ -87,7 +87,8 @@ func (f *fifoSet) setRegion(base, words int64) {
 		f.ring = make([]int64, 0, need)
 	}
 	if words > denseLimitWords {
-		return // the probe table, built by useProbe
+		f.dense = false // the probe table, built by useProbe
+		return
 	}
 	f.dense = true
 	f.base = base
@@ -227,16 +228,16 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record boo
 	return drained, drainWords
 }
 
-// overwrite inserts a batch of runs, words > 0 in total, known to miss —
+// overwrite inserts the calls of a sweep, words > 0 in each, known to miss —
 // none resident, none repeated — behind the ring's words. It queues the
-// batch rather than writing it, and leaves the residency index stale: the
+// sweep rather than writing it, and leaves the residency index stale: the
 // caller has proven the whole block misses, so nothing reads the ring or the
 // index until reindex writes the queue out and rebuilds the index. It
-// returns the evictions, max(0, len+words-capacity).
-func (f *fifoSet) overwrite(runs []trace.Run, words int64) (evictions int64) {
+// returns the evictions, max(0, len+times·words-capacity).
+func (f *fifoSet) overwrite(s trace.Sweep, words int64) (evictions int64) {
 	f.stale = true
-	evictions = max(0, int64(f.len())+words-f.capacity)
-	f.queue.push(runs, words, f.capacity)
+	evictions = max(0, int64(f.len())+s.Times*words-f.capacity)
+	f.queue.push(s, words, f.capacity)
 	return evictions
 }
 
@@ -319,11 +320,12 @@ func (f *fifoSet) reindex() {
 	}
 }
 
-// replayQueue holds the batches overwrite inserted since the ring was last
-// written, oldest first, with the runs they carry. Consecutive batches that
-// repeat one another shifted share one entry, and words no later reindex can
-// see are dropped as they are displaced, so the queue costs O(batches) to
-// fill and never holds much more than the set's capacity in words.
+// replayQueue holds the sweeps overwrite inserted since the ring was last
+// written, oldest first, with the runs they carry. A sweep is one entry
+// however many calls it stands for, consecutive calls that repeat one
+// another shifted share one entry too, and words no later reindex can see
+// are dropped as they are displaced, so the queue costs O(sweeps) to fill
+// and never holds much more than the set's capacity in words.
 type replayQueue struct {
 	// batches[head:] are the live entries; runs holds their runs, and the
 	// dead entries' below the first live one's until compaction.
@@ -342,23 +344,23 @@ type batch struct {
 	first, times int64
 }
 
-// push appends a batch of runs, words in total, to a queue behind a set of
-// the given capacity, joining the last entry when the batch is its last
-// copy shifted by its step (by any step while it has one copy). It then
-// drops every leading copy that capacity queued words displace.
-func (q *replayQueue) push(runs []trace.Run, words, capacity int64) {
-	if q.head == len(q.batches) || !q.extend(&q.batches[len(q.batches)-1], runs) {
-		q.batches = append(q.batches, batch{off: len(q.runs), n: len(runs), words: words, times: 1})
-		q.runs = append(q.runs, runs...)
+// push appends a sweep, words in each call, to a queue behind a set of the
+// given capacity, joining the last entry when the sweep continues it (see
+// extend). It then drops every leading copy that capacity queued words
+// displace.
+func (q *replayQueue) push(s trace.Sweep, words, capacity int64) {
+	if q.head == len(q.batches) || !q.extend(&q.batches[len(q.batches)-1], s) {
+		q.batches = append(q.batches, batch{off: len(q.runs), n: len(s.Runs), words: words, step: s.Step, times: s.Times})
+		q.runs = append(q.runs, s.Runs...)
 	}
-	q.words += words
+	q.words += s.Times * words
 	for q.head < len(q.batches) {
 		b := &q.batches[q.head]
 		excess := q.words - capacity // the leading words displaced
 		if excess < b.words {
 			break
 		}
-		drop := int64(1) // a push displaces one copy at a time in steady state: no division
+		drop := int64(1) // a call displaces one copy at a time in steady state: no division
 		if excess >= 2*b.words {
 			drop = excess / b.words
 		}
@@ -382,26 +384,29 @@ func (q *replayQueue) push(runs []trace.Run, words, capacity int64) {
 	}
 }
 
-// extend adds runs to b as its next copy if they are b's last copy shifted
-// by b's step, or by any step while b has one copy.
-func (q *replayQueue) extend(b *batch, runs []trace.Run) bool {
-	if len(runs) != b.n {
+// extend adds the sweep's calls to b as its next copies if its first call
+// is b's last copy shifted by b's step (by any step while b has one copy)
+// and any later call moves by that step too.
+func (q *replayQueue) extend(b *batch, s trace.Sweep) bool {
+	if len(s.Runs) != b.n {
 		return false
 	}
 	prev := q.runs[b.off : b.off+b.n]
-	d := runs[0].Base - prev[0].Base // copy b.times moves every base by d
-	if b.times > 1 && d != b.times*b.step {
+	d := s.Runs[0].Base - prev[0].Base // copy b.times moves every base by d
+	step := b.step
+	if b.times == 1 {
+		step = d
+	}
+	if d != b.times*step || (s.Times > 1 && s.Step != step) {
 		return false
 	}
-	for i, r := range runs {
+	for i, r := range s.Runs {
 		if p := prev[i]; r.Stride != p.Stride || r.Count != p.Count || r.Base-p.Base != d {
 			return false
 		}
 	}
-	if b.times == 1 {
-		b.step = d
-	}
-	b.times++
+	b.step = step
+	b.times += s.Times
 	return true
 }
 
@@ -665,6 +670,9 @@ type buffer struct {
 	record bool
 	meter  *trace.BandwidthMeter
 	runBuf []trace.Run
+	// sweeps counts the sweeps taken whole, and the calls they stand for
+	// (nil-safe obsv counters).
+	sweeps blockCounters
 }
 
 // newBuffer validates the nominal capacity and halves it for double
@@ -695,9 +703,23 @@ func (b *buffer) RegionFallbacks() int64 { return b.set.fallbacks }
 // forward hands one cycle's DRAM traffic, runBuf with words in total, to
 // the DRAM trace and the bandwidth meter.
 func (b *buffer) forward(cycle, words int64) {
-	b.dram.ConsumeRuns(cycle, b.runBuf)
+	if b.record {
+		b.dram.ConsumeRuns(cycle, b.runBuf)
+	}
 	if b.meter != nil {
 		b.meter.Add(cycle, words)
+	}
+}
+
+// forwardSweep hands times cycles' DRAM traffic from cycle on — runBuf, with
+// words in total, moved by step each cycle — to the DRAM trace, call by
+// call, and to the bandwidth meter, window by window.
+func (b *buffer) forwardSweep(cycle, words, step, times int64) {
+	if b.record {
+		trace.Sweep{Cycle: cycle, Runs: b.runBuf, Step: step, Times: times}.Unroll(b.dram)
+	}
+	if b.meter != nil {
+		b.meter.AddSweep(cycle, words, times)
 	}
 }
 
@@ -743,7 +765,7 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 	b.SRAMReads += words
 	if b.memo.replay {
-		b.replay(cycle, runs, words)
+		b.replay(trace.Sweep{Cycle: cycle, Runs: runs, Times: 1}, words)
 		return
 	}
 	if !b.memo.open {
@@ -781,21 +803,35 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 }
 
-// replay streams a batch of a block proven all-miss: every word is a miss,
-// so the arriving runs are the demand stream — the runs the streak scan
-// would emit — the counters move by arithmetic, and the batch is queued
-// behind the ring (see overwrite).
-func (b *ReadBuffer) replay(cycle int64, runs []trace.Run, words int64) {
-	b.Evictions += b.set.overwrite(runs, words)
+// ConsumeSweep implements trace.BlockConsumer: a sweep of a block proven
+// all-miss is replayed whole, and any other is unrolled into ConsumeRuns.
+func (b *ReadBuffer) ConsumeSweep(s trace.Sweep) {
+	words := trace.RunWords(s.Runs)
+	if !b.memo.replay || words == 0 {
+		s.Unroll(b)
+		return
+	}
+	b.SRAMReads += s.Times * words
+	b.replay(s, words)
+	b.sweeps.add(s.Times)
+}
+
+// replay streams the calls of a sweep (one call, or many) of a block proven
+// all-miss: every word is a miss, so the arriving runs are the demand
+// stream — the runs the streak scan would emit — the counters move by
+// arithmetic, and the sweep is queued behind the ring as one entry (see
+// overwrite).
+func (b *ReadBuffer) replay(s trace.Sweep, words int64) {
+	b.Evictions += b.set.overwrite(s, words)
 	misses := b.runBuf[:0]
 	if b.record {
-		for _, r := range runs {
+		for _, r := range s.Runs {
 			misses = trace.AppendRun(misses, r.Base, r.Stride, r.Count)
 		}
 	}
 	b.runBuf = misses
-	b.DRAMReads += words
-	b.forward(cycle, words)
+	b.DRAMReads += s.Times * words
+	b.forwardSweep(s.Cycle, words, s.Step, s.Times)
 }
 
 // BeginBlock implements trace.BlockConsumer: a block is skipped when proven
@@ -887,6 +923,10 @@ func (b *WriteBuffer) BeginBlock(blk trace.Block) bool {
 	b.SRAMWrites += blk.Words
 	return true
 }
+
+// ConsumeSweep implements trace.BlockConsumer: a write-back buffer has no
+// closed form for a sweep, so it takes the calls one by one.
+func (b *WriteBuffer) ConsumeSweep(s trace.Sweep) { s.Unroll(b) }
 
 // EndBlock implements trace.BlockConsumer.
 func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites, 0) }

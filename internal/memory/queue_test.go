@@ -118,6 +118,15 @@ func (o *fuzzOps) run() trace.Run {
 	return trace.Run{Base: base, Stride: stride, Count: count}
 }
 
+// shifted returns runs with every base moved by d.
+func shifted(runs []trace.Run, d int64) []trace.Run {
+	out := slices.Clone(runs)
+	for i := range out {
+		out[i].Base += d
+	}
+	return out
+}
+
 func inRegion(runs []trace.Run) bool {
 	for _, r := range runs {
 		if lo, hi := bounds(r); lo < 0 || hi >= queueRegion {
@@ -129,14 +138,16 @@ func inRegion(runs []trace.Run) bool {
 
 // FuzzReplayQueue holds the replay queue to the eager ring writes it
 // replaces: two dense sets of one capacity take the same operations —
-// batches overwritten (new, or the previous batch shifted), scans, reindex,
-// drain and leaving the dense table — one through overwrite, the reference
-// through eagerOverwrite. After every operation the two must hold the same
-// words in the same FIFO order, and every eviction count, miss stream and
-// drained stream must agree.
+// batches overwritten (new, or the previous batch shifted), sweeps of them,
+// scans, reindex, drain and leaving the dense table — one through overwrite,
+// the reference through eagerOverwrite, a sweep call by call. After every
+// operation the two must hold the same words in the same FIFO order, and
+// every eviction count, miss stream and drained stream must agree.
 func FuzzReplayQueue(f *testing.F) {
 	// Opcodes: 0 batch of one run, 1 batch of two runs, 2 the previous batch
-	// shifted, 3 scan, 4 reindex, 5 drain, 6 leave the dense table.
+	// shifted, 3 scan, 4 reindex, 5 drain, 6 leave the dense table, 7 a sweep
+	// of 2 to 17 calls from the previous batch shifted (a fresh run if there
+	// is none), by a step in -8..7.
 	for _, seed := range [][]byte{
 		// Shifted repeats that group: one run, then shifted by +1 four times.
 		{4, 0, 0, 4, 4, 2, 1, 2, 1, 2, 1, 2, 1, 3, 2, 4, 1},
@@ -152,6 +163,14 @@ func FuzzReplayQueue(f *testing.F) {
 		{10, 3, 50, 4, 3, 0, 0, 4, 6, 2, 6, 2, 6, 3, 1, 4, 2},
 		// Batches around leaving the dense table.
 		{7, 0, 0, 4, 9, 6, 2, 9, 2, 9, 3, 20, 5, 3, 5},
+		// A sweep that continues the previous batch's entry, then a scan.
+		{12, 0, 0, 4, 2, 2, 1, 2, 1, 7, 1, 9, 6, 3, 0, 4, 4},
+		// A negative-step sweep longer than the capacity.
+		{4, 0, 50, 4, 1, 7, 0, 254, 12, 4, 3, 40, 1, 1},
+		// A sweep with no previous batch, then a shifted batch joining it.
+		{9, 7, 5, 4, 3, 9, 3, 2, 3, 3, 0, 4, 4},
+		// A sweep that continues the previous batch's entry by a different step.
+		{20, 0, 0, 3, 1, 2, 2, 7, 2, 12, 2, 4},
 	} {
 		f.Add(seed)
 	}
@@ -165,7 +184,7 @@ func FuzzReplayQueue(f *testing.F) {
 		q.setRegion(0, queueRegion)
 		ref.setRegion(0, queueRegion)
 		for step := 0; len(o.data) > 0 && step < 64; step++ {
-			switch op := o.next() % 7; op {
+			switch op := o.next() % 8; op {
 			case 0, 1, 2:
 				var runs []trace.Run
 				if op == 2 {
@@ -185,7 +204,7 @@ func FuzzReplayQueue(f *testing.F) {
 					}
 				}
 				o.last = runs
-				got := q.overwrite(runs, trace.RunWords(runs))
+				got := q.overwrite(trace.Sweep{Runs: runs, Times: 1}, trace.RunWords(runs))
 				var want int64
 				for _, r := range runs {
 					want += eagerOverwrite(ref, r)
@@ -215,6 +234,30 @@ func FuzzReplayQueue(f *testing.F) {
 				if q.dense {
 					q.leaveDense()
 					ref.leaveDense()
+				}
+			case 7:
+				d := int64(int8(o.next()))
+				sw := trace.Sweep{Step: o.next()%16 - 8, Times: 2 + o.next()%16}
+				if o.last == nil {
+					sw.Runs = []trace.Run{o.run()}
+				}
+				for _, r := range o.last {
+					sw.Runs = append(sw.Runs, trace.Run{Base: r.Base + d, Stride: r.Stride, Count: r.Count})
+				}
+				lastCall := shifted(sw.Runs, (sw.Times-1)*sw.Step)
+				if !inRegion(sw.Runs) || !inRegion(lastCall) {
+					continue
+				}
+				o.last = lastCall
+				got := q.overwrite(sw, trace.RunWords(sw.Runs))
+				var want int64
+				for j := range sw.Times {
+					for _, r := range shifted(sw.Runs, j*sw.Step) {
+						want += eagerOverwrite(ref, r)
+					}
+				}
+				if got != want {
+					t.Fatalf("step %d: sweep %+v evicted %d, eager %d", step, sw, got, want)
 				}
 			}
 			if got, want := logicalOrder(q), fifoOrder(ref); !slices.Equal(got, want) {

@@ -355,3 +355,27 @@ func TestSystemRegionFallbackMetrics(t *testing.T) {
 		t.Errorf("bare System.RegionFallbacks = %d, want 1", got)
 	}
 }
+
+// TestRegionRedeclaredAboveDenseLimit: a region too large for the dense
+// table, declared after a small one, replaces it. The small region's table
+// must not stay live, so the first access to the new region is no fallback
+// and misses as in a buffer that never declared the small region.
+func TestRegionRedeclaredAboveDenseLimit(t *testing.T) {
+	reg := &obsv.Registry{}
+	sys, err := NewSystem(config.New(), Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Ifmap.SetRegion(0, 100)
+	sys.Ifmap.SetRegion(1000, denseLimitWords+1)
+	sys.Ofmap.SetRegion(0, 100)
+	sys.Ofmap.SetRegion(1000, denseLimitWords+1)
+	sys.Ifmap.Consume(0, []int64{5000})
+	sys.Ofmap.Consume(0, []int64{5000})
+	if got := reg.Counter("memory.region_fallbacks").Value(); got != 0 {
+		t.Errorf("memory.region_fallbacks = %d after accesses inside the declared region, want 0", got)
+	}
+	if sys.Ifmap.DRAMReads != 1 || sys.Ofmap.Pending() != 1 {
+		t.Errorf("DRAMReads %d, pending writes %d; want 1 and 1", sys.Ifmap.DRAMReads, sys.Ofmap.Pending())
+	}
+}

@@ -33,7 +33,8 @@ type Options struct {
 	// "memory.blocks_first_touch" / "memory.words_first_touch" (proven to
 	// miss on every word because none was ever inserted), both replayed
 	// rather than scanned: queued behind the ring, which is written only
-	// when a later scan reads it.
+	// when a later scan reads it; and "memory.sweeps" / "memory.sweep_calls"
+	// (sweeps of such a block replayed whole, and the calls they stand for).
 	Metrics *obsv.Registry
 }
 
@@ -88,6 +89,8 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 	for _, m := range s.memos() {
 		m.skipped, m.recent, m.thrashed, m.firstTouch = skipped, skipped, thrashed, firstTouch
 	}
+	sweeps := blockCounters{opt.Metrics.Counter("memory.sweeps"), opt.Metrics.Counter("memory.sweep_calls")}
+	s.Ifmap.sweeps, s.Filter.sweeps = sweeps, sweeps
 	return s, nil
 }
 

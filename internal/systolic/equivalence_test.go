@@ -3,6 +3,7 @@ package systolic
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -308,6 +309,8 @@ func (b *blockSkipper) BeginBlock(blk trace.Block) bool {
 	return false
 }
 
+func (b *blockSkipper) ConsumeSweep(s trace.Sweep) { s.Unroll(b) }
+
 func (b *blockSkipper) EndBlock() {
 	if !b.open {
 		b.violations = append(b.violations, "EndBlock without an open block")
@@ -404,6 +407,8 @@ func (b *blockReplays) BeginBlock(blk trace.Block) bool {
 	return false
 }
 
+func (b *blockReplays) ConsumeSweep(s trace.Sweep) { s.Unroll(b) }
+
 func (b *blockReplays) EndBlock() {
 	if b.first == nil {
 		b.first = map[[3]int64][]int64{}
@@ -456,4 +461,113 @@ func TestBlockReplaysSameSequence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// call is one (cycle, runs) call as a consumer received it.
+type call struct {
+	cycle int64
+	runs  []trace.Run
+}
+
+// callLog is a plain RunConsumer that keeps every call, run for run.
+type callLog struct{ calls []call }
+
+func (c *callLog) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(c, cycle, addrs) }
+
+func (c *callLog) ConsumeRuns(cycle int64, runs []trace.Run) {
+	c.calls = append(c.calls, call{cycle, slices.Clone(runs)})
+}
+
+// sweepLog is a callLog behind trace.BlockConsumer that streams every block
+// and unrolls every sweep it receives through the shared helper.
+type sweepLog struct {
+	callLog
+	sweeps, sweepCalls int64
+	bad                []trace.Sweep
+}
+
+func (s *sweepLog) BeginBlock(trace.Block) bool { return false }
+func (s *sweepLog) EndBlock()                   {}
+
+func (s *sweepLog) ConsumeSweep(sw trace.Sweep) {
+	if sw.Times < 2 {
+		s.bad = append(s.bad, sw)
+	}
+	s.sweeps++
+	s.sweepCalls += sw.Times
+	sw.Unroll(&s.callLog)
+}
+
+// sweepCases are the layer shapes the sweep declaration is pinned on: a
+// GEMM, a 1x1 convolution, a 3x3 stride-1 and a 7x7 stride-2 convolution
+// (IFMAP window rows and OFMAP rows that wrap inside the wavefront), and a
+// shape whose temporal extent is below the array's rows under every
+// dataflow's moving operand.
+func sweepCases() map[string]topology.Layer {
+	return map[string]topology.Layer{
+		"gemm":         topology.FromGEMM("gemm", 40, 24, 36),
+		"conv1x1":      {Name: "c1", IfmapH: 7, IfmapW: 7, FilterH: 1, FilterW: 1, Channels: 16, NumFilters: 20, Stride: 1},
+		"conv3x3":      {Name: "c3", IfmapH: 9, IfmapW: 9, FilterH: 3, FilterW: 3, Channels: 4, NumFilters: 12, Stride: 1},
+		"conv7x7s2":    {Name: "c7", IfmapH: 21, IfmapW: 21, FilterH: 7, FilterW: 7, Channels: 3, NumFilters: 8, Stride: 2},
+		"t_below_rows": {Name: "tb", IfmapH: 8, IfmapW: 8, FilterH: 1, FilterW: 1, Channels: 2, NumFilters: 3, Stride: 1},
+	}
+}
+
+// TestSweepsMatchCalls pins the producer's side of trace.Sweep: a
+// BlockConsumer that unrolls every sweep it receives sees exactly the
+// (cycle, runs) calls a plain RunConsumer receives — same split, counts and
+// strides, run for run — on every stream, for every dataflow, shape, array,
+// edge trimming and a partition window. Sweeps must fire on every stream,
+// and every sweep stands for two calls or more.
+func TestSweepsMatchCalls(t *testing.T) {
+	var sweeps [3]int64
+	for name, l := range sweepCases() {
+		for _, df := range config.Dataflows {
+			for _, arr := range [][2]int{{8, 8}, {5, 3}} {
+				for _, trim := range []bool{false, true} {
+					for _, windowed := range []bool{false, true} {
+						cfg := config.New().WithArray(arr[0], arr[1]).WithDataflow(df)
+						cfg.EdgeTrim = trim
+						var win Window
+						if m := dataflow.Map(l, df); windowed {
+							win = Window{SrOff: m.Sr / 3, ScOff: m.Sc / 4, SrLen: m.Sr - m.Sr/3 - m.Sr/5, ScLen: m.Sc - m.Sc/4}
+						}
+						t.Run(fmt.Sprintf("%s/%s/%dx%d/trim=%t/window=%t", name, df, arr[0], arr[1], trim, windowed), func(t *testing.T) {
+							var plain [3]callLog
+							var swept [3]sweepLog
+							if _, err := RunWindow(l, cfg, win, Sinks{IfmapRead: &plain[0], FilterRead: &plain[1], OfmapWrite: &plain[2]}); err != nil {
+								t.Fatal(err)
+							}
+							if _, err := RunWindow(l, cfg, win, Sinks{IfmapRead: &swept[0], FilterRead: &swept[1], OfmapWrite: &swept[2]}); err != nil {
+								t.Fatal(err)
+							}
+							for i, stream := range []string{"ifmap", "filter", "ofmap"} {
+								got, want := swept[i].calls, plain[i].calls
+								if !reflect.DeepEqual(got, want) {
+									t.Errorf("%s: %d calls through sweeps, %d plain; first difference at %d",
+										stream, len(got), len(want), firstDiff(got, want))
+								}
+								for _, sw := range swept[i].bad {
+									t.Errorf("%s: a sweep of %d calls at cycle %d", stream, sw.Times, sw.Cycle)
+								}
+								sweeps[i] += swept[i].sweeps
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	if sweeps[0] == 0 || sweeps[1] == 0 || sweeps[2] == 0 {
+		t.Errorf("sweeps declared on the IFMAP, filter and OFMAP streams: %v", sweeps)
+	}
+}
+
+func firstDiff(a, b []call) int {
+	for i := range min(len(a), len(b)) {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

@@ -78,19 +78,70 @@ func (s Sinks) runs() runSinks {
 	}
 }
 
-// stream plays one fold's operand block — n rows or columns from off, T
-// temporal steps each, as blk declares it — into c. The block is bracketed
-// for consumers that can prove it a no-op (trace.BlockConsumer): when they
-// do, emit never runs and no run is generated.
-func stream(c trace.RunConsumer, blk trace.Block, emit func()) {
+// edge names the wavefront a fold plays into an array edge.
+type edge int
+
+const (
+	leftEdge   edge = iota // RowStream: the left edge's operand
+	topEdge                // ColStream: the top edge's operand (OS)
+	bottomEdge             // Output: the results leaving the bottom edge (WS, IS)
+)
+
+// wavefront plays one fold's block — blk.N lanes (rows, or columns) from
+// blk.Off, T temporal steps each, as blk declares it — into c: lane k takes
+// step t at cycle start+k+t, so the slice at u covers the lanes with k+t =
+// u. The block is bracketed for consumers that can prove it a no-op
+// (trace.BlockConsumer): when they do, no run is generated. A
+// BlockConsumer takes the steady part of the wavefront as sweeps: every
+// slice of u in [min(N,T)-1, max(N,T)-1] is min(N,T) lanes wide and the
+// previous one moved one lane (N > T) or one step (N <= T) further, and
+// the Mapper says for how many slices that keeps its runs. The ramps, and
+// everything any other consumer receives, are single calls.
+func (s *sim) wavefront(c trace.RunConsumer, e edge, blk trace.Block, start int64) {
 	b, ok := c.(trace.BlockConsumer)
 	if ok && b.BeginBlock(blk) {
 		return
 	}
-	emit()
+	n, T := blk.N, s.m.T
+	steady, last := min(n, T)-1, max(n, T)-1
+	for u := int64(0); u <= n-1+T-1; {
+		lo := max(0, u-T+1)
+		i, t, k := blk.Off+lo, u-lo, min(n-1, u)-lo+1
+		s.runs = s.slice(e, i, t, k)
+		sw := trace.Sweep{Cycle: start + u, Runs: s.runs, Times: 1}
+		if ok && u >= steady && u < last {
+			switch e {
+			case leftEdge:
+				sw.Step, sw.Times = s.mp.RowStreamSweep(i, t, k, n > T)
+			case topEdge:
+				sw.Step, sw.Times = s.mp.ColStreamSweep(n > T)
+			case bottomEdge:
+				sw.Step, sw.Times = s.mp.OutputSweep(n > T)
+			}
+			sw.Times = min(sw.Times, last-u+1)
+		}
+		if sw.Times > 1 {
+			b.ConsumeSweep(sw)
+		} else {
+			c.ConsumeRuns(sw.Cycle, sw.Runs)
+		}
+		u += sw.Times
+	}
 	if ok {
 		b.EndBlock()
 	}
+}
+
+// slice returns the runs of the k lanes from lane i, the first at step t
+// and each next one a step behind, on edge e.
+func (s *sim) slice(e edge, i, t, k int64) []trace.Run {
+	switch e {
+	case leftEdge:
+		return s.mp.RowStreamRuns(i, t, k, s.runs[:0])
+	case topEdge:
+		return s.mp.ColStreamRuns(i, t, k, s.runs[:0])
+	}
+	return s.mp.OutputRuns(t, -1, i, 1, k, s.runs[:0])
 }
 
 // Result aggregates one layer's simulation.
@@ -276,25 +327,10 @@ type fold struct {
 // rather than one Mapper call per element; the runs expand to exactly the
 // per-element batches of the legacy schedule (pinned by equivalence tests).
 func (s *sim) foldOS(f fold) {
-	// Left edge: ifmap. Wavefront over u = i + t. The block repeats for
-	// every column fold of this row fold.
-	stream(s.sinks.ifmapRead, s.mp.RowBlock(f.rowOff, f.rows), func() {
-		for u := int64(0); u <= f.rows-1+f.T-1; u++ {
-			lo := max(0, u-f.T+1)
-			hi := min(f.rows-1, u)
-			s.runs = s.mp.RowStreamRuns(f.rowOff+lo, u-lo, hi-lo+1, s.runs[:0])
-			s.sinks.ifmapRead.ConsumeRuns(f.base+u, s.runs)
-		}
-	})
-	// Top edge: filter; the block repeats for every row fold.
-	stream(s.sinks.filterRead, s.mp.ColBlock(f.colOff, f.cols), func() {
-		for u := int64(0); u <= f.cols-1+f.T-1; u++ {
-			lo := max(0, u-f.T+1)
-			hi := min(f.cols-1, u)
-			s.runs = s.mp.ColStreamRuns(f.colOff+lo, u-lo, hi-lo+1, s.runs[:0])
-			s.sinks.filterRead.ConsumeRuns(f.base+u, s.runs)
-		}
-	})
+	// Left edge: ifmap; the block repeats for every column fold of this row
+	// fold. Top edge: filter; the block repeats for every row fold.
+	s.wavefront(s.sinks.ifmapRead, leftEdge, s.mp.RowBlock(f.rowOff, f.rows), f.base)
+	s.wavefront(s.sinks.filterRead, topEdge, s.mp.ColBlock(f.colOff, f.cols), f.base)
 	// Drain: after the bottom-right mapped PE finishes.
 	finish := f.base + f.rows + f.cols + f.T - 3
 	for k := int64(1); k <= f.rows; k++ {
@@ -332,27 +368,14 @@ func (s *sim) foldIS(f fold) {
 // the moving operand streams through the rows while results reduce down the
 // columns and exit from the bottom edge.
 func (s *sim) streamAndDrain(f fold, streamSink trace.RunConsumer) {
-	// Stream phase: wavefront over u = i + t, offset by the fill. The block
-	// repeats for every column fold of this row fold.
-	stream(streamSink, s.mp.RowBlock(f.rowOff, f.rows), func() {
-		for u := int64(0); u <= f.rows-1+f.T-1; u++ {
-			lo := max(0, u-f.T+1)
-			hi := min(f.rows-1, u)
-			s.runs = s.mp.RowStreamRuns(f.rowOff+lo, u-lo, hi-lo+1, s.runs[:0])
-			streamSink.ConsumeRuns(f.base+f.rows+u, s.runs)
-		}
-	})
-	// Outputs: wavefront over v = t + j. Every row fold accumulates into
-	// the same T x cols output block, which declares no hull (Lo > Hi).
+	// Stream phase, offset by the fill. The block repeats for every column
+	// fold of this row fold.
+	s.wavefront(streamSink, leftEdge, s.mp.RowBlock(f.rowOff, f.rows), f.base+f.rows)
+	// Outputs: column j's output for step t leaves at base+2*rows+t+j-1.
+	// Every row fold accumulates into the same T x cols output block, which
+	// declares no hull (Lo > Hi).
 	out := trace.Block{Off: f.colOff, N: f.cols, Words: f.cols * f.T, Hi: -1}
-	stream(s.sinks.ofmapWrite, out, func() {
-		for v := int64(0); v <= f.T-1+f.cols-1; v++ {
-			lo := max(0, v-f.T+1)
-			hi := min(f.cols-1, v)
-			s.runs = s.mp.OutputRuns(v-lo, -1, f.colOff+lo, 1, hi-lo+1, s.runs[:0])
-			s.sinks.ofmapWrite.ConsumeRuns(f.base+2*f.rows+v-1, s.runs)
-		}
-	})
+	s.wavefront(s.sinks.ofmapWrite, bottomEdge, out, f.base+2*f.rows-1)
 }
 
 // accessCounts returns the closed-form SRAM access totals for an Sr x Sc x T

@@ -142,17 +142,56 @@ type Block struct {
 // filter columns) brackets each replay, and a consumer whose state can prove
 // the whole block a no-op says so before a single run is generated. When
 // BeginBlock returns true the consumer has accounted for the block and the
-// producer sends nothing — no ConsumeRuns, no EndBlock. Otherwise the
-// producer streams the block and calls EndBlock after its last batch.
+// producer sends nothing — no ConsumeRuns, no ConsumeSweep, no EndBlock.
+// Otherwise the producer streams the block, as calls and sweeps in cycle
+// order, and calls EndBlock after its last batch.
 //
 // Only consumers for which an all-hit block is unobservable, and an all-miss
 // block needs no scan, implement this (the SRAM buffers). Tee, the recorders
 // and the CSV writer deliberately do not: any live observer in the chain
-// hides the capability, so it receives the full stream. Producers discover
-// it by type assertion on the resolved RunConsumer.
+// hides the capability, so it receives the full stream, call by call.
+// Producers discover it by type assertion on the resolved RunConsumer.
 type BlockConsumer interface {
 	BeginBlock(b Block) (skip bool)
+	// ConsumeSweep takes Times calls of the open block at once (see Sweep).
+	// It must leave the consumer exactly as Sweep.Unroll would; a consumer
+	// with no closed form for the sweep calls it.
+	ConsumeSweep(s Sweep)
 	EndBlock()
+}
+
+// Sweep is Times calls on consecutive cycles: call j, for 0 <= j < Times,
+// arrives at Cycle+j and carries Runs with every base moved by j·Step —
+// the same split, counts and strides, run for run. It is how a producer
+// sends the steady part of a wavefront, where each cycle's slice is the
+// previous one shifted. Runs is only valid for the duration of the call.
+type Sweep struct {
+	Cycle int64
+	Runs  []Run
+	Step  int64
+	Times int64
+}
+
+// Unroll hands the sweep to c as the Times calls it stands for, in cycle
+// order, shifting one private copy of the runs: the one fallback of every
+// consumer that takes a sweep with no closed form.
+func (s Sweep) Unroll(c RunConsumer) {
+	if s.Times == 1 {
+		c.ConsumeRuns(s.Cycle, s.Runs)
+		return
+	}
+	buf := runBufs.Get().(*[]Run)
+	runs := append((*buf)[:0], s.Runs...)
+	for j := int64(0); j < s.Times; j++ {
+		if j > 0 {
+			for i := range runs {
+				runs[i].Base += s.Step
+			}
+		}
+		c.ConsumeRuns(s.Cycle+j, runs)
+	}
+	*buf = runs
+	runBufs.Put(buf)
 }
 
 // runExpander adapts an element-only Consumer (a ConsumerFunc, a caller's

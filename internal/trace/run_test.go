@@ -349,6 +349,7 @@ type blockAware struct {
 }
 
 func (b *blockAware) BeginBlock(Block) bool { b.begins++; return true }
+func (b *blockAware) ConsumeSweep(s Sweep)  { s.Unroll(b) }
 func (b *blockAware) EndBlock()             {}
 
 // TestBlockConsumerHiddenByChain: the bracket reaches a consumer only when

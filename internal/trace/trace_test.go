@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,6 +232,137 @@ func TestBandwidthMeterOutOfOrder(t *testing.T) {
 	if len(b.Profile()) != 3 || b.PeakBytesPerCycle() != 0.8 || b.TotalWords() != 17 || b.Span() != 33 {
 		t.Errorf("windows %d peak %v total %d span %d",
 			len(b.Profile()), b.PeakBytesPerCycle(), b.TotalWords(), b.Span())
+	}
+}
+
+// TestBandwidthMeterAddSweep: a sweep add leaves the meter exactly as
+// times Adds of the same words on consecutive cycles, whatever window it
+// starts in, however many windows it spans, and after an out-of-order Add.
+func TestBandwidthMeterAddSweep(t *testing.T) {
+	type add struct{ cycle, words int64 }
+	for _, tc := range []struct {
+		name                string
+		before              []add
+		cycle, words, times int64
+	}{
+		{name: "mid-window", cycle: 13, words: 3, times: 5},
+		{name: "shorter than a window", cycle: 21, words: 2, times: 4},
+		{name: "window aligned", cycle: 20, words: 7, times: 10},
+		{name: "three windows and more", cycle: 7, words: 5, times: 38},
+		{name: "after earlier traffic", before: []add{{3, 4}, {12, 1}}, cycle: 12, words: 2, times: 21},
+		{name: "after an out-of-order add", before: []add{{45, 2}, {8, 3}}, cycle: 30, words: 1, times: 27},
+		{name: "back into an earlier window", before: []add{{95, 2}}, cycle: 2, words: 4, times: 12},
+		{name: "one call", cycle: 19, words: 6, times: 1},
+		{name: "negative cycles", cycle: -23, words: 3, times: 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := NewBandwidthMeter(10, 2), NewBandwidthMeter(10, 2)
+			for _, a := range tc.before {
+				got.Add(a.cycle, a.words)
+				want.Add(a.cycle, a.words)
+			}
+			got.AddSweep(tc.cycle, tc.words, tc.times)
+			for j := range tc.times {
+				want.Add(tc.cycle+j, tc.words)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("sweep add left %+v, Adds %+v", got, want)
+			}
+			if !reflect.DeepEqual(got.Profile(), want.Profile()) || got.Span() != want.Span() ||
+				got.PeakBytesPerCycle() != want.PeakBytesPerCycle() {
+				t.Errorf("profile %v span %d, want %v and %d", got.Profile(), got.Span(), want.Profile(), want.Span())
+			}
+		})
+	}
+}
+
+// TestSweepUnroll: a sweep unrolls into its calls on consecutive cycles,
+// every base moved by j·step and nothing else, and leaves its runs as
+// they were.
+func TestSweepUnroll(t *testing.T) {
+	runs := []Run{{Base: 10, Stride: 3, Count: 4}, {Base: 100, Stride: -1, Count: 2}}
+	rec := &callRecorder{}
+	Sweep{Cycle: 7, Runs: runs, Step: -5, Times: 3}.Unroll(rec)
+	want := []recordedCall{
+		{7, []Run{{10, 3, 4}, {100, -1, 2}}},
+		{8, []Run{{5, 3, 4}, {95, -1, 2}}},
+		{9, []Run{{0, 3, 4}, {90, -1, 2}}},
+	}
+	if !reflect.DeepEqual(rec.calls, want) {
+		t.Errorf("unrolled %v, want %v", rec.calls, want)
+	}
+	if runs[0].Base != 10 || runs[1].Base != 100 {
+		t.Errorf("Unroll moved the sweep's own runs: %v", runs)
+	}
+}
+
+type recordedCall struct {
+	cycle int64
+	runs  []Run
+}
+
+type callRecorder struct{ calls []recordedCall }
+
+func (c *callRecorder) ConsumeRuns(cycle int64, runs []Run) {
+	c.calls = append(c.calls, recordedCall{cycle, append([]Run(nil), runs...)})
+}
+
+// TestBandwidthMeterRevisitedWindow: a window that traffic returns to after
+// a later one was filled is one point of the profile, holding all its
+// words, and the peak counts them together.
+func TestBandwidthMeterRevisitedWindow(t *testing.T) {
+	b := NewBandwidthMeter(10, 1)
+	b.Add(5, 1)  // window 0
+	b.Add(25, 3) // window 2
+	b.Add(7, 4)  // window 0 again
+	b.Add(31, 1) // window 3
+	want := []ProfilePoint{{0, 5}, {20, 3}, {30, 1}}
+	if got := b.Profile(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Profile = %v, want %v", got, want)
+	}
+	if got := b.PeakBytesPerCycle(); got != 0.5 {
+		t.Errorf("PeakBytesPerCycle = %v, want 0.5", got)
+	}
+}
+
+// TestBandwidthMeterProfileMatchesWindows: over long random streams —
+// mostly in cycle order, with gaps and reads in mid-window, and in half
+// the trials sometimes back to an earlier window — the profile and the
+// peak are exactly the per-window sums of every Add.
+func TestBandwidthMeterProfileMatchesWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 20; trial++ {
+		b := NewBandwidthMeter(int64(1+rng.Intn(16)), 1)
+		want := map[int64]int64{}
+		cycle := int64(rng.Intn(100))
+		for i := 0; i < 20000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 2 && trial%2 == 0:
+				cycle = int64(rng.Intn(int(cycle) + 1)) // back in time
+			case r < 4:
+				b.PeakBytesPerCycle() // settles the open window
+			case r < 10:
+				cycle += int64(rng.Intn(500)) // a gap
+			default:
+				cycle += int64(rng.Intn(3))
+			}
+			words := int64(1 + rng.Intn(9))
+			b.Add(cycle, words)
+			want[cycle/b.WindowCycles*b.WindowCycles] += words
+		}
+		var peak int64
+		points := make([]ProfilePoint, 0, len(want))
+		for start, words := range want {
+			points = append(points, ProfilePoint{start, words})
+			peak = max(peak, words)
+		}
+		slices.SortFunc(points, func(x, y ProfilePoint) int { return int(x.StartCycle - y.StartCycle) })
+		if got := b.Profile(); !reflect.DeepEqual(got, points) {
+			t.Fatalf("trial %d: profile of %d points differs from the %d window sums", trial, len(got), len(points))
+		}
+		if got := b.PeakBytesPerCycle(); got != float64(peak)/float64(b.WindowCycles) {
+			t.Fatalf("trial %d: peak %v, want %v", trial, got, float64(peak)/float64(b.WindowCycles))
+		}
 	}
 }
 

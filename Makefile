@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzScanCSV -fuzztime 30s
 	$(GO) test ./internal/batch/ -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/memory/ -fuzz FuzzReplayQueue -fuzztime 30s
+	$(GO) test ./internal/dram/ -fuzz FuzzLayer -fuzztime 30s
 
 # The five scale-out CSVs into directory $(1), by the commands
 # results/README.md lists for them.

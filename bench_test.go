@@ -711,13 +711,15 @@ func BenchmarkLanguageModelsCold(b *testing.B) {
 // one cache-free, single-worker pass of the BERTBase operator graph with the
 // DDR3 timing model and a 4 words/cycle link on both DRAM streams. Every
 // demand miss and write-back reaches the model and the stall analyzer as
-// runs — a replayed all-miss block's as the runs it arrived as. A pass that
+// runs — a replayed all-miss block's as the runs it arrived as, its sweeps
+// whole. A pass that
 // allocates more than 32 MB (11 MB in the first, 3.4 MB/op over ten) or in
 // which either all-miss proof replays no word fails, as in
 // BenchmarkResNet50Cold, and so does one whose DRAM timing drifts from the
 // pinned aggregate (every Stats field summed over layers, MaxLatency and
 // LastCompletion as their maximum) or whose DRAM model replays less than
-// 80 % of the words it serves by its shift proof.
+// 80 % of the words it serves by its shift proof, or no stretch of a sweep
+// in one step.
 func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 	b.ReportAllocs()
 	ddr := dram.DDR3()
@@ -775,6 +777,11 @@ func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 		b.Fatalf("DRAM shift proof replayed %d of %d words (%.3f), want at least 80 %%", replayed, served, share)
 	}
 	b.ReportMetric(float64(replayed)/float64(b.N), "dram-replayed-words/op")
+	sweeps := rec.Metrics().Counter("dram.sweeps").Value()
+	if sweeps == 0 {
+		b.Fatal("dram.sweeps = 0: the DRAM model replayed no stretch of a sweep in one step")
+	}
+	b.ReportMetric(float64(sweeps)/float64(b.N), "dram-sweeps/op")
 }
 
 // BenchmarkCSVTraceWrite measures trace serialization throughput.

@@ -407,13 +407,15 @@ func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
 		if ctx.dram != nil {
 			stats := ctx.dram.Stats()
 			ctx.Entry.DRAMStats = &stats
-			// How much of the layer the model served by its shift proof:
+			// How much of the layer the model served by its shift proof,
+			// and in how many stretches of a sweep taken in one step:
 			// host-side provenance beside the memory.* counters, never
 			// part of the entry.
-			calls, words := ctx.dram.Replayed()
+			calls, words, sweeps := ctx.dram.Replayed()
 			reg := s.opt.Obs.Metrics()
 			reg.Counter("dram.calls_replayed").Add(calls)
 			reg.Counter("dram.words_replayed").Add(words)
+			reg.Counter("dram.sweeps").Add(sweeps)
 			reg.Counter("dram.words_served").Add(stats.Requests)
 		}
 		if ctx.stall != nil {

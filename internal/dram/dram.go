@@ -3,14 +3,23 @@
 // traces to an external simulator (DRAMSim2); this package is the in-repo
 // substitute: a DDR3-class single-channel device, open-page banks with
 // activate/CAS/precharge timings, periodic refresh and one shared data bus,
-// serving requests in arrival order, enough to answer whether a trace's demand
+// serving requests in call order, enough to answer whether a trace's demand
 // bandwidth is achievable and at what latency.
+//
+// Call order is not cycle order. The DRAM read stream carries one operand's
+// block and then the next one's, so a call can arrive at an earlier cycle
+// than the call before it: on BERTBase 48 calls over the 47 nodes do, by up
+// to 3,102 cycles. Such a call is served after the one before it, and
+// refresh catch-up is monotone, so it also sees the refresh hold the later
+// call caught up to.
 //
 // A backlogged device fed a skewed stream sees the same call over and over,
 // shifted: each cycle's runs are the previous cycle's with every base one
 // word higher. ConsumeRuns proves that from two fully served calls and then
 // replays the following ones by arithmetic (see shift), touching only the
-// banks the call uses, with results identical to serving every word.
+// banks the call uses, with results identical to serving every word; a
+// producer that declares the repetition as a sweep has ConsumeSweep replay
+// a whole stretch of it in one step.
 package dram
 
 import (
@@ -104,8 +113,11 @@ type Model struct {
 	prev, cur *call
 	adjacent  bool
 	proof     shift
-	// replayedCalls and replayedWords count what the proof served.
-	replayedCalls, replayedWords int64
+	// replayedCalls and replayedWords count what the proof served,
+	// replayedSweeps the stretches of a sweep it served in one step.
+	replayedCalls, replayedWords, replayedSweeps int64
+	// sweepRuns is ConsumeSweep's shifted copy of a sweep's runs.
+	sweepRuns []trace.Run
 }
 
 // maxRecordRuns bounds the runs a recorded call may carry, so a record's
@@ -204,8 +216,8 @@ func New(cfg Config) (*Model, error) {
 
 // serve services the n words addr, addr+stride, ... that all arrive at the
 // given cycle, in order, and returns the last word's completion cycle. It is
-// the model's only state machine. Calls must arrive in non-decreasing cycle
-// order.
+// the model's only state machine. Calls are served in call order, whatever
+// their cycles (see the package doc).
 //
 // Only the first word is decoded by division. stride is split once into
 // whole rows and a remainder in [0, RowWords); every later word adds the
@@ -330,7 +342,7 @@ func floorDivMod(a, d int64) (q, r int64) {
 func (m *Model) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(m, cycle, addrs) }
 
 // ConsumeRuns implements trace.RunConsumer: each address is a word request
-// arriving at the given cycle, served in arrival order straight off the
+// arriving at the given cycle, served in call order straight off the
 // progressions, a run per call.
 //
 // A call the armed shift proof covers is replayed instead; any other is
@@ -338,7 +350,7 @@ func (m *Model) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(m, cycl
 // the one before it (arm). Only calls through here are recorded: serve
 // alone leaves the record behind.
 func (m *Model) ConsumeRuns(cycle int64, runs []trace.Run) {
-	if m.proof.left > 0 && m.replay(cycle, runs) {
+	if m.proof.left > 0 && m.replay(cycle, runs, 0, 1) == 1 {
 		return
 	}
 	m.proof.left = 0
@@ -352,6 +364,32 @@ func (m *Model) ConsumeRuns(cycle int64, runs []trace.Run) {
 	m.record(before)
 	m.adjacent = true
 	m.arm()
+}
+
+// ConsumeSweep implements the DRAM side of trace.Sweep.Feed: it leaves the
+// model exactly as the sweep's calls through ConsumeRuns would. Wherever the
+// armed proof covers a stretch of the calls, the stretch is replayed in one
+// step (replay); every other call, the two that arm the proof among them,
+// goes through ConsumeRuns.
+func (m *Model) ConsumeSweep(s trace.Sweep) {
+	runs := append(m.sweepRuns[:0], s.Runs...)
+	for j := int64(0); j < s.Times; {
+		var k int64
+		if m.proof.left > 0 {
+			k = m.replay(s.Cycle+j, runs, s.Step, s.Times-j)
+		}
+		if k > 0 {
+			m.replayedSweeps++
+		} else {
+			m.ConsumeRuns(s.Cycle+j, runs)
+			k = 1
+		}
+		for i := range runs {
+			runs[i].Base += k * s.Step
+		}
+		j += k
+	}
+	m.sweepRuns = runs
 }
 
 // begin opens cur for a call about to be served: its runs and the state at
@@ -467,47 +505,88 @@ func (m *Model) arm() {
 	m.proof = shift{left: left, delta: delta, dBank: dBank, sumDone: c.sumDone}
 }
 
-// replay serves a call by the armed proof when the proof covers it: the
-// call is a successor of cur and, once refresh has caught up as serve
-// would, finds a free floor. Every word completes delta after the last
-// call's, open rows stay as they are.
-func (m *Model) replay(cycle int64, runs []trace.Run) bool {
+// replay serves by the armed proof a stretch of calls and returns its
+// length k, zero when the proof does not cover the whole stretch. The calls
+// are times calls of a sweep: call j arrives at cycle+j with runs' bases
+// moved by j·step. The stretch is the longest run of them that are
+// successors of cur — every base between cur's and its headroom, so both
+// ends of the stretch suffice — and at most the proof's left. It is served
+// only when the floor at its last arrival, refresh caught up, is at or below
+// every touched bank's cmdFree now: floors and cmdFree only grow along the
+// stretch, so that one check is each call's. A stretch that fails it is
+// left to the caller, call by call (ConsumeRuns checks each call's own
+// floor). Every word of call j then completes j·delta after the last
+// call's; the sums over the stretch are closed forms, open rows stay as
+// they are, and refresh catches up once, to the last arrival, since no
+// call's floor mattered beyond passing the check.
+func (m *Model) replay(cycle int64, runs []trace.Run, step, times int64) int64 {
 	c, p := m.cur, &m.proof
 	if len(runs) != len(c.runs) {
-		return false
+		return 0
 	}
+	k := min(times, p.left)
 	for i, r := range runs {
 		q := c.runs[i]
-		if d := r.Base - q.Base; r.Count != q.Count || r.Stride != q.Stride || d < 0 || d > c.head[i] {
-			return false
+		d := r.Base - q.Base
+		if r.Count != q.Count || r.Stride != q.Stride || d < 0 || d > c.head[i] {
+			return 0
+		}
+		if step > 0 {
+			k = min(k, (c.head[i]-d)/step+1)
+		} else if step < 0 {
+			k = min(k, d/-step+1)
 		}
 	}
-	m.refresh(cycle)
-	floor := max(cycle, m.refreshHold)
+	// The floor at the last arrival, refresh caught up, must be free
+	// against every touched bank's cmdFree now.
+	last := cycle + k - 1
+	floor := max(last, m.holdAt(last))
 	for _, i := range c.banks {
 		if floor > m.banks[i].cmdFree {
-			return false
+			return 0
 		}
 	}
-	for k, i := range c.banks {
-		m.banks[i].cmdFree += p.dBank[k]
+	for b, i := range c.banks {
+		m.banks[i].cmdFree += k * p.dBank[b]
 	}
-	m.bus += p.delta
-	n := c.n
-	p.sumDone += n * p.delta
-	p.left--
-	s := &m.stats
-	s.Requests += n
-	s.RowHits += c.hits
-	s.RowMisses += n - c.hits
-	s.TotalLatency += p.sumDone - n*cycle
-	s.MaxLatency = max(s.MaxLatency, m.bus-cycle)
+	// Call j, 1 <= j <= k, arrives at cycle+j-1; its completions sum to
+	// sumDone + j·n·delta, its last is bus + j·delta. Latency is linear in
+	// j, so the ends hold its maximum.
+	n, s := c.n, &m.stats
+	s.TotalLatency += k*p.sumDone + n*p.delta*triangle(k) - n*(k*cycle+triangle(k-1))
+	s.MaxLatency = max(s.MaxLatency, m.bus+p.delta-cycle, m.bus+k*p.delta-last)
+	m.bus += k * p.delta
 	s.LastCompletion = max(s.LastCompletion, m.bus)
-	s.BusBusy += n * m.cfg.BusCyclesPerWord
+	p.sumDone += k * n * p.delta
+	p.left -= k
+	s.Requests += k * n
+	s.RowHits += k * c.hits
+	s.RowMisses += k * (n - c.hits)
+	s.BusBusy += k * n * m.cfg.BusCyclesPerWord
+	m.refresh(last)
 	m.adjacent = false
-	m.replayedCalls++
-	m.replayedWords += n
-	return true
+	m.replayedCalls += k
+	m.replayedWords += k * n
+	return k
+}
+
+// holdAt is refreshHold once refresh has caught up to arrival, without
+// applying it.
+func (m *Model) holdAt(arrival int64) int64 {
+	t := m.cfg.TREFI
+	if t == 0 || arrival < m.nextRefresh {
+		return m.refreshHold
+	}
+	due := m.nextRefresh + (arrival-m.nextRefresh)/t*t
+	return max(m.refreshHold, due+m.cfg.TRFC)
+}
+
+// triangle is k(k+1)/2, halving the even factor first.
+func triangle(k int64) int64 {
+	if k%2 == 0 {
+		return k / 2 * (k + 1)
+	}
+	return (k + 1) / 2 * k
 }
 
 // rowHead is how far r's base may move up with every word keeping its row:
@@ -530,7 +609,10 @@ func (m *Model) rowHead(r trace.Run) int64 {
 // Stats returns a copy of the accumulated statistics.
 func (m *Model) Stats() Stats { return m.stats }
 
-// Replayed reports how many calls, and words in them, ConsumeRuns served by
-// the shift proof rather than word by word. It is host-side provenance, not
-// a simulated quantity, so it stays out of Stats.
-func (m *Model) Replayed() (calls, words int64) { return m.replayedCalls, m.replayedWords }
+// Replayed reports how many calls, and words in them, the shift proof
+// served rather than word by word, and in how many stretches of a sweep
+// replayed in one step (sweeps). It is host-side provenance, not a
+// simulated quantity, so it stays out of Stats.
+func (m *Model) Replayed() (calls, words, sweeps int64) {
+	return m.replayedCalls, m.replayedWords, m.replayedSweeps
+}

@@ -573,7 +573,7 @@ func TestShiftReplayMatchesPerWordReference(t *testing.T) {
 			t.Errorf("config %d %+v: final device state differs from the reference", ci, cfg)
 		}
 		if ci == 0 {
-			calls, words := got.Replayed()
+			calls, words, _ := got.Replayed()
 			if share := float64(words) / float64(got.Stats().Requests); share < 0.5 {
 				t.Errorf("DDR3: shift proof replayed %d calls, %d of %d words (%.2f), want at least half",
 					calls, words, got.Stats().Requests, share)
@@ -621,13 +621,13 @@ func replayFlags(t *testing.T, cfg Config, start *startState, feed []feedCall) [
 	}
 	flags := make([]bool, len(feed))
 	for k, c := range feed {
-		before, _ := got.Replayed()
+		before, _, _ := got.Replayed()
 		got.ConsumeRuns(c.cycle, c.runs)
 		refConsume(want, c.cycle, trace.ExpandRuns(c.runs, nil))
 		if got.Stats() != want.Stats() {
 			t.Fatalf("call %d %+v:\nmodel     %+v\nreference %+v", k, c, got.Stats(), want.Stats())
 		}
-		after, _ := got.Replayed()
+		after, _, _ := got.Replayed()
 		flags[k] = after > before
 	}
 	if !sameDevice(got, want) {

@@ -1,0 +1,125 @@
+package dram_test
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"scalesim/internal/config"
+	"scalesim/internal/core"
+	"scalesim/internal/dram"
+	"scalesim/internal/engine"
+	"scalesim/internal/obsv"
+	"scalesim/internal/topology"
+	"scalesim/internal/trace"
+)
+
+// fuzzDRAM are the DRAM sides a fuzzed layer draws from: none, DDR3 with
+// and without refresh, and a geometry whose short rows every skew stride
+// breaks and whose refresh falls every few hundred cycles.
+var fuzzDRAM = []*dram.Config{
+	nil,
+	func() *dram.Config { c := dram.DDR3(); return &c }(),
+	func() *dram.Config { c := dram.DDR3(); c.TREFI, c.TRFC = 0, 0; return &c }(),
+	{Banks: 3, RowWords: 37, TRCD: 5, TCAS: 4, TRP: 6, TREFI: 400, TRFC: 30, BusCyclesPerWord: 1},
+}
+
+// fuzzBandwidths are the link bandwidths a fuzzed layer draws from: none,
+// whole words (a call of that many words keeps the lag level), and
+// fractions.
+var fuzzBandwidths = []float64{0, 1, 2, 3, 4, 8, 16, 0.7, 1.0 / 3, 2.5}
+
+// FuzzLayer is the layer's oracle: a drawn layer shape, dataflow, array,
+// SRAM sizes (WordBytes shrinks a KiB to a handful of words, so a buffer
+// can sit around one operand block), DRAM side and link bandwidth run once
+// as the product runs it — blocks proven and skipped or replayed, sweeps
+// taken whole by the SRAM buffers, the DRAM model and the stall analyzer —
+// and once as a reference that hangs a live no-op sink on every SRAM and
+// DRAM stream, so no block or sweep reaches any consumer and every call is
+// made, and that feeds the DRAM streams to the per-word model (RefConsume)
+// as well. The results — cycles, memory report, DRAM statistics, stall cycles
+// and cycle ledger — must be DeepEqual, and the per-word model must
+// reproduce the DRAM statistics.
+func FuzzLayer(f *testing.F) {
+	// Seeds: OS/WS/IS GEMMs and convolutions, buffers of a few words to a
+	// few KiB, every DRAM side, words-per-call level with the link.
+	f.Add(uint8(15), uint8(0), uint8(0), uint8(0), uint8(11), uint8(39), uint8(0), uint8(0), uint8(7), uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(4))
+	f.Add(uint8(11), uint8(11), uint8(2), uint8(2), uint8(3), uint8(15), uint8(1), uint8(1), uint8(3), uint8(5), uint8(1), uint8(1), uint8(0), uint8(5), uint8(3), uint8(1))
+	f.Add(uint8(19), uint8(13), uint8(4), uint8(1), uint8(5), uint8(7), uint8(0), uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(1), uint8(6), uint8(1), uint8(7))
+	f.Add(uint8(7), uint8(7), uint8(2), uint8(2), uint8(7), uint8(31), uint8(0), uint8(0), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0), uint8(4), uint8(2), uint8(3))
+	f.Add(uint8(23), uint8(0), uint8(0), uint8(0), uint8(2), uint8(9), uint8(0), uint8(1), uint8(15), uint8(1), uint8(2), uint8(3), uint8(1), uint8(7), uint8(3), uint8(8))
+	f.Fuzz(func(t *testing.T, ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog, dm, bw uint8) {
+		l := topology.Layer{Name: "fuzz", IfmapH: 1 + int(ih%24), IfmapW: 1 + int(iw%24),
+			Channels: 1 + int(ch%12), NumFilters: 1 + int(nf%40), Stride: 1 + int(st%3)}
+		l.FilterH = 1 + int(fh)%min(l.IfmapH, 5)
+		l.FilterW = 1 + int(fw)%min(l.IfmapW, 5)
+		cfg := config.New().WithArray(1+int(rows%16), 1+int(cols%16)).
+			WithDataflow(config.Dataflows[int(df)%len(config.Dataflows)]).
+			WithSRAM(1+int(ifKB%4), 1+int(flKB%4), 1+int(ofKB%4))
+		cfg.WordBytes = 1 << (wordLog % 8)
+		opt := core.Options{Workers: 1, DRAM: fuzzDRAM[int(dm)%len(fuzzDRAM)], DRAMBandwidth: fuzzBandwidths[int(bw)%len(fuzzBandwidths)]}
+		topo := topology.Topology{Name: "fuzz", Layers: []topology.Layer{l}}
+		if topo.Validate() != nil || cfg.Validate() != nil {
+			return
+		}
+
+		run := func(opt core.Options) (core.RunResult, *obsv.Recorder) {
+			opt.Obs = obsv.NewRecorder()
+			sim, err := core.New(cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Simulate(topo)
+			if err != nil {
+				t.Fatalf("%+v on %+v: %v", l, cfg, err)
+			}
+			return res, opt.Obs
+		}
+		product, _ := run(opt)
+
+		var mu sync.Mutex
+		var perWord []*dram.Model
+		opt.Sinks = engine.Registry{func(_ engine.Job, set *engine.SinkSet) error {
+			for _, st := range engine.Streams {
+				set.Attach(st, trace.ConsumerFunc(func(int64, []int64) {}))
+			}
+			if opt.DRAM != nil {
+				ref, err := dram.New(*opt.DRAM)
+				if err != nil {
+					return err
+				}
+				sink := trace.ConsumerFunc(func(cycle int64, addrs []int64) { dram.RefConsume(ref, cycle, addrs) })
+				set.Attach(engine.DRAMRead, sink)
+				set.Attach(engine.DRAMWrite, sink)
+				mu.Lock()
+				perWord = append(perWord, ref)
+				mu.Unlock()
+			}
+			return nil
+		}}
+		reference, rec := run(opt)
+		for _, name := range []string{"memory.words_skipped", "memory.words_thrashed", "memory.words_first_touch",
+			"memory.sweeps", "dram.sweeps"} {
+			if n := rec.Metrics().Counter(name).Value(); n != 0 {
+				t.Fatalf("reference run: %s = %d, want every call made", name, n)
+			}
+		}
+
+		if !reflect.DeepEqual(product, reference) {
+			for i := range product.Layers {
+				p, r := product.Layers[i], reference.Layers[i]
+				t.Errorf("%+v on %+v, DRAM %+v, link %v:\nproduct   %+v\n          DRAM %+v ledger %+v\nreference %+v\n          DRAM %+v ledger %+v",
+					l, cfg, opt.DRAM, opt.DRAMBandwidth, p, p.DRAMStats, p.Ledger, r, r.DRAMStats, r.Ledger)
+			}
+			t.FailNow()
+		}
+		if opt.DRAM != nil {
+			if len(perWord) != 1 {
+				t.Fatalf("%d per-word models, want one", len(perWord))
+			}
+			if got, want := *product.Layers[0].DRAMStats, perWord[0].Stats(); got != want {
+				t.Errorf("%+v on %+v, DRAM %+v: model %+v, per-word reference %+v", l, cfg, opt.DRAM, got, want)
+			}
+		}
+	})
+}

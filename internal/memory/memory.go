@@ -712,11 +712,11 @@ func (b *buffer) forward(cycle, words int64) {
 }
 
 // forwardSweep hands times cycles' DRAM traffic from cycle on — runBuf, with
-// words in total, moved by step each cycle — to the DRAM trace, call by
-// call, and to the bandwidth meter, window by window.
+// words in total, moved by step each cycle — to the DRAM trace as one sweep
+// (trace.Sweep.Feed), and to the bandwidth meter, window by window.
 func (b *buffer) forwardSweep(cycle, words, step, times int64) {
 	if b.record {
-		trace.Sweep{Cycle: cycle, Runs: b.runBuf, Step: step, Times: times}.Unroll(b.dram)
+		trace.Sweep{Cycle: cycle, Runs: b.runBuf, Step: step, Times: times}.Feed(b.dram)
 	}
 	if b.meter != nil {
 		b.meter.AddSweep(cycle, words, times)

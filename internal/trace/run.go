@@ -172,6 +172,22 @@ type Sweep struct {
 	Times int64
 }
 
+// sweepConsumer is a consumer that takes a sweep whole: a BlockConsumer
+// inside its open block, and on the DRAM side the timing model, the stall
+// analyzer and a tee of such. Its ConsumeSweep must leave it exactly as
+// Unroll would.
+type sweepConsumer interface{ ConsumeSweep(s Sweep) }
+
+// Feed is the one way to hand a sweep downstream: whole to a consumer that
+// takes sweeps, and as Unroll's calls to any other.
+func (s Sweep) Feed(c RunConsumer) {
+	if sc, ok := c.(sweepConsumer); ok {
+		sc.ConsumeSweep(s)
+		return
+	}
+	s.Unroll(c)
+}
+
 // Unroll hands the sweep to c as the Times calls it stands for, in cycle
 // order, shifting one private copy of the runs: the one fallback of every
 // consumer that takes a sweep with no closed form.

@@ -66,6 +66,34 @@ func (s *StallAnalyzer) ConsumeRuns(cycle int64, runs []Run) {
 	s.Add(cycle, RunWords(runs))
 }
 
+// ConsumeSweep takes a sweep's Times equal calls by arithmetic: the lag is
+// linear in the call index with slope w/BW - 1 for w words a call, so when
+// the computed lags are monotone, their maximum is at one end and the two
+// end calls settle maxLag. They are when the bandwidth is a power of two
+// and every operand is below 2^53: a word count over such a bandwidth is
+// exact, only the difference rounds, and rounding is monotone. Any other
+// bandwidth, or interval recording (which attributes every increase to its
+// call), adds the calls one by one.
+func (s *StallAnalyzer) ConsumeSweep(sw Sweep) {
+	w := RunWords(sw.Runs)
+	if w <= 0 {
+		return
+	}
+	last := s.cumWords + sw.Times*w
+	end := math.Max(float64(last)/s.WordsPerCycle, float64(sw.Cycle+sw.Times))
+	frac, _ := math.Frexp(s.WordsPerCycle)
+	if exact := frac == 0.5 && end < 1<<53 && last < 1<<53; sw.Times > 1 && s.window == 0 && exact {
+		lo := float64(s.cumWords+w)/s.WordsPerCycle - float64(sw.Cycle+1)
+		hi := float64(last)/s.WordsPerCycle - float64(sw.Cycle+sw.Times)
+		s.cumWords = last
+		s.maxLag = max(s.maxLag, lo, hi)
+		return
+	}
+	for j := int64(0); j < sw.Times; j++ {
+		s.Add(sw.Cycle+j, w)
+	}
+}
+
 // RecordIntervals enables stall localization with the given merge window
 // in cycles (<= 0 defaults to 1). Call before feeding events.
 func (s *StallAnalyzer) RecordIntervals(window int64) {

@@ -14,13 +14,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 )
 
 // Consumer receives trace events. Cycles arrive in non-decreasing order
-// within one trace stream. The addrs slice is only valid for the duration of
-// the call; implementations that retain addresses must copy them.
+// within one producer's stream; a merged stream can step back between
+// blocks (the DRAM read trace carries one operand's block, then the next
+// one's). The addrs slice is only valid for the duration of the call;
+// implementations that retain addresses must copy them.
 type Consumer interface {
 	Consume(cycle int64, addrs []int64)
 }
@@ -43,7 +46,13 @@ var Null Consumer = nullConsumer{}
 // tee fans events out to several consumers, each on its run path
 // (trace.Runs), so run batches reach run-native members unexpanded and an
 // element-only member gets its own materialization.
-type tee struct{ members []RunConsumer }
+type tee struct {
+	members []RunConsumer
+	// sweeps is set when every member takes sweeps and none appears twice:
+	// the members' states are then disjoint, so handing each the whole sweep
+	// in turn leaves them as the interleaved calls would.
+	sweeps bool
+}
 
 func (t *tee) Consume(cycle int64, addrs []int64) { ConsumeAddrs(t, cycle, addrs) }
 
@@ -53,10 +62,25 @@ func (t *tee) ConsumeRuns(cycle int64, runs []Run) {
 	}
 }
 
+// ConsumeSweep hands the sweep to every member whole when all of them take
+// sweeps, and otherwise unrolls it, so a live observer among the members
+// (a timeline sampler, a caller's sink, the CSV writer) sees every call in
+// member order, as before.
+func (t *tee) ConsumeSweep(s Sweep) {
+	if !t.sweeps {
+		s.Unroll(t)
+		return
+	}
+	for _, c := range t.members {
+		c.(sweepConsumer).ConsumeSweep(s)
+	}
+}
+
 // Tee fans events out to every non-nil consumer in order. Nil consumers
 // are dropped, the sole survivor is returned directly, and nil comes back
 // when nothing remains — so optional consumers compose without nil-adapter
-// boilerplate at the call sites.
+// boilerplate at the call sites. A tee among the consumers is flattened
+// into its members.
 func Tee(consumers ...Consumer) Consumer {
 	live := make([]Consumer, 0, len(consumers))
 	for _, c := range consumers {
@@ -70,11 +94,33 @@ func Tee(consumers ...Consumer) Consumer {
 	case 1:
 		return live[0]
 	}
-	t := &tee{members: make([]RunConsumer, len(live))}
-	for i, c := range live {
-		t.members[i] = Runs(c)
+	t := &tee{members: make([]RunConsumer, 0, len(live))}
+	for _, c := range live {
+		if inner, ok := c.(*tee); ok {
+			t.members = append(t.members, inner.members...)
+		} else {
+			t.members = append(t.members, Runs(c))
+		}
 	}
+	t.sweeps = takesSweeps(t.members)
 	return t
+}
+
+// takesSweeps reports whether every member takes sweeps and none appears
+// twice. Members are compared by identity; one of a type without identity
+// (not comparable) rules the sweeps out rather than panicking.
+func takesSweeps(members []RunConsumer) bool {
+	for i, c := range members {
+		if _, ok := c.(sweepConsumer); !ok || !reflect.TypeOf(c).Comparable() {
+			return false
+		}
+		for _, d := range members[:i] {
+			if c == d {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Stats accumulates the aggregate measurements reports are built from.

@@ -38,7 +38,7 @@ bench-check:
 	$(GO) run ./bench -workload resnet50_cold -seconds 5
 	$(GO) run ./bench -workload bertbase_dram_cold -seconds 5
 
-# The paper-size cold path (Table IV's language models, ~7 s a pass):
+# The paper-size cold path (Table IV's language models, under 1 s a pass):
 # fails on drifted cycles or memory counters, or above 128 MB a pass.
 bench-paper:
 	$(GO) test -run XXX -bench 'BenchmarkLanguageModelsCold$$' -benchtime 2x -benchmem .

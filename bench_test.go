@@ -641,11 +641,11 @@ func BenchmarkResNet50Cold(b *testing.B) {
 }
 
 // requireReplayed fails a cold benchmark whose buffers replayed no block
-// proven all-miss by thrashing, or none by first touch, or took no sweep of
-// such a block whole, and reports the replayed words and the calls taken
-// in sweeps per pass.
+// proven all-miss by thrashing, or none by first touch, or no output tile
+// proven fresh, or took no sweep of a replayed block whole, and reports the
+// replayed words and the calls taken in sweeps per pass.
 func requireReplayed(b *testing.B, rec *obsv.Recorder) {
-	for _, proof := range []string{"thrashed", "first_touch"} {
+	for _, proof := range []string{"thrashed", "first_touch", "fresh_write"} {
 		words := rec.Metrics().Counter("memory.words_" + proof).Value()
 		if words == 0 {
 			b.Fatalf("memory.words_%s = 0: that all-miss proof never fired", proof)
@@ -663,9 +663,9 @@ func requireReplayed(b *testing.B, rec *obsv.Recorder) {
 // cache-free, single-worker pass of Table IV's language-model GEMMs at
 // their built-in sizes, the before/after for every change to the memory
 // system's shortcuts. Every pass must give the pinned total cycles and
-// memory counters — its skipped, thrashed and first-touch words, and no
-// region fallback — and allocate at most 128 MB (about 40 MB in a pass
-// that recycles its tables).
+// memory counters — its skipped, thrashed, first-touch and fresh-write
+// words, and no region fallback — and allocate at most 128 MB (about 30 MB
+// in a pass that recycles its tables).
 func BenchmarkLanguageModelsCold(b *testing.B) {
 	b.ReportAllocs()
 	rec := obsv.NewRecorder()
@@ -678,6 +678,7 @@ func BenchmarkLanguageModelsCold(b *testing.B) {
 		"memory.words_thrashed":    2032214016,
 		"memory.words_first_touch": 132663468,
 		"memory.words_skipped":     2277581652,
+		"memory.words_fresh_write": 102360448,
 		"memory.region_fallbacks":  0,
 	}
 	last := map[string]int64{}

@@ -222,6 +222,22 @@ func (mp *Mapper) ColBlock(off, n int64) trace.Block {
 		Lo: mp.ColStream(off, 0), Hi: mp.ColStream(off+n-1, mp.m.T-1), Distinct: true}
 }
 
+// OutputTile declares the OS drain of the outputs of spatial rows [rowOff,
+// rowOff+rows) and columns [colOff, colOff+cols): one OFMAP pixel per row,
+// one filter per column, so the block is a tile of the OFMAP laid out in
+// rows of F filters, and each output is written once. It is keyed by its
+// first address: keyed by rowOff, the tiles of one row band would share
+// offset, run count and words but not their addresses. Only valid for the
+// OS dataflow.
+func (mp *Mapper) OutputTile(rowOff, rows, colOff, cols int64) trace.Block {
+	if mp.m.Dataflow != config.OutputStationary {
+		panic(fmt.Sprintf("dataflow: %v drains no output tile", mp.m.Dataflow))
+	}
+	lo := mp.Output(rowOff, colOff)
+	return trace.Block{Off: lo, N: rows, Words: rows * cols, Lo: lo,
+		Hi: mp.Output(rowOff+rows-1, colOff+cols-1), Distinct: true, Pitch: mp.addr.filters}
+}
+
 // StationaryRuns appends runs covering the fill row Stationary(i, j+k) for
 // k in [0, n): one spatial row of the pre-filled operand.
 func (mp *Mapper) StationaryRuns(i, j, n int64, dst []trace.Run) []trace.Run {

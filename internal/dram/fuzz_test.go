@@ -7,9 +7,11 @@ import (
 
 	"scalesim/internal/config"
 	"scalesim/internal/core"
+	"scalesim/internal/dataflow"
 	"scalesim/internal/dram"
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
+	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 	"scalesim/internal/trace"
 )
@@ -31,9 +33,11 @@ var fuzzBandwidths = []float64{0, 1, 2, 3, 4, 8, 16, 0.7, 1.0 / 3, 2.5}
 
 // FuzzLayer is the layer's oracle: a drawn layer shape, dataflow, array,
 // SRAM sizes (WordBytes shrinks a KiB to a handful of words, so a buffer
-// can sit around one operand block), DRAM side and link bandwidth run once
-// as the product runs it — blocks proven and skipped or replayed, sweeps
-// taken whole by the SRAM buffers, the DRAM model and the stall analyzer —
+// can sit around one operand block), DRAM side, link bandwidth and
+// partition window (so tiles and blocks start at an offset) run once as the
+// product runs it — blocks proven and skipped or replayed, output tiles
+// proven fresh, sweeps taken whole by the SRAM buffers, the DRAM model and
+// the stall analyzer —
 // and once as a reference that hangs a live no-op sink on every SRAM and
 // DRAM stream, so no block or sweep reaches any consumer and every call is
 // made, and that feeds the DRAM streams to the per-word model (RefConsume)
@@ -42,13 +46,14 @@ var fuzzBandwidths = []float64{0, 1, 2, 3, 4, 8, 16, 0.7, 1.0 / 3, 2.5}
 // reproduce the DRAM statistics.
 func FuzzLayer(f *testing.F) {
 	// Seeds: OS/WS/IS GEMMs and convolutions, buffers of a few words to a
-	// few KiB, every DRAM side, words-per-call level with the link.
-	f.Add(uint8(15), uint8(0), uint8(0), uint8(0), uint8(11), uint8(39), uint8(0), uint8(0), uint8(7), uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(4))
-	f.Add(uint8(11), uint8(11), uint8(2), uint8(2), uint8(3), uint8(15), uint8(1), uint8(1), uint8(3), uint8(5), uint8(1), uint8(1), uint8(0), uint8(5), uint8(3), uint8(1))
-	f.Add(uint8(19), uint8(13), uint8(4), uint8(1), uint8(5), uint8(7), uint8(0), uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(1), uint8(6), uint8(1), uint8(7))
-	f.Add(uint8(7), uint8(7), uint8(2), uint8(2), uint8(7), uint8(31), uint8(0), uint8(0), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0), uint8(4), uint8(2), uint8(3))
-	f.Add(uint8(23), uint8(0), uint8(0), uint8(0), uint8(2), uint8(9), uint8(0), uint8(1), uint8(15), uint8(1), uint8(2), uint8(3), uint8(1), uint8(7), uint8(3), uint8(8))
-	f.Fuzz(func(t *testing.T, ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog, dm, bw uint8) {
+	// few KiB, every DRAM side, words-per-call level with the link, whole
+	// layers and windows.
+	f.Add(uint8(15), uint8(0), uint8(0), uint8(0), uint8(11), uint8(39), uint8(0), uint8(0), uint8(7), uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(4), uint8(0), uint8(0))
+	f.Add(uint8(11), uint8(11), uint8(2), uint8(2), uint8(3), uint8(15), uint8(1), uint8(1), uint8(3), uint8(5), uint8(1), uint8(1), uint8(0), uint8(5), uint8(3), uint8(1), uint8(3), uint8(2))
+	f.Add(uint8(19), uint8(13), uint8(4), uint8(1), uint8(5), uint8(7), uint8(0), uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(1), uint8(6), uint8(1), uint8(7), uint8(0), uint8(0))
+	f.Add(uint8(7), uint8(7), uint8(2), uint8(2), uint8(7), uint8(31), uint8(0), uint8(0), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0), uint8(4), uint8(2), uint8(3), uint8(9), uint8(17))
+	f.Add(uint8(23), uint8(0), uint8(0), uint8(0), uint8(2), uint8(9), uint8(0), uint8(1), uint8(15), uint8(1), uint8(2), uint8(3), uint8(1), uint8(7), uint8(3), uint8(8), uint8(5), uint8(40))
+	f.Fuzz(func(t *testing.T, ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog, dm, bw, wr, wc uint8) {
 		l := topology.Layer{Name: "fuzz", IfmapH: 1 + int(ih%24), IfmapW: 1 + int(iw%24),
 			Channels: 1 + int(ch%12), NumFilters: 1 + int(nf%40), Stride: 1 + int(st%3)}
 		l.FilterH = 1 + int(fh)%min(l.IfmapH, 5)
@@ -63,17 +68,32 @@ func FuzzLayer(f *testing.F) {
 			return
 		}
 
-		run := func(opt core.Options) (core.RunResult, *obsv.Recorder) {
+		// A partition window (wr = wc = 0: the whole layer): offsets and
+		// lengths in the mapping's spatial space.
+		var win systolic.Window
+		if wr != 0 || wc != 0 {
+			m := dataflow.Map(l, cfg.Dataflow)
+			win.SrOff, win.ScOff = int64(wr)%m.Sr, int64(wc)%m.Sc
+			win.SrLen, win.ScLen = 1+int64(wr/3)%(m.Sr-win.SrOff), 1+int64(wc/3)%(m.Sc-win.ScOff)
+		}
+		run := func(opt core.Options) ([]core.LayerResult, *obsv.Recorder) {
 			opt.Obs = obsv.NewRecorder()
 			sim, err := core.New(cfg, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if win != (systolic.Window{}) {
+				wins, err := sim.SimulateWindows(l, []systolic.Window{win})
+				if err != nil {
+					t.Fatalf("%+v on %+v, window %+v: %v", l, cfg, win, err)
+				}
+				return wins.Windows, opt.Obs
+			}
 			res, err := sim.Simulate(topo)
 			if err != nil {
 				t.Fatalf("%+v on %+v: %v", l, cfg, err)
 			}
-			return res, opt.Obs
+			return res.Layers, opt.Obs
 		}
 		product, _ := run(opt)
 
@@ -99,17 +119,17 @@ func FuzzLayer(f *testing.F) {
 		}}
 		reference, rec := run(opt)
 		for _, name := range []string{"memory.words_skipped", "memory.words_thrashed", "memory.words_first_touch",
-			"memory.sweeps", "dram.sweeps"} {
+			"memory.words_fresh_write", "memory.sweeps", "dram.sweeps"} {
 			if n := rec.Metrics().Counter(name).Value(); n != 0 {
 				t.Fatalf("reference run: %s = %d, want every call made", name, n)
 			}
 		}
 
 		if !reflect.DeepEqual(product, reference) {
-			for i := range product.Layers {
-				p, r := product.Layers[i], reference.Layers[i]
-				t.Errorf("%+v on %+v, DRAM %+v, link %v:\nproduct   %+v\n          DRAM %+v ledger %+v\nreference %+v\n          DRAM %+v ledger %+v",
-					l, cfg, opt.DRAM, opt.DRAMBandwidth, p, p.DRAMStats, p.Ledger, r, r.DRAMStats, r.Ledger)
+			for i := range product {
+				p, r := product[i], reference[i]
+				t.Errorf("%+v on %+v, window %+v, DRAM %+v, link %v:\nproduct   %+v\n          DRAM %+v ledger %+v\nreference %+v\n          DRAM %+v ledger %+v",
+					l, cfg, win, opt.DRAM, opt.DRAMBandwidth, p, p.DRAMStats, p.Ledger, r, r.DRAMStats, r.Ledger)
 			}
 			t.FailNow()
 		}
@@ -117,7 +137,7 @@ func FuzzLayer(f *testing.F) {
 			if len(perWord) != 1 {
 				t.Fatalf("%d per-word models, want one", len(perWord))
 			}
-			if got, want := *product.Layers[0].DRAMStats, perWord[0].Stats(); got != want {
+			if got, want := *product[0].DRAMStats, perWord[0].Stats(); got != want {
 				t.Errorf("%+v on %+v, DRAM %+v: model %+v, per-word reference %+v", l, cfg, opt.DRAM, got, want)
 			}
 		}

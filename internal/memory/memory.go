@@ -233,11 +233,16 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record boo
 // sweep rather than writing it, and leaves the residency index stale: the
 // caller has proven the whole block misses, so nothing reads the ring or the
 // index until reindex writes the queue out and rebuilds the index. It
-// returns the evictions, max(0, len+times·words-capacity).
-func (f *fifoSet) overwrite(s trace.Sweep, words int64) (evictions int64) {
+// returns the evictions, max(0, len+times·words-capacity). With trim the
+// queue drops the words they displace; without, the caller pops them (see
+// replayQueue.pop).
+func (f *fifoSet) overwrite(s trace.Sweep, words int64, trim bool) (evictions int64) {
 	f.stale = true
 	evictions = max(0, int64(f.len())+s.Times*words-f.capacity)
-	f.queue.push(s, words, f.capacity)
+	f.queue.push(s, words)
+	if trim {
+		f.queue.trim(f.capacity)
+	}
 	return evictions
 }
 
@@ -285,10 +290,18 @@ func (f *fifoSet) flushQueue() {
 	if q.words >= f.capacity {
 		f.ring, f.head = f.ring[:0], 0
 	}
+	skip := q.cursor // the head copy's words popped already
 	for _, b := range q.batches[q.head:] {
 		for j := b.first; j < b.times; j++ {
 			for _, r := range q.runs[b.off : b.off+b.n] {
 				r.Base += j * b.step
+				if skip >= r.Count {
+					skip -= r.Count
+					continue
+				}
+				r.Base += skip * r.Stride
+				r.Count -= skip
+				skip = 0
 				f.write(r)
 			}
 		}
@@ -324,15 +337,20 @@ func (f *fifoSet) reindex() {
 // written, oldest first, with the runs they carry. A sweep is one entry
 // however many calls it stands for, consecutive calls that repeat one
 // another shifted share one entry too, and words no later reindex can see
-// are dropped as they are displaced, so the queue costs O(sweeps) to fill
-// and never holds much more than the set's capacity in words.
+// are dropped as they are displaced (trim) or handed on (pop), so the queue
+// costs O(sweeps) to fill and never holds much more than the set's capacity
+// in words.
 type replayQueue struct {
 	// batches[head:] are the live entries; runs holds their runs, and the
 	// dead entries' below the first live one's until compaction.
 	batches []batch
 	head    int
 	runs    []trace.Run
-	// words counts the live words, every live copy of every entry.
+	// cursor counts the words of the head entry's first live copy that pop
+	// has handed on already.
+	cursor int64
+	// words counts the live words: every live copy of every entry, less
+	// the cursor.
 	words int64
 }
 
@@ -344,16 +362,20 @@ type batch struct {
 	first, times int64
 }
 
-// push appends a sweep, words in each call, to a queue behind a set of the
-// given capacity, joining the last entry when the sweep continues it (see
-// extend). It then drops every leading copy that capacity queued words
-// displace.
-func (q *replayQueue) push(s trace.Sweep, words, capacity int64) {
+// push appends a sweep, words in each call, to the queue, joining the last
+// entry when the sweep continues it (see extend).
+func (q *replayQueue) push(s trace.Sweep, words int64) {
 	if q.head == len(q.batches) || !q.extend(&q.batches[len(q.batches)-1], s) {
 		q.batches = append(q.batches, batch{off: len(q.runs), n: len(s.Runs), words: words, step: s.Step, times: s.Times})
 		q.runs = append(q.runs, s.Runs...)
 	}
 	q.words += s.Times * words
+}
+
+// trim drops every leading copy that the words queued behind it displace
+// from a set of the given capacity. A queue that is trimmed is never popped,
+// so its cursor is 0.
+func (q *replayQueue) trim(capacity int64) {
 	for q.head < len(q.batches) {
 		b := &q.batches[q.head]
 		excess := q.words - capacity // the leading words displaced
@@ -372,8 +394,59 @@ func (q *replayQueue) push(s trace.Sweep, words, capacity int64) {
 		}
 		q.head++
 	}
-	// Compact once the dead runs outnumber the live ones: a copy costs
-	// O(live), paid for by the drops since the last one.
+	q.compact()
+}
+
+// pop removes the n <= words oldest queued words and appends them to dst in
+// queue order, compressed as trace.AppendAddr would compress them one by
+// one: the write-back a word-by-word scan of the same inserts drains.
+func (q *replayQueue) pop(n int64, dst []trace.Run) []trace.Run {
+	q.words -= n
+	for n > 0 {
+		b := &q.batches[q.head]
+		skip := q.cursor
+		for _, r := range q.runs[b.off : b.off+b.n] {
+			if skip >= r.Count {
+				skip -= r.Count
+				continue
+			}
+			k := min(r.Count-skip, n)
+			dst = appendAddrs(dst, r.Base+b.first*b.step+skip*r.Stride, r.Stride, k)
+			q.cursor += k
+			if n -= k; n == 0 {
+				break
+			}
+			skip = 0
+		}
+		if q.cursor == b.words {
+			q.cursor = 0
+			if b.first++; b.first == b.times {
+				q.head++
+			}
+		}
+	}
+	q.compact()
+	return dst
+}
+
+// appendAddrs appends the progression (base, stride, count) to dst exactly
+// as count trace.AppendAddr calls would: the first two addresses decide how
+// it joins dst's last run, and the rest extend the progression.
+func appendAddrs(dst []trace.Run, base, stride, count int64) []trace.Run {
+	for i := range min(count, 2) {
+		dst = trace.AppendAddr(dst, base+i*stride)
+	}
+	return trace.AppendRun(dst, base+2*stride, stride, count-2)
+}
+
+// compact empties a queue left with no live entry, and otherwise drops the
+// dead entries once their runs outnumber the live ones: a copy costs
+// O(live), paid for by the drops since the last one.
+func (q *replayQueue) compact() {
+	if q.head == len(q.batches) {
+		q.clear()
+		return
+	}
 	if dead := q.batches[q.head].off; 2*dead >= len(q.runs) {
 		q.runs = q.runs[:copy(q.runs, q.runs[dead:])]
 		q.batches = q.batches[:copy(q.batches, q.batches[q.head:])]
@@ -412,7 +485,7 @@ func (q *replayQueue) extend(b *batch, s trace.Sweep) bool {
 
 // clear empties the queue, keeping its storage.
 func (q *replayQueue) clear() {
-	q.batches, q.runs, q.head, q.words = q.batches[:0], q.runs[:0], 0, 0
+	q.batches, q.runs, q.head, q.cursor, q.words = q.batches[:0], q.runs[:0], 0, 0, 0
 }
 
 // insert adds addr to a set indexed by the probe table (see useProbe),
@@ -436,17 +509,19 @@ func (f *fifoSet) insert(addr int64) (evicted int64, didEvict bool) {
 }
 
 // drain empties the set and, when record is set, re-compresses the resident
-// addresses onto dst in FIFO order: the ring from head to its end, then the
-// wrapped part.
+// addresses onto dst in FIFO order: the queue is written into the ring, then
+// the ring is read from head to its end, then the wrapped part. Without
+// record the queue is dropped unwritten.
 func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
-	f.flushQueue()
 	if record {
+		f.flushQueue()
 		for _, seg := range [2][]int64{f.ring[f.head:], f.ring[:f.head]} {
 			for _, a := range seg {
 				dst = trace.AppendAddr(dst, a)
 			}
 		}
 	}
+	f.queue.clear()
 	if f.dense {
 		clear(f.marks) // dense ⇒ every resident address is in-region
 	} else if f.probe != nil {
@@ -454,6 +529,7 @@ func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
 	}
 	f.ring = f.ring[:0]
 	f.head = 0
+	f.stale = false
 	return dst
 }
 
@@ -491,6 +567,15 @@ func (f *fifoSet) len() int { return int(min(f.capacity, int64(len(f.ring))+f.qu
 // every earlier one has never had a word inserted: the ring was empty when
 // the memo started proving. If it is declared distinct, no word repeats
 // within the stream either, so every word misses.
+//
+// Fresh write (the write-back buffer). The OS drain declares each fold's
+// outputs as a tile (trace.Block.Pitch): rows of the OFMAP by a range of
+// filters. Folds run in row-major order, so the tiles arrive in bands: a
+// tile starts a new band below every earlier one, or extends the current
+// band to the right. Tiles in that order are pairwise disjoint. If the ring
+// was empty at SetRegion and every write since arrived in such a tile, no
+// word of the next one was ever written, and a distinct tile misses on every
+// word (see beginWrite).
 type blockMemo struct {
 	blockTables
 	// key, at and prev are the open block, its entry's index (-1: none
@@ -510,12 +595,19 @@ type blockMemo struct {
 	// evicts: until SetRegion no block is proven all-miss.
 	unprovable bool
 
+	// band is the fresh-write proof's state: the region base tiles are
+	// laid out from, and the pitch, rows and last column of the newest
+	// band's tiles (pitch 0 before the first).
+	band tileBand
+
 	// skipped and recent count blocks proven all-hit by the eviction
 	// counter and by recency (NewSystem wires both to the same counters),
-	// thrashed and firstTouch blocks proven all-miss by either proof
-	// (nil-safe obsv counters).
-	skipped, recent, thrashed, firstTouch blockCounters
+	// thrashed and firstTouch blocks proven all-miss by either proof, and
+	// freshWrite tiles proven fresh (nil-safe obsv counters).
+	skipped, recent, thrashed, firstTouch, freshWrite blockCounters
 }
+
+type tileBand struct{ base, pitch, rowLo, rowHi, colHi int64 }
 
 // blockTables is a memo's storage. Like the residency tables it travels
 // from one System to the next (see Tables), and SetRegion clears it.
@@ -605,14 +697,44 @@ func (m *blockMemo) beginRead(b trace.Block, inserted, capacity int64) (skip boo
 	return false
 }
 
+// beginWrite, called by a write-back buffer after begin declined to skip,
+// sets replay when the block is proven fresh: a distinct tile whose columns
+// do not wrap, in band order after every tile accepted since SetRegion.
+// Any other block rules the proof out until SetRegion.
+func (m *blockMemo) beginWrite(b trace.Block) {
+	if m.unprovable {
+		return
+	}
+	t := &m.band
+	lo, hi := b.Lo-t.base, b.Hi-t.base
+	if !b.Distinct || b.Pitch <= 0 || lo < 0 || lo > hi || (t.pitch != 0 && b.Pitch != t.pitch) {
+		m.stopProving()
+		return
+	}
+	r0, c0, r1, c1 := lo/b.Pitch, lo%b.Pitch, hi/b.Pitch, hi%b.Pitch
+	switch {
+	case c0 > c1:
+		m.stopProving()
+		return
+	case t.pitch == 0 || r0 > t.rowHi: // a new band below every earlier one
+	case r0 == t.rowLo && r1 == t.rowHi && c0 > t.colHi: // right of the band's last tile
+	default:
+		m.stopProving()
+		return
+	}
+	*t = tileBand{base: t.base, pitch: b.Pitch, rowLo: r0, rowHi: r1, colHi: c1}
+	m.replay = true
+	m.freshWrite.add(b.Words)
+}
+
 // stopProving rules out every all-miss proof until SetRegion.
 func (m *blockMemo) stopProving() {
 	m.unprovable, m.hulls = true, m.hulls[:0]
 }
 
 // end closes the open block and records what its stream proved. A
-// write-back buffer proves no all-miss blocks and passes 0 as inserted,
-// which no stream of one word or more matches. A resident proof the counter
+// write-back buffer proves no thrashing and passes 0 as inserted, which no
+// stream of one word or more matches. A resident proof the counter
 // has passed is left in place, since the counter never returns to it.
 func (m *blockMemo) end(evictions, inserted int64) {
 	m.open, m.replay = false, false
@@ -822,7 +944,7 @@ func (b *ReadBuffer) ConsumeSweep(s trace.Sweep) {
 // arithmetic, and the sweep is queued behind the ring as one entry (see
 // overwrite).
 func (b *ReadBuffer) replay(s trace.Sweep, words int64) {
-	b.Evictions += b.set.overwrite(s, words)
+	b.Evictions += b.set.overwrite(s, words, true)
 	misses := b.runBuf[:0]
 	if b.record {
 		for _, r := range s.Runs {
@@ -872,7 +994,20 @@ func NewWriteBuffer(name string, capacityWords int64, dram trace.Consumer, meter
 	if err != nil {
 		return nil, err
 	}
+	// No tile is proven fresh before SetRegion declares the base tiles are
+	// laid out from.
+	b.memo.unprovable = true
 	return &WriteBuffer{buffer: b}, nil
+}
+
+// SetRegion declares the address region this buffer will service, as
+// ReadBuffer's does, and the base output tiles are laid out from. The
+// fresh-write proof stays off when traffic came first (the ring is not
+// empty); a region that fits the buffer does not rule it out.
+func (b *WriteBuffer) SetRegion(base, words int64) {
+	b.set.setRegion(base, words)
+	b.memo.reset(b.set.len() > 0)
+	b.memo.band = tileBand{base: base}
 }
 
 // Consume implements trace.Consumer over SRAM write events.
@@ -880,13 +1015,24 @@ func (b *WriteBuffer) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b
 
 // ConsumeRuns implements trace.RunConsumer; like ReadBuffer.ConsumeRuns it
 // walks the progressions arithmetically and forwards evicted outputs to
-// the DRAM write trace as re-compressed runs.
+// the DRAM write trace as re-compressed runs. A tile proven fresh is not
+// scanned at all (see replay).
 func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	words := trace.RunWords(runs)
 	if words == 0 {
 		return
 	}
 	b.SRAMWrites += words
+	if b.memo.replay {
+		b.replay(trace.Sweep{Cycle: cycle, Runs: runs, Times: 1}, words)
+		return
+	}
+	if !b.memo.open {
+		b.memo.stopProving()
+	}
+	if b.set.stale {
+		b.set.reindex()
+	}
 	drained := b.runBuf[:0]
 	var drainWords int64
 	for _, r := range runs {
@@ -914,26 +1060,82 @@ func (b *WriteBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 }
 
-// BeginBlock implements trace.BlockConsumer. Every eviction drains one word
-// and Flush drains the rest, so DRAMWrites serves as the eviction counter.
+// BeginBlock implements trace.BlockConsumer: a block is skipped when proven
+// all-hit — every eviction drains one word and Flush drains the rest, so
+// DRAMWrites serves as the eviction counter — and replayed when it is a
+// tile proven fresh. A tile that leaves the dense table is not taken as
+// fresh: its scan moves the set to the probe table, exactly as the same
+// stream unbracketed would.
 func (b *WriteBuffer) BeginBlock(blk trace.Block) bool {
-	if !b.memo.begin(blockKey{blk.Off, blk.N, blk.Words}, b.DRAMWrites) {
-		return false
+	if b.memo.begin(blockKey{blk.Off, blk.N, blk.Words}, b.DRAMWrites) {
+		b.SRAMWrites += blk.Words
+		return true
 	}
-	b.SRAMWrites += blk.Words
-	return true
+	if b.set.dense && !b.set.denseCovers(blk.Lo, blk.Hi) {
+		blk.Distinct = false
+	}
+	b.memo.beginWrite(blk)
+	return false
 }
 
-// ConsumeSweep implements trace.BlockConsumer: a write-back buffer has no
-// closed form for a sweep, so it takes the calls one by one.
-func (b *WriteBuffer) ConsumeSweep(s trace.Sweep) { s.Unroll(b) }
+// ConsumeSweep implements trace.BlockConsumer: a sweep of a tile proven
+// fresh is replayed whole, and any other is unrolled into ConsumeRuns.
+func (b *WriteBuffer) ConsumeSweep(s trace.Sweep) {
+	words := trace.RunWords(s.Runs)
+	if !b.memo.replay || words == 0 {
+		s.Unroll(b)
+		return
+	}
+	b.SRAMWrites += s.Times * words
+	b.replay(s, words)
+}
+
+// replay writes the calls of a sweep (one call, or many) of a tile proven
+// fresh. Every word misses, so the sweep is queued behind the ring as one
+// entry (see overwrite), and call j drains the set's oldest
+// max(0, min(words, (j+1)·words − free)) words, free being the slots open
+// before the sweep: nothing while the set fills, then one partial call, then
+// words per call. While the proof holds the ring is empty — every insertion
+// since SetRegion was queued — so with a DRAM consumer each call's drain is
+// popped off the queue's head and forwarded as the runs the word-by-word
+// scan would emit; without one the drains are only counted and metered.
+func (b *WriteBuffer) replay(s trace.Sweep, words int64) {
+	free := b.set.capacity - int64(b.set.len())
+	b.DRAMWrites += b.set.overwrite(s, words, !b.record)
+	j := min(s.Times, free/words) // the calls that drain nothing
+	if j == s.Times {
+		return
+	}
+	if d := (j+1)*words - free; d < words {
+		b.drain(s.Cycle+j, d)
+		j++
+	}
+	switch {
+	case b.record:
+		for ; j < s.Times; j++ {
+			b.drain(s.Cycle+j, words)
+		}
+	case b.meter != nil && j < s.Times:
+		b.meter.AddSweep(s.Cycle+j, words, s.Times-j)
+	}
+}
+
+// drain forwards one call's write-back of the set's n oldest words, which a
+// replayed sweep left at the head of the queue.
+func (b *WriteBuffer) drain(cycle, n int64) {
+	if b.record {
+		b.runBuf = b.set.queue.pop(n, b.runBuf[:0])
+	}
+	b.forward(cycle, n)
+}
 
 // EndBlock implements trace.BlockConsumer.
 func (b *WriteBuffer) EndBlock() { b.memo.end(b.DRAMWrites, 0) }
 
 // Flush drains every resident output to DRAM at the given cycle (the end of
-// the layer), as runs like every other write-back. It returns the number of
-// words written back.
+// the layer), as runs like every other write-back. Without a DRAM consumer
+// the words are only counted and metered. It returns the number of words
+// written back.
 func (b *WriteBuffer) Flush(cycle int64) int64 {
 	words := b.Pending()
 	if words == 0 {

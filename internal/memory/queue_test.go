@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -204,7 +205,7 @@ func FuzzReplayQueue(f *testing.F) {
 					}
 				}
 				o.last = runs
-				got := q.overwrite(trace.Sweep{Runs: runs, Times: 1}, trace.RunWords(runs))
+				got := q.overwrite(trace.Sweep{Runs: runs, Times: 1}, trace.RunWords(runs), true)
 				var want int64
 				for _, r := range runs {
 					want += eagerOverwrite(ref, r)
@@ -249,7 +250,7 @@ func FuzzReplayQueue(f *testing.F) {
 					continue
 				}
 				o.last = lastCall
-				got := q.overwrite(sw, trace.RunWords(sw.Runs))
+				got := q.overwrite(sw, trace.RunWords(sw.Runs), true)
 				var want int64
 				for j := range sw.Times {
 					for _, r := range shifted(sw.Runs, j*sw.Step) {
@@ -318,5 +319,83 @@ func TestReplayQueueSkipsTheRing(t *testing.T) {
 	}
 	if b.set.queue.words != 0 || b.set.stale {
 		t.Errorf("queue holds %d words, stale %t after the scan", b.set.queue.words, b.set.stale)
+	}
+}
+
+// eagerEvict is eagerOverwrite's word-by-word insert that also returns the
+// evicted words, compressed one by one as the write-back scan compresses
+// them.
+func eagerEvict(f *fifoSet, r trace.Run, evicted []trace.Run) []trace.Run {
+	a := r.Base
+	for range r.Count {
+		if int64(len(f.ring)) < f.capacity {
+			f.ring = append(f.ring, a)
+		} else {
+			evicted = trace.AppendAddr(evicted, f.ring[f.head])
+			f.ring[f.head] = a
+			if f.head++; f.head == len(f.ring) {
+				f.head = 0
+			}
+		}
+		a += r.Stride
+	}
+	return evicted
+}
+
+// TestReplayQueuePopMatchesEager holds pop to eager ring writes: random
+// sweeps are queued untrimmed, and after each call its evictions are popped
+// off the queue's head. The popped runs must equal, run for run, what
+// inserting word by word evicts, and a reindex or a drain — which write the
+// queue, popped words skipped, into the ring — must leave the same FIFO.
+// Every insert is a fresh word, as in a write-back buffer proving tiles.
+func TestReplayQueuePopMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for c := range 300 {
+		capacity := 1 + rng.Int63n(24)
+		q, ref := newFIFOSet(capacity), newFIFOSet(capacity)
+		q.setRegion(0, 1<<16)
+		ref.setRegion(0, 1<<16)
+		next := int64(0) // fresh words only: every insert misses
+		for step := range 12 {
+			runs := []trace.Run{{Base: next, Stride: 1 + rng.Int63n(3), Count: 1 + rng.Int63n(9)}}
+			if rng.Intn(2) == 0 {
+				last := runs[0].Base + (runs[0].Count-1)*runs[0].Stride
+				runs = append(runs, trace.Run{Base: last + 1 + rng.Int63n(4), Stride: 1, Count: 1 + rng.Int63n(5)})
+			}
+			words := trace.RunWords(runs)
+			last := runs[len(runs)-1]
+			span := last.Base + (last.Count-1)*last.Stride - runs[0].Base + 1
+			sw := trace.Sweep{Runs: runs, Step: span + rng.Int63n(3), Times: 1 + rng.Int63n(6)}
+			next += sw.Times * sw.Step
+			free := capacity - int64(q.len())
+			q.overwrite(sw, words, false)
+			for j := range sw.Times {
+				n := max(0, min(words, (j+1)*words-free))
+				got := q.queue.pop(n, nil)
+				var want []trace.Run
+				for _, r := range shifted(runs, j*sw.Step) {
+					want = eagerEvict(ref, r, want)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("case %d step %d call %d: popped %v, eager %v", c, step, j, got, want)
+				}
+			}
+			if q.queue.words > capacity {
+				t.Fatalf("case %d step %d: %d words queued, capacity %d", c, step, q.queue.words, capacity)
+			}
+			switch rng.Intn(6) {
+			case 0:
+				q.reindex()
+				if got, want := fifoOrder(q), fifoOrder(ref); !slices.Equal(got, want) {
+					t.Fatalf("case %d step %d: reindexed ring %v, eager %v", c, step, got, want)
+				}
+				q.drain(nil, false) // the ring empty again, as pop requires
+				ref.drain(nil, false)
+			case 1:
+				if got, want := q.drain(nil, true), ref.drain(nil, true); !slices.Equal(got, want) {
+					t.Fatalf("case %d step %d: drained %v, eager %v", c, step, got, want)
+				}
+			}
+		}
 	}
 }

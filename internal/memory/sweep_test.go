@@ -45,7 +45,8 @@ type sweepOutcome struct {
 
 // memoryCounters are the system's host-side counters but the sweep pair.
 var memoryCounters = []string{"memory.region_fallbacks", "memory.blocks_skipped", "memory.words_skipped",
-	"memory.blocks_thrashed", "memory.words_thrashed", "memory.blocks_first_touch", "memory.words_first_touch"}
+	"memory.blocks_thrashed", "memory.words_thrashed", "memory.blocks_first_touch", "memory.words_first_touch",
+	"memory.blocks_fresh_write", "memory.words_fresh_write"}
 
 // runSweeps simulates l into a fresh system whose buffers take sweeps whole
 // or, behind callsOnly, as calls, with or without DRAM consumers. It
@@ -100,11 +101,12 @@ func runSweeps(t *testing.T, l topology.Layer, cfg config.Config, whole, dram bo
 }
 
 // TestSweepMatchesCalls is the whole-sweep replay's exactness harness: real
-// layers run twice, once with the read buffers taking every sweep of a
-// block proven all-miss whole, once with the same sweeps unrolled into
-// calls. Reports, counters, evictions, DRAM traces, bandwidth profiles and
-// the FIFO order the replay queue leaves must be equal, with and without a
-// DRAM consumer; and sweeps must have been taken whole.
+// layers run twice, once with the buffers taking every sweep of a block
+// proven all-miss (or, on the write side, of a tile proven fresh) whole,
+// once with the same sweeps unrolled into calls. Reports, counters,
+// evictions, DRAM traces, bandwidth profiles and the FIFO order the replay
+// queue leaves must be equal, with and without a DRAM consumer; sweeps must
+// have been taken whole, and under OS (only) every output tile proven fresh.
 func TestSweepMatchesCalls(t *testing.T) {
 	layers := []topology.Layer{
 		resnetLayer(t, "CB2a_1"), resnetLayer(t, "CB4a_2"), resnetLayer(t, "CB5a_2"),
@@ -124,6 +126,13 @@ func TestSweepMatchesCalls(t *testing.T) {
 					}
 					if none != [2]int64{} {
 						t.Errorf("the reference took %d sweeps whole", none[0])
+					}
+					wantFresh := int64(0) // WS/IS outputs re-accumulate: no fresh tile
+					if df == config.OutputStationary {
+						wantFresh = got.report.OfmapSRAMWrites
+					}
+					if fresh := got.counters["memory.words_fresh_write"]; fresh != wantFresh {
+						t.Errorf("%d OFMAP words written as fresh tiles, want %d", fresh, wantFresh)
 					}
 					if sweeps[0] > 0 && sweeps[1] < 2*sweeps[0] {
 						t.Errorf("%d sweeps stand for %d calls", sweeps[0], sweeps[1])

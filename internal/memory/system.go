@@ -34,7 +34,10 @@ type Options struct {
 	// miss on every word because none was ever inserted), both replayed
 	// rather than scanned: queued behind the ring, which is written only
 	// when a later scan reads it; and "memory.sweeps" / "memory.sweep_calls"
-	// (sweeps of such a block replayed whole, and the calls they stand for).
+	// (sweeps of such a block replayed whole, and the calls they stand for);
+	// and "memory.blocks_fresh_write" / "memory.words_fresh_write" (OFMAP
+	// tiles, and the words in them, proven never written before, so queued
+	// and drained by arithmetic rather than scanned).
 	Metrics *obsv.Registry
 }
 
@@ -89,6 +92,8 @@ func NewSystem(cfg config.Config, opt Options) (*System, error) {
 	for _, m := range s.memos() {
 		m.skipped, m.recent, m.thrashed, m.firstTouch = skipped, skipped, thrashed, firstTouch
 	}
+	s.Ofmap.memo.freshWrite = blockCounters{opt.Metrics.Counter("memory.blocks_fresh_write"),
+		opt.Metrics.Counter("memory.words_fresh_write")}
 	sweeps := blockCounters{opt.Metrics.Counter("memory.sweeps"), opt.Metrics.Counter("memory.sweep_calls")}
 	s.Ifmap.sweeps, s.Filter.sweeps = sweeps, sweeps
 	return s, nil

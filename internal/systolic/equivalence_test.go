@@ -259,8 +259,9 @@ func TestRunPathMatchesElementPath(t *testing.T) {
 // claims every block it has been offered before. It also checks the
 // producer's side of the contract on the blocks it does receive: the words
 // each declares, and that every address it streams lies inside its declared
-// hull.
+// hull — inside its tile, for a tile laid out from base.
 type blockSkipper struct {
+	base              int64
 	seen              map[[3]int64]bool
 	begins, skips     int
 	streamed, skipped int64
@@ -286,6 +287,14 @@ func (b *blockSkipper) ConsumeRuns(_ int64, runs []trace.Run) {
 		if lo, hi := min(r.Base, r.Last()), max(r.Base, r.Last()); lo < b.block.Lo || hi > b.block.Hi {
 			b.violations = append(b.violations,
 				fmt.Sprintf("block %+v streamed [%d, %d] outside its hull", b.block, lo, hi))
+		}
+	}
+	if p := b.block.Pitch; p > 0 {
+		lo, hi := b.block.Lo-b.base, b.block.Hi-b.base
+		for _, a := range trace.ExpandRuns(runs, nil) {
+			if row, col := (a-b.base)/p, (a-b.base)%p; row < lo/p || row > hi/p || col < lo%p || col > hi%p {
+				b.violations = append(b.violations, fmt.Sprintf("tile %+v streamed %d outside it", b.block, a))
+			}
 		}
 	}
 }
@@ -329,13 +338,16 @@ func (b *blockSkipper) EndBlock() {
 // the closed-form access counts. It also pins which streams repeat: under OS
 // the IFMAP block recurs per column fold and the filter block per row fold;
 // under WS/IS the streaming operand recurs per column fold and the output
-// block per row fold, while the stationary fill is never bracketed.
+// block per row fold, while the stationary fill is never bracketed. The OS
+// drain is bracketed once per fold as that fold's output tile, and no tile
+// recurs.
 func TestFoldBlockBracketing(t *testing.T) {
 	for _, tc := range equivalenceCases() {
 		for _, df := range config.Dataflows {
 			cfg := tc.cfg.WithDataflow(df)
 			t.Run(fmt.Sprintf("%s/%s", tc.name, df), func(t *testing.T) {
-				var ifm, flt, ofm blockSkipper
+				var ifm, flt blockSkipper
+				ofm := blockSkipper{base: cfg.OfmapOffset}
 				res, err := RunWindow(tc.l, cfg, tc.win, Sinks{IfmapRead: &ifm, FilterRead: &flt, OfmapWrite: &ofm})
 				if err != nil {
 					t.Fatal(err)
@@ -349,7 +361,7 @@ func TestFoldBlockBracketing(t *testing.T) {
 				var none, ifmWant, fltWant, ofmWant expect
 				switch df {
 				case config.OutputStationary:
-					ifmWant, fltWant, ofmWant = perColFold, perRowFold, none
+					ifmWant, fltWant, ofmWant = perColFold, perRowFold, expect{folds, 0}
 				case config.WeightStationary:
 					ifmWant, fltWant, ofmWant = perColFold, none, perRowFold
 				case config.InputStationary:

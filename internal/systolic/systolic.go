@@ -331,12 +331,26 @@ func (s *sim) foldOS(f fold) {
 	// fold. Top edge: filter; the block repeats for every row fold.
 	s.wavefront(s.sinks.ifmapRead, leftEdge, s.mp.RowBlock(f.rowOff, f.rows), f.base)
 	s.wavefront(s.sinks.filterRead, topEdge, s.mp.ColBlock(f.colOff, f.cols), f.base)
-	// Drain: after the bottom-right mapped PE finishes.
+	// Drain: after the bottom-right mapped PE finishes, one output row a
+	// cycle from the bottom row up — one sweep, a row of the OFMAP further
+	// back each cycle, bracketed as the fold's output tile.
 	finish := f.base + f.rows + f.cols + f.T - 3
-	for k := int64(1); k <= f.rows; k++ {
-		i := f.rows - k
-		s.runs = s.mp.OutputRuns(f.rowOff+i, 0, f.colOff, 1, f.cols, s.runs[:0])
-		s.sinks.ofmapWrite.ConsumeRuns(finish+k, s.runs)
+	blk := s.mp.OutputTile(f.rowOff, f.rows, f.colOff, f.cols)
+	s.runs = s.mp.OutputRuns(f.rowOff+f.rows-1, 0, f.colOff, 1, f.cols, s.runs[:0])
+	sw := trace.Sweep{Cycle: finish + 1, Runs: s.runs, Step: -blk.Pitch, Times: f.rows}
+	c := s.sinks.ofmapWrite
+	b, ok := c.(trace.BlockConsumer)
+	switch {
+	case !ok:
+		sw.Unroll(c)
+	case b.BeginBlock(blk):
+	default:
+		if sw.Times > 1 {
+			b.ConsumeSweep(sw)
+		} else {
+			c.ConsumeRuns(sw.Cycle, sw.Runs)
+		}
+		b.EndBlock()
 	}
 }
 

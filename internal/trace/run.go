@@ -131,10 +131,17 @@ func ConsumeAddrs(c RunConsumer, cycle int64, addrs []int64) {
 // may be wider than the exact bounds, never narrower. Distinct means no
 // address repeats within one stream of the block. Lo > Hi declares no hull
 // and !Distinct no distinctness; a consumer must then assume neither.
+//
+// Pitch > 0 declares the hull a tile instead: the block writes into a
+// region laid out in rows of Pitch words, and relative to the region's base
+// every address it streams lies in rows Lo/Pitch..Hi/Pitch and columns
+// Lo%Pitch..Hi%Pitch (the OS drain of one fold's outputs). Pitch 0 keeps
+// the interval meaning.
 type Block struct {
 	Off, N, Words int64
 	Lo, Hi        int64
 	Distinct      bool
+	Pitch         int64
 }
 
 // BlockConsumer is an optional capability beside RunConsumer: a producer

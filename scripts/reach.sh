@@ -84,6 +84,10 @@ for i in 1 2; do
 done
 "$B/scalesim" -topology tf0.csv -array 32x32 -sram 64,64,32 -dram-bw 4 -timeline tf0_tl.json > /dev/null
 "$B/scalesim" -topology tf0.csv -array 16x16 -sram 64,64,32 -cache-dir sc -cache-max-mb 1 -run-dir runs > /dev/null
+# A 4.3 M-word OFMAP, above the dense table's limit, scanned under WS (an OS
+# drain is proven fresh and never scanned): the probe table's only driver.
+printf 'BIG,4200,1,1,1,1,1024,1\n' > big.csv
+"$B/scalesim" -topology big.csv -dataflow ws > big.txt
 # A corrupt spill file is a logged miss, never a failed run.
 for f in sc/*.json; do printf '{' > "$f"; done
 "$B/scalesim" -topology tf0.csv -array 32x32 -sram 64,64,32 -dram-bw 4 -cache-dir sc -log tf0_corrupt.log > /dev/null

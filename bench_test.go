@@ -720,7 +720,8 @@ func BenchmarkLanguageModelsCold(b *testing.B) {
 // pinned aggregate (every Stats field summed over layers, MaxLatency and
 // LastCompletion as their maximum) or whose DRAM model replays less than
 // 80 % of the words it serves by its shift proof, or no stretch of a sweep
-// in one step.
+// in one step, or takes no word by a row step, or whose word ledger —
+// replayed, stepped and walked — does not sum to the words served.
 func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 	b.ReportAllocs()
 	ddr := dram.DDR3()
@@ -783,6 +784,15 @@ func BenchmarkBERTBaseDRAMCold(b *testing.B) {
 		b.Fatal("dram.sweeps = 0: the DRAM model replayed no stretch of a sweep in one step")
 	}
 	b.ReportMetric(float64(sweeps)/float64(b.N), "dram-sweeps/op")
+	stepped := rec.Metrics().Counter("dram.words_stepped").Value()
+	walked := rec.Metrics().Counter("dram.words_walked").Value()
+	if replayed+stepped+walked != served {
+		b.Fatalf("DRAM word ledger: replayed %d + stepped %d + walked %d != served %d", replayed, stepped, walked, served)
+	}
+	if stepped == 0 {
+		b.Fatal("dram.words_stepped = 0: the DRAM model took no word by a row step")
+	}
+	b.ReportMetric(float64(stepped)/float64(b.N), "dram-stepped-words/op")
 }
 
 // BenchmarkCSVTraceWrite measures trace serialization throughput.

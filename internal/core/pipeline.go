@@ -408,14 +408,17 @@ func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
 			stats := ctx.dram.Stats()
 			ctx.Entry.DRAMStats = &stats
 			// How much of the layer the model served by its shift proof,
-			// and in how many stretches of a sweep taken in one step:
+			// in how many stretches of a sweep taken in one step, and how
+			// it took the other words, by row steps or one at a time:
 			// host-side provenance beside the memory.* counters, never
-			// part of the entry.
-			calls, words, sweeps := ctx.dram.Replayed()
+			// part of the entry. replayed + stepped + walked == served.
+			calls, words, sweeps, stepped, walked := ctx.dram.Replayed()
 			reg := s.opt.Obs.Metrics()
 			reg.Counter("dram.calls_replayed").Add(calls)
 			reg.Counter("dram.words_replayed").Add(words)
 			reg.Counter("dram.sweeps").Add(sweeps)
+			reg.Counter("dram.words_stepped").Add(stepped)
+			reg.Counter("dram.words_walked").Add(walked)
 			reg.Counter("dram.words_served").Add(stats.Requests)
 		}
 		if ctx.stall != nil {

@@ -19,7 +19,9 @@
 // replays the following ones by arithmetic (see shift), touching only the
 // banks the call uses, with results identical to serving every word; a
 // producer that declares the repetition as a sweep has ConsumeSweep replay
-// a whole stretch of it in one step.
+// a whole stretch of it in one step. A call served in full goes through
+// serve a row at a time: the words of a run that stay in one row are hits
+// in one bank, taken in one step.
 package dram
 
 import (
@@ -116,6 +118,9 @@ type Model struct {
 	// replayedCalls and replayedWords count what the proof served,
 	// replayedSweeps the stretches of a sweep it served in one step.
 	replayedCalls, replayedWords, replayedSweeps int64
+	// stepped and walked count the words serve took by a row step and one
+	// at a time.
+	stepped, walked int64
 	// sweepRuns is ConsumeSweep's shifted copy of a sweep's runs.
 	sweepRuns []trace.Run
 }
@@ -142,11 +147,12 @@ type call struct {
 	n, hits int64
 	// sumDone is the sum of the words' completion cycles.
 	sumDone int64
-	// cmdFree, openRow and slack per bank, and bus: the state at call start
-	// (slack: at call end). busEnd is the bus at call end, the last word's
-	// completion.
-	cmdFree, openRow, slack []int64
-	bus, busEnd             int64
+	// start and bus are the banks' and the bus's state at call start, slack
+	// each bank's at call end. busEnd is the bus at call end, the last
+	// word's completion.
+	start       []bank
+	slack       []int64
+	bus, busEnd int64
 	// banks lists the indices of the banks the call touched.
 	banks []int
 }
@@ -207,8 +213,7 @@ func New(cfg Config) (*Model, error) {
 	for _, c := range []*call{m.prev, m.cur} {
 		c.runs = make([]trace.Run, 0, maxRecordRuns)
 		c.head = make([]int64, 0, maxRecordRuns)
-		c.cmdFree = make([]int64, cfg.Banks)
-		c.openRow = make([]int64, cfg.Banks)
+		c.start = make([]bank, cfg.Banks)
 		c.slack = make([]int64, cfg.Banks)
 	}
 	return m, nil
@@ -220,20 +225,26 @@ func New(cfg Config) (*Model, error) {
 // their cycles (see the package doc).
 //
 // Only the first word is decoded by division. stride is split once into
-// whole rows and a remainder in [0, RowWords); every later word adds the
-// remainder to the row offset and carries into the row and the bank, which
-// lands on exactly the (row, bank) a division of the address would — for
-// non-negative addresses, where truncated and floored division agree. A run
-// that reaches below zero is therefore decoded word by word.
+// whole rows and a remainder in [0, RowWords); the loop moves to the next
+// word by adding the remainder to the row offset and carrying into the row
+// and the bank, which lands on exactly the (row, bank) a division of the
+// address would — for non-negative addresses, where truncated and floored
+// division agree. A run that reaches below zero is therefore decoded word by
+// word.
+//
+// The loop walks one word and then steps a row: when 0 <= stride <
+// RowWords, the words after it that stay in its row are hits in its bank,
+// and one closed form takes them all (the row step). Other strides walk
+// every word.
 //
 // The arrival cycle is fixed, so refresh catch-up and the max(arrival,
 // refreshHold) floor are settled once, and every completion goes through the
 // bus, which only moves forward: the last word has both the largest latency
 // and the latest completion.
 //
-// Each word also lowers its bank's slack to bus - ready, the one piece of
-// the shift proof that needs every word; ConsumeRuns reads the rest off the
-// state before and after the call.
+// Each walked word also lowers its bank's slack to bus - ready, the one
+// piece of the shift proof that needs every word (a row step never lowers
+// it); ConsumeRuns reads the rest off the state before and after the call.
 func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 	switch {
 	case n <= 0:
@@ -263,7 +274,7 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 
 	m.refresh(arrival)
 	floor, bus := max(arrival, m.refreshHold), m.bus
-	var hits, sumDone int64
+	var hits, stepped, sumDone int64
 	for left := n; ; {
 		b := &m.banks[bank]
 		start := max(floor, b.cmdFree)
@@ -288,7 +299,29 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 		m.slack[bank] = min(m.slack[bank], bus-ready)
 		bus = max(ready, bus) + busWord
 		sumDone += bus
-		if left--; left == 0 {
+		left--
+
+		// The row step: when the next word stays in this row, so do the next
+		// k, and they are all hits in this bank. Its cmdFree is now above the
+		// floor, so the j-th of them is ready at ready + j·busWord, and the
+		// bus, already at or past ready + busWord, is still theirs to wait
+		// for: each transfer ends one bus slot after the one before it.
+		// Their bus - ready is max(0, the gap above), so the bank's slack
+		// stays as it is.
+		if dRow == 0 && left > 0 && rowOff+dRowOff < rowWords {
+			k := left
+			if dRowOff > 0 {
+				k = min(k, (rowWords-1-rowOff)/dRowOff)
+			}
+			sumDone += k*bus + busWord*triangle(k)
+			bus += k * busWord
+			b.cmdFree += k * busWord
+			hits += k
+			stepped += k
+			rowOff += k * dRowOff
+			left -= k
+		}
+		if left == 0 {
 			break
 		}
 
@@ -312,6 +345,8 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 	m.stats.MaxLatency = max(m.stats.MaxLatency, bus-arrival)
 	m.stats.LastCompletion = max(m.stats.LastCompletion, bus)
 	m.stats.BusBusy += n * busWord
+	m.stepped += stepped
+	m.walked += n - stepped
 	return bus
 }
 
@@ -408,8 +443,8 @@ func (m *Model) begin(cycle int64, runs []trace.Run) {
 	}
 	c.runs = append(c.runs[:0], runs...)
 	c.bus = m.bus
-	for i, b := range m.banks {
-		c.cmdFree[i], c.openRow[i] = b.cmdFree, b.openRow
+	copy(c.start, m.banks)
+	for i := range m.slack {
 		m.slack[i] = math.MaxInt64
 	}
 }
@@ -428,11 +463,11 @@ func (m *Model) record(before Stats) {
 	c.banks = c.banks[:0]
 	floor := max(c.arrival, m.refreshHold)
 	for i, b := range m.banks {
-		if b.cmdFree == c.cmdFree[i] {
+		if b.cmdFree == c.start[i].cmdFree {
 			continue
 		}
 		c.banks = append(c.banks, i)
-		if floor > c.cmdFree[i] {
+		if floor > c.start[i].cmdFree {
 			c.ok = false
 		}
 	}
@@ -472,7 +507,7 @@ func (m *Model) arm() {
 		}
 	}
 	for _, i := range c.banks {
-		if p.openRow[i] != c.openRow[i] {
+		if p.start[i].openRow != c.start[i].openRow {
 			return
 		}
 	}
@@ -483,7 +518,7 @@ func (m *Model) arm() {
 	left := int64(math.MaxInt64)
 	dBank := m.proof.dBank[:0]
 	for _, i := range c.banks {
-		d := c.cmdFree[i] - p.cmdFree[i]
+		d := c.start[i].cmdFree - p.start[i].cmdFree
 		dBank = append(dBank, d)
 		if over := d - delta; over > 0 {
 			left = min(left, c.slack[i]/over)
@@ -611,8 +646,10 @@ func (m *Model) Stats() Stats { return m.stats }
 
 // Replayed reports how many calls, and words in them, the shift proof
 // served rather than word by word, and in how many stretches of a sweep
-// replayed in one step (sweeps). It is host-side provenance, not a
+// replayed in one step (sweeps); and of the words serve took, how many by
+// a row step (stepped) and how many one at a time (walked). words, stepped
+// and walked sum to Stats().Requests. It is host-side provenance, not a
 // simulated quantity, so it stays out of Stats.
-func (m *Model) Replayed() (calls, words, sweeps int64) {
-	return m.replayedCalls, m.replayedWords, m.replayedSweeps
+func (m *Model) Replayed() (calls, words, sweeps, stepped, walked int64) {
+	return m.replayedCalls, m.replayedWords, m.replayedSweeps, m.stepped, m.walked
 }

@@ -573,7 +573,7 @@ func TestShiftReplayMatchesPerWordReference(t *testing.T) {
 			t.Errorf("config %d %+v: final device state differs from the reference", ci, cfg)
 		}
 		if ci == 0 {
-			calls, words, _ := got.Replayed()
+			calls, words, _, _, _ := got.Replayed()
 			if share := float64(words) / float64(got.Stats().Requests); share < 0.5 {
 				t.Errorf("DDR3: shift proof replayed %d calls, %d of %d words (%.2f), want at least half",
 					calls, words, got.Stats().Requests, share)
@@ -621,13 +621,13 @@ func replayFlags(t *testing.T, cfg Config, start *startState, feed []feedCall) [
 	}
 	flags := make([]bool, len(feed))
 	for k, c := range feed {
-		before, _, _ := got.Replayed()
+		before, _, _, _, _ := got.Replayed()
 		got.ConsumeRuns(c.cycle, c.runs)
 		refConsume(want, c.cycle, trace.ExpandRuns(c.runs, nil))
 		if got.Stats() != want.Stats() {
 			t.Fatalf("call %d %+v:\nmodel     %+v\nreference %+v", k, c, got.Stats(), want.Stats())
 		}
-		after, _, _ := got.Replayed()
+		after, _, _, _, _ := got.Replayed()
 		flags[k] = after > before
 	}
 	if !sameDevice(got, want) {
@@ -759,4 +759,188 @@ func TestShiftReplayBusStartBound(t *testing.T) {
 		feed = append(feed, feedCall{c.cycle, []trace.Run{{Base: c.a, Stride: 9, Count: 5}, {Base: c.b, Stride: 3, Count: 3}}})
 	}
 	replayFlags(t, cfg, start, feed)
+}
+
+// perWordRuns is ConsumeRuns with every word served by its own one-word
+// serve, so no row step is ever taken: the twin the row step is held to.
+// Its body is ConsumeRuns' but for the inner loop.
+func perWordRuns(m *Model, cycle int64, runs []trace.Run) {
+	if m.proof.left > 0 && m.replay(cycle, runs, 0, 1) == 1 {
+		return
+	}
+	m.proof.left = 0
+	m.prev, m.cur = m.cur, m.prev
+	m.prev.ok = m.prev.ok && m.adjacent
+	before := m.stats
+	m.begin(cycle, runs)
+	for _, r := range runs {
+		for i := int64(0); i < r.Count; i++ {
+			m.serve(cycle, r.Base+i*r.Stride, 0, 1)
+		}
+	}
+	m.record(before)
+	m.adjacent = true
+	m.arm()
+}
+
+// sameSlack reports whether two models hold the same per-bank slack, live
+// and in both call records, and so arm and replay the shift proof alike.
+func sameSlack(a, b *Model) bool {
+	return reflect.DeepEqual(a.slack, b.slack) &&
+		reflect.DeepEqual(a.recs[0].slack, b.recs[0].slack) && reflect.DeepEqual(a.recs[1].slack, b.recs[1].slack) &&
+		a.proof.left == b.proof.left
+}
+
+// stepMatches feeds the calls through ConsumeRuns and through perWordRuns and
+// requires, after every call, equal Stats, device state and slack, and
+// returns the words the row step took.
+func stepMatches(t *testing.T, cfg Config, feed []feedCall) int64 {
+	t.Helper()
+	got, err := New(cfg)
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	twin, _ := New(cfg)
+	for k, c := range feed {
+		got.ConsumeRuns(c.cycle, c.runs)
+		perWordRuns(twin, c.cycle, c.runs)
+		if got.Stats() != twin.Stats() || !sameDevice(got, twin) || !sameSlack(got, twin) {
+			t.Fatalf("%+v, call %d at cycle %d %+v:\nstepped  %+v slack %v\nper word %+v slack %v",
+				cfg, k, c.cycle, c.runs, got.Stats(), got.slack, twin.Stats(), twin.slack)
+		}
+	}
+	_, words, _, stepped, walked := got.Replayed()
+	if words+stepped+walked != got.Stats().Requests {
+		t.Errorf("%+v: replayed %d + stepped %d + walked %d != served %d", cfg, words, stepped, walked, got.Stats().Requests)
+	}
+	if _, _, _, s, _ := twin.Replayed(); s != 0 {
+		t.Errorf("%+v: the per-word twin stepped %d words", cfg, s)
+	}
+	return stepped
+}
+
+// stepRun draws a run for the row step on a geometry with rows of g words:
+// strides 0, 1, g-1, below g, g and beyond, and negative; a third of the
+// runs within a row end exactly on its last word.
+func stepRun(rng *rand.Rand, g, span int64) trace.Run {
+	r := trace.Run{Count: 1 + rng.Int63n(3*g+2)}
+	switch rng.Intn(7) {
+	case 0:
+		r.Stride = 0
+	case 1:
+		r.Stride = 1
+	case 2:
+		r.Stride = g - 1
+	case 3:
+		r.Stride = rng.Int63n(g)
+	case 4:
+		r.Stride = g + rng.Int63n(2*g)
+	case 5:
+		r.Stride = -1 - rng.Int63n(2*g)
+	default:
+		r.Stride = 1 + rng.Int63n(4)
+	}
+	r.Base = rng.Int63n(span)
+	if r.Stride >= 0 && r.Stride < g && rng.Intn(3) == 0 {
+		// The last word is the last of its row.
+		last := (rng.Int63n(span)/g+1)*g - 1
+		if base := last - (r.Count-1)*r.Stride; base >= 0 {
+			r.Base = base
+		}
+	}
+	if r.Stride < 0 {
+		r.Base -= (r.Count - 1) * r.Stride
+	}
+	return r
+}
+
+// TestRowStepMatchesPerWordServe: serve's row step leaves every bank's
+// slack, and with it the calls the shift proof arms and replays on, the
+// Stats and the device state exactly as serving each word alone does —
+// which refRequest cannot see, since it keeps no slack. The cases pin the
+// corners of the step; the random feeds mix them on small geometries with
+// bus slots of one to three cycles, zero CAS latency, one-word rows,
+// frequent refresh, few rows (stretches start in open rows) and many
+// (stretches start in closed ones), and chains of shifted calls that arm
+// the proof.
+func TestRowStepMatchesPerWordServe(t *testing.T) {
+	base := Config{Banks: 2, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4}
+	one := func(cycle int64, r trace.Run) feedCall { return feedCall{cycle, []trace.Run{r}} }
+	cases := []struct {
+		name string
+		cfg  func(Config) Config
+		feed []feedCall
+	}{
+		{"stride 0", nil, []feedCall{one(0, trace.Run{Base: 5, Stride: 0, Count: 40})}},
+		{"stride RowWords-1", nil, []feedCall{one(0, trace.Run{Base: 3, Stride: 15, Count: 40})}},
+		{"one-word rows", func(c Config) Config { c.RowWords = 1; return c },
+			[]feedCall{one(0, trace.Run{Base: 7, Stride: 0, Count: 9}), one(1, trace.Run{Base: 2, Stride: 1, Count: 9})}},
+		{"a run ending on a row end", nil,
+			[]feedCall{one(0, trace.Run{Base: 4, Stride: 1, Count: 12}), one(0, trace.Run{Base: 17, Stride: 7, Count: 3})}},
+		{"a stretch starting in an open row", nil,
+			[]feedCall{one(0, trace.Run{Base: 0, Stride: 1, Count: 3}), one(1, trace.Run{Base: 3, Stride: 2, Count: 6})}},
+		{"a stretch starting in a closed row", nil,
+			[]feedCall{one(0, trace.Run{Base: 0, Stride: 1, Count: 3}), one(1, trace.Run{Base: 16, Stride: 3, Count: 6})}},
+		{"a refresh hold above cmdFree", func(c Config) Config { c.TREFI, c.TRFC = 100, 60; return c },
+			[]feedCall{one(0, trace.Run{Base: 0, Stride: 1, Count: 4}), one(100, trace.Run{Base: 4, Stride: 1, Count: 30})}},
+		{"a shifted chain arms the proof", nil, chain(0, 12, trace.Run{Base: 0, Stride: 5, Count: 6})},
+	}
+	for _, tc := range cases {
+		for w := int64(1); w <= 3; w++ {
+			for _, tCAS := range []int64{0, 2} {
+				cfg := base
+				if tc.cfg != nil {
+					cfg = tc.cfg(cfg)
+				}
+				cfg.BusCyclesPerWord, cfg.TCAS = w, tCAS
+				if stepMatches(t, cfg, tc.feed) == 0 {
+					t.Errorf("%s on %+v: no word was stepped", tc.name, cfg)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(4103))
+	trials := 400
+	if testing.Short() {
+		trials = 80
+	}
+	var stepped int64
+	for g := 0; g < trials; g++ {
+		cfg := Config{
+			Banks: 1 + rng.Intn(4), RowWords: 1 + rng.Int63n(24),
+			TRCD: rng.Int63n(8), TCAS: rng.Int63n(8), TRP: rng.Int63n(8), BusCyclesPerWord: 1 + rng.Int63n(3),
+		}
+		if rng.Intn(3) == 0 {
+			cfg.TCAS = 0
+		}
+		if rng.Intn(2) == 0 {
+			cfg.TREFI = 20 + rng.Int63n(300)
+			cfg.TRFC = rng.Int63n(cfg.TREFI)
+		}
+		// A span of a few rows per bank keeps rows open between calls; a
+		// wide one makes most stretches start after an activate.
+		span := cfg.RowWords * int64(cfg.Banks) * [...]int64{2, 64}[rng.Intn(2)]
+		var feed []feedCall
+		var cycle int64
+		for len(feed) < 60 {
+			runs := make([]trace.Run, 1+rng.Intn(3))
+			for i := range runs {
+				runs[i] = stepRun(rng, cfg.RowWords, span)
+			}
+			if rng.Intn(3) == 0 {
+				feed = append(feed, chain(cycle, 2+rng.Intn(8), runs...)...)
+			} else {
+				feed = append(feed, feedCall{cycle, runs})
+			}
+			cycle = feed[len(feed)-1].cycle + rng.Int63n(3)
+			if rng.Intn(10) == 0 {
+				cycle += rng.Int63n(500)
+			}
+		}
+		stepped += stepMatches(t, cfg, feed)
+	}
+	if stepped == 0 {
+		t.Error("the random feeds stepped no word")
+	}
 }

@@ -18,12 +18,15 @@ import (
 
 // fuzzDRAM are the DRAM sides a fuzzed layer draws from: none, DDR3 with
 // and without refresh, and a geometry whose short rows every skew stride
-// breaks and whose refresh falls every few hundred cycles.
+// breaks and whose refresh falls every few hundred cycles, with a bus slot
+// of one cycle and of two (so serve's row step moves the bus by more than
+// one cycle a word).
 var fuzzDRAM = []*dram.Config{
 	nil,
 	func() *dram.Config { c := dram.DDR3(); return &c }(),
 	func() *dram.Config { c := dram.DDR3(); c.TREFI, c.TRFC = 0, 0; return &c }(),
 	{Banks: 3, RowWords: 37, TRCD: 5, TCAS: 4, TRP: 6, TREFI: 400, TRFC: 30, BusCyclesPerWord: 1},
+	{Banks: 3, RowWords: 37, TRCD: 5, TCAS: 4, TRP: 6, TREFI: 400, TRFC: 30, BusCyclesPerWord: 2},
 }
 
 // fuzzBandwidths are the link bandwidths a fuzzed layer draws from: none,
@@ -46,13 +49,15 @@ var fuzzBandwidths = []float64{0, 1, 2, 3, 4, 8, 16, 0.7, 1.0 / 3, 2.5}
 // reproduce the DRAM statistics.
 func FuzzLayer(f *testing.F) {
 	// Seeds: OS/WS/IS GEMMs and convolutions, buffers of a few words to a
-	// few KiB, every DRAM side, words-per-call level with the link, whole
-	// layers and windows.
+	// few KiB, every DRAM side (the two-cycle bus slot under OS and WS),
+	// words-per-call level with the link, whole layers and windows.
 	f.Add(uint8(15), uint8(0), uint8(0), uint8(0), uint8(11), uint8(39), uint8(0), uint8(0), uint8(7), uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(4), uint8(0), uint8(0))
 	f.Add(uint8(11), uint8(11), uint8(2), uint8(2), uint8(3), uint8(15), uint8(1), uint8(1), uint8(3), uint8(5), uint8(1), uint8(1), uint8(0), uint8(5), uint8(3), uint8(1), uint8(3), uint8(2))
 	f.Add(uint8(19), uint8(13), uint8(4), uint8(1), uint8(5), uint8(7), uint8(0), uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(1), uint8(6), uint8(1), uint8(7), uint8(0), uint8(0))
 	f.Add(uint8(7), uint8(7), uint8(2), uint8(2), uint8(7), uint8(31), uint8(0), uint8(0), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0), uint8(4), uint8(2), uint8(3), uint8(9), uint8(17))
 	f.Add(uint8(23), uint8(0), uint8(0), uint8(0), uint8(2), uint8(9), uint8(0), uint8(1), uint8(15), uint8(1), uint8(2), uint8(3), uint8(1), uint8(7), uint8(3), uint8(8), uint8(5), uint8(40))
+	f.Add(uint8(17), uint8(9), uint8(2), uint8(1), uint8(6), uint8(21), uint8(0), uint8(0), uint8(5), uint8(6), uint8(0), uint8(1), uint8(0), uint8(3), uint8(4), uint8(4), uint8(0), uint8(0))
+	f.Add(uint8(13), uint8(0), uint8(0), uint8(0), uint8(9), uint8(33), uint8(0), uint8(1), uint8(6), uint8(4), uint8(1), uint8(0), uint8(2), uint8(5), uint8(4), uint8(7), uint8(2), uint8(8))
 	f.Fuzz(func(t *testing.T, ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog, dm, bw, wr, wc uint8) {
 		l := topology.Layer{Name: "fuzz", IfmapH: 1 + int(ih%24), IfmapW: 1 + int(iw%24),
 			Channels: 1 + int(ch%12), NumFilters: 1 + int(nf%40), Stride: 1 + int(st%3)}

@@ -94,7 +94,7 @@ func TestSweepReplayMatchesPerWordReference(t *testing.T) {
 	}
 	for ci, cfg := range cfgs {
 		got := sweepsMatch(t, cfg, sweepFeed(rng, 3000))
-		if calls, _, sweeps := got.Replayed(); ci == 0 && (sweeps == 0 || calls < 1500) {
+		if calls, _, sweeps, _, _ := got.Replayed(); ci == 0 && (sweeps == 0 || calls < 1500) {
 			t.Errorf("DDR3: %d calls replayed in %d stretches, want most of 3000 calls in stretches", calls, sweeps)
 		}
 	}
@@ -114,7 +114,7 @@ func TestSweepStretchBounds(t *testing.T) {
 		// served in full and the proof re-armed behind it.
 		sw := trace.Sweep{Cycle: 7000, Runs: []trace.Run{{Base: 0, Stride: 1, Count: 1}}, Step: 1, Times: 1500}
 		m := sweepsMatch(t, ddr, []trace.Sweep{sw})
-		calls, _, sweeps := m.Replayed()
+		calls, _, sweeps, _, _ := m.Replayed()
 		if calls >= sw.Times-2 || calls < sw.Times/2 || sweeps > 2 || m.Stats().Refreshes != 1 {
 			t.Errorf("replayed %d of %d calls in %d stretches across %d refreshes, want most of them call by call, "+
 				"and the call the refresh holds served in full", calls, sw.Times, sweeps, m.Stats().Refreshes)
@@ -140,7 +140,7 @@ func TestSweepStretchBounds(t *testing.T) {
 		pair.Base += 3
 		feed = append(feed, trace.Sweep{Cycle: 3, Runs: []trace.Run{pair}, Step: 1, Times: left + 5})
 		m := sweepsMatch(t, ddr, feed)
-		if calls, _, sweeps := m.Replayed(); sweeps == 0 || calls < left {
+		if calls, _, sweeps, _, _ := m.Replayed(); sweeps == 0 || calls < left {
 			t.Errorf("replayed %d calls in %d stretches, want the %d the horizon covers", calls, sweeps, left)
 		}
 	})
@@ -149,7 +149,7 @@ func TestSweepStretchBounds(t *testing.T) {
 		// the stretch stops short of the row crossing at call 60.
 		sw := trace.Sweep{Cycle: 0, Runs: []trace.Run{{Base: 200, Stride: 767, Count: 8}}, Step: 1, Times: 200}
 		m := sweepsMatch(t, ddr, []trace.Sweep{sw})
-		if calls, _, sweeps := m.Replayed(); sweeps < 2 || calls == 0 {
+		if calls, _, sweeps, _, _ := m.Replayed(); sweeps < 2 || calls == 0 {
 			t.Errorf("replayed %d calls in %d stretches, want a stretch on each side of the row crossing", calls, sweeps)
 		}
 	})
@@ -162,7 +162,7 @@ func TestSweepStretchBounds(t *testing.T) {
 		run.Base += 39
 		feed = append(feed, trace.Sweep{Cycle: 40, Runs: []trace.Run{run}, Step: -1, Times: 60})
 		m := sweepsMatch(t, ddr, feed)
-		if calls, _, sweeps := m.Replayed(); sweeps < 2 || calls < 70 {
+		if calls, _, sweeps, _, _ := m.Replayed(); sweeps < 2 || calls < 70 {
 			t.Errorf("replayed %d calls in %d stretches, want both sweeps down to the armed call in stretches", calls, sweeps)
 		}
 	})

@@ -73,7 +73,7 @@ func TestRealTrafficMatchesPerWordReference(t *testing.T) {
 				t.Errorf("%v layer %d (%s): replayed %+v, reference %+v, reported %+v",
 					df, i, layer.Compute.Layer.Name, got.Stats(), want.Stats(), *layer.DRAMStats)
 			}
-			_, words, _ := got.Replayed()
+			_, words, _, _, _ := got.Replayed()
 			replayed += words
 		}
 		if replayed == 0 {

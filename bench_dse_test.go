@@ -19,12 +19,14 @@ import (
 
 // dseShapes enumerates every RxC factorization of the given MAC budgets —
 // the paper's Fig. 9/11 aspect-ratio axis, three orders of magnitude of it.
-func dseShapes(budgets ...int64) []analytical.Shape {
-	var shapes []analytical.Shape
+func dseShapes(budgets ...int64) [][2]int {
+	var arrays [][2]int
 	for _, macs := range budgets {
-		shapes = analytical.AppendShapes(shapes, macs, 1)
+		for _, s := range analytical.Shapes(macs, 1) {
+			arrays = append(arrays, [2]int{int(s.R), int(s.C)})
+		}
 	}
-	return shapes
+	return arrays
 }
 
 // benchRunner is the one-worker Runner a CLI builds — what scaledse hands
@@ -41,7 +43,7 @@ func benchRunner(b *testing.B, cache *simcache.Cache) *job.Runner {
 // (floor: 1e5 configs/s); the grid here is ~10^2 larger than the Fig. 11
 // sweep's distinct array-shape set.
 func BenchmarkDSETier1(b *testing.B) {
-	space := dse.Space{
+	grid := batch.Spec{
 		Base: config.New(),
 		// Highly-composite MAC budgets maximize distinct RxC
 		// factorizations: ~1200 shapes, vs Fig. 11's handful.
@@ -49,15 +51,14 @@ func BenchmarkDSETier1(b *testing.B) {
 		Dataflows: []config.Dataflow{
 			config.OutputStationary, config.WeightStationary, config.InputStationary,
 		},
-		Workloads: []topology.Topology{topology.TinyNet(), topology.AlexNet()},
-		Epsilon:   0.1,
+		Topologies: []topology.Topology{topology.TinyNet(), topology.AlexNet()},
 	}
 	runner := benchRunner(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var scored, nspop int64
 	for i := 0; i < b.N; i++ {
-		res, err := dse.Explore(space, dse.Options{Tier1Only: true}, runner, job.Live{})
+		res, err := dse.Explore(grid, dse.Options{Epsilon: 0.1, Tier1Only: true}, runner, job.Live{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,45 +76,32 @@ func BenchmarkDSETier1(b *testing.B) {
 // exhaustively (every point cycle-accurate) versus through the tiered
 // search (analytical band first, simulation only inside the band).
 func BenchmarkDSESweep(b *testing.B) {
-	arrays := dseShapes(1 << 8) // 16x16 budget: 9 shapes
-	grid := make([][2]int, len(arrays))
-	for i, a := range arrays {
-		grid[i] = [2]int{int(a.R), int(a.C)}
+	grid := batch.Spec{
+		Base:       config.New(),
+		Arrays:     dseShapes(1 << 8), // 16x16 budget: 9 shapes
+		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		Topologies: []topology.Topology{topology.TinyNet()},
 	}
-	dfs := []config.Dataflow{config.OutputStationary, config.WeightStationary}
-	nets := []topology.Topology{topology.TinyNet()}
 
 	b.Run("full", func(b *testing.B) {
 		runner := benchRunner(b, nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := runner.RunSweep("sweep", batch.Spec{
-				Base:       config.New(),
-				Arrays:     grid,
-				Dataflows:  dfs,
-				Topologies: nets,
-			}, job.Live{})
+			res, err := runner.RunSweep("sweep", grid, job.Live{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(res.Rows) != len(grid)*len(dfs) {
+			if len(res.Rows) != len(grid.Arrays)*len(grid.Dataflows) {
 				b.Fatalf("rows = %d", len(res.Rows))
 			}
 		}
 	})
 	b.Run("tiered", func(b *testing.B) {
-		space := dse.Space{
-			Base:      config.New(),
-			Arrays:    arrays,
-			Dataflows: dfs,
-			Workloads: nets,
-			Epsilon:   0.1,
-		}
 		runner := benchRunner(b, nil)
 		b.ReportAllocs()
 		var refined, gridN int64
 		for i := 0; i < b.N; i++ {
-			res, err := dse.Explore(space, dse.Options{}, runner, job.Live{})
+			res, err := dse.Explore(grid, dse.Options{Epsilon: 0.1}, runner, job.Live{})
 			if err != nil {
 				b.Fatal(err)
 			}

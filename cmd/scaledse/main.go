@@ -40,7 +40,6 @@ import (
 	"scalesim/internal/job"
 	"scalesim/internal/obsv"
 	"scalesim/internal/simcache"
-	"scalesim/internal/topology"
 )
 
 func main() { cliobs.Main("scaledse", run) }
@@ -99,15 +98,7 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	if len(grid.Graphs) > 0 {
-		return fmt.Errorf("workload %q is an operator graph; tier 1 scores flat nets only (flat built-ins: %s)",
-			grid.Graphs[0].Name, strings.Join(topology.BuiltInNames(), ", "))
-	}
-	space := dse.Space{Base: base, Epsilon: *eps,
-		Dataflows: grid.Dataflows, SRAMs: grid.SRAMs, Workloads: grid.Topologies}
-	for _, a := range grid.Arrays {
-		space.Arrays = append(space.Arrays, analytical.Shape{R: int64(a[0]), C: int64(a[1])})
-	}
+	grid.Parallel = *parallel
 	if *enumMACs != "" {
 		budgets, err := config.ParseIntList(*enumMACs)
 		if err != nil {
@@ -117,15 +108,17 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 			if macs < 1 {
 				return fmt.Errorf("-enum-macs: invalid MAC budget %d", macs)
 			}
-			space.Arrays = analytical.AppendShapes(space.Arrays, macs, *minDim)
+			for _, s := range analytical.Shapes(macs, *minDim) {
+				grid.Arrays = append(grid.Arrays, [2]int{int(s.R), int(s.C)})
+			}
 		}
 	}
 
-	opt := dse.Options{Parallel: *parallel, Tier1Only: *tier1Only}
+	opt := dse.Options{Epsilon: *eps, Tier1Only: *tier1Only}
 	if *shardSpec != "" {
 		shard, err := config.ParseInts(*shardSpec, "/", 2)
-		if err != nil {
-			return fmt.Errorf("invalid -shard %q (want i/n)", *shardSpec)
+		if err != nil || shard[1] < 1 {
+			return fmt.Errorf("invalid -shard %q (want i/n with n >= 1)", *shardSpec)
 		}
 		opt.Shard, opt.Shards = shard[0], shard[1]
 	}
@@ -144,7 +137,7 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 	// job, so a single runner worker is enough.
 	runner := job.NewRunner(job.Options{Workers: 1, QueueDepth: 1, Cache: cache})
 	defer func() { _ = runner.Close(context.Background()) }()
-	res, err := dse.Explore(space, opt, runner, job.Live{Obs: rec, Progress: prog})
+	res, err := dse.Explore(grid, opt, runner, job.Live{Obs: rec, Progress: prog})
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalesim/internal/dse"
 	"scalesim/internal/obsv"
 	"scalesim/internal/runstore"
 )
@@ -234,11 +235,15 @@ func TestRefusesGraphNet(t *testing.T) {
 	}
 }
 
-// TestRefusesTrailingJunk: a number is exactly its digits. Each of these
-// used to be read with the tail dropped; each is refused naming the flag,
-// before anything is scored, printed or written.
+// TestRefusesTrailingJunk: a number is exactly its digits, a band width
+// is not NaN or negative, and a shard lies within a shard count of at
+// least one. Each of these used to be read or run (a NaN ε cut even the
+// fronts and exited 0; -shard 1/0 refined the whole band as shard 1 of
+// 1); each is refused naming the flag, before anything is scored,
+// printed or written.
 func TestRefusesTrailingJunk(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "out.csv")
+	dir := t.TempDir()
+	out, part := filepath.Join(dir, "out.csv"), filepath.Join(dir, "p.jsonl")
 	for _, c := range []struct {
 		args []string
 		want string
@@ -248,14 +253,50 @@ func TestRefusesTrailingJunk(t *testing.T) {
 		{[]string{"-enum-macs", "0"}, "-enum-macs"},
 		{[]string{"-arrays", "8x8", "-shard", "0/2/9"}, "-shard"},
 		{[]string{"-arrays", "8x8", "-shard", "0/2junk"}, "-shard"},
+		{[]string{"-arrays", "4x4,8x8,16x16", "-eps", "NaN"}, "eps NaN"},
+		{[]string{"-arrays", "4x4,8x8,16x16", "-eps", "-1"}, "eps -1"},
+		{[]string{"-arrays", "8x8", "-shard", "1/0"}, "-shard"},
+		{[]string{"-arrays", "8x8", "-shard", "0/0"}, "-shard"},
+		{[]string{"-arrays", "8x8", "-shard", "2/2"}, "shard 2/2"},
+		{[]string{"-arrays", "8x8", "-shard", "-1/2"}, "shard -1/2"},
 	} {
 		var stdout bytes.Buffer
-		err := run(append([]string{"run", "-nets", "TinyNet", "-o", out}, c.args...), &stdout)
+		err := run(append([]string{"run", "-nets", "TinyNet", "-o", out, "-part", part}, c.args...), &stdout)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.want)
 		}
-		if _, serr := os.Stat(out); stdout.Len() != 0 || !os.IsNotExist(serr) {
-			t.Errorf("%v: a refused search wrote output", c.args)
+		for _, path := range []string{out, part} {
+			if _, serr := os.Stat(path); stdout.Len() != 0 || !os.IsNotExist(serr) {
+				t.Errorf("%v: a refused search wrote %s or stdout", c.args, filepath.Base(path))
+			}
+		}
+	}
+}
+
+// TestFingerprintGolden pins the search fingerprint a part file carries:
+// parts written by an earlier build must keep merging with parts written
+// by this one. The literals were read from part files scaledse wrote.
+func TestFingerprintGolden(t *testing.T) {
+	part := filepath.Join(t.TempDir(), "p.jsonl")
+	for _, c := range []struct {
+		grid []string
+		want string
+	}{
+		{[]string{"-nets", "TinyNet", "-arrays", "4x4,8x8,16x16", "-dataflows", "os,ws",
+			"-srams", "2/2/1,4/4/2", "-eps", "0.25"}, "7c56a21b434cfb50"},
+		{[]string{"-nets", "TinyNet", "-arrays", "4x4,8x8", "-eps", "0.1"}, "dc1c13ba9d212b28"},
+		{[]string{"-nets", "TinyNet,AlexNet", "-enum-macs", "4096", "-min-dim", "8",
+			"-dataflows", "os,ws,is", "-eps", "0.1"}, "32223e37015538ee"},
+	} {
+		if err := run(append([]string{"run", "-tier1-only", "-part", part}, c.grid...), &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := dse.ReadPart(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Header.Fingerprint != c.want {
+			t.Errorf("%v: fingerprint %s, want %s", c.grid, p.Header.Fingerprint, c.want)
 		}
 	}
 }

@@ -107,7 +107,8 @@ type Spec struct {
 	// surviving configurations are simulated. Each point must carry its
 	// own workload; the axis fields above are ignored.
 	PointList []Point
-	// Parallel bounds concurrent runs (default GOMAXPROCS).
+	// Parallel bounds concurrent runs, and a search's tier-1 scoring jobs
+	// (default GOMAXPROCS).
 	Parallel int
 }
 
@@ -123,38 +124,44 @@ func (r Row) Label() string {
 		r.Array[0], r.Array[1], r.Dataflow, r.SRAM[0], r.SRAM[1], r.SRAM[2])
 }
 
+// WithDefaults fills each empty hardware axis with the base
+// configuration's value — the one defaulting a sweep's expansion and a
+// search's tier 1 share.
+func (s Spec) WithDefaults() Spec {
+	if len(s.Arrays) == 0 {
+		s.Arrays = [][2]int{{s.Base.ArrayHeight, s.Base.ArrayWidth}}
+	}
+	if len(s.Dataflows) == 0 {
+		s.Dataflows = []config.Dataflow{s.Base.Dataflow}
+	}
+	if len(s.SRAMs) == 0 {
+		s.SRAMs = [][3]int{{s.Base.IfmapSRAMKB, s.Base.FilterSRAMKB, s.Base.OfmapSRAMKB}}
+	}
+	return s
+}
+
 // Points expands the grid, or adopts the explicit PointList.
 func (s Spec) Points() []Point {
-	pts := s.PointList
-	if len(pts) == 0 {
-		arrays := s.Arrays
-		if len(arrays) == 0 {
-			arrays = [][2]int{{s.Base.ArrayHeight, s.Base.ArrayWidth}}
-		}
-		dfs := s.Dataflows
-		if len(dfs) == 0 {
-			dfs = []config.Dataflow{s.Base.Dataflow}
-		}
-		srams := s.SRAMs
-		if len(srams) == 0 {
-			srams = [][3]int{{s.Base.IfmapSRAMKB, s.Base.FilterSRAMKB, s.Base.OfmapSRAMKB}}
-		}
-		expand := func(p Point) {
-			for _, a := range arrays {
-				for _, df := range dfs {
-					for _, sr := range srams {
-						p.Array, p.Dataflow, p.SRAM = a, df, sr
-						pts = append(pts, p)
-					}
+	if len(s.PointList) > 0 {
+		return s.PointList
+	}
+	s = s.WithDefaults()
+	var pts []Point
+	expand := func(p Point) {
+		for _, a := range s.Arrays {
+			for _, df := range s.Dataflows {
+				for _, sr := range s.SRAMs {
+					p.Array, p.Dataflow, p.SRAM = a, df, sr
+					pts = append(pts, p)
 				}
 			}
 		}
-		for _, topo := range s.Topologies {
-			expand(Point{Topology: topo})
-		}
-		for i := range s.Graphs {
-			expand(Point{Graph: &s.Graphs[i]})
-		}
+	}
+	for _, topo := range s.Topologies {
+		expand(Point{Topology: topo})
+	}
+	for i := range s.Graphs {
+		expand(Point{Graph: &s.Graphs[i]})
 	}
 	return pts
 }

@@ -54,6 +54,17 @@ func TestPointsExpansion(t *testing.T) {
 	if p[0].Array != [2]int{config.DefaultArrayHeight, config.DefaultArrayWidth} {
 		t.Errorf("default array = %v", p[0].Array)
 	}
+	// WithDefaults is that fallback, axis by axis: it fills only the empty
+	// axes, and expanding the defaulted grid changes nothing.
+	full := minimal.WithDefaults()
+	base := minimal.Base
+	if len(full.Arrays) != 1 || len(full.Dataflows) != 1 || full.Dataflows[0] != base.Dataflow ||
+		full.SRAMs[0] != [3]int{base.IfmapSRAMKB, base.FilterSRAMKB, base.OfmapSRAMKB} {
+		t.Errorf("defaulted axes %v %v %v", full.Arrays, full.Dataflows, full.SRAMs)
+	}
+	if !reflect.DeepEqual(full.Points(), p) || !reflect.DeepEqual(spec.WithDefaults(), spec) {
+		t.Error("WithDefaults changed an expansion or a set axis")
+	}
 }
 
 func TestRunGrid(t *testing.T) {

@@ -45,82 +45,79 @@ import (
 	"scalesim/internal/topology"
 )
 
-// Space is the design-space grid under search. Workloads must be flat
-// layer topologies (the analytical tier models the systolic path only;
-// operator graphs with vector-unit nodes are out of scope here).
-type Space struct {
-	// Base supplies offsets, word size and every parameter the axes do
-	// not override.
-	Base config.Config
-	// Arrays is the per-array shape axis (required).
-	Arrays []analytical.Shape
-	// Dataflows defaults to the base configuration's dataflow.
-	Dataflows []config.Dataflow
-	// SRAMs (i/f/o KiB triples) defaults to the base provision. The
-	// analytical model is SRAM-blind, so this axis multiplies only the
-	// refinement stage, never the tier-1 score count.
-	SRAMs [][3]int
-	// Workloads is the workload axis (required).
-	Workloads []topology.Topology
+// Options tunes one exploration of a grid. The grid's Parallel bounds
+// both tiers; the result cache is the Runner's; recorder and progress
+// writer arrive in the job.Live handed to Explore.
+type Options struct {
 	// Epsilon is the pareto-band width: 0 keeps exactly the per-workload
-	// fronts, 0.1 keeps everything within 10% of them. Negative is
-	// treated as zero.
+	// fronts, 0.1 keeps everything within 10% of them, +Inf keeps every
+	// candidate. NaN and negative widths are refused.
 	Epsilon float64
+	// Tier1Only stops after the band cut: scores and statistics are
+	// computed, nothing is simulated.
+	Tier1Only bool
+	// Shard/Shards select which deterministic slice of the band this run
+	// refines; zero values mean the whole band.
+	Shard, Shards int
 }
 
-// normalized fills defaulted axes and validates the space.
-func (s Space) normalized() (Space, error) {
-	if len(s.Workloads) == 0 {
-		return s, fmt.Errorf("dse: no workloads")
+// check refuses a search the tiers cannot run. The workloads must be flat
+// layer topologies with layers (the analytical tier models the systolic
+// path only; operator graphs with vector-unit nodes are out of scope
+// here), the array axis present and positive, ε a band width and the
+// shard one of its shards.
+func check(grid batch.Spec, opt Options) error {
+	if len(grid.PointList) > 0 {
+		return fmt.Errorf("dse: a search expands its axes; it takes no point list")
 	}
-	if len(s.Arrays) == 0 {
-		return s, fmt.Errorf("dse: no array shapes")
+	if len(grid.Graphs) > 0 {
+		return fmt.Errorf("dse: workload %q is an operator graph; tier 1 scores flat nets only (flat built-ins: %s)",
+			grid.Graphs[0].Name, strings.Join(topology.BuiltInNames(), ", "))
 	}
-	for _, a := range s.Arrays {
-		if a.R < 1 || a.C < 1 {
-			return s, fmt.Errorf("dse: invalid array shape %s", a)
-		}
+	if len(grid.Topologies) == 0 {
+		return fmt.Errorf("dse: no workloads")
 	}
-	for _, w := range s.Workloads {
+	for _, w := range grid.Topologies {
 		if len(w.Layers) == 0 {
-			return s, fmt.Errorf("dse: workload %q has no layers", w.Name)
+			return fmt.Errorf("dse: workload %q has no layers", w.Name)
 		}
 	}
-	if len(s.Dataflows) == 0 {
-		s.Dataflows = []config.Dataflow{s.Base.Dataflow}
+	if len(grid.Arrays) == 0 {
+		return fmt.Errorf("dse: no array shapes")
 	}
-	if len(s.SRAMs) == 0 {
-		s.SRAMs = [][3]int{{s.Base.IfmapSRAMKB, s.Base.FilterSRAMKB, s.Base.OfmapSRAMKB}}
+	for _, a := range grid.Arrays {
+		if a[0] < 1 || a[1] < 1 {
+			return fmt.Errorf("dse: invalid array shape %dx%d", a[0], a[1])
+		}
 	}
-	if s.Epsilon < 0 {
-		s.Epsilon = 0
+	if math.IsNaN(opt.Epsilon) || opt.Epsilon < 0 {
+		return fmt.Errorf("dse: eps %g is not a band width (want >= 0; +Inf keeps every candidate)", opt.Epsilon)
 	}
-	return s, nil
+	if opt.Shards < 0 || opt.Shard < 0 || opt.Shard >= max(opt.Shards, 1) {
+		return fmt.Errorf("dse: shard %d/%d out of range (want 0 <= i < n; 0/0 is the whole band)", opt.Shard, opt.Shards)
+	}
+	return nil
 }
 
-// Fingerprint identifies the normalized search deterministically: base
-// configuration, every axis and the band width. Shards of one search
-// share a fingerprint; Merge refuses parts whose fingerprints differ.
-func (s Space) Fingerprint() string {
-	n, err := s.normalized()
-	if err != nil {
-		n = s
-	}
+// fingerprint identifies the search over the defaulted grid
+// deterministically: base configuration, every axis and the band width.
+// Shards of one search share a fingerprint; Merge refuses parts whose
+// fingerprints differ.
+func fingerprint(grid batch.Spec, eps float64) string {
 	var b strings.Builder
-	b.WriteString(n.Base.CanonicalKey())
-	b.WriteString("|eps=")
-	fmt.Fprintf(&b, "%g|", n.Epsilon)
-	for _, a := range n.Arrays {
-		fmt.Fprintf(&b, "a%dx%d;", a.R, a.C)
+	b.WriteString(grid.Base.CanonicalKey())
+	fmt.Fprintf(&b, "|eps=%g|", eps)
+	for _, a := range grid.Arrays {
+		fmt.Fprintf(&b, "a%dx%d;", a[0], a[1])
 	}
-	for _, df := range n.Dataflows {
+	for _, df := range grid.Dataflows {
 		b.WriteString(df.String())
 		b.WriteByte(';')
 	}
-	for _, sr := range n.SRAMs {
+	for _, sr := range grid.SRAMs {
 		fmt.Fprintf(&b, "s%d/%d/%d;", sr[0], sr[1], sr[2])
 	}
-	for _, w := range n.Workloads {
+	for _, w := range grid.Topologies {
 		b.WriteString(w.Name)
 		b.WriteByte('=')
 		for _, l := range w.Layers {
@@ -131,20 +128,6 @@ func (s Space) Fingerprint() string {
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:8])
-}
-
-// Options tunes one exploration run. The result cache is the Runner's;
-// recorder and progress writer arrive in the job.Live handed to Explore.
-type Options struct {
-	// Parallel bounds worker-pool concurrency for both tiers (default
-	// GOMAXPROCS).
-	Parallel int
-	// Tier1Only stops after the band cut: scores and statistics are
-	// computed, nothing is simulated.
-	Tier1Only bool
-	// Shard/Shards select which deterministic slice of the band this run
-	// refines; zero values mean the whole band.
-	Shard, Shards int
 }
 
 // Row is one refined design point: the cycle-accurate batch row joined
@@ -200,31 +183,36 @@ type mapEntry struct {
 // pool while small ones stay single-job.
 const tier1ChunkSize = 8192
 
-// Explore runs the two-tier search over the space. Tier 1 and the band
+// Explore runs the two-tier search over the grid: its Arrays, Dataflows
+// and SRAMs axes (the latter two defaulted as a sweep's are) crossed with
+// its flat Topologies, Parallel bounding both tiers. The analytical model
+// is SRAM-blind, so the SRAMs axis multiplies only the refinement, never
+// the tier-1 score count. Tier 1 and the band
 // cut run inline, recorded on live.Obs; tier 2 is one sweep job ("dse")
 // on r, so the Runner's cache memoizes it, live.Progress follows it,
 // Runner.Cancel stops it (context.Canceled) and a closed Runner refuses
 // it (job.ErrClosed). A tier-1-only search, and a shard that owns no
 // band point, submit nothing.
-func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, error) {
+func Explore(grid batch.Spec, opt Options, r *job.Runner, live job.Live) (*Result, error) {
 	rec := live.Obs
-	space, err := space.normalized()
-	if err != nil {
+	if err := check(grid, opt); err != nil {
 		return nil, err
 	}
-	if opt.Shards < 0 || (opt.Shards > 0 && (opt.Shard < 0 || opt.Shard >= opt.Shards)) {
-		return nil, fmt.Errorf("dse: shard %d/%d out of range", opt.Shard, opt.Shards)
+	grid = grid.WithDefaults()
+	shapes := make([]analytical.Shape, len(grid.Arrays))
+	for i, a := range grid.Arrays {
+		shapes[i] = analytical.Shape{R: int64(a[0]), C: int64(a[1])}
 	}
 
-	A, D, S, W := len(space.Arrays), len(space.Dataflows), len(space.SRAMs), len(space.Workloads)
+	A, D, S, W := len(shapes), len(grid.Dataflows), len(grid.SRAMs), len(grid.Topologies)
 	res := &Result{
-		Fingerprint: space.Fingerprint(),
-		BaseHash:    space.Base.Hash(),
+		Fingerprint: fingerprint(grid, opt.Epsilon),
+		BaseHash:    grid.Base.Hash(),
 		Stats: obsv.SearchStats{
 			GridPoints: int64(A) * int64(D) * int64(S) * int64(W),
 			Candidates: int64(A) * int64(D),
 			Scored:     int64(A) * int64(D) * int64(W),
-			Epsilon:    space.Epsilon,
+			Epsilon:    opt.Epsilon,
 			Shard:      opt.Shard,
 			Shards:     max(opt.Shards, 1),
 		},
@@ -236,8 +224,8 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	endTier1 := rec.Phase("dse.tier1")
 	t0 := time.Now()
 	mappings := make([][]mapEntry, W*D)
-	for w, topo := range space.Workloads {
-		for di, df := range space.Dataflows {
+	for w, topo := range grid.Topologies {
+		for di, df := range grid.Dataflows {
 			mappings[w*D+di] = collapseMappings(topo, df)
 		}
 	}
@@ -250,12 +238,11 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 			}
 		}
 	}
-	if _, err := engine.RunObserved(opt.Parallel, len(jobs), rec.SpanSink(), func(i int) (struct{}, error) {
+	if _, err := engine.RunObserved(grid.Parallel, len(jobs), rec.SpanSink(), func(i int) (struct{}, error) {
 		j := jobs[i]
 		dst := scores[(j.w*D+j.di)*A+j.lo : (j.w*D+j.di)*A+j.hi]
-		shapes := space.Arrays[j.lo:j.hi]
 		for _, e := range mappings[j.w*D+j.di] {
-			analytical.AccumRuntimes(dst, e.m, e.count, shapes)
+			analytical.AccumRuntimes(dst, e.m, e.count, shapes[j.lo:j.hi])
 		}
 		return struct{}{}, nil
 	}); err != nil {
@@ -274,7 +261,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	pts := make([]analytical.BandPoint, A*D)
 	var mask []bool
 	for w := 0; w < W; w++ {
-		for ai, shape := range space.Arrays {
+		for ai, shape := range shapes {
 			for di := 0; di < D; di++ {
 				pts[ai*D+di] = analytical.BandPoint{
 					MACs:   shape.MACs(),
@@ -282,7 +269,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 				}
 			}
 		}
-		mask = analytical.EpsilonBand(pts, space.Epsilon, mask)
+		mask = analytical.EpsilonBand(pts, opt.Epsilon, mask)
 		for ci, k := range mask {
 			kept[ci] = kept[ci] || k
 		}
@@ -297,18 +284,18 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	// Expand the surviving candidates over the SRAM and workload axes
 	// into the deterministic band order every shard agrees on.
 	analyticalCycles := make([]int64, 0, int(res.Stats.BandCandidates)*S*W)
-	for w := range space.Workloads {
-		for ai, shape := range space.Arrays {
-			for di, df := range space.Dataflows {
+	for w, topo := range grid.Topologies {
+		for ai, array := range grid.Arrays {
+			for di, df := range grid.Dataflows {
 				if !kept[ai*D+di] {
 					continue
 				}
-				for _, sr := range space.SRAMs {
+				for _, sr := range grid.SRAMs {
 					res.Band = append(res.Band, batch.Point{
-						Array:    [2]int{int(shape.R), int(shape.C)},
+						Array:    array,
 						Dataflow: df,
 						SRAM:     sr,
-						Topology: space.Workloads[w],
+						Topology: topo,
 					})
 					analyticalCycles = append(analyticalCycles, scores[(w*D+di)*A+ai])
 				}
@@ -326,7 +313,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	var mine []int
 	if !opt.Tier1Only {
 		for i, p := range res.Band {
-			if opt.Shards < 2 || batch.ShardOf(space.Base, p, opt.Shards) == opt.Shard {
+			if opt.Shards < 2 || batch.ShardOf(grid.Base, p, opt.Shards) == opt.Shard {
 				mine = append(mine, i)
 			}
 		}
@@ -342,7 +329,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 	for i, idx := range mine {
 		points[i] = res.Band[idx]
 	}
-	sweep, err := r.RunSweep("dse", batch.Spec{Base: space.Base, PointList: points, Parallel: opt.Parallel}, live)
+	sweep, err := r.RunSweep("dse", batch.Spec{Base: grid.Base, PointList: points, Parallel: grid.Parallel}, live)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +339,7 @@ func Explore(space Space, opt Options, r *job.Runner, live job.Live) (*Result, e
 		a := analyticalCycles[idx]
 		row := Row{
 			Index:            idx,
-			Hash:             batch.PointHash(space.Base, res.Band[idx]),
+			Hash:             batch.PointHash(grid.Base, res.Band[idx]),
 			AnalyticalCycles: a,
 			Batch:            measured,
 		}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/job"
@@ -28,35 +28,27 @@ func testRunner(t testing.TB, cache *simcache.Cache) *job.Runner {
 	return r
 }
 
-// tinySpace is a grid small enough to exhaust cycle-accurately, rich
-// enough to exercise every axis.
-func tinySpace() Space {
-	return Space{
+// tinyGrid is a grid small enough to exhaust cycle-accurately, rich
+// enough to exercise every axis; tinyEps is the band width it is searched
+// with.
+func tinyGrid() batch.Spec {
+	return batch.Spec{
 		Base:   config.New(),
-		Arrays: []analytical.Shape{{R: 4, C: 4}, {R: 8, C: 8}, {R: 16, C: 16}, {R: 32, C: 8}},
+		Arrays: [][2]int{{4, 4}, {8, 8}, {16, 16}, {32, 8}},
 		Dataflows: []config.Dataflow{
 			config.OutputStationary, config.WeightStationary,
 		},
-		SRAMs:     [][3]int{{2, 2, 1}, {4, 4, 2}},
-		Workloads: []topology.Topology{topology.TinyNet()},
-		Epsilon:   0.1,
+		SRAMs:      [][3]int{{2, 2, 1}, {4, 4, 2}},
+		Topologies: []topology.Topology{topology.TinyNet()},
 	}
 }
 
+const tinyEps = 0.1
+
 // exhaustive simulates the full grid as a plain sweep job.
-func exhaustive(t *testing.T, s Space) []batch.Row {
+func exhaustive(t *testing.T, s batch.Spec) []batch.Row {
 	t.Helper()
-	arrays := make([][2]int, len(s.Arrays))
-	for i, a := range s.Arrays {
-		arrays[i] = [2]int{int(a.R), int(a.C)}
-	}
-	res, err := testRunner(t, nil).RunSweep("sweep", batch.Spec{
-		Base:       s.Base,
-		Arrays:     arrays,
-		Dataflows:  s.Dataflows,
-		SRAMs:      s.SRAMs,
-		Topologies: s.Workloads,
-	}, job.Live{})
+	res, err := testRunner(t, nil).RunSweep("sweep", s, job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +59,8 @@ func exhaustive(t *testing.T, s Space) []batch.Row {
 // workload's true cycle-accurate optimum — the band cut loses breadth,
 // never the winner.
 func TestTieredMatchesExhaustive(t *testing.T) {
-	s := tinySpace()
-	res, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
+	s := tinyGrid()
+	res, err := Explore(s, Options{Epsilon: tinyEps}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +99,7 @@ func TestTieredMatchesExhaustive(t *testing.T) {
 // unconstrained DRAM) the simulator is stall-free, so the analytical
 // model is exact and the measured band error must be zero.
 func TestRelErrZeroStallFree(t *testing.T) {
-	res, err := Explore(tinySpace(), Options{}, testRunner(t, nil), job.Live{})
+	res, err := Explore(tinyGrid(), Options{Epsilon: tinyEps}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +117,10 @@ func TestRelErrZeroStallFree(t *testing.T) {
 // TestEpsilonWidensBand: a wider ε keeps at least as many candidates,
 // and ε large enough keeps everything.
 func TestEpsilonWidensBand(t *testing.T) {
-	s := tinySpace()
+	s := tinyGrid()
 	var prev int64 = -1
-	for _, eps := range []float64{0, 0.1, 1e9} {
-		s.Epsilon = eps
-		res, err := Explore(s, Options{Tier1Only: true}, testRunner(t, nil), job.Live{})
+	for _, eps := range []float64{0, 0.1, 1e9, math.Inf(1)} {
+		res, err := Explore(s, Options{Epsilon: eps, Tier1Only: true}, testRunner(t, nil), job.Live{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +130,7 @@ func TestEpsilonWidensBand(t *testing.T) {
 		prev = res.Stats.BandCandidates
 	}
 	if prev != int64(len(s.Arrays)*len(s.Dataflows)) {
-		t.Errorf("huge eps kept %d candidates, want all %d", prev, len(s.Arrays)*len(s.Dataflows))
+		t.Errorf("+Inf eps kept %d candidates, want all %d", prev, len(s.Arrays)*len(s.Dataflows))
 	}
 }
 
@@ -147,10 +138,10 @@ func TestEpsilonWidensBand(t *testing.T) {
 // merged via part files, must produce a CSV byte-identical to the
 // unsharded run.
 func TestShardMergeByteIdentical(t *testing.T) {
-	s := tinySpace()
+	s := tinyGrid()
 	dir := t.TempDir()
 
-	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
+	whole, err := Explore(s, Options{Epsilon: tinyEps}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +152,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 
 	paths := make([]string, 2)
 	for shard := 0; shard < 2; shard++ {
-		res, err := Explore(s, Options{Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
+		res, err := Explore(s, Options{Epsilon: tinyEps, Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +184,9 @@ func TestShardMergeByteIdentical(t *testing.T) {
 
 // TestMergeRejects: merging refuses foreign or incomplete parts.
 func TestMergeRejects(t *testing.T) {
-	s := tinySpace()
+	s := tinyGrid()
 	dir := t.TempDir()
-	shard0, err := Explore(s, Options{Shard: 0, Shards: 2}, testRunner(t, nil), job.Live{})
+	shard0, err := Explore(s, Options{Epsilon: tinyEps, Shard: 0, Shards: 2}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +201,7 @@ func TestMergeRejects(t *testing.T) {
 	}
 
 	// Foreign: a different search's part must be refused.
-	other := s
-	other.Epsilon = 0.5
-	o, err := Explore(other, Options{Shard: 1, Shards: 2}, testRunner(t, nil), job.Live{})
+	o, err := Explore(s, Options{Epsilon: 0.5, Shard: 1, Shards: 2}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +218,7 @@ func TestMergeRejects(t *testing.T) {
 // bins fall short of its total, fails the merge by the row's name — a
 // merged manifest is never published without its cycle account.
 func TestMergeRefusesOpenBooks(t *testing.T) {
-	whole, err := Explore(tinySpace(), Options{}, testRunner(t, nil), job.Live{})
+	whole, err := Explore(tinyGrid(), Options{Epsilon: tinyEps}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +244,8 @@ func TestMergeRefusesOpenBooks(t *testing.T) {
 
 // TestPartRoundTrip: WritePart/ReadPart preserve header and rows.
 func TestPartRoundTrip(t *testing.T) {
-	s := tinySpace()
-	res, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
+	s := tinyGrid()
+	res, err := Explore(s, Options{Epsilon: tinyEps}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,18 +272,42 @@ func TestPartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpaceValidation: empty axes and bad shards are rejected.
+// TestSpaceValidation: a search the tiers cannot run is refused by name
+// before anything is scored — an empty or malformed grid, a band width
+// that is not one (NaN makes every band comparison false and so cut even
+// the fronts), and a shard outside its shard count.
 func TestSpaceValidation(t *testing.T) {
-	if _, err := Explore(Space{Base: config.New()}, Options{}, testRunner(t, nil), job.Live{}); err == nil {
-		t.Error("empty space accepted")
+	bert, err := topology.BuiltInGraph("BERTTiny")
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := tinySpace()
-	if _, err := Explore(s, Options{Shard: 3, Shards: 2}, testRunner(t, nil), job.Live{}); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	s.Workloads = nil
-	if _, err := Explore(s, Options{}, testRunner(t, nil), job.Live{}); err == nil {
-		t.Error("workload-less space accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*batch.Spec, *Options)
+		want string
+	}{
+		{"empty grid", func(s *batch.Spec, _ *Options) { *s = batch.Spec{Base: s.Base} }, "no workloads"},
+		{"no workloads", func(s *batch.Spec, _ *Options) { s.Topologies = nil }, "no workloads"},
+		{"no layers", func(s *batch.Spec, _ *Options) {
+			s.Topologies = append(s.Topologies, topology.Topology{Name: "Hollow"})
+		}, `"Hollow" has no layers`},
+		{"graph", func(s *batch.Spec, _ *Options) { s.Graphs = []topology.Graph{bert} }, `"BERTTiny" is an operator graph`},
+		{"point list", func(s *batch.Spec, _ *Options) { s.PointList = s.Points() }, "point list"},
+		{"no arrays", func(s *batch.Spec, _ *Options) { s.Arrays = nil }, "no array shapes"},
+		{"zero array", func(s *batch.Spec, _ *Options) { s.Arrays = append(s.Arrays, [2]int{0, 4}) }, "0x4"},
+		{"NaN eps", func(_ *batch.Spec, o *Options) { o.Epsilon = math.NaN() }, "eps NaN"},
+		{"negative eps", func(_ *batch.Spec, o *Options) { o.Epsilon = -1 }, "eps -1"},
+		{"shard past n", func(_ *batch.Spec, o *Options) { o.Shard, o.Shards = 3, 2 }, "shard 3/2"},
+		{"shard of none", func(_ *batch.Spec, o *Options) { o.Shard, o.Shards = 1, 0 }, "shard 1/0"},
+		{"negative shard", func(_ *batch.Spec, o *Options) { o.Shard, o.Shards = -1, 2 }, "shard -1/2"},
+		{"negative shards", func(_ *batch.Spec, o *Options) { o.Shards = -2 }, "shard 0/-2"},
+	} {
+		s, opt := tinyGrid(), Options{Epsilon: tinyEps}
+		c.edit(&s, &opt)
+		res, err := Explore(s, opt, testRunner(t, nil), job.Live{})
+		if err == nil || res != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Explore = %v, %v; want an error naming %q", c.name, res, err, c.want)
+		}
 	}
 }
 
@@ -303,8 +316,8 @@ func TestSpaceValidation(t *testing.T) {
 // succeed, round-trip their part files and merge into the unsharded
 // result.
 func TestEmptyShard(t *testing.T) {
-	s := Space{Base: config.New(), Arrays: []analytical.Shape{{R: 8, C: 8}},
-		Workloads: []topology.Topology{topology.TinyNet()}}
+	s := batch.Spec{Base: config.New(), Arrays: [][2]int{{8, 8}},
+		Topologies: []topology.Topology{topology.TinyNet()}}
 	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)
@@ -358,14 +371,14 @@ func TestEmptyShard(t *testing.T) {
 // index, a cycle account that closes over the rows — and the merged
 // manifest's cycle account equals the unsharded run's.
 func TestSearchManifest(t *testing.T) {
-	s := tinySpace()
-	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{Obs: obsv.NewRecorder()})
+	s := tinyGrid()
+	whole, err := Explore(s, Options{Epsilon: tinyEps}, testRunner(t, nil), job.Live{Obs: obsv.NewRecorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var parts []*Part
 	for shard := 0; shard < 2; shard++ {
-		res, err := Explore(s, Options{Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
+		res, err := Explore(s, Options{Epsilon: tinyEps, Shard: shard, Shards: 2}, testRunner(t, nil), job.Live{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,11 +428,11 @@ func checkManifest(t *testing.T, res *Result) {
 // the second replays (cache.hits > 0 in its manifest) into identical rows.
 func TestSharedCache(t *testing.T) {
 	r := testRunner(t, simcache.New())
-	cold, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	cold, err := Explore(tinyGrid(), Options{Epsilon: tinyEps}, r, job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	warm, err := Explore(tinyGrid(), Options{Epsilon: tinyEps}, r, job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +451,7 @@ func TestClosedRunner(t *testing.T) {
 	if err := r.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	res, err := Explore(tinyGrid(), Options{Epsilon: tinyEps}, r, job.Live{})
 	if !errors.Is(err, job.ErrClosed) || res != nil {
 		t.Errorf("Explore on a closed runner = %v, %v; want nil, job.ErrClosed", res, err)
 	}
@@ -464,9 +477,11 @@ func (w *holdFirstWrite) Write(p []byte) (int, error) {
 func TestCancelRefinement(t *testing.T) {
 	r := testRunner(t, nil)
 	w := &holdFirstWrite{written: make(chan struct{}), release: make(chan struct{})}
+	grid := tinyGrid()
+	grid.Parallel = 1
 	done := make(chan error, 1)
 	go func() {
-		_, err := Explore(tinySpace(), Options{Parallel: 1}, r,
+		_, err := Explore(grid, Options{Epsilon: tinyEps}, r,
 			job.Live{Progress: obsv.NewProgress(w, "test")})
 		done <- err
 	}()

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"scalesim/internal/analytical"
+	"scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/job"
 	"scalesim/internal/topology"
@@ -19,12 +19,15 @@ import (
 // search, the header-only part an empty shard writes, and damaged copies.
 func FuzzReadPart(f *testing.F) {
 	runner, dir := testRunner(f, nil), f.TempDir()
-	one := Space{Base: config.New(), Arrays: []analytical.Shape{{R: 8, C: 8}},
-		Workloads: []topology.Topology{topology.TinyNet()}}
+	one := batch.Spec{Base: config.New(), Arrays: [][2]int{{8, 8}},
+		Topologies: []topology.Topology{topology.TinyNet()}}
 	headerOnly := false
-	for _, s := range []Space{tinySpace(), one} {
+	for _, s := range []struct {
+		grid batch.Spec
+		eps  float64
+	}{{tinyGrid(), tinyEps}, {one, 0}} {
 		for shard := 0; shard < 2; shard++ {
-			res, err := Explore(s, Options{Shard: shard, Shards: 2}, runner, job.Live{})
+			res, err := Explore(s.grid, Options{Epsilon: s.eps, Shard: shard, Shards: 2}, runner, job.Live{})
 			if err != nil {
 				f.Fatal(err)
 			}

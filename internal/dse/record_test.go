@@ -36,13 +36,13 @@ func TestEveryJobKindLinesUpEntriesAndNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := Explore(tinySpace(), Options{}, r, job.Live{})
+	whole, err := Explore(tinyGrid(), Options{Epsilon: tinyEps}, r, job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var parts []*Part
 	for shard := 0; shard < 2; shard++ {
-		res, err := Explore(tinySpace(), Options{Shard: shard, Shards: 2}, r, job.Live{})
+		res, err := Explore(tinyGrid(), Options{Epsilon: tinyEps, Shard: shard, Shards: 2}, r, job.Live{})
 		if err != nil {
 			t.Fatal(err)
 		}

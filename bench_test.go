@@ -117,10 +117,17 @@ func BenchmarkTableIV(b *testing.B) {
 // --- Figures ----------------------------------------------------------------
 
 // BenchmarkFig4 regenerates the validation figure: RTL reference vs
-// trace-based simulator over array sizes 4..64.
+// trace-based simulator over the sizes results/fig4.csv holds, 4..128. The
+// reference steps one grid of PE registers in place, so a pass allocates
+// little beyond its operands and products; one that allocates more than
+// 4 MB (a pass takes 1.7 MB; with a grid copy per cycle it took 303 MB)
+// has brought the copy back and fails.
 func BenchmarkFig4(b *testing.B) {
-	sizes := []int{4, 8, 16, 32, 64}
+	b.ReportAllocs()
+	sizes := []int{4, 8, 16, 32, 64, 128}
 	var rows []experiments.Fig4Row
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Fig4(sizes)
@@ -132,8 +139,13 @@ func BenchmarkFig4(b *testing.B) {
 				b.Fatalf("size %d: RTL %d != sim %d", r.ArraySize, r.RTLCycles, r.SimCycles)
 			}
 		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			b.Fatalf("pass %d allocated %d bytes, want at most 4 MB", i, got)
+		}
+		before = after
 	}
-	b.ReportMetric(float64(rows[len(rows)-1].SimCycles), "cycles@64x64")
+	b.ReportMetric(float64(rows[len(rows)-1].SimCycles), "cycles@128x128")
 }
 
 // BenchmarkFig9a regenerates the scale-up/scale-out search space for TF0

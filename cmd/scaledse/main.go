@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -85,6 +86,16 @@ func runExplore(args []string, stdout io.Writer) (retErr error) {
 	obs := cliobs.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// +Inf keeps every candidate, but JSON has no infinity: the part
+	// header and the manifest both carry ε, so refuse the pair before
+	// scoring rather than fail once the search has run.
+	if math.IsInf(*eps, 1) {
+		for _, name := range []string{"part", "metrics", "run-dir"} {
+			if fs.Lookup(name).Value.String() != "" {
+				return fmt.Errorf("-eps %g cannot be written to -%s (JSON has no infinity); give a finite band width", *eps, name)
+			}
+		}
 	}
 
 	base := config.New()

@@ -273,6 +273,44 @@ func TestRefusesTrailingJunk(t *testing.T) {
 	}
 }
 
+// TestRefusesInfiniteBandInFiles: -eps +Inf is a valid search (it keeps
+// every candidate), but a part file, a manifest and a registered run all
+// carry ε as JSON, which has no infinity. Each pair used to score and
+// refine, then exit 1 on encoding, -metrics leaving a 0-byte file behind;
+// now each is refused naming both flags, before anything is scored or
+// written.
+func TestRefusesInfiniteBandInFiles(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.csv")
+	for _, c := range []struct{ flag, path string }{
+		{"-part", filepath.Join(dir, "p.jsonl")},
+		{"-metrics", filepath.Join(dir, "m.json")},
+		{"-run-dir", filepath.Join(dir, "runs")},
+	} {
+		for _, eps := range []string{"Inf", "+Inf", "inf"} {
+			var stdout bytes.Buffer
+			err := run([]string{"run", "-nets", "TinyNet", "-arrays", "4x4,8x8", "-eps", eps, "-o", out, c.flag, c.path}, &stdout)
+			if err == nil || !strings.Contains(err.Error(), "-eps +Inf") || !strings.Contains(err.Error(), c.flag) {
+				t.Errorf("-eps %s %s: error %v, want one naming -eps +Inf and %s", eps, c.flag, err, c.flag)
+			}
+			for _, path := range []string{out, c.path} {
+				if _, serr := os.Stat(path); stdout.Len() != 0 || !os.IsNotExist(serr) {
+					t.Errorf("-eps %s %s: a refused search wrote %s or stdout", eps, c.flag, filepath.Base(path))
+				}
+			}
+		}
+	}
+
+	// Alone, +Inf still searches: the band keeps every candidate.
+	var csv bytes.Buffer
+	if err := run([]string{"run", "-nets", "TinyNet", "-arrays", "4x4,8x8,16x16", "-eps", "Inf"}, &csv); err != nil {
+		t.Fatalf("-eps Inf alone: %v", err)
+	}
+	if rows := strings.Count(strings.TrimSpace(csv.String()), "\n"); rows != 3 {
+		t.Errorf("-eps Inf kept %d of 3 configs:\n%s", rows, csv.String())
+	}
+}
+
 // TestFingerprintGolden pins the search fingerprint a part file carries:
 // parts written by an earlier build must keep merging with parts written
 // by this one. The literals were read from part files scaledse wrote.

@@ -57,13 +57,11 @@ func RunOS(a, b [][]float64, rows, cols int) (Result, error) {
 	// Compute phase: the last PE finishes at cycle (sr-1)+(sc-1)+(tt-1).
 	lastCompute := int64(sr) + int64(sc) + tt - 3
 	for u := int64(0); u <= lastCompute; u++ {
-		// Two-phase update: read neighbours' previous-cycle registers.
-		prev := make([][]pe, sr)
-		for i := range grid {
-			prev[i] = append([]pe(nil), grid[i]...)
-		}
-		for i := 0; i < sr; i++ {
-			for j := 0; j < sc; j++ {
+		// Two-phase update, in place: a PE reads only its left and upper
+		// neighbours, and the descending sweep has not yet overwritten
+		// either, so every read sees the previous cycle's registers.
+		for i := sr - 1; i >= 0; i-- {
+			for j := sc - 1; j >= 0; j-- {
 				var aIn, bIn float64
 				var aOK, bOK bool
 				if j == 0 {
@@ -71,14 +69,14 @@ func RunOS(a, b [][]float64, rows, cols int) (Result, error) {
 						aIn, aOK = a[i][t], true
 					}
 				} else {
-					aIn, aOK = prev[i][j-1].aReg, prev[i][j-1].aValid
+					aIn, aOK = grid[i][j-1].aReg, grid[i][j-1].aValid
 				}
 				if i == 0 {
 					if t := u - int64(j); t >= 0 && t < tt {
 						bIn, bOK = b[t][j], true
 					}
 				} else {
-					bIn, bOK = prev[i-1][j].bReg, prev[i-1][j].bValid
+					bIn, bOK = grid[i-1][j].bReg, grid[i-1][j].bValid
 				}
 				if aOK && bOK {
 					grid[i][j].acc += aIn * bIn
@@ -169,27 +167,23 @@ func RunWS(a, b [][]float64, rows, cols int) (Result, error) {
 	lastV := int64(sr) - 1 + tt - 1 + int64(sc) - 1
 	var produced int64
 	for v := int64(0); v <= lastV; v++ {
-		prevA := make([][]lane, sr)
-		prevP := make([][]lane, sr)
-		for i := range aRegs {
-			prevA[i] = append([]lane(nil), aRegs[i]...)
-			prevP[i] = append([]lane(nil), psum[i]...)
-		}
-		for i := 0; i < sr; i++ {
-			for j := 0; j < sc; j++ {
+		// In place, as in RunOS: the descending sweep reads each left and
+		// upper neighbour before overwriting it.
+		for i := sr - 1; i >= 0; i-- {
+			for j := sc - 1; j >= 0; j-- {
 				var aIn lane
 				if j == 0 {
 					if t := v - int64(i); t >= 0 && t < tt {
 						aIn = lane{val: a[t][i], valid: true, t: t}
 					}
 				} else {
-					aIn = prevA[i][j-1]
+					aIn = aRegs[i][j-1]
 				}
 				var pIn lane
 				if i == 0 {
 					pIn = lane{valid: aIn.valid, t: aIn.t} // zero seed
 				} else {
-					pIn = prevP[i-1][j]
+					pIn = psum[i-1][j]
 				}
 				var pOut lane
 				if aIn.valid && pIn.valid {

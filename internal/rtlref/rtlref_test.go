@@ -120,6 +120,53 @@ func TestRunOSPartialMappingMatchesEdgeTrim(t *testing.T) {
 	}
 }
 
+// TestPartialMappingMatchesEdgeTrim: a mapping smaller than the array in
+// either dimension matches the trace simulator's edge-trim timing, from
+// both its closed form (Estimate) and its cycle-driven run (Run), under
+// every dataflow. For the GEMM m x k x n, OS maps m x n onto the array and
+// streams k; WS maps the reduction k onto the rows and the n filters onto
+// the columns and streams m; IS maps k x m (the windows) and streams n.
+func TestPartialMappingMatchesEdgeTrim(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 40; trial++ {
+		m, k, n := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
+		for _, df := range []config.Dataflow{config.OutputStationary, config.WeightStationary, config.InputStationary} {
+			var rtl Result
+			var err error
+			var rows, cols int
+			switch df {
+			case config.OutputStationary:
+				rows, cols = m+rng.Intn(5), n+rng.Intn(5)
+				rtl, err = RunOS(randMat(rng, m, k), randMat(rng, k, n), rows, cols)
+			case config.WeightStationary:
+				rows, cols = k+rng.Intn(5), n+rng.Intn(5)
+				rtl, err = RunWS(randMat(rng, m, k), randMat(rng, k, n), rows, cols)
+			default:
+				rows, cols = k+rng.Intn(5), m+rng.Intn(5)
+				rtl, err = RunIS(randMat(rng, n, k), randMat(rng, k, m), rows, cols)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := config.New().WithArray(rows, cols).WithDataflow(df)
+			cfg.EdgeTrim = true
+			l := topology.FromGEMM("v", m, k, n)
+			est, err := systolic.Estimate(l, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := systolic.Run(l, cfg, systolic.Sinks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rtl.Cycles != est.Cycles || rtl.Cycles != run.Cycles {
+				t.Errorf("%v m=%d k=%d n=%d on %dx%d: RTL %d cycles, edge-trimmed Estimate %d, Run %d",
+					df, m, k, n, rows, cols, rtl.Cycles, est.Cycles, run.Cycles)
+			}
+		}
+	}
+}
+
 func TestRunWSComputesProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {

@@ -202,10 +202,15 @@ type Simulator struct {
 	// as is the node-independent part of every compute key.
 	planned, cache       bool
 	keyPrefix, keySuffix string
-	// tables recycles memory.Tables from one layer's memory system to the
-	// next, so that simulating layers side by side does not hold (and zero)
-	// a fresh set of residency tables per layer.
-	tables sync.Pool
+	// spare holds the memory.Tables of finished nodes for the next node's
+	// memory system to adopt, within a run and from run to run, so a
+	// Simulator allocates (and zeroes) one set of residency tables per
+	// node it runs at once, not one per node. It is a list, not a
+	// sync.Pool: a pool keeps what a goroutine put on the processor it ran
+	// on, and a worker that migrated missed its own set and allocated
+	// another.
+	spareMu sync.Mutex
+	spare   []*memory.Tables
 }
 
 // New validates the configuration and builds a Simulator.
@@ -351,7 +356,7 @@ func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (W
 	run.Windows, err = engine.RunObserved(s.opt.Workers, len(wins), spanSink,
 		func(i int) (LayerResult, error) {
 			ctx := newLayerContext(i, n)
-			ctx.Window = wins[i]
+			ctx.Window, ctx.reserve = wins[i], regions(l)
 			err := guarded(fmt.Sprintf("layer %q window %+v", l.Name, wins[i]),
 				func() error { return s.runNode(ctx) })
 			if run.Recorders != nil {
@@ -427,6 +432,7 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 		func(j int) (struct{}, error) {
 			i := p.order[j]
 			done[i] = newLayerContext(i, nodes[i])
+			done[i].reserve = p.reserve
 			return struct{}{}, exec(done[i])
 		})
 	for i := 0; i < len(nodes) && err == nil; i++ {

@@ -218,6 +218,61 @@ func TestSimulateWorkersEquivalence(t *testing.T) {
 	}
 }
 
+// TestConcurrentRunsShareTables: runs of different networks on one
+// Simulator at once — each sizing the residency tables it allocates for its
+// own largest regions, all of them handing tables on through the
+// Simulator's one spare list — report exactly what each reports alone, and
+// so does a single node drawing on the same list beside windows.
+func TestConcurrentRunsShareTables(t *testing.T) {
+	cfg := config.New().WithArray(8, 8).WithSRAM(16, 16, 8)
+	wide := topology.Topology{Name: "wide", Layers: []topology.Layer{
+		{Name: "w1", IfmapH: 18, IfmapW: 18, FilterH: 3, FilterW: 3, Channels: 16, NumFilters: 24, Stride: 1},
+		{Name: "w2", IfmapH: 16, IfmapW: 16, FilterH: 1, FilterW: 1, Channels: 24, NumFilters: 48, Stride: 1},
+		{Name: "w3", IfmapH: 16, IfmapW: 16, FilterH: 1, FilterW: 1, Channels: 24, NumFilters: 48, Stride: 1},
+	}}
+	topos := []topology.Topology{topology.TinyNet(), wide}
+	want := make([]RunResult, len(topos))
+	for i, topo := range topos {
+		var err error
+		if want[i], err = newSim(t, cfg, Options{Workers: 2}).Simulate(topo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := topos[1].Layers[0]
+	wantNode := want[1].Layers[0]
+	wantNode.StartCycle = 0
+	sim := newSim(t, cfg, Options{Workers: 2})
+	var wg sync.WaitGroup
+	for i := range topos {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := sim.Simulate(topos[i])
+				if err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s: a run beside others differs from the run alone", topos[i].Name)
+				}
+			}()
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, err := sim.SimulateLayer(l)
+		if err != nil {
+			t.Error(err)
+		} else if !reflect.DeepEqual(got, wantNode) {
+			t.Errorf("layer %s simulated alone differs from its run's", l.Name)
+		}
+		if _, err := sim.SimulateWindows(l, []systolic.Window{{SrLen: 4, ScLen: 4}, {SrOff: 4, SrLen: 4, ScLen: 4}}); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+}
+
 // TestCustomSinkFactory: caller-supplied factories receive per-layer jobs
 // and fresh consumers.
 func TestCustomSinkFactory(t *testing.T) {

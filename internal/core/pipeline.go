@@ -78,6 +78,10 @@ type LayerContext struct {
 	dram  *dram.Model
 	stall *trace.StallAnalyzer
 	rec   *timeline.LayerRecorder
+	// reserve is the run's largest IFMAP, filter and OFMAP region (words),
+	// what a memory system with no spare tables to adopt sizes new ones
+	// for; zero sizes them for this node alone.
+	reserve [3]int64
 }
 
 func newLayerContext(index int, n topology.Node) *LayerContext {
@@ -241,11 +245,7 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	if err != nil {
 		return err
 	}
-	// The residency tables of the last layer this worker finished, if any:
-	// storage only, see memory.Tables.
-	if t, ok := s.tables.Get().(*memory.Tables); ok {
-		sys.Adopt(t)
-	}
+	s.equip(sys, ctx.reserve)
 	sys.SetRegions(
 		s.cfg.IfmapOffset, l.IfmapWords(),
 		s.cfg.FilterOffset, l.FilterWords(),
@@ -290,8 +290,32 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	ctx.Entry.Compute = comp
 	ctx.Entry.Memory = sys.Report(comp.Cycles)
 	ctx.Entry.Ledger = led
-	s.tables.Put(sys.Release())
+	s.spareMu.Lock()
+	s.spare = append(s.spare, sys.Release())
+	s.spareMu.Unlock()
 	return nil
+}
+
+// equip gives sys the residency tables (memory.Tables, storage only) a
+// finished node left, or else new ones reserved for the run's largest
+// regions, so that no later node of the run regrows them.
+func (s *Simulator) equip(sys *memory.System, reserve [3]int64) {
+	s.spareMu.Lock()
+	var t *memory.Tables
+	if n := len(s.spare); n > 0 {
+		t, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	s.spareMu.Unlock()
+	if t != nil {
+		sys.Adopt(t)
+	} else {
+		sys.Reserve(reserve[0], reserve[1], reserve[2])
+	}
+}
+
+// regions returns a layer's IFMAP, filter and OFMAP region sizes in words.
+func regions(l topology.Layer) [3]int64 {
+	return [3]int64{l.IfmapWords(), l.FilterWords(), l.OfmapWords()}
 }
 
 // computeVector runs a vector-shaped node through the vector-unit model,

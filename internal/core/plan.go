@@ -31,6 +31,10 @@ type runPlan struct {
 	order []int
 	// lead maps every node to its leader (itself, for a leader).
 	lead []int
+	// reserve is the largest IFMAP, filter and OFMAP region (words) over
+	// the matmul leaders, what the run's new residency tables are sized
+	// for (see Simulator.equip).
+	reserve [3]int64
 }
 
 func (s *Simulator) plan(nodes []topology.Node) runPlan {
@@ -47,6 +51,11 @@ func (s *Simulator) plan(nodes []topology.Node) runPlan {
 			first[key] = i
 		}
 		p.order = append(p.order, i)
+		if !n.Kind.Vector() {
+			for k, w := range regions(n.Layer) {
+				p.reserve[k] = max(p.reserve[k], w)
+			}
+		}
 	}
 	if s.planned {
 		words := make([]int64, len(nodes))

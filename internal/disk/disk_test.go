@@ -10,9 +10,9 @@ import (
 
 // TestWriters runs both policies through the outcomes a caller can see:
 // success, a failing write callback, a write the callback ignored, and a
-// target that cannot be written. A store target is never left partial —
-// absent stays absent, old content stays intact — and no temp file
-// survives any outcome.
+// target that cannot be written. A target is never left partial — absent
+// stays absent, old content stays intact — and no temp file survives any
+// outcome.
 func TestWriters(t *testing.T) {
 	boom := errors.New("boom")
 	ok := Bytes([]byte("new\n"))
@@ -21,12 +21,11 @@ func TestWriters(t *testing.T) {
 		return boom
 	}
 	for _, fn := range []struct {
-		name   string
-		write  func(string, func(io.Writer) error) error
-		atomic bool
+		name  string
+		write func(string, func(io.Writer) error) error
 	}{
-		{"Create", Create, false},
-		{"Replace", Replace, true},
+		{"Create", Create},
+		{"Replace", Replace},
 	} {
 		for _, c := range []struct {
 			name  string
@@ -75,13 +74,13 @@ func TestWriters(t *testing.T) {
 					if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
 						t.Errorf("directory target disturbed: %v", err)
 					}
-				case fn.atomic && c.old == "":
+				case c.old == "":
 					if !os.IsNotExist(rerr) {
-						t.Errorf("failed Replace created the target: %q", got)
+						t.Errorf("failed %s created the target: %q", fn.name, got)
 					}
-				case fn.atomic:
+				default:
 					if string(got) != c.old {
-						t.Errorf("failed Replace changed the target: %q", got)
+						t.Errorf("failed %s changed the target: %q", fn.name, got)
 					}
 				}
 			})
@@ -105,12 +104,62 @@ func TestIgnoredWriteErrorFails(t *testing.T) {
 	}
 }
 
-// TestMissingParent: neither policy creates directories.
+// TestCreateKeepsPermissions: a replaced output keeps its old file's mode,
+// and a new one gets os.Create's.
+func TestCreateKeepsPermissions(t *testing.T) {
+	dir := t.TempDir()
+	path, ref := filepath.Join(dir, "doc.csv"), filepath.Join(dir, "ref.csv")
+	f, err := os.Create(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := Create(path, Bytes([]byte("a\n"))); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.Stat(ref)
+	if fi, _ := os.Stat(path); fi.Mode() != want.Mode() {
+		t.Errorf("new output mode %v, os.Create gives %v", fi.Mode(), want.Mode())
+	}
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := Create(path, Bytes([]byte("b\n"))); err != nil {
+		t.Fatal(err)
+	}
+	if fi, _ := os.Stat(path); fi.Mode().Perm() != 0o640 {
+		t.Errorf("replaced output mode %v, want the old file's -rw-r-----", fi.Mode())
+	}
+}
+
+// TestCreateDevice: an existing target that is not a regular file — a
+// device standing for stdout or a discard — is written in place; no temp
+// file is made beside it.
+func TestCreateDevice(t *testing.T) {
+	if _, err := os.Stat(os.DevNull); err != nil {
+		t.Skip("no", os.DevNull)
+	}
+	if err := Create(os.DevNull, Bytes([]byte("discarded\n"))); err != nil {
+		t.Fatalf("Create(%s) = %v", os.DevNull, err)
+	}
+	if fi, err := os.Stat(os.DevNull); err != nil || fi.Mode().IsRegular() {
+		t.Errorf("%s is no longer a device: %v, %v", os.DevNull, fi, err)
+	}
+}
+
+// TestMissingParent: neither policy creates directories, and Create's
+// error names the file asked for, not its temp file.
 func TestMissingParent(t *testing.T) {
 	dir := t.TempDir()
+	target := filepath.Join(dir, "missing", "doc")
 	for name, write := range map[string]func(string, func(io.Writer) error) error{"Create": Create, "Replace": Replace} {
-		if err := write(filepath.Join(dir, "missing", "doc"), Bytes(nil)); err == nil {
+		err := write(target, Bytes(nil))
+		if err == nil {
 			t.Errorf("%s under a missing directory succeeded", name)
+		}
+		var pe *os.PathError
+		if name == "Create" && (!errors.As(err, &pe) || pe.Path != target) {
+			t.Errorf("Create's error %v does not name %s, the file asked for", err, target)
 		}
 	}
 	if names, _ := os.ReadDir(dir); len(names) != 0 {

@@ -812,3 +812,50 @@ func TestSystemSetupAllocation(t *testing.T) {
 		t.Errorf("NewSystem+SetRegions allocated %d bytes, want at most %d", got, want)
 	}
 }
+
+// TestReservedTablesAllocateNothing: a System reserved for the largest
+// region each role takes over several layers declares a smaller layer's
+// regions without allocating, and reports what a System that allocated its
+// tables on demand reports. CB5a_2 only sizes the reservation (its 2.4 M
+// filter words), to keep the test short.
+func TestReservedTablesAllocateNothing(t *testing.T) {
+	cfg := config.New()
+	var layers []topology.Layer
+	var largest [3]int64
+	for _, name := range []string{"Conv1", "CB2a_2", "CB5a_2"} {
+		l := resnetLayer(t, name)
+		layers = append(layers, l)
+		for k, w := range [3]int64{l.IfmapWords(), l.FilterWords(), l.OfmapWords()} {
+			largest[k] = max(largest[k], w)
+		}
+	}
+	reserved := func(s *System) { s.Reserve(largest[0], largest[1], largest[2]) }
+	for _, l := range layers[:2] {
+		t.Run(l.Name, func(t *testing.T) {
+			// One System a call: AllocsPerRun's warm-up call would
+			// otherwise leave the measured ones nothing to allocate.
+			systems := make([]*System, 3)
+			for i := range systems {
+				s, err := NewSystem(cfg, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reserved(s)
+				systems[i] = s
+			}
+			next := 0
+			if n := testing.AllocsPerRun(len(systems)-1, func() {
+				layerRegions(l, cfg)(systems[next])
+				next++
+			}); n != 0 {
+				t.Errorf("SetRegions after Reserve allocated %v times a call", n)
+			}
+			got := runBlocks(t, l, cfg, Options{}, systolic.Window{}, true, func(s *System) {
+				reserved(s)
+				layerRegions(l, cfg)(s)
+			})
+			want := runBlocks(t, l, cfg, Options{}, systolic.Window{}, true, layerRegions(l, cfg))
+			requireSameObservables(t, got, want)
+		})
+	}
+}

@@ -55,6 +55,9 @@ type fifoSet struct {
 	dense bool
 	base  int64
 	marks []byte
+	// zeroed is set while marks is as make left it — reserved and not yet
+	// dense — so the next setRegion need not clear it.
+	zeroed bool
 
 	probe *probeSet
 	// stale is set while words that overwrite inserted are unmarked: they
@@ -73,17 +76,36 @@ type fifoSet struct {
 
 func newFIFOSet(capacity int64) *fifoSet { return &fifoSet{capacity: capacity} }
 
+// ringSlots is how many ring slots a region of words can occupy: at most
+// one per distinct address, and no more than the buffer holds.
+func (f *fifoSet) ringSlots(words int64) int64 { return min(f.capacity, words, 1<<20) }
+
+// reserve allocates a fresh set's storage for regions of up to words, so
+// that declaring any of them later allocates nothing: the ring at the slots
+// such a region can occupy, and the marks table when the region is dense.
+// Call once, before setRegion, on a set that adopted nothing.
+func (f *fifoSet) reserve(words int64) {
+	if words < 1 {
+		return
+	}
+	f.ring = make([]int64, 0, f.ringSlots(words))
+	if words <= denseLimitWords {
+		f.marks, f.zeroed = make([]byte, words), true
+	}
+}
+
 // setRegion switches to a region-aware residency structure for addresses in
 // [base, base+words). Must be called before any insertion. Storage adopted
 // beforehand (see System.Adopt) is reused when it is large enough: the ring
 // arrives empty and the marks are cleared over the region here, so whatever
-// the previous owner left in either is never read.
+// the previous owner left in either is never read. Marks fresh from make
+// (reserve) are left as they are: clearing them would only fault in pages
+// the region never touches.
 func (f *fifoSet) setRegion(base, words int64) {
 	if words < 1 || f.len() > 0 {
 		return
 	}
-	// At most one slot per distinct address is ever occupied.
-	if need := min(f.capacity, words, 1<<20); int64(cap(f.ring)) < need {
+	if need := f.ringSlots(words); int64(cap(f.ring)) < need {
 		f.ring = make([]int64, 0, need)
 	}
 	if words > denseLimitWords {
@@ -94,10 +116,10 @@ func (f *fifoSet) setRegion(base, words int64) {
 	f.base = base
 	if int64(cap(f.marks)) < words {
 		f.marks = make([]byte, words)
-	} else {
-		f.marks = f.marks[:words]
+	} else if f.marks = f.marks[:words]; !f.zeroed {
 		clear(f.marks)
 	}
+	f.zeroed = false
 }
 
 // leaveDense abandons the direct-mapped table before a run that leaves the

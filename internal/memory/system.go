@@ -109,6 +109,19 @@ func (s *System) SetRegions(ifBase, ifWords, flBase, flWords, ofBase, ofWords in
 	s.Ofmap.SetRegion(ofBase, ofWords)
 }
 
+// Reserve sizes a System that adopted no Tables for regions of up to the
+// given extents (words, in SetRegions' order), typically the largest each
+// role takes over a run: the buffers allocate their rings and direct-mapped
+// tables once, and the later SetRegions of every layer that Adopts them
+// allocate nothing. Call before SetRegions; a region above denseLimitWords
+// reserves only its ring. Results do not depend on the reservation.
+func (s *System) Reserve(ifWords, flWords, ofWords int64) {
+	words := [3]int64{ifWords, flWords, ofWords}
+	for i, f := range s.sets() {
+		f.reserve(words[i])
+	}
+}
+
 // Tables is the residency storage of one System — each buffer's FIFO ring,
 // replay queue, direct-mapped marks table and block memo — detached so that a caller
 // simulating many layers can hand one layer's storage to the next instead
@@ -138,7 +151,7 @@ func (s *System) memos() [3]*blockMemo {
 // there. t must not be used again.
 func (s *System) Adopt(t *Tables) {
 	for i, f := range s.sets() {
-		f.ring, f.marks, f.queue = t.sets[i].ring[:0], t.sets[i].marks[:0], t.sets[i].queue
+		f.ring, f.marks, f.queue, f.zeroed = t.sets[i].ring[:0], t.sets[i].marks[:0], t.sets[i].queue, false
 		f.queue.clear()
 	}
 	for i, m := range s.memos() {

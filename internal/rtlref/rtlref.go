@@ -133,6 +133,12 @@ func RunWS(a, b [][]float64, rows, cols int) (Result, error) {
 	if len(a) == 0 || len(a[0]) != sr {
 		return Result{}, fmt.Errorf("rtlref: streaming operand must be T x %d", sr)
 	}
+	if err := checkRows("stationary operand", b, sc); err != nil {
+		return Result{}, err
+	}
+	if err := checkRows("streaming operand", a, sr); err != nil {
+		return Result{}, err
+	}
 	tt := int64(len(a))
 	if sr > rows || sc > cols {
 		return Result{}, fmt.Errorf("rtlref: mapping %dx%d exceeds array %dx%d", sr, sc, rows, cols)
@@ -220,20 +226,27 @@ func checkOperands(a, b [][]float64, rows, cols int) (sr, sc int, tt int64, err 
 		return 0, 0, 0, fmt.Errorf("rtlref: B must be %d x Sc", tt)
 	}
 	sc = len(b[0])
-	for i := range a {
-		if int64(len(a[i])) != tt {
-			return 0, 0, 0, fmt.Errorf("rtlref: ragged A at row %d", i)
-		}
+	if err := checkRows("A", a, int(tt)); err != nil {
+		return 0, 0, 0, err
 	}
-	for t := range b {
-		if len(b[t]) != sc {
-			return 0, 0, 0, fmt.Errorf("rtlref: ragged B at row %d", t)
-		}
+	if err := checkRows("B", b, sc); err != nil {
+		return 0, 0, 0, err
 	}
 	if sr > rows || sc > cols {
 		return 0, 0, 0, fmt.Errorf("rtlref: mapping %dx%d exceeds array %dx%d", sr, sc, rows, cols)
 	}
 	return sr, sc, tt, nil
+}
+
+// checkRows refuses a ragged operand, naming it: every row of m must hold
+// width elements.
+func checkRows(name string, m [][]float64, width int) error {
+	for i, row := range m {
+		if len(row) != width {
+			return fmt.Errorf("rtlref: ragged %s at row %d", name, i)
+		}
+	}
+	return nil
 }
 
 // MatMul computes the reference product of A (m x k) and B (k x n) directly,

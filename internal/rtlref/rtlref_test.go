@@ -3,6 +3,7 @@ package rtlref
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scalesim/internal/config"
@@ -252,6 +253,22 @@ func TestOperandValidation(t *testing.T) {
 	for _, tc := range cases {
 		if tc.f() == nil {
 			t.Errorf("%s: no error", tc.name)
+		}
+	}
+	// A ragged row is refused under the operand's name, not met by an
+	// index panic inside the grid.
+	ragged := [][]float64{{1, 2}, {3}}
+	for _, tc := range []struct {
+		name, want string
+		f          func() error
+	}{
+		{"WS ragged stationary", "ragged stationary operand at row 1", func() error { _, err := RunWS(good, ragged, 4, 4); return err }},
+		{"WS ragged streaming", "ragged streaming operand at row 1", func() error { _, err := RunWS(ragged, good, 4, 4); return err }},
+		{"IS ragged stationary", "ragged stationary operand at row 1", func() error { _, err := RunIS(good, ragged, 4, 4); return err }},
+		{"IS ragged streaming", "ragged streaming operand at row 1", func() error { _, err := RunIS(ragged, good, 4, 4); return err }},
+	} {
+		if err := tc.f(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -232,12 +232,12 @@ func BenchmarkFig10b(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var bwRise float64
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig11Obs(1<<14, []int64{1, 4, 16}, experiments.Obs{})
+		series, err := experiments.ScaleOut(experiments.Fig11Series([]int64{1 << 14}), []int64{1, 4, 16}, experiments.Obs{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tf0 := series["TF0"]
-		bwRise = tf0[len(tf0)-1].AvgBW / tf0[0].AvgBW
+		tf0 := series[1]
+		bwRise = tf0[len(tf0)-1].AvgDRAMBW() / tf0[0].AvgDRAMBW()
 	}
 	b.ReportMetric(bwRise, "tf0-bw-rise")
 }
@@ -252,14 +252,14 @@ func BenchmarkFig12(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := series[1<<16]
+		rows := series[2]
 		best := rows[0]
 		for _, r := range rows[1:] {
 			if r.Energy.Total() < best.Energy.Total() {
 				best = r
 			}
 		}
-		minEnergyParts = float64(best.Partitions)
+		minEnergyParts = float64(best.Spec.Parts.Count())
 	}
 	b.ReportMetric(minEnergyParts, "minE-parts@2^16")
 }

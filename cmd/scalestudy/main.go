@@ -22,15 +22,15 @@
 // All subcommands accept -o <file> to write the CSV somewhere other than
 // stdout; fig11 and bwcurve render ASCII charts with -plot. Every
 // subcommand also accepts -metrics <path> (machine-readable run manifest),
-// -progress (per-series progress on stderr) and -pprof <addr>
-// (net/http/pprof for the duration of the study).
+// -progress (on stderr, one line per fig11/fig12 point) and -pprof <addr>
+// (net/http/pprof for the duration of the study). A -macs or -parts entry
+// below 1 is refused by its flag's name before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"sort"
 
 	"scalesim/internal/cliobs"
 	"scalesim/internal/config"
@@ -114,12 +114,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	// read them: -macs against the subcommand's own default.
 	var budgets, pc []int64
 	if def, ok := defaultMACs[cmd]; ok {
-		if budgets, err = config.ParseIntList(defaultStr(*macs, def)); err != nil {
+		if budgets, err = positiveList("macs", defaultStr(*macs, def)); err != nil {
 			return err
 		}
 	}
 	if cmd == "fig11" || cmd == "fig12" || cmd == "sweetspot" {
-		if pc, err = config.ParseIntList(*parts); err != nil {
+		if pc, err = positiveList("parts", *parts); err != nil {
 			return err
 		}
 	}
@@ -188,35 +188,44 @@ func run(args []string, stdout io.Writer) (err error) {
 			return nil
 
 		case "fig11":
-			if *plot {
-				return fig11Series(budgets, pc, obs, func(b int64, name string, rows []experiments.SweepRow) error {
-					return plotFig11(w, b, name, rows)
-				})
+			series := experiments.Fig11Series(budgets)
+			results, err := experiments.ScaleOut(series, pc, obs)
+			if err != nil {
+				return err
 			}
-			fmt.Fprintln(w, "Layer,MACs,Partitions,Spec,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites")
-			return fig11Series(budgets, pc, obs, func(_ int64, _ string, rows []experiments.SweepRow) error {
-				for _, r := range rows {
-					fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
-						r.Layer, r.MACs, r.Partitions, r.Spec, r.Cycles,
-						r.AvgBW, r.PeakBW, r.DRAMReads, r.DRAMWrites)
+			if *plot {
+				for i, s := range series {
+					if err := plotFig11(w, s, results[i]); err != nil {
+						return err
+					}
 				}
 				return nil
-			})
+			}
+			fmt.Fprintln(w, "Layer,MACs,Partitions,Spec,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites")
+			for i, s := range series {
+				for _, r := range results[i] {
+					fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
+						s.Layer.Name, s.MACs, r.Spec.Parts.Count(), r.Spec, r.Cycles,
+						r.AvgDRAMBW(), r.PeakDRAMBW, r.DRAMReads, r.DRAMWrites)
+				}
+			}
+			return nil
 
 		case "fig12":
 			l, err := pickLayer(*layer)
 			if err != nil {
 				return err
 			}
-			series, err := experiments.Fig12Obs(l, budgets, pc, obs)
+			series := experiments.LayerSeries(l, budgets)
+			results, err := experiments.ScaleOut(series, pc, obs)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintln(w, "Layer,MACs,Partitions,EnergyArray,EnergySRAM,EnergyDRAM,EnergyTotal")
-			for _, b := range budgets {
-				for _, r := range series[b] {
+			for i, s := range series {
+				for _, r := range results[i] {
 					fmt.Fprintf(w, "%s,%d,%d,%.0f,%.0f,%.0f,%.0f\n",
-						r.Layer, r.MACs, r.Partitions,
+						s.Layer.Name, s.MACs, r.Spec.Parts.Count(),
 						r.Energy.Array, r.Energy.SRAM, r.Energy.DRAM, r.Energy.Total())
 				}
 			}
@@ -320,41 +329,20 @@ func run(args []string, stdout io.Writer) (err error) {
 	})
 }
 
-// fig11Series runs the Fig. 11 sweep per MAC budget and hands each series
-// to emit, budgets in the order given and series by name within one.
-func fig11Series(budgets, pc []int64, obs experiments.Obs, emit func(b int64, name string, rows []experiments.SweepRow) error) error {
-	for _, b := range budgets {
-		series, err := experiments.Fig11Obs(b, pc, obs)
-		if err != nil {
-			return err
-		}
-		names := make([]string, 0, len(series))
-		for name := range series {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := emit(b, name, series[name]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // plotFig11 renders the runtime and bandwidth curves of one series of the
 // partition sweep as ASCII charts.
-func plotFig11(w io.Writer, b int64, name string, rows []experiments.SweepRow) error {
+func plotFig11(w io.Writer, s experiments.Series, results []partition.Result) error {
 	runtime := viz.Series{Name: "cycles"}
 	bw := viz.Series{Name: "avg BW (B/cyc)"}
-	for _, r := range rows {
-		runtime.X = append(runtime.X, float64(r.Partitions))
+	for _, r := range results {
+		p := float64(r.Spec.Parts.Count())
+		runtime.X = append(runtime.X, p)
 		runtime.Y = append(runtime.Y, float64(r.Cycles))
-		bw.X = append(bw.X, float64(r.Partitions))
-		bw.Y = append(bw.Y, r.AvgBW)
+		bw.X = append(bw.X, p)
+		bw.Y = append(bw.Y, r.AvgDRAMBW())
 	}
 	chart := viz.Chart{
-		Title: fmt.Sprintf("%s @ %d MACs: runtime vs partitions", name, b),
+		Title: fmt.Sprintf("%s @ %d MACs: runtime vs partitions", s.Layer.Name, s.MACs),
 		LogX:  true, LogY: true, XLabel: "partitions", YLabel: "cycles",
 	}
 	out, err := chart.Render(runtime)
@@ -362,7 +350,7 @@ func plotFig11(w io.Writer, b int64, name string, rows []experiments.SweepRow) e
 		return err
 	}
 	fmt.Fprintln(w, out)
-	chart.Title = fmt.Sprintf("%s @ %d MACs: DRAM demand vs partitions", name, b)
+	chart.Title = fmt.Sprintf("%s @ %d MACs: DRAM demand vs partitions", s.Layer.Name, s.MACs)
 	chart.YLabel = "bytes/cycle"
 	out, err = chart.Render(bw)
 	if err != nil {
@@ -400,6 +388,22 @@ func pickLayer(name string) (topology.Layer, error) {
 		return l, nil
 	}
 	return topology.Layer{}, fmt.Errorf("unknown layer %q (use TF0 or a ResNet50 layer name)", name)
+}
+
+// positiveList parses the list flag -name, refusing an entry below 1 by
+// the flag's name before anything runs: a MAC budget or a partition count
+// of 0 or less names no design point.
+func positiveList(name, s string) ([]int64, error) {
+	vs, err := config.ParseIntList(s)
+	if err != nil {
+		return nil, fmt.Errorf("-%s: %w", name, err)
+	}
+	for _, v := range vs {
+		if v < 1 {
+			return nil, fmt.Errorf("-%s: entry %d must be positive", name, v)
+		}
+	}
+	return vs, nil
 }
 
 func defaultStr(s, def string) string {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,27 +58,69 @@ func TestStudyMetricsManifest(t *testing.T) {
 	}
 }
 
+// TestFig11MetricsManifest: a Fig. 11 run states one manifest unit, one
+// engine job and one progress step per (series, partition count) point,
+// of every budget; no budget's units overwrite another's.
 func TestFig11MetricsManifest(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fig11.json")
-	var buf bytes.Buffer
-	if err := run([]string{"fig11", "-macs", "4096", "-parts", "1,4", "-metrics", path}, &buf); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		macs   string
+		points int
+	}{
+		{"4096", 4},      // two series x two partition counts
+		{"1024,4096", 8}, // and two budgets
+	} {
+		path := filepath.Join(t.TempDir(), "fig11.json")
+		var runErr error
+		stderr := captureStderr(t, func() {
+			runErr = run([]string{"fig11", "-macs", c.macs, "-parts", "1,4", "-metrics", path, "-progress"}, &bytes.Buffer{})
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := obsv.ParseManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, l := range m.Layers {
+			names[l.Name] = true
+		}
+		if m.Run != "fig11" || len(m.Layers) != c.points || len(names) != c.points {
+			t.Errorf("-macs %s: run %q, units %d, distinct names %d, want %d: %+v",
+				c.macs, m.Run, len(m.Layers), len(names), c.points, m.Layers)
+		}
+		if m.Spans == nil || m.Spans.Jobs != int64(c.points) {
+			t.Errorf("-macs %s: spans = %+v, want %d jobs", c.macs, m.Spans, c.points)
+		}
+		last := fmt.Sprintf("[%d/%d] ", c.points, c.points)
+		if strings.Count(stderr, fmt.Sprintf("/%d] ", c.points)) != c.points || !strings.Contains(stderr, last) ||
+			!strings.Contains(stderr, fmt.Sprintf("done, %d units", c.points)) {
+			t.Errorf("-macs %s: progress:\n%s", c.macs, stderr)
+		}
 	}
-	data, err := os.ReadFile(path)
+}
+
+// captureStderr runs f with os.Stderr redirected and returns what it wrote.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := obsv.ParseManifest(data)
+	saved := os.Stderr
+	os.Stderr = w
+	f()
+	os.Stderr = saved
+	w.Close()
+	out, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Run != "fig11" || len(m.Layers) != 2 { // the figure's two series
-		t.Errorf("run %q, series %d", m.Run, len(m.Layers))
-	}
-	if m.Spans == nil || m.Spans.Jobs != 2 {
-		t.Errorf("spans = %+v", m.Spans)
-	}
+	return string(out)
 }
 
 func TestFig9Commands(t *testing.T) {
@@ -181,19 +225,34 @@ func TestOutputFile(t *testing.T) {
 	}
 }
 
+// TestCommandErrors: a bad invocation fails before anything is printed; a
+// MAC budget or partition count below 1 is refused by its flag's name.
 func TestCommandErrors(t *testing.T) {
-	var buf bytes.Buffer
-	cases := [][]string{
-		{},
-		{"figX"},
-		{"fig4", "-sizes", "abc"},
-		{"fig4", "-sizes", ""},
-		{"fig9a", "-macs", "32"}, // infeasible under minDim 8
-		{"fig4", "-badflag"},
+	cases := []struct {
+		args []string
+		flag string // the flag the refusal names, if any
+	}{
+		{[]string{}, ""},
+		{[]string{"figX"}, ""},
+		{[]string{"fig4", "-sizes", "abc"}, ""},
+		{[]string{"fig4", "-sizes", ""}, ""},
+		{[]string{"fig9a", "-macs", "32"}, ""}, // infeasible under minDim 8
+		{[]string{"fig4", "-badflag"}, ""},
+		{[]string{"fig11", "-parts", "0,1"}, "-parts"},
+		{[]string{"fig12", "-macs", "1024", "-parts", "-4,1"}, "-parts"},
+		{[]string{"sweetspot", "-parts", "1,0"}, "-parts"},
+		{[]string{"cells", "-macs", "-4096,4096"}, "-macs"},
+		{[]string{"fig11", "-macs", "0"}, "-macs"},
+		{[]string{"fig9a", "-macs", "1024,-1"}, "-macs"},
 	}
-	for _, args := range cases {
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) succeeded", args)
+	for _, c := range cases {
+		var buf bytes.Buffer
+		err := run(c.args, &buf)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag) {
+			t.Errorf("run(%v) = %v, want a refusal naming %q", c.args, err, c.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%v) printed before failing:\n%s", c.args, buf.String())
 		}
 	}
 }

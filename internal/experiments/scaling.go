@@ -7,7 +7,6 @@ import (
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dataflow"
-	"scalesim/internal/energy"
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/partition"
@@ -16,7 +15,7 @@ import (
 
 // Obs bundles the observability hooks a figure sweep threads through its
 // cycle-accurate runs: a recorder for sweep-level spans, phase and
-// per-series wall timings, and a live progress reporter. The zero value
+// per-point wall timings, and a live progress reporter. The zero value
 // disables both.
 type Obs struct {
 	Rec      *obsv.Recorder
@@ -25,124 +24,100 @@ type Obs struct {
 
 // --- Fig. 11 / Fig. 12: cycle-accurate partition sweeps ------------------
 
-// SweepRow is one partition count of a Fig. 11 / Fig. 12 sweep: runtime,
-// DRAM bandwidth demand and energy for a fixed total MAC budget.
-type SweepRow struct {
-	Layer      string
-	MACs       int64
-	Partitions int64
-	// Spec is the chosen grid and per-array shape.
-	Spec partition.Spec
-	// Cycles is the cycle-accurate runtime (slowest partition).
-	Cycles int64
-	// AvgBW and PeakBW are DRAM demand bandwidths in bytes per cycle.
-	AvgBW, PeakBW float64
-	// DRAMReads and DRAMWrites are total interface words.
-	DRAMReads, DRAMWrites int64
-	// Energy is the run's energy breakdown.
-	Energy energy.Breakdown
-}
-
-// PartitionSweep runs the layer cycle-accurately for each partition count
-// of a fixed MAC budget, with the paper's Fig. 11 memory setup (512 KiB
-// IFMAP, 512 KiB filter, 256 KiB OFMAP, divided among partitions) and the
-// OS dataflow. Partition counts that do not divide the budget or violate
-// the 8x8 minimum array are skipped.
-func PartitionSweep(l topology.Layer, totalMACs int64, partCounts []int64, opt partition.Options) ([]SweepRow, error) {
-	base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
-	results, err := partition.Sweep(l, base, totalMACs, partCounts, 8, opt)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", l.Name, err)
-	}
-	rows := make([]SweepRow, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, SweepRow{
-			Layer:      l.Name,
-			MACs:       totalMACs,
-			Partitions: r.Spec.Parts.Count(),
-			Spec:       r.Spec,
-			Cycles:     r.Cycles,
-			AvgBW:      r.AvgDRAMBW(),
-			PeakBW:     r.PeakDRAMBW,
-			DRAMReads:  r.DRAMReads,
-			DRAMWrites: r.DRAMWrites,
-			Energy:     r.Energy,
-		})
-	}
-	return rows, nil
-}
-
-// Fig11Obs sweeps runtime and DRAM bandwidth versus partition count for
-// the two layers the figure shows (CB2a_3 and TF0) at the given MAC budget.
-// Sweep-level engine spans and per-series wall timings land in obs.Rec,
-// completed series step obs.Progress; rows are identical for every obs,
-// the zero one included.
-func Fig11Obs(totalMACs int64, partCounts []int64, obs Obs) (map[string][]SweepRow, error) {
-	series := []sweepSeries{{CB2a3().Name, CB2a3(), totalMACs}, {TF0().Name, TF0(), totalMACs}}
-	rows, err := runSeries("experiments.fig11", series, partCounts, obs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]SweepRow, len(series))
-	for i, s := range series {
-		out[s.name] = rows[i]
-	}
-	return out, nil
-}
-
-// Fig12 is the energy view of the same sweep: one series per MAC budget for
-// the given layer.
-func Fig12(l topology.Layer, macBudgets []int64, partCounts []int64) (map[int64][]SweepRow, error) {
-	return Fig12Obs(l, macBudgets, partCounts, Obs{})
-}
-
-// Fig12Obs is Fig12 with observability, mirroring Fig11Obs.
-func Fig12Obs(l topology.Layer, macBudgets []int64, partCounts []int64, obs Obs) (map[int64][]SweepRow, error) {
-	series := make([]sweepSeries, len(macBudgets))
-	for i, b := range macBudgets {
-		series[i] = sweepSeries{fmt.Sprintf("%s@%dMACs", l.Name, b), l, b}
-	}
-	rows, err := runSeries("experiments.fig12", series, partCounts, obs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64][]SweepRow, len(series))
-	for i, s := range series {
-		out[s.macs] = rows[i]
-	}
-	return out, nil
-}
-
-// sweepSeries is one series of a scale-out figure: a layer swept over the
+// Series is one curve of a scale-out figure: a layer swept over the
 // figure's partition counts at one MAC budget.
-type sweepSeries struct {
-	name  string
-	layer topology.Layer
-	macs  int64
+type Series struct {
+	Name  string
+	Layer topology.Layer
+	MACs  int64
 }
 
-// runSeries sweeps a figure's series under the observability hooks:
-// per-series wall time into the recorder, one progress step per finished
-// series. The series run concurrently on the shared engine's pool, so each
-// one's partitions stay sequential rather than multiplying the two levels;
-// rows come back in series order.
-func runSeries(phase string, series []sweepSeries, partCounts []int64, obs Obs) ([][]SweepRow, error) {
-	obs.Progress.Start(len(series))
-	defer obs.Rec.Phase(phase)()
-	return engine.RunObserved(0, len(series), obs.Rec.SpanSink(), func(i int) ([]SweepRow, error) {
-		s := series[i]
-		var t0 time.Time
-		if obs.Rec.Enabled() {
-			t0 = time.Now()
+// LayerSeries is one series per MAC budget for the layer, named
+// <layer>@<macs>MACs: the curves of Fig. 12.
+func LayerSeries(l topology.Layer, macBudgets []int64) []Series {
+	out := make([]Series, len(macBudgets))
+	for i, b := range macBudgets {
+		out[i] = Series{Name: fmt.Sprintf("%s@%dMACs", l.Name, b), Layer: l, MACs: b}
+	}
+	return out
+}
+
+// Fig11Series is the two layers Fig. 11 shows, CB2a_3 then TF0, at each
+// MAC budget in the order given.
+func Fig11Series(macBudgets []int64) []Series {
+	var out []Series
+	for _, b := range macBudgets {
+		for _, l := range []topology.Layer{CB2a3(), TF0()} {
+			out = append(out, LayerSeries(l, []int64{b})...)
 		}
-		rows, err := PartitionSweep(s.layer, s.macs, partCounts, partition.Options{Parallel: 1})
+	}
+	return out
+}
+
+// Fig12 is the energy view of the partition sweep: one series per MAC
+// budget for the given layer, results in budget order.
+func Fig12(l topology.Layer, macBudgets []int64, partCounts []int64) ([][]partition.Result, error) {
+	return ScaleOut(LayerSeries(l, macBudgets), partCounts, Obs{})
+}
+
+// ScaleOut runs every series cycle-accurately for each partition count of
+// its MAC budget, with the paper's Fig. 11 memory setup (512 KiB IFMAP,
+// 512 KiB filter, 256 KiB OFMAP, divided among partitions) and the OS
+// dataflow. Counts that do not divide the budget or violate the 8x8
+// minimum array are skipped; a series left with no feasible count is
+// refused before any point runs.
+//
+// Each (series, count) point is one job on the shared engine's pool, its
+// partitions sequential rather than multiplying the two levels. A point
+// records its wall time in obs.Rec and steps obs.Progress; results are
+// identical for every obs, the zero one included. They come back per
+// series, in partition-count order.
+func ScaleOut(series []Series, partCounts []int64, obs Obs) ([][]partition.Result, error) {
+	base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
+	type point struct {
+		series int
+		spec   partition.Spec
+		name   string
+	}
+	var points []point
+	for i, s := range series {
+		if err := s.Layer.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", s.Layer.Name, err)
+		}
+		m := dataflow.Map(s.Layer, base.Dataflow)
+		feasible := len(points)
+		for _, p := range partCounts {
+			if spec, ok := partition.BestSpec(m, s.MACs, p, 8); ok {
+				points = append(points, point{i, spec, fmt.Sprintf("%s/%dparts", s.Name, p)})
+			}
+		}
+		if len(points) == feasible {
+			return nil, fmt.Errorf("experiments: %s: partition: no feasible partitioning of %d MACs (minDim 8)",
+				s.Layer.Name, s.MACs)
+		}
+	}
+
+	obs.Progress.Start(len(points))
+	defer obs.Rec.Phase("experiments.scaleout")()
+	results, err := engine.RunObserved(0, len(points), obs.Rec.SpanSink(), func(i int) (partition.Result, error) {
+		pt, t0 := points[i], time.Now()
+		l := series[pt.series].Layer
+		r, err := partition.Run(l, base, pt.spec, partition.Options{Parallel: 1})
 		if err != nil {
-			return nil, err
+			return r, fmt.Errorf("experiments: %s: %w", l.Name, err)
 		}
-		obs.Rec.ObserveLayer(i, s.name, time.Since(t0))
-		obs.Progress.Step(s.name)
-		return rows, nil
+		obs.Rec.ObserveLayer(i, pt.name, time.Since(t0))
+		obs.Progress.Step(pt.name)
+		return r, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]partition.Result, len(series))
+	for i, pt := range points {
+		out[pt.series] = append(out[pt.series], results[i])
+	}
+	return out, nil
 }
 
 // --- Fig. 13 / Fig. 14: multi-workload pareto optimality -----------------

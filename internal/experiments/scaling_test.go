@@ -1,39 +1,44 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"scalesim/internal/config"
+	"scalesim/internal/obsv"
 	"scalesim/internal/partition"
 )
 
 func TestPartitionSweepFigure11Shape(t *testing.T) {
 	// CB2a_3 at 2^12 MACs across 1..16 partitions: runtime falls, DRAM
 	// bandwidth demand rises (Fig. 11's two curves).
-	rows, err := PartitionSweep(CB2a3(), 1<<12, []int64{1, 4, 16}, partition.Options{})
+	out, err := ScaleOut(LayerSeries(CB2a3(), []int64{1 << 12}), []int64{1, 4, 16}, Obs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(out) != 1 || len(out[0]) != 3 {
+		t.Fatalf("results = %d series", len(out))
 	}
+	rows := out[0]
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Cycles > rows[i-1].Cycles {
 			t.Errorf("runtime rose at %d partitions: %d > %d",
-				rows[i].Partitions, rows[i].Cycles, rows[i-1].Cycles)
+				rows[i].Spec.Parts.Count(), rows[i].Cycles, rows[i-1].Cycles)
 		}
 	}
-	if rows[len(rows)-1].AvgBW <= rows[0].AvgBW {
-		t.Errorf("bandwidth demand did not rise: %v -> %v", rows[0].AvgBW, rows[len(rows)-1].AvgBW)
+	if rows[len(rows)-1].AvgDRAMBW() <= rows[0].AvgDRAMBW() {
+		t.Errorf("bandwidth demand did not rise: %v -> %v", rows[0].AvgDRAMBW(), rows[len(rows)-1].AvgDRAMBW())
 	}
 	for _, r := range rows {
-		if r.PeakBW < r.AvgBW {
-			t.Errorf("%d partitions: peak %v below avg %v", r.Partitions, r.PeakBW, r.AvgBW)
+		p := r.Spec.Parts.Count()
+		if r.PeakDRAMBW < r.AvgDRAMBW() {
+			t.Errorf("%d partitions: peak %v below avg %v", p, r.PeakDRAMBW, r.AvgDRAMBW())
 		}
 		if r.DRAMReads <= 0 || r.DRAMWrites <= 0 {
-			t.Errorf("%d partitions: empty DRAM traffic", r.Partitions)
+			t.Errorf("%d partitions: empty DRAM traffic", p)
 		}
 		if r.Energy.Total() <= 0 {
-			t.Errorf("%d partitions: no energy", r.Partitions)
+			t.Errorf("%d partitions: no energy", p)
 		}
 	}
 }
@@ -42,13 +47,17 @@ func TestFig11BothLayers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-accurate TF0 sweep in -short mode")
 	}
-	out, err := Fig11Obs(1<<12, []int64{1, 4}, Obs{})
+	series := Fig11Series([]int64{1 << 12})
+	out, err := ScaleOut(series, []int64{1, 4}, Obs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"CB2a_3", "TF0"} {
-		rows, ok := out[name]
-		if !ok || len(rows) != 2 {
+	for i, name := range []string{"CB2a_3", "TF0"} {
+		if series[i].Layer.Name != name {
+			t.Fatalf("series %d is %s, want %s", i, series[i].Layer.Name, name)
+		}
+		rows := out[i]
+		if len(rows) != 2 {
 			t.Fatalf("%s: %d rows", name, len(rows))
 		}
 		if rows[1].Cycles >= rows[0].Cycles {
@@ -65,17 +74,16 @@ func TestFig12EnergyCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	argmin := func(macs int64) int64 {
-		rows := out[macs]
+	argmin := func(rows []partition.Result) int64 {
 		best := rows[0]
 		for _, r := range rows[1:] {
 			if r.Energy.Total() < best.Energy.Total() {
 				best = r
 			}
 		}
-		return best.Partitions
+		return best.Spec.Parts.Count()
 	}
-	small, large := argmin(1<<10), argmin(1<<16)
+	small, large := argmin(out[0]), argmin(out[1])
 	if small != 1 {
 		t.Errorf("small budget min-energy at %d partitions, want monolithic", small)
 	}
@@ -84,6 +92,43 @@ func TestFig12EnergyCrossover(t *testing.T) {
 	}
 	if large == 1 {
 		t.Errorf("large budget min-energy still monolithic; expected partitioned")
+	}
+}
+
+// TestScaleOutMatchesSweep: a point sweep returns, per series, exactly
+// what partition.Sweep returns for that layer and budget, ledger and
+// energy included, with infeasible counts interleaved among feasible ones.
+func TestScaleOutMatchesSweep(t *testing.T) {
+	counts := []int64{0, 3, 1, 4, 16}
+	series := []Series{LayerSeries(CB2a3(), []int64{1 << 12})[0], LayerSeries(TF0(), []int64{1 << 10})[0]}
+	got, err := ScaleOut(series, counts, Obs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
+	for i, s := range series {
+		want, err := partition.Sweep(s.Layer, base, s.MACs, counts, 8, partition.Options{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s: ScaleOut differs from partition.Sweep (%d vs %d results)", s.Name, len(got[i]), len(want))
+		}
+	}
+}
+
+// TestScaleOutRefusesBeforeRunning: a series with no feasible count fails
+// the whole sweep before any point runs, naming its layer and budget.
+func TestScaleOutRefusesBeforeRunning(t *testing.T) {
+	rec := obsv.NewRecorder()
+	series := []Series{LayerSeries(CB2a3(), []int64{1 << 12})[0], LayerSeries(TF0(), []int64{64})[0]}
+	_, err := ScaleOut(series, []int64{4, 16}, Obs{Rec: rec})
+	want := "experiments: TF0: partition: no feasible partitioning of 64 MACs (minDim 8)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if n := len(rec.Spans()); n != 0 {
+		t.Errorf("%d points ran before the refusal", n)
 	}
 }
 
@@ -133,7 +178,7 @@ func TestFig13SlowCandidatesExist(t *testing.T) {
 }
 
 func TestPartitionSweepErrors(t *testing.T) {
-	if _, err := PartitionSweep(CB2a3(), 64, []int64{4}, partition.Options{}); err == nil {
+	if _, err := ScaleOut(LayerSeries(CB2a3(), []int64{64}), []int64{4}, Obs{}); err == nil {
 		t.Error("accepted infeasible sweep")
 	}
 }

@@ -216,7 +216,12 @@ func BenchmarkExtensionSweetSpot(b *testing.B) {
 	base := config.New().WithSRAM(512, 512, 256)
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		pick, _, err := partition.SweetSpot(l, base, 1<<14, []int64{1, 4, 16, 64}, 8, 64, partition.Options{})
+		sweep, err := partition.Sweep([]partition.Series{{Name: l.Name, Layer: l, MACs: 1 << 14}},
+			[]int64{1, 4, 16, 64}, base, 8, partition.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pick, err := partition.SweetSpot(sweep[0], 64)
 		if err != nil {
 			b.Fatal(err)
 		}

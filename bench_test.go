@@ -24,6 +24,7 @@ import (
 	"scalesim/internal/memory"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/timeline"
+	"scalesim/internal/partition"
 	"scalesim/internal/rtlref"
 	"scalesim/internal/simcache"
 	"scalesim/internal/systolic"
@@ -232,7 +233,8 @@ func BenchmarkFig10b(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var bwRise float64
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.ScaleOut(experiments.Fig11Series([]int64{1 << 14}), []int64{1, 4, 16}, experiments.Obs{})
+		series, err := partition.Sweep(experiments.Fig11Series([]int64{1 << 14}), []int64{1, 4, 16},
+			experiments.Fig11Base(), 8, partition.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

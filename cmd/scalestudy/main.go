@@ -22,9 +22,11 @@
 // All subcommands accept -o <file> to write the CSV somewhere other than
 // stdout; fig11 and bwcurve render ASCII charts with -plot. Every
 // subcommand also accepts -metrics <path> (machine-readable run manifest),
-// -progress (on stderr, one line per fig11/fig12 point) and -pprof <addr>
+// -progress (on stderr, one line per fig11, fig12 or sweetspot point: a
+// layer at one MAC budget and partition count) and -pprof <addr>
 // (net/http/pprof for the duration of the study). A -macs or -parts entry
-// below 1 is refused by its flag's name before anything runs.
+// below 1, and a -bw that is not positive, are refused by the flag's name
+// before anything runs; a study that fails prints nothing on stdout.
 package main
 
 import (
@@ -87,7 +89,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 	defer endObs(&err)
-	obs := experiments.Obs{Rec: rec, Progress: prog}
 	// The whole subcommand runs under one phase; the manifest is published
 	// on the way out so every return path below is covered — and a failed
 	// study leaves its progress stream to endObs to abort.
@@ -122,6 +123,16 @@ func run(args []string, stdout io.Writer) (err error) {
 		if pc, err = positiveList("parts", *parts); err != nil {
 			return err
 		}
+	}
+	if cmd == "sweetspot" && !(*bwBudget > 0) {
+		return fmt.Errorf("-bw: bandwidth budget %v must be positive", *bwBudget)
+	}
+	// sweep is the scale-out subcommands' one sweep, on Fig. 11's memory
+	// setup with the paper's 8x8 minimum array: each point's partitions fan
+	// out over GOMAXPROCS, and each point is one manifest unit and one
+	// progress step.
+	sweep := func(series []partition.Series) ([][]partition.Result, error) {
+		return partition.Sweep(series, pc, experiments.Fig11Base(), 8, partition.Options{Obs: rec, Progress: prog})
 	}
 
 	return cliobs.Output(stdout, *out, func(w io.Writer) error {
@@ -189,7 +200,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 		case "fig11":
 			series := experiments.Fig11Series(budgets)
-			results, err := experiments.ScaleOut(series, pc, obs)
+			results, err := sweep(series)
 			if err != nil {
 				return err
 			}
@@ -217,7 +228,7 @@ func run(args []string, stdout io.Writer) (err error) {
 				return err
 			}
 			series := experiments.LayerSeries(l, budgets)
-			results, err := experiments.ScaleOut(series, pc, obs)
+			results, err := sweep(series)
 			if err != nil {
 				return err
 			}
@@ -236,15 +247,19 @@ func run(args []string, stdout io.Writer) (err error) {
 			if err != nil {
 				return err
 			}
-			base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
+			series := experiments.LayerSeries(l, budgets)
+			results, err := sweep(series)
+			if err != nil {
+				return err
+			}
 			fmt.Fprintln(w, "Layer,MACs,BWBudget,Spec,Cycles,AvgBW")
-			for _, b := range budgets {
-				pick, _, err := partition.SweetSpot(l, base, b, pc, 8, *bwBudget, partition.Options{Obs: obs.Rec})
+			for i, s := range series {
+				pick, err := partition.SweetSpot(results[i], *bwBudget)
 				if err != nil {
 					return err
 				}
 				fmt.Fprintf(w, "%s,%d,%.1f,%s,%d,%.4f\n",
-					l.Name, b, *bwBudget, pick.Spec, pick.Cycles, pick.AvgDRAMBW())
+					l.Name, s.MACs, *bwBudget, pick.Spec, pick.Cycles, pick.AvgDRAMBW())
 			}
 			return nil
 
@@ -331,7 +346,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 // plotFig11 renders the runtime and bandwidth curves of one series of the
 // partition sweep as ASCII charts.
-func plotFig11(w io.Writer, s experiments.Series, results []partition.Result) error {
+func plotFig11(w io.Writer, s partition.Series, results []partition.Result) error {
 	runtime := viz.Series{Name: "cycles"}
 	bw := viz.Series{Name: "avg BW (B/cyc)"}
 	for _, r := range results {

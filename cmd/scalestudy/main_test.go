@@ -58,21 +58,26 @@ func TestStudyMetricsManifest(t *testing.T) {
 	}
 }
 
-// TestFig11MetricsManifest: a Fig. 11 run states one manifest unit, one
-// engine job and one progress step per (series, partition count) point,
-// of every budget; no budget's units overwrite another's.
+// TestFig11MetricsManifest: every scale-out subcommand (fig11, fig12,
+// sweetspot) states one manifest unit, with a distinct name, and one
+// progress step per (series, partition count) point, of every budget; no
+// budget's units overwrite another's. Engine spans count partition
+// windows: each series here has one at P = 1 and four at P = 4.
 func TestFig11MetricsManifest(t *testing.T) {
 	for _, c := range []struct {
-		macs   string
-		points int
+		args    []string
+		points  int
+		windows int64
 	}{
-		{"4096", 4},      // two series x two partition counts
-		{"1024,4096", 8}, // and two budgets
+		{[]string{"fig11", "-macs", "4096"}, 4, 10},      // two series x two partition counts
+		{[]string{"fig11", "-macs", "1024,4096"}, 8, 20}, // and two budgets
+		{[]string{"fig12", "-macs", "1024,4096"}, 4, 10},
+		{[]string{"sweetspot", "-macs", "1024,4096"}, 4, 10},
 	} {
-		path := filepath.Join(t.TempDir(), "fig11.json")
+		path := filepath.Join(t.TempDir(), "m.json")
 		var runErr error
 		stderr := captureStderr(t, func() {
-			runErr = run([]string{"fig11", "-macs", c.macs, "-parts", "1,4", "-metrics", path, "-progress"}, &bytes.Buffer{})
+			runErr = run(append(c.args, "-parts", "1,4", "-metrics", path, "-progress"), &bytes.Buffer{})
 		})
 		if runErr != nil {
 			t.Fatal(runErr)
@@ -89,17 +94,17 @@ func TestFig11MetricsManifest(t *testing.T) {
 		for _, l := range m.Layers {
 			names[l.Name] = true
 		}
-		if m.Run != "fig11" || len(m.Layers) != c.points || len(names) != c.points {
-			t.Errorf("-macs %s: run %q, units %d, distinct names %d, want %d: %+v",
-				c.macs, m.Run, len(m.Layers), len(names), c.points, m.Layers)
+		if m.Run != c.args[0] || len(m.Layers) != c.points || len(names) != c.points {
+			t.Errorf("%v: run %q, units %d, distinct names %d, want %d: %+v",
+				c.args, m.Run, len(m.Layers), len(names), c.points, m.Layers)
 		}
-		if m.Spans == nil || m.Spans.Jobs != int64(c.points) {
-			t.Errorf("-macs %s: spans = %+v, want %d jobs", c.macs, m.Spans, c.points)
+		if m.Spans == nil || m.Spans.Jobs != c.windows {
+			t.Errorf("%v: spans = %+v, want %d jobs", c.args, m.Spans, c.windows)
 		}
 		last := fmt.Sprintf("[%d/%d] ", c.points, c.points)
 		if strings.Count(stderr, fmt.Sprintf("/%d] ", c.points)) != c.points || !strings.Contains(stderr, last) ||
 			!strings.Contains(stderr, fmt.Sprintf("done, %d units", c.points)) {
-			t.Errorf("-macs %s: progress:\n%s", c.macs, stderr)
+			t.Errorf("%v: progress:\n%s", c.args, stderr)
 		}
 	}
 }
@@ -225,8 +230,9 @@ func TestOutputFile(t *testing.T) {
 	}
 }
 
-// TestCommandErrors: a bad invocation fails before anything is printed; a
-// MAC budget or partition count below 1 is refused by its flag's name.
+// TestCommandErrors: a bad invocation, or a study that fails part-way,
+// prints nothing; a MAC budget or partition count below 1, or a bandwidth
+// budget that is not positive, is refused by its flag's name.
 func TestCommandErrors(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -244,6 +250,11 @@ func TestCommandErrors(t *testing.T) {
 		{[]string{"cells", "-macs", "-4096,4096"}, "-macs"},
 		{[]string{"fig11", "-macs", "0"}, "-macs"},
 		{[]string{"fig9a", "-macs", "1024,-1"}, "-macs"},
+		{[]string{"sweetspot", "-bw", "0"}, "-bw"},
+		{[]string{"sweetspot", "-macs", "4096", "-parts", "1,4", "-bw", "NaN"}, "-bw"},
+		// A later budget fails after an earlier one succeeded.
+		{[]string{"sweetspot", "-layer", "TF0", "-macs", "4096,16384", "-bw", "32"}, ""},
+		{[]string{"cells", "-macs", "4096,32"}, ""},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer

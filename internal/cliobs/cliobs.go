@@ -26,6 +26,7 @@
 package cliobs
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -251,10 +252,16 @@ func (f *Flags) Publish(m *obsv.Manifest) error {
 
 // Output runs write against the file the tool's -o flag names, or against
 // stdout without one. The file is a disk.Create: a failed write or close
-// is the run's error.
+// is the run's error. Stdout gets the output only once write has returned
+// nil, so a run that fails part-way prints nothing there.
 func Output(stdout io.Writer, path string, write func(io.Writer) error) error {
-	if path == "" {
-		return write(stdout)
+	if path != "" {
+		return disk.Create(path, write)
 	}
-	return disk.Create(path, write)
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	_, err := buf.WriteTo(stdout)
+	return err
 }

@@ -147,12 +147,23 @@ func TestSnapshotStreamIsTheRunsError(t *testing.T) {
 	}
 }
 
-// TestOutput: no path means stdout; a path is a checked file.
+// TestOutput: no path means stdout, which a failed write leaves empty; a
+// path is a checked file.
 func TestOutput(t *testing.T) {
 	hello := func(w io.Writer) error { _, err := io.WriteString(w, "hello\n"); return err }
 	var stdout bytes.Buffer
 	if err := Output(&stdout, "", hello); err != nil || stdout.String() != "hello\n" {
 		t.Errorf("stdout: %q, %v", stdout.String(), err)
+	}
+	stdout.Reset()
+	partial := func(w io.Writer) error {
+		if err := hello(w); err != nil {
+			return err
+		}
+		return errors.New("second row failed")
+	}
+	if err := Output(&stdout, "", partial); err == nil || stdout.Len() != 0 {
+		t.Errorf("failed write: stdout %q, %v", stdout.String(), err)
 	}
 	path := filepath.Join(t.TempDir(), "out.csv")
 	stdout.Reset()

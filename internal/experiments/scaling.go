@@ -2,50 +2,37 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dataflow"
-	"scalesim/internal/engine"
-	"scalesim/internal/obsv"
 	"scalesim/internal/partition"
 	"scalesim/internal/topology"
 )
 
-// Obs bundles the observability hooks a figure sweep threads through its
-// cycle-accurate runs: a recorder for sweep-level spans, phase and
-// per-point wall timings, and a live progress reporter. The zero value
-// disables both.
-type Obs struct {
-	Rec      *obsv.Recorder
-	Progress *obsv.Progress
-}
-
 // --- Fig. 11 / Fig. 12: cycle-accurate partition sweeps ------------------
 
-// Series is one curve of a scale-out figure: a layer swept over the
-// figure's partition counts at one MAC budget.
-type Series struct {
-	Name  string
-	Layer topology.Layer
-	MACs  int64
+// Fig11Base is the paper's Fig. 11 memory setup, which Fig. 12 and the
+// sweet spot share: 512 KiB IFMAP, 512 KiB filter and 256 KiB OFMAP,
+// divided among partitions, under the OS dataflow.
+func Fig11Base() config.Config {
+	return config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
 }
 
 // LayerSeries is one series per MAC budget for the layer, named
 // <layer>@<macs>MACs: the curves of Fig. 12.
-func LayerSeries(l topology.Layer, macBudgets []int64) []Series {
-	out := make([]Series, len(macBudgets))
+func LayerSeries(l topology.Layer, macBudgets []int64) []partition.Series {
+	out := make([]partition.Series, len(macBudgets))
 	for i, b := range macBudgets {
-		out[i] = Series{Name: fmt.Sprintf("%s@%dMACs", l.Name, b), Layer: l, MACs: b}
+		out[i] = partition.Series{Name: fmt.Sprintf("%s@%dMACs", l.Name, b), Layer: l, MACs: b}
 	}
 	return out
 }
 
 // Fig11Series is the two layers Fig. 11 shows, CB2a_3 then TF0, at each
 // MAC budget in the order given.
-func Fig11Series(macBudgets []int64) []Series {
-	var out []Series
+func Fig11Series(macBudgets []int64) []partition.Series {
+	var out []partition.Series
 	for _, b := range macBudgets {
 		for _, l := range []topology.Layer{CB2a3(), TF0()} {
 			out = append(out, LayerSeries(l, []int64{b})...)
@@ -55,69 +42,10 @@ func Fig11Series(macBudgets []int64) []Series {
 }
 
 // Fig12 is the energy view of the partition sweep: one series per MAC
-// budget for the given layer, results in budget order.
+// budget for the given layer, on Fig11Base with the 8x8 minimum array,
+// results in budget order.
 func Fig12(l topology.Layer, macBudgets []int64, partCounts []int64) ([][]partition.Result, error) {
-	return ScaleOut(LayerSeries(l, macBudgets), partCounts, Obs{})
-}
-
-// ScaleOut runs every series cycle-accurately for each partition count of
-// its MAC budget, with the paper's Fig. 11 memory setup (512 KiB IFMAP,
-// 512 KiB filter, 256 KiB OFMAP, divided among partitions) and the OS
-// dataflow. Counts that do not divide the budget or violate the 8x8
-// minimum array are skipped; a series left with no feasible count is
-// refused before any point runs.
-//
-// Each (series, count) point is one job on the shared engine's pool, its
-// partitions sequential rather than multiplying the two levels. A point
-// records its wall time in obs.Rec and steps obs.Progress; results are
-// identical for every obs, the zero one included. They come back per
-// series, in partition-count order.
-func ScaleOut(series []Series, partCounts []int64, obs Obs) ([][]partition.Result, error) {
-	base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
-	type point struct {
-		series int
-		spec   partition.Spec
-		name   string
-	}
-	var points []point
-	for i, s := range series {
-		if err := s.Layer.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", s.Layer.Name, err)
-		}
-		m := dataflow.Map(s.Layer, base.Dataflow)
-		feasible := len(points)
-		for _, p := range partCounts {
-			if spec, ok := partition.BestSpec(m, s.MACs, p, 8); ok {
-				points = append(points, point{i, spec, fmt.Sprintf("%s/%dparts", s.Name, p)})
-			}
-		}
-		if len(points) == feasible {
-			return nil, fmt.Errorf("experiments: %s: partition: no feasible partitioning of %d MACs (minDim 8)",
-				s.Layer.Name, s.MACs)
-		}
-	}
-
-	obs.Progress.Start(len(points))
-	defer obs.Rec.Phase("experiments.scaleout")()
-	results, err := engine.RunObserved(0, len(points), obs.Rec.SpanSink(), func(i int) (partition.Result, error) {
-		pt, t0 := points[i], time.Now()
-		l := series[pt.series].Layer
-		r, err := partition.Run(l, base, pt.spec, partition.Options{Parallel: 1})
-		if err != nil {
-			return r, fmt.Errorf("experiments: %s: %w", l.Name, err)
-		}
-		obs.Rec.ObserveLayer(i, pt.name, time.Since(t0))
-		obs.Progress.Step(pt.name)
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]partition.Result, len(series))
-	for i, pt := range points {
-		out[pt.series] = append(out[pt.series], results[i])
-	}
-	return out, nil
+	return partition.Sweep(LayerSeries(l, macBudgets), partCounts, Fig11Base(), 8, partition.Options{})
 }
 
 // --- Fig. 13 / Fig. 14: multi-workload pareto optimality -----------------

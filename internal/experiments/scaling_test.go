@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
-	"scalesim/internal/config"
-	"scalesim/internal/obsv"
 	"scalesim/internal/partition"
 )
 
 func TestPartitionSweepFigure11Shape(t *testing.T) {
 	// CB2a_3 at 2^12 MACs across 1..16 partitions: runtime falls, DRAM
 	// bandwidth demand rises (Fig. 11's two curves).
-	out, err := ScaleOut(LayerSeries(CB2a3(), []int64{1 << 12}), []int64{1, 4, 16}, Obs{})
+	out, err := Fig12(CB2a3(), []int64{1 << 12}, []int64{1, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +45,7 @@ func TestFig11BothLayers(t *testing.T) {
 		t.Skip("cycle-accurate TF0 sweep in -short mode")
 	}
 	series := Fig11Series([]int64{1 << 12})
-	out, err := ScaleOut(series, []int64{1, 4}, Obs{})
+	out, err := partition.Sweep(series, []int64{1, 4}, Fig11Base(), 8, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,43 +89,6 @@ func TestFig12EnergyCrossover(t *testing.T) {
 	}
 	if large == 1 {
 		t.Errorf("large budget min-energy still monolithic; expected partitioned")
-	}
-}
-
-// TestScaleOutMatchesSweep: a point sweep returns, per series, exactly
-// what partition.Sweep returns for that layer and budget, ledger and
-// energy included, with infeasible counts interleaved among feasible ones.
-func TestScaleOutMatchesSweep(t *testing.T) {
-	counts := []int64{0, 3, 1, 4, 16}
-	series := []Series{LayerSeries(CB2a3(), []int64{1 << 12})[0], LayerSeries(TF0(), []int64{1 << 10})[0]}
-	got, err := ScaleOut(series, counts, Obs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
-	for i, s := range series {
-		want, err := partition.Sweep(s.Layer, base, s.MACs, counts, 8, partition.Options{Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 || !reflect.DeepEqual(got[i], want) {
-			t.Errorf("%s: ScaleOut differs from partition.Sweep (%d vs %d results)", s.Name, len(got[i]), len(want))
-		}
-	}
-}
-
-// TestScaleOutRefusesBeforeRunning: a series with no feasible count fails
-// the whole sweep before any point runs, naming its layer and budget.
-func TestScaleOutRefusesBeforeRunning(t *testing.T) {
-	rec := obsv.NewRecorder()
-	series := []Series{LayerSeries(CB2a3(), []int64{1 << 12})[0], LayerSeries(TF0(), []int64{64})[0]}
-	_, err := ScaleOut(series, []int64{4, 16}, Obs{Rec: rec})
-	want := "experiments: TF0: partition: no feasible partitioning of 64 MACs (minDim 8)"
-	if err == nil || err.Error() != want {
-		t.Fatalf("err = %v, want %q", err, want)
-	}
-	if n := len(rec.Spans()); n != 0 {
-		t.Errorf("%d points ran before the refusal", n)
 	}
 }
 
@@ -178,7 +138,7 @@ func TestFig13SlowCandidatesExist(t *testing.T) {
 }
 
 func TestPartitionSweepErrors(t *testing.T) {
-	if _, err := ScaleOut(LayerSeries(CB2a3(), []int64{64}), []int64{4}, Obs{}); err == nil {
+	if _, err := Fig12(CB2a3(), []int64{64}, []int64{4}); err == nil {
 		t.Error("accepted infeasible sweep")
 	}
 }

@@ -21,6 +21,7 @@ package partition
 
 import (
 	"fmt"
+	"time"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
@@ -125,6 +126,9 @@ type Options struct {
 	// (core.simcache.*), and the "partition.run" phase. Results are
 	// unaffected.
 	Obs *obsv.Recorder
+	// Progress, when non-nil, is stepped once per Sweep point; Run alone
+	// never steps it.
+	Progress *obsv.Progress
 	// Timeline, when non-nil, receives the scale-out run as a Chrome Trace
 	// Event timeline: one thread per partition carrying its span and fold
 	// schedule, per-partition bandwidth counters (track names prefixed
@@ -270,30 +274,66 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	return res, nil
 }
 
-// Sweep runs the layer over a list of partition counts for a fixed total
-// MAC budget, choosing for each count the square-ish grid and the
-// analytically best per-partition array shape. It returns one Result per
-// feasible partition count, in input order. minDim bounds the per-array
-// dimensions (the paper uses 8).
-func Sweep(l topology.Layer, base config.Config, totalMACs int64, partCounts []int64, minDim int64, opt Options) ([]Result, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
+// Series is one curve of a scale-out study: a layer swept over partition
+// counts at one MAC budget.
+type Series struct {
+	Name  string
+	Layer topology.Layer
+	MACs  int64
+}
+
+// Sweep runs every series cycle-accurately at each partition count of its
+// MAC budget: the body behind Fig. 11, Fig. 12 and the sweet spot. For
+// each count, BestSpec picks the square-ish grid and the analytically best
+// per-partition array shape, no dimension below minDim; counts with no
+// such shape are skipped, and a series left with none is refused, by layer
+// and budget, before any point runs.
+//
+// Points run in order, each through Run with opt unchanged, so a point's
+// partitions fan out over opt.Parallel: the heavy high-P points, which
+// dominate a sweep, use every worker. Each point records one opt.Obs unit
+// and one opt.Progress step named <series>/<P>parts. Results come back
+// per series, in partition-count order.
+func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64, opt Options) ([][]Result, error) {
+	type point struct {
+		series int
+		spec   Spec
+		name   string
 	}
-	m := dataflow.Map(l, base.Dataflow)
-	var out []Result
-	for _, p := range partCounts {
-		spec, ok := BestSpec(m, totalMACs, p, minDim)
-		if !ok {
-			continue
+	var points []point
+	for i, s := range series {
+		if err := s.Layer.Validate(); err != nil {
+			return nil, fmt.Errorf("partition: %s: %w", s.Layer.Name, err)
 		}
-		res, err := Run(l, base, spec, opt)
+		m := dataflow.Map(s.Layer, base.Dataflow)
+		feasible := len(points)
+		for _, p := range partCounts {
+			if spec, ok := BestSpec(m, s.MACs, p, minDim); ok {
+				points = append(points, point{i, spec, fmt.Sprintf("%s/%dparts", s.Name, p)})
+			}
+		}
+		if len(points) == feasible {
+			return nil, fmt.Errorf("partition: %s: no feasible partitioning of %d MACs (minDim %d)",
+				s.Layer.Name, s.MACs, minDim)
+		}
+	}
+
+	opt.Progress.Start(len(points))
+	out := make([][]Result, len(series))
+	for i, pt := range points {
+		var t0 time.Time
+		if opt.Obs.Enabled() {
+			t0 = time.Now()
+		}
+		r, err := Run(series[pt.series].Layer, base, pt.spec, opt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("partition: %s: %w", pt.name, err)
 		}
-		out = append(out, res)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("partition: no feasible partitioning of %d MACs (minDim %d)", totalMACs, minDim)
+		if opt.Obs.Enabled() {
+			opt.Obs.ObserveLayer(i, pt.name, time.Since(t0))
+		}
+		opt.Progress.Step(pt.name)
+		out[pt.series] = append(out[pt.series], r)
 	}
 	return out, nil
 }

@@ -1,11 +1,14 @@
 package partition
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dataflow"
+	"scalesim/internal/obsv"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 )
@@ -165,13 +168,14 @@ func TestBestSpec(t *testing.T) {
 func TestSweep(t *testing.T) {
 	l := testLayer()
 	base := config.New().WithSRAM(8, 8, 4)
-	results, err := Sweep(l, base, 1024, []int64{1, 2, 4, 8, 16, 3}, 8, Options{})
+	out, err := Sweep([]Series{{Name: "conv", Layer: l, MACs: 1024}}, []int64{1, 2, 4, 8, 16, 3}, base, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 does not divide 1024; 16 partitions of 64 MACs = 8x8 works.
-	if len(results) != 5 {
-		t.Fatalf("len(results) = %d, want 5", len(results))
+	results := out[0]
+	if len(out) != 1 || len(results) != 5 {
+		t.Fatalf("%d series, %d results, want 1 and 5", len(out), len(results))
 	}
 	// Runtime must be non-increasing with partitions for this layer.
 	for i := 1; i < len(results); i++ {
@@ -180,13 +184,74 @@ func TestSweep(t *testing.T) {
 				results[i].Spec, results[i].Cycles, results[i-1].Cycles)
 		}
 	}
-	if _, err := Sweep(l, base, 64, []int64{4}, 8, Options{}); err == nil {
+	if _, err := Sweep([]Series{{Name: "conv", Layer: l, MACs: 64}}, []int64{4}, base, 8, Options{}); err == nil {
 		t.Error("Sweep succeeded with no feasible point")
 	}
 	bad := l
 	bad.Stride = 0
-	if _, err := Sweep(bad, base, 1024, []int64{1}, 8, Options{}); err == nil {
+	if _, err := Sweep([]Series{{Name: "bad", Layer: bad, MACs: 1024}}, []int64{1}, base, 8, Options{}); err == nil {
 		t.Error("Sweep accepted invalid layer")
+	}
+}
+
+// TestSweepMatchesRun: a sweep returns, per series, exactly what Run
+// returns on BestSpec's pick for each feasible count, ledger and energy
+// included, with infeasible counts interleaved among feasible ones — at
+// one worker and at GOMAXPROCS.
+func TestSweepMatchesRun(t *testing.T) {
+	counts := []int64{0, 3, 1, 4, 16}
+	base := config.New().WithSRAM(8, 8, 4)
+	series := []Series{
+		{Name: "conv@1024MACs", Layer: testLayer(), MACs: 1024},
+		{Name: "gemm@4096MACs", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 4096},
+	}
+	want := make([][]Result, len(series))
+	for i, s := range series {
+		m := dataflow.Map(s.Layer, base.Dataflow)
+		for _, p := range counts {
+			spec, ok := BestSpec(m, s.MACs, p, 8)
+			if !ok {
+				continue
+			}
+			r, err := Run(s.Layer, base, spec, Options{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], r)
+		}
+		if len(want[i]) != 3 {
+			t.Fatalf("%s: %d feasible counts, want 3", s.Name, len(want[i]))
+		}
+	}
+	for _, parallel := range []int{1, 0} {
+		got, err := Sweep(series, counts, base, 8, Options{Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parallel %d: Sweep differs from per-point Run", parallel)
+		}
+	}
+}
+
+// TestSweepRefusesBeforeRunning: a series with no feasible count fails the
+// whole sweep before any point runs, naming its layer and budget: no unit,
+// no span and no progress line.
+func TestSweepRefusesBeforeRunning(t *testing.T) {
+	rec := obsv.NewRecorder()
+	var progress bytes.Buffer
+	series := []Series{
+		{Name: "conv@1024MACs", Layer: testLayer(), MACs: 1024},
+		{Name: "gemm@64MACs", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 64},
+	}
+	_, err := Sweep(series, []int64{4, 16}, config.New(), 8,
+		Options{Obs: rec, Progress: obsv.NewProgress(&progress, "sweep")})
+	want := "partition: gemm: no feasible partitioning of 64 MACs (minDim 8)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if n, m := len(rec.LayerTimings()), len(rec.Spans()); n != 0 || m != 0 || progress.Len() != 0 {
+		t.Errorf("ran before the refusal: %d units, %d spans, progress %q", n, m, progress.String())
 	}
 }
 

@@ -1,30 +1,24 @@
 package partition
 
-import (
-	"fmt"
-
-	"scalesim/internal/config"
-	"scalesim/internal/topology"
-)
+import "fmt"
 
 // SweetSpot is the paper's bottom-line decision procedure (Sec. IV-A,
-// Fig. 11): among the partitionings of a fixed MAC budget, pick the fastest
-// configuration whose average DRAM bandwidth demand stays within the
-// platform's budget. The paper identifies the sweet spot as the
-// intersection of the falling runtime curve and the rising bandwidth curve;
-// bounding average demand by the available bandwidth is the operational
-// form of that intersection.
+// Fig. 11): among one series' results of a Sweep — the partitionings of a
+// fixed MAC budget — pick the fastest configuration whose average DRAM
+// bandwidth demand stays within the platform's budget. The paper
+// identifies the sweet spot as the intersection of the falling runtime
+// curve and the rising bandwidth curve; bounding average demand by the
+// available bandwidth is the operational form of that intersection.
 //
-// It returns the chosen result, the full sweep (for reporting), and an
-// error if no feasible point exists under the budget — in which case the
-// caller should scale up instead or provision more SRAM.
-func SweetSpot(l topology.Layer, base config.Config, totalMACs int64, partCounts []int64, minDim int64, bwBudgetBytesPerCycle float64, opt Options) (Result, []Result, error) {
-	if bwBudgetBytesPerCycle <= 0 {
-		return Result{}, nil, fmt.Errorf("partition: bandwidth budget %v must be positive", bwBudgetBytesPerCycle)
+// It runs nothing. It errors on a budget that is not positive (NaN
+// included) and when no point fits the budget — in which case the caller
+// should scale up instead or provision more SRAM.
+func SweetSpot(sweep []Result, bwBudgetBytesPerCycle float64) (Result, error) {
+	if !(bwBudgetBytesPerCycle > 0) {
+		return Result{}, fmt.Errorf("partition: bandwidth budget %v must be positive", bwBudgetBytesPerCycle)
 	}
-	sweep, err := Sweep(l, base, totalMACs, partCounts, minDim, opt)
-	if err != nil {
-		return Result{}, nil, err
+	if len(sweep) == 0 {
+		return Result{}, fmt.Errorf("partition: no sweep points to pick from")
 	}
 	var best *Result
 	for i := range sweep {
@@ -37,11 +31,11 @@ func SweetSpot(l topology.Layer, base config.Config, totalMACs int64, partCounts
 		}
 	}
 	if best == nil {
-		return Result{}, sweep, fmt.Errorf(
+		return Result{}, fmt.Errorf(
 			"partition: no configuration of %d MACs meets %.1f bytes/cycle for %s (min demand %.1f)",
-			totalMACs, bwBudgetBytesPerCycle, l.Name, minSweepBW(sweep))
+			sweep[0].Spec.MACs(), bwBudgetBytesPerCycle, sweep[0].Layer.Name, minSweepBW(sweep))
 	}
-	return *best, sweep, nil
+	return *best, nil
 }
 
 func minSweepBW(sweep []Result) float64 {

@@ -1,23 +1,33 @@
 package partition
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"scalesim/internal/config"
 )
 
-func TestSweetSpotPicksFastestWithinBudget(t *testing.T) {
-	l := testLayer()
-	base := config.New().WithSRAM(4, 4, 2)
-	parts := []int64{1, 4, 16}
-
-	// A generous budget admits everything: the pick is the global fastest.
-	best, sweep, err := SweetSpot(l, base, 1024, parts, 8, 1e9, Options{})
+// sweepOf runs one series of testLayer at the budget.
+func sweepOf(t *testing.T, base config.Config, macs int64, parts []int64) []Result {
+	t.Helper()
+	out, err := Sweep([]Series{{Name: "conv", Layer: testLayer(), MACs: macs}}, parts, base, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out[0]
+}
+
+func TestSweetSpotPicksFastestWithinBudget(t *testing.T) {
+	sweep := sweepOf(t, config.New().WithSRAM(4, 4, 2), 1024, []int64{1, 4, 16})
 	if len(sweep) != 3 {
 		t.Fatalf("sweep = %d points", len(sweep))
+	}
+
+	// A generous budget admits everything: the pick is the global fastest.
+	best, err := SweetSpot(sweep, 1e9)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, r := range sweep {
 		if r.Cycles < best.Cycles {
@@ -32,7 +42,7 @@ func TestSweetSpotPicksFastestWithinBudget(t *testing.T) {
 		t.Fatalf("sweep BW not rising: %v .. %v", mono.AvgDRAMBW(), most.AvgDRAMBW())
 	}
 	budget := (sweep[1].AvgDRAMBW() + most.AvgDRAMBW()) / 2
-	constrained, _, err := SweetSpot(l, base, 1024, parts, 8, budget, Options{})
+	constrained, err := SweetSpot(sweep, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,24 +53,22 @@ func TestSweetSpotPicksFastestWithinBudget(t *testing.T) {
 		t.Errorf("constrained pick faster than unconstrained best")
 	}
 
-	// An impossible budget errors but still returns the sweep for
-	// diagnosis.
-	_, sweep2, err := SweetSpot(l, base, 1024, parts, 8, 1e-9, Options{})
-	if err == nil {
-		t.Error("impossible budget accepted")
-	}
-	if len(sweep2) != 3 {
-		t.Errorf("diagnostic sweep missing: %d points", len(sweep2))
+	// An impossible budget names the budget, the layer and the lowest
+	// demand on offer.
+	_, err = SweetSpot(sweep, 1e-9)
+	if err == nil || !strings.HasPrefix(err.Error(), "partition: no configuration of 1024 MACs meets 0.0 bytes/cycle for conv (min demand ") {
+		t.Errorf("impossible budget: %v", err)
 	}
 }
 
 func TestSweetSpotValidation(t *testing.T) {
-	l := testLayer()
-	base := config.New()
-	if _, _, err := SweetSpot(l, base, 1024, []int64{1}, 8, 0, Options{}); err == nil {
-		t.Error("zero budget accepted")
+	sweep := sweepOf(t, config.New(), 1024, []int64{1})
+	for _, bw := range []float64{0, -1, math.NaN()} {
+		if _, err := SweetSpot(sweep, bw); err == nil || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("budget %v: err = %v", bw, err)
+		}
 	}
-	if _, _, err := SweetSpot(l, base, 64, []int64{4}, 8, 10, Options{}); err == nil {
-		t.Error("infeasible sweep accepted")
+	if _, err := SweetSpot(nil, 10); err == nil {
+		t.Error("empty sweep accepted")
 	}
 }

@@ -332,7 +332,13 @@ func BestScaleOut(m Mapping, macs, minDim, maxParts int64) (Eval, bool) {
 // SweetSpot picks the fastest partitioning of a MAC budget whose average
 // DRAM bandwidth demand fits the given budget (bytes/cycle) — the paper's
 // "sweet spot" at the intersection of the runtime and bandwidth curves. The
-// full sweep is returned alongside for reporting.
+// full sweep is returned alongside for reporting, also when no point fits.
 func SweetSpot(l Layer, base Config, totalMACs int64, partCounts []int64, minDim int64, bwBudget float64, opt ScaleOutOptions) (ScaleOutResult, []ScaleOutResult, error) {
-	return partition.SweetSpot(l, base, totalMACs, partCounts, minDim, bwBudget, opt)
+	sweep, err := partition.Sweep([]partition.Series{{Name: l.Name, Layer: l, MACs: totalMACs}},
+		partCounts, base, minDim, opt)
+	if err != nil {
+		return ScaleOutResult{}, nil, err
+	}
+	pick, err := partition.SweetSpot(sweep[0], bwBudget)
+	return pick, sweep[0], err
 }

@@ -17,8 +17,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'TestPlan' ./internal/core
-	$(GO) test -race -count=3 -run 'ScaleOut|Parts' ./internal/job ./cmd/scalesimd
-	$(GO) test -race -count=3 -run 'Sweep' ./internal/job
+	$(GO) test -race -count=3 -run 'ScaleOut|Parts|Sweep' ./internal/job ./internal/partition ./cmd/scalesimd
 	$(GO) test -race -count=3 ./internal/dse ./cmd/scaledse
 
 bench:
@@ -132,6 +131,7 @@ lint-structure:
 	@test "$$(grep -c 'range addrs' $(SRC) | grep -v ':0$$')" = internal/trace/run.go:1
 	@test "$$(grep -l 'cycleacct\.NewReport(' $(SRC))" = internal/obsv/manifest.go
 	@! grep -nE 'func \(s \*Simulator\) CycleReport|func CycleReport' $(SRC)
+	@! grep -n 'partition\.Run(' $(SRC)
 	@echo "lint-structure: ok"
 
 # Measured reach: build every cmd/* and examples/* binary with coverage,

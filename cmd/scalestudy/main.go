@@ -8,13 +8,13 @@
 //	scalestudy fig9a [-macs 1024,4096,16384] [-mindim 8]
 //	scalestudy fig9bc [-macs 16384]
 //	scalestudy fig10a|fig10b [-macs 1024,4096,16384,65536]
-//	scalestudy fig11 [-macs 16384] [-parts 1,4,16,64]
-//	scalestudy fig12 [-layer CB2a_3] [-macs 1024,16384,65536] [-parts 1,4,16,64]
+//	scalestudy fig11 [-macs 16384] [-parts 1,4,16,64] [-mindim 8]
+//	scalestudy fig12 [-layer CB2a_3] [-macs 1024,16384,65536] [-parts 1,4,16,64] [-mindim 8]
 //	scalestudy fig13|fig14 [-macs 256,1024,4096,16384,65536]
 //
 // Extension studies beyond the paper's figures:
 //
-//	scalestudy sweetspot [-layer CB2a_3] [-macs 16384] [-bw 64]
+//	scalestudy sweetspot [-layer CB2a_3] [-macs 16384] [-bw 64] [-mindim 8]
 //	scalestudy bwcurve   [-layer CB2a_3] [-plot]
 //	scalestudy dataflow  [-net Resnet50]
 //	scalestudy cells     [-macs 4096,16384,65536,262144]
@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 
 	"scalesim/internal/cliobs"
 	"scalesim/internal/config"
@@ -91,7 +92,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	defer endObs(&err)
 	// The whole subcommand runs under one phase; the manifest is published
 	// on the way out so every return path below is covered — and a failed
-	// study leaves its progress stream to endObs to abort.
+	// study leaves its progress stream to endObs to abort. A scale-out
+	// subcommand's units are its points.
+	var units []obsv.Unit
 	stopPhase := rec.Phase("scalestudy." + cmd)
 	defer func() {
 		stopPhase()
@@ -99,15 +102,13 @@ func run(args []string, stdout io.Writer) (err error) {
 			return
 		}
 		prog.Finish()
-		m := rec.Manifest()
+		var m *obsv.Manifest
+		if m, err = rec.Record(units); err != nil {
+			return
+		}
 		m.Tool = "scalestudy"
 		m.Run = cmd
 		m.ConfigHash = obsv.Hash(args)
-		for _, lt := range rec.LayerTimings() {
-			m.Layers = append(m.Layers, obsv.LayerMetrics{
-				Index: lt.Index, Name: lt.Name, WallSeconds: lt.Seconds,
-			})
-		}
 		err = obsFlags.Publish(m)
 	}()
 
@@ -128,11 +129,20 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-bw: bandwidth budget %v must be positive", *bwBudget)
 	}
 	// sweep is the scale-out subcommands' one sweep, on Fig. 11's memory
-	// setup with the paper's 8x8 minimum array: each point's partitions fan
-	// out over GOMAXPROCS, and each point is one manifest unit and one
-	// progress step.
+	// setup with arrays no smaller than -mindim: each point's partitions fan
+	// out over GOMAXPROCS, and each point is one progress step and one
+	// manifest unit.
 	sweep := func(series []partition.Series) ([][]partition.Result, error) {
-		return partition.Sweep(series, pc, experiments.Fig11Base(), 8, partition.Options{Obs: rec, Progress: prog})
+		base := experiments.Fig11Base()
+		out, err := partition.Sweep(series, pc, base, *minDim, partition.Options{Obs: rec, Progress: prog})
+		var points []partition.Point
+		for i, rs := range out {
+			for _, r := range rs {
+				points = append(points, series[i].Point(r.Spec))
+			}
+		}
+		units = partition.Units(points, slices.Concat(out...), int64(base.WordBytes))
+		return out, err
 	}
 
 	return cliobs.Output(stdout, *out, func(w io.Writer) error {

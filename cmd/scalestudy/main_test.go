@@ -2,14 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"scalesim/internal/dataflow"
+	"scalesim/internal/experiments"
+	"scalesim/internal/job"
 	"scalesim/internal/obsv"
+	"scalesim/internal/partition"
+	"scalesim/internal/topology"
 )
 
 func lines(s string) int {
@@ -62,7 +69,10 @@ func TestStudyMetricsManifest(t *testing.T) {
 // sweetspot) states one manifest unit, with a distinct name, and one
 // progress step per (series, partition count) point, of every budget; no
 // budget's units overwrite another's. Engine spans count partition
-// windows: each series here has one at P = 1 and four at P = 4.
+// windows: each series here has one at P = 1 and four at P = 4. Each unit
+// is the point's run record: real cycles and MACs, one closed cycle node
+// apiece, and for fig11 its CSV row's numbers and the record a -parts job
+// states for the same layer and system.
 func TestFig11MetricsManifest(t *testing.T) {
 	for _, c := range []struct {
 		args    []string
@@ -76,8 +86,9 @@ func TestFig11MetricsManifest(t *testing.T) {
 	} {
 		path := filepath.Join(t.TempDir(), "m.json")
 		var runErr error
+		var stdout bytes.Buffer
 		stderr := captureStderr(t, func() {
-			runErr = run(append(c.args, "-parts", "1,4", "-metrics", path, "-progress"), &bytes.Buffer{})
+			runErr = run(append(c.args, "-parts", "1,4", "-metrics", path, "-progress"), &stdout)
 		})
 		if runErr != nil {
 			t.Fatal(runErr)
@@ -106,7 +117,76 @@ func TestFig11MetricsManifest(t *testing.T) {
 			!strings.Contains(stderr, fmt.Sprintf("done, %d units", c.points)) {
 			t.Errorf("%v: progress:\n%s", c.args, stderr)
 		}
+		for _, l := range m.Layers {
+			if l.Cycles <= 0 || l.MACs <= 0 {
+				t.Errorf("%v: unit %s has %d cycles, %d MACs", c.args, l.Name, l.Cycles, l.MACs)
+			}
+		}
+		if ca := m.CycleAccounting; ca == nil || len(ca.Nodes) != len(m.Layers) || ca.Check() != nil {
+			t.Fatalf("%v: cycle accounting %+v, want one closed node per unit", c.args, ca)
+		}
+		if c.args[0] == "fig11" {
+			checkUnitsMatchCSV(t, m.Layers, stdout.String())
+			checkPartsJobEntry(t, m)
+		}
 	}
+}
+
+// checkUnitsMatchCSV: each fig11 unit's cycles and DRAM words are its CSV
+// row's, the row found by the point name <layer>@<macs>MACs/<P>parts.
+func checkUnitsMatchCSV(t *testing.T, units []obsv.LayerMetrics, csv string) {
+	t.Helper()
+	rows := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(csv), "\n")[1:] {
+		f := strings.Split(line, ",")
+		rows[fmt.Sprintf("%s@%sMACs/%sparts", f[0], f[1], f[2])] = f
+	}
+	if len(rows) != len(units) {
+		t.Errorf("%d CSV rows for %d units", len(rows), len(units))
+	}
+	for _, u := range units {
+		f, ok := rows[u.Name]
+		if got := fmt.Sprint(u.Cycles, u.DRAMReads, u.DRAMWrites); !ok || got != strings.Join([]string{f[4], f[7], f[8]}, " ") {
+			t.Errorf("unit %s: cycles, DRAM reads, writes %s; CSV row %v", u.Name, got, f)
+		}
+	}
+}
+
+// checkPartsJobEntry: the study's unit for CB2a_3 at 4096 MACs on four
+// partitions is, entry and cycle node, what a -parts job states for that
+// layer on the same system, index and wall time aside.
+func checkPartsJobEntry(t *testing.T, m *obsv.Manifest) {
+	t.Helper()
+	const name = "CB2a_3@4096MACs/4parts"
+	l, base := experiments.CB2a3(), experiments.Fig11Base()
+	spec, ok := partition.BestSpec(dataflow.Map(l, base.Dataflow), 4096, 4, 8)
+	if !ok {
+		t.Fatal("no spec")
+	}
+	l.Name = name
+	r := job.NewRunner(job.Options{Workers: 1})
+	defer r.Close(context.Background())
+	res, err := r.Run(job.Spec{
+		Config:   base.WithArray(int(spec.Shape.R), int(spec.Shape.C)),
+		Topology: topology.Topology{Name: "point", Layers: []topology.Layer{l}},
+		Parts:    spec.Parts,
+	}, job.Live{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantNode := res.Manifest.Layers[0], res.Manifest.CycleAccounting.Nodes[0]
+	for i, got := range m.Layers {
+		if got.Name != name {
+			continue
+		}
+		node := m.CycleAccounting.Nodes[i]
+		got.Index, got.WallSeconds, node.Index = want.Index, want.WallSeconds, wantNode.Index
+		if got != want || !reflect.DeepEqual(node, wantNode) {
+			t.Errorf("study unit\n%+v\n%+v\n-parts job\n%+v\n%+v", got, node, want, wantNode)
+		}
+		return
+	}
+	t.Errorf("no unit %s in %+v", name, m.Layers)
 }
 
 // captureStderr runs f with os.Stderr redirected and returns what it wrote.
@@ -264,6 +344,32 @@ func TestCommandErrors(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Errorf("run(%v) printed before failing:\n%s", c.args, buf.String())
+		}
+	}
+}
+
+// TestScaleOutMinDim: -mindim reaches the scale-out sweep. At the default
+// 8, a 1024-MAC budget has no 64-way partitioning; at 4 it runs on 4x4
+// arrays.
+func TestScaleOutMinDim(t *testing.T) {
+	for cmd, series := range map[string]int{"fig11": 2, "fig12": 1} {
+		var buf bytes.Buffer
+		if err := run([]string{cmd, "-macs", "1024", "-parts", "64", "-mindim", "4"}, &buf); err != nil {
+			t.Fatalf("%s -mindim 4: %v", cmd, err)
+		}
+		rows := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+		if len(rows) != series {
+			t.Fatalf("%s: rows %q, want one per series (%d)", cmd, rows, series)
+		}
+		for _, row := range rows {
+			if f := strings.Split(row, ","); f[1] != "1024" || f[2] != "64" ||
+				(cmd == "fig11" && !strings.HasSuffix(f[3], " partitions of 4x4")) {
+				t.Errorf("%s: row %q, want 64 partitions of 4x4 arrays", cmd, row)
+			}
+		}
+		if err := run([]string{cmd, "-macs", "1024", "-parts", "64"}, &bytes.Buffer{}); err == nil ||
+			!strings.Contains(err.Error(), "(minDim 8)") {
+			t.Errorf("%s at the default -mindim = %v, want no feasible partitioning", cmd, err)
 		}
 	}
 }

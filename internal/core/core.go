@@ -418,7 +418,7 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 				return err
 			}
 			if obs.Enabled() {
-				obs.ObserveLayer(ctx.Index, ctx.Layer.Name, time.Since(t0))
+				obs.ObserveLayer(ctx.Index, time.Since(t0))
 			}
 			s.opt.Progress.Step(ctx.Layer.Name)
 			return nil

@@ -88,8 +88,10 @@ func TestSimulateWindows(t *testing.T) {
 			t.Errorf("window %d: ledger total %d, cycles %d, check: %v", i, w.Ledger.Total, w.Compute.Cycles, err)
 		}
 	}
-	if got := len(rec.LayerTimings()); got != 0 {
-		t.Errorf("%d layers observed: windows are not layers", got)
+	for i := range halves {
+		if got := rec.LayerSeconds(i); got != 0 {
+			t.Errorf("unit %d observed (%vs): windows are not layers", i, got)
+		}
 	}
 	if got := len(rec.Spans()); got != len(halves) {
 		t.Errorf("%d engine spans, want one per window (%d)", got, len(halves))

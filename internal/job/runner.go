@@ -14,13 +14,11 @@ import (
 	"scalesim/internal/core"
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
-	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/partition"
 	"scalesim/internal/runstore"
 	"scalesim/internal/simcache"
-	"scalesim/internal/topology"
 )
 
 // ErrQueueFull is returned by Submit when the admission queue is at
@@ -348,46 +346,26 @@ func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error
 	}
 }
 
-// execScaleOut builds the job body for a Parts spec: every layer runs on
-// the partition grid through partition.Run, the job's context checked
-// between layers, and each joined layer is stated as one manifest unit.
+// execScaleOut builds the job body for a Parts spec: every layer is one
+// point of partition.RunPoints on the partition grid, under the job's
+// context (Cancel stops it at the next partition window), and each point is
+// stated as one manifest unit.
 func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, error) {
 	return func(ctx context.Context, j *Job) (*Result, error) {
 		rec := j.live.Obs
 		cfg, topo := spec.Config, spec.Topology
 		system := partition.Spec{Parts: spec.Parts,
 			Shape: analytical.Shape{R: int64(cfg.ArrayHeight), C: int64(cfg.ArrayWidth)}}
-		opt := partition.Options{Parallel: spec.Workers, Cache: r.opt.Cache, Obs: rec, Timeline: j.live.Timeline}
-		peakMACs, wordBytes := system.MACs(), int64(cfg.WordBytes)
-		results := make([]partition.Result, 0, len(topo.Layers))
-		units := make([]obsv.Unit, 0, len(topo.Layers))
-		j.progress.Start(len(topo.Layers))
+		points := make([]partition.Point, len(topo.Layers))
 		for i, l := range topo.Layers {
-			if err := ctx.Err(); err != nil {
-				j.progress.Abort(err.Error())
-				return nil, err
-			}
-			t0 := time.Now()
-			res, err := partition.Run(l, cfg, system, opt)
-			if err != nil {
-				err = fmt.Errorf("layer %s: %w", l.Name, err)
-				j.progress.Abort(err.Error())
-				return nil, err
-			}
-			rec.ObserveLayer(i, l.Name, time.Since(t0))
-			j.progress.Step(l.Name)
-			results = append(results, res)
-			e := obsv.LayerMetrics{Name: l.Name, Op: string(topology.OpConv), Cycles: res.Cycles,
-				MACs: res.MACs, DRAMReads: res.DRAMReads, DRAMWrites: res.DRAMWrites}
-			if res.Cycles > 0 {
-				e.Utilization = float64(res.MACs) / (float64(peakMACs) * float64(res.Cycles))
-			}
-			row := cycleacct.NewRooflineRow(e.Name, e.Op, res.MACs,
-				(res.DRAMReads+res.DRAMWrites)*wordBytes, res.Cycles, float64(peakMACs), 0, wordBytes)
-			units = append(units, obsv.Unit{Entry: e, Ledger: &res.Ledger.Ledger,
-				Partitions: res.Ledger.Partitions, Roofline: &row})
+			points[i] = partition.Point{Name: l.Name, Layer: l, Spec: system}
 		}
-		m, err := rec.Record(units)
+		results, err := partition.RunPoints(points, cfg, partition.Options{Parallel: spec.Workers,
+			Cache: r.opt.Cache, Obs: rec, Progress: j.progress, Timeline: j.live.Timeline, Context: ctx})
+		var m *obsv.Manifest
+		if err == nil {
+			m, err = rec.Record(partition.Units(points, results, int64(cfg.WordBytes)))
+		}
 		if err != nil {
 			j.progress.Abort(err.Error())
 			return nil, err
@@ -460,7 +438,7 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 				return batch.Row{}, pointError(points[i], err)
 			}
 			name := batch.PointLabel(points[i])
-			rec.ObserveLayer(i, name, time.Since(t0))
+			rec.ObserveLayer(i, time.Since(t0))
 			j.progress.Step(name)
 			log.Default().Debug("point done", "subsystem", "batch", "point", name, "cycles", run.TotalCycles)
 			return batch.RowOf(points[i], run), nil

@@ -17,7 +17,7 @@ func FuzzParseManifest(f *testing.F) {
 	rec := NewRecorder()
 	stop := rec.Phase("simulate")
 	rec.Metrics().Counter("layers").Inc()
-	rec.ObserveLayer(0, "conv1", time.Millisecond)
+	rec.ObserveLayer(0, time.Millisecond)
 	rec.SpanSink().Emit(Span{Index: 0, Exec: time.Millisecond})
 	stop()
 	m := rec.Manifest()

@@ -15,8 +15,8 @@ func TestRecorderManifestRoundTrip(t *testing.T) {
 	stop := rec.Phase("simulate")
 	rec.Metrics().Counter("layers").Add(2)
 	rec.Metrics().Histogram("compute_seconds").Observe(0.25)
-	rec.ObserveLayer(1, "conv2", 20*time.Millisecond)
-	rec.ObserveLayer(0, "conv1", 10*time.Millisecond)
+	rec.ObserveLayer(1, 20*time.Millisecond)
+	rec.ObserveLayer(0, 10*time.Millisecond)
 	rec.SpanSink().Emit(Span{Index: 0, Worker: 0, Exec: time.Millisecond})
 	rec.SpanSink().Emit(Span{Index: 1, Worker: 1, Exec: 2 * time.Millisecond})
 	stop()
@@ -72,7 +72,7 @@ func TestRecorderManifestRoundTrip(t *testing.T) {
 // the unit.
 func TestRecordRollsUnits(t *testing.T) {
 	rec := NewRecorder()
-	rec.ObserveLayer(1, "fc", 5*time.Millisecond)
+	rec.ObserveLayer(1, 5*time.Millisecond)
 	closed := func(cycles int64) *cycleacct.Ledger {
 		l := &cycleacct.Ledger{Total: cycles}
 		l.Add(cycleacct.PhaseArray, cycleacct.MACActive, cycles)
@@ -195,14 +195,17 @@ func TestManifestProvenance(t *testing.T) {
 	}
 }
 
+// TestLayerTimingsOrdered: wall times are kept by unit index whatever
+// the order they complete in, and an unobserved index reads zero.
 func TestLayerTimingsOrdered(t *testing.T) {
 	rec := NewRecorder()
-	rec.ObserveLayer(2, "c", time.Millisecond)
-	rec.ObserveLayer(0, "a", time.Millisecond)
-	rec.ObserveLayer(1, "b", time.Millisecond)
-	got := rec.LayerTimings()
-	if len(got) != 3 || got[0].Name != "a" || got[1].Name != "b" || got[2].Name != "c" {
-		t.Errorf("timings = %+v", got)
+	rec.ObserveLayer(2, 3*time.Millisecond)
+	rec.ObserveLayer(0, time.Millisecond)
+	rec.ObserveLayer(1, 2*time.Millisecond)
+	for i, want := range []float64{0.001, 0.002, 0.003, 0} {
+		if got := rec.LayerSeconds(i); got != want {
+			t.Errorf("LayerSeconds(%d) = %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -115,12 +115,12 @@ func TestNilSafety(t *testing.T) {
 	}
 	rec.Phase("p")()
 	rec.Time("t")()
-	rec.ObserveLayer(0, "l", 0)
+	rec.ObserveLayer(0, 0)
 	rec.Metrics().Counter("x").Inc()
 	if rec.SpanSink() != nil {
 		t.Error("nil recorder span sink not nil")
 	}
-	if rec.LayerSeconds(0) != 0 || rec.LayerTimings() != nil || rec.Spans() != nil {
+	if rec.LayerSeconds(0) != 0 || rec.Spans() != nil {
 		t.Error("nil recorder leaked data")
 	}
 	if err := rec.Manifest().Validate(); err != nil {

@@ -20,7 +20,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -32,14 +31,6 @@ import (
 func Hash(v any) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", v)))
 	return "sha256:" + hex.EncodeToString(sum[:])
-}
-
-// LayerTiming is one unit of work's wall-clock cost, keyed by its index in
-// the execution order.
-type LayerTiming struct {
-	Index   int     `json:"index"`
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
 }
 
 // PhaseTiming is one named run phase's wall-clock cost, in completion
@@ -61,7 +52,7 @@ type Recorder struct {
 	start    time.Time
 	startMem runtime.MemStats
 	phases   []PhaseTiming
-	layers   map[int]LayerTiming
+	layers   map[int]float64 // unit index -> wall seconds
 	hwm      int
 }
 
@@ -69,7 +60,7 @@ type Recorder struct {
 // (allocations, GC) are captured now so the manifest reports deltas over
 // the instrumented run rather than process-lifetime totals.
 func NewRecorder() *Recorder {
-	r := &Recorder{start: time.Now(), layers: make(map[int]LayerTiming)}
+	r := &Recorder{start: time.Now(), layers: make(map[int]float64)}
 	runtime.ReadMemStats(&r.startMem)
 	r.sample()
 	return r
@@ -136,14 +127,14 @@ func (r *Recorder) Time(name string) func() {
 }
 
 // ObserveLayer records one unit of work's wall-clock cost under its index
-// in the execution order. Safe to call from concurrent workers; the
-// manifest lists layers in index order regardless of completion order.
-func (r *Recorder) ObserveLayer(index int, name string, d time.Duration) {
+// in the execution order, where Record finds it. Safe to call from
+// concurrent workers, in any completion order.
+func (r *Recorder) ObserveLayer(index int, d time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.layers[index] = LayerTiming{Index: index, Name: name, Seconds: d.Seconds()}
+	r.layers[index] = d.Seconds()
 	r.mu.Unlock()
 	r.sample()
 }
@@ -156,22 +147,7 @@ func (r *Recorder) LayerSeconds(index int) float64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.layers[index].Seconds
-}
-
-// LayerTimings returns every recorded layer timing in index order.
-func (r *Recorder) LayerTimings() []LayerTiming {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]LayerTiming, 0, len(r.layers))
-	for _, lt := range r.layers {
-		out = append(out, lt)
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
+	return r.layers[index]
 }
 
 // sample updates the goroutine high-water mark. The recorder samples

@@ -20,6 +20,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -84,7 +85,7 @@ type Result struct {
 	AvgDRAMReadBW, AvgDRAMWriteBW float64
 	// PeakDRAMBW sums the partitions' peak windowed demands (bytes/cycle).
 	PeakDRAMBW float64
-	// Energy is the run's energy breakdown under the supplied model.
+	// Energy is the run's energy breakdown under energy.Eyeriss().
 	Energy energy.Breakdown
 	// NoC is the interconnect analysis, set when Options.NoC is provided.
 	NoC *noc.Report
@@ -101,8 +102,6 @@ func (r Result) AvgDRAMBW() float64 { return r.AvgDRAMReadBW + r.AvgDRAMWriteBW 
 
 // Options tunes a scale-out run.
 type Options struct {
-	// Energy is the energy model (zero value: energy.Eyeriss()).
-	Energy energy.Model
 	// NoC, when non-nil, routes every partition's DRAM traffic over a mesh
 	// interconnect and adds the transport cost to the result.
 	NoC *noc.Config
@@ -126,9 +125,12 @@ type Options struct {
 	// (core.simcache.*), and the "partition.run" phase. Results are
 	// unaffected.
 	Obs *obsv.Recorder
-	// Progress, when non-nil, is stepped once per Sweep point; Run alone
-	// never steps it.
+	// Progress, when non-nil, is stepped once per RunPoints point; Run
+	// alone never steps it.
 	Progress *obsv.Progress
+	// Context, when non-nil, is checked before each partition window runs;
+	// once cancelled, the run fails with the context's error.
+	Context context.Context
 	// Timeline, when non-nil, receives the scale-out run as a Chrome Trace
 	// Event timeline: one thread per partition carrying its span and fold
 	// schedule, per-partition bandwidth counters (track names prefixed
@@ -151,21 +153,17 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	if err := l.Validate(); err != nil {
 		return Result{}, err
 	}
-	em := opt.Energy
-	if em == (energy.Model{}) {
-		em = energy.Eyeriss()
-	}
 
 	// Per-partition configuration: array shape and SRAM share. Every
 	// partition is the same single-array simulator; core.New validates the
-	// configuration and the energy model.
+	// configuration.
 	cfg := base.WithArray(int(spec.Shape.R), int(spec.Shape.C))
 	p := spec.Parts.Count()
 	cfg.IfmapSRAMKB = sramShare(base.IfmapSRAMKB, p)
 	cfg.FilterSRAMKB = sramShare(base.FilterSRAMKB, p)
 	cfg.OfmapSRAMKB = sramShare(base.OfmapSRAMKB, p)
 	sim, err := core.New(cfg, core.Options{
-		Energy: em, Cache: opt.Cache,
+		Cache: opt.Cache, Context: opt.Context,
 		Workers: opt.Parallel, Obs: opt.Obs, Timeline: opt.Timeline,
 	})
 	if err != nil {
@@ -257,7 +255,7 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	cyc := float64(res.Cycles)
 	res.AvgDRAMReadBW = float64(res.DRAMReads) * wordBytes / cyc
 	res.AvgDRAMWriteBW = float64(res.DRAMWrites) * wordBytes / cyc
-	res.Energy = em.Compute(
+	res.Energy = energy.Eyeriss().Compute(
 		spec.MACs(), res.Cycles,
 		res.SRAMReads+res.SRAMWrites,
 		res.DRAMReads+res.DRAMWrites,
@@ -274,6 +272,53 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 	return res, nil
 }
 
+// Point is one scale-out run: a layer on one partitioned system, under the
+// name its error, progress step and manifest unit carry.
+type Point struct {
+	Name  string
+	Layer topology.Layer
+	Spec  Spec
+}
+
+// RunPoints is the one scale-out loop, behind a -parts job and Sweep:
+// points run in order through Run with opt unchanged, so each point's
+// partitions fan out over opt.Parallel. Point i records its wall time as
+// opt.Obs unit i and steps opt.Progress once.
+func RunPoints(points []Point, base config.Config, opt Options) ([]Result, error) {
+	opt.Progress.Start(len(points))
+	out := make([]Result, len(points))
+	for i, pt := range points {
+		t0 := time.Now()
+		r, err := Run(pt.Layer, base, pt.Spec, opt)
+		if err != nil {
+			return nil, fmt.Errorf("partition: %s: %w", pt.Name, err)
+		}
+		opt.Obs.ObserveLayer(i, time.Since(t0))
+		opt.Progress.Step(pt.Name)
+		out[i] = r
+	}
+	return out, nil
+}
+
+// Units states each point's result as one obsv.Recorder.Record unit named
+// after the point: entry, closed ledger with partitions, roofline row.
+func Units(points []Point, results []Result, wordBytes int64) []obsv.Unit {
+	units := make([]obsv.Unit, len(results))
+	for i, r := range results {
+		peak := float64(r.Spec.MACs())
+		e := obsv.LayerMetrics{Name: points[i].Name, Op: string(topology.OpConv), Cycles: r.Cycles,
+			MACs: r.MACs, DRAMReads: r.DRAMReads, DRAMWrites: r.DRAMWrites}
+		if r.Cycles > 0 {
+			e.Utilization = float64(r.MACs) / (peak * float64(r.Cycles))
+		}
+		row := cycleacct.NewRooflineRow(e.Name, e.Op, r.MACs,
+			(r.DRAMReads+r.DRAMWrites)*wordBytes, r.Cycles, peak, 0, wordBytes)
+		units[i] = obsv.Unit{Entry: e, Ledger: &r.Ledger.Ledger,
+			Partitions: r.Ledger.Partitions, Roofline: &row}
+	}
+	return units
+}
+
 // Series is one curve of a scale-out study: a layer swept over partition
 // counts at one MAC budget.
 type Series struct {
@@ -282,25 +327,22 @@ type Series struct {
 	MACs  int64
 }
 
+// Point names the series' run on spec <series>/<P>parts.
+func (s Series) Point(spec Spec) Point {
+	return Point{Name: fmt.Sprintf("%s/%dparts", s.Name, spec.Parts.Count()), Layer: s.Layer, Spec: spec}
+}
+
 // Sweep runs every series cycle-accurately at each partition count of its
 // MAC budget: the body behind Fig. 11, Fig. 12 and the sweet spot. For
 // each count, BestSpec picks the square-ish grid and the analytically best
 // per-partition array shape, no dimension below minDim; counts with no
 // such shape are skipped, and a series left with none is refused, by layer
-// and budget, before any point runs.
-//
-// Points run in order, each through Run with opt unchanged, so a point's
-// partitions fan out over opt.Parallel: the heavy high-P points, which
-// dominate a sweep, use every worker. Each point records one opt.Obs unit
-// and one opt.Progress step named <series>/<P>parts. Results come back
-// per series, in partition-count order.
+// and budget, before any point runs. The points, series by series, then
+// go through RunPoints, named by Series.Point; results come back per
+// series, in partition-count order.
 func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64, opt Options) ([][]Result, error) {
-	type point struct {
-		series int
-		spec   Spec
-		name   string
-	}
-	var points []point
+	var points []Point
+	var owner []int // each point's series
 	for i, s := range series {
 		if err := s.Layer.Validate(); err != nil {
 			return nil, fmt.Errorf("partition: %s: %w", s.Layer.Name, err)
@@ -309,7 +351,8 @@ func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64
 		feasible := len(points)
 		for _, p := range partCounts {
 			if spec, ok := BestSpec(m, s.MACs, p, minDim); ok {
-				points = append(points, point{i, spec, fmt.Sprintf("%s/%dparts", s.Name, p)})
+				points = append(points, s.Point(spec))
+				owner = append(owner, i)
 			}
 		}
 		if len(points) == feasible {
@@ -317,23 +360,13 @@ func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64
 				s.Layer.Name, s.MACs, minDim)
 		}
 	}
-
-	opt.Progress.Start(len(points))
+	results, err := RunPoints(points, base, opt)
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]Result, len(series))
-	for i, pt := range points {
-		var t0 time.Time
-		if opt.Obs.Enabled() {
-			t0 = time.Now()
-		}
-		r, err := Run(series[pt.series].Layer, base, pt.spec, opt)
-		if err != nil {
-			return nil, fmt.Errorf("partition: %s: %w", pt.name, err)
-		}
-		if opt.Obs.Enabled() {
-			opt.Obs.ObserveLayer(i, pt.name, time.Since(t0))
-		}
-		opt.Progress.Step(pt.name)
-		out[pt.series] = append(out[pt.series], r)
+	for i, r := range results {
+		out[owner[i]] = append(out[owner[i]], r)
 	}
 	return out, nil
 }

@@ -2,7 +2,10 @@ package partition
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalesim/internal/analytical"
@@ -250,8 +253,34 @@ func TestSweepRefusesBeforeRunning(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
-	if n, m := len(rec.LayerTimings()), len(rec.Spans()); n != 0 || m != 0 || progress.Len() != 0 {
-		t.Errorf("ran before the refusal: %d units, %d spans, progress %q", n, m, progress.String())
+	if s, m := rec.LayerSeconds(0), len(rec.Spans()); s != 0 || m != 0 || progress.Len() != 0 {
+		t.Errorf("ran before the refusal: unit 0 took %vs, %d spans, progress %q", s, m, progress.String())
+	}
+}
+
+// cancelOnWrite cancels its context on the first progress line.
+type cancelOnWrite struct{ cancel context.CancelFunc }
+
+func (w cancelOnWrite) Write(p []byte) (int, error) { w.cancel(); return len(p), nil }
+
+// TestRunPointsCancelled: Options.Context reaches the partition windows,
+// so a context cancelled once the first point is done fails the second
+// point with context.Canceled, naming it, before it records a unit.
+func TestRunPointsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := obsv.NewRecorder()
+	points := []Point{
+		{Name: "first", Layer: testLayer(), Spec: spec(2, 2, 8, 8)},
+		{Name: "second", Layer: testLayer(), Spec: spec(2, 2, 8, 8)},
+	}
+	_, err := RunPoints(points, config.New(), Options{Context: ctx, Obs: rec,
+		Progress: obsv.NewProgress(cancelOnWrite{cancel}, "points")})
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "partition: second: ") {
+		t.Fatalf("err = %v, want context.Canceled on the second point", err)
+	}
+	if rec.LayerSeconds(0) == 0 || rec.LayerSeconds(1) != 0 {
+		t.Errorf("unit wall times %v, %v: want the first point only", rec.LayerSeconds(0), rec.LayerSeconds(1))
 	}
 }
 

@@ -115,6 +115,7 @@ figures-check:
 # cmd/traceanalyze keeps its own offline -timeline flag (trace files in, no
 # run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
+CORESRC = $$(git ls-files --cached --others --exclude-standard 'internal/core/*.go' | grep -v '_test\.go$$')
 lint-structure:
 	@test "$$(grep -lE 'os\.(CreateTemp|Rename)\(' $(SRC))" = internal/disk/disk.go
 	@test "$$(grep -l 'pprof\.Index' $(SRC))" = internal/obsv/export/export.go
@@ -132,6 +133,8 @@ lint-structure:
 	@test "$$(grep -l 'cycleacct\.NewReport(' $(SRC))" = internal/obsv/manifest.go
 	@! grep -nE 'func \(s \*Simulator\) CycleReport|func CycleReport' $(SRC)
 	@! grep -n 'partition\.Run(' $(SRC)
+	@test "$$(cat $(CORESRC) | grep -c 'engine\.RunObserved(')" = 1
+	@test "$$(awk '/^func /{f=$$0} /s\.runNode\(/{print f}' $(CORESRC) | sort -u | cut -d'(' -f1-2)" = "func (s *Simulator) execute"
 	@echo "lint-structure: ok"
 
 # Measured reach: build every cmd/* and examples/* binary with coverage,

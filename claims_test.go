@@ -42,10 +42,44 @@ func num(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestPaperClaims asserts the scale-out numbers EXPERIMENTS.md quotes
-// against the CSVs they are quoted from, so a change that moves a figure
-// fails on the claim it breaks.
+// TestPaperClaims asserts the numbers EXPERIMENTS.md quotes against the
+// CSVs they are quoted from, so a change that moves a figure fails on the
+// claim it breaks.
 func TestPaperClaims(t *testing.T) {
+	// Fig. 4: an N x N array finishes an N x N output-stationary GEMM in
+	// 4N - 2 cycles, in the PE-level reference and in the simulator alike.
+	for _, r := range readResult(t, "fig4.csv") {
+		n := num(t, r["ArraySize"])
+		if rtl, sim := num(t, r["RTLCycles"]), num(t, r["SimCycles"]); rtl != 4*n-2 || sim != 4*n-2 {
+			t.Errorf("Fig. 4 at N = %v: RTL %v and simulated %v cycles, want 4N - 2 = %v", n, rtl, sim, 4*n-2)
+		}
+	}
+
+	// Fig. 10a: the best monolithic configuration of CB2a_1 is 24.70x
+	// slower than the best scale-out one at 65536 MACs.
+	var cb2a1 string
+	for _, r := range readResult(t, "fig10a.csv") {
+		if r["Layer"] == "CB2a_1" && r["MACs"] == "65536" {
+			cb2a1 = fmt.Sprintf("%.2f", num(t, r["Ratio"]))
+		}
+	}
+	if cb2a1 != "24.70" {
+		t.Errorf("Fig. 10a CB2a_1 at 65536 MACs: %qx, want 24.70x", cb2a1)
+	}
+
+	// Fig. 10b: among the language models the largest scale-up penalty at
+	// 65536 MACs is NCF0's, 28.4x.
+	worst := map[string]string{}
+	var top float64
+	for _, r := range readResult(t, "fig10b.csv") {
+		if v := num(t, r["Ratio"]); r["MACs"] == "65536" && v > top {
+			top, worst = v, map[string]string{r["Layer"]: fmt.Sprintf("%.1f", v)}
+		}
+	}
+	if want := map[string]string{"NCF0": "28.4"}; !reflect.DeepEqual(worst, want) {
+		t.Errorf("Fig. 10b largest ratio at 65536 MACs: %v, want %v", worst, want)
+	}
+
 	// Fig. 11: average DRAM demand at 2^18 MACs and 256 partitions,
 	// quoted as 7.1 KB/cycle (CB2a_3) and 9.2 KB/cycle (TF0).
 	bw := map[string]string{}

@@ -6,19 +6,22 @@
 //
 // Layers model hardware that executes them serially (the original tool's
 // behaviour: one CSV row at a time, in file order), but their simulations
-// are independent, so Simulate and SimulateGraph fan them out over
-// engine.RunObserved's bounded worker pool (runNodes) and join the results —
-// including the serialized cycle offsets — in layer order. Output is
-// bit-identical for every worker count. Every layer gets fresh consumers
-// (stageSinks): trace files and caller-supplied sinks from engine.Registry
-// factories, the DRAM timing model, the stall analyzer and the timeline
-// recorder as typed fields of its LayerContext, so nothing is shared across
-// worker goroutines and the Simulator holds nothing that belongs to one call.
+// are independent, so they fan out over engine.RunObserved's bounded worker
+// pool and the results — including the serialized cycle offsets — are
+// joined in layer order. Output is bit-identical for every worker count.
+// Every layer gets fresh consumers (stageSinks): trace files and
+// caller-supplied sinks from engine.Registry factories, the DRAM timing
+// model, the stall analyzer and the timeline recorder as typed fields of
+// its LayerContext, so nothing is shared across worker goroutines and the
+// Simulator holds nothing that belongs to one call.
 //
-// There is one way to execute a layer. A scale-out partition is a spatial
-// window of a layer and runs through the same pipeline on the same fan-out
-// (SimulateWindows); package partition only enumerates the windows and
-// joins their results.
+// There is one way to execute a layer: execute plans a list of contexts,
+// fans their leaders out on the one engine.RunObserved, each under one
+// panic guard, and replays the rest. Simulate and SimulateGraph run a
+// topology's nodes through it, SimulateLayer and SimulateNode a single
+// node, and SimulateWindows the spatial windows of a layer — the
+// partitions of a scale-out system; package partition only enumerates the
+// windows and joins their results.
 package core
 
 import (
@@ -45,8 +48,6 @@ import (
 
 // Options tunes a Simulator beyond the architecture configuration.
 type Options struct {
-	// Energy is the energy model; the zero value selects energy.Eyeriss().
-	Energy energy.Model
 	// TraceDir, when non-empty, receives per-layer SRAM and DRAM trace CSVs
 	// named <run>_<layer>_<stream>.csv.
 	TraceDir string
@@ -191,7 +192,6 @@ func (r RunResult) AvgBandwidth() float64 {
 type Simulator struct {
 	cfg config.Config
 	opt Options
-	em  energy.Model
 	// traces is the trace-file factory when Options.TraceDir is set, empty
 	// otherwise.
 	traces engine.Registry
@@ -224,20 +224,13 @@ func New(cfg config.Config, opt Options) (*Simulator, error) {
 	case math.IsNaN(bw) || math.IsInf(bw, 0):
 		return nil, fmt.Errorf("core: non-finite DRAM bandwidth %v", bw)
 	}
-	em := opt.Energy
-	if em == (energy.Model{}) {
-		em = energy.Eyeriss()
-	}
-	if err := em.Validate(); err != nil {
-		return nil, err
-	}
 	if opt.DRAM != nil {
 		if err := opt.DRAM.Validate(); err != nil {
 			return nil, err
 		}
 	}
 
-	s := &Simulator{cfg: cfg, opt: opt, em: em, planned: resultsOnly(opt)}
+	s := &Simulator{cfg: cfg, opt: opt, planned: resultsOnly(opt)}
 	if opt.TraceDir != "" {
 		s.traces = engine.Registry{engine.CSVTrace(opt.TraceDir)}
 	}
@@ -258,8 +251,56 @@ func (s *Simulator) SimulateLayer(l topology.Layer) (LayerResult, error) {
 // vector-shaped nodes take the vector-unit compute path.
 func (s *Simulator) SimulateNode(n topology.Node) (LayerResult, error) {
 	ctx := newLayerContext(0, n)
-	err := s.runNode(ctx)
+	_, err := s.execute([]*LayerContext{ctx}, "layer", nil)
 	return ctx.Result, err
+}
+
+// execute is the one way core runs contexts — a topology's nodes, one
+// node, the windows of a layer: it plans them (plan.go), fans the leaders
+// out on the engine and replays the rest after the join, in index order,
+// each under a guard naming noun, name and window. done sees each context
+// that ran, with its start time (zero with no recorder attached). The
+// engine spans come back, teed off, when a timeline is attached.
+func (s *Simulator) execute(ctxs []*LayerContext, noun string, done func(*LayerContext, time.Time)) ([]obsv.Span, error) {
+	run := func(ctx *LayerContext) error {
+		what := fmt.Sprintf("%s %q", noun, ctx.Layer.Name)
+		if ctx.Window != (systolic.Window{}) {
+			what += fmt.Sprintf(" window %+v", ctx.Window)
+		}
+		return guarded(what, func() error {
+			var start time.Time
+			if s.opt.Obs.Enabled() {
+				start = time.Now()
+			}
+			if err := s.runNode(ctx); err != nil {
+				return err
+			}
+			if done != nil {
+				done(ctx, start)
+			}
+			return nil
+		})
+	}
+	spanSink, tlSpans := s.opt.Obs.SpanSink(), (*obsv.SpanRecorder)(nil)
+	if s.opt.Timeline != nil {
+		tlSpans = &obsv.SpanRecorder{}
+		spanSink = obsv.TeeSpans(spanSink, tlSpans)
+	}
+	p := s.plan(ctxs)
+	_, err := engine.RunObserved(s.opt.Workers, len(p.order), spanSink,
+		func(j int) (struct{}, error) {
+			ctx := ctxs[p.order[j]]
+			ctx.reserve = p.reserve
+			return struct{}{}, run(ctx)
+		})
+	for i := 0; i < len(ctxs) && err == nil; i++ {
+		if p.lead[i] != i {
+			ctxs[i].Replayed = true
+			ctxs[i].adopt(ctxs[p.lead[i]].Entry)
+			err = run(ctxs[i])
+		}
+	}
+	return tlSpans.Spans(), err
 }
 
 // runNode threads one prepared context through the pipeline stages.
@@ -292,18 +333,6 @@ func (s *Simulator) runNode(ctx *LayerContext) error {
 	return nil
 }
 
-// spanSink is where a fan-out's engine spans go: the recorder's sink,
-// teed into a collector the timeline's host-engine process is drawn from
-// when a timeline is attached (nil otherwise).
-func (s *Simulator) spanSink() (obsv.SpanSink, *obsv.SpanRecorder) {
-	sink := s.opt.Obs.SpanSink()
-	if s.opt.Timeline == nil {
-		return sink, nil
-	}
-	tl := &obsv.SpanRecorder{}
-	return obsv.TeeSpans(sink, tl), tl
-}
-
 // guarded runs one pipeline job under the name its failures carry. A panic
 // in it — a caller's sink, a progress hook — fails the run under that name;
 // the engine's own recovery would only know the job index.
@@ -334,8 +363,8 @@ type WindowRun struct {
 
 // SimulateWindows runs spatial slices of one layer — the partitions of a
 // scale-out system, Eq. 5 — each through the pipeline a whole layer takes
-// (a window is a LayerContext with Window set), fanned out over the engine
-// like the layers of a topology. Windows are not layers: they report no
+// (a window is a LayerContext with Window set), planned and fanned out by
+// execute like the layers of a topology. Windows are not layers: they report no
 // per-layer observation or progress step, and nothing is serialized or
 // summed across them; the join (Eq. 6) belongs to the caller.
 //
@@ -346,28 +375,22 @@ func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (W
 	if s.opt.TraceDir != "" {
 		return WindowRun{}, fmt.Errorf("core: layer %q: per-window trace files are not supported", l.Name)
 	}
-	spanSink, tlSpans := s.spanSink()
-	n := topology.NodeOf(l)
-	var run WindowRun
-	if s.opt.Timeline != nil {
-		run.Recorders = make([]*timeline.LayerRecorder, len(wins))
+	ctxs := make([]*LayerContext, len(wins))
+	for i, w := range wins {
+		ctxs[i] = newLayerContext(i, topology.NodeOf(l))
+		ctxs[i].Window = w
 	}
-	var err error
-	run.Windows, err = engine.RunObserved(s.opt.Workers, len(wins), spanSink,
-		func(i int) (LayerResult, error) {
-			ctx := newLayerContext(i, n)
-			ctx.Window, ctx.reserve = wins[i], regions(l)
-			err := guarded(fmt.Sprintf("layer %q window %+v", l.Name, wins[i]),
-				func() error { return s.runNode(ctx) })
-			if run.Recorders != nil {
-				run.Recorders[i] = ctx.rec
-			}
-			return ctx.Result, err
-		})
+	spans, err := s.execute(ctxs, "layer", nil)
 	if err != nil {
 		return WindowRun{}, err
 	}
-	run.Spans = tlSpans.Spans()
+	run := WindowRun{Windows: make([]LayerResult, 0, len(ctxs)), Spans: spans}
+	for _, ctx := range ctxs {
+		run.Windows = append(run.Windows, ctx.Result)
+		if s.opt.Timeline != nil {
+			run.Recorders = append(run.Recorders, ctx.rec)
+		}
+	}
 	return run, nil
 }
 
@@ -392,12 +415,10 @@ func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
 // it executes nodes — the run's execution order, which run.Topology
 // already names — and fills in run's results and totals.
 //
-// The nodes the plan selects (all of them, in order, unless the run is
-// planned; see plan.go) fan out over the engine as independent jobs: the
-// modeled hardware runs one node at a time whatever the graph's edges say,
-// and no node's result depends on another's, so nothing is gained by
-// making the host wait on them. The remaining nodes replay their leader's
-// entry after the join.
+// The modeled hardware runs one node at a time whatever the graph's edges
+// say, and no node's result depends on another's, so the nodes go through
+// execute as independent jobs; what is a layer's alone — its wall time,
+// its progress step, its serialized cycle offset — is added here.
 func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, error) {
 	noun := "layer"
 	if run.Graph != nil {
@@ -405,44 +426,17 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	}
 	s.opt.Progress.Start(len(nodes))
 	obs := s.opt.Obs
-	spanSink, tlSpans := s.spanSink()
-	// exec runs one node with the per-node bookkeeping: wall time, progress,
-	// and failures that carry the node's name.
-	exec := func(ctx *LayerContext) error {
-		return guarded(fmt.Sprintf("%s %q", noun, ctx.Layer.Name), func() error {
-			var t0 time.Time
-			if obs.Enabled() {
-				t0 = time.Now()
-			}
-			if err := s.runNode(ctx); err != nil {
-				return err
-			}
-			if obs.Enabled() {
-				obs.ObserveLayer(ctx.Index, time.Since(t0))
-			}
-			s.opt.Progress.Step(ctx.Layer.Name)
-			return nil
-		})
+	ctxs := make([]*LayerContext, len(nodes))
+	for i, n := range nodes {
+		ctxs[i] = newLayerContext(i, n)
 	}
-
 	stop := obs.Phase("core.simulate")
-	p := s.plan(nodes)
-	done := make([]*LayerContext, len(nodes))
-	_, err := engine.RunObserved(s.opt.Workers, len(p.order), spanSink,
-		func(j int) (struct{}, error) {
-			i := p.order[j]
-			done[i] = newLayerContext(i, nodes[i])
-			done[i].reserve = p.reserve
-			return struct{}{}, exec(done[i])
-		})
-	for i := 0; i < len(nodes) && err == nil; i++ {
-		if p.lead[i] != i {
-			done[i] = newLayerContext(i, nodes[i])
-			done[i].Replayed = true
-			done[i].adopt(done[p.lead[i]].Entry)
-			err = exec(done[i])
+	spans, err := s.execute(ctxs, noun, func(ctx *LayerContext, start time.Time) {
+		if obs.Enabled() {
+			obs.ObserveLayer(ctx.Index, time.Since(start))
 		}
-	}
+		s.opt.Progress.Step(ctx.Layer.Name)
+	})
 	stop()
 	if err != nil {
 		return RunResult{}, err
@@ -453,10 +447,13 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	// offsets and totals are computed after the parallel join, in layer
 	// order, so they match a sequential run exactly.
 	run.Layers = make([]LayerResult, len(nodes))
-	var simulated int64
-	for i, ctx := range done {
+	var simulated, replayed int64
+	for i, ctx := range ctxs {
 		if ctx.live() {
 			simulated++
+		}
+		if ctx.Replayed {
+			replayed++
 		}
 		lr := &run.Layers[i]
 		*lr = ctx.Result
@@ -466,9 +463,9 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 		run.TotalEnergy = run.TotalEnergy.Add(lr.Energy)
 	}
 	obs.Metrics().Counter("core.nodes_simulated").Add(simulated)
-	obs.Metrics().Counter("core.nodes_replayed").Add(int64(len(nodes) - len(p.order)))
+	obs.Metrics().Counter("core.nodes_replayed").Add(replayed)
 	if s.opt.Timeline != nil {
-		s.emitTimeline(run, done, tlSpans.Spans())
+		s.emitTimeline(run, ctxs, spans)
 	}
 	return run, nil
 }

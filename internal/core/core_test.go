@@ -1,16 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
-	"scalesim/internal/energy"
 	"scalesim/internal/engine"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
@@ -29,9 +30,6 @@ func newSim(t *testing.T, cfg config.Config, opt Options) *Simulator {
 func TestNewValidates(t *testing.T) {
 	if _, err := New(config.New().WithArray(0, 1), Options{}); err == nil {
 		t.Error("accepted invalid config")
-	}
-	if _, err := New(config.New(), Options{Energy: energy.Model{MACCycle: -1}}); err == nil {
-		t.Error("accepted invalid energy model")
 	}
 	if _, err := New(config.New(), Options{DRAM: &dram.Config{}}); err == nil {
 		t.Error("accepted invalid dram config")
@@ -399,5 +397,21 @@ func TestNegativeBandwidthRejected(t *testing.T) {
 		if _, err := New(config.New(), Options{DRAMBandwidth: bw}); err == nil {
 			t.Errorf("bandwidth %v accepted", bw)
 		}
+	}
+}
+
+// TestSimulateLayerPanicNamesLayer: a lone SimulateLayer runs under the
+// guard a topology's layers run under, so a caller's sink that panics fails
+// the call naming the layer instead of crashing through the caller.
+func TestSimulateLayerPanicNamesLayer(t *testing.T) {
+	boom := engine.Registry{func(_ engine.Job, set *engine.SinkSet) error {
+		set.Attach(engine.SRAMWriteOfmap, trace.ConsumerFunc(func(int64, []int64) { panic("boom") }))
+		return nil
+	}}
+	l := topology.TinyNet().Layers[0]
+	_, err := newSim(t, config.New().WithArray(8, 8), Options{Sinks: boom}).SimulateLayer(l)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("core: layer %q panicked", l.Name)) ||
+		!strings.Contains(err.Error(), "boom") {
+		t.Errorf("err = %v, want the panic under the layer's name", err)
 	}
 }

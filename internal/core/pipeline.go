@@ -5,6 +5,7 @@ import (
 
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
+	"scalesim/internal/energy"
 	"scalesim/internal/engine"
 	"scalesim/internal/memory"
 	"scalesim/internal/obsv/cycleacct"
@@ -477,7 +478,7 @@ func (s *Simulator) stageAnalyze(ctx *LayerContext) error {
 		// The array is provisioned (and charged leakage-equivalent MAC
 		// cycles) for the full runtime even when a vector node leaves it
 		// idle; SRAM and DRAM words are charged from the traffic totals.
-		Energy: s.em.Compute(
+		Energy: energy.Eyeriss().Compute(
 			int64(s.cfg.MACs()), comp.Cycles,
 			mrep.IfmapSRAMReads+mrep.FilterSRAMReads+mrep.OfmapSRAMWrites,
 			mrep.DRAMAccesses(),

@@ -6,30 +6,32 @@ import (
 
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/systolic"
-	"scalesim/internal/topology"
 	"scalesim/internal/vector"
 )
 
-// runPlan is what runNodes executes for a list of nodes.
+// runPlan is how execute runs a list of contexts — a topology's nodes, one
+// node, or the windows of a layer.
 //
 // When the run is observable through its results alone (Simulator.planned)
 // the compute stage is a pure function of nodeKey — the contract the result
-// cache has rested on since it exists — so nodes sharing a key need
+// cache has rested on since it exists — so contexts sharing a key need
 // simulating once: the first of them leads, and the rest replay its entry
 // through the path a cache hit takes (relabel, then stageAnalyze: names and
 // energy stay per node). Networks repeat themselves: 33 of ResNet50's 54
-// layers and 38 of BERTBase's 47 nodes are such repeats.
+// layers and 38 of BERTBase's 47 nodes are such repeats. A window's key
+// carries its offsets, so the windows of a layer lead one each.
 //
 // The leaders are dispatched largest first, by the SRAM words their
 // closed-form traffic says they will stream, so that the longest job is
-// never the one that starts last and runs alone.
+// never the one that starts last and runs alone; among a layer's windows
+// the interior ones go before the smaller edge remainders.
 //
-// With any live consumer the plan is the identity: every node leads, in
+// With any live consumer the plan is the identity: every context leads, in
 // index order, and each consumer sees exactly the stream it always saw.
 type runPlan struct {
 	// order lists the leaders in dispatch order.
 	order []int
-	// lead maps every node to its leader (itself, for a leader).
+	// lead maps every context to its leader (itself, for a leader).
 	lead []int
 	// reserve is the largest IFMAP, filter and OFMAP region (words) over
 	// the matmul leaders, what the run's new residency tables are sized
@@ -37,13 +39,13 @@ type runPlan struct {
 	reserve [3]int64
 }
 
-func (s *Simulator) plan(nodes []topology.Node) runPlan {
-	p := runPlan{lead: make([]int, len(nodes))}
+func (s *Simulator) plan(ctxs []*LayerContext) runPlan {
+	p := runPlan{lead: make([]int, len(ctxs))}
 	first := make(map[string]int)
-	for i, n := range nodes {
+	for i, ctx := range ctxs {
 		p.lead[i] = i
 		if s.planned {
-			key := s.nodeKey(n, systolic.Window{})
+			key := s.nodeKey(ctx.Node, ctx.Window)
 			if j, ok := first[key]; ok {
 				p.lead[i] = j
 				continue
@@ -51,34 +53,34 @@ func (s *Simulator) plan(nodes []topology.Node) runPlan {
 			first[key] = i
 		}
 		p.order = append(p.order, i)
-		if !n.Kind.Vector() {
-			for k, w := range regions(n.Layer) {
+		if !ctx.Node.Kind.Vector() {
+			for k, w := range regions(ctx.Layer) {
 				p.reserve[k] = max(p.reserve[k], w)
 			}
 		}
 	}
 	if s.planned {
-		words := make([]int64, len(nodes))
+		words := make([]int64, len(ctxs))
 		for _, i := range p.order {
-			words[i] = s.sramWords(nodes[i])
+			words[i] = s.sramWords(ctxs[i])
 		}
 		sort.SliceStable(p.order, func(a, b int) bool { return words[p.order[a]] > words[p.order[b]] })
 	}
 	if lg := log.Default(); lg.Enabled(context.Background(), log.LevelDebug) {
-		lg.Debug("run plan", "subsystem", "core", "nodes", len(nodes), "distinct", len(p.order), "order", p.order)
+		lg.Debug("run plan", "subsystem", "core", "nodes", len(ctxs), "distinct", len(p.order), "order", p.order)
 	}
 	return p
 }
 
-// sramWords is a node's closed-form SRAM traffic in words, the plan's
+// sramWords is a context's closed-form SRAM traffic in words, the plan's
 // measure of how long simulating it takes.
-func (s *Simulator) sramWords(n topology.Node) int64 {
-	if n.Kind.Vector() {
-		t := vector.Traffic(s.vectorParams(n))
+func (s *Simulator) sramWords(ctx *LayerContext) int64 {
+	if ctx.Node.Kind.Vector() {
+		t := vector.Traffic(s.vectorParams(ctx.Node))
 		return t.InputSRAMReads + t.ParamSRAMReads + t.OutputSRAMWrites
 	}
-	// An invalid node estimates to zero words, sorts last and fails in its
-	// own map stage, under its own name.
-	r, _ := systolic.Estimate(n.Layer, s.cfg)
+	// An invalid node or window estimates to zero words, sorts last and
+	// fails in its own stages, under its own name.
+	r, _ := systolic.EstimateWindow(ctx.Layer, s.cfg, ctx.Window)
 	return r.IfmapReads + r.FilterReads + r.OfmapWrites
 }

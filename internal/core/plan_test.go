@@ -21,8 +21,8 @@ import (
 )
 
 // perNodeReference rebuilds run the way no plan ever takes part in: one
-// SimulateNode call per node, in order, on a fresh simulator (SimulateNode
-// never plans), joined exactly as runNodes joins.
+// SimulateNode call per node, in order, on a fresh simulator (a one-node
+// plan replays nothing), joined exactly as runNodes joins.
 func perNodeReference(t *testing.T, cfg config.Config, opt Options, run RunResult, nodes []topology.Node) RunResult {
 	t.Helper()
 	sim := newSim(t, cfg, opt)

@@ -93,8 +93,8 @@ func TestSimulateWindows(t *testing.T) {
 			t.Errorf("unit %d observed (%vs): windows are not layers", i, got)
 		}
 	}
-	if got := len(rec.Spans()); got != len(halves) {
-		t.Errorf("%d engine spans, want one per window (%d)", got, len(halves))
+	if got := len(rec.Spans()); got != 1+len(halves) {
+		t.Errorf("%d engine spans, want one for the layer and one per window (%d)", got, 1+len(halves))
 	}
 	if run.Recorders != nil || run.Spans != nil {
 		t.Error("timeline hand-back without a timeline")

@@ -6,13 +6,11 @@
 // what scale-out amortizes), while memory energy is charged per access.
 //
 // Absolute joules require a technology point the paper does not fix;
-// following the well-known Eyeriss relative costs, the default model uses
-// normalized units of one MAC-cycle, with an SRAM access costing 6 and a
-// DRAM access 200. The constants are configurable, so a user with a real
-// technology model can substitute picojoules directly.
+// following the well-known Eyeriss relative costs, the model every simulator
+// path charges (Eyeriss) uses normalized units of one MAC-cycle, with an
+// SRAM access costing 6 and a DRAM access 200. A Model of other constants
+// can still price a result's cycle and access counts through Compute.
 package energy
-
-import "fmt"
 
 // Model holds per-event energy costs in arbitrary (but consistent) units.
 type Model struct {
@@ -27,14 +25,6 @@ type Model struct {
 // Eyeriss returns the default normalized model (1 / 6 / 200).
 func Eyeriss() Model {
 	return Model{MACCycle: 1, SRAMAccess: 6, DRAMAccess: 200}
-}
-
-// Validate rejects negative costs.
-func (m Model) Validate() error {
-	if m.MACCycle < 0 || m.SRAMAccess < 0 || m.DRAMAccess < 0 {
-		return fmt.Errorf("energy: negative cost in model %+v", m)
-	}
-	return nil
 }
 
 // Breakdown is one run's energy split by component.

@@ -7,21 +7,6 @@ func TestEyerissDefaults(t *testing.T) {
 	if m.MACCycle != 1 || m.SRAMAccess != 6 || m.DRAMAccess != 200 {
 		t.Errorf("Eyeriss = %+v", m)
 	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestValidateRejectsNegative(t *testing.T) {
-	for _, m := range []Model{
-		{MACCycle: -1},
-		{SRAMAccess: -1},
-		{DRAMAccess: -0.5},
-	} {
-		if err := m.Validate(); err == nil {
-			t.Errorf("accepted %+v", m)
-		}
-	}
 }
 
 func TestCompute(t *testing.T) {

@@ -12,14 +12,7 @@ import (
 // closed form, Estimate and Run agree exactly on every field (a property the
 // tests assert); Estimate is what large design-space sweeps use.
 func Estimate(l topology.Layer, cfg config.Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := l.Validate(); err != nil {
-		return Result{}, err
-	}
-	m := dataflow.Map(l, cfg.Dataflow)
-	return estimateMapping(l, cfg, m), nil
+	return EstimateWindow(l, cfg, Window{})
 }
 
 // EstimateWindow is Estimate restricted to one spatial slice of the layer,

@@ -16,7 +16,7 @@ test:
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 -run 'TestPlan' ./internal/core
+	$(GO) test -race -count=3 -run 'TestPlan|Parts' ./internal/core
 	$(GO) test -race -count=3 -run 'ScaleOut|Parts|Sweep' ./internal/job ./internal/partition ./cmd/scalesimd
 	$(GO) test -race -count=3 ./internal/dse ./cmd/scaledse
 
@@ -110,8 +110,10 @@ figures-check:
 # the trace consumers ("Strided trace representation": every Consume method
 # but ConsumerFunc's is the one-line trace.ConsumeAddrs shim, the only loop
 # over an element batch) and of the run record ("Cycle accounting": one
-# roll-up builds every manifest's entries and cycle account), over non-test
-# Go outside bench/.
+# roll-up builds every manifest's entries and cycle account) and of
+# scale-out ("A partitioned layer is N windowed contexts": windows are
+# enumerated in core alone, and no second scale-out runner or result type
+# comes back), over non-test Go outside bench/.
 # cmd/traceanalyze keeps its own offline -timeline flag (trace files in, no
 # run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
@@ -135,6 +137,8 @@ lint-structure:
 	@! grep -n 'partition\.Run(' $(SRC)
 	@test "$$(cat $(CORESRC) | grep -c 'engine\.RunObserved(')" = 1
 	@test "$$(awk '/^func /{f=$$0} /s\.runNode\(/{print f}' $(CORESRC) | sort -u | cut -d'(' -f1-2)" = "func (s *Simulator) execute"
+	@! grep -n 'systolic\.Window{' $(SRC) | grep -v -e '^internal/core/' -e '^internal/systolic/'
+	@! grep -nE 'execScaleOut|ScaleOut \[\]' $(SRC)
 	@echo "lint-structure: ok"
 
 # Measured reach: build every cmd/* and examples/* binary with coverage,

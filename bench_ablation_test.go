@@ -1,6 +1,6 @@
 // Ablation benchmarks: quantify the design choices DESIGN.md calls out —
 // fold edge-trimming, double vs. single buffering, dataflow choice, SRAM
-// provisioning, NoC multicast, and partition-level parallelism.
+// provisioning, and partition-level parallelism.
 package scalesim_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/experiments"
 	"scalesim/internal/memory"
-	"scalesim/internal/noc"
 	"scalesim/internal/partition"
 	"scalesim/internal/pipeline"
 	"scalesim/internal/systolic"
@@ -141,37 +140,6 @@ func BenchmarkAblationSRAMSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNoCMulticast quantifies the interconnect-energy saving
-// of tree multicast over unicast operand distribution.
-func BenchmarkAblationNoCMulticast(b *testing.B) {
-	l := experiments.CB2a3()
-	base := config.New().WithSRAM(128, 128, 64)
-	spec := partition.Spec{
-		Parts: analytical.Partitioning{Pr: 4, Pc: 4},
-		Shape: analytical.Shape{R: 16, C: 16},
-	}
-	for _, frac := range []float64{0, 0.5} {
-		name := "unicast"
-		if frac > 0 {
-			name = "multicast50"
-		}
-		b.Run(name, func(b *testing.B) {
-			nocCfg := noc.Default()
-			var e float64
-			for i := 0; i < b.N; i++ {
-				res, err := partition.Run(l, base, spec, partition.Options{
-					NoC: &nocCfg, MulticastFraction: frac,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				e = res.Energy.NoC
-			}
-			b.ReportMetric(e, "noc-energy")
-		})
-	}
-}
-
 // BenchmarkAblationParallel measures the partition-level parallel speedup
 // of the scale-out runner itself (the simulator's own performance, not the
 // modeled hardware's).
@@ -186,7 +154,7 @@ func BenchmarkAblationParallel(b *testing.B) {
 		name := map[int]string{1: "serial", 4: "workers4", 0: "gomaxprocs"}[workers]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := partition.Run(l, base, spec, partition.Options{Parallel: workers}); err != nil {
+				if _, err := partition.Run(l, base, spec, partition.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -237,7 +205,7 @@ func BenchmarkExtensionBandwidthCurve(b *testing.B) {
 	cfg := config.New().WithArray(32, 32).WithSRAM(64, 64, 32)
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.BandwidthCurve(l, cfg, []float64{1, 4, 16, 64})
+		points, err := experiments.BandwidthCurve(l, cfg, []float64{1, 4, 16, 64}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -257,7 +257,7 @@ func BenchmarkFig12(b *testing.B) {
 		rows := series[2]
 		best := rows[0]
 		for _, r := range rows[1:] {
-			if r.Energy.Total() < best.Energy.Total() {
+			if r.Node.Energy.Total() < best.Node.Energy.Total() {
 				best = r
 			}
 		}
@@ -653,6 +653,45 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		before = after
 	}
 	requireReplayed(b, rec)
+}
+
+// BenchmarkPartsOneByOne runs ResNet50 on one array twice over, as a plain
+// run and as a 1x1 scale-out system (core.Options.Parts), which describe the
+// same machine with the same 5,274,776 cycles. A partitioned layer is a core
+// node, so both take the run plan's replay, its table reserve and its
+// fan-out, and the two sub-benchmarks' ns/op and B/op should stay within a
+// few percent of each other. A pass above 16 MB, as BenchmarkResNet50Cold
+// bounds it, has lost one of them.
+func BenchmarkPartsOneByOne(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		parts analytical.Partitioning
+	}{{"plain", analytical.Partitioning{}}, {"1x1", analytical.Partitioning{Pr: 1, Pc: 1}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sim, err := core.New(config.New(), core.Options{Workers: 1, Parts: c.parts})
+			if err != nil {
+				b.Fatal(err)
+			}
+			topo := topology.ResNet50()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				res, err := sim.Simulate(topo)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.TotalCycles != 5274776 {
+					b.Fatalf("ResNet50 cycles = %d", res.TotalCycles)
+				}
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+					b.Fatalf("pass %d allocated %d bytes, want at most 16 MB", i, got)
+				}
+				before = after
+			}
+		})
+	}
 }
 
 // requireReplayed fails a cold benchmark whose buffers replayed no block

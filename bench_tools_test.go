@@ -1,16 +1,14 @@
 // Benchmarks for the analysis and orchestration tooling built around the
-// simulator: the reuse profiler, the batch sweep runner, the NoC analysis,
-// the stall analyzer, and the chart renderer.
+// simulator: the reuse profiler, the batch sweep runner, the stall
+// analyzer, and the chart renderer.
 package scalesim_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"scalesim/internal/batch"
 	"scalesim/internal/config"
 	"scalesim/internal/job"
-	"scalesim/internal/noc"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 	"scalesim/internal/trace"
@@ -51,23 +49,6 @@ func BenchmarkBatchSweep(b *testing.B) {
 		}
 		if len(res.Rows) != 4 {
 			b.Fatal("grid size")
-		}
-	}
-}
-
-// BenchmarkNoCAnalyze measures link-exact mesh analysis for a 16x16 grid.
-func BenchmarkNoCAnalyze(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var traffic []noc.Traffic
-	for i := int64(0); i < 16; i++ {
-		for j := int64(0); j < 16; j++ {
-			traffic = append(traffic, noc.Traffic{Pi: i, Pj: j, Words: rng.Int63n(1 << 20)})
-		}
-	}
-	cfg := noc.Default()
-	for i := 0; i < b.N; i++ {
-		if _, err := noc.Analyze(16, 16, traffic, cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

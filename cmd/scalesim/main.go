@@ -17,8 +17,9 @@
 // -graph loads an operator-graph JSON file (scalesim.graph/v1); graph
 // workloads run in the graph's topological order and additionally emit an
 // operators report. -parts runs every layer of a flat topology scale-out
-// on a grid of -array-shaped partitions and prints the scaleout report;
-// it does not combine with graphs, -dram, -dram-bw, -traces or -json.
+// on a grid of -array-shaped partitions and prints the scaleout report
+// (-json dumps the run with each layer's partition ledgers); it does not
+// combine with graphs, -dram, -dram-bw or -traces.
 // -metrics writes a machine-readable run
 // manifest (per-layer cycles and wall timings, engine span aggregates,
 // runtime stats), -progress reports per-layer completion to stderr, and
@@ -65,7 +66,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		useDRAM  = fs.Bool("dram", false, "replay DRAM traces through the DDR3 timing model")
 		asJSON   = fs.Bool("json", false, "emit the full result as JSON instead of the summary")
 		partsArg = fs.String("parts", "", "run scale-out: partition grid as PrxPc (e.g. 2x4); -array sets the per-partition shape")
-		workers  = fs.Int("workers", 0, "layers (under -parts: partitions of a layer) simulated concurrently (0 = number of CPUs, 1 = sequential)")
+		workers  = fs.Int("workers", 0, "layers (under -parts: partition windows) simulated concurrently (0 = number of CPUs, 1 = sequential)")
 		dramBW   = fs.Float64("dram-bw", 0, "bound the DRAM link in words/cycle and compute stall cycles (0 = unbounded)")
 		vlanes   = fs.Int("vector-lanes", 0, "vector-unit lanes for softmax/layernorm/eltwise nodes (0 = array width)")
 	)
@@ -113,9 +114,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if *partsArg != "" {
 		if spec.Parts, err = job.ParseParts(*partsArg); err != nil {
 			return err
-		}
-		if *asJSON {
-			return fmt.Errorf("-parts does not support -json: a scale-out result is not a RunResult")
 		}
 		if *traces {
 			return fmt.Errorf("-parts does not support -traces: sibling partitions of a layer would share trace files")
@@ -166,7 +164,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(result.Run)
-	case result.ScaleOut != nil:
+	case result.Run.Parts != nil:
 		fmt.Fprintf(stdout, "scale-out: %s partitions of %dx%d, %d MACs total | topology %s\n", spec.Parts,
 			cfg.ArrayHeight, cfg.ArrayWidth, spec.Parts.Count()*int64(cfg.MACs()), topo.Name)
 		return result.WriteReport(stdout, "scaleout")

@@ -161,7 +161,6 @@ func TestPartsFlagMatrix(t *testing.T) {
 		{flags: []string{"-dram-bw", "0.5"}, refused: "DRAMBandwidth"},
 		{flags: []string{"-traces", "-outdir", "@/out", "-timeline", "@/tl.json"}, refused: "-parts does not support -traces"},
 		{flags: []string{"-traces", "-timeline", "@/tl.json", "-cache-dir", "@/cache"}, refused: "-traces requires -outdir"},
-		{flags: []string{"-json"}, refused: "-json"},
 		{flags: []string{"-graph", graphPath}, refused: "Graph"},
 		{flags: []string{"-net", "BERTTiny"}, refused: "Graph"},
 		{flags: []string{"-outdir", "@/out"}, artefact: "out/scale_sim_scaleout.csv"},
@@ -227,8 +226,41 @@ func TestPartsFlagMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, table, _ := strings.Cut(want.String(), "\n"); string(csv) != table {
+	_, table, _ := strings.Cut(want.String(), "\n")
+	if string(csv) != table {
 		t.Errorf("scaleout.csv differs from the stdout table:\n%s\n--\n%s", csv, table)
+	}
+
+	// -json dumps the run the table is rendered from: each layer's cycles
+	// are the table's column, and each partition's books close on them.
+	var buf bytes.Buffer
+	if err := run(append(base[:len(base)-1:len(base)-1], "2x2", "-json"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var res scalesim.RunResult
+	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+		t.Fatalf("-parts -json does not decode: %v", err)
+	}
+	var want2x2 bytes.Buffer
+	if err := run(append(base[:len(base)-1:len(base)-1], "2x2"), &want2x2); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(want2x2.String()), "\n")[2:]
+	if len(res.Layers) != len(rows)-1 || res.Parts == nil || res.Parts.String() != "2x2" {
+		t.Fatalf("%d layers, grid %v, for %d table rows", len(res.Layers), res.Parts, len(rows)-1)
+	}
+	for i, lr := range res.Layers {
+		if cycles := strings.Split(rows[i], ",")[1]; strconv.FormatInt(lr.Compute.Cycles, 10) != cycles {
+			t.Errorf("layer %d: -json cycles %d, table %s", i, lr.Compute.Cycles, cycles)
+		}
+		if len(lr.Partitions) == 0 {
+			t.Errorf("layer %d: no partition ledgers", i)
+		}
+		for _, p := range lr.Partitions {
+			if err := p.Check(); err != nil || p.Total != lr.Compute.Cycles {
+				t.Errorf("layer %d partition (%d,%d): total %d of %d cycles: %v", i, p.Pi, p.Pj, p.Total, lr.Compute.Cycles, err)
+			}
+		}
 	}
 }
 
@@ -550,8 +582,8 @@ func TestScaleOutMode(t *testing.T) {
 // TestScaleOutTimeline pins the structure of a -parts timeline: one
 // simulated-machine process per layer carrying one thread per active
 // partition (its span, fold schedule and "p<i>."-prefixed counter tracks),
-// each followed by a host-engine process whose job spans are named after
-// the partitions they ran.
+// followed by the run's one host-engine process, whose job spans are named
+// after the layers and partitions they ran.
 func TestScaleOutTimeline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tl.json")
 	var buf bytes.Buffer
@@ -609,11 +641,12 @@ func TestScaleOutTimeline(t *testing.T) {
 	// second partition row idle: 4, 4 and 2 active partitions.
 	layers := []string{"conv1", "conv2", "fc1"}
 	active := []int{4, 4, 2}
-	if len(order) != 2*len(layers) {
-		t.Fatalf("%d processes, want a machine and a host process per layer", len(order))
+	if len(order) != len(layers)+1 {
+		t.Fatalf("%d processes, want a machine process per layer and a host process", len(order))
 	}
+	host := procs[order[len(layers)]]
 	for li, layer := range layers {
-		machine, host := procs[order[2*li]], procs[order[2*li+1]]
+		machine := procs[order[li]]
 		if want := "simulated machine: " + layer + " on 2x2 partitions of 8x8"; machine.name != want {
 			t.Errorf("layer %d: machine process %q, want %q", li, machine.name, want)
 		}
@@ -639,8 +672,8 @@ func TestScaleOutTimeline(t *testing.T) {
 			if machine.spans[name] != 1 {
 				t.Errorf("%s: %d machine spans named %q, want 1", layer, machine.spans[name], name)
 			}
-			if host.spans[name] != 1 {
-				t.Errorf("%s: %d host-engine spans named %q, want 1", layer, host.spans[name], name)
+			if host.spans[layer+" "+name] != 1 {
+				t.Errorf("%s: %d host-engine spans named %q, want 1", layer, host.spans[layer+" "+name], layer+" "+name)
 			}
 			for _, track := range []string{"sram.ifmap_read", "sram.filter_read", "sram.ofmap_write", "dram.read", "dram.write"} {
 				if full := "p" + strconv.FormatInt(tid, 10) + "." + track; machine.counters[full] == 0 {

@@ -135,13 +135,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	sweep := func(series []partition.Series) ([][]partition.Result, error) {
 		base := experiments.Fig11Base()
 		out, err := partition.Sweep(series, pc, base, *minDim, partition.Options{Obs: rec, Progress: prog})
-		var points []partition.Point
-		for i, rs := range out {
-			for _, r := range rs {
-				points = append(points, series[i].Point(r.Spec))
-			}
+		for _, r := range slices.Concat(out...) {
+			units = append(units, r.Unit)
 		}
-		units = partition.Units(points, slices.Concat(out...), int64(base.WordBytes))
 		return out, err
 	}
 
@@ -227,7 +223,7 @@ func run(args []string, stdout io.Writer) (err error) {
 				for _, r := range results[i] {
 					fmt.Fprintf(w, "%s,%d,%d,%s,%d,%.4f,%.4f,%d,%d\n",
 						s.Layer.Name, s.MACs, r.Spec.Parts.Count(), r.Spec, r.Cycles,
-						r.AvgDRAMBW(), r.PeakDRAMBW, r.DRAMReads, r.DRAMWrites)
+						r.AvgDRAMBW(), r.PeakDRAMBW(), r.Node.Memory.DRAMReads(), r.Node.Memory.OfmapDRAMWrites)
 				}
 			}
 			return nil
@@ -247,7 +243,7 @@ func run(args []string, stdout io.Writer) (err error) {
 				for _, r := range results[i] {
 					fmt.Fprintf(w, "%s,%d,%d,%.0f,%.0f,%.0f,%.0f\n",
 						s.Layer.Name, s.MACs, r.Spec.Parts.Count(),
-						r.Energy.Array, r.Energy.SRAM, r.Energy.DRAM, r.Energy.Total())
+						r.Node.Energy.Array, r.Node.Energy.SRAM, r.Node.Energy.DRAM, r.Node.Energy.Total())
 				}
 			}
 			return nil
@@ -280,9 +276,12 @@ func run(args []string, stdout io.Writer) (err error) {
 			}
 			cfg := config.New().WithArray(32, 32).WithSRAM(512, 512, 256)
 			bws := []float64{0.5, 1, 2, 4, 8, 16, 32, 64, 128}
-			points, err := experiments.BandwidthCurve(l, cfg, bws)
+			points, err := experiments.BandwidthCurve(l, cfg, bws, rec)
 			if err != nil {
 				return err
+			}
+			for _, p := range points {
+				units = append(units, p.Unit)
 			}
 			if *plot {
 				return plotBWCurve(w, l.Name, points)

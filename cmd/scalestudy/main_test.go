@@ -411,6 +411,39 @@ func TestBWCurveCommand(t *testing.T) {
 	}
 }
 
+// TestBWCurveMetricsManifest: bwcurve records its simulations into the
+// study's manifest — one unit per bandwidth point, each a closed cycle node
+// whose roofline sits against the point's bandwidth, and the engine spans
+// of the points' runs.
+func TestBWCurveMetricsManifest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.json")
+	var buf bytes.Buffer
+	if err := run([]string{"bwcurve", "-layer", "CB2a_3", "-metrics", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obsv.ParseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := lines(buf.String()) - 1
+	if len(m.Layers) != points || m.Spans == nil || m.Spans.Jobs == 0 {
+		t.Fatalf("%d units and spans %+v for %d bandwidth points", len(m.Layers), m.Spans, points)
+	}
+	if err := m.CycleAccounting.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range m.CycleAccounting.Roofline {
+		if e := m.Layers[i]; row.Name != e.Name || e.Name != fmt.Sprintf("CB2a_3@%gwpc", row.LinkWordsPerCycle) ||
+			e.Cycles+e.StallCycles != m.CycleAccounting.Nodes[i].Total {
+			t.Errorf("unit %d: entry %+v, roofline %+v", i, e, row)
+		}
+	}
+}
+
 func TestPlotModes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"bwcurve", "-layer", "CB2a_3", "-plot"}, &buf); err != nil {

@@ -49,7 +49,7 @@ func main() {
 	for _, r := range results {
 		fmt.Printf("%-10d %-14s %10d %9.2f B/c %9.2f B/c %14.3e\n",
 			r.Spec.Parts.Count(), r.Spec.Shape.String(), r.Cycles,
-			r.AvgDRAMBW(), r.PeakDRAMBW, r.Energy.Total())
+			r.AvgDRAMBW(), r.PeakDRAMBW(), r.Node.Energy.Total())
 	}
 
 	// 3. The sweet spot.

@@ -19,18 +19,22 @@
 // fans their leaders out on the one engine.RunObserved, each under one
 // panic guard, and replays the rest. Simulate and SimulateGraph run a
 // topology's nodes through it, SimulateLayer and SimulateNode a single
-// node, and SimulateWindows the spatial windows of a layer — the
-// partitions of a scale-out system; package partition only enumerates the
-// windows and joins their results.
+// node. With Options.Parts set the system is a grid of arrays, and a
+// layer is its Eq. 5 spatial windows, one context per partition that
+// receives work (parts.go): every window of every layer goes through the
+// one execute, and a per-node Eq. 6 join builds the layer's result.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
 	"scalesim/internal/energy"
@@ -102,6 +106,13 @@ type Options struct {
 	// This is how a job runner stops a running simulation without killing
 	// the process; results produced before the abort are discarded.
 	Context context.Context
+	// Parts, when set, simulates a scale-out system: a Pr x Pc grid of
+	// arrays shaped like the configuration's, each with an even share of
+	// its SRAM (at least 1 KiB each). Every layer runs as one spatial
+	// window per partition (Eq. 5) and finishes with its slowest partition
+	// (Eq. 6). The zero value is one array. Parts takes no DRAM model, link
+	// bound, trace files, caller sinks or graph workload (Validate).
+	Parts analytical.Partitioning
 }
 
 // LayerResult is everything the simulator learns about one layer (or
@@ -133,8 +144,14 @@ type LayerResult struct {
 	// Ledger is the layer's cycle-accounting ledger: every cycle of
 	// StalledCycles() binned into the cycleacct taxonomy, with
 	// sum(bins) == Total enforced by the analyze stage. Cache hits
-	// replay the ledger recorded with the entry.
+	// replay the ledger recorded with the entry. A partitioned layer's
+	// ledger aggregates its Partitions, so its Total counts provisioned
+	// array-cycles: partitions x runtime.
 	Ledger *cycleacct.Ledger
+	// Partitions holds one closed ledger per partition that received work
+	// under Options.Parts, each stretched to the layer's runtime by a
+	// partition_skew_wait bin; nil for a layer run on one array.
+	Partitions []cycleacct.PartitionLedger `json:",omitempty"`
 }
 
 // StalledCycles returns the runtime including memory stalls.
@@ -159,6 +176,9 @@ type RunResult struct {
 	TotalMACs int64
 	// TotalEnergy sums the per-layer breakdowns.
 	TotalEnergy energy.Breakdown
+	// Parts is the partition grid the run was simulated on (Options.Parts);
+	// nil for one array.
+	Parts *analytical.Partitioning `json:",omitempty"`
 }
 
 // DRAMReads returns the network's total DRAM read words.
@@ -190,8 +210,12 @@ func (r RunResult) AvgBandwidth() float64 {
 
 // Simulator executes layers under one architecture configuration.
 type Simulator struct {
-	cfg config.Config
-	opt Options
+	// base is the configuration New was given, the run's; cfg is what one
+	// array simulates: base itself, or with Options.Parts one partition's
+	// share of its SRAM. arrays counts the system's arrays.
+	base, cfg config.Config
+	arrays    int64
+	opt       Options
 	// traces is the trace-file factory when Options.TraceDir is set, empty
 	// otherwise.
 	traces engine.Registry
@@ -213,31 +237,66 @@ type Simulator struct {
 	spare   []*memory.Tables
 }
 
-// New validates the configuration and builds a Simulator.
+// New validates the configuration and the options and builds a
+// Simulator.
 func New(cfg config.Config, opt Options) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	switch bw := opt.DRAMBandwidth; {
-	case bw < 0:
-		return nil, fmt.Errorf("core: negative DRAM bandwidth %v", bw)
-	case math.IsNaN(bw) || math.IsInf(bw, 0):
-		return nil, fmt.Errorf("core: non-finite DRAM bandwidth %v", bw)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	if opt.DRAM != nil {
-		if err := opt.DRAM.Validate(); err != nil {
-			return nil, err
-		}
+	s := &Simulator{base: cfg, cfg: cfg, arrays: 1, opt: opt, planned: resultsOnly(opt)}
+	if s.partitioned() {
+		s.arrays = opt.Parts.Count()
+		s.cfg = partitionConfig(cfg, s.arrays)
 	}
-
-	s := &Simulator{cfg: cfg, opt: opt, planned: resultsOnly(opt)}
 	if opt.TraceDir != "" {
 		s.traces = engine.Registry{engine.CSVTrace(opt.TraceDir)}
 	}
 	s.cache = s.planned && opt.Cache != nil
-	s.keyPrefix, s.keySuffix = keyAffixes(cfg, opt)
+	s.keyPrefix, s.keySuffix = keyAffixes(s.cfg, opt)
 	return s, nil
 }
+
+// Validate reports the first option New refuses: a link bound that is
+// negative or not finite, an invalid DRAM model, a Parts grid with a
+// dimension below 1 and, beside Parts, a DRAM model or link bound (a memory
+// shared by the partitions is not modelled), trace files or caller sinks
+// (sibling partitions of a layer would share them). SimulateGraph refuses a
+// graph beside Parts (ErrPartsGraph).
+func (o Options) Validate() error {
+	switch bw := o.DRAMBandwidth; {
+	case bw < 0:
+		return fmt.Errorf("core: negative DRAM bandwidth %v", bw)
+	case math.IsNaN(bw) || math.IsInf(bw, 0):
+		return fmt.Errorf("core: non-finite DRAM bandwidth %v", bw)
+	}
+	if o.DRAM != nil {
+		if err := o.DRAM.Validate(); err != nil {
+			return err
+		}
+	}
+	if o.Parts == (analytical.Partitioning{}) {
+		return nil
+	}
+	switch {
+	case o.Parts.Pr < 1 || o.Parts.Pc < 1:
+		return fmt.Errorf("core: invalid Parts %s (want PrxPc, both at least 1)", o.Parts)
+	case o.DRAM != nil:
+		return fmt.Errorf("core: Parts does not support DRAM: a memory shared by the partitions is not modelled")
+	case o.DRAMBandwidth != 0:
+		return fmt.Errorf("core: Parts does not support DRAMBandwidth: a link shared by the partitions is not modelled")
+	case o.TraceDir != "":
+		return fmt.Errorf("core: Parts does not support TraceDir: sibling partitions of a layer would share trace files")
+	case len(o.Sinks) > 0:
+		return fmt.Errorf("core: Parts does not support Sinks: sibling partitions of a layer would share their consumers")
+	}
+	return nil
+}
+
+// ErrPartsGraph refuses an operator-graph workload beside Options.Parts.
+var ErrPartsGraph = errors.New("core: Parts runs layers on a partitioned system and does not support a Graph workload")
 
 // SimulateLayer runs one layer through the map/sinks/compute/analyze
 // pipeline (see pipeline.go): mapping and cache lookup, live trace
@@ -248,11 +307,17 @@ func (s *Simulator) SimulateLayer(l topology.Layer) (LayerResult, error) {
 }
 
 // SimulateNode runs one operator-graph node through the same pipeline;
-// vector-shaped nodes take the vector-unit compute path.
+// vector-shaped nodes take the vector-unit compute path. Under
+// Options.Parts the node runs as its partitions' windows, joined.
 func (s *Simulator) SimulateNode(n topology.Node) (LayerResult, error) {
-	ctx := newLayerContext(0, n)
-	_, err := s.execute([]*LayerContext{ctx}, "layer", nil)
-	return ctx.Result, err
+	if s.partitioned() && n.Kind.Vector() {
+		return LayerResult{}, fmt.Errorf("core: node %q: Parts runs matmul layers only", n.Name)
+	}
+	ctxs := s.contexts(nil, 0, n)
+	if _, err := s.execute(ctxs, "layer", nil); err != nil {
+		return LayerResult{}, err
+	}
+	return s.result(ctxs)
 }
 
 // execute is the one way core runs contexts — a topology's nodes, one
@@ -348,52 +413,6 @@ func guarded(what string, job func() error) (err error) {
 	return nil
 }
 
-// WindowRun is what SimulateWindows joins.
-type WindowRun struct {
-	// Windows holds one result per window, in input order: the window's
-	// own cycles, traffic and closed ledger, knowing nothing of its
-	// siblings.
-	Windows []LayerResult
-	// Recorders (aligned with Windows) and Spans carry the run's timeline
-	// events when Options.Timeline is set; only the caller knows where its
-	// windows go in time (partitions run side by side, layers do not).
-	Recorders []*timeline.LayerRecorder
-	Spans     []obsv.Span
-}
-
-// SimulateWindows runs spatial slices of one layer — the partitions of a
-// scale-out system, Eq. 5 — each through the pipeline a whole layer takes
-// (a window is a LayerContext with Window set), planned and fanned out by
-// execute like the layers of a topology. Windows are not layers: they report no
-// per-layer observation or progress step, and nothing is serialized or
-// summed across them; the join (Eq. 6) belongs to the caller.
-//
-// Per-window consumers are labeled with the layer's name alone, so trace
-// files of sibling windows would overwrite one another: TraceDir is
-// rejected.
-func (s *Simulator) SimulateWindows(l topology.Layer, wins []systolic.Window) (WindowRun, error) {
-	if s.opt.TraceDir != "" {
-		return WindowRun{}, fmt.Errorf("core: layer %q: per-window trace files are not supported", l.Name)
-	}
-	ctxs := make([]*LayerContext, len(wins))
-	for i, w := range wins {
-		ctxs[i] = newLayerContext(i, topology.NodeOf(l))
-		ctxs[i].Window = w
-	}
-	spans, err := s.execute(ctxs, "layer", nil)
-	if err != nil {
-		return WindowRun{}, err
-	}
-	run := WindowRun{Windows: make([]LayerResult, 0, len(ctxs)), Spans: spans}
-	for _, ctx := range ctxs {
-		run.Windows = append(run.Windows, ctx.Result)
-		if s.opt.Timeline != nil {
-			run.Recorders = append(run.Recorders, ctx.rec)
-		}
-	}
-	return run, nil
-}
-
 // Simulate runs every layer of the topology — concurrently up to
 // Options.Workers, with results joined in layer order — and aggregates the
 // serialized execution totals.
@@ -408,7 +427,7 @@ func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
 	for i, l := range topo.Layers {
 		nodes[i] = topology.NodeOf(l)
 	}
-	return s.runNodes(RunResult{Config: s.cfg, Topology: topo}, nodes)
+	return s.runNodes(RunResult{Config: s.base, Topology: topo}, nodes)
 }
 
 // runNodes is the orchestration body behind Simulate and SimulateGraph:
@@ -416,9 +435,11 @@ func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
 // already names — and fills in run's results and totals.
 //
 // The modeled hardware runs one node at a time whatever the graph's edges
-// say, and no node's result depends on another's, so the nodes go through
+// say, and no node's result depends on another's, so the nodes' contexts
+// (the node itself, or under Parts its partitions' windows) go through
 // execute as independent jobs; what is a layer's alone — its wall time,
-// its progress step, its serialized cycle offset — is added here.
+// its progress step, its Eq. 6 join, its serialized cycle offset — is
+// added here.
 func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, error) {
 	noun := "layer"
 	if run.Graph != nil {
@@ -426,14 +447,30 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	}
 	s.opt.Progress.Start(len(nodes))
 	obs := s.opt.Obs
-	ctxs := make([]*LayerContext, len(nodes))
+	// Node i's contexts are ctxs[first[i]:first[i+1]]. A node is done when
+	// the last of them is (left), and its wall time is theirs summed (busy).
+	ctxs := make([]*LayerContext, 0, len(nodes))
+	first := make([]int, len(nodes)+1)
 	for i, n := range nodes {
-		ctxs[i] = newLayerContext(i, n)
+		first[i] = len(ctxs)
+		ctxs = s.contexts(ctxs, i, n)
+	}
+	first[len(nodes)] = len(ctxs)
+	left, busy := make([]atomic.Int64, len(nodes)), make([]atomic.Int64, len(nodes))
+	for i := range nodes {
+		left[i].Store(int64(first[i+1] - first[i]))
 	}
 	stop := obs.Phase("core.simulate")
 	spans, err := s.execute(ctxs, noun, func(ctx *LayerContext, start time.Time) {
+		i := ctx.Index
 		if obs.Enabled() {
-			obs.ObserveLayer(ctx.Index, time.Since(start))
+			busy[i].Add(int64(time.Since(start)))
+		}
+		if left[i].Add(-1) > 0 {
+			return
+		}
+		if obs.Enabled() {
+			obs.ObserveLayer(i, time.Duration(busy[i].Load()))
 		}
 		s.opt.Progress.Step(ctx.Layer.Name)
 	})
@@ -443,20 +480,28 @@ func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, e
 	}
 
 	defer obs.Phase("core.aggregate")()
-	// The modeled hardware executes layers serially: cumulative cycle
-	// offsets and totals are computed after the parallel join, in layer
-	// order, so they match a sequential run exactly.
-	run.Layers = make([]LayerResult, len(nodes))
 	var simulated, replayed int64
-	for i, ctx := range ctxs {
+	for _, ctx := range ctxs {
 		if ctx.live() {
 			simulated++
 		}
 		if ctx.Replayed {
 			replayed++
 		}
+	}
+	// The modeled hardware executes layers serially: cumulative cycle
+	// offsets and totals are computed after the parallel join, in layer
+	// order, so they match a sequential run exactly.
+	run.Layers = make([]LayerResult, len(nodes))
+	if s.partitioned() {
+		parts := s.opt.Parts
+		run.Parts = &parts
+	}
+	for i := range nodes {
 		lr := &run.Layers[i]
-		*lr = ctx.Result
+		if *lr, err = s.result(ctxs[first[i]:first[i+1]]); err != nil {
+			return RunResult{}, err
+		}
 		lr.StartCycle = run.TotalCycles
 		run.TotalCycles += lr.Compute.Cycles
 		run.TotalMACs += lr.Compute.MACs

@@ -13,6 +13,9 @@ import "scalesim/internal/topology"
 // Simulate's, so results, traces and reports are byte-identical for every
 // worker count.
 func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
+	if s.partitioned() {
+		return RunResult{}, ErrPartsGraph
+	}
 	stop := s.opt.Obs.Phase("core.validate")
 	err := g.Validate()
 	stop()
@@ -31,5 +34,5 @@ func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
 		l.Name = n.Name
 		topo.Layers[i] = l
 	}
-	return s.runNodes(RunResult{Config: s.cfg, Topology: topo, Graph: &g}, nodes)
+	return s.runNodes(RunResult{Config: s.base, Topology: topo, Graph: &g}, nodes)
 }

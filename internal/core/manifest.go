@@ -8,41 +8,15 @@ import (
 )
 
 // Manifest assembles the machine-readable record of a completed run: the
-// configuration hash and topology identity, one entry per layer (cycles,
-// utilization, stalls, DRAM traffic, wall time) with its checked cycle
-// ledger and roofline row — positioned against the array's compute ceiling
-// (the vector unit's lanes for vector nodes) and Options.DRAMBandwidth
-// (zero: unbounded, so compute-bound) — and, when Options.Obs was
-// attached, phase timings, engine span aggregates, metric snapshots and Go
-// runtime stats. Works with a nil recorder too; the manifest then carries
-// results without wall-clock costs. A layer whose books do not close is an
-// error.
+// configuration hash and topology identity, and one Unit per layer. When
+// Options.Obs was attached it also carries phase timings, engine span
+// aggregates, metric snapshots and Go runtime stats. Works with a nil
+// recorder too; the manifest then carries results without wall-clock
+// costs. A layer whose books do not close is an error.
 func (s *Simulator) Manifest(res RunResult) (*obsv.Manifest, error) {
-	peakMACs := float64(s.cfg.MACs())
-	wordBytes := int64(s.cfg.WordBytes)
 	units := make([]obsv.Unit, len(res.Layers))
 	for i, lr := range res.Layers {
-		e := obsv.LayerMetrics{
-			Name:        res.Topology.Layers[i].Name,
-			Op:          string(lr.Kind),
-			Cycles:      lr.Compute.Cycles,
-			StallCycles: lr.StallCycles,
-			StartCycle:  lr.StartCycle,
-			MACs:        lr.Compute.MACs,
-			DRAMReads:   lr.Memory.DRAMReads(),
-			DRAMWrites:  lr.Memory.OfmapDRAMWrites,
-		}
-		if lr.Compute.Cycles > 0 && peakMACs > 0 {
-			e.Utilization = float64(lr.Compute.MACs) / (peakMACs * float64(lr.Compute.Cycles))
-		}
-		ops, peak := lr.Compute.MACs, peakMACs
-		if lr.Vector != nil {
-			e.VectorOps = lr.Vector.Ops
-			ops, peak = lr.Vector.Ops, float64(s.cfg.Lanes())
-		}
-		row := cycleacct.NewRooflineRow(e.Name, e.Op, ops, lr.Memory.DRAMAccesses()*wordBytes,
-			lr.StalledCycles(), peak, s.opt.DRAMBandwidth, wordBytes)
-		units[i] = obsv.Unit{Entry: e, Ledger: lr.Ledger, Roofline: &row}
+		units[i] = s.Unit(res.Topology.Layers[i].Name, lr)
 	}
 	m, err := s.opt.Obs.Record(units)
 	if err != nil {
@@ -62,4 +36,36 @@ func (s *Simulator) Manifest(res RunResult) (*obsv.Manifest, error) {
 	m.Cache = s.opt.Cache.ManifestStats()
 	m.Timeline = s.opt.Timeline.Summary(m.Layers)
 	return m, nil
+}
+
+// Unit states one node's result under name as the unit obsv.Recorder.Record
+// rolls up: its entry (cycles, utilization, stalls, start cycle, DRAM
+// traffic), its ledger with any partition ledgers, and its roofline row —
+// positioned against the system's compute ceiling (every array of the
+// Parts grid; the vector unit's lanes for vector nodes) and
+// Options.DRAMBandwidth (zero: unbounded, so compute-bound).
+func (s *Simulator) Unit(name string, lr LayerResult) obsv.Unit {
+	peakMACs := float64(int64(s.cfg.MACs()) * s.arrays)
+	wordBytes := int64(s.cfg.WordBytes)
+	e := obsv.LayerMetrics{
+		Name:        name,
+		Op:          string(lr.Kind),
+		Cycles:      lr.Compute.Cycles,
+		StallCycles: lr.StallCycles,
+		StartCycle:  lr.StartCycle,
+		MACs:        lr.Compute.MACs,
+		DRAMReads:   lr.Memory.DRAMReads(),
+		DRAMWrites:  lr.Memory.OfmapDRAMWrites,
+	}
+	if lr.Compute.Cycles > 0 && peakMACs > 0 {
+		e.Utilization = float64(lr.Compute.MACs) / (peakMACs * float64(lr.Compute.Cycles))
+	}
+	ops, peak := lr.Compute.MACs, peakMACs
+	if lr.Vector != nil {
+		e.VectorOps = lr.Vector.Ops
+		ops, peak = lr.Vector.Ops, float64(s.cfg.Lanes())
+	}
+	row := cycleacct.NewRooflineRow(e.Name, e.Op, ops, lr.Memory.DRAMAccesses()*wordBytes,
+		lr.StalledCycles(), peak, s.opt.DRAMBandwidth, wordBytes)
+	return obsv.Unit{Entry: e, Ledger: lr.Ledger, Partitions: lr.Partitions, Roofline: &row}
 }

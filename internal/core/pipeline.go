@@ -56,7 +56,7 @@ type LayerContext struct {
 	// systolic path simulates and reports print.
 	Layer topology.Layer
 	// Window is the slice of the layer's spatial space this context
-	// simulates: one partition of a scale-out system (SimulateWindows). The
+	// simulates: one partition of a scale-out system (Options.Parts). The
 	// zero value is the whole layer.
 	Window systolic.Window
 	// Key is the canonical compute key, empty when the run is uncacheable.
@@ -83,6 +83,8 @@ type LayerContext struct {
 	// what a memory system with no spare tables to adopt sizes new ones
 	// for; zero sizes them for this node alone.
 	reserve [3]int64
+	// pi and pj locate a window's partition in the Parts grid.
+	pi, pj int64
 }
 
 func newLayerContext(index int, n topology.Node) *LayerContext {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/timeline"
@@ -28,25 +30,49 @@ func (s *Simulator) recordTimeline(ctx *LayerContext) {
 }
 
 // emitTimeline writes the run into the timeline writer: the
-// simulated-machine process first (each layer's buffered events placed at
-// its serialized StartCycle), then the host-engine process built from the
-// scheduler spans. Runs after aggregation, so it can never perturb
-// results.
-func (s *Simulator) emitTimeline(run RunResult, done []*LayerContext, spans []obsv.Span) {
+// simulated-machine processes first, then the host-engine process built
+// from the scheduler spans. One array runs one layer at a time, so a run
+// on it is one process, each layer's buffered events placed at its
+// serialized StartCycle. Partitions run side by side, so under Parts each
+// layer is its own process with one thread per partition (its span plus
+// fold schedule, counter tracks prefixed "p<i>."), all starting at cycle
+// zero. Runs after aggregation, so it can never perturb results.
+func (s *Simulator) emitTimeline(run RunResult, ctxs []*LayerContext, spans []obsv.Span) {
 	w := s.opt.Timeline
-	name := "simulated machine"
-	if run.Topology.Name != "" {
-		name += ": " + run.Topology.Name
+	name := func(i int) string { return ctxs[i].Layer.Name }
+	if s.partitioned() {
+		part := func(ctx *LayerContext) string { return fmt.Sprintf("partition %d,%d", ctx.pi, ctx.pj) }
+		var pid, tid int64
+		for i, ctx := range ctxs {
+			if i == 0 || ctx.Index != ctxs[i-1].Index {
+				pid = w.Process(fmt.Sprintf("simulated machine: %s on %s partitions of %dx%d",
+					ctx.Layer.Name, s.opt.Parts, s.cfg.ArrayHeight, s.cfg.ArrayWidth))
+				tid = 0
+			}
+			ctx.rec.Name = part(ctx)
+			w.Thread(pid, tid, ctx.rec.Name)
+			ctx.rec.Emit(w, pid, timeline.Placement{
+				Array: tid, DRAM: -1, Stall: -1,
+				TrackPrefix: fmt.Sprintf("p%d.", tid),
+			})
+			tid++
+		}
+		name = func(i int) string { return ctxs[i].Layer.Name + " " + part(ctxs[i]) }
+	} else {
+		title := "simulated machine"
+		if run.Topology.Name != "" {
+			title += ": " + run.Topology.Name
+		}
+		pid := w.Process(title)
+		w.Thread(pid, timeline.TIDArray, "array")
+		w.Thread(pid, timeline.TIDDRAM, "dram")
+		if s.opt.DRAMBandwidth > 0 {
+			w.Thread(pid, timeline.TIDStalls, "stalls")
+		}
+		for i, ctx := range ctxs {
+			ctx.rec.Emit(w, pid, timeline.DefaultPlacement(run.Layers[i].StartCycle))
+		}
 	}
-	pid := w.Process(name)
-	w.Thread(pid, timeline.TIDArray, "array")
-	w.Thread(pid, timeline.TIDDRAM, "dram")
-	if s.opt.DRAMBandwidth > 0 {
-		w.Thread(pid, timeline.TIDStalls, "stalls")
-	}
-	for i, ctx := range done {
-		ctx.rec.Emit(w, pid, timeline.DefaultPlacement(run.Layers[i].StartCycle))
-	}
-	// A timeline run is never planned: job i is layer i.
-	timeline.EmitEngineSpans(w, spans, func(i int) string { return run.Topology.Layers[i].Name })
+	// A timeline run is never planned: job i is context i.
+	timeline.EmitEngineSpans(w, spans, name)
 }

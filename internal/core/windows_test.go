@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/dram"
 	"scalesim/internal/engine"
@@ -49,6 +50,17 @@ func TestWholeLayerKeyUnchanged(t *testing.T) {
 	}
 }
 
+// windowContexts is the contexts a partitioned layer expands into, for
+// hand-picked windows.
+func windowContexts(l topology.Layer, wins ...systolic.Window) []*LayerContext {
+	ctxs := make([]*LayerContext, len(wins))
+	for i, w := range wins {
+		ctxs[i] = newLayerContext(i, topology.NodeOf(l))
+		ctxs[i].Window = w
+	}
+	return ctxs
+}
+
 // TestSimulateWindows: a window goes down the path a layer goes down. The
 // zero window is the layer — same result, same cache entry — windows are
 // not observed as layers, and what the path cannot label per window it
@@ -68,24 +80,25 @@ func TestSimulateWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	halves := []systolic.Window{{}, {SrLen: 72}, {SrOff: 72}}
-	run, err := sim.SimulateWindows(l, halves)
+	ctxs := windowContexts(l, halves...)
+	spans, err := sim.execute(ctxs, "layer", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(run.Windows[0], whole) {
-		t.Errorf("zero window differs from the layer:\nwindow %+v\nlayer  %+v", run.Windows[0], whole)
+	if !reflect.DeepEqual(ctxs[0].Result, whole) {
+		t.Errorf("zero window differs from the layer:\nwindow %+v\nlayer  %+v", ctxs[0].Result, whole)
 	}
 	if cache.Stats().Hits != 1 || cache.Stats().Misses != 3 {
 		t.Errorf("hits=%d misses=%d: want the zero window to replay the layer's entry and each half to miss",
 			cache.Stats().Hits, cache.Stats().Misses)
 	}
-	a, b := run.Windows[1], run.Windows[2]
+	a, b := ctxs[1].Result, ctxs[2].Result
 	if a.Compute.MACs+b.Compute.MACs != whole.Compute.MACs {
 		t.Errorf("halves perform %d + %d MACs, the layer %d", a.Compute.MACs, b.Compute.MACs, whole.Compute.MACs)
 	}
-	for i, w := range run.Windows {
-		if err := w.Ledger.Check(); err != nil || w.Ledger.Total != w.Compute.Cycles {
-			t.Errorf("window %d: ledger total %d, cycles %d, check: %v", i, w.Ledger.Total, w.Compute.Cycles, err)
+	for i, ctx := range ctxs {
+		if w := ctx.Result; w.Ledger.Check() != nil || w.Ledger.Total != w.Compute.Cycles {
+			t.Errorf("window %d: ledger total %d, cycles %d, check: %v", i, w.Ledger.Total, w.Compute.Cycles, w.Ledger.Check())
 		}
 	}
 	for i := range halves {
@@ -96,20 +109,19 @@ func TestSimulateWindows(t *testing.T) {
 	if got := len(rec.Spans()); got != 1+len(halves) {
 		t.Errorf("%d engine spans, want one for the layer and one per window (%d)", got, 1+len(halves))
 	}
-	if run.Recorders != nil || run.Spans != nil {
+	if spans != nil {
 		t.Error("timeline hand-back without a timeline")
 	}
 
-	if _, err := sim.SimulateWindows(l, []systolic.Window{{SrOff: 200}}); err == nil ||
+	if _, err := sim.execute(windowContexts(l, systolic.Window{SrOff: 200}), "layer", nil); err == nil ||
 		!strings.Contains(err.Error(), `"conv"`) {
 		t.Errorf("window outside the mapping: %v", err)
 	}
-	traced, err := New(cfg, Options{TraceDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := traced.SimulateWindows(l, halves); err == nil {
-		t.Error("per-window trace files accepted")
+	// Per-window consumers are labeled with the layer's name alone, so
+	// trace files of sibling windows would overwrite one another.
+	if _, err := New(cfg, Options{TraceDir: t.TempDir(), Parts: analytical.Partitioning{Pr: 2, Pc: 1}}); err == nil ||
+		!strings.Contains(err.Error(), "TraceDir") {
+		t.Errorf("per-window trace files accepted: %v", err)
 	}
 }
 
@@ -131,7 +143,7 @@ func TestSimulateWindowsPanickingSink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sim.SimulateWindows(l, wins)
+		_, err = sim.execute(windowContexts(l, wins...), "layer", nil)
 		if err == nil || !strings.Contains(err.Error(), `layer "conv" window {SrOff:72`) ||
 			!strings.Contains(err.Error(), "boom") {
 			t.Errorf("workers=%d: err = %v, want the panic under the layer's and window's name", workers, err)

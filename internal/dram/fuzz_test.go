@@ -1,17 +1,18 @@
 package dram_test
 
 import (
+	"io"
 	"reflect"
 	"sync"
 	"testing"
 
+	"scalesim/internal/analytical"
 	"scalesim/internal/config"
 	"scalesim/internal/core"
-	"scalesim/internal/dataflow"
 	"scalesim/internal/dram"
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
-	"scalesim/internal/systolic"
+	"scalesim/internal/obsv/timeline"
 	"scalesim/internal/topology"
 	"scalesim/internal/trace"
 )
@@ -36,17 +37,17 @@ var fuzzBandwidths = []float64{0, 1, 2, 3, 4, 8, 16, 0.7, 1.0 / 3, 2.5}
 
 // FuzzLayer is the layer's oracle: a drawn layer shape, dataflow, array,
 // SRAM sizes (WordBytes shrinks a KiB to a handful of words, so a buffer
-// can sit around one operand block), DRAM side, link bandwidth and
-// partition window (so tiles and blocks start at an offset) run once as the
-// product runs it — blocks proven and skipped or replayed, output tiles
-// proven fresh, sweeps taken whole by the SRAM buffers, the DRAM model and
-// the stall analyzer —
+// can sit around one operand block), DRAM side and link bandwidth — or a
+// partition grid, whose windows' tiles and blocks start at an offset — run
+// once as the product runs it — blocks proven and skipped or replayed,
+// output tiles proven fresh, sweeps taken whole by the SRAM buffers, the
+// DRAM model and the stall analyzer —
 // and once as a reference that hangs a live no-op sink on every SRAM and
-// DRAM stream, so no block or sweep reaches any consumer and every call is
-// made, and that feeds the DRAM streams to the per-word model (RefConsume)
-// as well. The results — cycles, memory report, DRAM statistics, stall cycles
-// and cycle ledger — must be DeepEqual, and the per-word model must
-// reproduce the DRAM statistics.
+// DRAM stream (a timeline's samplers, for a grid), so no block or sweep
+// reaches any consumer and every call is made, and that feeds the DRAM
+// streams to the per-word model (RefConsume) as well. The results — cycles,
+// memory report, DRAM statistics, stall cycles and cycle ledgers — must be
+// DeepEqual, and the per-word model must reproduce the DRAM statistics.
 func FuzzLayer(f *testing.F) {
 	// Seeds: OS/WS/IS GEMMs and convolutions, buffers of a few words to a
 	// few KiB, every DRAM side (the two-cycle bus slot under OS and WS),
@@ -73,13 +74,15 @@ func FuzzLayer(f *testing.F) {
 			return
 		}
 
-		// A partition window (wr = wc = 0: the whole layer): offsets and
-		// lengths in the mapping's spatial space.
-		var win systolic.Window
+		// A partition grid (wr = wc = 0: one array) of up to 4x4 arrays, so
+		// a partition's tiles and blocks start at an offset. A grid takes no
+		// DRAM side or link bound (a memory shared by the partitions is not
+		// modelled), and no caller sinks: its reference hangs a timeline
+		// instead, whose samplers are live consumers on every stream.
+		var parts analytical.Partitioning
 		if wr != 0 || wc != 0 {
-			m := dataflow.Map(l, cfg.Dataflow)
-			win.SrOff, win.ScOff = int64(wr)%m.Sr, int64(wc)%m.Sc
-			win.SrLen, win.ScLen = 1+int64(wr/3)%(m.Sr-win.SrOff), 1+int64(wc/3)%(m.Sc-win.ScOff)
+			parts = analytical.Partitioning{Pr: 1 + int64(wr%4), Pc: 1 + int64(wc%4)}
+			opt.DRAM, opt.DRAMBandwidth, opt.Parts = nil, 0, parts
 		}
 		run := func(opt core.Options) ([]core.LayerResult, *obsv.Recorder) {
 			opt.Obs = obsv.NewRecorder()
@@ -87,16 +90,9 @@ func FuzzLayer(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if win != (systolic.Window{}) {
-				wins, err := sim.SimulateWindows(l, []systolic.Window{win})
-				if err != nil {
-					t.Fatalf("%+v on %+v, window %+v: %v", l, cfg, win, err)
-				}
-				return wins.Windows, opt.Obs
-			}
 			res, err := sim.Simulate(topo)
 			if err != nil {
-				t.Fatalf("%+v on %+v: %v", l, cfg, err)
+				t.Fatalf("%+v on %+v, grid %s: %v", l, cfg, parts, err)
 			}
 			return res.Layers, opt.Obs
 		}
@@ -104,24 +100,28 @@ func FuzzLayer(f *testing.F) {
 
 		var mu sync.Mutex
 		var perWord []*dram.Model
-		opt.Sinks = engine.Registry{func(_ engine.Job, set *engine.SinkSet) error {
-			for _, st := range engine.Streams {
-				set.Attach(st, trace.ConsumerFunc(func(int64, []int64) {}))
-			}
-			if opt.DRAM != nil {
-				ref, err := dram.New(*opt.DRAM)
-				if err != nil {
-					return err
+		if opt.Parts != (analytical.Partitioning{}) {
+			opt.Timeline = timeline.New(io.Discard, timeline.Options{})
+		} else {
+			opt.Sinks = engine.Registry{func(_ engine.Job, set *engine.SinkSet) error {
+				for _, st := range engine.Streams {
+					set.Attach(st, trace.ConsumerFunc(func(int64, []int64) {}))
 				}
-				sink := trace.ConsumerFunc(func(cycle int64, addrs []int64) { dram.RefConsume(ref, cycle, addrs) })
-				set.Attach(engine.DRAMRead, sink)
-				set.Attach(engine.DRAMWrite, sink)
-				mu.Lock()
-				perWord = append(perWord, ref)
-				mu.Unlock()
-			}
-			return nil
-		}}
+				if opt.DRAM != nil {
+					ref, err := dram.New(*opt.DRAM)
+					if err != nil {
+						return err
+					}
+					sink := trace.ConsumerFunc(func(cycle int64, addrs []int64) { dram.RefConsume(ref, cycle, addrs) })
+					set.Attach(engine.DRAMRead, sink)
+					set.Attach(engine.DRAMWrite, sink)
+					mu.Lock()
+					perWord = append(perWord, ref)
+					mu.Unlock()
+				}
+				return nil
+			}}
+		}
 		reference, rec := run(opt)
 		for _, name := range []string{"memory.words_skipped", "memory.words_thrashed", "memory.words_first_touch",
 			"memory.words_fresh_write", "memory.sweeps", "dram.sweeps"} {
@@ -133,8 +133,8 @@ func FuzzLayer(f *testing.F) {
 		if !reflect.DeepEqual(product, reference) {
 			for i := range product {
 				p, r := product[i], reference[i]
-				t.Errorf("%+v on %+v, window %+v, DRAM %+v, link %v:\nproduct   %+v\n          DRAM %+v ledger %+v\nreference %+v\n          DRAM %+v ledger %+v",
-					l, cfg, win, opt.DRAM, opt.DRAMBandwidth, p, p.DRAMStats, p.Ledger, r, r.DRAMStats, r.Ledger)
+				t.Errorf("%+v on %+v, grid %s, DRAM %+v, link %v:\nproduct   %+v\n          DRAM %+v ledger %+v\nreference %+v\n          DRAM %+v ledger %+v",
+					l, cfg, parts, opt.DRAM, opt.DRAMBandwidth, p, p.DRAMStats, p.Ledger, r, r.DRAMStats, r.Ledger)
 			}
 			t.FailNow()
 		}

@@ -35,13 +35,10 @@ type Breakdown struct {
 	SRAM float64
 	// DRAM is DRAM accesses x DRAMAccess.
 	DRAM float64
-	// NoC is the interconnect transport energy of scale-out systems
-	// (hop-words x hop energy); zero for monolithic runs.
-	NoC float64
 }
 
 // Total returns the summed energy.
-func (b Breakdown) Total() float64 { return b.Array + b.SRAM + b.DRAM + b.NoC }
+func (b Breakdown) Total() float64 { return b.Array + b.SRAM + b.DRAM }
 
 // Add returns the component-wise sum of two breakdowns.
 func (b Breakdown) Add(o Breakdown) Breakdown {
@@ -49,7 +46,6 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 		Array: b.Array + o.Array,
 		SRAM:  b.SRAM + o.SRAM,
 		DRAM:  b.DRAM + o.DRAM,
-		NoC:   b.NoC + o.NoC,
 	}
 }
 

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/core"
 	"scalesim/internal/engine"
+	"scalesim/internal/obsv"
 	"scalesim/internal/topology"
 )
 
@@ -26,12 +28,17 @@ type BWPoint struct {
 	StallCycles int64
 	// Slowdown is (StallFreeCycles+StallCycles)/StallFreeCycles.
 	Slowdown float64
+	// Unit states the point as one manifest unit named <layer>@<bw>wpc
+	// (core.Simulator.Unit), its roofline against the point's bandwidth.
+	Unit obsv.Unit
 }
 
 // BandwidthCurve simulates the layer once per bandwidth point. The points
 // are independent full simulations, so they run on the shared engine's
-// worker pool; results come back in bandwidth order.
-func BandwidthCurve(l topology.Layer, cfg config.Config, bandwidths []float64) ([]BWPoint, error) {
+// worker pool; results come back in bandwidth order. Each point's
+// simulation is recorded into obs (which may be nil), and its wall time
+// as unit i.
+func BandwidthCurve(l topology.Layer, cfg config.Config, bandwidths []float64, obs *obsv.Recorder) ([]BWPoint, error) {
 	if len(bandwidths) == 0 {
 		return nil, fmt.Errorf("experiments: no bandwidth points")
 	}
@@ -42,7 +49,8 @@ func BandwidthCurve(l topology.Layer, cfg config.Config, bandwidths []float64) (
 	}
 	return engine.Run(0, len(bandwidths), func(i int) (BWPoint, error) {
 		bw := bandwidths[i]
-		sim, err := core.New(cfg, core.Options{DRAMBandwidth: bw})
+		t0 := time.Now()
+		sim, err := core.New(cfg, core.Options{DRAMBandwidth: bw, Obs: obs})
 		if err != nil {
 			return BWPoint{}, err
 		}
@@ -50,11 +58,13 @@ func BandwidthCurve(l topology.Layer, cfg config.Config, bandwidths []float64) (
 		if err != nil {
 			return BWPoint{}, err
 		}
+		obs.ObserveLayer(i, time.Since(t0))
 		return BWPoint{
 			BandwidthWordsPerCycle: bw,
 			StallFreeCycles:        lr.Compute.Cycles,
 			StallCycles:            lr.StallCycles,
 			Slowdown:               float64(lr.StalledCycles()) / float64(lr.Compute.Cycles),
+			Unit:                   sim.Unit(fmt.Sprintf("%s@%gwpc", l.Name, bw), lr),
 		}, nil
 	})
 }

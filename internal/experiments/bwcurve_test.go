@@ -10,7 +10,7 @@ func TestBandwidthCurveShape(t *testing.T) {
 	l := CB2a3()
 	cfg := config.New().WithArray(32, 32).WithSRAM(64, 64, 32)
 	bws := []float64{0.5, 1, 2, 4, 8, 16, 64}
-	points, err := BandwidthCurve(l, cfg, bws)
+	points, err := BandwidthCurve(l, cfg, bws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +44,15 @@ func TestBandwidthCurveShape(t *testing.T) {
 func TestBandwidthCurveErrors(t *testing.T) {
 	l := CB2a3()
 	cfg := config.New()
-	if _, err := BandwidthCurve(l, cfg, nil); err == nil {
+	if _, err := BandwidthCurve(l, cfg, nil, nil); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := BandwidthCurve(l, cfg, []float64{0}); err == nil {
+	if _, err := BandwidthCurve(l, cfg, []float64{0}, nil); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
 	bad := l
 	bad.Stride = 0
-	if _, err := BandwidthCurve(bad, cfg, []float64{1}); err == nil {
+	if _, err := BandwidthCurve(bad, cfg, []float64{1}, nil); err == nil {
 		t.Error("invalid layer accepted")
 	}
 }

@@ -28,13 +28,13 @@ func TestPartitionSweepFigure11Shape(t *testing.T) {
 	}
 	for _, r := range rows {
 		p := r.Spec.Parts.Count()
-		if r.PeakDRAMBW < r.AvgDRAMBW() {
-			t.Errorf("%d partitions: peak %v below avg %v", p, r.PeakDRAMBW, r.AvgDRAMBW())
+		if r.PeakDRAMBW() < r.AvgDRAMBW() {
+			t.Errorf("%d partitions: peak %v below avg %v", p, r.PeakDRAMBW(), r.AvgDRAMBW())
 		}
-		if r.DRAMReads <= 0 || r.DRAMWrites <= 0 {
+		if r.Node.Memory.DRAMReads() <= 0 || r.Node.Memory.OfmapDRAMWrites <= 0 {
 			t.Errorf("%d partitions: empty DRAM traffic", p)
 		}
-		if r.Energy.Total() <= 0 {
+		if r.Node.Energy.Total() <= 0 {
 			t.Errorf("%d partitions: no energy", p)
 		}
 	}
@@ -74,7 +74,7 @@ func TestFig12EnergyCrossover(t *testing.T) {
 	argmin := func(rows []partition.Result) int64 {
 		best := rows[0]
 		for _, r := range rows[1:] {
-			if r.Energy.Total() < best.Energy.Total() {
+			if r.Node.Energy.Total() < best.Node.Energy.Total() {
 				best = r
 			}
 		}

@@ -3,26 +3,21 @@ package job
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"scalesim/internal/batch"
 	"scalesim/internal/core"
 	"scalesim/internal/obsv"
-	"scalesim/internal/partition"
 	"scalesim/internal/report"
 )
 
-// Result is everything a completed job produced. Simulation jobs carry
-// the RunResult and its manifest; scale-out jobs (Spec.Parts) carry one
-// joined partition result per layer instead of a RunResult; sweep jobs
-// carry the expanded rows and the sweep manifest.
+// Result is everything a completed job produced. Simulation jobs, scale-out
+// ones (Spec.Parts) included, carry the RunResult and its manifest; sweep
+// jobs carry the expanded rows and the sweep manifest.
 type Result struct {
-	// Run is the simulation outcome (zero for scale-out and sweep jobs).
+	// Run is the simulation outcome (zero for sweep jobs).
 	Run core.RunResult
-	// ScaleOut holds one joined result per layer for Spec.Parts jobs. It
-	// is not a RunResult: a joined layer closes its ledger on partitions x
-	// runtime and has no fold counts or utilization.
-	ScaleOut []partition.Result
 	// Manifest is the machine-readable run record (schema
 	// scalesim.manifest/v4), including cache statistics and the cycle-
 	// accounting ledger.
@@ -44,20 +39,23 @@ var reportWriters = map[string]func(io.Writer, core.RunResult) error{
 	"detail":    report.WriteDetail,
 	"summary":   report.WriteSummary,
 	"operators": report.WriteOperators,
+	"scaleout":  report.WriteScaleOut,
 }
 
-// Reports lists the report names available on this result, sorted.
+// Reports lists the report names available on this result, sorted: a
+// partitioned run has only its scaleout table, the operator roll-up only
+// exists for graph runs.
 func (r *Result) Reports() []string {
 	switch {
 	case r.IsSweep():
 		return nil
-	case r.ScaleOut != nil:
+	case r.Run.Parts != nil:
 		return []string{"scaleout"}
 	}
 	names := make([]string, 0, len(reportWriters))
 	for name := range reportWriters {
-		if name == "operators" && r.Run.Graph == nil {
-			continue // operator roll-up only exists for graph runs
+		if name == "scaleout" || name == "operators" && r.Run.Graph == nil {
+			continue
 		}
 		names = append(names, name)
 	}
@@ -70,29 +68,8 @@ func (r *Result) WriteReport(w io.Writer, name string) error {
 	if r.IsSweep() {
 		return fmt.Errorf("job: sweep results have no per-layer reports")
 	}
-	if r.ScaleOut != nil && name == "scaleout" {
-		return writeScaleOut(w, r.ScaleOut)
-	}
-	wr, ok := reportWriters[name]
-	if !ok || r.ScaleOut != nil {
+	if !slices.Contains(r.Reports(), name) {
 		return fmt.Errorf("job: unknown report %q (have %v)", name, r.Reports())
 	}
-	if name == "operators" && r.Run.Graph == nil {
-		return fmt.Errorf("job: report %q requires a graph run", name)
-	}
-	return wr(w, r.Run)
-}
-
-// writeScaleOut renders a scale-out job's per-layer table — the bytes the
-// scalesim CLI prints for -parts below its header line.
-func writeScaleOut(w io.Writer, layers []partition.Result) error {
-	fmt.Fprintln(w, "Layer,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites,EnergyTotal")
-	var total int64
-	for _, res := range layers {
-		total += res.Cycles
-		fmt.Fprintf(w, "%s,%d,%.4f,%.4f,%d,%d,%.0f\n", res.Layer.Name, res.Cycles,
-			res.AvgDRAMBW(), res.PeakDRAMBW, res.DRAMReads, res.DRAMWrites, res.Energy.Total())
-	}
-	_, err := fmt.Fprintf(w, "TOTAL,%d,,,,,\n", total)
-	return err
+	return reportWriters[name](w, r.Run)
 }

@@ -4,19 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"scalesim/internal/analytical"
 	"scalesim/internal/batch"
 	"scalesim/internal/core"
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/obsv/timeline"
-	"scalesim/internal/partition"
 	"scalesim/internal/runstore"
 	"scalesim/internal/simcache"
 )
@@ -40,8 +37,8 @@ var ErrNotFound = errors.New("job: no such job")
 // Note that trace, timeline and sink consumers disable the shared
 // simcache for that job (cached replay cannot re-emit live streams) —
 // the same rule the core applies everywhere. A scale-out job (Spec.Parts)
-// takes no TraceDir and no Sinks: sibling partitions of a layer would
-// share trace file names.
+// takes no TraceDir and no Sinks (core.Options.Validate): sibling
+// partitions of a layer would share them.
 type Live struct {
 	// Progress receives per-layer completion lines (e.g. stderr).
 	Progress *obsv.Progress
@@ -270,8 +267,8 @@ func (r *Runner) enqueueSpec(spec Spec, live Live, try bool) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.scaleOut() && (live.TraceDir != "" || len(live.Sinks) > 0) {
-		return nil, fmt.Errorf("job: Parts does not support Live.TraceDir or Live.Sinks: sibling partitions would share trace files")
+	if err := spec.options(core.Options{TraceDir: live.TraceDir, Sinks: live.Sinks}).Validate(); err != nil {
+		return nil, err
 	}
 	j, err := r.newJob("sim", spec.Key(), spec.Config.RunName, spec.Net(), spec.Layers(), live)
 	if err != nil {
@@ -298,12 +295,11 @@ func await(j *Job, err error) (*Result, error) {
 	return j.Result(), nil
 }
 
-// simulate is the one body that runs a Spec's workload — a simulation job's
-// and every sweep point's. opt carries what the caller owns: cache, live
-// consumers, context.
+// simulate is the one body that runs a Spec's workload — a simulation job's,
+// a scale-out job's and every sweep point's. opt carries what the caller
+// owns: cache, live consumers, context.
 func simulate(spec Spec, opt core.Options) (*core.Simulator, core.RunResult, error) {
-	opt.Workers, opt.DRAM, opt.DRAMBandwidth = spec.Workers, spec.DRAM, spec.DRAMBandwidth
-	sim, err := core.New(spec.Config, opt)
+	sim, err := core.New(spec.Config, spec.options(opt))
 	if err != nil {
 		return nil, core.RunResult{}, err
 	}
@@ -317,12 +313,10 @@ func simulate(spec Spec, opt core.Options) (*core.Simulator, core.RunResult, err
 }
 
 // execSpec builds the job body for a simulation spec: simulate it wired
-// to the runner's shared cache, the job's live consumers and its context,
-// and assemble the manifest. A Parts spec gets the scale-out body instead.
+// to the runner's shared cache, the job's live consumers and its context
+// (Cancel stops it at the next layer, or under Parts the next partition
+// window), and assemble the manifest.
 func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error) {
-	if spec.scaleOut() {
-		return r.execScaleOut(spec)
-	}
 	return func(ctx context.Context, j *Job) (*Result, error) {
 		sim, run, err := simulate(spec, core.Options{
 			Cache:    r.opt.Cache,
@@ -343,44 +337,6 @@ func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error
 		}
 		j.progress.Finish()
 		return &Result{Run: run, Manifest: m}, nil
-	}
-}
-
-// execScaleOut builds the job body for a Parts spec: every layer is one
-// point of partition.RunPoints on the partition grid, under the job's
-// context (Cancel stops it at the next partition window), and each point is
-// stated as one manifest unit.
-func (r *Runner) execScaleOut(spec Spec) func(context.Context, *Job) (*Result, error) {
-	return func(ctx context.Context, j *Job) (*Result, error) {
-		rec := j.live.Obs
-		cfg, topo := spec.Config, spec.Topology
-		system := partition.Spec{Parts: spec.Parts,
-			Shape: analytical.Shape{R: int64(cfg.ArrayHeight), C: int64(cfg.ArrayWidth)}}
-		points := make([]partition.Point, len(topo.Layers))
-		for i, l := range topo.Layers {
-			points[i] = partition.Point{Name: l.Name, Layer: l, Spec: system}
-		}
-		results, err := partition.RunPoints(points, cfg, partition.Options{Parallel: spec.Workers,
-			Cache: r.opt.Cache, Obs: rec, Progress: j.progress, Timeline: j.live.Timeline, Context: ctx})
-		var m *obsv.Manifest
-		if err == nil {
-			m, err = rec.Record(partition.Units(points, results, int64(cfg.WordBytes)))
-		}
-		if err != nil {
-			j.progress.Abort(err.Error())
-			return nil, err
-		}
-		j.progress.Finish()
-		m.Tool = "scalesim"
-		m.Run = cfg.RunName
-		m.ConfigHash = cfg.Hash()
-		if m.Workers = spec.Workers; m.Workers <= 0 {
-			m.Workers = runtime.GOMAXPROCS(0) // the engine's default resolution
-		}
-		m.Topology = &obsv.TopologyInfo{Name: topo.Name, Layers: len(topo.Layers)}
-		m.Cache = r.opt.Cache.ManifestStats()
-		m.Timeline = j.live.Timeline.Summary(m.Layers)
-		return &Result{ScaleOut: results, Manifest: m}, nil
 	}
 }
 

@@ -291,9 +291,10 @@ func scaleOutSpec() Spec {
 	return s
 }
 
-// TestScaleOutMatchesPartitionRun: a Parts job is partition.Run per layer,
-// nothing more — same joined results, and the scaleout report is the
-// table the scalesim CLI prints for -parts.
+// TestScaleOutMatchesPartitionRun: a Parts job is the run of every layer
+// partition.Run states, nothing more — same joined results in its
+// RunResult, and the scaleout report is the table the scalesim CLI prints
+// for -parts.
 func TestScaleOutMatchesPartitionRun(t *testing.T) {
 	spec := scaleOutSpec()
 	r := NewRunner(Options{Workers: 1})
@@ -302,21 +303,19 @@ func TestScaleOutMatchesPartitionRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.ScaleOut) != len(spec.Topology.Layers) {
-		t.Fatalf("%d scale-out results for %d layers", len(res.ScaleOut), len(spec.Topology.Layers))
+	if len(res.Run.Layers) != len(spec.Topology.Layers) || res.Run.Parts == nil || *res.Run.Parts != spec.Parts {
+		t.Fatalf("%d layer results for %d layers, grid %v", len(res.Run.Layers), len(spec.Topology.Layers), res.Run.Parts)
 	}
 	system := partition.Spec{Parts: spec.Parts, Shape: analytical.Shape{R: 8, C: 8}}
 	for i, l := range spec.Topology.Layers {
-		want, err := partition.Run(l, spec.Config, system, partition.Options{Parallel: 1})
+		want, err := partition.Run(l, spec.Config, system, partition.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.ScaleOut[i]
-		if got.Cycles != want.Cycles || got.MACs != want.MACs ||
-			got.DRAMReads != want.DRAMReads || got.DRAMWrites != want.DRAMWrites ||
-			got.SRAMReads != want.SRAMReads || got.SRAMWrites != want.SRAMWrites ||
-			got.Energy != want.Energy || !reflect.DeepEqual(got.Ledger, want.Ledger) {
-			t.Errorf("layer %s: runner\n%+v\ndirect\n%+v", l.Name, got, want)
+		got := res.Run.Layers[i]
+		got.StartCycle = 0 // the layer's place in the run, not its result
+		if !reflect.DeepEqual(got, want.Node) {
+			t.Errorf("layer %s: runner\n%+v\ndirect\n%+v", l.Name, got, want.Node)
 		}
 	}
 
@@ -349,9 +348,10 @@ func TestScaleOutMatchesPartitionRun(t *testing.T) {
 
 	// Sibling partitions would share trace file names, so the consumers
 	// that write per-layer files are refused before the job is queued.
-	for _, live := range []Live{{TraceDir: t.TempDir()}, {Sinks: engine.Registry{engine.CSVTrace(t.TempDir())}}} {
-		if _, err := r.Submit(spec, live); err == nil || !strings.Contains(err.Error(), "Live.TraceDir") {
-			t.Errorf("Submit(%+v) = %v, want a refusal naming Live.TraceDir", live, err)
+	for field, live := range map[string]Live{"TraceDir": {TraceDir: t.TempDir()},
+		"Sinks": {Sinks: engine.Registry{engine.CSVTrace(t.TempDir())}}} {
+		if _, err := r.Submit(spec, live); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Submit(%+v) = %v, want a refusal naming %s", live, err, field)
 		}
 	}
 	if n := len(r.Jobs()); n != 1 {

@@ -3,8 +3,8 @@
 // bounds + partition grid), canonically identified by the content address
 // the rest of the system uses (topology.ContentKey: config.Hash crossed
 // with the workload's shape keys), and a Result is everything a completed
-// job produced — the run result, the per-layer scale-out results or a
-// sweep's rows, its reports and its manifest. A Runner executes jobs on a
+// job produced — the run result (a scale-out job's included) or a sweep's
+// rows, its reports and its manifest. A Runner executes jobs on a
 // persistent engine.Pool behind a bounded admission queue, shares one
 // simcache across every job so repeated configurations replay near-free,
 // and registers manifests into a runstore. Every mode of scalesim, the
@@ -18,11 +18,11 @@ package job
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
+	"scalesim/internal/core"
 	"scalesim/internal/dram"
 	"scalesim/internal/topology"
 )
@@ -49,14 +49,18 @@ type Spec struct {
 	// 1 here and parallelism across jobs.
 	Workers int
 	// Parts, when set, runs every layer scale-out on a Pr x Pc grid of
-	// arrays shaped like Config's, dividing its SRAM (Result.ScaleOut).
+	// arrays shaped like Config's, dividing its SRAM (core.Options.Parts).
 	// The zero value is one array. Validate refuses Parts with a Graph,
 	// DRAM or DRAMBandwidth: a shared memory link is not modelled.
 	Parts analytical.Partitioning
 }
 
-// scaleOut reports whether the spec names a partition grid.
-func (s Spec) scaleOut() bool { return s.Parts != (analytical.Partitioning{}) }
+// options returns opt, which carries what the caller owns, with the
+// spec's share of its run's core.Options set.
+func (s Spec) options(opt core.Options) core.Options {
+	opt.Workers, opt.DRAM, opt.DRAMBandwidth, opt.Parts = s.Workers, s.DRAM, s.DRAMBandwidth, s.Parts
+	return opt
+}
 
 // Validate reports the first structural problem with the spec — for the
 // CLI and the wire alike, before anything is queued, printed or written.
@@ -64,25 +68,13 @@ func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
-	switch bw := s.DRAMBandwidth; {
-	case bw < 0:
-		return fmt.Errorf("job: negative DRAM bandwidth %v", bw)
-	case math.IsNaN(bw) || math.IsInf(bw, 0):
-		return fmt.Errorf("job: non-finite DRAM bandwidth %v", bw)
-	}
-	if s.scaleOut() {
-		switch {
-		case s.Parts.Pr < 1 || s.Parts.Pc < 1:
-			return fmt.Errorf("job: invalid Parts %s (want PrxPc, both at least 1)", s.Parts)
-		case s.Graph != nil:
-			return fmt.Errorf("job: Parts runs layers on a partitioned system and does not support a Graph workload")
-		case s.DRAM != nil:
-			return fmt.Errorf("job: Parts does not support DRAM: a memory shared by the partitions is not modelled")
-		case s.DRAMBandwidth != 0:
-			return fmt.Errorf("job: Parts does not support DRAMBandwidth: a link shared by the partitions is not modelled")
-		}
+	if err := s.options(core.Options{}).Validate(); err != nil {
+		return err
 	}
 	if s.Graph != nil {
+		if s.Parts != (analytical.Partitioning{}) {
+			return core.ErrPartsGraph
+		}
 		return s.Graph.Validate()
 	}
 	if len(s.Topology.Layers) == 0 {
@@ -121,7 +113,7 @@ func (s Spec) Key() string {
 	if s.DRAM != nil {
 		key += ";dram=" + s.DRAM.Key()
 	}
-	if s.scaleOut() {
+	if s.Parts != (analytical.Partitioning{}) {
 		key += ";parts=" + s.Parts.String()
 	}
 	return key

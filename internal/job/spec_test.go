@@ -30,7 +30,7 @@ func TestRequestResolvesBuiltins(t *testing.T) {
 	if c.RunName != "t" {
 		t.Fatalf("run name = %q", c.RunName)
 	}
-	if spec.scaleOut() {
+	if spec.Parts != (analytical.Partitioning{}) {
 		t.Fatalf("a request without parts resolved to grid %s", spec.Parts)
 	}
 	so, err := Request{Net: "TinyNet", Array: "8x4", Parts: "2X4"}.Spec()

@@ -27,13 +27,13 @@ func TestCacheEquivalenceScaleOut(t *testing.T) {
 		return string(data)
 	}
 
-	ref, err := Run(l, base, spec, Options{Parallel: 1})
+	ref, err := Run(l, base, spec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := simcache.New()
-	cold, err := Run(l, base, spec, Options{Parallel: 1, Cache: cache})
+	cold, err := Run(l, base, spec, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCacheEquivalenceScaleOut(t *testing.T) {
 		t.Fatalf("misses=%d want one per active partition (%d)", cache.Stats().Misses, cold.ActivePartitions)
 	}
 
-	warm, err := Run(l, base, spec, Options{Parallel: 1, Cache: cache})
+	warm, err := Run(l, base, spec, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWindowKeyIncludesOffsets(t *testing.T) {
 
 	// A 1x2 grid splits Sc into two equal windows at different offsets.
 	spec := Spec{Parts: analytical.Partitioning{Pr: 1, Pc: 2}, Shape: analytical.Shape{R: 8, C: 8}}
-	res, err := Run(l, base, spec, Options{Parallel: 1, Cache: cache})
+	res, err := Run(l, base, spec, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +89,16 @@ func TestPartitionSweepReuse(t *testing.T) {
 	base := config.New().WithSRAM(128, 128, 64)
 	counts := []int64{1, 2, 4}
 
-	ref, err := Sweep(series, counts, base, 8, Options{Parallel: 1})
+	ref, err := Sweep(series, counts, base, 8, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := simcache.New()
-	once, err := Sweep(series, counts, base, 8, Options{Parallel: 1, Cache: cache})
+	once, err := Sweep(series, counts, base, 8, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Sweep(series, counts, base, 8, Options{Parallel: 1, Cache: cache})
+	again, err := Sweep(series, counts, base, 8, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,28 +24,29 @@ func TestLedgerClosesBooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ledger == nil {
+	if res.Node.Ledger == nil {
 		t.Fatal("scale-out run carries no ledger")
 	}
-	if err := res.Ledger.Check(); err != nil {
+	node := cycleacct.NodeLedger{Ledger: *res.Node.Ledger, Partitions: res.Node.Partitions}
+	if err := node.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if want := res.ActivePartitions * res.Cycles; res.Ledger.Total != want {
+	if want := res.ActivePartitions * res.Cycles; node.Total != want {
 		t.Errorf("node total %d, want %d provisioned array-cycles (%d partitions x %d cycles)",
-			res.Ledger.Total, want, res.ActivePartitions, res.Cycles)
+			node.Total, want, res.ActivePartitions, res.Cycles)
 	}
-	if got := int64(len(res.Ledger.Partitions)); got != res.ActivePartitions {
+	if got := int64(len(node.Partitions)); got != res.ActivePartitions {
 		t.Errorf("partition ledgers = %d, active partitions = %d", got, res.ActivePartitions)
 	}
-	for _, p := range res.Ledger.Partitions {
+	for _, p := range node.Partitions {
 		if p.Total != res.Cycles {
 			t.Errorf("partition (%d,%d) total %d, layer clock %d", p.Pi, p.Pj, p.Total, res.Cycles)
 		}
 	}
-	if res.Ledger.Category(cycleacct.PartitionSkew) == 0 {
+	if node.Category(cycleacct.PartitionSkew) == 0 {
 		t.Error("uneven grid accrued no partition_skew_wait cycles")
 	}
-	if res.Ledger.Category(cycleacct.MACActive) == 0 {
+	if node.Category(cycleacct.MACActive) == 0 {
 		t.Error("no mac_active cycles")
 	}
 }
@@ -81,10 +82,12 @@ func TestLedgerCacheRoundTrip(t *testing.T) {
 	if c2.Stats().Hits == 0 || c2.Stats().Misses != 0 {
 		t.Fatalf("disk replay: hits=%d misses=%d, want all hits", c2.Stats().Hits, c2.Stats().Misses)
 	}
-	if replay.Ledger == nil {
+	if replay.Node.Ledger == nil {
 		t.Fatal("cached run lost its ledger")
 	}
-	if !reflect.DeepEqual(*replay.Ledger, *fresh.Ledger) {
-		t.Errorf("replayed ledger differs:\n fresh  %+v\n replay %+v", *fresh.Ledger, *replay.Ledger)
+	if !reflect.DeepEqual(*replay.Node.Ledger, *fresh.Node.Ledger) ||
+		!reflect.DeepEqual(replay.Node.Partitions, fresh.Node.Partitions) {
+		t.Errorf("replayed ledger differs:\n fresh  %+v %+v\n replay %+v %+v",
+			*fresh.Node.Ledger, fresh.Node.Partitions, *replay.Node.Ledger, replay.Node.Partitions)
 	}
 }

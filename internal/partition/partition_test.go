@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"scalesim/internal/config"
 	"scalesim/internal/dataflow"
 	"scalesim/internal/obsv"
+	"scalesim/internal/simcache"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 )
@@ -39,14 +41,14 @@ func TestMonolithicMatchesSystolic(t *testing.T) {
 	if res.Cycles != direct.Cycles {
 		t.Errorf("monolithic Cycles = %d, want %d", res.Cycles, direct.Cycles)
 	}
-	if res.MACs != direct.MACs {
-		t.Errorf("MACs = %d, want %d", res.MACs, direct.MACs)
+	if res.Node.Compute.MACs != direct.MACs {
+		t.Errorf("MACs = %d, want %d", res.Node.Compute.MACs, direct.MACs)
 	}
-	if res.SRAMReads != direct.IfmapReads+direct.FilterReads {
-		t.Errorf("SRAMReads = %d, want %d", res.SRAMReads, direct.IfmapReads+direct.FilterReads)
+	if (res.Node.Memory.IfmapSRAMReads + res.Node.Memory.FilterSRAMReads) != direct.IfmapReads+direct.FilterReads {
+		t.Errorf("SRAMReads = %d, want %d", (res.Node.Memory.IfmapSRAMReads + res.Node.Memory.FilterSRAMReads), direct.IfmapReads+direct.FilterReads)
 	}
-	if res.SRAMWrites != direct.OfmapWrites {
-		t.Errorf("SRAMWrites = %d", res.SRAMWrites)
+	if res.Node.Memory.OfmapSRAMWrites != direct.OfmapWrites {
+		t.Errorf("SRAMWrites = %d", res.Node.Memory.OfmapSRAMWrites)
 	}
 	if res.ActivePartitions != 1 {
 		t.Errorf("ActivePartitions = %d", res.ActivePartitions)
@@ -69,12 +71,12 @@ func TestPartitioningSpeedsUpAndCostsBandwidth(t *testing.T) {
 	if part.Cycles >= mono.Cycles {
 		t.Errorf("partitioned %d cycles not faster than monolithic %d", part.Cycles, mono.Cycles)
 	}
-	if part.MACs != mono.MACs {
-		t.Errorf("useful work changed: %d vs %d", part.MACs, mono.MACs)
+	if part.Node.Compute.MACs != mono.Node.Compute.MACs {
+		t.Errorf("useful work changed: %d vs %d", part.Node.Compute.MACs, mono.Node.Compute.MACs)
 	}
-	if part.DRAMReads < mono.DRAMReads {
+	if part.Node.Memory.DRAMReads() < mono.Node.Memory.DRAMReads() {
 		t.Errorf("partitioned DRAM reads %d below monolithic %d (reuse should be lost)",
-			part.DRAMReads, mono.DRAMReads)
+			part.Node.Memory.DRAMReads(), mono.Node.Memory.DRAMReads())
 	}
 	if part.AvgDRAMBW() <= mono.AvgDRAMBW() {
 		t.Errorf("partitioned BW %v not above monolithic %v", part.AvgDRAMBW(), mono.AvgDRAMBW())
@@ -113,8 +115,8 @@ func TestOverPartitioningSkipsIdleParts(t *testing.T) {
 	if res.ActivePartitions != 2 {
 		t.Errorf("ActivePartitions = %d, want 2", res.ActivePartitions)
 	}
-	if res.MACs != l.MACOps() {
-		t.Errorf("MACs = %d, want %d", res.MACs, l.MACOps())
+	if res.Node.Compute.MACs != l.MACOps() {
+		t.Errorf("MACs = %d, want %d", res.Node.Compute.MACs, l.MACOps())
 	}
 }
 
@@ -127,14 +129,14 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 	// Array energy = spec MACs x cycles with the default model.
 	wantArray := float64(res.Spec.MACs()) * float64(res.Cycles)
-	if res.Energy.Array != wantArray {
-		t.Errorf("Energy.Array = %v, want %v", res.Energy.Array, wantArray)
+	if res.Node.Energy.Array != wantArray {
+		t.Errorf("Energy.Array = %v, want %v", res.Node.Energy.Array, wantArray)
 	}
-	if res.Energy.SRAM != float64(res.SRAMReads+res.SRAMWrites)*6 {
-		t.Errorf("Energy.SRAM = %v", res.Energy.SRAM)
+	if res.Node.Energy.SRAM != float64((res.Node.Memory.IfmapSRAMReads+res.Node.Memory.FilterSRAMReads)+res.Node.Memory.OfmapSRAMWrites)*6 {
+		t.Errorf("Energy.SRAM = %v", res.Node.Energy.SRAM)
 	}
-	if res.Energy.DRAM != float64(res.DRAMReads+res.DRAMWrites)*200 {
-		t.Errorf("Energy.DRAM = %v", res.Energy.DRAM)
+	if res.Node.Energy.DRAM != float64(res.Node.Memory.DRAMReads()+res.Node.Memory.OfmapDRAMWrites)*200 {
+		t.Errorf("Energy.DRAM = %v", res.Node.Energy.DRAM)
 	}
 }
 
@@ -199,8 +201,8 @@ func TestSweep(t *testing.T) {
 
 // TestSweepMatchesRun: a sweep returns, per series, exactly what Run
 // returns on BestSpec's pick for each feasible count, ledger and energy
-// included, with infeasible counts interleaved among feasible ones — at
-// one worker and at GOMAXPROCS.
+// included, its unit named after the point, with infeasible counts
+// interleaved among feasible ones — at one worker and at GOMAXPROCS.
 func TestSweepMatchesRun(t *testing.T) {
 	counts := []int64{0, 3, 1, 4, 16}
 	base := config.New().WithSRAM(8, 8, 4)
@@ -216,7 +218,7 @@ func TestSweepMatchesRun(t *testing.T) {
 			if !ok {
 				continue
 			}
-			r, err := Run(s.Layer, base, spec, Options{Parallel: 1})
+			r, err := run(s.Point(spec).Name, s.Layer, base, spec, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +229,7 @@ func TestSweepMatchesRun(t *testing.T) {
 		}
 	}
 	for _, parallel := range []int{1, 0} {
-		got, err := Sweep(series, counts, base, 8, Options{Parallel: parallel})
+		got, err := Sweep(series, counts, base, 8, Options{Workers: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,12 +287,41 @@ func TestRunPointsCancelled(t *testing.T) {
 }
 
 // TestSRAMShareDivides: partition SRAM is the budget divided by P with a
-// 1 KiB floor.
+// 1 KiB floor, and a partition's cache key is core's key of its window on
+// that share, byte for byte, so cache directories written by earlier
+// builds stay warm.
 func TestSRAMShareDivides(t *testing.T) {
-	if got := sramShare(512, 4); got != 128 {
-		t.Errorf("sramShare(512,4) = %d", got)
+	l := testLayer()
+	base := config.New().WithSRAM(512, 2, 256)
+	cache := simcache.New()
+	if _, err := Run(l, base, spec(1, 4, 8, 8), Options{Cache: cache}); err != nil {
+		t.Fatal(err)
 	}
-	if got := sramShare(2, 8); got != 1 {
-		t.Errorf("sramShare(2,8) = %d, want floor 1", got)
+	share := base.WithArray(8, 8).WithSRAM(128, 1, 64)
+	m := dataflow.Map(l, base.Dataflow)
+	key := fmt.Sprintf("core|%s|%s|w0,0,%d,%d|sb=false;win=0",
+		share.CanonicalKey(), topology.NodeOf(l).Key(), m.Sr, (m.Sc+3)/4)
+	if !strings.Contains(key, ";s128/1/64;") {
+		t.Fatalf("share config key %q", key)
+	}
+	if _, ok := cache.Get(key); !ok {
+		t.Errorf("no entry under %q", key)
+	}
+}
+
+func TestParallelDeterminism(t *testing.T) {
+	l := testLayer()
+	base := config.New().WithSRAM(4, 4, 2)
+	s := spec(2, 4, 8, 8)
+	serial, err := Run(l, base, s, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Run(l, base, s, Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("parallel run differs:\n serial   %+v\n parallel %+v", serial, parallel)
 	}
 }

@@ -99,3 +99,18 @@ func WriteSummary(w io.Writer, run core.RunResult) error {
 		run.TotalEnergy.Total())
 	return err
 }
+
+// WriteScaleOut emits a partitioned run's per-layer table (Options.Parts):
+// each layer's runtime (its slowest partition's), average and summed peak
+// DRAM bandwidth, DRAM traffic and energy over the whole grid.
+func WriteScaleOut(w io.Writer, run core.RunResult) error {
+	fmt.Fprintln(w, "Layer,Cycles,AvgBW,PeakBW,DRAMReads,DRAMWrites,EnergyTotal")
+	for i, lr := range run.Layers {
+		m := lr.Memory
+		fmt.Fprintf(w, "%s,%d,%.4f,%.4f,%d,%d,%.0f\n", run.Topology.Layers[i].Name, lr.Compute.Cycles,
+			m.AvgTotalBW(), m.PeakIfmapBW+m.PeakFilterBW+m.PeakOfmapBW, m.DRAMReads(), m.OfmapDRAMWrites,
+			lr.Energy.Total())
+	}
+	_, err := fmt.Fprintf(w, "TOTAL,%d,,,,,\n", run.TotalCycles)
+	return err
+}

@@ -44,7 +44,6 @@ import (
 	"scalesim/internal/dram"
 	"scalesim/internal/energy"
 	"scalesim/internal/engine"
-	"scalesim/internal/noc"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
 	"scalesim/internal/obsv/timeline"
@@ -177,10 +176,6 @@ type (
 	ScaleOutResult = partition.Result
 	// ScaleOutOptions tunes cycle-accurate scale-out runs.
 	ScaleOutOptions = partition.Options
-	// NoCConfig parameterizes the scale-out mesh interconnect model.
-	NoCConfig = noc.Config
-	// NoCReport is the interconnect analysis of a scale-out run.
-	NoCReport = noc.Report
 )
 
 // NewConfig returns the default configuration (32x32 array, OS dataflow,
@@ -308,10 +303,6 @@ func NewCache() *Cache { return simcache.New() }
 
 // DDR3 returns the default DRAM timing parameters.
 func DDR3() DRAMConfig { return dram.DDR3() }
-
-// DefaultNoC returns the default mesh interconnect cost model (one word
-// per cycle per link, unit hop energy).
-func DefaultNoC() NoCConfig { return noc.Default() }
 
 // Map computes a layer's (S_R, S_C, T) under a dataflow (Table III).
 func Map(l Layer, df Dataflow) Mapping { return dataflow.Map(l, df) }

@@ -59,7 +59,7 @@ func TestFacadeScaleOut(t *testing.T) {
 		t.Fatalf("sweep: %v, %d results", err, len(sweep))
 	}
 	for _, res := range sweep {
-		if res.Cycles <= 0 || res.Energy.Total() <= 0 {
+		if res.Cycles <= 0 || res.Node.Energy.Total() <= 0 {
 			t.Errorf("empty scale-out result: %+v", res)
 		}
 	}
@@ -90,8 +90,5 @@ func TestFacadeSweetSpotAndCells(t *testing.T) {
 	cells := scalesim.GoogLeNetCells()
 	if len(cells) != 9 {
 		t.Errorf("GoogLeNetCells = %d", len(cells))
-	}
-	if scalesim.DefaultNoC().LinkWordsPerCycle <= 0 {
-		t.Error("DefaultNoC broken")
 	}
 }

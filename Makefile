@@ -38,7 +38,7 @@ bench-check:
 	$(GO) run ./bench -workload bertbase_dram_cold -seconds 5
 
 # The paper-size cold path (Table IV's language models, under 1 s a pass):
-# fails on drifted cycles or memory counters, or above 128 MB a pass.
+# fails on drifted cycles or memory counters, or above 41 MiB a pass.
 bench-paper:
 	$(GO) test -run XXX -bench 'BenchmarkLanguageModelsCold$$' -benchtime 2x -benchmem .
 
@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/batch/ -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/memory/ -fuzz FuzzReplayQueue -fuzztime 30s
 	$(GO) test ./internal/dram/ -fuzz FuzzLayer -fuzztime 30s
+	$(GO) test ./internal/rtlref/ -fuzz FuzzShiftMatchesTwoPhase -fuzztime 30s
 
 # Every results/ CSV into directory $(1), by the commands results/README.md
 # lists for them: the one list `figures` and `figures-check` both run.

@@ -3,8 +3,10 @@ package scalesim_test
 import (
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -53,6 +55,32 @@ func TestPaperClaims(t *testing.T) {
 		if rtl, sim := num(t, r["RTLCycles"]), num(t, r["SimCycles"]); rtl != 4*n-2 || sim != 4*n-2 {
 			t.Errorf("Fig. 4 at N = %v: RTL %v and simulated %v cycles, want 4N - 2 = %v", n, rtl, sim, 4*n-2)
 		}
+	}
+
+	// Fig. 9b/c: across TF0's monolithic aspect ratios the runtime spreads
+	// 565x at 2^14 MACs and 4941x at 2^16, and no shape is optimal at both
+	// budgets: two shapes tie for the minimum at each.
+	shapes := map[string][]map[string]string{}
+	for _, r := range readResult(t, "fig9bc.csv") {
+		shapes[r["MACs"]] = append(shapes[r["MACs"]], r)
+	}
+	spread := map[string]string{}
+	for macs, rows := range shapes {
+		lo, hi := math.Inf(1), 0.0
+		for _, r := range rows {
+			lo, hi = min(lo, num(t, r["Cycles"])), max(hi, num(t, r["Cycles"]))
+		}
+		var optima []string
+		for _, r := range rows {
+			if num(t, r["Cycles"]) == lo {
+				optima = append(optima, r["ArrayShape"])
+			}
+		}
+		spread[macs] = fmt.Sprintf("%.0fx, optima %v", hi/lo, optima)
+	}
+	if want := map[string]string{"16384": "565x, optima [64x256 128x128]",
+		"65536": "4941x, optima [128x512 256x256]"}; !reflect.DeepEqual(spread, want) {
+		t.Errorf("Fig. 9b/c runtime spread by budget: %v, want %v", spread, want)
 	}
 
 	// Fig. 10a: the best monolithic configuration of CB2a_1 is 24.70x
@@ -113,4 +141,34 @@ func TestPaperClaims(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Fig. 12 minimum-energy partitions by budget: %v, want %v", got, want)
 	}
+
+	// Fig. 13: at 256 MACs the 2nd and 3rd scale-up candidates are 0.66 %
+	// and 6.0 % off the best, and the worst local optimum loses 10.03x at
+	// 2^12, 7.74x at 2^14 and 4.93x at 2^16. Fig. 14: the worst scale-out
+	// candidate loses 3.84x at 2^16.
+	up, out := losses(t, "fig13.csv"), losses(t, "fig14.csv")
+	pareto := map[string]string{
+		"fig13 256 2nd":     fmt.Sprintf("%.2f%%", 100*(up["256"][1]-1)),
+		"fig13 256 3rd":     fmt.Sprintf("%.1f%%", 100*(up["256"][2]-1)),
+		"fig13 4096 worst":  fmt.Sprintf("%.2fx", slices.Max(up["4096"])),
+		"fig13 16384 worst": fmt.Sprintf("%.2fx", slices.Max(up["16384"])),
+		"fig13 65536 worst": fmt.Sprintf("%.2fx", slices.Max(up["65536"])),
+		"fig14 65536 worst": fmt.Sprintf("%.2fx", slices.Max(out["65536"])),
+	}
+	if want := map[string]string{"fig13 256 2nd": "0.66%", "fig13 256 3rd": "6.0%",
+		"fig13 4096 worst": "10.03x", "fig13 16384 worst": "7.74x", "fig13 65536 worst": "4.93x",
+		"fig14 65536 worst": "3.84x"}; !reflect.DeepEqual(pareto, want) {
+		t.Errorf("Figs. 13-14 candidate losses: %v, want %v", pareto, want)
+	}
+}
+
+// losses reads a pareto figure's candidate losses, best first, by MAC
+// budget.
+func losses(t *testing.T, name string) map[string][]float64 {
+	t.Helper()
+	out := map[string][]float64{}
+	for _, r := range readResult(t, name) {
+		out[r["MACs"]] = append(out[r["MACs"]], num(t, r["Loss"]))
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/obsv/cycleacct"
+	"scalesim/internal/simcache"
 	"scalesim/internal/topology"
 )
 
@@ -45,6 +47,28 @@ func TestPartsOneByOneIsThePlainRun(t *testing.T) {
 				t.Errorf("%s layer %d: %d partitions, %d skew cycles", topo.Name, i,
 					len(lr.Partitions), lr.Ledger.Category(cycleacct.PartitionSkew))
 			}
+		}
+	}
+}
+
+// TestPartsOneByOneSharesThePlainRunsEntries: a 1x1 grid's one window
+// covers the whole mapping and simulates what the layer does, so it keys
+// as the layer: whichever of the plain and the 1x1 run comes second finds
+// every entry cached, and reports what it reports uncached.
+func TestPartsOneByOneSharesThePlainRunsEntries(t *testing.T) {
+	cfg := config.New().WithArray(8, 8).WithSRAM(4, 4, 2)
+	topo := topology.TinyNet()
+	n := int64(len(topo.Layers))
+	one := analytical.Partitioning{Pr: 1, Pc: 1}
+	for _, order := range [][2]analytical.Partitioning{{{}, one}, {one, {}}} {
+		cache := simcache.New()
+		runWith(t, cfg, Options{Cache: cache, Parts: order[0]}, topo)
+		got := runWith(t, cfg, Options{Cache: cache, Parts: order[1]}, topo)
+		if st := cache.Stats(); st.Hits != n || st.Misses != n || st.Entries != n {
+			t.Errorf("grid %v after %v: %+v, want %d hits, %d misses, %d entries", order[1], order[0], st, n, n, n)
+		}
+		if want := runWith(t, cfg, Options{Parts: order[1]}, topo); !bytes.Equal(resultJSON(t, got), resultJSON(t, want)) {
+			t.Errorf("grid %v after %v: cached run differs from the uncached one", order[1], order[0])
 		}
 	}
 }

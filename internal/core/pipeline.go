@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scalesim/internal/config"
+	"scalesim/internal/dataflow"
 	"scalesim/internal/dram"
 	"scalesim/internal/energy"
 	"scalesim/internal/engine"
@@ -79,10 +80,10 @@ type LayerContext struct {
 	dram  *dram.Model
 	stall *trace.StallAnalyzer
 	rec   *timeline.LayerRecorder
-	// reserve is the run's largest IFMAP, filter and OFMAP region (words),
-	// what a memory system with no spare tables to adopt sizes new ones
-	// for; zero sizes them for this node alone.
-	reserve [3]int64
+	// reserve covers the run's IFMAP, filter and OFMAP regions, what a
+	// memory system with no spare tables to adopt sizes new ones for; zero
+	// sizes them for this node alone.
+	reserve memory.Reservation
 	// pi and pj locate a window's partition in the Parts grid.
 	pi, pj int64
 }
@@ -147,13 +148,17 @@ func resultsOnly(opt Options) bool {
 // layernorm over one tensor shape — never share an entry. A window joins
 // the key with its offsets, not only its extents: a slice's fold schedule
 // and addresses depend on where it sits in the spatial space. The whole
-// layer (zero Window) adds nothing, so its key is what it was before
-// windows existed. Everything but the node's own key and the window is
+// layer adds nothing, so its key is what it was before windows existed:
+// the zero Window, and a window that covers the whole mapping (a 1x1
+// grid's, or the one partition of a layer too small to divide), which
+// simulates the same. Everything but the node's own key and the window is
 // fixed per Simulator and assembled once, in keyAffixes.
 func (s *Simulator) nodeKey(n topology.Node, win systolic.Window) string {
 	key := s.keyPrefix + n.Key()
 	if win != (systolic.Window{}) {
-		key += fmt.Sprintf("|w%d,%d,%d,%d", win.SrOff, win.ScOff, win.SrLen, win.ScLen)
+		if m := dataflow.Map(n.Layer, s.cfg.Dataflow); win != (systolic.Window{SrLen: m.Sr, ScLen: m.Sc}) {
+			key += fmt.Sprintf("|w%d,%d,%d,%d", win.SrOff, win.ScOff, win.SrLen, win.ScLen)
+		}
 	}
 	return key + s.keySuffix
 }
@@ -302,7 +307,7 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 // equip gives sys the residency tables (memory.Tables, storage only) a
 // finished node left, or else new ones reserved for the run's largest
 // regions, so that no later node of the run regrows them.
-func (s *Simulator) equip(sys *memory.System, reserve [3]int64) {
+func (s *Simulator) equip(sys *memory.System, reserve memory.Reservation) {
 	s.spareMu.Lock()
 	var t *memory.Tables
 	if n := len(s.spare); n > 0 {
@@ -312,7 +317,7 @@ func (s *Simulator) equip(sys *memory.System, reserve [3]int64) {
 	if t != nil {
 		sys.Adopt(t)
 	} else {
-		sys.Reserve(reserve[0], reserve[1], reserve[2])
+		sys.Reserve(reserve)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"scalesim/internal/memory"
 	"scalesim/internal/obsv/log"
 	"scalesim/internal/systolic"
 	"scalesim/internal/vector"
@@ -33,10 +34,10 @@ type runPlan struct {
 	order []int
 	// lead maps every context to its leader (itself, for a leader).
 	lead []int
-	// reserve is the largest IFMAP, filter and OFMAP region (words) over
-	// the matmul leaders, what the run's new residency tables are sized
-	// for (see Simulator.equip).
-	reserve [3]int64
+	// reserve covers the IFMAP, filter and OFMAP regions of the matmul
+	// leaders, what the run's new residency tables are sized for (see
+	// Simulator.equip).
+	reserve memory.Reservation
 }
 
 func (s *Simulator) plan(ctxs []*LayerContext) runPlan {
@@ -54,9 +55,7 @@ func (s *Simulator) plan(ctxs []*LayerContext) runPlan {
 		}
 		p.order = append(p.order, i)
 		if !ctx.Node.Kind.Vector() {
-			for k, w := range regions(ctx.Layer) {
-				p.reserve[k] = max(p.reserve[k], w)
-			}
+			p.reserve.Add(regions(ctx.Layer))
 		}
 	}
 	if s.planned {

@@ -18,8 +18,9 @@ import (
 
 // TestWholeLayerKeyUnchanged pins the whole-layer compute key byte for
 // byte to what it was before contexts carried a window, so result caches
-// written to disk by earlier builds stay warm; a window extends it with
-// offsets and extents.
+// written to disk by earlier builds stay warm; a window that covers the
+// whole mapping keys as the layer, and any other extends it with offsets
+// and extents.
 func TestWholeLayerKeyUnchanged(t *testing.T) {
 	ddr := dram.DDR3()
 	gemm := topology.FromGEMM("g", 70, 90, 50)
@@ -41,6 +42,8 @@ func TestWholeLayerKeyUnchanged(t *testing.T) {
 			"core|a8x12;s4/4/2;o0/10000000/20000000;df=os;wb1;et=false;vl12|op=conv|i70x1x90/f1x1x50/s1|sb=false;win=0;bw=4;dram={Channels:0 InterleaveWords:0 Banks:8 RowWords:2048 TRCD:11 TCAS:11 TRP:11 TREFI:7800 TRFC:139 BusCyclesPerWord:1 Policy:0}"},
 		{plain, topology.Node{Name: "sm", Kind: topology.OpSoftmax, Layer: gemm}, systolic.Window{},
 			"core|a32x32;s512/512/256;o0/10000000/20000000;df=os;wb1;et=false;vl32|op=softmax|i70x1x90/f1x1x50/s1|sb=false;win=0"},
+		{plain, topology.NodeOf(gemm), systolic.Window{SrLen: 70, ScLen: 50},
+			"core|a32x32;s512/512/256;o0/10000000/20000000;df=os;wb1;et=false;vl32|op=conv|i70x1x90/f1x1x50/s1|sb=false;win=0"},
 		{plain, topology.NodeOf(gemm), systolic.Window{SrOff: 35, ScOff: 0, SrLen: 35, ScLen: 25},
 			"core|a32x32;s512/512/256;o0/10000000/20000000;df=os;wb1;et=false;vl32|op=conv|i70x1x90/f1x1x50/s1|w35,0,35,25|sb=false;win=0"},
 	} {

@@ -821,15 +821,13 @@ func TestSystemSetupAllocation(t *testing.T) {
 func TestReservedTablesAllocateNothing(t *testing.T) {
 	cfg := config.New()
 	var layers []topology.Layer
-	var largest [3]int64
+	var largest Reservation
 	for _, name := range []string{"Conv1", "CB2a_2", "CB5a_2"} {
 		l := resnetLayer(t, name)
 		layers = append(layers, l)
-		for k, w := range [3]int64{l.IfmapWords(), l.FilterWords(), l.OfmapWords()} {
-			largest[k] = max(largest[k], w)
-		}
+		largest.Add([3]int64{l.IfmapWords(), l.FilterWords(), l.OfmapWords()})
 	}
-	reserved := func(s *System) { s.Reserve(largest[0], largest[1], largest[2]) }
+	reserved := func(s *System) { s.Reserve(largest) }
 	for _, l := range layers[:2] {
 		t.Run(l.Name, func(t *testing.T) {
 			// One System a call: AllocsPerRun's warm-up call would

@@ -80,17 +80,16 @@ func newFIFOSet(capacity int64) *fifoSet { return &fifoSet{capacity: capacity} }
 // one per distinct address, and no more than the buffer holds.
 func (f *fifoSet) ringSlots(words int64) int64 { return min(f.capacity, words, 1<<20) }
 
-// reserve allocates a fresh set's storage for regions of up to words, so
-// that declaring any of them later allocates nothing: the ring at the slots
-// such a region can occupy, and the marks table when the region is dense.
-// Call once, before setRegion, on a set that adopted nothing.
-func (f *fifoSet) reserve(words int64) {
-	if words < 1 {
-		return
+// reserve allocates a fresh set's storage so that declaring a region later
+// allocates nothing: the ring at the slots a region of up to ring words can
+// occupy, and the marks table for dense regions of up to marks words. Call
+// once, before setRegion, on a set that adopted nothing.
+func (f *fifoSet) reserve(ring, marks int64) {
+	if ring > 0 {
+		f.ring = make([]int64, 0, f.ringSlots(ring))
 	}
-	f.ring = make([]int64, 0, f.ringSlots(words))
-	if words <= denseLimitWords {
-		f.marks, f.zeroed = make([]byte, words), true
+	if marks > 0 {
+		f.marks, f.zeroed = make([]byte, marks), true
 	}
 }
 

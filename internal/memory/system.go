@@ -109,16 +109,30 @@ func (s *System) SetRegions(ifBase, ifWords, flBase, flWords, ofBase, ofWords in
 	s.Ofmap.SetRegion(ofBase, ofWords)
 }
 
-// Reserve sizes a System that adopted no Tables for regions of up to the
-// given extents (words, in SetRegions' order), typically the largest each
-// role takes over a run: the buffers allocate their rings and direct-mapped
-// tables once, and the later SetRegions of every layer that Adopts them
-// allocate nothing. Call before SetRegions; a region above denseLimitWords
-// reserves only its ring. Results do not depend on the reservation.
-func (s *System) Reserve(ifWords, flWords, ofWords int64) {
-	words := [3]int64{ifWords, flWords, ofWords}
+// Reservation is what a run's new residency tables are sized for, per
+// operand role: the largest region, which sizes the ring, and the largest
+// region a direct-mapped table covers (at most denseLimitWords), which
+// sizes the marks. A run whose largest region takes the probe table still
+// reserves marks for its dense regions, so no dense layer regrows them.
+type Reservation struct{ ring, marks [3]int64 }
+
+// Add widens r to cover one layer's regions (words, in SetRegions' order).
+func (r *Reservation) Add(words [3]int64) {
+	for k, w := range words {
+		r.ring[k] = max(r.ring[k], w)
+		if w <= denseLimitWords {
+			r.marks[k] = max(r.marks[k], w)
+		}
+	}
+}
+
+// Reserve sizes a System that adopted no Tables for r: the buffers
+// allocate their rings and direct-mapped tables once, and the later
+// SetRegions of every layer r covers that Adopts them allocate nothing.
+// Call before SetRegions. Results do not depend on the reservation.
+func (s *System) Reserve(r Reservation) {
 	for i, f := range s.sets() {
-		f.reserve(words[i])
+		f.reserve(r.ring[i], r.marks[i])
 	}
 }
 

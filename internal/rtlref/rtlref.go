@@ -41,76 +41,63 @@ func RunOS(a, b [][]float64, rows, cols int) (Result, error) {
 		return Result{}, err
 	}
 
-	type pe struct {
-		aReg, bReg     float64
-		aValid, bValid bool
-		acc            float64
-		macs           int64
-	}
-	grid := make([][]pe, sr)
-	for i := range grid {
-		grid[i] = make([]pe, sc)
-	}
+	// One flat register array per operand, row-major: PE (i, j) is
+	// element i*sc+j.
+	n := sr * sc
+	aReg, bReg, acc := make([]float64, n), make([]float64, n), make([]float64, n)
+	aOK, bOK := make([]bool, n), make([]bool, n)
+	peMACs := make([]int64, n)
 
-	var cycles int64
-	var macs int64
+	var cycles, macs int64
 	// Compute phase: the last PE finishes at cycle (sr-1)+(sc-1)+(tt-1).
 	lastCompute := int64(sr) + int64(sc) + tt - 3
 	for u := int64(0); u <= lastCompute; u++ {
-		// Two-phase update, in place: a PE reads only its left and upper
-		// neighbours, and the descending sweep has not yet overwritten
-		// either, so every read sees the previous cycle's registers.
-		for i := sr - 1; i >= 0; i-- {
-			for j := sc - 1; j >= 0; j-- {
-				var aIn, bIn float64
-				var aOK, bOK bool
-				if j == 0 {
-					if t := u - int64(i); t >= 0 && t < tt {
-						aIn, aOK = a[i][t], true
-					}
-				} else {
-					aIn, aOK = grid[i][j-1].aReg, grid[i][j-1].aValid
-				}
-				if i == 0 {
-					if t := u - int64(j); t >= 0 && t < tt {
-						bIn, bOK = b[t][j], true
-					}
-				} else {
-					bIn, bOK = grid[i-1][j].bReg, grid[i-1][j].bValid
-				}
-				if aOK && bOK {
-					grid[i][j].acc += aIn * bIn
-					grid[i][j].macs++
-					macs++
-				}
-				grid[i][j].aReg, grid[i][j].aValid = aIn, aOK
-				grid[i][j].bReg, grid[i][j].bValid = bIn, bOK
+		// Latch: every a register takes its left neighbour's value and
+		// every b register its upper neighbour's, each shift a copy that
+		// reads the previous cycle's registers; then the edge PEs take
+		// their skewed inputs.
+		for r := 0; r < n; r += sc {
+			copy(aReg[r+1:r+sc], aReg[r:r+sc-1])
+			copy(aOK[r+1:r+sc], aOK[r:r+sc-1])
+		}
+		copy(bReg[sc:], bReg[:n-sc])
+		copy(bOK[sc:], bOK[:n-sc])
+		for i := 0; i < sr; i++ {
+			t := u - int64(i)
+			if aOK[i*sc] = t >= 0 && t < tt; aOK[i*sc] {
+				aReg[i*sc] = a[i][t]
+			}
+		}
+		for j := 0; j < sc; j++ {
+			t := u - int64(j)
+			if bOK[j] = t >= 0 && t < tt; bOK[j] {
+				bReg[j] = b[t][j]
+			}
+		}
+		// Compute: every PE holding two valid operands accumulates.
+		for k := range acc {
+			if aOK[k] && bOK[k] {
+				acc[k] += aReg[k] * bReg[k]
+				peMACs[k]++
 			}
 		}
 		cycles++
 	}
 
 	// Every PE must have executed exactly T MACs.
-	for i := 0; i < sr; i++ {
-		for j := 0; j < sc; j++ {
-			if grid[i][j].macs != tt {
-				return Result{}, fmt.Errorf("rtlref: PE(%d,%d) executed %d MACs, want %d",
-					i, j, grid[i][j].macs, tt)
-			}
+	for k, m := range peMACs {
+		if m != tt {
+			return Result{}, fmt.Errorf("rtlref: PE(%d,%d) executed %d MACs, want %d", k/sc, k%sc, m, tt)
 		}
+		macs += m
 	}
 
 	// Drain phase: outputs shift down and out of the bottom edge, one per
 	// column per cycle, bottom row first.
 	product := make([][]float64, sr)
-	for i := range product {
-		product[i] = make([]float64, sc)
-	}
 	for k := 1; k <= sr; k++ {
 		i := sr - k
-		for j := 0; j < sc; j++ {
-			product[i][j] = grid[i][j].acc
-		}
+		product[i] = acc[i*sc : (i+1)*sc : (i+1)*sc]
 		cycles++
 	}
 	return Result{Cycles: cycles, Product: product, MACs: macs}, nil
@@ -144,11 +131,13 @@ func RunWS(a, b [][]float64, rows, cols int) (Result, error) {
 		return Result{}, fmt.Errorf("rtlref: mapping %dx%d exceeds array %dx%d", sr, sc, rows, cols)
 	}
 
+	// One flat register array per operand, row-major as in RunOS.
+	n := sr * sc
 	var cycles int64
 	// Fill phase: one array row of weights per cycle.
-	weights := make([][]float64, sr)
-	for i := 0; i < sr; i++ {
-		weights[i] = append([]float64(nil), b[i]...)
+	weights := make([]float64, 0, n)
+	for _, row := range b {
+		weights = append(weights, row...)
 		cycles++
 	}
 
@@ -159,52 +148,51 @@ func RunWS(a, b [][]float64, rows, cols int) (Result, error) {
 		valid bool
 		t     int64
 	}
-	aRegs := make([][]lane, sr) // a operand moving right
-	psum := make([][]lane, sr)  // partial sums moving down
-	for i := range aRegs {
-		aRegs[i] = make([]lane, sc)
-		psum[i] = make([]lane, sc)
-	}
+	aRegs := make([]lane, n) // a operand moving right
+	psum := make([]lane, n)  // partial sums moving down
 	product := make([][]float64, tt)
 	for t := range product {
 		product[t] = make([]float64, sc)
 	}
-	var macs int64
+	var macs, produced int64
 	lastV := int64(sr) - 1 + tt - 1 + int64(sc) - 1
-	var produced int64
 	for v := int64(0); v <= lastV; v++ {
-		// In place, as in RunOS: the descending sweep reads each left and
-		// upper neighbour before overwriting it.
-		for i := sr - 1; i >= 0; i-- {
-			for j := sc - 1; j >= 0; j-- {
-				var aIn lane
-				if j == 0 {
-					if t := v - int64(i); t >= 0 && t < tt {
-						aIn = lane{val: a[t][i], valid: true, t: t}
-					}
-				} else {
-					aIn = aRegs[i][j-1]
-				}
-				var pIn lane
-				if i == 0 {
-					pIn = lane{valid: aIn.valid, t: aIn.t} // zero seed
-				} else {
-					pIn = psum[i-1][j]
-				}
-				var pOut lane
-				if aIn.valid && pIn.valid {
-					if aIn.t != pIn.t {
-						panic(fmt.Sprintf("rtlref: misaligned wavefront at PE(%d,%d): a.t=%d psum.t=%d", i, j, aIn.t, pIn.t))
-					}
-					pOut = lane{val: pIn.val + aIn.val*weights[i][j], valid: true, t: aIn.t}
-					macs++
-					if i == sr-1 {
-						product[pOut.t][j] = pOut.val
-						produced++
-					}
-				}
-				aRegs[i][j] = aIn
-				psum[i][j] = pOut
+		// Latch, as in RunOS: a shifts one PE right and the partial sums
+		// one row down; then column 0 takes the skewed A inputs, and row 0
+		// a zero seed tagged like the operand it meets.
+		for r := 0; r < n; r += sc {
+			copy(aRegs[r+1:r+sc], aRegs[r:r+sc-1])
+		}
+		copy(psum[sc:], psum[:n-sc])
+		for i := 0; i < sr; i++ {
+			var in lane
+			if t := v - int64(i); t >= 0 && t < tt {
+				in = lane{val: a[t][i], valid: true, t: t}
+			}
+			aRegs[i*sc] = in
+		}
+		for j, x := range aRegs[:sc] {
+			psum[j] = lane{valid: x.valid, t: x.t}
+		}
+		// Compute: a PE holding a valid operand and a valid partial sum
+		// adds its product; every other PE passes an empty register on.
+		for k, x := range aRegs {
+			p := &psum[k]
+			if !x.valid || !p.valid {
+				*p = lane{}
+				continue
+			}
+			if x.t != p.t {
+				panic(fmt.Sprintf("rtlref: misaligned wavefront at PE(%d,%d): a.t=%d psum.t=%d", k/sc, k%sc, x.t, p.t))
+			}
+			p.val = p.val + x.val*weights[k]
+			macs++
+		}
+		// The bottom row's partial sums are finished outputs.
+		for j, p := range psum[n-sc:] {
+			if p.valid {
+				product[p.t][j] = p.val
+				produced++
 			}
 		}
 		cycles++
@@ -252,17 +240,16 @@ func checkRows(name string, m [][]float64, width int) error {
 // MatMul computes the reference product of A (m x k) and B (k x n) directly,
 // for checking the systolic results.
 func MatMul(a, b [][]float64) [][]float64 {
-	m, k := len(a), len(a[0])
-	n := len(b[0])
-	out := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		out[i] = make([]float64, n)
-		for p := 0; p < k; p++ {
-			av := a[i][p]
-			for j := 0; j < n; j++ {
-				out[i][j] += av * b[p][j]
+	k, n := len(a[0]), len(b[0])
+	out := make([][]float64, len(a))
+	for i, ai := range a {
+		oi := make([]float64, n)
+		for p, av := range ai[:k] {
+			for j, bv := range b[p][:n] {
+				oi[j] += av * bv
 			}
 		}
+		out[i] = oi
 	}
 	return out
 }

@@ -10,8 +10,9 @@ import (
 // The steppers below are the reference model as it was first written: each
 // cycle copies the whole grid into prev and every PE reads its neighbours
 // from that copy, so the two-phase (compute, latch) semantics hold by
-// construction. RunOS and RunWS step one grid in place instead; these are
-// the oracle that keeps them exact.
+// construction. RunOS and RunWS instead shift one flat register array per
+// operand, a row slice at a time, and then compute; these are the oracle
+// that keeps them exact.
 
 func runOSTwoPhase(a, b [][]float64, rows, cols int) (Result, error) {
 	sr, sc, tt, err := checkOperands(a, b, rows, cols)
@@ -201,52 +202,78 @@ func oracleDim(rng *rand.Rand, hi int) int {
 	return 1 + rng.Intn(hi)
 }
 
-// TestInPlaceMatchesTwoPhase: stepping one grid in place from the
-// bottom-right corner is exactly the per-cycle-copy two-phase model, bit
-// for bit, under every dataflow, on shapes with 1-wide rows, columns and
-// T and on arrays larger than the mapping.
+// shiftMatchesTwoPhase runs one Sr x Sc x T shape on a rows x cols array
+// under every dataflow, operands drawn from rng, and reports how the
+// shift-then-compute steppers differ from the per-cycle-copy oracle.
+func shiftMatchesTwoPhase(rng *rand.Rand, sr, sc, tt, rows, cols int) error {
+	a, b := normMat(rng, sr, tt), normMat(rng, tt, sc)
+	got, err := RunOS(a, b, rows, cols)
+	if err != nil {
+		return err
+	}
+	want, err := runOSTwoPhase(a, b, rows, cols)
+	if err != nil {
+		return err
+	}
+	if err := sameResult(got, want); err != nil {
+		return fmt.Errorf("OS Sr=%d Sc=%d T=%d on %dx%d: %v", sr, sc, tt, rows, cols, err)
+	}
+
+	// WS: stream T x Sr against stationary Sr x Sc.
+	stream, stat := normMat(rng, tt, sr), normMat(rng, sr, sc)
+	if got, err = RunWS(stream, stat, rows, cols); err != nil {
+		return err
+	}
+	if want, err = runWSTwoPhase(stream, stat, rows, cols); err != nil {
+		return err
+	}
+	if err := sameResult(got, want); err != nil {
+		return fmt.Errorf("WS Sr=%d Sc=%d T=%d on %dx%d: %v", sr, sc, tt, rows, cols, err)
+	}
+
+	// IS: the same schedule with the roles interchanged, filters
+	// streaming against stationary windows.
+	filters, windows := normMat(rng, tt, sr), normMat(rng, sr, sc)
+	if got, err = RunIS(filters, windows, rows, cols); err != nil {
+		return err
+	}
+	if want, err = runWSTwoPhase(filters, windows, rows, cols); err != nil {
+		return err
+	}
+	if err := sameResult(got, want); err != nil {
+		return fmt.Errorf("IS Sr=%d Sc=%d T=%d on %dx%d: %v", sr, sc, tt, rows, cols, err)
+	}
+	return nil
+}
+
+// TestInPlaceMatchesTwoPhase: shifting each operand's registers a row
+// slice at a time, then computing, is exactly the per-cycle-copy two-phase
+// model, bit for bit, under every dataflow, on shapes with 1-wide rows,
+// columns and T and on arrays larger than the mapping.
 func TestInPlaceMatchesTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 200; trial++ {
 		sr, sc, tt := oracleDim(rng, 12), oracleDim(rng, 12), oracleDim(rng, 16)
 		rows, cols := sr+rng.Intn(4), sc+rng.Intn(4)
-
-		a, b := normMat(rng, sr, tt), normMat(rng, tt, sc)
-		got, err := RunOS(a, b, rows, cols)
-		if err != nil {
+		if err := shiftMatchesTwoPhase(rng, sr, sc, tt, rows, cols); err != nil {
 			t.Fatal(err)
-		}
-		want, err := runOSTwoPhase(a, b, rows, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameResult(got, want); err != nil {
-			t.Fatalf("OS Sr=%d Sc=%d T=%d on %dx%d: %v", sr, sc, tt, rows, cols, err)
-		}
-
-		// WS: stream T x Sr against stationary Sr x Sc.
-		stream, stat := normMat(rng, tt, sr), normMat(rng, sr, sc)
-		if got, err = RunWS(stream, stat, rows, cols); err != nil {
-			t.Fatal(err)
-		}
-		if want, err = runWSTwoPhase(stream, stat, rows, cols); err != nil {
-			t.Fatal(err)
-		}
-		if err := sameResult(got, want); err != nil {
-			t.Fatalf("WS Sr=%d Sc=%d T=%d on %dx%d: %v", sr, sc, tt, rows, cols, err)
-		}
-
-		// IS: the same schedule with the roles interchanged, filters
-		// streaming against stationary windows.
-		filters, windows := normMat(rng, tt, sr), normMat(rng, sr, sc)
-		if got, err = RunIS(filters, windows, rows, cols); err != nil {
-			t.Fatal(err)
-		}
-		if want, err = runWSTwoPhase(filters, windows, rows, cols); err != nil {
-			t.Fatal(err)
-		}
-		if err := sameResult(got, want); err != nil {
-			t.Fatalf("IS Sr=%d Sc=%d T=%d on %dx%d: %v", sr, sc, tt, rows, cols, err)
 		}
 	}
+}
+
+// FuzzShiftMatchesTwoPhase holds the steppers to the oracle on the shapes
+// the fuzzer picks, within the ranges TestInPlaceMatchesTwoPhase draws: Sr
+// and Sc in [1, 12], T in [1, 16], and an array up to 3 rows and 3 columns
+// larger than the mapping (the margin byte's low and next two bits).
+func FuzzShiftMatchesTwoPhase(f *testing.F) {
+	f.Add(uint8(2), uint8(2), uint8(3), uint8(5), int64(1))
+	f.Add(uint8(0), uint8(11), uint8(15), uint8(0), int64(44))
+	f.Add(uint8(11), uint8(0), uint8(0), uint8(15), int64(7))
+	f.Fuzz(func(t *testing.T, sr, sc, tt, margin uint8, seed int64) {
+		r, c := 1+int(sr)%12, 1+int(sc)%12
+		rng := rand.New(rand.NewSource(seed))
+		if err := shiftMatchesTwoPhase(rng, r, c, 1+int(tt)%16, r+int(margin)&3, c+int(margin>>2)&3); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

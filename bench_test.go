@@ -629,7 +629,10 @@ func BenchmarkEngineParallel(b *testing.B) {
 // (11.7 MB in the first, which allocates the tables; 19.6 MB when they grew
 // layer by layer; 224 MB with a table set per layer) has lost the sizing or
 // the recycling and fails, and so does one in which either all-miss proof,
-// thrashing or first touch, replays no word: it has stopped firing.
+// thrashing or first touch, replays no word: it has stopped firing. Since
+// a table clears only the marks it set, the CLI run's peak RSS is 20.1–20.6
+// MiB at two workers (25.6–26.4 MiB when every clear wiped the whole
+// table), with allocation unchanged.
 func BenchmarkResNet50Cold(b *testing.B) {
 	b.ReportAllocs()
 	rec := obsv.NewRecorder()
@@ -724,7 +727,9 @@ func requireReplayed(b *testing.B, rec *obsv.Recorder) {
 // pass, which reserves the residency tables, takes 39.8 MiB, a later one,
 // which recycles them, 22.4 MiB; a run whose dense layers regrow their
 // marks table layer by layer, because its largest region (GNMT2's OFMAP)
-// takes the probe table, took 42.2 MiB.
+// takes the probe table, took 42.2 MiB. Clearing only the marks a table
+// set took the CLI run's peak RSS from 44.4 to 36.6 MiB, with allocation
+// unchanged.
 func BenchmarkLanguageModelsCold(b *testing.B) {
 	b.ReportAllocs()
 	rec := obsv.NewRecorder()

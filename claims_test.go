@@ -8,7 +8,12 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+
+	"scalesim/internal/config"
+	"scalesim/internal/pipeline"
+	"scalesim/internal/topology"
 )
 
 // readResult reads a checked-in figure CSV from results/ as records keyed
@@ -159,6 +164,30 @@ func TestPaperClaims(t *testing.T) {
 		"fig13 4096 worst": "10.03x", "fig13 16384 worst": "7.74x", "fig13 65536 worst": "4.93x",
 		"fig14 65536 worst": "3.84x"}; !reflect.DeepEqual(pareto, want) {
 		t.Errorf("Figs. 13-14 candidate losses: %v, want %v", pareto, want)
+	}
+
+	// Cell parallelism: GoogLeNet's inception branches run concurrently on
+	// partition groups (OS, 8-wide minimum) instead of one after another,
+	// as scalestudy cells computes it; EXPERIMENTS.md quotes the speedups
+	// as it prints them.
+	net, err := pipeline.FromTopology(topology.GoogLeNet(), topology.GoogLeNetCellBranches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var speedups []string
+	for _, macs := range []int64{1 << 12, 1 << 14, 1 << 16, 1 << 18} {
+		res, err := pipeline.Evaluate(net, macs, config.OutputStationary, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		speedups = append(speedups, fmt.Sprintf("%.3f×", res.Speedup()))
+	}
+	quote := "**" + strings.Join(speedups, " / ") + "**"
+	if want := "**1.025× / 1.140× / 1.362× / 2.000×**"; quote != want {
+		t.Errorf("cell-parallelism speedups at 2^12..2^18 MACs: %s, want %s", quote, want)
+	}
+	if doc, err := os.ReadFile("EXPERIMENTS.md"); err != nil || !strings.Contains(string(doc), quote) {
+		t.Errorf("EXPERIMENTS.md does not quote the cell-parallelism speedups %s (%v)", quote, err)
 	}
 }
 

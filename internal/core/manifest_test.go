@@ -74,7 +74,10 @@ func TestSimulatorManifest(t *testing.T) {
 // BenchmarkManifestOverhead measures the cost of running fully
 // instrumented versus uninstrumented: same TinyNet simulation, with the
 // disabled case exercising the nil-recorder fast paths the zero-overhead
-// contract promises.
+// contract promises. The process's resource use (/proc/self/status,
+// getrusage) is read only as a recorder's manifest is built, so the
+// disabled case reads nothing: its allocs/op are those of the simulation
+// alone.
 func BenchmarkManifestOverhead(b *testing.B) {
 	topo := topology.TinyNet()
 	cfg := config.New().WithArray(8, 8)

@@ -365,6 +365,75 @@ func TestAdoptedTablesAreInvisible(t *testing.T) {
 	}
 }
 
+// TestRecycledTablesStayClean chains layers of the grid through one set of
+// tables, as a worker does: each layer adopts what the last one released,
+// so a mark a clear missed would reach the next layer. Each layer must
+// report exactly what a fresh System reports, and every released marks
+// table must be zero outside the dirty range it travels with — the only
+// range the next SetRegion, reindex or drain clears. A ring that reindex
+// re-marks is the rare case in the chain (layer 35 here), so it is also
+// driven by hand.
+func TestRecycledTablesStayClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	var tables *Tables
+	var replayed, reused int
+	for i := 0; i < 40; i++ {
+		c := randomBlockCase(rng, i)
+		words := [3]int64{c.l.IfmapWords(), c.l.FilterWords(), c.l.OfmapWords()}
+		want := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, layerRegions(c.l, c.cfg))
+		var sys *System
+		got := runBlocks(t, c.l, c.cfg, Options{}, c.win, true, func(s *System) {
+			if sys = s; tables != nil {
+				for k, set := range tables.sets {
+					if int64(cap(set.marks)) >= words[k] {
+						reused++
+					}
+				}
+				s.Adopt(tables)
+			}
+			layerRegions(c.l, c.cfg)(s)
+		})
+		requireSameObservables(t, got, want)
+		if got.skipped != want.skipped || got.skipWord != want.skipWord || got.thrashWords != want.thrashWords ||
+			got.firstWords != want.firstWords {
+			t.Errorf("layer %d: skips differ: %d blocks %d words vs %d and %d; replayed words %v vs %v, first touch %v vs %v",
+				i, got.skipped, got.skipWord, want.skipped, want.skipWord, got.thrashWords, want.thrashWords,
+				got.firstWords, want.firstWords)
+		}
+		if got.thrashed > 0 || got.firstTouch > 0 {
+			replayed++
+		}
+		tables = sys.Release()
+		for k, set := range tables.sets {
+			requireMarksInRange(t, fmt.Sprintf("layer %d, buffer %d", i, k), set.marks, set.dirty)
+		}
+	}
+	if replayed == 0 || reused == 0 {
+		t.Errorf("chain missed a case: %d layers replayed blocks, %d tables reused", replayed, reused)
+	}
+
+	t.Run("reindex", func(t *testing.T) {
+		// Two first touches are queued unmarked; a scan of a word neither
+		// covers writes them into the ring and the marks.
+		g := newMissRig(t)
+		g.region(0, 64)
+		g.expect([]verdict{g.block(seq(20, 2)), g.block(seq(0, 4))}, byFirstTouch, byFirstTouch)
+		g.loose(seq(40, 1))
+		requireMarksInRange(t, "after reindex", g.b.set.marks, g.b.set.dirty)
+	})
+}
+
+// requireMarksInRange fails if any of a table's marks, up to its capacity,
+// is set outside the dirty range d.
+func requireMarksInRange(t *testing.T, what string, marks []byte, d span) {
+	t.Helper()
+	for j, m := range marks[:cap(marks)] {
+		if m != 0 && (int32(j) < d.lo || int32(j) >= d.hi) {
+			t.Fatalf("%s: mark %d set outside the dirty range [%d, %d)", what, j, d.lo, d.hi)
+		}
+	}
+}
+
 // TestRegionFallbackWithLazyMap: a region declared too small sends the
 // stream past it. No probe table exists up front, so the fallback has to
 // build it; the run must count the fallbacks and otherwise

@@ -55,9 +55,9 @@ type fifoSet struct {
 	dense bool
 	base  int64
 	marks []byte
-	// zeroed is set while marks is as make left it — reserved and not yet
-	// dense — so the next setRegion need not clear it.
-	zeroed bool
+	// dirty is the range of marks indices set since the table was last
+	// clean (up to cap(marks)): the one stretch a clear has to wipe.
+	dirty span
 
 	probe *probeSet
 	// stale is set while words that overwrite inserted are unmarked: they
@@ -76,6 +76,25 @@ type fifoSet struct {
 
 func newFIFOSet(capacity int64) *fifoSet { return &fifoSet{capacity: capacity} }
 
+// span is a half-open range [lo, hi) of marks indices; span{} is empty.
+// No region past denseLimitWords takes the marks, so an index fits int32.
+type span struct{ lo, hi int32 }
+
+// widen records that the marks of addresses lo..hi may be set.
+func (f *fifoSet) widen(lo, hi int64) {
+	l, h := int32(lo-f.base), int32(hi-f.base+1)
+	if f.dirty.hi > 0 {
+		l, h = min(l, f.dirty.lo), max(h, f.dirty.hi)
+	}
+	f.dirty = span{l, h}
+}
+
+// clearMarks zeroes the marks set since the table was last clean.
+func (f *fifoSet) clearMarks() {
+	clear(f.marks[f.dirty.lo:f.dirty.hi])
+	f.dirty = span{}
+}
+
 // ringSlots is how many ring slots a region of words can occupy: at most
 // one per distinct address, and no more than the buffer holds.
 func (f *fifoSet) ringSlots(words int64) int64 { return min(f.capacity, words, 1<<20) }
@@ -89,17 +108,17 @@ func (f *fifoSet) reserve(ring, marks int64) {
 		f.ring = make([]int64, 0, f.ringSlots(ring))
 	}
 	if marks > 0 {
-		f.marks, f.zeroed = make([]byte, marks), true
+		f.marks = make([]byte, marks)
 	}
 }
 
 // setRegion switches to a region-aware residency structure for addresses in
 // [base, base+words). Must be called before any insertion. Storage adopted
 // beforehand (see System.Adopt) is reused when it is large enough: the ring
-// arrives empty and the marks are cleared over the region here, so whatever
-// the previous owner left in either is never read. Marks fresh from make
-// (reserve) are left as they are: clearing them would only fault in pages
-// the region never touches.
+// arrives empty and the marks the previous owner set are cleared here, so
+// whatever it left in either is never read. Only that dirty range is
+// cleared: marks fresh from make (reserve) have none, and clearing more
+// would only fault in pages no layer touches.
 func (f *fifoSet) setRegion(base, words int64) {
 	if words < 1 || f.len() > 0 {
 		return
@@ -114,11 +133,11 @@ func (f *fifoSet) setRegion(base, words int64) {
 	f.dense = true
 	f.base = base
 	if int64(cap(f.marks)) < words {
-		f.marks = make([]byte, words)
-	} else if f.marks = f.marks[:words]; !f.zeroed {
-		clear(f.marks)
+		f.marks, f.dirty = make([]byte, words), span{}
+	} else {
+		f.marks = f.marks[:words]
+		f.clearMarks()
 	}
-	f.zeroed = false
 }
 
 // leaveDense abandons the direct-mapped table before a run that leaves the
@@ -127,7 +146,7 @@ func (f *fifoSet) setRegion(base, words int64) {
 // run degrades gracefully instead of crashing.
 func (f *fifoSet) leaveDense() {
 	f.dense = false
-	f.marks = nil
+	f.marks, f.dirty = nil, span{}
 	f.probe = newProbeSet(f.capacity)
 	for _, a := range f.ring {
 		f.probe.insert(a)
@@ -180,6 +199,7 @@ func (f *fifoSet) denseCovers(lo, hi int64) bool {
 // streaks are disjoint, in order and cover exactly the missed words, so the
 // list expands to the same address sequence as appending them one by one.
 func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run, record bool) (m []trace.Run, missWords, evictions int64) {
+	f.widen(bounds(r))
 	marks, base := f.marks, f.base
 	a, left := r.Base, r.Count
 	for left > 0 {
@@ -223,6 +243,7 @@ func (f *fifoSet) scanRunDense(r trace.Run, misses []trace.Run, record bool) (m 
 // absorbed silently and the evicted addresses are re-compressed onto the
 // drained run list instead (or only counted, as above).
 func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record bool) (d []trace.Run, drainWords int64) {
+	f.widen(bounds(r))
 	marks, base := f.marks, f.base
 	a := r.Base
 	for i := int64(0); i < r.Count; i++ {
@@ -332,7 +353,8 @@ func (f *fifoSet) flushQueue() {
 
 // reindex writes the queue into the ring and rebuilds the stale residency
 // index from it, since the ring then holds exactly the resident set: one
-// clear, then one mark per slot. Every ring address of a dense set is
+// clear of the dirty range, then one mark per slot, the ring's bounds
+// becoming the new range. Every ring address of a dense set is
 // in-region — overwrite replays a stream the dense table already accepted,
 // or a first touch whose declared hull it covers (see ReadBuffer.BeginBlock).
 // A probe table that no insertion has built yet (overwrite was the first
@@ -341,9 +363,14 @@ func (f *fifoSet) reindex() {
 	f.stale = false
 	f.flushQueue()
 	if f.dense {
-		clear(f.marks)
+		f.clearMarks()
+		lo, hi := f.base+int64(len(f.marks)), f.base-1
 		for _, a := range f.ring {
 			f.marks[a-f.base] = 1
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		if lo <= hi {
+			f.widen(lo, hi)
 		}
 		return
 	}
@@ -544,7 +571,7 @@ func (f *fifoSet) drain(dst []trace.Run, record bool) []trace.Run {
 	}
 	f.queue.clear()
 	if f.dense {
-		clear(f.marks) // dense ⇒ every resident address is in-region
+		f.clearMarks() // dense ⇒ every resident address is in-region
 	} else if f.probe != nil {
 		clear(f.probe.slots)
 	}

@@ -139,16 +139,21 @@ func (s *System) Reserve(r Reservation) {
 // Tables is the residency storage of one System — each buffer's FIFO ring,
 // replay queue, direct-mapped marks table and block memo — detached so that a caller
 // simulating many layers can hand one layer's storage to the next instead
-// of allocating (and zeroing) megabytes per layer. Only capacity travels: a
-// System reads nothing a previous owner wrote, so results cannot depend
-// on which Tables it adopted, or on whether it adopted any.
+// of allocating (and zeroing) megabytes per layer. Only capacity travels,
+// with the range of marks each table may have set: a System reads nothing
+// a previous owner wrote, so results cannot depend on which Tables it
+// adopted, or on whether it adopted any.
 type Tables struct {
 	sets [3]struct {
 		ring  []int64
 		marks []byte
+		dirty span
 		queue replayQueue
 		memo  blockTables
 	}
+	// released is set by Release. Tables it did not make may have any
+	// mark set: they are dirty everywhere.
+	released bool
 }
 
 func (s *System) sets() [3]*fifoSet {
@@ -165,7 +170,10 @@ func (s *System) memos() [3]*blockMemo {
 // there. t must not be used again.
 func (s *System) Adopt(t *Tables) {
 	for i, f := range s.sets() {
-		f.ring, f.marks, f.queue, f.zeroed = t.sets[i].ring[:0], t.sets[i].marks[:0], t.sets[i].queue, false
+		f.ring, f.marks, f.queue, f.dirty = t.sets[i].ring[:0], t.sets[i].marks[:0], t.sets[i].queue, t.sets[i].dirty
+		if !t.released {
+			f.dirty = span{0, int32(min(cap(f.marks), denseLimitWords))}
+		}
 		f.queue.clear()
 	}
 	for i, m := range s.memos() {
@@ -177,10 +185,10 @@ func (s *System) Adopt(t *Tables) {
 // Report, as the last use of the System: its buffers are left without
 // residency state.
 func (s *System) Release() *Tables {
-	t := &Tables{}
+	t := &Tables{released: true}
 	for i, f := range s.sets() {
-		t.sets[i].ring, t.sets[i].marks, t.sets[i].queue = f.ring, f.marks, f.queue
-		f.ring, f.marks, f.queue, f.dense, f.head, f.stale = nil, nil, replayQueue{}, false, 0, false
+		t.sets[i].ring, t.sets[i].marks, t.sets[i].dirty, t.sets[i].queue = f.ring, f.marks, f.dirty, f.queue
+		f.ring, f.marks, f.dirty, f.queue, f.dense, f.head, f.stale = nil, nil, span{}, replayQueue{}, false, 0, false
 	}
 	for i, m := range s.memos() {
 		t.sets[i].memo, m.blockTables = m.blockTables, blockTables{}

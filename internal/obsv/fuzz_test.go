@@ -11,8 +11,8 @@ import (
 // FuzzParseManifest checks the manifest reader never panics on hostile
 // bytes and that anything it accepts validates and survives a write/parse
 // round trip. Seeds are documents generated here: a recorder's manifest
-// with layers, spans, metrics and a closed cycle account, plus damaged
-// copies of it.
+// with layers, spans, metrics, the process's resource use and a closed
+// cycle account, plus damaged copies of it.
 func FuzzParseManifest(f *testing.F) {
 	rec := NewRecorder()
 	stop := rec.Phase("simulate")
@@ -22,6 +22,8 @@ func FuzzParseManifest(f *testing.F) {
 	stop()
 	m := rec.Manifest()
 	m.Tool, m.Run = "fuzz", "seed"
+	m.Runtime.PeakRSSBytes, m.Runtime.MinorFaults, m.Runtime.MajorFaults = 20<<20, 3808, 1
+	m.Runtime.UserSeconds, m.Runtime.SystemSeconds = 0.031, 0.004
 	m.Layers = []LayerMetrics{{Index: 0, Name: "conv1", Cycles: 10, StallCycles: 2}}
 	led := cycleacct.Ledger{}
 	led.Add(cycleacct.PhaseArray, cycleacct.MACActive, 10)

@@ -50,6 +50,11 @@ type LayerMetrics struct {
 // RuntimeStats captures the Go runtime's view of the run. When the
 // manifest comes from a Recorder the allocation and GC fields are deltas
 // over the recorded interval; without one they are process totals.
+//
+// The process fields are the operating system's view, process totals read
+// once as a Recorder's manifest is built, so an uninstrumented run reads
+// nothing: the peak resident set (VmHWM), page faults and CPU times. They
+// are left out where the system does not report them.
 type RuntimeStats struct {
 	GoVersion          string  `json:"go_version"`
 	NumCPU             int     `json:"num_cpu"`
@@ -60,6 +65,12 @@ type RuntimeStats struct {
 	NumGC              uint32  `json:"num_gc"`
 	GCPauseSeconds     float64 `json:"gc_pause_total_seconds"`
 	GoroutineHighWater int     `json:"goroutine_high_water"`
+
+	PeakRSSBytes  uint64  `json:"peak_rss_bytes,omitempty"`
+	MinorFaults   int64   `json:"minor_faults,omitempty"`
+	MajorFaults   int64   `json:"major_faults,omitempty"`
+	UserSeconds   float64 `json:"user_seconds,omitempty"`
+	SystemSeconds float64 `json:"system_seconds,omitempty"`
 }
 
 // LayerStall is one layer's share of bounded-link stalling in the
@@ -231,6 +242,7 @@ func (r *Recorder) Manifest() *Manifest {
 	if r == nil {
 		return m
 	}
+	readProcess(&m.Runtime)
 	r.sample()
 	m.Runtime.TotalAllocBytes = mem.TotalAlloc - r.startMem.TotalAlloc
 	m.Runtime.Mallocs = mem.Mallocs - r.startMem.Mallocs

@@ -19,6 +19,7 @@ race:
 	$(GO) test -race -count=3 -run 'TestPlan|Parts' ./internal/core
 	$(GO) test -race -count=3 -run 'ScaleOut|Parts|Sweep' ./internal/job ./internal/partition ./cmd/scalesimd
 	$(GO) test -race -count=3 ./internal/dse ./cmd/scaledse
+	$(GO) test -race -count=3 -run FuzzLayer ./internal/dram
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -114,7 +115,9 @@ figures-check:
 # roll-up builds every manifest's entries and cycle account) and of
 # scale-out ("A partitioned layer is N windowed contexts": windows are
 # enumerated in core alone, and no second scale-out runner or result type
-# comes back), over non-test Go outside bench/.
+# comes back) and of the run plan ("Run plan": core's execute is the one
+# simulation fan-out; beside it only dse's tier-1 scoring fans out on the
+# engine), over non-test Go outside bench/.
 # cmd/traceanalyze keeps its own offline -timeline flag (trace files in, no
 # run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
@@ -137,6 +140,7 @@ lint-structure:
 	@! grep -nE 'func \(s \*Simulator\) CycleReport|func CycleReport' $(SRC)
 	@! grep -n 'partition\.Run(' $(SRC)
 	@test "$$(cat $(CORESRC) | grep -c 'engine\.RunObserved(')" = 1
+	@test "$$(grep -nE 'engine\.Run(Observed)?\(' $(SRC) | grep -v '^internal/core/' | cut -d: -f1)" = internal/dse/dse.go
 	@test "$$(awk '/^func /{f=$$0} /s\.runNode\(/{print f}' $(CORESRC) | sort -u | cut -d'(' -f1-2)" = "func (s *Simulator) execute"
 	@! grep -n 'systolic\.Window{' $(SRC) | grep -v -e '^internal/core/' -e '^internal/systolic/'
 	@! grep -nE 'execScaleOut|ScaleOut \[\]' $(SRC)

@@ -21,7 +21,8 @@
 //	                        detail|summary|operators for raw CSV bytes)
 //	GET  /jobs/{id}/events  server-sent progress events
 //	GET  /metrics           Prometheus text (job counters, queue depth,
-//	                        latency quantiles, cache totals)
+//	                        latency quantiles, cache totals, the process's
+//	                        peak RSS and minor faults)
 //	GET  /healthz           liveness + queue snapshot
 //	GET  /debug/pprof/      live profiling
 //
@@ -144,6 +145,7 @@ func newServer(r *job.Runner) *server {
 	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	s.mux.Handle("GET /metrics", export.Handler(func() obsv.MetricsSnapshot {
+		r.Metrics().SetProcessGauges()
 		return r.Metrics().Snapshot()
 	}))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -492,6 +494,43 @@ func TestEventsStreamAndHealthAndMetrics(t *testing.T) {
 	for _, want := range []string{"jobs_submitted", "jobs_completed", "cache_hits", "jobs_wall_seconds"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
+		}
+	}
+}
+
+// TestMetricsProcessGauges: a scrape after one job carries the daemon's
+// own peak resident set and minor page faults, read at scrape time, both
+// above zero.
+func TestMetricsProcessGauges(t *testing.T) {
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skip("no /proc: the gauges are left out")
+	}
+	runner := job.NewRunner(job.Options{Workers: 1})
+	defer runner.Close(context.Background())
+	ts := httptest.NewServer(newServer(runner))
+	defer ts.Close()
+	in, resp := postJob(t, ts, tinyBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	if info := pollDone(t, ts, in.ID); info.Status != job.StatusDone {
+		t.Fatalf("job %s: %s", in.ID, info.Status)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, name := range []string{"process_peak_rss_bytes", "process_minor_faults"} {
+		var v int64
+		for _, line := range strings.Split(string(body), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && strings.HasSuffix(f[0], name) {
+				v, _ = strconv.ParseInt(f[1], 10, 64)
+			}
+		}
+		if v <= 0 {
+			t.Errorf("/metrics %s = %d, want above zero:\n%s", name, v, body)
 		}
 	}
 }

@@ -129,9 +129,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-bw: bandwidth budget %v must be positive", *bwBudget)
 	}
 	// sweep is the scale-out subcommands' one sweep, on Fig. 11's memory
-	// setup with arrays no smaller than -mindim: each point's partitions fan
-	// out over GOMAXPROCS, and each point is one progress step and one
-	// manifest unit.
+	// setup with arrays no smaller than -mindim: one plan over GOMAXPROCS,
+	// each point one progress step and one manifest unit.
 	sweep := func(series []partition.Series) ([][]partition.Result, error) {
 		base := experiments.Fig11Base()
 		out, err := partition.Sweep(series, pc, base, *minDim, partition.Options{Obs: rec, Progress: prog})

@@ -51,12 +51,12 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		dataflows = fs.String("dataflows", "", "inline axis: comma-separated os/ws/is")
 		srams     = fs.String("srams", "", "inline axis: comma-separated i/f/o KiB triples")
 		nets      = fs.String("nets", "", "inline axis: comma-separated built-in workloads (flat nets or operator graphs)")
-		parallel  = fs.Int("parallel", 0, "concurrent runs (default GOMAXPROCS)")
+		parallel  = fs.Int("parallel", 0, "workers over the layers of every grid point (default GOMAXPROCS)")
 	)
 	cacheFlags := cliobs.RegisterCache(fs)
 	obs := cliobs.Register(fs)
 	obs.RegisterPprof(fs, "serve net/http/pprof on this address during the sweep")
-	obs.RegisterTimeline(fs, "write a Chrome Trace Event timeline (one process per grid point) to this path")
+	obs.RegisterTimeline(fs, "write a Chrome Trace Event timeline (one machine process per grid point, in grid order, then one host-engine process) to this path")
 	cyc := cliobs.RegisterCycleProf(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err

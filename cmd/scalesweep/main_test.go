@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,56 @@ import (
 
 	"scalesim/internal/obsv"
 )
+
+// TestSweepTimelineProcesses: a -parallel 2 sweep's timeline holds one
+// simulated-machine process per grid point, in grid order and titled with
+// the point's label, then the plan's one host-engine process; two runs
+// list the same processes.
+func TestSweepTimelineProcesses(t *testing.T) {
+	dir := t.TempDir()
+	var lists [2][]string
+	for i := range lists {
+		tl, mp := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+		if err := run([]string{"-arrays", "8x8,16x16,32x32", "-dataflows", "os,ws", "-nets", "TinyNet",
+			"-parallel", "2", "-timeline", tl, "-metrics", mp}, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		var events []struct {
+			Ph, Name string
+			Args     struct{ Name string }
+		}
+		data, err := os.ReadFile(tl)
+		if err == nil {
+			err = json.Unmarshal(data, &events)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if e.Ph == "M" && e.Name == "process_name" {
+				lists[i] = append(lists[i], e.Args.Name)
+			}
+		}
+		if data, err = os.ReadFile(mp); err != nil {
+			t.Fatal(err)
+		}
+		m, err := obsv.ParseManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, l := range m.Layers { // the grid's points, in grid order
+			want = append(want, "simulated machine: "+l.Name)
+		}
+		want = append(want, "host engine")
+		if len(m.Layers) != 6 || strings.Join(lists[i], "|") != strings.Join(want, "|") {
+			t.Errorf("run %d processes %q, want %q", i, lists[i], want)
+		}
+	}
+	if strings.Join(lists[0], "|") != strings.Join(lists[1], "|") {
+		t.Errorf("processes differ between runs:\n%q\n%q", lists[0], lists[1])
+	}
+}
 
 func TestInlineSweep(t *testing.T) {
 	var buf bytes.Buffer
@@ -97,8 +148,10 @@ func TestSweepMetricsManifest(t *testing.T) {
 	if m.Layers[0].Name != "TinyNet/8x8/os/2-2-1" {
 		t.Errorf("entry name %q", m.Layers[0].Name)
 	}
-	if m.Spans == nil || m.Spans.Jobs != 2 {
-		t.Errorf("spans = %+v, want 2 jobs", m.Spans)
+	// One plan runs both points: one span per context, TinyNet's three
+	// layers on each array, none of them repeated.
+	if m.Spans == nil || m.Spans.Jobs != 6 {
+		t.Errorf("spans = %+v, want 6 jobs", m.Spans)
 	}
 }
 

@@ -107,8 +107,8 @@ type Spec struct {
 	// surviving configurations are simulated. Each point must carry its
 	// own workload; the axis fields above are ignored.
 	PointList []Point
-	// Parallel bounds concurrent runs, and a search's tier-1 scoring jobs
-	// (default GOMAXPROCS).
+	// Parallel is the one worker count over the layers of every point,
+	// and over a search's tier-1 scoring jobs (default GOMAXPROCS).
 	Parallel int
 }
 

@@ -5,24 +5,19 @@
 // whole-network results.
 //
 // Layers model hardware that executes them serially (the original tool's
-// behaviour: one CSV row at a time, in file order), but their simulations
-// are independent, so they fan out over engine.RunObserved's bounded worker
-// pool and the results — including the serialized cycle offsets — are
-// joined in layer order. Output is bit-identical for every worker count.
-// Every layer gets fresh consumers (stageSinks): trace files and
-// caller-supplied sinks from engine.Registry factories, the DRAM timing
-// model, the stall analyzer and the timeline recorder as typed fields of
-// its LayerContext, so nothing is shared across worker goroutines and the
-// Simulator holds nothing that belongs to one call.
+// behaviour), but their simulations are independent, so they fan out over
+// a bounded worker pool and the results — including the serialized cycle
+// offsets — are joined in layer order, bit-identical for every worker
+// count. Every layer gets fresh consumers (stageSinks) in its LayerContext,
+// so nothing is shared across worker goroutines.
 //
 // There is one way to execute a layer: execute plans a list of contexts,
 // fans their leaders out on the one engine.RunObserved, each under one
-// panic guard, and replays the rest. Simulate and SimulateGraph run a
-// topology's nodes through it, SimulateLayer and SimulateNode a single
-// node. With Options.Parts set the system is a grid of arrays, and a
-// layer is its Eq. 5 spatial windows, one context per partition that
-// receives work (parts.go): every window of every layer goes through the
-// one execute, and a per-node Eq. 6 join builds the layer's result.
+// panic guard, and replays the rest. SimulateRuns runs several
+// simulators' workloads through it as one plan, Simulate and SimulateGraph
+// one, SimulateLayer and SimulateNode one node. Under Options.Parts a layer
+// is its Eq. 5 spatial windows, one context per partition that receives
+// work (parts.go), joined per node by Eq. 6.
 package core
 
 import (
@@ -30,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +46,9 @@ import (
 	"scalesim/internal/vector"
 )
 
-// Options tunes a Simulator beyond the architecture configuration.
+// Options tunes a Simulator beyond the architecture configuration. Workers,
+// Cache, Timeline, Obs, Progress and Context are run-wide: the runs of one
+// plan (SimulateRuns) share them.
 type Options struct {
 	// TraceDir, when non-empty, receives per-layer SRAM and DRAM trace CSVs
 	// named <run>_<layer>_<stream>.csv.
@@ -64,47 +62,40 @@ type Options struct {
 	// unbounded link, the paper's stall-free operating point.
 	DRAMBandwidth float64
 	// Cache, when non-nil, memoizes the pure compute stage of each layer
-	// under its canonical key (config hash x layer shape x memory and DRAM
-	// bounds) across runs: known shapes replay their recorded cycles,
-	// traffic and stall results instead of re-simulating, with
-	// byte-identical reports. Repeats inside one run are shared with or
-	// without it (see plan.go), so a run looks each distinct key up once
-	// and stores each one it computed once. The cache is consulted only
-	// when no option demands a live per-layer consumer — trace files,
-	// timelines or caller sinks disable it for the run. One cache may be
-	// shared by many simulators and goroutines.
+	// under its canonical key (configuration, layer shape, memory and DRAM
+	// bounds) across plans, with byte-identical reports. A plan looks each
+	// distinct key up once (see plan.go), and only when no option demands
+	// a live per-layer consumer — trace files, timelines or caller sinks.
+	// One cache may be shared by many simulators and goroutines.
 	Cache *simcache.Cache
-	// Workers bounds how many layers Simulate executes concurrently. Zero
-	// picks GOMAXPROCS. Results are identical for every value; set 1 to
-	// force the fully sequential original behaviour.
+	// Workers bounds how many contexts — layers, or partition windows —
+	// a plan executes at once. Zero picks GOMAXPROCS. Results are
+	// identical for every value; 1 is the fully sequential original.
 	Workers int
 	// Sinks appends caller-supplied per-layer sink factories to the
 	// built-in ones (trace files, DRAM timing, stall analysis). Each
 	// factory runs once per layer, possibly from concurrent worker
 	// goroutines, and must wire fresh consumers each time.
 	Sinks engine.Registry
-	// Timeline, when non-nil, receives the run as a Chrome Trace Event
+	// Timeline, when non-nil, receives the plan as a Chrome Trace Event
 	// timeline: per-layer and per-fold spans, stall intervals and windowed
 	// bandwidth counters on the simulated-cycle axis, plus the engine's
-	// scheduler spans on the host wall-clock axis. Purely additive — all
-	// simulation output is byte-identical with or without it. One Writer
-	// serves one Simulate call.
+	// scheduler spans on the host wall-clock axis. Purely additive; one
+	// Writer serves one plan.
 	Timeline *timeline.Writer
-	// Obs, when non-nil, records run instrumentation: phase wall-clock
-	// timings, per-layer wall times and stage histograms, and the
-	// engine's scheduler spans. Purely additive — simulation results and
-	// traces are byte-identical with or without it; see
+	// Obs, when non-nil, records phase timings, per-unit wall times, stage
+	// histograms and the engine's scheduler spans. Purely additive; see
 	// Simulator.Manifest for the snapshot.
 	Obs *obsv.Recorder
-	// Progress, when non-nil, receives one step per completed layer
-	// (display only; completion order may differ from layer order when
-	// Workers > 1).
+	// Progress, when non-nil, receives one step per completed unit: a
+	// layer, or under SimulateRuns a run (display only; completion order
+	// may differ from unit order when Workers > 1).
 	Progress *obsv.Progress
-	// Context, when non-nil, cancels the run at layer granularity: each
-	// layer checks it before starting and a cancelled context aborts the
-	// run with the context's error (layers already in flight complete).
-	// This is how a job runner stops a running simulation without killing
-	// the process; results produced before the abort are discarded.
+	// Context, when non-nil, cancels the plan at context granularity:
+	// each context checks it before starting, and a cancelled context
+	// aborts the plan with its error (contexts in flight complete). This
+	// is how a job runner stops a running simulation without killing the
+	// process; results produced before the abort are discarded.
 	Context context.Context
 	// Parts, when set, simulates a scale-out system: a Pr x Pc grid of
 	// arrays shaped like the configuration's, each with an even share of
@@ -220,19 +211,15 @@ type Simulator struct {
 	// otherwise.
 	traces engine.Registry
 	// planned marks that the run is observable through its results alone
-	// (see resultsOnly in pipeline.go), so a node's recorded entry may
-	// stand in for simulating it: runs are planned (plan.go) and, when
-	// cache is set as well, opt.Cache is consulted. Decided once at New,
-	// as is the node-independent part of every compute key.
+	// (resultsOnly), so a recorded entry may stand in for simulating a node
+	// (plan.go), and cache that opt.Cache is consulted too. Both are
+	// decided at New, as is the node-independent part of every key.
 	planned, cache       bool
 	keyPrefix, keySuffix string
-	// spare holds the memory.Tables of finished nodes for the next node's
-	// memory system to adopt, within a run and from run to run, so a
-	// Simulator allocates (and zeroes) one set of residency tables per
-	// node it runs at once, not one per node. It is a list, not a
-	// sync.Pool: a pool keeps what a goroutine put on the processor it ran
-	// on, and a worker that migrated missed its own set and allocated
-	// another.
+	// spare holds the memory.Tables of finished nodes for the next node of
+	// a plan (its first run's list) to adopt, so a plan allocates one set
+	// per node it runs at once. Not a sync.Pool: a pool keeps what a
+	// goroutine put on its processor, so a migrated worker missed its set.
 	spareMu sync.Mutex
 	spare   []*memory.Tables
 }
@@ -299,9 +286,7 @@ func (o Options) Validate() error {
 var ErrPartsGraph = errors.New("core: Parts runs layers on a partitioned system and does not support a Graph workload")
 
 // SimulateLayer runs one layer through the map/sinks/compute/analyze
-// pipeline (see pipeline.go): mapping and cache lookup, live trace
-// consumers, the systolic and memory simulation, DRAM timing, stall and
-// energy accounting.
+// pipeline (see pipeline.go).
 func (s *Simulator) SimulateLayer(l topology.Layer) (LayerResult, error) {
 	return s.SimulateNode(topology.NodeOf(l))
 }
@@ -313,26 +298,31 @@ func (s *Simulator) SimulateNode(n topology.Node) (LayerResult, error) {
 	if s.partitioned() && n.Kind.Vector() {
 		return LayerResult{}, fmt.Errorf("core: node %q: Parts runs matmul layers only", n.Name)
 	}
-	ctxs := s.contexts(nil, 0, n)
-	if _, err := s.execute(ctxs, "layer", nil); err != nil {
+	ctxs := s.contexts(nil, 0, 0, n)
+	if _, err := s.execute(nil, ctxs, nil); err != nil {
 		return LayerResult{}, err
 	}
 	return s.result(ctxs)
 }
 
-// execute is the one way core runs contexts — a topology's nodes, one
-// node, the windows of a layer: it plans them (plan.go), fans the leaders
-// out on the engine and replays the rest after the join, in index order,
-// each under a guard naming noun, name and window. done sees each context
-// that ran, with its start time (zero with no recorder attached). The
-// engine spans come back, teed off, when a timeline is attached.
-func (s *Simulator) execute(ctxs []*LayerContext, noun string, done func(*LayerContext, time.Time)) ([]obsv.Span, error) {
+// execute is the one way core runs contexts: it plans them (plan.go), fans
+// the leaders out on the engine and replays the rest after the join, in
+// index order, each under a guard naming its node, window and run (runs,
+// nil for a lone node). s, the plan's lead, supplies the run-wide options
+// and the spare tables. done sees each context that ran, with its start
+// time (zero with no recorder). The engine spans come back, teed off, when
+// a timeline is attached.
+func (s *Simulator) execute(runs []Run, ctxs []*LayerContext, done func(*LayerContext, time.Time)) ([]obsv.Span, error) {
 	run := func(ctx *LayerContext) error {
+		noun := "layer"
+		if runs != nil && runs[ctx.run].Graph != nil {
+			noun = "node"
+		}
 		what := fmt.Sprintf("%s %q", noun, ctx.Layer.Name)
 		if ctx.Window != (systolic.Window{}) {
 			what += fmt.Sprintf(" window %+v", ctx.Window)
 		}
-		return guarded(what, func() error {
+		err := guarded(what, func() error {
 			var start time.Time
 			if s.opt.Obs.Enabled() {
 				start = time.Now()
@@ -345,17 +335,21 @@ func (s *Simulator) execute(ctxs []*LayerContext, noun string, done func(*LayerC
 			}
 			return nil
 		})
+		if err != nil && runs != nil {
+			err = runs[ctx.run].named(err)
+		}
+		return err
 	}
 	spanSink, tlSpans := s.opt.Obs.SpanSink(), (*obsv.SpanRecorder)(nil)
 	if s.opt.Timeline != nil {
 		tlSpans = &obsv.SpanRecorder{}
 		spanSink = obsv.TeeSpans(spanSink, tlSpans)
 	}
-	p := s.plan(ctxs)
+	p := plan(ctxs)
 	_, err := engine.RunObserved(s.opt.Workers, len(p.order), spanSink,
 		func(j int) (struct{}, error) {
 			ctx := ctxs[p.order[j]]
-			ctx.reserve = p.reserve
+			ctx.reserve, ctx.lead = p.reserve, s
 			return struct{}{}, run(ctx)
 		})
 	for i := 0; i < len(ctxs) && err == nil; i++ {
@@ -368,7 +362,8 @@ func (s *Simulator) execute(ctxs []*LayerContext, noun string, done func(*LayerC
 	return tlSpans.Spans(), err
 }
 
-// runNode threads one prepared context through the pipeline stages.
+// runNode threads one prepared context through its Simulator's pipeline
+// stages, under the plan's context and recorder.
 func (s *Simulator) runNode(ctx *LayerContext) error {
 	if c := s.opt.Context; c != nil {
 		select {
@@ -383,7 +378,7 @@ func (s *Simulator) runNode(ctx *LayerContext) error {
 			continue
 		}
 		stop := s.opt.Obs.Time(st.timer)
-		err := st.fn(s, ctx)
+		err := st.fn(ctx.sim, ctx)
 		stop()
 		if err != nil {
 			log.Default().Error("stage failed", "subsystem", "core",
@@ -417,100 +412,175 @@ func guarded(what string, job func() error) (err error) {
 // Options.Workers, with results joined in layer order — and aggregates the
 // serialized execution totals.
 func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
-	stop := s.opt.Obs.Phase("core.validate")
-	err := topo.Validate()
-	stop()
+	return Run{Sim: s, Topology: topo}.Simulate()
+}
+
+// SimulateGraph runs an operator-graph workload like a flat topology, in
+// the graph's deterministic topological order (Graph.Schedule): cycle
+// offsets accumulate over it, so results are identical for every worker
+// count. Matmul-shaped nodes take the systolic path, vector-shaped nodes
+// the vector unit.
+func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
+	return Run{Sim: s, Graph: &g}.Simulate()
+}
+
+// Simulate runs r alone, its layers the units: Simulate and SimulateGraph.
+func (r Run) Simulate() (RunResult, error) {
+	res, err := simulate([]Run{r}, false)
 	if err != nil {
 		return RunResult{}, err
 	}
-	nodes := make([]topology.Node, len(topo.Layers))
-	for i, l := range topo.Layers {
-		nodes[i] = topology.NodeOf(l)
-	}
-	return s.runNodes(RunResult{Config: s.base, Topology: topo}, nodes)
+	return res[0], nil
 }
 
-// runNodes is the orchestration body behind Simulate and SimulateGraph:
-// it executes nodes — the run's execution order, which run.Topology
-// already names — and fills in run's results and totals.
-//
-// The modeled hardware runs one node at a time whatever the graph's edges
-// say, and no node's result depends on another's, so the nodes' contexts
-// (the node itself, or under Parts its partitions' windows) go through
-// execute as independent jobs; what is a layer's alone — its wall time,
-// its progress step, its Eq. 6 join, its serialized cycle offset — is
-// added here.
-func (s *Simulator) runNodes(run RunResult, nodes []topology.Node) (RunResult, error) {
-	noun := "layer"
-	if run.Graph != nil {
-		noun = "node"
+// Run is one simulator's workload, the flat topology or else the operator
+// graph, in a plan of several (SimulateRuns). Its Name, which Simulate and
+// SimulateGraph leave empty, names its progress step and recorded unit,
+// prefixes its errors and titles its timeline process.
+type Run struct {
+	Sim      *Simulator
+	Name     string
+	Topology topology.Topology
+	Graph    *topology.Graph
+}
+
+// SimulateRuns runs several simulators' workloads as one plan, under the
+// first run's run-wide Options, so a node repeated across runs under an
+// equal configuration, DRAM bound and model is simulated once. Each run is
+// one unit: one progress step and one recorded wall time, its contexts'
+// busy time summed. Each result is what Simulate would return.
+func SimulateRuns(runs []Run) ([]RunResult, error) {
+	if len(runs) == 0 {
+		return nil, nil
 	}
-	s.opt.Progress.Start(len(nodes))
-	obs := s.opt.Obs
-	// Node i's contexts are ctxs[first[i]:first[i+1]]. A node is done when
-	// the last of them is (left), and its wall time is theirs summed (busy).
-	ctxs := make([]*LayerContext, 0, len(nodes))
-	first := make([]int, len(nodes)+1)
-	for i, n := range nodes {
-		first[i] = len(ctxs)
-		ctxs = s.contexts(ctxs, i, n)
+	return simulate(runs, true)
+}
+
+// workload validates the run's workload and returns its execution order
+// with the result it starts from; a graph's result gets an execution-order
+// topology, so that every report renders it.
+func (r Run) workload() (RunResult, []topology.Node, error) {
+	res := RunResult{Config: r.Sim.base, Topology: r.Topology}
+	if r.Sim.partitioned() {
+		parts := r.Sim.opt.Parts
+		res.Parts = &parts
 	}
-	first[len(nodes)] = len(ctxs)
-	left, busy := make([]atomic.Int64, len(nodes)), make([]atomic.Int64, len(nodes))
-	for i := range nodes {
-		left[i].Store(int64(first[i+1] - first[i]))
-	}
-	stop := obs.Phase("core.simulate")
-	spans, err := s.execute(ctxs, noun, func(ctx *LayerContext, start time.Time) {
-		i := ctx.Index
-		if obs.Enabled() {
-			busy[i].Add(int64(time.Since(start)))
+	if r.Graph == nil {
+		nodes := make([]topology.Node, len(r.Topology.Layers))
+		for i, l := range r.Topology.Layers {
+			nodes[i] = topology.NodeOf(l)
 		}
-		if left[i].Add(-1) > 0 {
+		return res, nodes, r.Topology.Validate()
+	}
+	if r.Sim.partitioned() {
+		return res, nil, ErrPartsGraph
+	}
+	g := *r.Graph
+	if err := g.Validate(); err != nil {
+		return res, nil, err
+	}
+	nodes, _, err := g.Schedule()
+	res.Topology, res.Graph = topology.Topology{Name: g.Name, Layers: make([]topology.Layer, len(nodes))}, &g
+	for i, n := range nodes {
+		res.Topology.Layers[i] = n.Layer
+		res.Topology.Layers[i].Name = n.Name
+	}
+	return res, nodes, err
+}
+
+// named prefixes err with the run's Name, when it has one.
+func (r Run) named(err error) error {
+	if r.Name == "" {
+		return err
+	}
+	return fmt.Errorf("%s: %w", r.Name, err)
+}
+
+// simulate is the body behind SimulateRuns, Simulate and SimulateGraph. No
+// node's result depends on another's, so every node's contexts go through
+// execute as independent jobs; what is a unit's (a run, perRun, or else
+// the one run's layer) — its wall time, its progress step — and a node's
+// — its Eq. 6 join, its serialized cycle offset — is added here.
+func simulate(runs []Run, perRun bool) ([]RunResult, error) {
+	s := runs[0].Sim
+	obs := s.opt.Obs
+	out := make([]RunResult, len(runs))
+	var ctxs []*LayerContext
+	stop := obs.Phase("core.validate")
+	for k, r := range runs {
+		res, nodes, err := r.workload()
+		if err != nil {
+			stop()
+			return nil, r.named(err)
+		}
+		res.Layers = make([]LayerResult, len(nodes))
+		out[k], ctxs = res, slices.Grow(ctxs, len(nodes))
+		for i, n := range nodes {
+			ctxs = r.Sim.contexts(ctxs, k, i, n)
+		}
+	}
+	stop()
+	// A unit is done when its last context is (left); its wall time is
+	// theirs summed (busy).
+	units, unit := len(out[0].Layers), func(ctx *LayerContext) int { return ctx.Index }
+	name := func(ctx *LayerContext) string { return ctx.Layer.Name }
+	if perRun {
+		units, unit = len(runs), func(ctx *LayerContext) int { return ctx.run }
+		name = func(ctx *LayerContext) string { return runs[ctx.run].Name }
+	}
+	left, busy := make([]atomic.Int64, units), make([]atomic.Int64, units)
+	for _, ctx := range ctxs {
+		left[unit(ctx)].Add(1)
+	}
+	s.opt.Progress.Start(units)
+	stop = obs.Phase("core.simulate")
+	spans, err := s.execute(runs, ctxs, func(ctx *LayerContext, start time.Time) {
+		u := unit(ctx)
+		if obs.Enabled() {
+			busy[u].Add(int64(time.Since(start)))
+		}
+		if left[u].Add(-1) > 0 {
 			return
 		}
 		if obs.Enabled() {
-			obs.ObserveLayer(i, time.Duration(busy[i].Load()))
+			obs.ObserveLayer(u, time.Duration(busy[u].Load()))
 		}
-		s.opt.Progress.Step(ctx.Layer.Name)
+		s.opt.Progress.Step(name(ctx))
 	})
 	stop()
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 
 	defer obs.Phase("core.aggregate")()
+	// The modeled hardware executes layers serially: cycle offsets and
+	// totals are summed after the join, in layer order, over each node's
+	// adjacent contexts.
 	var simulated, replayed int64
-	for _, ctx := range ctxs {
-		if ctx.live() {
-			simulated++
+	for lo := 0; lo < len(ctxs); {
+		c, hi := ctxs[lo], lo
+		for ; hi < len(ctxs) && ctxs[hi].run == c.run && ctxs[hi].Index == c.Index; hi++ {
+			if ctxs[hi].live() {
+				simulated++
+			}
+			if ctxs[hi].Replayed {
+				replayed++
+			}
 		}
-		if ctx.Replayed {
-			replayed++
+		res, lr := &out[c.run], &out[c.run].Layers[c.Index]
+		if *lr, err = c.sim.result(ctxs[lo:hi]); err != nil {
+			return nil, runs[c.run].named(err)
 		}
-	}
-	// The modeled hardware executes layers serially: cumulative cycle
-	// offsets and totals are computed after the parallel join, in layer
-	// order, so they match a sequential run exactly.
-	run.Layers = make([]LayerResult, len(nodes))
-	if s.partitioned() {
-		parts := s.opt.Parts
-		run.Parts = &parts
-	}
-	for i := range nodes {
-		lr := &run.Layers[i]
-		if *lr, err = s.result(ctxs[first[i]:first[i+1]]); err != nil {
-			return RunResult{}, err
-		}
-		lr.StartCycle = run.TotalCycles
-		run.TotalCycles += lr.Compute.Cycles
-		run.TotalMACs += lr.Compute.MACs
-		run.TotalEnergy = run.TotalEnergy.Add(lr.Energy)
+		lr.StartCycle = res.TotalCycles
+		res.TotalCycles += lr.Compute.Cycles
+		res.TotalMACs += lr.Compute.MACs
+		res.TotalEnergy = res.TotalEnergy.Add(lr.Energy)
+		lo = hi
 	}
 	obs.Metrics().Counter("core.nodes_simulated").Add(simulated)
 	obs.Metrics().Counter("core.nodes_replayed").Add(replayed)
 	if s.opt.Timeline != nil {
-		s.emitTimeline(run, ctxs, spans)
+		s.emitTimeline(runs, out, ctxs, spans)
 	}
-	return run, nil
+	return out, nil
 }

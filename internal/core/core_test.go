@@ -264,7 +264,7 @@ func TestConcurrentRunsShareTables(t *testing.T) {
 		} else if !reflect.DeepEqual(got, wantNode) {
 			t.Errorf("layer %s simulated alone differs from its run's", l.Name)
 		}
-		if _, err := sim.execute(windowContexts(l, systolic.Window{SrLen: 4, ScLen: 4}, systolic.Window{SrOff: 4, SrLen: 4, ScLen: 4}), "layer", nil); err != nil {
+		if _, err := sim.execute(nil, windowContexts(sim, l, systolic.Window{SrLen: 4, ScLen: 4}, systolic.Window{SrOff: 4, SrLen: 4, ScLen: 4}), nil); err != nil {
 			t.Error(err)
 		}
 	}()

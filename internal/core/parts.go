@@ -43,20 +43,21 @@ func partitionConfig(cfg config.Config, p int64) config.Config {
 	return cfg
 }
 
-// contexts appends node i's contexts to ctxs: the node itself, or under
-// Parts one window per partition that receives work, row-major over the
-// grid. Trailing partitions of an over-partitioned layer get none. An
-// invalid node gets one context, which fails in its own stages.
-func (s *Simulator) contexts(ctxs []*LayerContext, i int, n topology.Node) []*LayerContext {
+// contexts appends the contexts of node i of the plan's run run to ctxs:
+// the node itself, or under Parts one window per partition that receives
+// work, row-major over the grid. Trailing partitions of an
+// over-partitioned layer get none. An invalid node gets one context, which
+// fails in its own stages.
+func (s *Simulator) contexts(ctxs []*LayerContext, run, i int, n topology.Node) []*LayerContext {
 	if !s.partitioned() || n.Validate() != nil {
-		return append(ctxs, newLayerContext(i, n))
+		return append(ctxs, s.newContext(run, i, n))
 	}
 	m := dataflow.Map(n.Layer, s.cfg.Dataflow)
 	srPer := mathutil.CeilDiv(m.Sr, s.opt.Parts.Pr)
 	scPer := mathutil.CeilDiv(m.Sc, s.opt.Parts.Pc)
 	for pi := int64(0); pi < s.opt.Parts.Pr && pi*srPer < m.Sr; pi++ {
 		for pj := int64(0); pj < s.opt.Parts.Pc && pj*scPer < m.Sc; pj++ {
-			ctx := newLayerContext(i, n)
+			ctx := s.newContext(run, i, n)
 			ctx.Window = systolic.Window{
 				SrOff: pi * srPer, ScOff: pj * scPer,
 				SrLen: min(srPer, m.Sr-pi*srPer),

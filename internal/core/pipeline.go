@@ -36,12 +36,10 @@ import (
 // memory-system options and the DRAM bound/model. Everything it produces
 // lands in LayerContext.Entry — exactly the simcache.Entry payload — so a
 // node whose entry is already known, from the cache or from an identical
-// node of the same run (see plan.go), skips the sinks and compute stages
-// wholesale and replays the entry. Stages that exist only to feed live
-// consumers are marked liveOnly and never run on a replay; conversely, any
-// option that demands a live consumer (trace files, timelines, caller
-// sinks) disables both kinds of replay for the whole run at New time, so a
-// replay can never starve a sink.
+// node of the same plan (see plan.go), skips the liveOnly stages and
+// replays the entry. Any option that demands a live consumer (trace files,
+// timelines, caller sinks) disables both kinds of replay for its
+// Simulator at New time, so a replay can never starve a sink.
 
 // LayerContext is the state one layer threads through the pipeline
 // stages. Exported fields are the stage contract; unexported fields carry
@@ -80,18 +78,21 @@ type LayerContext struct {
 	dram  *dram.Model
 	stall *trace.StallAnalyzer
 	rec   *timeline.LayerRecorder
-	// reserve covers the run's IFMAP, filter and OFMAP regions, what a
-	// memory system with no spare tables to adopt sizes new ones for; zero
-	// sizes them for this node alone.
-	reserve memory.Reservation
+	// sim is the context's Simulator, run its run's index in the plan and
+	// lead the plan's first Simulator, whose spare tables it adopts, or
+	// else new ones sized for reserve, the plan's largest regions.
+	sim, lead *Simulator
+	run       int
+	reserve   memory.Reservation
 	// pi and pj locate a window's partition in the Parts grid.
 	pi, pj int64
 }
 
-func newLayerContext(index int, n topology.Node) *LayerContext {
+// newContext is node n's context, node index of the plan's run run.
+func (s *Simulator) newContext(run, index int, n topology.Node) *LayerContext {
 	l := n.Layer
 	l.Name = n.Name
-	return &LayerContext{Index: index, Node: n, Layer: l}
+	return &LayerContext{Index: index, Node: n, Layer: l, sim: s, run: run}
 }
 
 // live reports that the node is simulated rather than replayed.
@@ -253,7 +254,7 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	if err != nil {
 		return err
 	}
-	s.equip(sys, ctx.reserve)
+	ctx.lead.equip(sys, ctx.reserve)
 	sys.SetRegions(
 		s.cfg.IfmapOffset, l.IfmapWords(),
 		s.cfg.FilterOffset, l.FilterWords(),
@@ -298,15 +299,15 @@ func (s *Simulator) stageCompute(ctx *LayerContext) error {
 	ctx.Entry.Compute = comp
 	ctx.Entry.Memory = sys.Report(comp.Cycles)
 	ctx.Entry.Ledger = led
-	s.spareMu.Lock()
-	s.spare = append(s.spare, sys.Release())
-	s.spareMu.Unlock()
+	ctx.lead.spareMu.Lock()
+	ctx.lead.spare = append(ctx.lead.spare, sys.Release())
+	ctx.lead.spareMu.Unlock()
 	return nil
 }
 
 // equip gives sys the residency tables (memory.Tables, storage only) a
-// finished node left, or else new ones reserved for the run's largest
-// regions, so that no later node of the run regrows them.
+// finished node left, or else new ones reserved for the plan's largest
+// regions, so that no later node of the plan regrows them.
 func (s *Simulator) equip(sys *memory.System, reserve memory.Reservation) {
 	s.spareMu.Lock()
 	var t *memory.Tables

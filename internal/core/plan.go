@@ -10,16 +10,17 @@ import (
 	"scalesim/internal/vector"
 )
 
-// runPlan is how execute runs a list of contexts — a topology's nodes, one
+// runPlan is how execute runs a list of contexts — the nodes of runs, one
 // node, or the windows of a layer.
 //
-// When the run is observable through its results alone (Simulator.planned)
-// the compute stage is a pure function of nodeKey — the contract the result
-// cache has rested on since it exists — so contexts sharing a key need
-// simulating once: the first of them leads, and the rest replay its entry
-// through the path a cache hit takes (relabel, then stageAnalyze: names and
-// energy stay per node). Networks repeat themselves: 33 of ResNet50's 54
-// layers and 38 of BERTBase's 47 nodes are such repeats. A window's key
+// When a context's Simulator is observable through its results alone
+// (Simulator.planned) its compute stage is a pure function of nodeKey —
+// the contract the result cache rests on — so contexts sharing a key need
+// simulating once: the first leads, and the rest replay its entry through
+// a cache hit's path (relabel, then stageAnalyze: names and energy stay
+// per node). 33 of ResNet50's 54 layers and 38 of BERTBase's 47 nodes are
+// such repeats. The key carries each Simulator's configuration, so a
+// replay across runs is as exact as one within a run; a window's key
 // carries its offsets, so the windows of a layer lead one each.
 //
 // The leaders are dispatched largest first, by the SRAM words their
@@ -27,26 +28,28 @@ import (
 // never the one that starts last and runs alone; among a layer's windows
 // the interior ones go before the smaller edge remainders.
 //
-// With any live consumer the plan is the identity: every context leads, in
-// index order, and each consumer sees exactly the stream it always saw.
+// With a live consumer a Simulator's contexts all lead, and the plan keeps
+// index order, so each consumer sees exactly the stream it always saw.
 type runPlan struct {
 	// order lists the leaders in dispatch order.
 	order []int
 	// lead maps every context to its leader (itself, for a leader).
 	lead []int
 	// reserve covers the IFMAP, filter and OFMAP regions of the matmul
-	// leaders, what the run's new residency tables are sized for (see
+	// leaders, what the plan's new residency tables are sized for (see
 	// Simulator.equip).
 	reserve memory.Reservation
 }
 
-func (s *Simulator) plan(ctxs []*LayerContext) runPlan {
+func plan(ctxs []*LayerContext) runPlan {
 	p := runPlan{lead: make([]int, len(ctxs))}
 	first := make(map[string]int)
+	sorted := true
 	for i, ctx := range ctxs {
 		p.lead[i] = i
-		if s.planned {
-			key := s.nodeKey(ctx.Node, ctx.Window)
+		sorted = sorted && ctx.sim.planned
+		if ctx.sim.planned {
+			key := ctx.sim.nodeKey(ctx.Node, ctx.Window)
 			if j, ok := first[key]; ok {
 				p.lead[i] = j
 				continue
@@ -58,10 +61,10 @@ func (s *Simulator) plan(ctxs []*LayerContext) runPlan {
 			p.reserve.Add(regions(ctx.Layer))
 		}
 	}
-	if s.planned {
+	if sorted {
 		words := make([]int64, len(ctxs))
 		for _, i := range p.order {
-			words[i] = s.sramWords(ctxs[i])
+			words[i] = ctxs[i].sim.sramWords(ctxs[i])
 		}
 		sort.SliceStable(p.order, func(a, b int) bool { return words[p.order[a]] > words[p.order[b]] })
 	}

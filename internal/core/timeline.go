@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"scalesim/internal/engine"
@@ -29,24 +30,23 @@ func (s *Simulator) recordTimeline(ctx *LayerContext) {
 	ctx.rec = rec
 }
 
-// emitTimeline writes the run into the timeline writer: the
-// simulated-machine processes first, then the host-engine process built
-// from the scheduler spans. One array runs one layer at a time, so a run
-// on it is one process, each layer's buffered events placed at its
+// emitTimeline writes, after aggregation, each run's simulated-machine
+// processes in run order, then one host-engine process from the scheduler
+// spans. One array runs one layer at a time, so a run on it is one process,
+// titled by its run's or workload's name, each layer's events placed at its
 // serialized StartCycle. Partitions run side by side, so under Parts each
-// layer is its own process with one thread per partition (its span plus
-// fold schedule, counter tracks prefixed "p<i>."), all starting at cycle
-// zero. Runs after aggregation, so it can never perturb results.
-func (s *Simulator) emitTimeline(run RunResult, ctxs []*LayerContext, spans []obsv.Span) {
+// layer is its own process with one thread per partition (counter tracks
+// prefixed "p<i>."), all starting at cycle zero.
+func (s *Simulator) emitTimeline(runs []Run, results []RunResult, ctxs []*LayerContext, spans []obsv.Span) {
 	w := s.opt.Timeline
-	name := func(i int) string { return ctxs[i].Layer.Name }
-	if s.partitioned() {
-		part := func(ctx *LayerContext) string { return fmt.Sprintf("partition %d,%d", ctx.pi, ctx.pj) }
-		var pid, tid int64
-		for i, ctx := range ctxs {
-			if i == 0 || ctx.Index != ctxs[i-1].Index {
+	part := func(ctx *LayerContext) string { return fmt.Sprintf("partition %d,%d", ctx.pi, ctx.pj) }
+	var pid, tid int64
+	for i, ctx := range ctxs {
+		sim, newRun := ctx.sim, i == 0 || ctx.run != ctxs[i-1].run
+		if sim.partitioned() {
+			if newRun || ctx.Index != ctxs[i-1].Index {
 				pid = w.Process(fmt.Sprintf("simulated machine: %s on %s partitions of %dx%d",
-					ctx.Layer.Name, s.opt.Parts, s.cfg.ArrayHeight, s.cfg.ArrayWidth))
+					ctx.Layer.Name, sim.opt.Parts, sim.cfg.ArrayHeight, sim.cfg.ArrayWidth))
 				tid = 0
 			}
 			ctx.rec.Name = part(ctx)
@@ -56,23 +56,32 @@ func (s *Simulator) emitTimeline(run RunResult, ctxs []*LayerContext, spans []ob
 				TrackPrefix: fmt.Sprintf("p%d.", tid),
 			})
 			tid++
+			continue
 		}
-		name = func(i int) string { return ctxs[i].Layer.Name + " " + part(ctxs[i]) }
-	} else {
-		title := "simulated machine"
-		if run.Topology.Name != "" {
-			title += ": " + run.Topology.Name
+		res := results[ctx.run]
+		if newRun {
+			title := "simulated machine"
+			if name := cmp.Or(runs[ctx.run].Name, res.Topology.Name); name != "" {
+				title += ": " + name
+			}
+			pid = w.Process(title)
+			w.Thread(pid, timeline.TIDArray, "array")
+			w.Thread(pid, timeline.TIDDRAM, "dram")
+			if sim.opt.DRAMBandwidth > 0 {
+				w.Thread(pid, timeline.TIDStalls, "stalls")
+			}
 		}
-		pid := w.Process(title)
-		w.Thread(pid, timeline.TIDArray, "array")
-		w.Thread(pid, timeline.TIDDRAM, "dram")
-		if s.opt.DRAMBandwidth > 0 {
-			w.Thread(pid, timeline.TIDStalls, "stalls")
-		}
-		for i, ctx := range ctxs {
-			ctx.rec.Emit(w, pid, timeline.DefaultPlacement(run.Layers[i].StartCycle))
-		}
+		ctx.rec.Emit(w, pid, timeline.DefaultPlacement(res.Layers[ctx.Index].StartCycle))
 	}
 	// A timeline run is never planned: job i is context i.
-	timeline.EmitEngineSpans(w, spans, name)
+	timeline.EmitEngineSpans(w, spans, func(i int) string {
+		name := ctxs[i].Layer.Name
+		if ctxs[i].sim.partitioned() {
+			name += " " + part(ctxs[i])
+		}
+		if r := runs[ctxs[i].run]; r.Name != "" {
+			name = r.Name + ": " + name
+		}
+		return name
+	})
 }

@@ -55,10 +55,10 @@ func TestWholeLayerKeyUnchanged(t *testing.T) {
 
 // windowContexts is the contexts a partitioned layer expands into, for
 // hand-picked windows.
-func windowContexts(l topology.Layer, wins ...systolic.Window) []*LayerContext {
+func windowContexts(sim *Simulator, l topology.Layer, wins ...systolic.Window) []*LayerContext {
 	ctxs := make([]*LayerContext, len(wins))
 	for i, w := range wins {
-		ctxs[i] = newLayerContext(i, topology.NodeOf(l))
+		ctxs[i] = sim.newContext(0, i, topology.NodeOf(l))
 		ctxs[i].Window = w
 	}
 	return ctxs
@@ -83,8 +83,8 @@ func TestSimulateWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	halves := []systolic.Window{{}, {SrLen: 72}, {SrOff: 72}}
-	ctxs := windowContexts(l, halves...)
-	spans, err := sim.execute(ctxs, "layer", nil)
+	ctxs := windowContexts(sim, l, halves...)
+	spans, err := sim.execute(nil, ctxs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSimulateWindows(t *testing.T) {
 		t.Error("timeline hand-back without a timeline")
 	}
 
-	if _, err := sim.execute(windowContexts(l, systolic.Window{SrOff: 200}), "layer", nil); err == nil ||
+	if _, err := sim.execute(nil, windowContexts(sim, l, systolic.Window{SrOff: 200}), nil); err == nil ||
 		!strings.Contains(err.Error(), `"conv"`) {
 		t.Errorf("window outside the mapping: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestSimulateWindowsPanickingSink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sim.execute(windowContexts(l, wins...), "layer", nil)
+		_, err = sim.execute(nil, windowContexts(sim, l, wins...), nil)
 		if err == nil || !strings.Contains(err.Error(), `layer "conv" window {SrOff:72`) ||
 			!strings.Contains(err.Error(), "boom") {
 			t.Errorf("workers=%d: err = %v, want the panic under the layer's and window's name", workers, err)

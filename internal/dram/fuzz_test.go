@@ -1,6 +1,7 @@
 package dram_test
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"sync"
@@ -48,6 +49,7 @@ var fuzzBandwidths = []float64{0, 1, 2, 3, 4, 8, 16, 0.7, 1.0 / 3, 2.5}
 // streams to the per-word model (RefConsume) as well. The results — cycles,
 // memory report, DRAM statistics, stall cycles and cycle ledgers — must be
 // DeepEqual, and the per-word model must reproduce the DRAM statistics.
+// Then the layer runs under several simulators in one plan (crossRuns).
 func FuzzLayer(f *testing.F) {
 	// Seeds: OS/WS/IS GEMMs and convolutions, buffers of a few words to a
 	// few KiB, every DRAM side (the two-cycle bus slot under OS and WS),
@@ -146,5 +148,64 @@ func FuzzLayer(f *testing.F) {
 				t.Errorf("%+v on %+v, DRAM %+v: model %+v, per-word reference %+v", l, cfg, opt.DRAM, got, want)
 			}
 		}
+		crossRuns(t, topo, cfg, fuzzDRAM[int(dm)%len(fuzzDRAM)], fuzzBandwidths[int(bw)%len(fuzzBandwidths)], parts)
 	})
+}
+
+// crossRuns is FuzzLayer's cross-run case: the drawn layer under four
+// simulators in one plan (core.SimulateRuns) — two with equal
+// configurations, so the second replays the first across runs; one on a
+// partition grid (the drawn one, or 2x1); and one on another array under
+// the first two's DRAM side and link bound, which a plan keyed without the
+// configuration would replay the first into — must give each run exactly
+// what the same simulator's solo Simulate gives, at one worker and at four.
+func crossRuns(t *testing.T, topo topology.Topology, cfg config.Config, side *dram.Config, bw float64, grid analytical.Partitioning) {
+	if bw == 0 {
+		bw = 2
+	}
+	if grid == (analytical.Partitioning{}) {
+		grid = analytical.Partitioning{Pr: 2, Pc: 1}
+	}
+	other := cfg.WithArray(cfg.ArrayHeight%16+1, cfg.ArrayWidth)
+	linked := core.Options{DRAM: side, DRAMBandwidth: bw}
+	systems := []struct {
+		cfg config.Config
+		opt core.Options
+	}{{cfg, linked}, {cfg, linked}, {other, core.Options{Parts: grid}}, {other, linked}}
+	want := make([]core.RunResult, len(systems))
+	for i, sys := range systems {
+		sys.opt.Workers = 1
+		sim, err := core.New(sys.cfg, sys.opt)
+		if err == nil {
+			want[i], err = sim.Simulate(topo)
+		}
+		if err != nil {
+			t.Fatalf("solo run %d: %v", i, err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		rec := obsv.NewRecorder()
+		runs := make([]core.Run, len(systems))
+		for i, sys := range systems {
+			sys.opt.Workers, sys.opt.Obs = workers, rec
+			sim, err := core.New(sys.cfg, sys.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = core.Run{Sim: sim, Name: fmt.Sprintf("run %d", i), Topology: topo}
+		}
+		got, err := core.SimulateRuns(runs)
+		if err != nil {
+			t.Fatalf("%+v on %+v, workers %d: %v", topo.Layers[0], cfg, workers, err)
+		}
+		if n := rec.Metrics().Counter("core.nodes_replayed").Value(); n < 1 {
+			t.Errorf("workers %d: %d contexts replayed, want the equal run's", workers, n)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%+v on %+v, DRAM %+v, link %v, grid %s, workers %d: run %d in the plan\n%+v\nsolo\n%+v",
+					topo.Layers[0], systems[i].cfg, side, bw, grid, workers, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -4,26 +4,18 @@
 //
 // Per-layer simulations are independent — each layer's traces depend only
 // on the configuration and the layer's dimensions (ISPASS 2020, Sec. III) —
-// so a topology run, a design-space grid and a scale-out partition set are
-// all the same shape of work: an ordered list of jobs fanned out over a
-// bounded worker pool and joined back in order. Run is that primitive;
-// core (flat topologies, operator graphs and the partition windows of a
-// scale-out layer alike) and the job.Runner's sweep body delegate to it
-// instead of hand-rolling their own pools.
+// so every simulation in the product, whatever the front end, is one list
+// of jobs that core's run plan fans out on RunObserved's bounded worker
+// pool and joins back in order.
 //
 // Determinism is the load-bearing guarantee: for any worker count the
 // results slice, every trace byte and the returned error are identical to a
-// sequential run. Run achieves this by giving every job its own state (the
-// sink Registry constructs consumers per job, never sharing one across
-// goroutines), joining results in job order, and leaving any cumulative
-// accounting (e.g. cycle offsets of serially-executing layers) to the
-// caller, after the join.
-//
-// RunObserved is Run with instrumentation: it emits one obsv.Span per job
-// (queue wait, execution time, join latency, worker id) to a pluggable
-// sink. Spans are stamped while jobs run but emitted only after the final
-// join, in job order, so observation can never reorder anything; with a
-// nil sink no clock is read at all.
+// sequential run, because every job has its own state (the sink Registry
+// constructs consumers per job), results are joined in job order, and
+// cumulative accounting is left to the caller, after the join. RunObserved
+// emits one obsv.Span per job (queue wait, execution time, join latency,
+// worker id) to a pluggable sink, after the final join, in job order; with
+// a nil sink no clock is read at all.
 package engine
 
 import (
@@ -94,26 +86,21 @@ func runJob[T any](i int, job func(i int) (T, error)) (res T, err error) {
 	return job(i)
 }
 
-// Run executes n independent jobs over a bounded worker pool and returns
-// their results in job order. workers <= 0 defaults to GOMAXPROCS; workers
-// is additionally capped at n. Jobs are dispatched in index order.
-//
-// The output is bit-identical for every worker count. That includes the
-// error: when jobs fail, the error returned is the one a sequential run
-// would hit first (the lowest-index failure). Dispatch stops after the
-// first observed failure, but every job already started is drained, so all
-// indices below the first failing one are fully evaluated. A job that
-// panics fails the run with a *PanicError under the same ordering rule.
+// Run is RunObserved without a span sink.
 func Run[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 	return RunObserved(workers, n, nil, job)
 }
 
-// RunObserved is Run with a span sink: every executed job emits one
-// obsv.Span recording its queue wait, execution time, join latency and
-// worker id. Spans are emitted after the pool's final join, in job index
-// order, from the calling goroutine — instrumentation observes the
-// schedule, it never participates in it. A nil sink skips every clock
-// read, so the uninstrumented path costs one pointer comparison per job.
+// RunObserved executes n independent jobs over a bounded worker pool and
+// returns their results in job order. workers <= 0 defaults to GOMAXPROCS,
+// and workers is capped at n. Jobs are dispatched in index order. The
+// output is bit-identical for every worker count, the error included: the
+// lowest-index failure, as a sequential run would hit first. Dispatch stops
+// after the first observed failure, but every job already started is
+// drained. A job that panics fails with a *PanicError under the same rule.
+// Every executed job emits one obsv.Span to sink after the final join, in
+// job index order, from the calling goroutine; a nil sink skips every
+// clock read.
 func RunObserved[T any](workers, n int, sink obsv.SpanSink, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {

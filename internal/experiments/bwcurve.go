@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"scalesim/internal/config"
 	"scalesim/internal/core"
-	"scalesim/internal/engine"
 	"scalesim/internal/obsv"
 	"scalesim/internal/topology"
 )
@@ -33,38 +31,39 @@ type BWPoint struct {
 	Unit obsv.Unit
 }
 
-// BandwidthCurve simulates the layer once per bandwidth point. The points
-// are independent full simulations, so they run on the shared engine's
-// worker pool; results come back in bandwidth order. Each point's
-// simulation is recorded into obs (which may be nil), and its wall time
-// as unit i.
+// BandwidthCurve simulates the layer once per bandwidth point, each a run
+// named <layer>@<bw>wpc of one core plan, recorded into obs (which may be
+// nil) as unit i; results come back in bandwidth order.
 func BandwidthCurve(l topology.Layer, cfg config.Config, bandwidths []float64, obs *obsv.Recorder) ([]BWPoint, error) {
 	if len(bandwidths) == 0 {
 		return nil, fmt.Errorf("experiments: no bandwidth points")
 	}
-	for _, bw := range bandwidths {
+	runs := make([]core.Run, len(bandwidths))
+	for i, bw := range bandwidths {
 		if bw <= 0 {
 			return nil, fmt.Errorf("experiments: bandwidth %v must be positive", bw)
 		}
-	}
-	return engine.Run(0, len(bandwidths), func(i int) (BWPoint, error) {
-		bw := bandwidths[i]
-		t0 := time.Now()
 		sim, err := core.New(cfg, core.Options{DRAMBandwidth: bw, Obs: obs})
 		if err != nil {
-			return BWPoint{}, err
+			return nil, err
 		}
-		lr, err := sim.SimulateLayer(l)
-		if err != nil {
-			return BWPoint{}, err
-		}
-		obs.ObserveLayer(i, time.Since(t0))
-		return BWPoint{
-			BandwidthWordsPerCycle: bw,
+		name := fmt.Sprintf("%s@%gwpc", l.Name, bw)
+		runs[i] = core.Run{Sim: sim, Name: name, Topology: topology.Topology{Name: name, Layers: []topology.Layer{l}}}
+	}
+	results, err := core.SimulateRuns(runs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]BWPoint, len(runs))
+	for i, res := range results {
+		lr := res.Layers[0]
+		out[i] = BWPoint{
+			BandwidthWordsPerCycle: bandwidths[i],
 			StallFreeCycles:        lr.Compute.Cycles,
 			StallCycles:            lr.StallCycles,
 			Slowdown:               float64(lr.StalledCycles()) / float64(lr.Compute.Cycles),
-			Unit:                   sim.Unit(fmt.Sprintf("%s@%gwpc", l.Name, bw), lr),
-		}, nil
-	})
+			Unit:                   runs[i].Sim.Unit(runs[i].Name, lr),
+		}
+	}
+	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"scalesim/internal/config"
-	"scalesim/internal/engine"
 	"scalesim/internal/systolic"
 	"scalesim/internal/topology"
 )
@@ -42,31 +41,21 @@ func DataflowStudy(topo topology.Topology, cfg config.Config) (DataflowStudyResu
 	if err := topo.Validate(); err != nil {
 		return DataflowStudyResult{}, err
 	}
-	// Layers are evaluated independently on the shared engine's pool; the
-	// network totals are accumulated after the in-order join.
-	choices, err := engine.Run(0, len(topo.Layers), func(i int) (DataflowChoice, error) {
-		l := topo.Layers[i]
+	var res DataflowStudyResult
+	for _, l := range topo.Layers {
 		choice := DataflowChoice{Layer: l.Name}
 		for _, df := range config.Dataflows {
 			est, err := systolic.Estimate(l, cfg.WithDataflow(df))
 			if err != nil {
-				return DataflowChoice{}, err
+				return DataflowStudyResult{}, err
 			}
 			choice.Cycles[df] = est.Cycles
+			res.FixedCycles[df] += est.Cycles
 			if est.Cycles < choice.Cycles[choice.Best] {
 				choice.Best = df
 			}
 		}
-		return choice, nil
-	})
-	if err != nil {
-		return DataflowStudyResult{}, err
-	}
-	res := DataflowStudyResult{Choices: choices}
-	for _, choice := range choices {
-		for _, df := range config.Dataflows {
-			res.FixedCycles[df] += choice.Cycles[df]
-		}
+		res.Choices = append(res.Choices, choice)
 		res.AdaptiveCycles += choice.Cycles[choice.Best]
 	}
 	for _, df := range config.Dataflows {

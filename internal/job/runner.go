@@ -295,21 +295,12 @@ func await(j *Job, err error) (*Result, error) {
 	return j.Result(), nil
 }
 
-// simulate is the one body that runs a Spec's workload — a simulation job's,
-// a scale-out job's and every sweep point's. opt carries what the caller
-// owns: cache, live consumers, context.
-func simulate(spec Spec, opt core.Options) (*core.Simulator, core.RunResult, error) {
-	sim, err := core.New(spec.Config, spec.options(opt))
-	if err != nil {
-		return nil, core.RunResult{}, err
-	}
-	var run core.RunResult
-	if spec.Graph != nil {
-		run, err = sim.SimulateGraph(*spec.Graph)
-	} else {
-		run, err = sim.Simulate(spec.Topology)
-	}
-	return sim, run, err
+// run is the spec's workload, named name, on its simulator under opt: what
+// the caller owns — cache, live consumers, context — and the spec's own.
+// Every job kind builds its simulators here.
+func (s Spec) run(name string, opt core.Options) (core.Run, error) {
+	sim, err := core.New(s.Config, s.options(opt))
+	return core.Run{Sim: sim, Name: name, Topology: s.Topology, Graph: s.Graph}, err
 }
 
 // execSpec builds the job body for a simulation spec: simulate it wired
@@ -318,7 +309,7 @@ func simulate(spec Spec, opt core.Options) (*core.Simulator, core.RunResult, err
 // window), and assemble the manifest.
 func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error) {
 	return func(ctx context.Context, j *Job) (*Result, error) {
-		sim, run, err := simulate(spec, core.Options{
+		one, err := spec.run("", core.Options{
 			Cache:    r.opt.Cache,
 			TraceDir: j.live.TraceDir,
 			Timeline: j.live.Timeline,
@@ -327,9 +318,13 @@ func (r *Runner) execSpec(spec Spec) func(context.Context, *Job) (*Result, error
 			Progress: j.progress,
 			Context:  ctx,
 		})
+		var run core.RunResult
 		var m *obsv.Manifest
 		if err == nil {
-			m, err = sim.Manifest(run)
+			run, err = one.Simulate()
+		}
+		if err == nil {
+			m, err = one.Sim.Manifest(run)
 		}
 		if err != nil {
 			j.progress.Abort(err.Error())
@@ -351,9 +346,7 @@ func (r *Runner) EnqueueSweep(label string, grid batch.Spec, live Live) (*Job, e
 	}
 	specs := make([]Spec, len(points))
 	for i, p := range points {
-		// Grid points already saturate the worker pool; keep each point's
-		// layer execution sequential rather than multiplying the two levels.
-		specs[i] = Spec{Config: p.Config(grid.Base), Topology: p.Topology, Graph: p.Graph, Workers: 1}
+		specs[i] = Spec{Config: p.Config(grid.Base), Topology: p.Topology, Graph: p.Graph, Workers: grid.Parallel}
 		if err := specs[i].Validate(); err != nil {
 			return nil, pointError(p, err)
 		}
@@ -376,29 +369,17 @@ func pointError(p batch.Point, err error) error {
 	return fmt.Errorf("batch: %s on %dx%d %v: %w", p.Net(), p.Array[0], p.Array[1], p.Dataflow, err)
 }
 
-// execSweep builds the sweep job body, the grid loop itself: the points'
-// specs run through simulate, grid.Parallel at a time, under the job's
-// context (Cancel stops a running sweep at layer granularity), and the
-// sweep's manifest is assembled here, once.
+// execSweep builds the sweep job body: the points run as one plan (sweep)
+// under the job's context (Cancel stops a running sweep at its next
+// context), and the sweep's manifest is assembled here, once.
 func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) func(context.Context, *Job) (*Result, error) {
 	return func(ctx context.Context, j *Job) (*Result, error) {
 		rec := j.live.Obs
-		j.progress.Start(len(points))
 		endPhase := rec.Phase("batch.run")
 		log.Default().Info("sweep start", "subsystem", "batch",
 			"points", len(points), "nets", len(grid.Topologies)+len(grid.Graphs))
-		rows, err := engine.RunObserved(grid.Parallel, len(points), rec.SpanSink(), func(i int) (batch.Row, error) {
-			t0 := time.Now()
-			_, run, err := simulate(specs[i], core.Options{Cache: r.opt.Cache, Timeline: j.live.Timeline, Context: ctx})
-			if err != nil {
-				return batch.Row{}, pointError(points[i], err)
-			}
-			name := batch.PointLabel(points[i])
-			rec.ObserveLayer(i, time.Since(t0))
-			j.progress.Step(name)
-			log.Default().Debug("point done", "subsystem", "batch", "point", name, "cycles", run.TotalCycles)
-			return batch.RowOf(points[i], run), nil
-		})
+		rows, err := sweep(points, specs, core.Options{Cache: r.opt.Cache, Timeline: j.live.Timeline,
+			Obs: rec, Progress: j.progress, Context: ctx})
 		endPhase()
 		var m *obsv.Manifest
 		if err == nil {
@@ -413,6 +394,28 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 		m.Run = j.run
 		return &Result{Rows: rows, Manifest: m}, nil
 	}
+}
+
+// sweep runs the points' specs under opt as one core plan, each a run named
+// by its batch.PointLabel, and condenses each run into its row.
+func sweep(points []batch.Point, specs []Spec, opt core.Options) ([]batch.Row, error) {
+	runs := make([]core.Run, len(specs))
+	for i, spec := range specs {
+		var err error
+		if runs[i], err = spec.run(batch.PointLabel(points[i]), opt); err != nil {
+			return nil, pointError(points[i], err)
+		}
+	}
+	results, err := core.SimulateRuns(runs)
+	if err != nil {
+		return nil, fmt.Errorf("batch: %w", err)
+	}
+	rows := make([]batch.Row, len(points))
+	for i, res := range results {
+		rows[i] = batch.RowOf(points[i], res)
+		log.Default().Debug("point done", "subsystem", "batch", "point", runs[i].Name, "cycles", res.TotalCycles)
+	}
+	return rows, nil
 }
 
 // Get returns a job by ID.

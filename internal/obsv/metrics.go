@@ -181,6 +181,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// SetProcessGauges sets process.peak_rss_bytes and process.minor_faults,
+// read now as a manifest reads them; one that cannot be read is left out.
+func (r *Registry) SetProcessGauges() {
+	var rs RuntimeStats
+	readProcess(&rs)
+	if rs.PeakRSSBytes > 0 {
+		r.Gauge("process.peak_rss_bytes").Set(int64(rs.PeakRSSBytes))
+	}
+	if rs.MinorFaults > 0 {
+		r.Gauge("process.minor_faults").Set(rs.MinorFaults)
+	}
+}
+
 // Histogram returns the named histogram, creating it on first use; nil on
 // a nil registry.
 func (r *Registry) Histogram(name string) *Histogram {

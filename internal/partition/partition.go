@@ -1,6 +1,6 @@
 // Package partition is the scale-out study: the systems a MAC budget can
 // be split into (Spec, BestSpec), and the sweeps behind the paper's
-// Fig. 11, Fig. 12 and sweet spot (Series, Sweep, RunPoints, SweetSpot).
+// Fig. 11, Fig. 12 and sweet spot (Series, Sweep, SweetSpot).
 //
 // Running a layer on a Pr x Pc grid of arrays is core's (core.Options.Parts):
 // each partition is one spatial window of the layer (Eq. 5) run through
@@ -11,7 +11,6 @@ package partition
 
 import (
 	"fmt"
-	"time"
 
 	"scalesim/internal/analytical"
 	"scalesim/internal/config"
@@ -33,17 +32,6 @@ func (s Spec) MACs() int64 { return s.Parts.Count() * s.Shape.MACs() }
 
 func (s Spec) String() string {
 	return fmt.Sprintf("%s partitions of %s", s.Parts, s.Shape)
-}
-
-// Validate rejects non-positive dimensions.
-func (s Spec) Validate() error {
-	if s.Parts.Pr < 1 || s.Parts.Pc < 1 {
-		return fmt.Errorf("partition: invalid grid %s", s.Parts)
-	}
-	if s.Shape.R < 1 || s.Shape.C < 1 {
-		return fmt.Errorf("partition: invalid array shape %s", s.Shape)
-	}
-	return nil
 }
 
 // Result is one layer's run on a scale-out system, as the figures read it.
@@ -76,8 +64,7 @@ func (r Result) PeakDRAMBW() float64 {
 }
 
 // Options tunes a scale-out run: the core options every point's run takes.
-// Parts is set from each point's Spec; Progress is stepped once per point
-// by RunPoints and never by Run.
+// Parts is set from each point's Spec; Sweep steps Progress once per point.
 type Options = core.Options
 
 // Run executes the layer on the scale-out system described by spec. The
@@ -85,62 +72,30 @@ type Options = core.Options
 // evenly among partitions, minimum 1 KiB each), offsets and word size; its
 // array dimensions are replaced by spec.Shape.
 func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, error) {
-	return run(l.Name, l, base, spec, opt)
-}
-
-// run is Run with its manifest unit named name.
-func run(name string, l topology.Layer, base config.Config, spec Spec, opt Options) (Result, error) {
-	if err := spec.Validate(); err != nil {
+	pt, err := newPoint(l.Name, l, base, spec, opt)
+	if err != nil {
 		return Result{}, err
 	}
-	opt.Parts, opt.Progress = spec.Parts, nil
+	res, err := pt.Simulate()
+	if err != nil {
+		return Result{}, err
+	}
+	return resultOf(pt, spec, res), nil
+}
+
+// newPoint is the core run, named name, of the layer on spec; core.New
+// refuses a grid or an array dimension below 1.
+func newPoint(name string, l topology.Layer, base config.Config, spec Spec, opt Options) (core.Run, error) {
+	opt.Parts = spec.Parts
 	sim, err := core.New(base.WithArray(int(spec.Shape.R), int(spec.Shape.C)), opt)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sim.Simulate(topology.Topology{Name: name, Layers: []topology.Layer{l}})
-	if err != nil {
-		return Result{}, err
-	}
+	return core.Run{Sim: sim, Name: name, Topology: topology.Topology{Name: name, Layers: []topology.Layer{l}}}, err
+}
+
+// resultOf is a point's Result from its core run pt on spec.
+func resultOf(pt core.Run, spec Spec, res core.RunResult) Result {
 	lr := res.Layers[0]
-	return Result{Layer: l, Spec: spec, Node: lr, Unit: sim.Unit(name, lr),
-		Cycles: lr.Compute.Cycles, ActivePartitions: int64(len(lr.Partitions))}, nil
-}
-
-// Point is one scale-out run: a layer on one partitioned system, under the
-// name its error, progress step and manifest unit carry.
-type Point struct {
-	Name  string
-	Layer topology.Layer
-	Spec  Spec
-}
-
-// RunPoints is the scale-out figures' one loop, behind Sweep: points run
-// in order through Run with opt unchanged, so each point's partitions fan
-// out over opt.Workers, and each point's Unit is named after it. Each
-// point steps opt.Progress once, and its wall time is recorded as opt.Obs
-// unit i once no point runs any more (each point's own core run observes
-// its one layer as unit 0).
-func RunPoints(points []Point, base config.Config, opt Options) ([]Result, error) {
-	opt.Progress.Start(len(points))
-	out := make([]Result, len(points))
-	took := make([]time.Duration, 0, len(points))
-	defer func() {
-		for i, d := range took {
-			opt.Obs.ObserveLayer(i, d)
-		}
-	}()
-	for i, pt := range points {
-		t0 := time.Now()
-		r, err := run(pt.Name, pt.Layer, base, pt.Spec, opt)
-		if err != nil {
-			return nil, fmt.Errorf("partition: %s: %w", pt.Name, err)
-		}
-		took = append(took, time.Since(t0))
-		opt.Progress.Step(pt.Name)
-		out[i] = r
-	}
-	return out, nil
+	return Result{Layer: pt.Topology.Layers[0], Spec: spec, Node: lr, Unit: pt.Sim.Unit(pt.Name, lr),
+		Cycles: lr.Compute.Cycles, ActivePartitions: int64(len(lr.Partitions))}
 }
 
 // Series is one curve of a scale-out study: a layer swept over partition
@@ -151,46 +106,50 @@ type Series struct {
 	MACs  int64
 }
 
-// Point names the series' run on spec <series>/<P>parts.
-func (s Series) Point(spec Spec) Point {
-	return Point{Name: fmt.Sprintf("%s/%dparts", s.Name, spec.Parts.Count()), Layer: s.Layer, Spec: spec}
-}
-
 // Sweep runs every series cycle-accurately at each partition count of its
 // MAC budget: the body behind Fig. 11, Fig. 12 and the sweet spot. For
 // each count, BestSpec picks the square-ish grid and the analytically best
 // per-partition array shape, no dimension below minDim; counts with no
 // such shape are skipped, and a series left with none is refused, by layer
-// and budget, before any point runs. The points, series by series, then
-// go through RunPoints, named by Series.Point; results come back per
-// series, in partition-count order.
+// and budget, before any point runs. Every point, series by series, is a
+// run named <series>/<P>parts of one core plan (core.SimulateRuns), so all
+// points' windows fan out together over opt.Workers; each steps
+// opt.Progress once and is opt.Obs unit i. Results come back per series,
+// in partition-count order.
 func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64, opt Options) ([][]Result, error) {
-	var points []Point
+	var runs []core.Run
+	var specs []Spec
 	var owner []int // each point's series
 	for i, s := range series {
 		if err := s.Layer.Validate(); err != nil {
 			return nil, fmt.Errorf("partition: %s: %w", s.Layer.Name, err)
 		}
 		m := dataflow.Map(s.Layer, base.Dataflow)
-		feasible := len(points)
+		feasible := len(runs)
 		for _, p := range partCounts {
-			if spec, ok := BestSpec(m, s.MACs, p, minDim); ok {
-				points = append(points, s.Point(spec))
-				owner = append(owner, i)
+			spec, ok := BestSpec(m, s.MACs, p, minDim)
+			if !ok {
+				continue
 			}
+			name := fmt.Sprintf("%s/%dparts", s.Name, p)
+			pt, err := newPoint(name, s.Layer, base, spec, opt)
+			if err != nil {
+				return nil, fmt.Errorf("partition: %s: %w", name, err)
+			}
+			runs, specs, owner = append(runs, pt), append(specs, spec), append(owner, i)
 		}
-		if len(points) == feasible {
+		if len(runs) == feasible {
 			return nil, fmt.Errorf("partition: %s: no feasible partitioning of %d MACs (minDim %d)",
 				s.Layer.Name, s.MACs, minDim)
 		}
 	}
-	results, err := RunPoints(points, base, opt)
+	results, err := core.SimulateRuns(runs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("partition: %w", err)
 	}
 	out := make([][]Result, len(series))
-	for i, r := range results {
-		out[owner[i]] = append(out[owner[i]], r)
+	for k, res := range results {
+		out[owner[k]] = append(out[owner[k]], resultOf(runs[k], specs[k], res))
 	}
 	return out, nil
 }

@@ -199,10 +199,11 @@ func TestSweep(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesRun: a sweep returns, per series, exactly what Run
-// returns on BestSpec's pick for each feasible count, ledger and energy
-// included, its unit named after the point, with infeasible counts
-// interleaved among feasible ones — at one worker and at GOMAXPROCS.
+// TestSweepMatchesRun: a sweep returns, per series, exactly what the
+// point's solo core run returns (Run's path, its unit named after the
+// point) on BestSpec's pick for each feasible count, ledger and energy
+// included, with infeasible counts interleaved among feasible ones — at one
+// worker and at GOMAXPROCS.
 func TestSweepMatchesRun(t *testing.T) {
 	counts := []int64{0, 3, 1, 4, 16}
 	base := config.New().WithSRAM(8, 8, 4)
@@ -218,11 +219,15 @@ func TestSweepMatchesRun(t *testing.T) {
 			if !ok {
 				continue
 			}
-			r, err := run(s.Point(spec).Name, s.Layer, base, spec, Options{Workers: 1})
+			pt, err := newPoint(fmt.Sprintf("%s/%dparts", s.Name, p), s.Layer, base, spec, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = append(want[i], r)
+			res, err := pt.Sim.Simulate(pt.Topology)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], resultOf(pt, spec, res))
 		}
 		if len(want[i]) != 3 {
 			t.Fatalf("%s: %d feasible counts, want 3", s.Name, len(want[i]))
@@ -265,20 +270,21 @@ type cancelOnWrite struct{ cancel context.CancelFunc }
 
 func (w cancelOnWrite) Write(p []byte) (int, error) { w.cancel(); return len(p), nil }
 
-// TestRunPointsCancelled: Options.Context reaches the partition windows,
+// TestSweepCancelled: Options.Context reaches every context of the plan,
 // so a context cancelled once the first point is done fails the second
-// point with context.Canceled, naming it, before it records a unit.
-func TestRunPointsCancelled(t *testing.T) {
+// point, whose windows replay the first's, with context.Canceled, naming
+// it, before it records a unit.
+func TestSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := obsv.NewRecorder()
-	points := []Point{
-		{Name: "first", Layer: testLayer(), Spec: spec(2, 2, 8, 8)},
-		{Name: "second", Layer: testLayer(), Spec: spec(2, 2, 8, 8)},
+	series := []Series{
+		{Name: "first", Layer: testLayer(), MACs: 256},
+		{Name: "second", Layer: testLayer(), MACs: 256},
 	}
-	_, err := RunPoints(points, config.New(), Options{Context: ctx, Obs: rec,
+	_, err := Sweep(series, []int64{4}, config.New(), 8, Options{Context: ctx, Obs: rec,
 		Progress: obsv.NewProgress(cancelOnWrite{cancel}, "points")})
-	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "partition: second: ") {
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "partition: second/4parts: ") {
 		t.Fatalf("err = %v, want context.Canceled on the second point", err)
 	}
 	if rec.LayerSeconds(0) == 0 || rec.LayerSeconds(1) != 0 {

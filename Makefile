@@ -72,37 +72,16 @@ fuzz:
 	$(GO) test ./internal/dram/ -fuzz FuzzLayer -fuzztime 30s
 	$(GO) test ./internal/rtlref/ -fuzz FuzzShiftMatchesTwoPhase -fuzztime 30s
 
-# Every results/ CSV into directory $(1), by the commands results/README.md
-# lists for them: the one list `figures` and `figures-check` both run.
-define paper_figures
-	$(GO) run ./cmd/scalestudy fig4 -sizes 4,8,16,32,64,128 -o $(1)/fig4.csv
-	$(GO) run ./cmd/scalestudy fig9a -o $(1)/fig9a.csv
-	$(GO) run ./cmd/scalestudy fig9bc -o $(1)/fig9bc.csv
-	$(GO) run ./cmd/scalestudy fig10a -o $(1)/fig10a.csv
-	$(GO) run ./cmd/scalestudy fig10b -o $(1)/fig10b.csv
-	$(GO) run ./cmd/scalestudy fig11 -macs 16384 -parts 1,4,16,64 -o $(1)/fig11_2e14.csv
-	$(GO) run ./cmd/scalestudy fig11 -macs 65536 -parts 1,4,16,64 -o $(1)/fig11_2e16.csv
-	$(GO) run ./cmd/scalestudy fig11 -macs 262144 -parts 1,4,16,64,256 -o $(1)/fig11_2e18.csv
-	$(GO) run ./cmd/scalestudy fig12 -layer CB2a_3 -macs 1024,4096,16384,65536,262144 -parts 1,4,16,64,256 -o $(1)/fig12_cb2a3.csv
-	$(GO) run ./cmd/scalestudy fig12 -layer TF0 -macs 16384,65536 -parts 1,4,16,64 -o $(1)/fig12_tf0.csv
-	$(GO) run ./cmd/scalestudy fig12 -layer TF0 -macs 262144 -parts 1,4,16,64,256 -o $(1)/fig12_tf0_2e18.csv
-	$(GO) run ./cmd/scalestudy fig13 -o $(1)/fig13.csv
-	$(GO) run ./cmd/scalestudy fig14 -o $(1)/fig14.csv
-endef
-
-# Regenerate every figure's data into results/.
+# Regenerate every figure's data into results/: one process, one sweep of
+# every scale-out point (cmd/scalestudy's paper table).
 figures:
-	$(call paper_figures,results)
+	$(GO) run ./cmd/scalestudy paper -o results
 
-# Byte-identity harness for the whole paper: regenerate every CSV into a
-# scratch directory and compare it with results/, both ways, so a command
-# without a checked-in file and a file without a command both fail.
-FIGCHECK := $(or $(TMPDIR),/tmp)/scalesim-figures-check
+# Byte-identity harness for the whole paper: TestPaperMatchesResults runs
+# paper into a scratch directory and compares it with results/ both ways,
+# so a CSV paper no longer writes and one results/ lacks both fail.
 figures-check:
-	rm -rf $(FIGCHECK) && mkdir -p $(FIGCHECK)
-	$(call paper_figures,$(FIGCHECK))
-	for f in results/*.csv $(FIGCHECK)/*.csv; do b=$$(basename $$f); cmp $(FIGCHECK)/$$b results/$$b || exit 1; done
-	rm -rf $(FIGCHECK)
+	$(GO) test -count=1 -run '^TestPaperMatchesResults$$' ./cmd/scalestudy
 
 # Structural invariants of the two policies that live behind one module
 # each (DESIGN.md "How bytes reach disk", "The CLI shell") and of the

@@ -184,8 +184,8 @@ func BenchmarkExtensionSweetSpot(b *testing.B) {
 	base := config.New().WithSRAM(512, 512, 256)
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		sweep, err := partition.Sweep([]partition.Series{{Name: l.Name, Layer: l, MACs: 1 << 14}},
-			[]int64{1, 4, 16, 64}, base, 8, partition.Options{})
+		sweep, err := partition.Sweep([]partition.Series{{Name: l.Name, Layer: l, MACs: 1 << 14, Parts: []int64{1, 4, 16, 64}}},
+			base, 8, partition.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

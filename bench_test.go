@@ -127,7 +127,7 @@ func BenchmarkTableIV(b *testing.B) {
 // edge branches inside the per-PE loop, it took 43-48 ms.
 func BenchmarkFig4(b *testing.B) {
 	b.ReportAllocs()
-	sizes := []int{4, 8, 16, 32, 64, 128}
+	sizes := []int64{4, 8, 16, 32, 64, 128}
 	var rows []experiments.Fig4Row
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -235,7 +235,7 @@ func BenchmarkFig10b(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var bwRise float64
 	for i := 0; i < b.N; i++ {
-		series, err := partition.Sweep(experiments.Fig11Series([]int64{1 << 14}), []int64{1, 4, 16},
+		series, err := partition.Sweep(experiments.Fig11Series([]int64{1 << 14}, []int64{1, 4, 16}),
 			experiments.Fig11Base(), 8, partition.Options{})
 		if err != nil {
 			b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -311,9 +312,12 @@ func TestOutputFile(t *testing.T) {
 }
 
 // TestCommandErrors: a bad invocation, or a study that fails part-way,
-// prints nothing; a MAC budget or partition count below 1, or a bandwidth
-// budget that is not positive, is refused by its flag's name.
+// prints nothing; a MAC budget or partition count below 1, an array size
+// outside 1..1024, a bandwidth budget that is not positive, and a per-figure
+// flag given to paper are refused by the flag's name, and a refused paper
+// writes no file.
 func TestCommandErrors(t *testing.T) {
+	dir := t.TempDir()
 	cases := []struct {
 		args []string
 		flag string // the flag the refusal names, if any
@@ -335,6 +339,20 @@ func TestCommandErrors(t *testing.T) {
 		// A later budget fails after an earlier one succeeded.
 		{[]string{"sweetspot", "-layer", "TF0", "-macs", "4096,16384", "-bw", "32"}, ""},
 		{[]string{"cells", "-macs", "4096,32"}, ""},
+		// The PE-level reference would build two N x N matrices.
+		{[]string{"fig4", "-sizes", "4,100000"}, "-sizes"},
+		{[]string{"fig4", "-sizes", "0"}, "-sizes"},
+		// paper needs a directory and has no per-figure flag: its table
+		// gives every figure's.
+		{[]string{"paper"}, "-o"},
+		{[]string{"paper", "-o", dir, "-sizes", "4"}, "flag provided but not defined: -sizes"},
+		{[]string{"paper", "-o", dir, "-macs", "1024"}, "flag provided but not defined: -macs"},
+		{[]string{"paper", "-o", dir, "-parts", "1,4"}, "flag provided but not defined: -parts"},
+		{[]string{"paper", "-o", dir, "-mindim", "4"}, "flag provided but not defined: -mindim"},
+		{[]string{"paper", "-o", dir, "-layer", "TF0"}, "flag provided but not defined: -layer"},
+		{[]string{"paper", "-o", dir, "-bw", "32"}, "flag provided but not defined: -bw"},
+		{[]string{"paper", "-o", dir, "-net", "TinyNet"}, "flag provided but not defined: -net"},
+		{[]string{"paper", "-o", dir, "-plot"}, "flag provided but not defined: -plot"},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -346,6 +364,87 @@ func TestCommandErrors(t *testing.T) {
 			t.Errorf("run(%v) printed before failing:\n%s", c.args, buf.String())
 		}
 	}
+	if written, _ := os.ReadDir(dir); len(written) != 0 {
+		t.Errorf("refused paper runs wrote %v", written)
+	}
+}
+
+// paperPoints counts the scale-out points of the paper table: 26 of
+// Fig. 11 and 35 of Fig. 12, the points no -parts entry fits skipped.
+const paperPoints = 61
+
+// TestPaperMatchesResults: paper writes exactly the CSVs of results/, byte
+// for byte, checked both ways, so a file it no longer writes and a file
+// results/ lacks both fail. Its manifest states one unit per scale-out
+// point, each a closed cycle node.
+func TestPaperMatchesResults(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "paper.json")
+	if err := run([]string{"paper", "-o", dir, "-metrics", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := filepath.Glob(filepath.Join(dir, "*"))
+	want, _ := filepath.Glob(filepath.Join("..", "..", "results", "*.csv"))
+	base := func(paths []string) []string {
+		out := make([]string, len(paths))
+		for i, p := range paths {
+			out[i] = filepath.Base(p)
+		}
+		return out
+	}
+	if !reflect.DeepEqual(base(got), base(want)) || len(want) == 0 {
+		t.Fatalf("paper wrote %v, results/ holds %v", base(got), base(want))
+	}
+	for i := range got {
+		g, err := os.ReadFile(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := os.ReadFile(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs from results/:\n%s", filepath.Base(got[i]), g)
+		}
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obsv.ParseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Run != "paper" || len(m.Layers) != paperPoints {
+		t.Errorf("run %q with %d units, want paper with %d", m.Run, len(m.Layers), paperPoints)
+	}
+	if ca := m.CycleAccounting; ca == nil || len(ca.Nodes) != paperPoints || ca.Check() != nil {
+		t.Errorf("cycle accounting %+v, want %d closed nodes", ca, paperPoints)
+	}
+}
+
+// BenchmarkPaper is the whole paper in process, as `scalestudy paper -o
+// DIR` runs it: every results/ CSV, its scale-out points in one sweep. A
+// pass allocates 72.3 MiB (0.51 s at GOMAXPROCS 2, on a 2-vCPU Xeon); one
+// that allocates more than 1.5x that, 108 MiB, fails.
+func BenchmarkPaper(b *testing.B) {
+	b.ReportAllocs()
+	dir := b.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		if err := run([]string{"paper", "-o", dir}, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 108<<20 {
+			b.Fatalf("pass %d allocated %d bytes, want at most 108 MiB", i, got)
+		}
+		before = after
+	}
+	b.ReportMetric(paperPoints, "points/op")
 }
 
 // TestScaleOutMinDim: -mindim reaches the scale-out sweep. At the default

@@ -46,10 +46,11 @@ type Fig4Row struct {
 
 // Fig4 runs size x size matrix multiplications on size x size arrays under
 // the OS dataflow, on both the RTL reference and the simulator.
-func Fig4(sizes []int) ([]Fig4Row, error) {
+func Fig4(sizes []int64) ([]Fig4Row, error) {
 	rng := rand.New(rand.NewSource(4))
 	rows := make([]Fig4Row, 0, len(sizes))
-	for _, size := range sizes {
+	for _, n := range sizes {
+		size := int(n)
 		if size < 1 {
 			return nil, fmt.Errorf("experiments: invalid array size %d", size)
 		}

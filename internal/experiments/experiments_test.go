@@ -23,7 +23,7 @@ func TestNamedLayers(t *testing.T) {
 // TestFig4Agreement: the validation figure's claim is that the simulator
 // and the RTL agree; here they must agree exactly.
 func TestFig4Agreement(t *testing.T) {
-	rows, err := Fig4([]int{4, 8, 16, 24})
+	rows, err := Fig4([]int64{4, 8, 16, 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFig4Agreement(t *testing.T) {
 			t.Errorf("size %d: cycles %d, want %d", r.ArraySize, r.SimCycles, 4*r.ArraySize-2)
 		}
 	}
-	if _, err := Fig4([]int{0}); err == nil {
+	if _, err := Fig4([]int64{0}); err == nil {
 		t.Error("Fig4 accepted size 0")
 	}
 }

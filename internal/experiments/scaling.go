@@ -19,23 +19,23 @@ func Fig11Base() config.Config {
 	return config.New().WithSRAM(512, 512, 256).WithDataflow(config.OutputStationary)
 }
 
-// LayerSeries is one series per MAC budget for the layer, named
-// <layer>@<macs>MACs: the curves of Fig. 12.
-func LayerSeries(l topology.Layer, macBudgets []int64) []partition.Series {
+// LayerSeries is one series per MAC budget for the layer, each over the
+// partition counts, named <layer>@<macs>MACs: the curves of Fig. 12.
+func LayerSeries(l topology.Layer, macBudgets, partCounts []int64) []partition.Series {
 	out := make([]partition.Series, len(macBudgets))
 	for i, b := range macBudgets {
-		out[i] = partition.Series{Name: fmt.Sprintf("%s@%dMACs", l.Name, b), Layer: l, MACs: b}
+		out[i] = partition.Series{Name: fmt.Sprintf("%s@%dMACs", l.Name, b), Layer: l, MACs: b, Parts: partCounts}
 	}
 	return out
 }
 
 // Fig11Series is the two layers Fig. 11 shows, CB2a_3 then TF0, at each
-// MAC budget in the order given.
-func Fig11Series(macBudgets []int64) []partition.Series {
+// MAC budget in the order given, each over the partition counts.
+func Fig11Series(macBudgets, partCounts []int64) []partition.Series {
 	var out []partition.Series
 	for _, b := range macBudgets {
 		for _, l := range []topology.Layer{CB2a3(), TF0()} {
-			out = append(out, LayerSeries(l, []int64{b})...)
+			out = append(out, LayerSeries(l, []int64{b}, partCounts)...)
 		}
 	}
 	return out
@@ -45,7 +45,7 @@ func Fig11Series(macBudgets []int64) []partition.Series {
 // budget for the given layer, on Fig11Base with the 8x8 minimum array,
 // results in budget order.
 func Fig12(l topology.Layer, macBudgets []int64, partCounts []int64) ([][]partition.Result, error) {
-	return partition.Sweep(LayerSeries(l, macBudgets), partCounts, Fig11Base(), 8, partition.Options{})
+	return partition.Sweep(LayerSeries(l, macBudgets, partCounts), Fig11Base(), 8, partition.Options{})
 }
 
 // --- Fig. 13 / Fig. 14: multi-workload pareto optimality -----------------

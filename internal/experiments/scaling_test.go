@@ -44,8 +44,8 @@ func TestFig11BothLayers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-accurate TF0 sweep in -short mode")
 	}
-	series := Fig11Series([]int64{1 << 12})
-	out, err := partition.Sweep(series, []int64{1, 4}, Fig11Base(), 8, partition.Options{})
+	series := Fig11Series([]int64{1 << 12}, []int64{1, 4})
+	out, err := partition.Sweep(series, Fig11Base(), 8, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,20 +85,19 @@ func TestWindowKeyIncludesOffsets(t *testing.T) {
 // must replay windows revisited across sweep points and stay
 // byte-identical to the uncached sweep.
 func TestPartitionSweepReuse(t *testing.T) {
-	series := []Series{{Name: "gemm", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 256}}
+	series := []Series{{Name: "gemm", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 256, Parts: []int64{1, 2, 4}}}
 	base := config.New().WithSRAM(128, 128, 64)
-	counts := []int64{1, 2, 4}
 
-	ref, err := Sweep(series, counts, base, 8, Options{Workers: 1})
+	ref, err := Sweep(series, base, 8, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := simcache.New()
-	once, err := Sweep(series, counts, base, 8, Options{Workers: 1, Cache: cache})
+	once, err := Sweep(series, base, 8, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Sweep(series, counts, base, 8, Options{Workers: 1, Cache: cache})
+	again, err := Sweep(series, base, 8, Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,17 +98,18 @@ func resultOf(pt core.Run, spec Spec, res core.RunResult) Result {
 		Cycles: lr.Compute.Cycles, ActivePartitions: int64(len(lr.Partitions))}
 }
 
-// Series is one curve of a scale-out study: a layer swept over partition
-// counts at one MAC budget.
+// Series is one curve of a scale-out study: a layer swept over its
+// partition counts at one MAC budget.
 type Series struct {
 	Name  string
 	Layer topology.Layer
 	MACs  int64
+	Parts []int64
 }
 
-// Sweep runs every series cycle-accurately at each partition count of its
-// MAC budget: the body behind Fig. 11, Fig. 12 and the sweet spot. For
-// each count, BestSpec picks the square-ish grid and the analytically best
+// Sweep runs every series cycle-accurately at each of its partition counts
+// at its MAC budget: the body behind Fig. 11, Fig. 12 and the sweet spot.
+// For each count, BestSpec picks the square-ish grid and the analytically best
 // per-partition array shape, no dimension below minDim; counts with no
 // such shape are skipped, and a series left with none is refused, by layer
 // and budget, before any point runs. Every point, series by series, is a
@@ -116,7 +117,7 @@ type Series struct {
 // points' windows fan out together over opt.Workers; each steps
 // opt.Progress once and is opt.Obs unit i. Results come back per series,
 // in partition-count order.
-func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64, opt Options) ([][]Result, error) {
+func Sweep(series []Series, base config.Config, minDim int64, opt Options) ([][]Result, error) {
 	var runs []core.Run
 	var specs []Spec
 	var owner []int // each point's series
@@ -126,7 +127,7 @@ func Sweep(series []Series, partCounts []int64, base config.Config, minDim int64
 		}
 		m := dataflow.Map(s.Layer, base.Dataflow)
 		feasible := len(runs)
-		for _, p := range partCounts {
+		for _, p := range s.Parts {
 			spec, ok := BestSpec(m, s.MACs, p, minDim)
 			if !ok {
 				continue

@@ -173,7 +173,7 @@ func TestBestSpec(t *testing.T) {
 func TestSweep(t *testing.T) {
 	l := testLayer()
 	base := config.New().WithSRAM(8, 8, 4)
-	out, err := Sweep([]Series{{Name: "conv", Layer: l, MACs: 1024}}, []int64{1, 2, 4, 8, 16, 3}, base, 8, Options{})
+	out, err := Sweep([]Series{{Name: "conv", Layer: l, MACs: 1024, Parts: []int64{1, 2, 4, 8, 16, 3}}}, base, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +189,12 @@ func TestSweep(t *testing.T) {
 				results[i].Spec, results[i].Cycles, results[i-1].Cycles)
 		}
 	}
-	if _, err := Sweep([]Series{{Name: "conv", Layer: l, MACs: 64}}, []int64{4}, base, 8, Options{}); err == nil {
+	if _, err := Sweep([]Series{{Name: "conv", Layer: l, MACs: 64, Parts: []int64{4}}}, base, 8, Options{}); err == nil {
 		t.Error("Sweep succeeded with no feasible point")
 	}
 	bad := l
 	bad.Stride = 0
-	if _, err := Sweep([]Series{{Name: "bad", Layer: bad, MACs: 1024}}, []int64{1}, base, 8, Options{}); err == nil {
+	if _, err := Sweep([]Series{{Name: "bad", Layer: bad, MACs: 1024, Parts: []int64{1}}}, base, 8, Options{}); err == nil {
 		t.Error("Sweep accepted invalid layer")
 	}
 }
@@ -208,8 +208,8 @@ func TestSweepMatchesRun(t *testing.T) {
 	counts := []int64{0, 3, 1, 4, 16}
 	base := config.New().WithSRAM(8, 8, 4)
 	series := []Series{
-		{Name: "conv@1024MACs", Layer: testLayer(), MACs: 1024},
-		{Name: "gemm@4096MACs", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 4096},
+		{Name: "conv@1024MACs", Layer: testLayer(), MACs: 1024, Parts: counts},
+		{Name: "gemm@4096MACs", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 4096, Parts: counts},
 	}
 	want := make([][]Result, len(series))
 	for i, s := range series {
@@ -234,7 +234,7 @@ func TestSweepMatchesRun(t *testing.T) {
 		}
 	}
 	for _, parallel := range []int{1, 0} {
-		got, err := Sweep(series, counts, base, 8, Options{Workers: parallel})
+		got, err := Sweep(series, base, 8, Options{Workers: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,10 +251,10 @@ func TestSweepRefusesBeforeRunning(t *testing.T) {
 	rec := obsv.NewRecorder()
 	var progress bytes.Buffer
 	series := []Series{
-		{Name: "conv@1024MACs", Layer: testLayer(), MACs: 1024},
-		{Name: "gemm@64MACs", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 64},
+		{Name: "conv@1024MACs", Layer: testLayer(), MACs: 1024, Parts: []int64{4, 16}},
+		{Name: "gemm@64MACs", Layer: topology.FromGEMM("gemm", 64, 128, 64), MACs: 64, Parts: []int64{4, 16}},
 	}
-	_, err := Sweep(series, []int64{4, 16}, config.New(), 8,
+	_, err := Sweep(series, config.New(), 8,
 		Options{Obs: rec, Progress: obsv.NewProgress(&progress, "sweep")})
 	want := "partition: gemm: no feasible partitioning of 64 MACs (minDim 8)"
 	if err == nil || err.Error() != want {
@@ -279,10 +279,10 @@ func TestSweepCancelled(t *testing.T) {
 	defer cancel()
 	rec := obsv.NewRecorder()
 	series := []Series{
-		{Name: "first", Layer: testLayer(), MACs: 256},
-		{Name: "second", Layer: testLayer(), MACs: 256},
+		{Name: "first", Layer: testLayer(), MACs: 256, Parts: []int64{4}},
+		{Name: "second", Layer: testLayer(), MACs: 256, Parts: []int64{4}},
 	}
-	_, err := Sweep(series, []int64{4}, config.New(), 8, Options{Context: ctx, Obs: rec,
+	_, err := Sweep(series, config.New(), 8, Options{Context: ctx, Obs: rec,
 		Progress: obsv.NewProgress(cancelOnWrite{cancel}, "points")})
 	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "partition: second/4parts: ") {
 		t.Fatalf("err = %v, want context.Canceled on the second point", err)

@@ -11,7 +11,7 @@ import (
 // sweepOf runs one series of testLayer at the budget.
 func sweepOf(t *testing.T, base config.Config, macs int64, parts []int64) []Result {
 	t.Helper()
-	out, err := Sweep([]Series{{Name: "conv", Layer: testLayer(), MACs: macs}}, parts, base, 8, Options{})
+	out, err := Sweep([]Series{{Name: "conv", Layer: testLayer(), MACs: macs, Parts: parts}}, base, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

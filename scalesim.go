@@ -72,8 +72,6 @@ type (
 	GraphNode = topology.Node
 	// Graph is an operator dependency DAG.
 	Graph = topology.Graph
-	// BERTConfig parameterizes a built-in BERT encoder block graph.
-	BERTConfig = topology.BERTConfig
 )
 
 // Operator kinds.
@@ -151,13 +149,6 @@ const (
 	StreamDRAMWrite      = engine.DRAMWrite
 )
 
-// CSVTraceSink returns a factory that writes each layer's selected streams
-// (default: all) as CSV files under dir — the factory behind
-// Options.TraceDir, exposed for custom registries.
-func CSVTraceSink(dir string, streams ...TraceStream) SinkFactory {
-	return engine.CSVTrace(dir, streams...)
-}
-
 // Analytical-model types.
 type (
 	// Mapping is a workload's spatio-temporal shape (S_R, S_C, T).
@@ -216,11 +207,6 @@ func BuiltInGraph(name string) (Graph, error) { return topology.BuiltInGraph(nam
 // BuiltInGraphNames lists the native operator-graph workloads
 // ("BERTTiny", "BERTBase").
 func BuiltInGraphNames() []string { return topology.BuiltInGraphNames() }
-
-// BERTEncoder builds one transformer encoder block (QKV projections,
-// per-head attention, softmax, residuals, layernorms, FFN) as an
-// operator graph.
-func BERTEncoder(name string, c BERTConfig) (Graph, error) { return topology.BERTEncoder(name, c) }
 
 // GoogLeNetCells returns the parallel-branch structure of GoogLeNet's nine
 // inception modules, for cell-level schedulers (package pipeline).
@@ -325,8 +311,8 @@ func BestScaleOut(m Mapping, macs, minDim, maxParts int64) (Eval, bool) {
 // "sweet spot" at the intersection of the runtime and bandwidth curves. The
 // full sweep is returned alongside for reporting, also when no point fits.
 func SweetSpot(l Layer, base Config, totalMACs int64, partCounts []int64, minDim int64, bwBudget float64, opt ScaleOutOptions) (ScaleOutResult, []ScaleOutResult, error) {
-	sweep, err := partition.Sweep([]partition.Series{{Name: l.Name, Layer: l, MACs: totalMACs}},
-		partCounts, base, minDim, opt)
+	sweep, err := partition.Sweep([]partition.Series{{Name: l.Name, Layer: l, MACs: totalMACs, Parts: partCounts}},
+		base, minDim, opt)
 	if err != nil {
 		return ScaleOutResult{}, nil, err
 	}

@@ -145,6 +145,8 @@ fails "$B/scalestudy" sweetspot -macs 1024 -parts 1,4 -bw 0.01
 "$B/scalestudy" dataflow -net TinyNet > dataflow.csv
 "$B/scalestudy" cells -macs 4096 > cells.csv
 fails "$B/scalestudy" nosuchfig
+mkdir paper && "$B/scalestudy" paper -o paper
+fails "$B/scalestudy" paper -o paper -macs 1024
 
 # --- topogen, traceanalyze -------------------------------------------------
 "$B/topogen" -list > list.txt

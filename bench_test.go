@@ -629,8 +629,11 @@ func BenchmarkEngineParallel(b *testing.B) {
 // (11.7 MB in the first, which allocates the tables; 19.6 MB when they grew
 // layer by layer; 224 MB with a table set per layer) has lost the sizing or
 // the recycling and fails, and so does one in which either all-miss proof,
-// thrashing or first touch, replays no word: it has stopped firing. Since
-// a table clears only the marks it set, the CLI run's peak RSS is 20.1–20.6
+// thrashing or first touch, replays no word: it has stopped firing. Every
+// pass must also replay its pinned 14,207,680 first-touch words in 1,203
+// sweeps taken whole: 12,046,336 and 851 when a region that fits its buffer
+// ruled the all-miss proofs out, so a lost proof fails here too. Since a
+// table clears only the marks it set, the CLI run's peak RSS is 20.1–20.6
 // MiB at two workers (25.6–26.4 MiB when every clear wiped the whole
 // table), with allocation unchanged.
 func BenchmarkResNet50Cold(b *testing.B) {
@@ -641,6 +644,8 @@ func BenchmarkResNet50Cold(b *testing.B) {
 		b.Fatal(err)
 	}
 	topo := topology.ResNet50()
+	pinned := map[string]int64{"memory.words_first_touch": 14207680, "memory.sweeps": 1203}
+	last := map[string]int64{}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
@@ -656,8 +661,21 @@ func BenchmarkResNet50Cold(b *testing.B) {
 			b.Fatalf("pass %d allocated %d bytes, want at most 16 MB", i, got)
 		}
 		before = after
+		requirePinned(b, i, rec, pinned, last)
 	}
 	requireReplayed(b, rec)
+}
+
+// requirePinned fails pass i unless each pinned counter moved by exactly
+// its pinned value since last, and records the new values in last.
+func requirePinned(b *testing.B, i int, rec *obsv.Recorder, pinned, last map[string]int64) {
+	for name, want := range pinned {
+		v := rec.Metrics().Counter(name).Value()
+		if got := v - last[name]; got != want {
+			b.Fatalf("pass %d: %s = %d, want %d", i, name, got, want)
+		}
+		last[name] = v
+	}
 }
 
 // BenchmarkPartsOneByOne runs ResNet50 on one array twice over, as a plain
@@ -740,7 +758,7 @@ func BenchmarkLanguageModelsCold(b *testing.B) {
 	topo := topology.LanguageModels()
 	pinned := map[string]int64{
 		"memory.words_thrashed":    2032214016,
-		"memory.words_first_touch": 132663468,
+		"memory.words_first_touch": 133297964,
 		"memory.words_skipped":     2277581652,
 		"memory.words_fresh_write": 102360448,
 		"memory.region_fallbacks":  0,
@@ -761,13 +779,7 @@ func BenchmarkLanguageModelsCold(b *testing.B) {
 			b.Fatalf("pass %d allocated %d bytes, want at most 41 MiB", i, got)
 		}
 		before = after
-		for name, want := range pinned {
-			v := rec.Metrics().Counter(name).Value()
-			if got := v - last[name]; got != want {
-				b.Fatalf("pass %d: %s = %d, want %d", i, name, got, want)
-			}
-			last[name] = v
-		}
+		requirePinned(b, i, rec, pinned, last)
 	}
 	b.ReportMetric(float64(rec.Metrics().Counter("memory.sweep_calls").Value())/float64(b.N), "sweep-calls/op")
 }

@@ -16,8 +16,8 @@ import (
 // DDR3 timing model and a bounded link twice: once sink-free, so the SRAM
 // buffers skip every operand block they can prove resident and replay
 // unscanned the blocks they can prove miss on every word — thrashing filter
-// blocks under OS, first touches under OS and IS (under WS the IFMAP
-// tensors fit the buffer and the filter is only filled, unbracketed) — and
+// blocks under OS, first touches under all three dataflows (under WS in the
+// IFMAP tensors that fit the buffer, inserted at once) — and
 // once with a live observer on each SRAM stream, whose Tee hides the
 // capability and forces the full streams. Cycles, traffic, peaks, DRAM
 // statistics, stall cycles and ledgers must be equal — the DRAM-side
@@ -57,9 +57,9 @@ func TestBlockMemoInvisibleEndToEnd(t *testing.T) {
 		skipping, shortcuts := run(false)
 		full, none := run(true)
 		fired := [3]bool{shortcuts[0] > 0, shortcuts[1] > 0, shortcuts[2] > 0}
-		if want := [3]bool{true, df == config.OutputStationary, df != config.WeightStationary}; fired != want || none != [3]int64{} {
+		if want := [3]bool{true, df == config.OutputStationary, true}; fired != want || none != [3]int64{} {
 			t.Errorf("%s: words skipped, thrashed and first touch sink-free %v (want skips, thrashing under OS only, "+
-				"first touch except under WS), observed %v (want none)", df, shortcuts, none)
+				"first touch), observed %v (want none)", df, shortcuts, none)
 		}
 		if !reflect.DeepEqual(skipping, full) {
 			for i := range full.Layers {

@@ -61,15 +61,10 @@ func FuzzLayer(f *testing.F) {
 	f.Add(uint8(23), uint8(0), uint8(0), uint8(0), uint8(2), uint8(9), uint8(0), uint8(1), uint8(15), uint8(1), uint8(2), uint8(3), uint8(1), uint8(7), uint8(3), uint8(8), uint8(5), uint8(40))
 	f.Add(uint8(17), uint8(9), uint8(2), uint8(1), uint8(6), uint8(21), uint8(0), uint8(0), uint8(5), uint8(6), uint8(0), uint8(1), uint8(0), uint8(3), uint8(4), uint8(4), uint8(0), uint8(0))
 	f.Add(uint8(13), uint8(0), uint8(0), uint8(0), uint8(9), uint8(33), uint8(0), uint8(1), uint8(6), uint8(4), uint8(1), uint8(0), uint8(2), uint8(5), uint8(4), uint8(7), uint8(2), uint8(8))
+	s := fittingSeed
+	f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15], s[16], s[17])
 	f.Fuzz(func(t *testing.T, ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog, dm, bw, wr, wc uint8) {
-		l := topology.Layer{Name: "fuzz", IfmapH: 1 + int(ih%24), IfmapW: 1 + int(iw%24),
-			Channels: 1 + int(ch%12), NumFilters: 1 + int(nf%40), Stride: 1 + int(st%3)}
-		l.FilterH = 1 + int(fh)%min(l.IfmapH, 5)
-		l.FilterW = 1 + int(fw)%min(l.IfmapW, 5)
-		cfg := config.New().WithArray(1+int(rows%16), 1+int(cols%16)).
-			WithDataflow(config.Dataflows[int(df)%len(config.Dataflows)]).
-			WithSRAM(1+int(ifKB%4), 1+int(flKB%4), 1+int(ofKB%4))
-		cfg.WordBytes = 1 << (wordLog % 8)
+		l, cfg := drawLayer(ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog)
 		opt := core.Options{Workers: 1, DRAM: fuzzDRAM[int(dm)%len(fuzzDRAM)], DRAMBandwidth: fuzzBandwidths[int(bw)%len(fuzzBandwidths)]}
 		topo := topology.Topology{Name: "fuzz", Layers: []topology.Layer{l}}
 		if topo.Validate() != nil || cfg.Validate() != nil {
@@ -150,6 +145,55 @@ func FuzzLayer(f *testing.F) {
 		}
 		crossRuns(t, topo, cfg, fuzzDRAM[int(dm)%len(fuzzDRAM)], fuzzBandwidths[int(bw)%len(fuzzBandwidths)], parts)
 	})
+}
+
+// fittingSeed is a FuzzLayer seed whose IFMAP and filter regions fit their
+// buffers (an 8x8x4 IFMAP and eight 3x3x4 filters on a 4x4 array, one-byte
+// words, 1 KiB SRAMs) under OS, with DDR3 and a 4 words/cycle link: a
+// fitting region's first touches are inserted at once rather than queued.
+var fittingSeed = [18]uint8{7, 7, 2, 2, 3, 7, 0, 0, 3, 3, 0, 0, 0, 0, 1, 4, 0, 0}
+
+// drawLayer is the layer and configuration FuzzLayer draws from its bytes.
+func drawLayer(ih, iw, fh, fw, ch, nf, st, df, rows, cols, ifKB, flKB, ofKB, wordLog uint8) (topology.Layer, config.Config) {
+	l := topology.Layer{Name: "fuzz", IfmapH: 1 + int(ih%24), IfmapW: 1 + int(iw%24),
+		Channels: 1 + int(ch%12), NumFilters: 1 + int(nf%40), Stride: 1 + int(st%3)}
+	l.FilterH = 1 + int(fh)%min(l.IfmapH, 5)
+	l.FilterW = 1 + int(fw)%min(l.IfmapW, 5)
+	cfg := config.New().WithArray(1+int(rows%16), 1+int(cols%16)).
+		WithDataflow(config.Dataflows[int(df)%len(config.Dataflows)]).
+		WithSRAM(1+int(ifKB%4), 1+int(flKB%4), 1+int(ofKB%4))
+	cfg.WordBytes = 1 << (wordLog % 8)
+	return l, cfg
+}
+
+// TestFittingSeedTakesFirstTouch: on fittingSeed's layer every read region
+// fits its buffer, and the first-touch proof still fires, so FuzzLayer's
+// seed corpus holds a fitting region's inserted first touches to the
+// reference.
+func TestFittingSeedTakesFirstTouch(t *testing.T) {
+	s := fittingSeed
+	l, cfg := drawLayer(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13])
+	// Double buffering: half of each SRAM is resident.
+	if l.IfmapWords() > cfg.IfmapSRAMWords()/2 || l.FilterWords() > cfg.FilterSRAMWords()/2 {
+		t.Fatalf("IFMAP %d and filter %d words, buffers %d and %d: a read region does not fit",
+			l.IfmapWords(), l.FilterWords(), cfg.IfmapSRAMWords()/2, cfg.FilterSRAMWords()/2)
+	}
+	rec := obsv.NewRecorder()
+	sim, err := core.New(cfg, core.Options{Workers: 1, DRAM: fuzzDRAM[int(s[14])%len(fuzzDRAM)],
+		DRAMBandwidth: fuzzBandwidths[int(s[15])%len(fuzzBandwidths)], Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Simulate(topology.Topology{Name: "fuzz", Layers: []topology.Layer{l}}); err != nil {
+		t.Fatal(err)
+	}
+	m := rec.Metrics()
+	if n := m.Counter("memory.words_first_touch").Value(); n == 0 {
+		t.Error("memory.words_first_touch = 0: no first touch fired in the fitting regions")
+	}
+	if n := m.Counter("memory.region_fallbacks").Value(); n != 0 {
+		t.Errorf("%d region fallbacks", n)
+	}
 }
 
 // crossRuns is FuzzLayer's cross-run case: the drawn layer under four

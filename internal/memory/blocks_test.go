@@ -533,8 +533,9 @@ func declare(runs ...trace.Run) trace.Block {
 	addrs := trace.ExpandRuns(runs, nil)
 	sorted := slices.Clone(addrs)
 	slices.Sort(sorted)
+	lo, hi := sorted[0], sorted[len(sorted)-1] // before Compact, which zeroes the tail
 	return trace.Block{Off: runs[0].Base, N: int64(len(runs)), Words: int64(len(addrs)),
-		Lo: sorted[0], Hi: sorted[len(sorted)-1], Distinct: len(slices.Compact(sorted)) == len(addrs)}
+		Lo: lo, Hi: hi, Distinct: len(slices.Compact(sorted)) == len(addrs)}
 }
 
 // verdict is what a bracketed read buffer did with one block.
@@ -563,13 +564,16 @@ type missRig struct {
 var verdicts = [4]verdict{byEvictions, byRecency, byThrash, byFirstTouch}
 
 // newMissRig builds the pair with 4 resident words each.
-func newMissRig(t *testing.T) *missRig {
+func newMissRig(t *testing.T) *missRig { return newMissRigOf(t, 4) }
+
+// newMissRigOf builds the pair with resident words each.
+func newMissRigOf(t *testing.T, resident int64) *missRig {
 	g := &missRig{t: t, got: &trace.Recorder{}, want: &trace.Recorder{}}
 	var err error
-	if g.b, err = NewReadBuffer("b", 8, g.got, nil); err != nil {
+	if g.b, err = NewReadBuffer("b", 2*resident, g.got, nil); err != nil {
 		t.Fatal(err)
 	}
-	if g.ref, err = NewReadBuffer("ref", 8, g.want, nil); err != nil {
+	if g.ref, err = NewReadBuffer("ref", 2*resident, g.want, nil); err != nil {
 		t.Fatal(err)
 	}
 	m := &g.b.memo
@@ -596,15 +600,48 @@ func (g *missRig) block(runs ...trace.Run) verdict {
 func (g *missRig) stream(blk trace.Block, runs ...trace.Run) verdict {
 	g.t.Helper()
 	g.cycle++
+	return g.observe(func() {
+		if !g.b.BeginBlock(blk) {
+			g.b.ConsumeRuns(g.cycle, runs)
+			g.b.EndBlock()
+		}
+		g.ref.ConsumeRuns(g.cycle, runs)
+	})
+}
+
+// sweep streams the sweep s, from the next cycle on, as one block under its
+// exact declaration: whole to the buffer, and unrolled into calls to the
+// reference. It reports what the buffer did with the block.
+func (g *missRig) sweep(s trace.Sweep) verdict {
+	g.t.Helper()
+	s.Cycle = g.cycle + 1
+	g.cycle += s.Times
+	var calls []trace.Run
+	for j := range s.Times {
+		for _, r := range s.Runs {
+			r.Base += j * s.Step
+			calls = append(calls, r)
+		}
+	}
+	blk := declare(calls...)
+	return g.observe(func() {
+		if !g.b.BeginBlock(blk) {
+			g.b.ConsumeSweep(s)
+			g.b.EndBlock()
+		}
+		s.Unroll(g.ref)
+	})
+}
+
+// observe feeds one block to both buffers, checks them against each other
+// and reports what the buffer did with the block.
+func (g *missRig) observe(feed func()) verdict {
+	g.t.Helper()
 	var before [4]int64
 	for i := range g.counts {
 		before[i] = g.counts[i].Value()
 	}
-	if !g.b.BeginBlock(blk) {
-		g.b.ConsumeRuns(g.cycle, runs)
-		g.b.EndBlock()
-	}
-	g.ref.ConsumeRuns(g.cycle, runs)
+	feed()
 	g.check()
 	for i, v := range verdicts {
 		if g.counts[i].Value() > before[i] {
@@ -634,6 +671,17 @@ func (g *missRig) check() {
 	}
 	if g.b.set.fallbacks != g.ref.set.fallbacks {
 		g.t.Fatalf("cycle %d: %d region fallbacks, reference %d", g.cycle, g.b.set.fallbacks, g.ref.set.fallbacks)
+	}
+	// An index that is not stale is the reference's: the same words
+	// resident in the same FIFO order, and the same marks.
+	if g.b.set.stale {
+		return
+	}
+	if got, want := fifoOrder(g.b.set), fifoOrder(g.ref.set); !slices.Equal(got, want) {
+		g.t.Fatalf("cycle %d: resident words %v, reference %v", g.cycle, got, want)
+	}
+	if !bytes.Equal(g.b.set.marks, g.ref.set.marks) {
+		g.t.Fatalf("cycle %d: marks differ from the reference's", g.cycle)
 	}
 }
 
@@ -740,10 +788,11 @@ func TestAllMissMemoInvalidation(t *testing.T) {
 
 // TestFirstTouchMemoInvalidation drives the first-touch proof by hand: a
 // block with no entry, declared distinct, whose declared hull is disjoint
-// from every earlier block's, in a region that does not fit and has seen no
-// unbracketed traffic, misses on every word. Each condition blocks the
-// proof on its own; where a word of the block is really resident, a wrong
-// replay would also differ from the reference.
+// from every earlier block's, in a buffer that has seen no unbracketed
+// traffic, misses on every word. Each condition blocks the proof on its
+// own; where a word of the block is really resident, a wrong replay would
+// also differ from the reference. A region that fits the buffer takes the
+// proof too, and inserts the block at once instead of queueing it.
 func TestFirstTouchMemoInvalidation(t *testing.T) {
 	A := seq(0, 4)
 	t.Run("proven", func(t *testing.T) {
@@ -781,7 +830,10 @@ func TestFirstTouchMemoInvalidation(t *testing.T) {
 	t.Run("region fits", func(t *testing.T) {
 		g := newMissRig(t)
 		g.region(0, 4)
-		g.expect([]verdict{g.block(A)}, byScan)
+		g.expect([]verdict{g.block(A)}, byFirstTouch)
+		if g.b.set.stale {
+			t.Error("a fitting set went stale: its first touch was queued, not inserted")
+		}
 	})
 	t.Run("traffic before the region", func(t *testing.T) {
 		g := newMissRig(t)
@@ -833,6 +885,87 @@ func TestFirstTouchMemoInvalidation(t *testing.T) {
 		if g.b.DRAMReads-dram != 1 {
 			t.Errorf("%d misses, want 1", g.b.DRAMReads-dram)
 		}
+	})
+}
+
+// TestFittingRegionInsertsFirstTouches: in a dense region that fits its
+// buffer a block proven all-miss is inserted at once — ring and marks as the
+// scan would leave them, in call order — so the set never goes stale. A
+// block that repeats a word is still scanned; a block outside the region
+// forces the one fallback, whose probe table is built from the inserted
+// ring, and the evictions that follow must take the words in the
+// reference's order.
+func TestFittingRegionInsertsFirstTouches(t *testing.T) {
+	t.Run("fallback and evictions", func(t *testing.T) {
+		g := newMissRigOf(t, 8)
+		g.region(0, 8)
+		g.expect([]verdict{g.block(seq(4, 2), seq(4, 1))}, byScan) // the repeat of 4 hits
+		g.expect([]verdict{g.block(seq(2, 2), seq(0, 2))}, byFirstTouch)
+		// One lane moving by one a call: its marks are one stretch.
+		g.expect([]verdict{g.sweep(trace.Sweep{Runs: []trace.Run{seq(6, 1)}, Step: 1, Times: 2})}, byFirstTouch)
+		if g.b.set.stale || g.b.Evictions != 0 {
+			t.Fatalf("stale %t, %d evictions: a fitting set must insert and never evict", g.b.set.stale, g.b.Evictions)
+		}
+		g.expect([]verdict{g.block(seq(100, 3))}, byScan) // leaves the region: evicts 4, 5, 2
+		if g.b.set.fallbacks != 1 || g.b.set.dense {
+			t.Fatalf("%d region fallbacks (dense %t), want 1", g.b.set.fallbacks, g.b.set.dense)
+		}
+		g.expect([]verdict{g.block(seq(0, 8))}, byScan) // 0, 1 hit; 2..7 evict 3, 0, 1, 6, 7, 100
+		if g.b.Evictions != 9 {
+			t.Errorf("%d evictions, want 9", g.b.Evictions)
+		}
+	})
+	t.Run("region past the reserved ring", func(t *testing.T) {
+		// ringSlots reserves 1<<20 slots; the first touch takes more.
+		words := int64(1<<20 + 8)
+		g := newMissRigOf(t, words)
+		g.region(0, words)
+		if c := cap(g.b.set.ring); int64(c) >= words {
+			t.Fatalf("ring reserved for %d words, want fewer than the region's %d", c, words)
+		}
+		// Four lanes, each moving by one a call across a quarter of the
+		// region: each lane's marks are one long stretch.
+		lanes := []trace.Run{{Base: 0, Stride: words / 4, Count: 4}}
+		g.expect([]verdict{g.sweep(trace.Sweep{Runs: lanes, Step: 1, Times: words / 4})}, byFirstTouch)
+		g.expect([]verdict{g.block(seq(0, 16))}, byScan) // all resident
+		if g.b.DRAMReads != words {
+			t.Errorf("%d DRAM reads, want the region's %d", g.b.DRAMReads, words)
+		}
+	})
+}
+
+// TestSweepScanMatchesCalls: a sweep that is not replayed is scanned call
+// by call in one loop, and must leave the buffer exactly as its unrolled
+// calls leave the reference — inside the dense table, leaving it part way,
+// and arriving on a stale index.
+func TestSweepScanMatchesCalls(t *testing.T) {
+	lanes := []trace.Run{{Base: 0, Stride: 8, Count: 3}, seq(30, 2)}
+	t.Run("inside the table", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, 64)
+		g.loose(seq(0, 1)) // rules the proofs out: every sweep is scanned
+		g.expect([]verdict{g.sweep(trace.Sweep{Runs: lanes, Step: 1, Times: 6})}, byScan)
+		if g.b.set.fallbacks != 0 || g.b.Evictions == 0 {
+			t.Errorf("%d fallbacks, %d evictions: want none and some", g.b.set.fallbacks, g.b.Evictions)
+		}
+	})
+	t.Run("leaving the table", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, 34)
+		g.loose(seq(0, 1))
+		g.expect([]verdict{g.sweep(trace.Sweep{Runs: lanes, Step: 1, Times: 6})}, byScan)
+		if g.b.set.fallbacks != 1 {
+			t.Errorf("%d region fallbacks, want 1", g.b.set.fallbacks)
+		}
+	})
+	t.Run("on a stale index", func(t *testing.T) {
+		g := newMissRig(t)
+		g.region(0, 64)
+		g.expect([]verdict{g.block(seq(0, 2), seq(30, 2))}, byFirstTouch)
+		if !g.b.set.stale {
+			t.Fatal("want the index stale after a replay")
+		}
+		g.expect([]verdict{g.sweep(trace.Sweep{Runs: lanes, Step: 1, Times: 6})}, byScan)
 	})
 }
 

@@ -270,6 +270,55 @@ func (f *fifoSet) scanRunDenseEvict(r trace.Run, drained []trace.Run, record boo
 	return drained, drainWords
 }
 
+// fits reports that the set is dense over a region no larger than its
+// capacity: at most one slot per region word is ever taken, so nothing is
+// ever evicted, and a block proven all-miss is inserted at once (see
+// insertMissed) rather than queued behind the ring.
+func (f *fifoSet) fits() bool { return f.dense && int64(len(f.marks)) <= f.capacity }
+
+// insertMissed inserts the calls of a sweep, words > 0 in each, known to
+// miss — none resident, none repeated — into a set that fits its region:
+// the ring gains them in call order and each is marked, leaving exactly the
+// ring and marks scanRunDense would. Under a unit step a word's copies are
+// one stretch of marks, copied from ones. The ring grows as append grows it.
+func (f *fifoSet) insertMissed(s trace.Sweep, words int64) {
+	n, k := len(f.ring), int(s.Times*words)
+	f.ring = slices.Grow(f.ring, k)[:n+k]
+	slots := f.ring[n:]
+	for j := range s.Times {
+		for _, r := range s.Runs {
+			fill(slots[:r.Count], r.Base+j*s.Step, r.Stride)
+			slots = slots[r.Count:]
+		}
+	}
+	shift := (s.Times - 1) * s.Step
+	for _, r := range s.Runs {
+		lo, hi := bounds(r)
+		f.widen(min(lo, lo+shift), max(hi, hi+shift))
+		i := r.Base - f.base
+		for range r.Count {
+			if s.Step == 1 {
+				for m := f.marks[i : i+s.Times]; len(m) > 0; {
+					m = m[copy(m, ones[:]):]
+				}
+			} else {
+				for j := range s.Times {
+					f.marks[i+j*s.Step] = 1
+				}
+			}
+			i += r.Stride
+		}
+	}
+}
+
+// ones is the source insertMissed copies stretches of marks from.
+var ones = func() (o [256]byte) {
+	for i := range o {
+		o[i] = 1
+	}
+	return o
+}()
+
 // overwrite inserts the calls of a sweep, words > 0 in each, known to miss —
 // none resident, none repeated — behind the ring's words. It queues the
 // sweep rather than writing it, and leaves the residency index stale: the
@@ -639,8 +688,9 @@ type blockMemo struct {
 	startEv, startIns int64
 	// unprovable is set, and hulls dropped, once two hulls overlap, a block
 	// declares none or traffic reaches the buffer outside a block — or from
-	// the start when the declared region fits the buffer, which then never
-	// evicts: until SetRegion no block is proven all-miss.
+	// the start when traffic came before SetRegion: until SetRegion no block
+	// is proven all-miss. A region that fits the buffer does not rule the
+	// proofs out; only first touch can fire there, since nothing is evicted.
 	unprovable bool
 
 	// band is the fresh-write proof's state: the region base tiles are
@@ -695,10 +745,10 @@ func (c blockCounters) add(words int64) {
 	c.words.Add(words)
 }
 
-// reset opens a new block namespace: proofs and hulls are forgotten. fits
-// reports that the declared region fits the buffer.
-func (m *blockMemo) reset(fits bool) {
-	m.blockTables, m.unprovable = m.blockTables.cleared(), fits
+// reset opens a new block namespace: proofs and hulls are forgotten.
+// unprovable rules the all-miss proofs out until the next reset.
+func (m *blockMemo) reset(unprovable bool) {
+	m.blockTables, m.unprovable = m.blockTables.cleared(), unprovable
 }
 
 // begin opens block k and reports whether it is proven all-hit under the
@@ -858,11 +908,13 @@ func newBuffer(name string, capacityWords int64, dram trace.Consumer, meter *tra
 // SetRegion declares the address region this buffer will service, enabling
 // the fast direct-mapped residency table. Call before the first access. A
 // new declaration also opens a new block namespace: proven blocks are
-// forgotten. The all-miss proofs stay off when the region fits the buffer
-// or traffic came first (the ring is not empty).
+// forgotten. The all-miss proofs stay off when traffic came first (the ring
+// is not empty). A dense region that fits the buffer never evicts, so there
+// only first touch fires, and its blocks are inserted rather than queued
+// (see fifoSet.fits).
 func (b *buffer) SetRegion(base, words int64) {
 	b.set.setRegion(base, words)
-	b.memo.reset(words <= b.set.capacity || b.set.len() > 0)
+	b.memo.reset(b.set.len() > 0)
 }
 
 // RegionFallbacks counts accesses outside the declared region that forced
@@ -929,14 +981,30 @@ func (b *ReadBuffer) Consume(cycle int64, addrs []int64) { trace.ConsumeAddrs(b,
 // and the demand misses are re-compressed into runs for the DRAM trace. A
 // block proven all-miss is not probed at all (see replay).
 func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
-	words := trace.RunWords(runs)
-	if words == 0 {
-		return
+	b.consume(trace.Sweep{Cycle: cycle, Runs: runs, Times: 1})
+}
+
+// ConsumeSweep implements trace.BlockConsumer: a sweep of a block proven
+// all-miss is replayed whole, and any other is scanned call by call in one
+// loop, exactly as its unrolled calls would be.
+func (b *ReadBuffer) ConsumeSweep(s trace.Sweep) {
+	if b.consume(s) {
+		b.sweeps.add(s.Times)
 	}
-	b.SRAMReads += words
+}
+
+// consume takes the calls of a sweep and reports whether they were
+// replayed. Only the first scanned call can find the proofs to rule out or
+// the index stale, so both are settled once, before the loop.
+func (b *ReadBuffer) consume(s trace.Sweep) (replayed bool) {
+	words := trace.RunWords(s.Runs)
+	if words == 0 {
+		return false
+	}
+	b.SRAMReads += s.Times * words
 	if b.memo.replay {
-		b.replay(trace.Sweep{Cycle: cycle, Runs: runs, Times: 1}, words)
-		return
+		b.replay(s, words)
+		return true
 	}
 	if !b.memo.open {
 		b.memo.stopProving()
@@ -944,9 +1012,19 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	if b.set.stale {
 		b.set.reindex()
 	}
+	for j := range s.Times {
+		b.scan(s.Cycle+j, s.Runs, j*s.Step)
+	}
+	return false
+}
+
+// scan probes one call, its runs moved by shift, and forwards its demand
+// misses.
+func (b *ReadBuffer) scan(cycle int64, runs []trace.Run, shift int64) {
 	misses := b.runBuf[:0]
 	var missWords int64
 	for _, r := range runs {
+		r.Base += shift
 		if b.set.denseCovers(bounds(r)) {
 			var mw, ev int64
 			misses, mw, ev = b.set.scanRunDense(r, misses, b.record)
@@ -973,26 +1051,18 @@ func (b *ReadBuffer) ConsumeRuns(cycle int64, runs []trace.Run) {
 	}
 }
 
-// ConsumeSweep implements trace.BlockConsumer: a sweep of a block proven
-// all-miss is replayed whole, and any other is unrolled into ConsumeRuns.
-func (b *ReadBuffer) ConsumeSweep(s trace.Sweep) {
-	words := trace.RunWords(s.Runs)
-	if !b.memo.replay || words == 0 {
-		s.Unroll(b)
-		return
-	}
-	b.SRAMReads += s.Times * words
-	b.replay(s, words)
-	b.sweeps.add(s.Times)
-}
-
 // replay streams the calls of a sweep (one call, or many) of a block proven
 // all-miss: every word is a miss, so the arriving runs are the demand
-// stream — the runs the streak scan would emit — the counters move by
-// arithmetic, and the sweep is queued behind the ring as one entry (see
-// overwrite).
+// stream — the runs the streak scan would emit — and the counters move by
+// arithmetic. A set that fits its region takes the sweep's words at once
+// (insertMissed); any other queues the sweep behind the ring as one entry
+// (see overwrite).
 func (b *ReadBuffer) replay(s trace.Sweep, words int64) {
-	b.Evictions += b.set.overwrite(s, words, true)
+	if b.set.fits() {
+		b.set.insertMissed(s, words)
+	} else {
+		b.Evictions += b.set.overwrite(s, words, true)
+	}
 	misses := b.runBuf[:0]
 	if b.record {
 		for _, r := range s.Runs {

@@ -33,7 +33,9 @@ type Options struct {
 	// "memory.blocks_first_touch" / "memory.words_first_touch" (proven to
 	// miss on every word because none was ever inserted), both replayed
 	// rather than scanned: queued behind the ring, which is written only
-	// when a later scan reads it; and "memory.sweeps" / "memory.sweep_calls"
+	// when a later scan reads it — or, in a dense region that fits its
+	// buffer (where only first touch fires, since nothing is evicted),
+	// inserted at once; and "memory.sweeps" / "memory.sweep_calls"
 	// (sweeps of such a block replayed whole, and the calls they stand for);
 	// and "memory.blocks_fresh_write" / "memory.words_fresh_write" (OFMAP
 	// tiles, and the words in them, proven never written before, so queued

@@ -96,7 +96,11 @@ figures-check:
 # enumerated in core alone, and no second scale-out runner or result type
 # comes back) and of the run plan ("Run plan": core's execute is the one
 # simulation fan-out; beside it only dse's tier-1 scoring fans out on the
-# engine), over non-test Go outside bench/.
+# engine) and of the workload ("One workload type": core.Run and
+# batch's Point and Spec carry a topology.Graph, never a topology.Topology
+# beside it, and no code names the retired ErrPartsGraph), over non-test
+# Go outside bench/. job.Spec keeps its deprecated Topology field, and so
+# stays outside the workload check, while bench/ builds specs with it.
 # cmd/traceanalyze keeps its own offline -timeline flag (trace files in, no
 # run to bracket); it has no -timeline-window.
 SRC = $$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/')
@@ -123,6 +127,9 @@ lint-structure:
 	@test "$$(awk '/^func /{f=$$0} /s\.runNode\(/{print f}' $(CORESRC) | sort -u | cut -d'(' -f1-2)" = "func (s *Simulator) execute"
 	@! grep -n 'systolic\.Window{' $(SRC) | grep -v -e '^internal/core/' -e '^internal/systolic/'
 	@! grep -nE 'execScaleOut|ScaleOut \[\]' $(SRC)
+	@! grep -n 'ErrPartsGraph' $$(git ls-files --cached --others --exclude-standard '*.go')
+	@! awk '/^type (Run|Point|Spec) struct/{s=FILENAME": type "$$2} s && /^}/{s=""} s && /[[:space:]](\[\]|\*)?topology\.Topology$$/{print s":"$$0}' \
+		$$(git ls-files --cached --others --exclude-standard 'internal/core/*.go' 'internal/batch/*.go' | grep -v '_test\.go$$') | grep .
 	@echo "lint-structure: ok"
 
 # Measured reach: build every cmd/* and examples/* binary with coverage,

@@ -51,7 +51,7 @@ func BenchmarkDSETier1(b *testing.B) {
 		Dataflows: []config.Dataflow{
 			config.OutputStationary, config.WeightStationary, config.InputStationary,
 		},
-		Topologies: []topology.Topology{topology.TinyNet(), topology.AlexNet()},
+		Workloads: []topology.Graph{topology.TinyNet().Graph(), topology.AlexNet().Graph()},
 	}
 	runner := benchRunner(b, nil)
 	b.ReportAllocs()
@@ -77,10 +77,10 @@ func BenchmarkDSETier1(b *testing.B) {
 // search (analytical band first, simulation only inside the band).
 func BenchmarkDSESweep(b *testing.B) {
 	grid := batch.Spec{
-		Base:       config.New(),
-		Arrays:     dseShapes(1 << 8), // 16x16 budget: 9 shapes
-		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
-		Topologies: []topology.Topology{topology.TinyNet()},
+		Base:      config.New(),
+		Arrays:    dseShapes(1 << 8), // 16x16 budget: 9 shapes
+		Dataflows: []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		Workloads: []topology.Graph{topology.TinyNet().Graph()},
 	}
 
 	b.Run("full", func(b *testing.B) {

@@ -559,12 +559,12 @@ func BenchmarkSimulateTinyNet(b *testing.B) {
 // Rows are byte-identical either way (TestGridCacheEquivalence pins that).
 func BenchmarkSweepCached(b *testing.B) {
 	spec := batch.Spec{
-		Base:       config.New(),
-		Arrays:     [][2]int{{8, 8}, {16, 16}},
-		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
-		SRAMs:      [][3]int{{2, 2, 1}},
-		Topologies: []topology.Topology{topology.TinyNet()},
-		Parallel:   1,
+		Base:      config.New(),
+		Arrays:    [][2]int{{8, 8}, {16, 16}},
+		Dataflows: []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		SRAMs:     [][3]int{{2, 2, 1}},
+		Workloads: []topology.Graph{topology.TinyNet().Graph()},
+		Parallel:  1,
 	}
 	b.Run("off", func(b *testing.B) {
 		runner := benchRunner(b, nil)

@@ -35,11 +35,11 @@ func BenchmarkReuseProfiler(b *testing.B) {
 // BenchmarkBatchSweep measures a 2x2x1 design-space grid end to end.
 func BenchmarkBatchSweep(b *testing.B) {
 	spec := batch.Spec{
-		Base:       config.New(),
-		Arrays:     [][2]int{{16, 16}, {32, 32}},
-		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
-		SRAMs:      [][3]int{{8, 8, 4}},
-		Topologies: []topology.Topology{topology.TinyNet()},
+		Base:      config.New(),
+		Arrays:    [][2]int{{16, 16}, {32, 32}},
+		Dataflows: []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		SRAMs:     [][3]int{{8, 8, 4}},
+		Workloads: []topology.Graph{topology.TinyNet().Graph()},
 	}
 	runner := benchRunner(b, nil)
 	for i := 0; i < b.N; i++ {

@@ -11,15 +11,16 @@
 //	scalesim -net Resnet50 -run-dir runs -log run.log -metrics-addr localhost:9911
 //	scalesim -net AlexNet -array 16x16 -parts 2x4 [-outdir out] [-metrics run.json]
 //
-// Either -config or the individual flags describe the hardware; -topology
-// overrides the config's topology path and -net selects a built-in
-// workload — a flat network or a native operator graph such as BERTTiny.
-// -graph loads an operator-graph JSON file (scalesim.graph/v1); graph
+// Either -config or the individual flags describe the hardware. The
+// workload is one of -topology (a layer CSV), -net (a built-in: a flat
+// network or a native operator graph such as BERTTiny) and -graph (an
+// operator-graph JSON file, scalesim.graph/v1); any of them overrides the
+// config's Topology entry, and two of them together are refused. Graph
 // workloads run in the graph's topological order and additionally emit an
-// operators report. -parts runs every layer of a flat topology scale-out
-// on a grid of -array-shaped partitions and prints the scaleout report
-// (-json dumps the run with each layer's partition ledgers); it does not
-// combine with graphs, -dram, -dram-bw or -traces.
+// operators report. -parts runs every layer scale-out on a grid of
+// -array-shaped partitions and prints the scaleout report (-json dumps the
+// run with each layer's partition ledgers); it does not combine with
+// vector nodes, -dram, -dram-bw or -traces.
 // -metrics writes a machine-readable run
 // manifest (per-layer cycles and wall timings, engine span aggregates,
 // runtime stats), -progress reports per-layer completion to stderr, and
@@ -33,6 +34,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -95,7 +97,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	topo, graph, err := pickWorkload(cfg, *topoPath, *netName, *grPath)
+	w, err := pickWorkload(cfg, *topoPath, *netName, *grPath)
 	if err != nil {
 		return err
 	}
@@ -105,8 +107,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if *traces && *outDir == "" {
 		return fmt.Errorf("-traces requires -outdir")
 	}
-	spec := job.Spec{Config: cfg, Topology: topo, Graph: graph,
-		DRAMBandwidth: *dramBW, Workers: *workers}
+	spec := job.Spec{Config: cfg, Graph: &w, DRAMBandwidth: *dramBW, Workers: *workers}
 	if *useDRAM {
 		ddr := scalesim.DDR3()
 		spec.DRAM = &ddr
@@ -166,42 +167,44 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return enc.Encode(result.Run)
 	case result.Run.Parts != nil:
 		fmt.Fprintf(stdout, "scale-out: %s partitions of %dx%d, %d MACs total | topology %s\n", spec.Parts,
-			cfg.ArrayHeight, cfg.ArrayWidth, spec.Parts.Count()*int64(cfg.MACs()), topo.Name)
+			cfg.ArrayHeight, cfg.ArrayWidth, spec.Parts.Count()*int64(cfg.MACs()), w.Name)
 		return result.WriteReport(stdout, "scaleout")
-	case graph != nil:
+	case !w.Flat:
 		fmt.Fprintf(stdout, "run: %s | graph: %s (%d nodes, %d edges) | array %dx%d %s | %d lanes\n",
-			cfg.RunName, graph.Name, len(graph.Nodes), graph.Edges(),
+			cfg.RunName, w.Name, len(w.Nodes), w.Edges(),
 			cfg.ArrayHeight, cfg.ArrayWidth, cfg.Dataflow, cfg.Lanes())
 		if err := result.WriteReport(stdout, "operators"); err != nil {
 			return err
 		}
 	default:
 		fmt.Fprintf(stdout, "run: %s | topology: %s (%d layers) | array %dx%d %s\n",
-			cfg.RunName, topo.Name, len(topo.Layers), cfg.ArrayHeight, cfg.ArrayWidth, cfg.Dataflow)
+			cfg.RunName, w.Name, len(w.Nodes), cfg.ArrayHeight, cfg.ArrayWidth, cfg.Dataflow)
 	}
 	return result.WriteReport(stdout, "summary")
 }
 
-// pickWorkload resolves the flags to either a flat topology or an
-// operator graph (graph non-nil).
-func pickWorkload(cfg scalesim.Config, topoPath, netName, graphPath string) (scalesim.Topology, *scalesim.Graph, error) {
-	switch {
-	case graphPath != "":
-		g, err := scalesim.LoadGraph(graphPath)
-		if err != nil {
-			return scalesim.Topology{}, nil, err
+// pickWorkload resolves the one workload flag given — or, with none, the
+// config's Topology entry — to its graph; a layer CSV is a flat network.
+func pickWorkload(cfg scalesim.Config, topoPath, netName, graphPath string) (scalesim.Graph, error) {
+	var given []string
+	for _, f := range []struct{ name, val string }{{"-topology", topoPath}, {"-net", netName}, {"-graph", graphPath}} {
+		if f.val != "" {
+			given = append(given, f.name)
 		}
-		return scalesim.Topology{}, &g, nil
+	}
+	if len(given) > 1 {
+		return scalesim.Graph{}, fmt.Errorf("%s: pass one workload", strings.Join(given, " and "))
+	}
+	switch csv := cmp.Or(topoPath, cfg.TopologyPath); {
+	case graphPath != "":
+		return scalesim.LoadGraph(graphPath)
 	case netName != "":
 		return topology.Workload(netName)
-	case topoPath != "":
-		t, err := scalesim.LoadTopology(topoPath)
-		return t, nil, err
-	case cfg.TopologyPath != "":
-		t, err := scalesim.LoadTopology(cfg.TopologyPath)
-		return t, nil, err
+	case csv != "":
+		t, err := scalesim.LoadTopology(csv)
+		return t.Graph(), err
 	}
-	return scalesim.Topology{}, nil, fmt.Errorf("no workload: pass -topology, -graph, -net, or a config with a Topology entry")
+	return scalesim.Graph{}, fmt.Errorf("no workload: pass -topology, -graph, -net, or a config with a Topology entry")
 }
 
 // writeReports writes every report the result offers to

@@ -161,8 +161,8 @@ func TestPartsFlagMatrix(t *testing.T) {
 		{flags: []string{"-dram-bw", "0.5"}, refused: "DRAMBandwidth"},
 		{flags: []string{"-traces", "-outdir", "@/out", "-timeline", "@/tl.json"}, refused: "-parts does not support -traces"},
 		{flags: []string{"-traces", "-timeline", "@/tl.json", "-cache-dir", "@/cache"}, refused: "-traces requires -outdir"},
-		{flags: []string{"-graph", graphPath}, refused: "Graph"},
-		{flags: []string{"-net", "BERTTiny"}, refused: "Graph"},
+		{flags: []string{"-graph", graphPath}, refused: "-net and -graph: pass one workload"},
+		{flags: []string{"-net", "BERTTiny"}, refused: `node "h0_softmax": Parts runs matmul layers only`},
 		{flags: []string{"-outdir", "@/out"}, artefact: "out/scale_sim_scaleout.csv"},
 		{flags: []string{"-cache"}},
 		{flags: []string{"-cache-dir", "@/cache"}, artefact: "cache"},
@@ -266,6 +266,108 @@ func TestPartsFlagMatrix(t *testing.T) {
 
 // TestScaleOutWorkers: -workers bounds the partition fan-out of a -parts
 // run and is recorded in its manifest, and like every other run its
+
+// TestWorkloadFlagMatrix crosses every workload selector with every option
+// that depends on what the workload is: each pair runs, writing its
+// reports, or is refused by name with nothing printed and nothing created.
+// Past the flags every workload is one graph, so only the vector nodes of
+// an operator graph are refused, and only under -parts. Two selectors are
+// refused together; a config's Topology entry is the default they override.
+func TestWorkloadFlagMatrix(t *testing.T) {
+	in := t.TempDir()
+	csvPath := filepath.Join(in, "net.csv")
+	if err := os.WriteFile(csvPath, []byte("conv, 8, 8, 3, 3, 2, 4, 1,\nfc, 1, 1, 1, 1, 36, 10, 1,\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(in, "net.cfg")
+	if err := os.WriteFile(cfgPath, []byte("[architecture_presets]\nTopology : "+csvPath+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeGraph := func(name string, g scalesim.Graph) string {
+		path := filepath.Join(in, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := scalesim.WriteGraph(f, g); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bert, _ := scalesim.BuiltInGraph("BERTTiny")
+	bertPath := writeGraph("bert.json", bert)
+	chain, _ := scalesim.BuiltInGraph("TinyNet")
+	chainPath := writeGraph("chain.json", chain)
+
+	const vector = `node "h0_softmax": Parts runs matmul layers only`
+	for _, sel := range []struct {
+		name, header string
+		args         []string
+		partsRefused bool
+	}{
+		{"flat -net", "topology: TinyNet (3 layers)", []string{"-net", "TinyNet"}, false},
+		{"graph -net", "graph: BERTTiny", []string{"-net", "BERTTiny"}, true},
+		{"-graph", "graph: BERTTiny", []string{"-graph", bertPath}, true},
+		{"chain -graph", "graph: TinyNet (3 nodes, 2 edges)", []string{"-graph", chainPath}, false},
+		{"-topology", "topology: net (2 layers)", []string{"-topology", csvPath}, false},
+		{"config Topology", "topology: net (2 layers)", []string{"-config", cfgPath}, false},
+	} {
+		for _, opt := range [][]string{{"-parts", "2x2"}, {"-dram", "-dram-bw", "4"}, {"-traces"}} {
+			dir := t.TempDir()
+			args := append(append(append([]string(nil), sel.args...), opt...),
+				"-outdir", filepath.Join(dir, "out"), "-metrics", filepath.Join(dir, "m.json"))
+			var buf bytes.Buffer
+			err := run(args, &buf)
+			left, _ := os.ReadDir(dir)
+			if sel.partsRefused && opt[0] == "-parts" {
+				if err == nil || !strings.Contains(err.Error(), vector) {
+					t.Errorf("%s %v = %v, want an error naming %s", sel.name, opt, err, vector)
+				}
+				if buf.Len() != 0 || len(left) != 0 {
+					t.Errorf("%s %v refused after printing %d bytes and creating %d entries", sel.name, opt, buf.Len(), len(left))
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s %v: %v", sel.name, opt, err)
+				continue
+			}
+			if opt[0] != "-parts" && !strings.Contains(buf.String(), sel.header) {
+				t.Errorf("%s %v: stdout lacks %q:\n%s", sel.name, opt, sel.header, buf.String())
+			}
+			reports, _ := os.ReadDir(filepath.Join(dir, "out"))
+			if len(left) != 2 || len(reports) == 0 {
+				t.Errorf("%s %v left %d entries and %d reports", sel.name, opt, len(left), len(reports))
+			}
+		}
+	}
+
+	for _, args := range [][]string{
+		{"-net", "TinyNet", "-graph", chainPath},
+		{"-net", "TinyNet", "-topology", csvPath},
+		{"-topology", csvPath, "-graph", chainPath},
+		{"-net", "TinyNet", "-topology", csvPath, "-graph", chainPath},
+	} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		err := run(append(args, "-outdir", filepath.Join(dir, "out")), &buf)
+		left, _ := os.ReadDir(dir)
+		for _, f := range args {
+			if f[0] == '-' && (err == nil || !strings.Contains(err.Error(), f)) {
+				t.Errorf("run(%v) = %v, want an error naming %s", args, err, f)
+			}
+		}
+		if buf.Len() != 0 || len(left) != 0 {
+			t.Errorf("run(%v) refused after printing %d bytes and creating %d entries", args, buf.Len(), len(left))
+		}
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-config", cfgPath, "-net", "TinyNet"}, &buf); err != nil || !strings.Contains(buf.String(), "topology: TinyNet") {
+		t.Errorf("-net over a config's Topology: %v\n%s", err, buf.String())
+	}
+}
+
 // outputs do not depend on the value.
 func TestScaleOutWorkers(t *testing.T) {
 	dir := t.TempDir()

@@ -291,7 +291,7 @@ func TestScaleOutJobMatchesCLI(t *testing.T) {
 
 	// Refused by name at submission, nothing queued.
 	for bad, name := range map[string]string{
-		`{"net":"BERTTiny","parts":"1x2"}`:              "Graph",
+		`{"net":"BERTTiny","parts":"1x2"}`:              `node "h0_softmax"`,
 		`{"net":"TinyNet","parts":"0x2"}`:               "parts",
 		`{"net":"TinyNet","parts":"1x2","dram":true}`:   "DRAM",
 		`{"net":"TinyNet","parts":"1x2","dram_bw":0.5}`: "DRAMBandwidth",

@@ -81,25 +81,19 @@ func run(args []string, stdout io.Writer) error {
 		// Flat built-ins keep their CSV form unless -format graph lifts them
 		// into a linear-chain operator graph; native graphs emit graph JSON and
 		// reject -format csv (a DAG has no flat CSV equivalent).
-		if topo, ok := scalesim.BuiltInTopology(*net); ok {
-			if *stats {
-				if *format == "graph" {
-					return writeGraphStats(w, scalesim.ChainGraph(topo))
-				}
-				return writeKeyStats(w, topo)
-			}
-			if *format == "graph" {
-				return scalesim.WriteGraph(w, scalesim.ChainGraph(topo))
-			}
-			return topology.WriteCSV(w, topo)
-		}
-		g, err := scalesim.BuiltInGraph(*net)
-		if err != nil {
+		g, err := topology.Workload(*net)
+		switch {
+		case err != nil:
 			return fmt.Errorf("unknown workload %q (have %s)", *net, strings.Join(allNames, ", "))
-		}
-		if *format == "csv" {
+		case g.Flat && *format != "graph":
+			if *stats {
+				return writeKeyStats(w, g)
+			}
+			return topology.WriteCSV(w, g.Topology())
+		case *format == "csv":
 			return fmt.Errorf("workload %q is an operator graph; -format csv applies to flat topologies only", *net)
 		}
+		g.Flat = false
 		if *stats {
 			return writeGraphStats(w, g)
 		}
@@ -110,19 +104,19 @@ func run(args []string, stdout io.Writer) error {
 // writeKeyStats prints one row per distinct canonical shape key with its
 // repeat count and a summary line: the layers-to-keys ratio is the fraction
 // of simulations a memoizing result cache skips on this workload.
-func writeKeyStats(w io.Writer, topo scalesim.Topology) error {
-	keys := topo.KeyStats()
-	fmt.Fprintf(w, "%s: %d layers, %d distinct shapes\n", topo.Name, len(topo.Layers), len(keys))
+func writeKeyStats(w io.Writer, g scalesim.Graph) error {
+	keys := g.KeyStats()
+	fmt.Fprintf(w, "%s: %d layers, %d distinct shapes\n", g.Name, len(g.Nodes), len(keys))
 	fmt.Fprintf(w, "%-28s %6s %12s  %s\n", "KEY", "COUNT", "MACS", "FIRST")
 	repeated := 0
 	for _, k := range keys {
-		fmt.Fprintf(w, "%-28s %6d %12d  %s\n", k.Key, k.Count, k.MACs, k.First)
+		fmt.Fprintf(w, "%-28s %6d %12d  %s\n", k.Key, k.Count, k.Work, k.First)
 		if k.Count > 1 {
 			repeated += k.Count - 1
 		}
 	}
 	fmt.Fprintf(w, "cacheable repeats: %d of %d layers (%.0f%%)\n",
-		repeated, len(topo.Layers), 100*float64(repeated)/float64(len(topo.Layers)))
+		repeated, len(g.Nodes), 100*float64(repeated)/float64(len(g.Nodes)))
 	return nil
 }
 

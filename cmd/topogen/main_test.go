@@ -90,7 +90,7 @@ func TestStats(t *testing.T) {
 	}
 	out := buf.String()
 	rn := topology.ResNet50()
-	unique := len(rn.KeyStats())
+	unique := len(rn.Graph().KeyStats())
 	header := fmt.Sprintf("%s: %d layers, %d distinct shapes", rn.Name, len(rn.Layers), unique)
 	if !strings.Contains(out, header) {
 		t.Errorf("stats output missing %q:\n%s", header, out)
@@ -107,7 +107,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	lm := topology.LanguageModels()
-	if n := len(lm.KeyStats()); n != len(lm.Layers) {
+	if n := len(lm.Graph().KeyStats()); n != len(lm.Layers) {
 		t.Fatalf("Table IV GEMMs share keys: %d keys for %d layers", n, len(lm.Layers))
 	}
 	if !strings.Contains(buf.String(), "cacheable repeats: 0 of") {

@@ -18,23 +18,17 @@ import (
 	"scalesim/internal/topology"
 )
 
-// Point is one grid coordinate. Exactly one of Topology and Graph is the
-// workload, as in the job.Spec the point runs as.
+// Point is one grid coordinate: hardware and the workload of the job.Spec
+// the point runs as.
 type Point struct {
 	Array    [2]int
 	Dataflow config.Dataflow
 	SRAM     [3]int
-	Topology topology.Topology
-	Graph    *topology.Graph
+	Workload topology.Graph
 }
 
 // Net names the point's workload.
-func (p Point) Net() string {
-	if p.Graph != nil {
-		return p.Graph.Name
-	}
-	return p.Topology.Name
-}
+func (p Point) Net() string { return p.Workload.Name }
 
 // Config derives the point's full hardware configuration from the base.
 func (p Point) Config(base config.Config) config.Config {
@@ -49,7 +43,7 @@ func (p Point) Config(base config.Config) config.Config {
 // job.Spec the point runs as. Equal hashes mean equal simulation outcomes,
 // so merged sharded sweeps deduplicate rows by it.
 func PointHash(base config.Config, p Point) string {
-	return topology.ContentKey(p.Config(base).Hash(), p.Topology, p.Graph)
+	return topology.ContentKey(p.Config(base).Hash(), p.Workload)
 }
 
 // ShardOf deterministically assigns the point to one of shards buckets,
@@ -97,10 +91,9 @@ type Spec struct {
 	Arrays    [][2]int
 	Dataflows []config.Dataflow
 	SRAMs     [][3]int
-	// Topologies and Graphs together form the workload axis (at least one
-	// workload required).
-	Topologies []topology.Topology
-	Graphs     []topology.Graph
+	// Workloads is the workload axis (at least one required): operator
+	// graphs, and flat networks as their chains (topology.Topology.Graph).
+	Workloads []topology.Graph
 	// PointList, when non-empty, replaces the cartesian expansion with an
 	// explicit list of fully-specified points — the band-driven workflow
 	// of a tiered design-space search, where only the analytically
@@ -157,11 +150,8 @@ func (s Spec) Points() []Point {
 			}
 		}
 	}
-	for _, topo := range s.Topologies {
-		expand(Point{Topology: topo})
-	}
-	for i := range s.Graphs {
-		expand(Point{Graph: &s.Graphs[i]})
+	for _, w := range s.Workloads {
+		expand(Point{Workload: w})
 	}
 	return pts
 }

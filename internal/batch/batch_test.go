@@ -31,11 +31,11 @@ func run(spec Spec, cache *simcache.Cache, rec *obsv.Recorder) ([]Row, error) {
 
 func tinySpec() Spec {
 	return Spec{
-		Base:       config.New(),
-		Arrays:     [][2]int{{8, 8}, {16, 16}},
-		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
-		SRAMs:      [][3]int{{2, 2, 1}},
-		Topologies: []topology.Topology{topology.TinyNet()},
+		Base:      config.New(),
+		Arrays:    [][2]int{{8, 8}, {16, 16}},
+		Dataflows: []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		SRAMs:     [][3]int{{2, 2, 1}},
+		Workloads: []topology.Graph{topology.TinyNet().Graph()},
 	}
 }
 
@@ -46,7 +46,7 @@ func TestPointsExpansion(t *testing.T) {
 		t.Fatalf("points = %d, want 4", len(points))
 	}
 	// Defaults: empty axes fall back to the base config.
-	minimal := Spec{Base: config.New(), Topologies: spec.Topologies}
+	minimal := Spec{Base: config.New(), Workloads: spec.Workloads}
 	p := minimal.Points()
 	if len(p) != 1 {
 		t.Fatalf("minimal points = %d", len(p))
@@ -164,8 +164,8 @@ func TestParseSpec(t *testing.T) {
 	if len(spec.SRAMs) != 1 || spec.SRAMs[0] != [3]int{2, 2, 1} {
 		t.Errorf("srams = %v", spec.SRAMs)
 	}
-	if spec.Parallel != 2 || len(spec.Topologies) != 1 {
-		t.Errorf("parallel/nets = %d/%d", spec.Parallel, len(spec.Topologies))
+	if spec.Parallel != 2 || len(spec.Workloads) != 1 {
+		t.Errorf("parallel/nets = %d/%d", spec.Parallel, len(spec.Workloads))
 	}
 	// parallel is the document's only key the axes do not carry.
 	spec.Parallel = 0
@@ -185,8 +185,8 @@ func TestParseSpecGraphNets(t *testing.T) {
 	if !reflect.DeepEqual(spec, direct) {
 		t.Fatalf("ParseSpec and Axes.Spec disagree:\n%+v\n%+v", spec, direct)
 	}
-	if len(spec.Topologies) != 1 || len(spec.Graphs) != 1 || spec.Graphs[0].Name != "BERTTiny" {
-		t.Fatalf("topologies=%d graphs=%d", len(spec.Topologies), len(spec.Graphs))
+	if len(spec.Workloads) != 2 || !spec.Workloads[0].Flat || spec.Workloads[1].Flat || spec.Workloads[1].Name != "BERTTiny" {
+		t.Fatalf("workloads %+v, want flat TinyNet then the BERTTiny graph", spec.Workloads)
 	}
 	points := spec.Points()
 	if len(points) != 4 {

@@ -45,7 +45,7 @@ func TestGridCacheEquivalence(t *testing.T) {
 	}
 	nLayers := int64(0)
 	for _, p := range spec.Points() {
-		nLayers += int64(len(p.Topology.Layers))
+		nLayers += int64(len(p.Workload.Nodes))
 	}
 	if got := cache.Stats().Hits; got < nLayers {
 		t.Fatalf("warm grid hits=%d, want at least %d (every layer of every point)", got, nLayers)

@@ -25,7 +25,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		nets := len(spec.Topologies) + len(spec.Graphs)
+		nets := len(spec.Workloads)
 		if nets == 0 {
 			t.Fatalf("accepted a spec with no workload: %q", input)
 		}

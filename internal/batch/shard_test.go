@@ -55,20 +55,20 @@ func TestShardOfDeterministic(t *testing.T) {
 func TestPointHashDistinguishes(t *testing.T) {
 	base := config.New()
 	p := Point{Array: [2]int{8, 8}, Dataflow: config.OutputStationary,
-		SRAM: [3]int{2, 2, 1}, Topology: topology.TinyNet()}
+		SRAM: [3]int{2, 2, 1}, Workload: topology.TinyNet().Graph()}
 	q := p
 	q.Array = [2]int{16, 16}
 	if PointHash(base, p) == PointHash(base, q) {
 		t.Error("different arrays share a hash")
 	}
 	renamed := p
-	renamed.Topology.Name = "OtherName"
+	renamed.Workload.Name = "OtherName"
 	if PointHash(base, p) != PointHash(base, renamed) {
 		t.Error("renaming the workload changed the hash")
 	}
 	reshaped := p
-	reshaped.Topology.Layers = append([]topology.Layer(nil), p.Topology.Layers...)
-	reshaped.Topology.Layers[0].NumFilters++
+	reshaped.Workload.Nodes = append([]topology.Node(nil), p.Workload.Nodes...)
+	reshaped.Workload.Nodes[0].Layer.NumFilters++
 	if PointHash(base, p) == PointHash(base, reshaped) {
 		t.Error("different layer shapes share a hash")
 	}
@@ -126,9 +126,9 @@ func TestPointHashLiterals(t *testing.T) {
 		hash             string
 		shard7, shard1e3 int
 	}{
-		{Point{Array: [2]int{8, 8}, Dataflow: config.OutputStationary, SRAM: [3]int{2, 2, 1}, Topology: topology.TinyNet()},
+		{Point{Array: [2]int{8, 8}, Dataflow: config.OutputStationary, SRAM: [3]int{2, 2, 1}, Workload: topology.TinyNet().Graph()},
 			"sha256:a7b2992a5a25beb615ee617a9116acc9757499b9b5c74d1cda1e733d67536a08:918bf38b9ae572a3", 2, 90},
-		{Point{Array: [2]int{16, 32}, Dataflow: config.WeightStationary, SRAM: [3]int{64, 64, 32}, Graph: &g},
+		{Point{Array: [2]int{16, 32}, Dataflow: config.WeightStationary, SRAM: [3]int{64, 64, 32}, Workload: g},
 			"sha256:1be138739f3f2dddee482977b4b35c8873b7bc807b13848dc71e0df8bd4c31cd:891d14e90d660bb3", 6, 373},
 	} {
 		if got := PointHash(base, c.p); got != c.hash {

@@ -12,7 +12,8 @@ import (
 // Axes is the grid as text: the comma-separated lists a spec file's
 // [sweep] keys and the CLIs' inline flags both spell. Empty axes fall
 // back to the base configuration; Nets takes built-in names, flat
-// topologies and operator graphs alike.
+// networks and operator graphs alike, and lists the flat ones first, in
+// their order, then the graphs: the row order every grid has had.
 type Axes struct {
 	Arrays, Dataflows, SRAMs, Nets string
 }
@@ -42,18 +43,19 @@ func (a Axes) Spec(base config.Config) (Spec, error) {
 		}
 		spec.SRAMs = append(spec.SRAMs, [3]int(v))
 	}
+	var graphs []topology.Graph
 	for _, part := range config.SplitList(a.Nets) {
-		topo, g, err := topology.Workload(part)
+		w, err := topology.Workload(part)
 		switch {
 		case err != nil:
 			return Spec{}, err
-		case g != nil:
-			spec.Graphs = append(spec.Graphs, *g)
+		case w.Flat:
+			spec.Workloads = append(spec.Workloads, w)
 		default:
-			spec.Topologies = append(spec.Topologies, topo)
+			graphs = append(graphs, w)
 		}
 	}
-	if len(spec.Topologies) == 0 && len(spec.Graphs) == 0 {
+	if spec.Workloads = append(spec.Workloads, graphs...); len(spec.Workloads) == 0 {
 		return Spec{}, fmt.Errorf("batch: spec has no nets")
 	}
 	return spec, nil

@@ -22,7 +22,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -102,7 +101,8 @@ type Options struct {
 	// its SRAM (at least 1 KiB each). Every layer runs as one spatial
 	// window per partition (Eq. 5) and finishes with its slowest partition
 	// (Eq. 6). The zero value is one array. Parts takes no DRAM model, link
-	// bound, trace files, caller sinks or graph workload (Validate).
+	// bound, trace files or caller sinks (Validate), and no vector node
+	// (ValidateWorkload).
 	Parts analytical.Partitioning
 }
 
@@ -156,8 +156,8 @@ type RunResult struct {
 	// the deterministic execution order (one entry per node), so every
 	// report renders uniformly.
 	Topology topology.Topology
-	// Graph is the operator graph a SimulateGraph run executed; nil for
-	// flat-topology runs.
+	// Graph is the operator graph the run executed; nil for a flat
+	// network (topology.Graph.Flat).
 	Graph *topology.Graph
 	// Layers holds one result per layer, in execution order.
 	Layers []LayerResult
@@ -250,8 +250,7 @@ func New(cfg config.Config, opt Options) (*Simulator, error) {
 // negative or not finite, an invalid DRAM model, a Parts grid with a
 // dimension below 1 and, beside Parts, a DRAM model or link bound (a memory
 // shared by the partitions is not modelled), trace files or caller sinks
-// (sibling partitions of a layer would share them). SimulateGraph refuses a
-// graph beside Parts (ErrPartsGraph).
+// (sibling partitions of a layer would share them).
 func (o Options) Validate() error {
 	switch bw := o.DRAMBandwidth; {
 	case bw < 0:
@@ -282,8 +281,28 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// ErrPartsGraph refuses an operator-graph workload beside Options.Parts.
-var ErrPartsGraph = errors.New("core: Parts runs layers on a partitioned system and does not support a Graph workload")
+// ValidateWorkload reports the first problem with running g under o: g's
+// own (topology.Graph.Validate), or under Parts a vector node, which the
+// partitioned system has no unit for.
+func (o Options) ValidateWorkload(g topology.Graph) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	for _, n := range g.Nodes {
+		if err := o.admit(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// admit refuses a vector node under Parts.
+func (o Options) admit(n topology.Node) error {
+	if o.Parts != (analytical.Partitioning{}) && n.Kind.Vector() {
+		return fmt.Errorf("core: node %q: Parts runs matmul layers only", n.Name)
+	}
+	return nil
+}
 
 // SimulateLayer runs one layer through the map/sinks/compute/analyze
 // pipeline (see pipeline.go).
@@ -295,8 +314,8 @@ func (s *Simulator) SimulateLayer(l topology.Layer) (LayerResult, error) {
 // vector-shaped nodes take the vector-unit compute path. Under
 // Options.Parts the node runs as its partitions' windows, joined.
 func (s *Simulator) SimulateNode(n topology.Node) (LayerResult, error) {
-	if s.partitioned() && n.Kind.Vector() {
-		return LayerResult{}, fmt.Errorf("core: node %q: Parts runs matmul layers only", n.Name)
+	if err := s.opt.admit(n); err != nil {
+		return LayerResult{}, err
 	}
 	ctxs := s.contexts(nil, 0, 0, n)
 	if _, err := s.execute(nil, ctxs, nil); err != nil {
@@ -315,7 +334,7 @@ func (s *Simulator) SimulateNode(n topology.Node) (LayerResult, error) {
 func (s *Simulator) execute(runs []Run, ctxs []*LayerContext, done func(*LayerContext, time.Time)) ([]obsv.Span, error) {
 	run := func(ctx *LayerContext) error {
 		noun := "layer"
-		if runs != nil && runs[ctx.run].Graph != nil {
+		if runs != nil && !runs[ctx.run].Workload.Flat {
 			noun = "node"
 		}
 		what := fmt.Sprintf("%s %q", noun, ctx.Layer.Name)
@@ -408,20 +427,20 @@ func guarded(what string, job func() error) (err error) {
 	return nil
 }
 
-// Simulate runs every layer of the topology — concurrently up to
-// Options.Workers, with results joined in layer order — and aggregates the
-// serialized execution totals.
+// Simulate runs every layer of a flat network, as its chain graph
+// (topology.Topology.Graph) — concurrently up to Options.Workers, with
+// results joined in layer order — and aggregates the serialized execution
+// totals.
 func (s *Simulator) Simulate(topo topology.Topology) (RunResult, error) {
-	return Run{Sim: s, Topology: topo}.Simulate()
+	return Run{Sim: s, Workload: topo.Graph()}.Simulate()
 }
 
-// SimulateGraph runs an operator-graph workload like a flat topology, in
-// the graph's deterministic topological order (Graph.Schedule): cycle
-// offsets accumulate over it, so results are identical for every worker
-// count. Matmul-shaped nodes take the systolic path, vector-shaped nodes
-// the vector unit.
+// SimulateGraph runs a workload graph in its deterministic topological
+// order (Graph.Schedule): cycle offsets accumulate over it, so results are
+// identical for every worker count. Matmul-shaped nodes take the systolic
+// path, vector-shaped nodes the vector unit.
 func (s *Simulator) SimulateGraph(g topology.Graph) (RunResult, error) {
-	return Run{Sim: s, Graph: &g}.Simulate()
+	return Run{Sim: s, Workload: g}.Simulate()
 }
 
 // Simulate runs r alone, its layers the units: Simulate and SimulateGraph.
@@ -433,15 +452,15 @@ func (r Run) Simulate() (RunResult, error) {
 	return res[0], nil
 }
 
-// Run is one simulator's workload, the flat topology or else the operator
-// graph, in a plan of several (SimulateRuns). Its Name, which Simulate and
-// SimulateGraph leave empty, names its progress step and recorded unit,
-// prefixes its errors and titles its timeline process.
+// Run is one simulator's workload in a plan of several (SimulateRuns): an
+// operator graph, or a flat network as its chain (topology.Graph.Flat).
+// Its Name, which Simulate and SimulateGraph leave empty, names its
+// progress step and recorded unit, prefixes its errors and titles its
+// timeline process.
 type Run struct {
 	Sim      *Simulator
 	Name     string
-	Topology topology.Topology
-	Graph    *topology.Graph
+	Workload topology.Graph
 }
 
 // SimulateRuns runs several simulators' workloads as one plan, under the
@@ -457,33 +476,22 @@ func SimulateRuns(runs []Run) ([]RunResult, error) {
 }
 
 // workload validates the run's workload and returns its execution order
-// with the result it starts from; a graph's result gets an execution-order
-// topology, so that every report renders it.
+// with the result it starts from: an execution-order topology, so that
+// every report renders it, and the graph unless it is a flat network.
 func (r Run) workload() (RunResult, []topology.Node, error) {
-	res := RunResult{Config: r.Sim.base, Topology: r.Topology}
+	g := r.Workload
+	res := RunResult{Config: r.Sim.base}
 	if r.Sim.partitioned() {
 		parts := r.Sim.opt.Parts
 		res.Parts = &parts
 	}
-	if r.Graph == nil {
-		nodes := make([]topology.Node, len(r.Topology.Layers))
-		for i, l := range r.Topology.Layers {
-			nodes[i] = topology.NodeOf(l)
-		}
-		return res, nodes, r.Topology.Validate()
-	}
-	if r.Sim.partitioned() {
-		return res, nil, ErrPartsGraph
-	}
-	g := *r.Graph
-	if err := g.Validate(); err != nil {
+	if err := r.Sim.opt.ValidateWorkload(g); err != nil {
 		return res, nil, err
 	}
 	nodes, _, err := g.Schedule()
-	res.Topology, res.Graph = topology.Topology{Name: g.Name, Layers: make([]topology.Layer, len(nodes))}, &g
-	for i, n := range nodes {
-		res.Topology.Layers[i] = n.Layer
-		res.Topology.Layers[i].Name = n.Name
+	res.Topology = topology.Graph{Name: g.Name, Nodes: nodes}.Topology()
+	if !g.Flat {
+		res.Graph = &g
 	}
 	return res, nodes, err
 }

@@ -409,9 +409,18 @@ func TestSimulateLayerPanicNamesLayer(t *testing.T) {
 		return nil
 	}}
 	l := topology.TinyNet().Layers[0]
-	_, err := newSim(t, config.New().WithArray(8, 8), Options{Sinks: boom}).SimulateLayer(l)
+	sim := newSim(t, config.New().WithArray(8, 8), Options{Sinks: boom, Workers: 1})
+	_, err := sim.SimulateLayer(l)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("core: layer %q panicked", l.Name)) ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Errorf("err = %v, want the panic under the layer's name", err)
+	}
+	// A flat network's failures name layers; the same chain given as a
+	// graph names nodes.
+	if _, err := sim.Simulate(topology.TinyNet()); err == nil || !strings.Contains(err.Error(), `core: layer "conv1" panicked`) {
+		t.Errorf("flat network: err = %v, want the panic under the layer's name", err)
+	}
+	if _, err := sim.SimulateGraph(topology.ChainGraph(topology.TinyNet())); err == nil || !strings.Contains(err.Error(), `core: node "conv1" panicked`) {
+		t.Errorf("chain graph: err = %v, want the panic under the node's name", err)
 	}
 }

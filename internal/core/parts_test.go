@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,12 +147,37 @@ func TestPartsRefusals(t *testing.T) {
 		}
 	}
 	sim := newSim(t, config.New(), Options{Parts: parts})
+	// A graph is refused by its first vector node; a chain of matmul
+	// layers runs (TestPartsChainGraphIsTheFlatRun).
 	g, _ := topology.BuiltInGraph("BERTTiny")
-	if _, err := sim.SimulateGraph(g); !errors.Is(err, ErrPartsGraph) {
+	if _, err := sim.SimulateGraph(g); err == nil || !strings.Contains(err.Error(), `node "h0_softmax": Parts runs matmul layers only`) {
 		t.Errorf("SimulateGraph under Parts: %v", err)
 	}
 	softmax := topology.Node{Name: "sm", Kind: topology.OpSoftmax, Layer: topology.FromGEMM("sm", 8, 1, 8)}
 	if _, err := sim.SimulateNode(softmax); err == nil || !strings.Contains(err.Error(), `"sm"`) {
 		t.Errorf("vector node under Parts: %v", err)
+	}
+}
+
+// TestPartsChainGraphIsTheFlatRun: a chain of matmul layers given as a
+// graph runs under Parts exactly as its flat network does; only the
+// result's graph, which a flat network leaves nil, tells them apart.
+func TestPartsChainGraphIsTheFlatRun(t *testing.T) {
+	cfg := config.New().WithArray(4, 4).WithSRAM(4, 4, 2)
+	sim := newSim(t, cfg, Options{Parts: analytical.Partitioning{Pr: 3, Pc: 2}})
+	flat, err := sim.Simulate(topology.TinyNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := sim.SimulateGraph(topology.ChainGraph(topology.TinyNet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Graph != nil || chain.Graph == nil || len(chain.Graph.Nodes) != 3 {
+		t.Fatalf("graphs: flat %v, chain %v", flat.Graph, chain.Graph)
+	}
+	chain.Graph = nil
+	if !reflect.DeepEqual(flat, chain) {
+		t.Errorf("chain under Parts differs from the flat run:\n%+v\n%+v", chain, flat)
 	}
 }

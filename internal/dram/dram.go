@@ -89,9 +89,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// precharged is the open row of a bank with none open: below every row an
+// address decodes to but the floor of MinInt64 at RowWords 1.
+const precharged = math.MinInt64
+
 // bank is one bank's state.
 type bank struct {
-	openRow int64 // -1 when precharged
+	openRow int64 // precharged when no row is open
 	cmdFree int64 // cycle at which the bank can accept a new command
 }
 
@@ -204,7 +208,7 @@ func New(cfg Config) (*Model, error) {
 	}
 	m := &Model{cfg: cfg, banks: make([]bank, cfg.Banks), slack: make([]int64, cfg.Banks)}
 	for i := range m.banks {
-		m.banks[i].openRow = -1
+		m.banks[i].openRow = precharged
 	}
 	if cfg.TREFI > 0 {
 		m.nextRefresh = cfg.TREFI
@@ -224,13 +228,12 @@ func New(cfg Config) (*Model, error) {
 // the model's only state machine. Calls are served in call order, whatever
 // their cycles (see the package doc).
 //
-// Only the first word is decoded by division. stride is split once into
-// whole rows and a remainder in [0, RowWords); the loop moves to the next
-// word by adding the remainder to the row offset and carrying into the row
-// and the bank, which lands on exactly the (row, bank) a division of the
-// address would — for non-negative addresses, where truncated and floored
-// division agree. A run that reaches below zero is therefore decoded word by
-// word.
+// Only the first word is decoded by division, floored, like every step
+// after it: stride is split once into whole rows and a remainder in
+// [0, RowWords), and the loop moves to the next word by adding the
+// remainder to the row offset and carrying into the row and the bank,
+// which lands on exactly the (row, bank) a floored division of the address
+// would, on either side of zero.
 //
 // The loop walks one word and then steps a row: when 0 <= stride <
 // RowWords, the words after it that stay in its row are hits in its bank,
@@ -246,24 +249,15 @@ func New(cfg Config) (*Model, error) {
 // piece of the shift proof that needs every word (a row step never lowers
 // it); ConsumeRuns reads the rest off the state before and after the call.
 func (m *Model) serve(arrival, addr, stride, n int64) int64 {
-	switch {
-	case n <= 0:
+	if n <= 0 {
 		return 0
-	case n > 1 && (addr < 0 || addr+(n-1)*stride < 0):
-		var done int64
-		for ; n > 0; n-- {
-			done = m.serve(arrival, addr, 0, 1)
-			addr += stride
-		}
-		return done
 	}
 	cfg := &m.cfg
 	rowWords, banks := cfg.RowWords, int64(cfg.Banks)
 	tRCD, tCAS, tRP, busWord := cfg.TRCD, cfg.TCAS, cfg.TRP, cfg.BusCyclesPerWord
 
-	row := addr / rowWords
-	rowOff := addr - row*rowWords
-	bank := row % banks
+	row, rowOff := floorDivMod(addr, rowWords)
+	_, bank := floorDivMod(row, banks)
 	// Per-word steps: an offset in [0, RowWords), whole rows reduced modulo
 	// the bank count.
 	var dRow, dRowOff, dBank int64
@@ -288,7 +282,7 @@ func (m *Model) serve(arrival, addr, stride, n int64) int64 {
 			b.cmdFree = start + busWord
 		} else {
 			activate := start + tRCD
-			if b.openRow >= 0 {
+			if b.openRow != precharged {
 				activate += tRP
 			}
 			ready = activate + tCAS

@@ -297,8 +297,9 @@ func refRequest(m *Model, arrival, addr int64) int64 {
 		}
 	}
 
-	row := addr / cfg.RowWords
-	b := &m.banks[int(row%int64(cfg.Banks))]
+	row, _ := floorDivMod(addr, cfg.RowWords)
+	_, bank := floorDivMod(row, int64(cfg.Banks))
+	b := &m.banks[bank]
 
 	start := max(arrival, b.cmdFree)
 	start = max(start, m.refreshHold)
@@ -310,7 +311,7 @@ func refRequest(m *Model, arrival, addr int64) int64 {
 	} else {
 		m.stats.RowMisses++
 		activate := start + cfg.TRCD
-		if b.openRow >= 0 {
+		if b.openRow != precharged {
 			activate += cfg.TRP
 		}
 		ready = activate + cfg.TCAS
@@ -455,19 +456,36 @@ func TestRequestIsTheOneWordRun(t *testing.T) {
 	}
 }
 
-// TestRunBelowZeroDecodesPerWord: truncated division cannot be stepped
-// across zero, so a run that reaches negative addresses must fall back to a
-// full decode per word. One bank is the geometry where the reference
-// accepts such addresses at all.
+// TestRunBelowZeroDecodesPerWord: serve decodes a run's first word by
+// floored division and steps floored rows from there, so a run reaching
+// below zero lands on the (row, bank) the per-word reference decodes for
+// each word, on one bank and on DDR3's eight.
 func TestRunBelowZeroDecodesPerWord(t *testing.T) {
-	cfg := Config{Banks: 1, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4, BusCyclesPerWord: 1}
-	runs := []trace.Run{{Base: 40, Stride: -7, Count: 12}, {Base: -90, Stride: 9, Count: 20}}
-	got, _ := New(cfg)
-	want, _ := New(cfg)
-	got.ConsumeRuns(5, runs)
-	refConsume(want, 5, trace.ExpandRuns(runs, nil))
-	if got.Stats() != want.Stats() || !sameDevice(got, want) {
-		t.Errorf("run loop %+v, reference %+v", got.Stats(), want.Stats())
+	small := Config{Banks: 1, RowWords: 16, TRCD: 3, TCAS: 2, TRP: 4, BusCyclesPerWord: 1}
+	for _, c := range []struct {
+		cfg  Config
+		runs []trace.Run
+		// allMiss marks words in rows of their own, on banks none shares.
+		allMiss bool
+	}{
+		{small, []trace.Run{{Base: 40, Stride: -7, Count: 12}, {Base: -90, Stride: 9, Count: 20}}, false},
+		// A word at or below -RowWords indexes a bank too; a word just
+		// below zero is in row -1, not row 0, and row -1 is not a
+		// precharged bank.
+		{DDR3(), []trace.Run{{Base: -5000, Stride: 1, Count: 1}}, true},
+		{DDR3(), []trace.Run{{Base: -5, Stride: 1, Count: 1}, {Base: 3, Stride: 1, Count: 1}, {Base: -2049, Stride: 1, Count: 1}}, true},
+		{DDR3(), []trace.Run{{Base: -9000, Stride: 767, Count: 30}, {Base: 4100, Stride: -2047, Count: 9}, {Base: -3, Stride: 1, Count: 6}}, false},
+	} {
+		got, _ := New(c.cfg)
+		want, _ := New(c.cfg)
+		got.ConsumeRuns(5, c.runs)
+		refConsume(want, 5, trace.ExpandRuns(c.runs, nil))
+		if got.Stats() != want.Stats() || !sameDevice(got, want) {
+			t.Errorf("%v: run loop %+v, reference %+v", c.runs, got.Stats(), want.Stats())
+		}
+		if c.allMiss && want.Stats().RowHits != 0 {
+			t.Errorf("%v: %d row hits among words that each open a row", c.runs, want.Stats().RowHits)
+		}
 	}
 }
 
@@ -727,6 +745,9 @@ func TestShiftReplayFromRandomState(t *testing.T) {
 		start := &startState{bus: rng.Int63n(60), banks: make([]bank, cfg.Banks)}
 		for bi := range start.banks {
 			start.banks[bi] = bank{cmdFree: rng.Int63n(60), openRow: rng.Int63n(4) - 1}
+			if start.banks[bi].openRow < 0 {
+				start.banks[bi].openRow = precharged
+			}
 		}
 		runs := make([]trace.Run, 1+rng.Intn(2))
 		for j := range runs {

@@ -236,7 +236,7 @@ func crossRuns(t *testing.T, topo topology.Topology, cfg config.Config, side *dr
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs[i] = core.Run{Sim: sim, Name: fmt.Sprintf("run %d", i), Topology: topo}
+			runs[i] = core.Run{Sim: sim, Name: fmt.Sprintf("run %d", i), Workload: topo.Graph()}
 		}
 		got, err := core.SimulateRuns(runs)
 		if err != nil {

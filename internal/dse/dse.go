@@ -70,15 +70,15 @@ func check(grid batch.Spec, opt Options) error {
 	if len(grid.PointList) > 0 {
 		return fmt.Errorf("dse: a search expands its axes; it takes no point list")
 	}
-	if len(grid.Graphs) > 0 {
-		return fmt.Errorf("dse: workload %q is an operator graph; tier 1 scores flat nets only (flat built-ins: %s)",
-			grid.Graphs[0].Name, strings.Join(topology.BuiltInNames(), ", "))
-	}
-	if len(grid.Topologies) == 0 {
+	if len(grid.Workloads) == 0 {
 		return fmt.Errorf("dse: no workloads")
 	}
-	for _, w := range grid.Topologies {
-		if len(w.Layers) == 0 {
+	for _, w := range grid.Workloads {
+		switch {
+		case !w.Flat:
+			return fmt.Errorf("dse: workload %q is an operator graph; tier 1 scores flat nets only (flat built-ins: %s)",
+				w.Name, strings.Join(topology.BuiltInNames(), ", "))
+		case len(w.Nodes) == 0:
 			return fmt.Errorf("dse: workload %q has no layers", w.Name)
 		}
 	}
@@ -117,11 +117,11 @@ func fingerprint(grid batch.Spec, eps float64) string {
 	for _, sr := range grid.SRAMs {
 		fmt.Fprintf(&b, "s%d/%d/%d;", sr[0], sr[1], sr[2])
 	}
-	for _, w := range grid.Topologies {
+	for _, w := range grid.Workloads {
 		b.WriteString(w.Name)
 		b.WriteByte('=')
-		for _, l := range w.Layers {
-			b.WriteString(l.Key())
+		for _, n := range w.Nodes {
+			b.WriteString(n.Layer.Key())
 			b.WriteByte(',')
 		}
 		b.WriteByte(';')
@@ -185,7 +185,7 @@ const tier1ChunkSize = 8192
 
 // Explore runs the two-tier search over the grid: its Arrays, Dataflows
 // and SRAMs axes (the latter two defaulted as a sweep's are) crossed with
-// its flat Topologies, Parallel bounding both tiers. The analytical model
+// its flat Workloads, Parallel bounding both tiers. The analytical model
 // is SRAM-blind, so the SRAMs axis multiplies only the refinement, never
 // the tier-1 score count. Tier 1 and the band
 // cut run inline, recorded on live.Obs; tier 2 is one sweep job ("dse")
@@ -204,7 +204,7 @@ func Explore(grid batch.Spec, opt Options, r *job.Runner, live job.Live) (*Resul
 		shapes[i] = analytical.Shape{R: int64(a[0]), C: int64(a[1])}
 	}
 
-	A, D, S, W := len(shapes), len(grid.Dataflows), len(grid.SRAMs), len(grid.Topologies)
+	A, D, S, W := len(shapes), len(grid.Dataflows), len(grid.SRAMs), len(grid.Workloads)
 	res := &Result{
 		Fingerprint: fingerprint(grid, opt.Epsilon),
 		BaseHash:    grid.Base.Hash(),
@@ -224,9 +224,9 @@ func Explore(grid batch.Spec, opt Options, r *job.Runner, live job.Live) (*Resul
 	endTier1 := rec.Phase("dse.tier1")
 	t0 := time.Now()
 	mappings := make([][]mapEntry, W*D)
-	for w, topo := range grid.Topologies {
+	for w, g := range grid.Workloads {
 		for di, df := range grid.Dataflows {
-			mappings[w*D+di] = collapseMappings(topo, df)
+			mappings[w*D+di] = collapseMappings(g, df)
 		}
 	}
 	scores := make([]int64, W*D*A)
@@ -284,7 +284,7 @@ func Explore(grid batch.Spec, opt Options, r *job.Runner, live job.Live) (*Resul
 	// Expand the surviving candidates over the SRAM and workload axes
 	// into the deterministic band order every shard agrees on.
 	analyticalCycles := make([]int64, 0, int(res.Stats.BandCandidates)*S*W)
-	for w, topo := range grid.Topologies {
+	for w, g := range grid.Workloads {
 		for ai, array := range grid.Arrays {
 			for di, df := range grid.Dataflows {
 				if !kept[ai*D+di] {
@@ -295,7 +295,7 @@ func Explore(grid batch.Spec, opt Options, r *job.Runner, live job.Live) (*Resul
 						Array:    array,
 						Dataflow: df,
 						SRAM:     sr,
-						Topology: topo,
+						Workload: g,
 					})
 					analyticalCycles = append(analyticalCycles, scores[(w*D+di)*A+ai])
 				}
@@ -358,12 +358,13 @@ func Explore(grid batch.Spec, opt Options, r *job.Runner, live job.Live) (*Resul
 	return res, nil
 }
 
-// collapseMappings folds a workload's layers into distinct mappings with
-// repeat counts under the dataflow.
-func collapseMappings(topo topology.Topology, df config.Dataflow) []mapEntry {
-	index := make(map[string]int, len(topo.Layers))
-	out := make([]mapEntry, 0, len(topo.Layers))
-	for _, l := range topo.Layers {
+// collapseMappings folds a flat workload's layers into distinct mappings
+// with repeat counts under the dataflow.
+func collapseMappings(g topology.Graph, df config.Dataflow) []mapEntry {
+	index := make(map[string]int, len(g.Nodes))
+	out := make([]mapEntry, 0, len(g.Nodes))
+	for _, n := range g.Nodes {
+		l := n.Layer
 		k := l.Key()
 		if i, ok := index[k]; ok {
 			out[i].count++

@@ -38,8 +38,8 @@ func tinyGrid() batch.Spec {
 		Dataflows: []config.Dataflow{
 			config.OutputStationary, config.WeightStationary,
 		},
-		SRAMs:      [][3]int{{2, 2, 1}, {4, 4, 2}},
-		Topologies: []topology.Topology{topology.TinyNet()},
+		SRAMs:     [][3]int{{2, 2, 1}, {4, 4, 2}},
+		Workloads: []topology.Graph{topology.TinyNet().Graph()},
 	}
 }
 
@@ -287,11 +287,11 @@ func TestSpaceValidation(t *testing.T) {
 		want string
 	}{
 		{"empty grid", func(s *batch.Spec, _ *Options) { *s = batch.Spec{Base: s.Base} }, "no workloads"},
-		{"no workloads", func(s *batch.Spec, _ *Options) { s.Topologies = nil }, "no workloads"},
+		{"no workloads", func(s *batch.Spec, _ *Options) { s.Workloads = nil }, "no workloads"},
 		{"no layers", func(s *batch.Spec, _ *Options) {
-			s.Topologies = append(s.Topologies, topology.Topology{Name: "Hollow"})
+			s.Workloads = append(s.Workloads, topology.Topology{Name: "Hollow"}.Graph())
 		}, `"Hollow" has no layers`},
-		{"graph", func(s *batch.Spec, _ *Options) { s.Graphs = []topology.Graph{bert} }, `"BERTTiny" is an operator graph`},
+		{"graph", func(s *batch.Spec, _ *Options) { s.Workloads = append(s.Workloads, bert) }, `"BERTTiny" is an operator graph`},
 		{"point list", func(s *batch.Spec, _ *Options) { s.PointList = s.Points() }, "point list"},
 		{"no arrays", func(s *batch.Spec, _ *Options) { s.Arrays = nil }, "no array shapes"},
 		{"zero array", func(s *batch.Spec, _ *Options) { s.Arrays = append(s.Arrays, [2]int{0, 4}) }, "0x4"},
@@ -317,7 +317,7 @@ func TestSpaceValidation(t *testing.T) {
 // result.
 func TestEmptyShard(t *testing.T) {
 	s := batch.Spec{Base: config.New(), Arrays: [][2]int{{8, 8}},
-		Topologies: []topology.Topology{topology.TinyNet()}}
+		Workloads: []topology.Graph{topology.TinyNet().Graph()}}
 	whole, err := Explore(s, Options{}, testRunner(t, nil), job.Live{})
 	if err != nil {
 		t.Fatal(err)

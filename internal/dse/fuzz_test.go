@@ -20,7 +20,7 @@ import (
 func FuzzReadPart(f *testing.F) {
 	runner, dir := testRunner(f, nil), f.TempDir()
 	one := batch.Spec{Base: config.New(), Arrays: [][2]int{{8, 8}},
-		Topologies: []topology.Topology{topology.TinyNet()}}
+		Workloads: []topology.Graph{topology.TinyNet().Graph()}}
 	headerOnly := false
 	for _, s := range []struct {
 		grid batch.Spec

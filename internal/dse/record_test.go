@@ -32,7 +32,7 @@ func TestEveryJobKindLinesUpEntriesAndNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep, err := r.RunSweep("sweep", batch.Spec{Base: config.New(), Arrays: [][2]int{{8, 8}, {16, 16}},
-		Topologies: []topology.Topology{topology.TinyNet()}, Graphs: []topology.Graph{bert}}, job.Live{})
+		Workloads: []topology.Graph{topology.TinyNet().Graph(), bert}}, job.Live{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func BandwidthCurve(l topology.Layer, cfg config.Config, bandwidths []float64, o
 			return nil, err
 		}
 		name := fmt.Sprintf("%s@%gwpc", l.Name, bw)
-		runs[i] = core.Run{Sim: sim, Name: name, Topology: topology.Topology{Name: name, Layers: []topology.Layer{l}}}
+		runs[i] = core.Run{Sim: sim, Name: name, Workload: topology.Topology{Name: name, Layers: []topology.Layer{l}}.Graph()}
 	}
 	results, err := core.SimulateRuns(runs)
 	if err != nil {

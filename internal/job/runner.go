@@ -300,7 +300,7 @@ func await(j *Job, err error) (*Result, error) {
 // Every job kind builds its simulators here.
 func (s Spec) run(name string, opt core.Options) (core.Run, error) {
 	sim, err := core.New(s.Config, s.options(opt))
-	return core.Run{Sim: sim, Name: name, Topology: s.Topology, Graph: s.Graph}, err
+	return core.Run{Sim: sim, Name: name, Workload: s.workload()}, err
 }
 
 // execSpec builds the job body for a simulation spec: simulate it wired
@@ -346,7 +346,7 @@ func (r *Runner) EnqueueSweep(label string, grid batch.Spec, live Live) (*Job, e
 	}
 	specs := make([]Spec, len(points))
 	for i, p := range points {
-		specs[i] = Spec{Config: p.Config(grid.Base), Topology: p.Topology, Graph: p.Graph, Workers: grid.Parallel}
+		specs[i] = Spec{Config: p.Config(grid.Base), Graph: &points[i].Workload, Workers: grid.Parallel}
 		if err := specs[i].Validate(); err != nil {
 			return nil, pointError(p, err)
 		}
@@ -377,7 +377,7 @@ func (r *Runner) execSweep(grid batch.Spec, points []batch.Point, specs []Spec) 
 		rec := j.live.Obs
 		endPhase := rec.Phase("batch.run")
 		log.Default().Info("sweep start", "subsystem", "batch",
-			"points", len(points), "nets", len(grid.Topologies)+len(grid.Graphs))
+			"points", len(points), "nets", len(grid.Workloads))
 		rows, err := sweep(points, specs, core.Options{Cache: r.opt.Cache, Timeline: j.live.Timeline,
 			Obs: rec, Progress: j.progress, Context: ctx})
 		endPhase()

@@ -517,13 +517,12 @@ func TestSweepPointIsASpecJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := batch.Spec{
-		Base:       config.New(),
-		Arrays:     [][2]int{{8, 8}, {16, 4}},
-		Dataflows:  []config.Dataflow{config.OutputStationary, config.WeightStationary},
-		SRAMs:      [][3]int{{2, 2, 1}, {8, 8, 4}},
-		Topologies: []topology.Topology{topology.TinyNet()},
-		Graphs:     []topology.Graph{g},
-		Parallel:   2,
+		Base:      config.New(),
+		Arrays:    [][2]int{{8, 8}, {16, 4}},
+		Dataflows: []config.Dataflow{config.OutputStationary, config.WeightStationary},
+		SRAMs:     [][3]int{{2, 2, 1}, {8, 8, 4}},
+		Workloads: []topology.Graph{topology.TinyNet().Graph(), g},
+		Parallel:  2,
 	}
 	plain := NewRunner(Options{Workers: 1})
 	defer plain.Close(context.Background())
@@ -539,7 +538,7 @@ func TestSweepPointIsASpecJob(t *testing.T) {
 		t.Fatalf("rows = %d, points = %d, want 16 each", len(sweep.Rows), len(points))
 	}
 	for i, p := range points {
-		spec := Spec{Config: p.Config(grid.Base), Topology: p.Topology, Graph: p.Graph, Workers: 1}
+		spec := Spec{Config: p.Config(grid.Base), Graph: &p.Workload, Workers: 1}
 		if got, want := batch.PointHash(grid.Base, p), spec.Key(); got != want {
 			t.Errorf("%s: PointHash %q != Spec.Key %q", batch.PointLabel(p), got, want)
 		}
@@ -641,9 +640,9 @@ func TestLineBufferLinesSince(t *testing.T) {
 
 func sweepSpec() batch.Spec {
 	return batch.Spec{
-		Base:       config.New(),
-		Arrays:     [][2]int{{8, 8}, {16, 16}},
-		Topologies: []topology.Topology{topology.TinyNet()},
-		Parallel:   1,
+		Base:      config.New(),
+		Arrays:    [][2]int{{8, 8}, {16, 16}},
+		Workloads: []topology.Graph{topology.TinyNet().Graph()},
+		Parallel:  1,
 	}
 }

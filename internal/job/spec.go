@@ -12,10 +12,13 @@
 // whose grid points are Specs) run through the same Runner, and the CLI
 // resolves its flags with the parsers Request.Spec uses (Override,
 // ParseParts, topology.Workload), so a job submitted over HTTP is
-// byte-identical to the same job run from the command line.
+// byte-identical to the same job run from the command line. Past those
+// parsers a workload is one topology.Graph: a flat network is its chain,
+// marked Flat.
 package job
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -27,18 +30,21 @@ import (
 	"scalesim/internal/topology"
 )
 
-// Spec is one simulation job: a hardware configuration, exactly one
-// workload (flat topology or operator graph), and the run bounds that
-// participate in the result. Everything here is a pure value — no sinks,
-// no writers — so a Spec can arrive over the network, be hashed, queued
-// and replayed.
+// Spec is one simulation job: a hardware configuration, one workload,
+// and the run bounds that participate in the result. Everything here is a
+// pure value — no sinks, no writers — so a Spec can arrive over the
+// network, be hashed, queued and replayed.
 type Spec struct {
 	// Config is the architecture to simulate. Its RunName labels reports.
 	Config config.Config
-	// Topology is the flat workload; ignored when Graph is set.
-	Topology topology.Topology
-	// Graph is the operator-graph workload; takes precedence over Topology.
+	// Graph is the workload: an operator graph, or a flat network as its
+	// chain (topology.Topology.Graph). Every front end sets it.
 	Graph *topology.Graph
+	// Topology is a flat network, read only when Graph is nil.
+	//
+	// Deprecated: set Graph to t.Graph(). The benchmark harness still
+	// builds its specs with this field.
+	Topology topology.Topology
 	// DRAM, when non-nil, replays DRAM traces through the timing model.
 	DRAM *dram.Config
 	// DRAMBandwidth bounds the memory link in words/cycle (0 = unbounded).
@@ -50,9 +56,18 @@ type Spec struct {
 	Workers int
 	// Parts, when set, runs every layer scale-out on a Pr x Pc grid of
 	// arrays shaped like Config's, dividing its SRAM (core.Options.Parts).
-	// The zero value is one array. Validate refuses Parts with a Graph,
-	// DRAM or DRAMBandwidth: a shared memory link is not modelled.
+	// The zero value is one array. Validate refuses Parts with DRAM or
+	// DRAMBandwidth (a shared memory link is not modelled) and with a
+	// vector node (a partition has no vector unit).
 	Parts analytical.Partitioning
+}
+
+// workload is the spec's one workload.
+func (s Spec) workload() topology.Graph {
+	if s.Graph != nil {
+		return *s.Graph
+	}
+	return s.Topology.Graph()
 }
 
 // options returns opt, which carries what the caller owns, with the
@@ -68,37 +83,19 @@ func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
-	if err := s.options(core.Options{}).Validate(); err != nil {
+	opt := s.options(core.Options{})
+	if err := opt.Validate(); err != nil {
 		return err
 	}
-	if s.Graph != nil {
-		if s.Parts != (analytical.Partitioning{}) {
-			return core.ErrPartsGraph
-		}
-		return s.Graph.Validate()
-	}
-	if len(s.Topology.Layers) == 0 {
-		return fmt.Errorf("job: no workload (empty topology and no graph)")
-	}
-	return s.Topology.Validate()
+	return opt.ValidateWorkload(s.workload())
 }
 
 // Net names the spec's workload.
-func (s Spec) Net() string {
-	if s.Graph != nil {
-		return s.Graph.Name
-	}
-	return s.Topology.Name
-}
+func (s Spec) Net() string { return s.workload().Name }
 
-// Layers returns the workload's unit count — graph nodes or flat layers —
-// the denominator of the job's progress.
-func (s Spec) Layers() int {
-	if s.Graph != nil {
-		return len(s.Graph.Nodes)
-	}
-	return len(s.Topology.Layers)
-}
+// Layers returns the workload's unit count — its layers or nodes — the
+// denominator of the job's progress.
+func (s Spec) Layers() int { return len(s.workload().Nodes) }
 
 // Key is the job's content address: the configuration's canonical hash
 // crossed with the workload shape key (topology.ContentKey, the identity
@@ -106,7 +103,7 @@ func (s Spec) Layers() int {
 // outcomes — the identity under which repeated submissions replay from the
 // shared cache.
 func (s Spec) Key() string {
-	key := topology.ContentKey(s.Config.Hash(), s.Topology, s.Graph)
+	key := topology.ContentKey(s.Config.Hash(), s.workload())
 	if s.DRAMBandwidth > 0 {
 		key += fmt.Sprintf(";bw=%g", s.DRAMBandwidth)
 	}
@@ -137,7 +134,7 @@ type Request struct {
 	SRAM     string `json:"sram,omitempty"`
 	// VectorLanes overrides the vector-unit width (0 = array width).
 	VectorLanes int `json:"vector_lanes,omitempty"`
-	// Net selects a built-in workload (flat topology or operator graph).
+	// Net selects a built-in workload (flat network or operator graph).
 	Net string `json:"net,omitempty"`
 	// TopologyCSV is an inline topology in the layer CSV format.
 	TopologyCSV string `json:"topology_csv,omitempty"`
@@ -221,37 +218,31 @@ func (r Request) Spec() (Spec, error) {
 		}
 	}
 
-	workloads, inline := 0, r.Run
-	if inline == "" {
-		inline = "inline"
-	}
-	if r.Net != "" {
-		workloads++
-		if spec.Topology, spec.Graph, err = topology.Workload(r.Net); err != nil {
-			return Spec{}, err
+	set := 0
+	for _, given := range []bool{r.Net != "", r.TopologyCSV != "", len(r.Graph) > 0} {
+		if given {
+			set++
 		}
 	}
-	if r.TopologyCSV != "" {
-		workloads++
-		topo, err := topology.ParseCSV(inline, strings.NewReader(r.TopologyCSV))
-		if err != nil {
-			return Spec{}, err
-		}
-		spec.Topology, spec.Graph = topo, nil
-	}
-	if len(r.Graph) > 0 {
-		workloads++
-		g, err := topology.ParseGraph(inline, strings.NewReader(string(r.Graph)))
-		if err != nil {
-			return Spec{}, err
-		}
-		spec.Graph = &g
-	}
+	inline := cmp.Or(r.Run, "inline")
+	var w topology.Graph
 	switch {
-	case workloads == 0:
+	case set == 0:
 		return Spec{}, fmt.Errorf("job: no workload: set net, topology_csv or graph")
-	case workloads > 1:
+	case set > 1:
 		return Spec{}, fmt.Errorf("job: multiple workloads: set exactly one of net, topology_csv and graph")
+	case r.Net != "":
+		w, err = topology.Workload(r.Net)
+	case r.TopologyCSV != "":
+		var t topology.Topology
+		t, err = topology.ParseCSV(inline, strings.NewReader(r.TopologyCSV))
+		w = t.Graph()
+	default:
+		w, err = topology.ParseGraph(inline, strings.NewReader(string(r.Graph)))
 	}
+	if err != nil {
+		return Spec{}, err
+	}
+	spec.Graph = &w
 	return spec, spec.Validate()
 }

@@ -88,13 +88,13 @@ func Run(l topology.Layer, base config.Config, spec Spec, opt Options) (Result, 
 func newPoint(name string, l topology.Layer, base config.Config, spec Spec, opt Options) (core.Run, error) {
 	opt.Parts = spec.Parts
 	sim, err := core.New(base.WithArray(int(spec.Shape.R), int(spec.Shape.C)), opt)
-	return core.Run{Sim: sim, Name: name, Topology: topology.Topology{Name: name, Layers: []topology.Layer{l}}}, err
+	return core.Run{Sim: sim, Name: name, Workload: topology.Topology{Name: name, Layers: []topology.Layer{l}}.Graph()}, err
 }
 
 // resultOf is a point's Result from its core run pt on spec.
 func resultOf(pt core.Run, spec Spec, res core.RunResult) Result {
 	lr := res.Layers[0]
-	return Result{Layer: pt.Topology.Layers[0], Spec: spec, Node: lr, Unit: pt.Sim.Unit(pt.Name, lr),
+	return Result{Layer: pt.Workload.Nodes[0].Layer, Spec: spec, Node: lr, Unit: pt.Sim.Unit(pt.Name, lr),
 		Cycles: lr.Compute.Cycles, ActivePartitions: int64(len(lr.Partitions))}
 }
 

@@ -223,7 +223,7 @@ func TestSweepMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := pt.Sim.Simulate(pt.Topology)
+			res, err := pt.Simulate()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,26 +111,21 @@ func BuiltInGraphNames() []string { return []string{"BERTTiny", "BERTBase"} }
 // built-in network (ResNet50, the Table IV GEMMs, ...) as its linear
 // chain. Name matching follows BuiltIn's conventions for the flat set.
 func BuiltInGraph(name string) (Graph, error) {
-	if build, ok := builtinGraphs()[name]; ok {
-		return build()
-	}
-	t, ok := BuiltIn(name)
-	if !ok {
-		return Graph{}, fmt.Errorf("topology: no built-in graph or network %q", name)
-	}
-	return ChainGraph(t), nil
+	g, err := Workload(name)
+	g.Flat = false
+	return g, err
 }
 
 // Workload resolves a built-in workload name the way every front end
-// does: flat topologies first, then the native operator graphs (graph
-// non-nil).
-func Workload(name string) (Topology, *Graph, error) {
+// does: a flat network (as its Topology.Graph) first, then the native
+// operator graphs.
+func Workload(name string) (Graph, error) {
 	if t, ok := BuiltIn(name); ok {
-		return t, nil, nil
+		return t.Graph(), nil
 	}
-	if g, err := BuiltInGraph(name); err == nil {
-		return Topology{}, &g, nil
+	if build, ok := builtinGraphs()[name]; ok {
+		return build()
 	}
-	return Topology{}, nil, fmt.Errorf("topology: unknown built-in workload %q (have %s)", name,
+	return Graph{}, fmt.Errorf("topology: unknown built-in workload %q (have %s)", name,
 		strings.Join(append(BuiltInNames(), BuiltInGraphNames()...), ", "))
 }

@@ -182,30 +182,32 @@ func (n Node) Key() string {
 	return key + "|" + n.Layer.Key()
 }
 
-// ShapeKey is the canonical identity of a workload — graph g when
-// non-nil, else the flat topology t: the node keys (graph) or layer shape
-// keys (flat) joined by ';', user-facing names excluded. Job keys, batch
-// point hashes and shard assignment are all derived from it.
-func ShapeKey(t Topology, g *Graph) string {
-	var keys []string
-	if g != nil {
-		for i := range g.Nodes {
-			keys = append(keys, g.Nodes[i].Key())
-		}
-	} else {
-		for _, l := range t.Layers {
-			keys = append(keys, l.Key())
-		}
+// ShapeKey is the canonical identity of a workload, user-facing names
+// excluded: a flat network's layer shape keys (Layer.Key), or else the
+// graph's node keys (Node.Key), joined by ';'. Job keys, batch point
+// hashes and shard assignment are all derived from it.
+func ShapeKey(g Graph) string {
+	keys := make([]string, len(g.Nodes))
+	for i, n := range g.Nodes {
+		keys[i] = g.key(n)
 	}
 	return strings.Join(keys, ";")
+}
+
+// key is n's part of g's ShapeKey.
+func (g Graph) key(n Node) string {
+	if g.Flat {
+		return n.Layer.Key()
+	}
+	return n.Key()
 }
 
 // ContentKey is the content address of a workload on a configuration:
 // the configuration's canonical hash crossed with the SHA-256 of the
 // workload's ShapeKey. Equal keys mean equal simulation outcomes; job keys
 // and batch point hashes are both this string.
-func ContentKey(configHash string, t Topology, g *Graph) string {
-	sum := sha256.Sum256([]byte(ShapeKey(t, g)))
+func ContentKey(configHash string, g Graph) string {
+	sum := sha256.Sum256([]byte(ShapeKey(g)))
 	return configHash + ":" + hex.EncodeToString(sum[:8])
 }
 
@@ -218,17 +220,23 @@ func (n Node) Work() int64 {
 	return n.Elems()
 }
 
-// Graph is an operator-graph workload: nodes with explicit dependency
-// edges. Unlike the flat Topology — which serializes layers in file order
-// and treats them as independent — a Graph carries the true producer →
+// Graph is the one workload type: nodes with explicit dependency edges.
+// Unlike the flat Topology — which serializes layers in file order and
+// treats them as independent — a Graph carries the true producer →
 // consumer structure of the network, which is what non-GEMM operator
 // modeling and (eventually) inter-layer pipelining need. The modeled hardware still executes one node at a
-// time; see ExecutionOrder for the serialized order.
+// time; see ExecutionOrder for the serialized order. A flat network is a
+// Graph too, its chain (Topology.Graph), marked Flat.
 type Graph struct {
 	// Name tags the workload.
 	Name string
 	// Nodes holds the operators in declaration order.
 	Nodes []Node
+	// Flat marks a flat layer network (Topology.Graph): it keys by layer
+	// shape, answers to the layer terms of Topology.Validate and reports
+	// as a topology — no operators report, no node or edge counts. It
+	// stays out of JSON, where only a graph run's result carries a Graph.
+	Flat bool `json:"-"`
 }
 
 // ChainGraph adapts a flat topology into the equivalent operator graph: a
@@ -246,6 +254,26 @@ func ChainGraph(t Topology) Graph {
 		g.Nodes = append(g.Nodes, Node{Name: l.Name, Kind: OpConv, Layer: l, Inputs: inputs})
 	}
 	return g
+}
+
+// Graph returns the flat network as a workload: its ChainGraph, marked
+// Flat. Every front end resolves a layer CSV or flat built-in through it.
+func (t Topology) Graph() Graph {
+	g := ChainGraph(t)
+	g.Flat = true
+	return g
+}
+
+// Topology lists the graph's nodes as layers, in declaration order, each
+// under its node name: the network a Flat graph was built from, or the
+// per-node rows a report renders.
+func (g Graph) Topology() Topology {
+	t := Topology{Name: g.Name, Layers: make([]Layer, len(g.Nodes))}
+	for i, n := range g.Nodes {
+		t.Layers[i] = n.Layer
+		t.Layers[i].Name = n.Name
+	}
+	return t
 }
 
 // Edges returns the dependency-edge count.
@@ -279,8 +307,14 @@ func (g Graph) index() (map[string]int, error) {
 }
 
 // Validate checks every node, resolves every input edge (a dangling input
-// is an error naming both ends), and rejects cyclic graphs.
+// is an error naming both ends), and rejects cyclic graphs. A Flat graph
+// is first held to Topology.Validate, so its errors name layers.
 func (g Graph) Validate() error {
+	if g.Flat {
+		if err := g.Topology().Validate(); err != nil {
+			return err
+		}
+	}
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("topology: graph %q: no nodes", g.Name)
 	}
@@ -445,10 +479,11 @@ func (g Graph) KindStats() []KindCount {
 	return out
 }
 
-// NodeKeyCount is one canonical node key's usage within a graph — the
-// graph analogue of KeyCount, with the operator kind alongside.
+// NodeKeyCount is one canonical key's usage within a workload: how many
+// nodes share it, of which kind, and which node introduced it.
 type NodeKeyCount struct {
-	// Key is the canonical node key (Node.Key).
+	// Key is the node's key in the workload's ShapeKey: its layer shape
+	// key in a flat network, else its node key (Node.Key).
 	Key string
 	// Kind is the operator kind the key belongs to.
 	Kind OpKind
@@ -460,15 +495,16 @@ type NodeKeyCount struct {
 	Work  int64
 }
 
-// KeyStats groups the graph's nodes by canonical node key, in first-seen
-// order. As with Topology.KeyStats, the node-to-key ratio is the reuse a
-// memoizing result cache exploits — but keyed per operator kind, so a
-// GEMM and a same-shaped attention matmul count separately.
+// KeyStats groups the workload's nodes by the keys ShapeKey joins, in
+// first-seen order. The node-to-key ratio is the reuse a memoizing result
+// cache exploits: every repeated key simulates once. A graph keys per
+// operator kind, so a GEMM and a same-shaped attention matmul count
+// separately.
 func (g Graph) KeyStats() []NodeKeyCount {
 	index := make(map[string]int, len(g.Nodes))
 	out := make([]NodeKeyCount, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
-		k := n.Key()
+		k := g.key(n)
 		if i, ok := index[k]; ok {
 			out[i].Count++
 			continue

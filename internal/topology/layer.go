@@ -177,35 +177,3 @@ func (t Topology) TotalMACOps() int64 {
 	}
 	return total
 }
-
-// KeyCount is one canonical shape key's usage within a topology: how many
-// layers share the key and which layer introduced it.
-type KeyCount struct {
-	// Key is the canonical shape key (Layer.Key).
-	Key string
-	// Count is the number of layers with this key.
-	Count int
-	// First is the name of the first layer carrying the key, MACs its
-	// per-occurrence work.
-	First string
-	// MACs is one occurrence's MAC count.
-	MACs int64
-}
-
-// KeyStats groups the topology's layers by canonical shape key, in
-// first-seen order. The ratio of layers to distinct keys is the reuse a
-// memoizing per-layer cache can exploit: every repeated key simulates once.
-func (t Topology) KeyStats() []KeyCount {
-	index := make(map[string]int, len(t.Layers))
-	out := make([]KeyCount, 0, len(t.Layers))
-	for _, l := range t.Layers {
-		k := l.Key()
-		if i, ok := index[k]; ok {
-			out[i].Count++
-			continue
-		}
-		index[k] = len(out)
-		out = append(out, KeyCount{Key: k, Count: 1, First: l.Name, MACs: l.MACOps()})
-	}
-	return out
-}

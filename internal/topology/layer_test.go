@@ -219,19 +219,19 @@ func TestKeyStats(t *testing.T) {
 		{Name: "c2", IfmapH: 8, IfmapW: 8, FilterH: 3, FilterW: 3, Channels: 8, NumFilters: 8, Stride: 1},
 		{Name: "c3", IfmapH: 8, IfmapW: 8, FilterH: 3, FilterW: 3, Channels: 4, NumFilters: 8, Stride: 1},
 	}}
-	stats := topo.KeyStats()
+	stats := topo.Graph().KeyStats()
 	if len(stats) != 2 {
 		t.Fatalf("KeyStats len = %d, want 2", len(stats))
 	}
 	if stats[0].First != "c1" || stats[0].Count != 2 || stats[1].First != "c2" || stats[1].Count != 1 {
 		t.Errorf("KeyStats = %+v", stats)
 	}
-	if stats[0].MACs != topo.Layers[0].MACOps() {
-		t.Errorf("MACs = %d", stats[0].MACs)
+	if stats[0].Work != topo.Layers[0].MACOps() || stats[0].Key != topo.Layers[0].Key() {
+		t.Errorf("MACs = %d, key %q", stats[0].Work, stats[0].Key)
 	}
 
 	rn := ResNet50()
-	unique := len(rn.KeyStats())
+	unique := len(rn.Graph().KeyStats())
 	if unique >= len(rn.Layers) {
 		t.Errorf("ResNet50 exposes no reuse: %d layers, %d unique keys", len(rn.Layers), unique)
 	}
